@@ -14,8 +14,7 @@ sampled runs back to back on the same machine, so the recorded
 directly — no baseline normalisation needed.  The same bound applies
 to the windowed-telemetry cells (``timeseries_overhead`` on the
 compiled per-packet path, ``lane_timeseries_overhead`` on the batch
-lane — the latter skipped when the lane cells report zero, i.e. the
-measuring box had no numpy) and to the tail-latency forensics cells
+lane) and to the tail-latency forensics cells
 (``forensics_overhead`` for the production 1-in-16 decomposition
 stride, ``forensics_off_overhead`` for a constructed-but-disabled
 engine, which must be effectively free).  A run fails when any
@@ -117,20 +116,17 @@ def check(metrics: dict, threshold: float) -> int:
     )
     if fx_off > threshold:
         failures += 1
-    if metrics["lane_off_s"] > 0:
-        lane_overhead = metrics["lane_timeseries_overhead"]
-        status = "ok" if lane_overhead <= threshold else "FAIL"
-        print(
-            f"{status:4s} telemetry overhead (batch lane): "
-            f"{100 * lane_overhead:+.1f}% "
-            f"(off {metrics['lane_off_s']:.3f}s, "
-            f"timeseries {metrics['lane_timeseries_s']:.3f}s, "
-            f"budget {100 * threshold:.0f}%)"
-        )
-        if lane_overhead > threshold:
-            failures += 1
-    else:
-        print("skip batch-lane telemetry cells (measured without numpy)")
+    lane_overhead = metrics["lane_timeseries_overhead"]
+    status = "ok" if lane_overhead <= threshold else "FAIL"
+    print(
+        f"{status:4s} telemetry overhead (batch lane): "
+        f"{100 * lane_overhead:+.1f}% "
+        f"(off {metrics['lane_off_s']:.3f}s, "
+        f"timeseries {metrics['lane_timeseries_s']:.3f}s, "
+        f"budget {100 * threshold:.0f}%)"
+    )
+    if lane_overhead > threshold:
+        failures += 1
     return failures
 
 

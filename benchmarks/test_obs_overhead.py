@@ -19,8 +19,7 @@ sampling) on both fast-path shapes:
 - ``timeseries`` — the compiled per-packet path with a
   :class:`TimeSeries` attached to the platform (post-run ingestion);
 - ``lane_off`` / ``lane_timeseries`` — the whole-batch columnar lane
-  without and with the same telemetry stack (needs numpy; the cells
-  report zero and are skipped by the checker without it).
+  without and with the same telemetry stack.
 
 The tail-latency forensics engine gets its own cell pair on the
 compiled per-packet path:
@@ -44,12 +43,10 @@ from __future__ import annotations
 import time
 
 from benchmarks.harness import make_platform, save_result
-from repro import vector as vec
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter, SyntheticNF
 from repro.obs import FlowSpanRecorder, ForensicsEngine, HealthModel, SLOEngine, TimeSeries
-from repro.platform import PlatformConfig
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.columnar import uniform_batch
 from repro.traffic.generator import clone_packets
@@ -141,12 +138,7 @@ def lane_chain():
 
 def timed_lane_run(batch, timeseries):
     runtime = SpeedyBox(lane_chain(), max_tracked_flows=LANE_CAP, max_flows=LANE_CAP)
-    platform = make_platform(
-        "bess",
-        runtime,
-        config=PlatformConfig(batch_lane=True),
-        timeseries=timeseries,
-    )
+    platform = make_platform("bess", runtime, timeseries=timeseries)
     started = time.perf_counter()
     result = platform.run_load(batch)
     seconds = time.perf_counter() - started
@@ -200,16 +192,14 @@ def run_overhead():
     total_packets = len(packets)
     sampled_summary = recorders["sampled"].summary()
 
-    lane_off_s = lane_ts_s = 0.0
-    if vec.HAVE_NUMPY:
-        lane_off_s = lane_ts_s = float("inf")
-        batch = uniform_batch(
-            LANE_FLOWS, LANE_PPF, interleave="round_robin", block=LANE_BLOCK
-        )
-        timed_lane_run(batch, None)  # untimed lane warmup
-        for __ in range(REPEATS):
-            lane_off_s = min(lane_off_s, timed_lane_run(batch, None))
-            lane_ts_s = min(lane_ts_s, timed_lane_run(batch, make_telemetry()))
+    lane_off_s = lane_ts_s = float("inf")
+    batch = uniform_batch(
+        LANE_FLOWS, LANE_PPF, interleave="round_robin", block=LANE_BLOCK
+    )
+    timed_lane_run(batch, None)  # untimed lane warmup
+    for __ in range(REPEATS):
+        lane_off_s = min(lane_off_s, timed_lane_run(batch, None))
+        lane_ts_s = min(lane_ts_s, timed_lane_run(batch, make_telemetry()))
 
     return {
         "packets": float(total_packets),
@@ -234,9 +224,7 @@ def run_overhead():
         "forensics_windows": float(forensics_summary["windows"]),
         "lane_off_s": lane_off_s,
         "lane_timeseries_s": lane_ts_s,
-        "lane_timeseries_overhead": (
-            lane_ts_s / lane_off_s - 1.0 if lane_off_s else 0.0
-        ),
+        "lane_timeseries_overhead": lane_ts_s / lane_off_s - 1.0,
     }
 
 
@@ -295,10 +283,9 @@ def test_obs_overhead(benchmark):
         f"{100 * metrics['forensics_off_overhead']:.1f}% — the disabled mode "
         f"must be one attribute check per run"
     )
-    if vec.HAVE_NUMPY:
-        assert metrics["lane_timeseries_overhead"] <= MAX_SAMPLED_OVERHEAD, (
-            f"windowed telemetry costs "
-            f"{100 * metrics['lane_timeseries_overhead']:.1f}% over the "
-            f"uninstrumented batch lane "
-            f"(budget {100 * MAX_SAMPLED_OVERHEAD:.0f}%)"
-        )
+    assert metrics["lane_timeseries_overhead"] <= MAX_SAMPLED_OVERHEAD, (
+        f"windowed telemetry costs "
+        f"{100 * metrics['lane_timeseries_overhead']:.1f}% over the "
+        f"uninstrumented batch lane "
+        f"(budget {100 * MAX_SAMPLED_OVERHEAD:.0f}%)"
+    )

@@ -13,13 +13,10 @@ same process*, and asserts:
 A second family of cells gates the **batch lane**
 (:mod:`repro.core.batchlane`): a columnar 1M-packet / 100k-flow churn
 workload through a bounded 8192-entry flow table, once down the lane
-and once through the legacy per-packet oracle (``batch.packet_view()``
-with ``batch_lane=False``), asserting exact result equality and a
->= 10x per-packet speedup; plus a 10M-packet / 1M-flow scale cell that
-must finish in bounded wallclock and bounded peak RSS (the memory gate
-for the deferred-flush design).  The batch cells need numpy — the
-pure-Python lane fallback is correct but not fast — and are skipped
-without it.
+and once through the per-packet oracle (``batch.packet_view()``),
+asserting exact result equality and a >= 10x per-packet speedup; plus a
+10M-packet / 1M-flow scale cell that must finish in bounded wallclock
+and bounded peak RSS (the memory gate for the deferred-flush design).
 
 The measured numbers land in ``BENCH_wallclock.json``;
 ``benchmarks/check_wallclock_regression.py`` compares a fresh run
@@ -33,7 +30,6 @@ import resource
 import time
 
 from benchmarks.harness import make_platform, save_result, uniform_flow_packets
-from repro import vector as vec
 from repro.core.framework import SpeedyBox
 from repro.core.actions import Modify
 from repro.nf import IPFilter, SyntheticNF
@@ -88,14 +84,12 @@ def make_batch(flows):
     )
 
 
-def timed_batch_run(batch, batch_lane):
+def timed_batch_run(load):
+    """A ``PacketBatch`` takes the lane; ``batch.packet_view()`` is the oracle."""
     runtime = SpeedyBox(
         build_batch_chain(), max_tracked_flows=BATCH_CAP, max_flows=BATCH_CAP
     )
-    platform = make_platform(
-        "bess", runtime, config=PlatformConfig(batch_lane=batch_lane)
-    )
-    load = batch if batch_lane else batch.packet_view()
+    platform = make_platform("bess", runtime)
     started = time.perf_counter()
     result = platform.run_load(load)
     return time.perf_counter() - started, result, runtime
@@ -146,8 +140,7 @@ def run_wallclock():
             "legacy_s_per_100k": legacy_s * (100_000 / PACKETS),
             "identical": identical(fast_result, legacy_result),
         }
-    if vec.HAVE_NUMPY:
-        results.update(run_batch_cells())
+    results.update(run_batch_cells())
     return results
 
 
@@ -165,9 +158,9 @@ def run_batch_cells():
     results = {}
     batch_1m = make_batch(BATCH_FLOWS)
     n_1m = len(batch_1m)
-    fast_s = min(timed_batch_run(batch_1m, batch_lane=True)[0] for __ in range(2))
-    legacy_s, legacy_result, legacy_runtime = timed_batch_run(batch_1m, batch_lane=False)
-    __, fast_result, fast_runtime = timed_batch_run(batch_1m, batch_lane=True)
+    fast_s = min(timed_batch_run(batch_1m)[0] for __ in range(2))
+    legacy_s, legacy_result, legacy_runtime = timed_batch_run(batch_1m.packet_view())
+    __, fast_result, fast_runtime = timed_batch_run(batch_1m)
     results["bess_batch_1m"] = {
         "fast_s": fast_s,
         "legacy_s": legacy_s,
@@ -181,7 +174,7 @@ def run_batch_cells():
 
     batch_10m = make_batch(BATCH_10M_FLOWS)
     n_10m = len(batch_10m)
-    scale_s = timed_batch_run(batch_10m, batch_lane=True)[0]
+    scale_s = timed_batch_run(batch_10m)[0]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     results["bess_batch_10m"] = {
         "wallclock_s": scale_s,
@@ -231,18 +224,17 @@ def test_wallclock(benchmark):
         f"(need >= {MIN_SPEEDUP}x)"
     )
     assert results["onvm_n5"]["speedup"] >= 2.0
-    if vec.HAVE_NUMPY:
-        batch = results["bess_batch_1m"]
-        assert batch["speedup"] >= MIN_BATCH_SPEEDUP, (
-            f"batch lane only {batch['speedup']:.2f}x on bess_batch_1m "
-            f"(need >= {MIN_BATCH_SPEEDUP}x)"
-        )
-        scale = results["bess_batch_10m"]
-        assert scale["speedup_vs_1m_legacy"] >= MIN_BATCH_SPEEDUP, (
-            f"batch lane only {scale['speedup_vs_1m_legacy']:.2f}x on the "
-            f"10M-packet cell (need >= {MIN_BATCH_SPEEDUP}x)"
-        )
-        assert scale["peak_rss_mb"] <= BATCH_10M_MAX_RSS_MB, (
-            f"10M-packet cell peaked at {scale['peak_rss_mb']:.0f}MB RSS "
-            f"(bound {BATCH_10M_MAX_RSS_MB:.0f}MB)"
-        )
+    batch = results["bess_batch_1m"]
+    assert batch["speedup"] >= MIN_BATCH_SPEEDUP, (
+        f"batch lane only {batch['speedup']:.2f}x on bess_batch_1m "
+        f"(need >= {MIN_BATCH_SPEEDUP}x)"
+    )
+    scale = results["bess_batch_10m"]
+    assert scale["speedup_vs_1m_legacy"] >= MIN_BATCH_SPEEDUP, (
+        f"batch lane only {scale['speedup_vs_1m_legacy']:.2f}x on the "
+        f"10M-packet cell (need >= {MIN_BATCH_SPEEDUP}x)"
+    )
+    assert scale["peak_rss_mb"] <= BATCH_10M_MAX_RSS_MB, (
+        f"10M-packet cell peaked at {scale['peak_rss_mb']:.0f}MB RSS "
+        f"(bound {BATCH_10M_MAX_RSS_MB:.0f}MB)"
+    )

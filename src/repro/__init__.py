@@ -26,7 +26,7 @@ from repro.core import ServiceChain, SpeedyBox
 from repro.obs import MetricsRegistry, PacketTracer
 from repro.platform import BessPlatform, CostModel, OpenNetVMPlatform
 
-__version__ = "1.4.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "BessPlatform",

@@ -426,7 +426,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.core.actions import Modify
-    from repro.platform.base import PlatformConfig
     from repro.traffic.columnar import uniform_batch
 
     def batch_chain():
@@ -456,15 +455,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.forensics_out:
         forensics = ForensicsEngine(worst_k=max(1, args.worst_k or 8))
 
-    def run_leg(batch_lane, forensics=None):
+    def run_leg(load, forensics=None):
         runtime = SpeedyBox(
             batch_chain(), max_tracked_flows=args.table, max_flows=args.table
         )
         platform_cls = BessPlatform if args.platform == "bess" else OpenNetVMPlatform
-        platform = platform_cls(
-            runtime, config=PlatformConfig(batch_lane=batch_lane), forensics=forensics
-        )
-        load = batch if batch_lane else batch.packet_view()
+        platform = platform_cls(runtime, forensics=forensics)
         started = _time.perf_counter()
         result = platform.run_load(load)
         return _time.perf_counter() - started, result, runtime
@@ -472,13 +468,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # Forensics rides only the measured leg; the post-run decomposition
     # runs inside the timed window, so the wallclock column includes it
     # when --forensics-out is given.
-    lane_s, lane_result, lane_runtime = run_leg(
-        batch_lane=not args.no_batch_lane, forensics=forensics
-    )
+    lane_s, lane_result, lane_runtime = run_leg(batch, forensics=forensics)
     stats = lane_runtime.stats()
     rows = [
         [
-            "batch lane" if not args.no_batch_lane else "per-packet",
+            "batch lane",
             f"{lane_s:.2f}",
             f"{lane_s / total * 1e6:.2f}",
             f"{total / lane_s / 1e6:.2f}",
@@ -486,8 +480,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
             stats["classifier_evictions"],
         ]
     ]
-    if args.compare and not args.no_batch_lane:
-        legacy_s, legacy_result, legacy_runtime = run_leg(batch_lane=False)
+    if args.compare:
+        legacy_s, legacy_result, legacy_runtime = run_leg(batch.packet_view())
         rows.append(
             [
                 "per-packet",
@@ -509,7 +503,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         summary = forensics.summary()
         print(f"wrote {count} forensics rows to {args.forensics_out} "
               f"({summary['packets']} packets decomposed)")
-    if args.compare and not args.no_batch_lane:
+    if args.compare:
         same = (
             lane_result.latencies_ns == legacy_result.latencies_ns
             and lane_result.makespan_ns == legacy_result.makespan_ns
@@ -872,6 +866,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 2
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (bad values exit 2 with a usage line)."""
+    value = int(text)  # argparse reports a ValueError as a usage error too
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1015,20 +1017,20 @@ def make_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--platform", default="bess", choices=("bess", "onvm"))
     batch.add_argument(
-        "--flows", type=int, default=100_000, metavar="N",
+        "--flows", type=_positive_int, default=100_000, metavar="N",
         help="total flows in the batch (default 100000)",
     )
     batch.add_argument(
-        "--packets-per-flow", type=int, default=10, metavar="P",
+        "--packets-per-flow", type=_positive_int, default=10, metavar="P",
         help="packets each flow sends (default 10)",
     )
     batch.add_argument(
-        "--block", type=int, default=4096, metavar="B",
+        "--block", type=_positive_int, default=4096, metavar="B",
         help="concurrently live flows: round-robin interleave in blocks "
              "of B flows (default 4096)",
     )
     batch.add_argument(
-        "--table", type=int, default=8192, metavar="C",
+        "--table", type=_positive_int, default=8192, metavar="C",
         help="flow-table and Global-MAT capacity (default 8192; older "
              "flows are LRU-evicted under pressure)",
     )
@@ -1036,10 +1038,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--compare", action="store_true",
         help="also run the per-packet oracle and verify the lane "
              "produced identical results (exit 1 on divergence)",
-    )
-    batch.add_argument(
-        "--no-batch-lane", action="store_true",
-        help="run the columnar batch through the per-packet path only",
     )
     batch.add_argument(
         "--forensics-out", metavar="PATH",

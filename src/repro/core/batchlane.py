@@ -61,18 +61,14 @@ per-packet path.  Three rules keep that true:
   same eviction check, same audit events in the same order) and is
   gated on every NF declaring ``setup_flow_oblivious`` — the contract
   that first-packet behaviour is a pure function of packet shape.
-
-The lane needs no numpy: without it the chunked walk degenerates to a
-per-packet loop over the same state machine (runs of length one, no
-deferral), so results are identical either way — numpy only buys speed.
 """
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Tuple
 
-from repro import vector as vec
-from repro.core.classifier import FlowEntry, fid_column, fid_of
+from repro.core.classifier import FlowEntry, fid_column
 from repro.core.framework import PathTaken, SpeedyBox
 from repro.core.global_mat import GlobalRule
 from repro.core.local_mat import LocalRule
@@ -80,8 +76,9 @@ from repro.core.state_function import StateFunctionBatch
 from repro.net.flow import FiveTuple, PROTO_UDP
 from repro.obs.registry import NULL_INSTRUMENT
 from repro.traffic.columnar import KIND_DATA, PacketBatch
+from repro.vector import np
 
-#: packets per chunk of the steady-mask walk (numpy path)
+#: packets per chunk of the steady-mask walk
 _CHUNK = 32768
 
 
@@ -155,20 +152,13 @@ class BatchLane:
         #: 1 = ``_vclone[flow]`` holds a closure validated this run
         #: and not invalidated since (the invalidation feed clears it)
         self._vmask = bytearray(flow_count)
-        if vec.HAVE_NUMPY:
-            np = vec.np
-            self._fstat_np = np.frombuffer(self.fstat, dtype=np.uint8)
-            self._vmask_np = np.frombuffer(self._vmask, dtype=np.uint8)
-            #: per-flow steady plan id, set when the flow's clone is cached
-            self.fplan = np.zeros(flow_count, dtype=np.int32)
-            self.plan_ids = np.zeros(n, dtype=np.int32)
-            self.kind_arr = np.ascontiguousarray(batch.kind)
-            self.flow_arr = np.ascontiguousarray(batch.flow_index)
-        else:
-            self.fplan = [0] * flow_count
-            self.plan_ids = [0] * n
-            self.kind_arr = batch.kind
-            self.flow_arr = batch.flow_index
+        self._fstat_np = np.frombuffer(self.fstat, dtype=np.uint8)
+        self._vmask_np = np.frombuffer(self._vmask, dtype=np.uint8)
+        #: per-flow steady plan id, set when the flow's clone is cached
+        self.fplan = np.zeros(flow_count, dtype=np.int32)
+        self.plan_ids = np.zeros(n, dtype=np.int32)
+        self.kind_arr = np.ascontiguousarray(batch.kind)
+        self.flow_arr = np.ascontiguousarray(batch.flow_index)
         self._vclone: List[object] = [None] * flow_count
         #: validated-FID index: which flow slots must be dropped when the
         #: runtime reports the FID's compiled lane mutated (a list — FID
@@ -187,8 +177,7 @@ class BatchLane:
         #: scalar first packet, then reused for every admitted flow
         self.template: Optional[BulkTemplate] = None
         self._admit_plan_cache: Optional[tuple] = None
-        proto = batch.flow_proto
-        self._proto_of = proto.item if hasattr(proto, "item") else proto.__getitem__
+        self._proto_of = batch.flow_proto.item
         runtime = self.runtime
         self._clear_nf_flow = runtime.event_table.clear_nf_flow
         self._events_by_fid = runtime.event_table._by_fid
@@ -232,45 +221,79 @@ class BatchLane:
 
     def run(self) -> Tuple[List[list], object, int]:
         """Process the whole batch; returns (plan table, plan ids, dropped)."""
-        n = len(self.batch)
-        if vec.HAVE_NUMPY:
-            runtime = self.runtime
-            previous_feed = runtime._lane_invalidations
-            runtime._lane_invalidations = self._inval = []
-            # Defer cyclic GC for the duration of the run: a million
-            # admissions allocate tens of millions of long-lived objects
-            # (entries, rules, clones), and every full collection walks
-            # the entire heap — ~30% of a 10M-packet run.  The lane
-            # allocates no reference cycles of its own; whatever cyclic
-            # garbage the run produces is collected at the caller's next
-            # collection once the prior GC state is restored.
-            import gc
-
-            gc_was_enabled = gc.isenabled()
+        runtime = self.runtime
+        previous_feed = runtime._lane_invalidations
+        runtime._lane_invalidations = self._inval = []
+        # Defer cyclic GC for the duration of the run: a million
+        # admissions allocate tens of millions of long-lived objects
+        # (entries, rules, clones), and every full collection walks
+        # the entire heap — ~30% of a 10M-packet run.  The lane
+        # allocates no reference cycles of its own; whatever cyclic
+        # garbage the run produces is collected at the caller's next
+        # collection once the prior GC state is restored.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            n = len(self.batch)
+            kind_arr = self.kind_arr
+            flow_arr = self.flow_arr
+            fstat = self.fstat
+            fstat_np = self._fstat_np
+            collided = self._collided
+            i = 0
+            while i < n:
+                j = min(i + _CHUNK, n)
+                pos = i
+                while pos < j:
+                    flows_seg = flow_arr[pos:j]
+                    kind_seg = kind_arr[pos:j]
+                    steady = (kind_seg == KIND_DATA) & (fstat_np[flows_seg] == 1)
+                    # The mask is a snapshot: scalar packets below may flip
+                    # fstat mid-segment.  Torn-down flows (1 -> 0) only hand
+                    # a run a flow that fails append validation and replays
+                    # scalar — correct either way.  Freshly admitted flows
+                    # (0 -> 1) would mis-route the rest of the segment to
+                    # the per-packet oracle, so on the first such stale
+                    # position the mask is recomputed for the remainder
+                    # (each recompute follows at least one served packet,
+                    # so the walk always advances).
+                    scalar_at = np.flatnonzero(~steady)
+                    scalar_positions = scalar_at.tolist()
+                    flows_sc = flows_seg[scalar_at].tolist()
+                    kinds_sc = kind_seg[scalar_at].tolist()
+                    previous = 0
+                    stale_at = -1
+                    for order, position in enumerate(scalar_positions):
+                        flow = flows_sc[order]
+                        kind = kinds_sc[order]
+                        if kind == KIND_DATA and fstat[flow] == 1:
+                            stale_at = pos + position
+                            break
+                        index = pos + position
+                        if position > previous:
+                            self._append_run(pos + previous, index)
+                        if kind != KIND_DATA or flow not in collided:
+                            self._flush()
+                        self._scalar_packet(index, flow, kind)
+                        previous = position + 1
+                    if stale_at >= 0:
+                        if stale_at > pos + previous:
+                            self._append_run(pos + previous, stale_at)
+                        pos = stale_at
+                        continue
+                    if previous < j - pos:
+                        self._append_run(pos + previous, j)
+                    pos = j
+                i = j
+            self._flush()
+        finally:
+            runtime._lane_invalidations = previous_feed
             if gc_was_enabled:
-                gc.disable()
-            try:
-                self._run_numpy(n)
-            finally:
-                runtime._lane_invalidations = previous_feed
-                if gc_was_enabled:
-                    gc.enable()
-        else:
-            # The fallback reaches bulk admission too (template capture
-            # is engine-agnostic), so it needs the same invalidation
-            # feed the inlined eviction teardown appends to; nothing
-            # caches closures here, so the feed is never drained.
-            runtime = self.runtime
-            previous_feed = runtime._lane_invalidations
-            runtime._lane_invalidations = self._inval = []
-            try:
-                for index in range(n):
-                    self._fallback_packet(index)
-            finally:
-                runtime._lane_invalidations = previous_feed
+                gc.enable()
         template = self.template
         if template is not None and self.admitted:
-            for nf in self.runtime.nfs[: template.ran]:
+            for nf in runtime.nfs[: template.ran]:
                 nf.admit_flows(self.admitted)
         self._publish_lane_metrics()
         return self.table, self.plan_ids, self.dropped
@@ -305,89 +328,6 @@ class BatchLane:
         metrics.gauge(
             "lane_plan_table_size", "deduplicated stage plans after the last batch"
         ).set(len(self.table))
-        metrics.gauge(
-            "lane_region_occupancy", "deferred packets awaiting flush at batch end"
-        ).set(0)
-
-    def _run_numpy(self, n: int) -> None:
-        np = vec.np
-        kind_arr = self.kind_arr
-        flow_arr = self.flow_arr
-        fstat = self.fstat
-        fstat_np = self._fstat_np
-        collided = self._collided
-        i = 0
-        while i < n:
-            j = min(i + _CHUNK, n)
-            pos = i
-            while pos < j:
-                flows_seg = flow_arr[pos:j]
-                kind_seg = kind_arr[pos:j]
-                steady = (kind_seg == KIND_DATA) & (fstat_np[flows_seg] == 1)
-                # The mask is a snapshot: scalar packets below may flip
-                # fstat mid-segment.  Torn-down flows (1 -> 0) only hand
-                # a run a flow that fails append validation and replays
-                # scalar — correct either way.  Freshly admitted flows
-                # (0 -> 1) would mis-route the rest of the segment to
-                # the per-packet oracle, so on the first such stale
-                # position the mask is recomputed for the remainder
-                # (each recompute follows at least one served packet,
-                # so the walk always advances).
-                scalar_at = np.flatnonzero(~steady)
-                scalar_positions = scalar_at.tolist()
-                flows_sc = flows_seg[scalar_at].tolist()
-                kinds_sc = kind_seg[scalar_at].tolist()
-                previous = 0
-                stale_at = -1
-                for order, position in enumerate(scalar_positions):
-                    flow = flows_sc[order]
-                    kind = kinds_sc[order]
-                    if kind == KIND_DATA and fstat[flow] == 1:
-                        stale_at = pos + position
-                        break
-                    index = pos + position
-                    if position > previous:
-                        self._append_run(pos + previous, index)
-                    if kind != KIND_DATA or flow not in collided:
-                        self._flush()
-                    self._scalar_packet(index, flow, kind)
-                    previous = position + 1
-                if stale_at >= 0:
-                    if stale_at > pos + previous:
-                        self._append_run(pos + previous, stale_at)
-                    pos = stale_at
-                    continue
-                if previous < j - pos:
-                    self._append_run(pos + previous, j)
-                pos = j
-            i = j
-        self._flush()
-
-    def _fallback_packet(self, index: int) -> None:
-        """Pure-Python walk: runs of length one, no deferral."""
-        flow = self.flow_arr[index]
-        if self.kind_arr[index] == KIND_DATA and self.fstat[flow] == 1:
-            if self._serve_one(index, flow):
-                return
-        self._scalar_packet(index, flow, self.kind_arr[index])
-
-    def _serve_one(self, index: int, flow: int) -> bool:
-        """Serve one believed-steady packet via its closure's bookkeeping."""
-        clone = self.runtime._compiled.get(self.batch.five_tuple_of(flow))
-        if clone is None or not self._clone_valid(clone):
-            return False
-        runtime = self.runtime
-        runtime.classifier.packets_classified += 1
-        runtime.fast_packets += 1
-        clone.entry.packets += 1
-        clone.rule.hits += 1
-        clone.move_to_end(clone.fid)
-        if clone.is_drop:
-            self.dropped += 1
-        self.fplan[flow] = self._steady_pid(clone.steady_report)
-        self.plan_ids[index] = self.fplan[flow]
-        self.span_packets += 1
-        return True
 
     # -- steady runs: append-time validation, deferred flush -----------------
 
@@ -479,7 +419,6 @@ class BatchLane:
         if self._vmask_np[flows_run].all():
             self._accept_run(lo, hi, flows_run)
             return
-        np = vec.np
         compiled = self.runtime._compiled
         five_tuple_of = self.batch.five_tuple_of
         bad = False
@@ -545,7 +484,6 @@ class BatchLane:
         if not deferred:
             return
         self.flushes += 1
-        np = vec.np
         flow_arr = self.flow_arr
         if len(deferred) == 1:
             lo, hi = deferred[0]
@@ -651,18 +589,13 @@ class BatchLane:
         fids = self._fids
         if fids is None:
             batch = self.batch
-            if vec.HAVE_NUMPY:
-                fids = fid_column(
-                    batch.flow_src_ip,
-                    batch.flow_dst_ip,
-                    batch.flow_src_port,
-                    batch.flow_dst_port,
-                    batch.flow_proto,
-                )
-                self._fids = fids = fids.tolist()
-            else:
-                # No column: fid_of is lru-cached on the interned tuple.
-                return fid_of(batch.five_tuple_of(flow))
+            self._fids = fids = fid_column(
+                batch.flow_src_ip,
+                batch.flow_dst_ip,
+                batch.flow_src_port,
+                batch.flow_dst_port,
+                batch.flow_proto,
+            ).tolist()
         # Plain int: the fid flows into table keys, audit payloads and
         # FlowEntry fields that must stay numpy-free.
         return fids[flow]
@@ -772,7 +705,7 @@ class BatchLane:
         if ft_lists is None:
             batch = self.batch
             ft_lists = self._ft_lists = tuple(
-                col.tolist() if hasattr(col, "tolist") else list(col)
+                col.tolist()
                 for col in (
                     batch.flow_src_ip,
                     batch.flow_dst_ip,

@@ -39,6 +39,7 @@ from repro.net.headers import TCP_FIN, TCP_RST, TCP_SYN, TCPHeader
 from repro.net.packet import Packet
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.platform.costs import CycleMeter, NULL_METER, Operation
+from repro.vector import np
 
 FID_BITS = 20
 FID_SPACE = 1 << FID_BITS
@@ -78,28 +79,11 @@ def fid_column(src_ip, dst_ip, src_port, dst_port, protocol):
     """Vectorized :func:`fid_of` over parallel five-tuple columns.
 
     Walks the same 13 packed bytes in the same order as the scalar hash
-    (FNV-1a is byte-sequential), using uint64 wrap-around multiplies when
-    numpy is present, so the returned column is *bit-identical* to
-    calling ``fid_of`` per flow — the batch lane relies on that to agree
-    with the classifier about collisions.  The fallback loops over
-    :func:`fid_of` directly.
+    (FNV-1a is byte-sequential), using uint64 wrap-around multiplies,
+    so the returned column is *bit-identical* to calling ``fid_of`` per
+    flow — the batch lane relies on that to agree with the classifier
+    about collisions.
     """
-    from repro import vector as vec
-
-    if not vec.HAVE_NUMPY:
-        return vec.int_column(
-            fid_of(
-                FiveTuple(
-                    int(src_ip[i]),
-                    int(dst_ip[i]),
-                    int(src_port[i]),
-                    int(dst_port[i]),
-                    int(protocol[i]),
-                )
-            )
-            for i in range(len(src_ip))
-        )
-    np = vec.np
     u64 = np.uint64
     prime = u64(_FNV_PRIME)
     value = np.full(len(src_ip), _FNV_OFFSET, dtype=np.uint64)

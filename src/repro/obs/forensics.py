@@ -60,6 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.stats.summary import percentile_sorted
+from repro.vector import np
 
 #: decomposition component names, canonical summation order
 COMPONENTS = ("service", "transfer", "stall", "queue")
@@ -610,7 +611,7 @@ class ForensicsEngine:
 
         ``index_latencies``, when the replay collected one (see
         :func:`~repro.sim.analytic.analytic_replay`), carries every
-        packet's latency in packet-index order — with numpy that turns
+        packet's latency in packet-index order — that turns
         windowing into contiguous array slices with no permutation
         recovery or arrival subtraction at all.
         """
@@ -729,7 +730,7 @@ class ForensicsEngine:
         The scalar loop in :meth:`observe_run` is exact but pays a
         Python iteration per packet; against the compiled fast path
         that is the difference between a few percent and ~35% run
-        overhead.  When numpy is available the per-packet work
+        overhead.  Here the per-packet work
         (latency, window bucketing, worst-K, stride selection) runs as
         whole-array operations and only the 1-in-``sample_every``
         stride is decomposed in Python, through the very same
@@ -740,23 +741,18 @@ class ForensicsEngine:
         and plain ``(index, finish)`` tuple lists (one
         ``fromiter`` transposition plus a stable argsort).  Returns
         ``None`` to fall back to the scalar loop (DES dict arrivals,
-        adapter sequences, no numpy).
+        adapter sequences).
         """
-        from repro import vector as vec
-
-        if not vec.HAVE_NUMPY:
-            return None
-        np = vec.np
         if index_latencies is not None and len(index_latencies) == len(completions):
             lat = np.asarray(index_latencies, dtype=np.float64)
-            return self._accs_from_index_latencies(np, lat, costs)
+            return self._accs_from_index_latencies(lat, costs)
         if (
             isinstance(completions, _EnumerateLatencies)
             and isinstance(arrival_at, _ZeroArrivals)
             and isinstance(completions.latencies, np.ndarray)
         ):
             lat = np.asarray(completions.latencies, dtype=np.float64)
-            return self._accs_from_index_latencies(np, lat, costs)
+            return self._accs_from_index_latencies(lat, costs)
         if not isinstance(completions, list) or not isinstance(arrival_at, list):
             return None
         count = len(completions)
@@ -767,9 +763,9 @@ class ForensicsEngine:
             map(operator.itemgetter(1), completions), np.float64, count=count
         )
         lat = fin - np.asarray(arrival_at, dtype=np.float64)[idx]
-        return self._accs_from_arrays(np, idx, lat, costs)
+        return self._accs_from_arrays(idx, lat, costs)
 
-    def _accs_from_index_latencies(self, np, lat, costs) -> Dict[int, "_WindowAcc"]:
+    def _accs_from_index_latencies(self, lat, costs) -> Dict[int, "_WindowAcc"]:
         """Bulk aggregation when ``lat[i]`` is packet ``i``'s latency —
         every window is the contiguous slice ``[w*W:(w+1)*W]``."""
         window_packets = self.window_packets
@@ -805,7 +801,7 @@ class ForensicsEngine:
             accs[acc.window] = acc
         return accs
 
-    def _accs_from_arrays(self, np, idx, lat, costs) -> Dict[int, "_WindowAcc"]:
+    def _accs_from_arrays(self, idx, lat, costs) -> Dict[int, "_WindowAcc"]:
         window_packets = self.window_packets
         stride = self.sample_every
         worst_k = self.worst_k

@@ -57,11 +57,6 @@ class PlatformConfig:
     #: when valid, falling back to the DES automatically; False forces
     #: the DES for every run
     analytic_replay: bool = True
-    #: columnar PacketBatch inputs to run_load take the whole-batch lane
-    #: (repro.core.batchlane) when the run is uninstrumented and compiled
-    #: flows are on; False forces batches through the legacy per-packet
-    #: oracle via batch.packet_view() — the equivalence baseline
-    batch_lane: bool = True
 
     def __post_init__(self):
         if self.batch_size <= 0:
@@ -563,15 +558,15 @@ class Platform:
         else streams the batch through the per-packet path via
         :meth:`~repro.traffic.columnar.PacketBatch.packet_view` — either
         way the result is exactly what the materialized packet list would
-        have produced.
+        have produced.  The input picks the lane: pass
+        ``batch.packet_view()`` to run a batch down the per-packet path
+        (the equivalence oracle).
         """
         if _is_packet_batch(packets):
             if self._batch_lane_eligible(use_timestamps):
                 return self._run_load_batch(packets, inter_arrival_ns)
             packets = packets.packet_view()
         spans = self.spans
-        forensics = self.forensics
-        forensics_on = forensics is not None and forensics.enabled
         if spans is not None:
             spans.begin_run()
             self._span_run_index = -1
@@ -581,6 +576,27 @@ class Platform:
             )
         finally:
             self._span_run_index = None
+        return self._replay(
+            plans, gaps, dropped, inter_arrival_ns, self._forensics_plan_info
+        )
+
+    def _replay(
+        self,
+        plans: List[StagePlan],
+        gaps: List[float],
+        dropped: int,
+        inter_arrival_ns: float,
+        plan_info: Dict[int, tuple],
+    ) -> LoadResult:
+        """Phase two of a loaded run: temporal replay, then the post-run
+        consumers (span annotation, time series, forensics).
+
+        Closed form when :meth:`_analytic_valid`, the DES otherwise.
+        ``plan_info`` is the forensics capture map the functional pass
+        filled (empty when the plans came from a lane's plan table).
+        """
+        forensics = self.forensics
+        forensics_on = forensics is not None and forensics.enabled
         index_latencies = None
         if self._analytic_valid(plans):
             if forensics_on:
@@ -601,13 +617,12 @@ class Platform:
             engine.run()
             self._publish_load_metrics(run.rings)
             lane = "des"
-        if spans is not None:
-            spans.annotate_loaded(run.arrival_at, run.completions)
+        if self.spans is not None:
+            self.spans.annotate_loaded(run.arrival_at, run.completions)
         result = run.to_load_result(offered=len(plans), dropped=dropped)
         if self.timeseries is not None:
             self._ingest_timeseries(result, inter_arrival_ns)
         if forensics_on:
-            info = self._forensics_plan_info
             forensics.observe_run(
                 self,
                 plans,
@@ -615,9 +630,9 @@ class Platform:
                 run.completions,
                 replica=self.label,
                 lane=lane,
-                fids=_PlanInfoColumn(plans, info, 1) if info else None,
-                fast_flags=_PlanInfoColumn(plans, info, 2) if info else None,
-                transfers={pid: entry[3] for pid, entry in info.items()} or None,
+                fids=_PlanInfoColumn(plans, plan_info, 1) if plan_info else None,
+                fast_flags=_PlanInfoColumn(plans, plan_info, 2) if plan_info else None,
+                transfers={pid: entry[3] for pid, entry in plan_info.items()} or None,
                 index_latencies=index_latencies,
             )
         return result
@@ -650,10 +665,8 @@ class Platform:
         SpeedyBox runtime.  Ineligible batches stream through
         ``packet_view()`` — correct, just per-packet.
         """
-        config = self.config
         return (
-            config.batch_lane
-            and config.compiled_flows
+            self.config.compiled_flows
             and not use_timestamps
             and not self.metrics.enabled
             and not self.tracer.enabled
@@ -667,9 +680,8 @@ class Platform:
         from repro.sim.analytic import analytic_replay_vector
 
         runtime = self.runtime
-        spans = self.spans
-        if spans is not None:
-            spans.begin_run()
+        if self.spans is not None:
+            self.spans.begin_run()
         previous_memo = runtime.memoize_setup
         runtime.memoize_setup = True
         lane = BatchLane(self, batch)
@@ -691,8 +703,6 @@ class Platform:
             "plan_table_size": len(table),
         }
 
-        forensics = self.forensics
-        forensics_on = forensics is not None and forensics.enabled
         if inter_arrival_ns == 0 and self.config.analytic_replay:
             vectored = analytic_replay_vector(table, plan_ids, self.config.ring_capacity)
             if vectored is not None:
@@ -706,7 +716,8 @@ class Platform:
                 )
                 if self.timeseries is not None:
                     self._ingest_timeseries(result, inter_arrival_ns)
-                if forensics_on:
+                forensics = self.forensics
+                if forensics is not None and forensics.enabled:
                     forensics.observe_batch(
                         self, table, plan_ids, latencies,
                         replica=self.label, batch=batch,
@@ -718,37 +729,7 @@ class Platform:
         gaps = [inter_arrival_ns] * offered
         if gaps:
             gaps[0] = 0.0
-        index_latencies = None
-        if self._analytic_valid(plans):
-            if forensics_on:
-                index_latencies = array("d")
-            arrival_at, completions = analytic_replay(
-                plans,
-                gaps,
-                self._stage_count(),
-                self.config.ring_capacity,
-                index_latencies=index_latencies,
-            )
-            run = PipelineRun(rings=[], arrival_at=arrival_at, completions=completions)
-            lane = "analytic"
-        else:
-            engine = Engine()
-            self._attach_observer(engine)
-            run = self._spawn_pipeline(engine, plans, gaps)
-            engine.run()
-            self._publish_load_metrics(run.rings)
-            lane = "des"
-        if spans is not None:
-            spans.annotate_loaded(run.arrival_at, run.completions)
-        result = run.to_load_result(offered=offered, dropped=dropped)
-        if self.timeseries is not None:
-            self._ingest_timeseries(result, inter_arrival_ns)
-        if forensics_on:
-            forensics.observe_run(
-                self, plans, run.arrival_at, run.completions,
-                replica=self.label, lane=lane, index_latencies=index_latencies,
-            )
-        return result
+        return self._replay(plans, gaps, dropped, inter_arrival_ns, {})
 
     def _analytic_valid(self, plans: Sequence[StagePlan]) -> bool:
         """May this run use the closed-form replay instead of the DES?

@@ -42,6 +42,8 @@ from __future__ import annotations
 import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.vector import np
+
 #: Pseudo stage index for the packet source in the producer-uniqueness map.
 _SOURCE = -1
 
@@ -177,8 +179,8 @@ def analytic_replay_vector(
 ):
     """Whole-batch array evaluation of the saturation recursion, or ``None``.
 
-    Applies only to the case the batch lane's hot benchmarks hit: numpy
-    present, all-zero arrival gaps (saturation), and every plan in the
+    Applies only to the case the batch lane's hot benchmarks hit:
+    all-zero arrival gaps (saturation), and every plan in the
     deduplicated ``table`` a single hop on one common stage (the BESS
     topology; ONVM's no-wave fast path compresses to it too).  Under
     those conditions the scalar recursion collapses — with every gap
@@ -204,10 +206,6 @@ def analytic_replay_vector(
     non-negative, and the scalar replay's stable finish sort keeps
     packet order on ties).
     """
-    from repro import vector as vec
-
-    if not vec.HAVE_NUMPY:
-        return None
     if not table:
         return [], 0.0
     stage: Optional[int] = None
@@ -222,7 +220,6 @@ def analytic_replay_vector(
         elif hop_stage != stage:
             return None
 
-    np = vec.np
     service_by_pid = np.array([plan[0][1] for plan in table], dtype=np.float64)
     service = service_by_pid[plan_ids]
     n = len(service)

@@ -1,7 +1,7 @@
 """Summary statistics: percentiles, means, CDFs.
 
-Self-contained (no numpy dependency) so the core library stays pure; the
-implementations use the standard nearest-rank percentile definition.
+Plain-Python implementations over lists, using the standard
+nearest-rank percentile definition.
 """
 
 from __future__ import annotations

@@ -21,9 +21,6 @@ Builders:
   (``sequential`` / ``round_robin`` / ``shuffled``), used by the
   equivalence and property tests.
 
-Columns use numpy when available and ``array``-module storage otherwise
-(see :mod:`repro.vector`); every consumer treats them as opaque
-integer/float sequences.
 """
 
 from __future__ import annotations
@@ -31,11 +28,12 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional, Sequence, Union
 
-from repro import vector as vec
+from repro.net.addresses import ip_to_int
 from repro.net.flow import FiveTuple, PROTO_TCP, PROTO_UDP
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_SYN
 from repro.net.packet import Packet
 from repro.traffic.generator import FlowSpec, PayloadPolicy
+from repro.vector import np
 
 #: per-packet kind column values
 KIND_SYN = 0
@@ -46,7 +44,12 @@ _BASE_SEQ = 1000
 
 
 class PacketBatch:
-    """A struct-of-arrays batch of packets over a columnar flow table."""
+    """A struct-of-arrays batch of packets over a columnar flow table.
+
+    Every column is an ndarray of fixed dtype: int64, except uint8 for
+    ``flow_proto``, ``flow_handshake`` and ``kind`` and float64 for the
+    optional ``timestamp_ns``.
+    """
 
     __slots__ = (
         "flow_src_ip",
@@ -124,10 +127,9 @@ class PacketBatch:
             getters = self._ft_getters
             if getters is None:
                 # ndarray.item(i) yields a Python scalar in one C call —
-                # noticeably cheaper per admission than int(arr[i]); list
-                # columns already hold Python ints.
+                # noticeably cheaper per admission than int(arr[i]).
                 getters = self._ft_getters = tuple(
-                    column.item if hasattr(column, "item") else column.__getitem__
+                    column.item
                     for column in (
                         self.flow_src_ip,
                         self.flow_dst_ip,
@@ -203,29 +205,27 @@ class PacketBatch:
         Flow indices are remapped to the compacted flow table, so the
         result is a self-contained batch (cluster replicas each get one).
         """
-        wanted = sorted(set(int(f) for f in flow_ids))
-        remap = {flow: new for new, flow in enumerate(wanted)}
-        keep = [i for i in range(len(self)) if int(self.flow_index[i]) in remap]
+        wanted = np.unique(np.fromiter(flow_ids, np.int64))
+        remap = np.full(self.flow_count, -1, dtype=np.int64)
+        remap[wanted] = np.arange(len(wanted))
+        flow_index = remap[self.flow_index]
+        keep = flow_index >= 0
         sub_payloads = None
         if self._payloads is not None:
-            sub_payloads = [self._payloads[f] for f in wanted]
+            sub_payloads = [self._payloads[f] for f in wanted.tolist()]
         return PacketBatch(
-            vec.int_column(int(self.flow_src_ip[f]) for f in wanted),
-            vec.int_column(int(self.flow_dst_ip[f]) for f in wanted),
-            vec.int_column(int(self.flow_src_port[f]) for f in wanted),
-            vec.int_column(int(self.flow_dst_port[f]) for f in wanted),
-            vec.byte_column(int(self.flow_proto[f]) for f in wanted),
-            vec.byte_column(int(self.flow_handshake[f]) for f in wanted),
-            vec.int_column(remap[int(self.flow_index[i])] for i in keep),
-            vec.byte_column(int(self.kind[i]) for i in keep),
-            vec.int_column(int(self.ordinal[i]) for i in keep),
-            vec.int_column(int(self.seq[i]) for i in keep),
-            vec.int_column(int(self.size[i]) for i in keep),
-            timestamp_ns=(
-                None
-                if self.timestamp_ns is None
-                else vec.float_column(float(self.timestamp_ns[i]) for i in keep)
-            ),
+            self.flow_src_ip[wanted],
+            self.flow_dst_ip[wanted],
+            self.flow_src_port[wanted],
+            self.flow_dst_port[wanted],
+            self.flow_proto[wanted],
+            self.flow_handshake[wanted],
+            flow_index[keep],
+            self.kind[keep],
+            self.ordinal[keep],
+            self.seq[keep],
+            self.size[keep],
+            timestamp_ns=None if self.timestamp_ns is None else self.timestamp_ns[keep],
             payloads=sub_payloads,
             uniform_payload=self._uniform_payload,
         )
@@ -328,18 +328,19 @@ def batch_from_specs(
             next_seq[flow] += max(len(payload), 1)
         ordinals.append(ordinal)
 
+    i64, u8 = np.int64, np.uint8
     return PacketBatch(
-        vec.int_column(spec.five_tuple.src_ip for spec in specs),
-        vec.int_column(spec.five_tuple.dst_ip for spec in specs),
-        vec.int_column(spec.five_tuple.src_port for spec in specs),
-        vec.int_column(spec.five_tuple.dst_port for spec in specs),
-        vec.byte_column(spec.five_tuple.protocol for spec in specs),
-        vec.byte_column(1 if spec.handshake else 0 for spec in specs),
-        vec.int_column(order),
-        vec.byte_column(kinds),
-        vec.int_column(ordinals),
-        vec.int_column(seqs),
-        vec.int_column(sizes),
+        np.fromiter((spec.five_tuple.src_ip for spec in specs), i64),
+        np.fromiter((spec.five_tuple.dst_ip for spec in specs), i64),
+        np.fromiter((spec.five_tuple.src_port for spec in specs), i64),
+        np.fromiter((spec.five_tuple.dst_port for spec in specs), i64),
+        np.fromiter((spec.five_tuple.protocol for spec in specs), u8),
+        np.fromiter((1 if spec.handshake else 0 for spec in specs), u8),
+        np.fromiter(order, i64),
+        np.fromiter(kinds, u8),
+        np.fromiter(ordinals, i64),
+        np.fromiter(seqs, i64),
+        np.fromiter(sizes, i64),
         payloads=[spec.payload for spec in specs],
     )
 
@@ -369,9 +370,16 @@ def uniform_batch(
     count at the block size while the *total* flow count scales to
     millions.
 
-    With numpy this builds pure array columns — no per-flow or
-    per-packet Python objects; the fallback loops.
+    Builds pure array columns — no per-flow or per-packet Python
+    objects.  ``flows=0`` is an empty batch; negative counts and
+    ``block < 1`` raise ``ValueError``.
     """
+    if flows < 0:
+        raise ValueError(f"flows must be >= 0, got {flows!r}")
+    if packets_per_flow < 0:
+        raise ValueError(f"packets_per_flow must be >= 0, got {packets_per_flow!r}")
+    if block is not None and block < 1:
+        raise ValueError(f"block must be >= 1, got {block!r}")
     if isinstance(protocol, str):
         protocol = {"udp": PROTO_UDP, "tcp": PROTO_TCP}[protocol]
     if protocol != PROTO_TCP and (handshake or fin):
@@ -382,105 +390,49 @@ def uniform_batch(
         block = flows if interleave == "round_robin" else 1
     total_per_flow = packets_per_flow + (1 if handshake else 0) + (1 if fin else 0)
     step = max(len(payload), 1)
-
-    from repro.net.addresses import ip_to_int
-
     src_base = ip_to_int(src_ip_base)
     dst = ip_to_int(dst_ip)
 
-    if vec.HAVE_NUMPY:
-        np = vec.np
-        f = np.arange(flows, dtype=np.int64)
-        # Keep clear of the all-zero host part; wrap inside the /8.
-        flow_src_ip = src_base + 1 + (f % ((1 << 24) - 2))
-        flow_src_port = src_port_base + (f % 60000)
-        flow_dst_ip = np.full(flows, dst, dtype=np.int64)
-        flow_dst_port = np.full(flows, dst_port, dtype=np.int64)
-        flow_proto = np.full(flows, protocol, dtype=np.uint8)
-        flow_handshake = np.full(flows, 1 if handshake else 0, dtype=np.uint8)
+    f = np.arange(flows, dtype=np.int64)
+    # Keep clear of the all-zero host part; wrap inside the /8.
+    flow_src_ip = src_base + 1 + (f % ((1 << 24) - 2))
+    flow_src_port = src_port_base + (f % 60000)
+    flow_dst_ip = np.full(flows, dst, dtype=np.int64)
+    flow_dst_port = np.full(flows, dst_port, dtype=np.int64)
+    flow_proto = np.full(flows, protocol, dtype=np.uint8)
+    flow_handshake = np.full(flows, 1 if handshake else 0, dtype=np.uint8)
 
-        chunks_fi = []
-        chunks_ord = []
-        for start in range(0, flows, block):
-            width = min(block, flows - start)
-            if interleave == "sequential" and block == 1:
-                fi = np.repeat(np.arange(start, start + width), total_per_flow)
-                oi = np.tile(np.arange(total_per_flow, dtype=np.int64), width)
-            else:
-                # round-robin inside the block: ordinal-major order.
-                fi = np.tile(np.arange(start, start + width, dtype=np.int64), total_per_flow)
-                oi = np.repeat(np.arange(total_per_flow, dtype=np.int64), width)
-            chunks_fi.append(fi)
-            chunks_ord.append(oi)
-        flow_index = np.concatenate(chunks_fi)
-        ordinal = np.concatenate(chunks_ord)
-
-        kind = np.full(len(flow_index), KIND_DATA, dtype=np.uint8)
-        data_index = ordinal.copy()
-        if handshake:
-            kind[ordinal == 0] = KIND_SYN
-            data_index = ordinal - 1
-        if fin:
-            kind[ordinal == total_per_flow - 1] = KIND_FIN
-        seq = np.full(len(flow_index), _BASE_SEQ, dtype=np.int64)
-        data_mask = kind == KIND_DATA
-        hs = 1 if handshake else 0
-        seq[data_mask] = _BASE_SEQ + hs + data_index[data_mask] * step
-        if fin:
-            seq[kind == KIND_FIN] = _BASE_SEQ + hs + packets_per_flow * step
-        size = np.where(data_mask, len(payload), 0).astype(np.int64)
-        return PacketBatch(
-            flow_src_ip,
-            flow_dst_ip,
-            flow_src_port,
-            flow_dst_port,
-            flow_proto,
-            flow_handshake,
-            flow_index,
-            kind,
-            ordinal,
-            seq,
-            size,
-            uniform_payload=payload,
-        )
-
-    # -- pure-Python fallback -------------------------------------------------
-    flow_src_ip = vec.int_column(src_base + 1 + (f % ((1 << 24) - 2)) for f in range(flows))
-    flow_dst_ip = vec.int_full(flows, dst)
-    flow_src_port = vec.int_column(src_port_base + (f % 60000) for f in range(flows))
-    flow_dst_port = vec.int_full(flows, dst_port)
-    flow_proto = vec.byte_column([protocol]) * flows
-    flow_handshake = vec.byte_column([1 if handshake else 0]) * flows
-
-    flow_index: List[int] = []
-    ordinal: List[int] = []
-    for start in range(0, flows, block):
+    # Seeded with an empty chunk so flows == 0 concatenates to empty columns.
+    chunks_fi = [np.empty(0, dtype=np.int64)]
+    chunks_ord = [np.empty(0, dtype=np.int64)]
+    for start in range(0, flows, block or 1):
         width = min(block, flows - start)
         if interleave == "sequential" and block == 1:
-            for f in range(start, start + width):
-                flow_index.extend([f] * total_per_flow)
-                ordinal.extend(range(total_per_flow))
+            fi = np.repeat(np.arange(start, start + width, dtype=np.int64), total_per_flow)
+            oi = np.tile(np.arange(total_per_flow, dtype=np.int64), width)
         else:
-            for o in range(total_per_flow):
-                flow_index.extend(range(start, start + width))
-                ordinal.extend([o] * width)
-    kinds: List[int] = []
-    seqs: List[int] = []
-    sizes: List[int] = []
+            # round-robin inside the block: ordinal-major order.
+            fi = np.tile(np.arange(start, start + width, dtype=np.int64), total_per_flow)
+            oi = np.repeat(np.arange(total_per_flow, dtype=np.int64), width)
+        chunks_fi.append(fi)
+        chunks_ord.append(oi)
+    flow_index = np.concatenate(chunks_fi)
+    ordinal = np.concatenate(chunks_ord)
+
+    kind = np.full(len(flow_index), KIND_DATA, dtype=np.uint8)
+    data_index = ordinal.copy()
+    if handshake:
+        kind[ordinal == 0] = KIND_SYN
+        data_index = ordinal - 1
+    if fin:
+        kind[ordinal == total_per_flow - 1] = KIND_FIN
+    seq = np.full(len(flow_index), _BASE_SEQ, dtype=np.int64)
+    data_mask = kind == KIND_DATA
     hs = 1 if handshake else 0
-    for o in ordinal:
-        if handshake and o == 0:
-            kinds.append(KIND_SYN)
-            seqs.append(_BASE_SEQ)
-            sizes.append(0)
-        elif fin and o == total_per_flow - 1:
-            kinds.append(KIND_FIN)
-            seqs.append(_BASE_SEQ + hs + packets_per_flow * step)
-            sizes.append(0)
-        else:
-            kinds.append(KIND_DATA)
-            seqs.append(_BASE_SEQ + hs + (o - hs) * step)
-            sizes.append(len(payload))
+    seq[data_mask] = _BASE_SEQ + hs + data_index[data_mask] * step
+    if fin:
+        seq[kind == KIND_FIN] = _BASE_SEQ + hs + packets_per_flow * step
+    size = np.where(data_mask, len(payload), 0).astype(np.int64)
     return PacketBatch(
         flow_src_ip,
         flow_dst_ip,
@@ -488,10 +440,10 @@ def uniform_batch(
         flow_dst_port,
         flow_proto,
         flow_handshake,
-        vec.int_column(flow_index),
-        vec.byte_column(kinds),
-        vec.int_column(ordinal),
-        vec.int_column(seqs),
-        vec.int_column(sizes),
+        flow_index,
+        kind,
+        ordinal,
+        seq,
+        size,
         uniform_payload=payload,
     )

@@ -1,85 +1,14 @@
-"""Optional numpy acceleration with a pure-Python fallback.
+"""The one place numpy is imported.
 
-The core library has no hard dependencies (``pyproject.toml`` keeps
-``dependencies = []``); numpy rides along as the ``[fast]`` extra.  Every
-columnar consumer — the batch traffic generator, the batch fast-path
-lane, the vectorized Lindley replay — imports ``np`` from here and
-guards array-only code on :data:`HAVE_NUMPY`.  When numpy is absent the
-same call sites fall back to ``array``-module columns and plain loops:
-slower, never wrong (CI's test matrix runs without numpy on purpose).
-
-Set ``REPRO_NO_NUMPY=1`` to force the fallback with numpy installed —
-that is how the import-guard test exercises both halves on one machine.
+numpy is a declared dependency (``pyproject.toml``); every columnar
+consumer — the batch traffic generator, the batch fast-path lane, the
+vectorized Lindley replay, the forensics window aggregation — takes
+``np`` from here.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
-from typing import Iterable, List, Sequence
+import numpy as np  # noqa: F401 - re-exported
 
-if os.environ.get("REPRO_NO_NUMPY"):
-    np = None
-else:
-    try:
-        import numpy as np  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-        np = None
-
-HAVE_NUMPY = np is not None
-
-#: typecodes for the array-module fallback columns
-_I64 = "q"
-_F64 = "d"
-_U8 = "B"
-
-
-def int_column(values: Iterable[int] = ()):
-    """A growable signed-integer column (int64 either way)."""
-    if HAVE_NUMPY:
-        return np.fromiter(values, dtype=np.int64)
-    return array(_I64, values)
-
-
-def int_zeros(count: int):
-    if HAVE_NUMPY:
-        return np.zeros(count, dtype=np.int64)
-    return array(_I64, bytes(8 * count))
-
-
-def int_full(count: int, value: int):
-    if HAVE_NUMPY:
-        return np.full(count, value, dtype=np.int64)
-    return array(_I64, [value]) * count
-
-
-def float_column(values: Iterable[float] = ()):
-    if HAVE_NUMPY:
-        return np.fromiter(values, dtype=np.float64)
-    return array(_F64, values)
-
-
-def byte_column(values: Iterable[int] = ()):
-    if HAVE_NUMPY:
-        return np.fromiter(values, dtype=np.uint8)
-    return array(_U8, values)
-
-
-def byte_zeros(count: int):
-    if HAVE_NUMPY:
-        return np.zeros(count, dtype=np.uint8)
-    return array(_U8, bytes(count))
-
-
-def as_list(column) -> List:
-    """Materialize any column as a plain Python list."""
-    if HAVE_NUMPY and isinstance(column, np.ndarray):
-        return column.tolist()
-    return list(column)
-
-
-def take(column, indices: Sequence[int]):
-    """Gather ``column[indices]`` as a plain list (fallback-safe)."""
-    if HAVE_NUMPY and isinstance(column, np.ndarray):
-        return column[indices]
-    return [column[i] for i in indices]
+#: constant: read by ``bench/run.py``, which predates the hard dependency
+HAVE_NUMPY = True

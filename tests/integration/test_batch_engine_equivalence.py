@@ -16,7 +16,7 @@ from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import SyntheticNF
 from repro.obs.audit import AuditLog
-from repro.platform import BessPlatform, OpenNetVMPlatform, PlatformConfig
+from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic.columnar import batch_from_specs, uniform_batch
 from repro.traffic.generator import FlowSpec
 
@@ -38,21 +38,20 @@ def stateful_chain():
     return [SyntheticNF("dpi"), SyntheticNF("dpi2")]
 
 
-def run_leg(platform_cls, build_chain, batch, *, batch_lane, sbox_kwargs=None):
+def run_leg(platform_cls, build_chain, load, sbox_kwargs=None):
+    """A ``PacketBatch`` takes the lane; ``batch.packet_view()`` is the oracle."""
     audit = AuditLog()
     runtime = SpeedyBox(build_chain(), audit=audit, **(sbox_kwargs or {}))
-    platform = platform_cls(runtime, config=PlatformConfig(batch_lane=batch_lane))
-    result = platform.run_load(batch)
+    platform = platform_cls(runtime)
+    result = platform.run_load(load)
     events = [{k: v for k, v in e.items() if k != "ts"} for e in audit.events()]
     return result, runtime, events
 
 
 def assert_legs_identical(platform_cls, build_chain, batch, sbox_kwargs=None):
-    fast, fast_rt, fast_audit = run_leg(
-        platform_cls, build_chain, batch, batch_lane=True, sbox_kwargs=sbox_kwargs
-    )
+    fast, fast_rt, fast_audit = run_leg(platform_cls, build_chain, batch, sbox_kwargs)
     slow, slow_rt, slow_audit = run_leg(
-        platform_cls, build_chain, batch, batch_lane=False, sbox_kwargs=sbox_kwargs
+        platform_cls, build_chain, batch.packet_view(), sbox_kwargs
     )
     assert fast.offered == slow.offered
     assert fast.delivered == slow.delivered

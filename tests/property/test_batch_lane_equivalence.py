@@ -16,7 +16,7 @@ from repro.core.state_function import PayloadClass
 from repro.nf import IPFilter, Monitor, SyntheticNF
 from repro.nf.ipfilter import AclRule, Verdict
 from repro.obs.audit import AuditLog
-from repro.platform import BessPlatform, OpenNetVMPlatform, PlatformConfig
+from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic.columnar import batch_from_specs
 from repro.traffic.generator import FlowSpec
 
@@ -75,14 +75,15 @@ def build_batch(flow_params, interleave, seed):
     return batch_from_specs(specs, interleave=interleave, seed=seed)
 
 
-def run_leg(platform_cls, indices, batch, capacity, batch_lane):
+def run_leg(platform_cls, indices, load, capacity):
+    """A ``PacketBatch`` takes the lane; ``batch.packet_view()`` is the oracle."""
     audit = AuditLog()
     kwargs = {}
     if capacity is not None:
         kwargs = dict(max_tracked_flows=capacity, max_flows=capacity)
     runtime = SpeedyBox(build_chain(indices), audit=audit, **kwargs)
-    platform = platform_cls(runtime, config=PlatformConfig(batch_lane=batch_lane))
-    result = platform.run_load(batch)
+    platform = platform_cls(runtime)
+    result = platform.run_load(load)
     events = [{k: v for k, v in e.items() if k != "ts"} for e in audit.events()]
     return result, runtime, events
 
@@ -123,8 +124,10 @@ def test_batch_lane_equals_legacy(indices, flow_params, interleave, seed, capaci
     batch = build_batch(flow_params, interleave, seed)
     platform_cls = PLATFORMS[platform_name]
 
-    fast, fast_rt, fast_audit = run_leg(platform_cls, indices, batch, capacity, True)
-    slow, slow_rt, slow_audit = run_leg(platform_cls, indices, batch, capacity, False)
+    fast, fast_rt, fast_audit = run_leg(platform_cls, indices, batch, capacity)
+    slow, slow_rt, slow_audit = run_leg(
+        platform_cls, indices, batch.packet_view(), capacity
+    )
 
     assert fast.offered == slow.offered
     assert fast.delivered == slow.delivered

@@ -99,22 +99,13 @@ batch_cases = st.tuples(
 @settings(max_examples=15, deadline=None)
 @given(batch_cases)
 def test_batch_lane_components_sum_exactly(case):
-    from repro.vector import HAVE_NUMPY
-
     flows, per_flow, block = case
     engine = ForensicsEngine(record_all=True, sample_every=1)
     chain = [
         SyntheticNF("fw", action=Modify.ttl_dec(), sf_payload_class=None),
         SyntheticNF("mon", sf_payload_class=None),
     ]
-    platform = BessPlatform(
-        SpeedyBox(chain),
-        config=PlatformConfig(batch_lane=True),
-        forensics=engine,
-    )
+    platform = BessPlatform(SpeedyBox(chain), forensics=engine)
     batch = uniform_batch(flows, per_flow, interleave="round_robin", block=block)
     platform.run_load(batch)
-    # Without numpy the lane falls back to expanded per-packet plans,
-    # which the engine observes through the scalar analytic path — the
-    # exactness claim must hold either way.
-    assert_exact(engine, "batch" if HAVE_NUMPY else "analytic")
+    assert_exact(engine, "batch")

@@ -10,10 +10,7 @@ must return None rather than approximate).
 
 import pytest
 
-from repro import vector as vec
 from repro.sim.analytic import analytic_replay, analytic_replay_vector
-
-numpy_only = pytest.mark.skipif(not vec.HAVE_NUMPY, reason="requires numpy")
 
 
 def scalar_latencies(table, plan_ids, cap):
@@ -26,7 +23,6 @@ def scalar_latencies(table, plan_ids, cap):
     return latencies
 
 
-@numpy_only
 @pytest.mark.parametrize("cap", [None, 2, 7, 64])
 def test_vector_matches_scalar_exactly(cap):
     table = [[(0, 137.25)], [(0, 64.5)], [(0, 512.0)]]
@@ -44,7 +40,6 @@ def test_vector_matches_scalar_exactly(cap):
     )
 
 
-@numpy_only
 def test_vector_backpressure_beyond_capacity():
     """n >> ring capacity: the enqueue clamp must match the scalar ring."""
     table = [[(0, 100.0)]]
@@ -54,13 +49,11 @@ def test_vector_backpressure_beyond_capacity():
     assert list(got[0]) == scalar_latencies(table, plan_ids, 4)
 
 
-@numpy_only
 def test_vector_empty_batch():
     assert analytic_replay_vector([], [], None) == ([], 0.0)
     assert analytic_replay_vector([[(0, 10.0)]], [], None) == ([], 0.0)
 
 
-@numpy_only
 def test_vector_declines_ineligible_shapes():
     # Multi-hop plan.
     assert analytic_replay_vector([[(0, 1.0), (1, 2.0)]], [0], None) is None
@@ -71,9 +64,3 @@ def test_vector_declines_ineligible_shapes():
     # Negative service time.
     assert analytic_replay_vector([[(0, -1.0)]], [0], None) is None
 
-
-def test_vector_declines_without_numpy_fallback():
-    """Without numpy the vector path must bow out, never approximate."""
-    if vec.HAVE_NUMPY:
-        pytest.skip("covered by the REPRO_NO_NUMPY test-suite pass")
-    assert analytic_replay_vector([[(0, 1.0)]], [0], None) is None

@@ -28,10 +28,11 @@ def make_runtime(**kwargs):
     return SpeedyBox(build_chain(), **kwargs)
 
 
-def run_batch(batch, *, batch_lane=True, runtime=None):
+def run_batch(load, *, runtime=None):
+    """A ``PacketBatch`` takes the lane; ``batch.packet_view()`` is the oracle."""
     runtime = runtime or make_runtime()
-    platform = BessPlatform(runtime, config=PlatformConfig(batch_lane=batch_lane))
-    return platform.run_load(batch), runtime, platform
+    platform = BessPlatform(runtime)
+    return platform.run_load(load), runtime, platform
 
 
 def results_equal(a, b):
@@ -46,43 +47,26 @@ def results_equal(a, b):
 
 def test_lane_eligibility_flags():
     runtime = make_runtime()
-    platform = BessPlatform(runtime, config=PlatformConfig(batch_lane=True))
+    platform = BessPlatform(runtime)
     assert platform._batch_lane_eligible(use_timestamps=False)
     assert not platform._batch_lane_eligible(use_timestamps=True)
 
-    off = BessPlatform(make_runtime(), config=PlatformConfig(batch_lane=False))
-    assert not off._batch_lane_eligible(use_timestamps=False)
-
     uncompiled = BessPlatform(
-        make_runtime(), config=PlatformConfig(batch_lane=True, compiled_flows=False)
+        make_runtime(), config=PlatformConfig(compiled_flows=False)
     )
     assert not uncompiled._batch_lane_eligible(use_timestamps=False)
 
     metered = SpeedyBox(build_chain(), metrics=MetricsRegistry(enabled=True))
-    instrumented = BessPlatform(
-        metered,
-        config=PlatformConfig(batch_lane=True),
-        metrics=metered.metrics,
-    )
+    instrumented = BessPlatform(metered, metrics=metered.metrics)
     assert not instrumented._batch_lane_eligible(use_timestamps=False)
 
 
 def test_lane_matches_per_packet_oracle():
     batch = uniform_batch(40, 5, interleave="round_robin", block=8)
     lane_result, lane_runtime, __ = run_batch(batch)
-    oracle_result, oracle_runtime, __ = run_batch(batch, batch_lane=False)
+    oracle_result, oracle_runtime, __ = run_batch(batch.packet_view())
     assert results_equal(lane_result, oracle_result)
     assert lane_runtime.stats() == oracle_runtime.stats()
-
-
-def test_lane_off_consumes_packet_view():
-    """batch_lane=False streams the batch per-packet — same totals as a list."""
-    batch = uniform_batch(10, 3)
-    off_result, __, ___ = run_batch(batch, batch_lane=False)
-    runtime = make_runtime()
-    platform = BessPlatform(runtime, config=PlatformConfig(batch_lane=False))
-    list_result = platform.run_load(batch.to_packets())
-    assert results_equal(off_result, list_result)
 
 
 def test_flow_table_stays_bounded():
@@ -106,13 +90,13 @@ def test_eviction_pairs_invalidate_with_evict_audit():
     ``fastpath_invalidate`` with ``reason='classifier_evict'`` for the
     same FID — on the lane's inlined teardown and the legacy path alike.
     """
-    for batch_lane in (True, False):
+    batch = uniform_batch(120, 3, interleave="round_robin", block=8)
+    for load in (batch, batch.packet_view()):
         audit = AuditLog()
         runtime = SpeedyBox(
             build_chain(), max_tracked_flows=16, max_flows=16, audit=audit
         )
-        batch = uniform_batch(120, 3, interleave="round_robin", block=8)
-        run_batch(batch, batch_lane=batch_lane, runtime=runtime)
+        run_batch(load, runtime=runtime)
 
         events = audit.events()
         compiled_live = set()
@@ -141,7 +125,7 @@ def test_eviction_pairs_invalidate_with_evict_audit():
             if following_compiles:
                 assert preceding, (
                     f"classifier_evict fid={fid} without fastpath_invalidate "
-                    f"(batch_lane={batch_lane})"
+                    f"({type(load).__name__})"
                 )
                 paired += 1
         assert paired > 0, "churn cell produced no compiled-flow evictions"
@@ -164,7 +148,7 @@ def test_last_lane_stats_introspection():
     platform.reset()
     assert platform.last_lane_stats is None
     # The per-packet oracle never sets it.
-    __, ___, oracle = run_batch(batch, batch_lane=False)
+    __, ___, oracle = run_batch(batch.packet_view())
     assert oracle.last_lane_stats is None
 
 
@@ -176,13 +160,13 @@ def test_mat_evict_pairs_with_fastpath_invalidate():
     ``global_mat_evict`` of a compiled flow must be followed by a
     ``fastpath_invalidate`` (reason ``rule_evicted``) for the same FID.
     """
-    for batch_lane in (True, False):
+    batch = uniform_batch(64, 3, interleave="round_robin", block=16)
+    for load in (batch, batch.packet_view()):
         audit = AuditLog()
         runtime = SpeedyBox(
             build_chain(), max_tracked_flows=256, max_flows=8, audit=audit
         )
-        batch = uniform_batch(64, 3, interleave="round_robin", block=16)
-        run_batch(batch, batch_lane=batch_lane, runtime=runtime)
+        run_batch(load, runtime=runtime)
 
         events = audit.events()
         compiled = set()
@@ -206,39 +190,33 @@ def test_mat_evict_pairs_with_fastpath_invalidate():
 
 
 def test_lane_and_oracle_emit_identical_audit_streams():
-    def run(batch_lane):
+    batch = uniform_batch(60, 4, interleave="round_robin", block=8)
+
+    def run(load):
         audit = AuditLog()
         runtime = SpeedyBox(
             build_chain(), max_tracked_flows=16, max_flows=16, audit=audit
         )
-        batch = uniform_batch(60, 4, interleave="round_robin", block=8)
-        run_batch(batch, batch_lane=batch_lane, runtime=runtime)
+        run_batch(load, runtime=runtime)
         return [
             {k: v for k, v in event.items() if k != "ts"}
             for event in audit.events()
         ]
 
-    assert run(True) == run(False)
+    assert run(batch) == run(batch.packet_view())
 
 
 # -- flow-span sampling on the lane (sampled flows keep full coverage) --
 
 
-def run_with_spans(batch, recorder, *, batch_lane=True, runtime=None):
-    runtime = runtime or make_runtime()
-    platform = BessPlatform(
-        runtime, config=PlatformConfig(batch_lane=batch_lane), spans=recorder
-    )
-    return platform.run_load(batch), platform
+def run_with_spans(load, recorder):
+    platform = BessPlatform(make_runtime(), spans=recorder)
+    return platform.run_load(load), platform
 
 
 def test_span_recorder_does_not_disqualify_the_lane():
     runtime = make_runtime()
-    platform = BessPlatform(
-        runtime,
-        config=PlatformConfig(batch_lane=True),
-        spans=FlowSpanRecorder(every=4),
-    )
+    platform = BessPlatform(runtime, spans=FlowSpanRecorder(every=4))
     assert platform._batch_lane_eligible(use_timestamps=False)
 
 
@@ -248,7 +226,7 @@ def test_lane_with_spans_matches_oracle_and_coverage():
     lane_rec = FlowSpanRecorder(every=4)
     oracle_rec = FlowSpanRecorder(every=4)
     lane_result, __ = run_with_spans(batch, lane_rec)
-    oracle_result, __ = run_with_spans(batch, oracle_rec, batch_lane=False)
+    oracle_result, __ = run_with_spans(batch.packet_view(), oracle_rec)
     assert results_equal(lane_result, oracle_result)
     assert lane_rec.summary() == oracle_rec.summary()
     lane_fids = {root["args"]["fid"] for root in lane_rec.roots()}

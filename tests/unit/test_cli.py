@@ -237,12 +237,20 @@ class TestBatchCommand:
         assert "per-packet" in out
         assert "identical results: yes" in out
 
-    def test_batch_no_lane_flag(self, capsys):
-        assert main(
-            ["batch", "--flows", "50", "--packets-per-flow", "2",
-             "--no-batch-lane"]
-        ) == 0
-        assert "batch" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "option", ["--flows", "--packets-per-flow", "--block", "--table"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_batch_rejects_non_positive_sizes(self, option, value, capsys):
+        """Exit 2 with one usage error line, never a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", option, value])
+        assert exit_info.value.code == 2
+        error_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(error_lines) == 1 and option in error_lines[0]
 
     def test_batch_onvm_platform(self, capsys):
         assert main(

@@ -2,6 +2,8 @@
 layering rules hold."""
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -36,9 +38,18 @@ class TestExports:
         assert exported == sorted(exported), f"{package}.__all__ not sorted"
 
     def test_version_string(self):
+        """One version source: pyproject reads ``repro.__version__``."""
         import repro
 
-        assert repro.__version__.count(".") == 2
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+        root = pathlib.Path(__file__).resolve().parents[2]
+        pyproject = (root / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = { attr = "repro.__version__" }' in pyproject
+        assert not re.search(r'^version\s*=\s*"', pyproject, re.MULTILINE)
+        # A literal, so the build reads it without importing the package.
+        init = (root / "src" / "repro" / "__init__.py").read_text()
+        assert f'__version__ = "{repro.__version__}"' in init
 
     def test_top_level_convenience_imports(self):
         from repro import BessPlatform, CostModel, OpenNetVMPlatform, ServiceChain, SpeedyBox

@@ -4,18 +4,12 @@ The batch lane's correctness story starts here: a PacketBatch must
 materialize to exactly the packet stream TrafficGenerator would emit for
 the same flow specs, in every interleave mode, or every downstream
 equivalence claim is meaningless.  The suite also pins the vectorized
-FID column against the scalar hash and exercises the REPRO_NO_NUMPY
-import guard in a subprocess (the pure-Python fallback must behave
-identically).
+FID column against the scalar hash and the fixed column dtypes.
 """
 
-import os
-import subprocess
-import sys
-
+import numpy as np
 import pytest
 
-from repro import vector as vec
 from repro.core.classifier import fid_column, fid_of
 from repro.traffic.columnar import (
     PacketBatch,
@@ -48,6 +42,30 @@ def wire(packets):
     return [p.serialize() for p in packets]
 
 
+FLOW_COLUMNS = {
+    "flow_src_ip": np.int64,
+    "flow_dst_ip": np.int64,
+    "flow_src_port": np.int64,
+    "flow_dst_port": np.int64,
+    "flow_proto": np.uint8,
+    "flow_handshake": np.uint8,
+}
+PACKET_COLUMNS = {
+    "flow_index": np.int64,
+    "kind": np.uint8,
+    "ordinal": np.int64,
+    "seq": np.int64,
+    "size": np.int64,
+}
+
+
+def assert_column_dtypes(batch):
+    for name, dtype in {**FLOW_COLUMNS, **PACKET_COLUMNS}.items():
+        column = getattr(batch, name)
+        assert isinstance(column, np.ndarray), name
+        assert column.dtype == dtype, (name, column.dtype)
+
+
 @pytest.mark.parametrize("interleave", ["sequential", "round_robin", "shuffled"])
 def test_batch_from_specs_matches_generator(interleave):
     specs = mixed_specs()
@@ -55,6 +73,7 @@ def test_batch_from_specs_matches_generator(interleave):
     expected = TrafficGenerator(specs, interleave=interleave, seed=7).packets()
     assert len(batch) == len(expected)
     assert wire(batch.to_packets()) == wire(expected)
+    assert_column_dtypes(batch)
 
 
 def test_packet_view_is_lazy_and_identical():
@@ -81,6 +100,17 @@ def test_uniform_batch_matches_equivalent_specs():
     first = TrafficGenerator(specs[:3], interleave="round_robin").packets()
     second = TrafficGenerator(specs[3:], interleave="round_robin").packets()
     assert wire(batch.to_packets()) == wire(first + second)
+    assert_column_dtypes(batch)
+
+
+def test_uniform_batch_zero_flows_is_empty():
+    empty = batch_from_specs([])
+    for batch in (uniform_batch(0, 5), uniform_batch(0, 5, block=3)):
+        assert len(batch) == len(empty) == 0
+        assert batch.flow_count == empty.flow_count == 0
+        assert batch.to_packets() == []
+        assert_column_dtypes(batch)
+    assert_column_dtypes(empty)
 
 
 def test_uniform_batch_tcp_lifecycle():
@@ -97,20 +127,39 @@ def test_uniform_batch_tcp_lifecycle():
     ]
     expected = TrafficGenerator(specs, interleave="sequential").packets()
     assert wire(packets) == wire(expected)
+    assert_column_dtypes(batch)
 
 
-def test_select_flows_is_self_contained():
+def select_flows_per_element(batch, flow_ids):
+    """The per-element construction ``select_flows`` must equal."""
+    wanted = sorted(set(int(f) for f in flow_ids))
+    remap = {flow: new for new, flow in enumerate(wanted)}
+    keep = [i for i in range(len(batch)) if int(batch.flow_index[i]) in remap]
+    columns = {
+        name: [int(getattr(batch, name)[f]) for f in wanted] for name in FLOW_COLUMNS
+    }
+    columns["flow_index"] = [remap[int(batch.flow_index[i])] for i in keep]
+    for name in ("kind", "ordinal", "seq", "size"):
+        columns[name] = [int(getattr(batch, name)[i]) for i in keep]
+    return columns
+
+
+@pytest.mark.parametrize("flow_ids", [[1, 3], [3, 1, 3], [], range(4)])
+def test_select_flows_is_self_contained(flow_ids):
     specs = mixed_specs()
     batch = batch_from_specs(specs, interleave="round_robin")
-    sub = batch.select_flows([1, 3])
-    assert sub.flow_count == 2
+    sub = batch.select_flows(flow_ids)
+    assert sub.flow_count == len(set(flow_ids))
     # The sub-batch preserves packet order and is internally remapped.
     kept = [
         p for p in batch.to_packets()
         if p.serialize() in set(wire(sub.to_packets()))
     ]
     assert wire(sub.to_packets()) == wire(kept)
-    assert max(int(f) for f in sub.flow_index) <= 1
+    assert_column_dtypes(sub)
+    expected = select_flows_per_element(batch, flow_ids)
+    assert {name: getattr(sub, name).tolist() for name in expected} == expected
+    assert sub.timestamp_ns is None
 
 
 def test_fid_column_matches_scalar_fid():
@@ -133,42 +182,15 @@ def test_rejects_bad_arguments():
         uniform_batch(2, 1, interleave="zigzag")
     with pytest.raises(ValueError):
         batch_from_specs(mixed_specs(), interleave="zigzag")
-
-
-def test_no_numpy_import_guard_subprocess():
-    """REPRO_NO_NUMPY=1 forces the array-module fallback (satellite a).
-
-    Run in a subprocess so the parent's cached ``repro.vector`` module is
-    untouched; the fallback must produce the same wire bytes.
-    """
-    probe = (
-        "from repro import vector as vec\n"
-        "assert not vec.HAVE_NUMPY, 'guard did not disable numpy'\n"
-        "assert vec.np is None\n"
-        "from repro.traffic.columnar import uniform_batch\n"
-        "batch = uniform_batch(4, 2, payload=b'z', interleave='round_robin')\n"
-        "import sys\n"
-        "sys.stdout.buffer.write(b''.join(p.serialize() for p in batch.to_packets()))\n"
-    )
-    env = dict(os.environ, REPRO_NO_NUMPY="1")
-    env.setdefault("PYTHONPATH", "")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [p for p in (env["PYTHONPATH"],) if p] + sys.path
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True
-    )
-    assert result.returncode == 0, result.stderr.decode()
-    here = uniform_batch(4, 2, payload=b"z", interleave="round_robin")
-    assert result.stdout == b"".join(p.serialize() for p in here.to_packets())
-
-
-def test_vector_module_columns_roundtrip():
-    ints = vec.int_column([5, 6, 7])
-    assert list(ints) == [5, 6, 7]
-    assert list(vec.byte_column([1, 0, 255])) == [1, 0, 255]
-    zeros = vec.int_zeros(3)
-    assert list(zeros) == [0, 0, 0]
+    with pytest.raises(ValueError, match="flows"):
+        uniform_batch(-1, 1)
+    with pytest.raises(ValueError, match="packets_per_flow"):
+        uniform_batch(2, -1)
+    for interleave in ("round_robin", "sequential"):
+        with pytest.raises(ValueError, match="block"):
+            uniform_batch(2, 1, interleave=interleave, block=0)
+        with pytest.raises(ValueError, match="block"):
+            uniform_batch(0, 1, interleave=interleave, block=0)
 
 
 def test_batch_is_packetbatch_instance():
