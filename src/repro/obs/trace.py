@@ -30,6 +30,10 @@ import json
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
+#: events per ``json.dumps`` call in :meth:`PacketTracer.write_chrome`
+_CHROME_CHUNK_EVENTS = 1024
+
+
 class Span:
     """One recorded interval on a track."""
 
@@ -272,9 +276,20 @@ class PacketTracer:
     def write_chrome(self, path) -> int:
         """Write the Chrome-trace JSON; returns the event count."""
         trace = self.to_chrome()
+        events = trace["traceEvents"]
+        # ``json.dump`` to a file always takes the pure-Python encoder
+        # (one generator frame per token); ``json.dumps`` takes the C
+        # one.  Encoding a chunk of events at a time gives the same
+        # bytes without holding the whole document as one string.
+        head, tail = json.dumps({**trace, "traceEvents": []}).split("[]", 1)
         with open(path, "w") as handle:
-            json.dump(trace, handle)
-        return len(trace["traceEvents"])
+            handle.write(head + "[")
+            for start in range(0, len(events), _CHROME_CHUNK_EVENTS):
+                if start:
+                    handle.write(", ")
+                handle.write(json.dumps(events[start : start + _CHROME_CHUNK_EVENTS])[1:-1])
+            handle.write("]" + tail)
+        return len(events)
 
     def __repr__(self) -> str:
         return (

@@ -65,6 +65,22 @@ class DatacenterTraceConfig:
     with_handshake: bool = True
     with_fin: bool = True
 
+    def __post_init__(self):
+        if self.flows < 0:
+            raise ValueError(f"flows must be non-negative, got {self.flows!r}")
+        if self.server_count < 1:
+            raise ValueError(f"server_count must be at least 1, got {self.server_count!r}")
+        if not self.service_ports:
+            raise ValueError("service_ports must name at least one port")
+        if self.max_packets_per_flow < 1:
+            raise ValueError(
+                f"max_packets_per_flow must be at least 1, got {self.max_packets_per_flow!r}"
+            )
+        for name in ("elephant_fraction", "large_packet_fraction", "malicious_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be within [0, 1], got {value!r}")
+
 
 class DatacenterTraceGenerator:
     """Builds :class:`FlowSpec` lists with datacenter characteristics."""
@@ -76,6 +92,7 @@ class DatacenterTraceGenerator:
     ):
         self.config = config or DatacenterTraceConfig()
         self._random = random.Random(self.config.seed)
+        self._service_ports = list(self.config.service_ports)
         self._payloads = PayloadSynthesizer(rules, seed=self.config.seed + 1)
         self._has_rules = any(rule.contents for rule in rules)
 
@@ -104,7 +121,7 @@ class DatacenterTraceGenerator:
         src_ip = f"{cfg.client_subnet}.{client_net}.{client_host}"
         dst_ip = f"{cfg.server_subnet}.0.{server + 1}"
         src_port = 20000 + (index % 40000)
-        dst_port = self._random.choice(list(cfg.service_ports))
+        dst_port = self._random.choice(self._service_ports)
         return FiveTuple.make(src_ip, dst_ip, src_port, dst_port, PROTO_TCP)
 
     # -- trace construction ------------------------------------------------------

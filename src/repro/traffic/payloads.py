@@ -19,6 +19,22 @@ from repro.nf.snort.rules import RuleAction, SnortRule
 
 _FILLER_ALPHABET = (string.ascii_uppercase + string.digits).encode()
 
+# ``random.choice`` over the 36 letters is ``_randbelow(36)``: draw one 32-bit
+# Mersenne-Twister word, keep its top 6 bits (``getrandbits(6)``), accept
+# them as the index if below 36, else draw again.  The two tables apply
+# that rule to the top *byte* of every word at once: ``bytes.translate``
+# deletes the bytes whose top 6 bits are rejected and maps the rest to
+# their alphabet letter.
+_ACCEPT = bytes(
+    _FILLER_ALPHABET[top >> 2] if top >> 2 < len(_FILLER_ALPHABET) else 0 for top in range(256)
+)
+_REJECT = bytes(top for top in range(256) if top >> 2 >= len(_FILLER_ALPHABET))
+
+
+def _require_length(length: int) -> None:
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length!r}")
+
 
 class PayloadSynthesizer:
     """Deterministic payload factory for a rule set."""
@@ -28,7 +44,26 @@ class PayloadSynthesizer:
         self._random = random.Random(seed)
 
     def _filler(self, length: int) -> bytes:
-        return bytes(self._random.choice(_FILLER_ALPHABET) for __ in range(length))
+        """``length`` filler bytes, word for word what one
+        ``random.choice`` per byte would draw.
+
+        ``getrandbits(32 * need)`` is ``need`` consecutive words, the
+        first drawn least significant, so byte 3 of every little-endian
+        group of four is one word's top byte.  A word yields at most one
+        letter, so drawing exactly the outstanding deficit never
+        consumes a word past the one the per-byte loop would stop on:
+        the generator's state afterwards is the loop's, and everything
+        drawn later (the next payload, ``mixed_stream``'s coin flips) is
+        unchanged.
+        """
+        getrandbits = self._random.getrandbits
+        filler = b""
+        need = length
+        while need:
+            words = getrandbits(32 * need).to_bytes(4 * need, "little")
+            filler += words[3::4].translate(_ACCEPT, _REJECT)
+            need = length - len(filler)
+        return filler
 
     def _is_benign(self, payload: bytes) -> bool:
         for rule in self.rules:
@@ -44,6 +79,7 @@ class PayloadSynthesizer:
         guarantees the property regardless, retrying on (unlikely)
         accidental hits.
         """
+        _require_length(length)
         for __ in range(64):
             payload = self._filler(length)
             if self._is_benign(payload):
@@ -54,6 +90,7 @@ class PayloadSynthesizer:
 
     def matching(self, rule: SnortRule, length: int = 64) -> bytes:
         """A payload that fully matches ``rule``'s payload options."""
+        _require_length(length)
         parts: List[bytes] = []
         for content in rule.contents:
             parts.append(content.pattern)
@@ -88,6 +125,7 @@ class PayloadSynthesizer:
         (everything matches except one byte).  Requires a rule with at
         least one content whose pattern is ≥ 2 bytes.
         """
+        _require_length(length)
         if not rule.contents:
             raise ValueError(f"rule sid={rule.sid} has no contents to near-miss")
         last = rule.contents[-1].pattern

@@ -162,3 +162,37 @@ class TestChromeExport:
         assert phases == {"M", "X", "i", "C"}
         counter = next(e for e in trace["traceEvents"] if e["ph"] == "C")
         assert counter["args"] == {"occupancy": 2.0}
+
+    def empty_tracer(self):
+        return PacketTracer()
+
+    def large_tracer(self):
+        # 10 000 spans + metadata: several chunks of the chunked writer,
+        # the last one partial
+        tracer = PacketTracer()
+        for index in range(10_000):
+            tracer.span("hop", f"core{index % 3}", index * 7.5, 3.25, packet=index)
+        return tracer
+
+    def awkward_args_tracer(self):
+        tracer = self.make_tracer()
+        tracer.span(
+            "nf:séance",
+            "bess:основной",
+            4000,
+            10,
+            rule='"quoted" \\ back\nslash',
+            nested={"flows": [1, 2.5, None, True], "tags": {"π": "✓"}},
+        )
+        return tracer
+
+    @pytest.mark.parametrize(
+        "build", ["empty_tracer", "make_tracer", "large_tracer", "awkward_args_tracer"]
+    )
+    def test_written_file_is_json_dumps_of_to_chrome(self, tmp_path, build):
+        tracer = getattr(self, build)()
+        path = tmp_path / "trace.json"
+        count = tracer.write_chrome(path)
+        trace = tracer.to_chrome()
+        assert count == len(trace["traceEvents"])
+        assert path.read_text() == json.dumps(trace)

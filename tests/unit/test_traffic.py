@@ -12,6 +12,7 @@ from repro.traffic import (
     TrafficGenerator,
     packets_for_flow,
 )
+from tests.property.test_payload_stream_exactness import PerByteSynthesizer
 
 RULES = parse_rules(
     """
@@ -20,6 +21,12 @@ log tcp any any -> any 80 (msg:"spam"; content:"spam"; sid:2;)
 pass tcp any any -> any 80 (msg:"ok"; sid:3;)
 """
 )
+
+
+def synthesize(synth, method, length):
+    """``benign`` takes a length; ``matching`` / ``near_miss`` a rule first."""
+    args = () if method == "benign" else (RULES[0],)
+    return getattr(synth, method)(*args, length)
 
 
 class TestFlowSpec:
@@ -133,6 +140,44 @@ class TestPayloadSynthesizer:
         b = PayloadSynthesizer(RULES, seed=5).benign(32)
         assert a == b
 
+    @pytest.mark.parametrize("method", ["benign", "matching", "near_miss"])
+    def test_negative_length_rejected(self, method):
+        with pytest.raises(ValueError, match="length"):
+            synthesize(PayloadSynthesizer(RULES), method, -5)
+
+
+class TestPayloadStreamExactness:
+    """The public methods against the per-byte ``choice`` reference:
+    same bytes out, same generator state left behind."""
+
+    LENGTHS = (0, 1, 5, 26, 64, 1400, 3000)
+
+    def pair(self, seed):
+        return PayloadSynthesizer(RULES, seed=seed), PerByteSynthesizer(RULES, seed=seed)
+
+    @pytest.mark.parametrize("method", ["benign", "matching", "near_miss"])
+    def test_single_payloads(self, method):
+        kernel, oracle = self.pair(seed=11)
+        for length in self.LENGTHS:
+            assert synthesize(kernel, method, length) == synthesize(oracle, method, length)
+            assert kernel._random.getstate() == oracle._random.getstate()
+
+    @pytest.mark.parametrize("length", [0, 26, 1400])
+    def test_mixed_stream(self, length):
+        kernel, oracle = self.pair(seed=2020)
+        assert kernel.mixed_stream(60, 0.3, length) == oracle.mixed_stream(60, 0.3, length)
+        assert kernel._random.getstate() == oracle._random.getstate()
+
+    def test_benign_retry_path(self):
+        # a rule the filler alphabet hits in ~43 % of 20-byte drafts, so
+        # benign() discards drafts and draws again
+        rules = parse_rules('alert tcp any any -> any any (msg:"a"; content:"A"; sid:1;)')
+        kernel = PayloadSynthesizer(rules, seed=4)
+        oracle = PerByteSynthesizer(rules, seed=4)
+        for __ in range(20):
+            assert kernel.benign(20) == oracle.benign(20)
+            assert kernel._random.getstate() == oracle._random.getstate()
+
 
 class TestDatacenterTrace:
     def test_flow_count(self):
@@ -178,3 +223,26 @@ class TestDatacenterTrace:
         config = DatacenterTraceConfig(flows=5, seed=6)
         flows = DatacenterTraceGenerator(config, RULES).generate_flows()
         assert all(f.handshake and f.fin for f in flows)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("flows", -1),
+            ("server_count", 0),
+            ("service_ports", ()),
+            ("max_packets_per_flow", 0),
+            ("elephant_fraction", 1.5),
+            ("large_packet_fraction", -0.1),
+            ("malicious_fraction", 2.0),
+        ],
+    )
+    def test_degenerate_config_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DatacenterTraceConfig(**{field: value})
+
+    def test_boundary_config_accepted(self):
+        config = DatacenterTraceConfig(
+            flows=0, server_count=1, service_ports=[53], max_packets_per_flow=1,
+            elephant_fraction=0.0, large_packet_fraction=1.0, malicious_fraction=1.0,
+        )
+        assert DatacenterTraceGenerator(config, RULES).generate_flows() == []
