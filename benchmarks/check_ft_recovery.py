@@ -22,7 +22,13 @@ oracle watching.  This gate re-asserts the recorded guarantees:
   default ``charge_recovery`` policy every buffered delivery carries
   the failover stall on its simulated latency, so ``charged_packets``
   must equal ``delivered`` and the charged stall must be non-zero
-  whenever anything was buffered.
+  whenever anything was buffered;
+- checkpointing left the fast lanes alone: a flow compiles its lane
+  when it consolidates, when it migrates in and when it is restored,
+  so the journal's ``fastpath_compile`` count must stay within
+  ``flows + churn + restored`` at every interval.  A count — no host
+  clock — so a return of per-packet recompilation under checkpointing
+  fails here on any runner.
 
 Exit code 1 on any failure.
 """
@@ -44,6 +50,8 @@ PER_INTERVAL = (
     "divergences",
     "charged_packets",
     "stall_charged_ms",
+    "lane_compiles",
+    "lane_invalidations",
 )
 
 
@@ -55,7 +63,7 @@ def load_metrics(path: str) -> dict:
 
 def check(metrics: dict, budget_ms: float) -> int:
     failures = 0
-    required = [
+    required = ["flows", "churn"] + [
         f"interval_{interval}_{key}"
         for interval in INTERVALS
         for key in PER_INTERVAL
@@ -75,6 +83,10 @@ def check(metrics: dict, budget_ms: float) -> int:
         recovery_ms = metrics[f"{prefix}_recovery_ms"]
         charged = metrics[f"{prefix}_charged_packets"]
         stall_ms = metrics[f"{prefix}_stall_charged_ms"]
+        compiles = metrics[f"{prefix}_lane_compiles"]
+        compile_bound = (
+            metrics["flows"] + metrics["churn"] + metrics[f"{prefix}_restored"]
+        )
 
         checks = [
             (equivalent == 1 and divergences == 0,
@@ -89,6 +101,8 @@ def check(metrics: dict, budget_ms: float) -> int:
              f"charged {charged} == delivered {delivered} (stall on packets)"),
             (stall_ms > 0 if delivered > 0 else stall_ms == 0,
              f"stall charged {stall_ms:.2f} ms onto buffered deliveries"),
+            (compiles <= compile_bound,
+             f"lane compiles {compiles} <= flows + churn + restored {compile_bound}"),
         ]
         for ok, description in checks:
             status = "ok" if ok else "FAIL"

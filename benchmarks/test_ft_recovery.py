@@ -15,6 +15,15 @@ carries the failure-to-delivery wall time as simulated stall, so the
 ``stall ms`` column is the tail-latency bill of the failover, not a
 wall-clock side channel.  ``repro obs explain`` decomposes the same
 charge per packet.
+
+Two stopwatch-free counts ride along per interval, read off the run's
+audit journal: fast-lane compiles and lane invalidations.  A flow has
+three reasons to compile its lane — it consolidated, it migrated in, it
+was restored from a checkpoint — so ``compiles`` is bounded by
+``flows + churn + restored`` whatever the checkpoint interval; a
+checkpoint that disturbed the lanes it snapshots (as the export →
+re-import capture once did, recompiling every flow every round) breaks
+that bound without anyone reading a host clock.
 """
 
 from benchmarks.harness import save_result
@@ -25,6 +34,7 @@ from repro.ft import (
     verify_equivalence_failover,
 )
 from repro.nf import IPFilter, MazuNAT, Monitor
+from repro.obs.audit import AuditLog
 from repro.stats import format_table
 from repro.traffic import FlowSpec, TrafficGenerator
 
@@ -81,6 +91,7 @@ def sweep(packets):
     results = {}
     for interval in CHECKPOINT_INTERVALS:
         factory, aggregate = shared_chain_factory()
+        audit = AuditLog()
         report = verify_equivalence_failover(
             build_chain,
             packets,
@@ -90,8 +101,9 @@ def sweep(packets):
             checkpoint_interval=interval,
             recover_after=len(packets) // 8,
             churn=CHURN,
+            audit=audit,
         )
-        results[interval] = (report, aggregate)
+        results[interval] = (report, aggregate, audit.counts())
     return results
 
 
@@ -100,9 +112,16 @@ def test_ft_recovery_sweep(benchmark):
     results = benchmark.pedantic(lambda: sweep(packets), rounds=1, iterations=1)
 
     table_rows = []
-    metrics = {"packets": len(packets), "replicas": REPLICAS, "churn": CHURN}
+    metrics = {
+        "packets": len(packets),
+        "replicas": REPLICAS,
+        "churn": CHURN,
+        "flows": FLOWS,
+    }
     for interval in CHECKPOINT_INTERVALS:
-        report, aggregate = results[interval]
+        report, aggregate, decisions = results[interval]
+        compiles = decisions.get("fastpath_compile", 0)
+        invalidations = decisions.get("fastpath_invalidate", 0)
         table_rows.append(
             [
                 interval,
@@ -112,6 +131,8 @@ def test_ft_recovery_sweep(benchmark):
                 report.flows_rebuilt,
                 f"{report.recovery_ms:.2f}",
                 f"{report.stall_charged_ns / 1e6:.2f}",
+                compiles,
+                invalidations,
                 "yes" if report.equivalent else "NO",
             ]
         )
@@ -126,6 +147,8 @@ def test_ft_recovery_sweep(benchmark):
         metrics[f"{prefix}_rebuilt"] = report.flows_rebuilt
         metrics[f"{prefix}_equivalent"] = int(report.equivalent)
         metrics[f"{prefix}_divergences"] = len(report.divergences)
+        metrics[f"{prefix}_lane_compiles"] = compiles
+        metrics[f"{prefix}_lane_invalidations"] = invalidations
         # every packet counted exactly once by the shared aggregate,
         # recovery replay deduped by the transactional store
         assert aggregate.packets == len(packets), (interval, aggregate.packets)
@@ -139,6 +162,8 @@ def test_ft_recovery_sweep(benchmark):
             "rebuilt",
             "recovery ms",
             "stall ms",
+            "compiles",
+            "invalidated",
             "equivalent",
         ],
         table_rows,
@@ -150,7 +175,7 @@ def test_ft_recovery_sweep(benchmark):
     save_result("ft_recovery", text, metrics=metrics)
 
     for interval in CHECKPOINT_INTERVALS:
-        report, __ = results[interval]
+        report, __, __ = results[interval]
         assert report.equivalent, report.summary()
         assert report.buffered_packets == report.delivered_packets
         # default charge_recovery policy: every buffered delivery carries

@@ -116,6 +116,12 @@ class FlowEntry:
     closed: bool = False
     packets: int = 0
 
+    def __deepcopy__(self, memo) -> "FlowEntry":
+        # Every slot holds an immutable value.
+        return FlowEntry(
+            self.fid, self.five_tuple, self.established, self.closed, self.packets
+        )
+
 
 @dataclass(slots=True)
 class Classification:
@@ -253,13 +259,6 @@ class PacketClassifier:
         return removed
 
     # -- migration support (repro.scale) -------------------------------------
-
-    def export_flow(self, fid: int) -> Optional[FlowEntry]:
-        """Detach and return the flow's connection state for migration."""
-        entry = self._flows.pop(fid, None)
-        if entry is not None:
-            self._m_flows.set(len(self._flows))
-        return entry
 
     def import_flow(self, entry: FlowEntry) -> None:
         """Adopt a migrated flow's connection state.

@@ -84,6 +84,12 @@ class ConsolidatedAction:
     def finalisation_ops(self) -> Dict[PacketField, FieldOp]:
         return {f: op for f, op in self.field_ops.items() if f.is_finalisation_field}
 
+    def __deepcopy__(self, memo) -> "ConsolidatedAction":
+        # Immutable once built: an event-driven rebuild replaces the
+        # rule's action, it never edits one (see install_prebuilt, which
+        # already shares it across flows by identity).
+        return self
+
     def apply(self, packet: Packet) -> None:
         """Apply the consolidated action to ``packet`` in place."""
         if self.drop:

@@ -150,14 +150,6 @@ class EventTable:
 
     # -- migration support (repro.scale) -------------------------------------
 
-    def export_flow(self, fid: int) -> List[Event]:
-        """Detach and return every event of the flow for migration.
-
-        Trigger state (``triggered``/``trigger_count``) travels with each
-        event, so a one-shot that already fired stays spent on the target.
-        """
-        return self._by_fid.pop(fid, [])
-
     def import_flow(self, fid: int, events: List[Event]) -> None:
         """Adopt a migrated flow's events (handlers already rebound)."""
         if not events:

@@ -25,6 +25,7 @@ be disabled independently to reproduce the Fig. 7 breakdown.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -115,9 +116,18 @@ class FlowRecord:
     state, per-NF Local MAT rules, the consolidated Global MAT rule, and
     registered events — plus ``nf_state``: per-NF opaque snapshots
     (:meth:`NetworkFunction.export_flow_state`) keyed by NF name.  The
-    record is produced by :meth:`SpeedyBox.export_flow` and consumed by
+    record is read by :meth:`SpeedyBox.peek_flow` (or detached by
+    :meth:`SpeedyBox.export_flow`) and consumed by
     :meth:`SpeedyBox.import_flow`; ``repro.scale.FlowMigrator`` rebinds
     the recorded handlers to the target replica's NFs in between.
+
+    A record says how it copies (``__deepcopy__``, as do the classes in
+    it): recorded actions are immutable values and are shared, the
+    mutable shells — entry, rules, batches, functions — copy exactly the
+    slots a packet, an event or a rebind can change, and events and NF
+    state take ``copy``'s generic walk.  Everything goes through the
+    caller's memo, so one batch referenced from a Local MAT rule and
+    from the Global MAT schedule is still one batch in the copy.
     """
 
     fid: int
@@ -126,6 +136,19 @@ class FlowRecord:
     global_rule: Optional[GlobalRule] = None
     events: List[Event] = field(default_factory=list)
     nf_state: Dict[str, object] = field(default_factory=dict)
+
+    def __deepcopy__(self, memo) -> "FlowRecord":
+        return FlowRecord(
+            fid=self.fid,
+            classifier_entry=copy.deepcopy(self.classifier_entry, memo),
+            local_rules={
+                name: copy.deepcopy(rule, memo)
+                for name, rule in self.local_rules.items()
+            },
+            global_rule=copy.deepcopy(self.global_rule, memo),
+            events=copy.deepcopy(self.events, memo),
+            nf_state=copy.deepcopy(self.nf_state, memo),
+        )
 
 
 def _check_unique_names(nfs: Sequence[NetworkFunction]) -> None:
@@ -731,28 +754,40 @@ class SpeedyBox:
 
     # -- migration support (repro.scale) -------------------------------------
 
-    def export_flow(self, fid: int, reason: str = "flow_export") -> Optional[FlowRecord]:
-        """Detach all runtime state of one flow as an atomic unit.
+    def peek_flow(self, fid: int) -> Optional[FlowRecord]:
+        """Everything the tables hold for one flow, read in place.
 
         Returns ``None`` when the classifier knows nothing about the FID.
-        The tables are left with no trace of the flow; recorded handlers
-        in the returned record still reference *this* runtime's NFs — the
-        migrator must rebind them before :meth:`import_flow` on a target.
-        ``reason`` labels the compiled-lane invalidation in the audit log
-        (``flow_export`` for migration, ``checkpoint_capture`` for the
-        fault-tolerance snapshot round-trip).
+        The record references the live table rows — nothing is detached,
+        no LRU order moves, the compiled lane stays — so a caller that
+        wants a snapshot copies it (:mod:`repro.ft.checkpoint`).  Trigger
+        state (``triggered``/``trigger_count``) sits on each event, so a
+        one-shot that already fired stays spent wherever the record goes.
         """
-        self._invalidate_compiled(fid, reason=reason)
-        entry = self.classifier.export_flow(fid)
+        entry = self.classifier.flow(fid)
         if entry is None:
             return None
         record = FlowRecord(fid=fid, classifier_entry=entry)
         for name, local_mat in self.local_mats.items():
-            rule = local_mat.export_flow(fid)
+            rule = local_mat.rule_for(fid)
             if rule is not None:
                 record.local_rules[name] = rule
-        record.global_rule = self.global_mat.export_rule(fid)
-        record.events = self.event_table.export_flow(fid)
+        record.global_rule = self.global_mat.peek(fid)
+        record.events = self.event_table.events_for(fid)
+        return record
+
+    def export_flow(self, fid: int) -> Optional[FlowRecord]:
+        """Detach all runtime state of one flow as an atomic unit.
+
+        :meth:`peek_flow`, then every table forgets the flow — not an
+        eviction, so no ``on_evict`` teardown fires.  Recorded handlers
+        in the returned record still reference *this* runtime's NFs — the
+        migrator must rebind them before :meth:`import_flow` on a target.
+        """
+        self._invalidate_compiled(fid, reason="flow_export")
+        record = self.peek_flow(fid)
+        if record is not None:
+            self.delete_flow(fid)
         return record
 
     def import_flow(self, record: FlowRecord, reason: str = "flow_import") -> None:

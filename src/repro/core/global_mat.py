@@ -16,6 +16,7 @@ which never saw the packet.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +68,23 @@ class GlobalRule:
         self.dropper = dropper
         self.version = 1
         self.hits = 0
+
+    def __deepcopy__(self, memo) -> "GlobalRule":
+        # Only the schedule (its functions count invocations and get
+        # rebound on migration) and the two counters can differ between
+        # a rule and its snapshot; the consolidated actions and the
+        # tuples are immutable and shared.
+        clone = GlobalRule.__new__(GlobalRule)
+        clone.fid = self.fid
+        clone.consolidated = self.consolidated
+        clone.schedule = copy.deepcopy(self.schedule, memo)
+        clone.nf_names = self.nf_names
+        clone.raw_actions = self.raw_actions
+        clone.pre_drop = self.pre_drop
+        clone.dropper = self.dropper
+        clone.version = self.version
+        clone.hits = self.hits
+        return clone
 
     def __repr__(self) -> str:
         return (
@@ -277,18 +295,6 @@ class GlobalMAT:
         return removed
 
     # -- migration support (repro.scale) -------------------------------------
-
-    def export_rule(self, fid: int) -> Optional[GlobalRule]:
-        """Detach and return the flow's consolidated rule for migration.
-
-        Deliberately NOT an eviction: ``on_evict`` is not invoked, because
-        the flow's Local MAT records and events migrate alongside the rule
-        rather than being torn down.
-        """
-        rule = self._rules.pop(fid, None)
-        if rule is not None:
-            self._m_occupancy.set(len(self._rules))
-        return rule
 
     def import_rule(self, rule: GlobalRule) -> None:
         """Adopt a migrated rule (schedule batches already rebound)."""

@@ -11,6 +11,7 @@ baseline (original-chain) configuration.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.actions import HeaderAction
@@ -36,6 +37,19 @@ class LocalRule:
         self.sf_batch = StateFunctionBatch(nf_name)
         self.event_count = 0
         self.hits = 0
+
+    def __deepcopy__(self, memo) -> "LocalRule":
+        # The action *list* is replaced by event updates, so the copy
+        # gets its own; the actions in it are immutable and shared.  The
+        # batch goes through the memo: the Global MAT schedule usually
+        # holds the very same object.
+        clone = LocalRule.__new__(LocalRule)
+        clone.fid = self.fid
+        clone.header_actions = list(self.header_actions)
+        clone.sf_batch = copy.deepcopy(self.sf_batch, memo)
+        clone.event_count = self.event_count
+        clone.hits = self.hits
+        return clone
 
     def __repr__(self) -> str:
         return (
@@ -104,10 +118,6 @@ class LocalMAT:
         return self._rules.pop(fid, None) is not None
 
     # -- migration support (repro.scale) -------------------------------------
-
-    def export_flow(self, fid: int) -> Optional[LocalRule]:
-        """Detach and return the flow's rule for migration."""
-        return self._rules.pop(fid, None)
 
     def import_flow(self, rule: LocalRule) -> None:
         """Adopt a migrated flow's rule (handlers already rebound)."""

@@ -21,6 +21,7 @@ inside a wave is irrelevant precisely because no payload hazard exists.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, List, Sequence, Tuple
 
 from repro.core.state_function import PayloadClass, StateFunctionBatch
@@ -66,6 +67,13 @@ class ParallelSchedule:
 
     def all_batches(self) -> List[StateFunctionBatch]:
         return [batch for wave in self.waves for batch in wave]
+
+    def __deepcopy__(self, memo) -> "ParallelSchedule":
+        # Batches go through the memo: each is normally also some Local
+        # MAT rule's ``sf_batch``, and that aliasing must survive.
+        return ParallelSchedule(
+            [[copy.deepcopy(batch, memo) for batch in wave] for wave in self.waves]
+        )
 
     def execute(self, packet: Packet) -> List[Any]:
         """Run the schedule *functionally* (single-threaded, wave order).

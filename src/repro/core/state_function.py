@@ -11,6 +11,7 @@ among its members (WRITE > READ > IGNORE, §V-C2).
 
 from __future__ import annotations
 
+import copy
 import enum
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -61,6 +62,19 @@ class StateFunction:
         self.invocations += 1
         return self.handler(packet, *self.args)
 
+    def __deepcopy__(self, memo) -> "StateFunction":
+        # Handler and args may reference NFs, so they take the generic
+        # walk through the caller's memo (repro.ft.checkpoint seeds it
+        # to keep them bound to the same NF objects); the rest is values.
+        clone = StateFunction.__new__(StateFunction)
+        clone.handler = copy.deepcopy(self.handler, memo)
+        clone.payload_class = self.payload_class
+        clone.args = copy.deepcopy(self.args, memo)
+        clone.name = self.name
+        clone.nf_name = self.nf_name
+        clone.invocations = self.invocations
+        return clone
+
     def __repr__(self) -> str:
         owner = f"{self.nf_name}." if self.nf_name else ""
         return f"<StateFunction {owner}{self.name} [{self.payload_class.name}]>"
@@ -109,6 +123,11 @@ class StateFunctionBatch:
 
     def clone_with(self, functions: Sequence[StateFunction]) -> "StateFunctionBatch":
         return StateFunctionBatch(self.nf_name, functions)
+
+    def __deepcopy__(self, memo) -> "StateFunctionBatch":
+        return StateFunctionBatch(
+            self.nf_name, [copy.deepcopy(fn, memo) for fn in self._functions]
+        )
 
     def __repr__(self) -> str:
         names = ", ".join(fn.name for fn in self._functions)

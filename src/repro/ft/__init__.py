@@ -6,8 +6,8 @@ with the classic snapshot + log recovery pair, built on the migration
 machinery the cluster already trusts:
 
 - :mod:`repro.ft.checkpoint` — periodic per-flow snapshots (classifier
-  entry, Local/Global MAT rows, events, NF state) captured by a
-  non-destructive export → deep-copy → re-import round-trip.
+  entry, Local/Global MAT rows, events, NF state) captured by reading
+  the tables in place and copying only what a packet can change.
 - :mod:`repro.ft.pktlog` — a bounded per-replica input-packet log,
   trimmed at each checkpoint; recovery = restore the snapshot, then
   replay the logged packets through the normal pipeline.

@@ -1,4 +1,4 @@
-"""Per-flow state snapshots: capture without detaching, restore anywhere.
+"""Per-flow state snapshots: capture by reading, restore anywhere.
 
 A checkpoint is everything :class:`~repro.scale.migration.FlowMigrator`
 would move for one flow — classifier connection entry, Local MAT rules,
@@ -6,22 +6,43 @@ the consolidated Global MAT rule, registered events, and each NF's
 per-flow state — but *copied*, not moved: the flow keeps running on its
 replica after capture.
 
-Capture reuses the migration machinery wholesale.  The flow's state is
-exported exactly as a migration would (same wire-direction walk, same
-FID-collision tolerance), deep-copied, and immediately imported back
-into the same runtime — an identity round-trip.  The deep copy is
-seeded with an identity-preserving memo (``id(nf) -> nf`` for every
-chain NF), so recorded handlers in the *stored* copy remain bound
-methods of the source replica's NF objects, exactly like a freshly
-exported migration record.  Restoring onto a peer is then literally the
-migration import path: deep-copy the stored record (the checkpoint
-stays pristine for a second failure),
-:func:`~repro.scale.migration.rebind_record` from the dead replica's
-NFs to the target's, and import.
+Capture **reads the SpeedyBox tables in place**
+(:func:`~repro.scale.migration.peek_direction`: same wire-direction
+walk and same FID-collision skip as a migration, but nothing detaches),
+so the runtime cannot tell it happened: no LRU order moves, the flow's
+compiled fast lane stays, and the runtime's audit journal records
+nothing.  Only the NFs' own per-flow state still takes the migration
+pair — ``export_flow_state`` → copy → ``import_flow_state`` of the very
+same object — because that opaque state has no read-only accessor.
 
-The round-trip invalidates the flow's compiled fast lane
-(``checkpoint_capture`` in the audit log); its next packet recompiles,
-observably identical under the compiled/interpreted parity contract.
+What was read is then copied by one ``copy.deepcopy`` call, and the
+classes in a :class:`~repro.core.framework.FlowRecord` declare what
+that costs (their ``__deepcopy__``):
+
+- *atomic* — ``FiveTuple``, ``FieldOp``, every ``HeaderAction``,
+  ``ConsolidatedAction`` return themselves.  They are values: an NF
+  builds one when it records, and from then on the MATs only ever
+  *replace* them (an event swaps the action list, a reconsolidation
+  installs a new rule).  Nothing a later packet does can reach into
+  the snapshot through a shared one.
+- *shells* — ``FlowEntry``, ``LocalRule``, ``StateFunction``,
+  ``StateFunctionBatch``, ``ParallelSchedule``, ``GlobalRule`` and
+  ``FlowRecord`` copy exactly the slots a packet, an event or a rebind
+  can change (counters, connection flags, the action *list*, handlers)
+  and pass the memo down, so a batch a Local MAT rule shares with the
+  Global MAT schedule is still one batch in the copy.
+- *generic* — handler ``args``, ``Event`` objects and NF state take
+  ``copy``'s ordinary walk.
+
+The memo is seeded ``id(nf) -> nf`` for every chain NF, so recorded
+handlers in the *stored* copy remain bound methods of the source
+replica's NF objects, exactly like a freshly exported migration record.
+Restoring onto a peer is then literally the migration import path:
+deep-copy the stored record (the checkpoint stays pristine for a second
+failure), :func:`~repro.scale.migration.rebind_record` from the dead
+replica's NFs to the target's, and import (``checkpoint_restore`` in
+the audit log; the flow's next packet compiles its lane on the new
+home).
 
 :class:`CheckpointManager` holds the latest snapshot per flow across a
 :class:`~repro.scale.cluster.ScaleCluster`, each stamped with the
@@ -41,8 +62,9 @@ from repro.nf.base import NetworkFunction
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.scale.migration import (
-    export_direction,
+    check_same_shape,
     observed_tuples,
+    peek_direction,
     rebind_record,
     wire_directions,
 )
@@ -84,45 +106,45 @@ def capture_flow(
     replica_id: int = 0,
     log_seq: int = 0,
 ) -> Optional[FlowCheckpoint]:
-    """Snapshot one flow without disturbing it (export → copy → import).
+    """Snapshot one flow without disturbing it (read → copy).
 
     Returns ``None`` when the runtime holds nothing for the flow.  The
-    runtime is left exactly as found: the same objects are re-imported,
-    so even object identities (shared StateFunction batches, classifier
-    entries) survive the round-trip.
+    SpeedyBox tables are only read; each NF's own state is exported,
+    copied and handed straight back to the same NF.
     """
     key = flow.canonical()
     nfs = list(runtime.nfs)
     directions = tuple(wire_directions(nfs, key))
-    observed = {direction: observed_tuples(nfs, direction) for direction in directions}
 
     records: List[FlowRecord] = []
     if isinstance(runtime, SpeedyBox):
         for direction in directions:
-            record = export_direction(runtime, direction, reason="checkpoint_capture")
+            record = peek_direction(runtime, direction)
             if record is not None:
                 records.append(record)
-    nf_states: List[NFStateItem] = []
-    for direction in directions:
-        for nf, observed_key in zip(nfs, observed[direction]):
-            state = nf.export_flow_state(observed_key)
-            if state is not None:
-                nf_states.append((nf.name, observed_key, state))
+    # Every observed key is derived before any NF state detaches: the
+    # walk reads the mappings (NAT) that export removes.
+    observed = [
+        (nf, observed_key)
+        for direction in directions
+        for nf, observed_key in zip(nfs, observed_tuples(nfs, direction))
+    ]
+    live_states = []
+    for nf, observed_key in observed:
+        state = nf.export_flow_state(observed_key)
+        if state is not None:
+            live_states.append((nf, observed_key, state))
 
-    if not records and not nf_states:
+    if not records and not live_states:
         return None
 
     stored_records, stored_states = copy.deepcopy(
-        (records, nf_states), _identity_memo(nfs)
+        (records, [state for __, __, state in live_states]), _identity_memo(nfs)
     )
-
-    # Identity round-trip: the originals go straight back where they were.
-    if isinstance(runtime, SpeedyBox):
-        for record in records:
-            runtime.import_flow(record, reason="checkpoint_capture")
-    nf_by_name = {nf.name: nf for nf in nfs}
-    for name, observed_key, state in nf_states:
-        nf_by_name[name].import_flow_state(observed_key, state)
+    nf_states: List[NFStateItem] = []
+    for (nf, observed_key, state), stored in zip(live_states, stored_states):
+        nf.import_flow_state(observed_key, state)
+        nf_states.append((nf.name, observed_key, stored))
 
     return FlowCheckpoint(
         flow=key,
@@ -130,7 +152,7 @@ def capture_flow(
         log_seq=log_seq,
         directions=directions,
         records=stored_records,
-        nf_states=stored_states,
+        nf_states=nf_states,
     )
 
 
@@ -143,10 +165,13 @@ def restore_flow(
 
     ``src_nfs`` are the NFs the stored handlers are bound to — the dead
     replica's chain, kept alive in the coordinator's graveyard precisely
-    so this rebind has its source objects.  The checkpoint itself is
-    deep-copied first and stays reusable (a second failure on the new
-    home can restore from it again until a fresher snapshot replaces it).
+    so this rebind has its source objects; they must pair up with
+    ``runtime.nfs`` NF for NF (:class:`MigrationError` otherwise).  The
+    checkpoint itself is deep-copied first and stays reusable (a second
+    failure on the new home can restore from it again until a fresher
+    snapshot replaces it).
     """
+    check_same_shape(src_nfs, runtime.nfs)
     records, nf_states = copy.deepcopy(
         (checkpoint.records, checkpoint.nf_states), _identity_memo(src_nfs)
     )
@@ -192,8 +217,8 @@ class CheckpointManager:
         runtime = self.cluster.replicas[replica_id].runtime
         seen: set = set()
         captured = 0
-        for key, home in sorted(self.cluster.flow_homes().items()):
-            if home != replica_id or key in seen:
+        for key in sorted(self.cluster.flows_homed_on(replica_id)):
+            if key in seen:
                 continue
             checkpoint = capture_flow(
                 runtime, key, replica_id=replica_id, log_seq=log_seq

@@ -348,9 +348,7 @@ class FaultTolerance:
         self.dead[replica_id] = dead
         self._m_kills.inc()
         cluster._m_replicas.set(len(cluster.replicas))
-        flows_orphaned = sum(
-            1 for home in cluster.flow_homes().values() if home == replica_id
-        )
+        flows_orphaned = len(cluster.flows_homed_on(replica_id))
         self.audit.emit(
             "ft_kill",
             replica=replica_id,
@@ -418,11 +416,7 @@ class FaultTolerance:
             cluster.sharder.remove_replica(replica_id)
 
             # 2. Orphaned flows: everything homed on the dead replica.
-            orphan_keys = sorted(
-                key
-                for key, home in cluster.flow_homes().items()
-                if home == replica_id
-            )
+            orphan_keys = sorted(cluster.flows_homed_on(replica_id))
             for key in orphan_keys:
                 del cluster._flow_homes[key]
             orphan_set = set(orphan_keys)

@@ -38,6 +38,7 @@ from repro.core.framework import SpeedyBox
 from repro.core.verification import Divergence, VerificationReport
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
+from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.scale.cluster import ScaleCluster
 from repro.scale.migration import chain_state_snapshot
 from repro.ft.failover import FaultTolerance, RecoveryReport
@@ -95,6 +96,7 @@ def verify_equivalence_failover(
     speedybox_kwargs: Optional[dict] = None,
     platform: str = "bess",
     charge_recovery: bool = True,
+    audit: AuditLog = NULL_AUDIT,
 ) -> FailoverVerificationReport:
     """Kill a replica mid-stream; prove recovery was invisible.
 
@@ -105,7 +107,10 @@ def verify_equivalence_failover(
     kill; ``None`` recovers whatever is still dead at end of stream.
     ``churn`` flows are forcibly re-homed just before packet
     ``churn_at`` (default: halfway to the kill), putting migrated state
-    and migration pins in the blast radius.
+    and migration pins in the blast radius.  ``audit`` becomes the
+    cluster's journal (replica runtimes, migrator and the fault-tolerance
+    coordinator all write to it), for callers that want to count what the
+    run decided — compiles, invalidations, checkpoints.
 
     The byte-identity claim covers flows established before the kill.
     A flow whose *first* packet arrives during the outage is still
@@ -124,6 +129,7 @@ def verify_equivalence_failover(
         replicas=replicas,
         speedybox=True,
         speedybox_kwargs=speedybox_kwargs,
+        audit=audit,
     )
     ft = FaultTolerance(
         cluster,

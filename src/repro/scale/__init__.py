@@ -28,8 +28,10 @@ from repro.scale.migration import (
     MigrationError,
     MigrationReport,
     chain_state_snapshot,
+    check_same_shape,
     export_direction,
     observed_tuples,
+    peek_direction,
     rebind_record,
     wire_directions,
 )
@@ -48,8 +50,10 @@ __all__ = [
     "ScaleCluster",
     "ScaleDecision",
     "chain_state_snapshot",
+    "check_same_shape",
     "export_direction",
     "observed_tuples",
+    "peek_direction",
     "rebind_record",
     "shard_hash",
     "wire_directions",

@@ -609,7 +609,7 @@ class ScaleCluster:
         rid = max(self.replicas)
         self.sharder.remove_replica(rid)
         self._migrate_rehomed_flows()
-        remaining = [home for home in self._flow_homes.values() if home == rid]
+        remaining = self.flows_homed_on(rid)
         if remaining:
             raise MigrationError(
                 f"replica {rid} still homes {len(remaining)} flow(s) after drain"
@@ -651,6 +651,10 @@ class ScaleCluster:
 
     def flow_homes(self) -> Dict[FiveTuple, int]:
         return dict(self._flow_homes)
+
+    def flows_homed_on(self, replica_id: int) -> List[FiveTuple]:
+        """The canonical keys whose state lives on one replica."""
+        return [key for key, home in self._flow_homes.items() if home == replica_id]
 
     def reset(self) -> None:
         for replica in self.replicas.values():

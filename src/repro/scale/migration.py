@@ -33,7 +33,7 @@ Two subtleties the implementation works around:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.classifier import fid_of
 from repro.core.framework import FlowRecord, ServiceChain, SpeedyBox
@@ -126,25 +126,48 @@ def chain_state_snapshot(
     return snapshot
 
 
-def export_direction(src: SpeedyBox, direction: FiveTuple, reason: str = "flow_export"):
-    """Export one direction's SpeedyBox tables, tolerating FID collisions.
+def peek_direction(src: SpeedyBox, direction: FiveTuple) -> Optional[FlowRecord]:
+    """One direction's SpeedyBox tables, read in place (nothing detaches).
 
-    Returns ``None`` (moving nothing) when the 20-bit FID of
-    ``direction`` belongs to a different live flow — the record is put
-    back untouched.  Shared by the migrator and the checkpoint capture
-    path (:mod:`repro.ft.checkpoint`), which must skip exactly the same
-    collided directions; ``reason`` labels the compiled-lane
-    invalidation in the audit log.
+    Returns ``None`` when the runtime holds nothing for ``direction`` —
+    including when its 20-bit FID belongs to a *different* live flow,
+    whose tables are none of this flow's business.  The one collision
+    rule the migrator and checkpoint capture (:mod:`repro.ft.checkpoint`)
+    share, so both skip exactly the same directions.
     """
-    fid = fid_of(direction)
-    record = src.export_flow(fid, reason=reason)
-    if record is None:
-        return None
-    entry = record.classifier_entry
-    if entry is not None and entry.five_tuple != direction:
-        src.import_flow(record, reason=reason)
+    record = src.peek_flow(fid_of(direction))
+    if record is None or record.classifier_entry.five_tuple != direction:
         return None
     return record
+
+
+def export_direction(src: SpeedyBox, direction: FiveTuple) -> Optional[FlowRecord]:
+    """Detach one direction's SpeedyBox tables, tolerating FID collisions.
+
+    Moves nothing (and leaves the colliding flow untouched) when
+    :func:`peek_direction` finds the FID owned by another flow.
+    """
+    if peek_direction(src, direction) is None:
+        return None
+    return src.export_flow(fid_of(direction))
+
+
+def check_same_shape(
+    src_nfs: Sequence[NetworkFunction], dst_nfs: Sequence[NetworkFunction]
+) -> None:
+    """Raise :class:`MigrationError` unless the chains pair up NF for NF.
+
+    Handlers are rebound position by position (:func:`rebind_record`), so
+    a length, NF-type or NF-name mismatch would silently bind a flow's
+    handlers to the wrong NF.
+    """
+    if [type(nf) for nf in src_nfs] != [type(nf) for nf in dst_nfs] or [
+        nf.name for nf in src_nfs
+    ] != [nf.name for nf in dst_nfs]:
+        raise MigrationError(
+            f"replica chains differ: {[nf.name for nf in src_nfs]} vs "
+            f"{[nf.name for nf in dst_nfs]}"
+        )
 
 
 def rebind_record(
@@ -250,7 +273,7 @@ class FlowMigrator:
         # MAT rules, Global MAT rule, events), one FID per direction.
         if isinstance(src, SpeedyBox):
             for direction in directions:
-                record = self._export_direction(src, direction)
+                record = export_direction(src, direction)
                 if record is None:
                     continue
                 report.fids = report.fids + (record.fid,)
@@ -300,15 +323,5 @@ class FlowMigrator:
                 "cannot migrate between a SpeedyBox runtime and a plain chain"
             )
         src_nfs, dst_nfs = list(src.nfs), list(dst.nfs)
-        if [type(nf) for nf in src_nfs] != [type(nf) for nf in dst_nfs] or [
-            nf.name for nf in src_nfs
-        ] != [nf.name for nf in dst_nfs]:
-            raise MigrationError(
-                f"replica chains differ: {[nf.name for nf in src_nfs]} vs "
-                f"{[nf.name for nf in dst_nfs]}"
-            )
+        check_same_shape(src_nfs, dst_nfs)
         return src_nfs, dst_nfs
-
-    def _export_direction(self, src: SpeedyBox, direction: FiveTuple):
-        """Export one direction's tables, tolerating FID collisions."""
-        return export_direction(src, direction)

@@ -75,3 +75,26 @@ def nf_by_name(runtime, name: str):
         if nf.name == name:
             return nf
     raise KeyError(name)
+
+
+def report_view(report: ProcessReport) -> tuple:
+    """A :class:`ProcessReport` as comparable values.
+
+    Reports hold :class:`~repro.platform.costs.CycleMeter` objects, which
+    compare by identity; two runtimes that must report a packet alike
+    compare these views instead.
+    """
+
+    def meter(m):
+        return (dict(m.counts), m.direct_cycles)
+
+    return (
+        report.path,
+        report.fid,
+        report.dropped,
+        report.closing,
+        report.events_fired,
+        meter(report.fixed_meter),
+        [(name, meter(m)) for name, m in report.nf_meters],
+        [[(name, meter(m)) for name, m in wave] for wave in report.sf_waves],
+    )

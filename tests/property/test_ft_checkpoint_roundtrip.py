@@ -1,6 +1,6 @@
 """Property tests: checkpoint/restore round-trips are invisible.
 
-Two claims, over Hypothesis-chosen workloads:
+Three claims, over Hypothesis-chosen workloads:
 
 1. :func:`~repro.ft.checkpoint.capture_flow` followed by
    :func:`~repro.ft.checkpoint.restore_flow` onto a fresh runtime yields
@@ -11,6 +11,11 @@ Two claims, over Hypothesis-chosen workloads:
    state-identical for arbitrary kill positions, checkpoint intervals
    and replica counts — :func:`verify_equivalence_failover` is the
    oracle.
+3. Capture alone is invisible even under table pressure: with the
+   classifier and the Global MAT bounded below the live flow count, a
+   runtime checkpointed at arbitrary points keeps the same LRU orders,
+   evicts the same victims in the same order and reports every packet
+   exactly like a twin that was never captured.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from repro.ft import (
     verify_equivalence_failover,
 )
 from repro.nf import IPFilter, MazuNAT, Monitor
+from repro.obs.audit import AuditLog
 from repro.scale import chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
+from tests.integration.helpers import report_view
 
 PORTS = (25000, 60000)
 
@@ -148,3 +155,51 @@ def test_failover_is_equivalent_for_arbitrary_schedules(data, case):
     )
     assert report.equivalent, report.summary()
     assert report.buffered_packets == report.delivered_packets
+
+
+@st.composite
+def bounded_tables(draw):
+    """Table bounds that bite: each at most the workload's flow count."""
+    return {
+        "max_flows": draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4))),
+        "max_tracked_flows": draw(
+            st.one_of(st.none(), st.integers(min_value=1, max_value=5))
+        ),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), case=workloads(), bounds=bounded_tables())
+def test_capture_is_invisible_under_bounded_tables(data, case, bounds):
+    packets, flows = case
+    capture_after = data.draw(
+        st.sets(st.integers(min_value=0, max_value=len(packets) - 1), max_size=6),
+        label="capture_after",
+    )
+    audit_cap, audit_twin = AuditLog(), AuditLog()
+    captured = SpeedyBox(build_chain(), audit=audit_cap, **bounds)
+    twin = SpeedyBox(build_chain(), audit=audit_twin, **bounds)
+
+    for index, packet in enumerate(packets):
+        cap_pkt, twin_pkt = packet.clone(), packet.clone()
+        assert report_view(captured.process(cap_pkt)) == report_view(
+            twin.process(twin_pkt)
+        )
+        assert cap_pkt.dropped == twin_pkt.dropped
+        if not cap_pkt.dropped:
+            assert cap_pkt.serialize() == twin_pkt.serialize()
+        if index in capture_after:
+            for flow in flows:
+                capture_flow(captured, flow)
+        assert captured.global_mat.flows() == twin.global_mat.flows()
+        assert list(captured.classifier._flows) == list(twin.classifier._flows)
+
+    # one journal: every insert, rebuild, eviction, compile and
+    # invalidation in the same order — a capture writes nothing
+    def journal(audit):
+        return [
+            {k: v for k, v in event.items() if k != "ts"} for event in audit.events()
+        ]
+
+    assert journal(audit_cap) == journal(audit_twin)
+    assert captured.stats() == twin.stats()

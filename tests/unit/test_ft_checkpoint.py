@@ -8,12 +8,21 @@ and the injector deterministic on the packet-index clock.
 
 import pytest
 
+from repro.core.classifier import fid_of
 from repro.core.framework import SpeedyBox
-from repro.ft import FaultInjector, PacketLog, capture_flow, restore_flow
+from repro.ft import (
+    FaultInjector,
+    FaultTolerance,
+    PacketLog,
+    capture_flow,
+    restore_flow,
+)
 from repro.net.flow import FiveTuple
 from repro.nf import IPFilter, MazuNAT, Monitor
-from repro.scale import chain_state_snapshot
+from repro.obs.audit import AuditLog
+from repro.scale import MigrationError, ScaleCluster, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
+from tests.integration.helpers import report_view
 
 
 def build_chain():
@@ -24,14 +33,14 @@ def build_chain():
     ]
 
 
-def trace(flows=4, packets=6, seed=5):
+def trace(flows=4, packets=6, seed=5, interleave="round_robin"):
     specs = [
         FlowSpec.tcp(
             f"10.9.{i}.4", f"99.1.0.{i + 1}", 5000 + i, 443, packets=packets
         )
         for i in range(flows)
     ]
-    return TrafficGenerator(specs, interleave="round_robin", seed=seed).packets()
+    return TrafficGenerator(specs, interleave=interleave, seed=seed).packets()
 
 
 class TestCaptureFlow:
@@ -62,6 +71,84 @@ class TestCaptureFlow:
             assert chain_state_snapshot(captured.nfs, flow) == chain_state_snapshot(
                 twin.nfs, flow
             )
+
+    def test_capture_under_bounded_tables_matches_a_never_captured_twin(self):
+        """Regression: capture used to pop and re-insert every flow's
+        classifier entry and Global MAT rule in sorted-key order, so a
+        checkpointed runtime under table pressure evicted other victims
+        than its twin.  Reading in place leaves both LRU orders alone."""
+        bounds = dict(max_flows=3, max_tracked_flows=4)
+        audit_cap, audit_twin = AuditLog(), AuditLog()
+        captured = SpeedyBox(build_chain(), audit=audit_cap, **bounds)
+        twin = SpeedyBox(build_chain(), audit=audit_twin, **bounds)
+        packets = trace(flows=6, packets=8, seed=11, interleave="shuffled")
+        flows = sorted({p.five_tuple().canonical() for p in packets})
+
+        for index, packet in enumerate(packets):
+            cap_report = captured.process(packet.clone())
+            twin_report = twin.process(packet.clone())
+            assert report_view(cap_report) == report_view(twin_report), index
+            if index % 3 == 2:
+                for flow in flows:
+                    capture_flow(captured, flow)
+            assert captured.global_mat.flows() == twin.global_mat.flows(), index
+            assert list(captured.classifier._flows) == list(twin.classifier._flows), index
+
+        def evictions(audit):
+            return [
+                (event["kind"], event["fid"])
+                for event in audit.events()
+                if event["kind"] in ("global_mat_evict", "classifier_evict")
+            ]
+
+        assert evictions(audit_twin), "the bounds must actually bite"
+        assert evictions(audit_cap) == evictions(audit_twin)
+        assert captured.stats() == twin.stats()
+
+    def test_capture_leaves_compiled_lane_and_audit_journal_untouched(self):
+        """Regression: capture used to drop the flow's compiled lane and
+        journal a fastpath_invalidate / fastpath_compile pair per flow."""
+        audit = AuditLog()
+        runtime = SpeedyBox(build_chain(), audit=audit)
+        packets = trace(flows=3, packets=6)
+        for packet in packets[:12]:
+            runtime.process(packet)
+        flows = sorted({p.five_tuple().canonical() for p in packets})
+        compiled = dict(runtime._compiled)
+        compiled_fids = dict(runtime._compiled_fids)
+        assert compiled, "flows must be on the compiled lane before capture"
+        journal = len(audit)
+
+        for flow in flows:
+            assert capture_flow(runtime, flow) is not None
+
+        assert len(audit) == journal
+        assert runtime._compiled == compiled
+        assert all(runtime._compiled[key] is lane for key, lane in compiled.items())
+        assert runtime._compiled_fids == compiled_fids
+        # ... and the next packets stay on those lanes: nothing recompiles
+        for packet in packets[12:]:
+            runtime.process(packet)
+        assert not [
+            event
+            for event in audit.events()[journal:]
+            if event["kind"] in ("fastpath_compile", "fastpath_invalidate")
+        ]
+
+    def test_peek_flow_reads_what_export_flow_detaches(self):
+        runtime = SpeedyBox(build_chain())
+        packets = trace(flows=1, packets=6)
+        fid = fid_of(packets[0].five_tuple())  # before the NAT rewrites it
+        for packet in packets[:4]:
+            runtime.process(packet)
+        peeked = runtime.peek_flow(fid)
+        assert peeked is not None and peeked.global_rule is not None
+        assert runtime.peek_flow(fid) == peeked  # reading twice changes nothing
+        exported = runtime.export_flow(fid)
+        assert exported == peeked  # same live rows, field by field
+        assert exported.global_rule is peeked.global_rule
+        assert runtime.peek_flow(fid) is None
+        assert fid not in runtime.global_mat
 
     def test_capture_returns_none_for_unknown_flow(self):
         runtime = SpeedyBox(build_chain())
@@ -131,6 +218,28 @@ class TestRestoreFlow:
         assert source.nfs[1].total_packets() == source_total
         assert target.nfs[1].total_packets() > 0
 
+    @pytest.mark.parametrize(
+        "target_chain",
+        [
+            lambda: build_chain()[:2],  # shorter chain
+            lambda: [build_chain()[0], IPFilter("mon"), IPFilter("fw")],  # NF type
+            lambda: [build_chain()[0], Monitor("counter"), build_chain()[2]],  # name
+        ],
+        ids=["length", "type", "name"],
+    )
+    def test_restore_rejects_a_mismatched_chain(self, target_chain):
+        """zip() over unequal chains used to truncate silently and bind
+        the flow's handlers to the wrong NFs."""
+        source = SpeedyBox(build_chain())
+        packets = trace(flows=1)
+        for packet in packets[:4]:
+            source.process(packet.clone())
+        checkpoint = capture_flow(source, packets[0].five_tuple().canonical())
+        target = SpeedyBox(target_chain())
+        with pytest.raises(MigrationError, match="replica chains differ"):
+            restore_flow(checkpoint, target, list(source.nfs))
+        assert len(target.classifier) == 0  # nothing half-installed
+
     def test_checkpoint_is_reusable_after_restore(self):
         source = SpeedyBox(build_chain())
         packets = trace(flows=1)
@@ -145,6 +254,43 @@ class TestRestoreFlow:
         assert chain_state_snapshot(first.nfs, flow) == chain_state_snapshot(
             second.nfs, flow
         )
+
+
+class TestSnapshotReplica:
+    def test_round_captures_only_that_replicas_flows_in_sorted_order(self, monkeypatch):
+        import repro.ft.checkpoint as checkpoint_module
+
+        audit = AuditLog()
+        cluster = ScaleCluster(build_chain, replicas=2, audit=audit)
+        ft = FaultTolerance(cluster, checkpoint_interval=10_000)
+        for packet in trace(flows=8, packets=4):
+            cluster.process(packet)
+        homes = cluster.flow_homes()
+        assert set(homes.values()) == {0, 1}, "both replicas must home flows"
+
+        order = []
+        real_capture = checkpoint_module.capture_flow
+
+        def spy(runtime, flow, **kwargs):
+            order.append(flow)
+            return real_capture(runtime, flow, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "capture_flow", spy)
+        captured = ft.checkpoints.snapshot_replica(1, log_seq=7, cause="manual")
+
+        assert order == sorted(order)
+        assert all(homes[key] == 1 for key in order)
+        assert sorted(cluster.flows_homed_on(1)) == sorted(
+            key for key, home in homes.items() if home == 1
+        )
+        event = audit.last("ft_checkpoint")
+        assert {k: event[k] for k in ("replica", "flows", "log_seq", "cause")} == {
+            "replica": 1,
+            "flows": captured,
+            "log_seq": 7,
+            "cause": "manual",
+        }
+        assert captured == len(ft.checkpoints.snapshots_for_replica(1)) > 0
 
 
 class TestPacketLog:

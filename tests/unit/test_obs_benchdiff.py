@@ -21,6 +21,12 @@ class TestDirections:
         for key in ("p99_us", "latency_ns", "dropped", "recovery_windows"):
             assert direction_of(key) == "lower"
 
+    def test_fast_lane_churn_counts_gate_lower(self):
+        # BENCH_ft_recovery.json: a checkpoint that recompiles the lanes
+        # it snapshots shows up here, not on a host clock
+        for key in ("interval_8_lane_compiles", "interval_32_lane_invalidations"):
+            assert direction_of(key) == "lower"
+
     def test_throughput_like_keys_gate_higher(self):
         for key in ("rate_mpps", "throughput", "fast_hit_ratio", "delivered"):
             assert direction_of(key) == "higher"
