@@ -22,6 +22,13 @@ instrumented cell exceeds the threshold (default 5%), when sampling
 degenerated (no flows sampled, full-capture recorded no more spans
 than sampled, or forensics sampled no packets), or when required
 metrics are missing.  Exit code 1 on any failure.
+
+One gate reads no stopwatch: ``*_stage_plan_calls`` counts the packets
+a cell's run could not serve from the loaded loop's cached branch.
+Forensics, a disabled forensics engine and windowed telemetry must
+leave that count where the uninstrumented run has it, and 1-in-64
+sampling may add at most ``sampled flows x span cap`` — the reason the
+stopwatch cells are expected to read ~0 %, checked exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +54,12 @@ REQUIRED = (
     "lane_off_s",
     "lane_timeseries_s",
     "lane_timeseries_overhead",
+    "off_stage_plan_calls",
+    "sampled_stage_plan_calls",
+    "sampled_span_cap",
+    "forensics_stage_plan_calls",
+    "forensics_off_stage_plan_calls",
+    "timeseries_stage_plan_calls",
 )
 
 
@@ -126,6 +139,30 @@ def check(metrics: dict, threshold: float) -> int:
         f"budget {100 * threshold:.0f}%)"
     )
     if lane_overhead > threshold:
+        failures += 1
+    return failures + check_plan_calls(metrics)
+
+
+def check_plan_calls(metrics: dict) -> int:
+    """The steady majority never leaves the cached branch, whatever is
+    attached: ``_stage_plan`` call counts, no stopwatch involved."""
+    failures = 0
+    off = metrics["off_stage_plan_calls"]
+    for cell in ("forensics", "forensics_off", "timeseries"):
+        calls = metrics[f"{cell}_stage_plan_calls"]
+        status = "ok" if calls == off else "FAIL"
+        print(f"{status:4s} {cell} plans built: {calls:.0f} (uninstrumented {off:.0f}, must match)")
+        if calls != off:
+            failures += 1
+    sampled = metrics["sampled_stage_plan_calls"]
+    allowed = off + metrics["sampled_flows_sampled"] * metrics["sampled_span_cap"]
+    status = "ok" if sampled <= allowed else "FAIL"
+    print(
+        f"{status:4s} sampled plans built: {sampled:.0f} "
+        f"(uninstrumented {off:.0f} + {metrics['sampled_flows_sampled']:.0f} flows "
+        f"x cap {metrics['sampled_span_cap']:.0f} = {allowed:.0f} allowed)"
+    )
+    if sampled > allowed:
         failures += 1
     return failures
 

@@ -36,6 +36,17 @@ Best-of-``REPEATS`` wall-clock for each lands in
 costs at most ``MAX_SAMPLED_OVERHEAD`` (5 %) over its uninstrumented
 twin, and ``benchmarks/check_obs_overhead.py`` re-checks the committed
 JSON in CI.
+
+Beside each stopwatch cell of the per-packet path sits a count that
+does not depend on the box: how often the run called the platform's
+``_stage_plan`` hook (``*_stage_plan_calls``).  The loaded loop builds
+a plan only for a report it could not serve from the cached branch, so
+the count is the number of packets that left it — the property the
+5 % budgets exist to protect (the steady majority never leaves the
+cached branch, whatever is attached), stated exactly:
+``check_obs_overhead.py`` requires forensics, disabled forensics and
+telemetry to equal ``off``, and sampling to add at most sampled flows
+x span cap.
 """
 
 from __future__ import annotations
@@ -87,23 +98,23 @@ def many_flow_packets():
     return TrafficGenerator(specs, interleave="round_robin").packets()
 
 
-def timed_run(packets, recorder):
-    platform = make_platform("bess", SpeedyBox(build_chain()), spans=recorder)
+def timed_cell(plan_calls, cell, packets, **attached):
+    """One timed per-packet run with ``attached`` on the platform; its
+    ``_stage_plan`` calls are counted into ``plan_calls[cell]``."""
+    platform = make_platform("bess", SpeedyBox(build_chain()), **attached)
+    stage_plan, calls = platform._stage_plan, [0]
+
+    def counted(report):
+        calls[0] += 1
+        return stage_plan(report)
+
+    platform._stage_plan = counted
     clones = clone_packets(packets)
     started = time.perf_counter()
     result = platform.run_load(clones)
     seconds = time.perf_counter() - started
     assert result.delivered == len(packets)
-    return seconds
-
-
-def timed_forensics_run(packets, engine):
-    platform = make_platform("bess", SpeedyBox(build_chain()), forensics=engine)
-    clones = clone_packets(packets)
-    started = time.perf_counter()
-    result = platform.run_load(clones)
-    seconds = time.perf_counter() - started
-    assert result.delivered == len(packets)
+    plan_calls[cell] = calls[0]
     return seconds
 
 
@@ -115,14 +126,9 @@ def make_telemetry():
     return timeseries
 
 
-def timed_ts_run(packets):
+def timed_ts_run(plan_calls, packets):
     timeseries = make_telemetry()
-    platform = make_platform("bess", SpeedyBox(build_chain()), timeseries=timeseries)
-    clones = clone_packets(packets)
-    started = time.perf_counter()
-    result = platform.run_load(clones)
-    seconds = time.perf_counter() - started
-    assert result.delivered == len(packets)
+    seconds = timed_cell(plan_calls, "timeseries", packets, timeseries=timeseries)
     assert len(timeseries.windows) >= 1
     return seconds
 
@@ -153,7 +159,8 @@ def run_overhead():
     # Untimed warmup: the first run pays interpreter/allocator warm-up
     # that would otherwise inflate whichever cell happens to go first,
     # skewing every overhead ratio.
-    timed_run(packets, None)
+    plan_calls = {}
+    timed_cell(plan_calls, "off", packets)
     # Cells are measured round-robin (every cell once per round, best of
     # ``REPEATS`` rounds per cell) rather than serially, so a machine
     # that drifts slower mid-benchmark — thermal throttling, noisy
@@ -173,18 +180,26 @@ def run_overhead():
     for __ in range(REPEATS):
         for mode in ("off", "sampled"):
             recorder = modes[mode]()
-            seconds[mode] = min(seconds[mode], timed_run(packets, recorder))
+            seconds[mode] = min(
+                seconds[mode], timed_cell(plan_calls, mode, packets, spans=recorder)
+            )
             recorders[mode] = recorder
         engine = ForensicsEngine(sample_every=16)
-        forensics_s = min(forensics_s, timed_forensics_run(packets, engine))
+        forensics_s = min(
+            forensics_s, timed_cell(plan_calls, "forensics", packets, forensics=engine)
+        )
         forensics_summary = engine.summary()
         forensics_off_s = min(
             forensics_off_s,
-            timed_forensics_run(packets, ForensicsEngine(enabled=False)),
+            timed_cell(
+                plan_calls, "forensics_off", packets, forensics=ForensicsEngine(enabled=False)
+            ),
         )
-        ts_s = min(ts_s, timed_ts_run(packets))
+        ts_s = min(ts_s, timed_ts_run(plan_calls, packets))
         recorder = modes["full"]()
-        seconds["full"] = min(seconds["full"], timed_run(packets, recorder))
+        seconds["full"] = min(
+            seconds["full"], timed_cell(plan_calls, "full", packets, spans=recorder)
+        )
         recorders["full"] = recorder
         full_summary = recorder.summary()
         recorder.reset()
@@ -202,6 +217,8 @@ def run_overhead():
         lane_ts_s = min(lane_ts_s, timed_lane_run(batch, make_telemetry()))
 
     return {
+        **{f"{cell}_stage_plan_calls": float(calls) for cell, calls in plan_calls.items()},
+        "sampled_span_cap": float(recorders["sampled"].max_spans_per_flow),
         "packets": float(total_packets),
         "flows": float(FLOWS),
         "off_s": seconds["off"],
@@ -262,6 +279,14 @@ def test_obs_overhead(benchmark):
     _report(metrics)
     assert metrics["sampled_flows_sampled"] == FLOWS / 64
     assert metrics["full_spans"] > metrics["sampled_spans"]
+    # The stopwatch-free form of the budgets below (check_obs_overhead.py
+    # re-checks it on the committed JSON).
+    off_calls = metrics["off_stage_plan_calls"]
+    for cell in ("forensics", "forensics_off", "timeseries"):
+        assert metrics[f"{cell}_stage_plan_calls"] == off_calls, cell
+    assert metrics["sampled_stage_plan_calls"] <= (
+        off_calls + metrics["sampled_flows_sampled"] * metrics["sampled_span_cap"]
+    )
     assert metrics["sampled_overhead"] <= MAX_SAMPLED_OVERHEAD, (
         f"1-in-64 span sampling costs {100 * metrics['sampled_overhead']:.1f}% "
         f"over the uninstrumented fast path "

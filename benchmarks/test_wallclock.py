@@ -2,9 +2,10 @@
 
 Runs the Figure-8 worst case — BESS, a 9-NF IPFilter chain, 100k
 back-to-back packets — once with the fast engine (compiled flow closures
-+ analytic replay, the default ``PlatformConfig``) and once with both
-halves disabled (the legacy interpreted pass + generator DES), *in the
-same process*, and asserts:
++ analytic replay: what ``run_load`` does with nothing attached) and
+once through the references it is checked against (the interpreted fast
+path + generator DES, reached by ``tests/integration/helpers.py``'s two
+selectors), *in the same process*, and asserts:
 
 - the two runs' ``LoadResult``\\ s are numerically identical, including
   the per-packet latency list element for element;
@@ -33,15 +34,13 @@ from benchmarks.harness import make_platform, save_result, uniform_flow_packets
 from repro.core.framework import SpeedyBox
 from repro.core.actions import Modify
 from repro.nf import IPFilter, SyntheticNF
-from repro.platform import PlatformConfig
 from repro.traffic.columnar import uniform_batch
 from repro.traffic.generator import clone_packets
+from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
 
 PACKETS = 100_000
 REPEATS = 3
 MIN_SPEEDUP = 5.0
-
-LEGACY = dict(compiled_flows=False, analytic_replay=False)
 
 CASES = {
     "bess_n9": ("bess", 9),
@@ -96,12 +95,11 @@ def timed_batch_run(load):
 
 
 def timed_run(platform_name, length, packets, legacy):
-    config = PlatformConfig(**LEGACY) if legacy else None
-    kwargs = {"config": config} if config is not None else {}
-    platform = make_platform(platform_name, SpeedyBox(build_chain(length)), **kwargs)
+    runtime_cls = InterpretedSpeedyBox if legacy else SpeedyBox
+    platform = make_platform(platform_name, runtime_cls(build_chain(length)))
     clones = clone_packets(packets)
     started = time.perf_counter()
-    result = platform.run_load(clones)
+    result = des_run_load(platform, clones) if legacy else platform.run_load(clones)
     return time.perf_counter() - started, result
 
 

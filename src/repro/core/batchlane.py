@@ -33,10 +33,10 @@ for the steady-state majority of a :class:`~repro.traffic.columnar.PacketBatch`:
   one scalar first packet establishes a template, subsequent new flows
   are **bulk admitted** — classifier entry, Local MAT records, Global
   MAT rule (:meth:`~repro.core.global_mat.GlobalMAT.install_prebuilt`)
-  and the compiled closure (cloned straight from the template's, the
-  setup-memo contract) are installed directly, operation-for-operation
-  what the memoized slow path would have done, without materializing a
-  packet or running an NF.
+  and the compiled closure (cloned straight from the template's) are
+  installed directly, operation-for-operation what
+  ``SpeedyBox.process`` does, without materializing a packet or
+  running an NF.
 
 Correctness contract: a batch-lane run leaves the runtime in the same
 state — tables, counters, audit stream, LRU order — and produces the
@@ -57,7 +57,7 @@ per-packet path.  Three rules keep that true:
   last-occurrence order equals the final recency order of the
   per-packet touches (collided scalars between runs never touch the
   LRU, so deferring across them reorders nothing);
-- bulk admission mirrors the memoized slow path exactly (same inserts,
+- bulk admission mirrors the recorded slow path exactly (same inserts,
   same eviction check, same audit events in the same order) and is
   gated on every NF declaring ``setup_flow_oblivious`` — the contract
   that first-packet behaviour is a pure function of packet shape.
@@ -103,8 +103,8 @@ class BulkTemplate:
         #: the template GlobalRule whose artifacts install_prebuilt shares
         self.rule = rule
         #: the template flow's compiled closure; admitted flows clone it
-        #: (``clone_for``), exactly what ``compile_flow`` under the setup
-        #: memo would return, minus the dispatch
+        #: (``clone_for``): observably what ``compile_flow`` would build
+        #: for them, minus the construction
         self.compiled = compiled
         #: how many NFs ran before the chain ended (drop templates stop early)
         self.ran = ran
@@ -660,10 +660,10 @@ class BatchLane:
     def _admit(self, flow: int, fid: int, index: int) -> None:
         """Install one new flow from the template, no packet materialized.
 
-        Operation-for-operation the memoized slow path: same classifier
-        insert (after the same capacity eviction), same Local MAT record
-        state, same Global MAT install, same compiled-closure clone, same
-        audit events in the same order.  Meter charges are value-typical
+        Operation-for-operation what ``SpeedyBox.process`` does: same
+        classifier insert (after the same capacity eviction), same Local
+        MAT record state, same Global MAT install, an observably equal
+        compiled closure, same audit events in the same order.  Meter charges are value-typical
         by the oblivious contract and live only in the (shared) template
         report, which is exactly what feeds the stage plan.
         """

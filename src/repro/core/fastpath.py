@@ -230,10 +230,10 @@ class CompiledFlow:
         """A compiled lane for another flow sharing this rule's artifacts.
 
         Only valid for steady (no-wave) templates whose rule shares this
-        flow's ``consolidated``/``schedule`` *by identity* (the setup
-        memo's ``install_prebuilt`` clones) — identity is what guarantees
-        the fixed meter, apply closure and drop disposition carry over
-        unchanged.  Everything per-flow is fresh.
+        flow's ``consolidated``/``schedule`` *by identity* (bulk
+        admission's ``install_prebuilt`` clones) — identity is what
+        guarantees the fixed meter, apply closure and drop disposition
+        carry over unchanged.  Everything per-flow is fresh.
         """
         clone = object.__new__(CompiledFlow)
         clone.speedybox = self.speedybox
@@ -401,21 +401,4 @@ def compile_flow(speedybox, entry: Optional[FlowEntry], rule: GlobalRule):
         return None
     if entry.fid != rule.fid:
         return None
-    if speedybox.memoize_setup:
-        # Setup-memo runs: flows installed via ``install_prebuilt`` share
-        # their (consolidated, schedule) pair by identity with a template
-        # flow, so the closure can be cloned instead of rebuilt.  The
-        # id() key stays valid because the template CompiledFlow in the
-        # dict keeps both objects alive.
-        templates = speedybox._compiled_templates
-        key = (id(rule.consolidated), id(rule.schedule))
-        template = templates.get(key)
-        if template is not None and not template.waves:
-            return template.clone_for(entry, rule)
-        flow = CompiledFlow(speedybox, entry, rule)
-        if not flow.waves:
-            if len(templates) > 4096:
-                templates.clear()
-            templates[key] = flow
-        return flow
     return CompiledFlow(speedybox, entry, rule)

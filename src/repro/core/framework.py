@@ -36,7 +36,6 @@ from repro.core.consolidation import ConsolidatedAction
 from repro.core.event_table import Event, EventTable
 from repro.core.global_mat import GlobalMAT, GlobalRule
 from repro.core.local_mat import (
-    BufferedInstrumentationAPI,
     InstrumentationAPI,
     LocalMAT,
     LocalRule,
@@ -83,14 +82,16 @@ class ProcessReport:
     #: it varies per packet).  Consumers may key caches on the report's
     #: identity when this is set — the object outlives the run.
     steady: bool = field(default=False, repr=False, compare=False)
-    #: ``(platform, stage_plan, plan_id, lane)`` memo for steady singleton
-    #: reports.  The lean functional pass and the batch lane both derive
+    #: ``(platform, stage_plan, plan_id, run)`` memo for steady singleton
+    #: reports.  The loaded functional pass and the batch lane both derive
     #: exactly one stage plan per steady report; keeping the memo *on the
     #: report* (instead of an ``id()``-keyed side table) means a report
     #: garbage-collected after a flow eviction can never leave a stale
-    #: entry behind for a recycled id.  ``plan_id``/``lane`` are the batch
-    #: lane's plan-table index and its owning run (``None`` elsewhere).
-    #: Owned by ``repro.platform``.
+    #: entry behind for a recycled id.  ``run`` says which run wrote the
+    #: entry — a per-packet pass's marker or the batch lane, whose
+    #: plan-table index is ``plan_id`` (``None`` elsewhere) — and only
+    #: that run trusts more of it than the plan.  Owned by
+    #: ``repro.platform``.
     plan_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -234,7 +235,6 @@ class SpeedyBox:
         enable_parallelism: bool = True,
         max_flows: Optional[int] = None,
         metrics: MetricsRegistry = NULL_REGISTRY,
-        compile_fast_path: bool = True,
         audit: AuditLog = NULL_AUDIT,
         max_tracked_flows: Optional[int] = None,
     ):
@@ -257,9 +257,8 @@ class SpeedyBox:
         #: a plain header tuple — no FID hash, no FiveTuple allocation —
         #: and a hit doubles as the flow-identity check.  ``_compiled_fids``
         #: is the FID-keyed index the invalidation hooks use.  Observably
-        #: identical to the interpreted fast path; disable to force the
-        #: legacy per-packet dispatch.
-        self.compile_fast_path = compile_fast_path
+        #: identical to the interpreted fast path (``_run_fast``), which
+        #: stays the path of event-bearing flows and the tests' oracle.
         self._compiled: Dict[FiveTuple, "object"] = {}
         self._compiled_fids: Dict[int, FiveTuple] = {}
         #: batch-lane invalidation feed.  While a lane run is active this
@@ -287,20 +286,6 @@ class SpeedyBox:
         self.apis: Dict[str, InstrumentationAPI] = {
             nf.name: InstrumentationAPI(self.local_mats[nf.name], self.event_table) for nf in nfs
         }
-        #: setup memo (batch engine): when enabled, a brand-new flow whose
-        #: recording is header-actions-only and value-identical to an
-        #: earlier flow's reuses that flow's consolidated artifacts
-        #: (identical tables, meters and reports — just built cheaper).
-        #: Toggled by the batch lane for the duration of a batch run.
-        self.memoize_setup = False
-        self._setup_memo: Dict[tuple, GlobalRule] = {}
-        #: compiled-closure templates keyed by the *identity* of the
-        #: shared (consolidated, schedule) pair install_prebuilt produced
-        #: — identity equality IS template equality (repro.core.fastpath).
-        self._compiled_templates: Dict[Tuple[int, int], object] = {}
-        self._memo_apis: List[BufferedInstrumentationAPI] = [
-            BufferedInstrumentationAPI(self.local_mats[nf.name], self.event_table) for nf in nfs
-        ]
         self.slow_packets = 0
         self.fast_packets = 0
         path_counter = metrics.counter(
@@ -369,18 +354,8 @@ class SpeedyBox:
                 self._run_fast(packet, rule, report)
             else:
                 report.path = PathTaken.ORIGINAL
-                entry = classification.entry
-                if (
-                    self.memoize_setup
-                    and self.enable_consolidation
-                    and not classification.is_closing
-                    and entry is not None
-                    and entry.packets == 1
-                ):
-                    self._run_original_memoized(packet, report)
-                else:
-                    self._run_original(packet, report, record=True)
-            if self.compile_fast_path and not classification.is_closing:
+                self._run_original(packet, report, record=True)
+            if not classification.is_closing:
                 self._maybe_compile(classification)
 
         if classification.is_closing:
@@ -478,94 +453,6 @@ class SpeedyBox:
 
         if record and not report.closing:
             self._consolidate(fid, report.fixed_meter)
-
-    def _run_original_memoized(self, packet: Packet, report: ProcessReport) -> None:
-        """Recorded original traversal with the flow-setup memo.
-
-        Behaviourally identical to ``_run_original(record=True)`` — same
-        NF execution, same table state, same meter charges in the same
-        order — but brand-new flows whose recording turns out to be
-        header-actions-only and value-identical to an earlier flow's skip
-        the consolidation *computation*: the Global MAT rule is installed
-        as a clone sharing the template's consolidated action and schedule
-        by identity (:meth:`GlobalMAT.install_prebuilt`), which in turn
-        lets ``repro.core.fastpath`` clone the compiled closure instead
-        of rebuilding it.  This is what makes per-flow setup affordable
-        at millions of flows.
-        """
-        self.slow_packets += 1
-        self._m_slow.inc()
-        fid = report.fid
-        nfs = self.nfs
-        # counts-dict-equal to n separate charges, same insertion order
-        report.fixed_meter.charge(Operation.MAT_BEGIN_RECORD, len(nfs))
-        for nf in nfs:
-            self.local_mats[nf.name].begin_recording(fid)
-
-        apis = self._memo_apis
-        ran = 0
-        for index, nf in enumerate(nfs):
-            meter = CycleMeter()
-            nf.meter = meter
-            api = apis[index]
-            api.reset()
-            api.meter = meter
-            try:
-                nf.process(packet, api)
-            finally:
-                _detach_meter(nf)
-                api.meter = _NULL_API_METER
-            report.nf_meters.append((nf.name, meter))
-            ran = index + 1
-            if packet.dropped:
-                report.dropped = True
-                self._m_drops.labels(cause=nf.name).inc()
-                break
-
-        # Materialize the buffers into the Local MATs: table state and
-        # records_* counters match the live-API traversal exactly.
-        dynamic = False
-        for index in range(ran):
-            api = apis[index]
-            local_mat = self.local_mats[nfs[index].name]
-            for action in api.actions:
-                local_mat.add_header_action(fid, action)
-            for function in api.functions:
-                local_mat.add_state_function(fid, function)
-            if api.functions or api.events:
-                dynamic = True
-        for index in range(ran):
-            api = apis[index]
-            if api.events:
-                rule = self.local_mats[nfs[index].name].rule_for(fid)
-                for event in api.events:
-                    self.event_table.register(event)
-                    if rule is not None:
-                        rule.event_count += 1
-
-        if report.closing:
-            return
-        if dynamic:
-            # State functions or events: per-flow closures make the
-            # recording unshareable — consolidate normally.
-            self._consolidate(fid, report.fixed_meter)
-            return
-        signature = tuple(tuple(apis[index].actions) for index in range(ran))
-        try:
-            template = self._setup_memo.get(signature)
-        except TypeError:  # an unhashable action: no memo for this flow
-            self._consolidate(fid, report.fixed_meter)
-            return
-        if template is None:
-            rule = self._consolidate(fid, report.fixed_meter)
-            if len(self._setup_memo) > 4096:
-                self._setup_memo.clear()
-            self._setup_memo[signature] = rule
-        else:
-            action_count = sum(len(actions) for actions in signature)
-            report.fixed_meter.charge(Operation.CONSOLIDATE_ACTION, max(action_count, 1))
-            report.fixed_meter.charge(Operation.GLOBAL_RULE_INSTALL)
-            self.global_mat.install_prebuilt(fid, template)
 
     def _consolidate(self, fid: int, meter: CycleMeter) -> GlobalRule:
         ordered = [(nf.name, self.local_mats[nf.name].rule_for(fid)) for nf in self.nfs]
@@ -833,12 +720,6 @@ class SpeedyBox:
             nf.name: InstrumentationAPI(self.local_mats[nf.name], self.event_table)
             for nf in self.nfs
         }
-        self._memo_apis = [
-            BufferedInstrumentationAPI(self.local_mats[nf.name], self.event_table)
-            for nf in self.nfs
-        ]
-        self._setup_memo.clear()
-        self._compiled_templates.clear()
         self.slow_packets = 0
         self.fast_packets = 0
         self._compiled.clear()

@@ -231,9 +231,9 @@ class GlobalMAT:
     def install_prebuilt(self, fid: int, template: GlobalRule) -> GlobalRule:
         """Install a rule for ``fid`` sharing a template's consolidation.
 
-        The setup memo (batch engine) calls this when a new flow's
-        recorded behaviour is action-for-action identical to a flow that
-        already consolidated: the expensive artifacts — the consolidated
+        Bulk admission (``repro.core.batchlane``) calls this when a new
+        flow's recorded behaviour is action-for-action identical to a
+        flow that already consolidated: the expensive artifacts — the consolidated
         action, the parallel schedule, the pre-drop consolidation — are
         *shared by identity* with the template (all immutable once built;
         event-driven rebuilds replace the rule rather than mutate these).

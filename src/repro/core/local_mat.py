@@ -213,88 +213,6 @@ class InstrumentationAPI:
     localmat_add_SF = add_state_function
 
 
-class BufferedInstrumentationAPI(InstrumentationAPI):
-    """Records to private buffers instead of the Local MAT (setup memo).
-
-    The batch engine's memoized first-packet path runs the NFs against
-    this API so it can inspect *what* the flow recorded before touching
-    any table: if the recording is header-actions-only it may be a cache
-    hit on a previously consolidated, behaviourally identical flow.  The
-    framework then materializes the buffers into the real Local MATs
-    (identical table state and counters either way) and either replays
-    the memoized consolidation or falls through to the normal one.
-
-    Meter charges are identical to :class:`InstrumentationAPI` — the NFs
-    cannot tell which API they ran against.
-    """
-
-    def __init__(self, local_mat: LocalMAT, event_table: EventTable):
-        super().__init__(local_mat, event_table)
-        self.actions: List[HeaderAction] = []
-        self.functions: List[StateFunction] = []
-        self.events: List[Event] = []
-
-    def reset(self) -> None:
-        self.actions = []
-        self.functions = []
-        self.events = []
-
-    def add_header_action(self, fid: int, action: HeaderAction) -> None:
-        self.meter.charge(Operation.MAT_RECORD_HA)
-        self.actions.append(action)
-
-    def add_state_function(
-        self,
-        fid: int,
-        handler: Callable,
-        payload_class: PayloadClass,
-        args: Tuple = (),
-        name: str = "",
-    ) -> None:
-        self.meter.charge(Operation.MAT_RECORD_SF)
-        self.functions.append(
-            StateFunction(
-                handler,
-                payload_class,
-                args=args,
-                name=name,
-                nf_name=self.local_mat.nf_name,
-            )
-        )
-
-    def register_event(
-        self,
-        fid: int,
-        condition_handler: Callable[..., bool],
-        args: Tuple = (),
-        update_action: Optional[HeaderAction] = None,
-        update_function_handler: Optional[Callable] = None,
-        update_state_functions: Optional[List[StateFunction]] = None,
-        one_shot: bool = True,
-    ) -> Event:
-        # The Event object is created eagerly (the NF may keep the
-        # handle) but registered with the Event Table post-run, in the
-        # same chain order the live API would have produced — safe
-        # because events are only *checked* on the fast path, never
-        # during the recording traversal itself.
-        self.meter.charge(Operation.EVENT_REGISTER)
-        event = Event(
-            fid=fid,
-            nf_name=self.local_mat.nf_name,
-            condition=condition_handler,
-            args=args,
-            update_action=update_action,
-            update_function=update_function_handler,
-            update_state_functions=update_state_functions,
-            one_shot=one_shot,
-        )
-        self.events.append(event)
-        return event
-
-    localmat_add_HA = add_header_action
-    localmat_add_SF = add_state_function
-
-
 class NullInstrumentationAPI(InstrumentationAPI):
     """No-op API used when running the original, un-consolidated chain.
 

@@ -31,7 +31,8 @@ from typing import Dict, List, Optional, Tuple
 #: lower-is-better key patterns (timing, latency, loss, memory)
 _LOWER_BETTER = re.compile(
     r"(_ns$|_ns_per_packet$|_us$|_ms$|latency|p50|p99|p999|dropped|drops|"
-    r"loss|overhead|_rss|aborts|replay_depth|recovery|lane_compiles|lane_invalidations)"
+    r"loss|overhead|_rss|aborts|replay_depth|recovery|lane_compiles|lane_invalidations|"
+    r"_calls$)"
 )
 #: higher-is-better key patterns (rates, ratios, speedups)
 _HIGHER_BETTER = re.compile(r"(mpps|throughput|speedup|_hit|delivered|compliance|survived)")

@@ -498,9 +498,8 @@ class ForensicsEngine:
     Attach one to a :class:`~repro.platform.base.Platform` (or a
     :class:`~repro.scale.cluster.ScaleCluster`); after each loaded run
     the platform hands over the replay's plans and completions
-    (:meth:`observe_run`) or the batch lane's plan table and latency
-    column (:meth:`observe_batch`).  Unloaded sweeps can feed their
-    outcomes through :meth:`observe_outcomes`.  The engine cuts the run
+    (:meth:`observe_run`), whichever replay produced them.  Unloaded
+    sweeps can feed their outcomes through :meth:`observe_outcomes`.  The engine cuts the run
     into ``window_packets`` windows (arrival order), accumulates
     component sums on a 1-in-``sample_every`` stride, keeps the K worst
     packets per window in the :class:`FlightRecorder`, and runs its
@@ -557,7 +556,7 @@ class ForensicsEngine:
     ) -> Callable[[int], Tuple[float, float, int]]:
         """Per-index (service, transfer, stages) with per-plan caching.
 
-        ``transfers`` may be a dict keyed by ``id(plan)`` (the lean
+        ``transfers`` may be a dict keyed by ``id(plan)`` (the
         functional pass records transfer at plan-build time, once per
         cached steady plan), a list aligned with ``plans`` (the cluster
         dispatch loop), or None — then the platform's plan-shape
@@ -607,7 +606,7 @@ class ForensicsEngine:
         fast_flags: Optional[Sequence[bool]] = None,
         index_latencies=None,
     ) -> None:
-        """Decompose one scalar-lane replay (analytic or DES).
+        """Decompose one replay (vector, analytic or DES).
 
         ``index_latencies``, when the replay collected one (see
         :func:`~repro.sim.analytic.analytic_replay`), carries every
@@ -662,42 +661,6 @@ class ForensicsEngine:
                     )
         self._finalize(accs, costs, fids, replica, lane, fast_flags)
 
-    def observe_batch(
-        self,
-        platform,
-        table: Sequence,
-        plan_ids,
-        latencies: Sequence[float],
-        replica: Any = None,
-        batch=None,
-    ) -> None:
-        """Decompose one vectorized batch-lane run.
-
-        The lane's outputs are columnar — a deduplicated plan table and
-        a per-packet plan-id column — so per-plan costs are computed
-        once per *table entry* and gathered per packet.  Worst-K flow
-        ids are resolved lazily from the batch's flow columns only for
-        the records that actually get emitted.
-        """
-        if not self.enabled or not len(latencies):
-            return
-        # Per-packet plan lookup reuses the scalar machinery: plans[i]
-        # is the shared table row, so the id(plan) cache collapses to
-        # one split per table entry.
-        plans = _TableView(table, plan_ids)
-        fids = _BatchFids(batch) if batch is not None else None
-        arrival = _ZeroArrivals()
-        completions = _EnumerateLatencies(latencies)
-        self.observe_run(
-            platform,
-            plans,
-            arrival,
-            completions,
-            replica=replica,
-            lane="batch",
-            fids=fids,
-        )
-
     def observe_outcomes(
         self, platform, outcomes: Sequence, replica: Any = None
     ) -> None:
@@ -735,23 +698,15 @@ class ForensicsEngine:
         whole-array operations and only the 1-in-``sample_every``
         stride is decomposed in Python, through the very same
         :func:`decompose`, so the exactness contract is untouched.
-        Three shapes qualify, cheapest first: the replay's
+        Two shapes qualify, cheapest first: the replay's
         ``index_latencies`` column (windows become contiguous slices —
-        no permutation recovery), the batch lane's latency ndarray,
-        and plain ``(index, finish)`` tuple lists (one
-        ``fromiter`` transposition plus a stable argsort).  Returns
-        ``None`` to fall back to the scalar loop (DES dict arrivals,
-        adapter sequences).
+        no permutation recovery) and plain ``(index, finish)`` tuple
+        lists (one ``fromiter`` transposition plus a stable argsort).
+        Returns ``None`` to fall back to the scalar loop (DES dict
+        arrivals, adapter sequences).
         """
         if index_latencies is not None and len(index_latencies) == len(completions):
             lat = np.asarray(index_latencies, dtype=np.float64)
-            return self._accs_from_index_latencies(lat, costs)
-        if (
-            isinstance(completions, _EnumerateLatencies)
-            and isinstance(arrival_at, _ZeroArrivals)
-            and isinstance(completions.latencies, np.ndarray)
-        ):
-            lat = np.asarray(completions.latencies, dtype=np.float64)
             return self._accs_from_index_latencies(lat, costs)
         if not isinstance(completions, list) or not isinstance(arrival_at, list):
             return None
@@ -975,66 +930,13 @@ class ForensicsEngine:
         self.totals = {name: 0.0 for name in COMPONENTS}
 
 
-# -- columnar adapters (batch lane) -------------------------------------------
-
-
-class _TableView:
-    """``plans[i]`` over a (table, plan_ids) pair without materializing."""
-
-    __slots__ = ("table", "plan_ids")
-
-    def __init__(self, table, plan_ids):
-        self.table = table
-        self.plan_ids = plan_ids
-
-    def __getitem__(self, index):
-        return self.table[self.plan_ids[index]]
-
-    def __len__(self):
-        return len(self.plan_ids)
-
-
-class _BatchFids:
-    """Lazy per-packet flow ids from a columnar batch (worst-K only)."""
-
-    __slots__ = ("batch",)
-
-    def __init__(self, batch):
-        self.batch = batch
-
-    def __getitem__(self, index):
-        batch = self.batch
-        flow_index = getattr(batch, "flow_index", None)
-        if flow_index is None:
-            raise IndexError(index)
-        return int(flow_index[index])
-
-
 class _ZeroArrivals:
-    """``arrival_at[i] == 0.0`` for every i (saturation / unloaded)."""
+    """``arrival_at[i] == 0.0`` for every i (unloaded outcomes)."""
 
     __slots__ = ()
 
     def __getitem__(self, index):
         return 0.0
-
-
-class _EnumerateLatencies:
-    """``(index, latency)`` completion pairs over a latency column."""
-
-    __slots__ = ("latencies",)
-
-    def __init__(self, latencies):
-        self.latencies = latencies
-
-    def __iter__(self):
-        return iter(enumerate(self.latencies))
-
-    def __len__(self):
-        return len(self.latencies)
-
-    def __bool__(self):
-        return len(self.latencies) > 0
 
 
 # -- loading / timeline / rendering -------------------------------------------

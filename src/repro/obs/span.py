@@ -1,23 +1,24 @@
 """Sampled per-flow spans: the packet-path microscope that stays cheap.
 
 The full :class:`~repro.obs.trace.PacketTracer` pipeline (metrics on,
-tracer on) forces the platform's instrumented functional pass and the
-DES replay — an order of magnitude slower than the compiled fast lane
-with analytic replay.  :class:`FlowSpanRecorder` is the middle ground:
-a 1-in-N *flow* sampler that records nested spans (classify → MAT
-lookup → dispatch → header action → per-NF state functions → emit)
-with exact cycle and model-time attribution, while the lean functional
-pass, the compiled fast lane and the closed-form replay all stay
-enabled.
+tracer on) shows every packet to the registry and the tracer and
+replays through the DES — an order of magnitude slower than the
+compiled fast lane with analytic replay.  :class:`FlowSpanRecorder` is
+the middle ground: a 1-in-N *flow* sampler that records nested spans
+(classify → MAT lookup → dispatch → header action → per-NF state
+functions → emit) with exact cycle and model-time attribution, while
+the compiled fast lane, the batch lane and the closed-form replays all
+stay in use.
 
 How it stays cheap
 ------------------
 
 The recorder exposes ``skip`` — a plain dict mapping FIDs of flows that
 must *not* be recorded (unsampled, or past their per-flow span cap) to
-``True``.  The platform's hot loops hoist ``skip.get`` and call
-:meth:`record` only when the probe misses, so the steady-state cost per
-unrecorded packet is one dict lookup; the 1-in-64 overhead gate in
+``True``.  The platform calls :meth:`record` only when the probe
+misses, and stops probing a steady flow for the rest of the run the
+moment it lands here, so an unrecorded steady packet costs what it
+costs with no recorder attached; the 1-in-64 overhead gate in
 ``benchmarks/test_obs_overhead.py`` holds it under 5 % of the
 uninstrumented fast path.  Sampled *steady* packets reuse a prebuilt
 per-flow span template (steady reports are per-flow singletons), so
@@ -41,8 +42,8 @@ profiler uses; per-stage ``cycles`` sum *exactly* to the packet's
 model's ``cycles_to_ns`` on a monotonic recorder clock.  Loaded runs
 additionally annotate sampled roots with the replay's simulated arrival
 and finish times (``sim_arrival_ns`` / ``sim_latency_ns``) via
-:meth:`annotate_loaded` — valid for both the DES and the analytic
-Lindley replay, which produce identical timelines.
+:meth:`annotate_loaded` — valid for the DES and for both closed-form
+replays (scalar and vector), which produce identical timelines.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class FlowSpanRecorder:
         self.every = int(every)
         self.max_spans_per_flow = max_spans_per_flow
         #: hot-path probe: fid -> True for flows the platform must not
-        #: record (unsampled or capped).  Hoisted by the lean pass.
+        #: record (unsampled or capped).  Probed by the loaded pass.
         self.skip: Dict[int, bool] = {}
         self.flows_seen = 0
         self.flows_sampled = 0

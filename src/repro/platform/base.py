@@ -33,6 +33,7 @@ from repro.obs.timeline import trace_unloaded
 from repro.obs.trace import NULL_TRACER, PacketTracer
 from repro.platform.costs import CostModel, CycleMeter, Operation
 from repro.sim import Engine, Get, Put, Request, Resource, Store, Timeout
+from repro.sim import analytic as sim_analytic
 from repro.sim.analytic import analytic_replay, plans_are_analytic
 from repro.stats.summary import percentile_sorted
 
@@ -49,14 +50,6 @@ class PlatformConfig:
     #: DPDK-style RX/TX batching: driver costs amortise over the batch.
     #: 1 (default) = per-packet I/O; 32 is the typical DPDK burst.
     batch_size: int = 1
-    #: steady-state flows compile into cached closures on SpeedyBox
-    #: runtimes (repro.core.fastpath) — numerically identical, ~an order
-    #: of magnitude less dispatch; False forces the interpreted path
-    compiled_flows: bool = True
-    #: loaded runs use the closed-form Lindley replay (repro.sim.analytic)
-    #: when valid, falling back to the DES automatically; False forces
-    #: the DES for every run
-    analytic_replay: bool = True
 
     def __post_init__(self):
         if self.batch_size <= 0:
@@ -165,13 +158,6 @@ class LoadResult:
         return total
 
 
-#: Marker in ``ProcessReport.plan_cache`` slot 3: the span-sampling lean
-#: loop wrote this entry *after* the flow finished recording, so a hit
-#: may skip the per-packet skip-table probe entirely.  Entries written by
-#: the spans-off loop (slot 3 ``None``) or a batch lane (slot 3 = the
-#: lane) still carry a reusable plan but must not bypass span recording.
-_SPAN_DONE = object()
-
 #: A packet's temporal footprint: per-hop (stage_index, service_ns).
 #: ``stage_index=None`` marks a pure delay with unbounded parallelism —
 #: e.g. worker cores running a packet's SF wave while the ONVM manager
@@ -233,6 +219,31 @@ def makespan_with_workers(durations: Sequence[float], workers: int) -> float:
     return max(finish)
 
 
+def arrival_gaps(
+    packets: Sequence[Packet], inter_arrival_ns: float, use_timestamps: bool
+) -> List[float]:
+    """Per-packet source gaps of a loaded run, validated up front.
+
+    The gap of packet ``i`` is the Timeout its source takes before
+    offering it, so ``gaps[0]`` is the delay to the first arrival.  A
+    timestamped trace is checked here, before any packet reaches the
+    runtime: a decreasing timestamp raises with no state touched.
+    """
+    if not use_timestamps:
+        gaps = [inter_arrival_ns] * len(packets)
+        if gaps:
+            gaps[0] = 0.0
+        return gaps
+    gaps = []
+    previous_ts: Optional[float] = None
+    for packet in packets:
+        if previous_ts is not None and packet.timestamp_ns < previous_ts:
+            raise ValueError("trace timestamps must be non-decreasing for replay")
+        gaps.append(0.0 if previous_ts is None else packet.timestamp_ns - previous_ts)
+        previous_ts = packet.timestamp_ns
+    return gaps
+
+
 @dataclass
 class PipelineRun:
     """The live plumbing of one platform's pipeline on a (shared) engine.
@@ -291,11 +302,6 @@ class Platform:
     ):
         self.runtime = runtime
         self.config = config or PlatformConfig()
-        if not self.config.compiled_flows and isinstance(runtime, SpeedyBox):
-            # Legacy-path runs must not serve packets from closures that
-            # were compiled before the platform took ownership.
-            runtime.compile_fast_path = False
-            runtime._compiled.clear()
         self.packets = 0
         #: set by the latest whole-batch lane run (None before one):
         #: offered / span_packets / admitted / dropped / plan_table_size
@@ -303,9 +309,10 @@ class Platform:
         self.metrics = metrics
         self.tracer = tracer
         #: sampled flow-span recorder (repro.obs.span); unlike the tracer
-        #: it coexists with the lean pass + analytic replay, so it is the
-        #: way to see inside fast runs.  ``None`` = off (no per-packet
-        #: cost beyond the lean loop's one dict probe when on).
+        #: it coexists with the compiled lanes + analytic replay, so it is
+        #: the way to see inside fast runs.  ``None`` = off.  May be
+        #: reset or swapped between runs: nothing a run leaves on a
+        #: report outlives the run (see :meth:`_functional_pass`).
         self.spans = spans
         #: gen-3 windowed telemetry (repro.obs.timeseries.TimeSeries) or
         #: None.  Loaded runs hand it the finished LoadResult *after*
@@ -317,13 +324,13 @@ class Platform:
         #: Like the timeseries it consumes the *finished* replay — plans
         #: and completions after the run — so it never disqualifies the
         #: analytic or batch lanes and a disabled/absent engine costs one
-        #: flag check per run, not per packet.  When enabled, the lean
-        #: functional pass additionally captures per-packet flow ids and
-        #: per-plan transfer overhead for the worst-K causal context.
+        #: flag check per run, not per packet.  When enabled, the
+        #: functional pass additionally captures per-plan flow ids and
+        #: transfer overhead for the worst-K causal context.
         self.forensics = forensics
         #: ``id(plan) -> (plan, fid, is_fast, transfer_ns)`` captured by
-        #: the functional passes of forensics-enabled runs.  Filled on
-        #: the plan-cache *miss* path only — a steady-state packet pays
+        #: the functional pass of forensics-enabled runs.  Filled on a
+        #: plan's first sight only — a steady-state packet pays
         #: nothing — and keyed per plan, which is per flow (steady
         #: singleton reports memoize exactly one plan each).  The plan
         #: itself is held in the value so a garbage-collected plan can
@@ -334,10 +341,6 @@ class Platform:
         #: runtime.fast_packets at the last time-series ingest — the
         #: delta is the run's fast-path hit count for the windows
         self._ts_fast_prev = 0
-        #: packet index within the current loaded run, or None outside
-        #: one — run_load sets it so sampled spans can be matched to the
-        #: replay's simulated arrival/finish times
-        self._span_run_index: Optional[int] = None
         #: instance label used for ring/track names; replicas of the same
         #: platform class override it so their metrics stay distinguishable
         self.label = label or self.name
@@ -499,19 +502,7 @@ class Platform:
         self.packets += 1
         report = self.runtime.process(packet)
         work, latency, main_core = self._time_report(report)
-        spans = self.spans
-        if spans is not None:
-            index = self._span_run_index
-            if index is not None:
-                self._span_run_index = index = index + 1
-            if spans.skip.get(report.fid) is None:
-                spans.record(report, index)
-        self._m_packets.inc()
-        self._m_latency.observe(self.costs.cycles_to_ns(latency))
-        if self.tracer.enabled:
-            self._trace_clock_ns = trace_unloaded(
-                self.tracer, self, report, self._trace_clock_ns, self.packets - 1
-            )
+        self._observe(report, self.packets - 1)
         return PacketOutcome(
             packet=packet,
             report=report,
@@ -521,6 +512,28 @@ class Platform:
             latency_ns=self.costs.cycles_to_ns(latency),
             dropped=report.dropped,
         )
+
+    def _observe(self, report: ProcessReport, number: int, run_index: Optional[int] = None) -> None:
+        """Show one processed packet to whatever is attached.
+
+        The span recorder sees it while its flow is still sampled, the
+        registry counts it and the tracer lays out its unloaded
+        timeline.  ``number`` is the platform's running packet count
+        (the tracer's packet id), ``run_index`` the packet's position in
+        the current loaded run — what lets :meth:`_replay` stamp the
+        span with simulated times — or ``None`` outside one.
+        """
+        spans = self.spans
+        if spans is not None and spans.skip.get(report.fid) is None:
+            spans.record(report, run_index)
+        if self.metrics.enabled or self.tracer.enabled:
+            latency_ns = self.costs.cycles_to_ns(self._time_report(report)[1])
+            self._m_packets.inc()
+            self._m_latency.observe(latency_ns)
+            if self.tracer.enabled:
+                self._trace_clock_ns = trace_unloaded(
+                    self.tracer, self, report, self._trace_clock_ns, number
+                )
 
     def process_all(self, packets: Sequence[Packet]) -> List[PacketOutcome]:
         return [self.process(packet) for packet in packets]
@@ -550,89 +563,126 @@ class Platform:
         the resulting throughput is the platform's capacity.  With
         ``use_timestamps=True`` packets arrive at their recorded
         ``timestamp_ns`` offsets instead (trace replay; timestamps must
-        be non-decreasing).
+        be non-decreasing — checked before any packet is processed).
 
-        ``packets`` may also be a columnar
-        :class:`~repro.traffic.columnar.PacketBatch`: eligible runs (see
-        :meth:`_batch_lane_eligible`) take the whole-batch lane, anything
-        else streams the batch through the per-packet path via
-        :meth:`~repro.traffic.columnar.PacketBatch.packet_view` — either
-        way the result is exactly what the materialized packet list would
-        have produced.  The input picks the lane: pass
-        ``batch.packet_view()`` to run a batch down the per-packet path
-        (the equivalence oracle).
+        What is offered and what is attached pick the route; there is no
+        switch.  A columnar :class:`~repro.traffic.columnar.PacketBatch`
+        takes the whole-batch lane when :meth:`_batch_lane_eligible`
+        (and streams through
+        :meth:`~repro.traffic.columnar.PacketBatch.packet_view`
+        otherwise); packets — ``batch.packet_view()`` included, which is
+        the lane's equivalence oracle — take the per-packet pass.  The
+        replay is the vector recursion for a lane run of one-hop plans
+        at saturation, the closed form when :meth:`_analytic_valid`, the
+        DES otherwise.  Every route gives exactly the result the
+        materialized packet list would have produced.
         """
+        if self.spans is not None:
+            self.spans.begin_run()
         if _is_packet_batch(packets):
             if self._batch_lane_eligible(use_timestamps):
                 return self._run_load_batch(packets, inter_arrival_ns)
             packets = packets.packet_view()
-        spans = self.spans
-        if spans is not None:
-            spans.begin_run()
-            self._span_run_index = -1
-        try:
-            plans, gaps, dropped = self._functional_pass(
-                packets, inter_arrival_ns, use_timestamps
-            )
-        finally:
-            self._span_run_index = None
-        return self._replay(
-            plans, gaps, dropped, inter_arrival_ns, self._forensics_plan_info
-        )
+        gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
+        plans, dropped = self._functional_pass(packets)
+        return self._replay(plans, gaps, dropped, inter_arrival_ns)
 
     def _replay(
         self,
-        plans: List[StagePlan],
-        gaps: List[float],
+        plans: Optional[List[StagePlan]],
+        gaps: Optional[List[float]],
         dropped: int,
         inter_arrival_ns: float,
-        plan_info: Dict[int, tuple],
+        lane_run: Optional[tuple] = None,
     ) -> LoadResult:
         """Phase two of a loaded run: temporal replay, then the post-run
         consumers (span annotation, time series, forensics).
 
-        Closed form when :meth:`_analytic_valid`, the DES otherwise.
-        ``plan_info`` is the forensics capture map the functional pass
-        filled (empty when the plans came from a lane's plan table).
+        The per-packet pass hands over ``plans`` and ``gaps``; a lane
+        hands over ``lane_run`` instead — its deduplicated plan table,
+        its plan-id column and the batch it served — and its gaps are
+        the constant ``inter_arrival_ns``.  Three replays, one tail: the
+        vector recursion when a lane's table admits it, the closed form
+        when :meth:`_analytic_valid`, the DES otherwise.  The vector
+        route stays columnar; only an attached recorder or forensics
+        engine makes it spell its timeline out per packet.
         """
+        spans = self.spans
         forensics = self.forensics
-        forensics_on = forensics is not None and forensics.enabled
-        index_latencies = None
-        if self._analytic_valid(plans):
-            if forensics_on:
-                index_latencies = array("d")
-            arrival_at, completions = analytic_replay(
-                plans,
-                gaps,
-                self._stage_count(),
-                self.config.ring_capacity,
-                index_latencies=index_latencies,
+        if forensics is not None and not forensics.enabled:
+            forensics = None
+        plan_info = self._forensics_plan_info
+        timeline = index_latencies = fids = None
+        if lane_run is not None:
+            plan_info = None  # a lane's table plans were never captured
+            table, plan_ids, batch = lane_run
+            if inter_arrival_ns == 0:
+                timeline = sim_analytic.analytic_replay_vector(
+                    table, plan_ids, self.config.ring_capacity
+                )
+            if timeline is None or forensics is not None:
+                plans = [table[pid] for pid in plan_ids.tolist()]
+            if timeline is None:
+                gaps = arrival_gaps(plans, inter_arrival_ns, use_timestamps=False)
+        if timeline is not None:
+            arrival, finish = timeline
+            offered = len(finish)
+            index_latencies = finish - arrival
+            result = LoadResult(
+                offered=offered,
+                delivered=offered - dropped,
+                dropped=dropped,
+                makespan_ns=float(finish[-1]) if offered else 0.0,
+                latencies_ns=index_latencies.tolist(),
             )
-            run = PipelineRun(rings=[], arrival_at=arrival_at, completions=completions)
-            lane = "analytic"
+            route = "batch"
+            if spans is not None or forensics is not None:
+                arrival_at = arrival.tolist()
+                completions = list(enumerate(finish.tolist()))
+            if forensics is not None:
+                fids = batch.flow_index.tolist()
         else:
-            engine = Engine()
-            self._attach_observer(engine)
-            run = self._spawn_pipeline(engine, plans, gaps)
-            engine.run()
-            self._publish_load_metrics(run.rings)
-            lane = "des"
-        if self.spans is not None:
-            self.spans.annotate_loaded(run.arrival_at, run.completions)
-        result = run.to_load_result(offered=len(plans), dropped=dropped)
+            if self._analytic_valid(plans):
+                if forensics is not None:
+                    index_latencies = array("d")
+                arrival_at, completions = analytic_replay(
+                    plans,
+                    gaps,
+                    self._stage_count(),
+                    self.config.ring_capacity,
+                    index_latencies=index_latencies,
+                )
+                run = PipelineRun(rings=[], arrival_at=arrival_at, completions=completions)
+                route = "analytic"
+            else:
+                engine = Engine()
+                self._attach_observer(engine)
+                run = self._spawn_pipeline(engine, plans, gaps)
+                engine.run()
+                self._publish_load_metrics(run.rings)
+                arrival_at, completions = run.arrival_at, run.completions
+                route = "des"
+            result = run.to_load_result(offered=len(plans), dropped=dropped)
+        if spans is not None:
+            spans.annotate_loaded(arrival_at, completions)
         if self.timeseries is not None:
             self._ingest_timeseries(result, inter_arrival_ns)
-        if forensics_on:
+        if forensics is not None:
+            fast_flags = transfers = None
+            if plan_info:
+                fids = _PlanInfoColumn(plans, plan_info, 1)
+                fast_flags = _PlanInfoColumn(plans, plan_info, 2)
+                transfers = {pid: entry[3] for pid, entry in plan_info.items()}
             forensics.observe_run(
                 self,
                 plans,
-                run.arrival_at,
-                run.completions,
+                arrival_at,
+                completions,
                 replica=self.label,
-                lane=lane,
-                fids=_PlanInfoColumn(plans, plan_info, 1) if plan_info else None,
-                fast_flags=_PlanInfoColumn(plans, plan_info, 2) if plan_info else None,
-                transfers={pid: entry[3] for pid, entry in plan_info.items()} or None,
+                lane=route,
+                fids=fids,
+                fast_flags=fast_flags,
+                transfers=transfers,
                 index_latencies=index_latencies,
             )
         return result
@@ -660,35 +710,23 @@ class Platform:
         oracle so they keep full span coverage while unsampled flows
         stay on the array path (see ``repro.core.batchlane``).  A
         ``timeseries`` never disqualifies: it ingests the finished
-        result after the run.  The lane also requires the compiled fast
-        path (the lane *is* a dispatcher over compiled closures) on a
-        SpeedyBox runtime.  Ineligible batches stream through
-        ``packet_view()`` — correct, just per-packet.
+        result after the run.  The lane is a dispatcher over compiled
+        closures, so it needs a SpeedyBox runtime.  Ineligible batches
+        stream through ``packet_view()`` — correct, just per-packet.
         """
         return (
-            self.config.compiled_flows
-            and not use_timestamps
+            not use_timestamps
             and not self.metrics.enabled
             and not self.tracer.enabled
             and isinstance(self.runtime, SpeedyBox)
-            and self.runtime.compile_fast_path
         )
 
     def _run_load_batch(self, batch, inter_arrival_ns: float) -> LoadResult:
         """Loaded run of a columnar batch through the whole-batch lane."""
         from repro.core.batchlane import BatchLane
-        from repro.sim.analytic import analytic_replay_vector
 
-        runtime = self.runtime
-        if self.spans is not None:
-            self.spans.begin_run()
-        previous_memo = runtime.memoize_setup
-        runtime.memoize_setup = True
         lane = BatchLane(self, batch)
-        try:
-            table, plan_ids, dropped = lane.run()
-        finally:
-            runtime.memoize_setup = previous_memo
+        table, plan_ids, dropped = lane.run()
         offered = len(batch)
         self.packets += offered
         # Lane introspection (the batch analogue of the per-packet
@@ -702,34 +740,7 @@ class Platform:
             "dropped": dropped,
             "plan_table_size": len(table),
         }
-
-        if inter_arrival_ns == 0 and self.config.analytic_replay:
-            vectored = analytic_replay_vector(table, plan_ids, self.config.ring_capacity)
-            if vectored is not None:
-                latencies, makespan = vectored
-                result = LoadResult(
-                    offered=offered,
-                    delivered=offered - dropped,
-                    dropped=dropped,
-                    makespan_ns=makespan,
-                    latencies_ns=latencies,
-                )
-                if self.timeseries is not None:
-                    self._ingest_timeseries(result, inter_arrival_ns)
-                forensics = self.forensics
-                if forensics is not None and forensics.enabled:
-                    forensics.observe_batch(
-                        self, table, plan_ids, latencies,
-                        replica=self.label, batch=batch,
-                    )
-                return result
-        # General case: expand the plan table per packet and reuse the
-        # scalar replay machinery (closed form when valid, DES otherwise).
-        plans = [table[pid] for pid in plan_ids]
-        gaps = [inter_arrival_ns] * offered
-        if gaps:
-            gaps[0] = 0.0
-        return self._replay(plans, gaps, dropped, inter_arrival_ns, {})
+        return self._replay(None, None, dropped, inter_arrival_ns, (table, plan_ids, batch))
 
     def _analytic_valid(self, plans: Sequence[StagePlan]) -> bool:
         """May this run use the closed-form replay instead of the DES?
@@ -739,184 +750,87 @@ class Platform:
         (only the cluster path passes one), pure-delay hops or
         multi-producer stage graphs — those fall back to the DES.
         """
-        if not self.config.analytic_replay:
-            return False
         if self.metrics.enabled or self.tracer.enabled:
             return False
         return plans_are_analytic(plans)
 
-    def _functional_pass(
-        self,
-        packets: Sequence[Packet],
-        inter_arrival_ns: float,
-        use_timestamps: bool,
-    ) -> Tuple[List[StagePlan], List[float], int]:
+    def _functional_pass(self, packets: Sequence[Packet]) -> Tuple[List[StagePlan], int]:
         """Phase one of a loaded run: process functionally, plan temporally.
 
-        Returns (stage plans, per-packet arrival gaps, drop count); the
-        gap of packet ``i`` is the Timeout its source takes before
-        offering it, so ``gaps[0]`` is the delay to the first arrival.
-        """
-        if (
-            not self.metrics.enabled
-            and not self.tracer.enabled
-            and (self.config.compiled_flows or self.config.analytic_replay)
-        ):
-            return self._functional_pass_lean(packets, inter_arrival_ns, use_timestamps)
-        plans: List[StagePlan] = []
-        gaps: List[float] = []
-        dropped = 0
-        previous_ts: Optional[float] = None
-        capture = self._forensics_info_map()
-        for packet in packets:
-            if use_timestamps:
-                if previous_ts is not None and packet.timestamp_ns < previous_ts:
-                    raise ValueError("trace timestamps must be non-decreasing for replay")
-                gaps.append(0.0 if previous_ts is None else packet.timestamp_ns - previous_ts)
-                previous_ts = packet.timestamp_ns
-            else:
-                gaps.append(inter_arrival_ns if plans else 0.0)
-            outcome = self.process(packet)
-            plan = self._stage_plan(outcome.report)
-            plans.append(plan)
-            if capture is not None and id(plan) not in capture:
-                report = outcome.report
-                capture[id(plan)] = (
-                    plan, report.fid, report.is_fast, self._plan_transfer_ns(report)
-                )
-            if outcome.dropped:
-                dropped += 1
-        return plans, gaps, dropped
+        Returns (stage plans, drop count).  One loop serves every
+        configuration.  A steady-state singleton report
+        (``report.steady``) whose ``plan_cache`` carries *this run's*
+        marker has nothing left to show anyone: its plan is appended
+        and the loop moves on, so the steady majority costs one probe
+        whatever is attached.  Every other report has its plan built (or
+        taken from a cache an earlier run or a lane left) and, while
+        anything is attached, is shown to it by :meth:`_watch`; a steady
+        report is marked the moment nothing will want its packets again.
+        The plan is cached only together with the marker, so a flow
+        still being recorded rebuilds its plan per packet — which only
+        the sampled minority pays.
 
-    def _functional_pass_lean(
-        self,
-        packets: Sequence[Packet],
-        inter_arrival_ns: float,
-        use_timestamps: bool,
-    ) -> Tuple[List[StagePlan], List[float], int]:
-        """The functional pass without per-packet outcome assembly.
-
-        Loaded runs only need (plan, gap, dropped) per packet — the
-        :class:`PacketOutcome` wrapper, its unloaded-latency conversion
-        and the metric observations :meth:`process` performs per packet
-        exist for instrumented runs.  With metrics and tracing off they
-        are dead weight, so the fast engine (either half of it) drives
-        the runtime directly; forcing the full legacy configuration
-        (``compiled_flows=False, analytic_replay=False``) restores the
-        original pass for honest wall-clock baselines.  Steady-state
-        singleton reports (``report.steady``) map to one cached stage
-        plan, skipping the per-packet timing walk entirely.
+        The marker is a fresh object per run, kept on the report itself
+        (``ProcessReport.plan_cache`` — an ``id()``-keyed side table
+        would go stale once bounded flow tables let steady reports be
+        garbage-collected mid-run and their ids recycled).  Reports
+        outlive the run; the marker does not, so a recorder that was
+        reset, swapped or attached since sees every flow again.
         """
         plans: List[StagePlan] = []
         dropped = 0
-        if use_timestamps:
-            gaps = []
-            previous_ts: Optional[float] = None
-            for packet in packets:
-                if previous_ts is not None and packet.timestamp_ns < previous_ts:
-                    raise ValueError("trace timestamps must be non-decreasing for replay")
-                gaps.append(0.0 if previous_ts is None else packet.timestamp_ns - previous_ts)
-                previous_ts = packet.timestamp_ns
-        else:
-            gaps = [inter_arrival_ns] * len(packets)
-            if gaps:
-                gaps[0] = 0.0
         process = self.runtime.process
         stage_plan = self._stage_plan
         append_plan = plans.append
-        spans = self.spans
+        done = object()
         capture = self._forensics_info_map()
-        if spans is None and capture is None:
-            for packet in packets:
-                report = process(packet)
-                if report.dropped:
-                    dropped += 1
+        watch = None
+        if (
+            self.spans is not None
+            or capture is not None
+            or self.metrics.enabled
+            or self.tracer.enabled
+        ):
+            watch = self._watch
+        for packet in packets:
+            report = process(packet)
+            if report.dropped:
+                dropped += 1
+            cached = report.plan_cache
+            if cached is None:
+                plan = stage_plan(report)
+            elif cached[3] is done:
+                append_plan(cached[1])
+                continue
+            else:
+                plan = cached[1] if cached[0] is self else stage_plan(report)
+            if watch is None or watch(report, plan, len(plans), capture):
                 if report.steady:
-                    # Memoized on the report itself (ProcessReport.plan_cache):
-                    # an id()-keyed side table would go stale once bounded
-                    # flow tables let steady reports be garbage-collected
-                    # mid-run and their ids recycled.
-                    cached = report.plan_cache
-                    if cached is not None and cached[0] is self:
-                        plan = cached[1]
-                    else:
-                        plan = stage_plan(report)
-                        report.plan_cache = (self, plan, None, None)
-                else:
-                    plan = stage_plan(report)
-                append_plan(plan)
-        elif spans is None:
-            # Forensics-capture variant: identical to the spans-off loop
-            # body on the steady-state plan-cache *hit* path — capture
-            # happens only on the miss path (once per flow) and for
-            # non-steady packets, so per-packet cost vs. the
-            # uninstrumented loop above is zero.  The disabled-forensics
-            # overhead cell gates on the loop above keeping its shape;
-            # the enabled cell gates on this one.
-            plan_transfer = self._plan_transfer_ns
-            for packet in packets:
-                report = process(packet)
-                if report.dropped:
-                    dropped += 1
-                if report.steady:
-                    cached = report.plan_cache
-                    if cached is not None and cached[0] is self:
-                        plan = cached[1]
-                    else:
-                        plan = stage_plan(report)
-                        report.plan_cache = (self, plan, None, None)
-                        capture[id(plan)] = (
-                            plan, report.fid, report.is_fast, plan_transfer(report)
-                        )
-                else:
-                    plan = stage_plan(report)
-                    capture[id(plan)] = (
-                        plan, report.fid, report.is_fast, plan_transfer(report)
-                    )
-                append_plan(plan)
-        else:
-            # Span-sampling variant.  The trick that keeps 1-in-N
-            # sampling inside the 5% overhead gate: a steady singleton
-            # only enters the plan cache once its flow is *done*
-            # recording (unsampled, or past the span cap), so the
-            # steady-state majority takes the exact spans-off loop body
-            # — cache probe, append, nothing else.  Flows still being
-            # recorded miss the cache and rebuild their plan per packet,
-            # which only the sampled minority pays.
-            skip_get = spans.skip.get
-            record_span = spans.record
-            for packet in packets:
-                report = process(packet)
-                if report.dropped:
-                    dropped += 1
-                if report.steady:
-                    cached = report.plan_cache
-                    if cached is not None and cached[0] is self:
-                        if cached[3] is _SPAN_DONE:
-                            append_plan(cached[1])
-                            continue
-                        plan = cached[1]
-                    else:
-                        plan = stage_plan(report)
-                    if skip_get(report.fid) is None:
-                        record_span(report, len(plans))
-                    if skip_get(report.fid) is not None:
-                        # Flow won't record again: cache its plan so
-                        # later packets skip this branch entirely.
-                        report.plan_cache = (self, plan, None, _SPAN_DONE)
-                    append_plan(plan)
-                else:
-                    plan = stage_plan(report)
-                    append_plan(plan)
-                    if skip_get(report.fid) is None:
-                        record_span(report, len(plans) - 1)
-                if capture is not None and id(plan) not in capture:
-                    capture[id(plan)] = (
-                        plan, report.fid, report.is_fast,
-                        self._plan_transfer_ns(report),
-                    )
+                    report.plan_cache = (self, plan, None, done)
+            append_plan(plan)
         self.packets += len(plans)
-        return plans, gaps, dropped
+        return plans, dropped
+
+    def _watch(
+        self, report: ProcessReport, plan: StagePlan, index: int, capture: Optional[Dict[int, tuple]]
+    ) -> bool:
+        """Show packet ``index`` of a loaded run to what is attached.
+
+        The observers see it exactly as :meth:`process` would show it
+        (:meth:`_observe`), and the plan's forensics context is captured
+        on first sight.  Returns whether nothing will want this report's
+        packets again this run: no registry or tracer attached (those
+        count every packet), and its flow unsampled or past the span cap.
+        """
+        self._observe(report, self.packets + index, index)
+        if capture is not None and id(plan) not in capture:
+            capture[id(plan)] = (
+                plan, report.fid, report.is_fast, self._plan_transfer_ns(report)
+            )
+        if self.metrics.enabled or self.tracer.enabled:
+            return False
+        spans = self.spans
+        return spans is None or spans.skip.get(report.fid) is not None
 
     def _spawn_pipeline(
         self,

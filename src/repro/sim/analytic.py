@@ -191,7 +191,7 @@ def analytic_replay_vector(
         ready = cumsum(service)            # add.accumulate: the same
         start = [0, ready[:-1]]            #   left-fold of float adds
         enq   = [0]*cap + cummax(start[:n-cap])   # ring back-pressure
-        latency[i] = ready[i] - enq[i-1]   # arrival is prior source-ready
+        arrival[i] = enq[i-1]              # the prior source-ready time
 
     ``np.add.accumulate`` and ``np.maximum.accumulate`` are sequential
     left folds over float64, so every intermediate is bit-identical to
@@ -201,13 +201,16 @@ def analytic_replay_vector(
     associative, so the general case cannot be re-bracketed into array
     passes without breaking exactness.
 
-    Returns ``(latencies, makespan_ns)``; completions are in packet
-    order, which equals finish order here (service times are
-    non-negative, and the scalar replay's stable finish sort keeps
-    packet order on ties).
+    Returns the run's timeline as two float64 columns in packet order,
+    ``(arrival, finish)`` — what the scalar replay returns as
+    ``arrival_at`` and ``completions``.  Packet order equals finish
+    order here (service times are non-negative, and the scalar replay's
+    stable finish sort keeps packet order on ties), so latencies are
+    ``finish - arrival`` and the makespan is ``finish[-1]``.
     """
+    empty = np.empty(0, dtype=np.float64)
     if not table:
-        return [], 0.0
+        return empty, empty
     stage: Optional[int] = None
     for plan in table:
         if len(plan) != 1:
@@ -224,7 +227,7 @@ def analytic_replay_vector(
     service = service_by_pid[plan_ids]
     n = len(service)
     if n == 0:
-        return [], 0.0
+        return empty, empty
     ready = np.add.accumulate(service)
     start = np.empty(n, dtype=np.float64)
     start[0] = 0.0
@@ -240,5 +243,4 @@ def analytic_replay_vector(
     arrival = np.empty(n, dtype=np.float64)
     arrival[0] = 0.0
     arrival[1:] = enq[:-1]
-    latencies = (ready - arrival).tolist()
-    return latencies, float(ready[-1])
+    return arrival, ready

@@ -10,6 +10,11 @@ copy of the same chain over byte-identical packet streams, optionally
 applying mid-stream interventions (e.g. failing a Maglev backend before
 packet 6) to *both* runs at the same packet index, and asserts the packet
 outputs are identical.  NF-state comparisons are the caller's to add.
+
+Two *selectors* reach the references the fast engine is checked against
+— the interpreted fast path and the discrete-event replay — by running
+``src/`` code, not by copying it: :class:`InterpretedSpeedyBox` and
+:func:`des_run_load`.
 """
 
 from __future__ import annotations
@@ -18,9 +23,35 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.framework import ProcessReport, ServiceChain, SpeedyBox
 from repro.net.packet import Packet
+from repro.platform.base import LoadResult, Platform, arrival_gaps
+from repro.sim import Engine
 from repro.traffic.generator import clone_packets
 
 Intervention = Callable[[ServiceChain, SpeedyBox], None]
+
+
+class InterpretedSpeedyBox(SpeedyBox):
+    """The interpreted oracle: no flow ever compiles, so every fast-path
+    packet is served by ``SpeedyBox._run_fast``."""
+
+    def _maybe_compile(self, classification) -> None:
+        pass
+
+
+def des_run_load(
+    platform: Platform,
+    packets: Sequence[Packet],
+    inter_arrival_ns: float = 0.0,
+    use_timestamps: bool = False,
+) -> LoadResult:
+    """The DES oracle: the platform's own functional pass, replayed by
+    the generator engine whatever the plans' shape."""
+    gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
+    plans, dropped = platform._functional_pass(packets)
+    engine = Engine()
+    run = platform._spawn_pipeline(engine, plans, gaps)
+    engine.run()
+    return run.to_load_result(offered=len(plans), dropped=dropped)
 
 
 def run_lockstep(

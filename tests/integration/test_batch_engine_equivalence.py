@@ -16,6 +16,7 @@ from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import SyntheticNF
 from repro.obs.audit import AuditLog
+from repro.obs.span import FlowSpanRecorder
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic.columnar import batch_from_specs, uniform_batch
 from repro.traffic.generator import FlowSpec
@@ -70,6 +71,25 @@ def assert_legs_identical(platform_cls, build_chain, batch, sbox_kwargs=None):
 def test_udp_bulk_equivalence(platform_name):
     batch = uniform_batch(64, 6, payload=b"pp", interleave="round_robin", block=16)
     assert_legs_identical(PLATFORMS[platform_name], modify_chain, batch)
+
+
+@pytest.mark.parametrize("platform_name", ["bess", "onvm"])
+def test_sampled_root_spans_carry_the_oracles_sim_times(platform_name):
+    """Whichever replay a lane run takes (vector on BESS, scalar on
+    ONVM), its sampled roots are stamped like the per-packet oracle's."""
+    batch = uniform_batch(8, 6)
+
+    def roots_of(load):
+        recorder = FlowSpanRecorder(every=2, max_spans_per_flow=3)
+        platform = PLATFORMS[platform_name](SpeedyBox(modify_chain()), spans=recorder)
+        platform.run_load(load)
+        return recorder.roots()
+
+    lane_roots, oracle_roots = roots_of(batch), roots_of(batch.packet_view())
+    assert len(lane_roots) == 12
+    for root in lane_roots:
+        assert {"sim_arrival_ns", "sim_finish_ns", "sim_latency_ns"} <= set(root["args"])
+    assert lane_roots == oracle_roots
 
 
 @pytest.mark.parametrize("platform_name", ["bess", "onvm"])

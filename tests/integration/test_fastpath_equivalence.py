@@ -1,10 +1,10 @@
-"""Fast-engine equivalence: compiled flows + analytic replay vs legacy.
+"""Fast-engine equivalence: compiled flows + analytic replay vs the references.
 
-The perf engine (``PlatformConfig(compiled_flows=True, analytic_replay=True)``,
-the default) must be *numerically invisible*: every ``LoadResult`` field —
-including the per-packet latency list, element for element — must match a
-run with both halves disabled, which reproduces the original interpreted
-execution path and the generator-based DES replay.
+The fast engine (what ``run_load`` does with nothing attached) must be
+*numerically invisible*: every ``LoadResult`` field — including the
+per-packet latency list, element for element — must match the same
+stream served by the interpreted fast path and replayed by the
+generator-based DES (``tests/integration/helpers.py``'s two selectors).
 
 Coverage follows the acceptance matrix: both platform models, chain
 lengths 1–9, with and without SpeedyBox, plus chains whose NFs register
@@ -25,11 +25,10 @@ from repro.nf import (
     Monitor,
     TokenBucketPolicer,
 )
-from repro.platform import BessPlatform, OpenNetVMPlatform, PlatformConfig
+from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
-
-LEGACY = dict(compiled_flows=False, analytic_replay=False)
+from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
 
 
 def multi_flow_packets(flows: int = 4, per_flow: int = 30):
@@ -47,13 +46,12 @@ def multi_flow_packets(flows: int = 4, per_flow: int = 30):
     return TrafficGenerator(specs, interleave="round_robin").packets()
 
 
-def build_platform(platform_name, runtime, config=None):
-    kwargs = {} if config is None else {"config": config}
+def build_platform(platform_name, runtime):
     if platform_name == "onvm":
         # Lengths past the testbed's 5-NF core budget still exercise the
         # stage-pipeline model with the limit lifted.
-        return OpenNetVMPlatform(runtime, enforce_core_limit=False, **kwargs)
-    return BessPlatform(runtime, **kwargs)
+        return OpenNetVMPlatform(runtime, enforce_core_limit=False)
+    return BessPlatform(runtime)
 
 
 def assert_identical_results(fast, legacy):
@@ -65,13 +63,14 @@ def assert_identical_results(fast, legacy):
     assert fast.latencies_ns == legacy.latencies_ns
 
 
-def run_both(platform_name, runtime_factory, packets, **load_kwargs):
-    fast = build_platform(platform_name, runtime_factory())
+def run_both(platform_name, runtime_cls, build_chain, packets, **load_kwargs):
+    """``runtime_cls`` over ``build_chain()`` on the fast engine, and its
+    reference: interpreted when it is a SpeedyBox, replayed by the DES."""
+    fast = build_platform(platform_name, runtime_cls(build_chain()))
     fast_result = fast.run_load(clone_packets(packets), **load_kwargs)
-    legacy = build_platform(
-        platform_name, runtime_factory(), config=PlatformConfig(**LEGACY)
-    )
-    legacy_result = legacy.run_load(clone_packets(packets), **load_kwargs)
+    reference_cls = InterpretedSpeedyBox if runtime_cls is SpeedyBox else runtime_cls
+    legacy = build_platform(platform_name, reference_cls(build_chain()))
+    legacy_result = des_run_load(legacy, clone_packets(packets), **load_kwargs)
     assert_identical_results(fast_result, legacy_result)
     return fast_result, legacy_result
 
@@ -83,7 +82,8 @@ def test_chain_length_sweep(platform_name, runtime_cls, length):
     packets = multi_flow_packets(flows=3, per_flow=14)
     run_both(
         platform_name,
-        lambda: runtime_cls([IPFilter(f"fw{i}") for i in range(length)]),
+        runtime_cls,
+        lambda: [IPFilter(f"fw{i}") for i in range(length)],
         packets,
     )
 
@@ -116,11 +116,7 @@ EVENT_CHAINS = {
 @pytest.mark.parametrize("chain_key", sorted(EVENT_CHAINS))
 def test_event_and_drop_chains(platform_name, chain_key):
     packets = multi_flow_packets(flows=4, per_flow=24)
-    run_both(
-        platform_name,
-        lambda: SpeedyBox(EVENT_CHAINS[chain_key]()),
-        packets,
-    )
+    run_both(platform_name, SpeedyBox, EVENT_CHAINS[chain_key], packets)
 
 
 @pytest.mark.parametrize("platform_name", ["bess", "onvm"])
@@ -128,7 +124,8 @@ def test_gapped_arrivals(platform_name):
     packets = multi_flow_packets(flows=3, per_flow=20)
     fast, __ = run_both(
         platform_name,
-        lambda: SpeedyBox([IPFilter(f"fw{i}") for i in range(4)]),
+        SpeedyBox,
+        lambda: [IPFilter(f"fw{i}") for i in range(4)],
         packets,
         inter_arrival_ns=137.5,
     )
@@ -141,7 +138,8 @@ def test_timestamped_replay():
         packet.timestamp_ns = index * 211.25
     run_both(
         "bess",
-        lambda: SpeedyBox([IPFilter(f"fw{i}") for i in range(3)]),
+        SpeedyBox,
+        lambda: [IPFilter(f"fw{i}") for i in range(3)],
         packets,
         use_timestamps=True,
     )
@@ -157,4 +155,4 @@ def test_fin_teardown_flows():
         for i in range(3)
     ]
     packets = TrafficGenerator(specs, interleave="round_robin").packets()
-    run_both("bess", lambda: SpeedyBox([IPFilter("fw0"), Monitor("mon0")]), packets)
+    run_both("bess", SpeedyBox, lambda: [IPFilter("fw0"), Monitor("mon0")], packets)

@@ -1,0 +1,210 @@
+"""The route matrix: what is offered and what is attached pick the route.
+
+A loaded run has two functional routes (the whole-batch lane, the
+per-packet pass) and three replays (vector, closed form, DES), and no
+switch selects among them: docs/performance.md's decision table derives
+the route from the input type, the attached observers and the plans'
+shape.  Every cell of
+
+    input     {packet list, ``batch.packet_view()``, ``PacketBatch``}
+  x attached  {nothing, spans 1-in-2, timeseries + forensics, registry,
+               tracer, all of them}
+  x platform  {BESS, ONVM}
+  x arrivals  {saturation, ``inter_arrival_ns`` > 0, ``use_timestamps``}
+  x chain     {header-only, NAT + Monitor + IPFilter over bounded tables}
+
+must (a) give the ``LoadResult`` of the references — the interpreted
+fast path replayed by the DES — float for float, (b) leave the runtime
+with the references' ``stats()`` and audit journal, and (c) take the
+route the table states.  Routes are counted by wrapping the module
+attributes ``bench/workloads.py::instrument`` patches, so a renamed
+callable or a flipped route fails here and not in the benchmark.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+
+import repro.core.batchlane as batchlane
+import repro.platform.base as platform_base
+import repro.sim.analytic as sim_analytic
+import repro.sim.engine as sim_engine
+from repro.core.actions import Modify
+from repro.core.framework import SpeedyBox
+from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
+from repro.obs import (
+    AuditLog,
+    FlowSpanRecorder,
+    ForensicsEngine,
+    MetricsRegistry,
+    PacketTracer,
+    TimeSeries,
+)
+from repro.platform import BessPlatform, OpenNetVMPlatform
+from repro.traffic.columnar import uniform_batch
+from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
+
+PLATFORMS = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}
+INPUTS = ("packets", "packet_view", "batch")
+ATTACHED = ("nothing", "spans", "timeseries+forensics", "registry", "tracer", "all")
+ARRIVALS = {
+    "saturation": {},
+    "gapped": {"inter_arrival_ns": 180.5},
+    "timestamps": {"use_timestamps": True},
+}
+
+
+def header_chain():
+    return [
+        SyntheticNF("ttl", action=Modify.ttl_dec(), sf_payload_class=None),
+        SyntheticNF("mark", action=Modify.set(dst_port=8080), sf_payload_class=None),
+    ]
+
+
+def stateful_chain():
+    return [MazuNAT("nat"), Monitor("mon"), IPFilter("fw")]
+
+
+#: chain -> (NF factory, SpeedyBox keyword arguments, uniform_batch keyword arguments)
+CHAINS = {
+    "header": (header_chain, {}, {}),
+    "stateful": (
+        stateful_chain,
+        {"max_tracked_flows": 4, "max_flows": 4},
+        {"protocol": "tcp", "handshake": True, "fin": True},
+    ),
+}
+
+
+def make_batch(chain: str, arrival: str):
+    batch = uniform_batch(10, 5, interleave="round_robin", block=5, **CHAINS[chain][2])
+    if arrival == "timestamps":
+        batch.timestamp_ns = np.arange(len(batch)) * 91.25
+    return batch
+
+
+def journal(audit: AuditLog, lanes: bool = True) -> list:
+    """The audit events without their wall-clock stamp; ``lanes=False``
+    also drops what only a compiling runtime can say."""
+    return [
+        {key: value for key, value in event.items() if key not in ("ts", "seq")}
+        for event in audit.events()
+        if lanes or not event["kind"].startswith("fastpath_")
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def references(chain: str, platform_name: str, arrival: str):
+    """(LoadResult, stats, journal without lane events) of the
+    interpreted runtime under the DES, and the full journal of the
+    compiled runtime on a plain packet list with nothing attached."""
+    build, sbox_kwargs, __ = CHAINS[chain]
+    packets = list(make_batch(chain, arrival).packet_view())
+    audit = AuditLog()
+    runtime = InterpretedSpeedyBox(build(), audit=audit, **sbox_kwargs)
+    result = des_run_load(PLATFORMS[platform_name](runtime), packets, **ARRIVALS[arrival])
+    compiled_audit = AuditLog()
+    PLATFORMS[platform_name](SpeedyBox(build(), audit=compiled_audit, **sbox_kwargs)).run_load(
+        list(make_batch(chain, arrival).packet_view()), **ARRIVALS[arrival]
+    )
+    return result, runtime.stats(), journal(audit, lanes=False), journal(compiled_audit)
+
+
+def attach(what: str) -> tuple:
+    """(SpeedyBox kwargs, platform kwargs) for one ``ATTACHED`` entry."""
+    runtime_kwargs, platform_kwargs = {}, {}
+    everything = what == "all"
+    if everything or what == "spans":
+        platform_kwargs["spans"] = FlowSpanRecorder(every=2)
+    if everything or what == "timeseries+forensics":
+        platform_kwargs["timeseries"] = TimeSeries(window_packets=16)
+        platform_kwargs["forensics"] = ForensicsEngine(window_packets=16, sample_every=4)
+    if everything or what == "registry":
+        runtime_kwargs["metrics"] = platform_kwargs["metrics"] = MetricsRegistry()
+    if everything or what == "tracer":
+        platform_kwargs["tracer"] = PacketTracer()
+    return runtime_kwargs, platform_kwargs
+
+
+def expected_route(offered: str, attached: str, platform_name: str, arrival: str) -> tuple:
+    """docs/performance.md's decision table: (functional route, replay)."""
+    watched = attached in ("registry", "tracer", "all")
+    lane = offered == "batch" and arrival != "timestamps" and not watched
+    if watched:
+        replay = "des"
+    elif lane and arrival == "saturation" and platform_name == "bess":
+        # BESS plans are one hop on one stage whatever the chain; ONVM's
+        # slow path walks the NF stages, so the vector replay declines.
+        replay = "vector"
+    else:
+        replay = "analytic"
+    return ("lane" if lane else "per-packet"), replay
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Names of the route callables a run goes through, in call order
+    (``vector`` only when the vector replay accepted the run)."""
+    taken = []
+
+    def counted(owner, attribute, name, accepted=lambda returned: True):
+        original = getattr(owner, attribute)
+
+        def wrapper(*args, **kwargs):
+            returned = original(*args, **kwargs)
+            if accepted(returned):
+                taken.append(name)
+            return returned
+
+        monkeypatch.setattr(owner, attribute, wrapper)
+
+    counted(platform_base, "analytic_replay", "analytic")
+    counted(sim_analytic, "analytic_replay_vector", "vector", lambda got: got is not None)
+    counted(sim_engine.Engine, "run", "des")
+    counted(batchlane.BatchLane, "run", "lane")
+    return taken
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+@pytest.mark.parametrize("arrival", sorted(ARRIVALS))
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+@pytest.mark.parametrize("attached", ATTACHED)
+@pytest.mark.parametrize("offered", INPUTS)
+def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
+    reference, stats, interpreted_journal, compiled_journal = references(
+        chain, platform_name, arrival
+    )
+    del routes[:]  # the references' own replays
+
+    build, sbox_kwargs, __ = CHAINS[chain]
+    runtime_kwargs, platform_kwargs = attach(attached)
+    audit = AuditLog()
+    runtime = SpeedyBox(build(), audit=audit, **sbox_kwargs, **runtime_kwargs)
+    platform = PLATFORMS[platform_name](runtime, **platform_kwargs)
+    batch = make_batch(chain, arrival)
+    load = {
+        "packets": lambda: list(batch.packet_view()),
+        "packet_view": batch.packet_view,
+        "batch": lambda: batch,
+    }[offered]()
+    result = platform.run_load(load, **ARRIVALS[arrival])
+
+    assert result.offered == reference.offered
+    assert result.delivered == reference.delivered
+    assert result.dropped == reference.dropped
+    assert result.makespan_ns == reference.makespan_ns
+    assert list(result.latencies_ns) == reference.latencies_ns
+    assert runtime.stats() == stats
+    assert journal(audit, lanes=False) == interpreted_journal
+    assert journal(audit) == compiled_journal
+
+    functional, replay = expected_route(offered, attached, platform_name, arrival)
+    assert routes.count("lane") == (1 if functional == "lane" else 0)
+    assert (platform.last_lane_stats is not None) == (functional == "lane")
+    if functional == "lane" and chain == "header":
+        # not a lane in name only: the array path served packets
+        assert platform.last_lane_stats["span_packets"] > 0
+    assert [name for name in routes if name != "lane"] == [replay]

@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter, Monitor, SyntheticNF
+from repro.obs import MetricsRegistry
 from repro.obs.forensics import ForensicsEngine, components_sum
-from repro.platform import BessPlatform, OpenNetVMPlatform, PlatformConfig
+from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.columnar import uniform_batch
 
@@ -81,8 +82,9 @@ def test_des_lane_components_sum_exactly(case):
     platform_cls = BessPlatform if bess else OpenNetVMPlatform
     platform = platform_cls(
         SpeedyBox(chain_for(shape)),
-        # Disabling the closed-form replay forces the generator DES.
-        config=PlatformConfig(analytic_replay=False),
+        # An attached registry watches engine events, which only the
+        # generator DES has: observing selects it.
+        metrics=MetricsRegistry(),
         forensics=engine,
     )
     platform.run_load(packet_stream(flows, per_flow), inter_arrival_ns=gap)

@@ -13,45 +13,41 @@ import pytest
 from repro.sim.analytic import analytic_replay, analytic_replay_vector
 
 
-def scalar_latencies(table, plan_ids, cap):
+def scalar_timeline(table, plan_ids, cap):
+    """(arrival, finish) per packet index from the scalar recursion."""
     plans = [table[pid] for pid in plan_ids]
     gaps = [0.0] * len(plans)
     arrival_at, completions = analytic_replay(plans, gaps, stage_count=1, ring_capacity=cap)
-    latencies = [0.0] * len(plans)
-    for index, finish in completions:
-        latencies[index] = finish - arrival_at[index]
-    return latencies
+    finish_of = dict(completions)
+    return arrival_at, [finish_of[index] for index in range(len(plans))]
+
+
+def assert_timeline_exact(table, plan_ids, cap):
+    got = analytic_replay_vector(table, plan_ids, cap)
+    assert got is not None
+    arrival, finish = got
+    expected_arrival, expected_finish = scalar_timeline(table, plan_ids, cap)
+    # exact float equality, element-wise: latencies and makespan follow
+    assert arrival.tolist() == expected_arrival
+    assert finish.tolist() == expected_finish
 
 
 @pytest.mark.parametrize("cap", [None, 2, 7, 64])
 def test_vector_matches_scalar_exactly(cap):
     table = [[(0, 137.25)], [(0, 64.5)], [(0, 512.0)]]
     plan_ids = [(i * 7 + i % 3) % 3 for i in range(200)]
-    got = analytic_replay_vector(table, plan_ids, cap)
-    assert got is not None
-    latencies, makespan = got
-    expected = scalar_latencies(table, plan_ids, cap)
-    assert list(latencies) == expected  # exact float equality, element-wise
-    assert makespan == max(
-        finish
-        for __, finish in analytic_replay(
-            [table[p] for p in plan_ids], [0.0] * len(plan_ids), 1, cap
-        )[1]
-    )
+    assert_timeline_exact(table, plan_ids, cap)
 
 
 def test_vector_backpressure_beyond_capacity():
     """n >> ring capacity: the enqueue clamp must match the scalar ring."""
-    table = [[(0, 100.0)]]
-    plan_ids = [0] * 50
-    got = analytic_replay_vector(table, plan_ids, 4)
-    assert got is not None
-    assert list(got[0]) == scalar_latencies(table, plan_ids, 4)
+    assert_timeline_exact([[(0, 100.0)]], [0] * 50, 4)
 
 
 def test_vector_empty_batch():
-    assert analytic_replay_vector([], [], None) == ([], 0.0)
-    assert analytic_replay_vector([[(0, 10.0)]], [], None) == ([], 0.0)
+    for table in ([], [[(0, 10.0)]]):
+        arrival, finish = analytic_replay_vector(table, [], None)
+        assert len(arrival) == 0 and len(finish) == 0
 
 
 def test_vector_declines_ineligible_shapes():

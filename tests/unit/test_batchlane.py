@@ -8,13 +8,15 @@ forgotten flow).
 """
 
 from repro.core.actions import Modify
-from repro.core.framework import SpeedyBox
+from repro.core.framework import ServiceChain, SpeedyBox
 from repro.nf import SyntheticNF
 from repro.obs.audit import AuditLog
 from repro.obs.span import FlowSpanRecorder
 from repro.obs.registry import MetricsRegistry
-from repro.platform import BessPlatform, PlatformConfig
+from repro.platform import BessPlatform
+from repro.obs.trace import PacketTracer
 from repro.traffic.columnar import uniform_batch
+from tests.integration.helpers import InterpretedSpeedyBox
 
 
 def build_chain():
@@ -51,14 +53,30 @@ def test_lane_eligibility_flags():
     assert platform._batch_lane_eligible(use_timestamps=False)
     assert not platform._batch_lane_eligible(use_timestamps=True)
 
-    uncompiled = BessPlatform(
-        make_runtime(), config=PlatformConfig(compiled_flows=False)
-    )
-    assert not uncompiled._batch_lane_eligible(use_timestamps=False)
+    # The lane dispatches over SpeedyBox's compiled closures.
+    original = BessPlatform(ServiceChain(build_chain()))
+    assert not original._batch_lane_eligible(use_timestamps=False)
 
     metered = SpeedyBox(build_chain(), metrics=MetricsRegistry(enabled=True))
     instrumented = BessPlatform(metered, metrics=metered.metrics)
     assert not instrumented._batch_lane_eligible(use_timestamps=False)
+    traced = BessPlatform(make_runtime(), tracer=PacketTracer())
+    assert not traced._batch_lane_eligible(use_timestamps=False)
+
+
+def test_lane_without_compiled_closures_serves_every_packet_scalar():
+    """No switch keeps a batch off the lane; a runtime that never
+    compiles just leaves the array path nothing to serve."""
+    batch = uniform_batch(12, 5, interleave="round_robin", block=4)
+    lane_result, lane_runtime, platform = run_batch(
+        batch, runtime=InterpretedSpeedyBox(build_chain())
+    )
+    oracle_result, oracle_runtime, __ = run_batch(batch.packet_view())
+    assert results_equal(lane_result, oracle_result)
+    assert lane_runtime.stats() == oracle_runtime.stats()
+    stats = platform.last_lane_stats
+    assert stats["offered"] == len(batch)
+    assert stats["span_packets"] == 0 and stats["admitted"] == 0
 
 
 def test_lane_matches_per_packet_oracle():

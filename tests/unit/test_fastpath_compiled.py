@@ -12,9 +12,11 @@ from __future__ import annotations
 from repro.core.event_table import Event
 from repro.core.framework import PathTaken, SpeedyBox
 from repro.nf import IPFilter, Monitor
-from repro.platform import BessPlatform, PlatformConfig
+from repro.obs import MetricsRegistry
+from repro.platform import BessPlatform
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
+from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
 
 
 def flow_packets(count=6, sport=4100):
@@ -59,20 +61,24 @@ class TestCompilation:
         assert not any(r.steady for r in reports)
         assert reports[-1] is not reports[-2]
 
-    def test_compile_fast_path_flag_disables_compilation(self):
-        runtime = SpeedyBox([IPFilter("fw0")], compile_fast_path=False)
-        for packet in flow_packets(4):
-            runtime.process(packet)
+    def test_interpreted_selector_never_compiles(self):
+        runtime = InterpretedSpeedyBox([IPFilter("fw0")])
+        reports = [runtime.process(packet) for packet in flow_packets(4)]
         assert not runtime._compiled
         assert not runtime._compiled_fids
+        # ... and still serves the flow from the Global MAT.
+        assert [r.path for r in reports[1:]] == [PathTaken.FAST] * 3
+        assert not any(r.steady for r in reports)
 
-    def test_platform_config_disables_compilation(self):
+    def test_platform_leaves_the_runtimes_lanes_alone(self):
         runtime = SpeedyBox([IPFilter("fw0")])
-        BessPlatform(runtime, config=PlatformConfig(compiled_flows=False))
-        for packet in flow_packets(4):
+        for packet in flow_packets(2):
             runtime.process(packet)
-        assert runtime.compile_fast_path is False
-        assert not runtime._compiled
+        compiled = dict(runtime._compiled)
+        assert compiled
+        # Taking a runtime into a platform is not an event in its life.
+        BessPlatform(runtime)
+        assert runtime._compiled == compiled
 
 
 class TestInvalidation:
@@ -132,33 +138,26 @@ class TestInvalidation:
 
 
 class TestConfigGating:
+    """Nothing but the runtime and what is attached decides the route."""
+
     def test_analytic_only_config_keeps_interpreted_processing(self):
         packets = flow_packets(40)
-        mixed = BessPlatform(
-            SpeedyBox([IPFilter("fw0")]),
-            config=PlatformConfig(compiled_flows=False, analytic_replay=True),
-        )
-        legacy = BessPlatform(
-            SpeedyBox([IPFilter("fw0")]),
-            config=PlatformConfig(compiled_flows=False, analytic_replay=False),
-        )
+        mixed = BessPlatform(InterpretedSpeedyBox([IPFilter("fw0")]))
+        assert mixed._analytic_valid([[(0, 100.0)]]) is True
+        reference = BessPlatform(InterpretedSpeedyBox([IPFilter("fw0")]))
         a = mixed.run_load(clone_packets(packets))
-        b = legacy.run_load(clone_packets(packets))
+        b = des_run_load(reference, clone_packets(packets))
         assert a.latencies_ns == b.latencies_ns
         assert a.makespan_ns == b.makespan_ns
         assert not mixed.runtime._compiled
 
     def test_compiled_only_config_uses_the_des(self):
         packets = flow_packets(40)
-        platform = BessPlatform(
-            SpeedyBox([IPFilter("fw0")]),
-            config=PlatformConfig(compiled_flows=True, analytic_replay=False),
-        )
+        # An attached registry sees every engine event: only the DES has any.
+        platform = BessPlatform(SpeedyBox([IPFilter("fw0")]), metrics=MetricsRegistry())
         assert platform._analytic_valid([[(0, 100.0)]]) is False
-        legacy = BessPlatform(
-            SpeedyBox([IPFilter("fw0")]),
-            config=PlatformConfig(compiled_flows=False, analytic_replay=False),
-        )
+        reference = BessPlatform(InterpretedSpeedyBox([IPFilter("fw0")]))
         a = platform.run_load(clone_packets(packets))
-        b = legacy.run_load(clone_packets(packets))
+        b = des_run_load(reference, clone_packets(packets))
         assert a.latencies_ns == b.latencies_ns
+        assert platform.runtime._compiled

@@ -1,10 +1,9 @@
 """Metric parity: the compiled fast lane increments identical counters.
 
-The compiled lane (``SpeedyBox(compile_fast_path=True)``, the default)
-is a pure execution-strategy change; ``repro.core.fastpath`` documents
-the contract that a run with it enabled produces *exactly* the registry
-snapshot of the interpreted fast path — same counters, same values,
-same label sets.  Per-lane signals (compiles, invalidations) belong in
+The compiled lane (what a ``SpeedyBox`` does on its own) is a pure
+execution-strategy change; ``repro.core.fastpath`` documents the
+contract that a run on it produces *exactly* the registry snapshot of
+the interpreted fast path — same counters, same values, same label sets.  Per-lane signals (compiles, invalidations) belong in
 the AuditLog instead.  These tests pin that contract over chains that
 exercise the interesting report shapes: steady singletons, SF schedules,
 registered events, drops, and FIN teardown.
@@ -24,6 +23,7 @@ from repro.nf import (
 from repro.obs import MetricsRegistry
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
+from tests.integration.helpers import InterpretedSpeedyBox
 
 CHAINS = {
     "filters": lambda: [IPFilter(f"fw{i}") for i in range(3)],
@@ -48,8 +48,8 @@ def make_packets(flows=3, per_flow=40, fin=True):
 
 def snapshot_for(chain_factory, packets, compiled):
     registry = MetricsRegistry()
-    runtime = SpeedyBox(chain_factory(), metrics=registry,
-                        compile_fast_path=compiled)
+    runtime_cls = SpeedyBox if compiled else InterpretedSpeedyBox
+    runtime = runtime_cls(chain_factory(), metrics=registry)
     for packet in clone_packets(packets):
         runtime.process(packet)
     return registry.snapshot()

@@ -27,6 +27,16 @@ class TestDirections:
         for key in ("interval_8_lane_compiles", "interval_32_lane_invalidations"):
             assert direction_of(key) == "lower"
 
+    def test_call_counts_gate_lower(self):
+        # BENCH_obs_overhead.json: a steady packet that leaves the
+        # loaded loop's cached branch shows up as a _stage_plan call,
+        # which repeats exactly where the stopwatch cells do not
+        for key in ("off_stage_plan_calls", "sampled_stage_plan_calls"):
+            assert direction_of(key) == "lower"
+        (entry,) = diff_metrics("obs_overhead", {"off_stage_plan_calls": 512.0},
+                                {"off_stage_plan_calls": 51200.0})
+        assert entry.status == "regression"
+
     def test_throughput_like_keys_gate_higher(self):
         for key in ("rate_mpps", "throughput", "fast_hit_ratio", "delivered"):
             assert direction_of(key) == "higher"

@@ -5,8 +5,10 @@ import pytest
 from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter, MazuNAT, Monitor
 from repro.obs import FlowSpanRecorder, PacketTracer, load_span_jsonl
+from repro.platform import BessPlatform
 from repro.platform.costs import CostModel
 from repro.traffic import FlowSpec, TrafficGenerator
+from repro.traffic.generator import clone_packets
 
 
 def make_packets(n=8, sport=1000):
@@ -156,6 +158,31 @@ class TestLoadedAnnotation:
         recorder.begin_run()
         recorder.annotate_loaded([999.0], [(0, 1000.0)])
         assert "sim_arrival_ns" not in recorder.roots()[0]["args"]
+
+
+class TestRecorderAcrossRuns:
+    def test_reset_or_swapped_recorder_records_the_next_run(self):
+        """A run's "this flow is done recording" marks die with the run:
+        the runtime's steady reports outlive it, and a recorder that was
+        reset or replaced since must see every flow again."""
+        specs = [
+            FlowSpec.udp(f"10.0.0.{i + 1}", "20.0.0.1", 5000 + i, 53, packets=20)
+            for i in range(4)
+        ]
+        packets = TrafficGenerator(specs, interleave="round_robin").packets()
+        recorder = FlowSpanRecorder(every=1, max_spans_per_flow=2)
+        platform = BessPlatform(SpeedyBox([IPFilter("fw")]), spans=recorder)
+
+        def sampled_and_seen():
+            platform.run_load(clone_packets(packets))
+            summary = platform.spans.summary()
+            return summary["packets_sampled"], summary["flows_seen"]
+
+        assert sampled_and_seen() == (8, 4)
+        recorder.reset()
+        assert sampled_and_seen() == (8, 4)
+        platform.spans = FlowSpanRecorder(every=1, max_spans_per_flow=2)
+        assert sampled_and_seen() == (8, 4)
 
 
 class TestExport:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.framework import ServiceChain, SpeedyBox
 from repro.core.state_function import PayloadClass
 from repro.nf import Monitor, SyntheticNF
+from repro.obs import MetricsRegistry, PacketTracer
 from repro.platform import BessPlatform, CostModel, OpenNetVMPlatform, PlatformConfig
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
@@ -118,3 +119,26 @@ class TestDelayStageReplay:
         assert result.offered == 25
         assert len(result.latencies_ns) == 25
         assert all(latency > 0 for latency in result.latencies_ns)
+
+
+class TestTimestampValidation:
+    @pytest.mark.parametrize("attached", ["nothing", "registry", "tracer"])
+    def test_decreasing_timestamp_raises_before_any_packet_is_processed(self, attached):
+        """Arrival gaps are validated up front on every route: a bad
+        trace must not leave a half-run behind in the runtime's tables
+        or the registry's counters."""
+        registry = MetricsRegistry(enabled=attached == "registry")
+        tracer = PacketTracer(enabled=attached == "tracer")
+        runtime = SpeedyBox([Monitor("mon")], metrics=registry)
+        platform = BessPlatform(runtime, metrics=registry, tracer=tracer)
+        stream = packets(10)
+        for index, packet in enumerate(stream):
+            packet.timestamp_ns = index * 100.0
+        stream[6].timestamp_ns = 50.0  # the 7th timestamp decreases
+        before = registry.snapshot()
+        with pytest.raises(ValueError, match="non-decreasing"):
+            platform.run_load(stream, use_timestamps=True)
+        assert runtime.stats()["packets"] == 0
+        assert platform.packets == 0
+        assert registry.snapshot() == before
+        assert len(tracer) == 0
