@@ -90,6 +90,7 @@ from repro.obs import (
     TimeSeries,
 )
 from repro.platform import BessPlatform, OpenNetVMPlatform
+from repro.platform.base import checked_gap
 from repro.stats import Distribution, format_table
 from repro.traffic import DatacenterTraceConfig, DatacenterTraceGenerator, TrafficGenerator
 from repro.traffic.generator import clone_packets
@@ -874,6 +875,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _gap_ns(text: str) -> float:
+    """argparse type: a gap ``run_load`` accepts (bad values exit 2 likewise)."""
+    try:
+        return checked_gap(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1070,12 +1079,12 @@ def make_parser() -> argparse.ArgumentParser:
              "loaded window (migration-churn ablation)",
     )
     scale.add_argument(
-        "--physical-cores", type=int, default=None, metavar="C",
+        "--physical-cores", type=_positive_int, default=None, metavar="C",
         help="shared core pool all replicas contend for (default: each "
              "replica gets its own cores)",
     )
     scale.add_argument(
-        "--gap-ns", type=float, default=0.0,
+        "--gap-ns", type=_gap_ns, default=0.0,
         help="inter-arrival gap of the offered load in ns (default 0)",
     )
     scale.add_argument("--no-speedybox", action="store_true")
@@ -1184,7 +1193,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--to-pcap", nargs=2, metavar=("SRC", "DST"),
         help="convert an .sbtr capture to a Wireshark-compatible .pcap",
     )
-    trace.add_argument("--gap-ns", type=float, default=1000.0)
+    trace.add_argument("--gap-ns", type=_gap_ns, default=1000.0)
     common(trace)
     trace.set_defaults(func=cmd_trace)
     return parser

@@ -42,7 +42,7 @@ median*.  This module closes that gap with four cooperating pieces:
   records on (time, replica, flow) into one ordered event stream.
 
 All observation is **post-run**: :class:`ForensicsEngine` consumes a
-finished replay's plans/latencies, so a disabled (or absent) engine
+finished replay's plans and timeline, so a disabled (or absent) engine
 costs nothing per packet and never disqualifies the analytic or batch
 fast lanes.  Enabled, the engine decomposes a 1-in-``sample_every``
 stride (plus every worst-K survivor), which is what keeps the
@@ -51,10 +51,8 @@ forensics cell inside the obs-overhead benchmark's 5% gate.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -458,49 +456,16 @@ def emit_recovery_regime_shift(
 # -- the engine ---------------------------------------------------------------
 
 
-class _WindowAcc:
-    """Accumulator for one forensic window of one observed run."""
-
-    __slots__ = (
-        "window",
-        "packets",
-        "latency_sum",
-        "max_ns",
-        "sampled",
-        "queue_ns",
-        "service_ns",
-        "transfer_ns",
-        "stall_ns",
-        "latencies",
-        "heap",
-        "counter",
-    )
-
-    def __init__(self, window: int):
-        self.window = window
-        self.packets = 0
-        self.latency_sum = 0.0
-        self.max_ns = 0.0
-        self.sampled = 0
-        self.queue_ns = 0.0
-        self.service_ns = 0.0
-        self.transfer_ns = 0.0
-        self.stall_ns = 0.0
-        self.latencies: List[float] = []
-        #: min-heap of (latency, -index) for the K worst
-        self.heap: List[Tuple[float, int]] = []
-        self.counter = 0
-
-
 class ForensicsEngine:
     """Post-run tail-latency forensics over every execution lane.
 
     Attach one to a :class:`~repro.platform.base.Platform` (or a
     :class:`~repro.scale.cluster.ScaleCluster`); after each loaded run
-    the platform hands over the replay's plans and completions
-    (:meth:`observe_run`), whichever replay produced them.  Unloaded
-    sweeps can feed their outcomes through :meth:`observe_outcomes`.  The engine cuts the run
-    into ``window_packets`` windows (arrival order), accumulates
+    the platform hands over the plans and the replay's timeline
+    (:meth:`observe_run`), whichever replay produced it.  Unloaded
+    sweeps can feed their outcomes through :meth:`observe_outcomes`.
+    The engine cuts the run into ``window_packets`` windows (packet
+    order, so a run's rows do not depend on its replay), accumulates
     component sums on a 1-in-``sample_every`` stride, keeps the K worst
     packets per window in the :class:`FlightRecorder`, and runs its
     :class:`RegimeShiftDetector` over the closing windows.
@@ -556,15 +521,15 @@ class ForensicsEngine:
     ) -> Callable[[int], Tuple[float, float, int]]:
         """Per-index (service, transfer, stages) with per-plan caching.
 
-        ``transfers`` may be a dict keyed by ``id(plan)`` (the
-        functional pass records transfer at plan-build time, once per
-        cached steady plan), a list aligned with ``plans`` (the cluster
-        dispatch loop), or None — then the platform's plan-shape
-        estimate (:meth:`Platform._transfer_estimate_for_plan`) is
-        used.  Either way the split is exact per plan.
+        ``transfers`` is a dict keyed by ``id(plan)`` (the functional
+        pass records transfer at plan-build time, once per cached steady
+        plan), a list aligned with ``plans`` (the cluster's dispatcher),
+        or None (a lane's table plans, unloaded outcomes) — then the
+        platform's plan-shape estimate
+        (:meth:`Platform._transfer_estimate_for_plan`) is used.  Either
+        way the split is exact per plan.
         """
         cache: Dict[int, Tuple[float, float, int]] = {}
-        estimate = getattr(platform, "_transfer_estimate_for_plan", None)
         transfer_list = transfers if isinstance(transfers, list) else None
         transfer_map = transfers if isinstance(transfers, dict) else None
 
@@ -579,10 +544,8 @@ class ForensicsEngine:
                 transfer_est = transfer_list[index]
             elif transfer_map is not None:
                 transfer_est = transfer_map.get(key, 0.0)
-            elif estimate is not None:
-                transfer_est = estimate(plan)
             else:
-                transfer_est = 0.0
+                transfer_est = platform._transfer_estimate_for_plan(plan)
             service, transfer = split_plan_total(total, transfer_est)
             entry = (service, transfer, len(plan))
             if transfer_list is None:
@@ -597,69 +560,88 @@ class ForensicsEngine:
         self,
         platform,
         plans: Sequence,
-        arrival_at,
-        completions: Sequence[Tuple[int, float]],
+        arrival,
+        finish,
         replica: Any = None,
         lane: str = "analytic",
         fids: Optional[Sequence[int]] = None,
         transfers=None,
         fast_flags: Optional[Sequence[bool]] = None,
-        index_latencies=None,
     ) -> None:
-        """Decompose one replay (vector, analytic or DES).
+        """Decompose one run from its timeline, whichever replay made it.
 
-        ``index_latencies``, when the replay collected one (see
-        :func:`~repro.sim.analytic.analytic_replay`), carries every
-        packet's latency in packet-index order — that turns
-        windowing into contiguous array slices with no permutation
-        recovery or arrival subtraction at all.
+        ``arrival`` and ``finish`` are the replay's two columns, indexed
+        by packet like ``plans``; ``fids`` / ``fast_flags`` label packet
+        ``i`` at ``[i]`` (a sequence that raises for an unknown packet
+        leaves the label absent) and ``transfers`` is :meth:`_cost_fn`'s.
+
+        This loop is the one window aggregator: a window is a contiguous
+        slice of ``finish - arrival`` in packet order — the order no
+        replay can change, so neither can it change which packets the
+        1-in-``sample_every`` stride lands on.  Latency sums, maxima,
+        worst-K and stride selection are whole-array operations (a
+        Python iteration per packet would cost more than the forensics
+        budget allows against the compiled fast path); only the stride
+        is decomposed in Python, through :func:`decompose`, which is
+        what keeps the split exact.  ``record_all`` decomposes every
+        packet: stride 1.
         """
-        if not self.enabled or not completions:
+        if not self.enabled or not len(finish):
             return
+        latencies = np.asarray(finish, dtype=np.float64) - np.asarray(
+            arrival, dtype=np.float64
+        )
         costs = self._cost_fn(platform, plans, transfers)
-        if not self.record_all:
-            accs = self._bulk_accs(arrival_at, completions, costs, index_latencies)
-            if accs is not None:
-                self._finalize(accs, costs, fids, replica, lane, fast_flags)
-                return
-        accs: Dict[int, _WindowAcc] = {}
+        labels = (costs, fids, replica, lane, fast_flags)  # what _record takes
         window_packets = self.window_packets
-        sample_every = self.sample_every
-        worst_k = self.worst_k
-        record_all = self.record_all
-        for index, finish in completions:
-            latency = finish - arrival_at[index]
-            wid = index // window_packets
-            acc = accs.get(wid)
-            if acc is None:
-                acc = accs[wid] = _WindowAcc(wid)
-            acc.packets += 1
-            acc.latency_sum += latency
-            if latency > acc.max_ns:
-                acc.max_ns = latency
-            heap = acc.heap
-            if len(heap) < worst_k:
-                heapq.heappush(heap, (latency, -index))
-            elif latency > heap[0][0]:
-                heapq.heapreplace(heap, (latency, -index))
-            acc.counter += 1
-            if record_all or acc.counter >= sample_every:
-                acc.counter = 0
-                service, transfer, __ = costs(index)
+        stride = 1 if self.record_all else self.sample_every
+        self.runs += 1
+        for start in range(0, len(latencies), window_packets):
+            seg = latencies[start : start + window_packets]
+            count = len(seg)
+            samples = np.arange(stride - 1, count, stride)
+            sampled = seg[samples].tolist()
+            components = dict.fromkeys(("queue", "service", "transfer", "stall"), 0.0)
+            for offset, latency in zip(samples.tolist(), sampled):
+                service, transfer, __ = costs(start + offset)
                 queue, service, transfer, stall = decompose(latency, service, transfer)
-                acc.sampled += 1
-                acc.queue_ns += queue
-                acc.service_ns += service
-                acc.transfer_ns += transfer
-                acc.stall_ns += stall
-                acc.latencies.append(latency)
-                if record_all:
-                    self.records.append(
-                        self._record(
-                            index, latency, costs, fids, replica, lane, wid, fast_flags
-                        )
-                    )
-        self._finalize(accs, costs, fids, replica, lane, fast_flags)
+                components["queue"] += queue
+                components["service"] += service
+                components["transfer"] += transfer
+                components["stall"] += stall
+            if self.record_all:
+                self.records.extend(
+                    self._record(start + offset, latency, *labels)
+                    for offset, latency in enumerate(sampled)
+                )
+            self.packets += count
+            self.sampled += len(sampled)
+            for name, total in components.items():
+                self.totals[name] += total
+            sampled.sort()
+            summary = {
+                "type": "window",
+                "run": self.runs,
+                "window": start // window_packets,
+                "replica": replica,
+                "lane": lane,
+                "packets": count,
+                "sampled": len(sampled),
+                "latency_sum_ns": float(seg.sum()),
+                "max_ns": float(seg.max()),
+                **{f"{name}_ns": total for name, total in components.items()},
+                "p50_ns": percentile_sorted(sampled, 0.50) if sampled else None,
+                "p99_ns": percentile_sorted(sampled, 0.99) if sampled else None,
+            }
+            worst_k = min(self.worst_k, count)
+            worst = [
+                self._record(start + offset, float(seg[offset]), *labels)
+                for offset in np.argpartition(seg, count - worst_k)[count - worst_k:].tolist()
+            ]
+            worst.sort(key=lambda record: (record.latency_ns, -record.index), reverse=True)
+            self.windows.append(summary)
+            self.recorder.record_window(summary, worst)
+            self.detector.observe_summary(summary, components=components)
 
     def observe_outcomes(
         self, platform, outcomes: Sequence, replica: Any = None
@@ -667,14 +649,15 @@ class ForensicsEngine:
         """Decompose unloaded outcomes (sweep mode: no queueing, queue~0)."""
         if not self.enabled or not outcomes:
             return
-        plans = [platform._stage_plan(outcome.report) for outcome in outcomes]
-        fids = [outcome.report.fid for outcome in outcomes]
-        fast_flags = [outcome.report.is_fast for outcome in outcomes]
-        arrival = _ZeroArrivals()
-        completions = [(i, o.latency_ns) for i, o in enumerate(outcomes)]
         self.observe_run(
-            platform, plans, arrival, completions,
-            replica=replica, lane="unloaded", fids=fids, fast_flags=fast_flags,
+            platform,
+            [platform._stage_plan(outcome.report) for outcome in outcomes],
+            np.zeros(len(outcomes)),
+            [outcome.latency_ns for outcome in outcomes],
+            replica=replica,
+            lane="unloaded",
+            fids=[outcome.report.fid for outcome in outcomes],
+            fast_flags=[outcome.report.is_fast for outcome in outcomes],
         )
 
     def note_stall(self, charge: StallCharge) -> None:
@@ -687,121 +670,8 @@ class ForensicsEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _bulk_accs(self, arrival_at, completions, costs, index_latencies=None):
-        """Vectorized window aggregation (numpy fast path, sampled mode).
-
-        The scalar loop in :meth:`observe_run` is exact but pays a
-        Python iteration per packet; against the compiled fast path
-        that is the difference between a few percent and ~35% run
-        overhead.  Here the per-packet work
-        (latency, window bucketing, worst-K, stride selection) runs as
-        whole-array operations and only the 1-in-``sample_every``
-        stride is decomposed in Python, through the very same
-        :func:`decompose`, so the exactness contract is untouched.
-        Two shapes qualify, cheapest first: the replay's
-        ``index_latencies`` column (windows become contiguous slices —
-        no permutation recovery) and plain ``(index, finish)`` tuple
-        lists (one ``fromiter`` transposition plus a stable argsort).
-        Returns ``None`` to fall back to the scalar loop (DES dict
-        arrivals, adapter sequences).
-        """
-        if index_latencies is not None and len(index_latencies) == len(completions):
-            lat = np.asarray(index_latencies, dtype=np.float64)
-            return self._accs_from_index_latencies(lat, costs)
-        if not isinstance(completions, list) or not isinstance(arrival_at, list):
-            return None
-        count = len(completions)
-        idx = np.fromiter(
-            map(operator.itemgetter(0), completions), np.int64, count=count
-        )
-        fin = np.fromiter(
-            map(operator.itemgetter(1), completions), np.float64, count=count
-        )
-        lat = fin - np.asarray(arrival_at, dtype=np.float64)[idx]
-        return self._accs_from_arrays(idx, lat, costs)
-
-    def _accs_from_index_latencies(self, lat, costs) -> Dict[int, "_WindowAcc"]:
-        """Bulk aggregation when ``lat[i]`` is packet ``i``'s latency —
-        every window is the contiguous slice ``[w*W:(w+1)*W]``."""
-        window_packets = self.window_packets
-        stride = self.sample_every
-        worst_k = self.worst_k
-        accs: Dict[int, _WindowAcc] = {}
-        total = len(lat)
-        for start in range(0, total, window_packets):
-            end = min(start + window_packets, total)
-            seg = lat[start:end]
-            count = end - start
-            acc = _WindowAcc(start // window_packets)
-            acc.packets = count
-            acc.latency_sum = float(seg.sum())
-            acc.max_ns = float(seg.max())
-            if count > worst_k:
-                part = np.argpartition(seg, count - worst_k)[count - worst_k:]
-            else:
-                part = np.arange(count)
-            acc.heap = [
-                (float(seg[j]), -(start + j)) for j in part.tolist()
-            ]
-            samples = np.arange(stride - 1, count, stride)
-            acc.latencies = seg[samples].tolist()
-            acc.sampled = len(acc.latencies)
-            for offset, latency in zip(samples.tolist(), acc.latencies):
-                service, transfer, __ = costs(start + offset)
-                queue, service, transfer, stall = decompose(latency, service, transfer)
-                acc.queue_ns += queue
-                acc.service_ns += service
-                acc.transfer_ns += transfer
-                acc.stall_ns += stall
-            accs[acc.window] = acc
-        return accs
-
-    def _accs_from_arrays(self, idx, lat, costs) -> Dict[int, "_WindowAcc"]:
-        window_packets = self.window_packets
-        stride = self.sample_every
-        worst_k = self.worst_k
-        wid = idx // window_packets
-        # Stable sort keeps completion order within each window, so the
-        # stride lands on the same packets the scalar counter samples.
-        order = np.argsort(wid, kind="stable")
-        swid = wid[order]
-        slat = lat[order]
-        sidx = idx[order]
-        cuts = np.flatnonzero(swid[1:] != swid[:-1]) + 1
-        bounds = [0, *cuts.tolist(), len(swid)]
-        accs: Dict[int, _WindowAcc] = {}
-        for start, end in zip(bounds, bounds[1:]):
-            seg_lat = slat[start:end]
-            seg_idx = sidx[start:end]
-            count = end - start
-            acc = _WindowAcc(int(swid[start]))
-            acc.packets = count
-            acc.latency_sum = float(seg_lat.sum())
-            acc.max_ns = float(seg_lat.max())
-            if count > worst_k:
-                part = np.argpartition(seg_lat, count - worst_k)[count - worst_k:]
-            else:
-                part = np.arange(count)
-            # Same (latency, -index) tuples the scalar heap holds;
-            # _finalize re-sorts them into descending-latency order.
-            acc.heap = [
-                (float(seg_lat[j]), int(-seg_idx[j])) for j in part.tolist()
-            ]
-            samples = np.arange(stride - 1, count, stride)
-            acc.latencies = seg_lat[samples].tolist()
-            acc.sampled = len(acc.latencies)
-            for index, latency in zip(seg_idx[samples].tolist(), acc.latencies):
-                service, transfer, __ = costs(index)
-                queue, service, transfer, stall = decompose(latency, service, transfer)
-                acc.queue_ns += queue
-                acc.service_ns += service
-                acc.transfer_ns += transfer
-                acc.stall_ns += stall
-            accs[acc.window] = acc
-        return accs
-
     def _record(
-        self, index, latency, costs, fids, replica, lane, wid, fast_flags=None
+        self, index, latency, costs, fids, replica, lane, fast_flags
     ) -> TailRecord:
         service, transfer, stages = costs(index)
         queue, service, transfer, stall = decompose(latency, service, transfer)
@@ -828,55 +698,9 @@ class ForensicsEngine:
             replica=replica,
             lane=lane,
             stages=stages,
-            window=wid,
+            window=index // self.window_packets,
             fast=fast,
         )
-
-    def _finalize(self, accs, costs, fids, replica, lane, fast_flags=None) -> None:
-        self.runs += 1
-        for wid in sorted(accs):
-            acc = accs[wid]
-            self.packets += acc.packets
-            self.sampled += acc.sampled
-            self.totals["queue"] += acc.queue_ns
-            self.totals["service"] += acc.service_ns
-            self.totals["transfer"] += acc.transfer_ns
-            self.totals["stall"] += acc.stall_ns
-            ordered = sorted(acc.latencies)
-            summary = {
-                "type": "window",
-                "run": self.runs,
-                "window": wid,
-                "replica": replica,
-                "lane": lane,
-                "packets": acc.packets,
-                "sampled": acc.sampled,
-                "latency_sum_ns": acc.latency_sum,
-                "max_ns": acc.max_ns,
-                "queue_ns": acc.queue_ns,
-                "service_ns": acc.service_ns,
-                "transfer_ns": acc.transfer_ns,
-                "stall_ns": acc.stall_ns,
-                "p50_ns": percentile_sorted(ordered, 0.50) if ordered else None,
-                "p99_ns": percentile_sorted(ordered, 0.99) if ordered else None,
-            }
-            worst = [
-                self._record(
-                    -neg_index, latency, costs, fids, replica, lane, wid, fast_flags
-                )
-                for latency, neg_index in sorted(acc.heap, reverse=True)
-            ]
-            self.windows.append(summary)
-            self.recorder.record_window(summary, worst)
-            self.detector.observe_summary(
-                summary,
-                components={
-                    "queue": acc.queue_ns,
-                    "service": acc.service_ns,
-                    "transfer": acc.transfer_ns,
-                    "stall": acc.stall_ns,
-                },
-            )
 
     # -- export ---------------------------------------------------------------
 
@@ -928,15 +752,6 @@ class ForensicsEngine:
         self.packets = 0
         self.sampled = 0
         self.totals = {name: 0.0 for name in COMPONENTS}
-
-
-class _ZeroArrivals:
-    """``arrival_at[i] == 0.0`` for every i (unloaded outcomes)."""
-
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        return 0.0
 
 
 # -- loading / timeline / rendering -------------------------------------------

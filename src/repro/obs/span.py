@@ -40,16 +40,16 @@ the same :func:`repro.obs.attribution.stage_of` mapping the Fig. 7
 profiler uses; per-stage ``cycles`` sum *exactly* to the packet's
 ``total_meter()`` cycles (integer costs).  Durations are the cost
 model's ``cycles_to_ns`` on a monotonic recorder clock.  Loaded runs
-additionally annotate sampled roots with the replay's simulated arrival
-and finish times (``sim_arrival_ns`` / ``sim_latency_ns``) via
-:meth:`annotate_loaded` — valid for the DES and for both closed-form
-replays (scalar and vector), which produce identical timelines.
+additionally stamp sampled roots with the replay's simulated arrival
+and finish times (``sim_arrival_ns`` / ``sim_latency_ns``) when the run
+ends (:meth:`annotate_loaded`) — the same stamps whichever replay
+produced the timeline.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.attribution import STAGE_ORDER, stage_of
 from repro.platform.costs import CostModel
@@ -99,10 +99,6 @@ class FlowSpanRecorder:
         self._clock_ns = 0.0
         #: run-local packet index -> root record, for annotate_loaded
         self._run_roots: Dict[int, Dict[str, Any]] = {}
-        #: deferred (arrival_at, completions, roots) triples; resolving
-        #: one costs O(run length), so it happens at read time, not
-        #: inside the timed run (see annotate_loaded)
-        self._pending_annotations: List[Tuple[Any, Sequence[Tuple[int, float]], Dict[int, Dict[str, Any]]]] = []
 
     # -- recording ---------------------------------------------------------
 
@@ -241,43 +237,26 @@ class FlowSpanRecorder:
     # -- loaded-run annotation --------------------------------------------
 
     def begin_run(self) -> None:
-        """Forget the previous run's packet-index → root mapping."""
-        self._resolve_annotations()
+        """Forget the packet-index → root mapping of a run that never
+        reached :meth:`annotate_loaded` (it raised mid-pass)."""
         self._run_roots = {}
 
-    def annotate_loaded(self, arrival_at, completions: Sequence[Tuple[int, float]]) -> None:
-        """Stamp sampled roots with the replay's simulated timeline.
+    def annotate_loaded(self, arrival, finish) -> None:
+        """Stamp the run's sampled roots with its simulated timeline.
 
-        ``arrival_at`` indexes offered times by packet index (list or
-        dict — both replay engines' shapes); ``completions`` pairs packet
-        indices with simulated finish times.  Resolution is deferred:
-        indexing the completions costs O(run length), which would eat
-        the sampling overhead budget inside ``run_load``, so this only
-        stashes references and the stamping happens on the next read
-        (:meth:`roots`, :meth:`to_jsonl`, :meth:`replay_into`, ...).
-        The root dicts are shared with ``records``, so late stamping is
-        visible everywhere once resolved.
+        ``arrival`` and ``finish`` are the replay's two columns, indexed
+        by packet.  The root dicts are shared with ``records``, so the
+        stamps show everywhere at once.  The run's root map is consumed:
+        a recorder shared by a cluster's replicas sees one call per
+        replica, and a later one must not restamp roots an earlier run
+        left behind.
         """
-        if self._run_roots:
-            self._pending_annotations.append((arrival_at, completions, self._run_roots))
-
-    def _resolve_annotations(self) -> None:
-        """Apply every deferred sim-timeline annotation (idempotent)."""
-        if not self._pending_annotations:
-            return
-        pending, self._pending_annotations = self._pending_annotations, []
-        for arrival_at, completions, roots in pending:
-            finish_of = dict(completions)
-            for index, root in roots.items():
-                args = root["args"]
-                try:
-                    args["sim_arrival_ns"] = arrival_at[index]
-                except (IndexError, KeyError):
-                    continue
-                finish = finish_of.get(index)
-                if finish is not None:
-                    args["sim_finish_ns"] = finish
-                    args["sim_latency_ns"] = finish - args["sim_arrival_ns"]
+        roots, self._run_roots = self._run_roots, {}
+        for index, root in roots.items():
+            args = root["args"]
+            args["sim_arrival_ns"] = float(arrival[index])
+            args["sim_finish_ns"] = float(finish[index])
+            args["sim_latency_ns"] = args["sim_finish_ns"] - args["sim_arrival_ns"]
 
     # -- introspection / export -------------------------------------------
 
@@ -286,7 +265,6 @@ class FlowSpanRecorder:
 
     def roots(self) -> List[Dict[str, Any]]:
         """The per-packet root spans, in record order."""
-        self._resolve_annotations()
         return [record for record in self.records if record["depth"] == 0]
 
     def summary(self) -> Dict[str, float]:
@@ -299,7 +277,6 @@ class FlowSpanRecorder:
         }
 
     def to_jsonl(self) -> str:
-        self._resolve_annotations()
         return "\n".join(json.dumps(record, sort_keys=True) for record in self.records)
 
     def write_jsonl(self, path) -> int:
@@ -311,7 +288,6 @@ class FlowSpanRecorder:
 
     def replay_into(self, tracer: "PacketTracer") -> int:
         """Copy the recorded spans into a PacketTracer (Chrome export)."""
-        self._resolve_annotations()
         count = 0
         for record in self.records:
             span = tracer.span(
@@ -337,7 +313,6 @@ class FlowSpanRecorder:
         self._steady_templates.clear()
         self._clock_ns = 0.0
         self._run_roots = {}
-        self._pending_annotations = []
 
     def __repr__(self) -> str:
         return (

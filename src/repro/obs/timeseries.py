@@ -417,7 +417,6 @@ class TimeSeries:
             fill(window, list(latencies), delivered_fast)
             closed.append(self._close())
         else:
-            per_window = max(1, int(math.ceil(self.window_ns / inter_arrival_ns)))
             lo = 0
             while lo < n:
                 arrival = lo * inter_arrival_ns
@@ -430,7 +429,6 @@ class TimeSeries:
                 fast = max(0, min(len(chunk), delivered_fast - lo))
                 fill(window, chunk, fast)
                 lo = hi
-            _ = per_window  # grid sanity only
 
         window = self._current
         if result.dropped:

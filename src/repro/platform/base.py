@@ -20,7 +20,7 @@ Subclasses define the transport costs and the stage topology.
 
 from __future__ import annotations
 
-from array import array
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,6 +36,7 @@ from repro.sim import Engine, Get, Put, Request, Resource, Store, Timeout
 from repro.sim import analytic as sim_analytic
 from repro.sim.analytic import analytic_replay, plans_are_analytic
 from repro.stats.summary import percentile_sorted
+from repro.vector import np
 
 
 @dataclass
@@ -158,6 +159,30 @@ class LoadResult:
         return total
 
 
+def load_result(arrival, finish, dropped: int) -> LoadResult:
+    """The result of a run from its timeline — the one place one is built.
+
+    ``arrival`` and ``finish`` are the two per-packet columns every
+    replay returns.  Latencies are ``finish - arrival`` reported in
+    finish order (what a sink at the end of the pipeline sees), packet
+    order on ties; the stable sort is skipped when ``finish`` is already
+    non-decreasing, which every single-stage run is.
+    """
+    arrival = np.asarray(arrival, dtype=np.float64)
+    finish = np.asarray(finish, dtype=np.float64)
+    offered = len(finish)
+    latencies = finish - arrival
+    if (finish[1:] < finish[:-1]).any():
+        latencies = latencies[np.argsort(finish, kind="stable")]
+    return LoadResult(
+        offered=offered,
+        delivered=offered - dropped,
+        dropped=dropped,
+        makespan_ns=float(finish.max()) if offered else 0.0,
+        latencies_ns=latencies.tolist(),
+    )
+
+
 #: A packet's temporal footprint: per-hop (stage_index, service_ns).
 #: ``stage_index=None`` marks a pure delay with unbounded parallelism —
 #: e.g. worker cores running a packet's SF wave while the ONVM manager
@@ -219,18 +244,28 @@ def makespan_with_workers(durations: Sequence[float], workers: int) -> float:
     return max(finish)
 
 
+def checked_gap(inter_arrival_ns: float) -> float:
+    """``inter_arrival_ns`` itself, if it is a gap a source can wait."""
+    if not 0 <= inter_arrival_ns < math.inf:
+        raise ValueError(
+            f"inter_arrival_ns must be finite and >= 0, got {inter_arrival_ns!r}"
+        )
+    return inter_arrival_ns
+
+
 def arrival_gaps(
     packets: Sequence[Packet], inter_arrival_ns: float, use_timestamps: bool
 ) -> List[float]:
     """Per-packet source gaps of a loaded run, validated up front.
 
     The gap of packet ``i`` is the Timeout its source takes before
-    offering it, so ``gaps[0]`` is the delay to the first arrival.  A
-    timestamped trace is checked here, before any packet reaches the
-    runtime: a decreasing timestamp raises with no state touched.
+    offering it, so ``gaps[0]`` is the delay to the first arrival.  The
+    offered timeline is checked here, before any packet reaches the
+    runtime: a negative or non-finite gap, or a decreasing timestamp,
+    raises with no state touched.
     """
     if not use_timestamps:
-        gaps = [inter_arrival_ns] * len(packets)
+        gaps = [checked_gap(inter_arrival_ns)] * len(packets)
         if gaps:
             gaps[0] = 0.0
         return gaps
@@ -248,28 +283,17 @@ def arrival_gaps(
 class PipelineRun:
     """The live plumbing of one platform's pipeline on a (shared) engine.
 
-    ``run_load`` spawns exactly one of these on a private engine; a
-    multi-replica cluster (``repro.scale``) spawns one per replica on a
-    *shared* engine so the replicas' pipelines advance on the same
-    simulated clock and can contend for a common core pool.
+    A DES replay spawns exactly one of these on a private engine; a
+    cluster with a core pool (``repro.scale``) spawns one per replica on
+    a *shared* engine so the replicas' pipelines contend for the pool.
     """
 
     rings: List[Store]
-    #: packet index -> offered time; the DES builds a dict, the analytic
-    #: replay a list (packets arrive in index order) — both index the same
-    arrival_at: Union[Dict[int, float], List[float]]
-    completions: List[Tuple[int, float]]
-
-    def to_load_result(self, offered: int, dropped: int) -> LoadResult:
-        latencies = [finish - self.arrival_at[index] for index, finish in self.completions]
-        makespan = max((finish for __, finish in self.completions), default=0.0)
-        return LoadResult(
-            offered=offered,
-            delivered=offered - dropped,
-            dropped=dropped,
-            makespan_ns=makespan,
-            latencies_ns=latencies,
-        )
+    #: the timeline, indexed by packet and filled in as the engine runs:
+    #: offered time, and departure from the last hop (every packet,
+    #: dropped ones included, reaches the sink, so both are total)
+    arrival: List[float]
+    finish: List[float]
 
 
 @dataclass
@@ -322,7 +346,7 @@ class Platform:
         self.timeseries = timeseries
         #: tail-latency forensics engine (repro.obs.forensics) or None.
         #: Like the timeseries it consumes the *finished* replay — plans
-        #: and completions after the run — so it never disqualifies the
+        #: and timeline after the run — so it never disqualifies the
         #: analytic or batch lanes and a disabled/absent engine costs one
         #: flag check per run, not per packet.  When enabled, the
         #: functional pass additionally captures per-plan flow ids and
@@ -594,97 +618,91 @@ class Platform:
         dropped: int,
         inter_arrival_ns: float,
         lane_run: Optional[tuple] = None,
+        context: Optional[dict] = None,
     ) -> LoadResult:
-        """Phase two of a loaded run: temporal replay, then the post-run
-        consumers (span annotation, time series, forensics).
+        """Phase two of a loaded run: pick a replay, get the run's
+        timeline, finish (:meth:`_finish_run`).
 
         The per-packet pass hands over ``plans`` and ``gaps``; a lane
         hands over ``lane_run`` instead — its deduplicated plan table,
         its plan-id column and the batch it served — and its gaps are
-        the constant ``inter_arrival_ns``.  Three replays, one tail: the
-        vector recursion when a lane's table admits it, the closed form
-        when :meth:`_analytic_valid`, the DES otherwise.  The vector
-        route stays columnar; only an attached recorder or forensics
-        engine makes it spell its timeline out per packet.
+        the constant ``inter_arrival_ns``.  Three replays, one shape:
+        the vector recursion when a lane's table admits it, the closed
+        form when :meth:`_analytic_valid`, the DES otherwise, each
+        returning ``(arrival, finish)`` indexed by packet.  The vector
+        route stays columnar; only an enabled forensics engine makes it
+        spell its plans out per packet.
         """
-        spans = self.spans
-        forensics = self.forensics
-        if forensics is not None and not forensics.enabled:
-            forensics = None
-        plan_info = self._forensics_plan_info
-        timeline = index_latencies = fids = None
+        timeline = None
         if lane_run is not None:
-            plan_info = None  # a lane's table plans were never captured
             table, plan_ids, batch = lane_run
             if inter_arrival_ns == 0:
                 timeline = sim_analytic.analytic_replay_vector(
                     table, plan_ids, self.config.ring_capacity
                 )
-            if timeline is None or forensics is not None:
+            watched = self.forensics is not None and self.forensics.enabled
+            if timeline is None or watched:
                 plans = [table[pid] for pid in plan_ids.tolist()]
             if timeline is None:
                 gaps = arrival_gaps(plans, inter_arrival_ns, use_timestamps=False)
+            if watched:
+                # A lane's table plans were never captured: its packets
+                # are labelled by their flow's index in the batch.
+                context = {"replica": self.label, "fids": batch.flow_index.tolist()}
         if timeline is not None:
-            arrival, finish = timeline
-            offered = len(finish)
-            index_latencies = finish - arrival
-            result = LoadResult(
-                offered=offered,
-                delivered=offered - dropped,
-                dropped=dropped,
-                makespan_ns=float(finish[-1]) if offered else 0.0,
-                latencies_ns=index_latencies.tolist(),
-            )
             route = "batch"
-            if spans is not None or forensics is not None:
-                arrival_at = arrival.tolist()
-                completions = list(enumerate(finish.tolist()))
-            if forensics is not None:
-                fids = batch.flow_index.tolist()
+        elif self._analytic_valid(plans):
+            timeline = analytic_replay(
+                plans, gaps, self._stage_count(), self.config.ring_capacity
+            )
+            route = "analytic"
         else:
-            if self._analytic_valid(plans):
-                if forensics is not None:
-                    index_latencies = array("d")
-                arrival_at, completions = analytic_replay(
-                    plans,
-                    gaps,
-                    self._stage_count(),
-                    self.config.ring_capacity,
-                    index_latencies=index_latencies,
-                )
-                run = PipelineRun(rings=[], arrival_at=arrival_at, completions=completions)
-                route = "analytic"
-            else:
-                engine = Engine()
-                self._attach_observer(engine)
-                run = self._spawn_pipeline(engine, plans, gaps)
-                engine.run()
-                self._publish_load_metrics(run.rings)
-                arrival_at, completions = run.arrival_at, run.completions
-                route = "des"
-            result = run.to_load_result(offered=len(plans), dropped=dropped)
-        if spans is not None:
-            spans.annotate_loaded(arrival_at, completions)
+            engine = Engine()
+            self._attach_observer(engine)
+            run = self._spawn_pipeline(engine, plans, gaps)
+            engine.run()
+            self._publish_load_metrics(run.rings)
+            timeline = run.arrival, run.finish
+            route = "des"
+        return self._finish_run(plans, timeline, dropped, inter_arrival_ns, route, context)
+
+    def _finish_run(
+        self,
+        plans: Optional[List[StagePlan]],
+        timeline: tuple,
+        dropped: int,
+        inter_arrival_ns: float,
+        route: str,
+        context: Optional[dict] = None,
+    ) -> LoadResult:
+        """The one tail of a loaded run, whoever replayed it: build the
+        result from the timeline and hand the timeline to what is
+        attached (span stamps, time series, forensics).
+
+        ``context`` is the forensic labelling of the run's packets
+        (``observe_run``'s ``replica`` / ``fids`` / ``fast_flags`` /
+        ``transfers``) when the caller captured its own — a lane, a
+        cluster's dispatcher; by default it is what the functional pass
+        captured per plan.
+        """
+        arrival = np.asarray(timeline[0], dtype=np.float64)
+        finish = np.asarray(timeline[1], dtype=np.float64)
+        result = load_result(arrival, finish, dropped)
+        if self.spans is not None:
+            self.spans.annotate_loaded(arrival, finish)
         if self.timeseries is not None:
             self._ingest_timeseries(result, inter_arrival_ns)
-        if forensics is not None:
-            fast_flags = transfers = None
-            if plan_info:
-                fids = _PlanInfoColumn(plans, plan_info, 1)
-                fast_flags = _PlanInfoColumn(plans, plan_info, 2)
-                transfers = {pid: entry[3] for pid, entry in plan_info.items()}
-            forensics.observe_run(
-                self,
-                plans,
-                arrival_at,
-                completions,
-                replica=self.label,
-                lane=route,
-                fids=fids,
-                fast_flags=fast_flags,
-                transfers=transfers,
-                index_latencies=index_latencies,
-            )
+        forensics = self.forensics
+        if forensics is not None and forensics.enabled:
+            if context is None:
+                info = self._forensics_plan_info
+                context = {
+                    "replica": self.label,
+                    "fids": _PlanInfoColumn(plans, info, 1),
+                    "fast_flags": _PlanInfoColumn(plans, info, 2),
+                    "transfers": {pid: entry[3] for pid, entry in info.items()},
+                }
+            forensics.observe_run(self, plans, arrival, finish, lane=route, **context)
         return result
 
     def _ingest_timeseries(self, result: LoadResult, inter_arrival_ns: float) -> None:
@@ -725,6 +743,7 @@ class Platform:
         """Loaded run of a columnar batch through the whole-batch lane."""
         from repro.core.batchlane import BatchLane
 
+        checked_gap(inter_arrival_ns)  # before the lane serves a packet
         lane = BatchLane(self, batch)
         table, plan_ids, dropped = lane.run()
         offered = len(batch)
@@ -746,9 +765,9 @@ class Platform:
         """May this run use the closed-form replay instead of the DES?
 
         The analytic recursion cannot express observer instrumentation
-        (metrics/tracer hooks see every engine event), shared core pools
-        (only the cluster path passes one), pure-delay hops or
-        multi-producer stage graphs — those fall back to the DES.
+        (metrics/tracer hooks see every engine event), pure-delay hops
+        or multi-producer stage graphs — those fall back to the DES.  (A
+        shared core pool needs it too; a cluster that has one never asks.)
         """
         if self.metrics.enabled or self.tracer.enabled:
             return False
@@ -859,8 +878,8 @@ class Platform:
             for i in range(stage_count)
         ]
         done = Store(engine, name=f"{label}:done")
-        arrival_at: Dict[int, float] = {}
-        completions: List[Tuple[int, float]] = []
+        arrival = [0.0] * len(plans)
+        finish = [0.0] * len(plans)
         tracing = self.tracer.enabled
 
         def delay_hop(packet_index: int, hop: int, plan: StagePlan):
@@ -892,7 +911,7 @@ class Platform:
             for index, plan in enumerate(plans):
                 if gaps[index] > 0:
                     yield Timeout(gaps[index])
-                arrival_at[index] = engine.now
+                arrival[index] = engine.now
                 first_stage = plan[0][0] if plan else stage_count - 1
                 if first_stage is None:
                     engine.add_process(delay_hop(index, 0, plan))
@@ -922,7 +941,7 @@ class Platform:
         def sink():
             for __ in range(len(plans)):
                 packet_index, finished_at = yield Get(done)
-                completions.append((packet_index, finished_at))
+                finish[packet_index] = finished_at
             for ring in rings:
                 yield Put(ring, None)  # poison pills
 
@@ -930,7 +949,7 @@ class Platform:
         for stage_index in range(stage_count):
             engine.add_process(stage_worker(stage_index), name=f"{label}:stage{stage_index}")
         engine.add_process(sink(), name=f"{label}:sink")
-        return PipelineRun(rings=rings, arrival_at=arrival_at, completions=completions)
+        return PipelineRun(rings=rings, arrival=arrival, finish=finish)
 
     # -- loaded-mode observability --------------------------------------------
 

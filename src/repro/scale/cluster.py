@@ -1,11 +1,12 @@
-"""Replica manager: N chain copies behind one sharder, on one sim engine.
+"""Replica manager: N chain copies behind one sharder, on one sim clock.
 
 :class:`ScaleCluster` instantiates N independent ``SpeedyBox`` (or
 baseline ``ServiceChain``) + ``Platform`` copies from one chain factory,
 shards flows across them with :class:`~repro.scale.sharder.FlowSharder`,
-and drives every replica's pipeline on a *shared* discrete-event engine
-so they advance on the same simulated clock — and, when
-``physical_cores`` is set, contend for a common core pool instead of
+and offers every replica its share of one global arrival timeline.
+Each replica's platform replays its share as it would alone — unless
+``physical_cores`` is set: then every pipeline runs on one *shared*
+discrete-event engine and contends for a common core pool instead of
 each enjoying its own private machine.
 
 It also owns the migration choreography (the part the
@@ -37,9 +38,9 @@ from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.platform.base import (
     LoadResult,
     PacketOutcome,
-    PipelineRun,
     Platform,
     PlatformConfig,
+    checked_gap,
 )
 from repro.scale.migration import (
     FlowMigrator,
@@ -48,7 +49,9 @@ from repro.scale.migration import (
     wire_directions,
 )
 from repro.scale.sharder import FlowSharder
-from repro.sim import Engine, Resource, analytic_replay
+# ``analytic_replay`` is not called here (each replica replays through its
+# platform's ``_replay``); bench/workloads.py patches the name on this module.
+from repro.sim import Engine, Resource, analytic_replay  # noqa: F401
 
 PLATFORM_CLASSES = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}
 
@@ -106,6 +109,10 @@ class ScaleCluster:
             raise ValueError(f"unknown platform {platform!r} (bess|onvm)")
         if replicas <= 0:
             raise ValueError(f"cluster needs at least one replica, got {replicas!r}")
+        if physical_cores is not None and physical_cores < 1:
+            raise ValueError(
+                f"physical_cores must be >= 1 or None, got {physical_cores!r}"
+            )
         self.chain_factory = chain_factory
         self.platform_name = platform
         self.speedybox = speedybox
@@ -124,12 +131,11 @@ class ScaleCluster:
         #: what lets the health model flag a replica as degraded while
         #: the window that doomed it is still in flight
         self.timeseries = timeseries
-        #: optional :class:`repro.obs.forensics.ForensicsEngine`.  The
-        #: dispatch loop captures per-packet flow ids / fast flags /
-        #: transfer overhead, and each replica's finished replay is
-        #: decomposed post-run; replica platforms share the same engine
-        #: so :meth:`run_load_batch` (which delegates to platform
-        #: ``run_load``) is covered too.
+        #: optional :class:`repro.obs.forensics.ForensicsEngine`, shared
+        #: by every replica's platform, whose tail decomposes its
+        #: replica's finished replay — for :meth:`run_load` (whose
+        #: dispatcher captures per-packet flow ids / fast flags /
+        #: transfer overhead) and :meth:`run_load_batch` alike.
         self.forensics = forensics
         #: per-replica fast-path counter watermarks for the pump
         self._ts_fast_prev: Dict[int, int] = {}
@@ -254,19 +260,21 @@ class ScaleCluster:
     def process_all(self, packets: Sequence[Packet]) -> List[Optional[PacketOutcome]]:
         return [self.process(packet) for packet in packets]
 
-    # -- loaded mode: all replicas on one engine ------------------------------
+    # -- loaded mode ----------------------------------------------------------
 
     def run_load(
         self, packets: Sequence[Packet], inter_arrival_ns: float = 0.0
     ) -> ClusterLoadResult:
-        """Two-phase loaded run across every replica on a shared engine.
+        """Two-phase loaded run across every replica.
 
-        The functional pass shards and processes packets in global
-        arrival order; the temporal pass replays each replica's stage
-        plans concurrently on one engine, with arrival gaps preserving
-        the *global* offered timeline.  With ``physical_cores`` set, all
-        replicas' stage workers contend for that core pool.
+        The dispatcher shards and processes packets in global arrival
+        order, with arrival gaps preserving the *global* offered
+        timeline; then every replica's stage plans are replayed by its
+        own platform, on the route that platform would take alone.  Only
+        with ``physical_cores`` set do the replicas share one engine:
+        all their stage workers contend for that core pool.
         """
+        checked_gap(inter_arrival_ns)
         if self._frozen:
             raise MigrationError(
                 f"cannot run load with {len(self._frozen)} flow(s) frozen mid-migration"
@@ -281,12 +289,15 @@ class ScaleCluster:
         dropped: Dict[int, int] = {rid: 0 for rid in participants}
         last_arrival: Dict[int, float] = {}
         timeseries = self.timeseries
-        forensics = self.forensics
-        forensics_on = forensics is not None and forensics.enabled
-        #: per-replica (fids, fast_flags, transfers) aligned with plans
-        captures: Optional[Dict[int, tuple]] = (
-            {rid: ([], [], []) for rid in participants} if forensics_on else None
-        )
+        forensics_on = self.forensics is not None and self.forensics.enabled
+        #: per-replica forensic labels aligned with plans (the tail's
+        #: ``context``), captured only while an engine is listening
+        contexts: Dict[int, Optional[dict]] = {
+            rid: {"replica": rid, "fids": [], "fast_flags": [], "transfers": []}
+            if forensics_on
+            else None
+            for rid in participants
+        }
         for index, packet in enumerate(packets):
             arrival = index * inter_arrival_ns
             if self.ft is not None:
@@ -312,12 +323,12 @@ class ScaleCluster:
             plans[rid].append(plan)
             gaps[rid].append(arrival - last_arrival.get(rid, 0.0))
             last_arrival[rid] = arrival
-            if captures is not None:
+            context = contexts[rid]
+            if context is not None:
                 report = outcome.report
-                capture = captures[rid]
-                capture[0].append(report.fid)
-                capture[1].append(report.is_fast)
-                capture[2].append(platform._plan_transfer_ns(report))
+                context["fids"].append(report.fid)
+                context["fast_flags"].append(report.is_fast)
+                context["transfers"].append(platform._plan_transfer_ns(report))
             if outcome.dropped:
                 dropped[rid] += 1
             if timeseries is not None:
@@ -343,35 +354,23 @@ class ScaleCluster:
             # at zero each window run, so windows never span run_load calls.
             timeseries.finish()
 
-        # Without a shared core pool the replicas' pipelines are fully
-        # independent — each replays exactly as it would on a private
-        # engine, so when every replica's plans admit the closed-form
-        # recursion the whole cluster run does too (same per-replica
-        # numbers, one O(hops) loop each instead of a shared event loop).
-        analytic = self.physical_cores is None and all(
-            replica.platform._analytic_valid(plans[rid])
-            for rid, replica in participants.items()
-        )
-        if analytic:
-            runs = {}
+        # The dispatcher ends here; every replica finishes where a
+        # platform does.  Without a shared core pool the pipelines are
+        # independent, so each replica replays exactly as it would alone
+        # (Platform._replay picks its route).  A core pool couples them:
+        # every pipeline is spawned on one engine, and each platform is
+        # handed its timeline for the same finishing step.
+        per_replica: Dict[int, LoadResult] = {}
+        if self.physical_cores is None:
             for rid, replica in participants.items():
-                platform = replica.platform
-                arrival_at, completions = analytic_replay(
-                    plans[rid],
-                    gaps[rid],
-                    platform._stage_count(),
-                    platform.config.ring_capacity,
-                )
-                runs[rid] = PipelineRun(
-                    rings=[], arrival_at=arrival_at, completions=completions
+                per_replica[rid] = replica.platform._replay(
+                    plans[rid], gaps[rid], dropped[rid], inter_arrival_ns,
+                    context=contexts[rid],
                 )
         else:
             engine = Engine()
-            any_platform = next(iter(participants.values())).platform
-            any_platform._attach_observer(engine)
-            core_pool = None
-            if self.physical_cores is not None:
-                core_pool = Resource(engine, capacity=self.physical_cores, name="cores")
+            next(iter(participants.values())).platform._attach_observer(engine)
+            core_pool = Resource(engine, capacity=self.physical_cores, name="cores")
             runs = {
                 rid: replica.platform._spawn_pipeline(
                     engine, plans[rid], gaps[rid], core_pool=core_pool
@@ -379,33 +378,17 @@ class ScaleCluster:
                 for rid, replica in participants.items()
             }
             engine.run()
-
-        per_replica: Dict[int, LoadResult] = {}
-        busy_ns: Dict[int, float] = {}
-        for rid, run in runs.items():
-            if not analytic:
-                participants[rid].platform._publish_load_metrics(run.rings)
-            per_replica[rid] = run.to_load_result(
-                offered=len(plans[rid]), dropped=dropped[rid]
-            )
-            busy_ns[rid] = sum(
-                service for plan in plans[rid] for __, service in plan
-            )
-        if captures is not None:
-            lane = "analytic" if analytic else "des"
             for rid, run in runs.items():
-                fids, fast_flags, transfers = captures[rid]
-                forensics.observe_run(
-                    participants[rid].platform,
-                    plans[rid],
-                    run.arrival_at,
-                    run.completions,
-                    replica=rid,
-                    lane=lane,
-                    fids=fids or None,
-                    transfers=transfers or None,
-                    fast_flags=fast_flags or None,
+                platform = participants[rid].platform
+                platform._publish_load_metrics(run.rings)
+                per_replica[rid] = platform._finish_run(
+                    plans[rid], (run.arrival, run.finish), dropped[rid],
+                    inter_arrival_ns, "des", contexts[rid],
                 )
+        busy_ns = {
+            rid: sum(service for plan in plans[rid] for __, service in plan)
+            for rid in participants
+        }
         total = LoadResult.merged(list(per_replica.values()))
         return ClusterLoadResult(total=total, per_replica=per_replica, busy_ns=busy_ns)
 

@@ -39,7 +39,6 @@ close — the equivalence suite asserts exact equality.
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.vector import np
@@ -93,42 +92,30 @@ def analytic_replay(
     gaps: Sequence[float],
     stage_count: int,
     ring_capacity: Optional[int],
-    index_latencies=None,
-) -> Tuple[List[float], List[Tuple[int, float]]]:
-    """Replay stage plans analytically; returns (arrival_at, completions).
+) -> Tuple[List[float], List[float]]:
+    """Replay stage plans analytically; returns the run's timeline.
 
-    Both structures match what :meth:`Platform._spawn_pipeline` collects
-    from the DES: ``arrival_at[index]`` is packet ``index``'s offered
-    time (a list here, indexed identically to the DES's dict),
-    ``completions`` pairs packet indices with their departure from the
-    last hop, sorted by finish time like the DES sink observes them
-    (engine time is monotone, so the done-store fills in finish order).
-    Simultaneous finishes keep packet order — the one tie-break the DES
-    does not guarantee, and invisible to every downstream consumer
-    (latency lists are compared as populations, never positionally
-    across replay engines at equal timestamps).
-
-    ``index_latencies``, when given a mutable sequence (a list or an
-    ``array('d')``), is extended with every packet's sojourn time
-    ``finish - arrival`` in *packet-index* order — the order the sort
-    below erases — in one C-level pass, so forensics consumers can
-    window the run as contiguous slices without re-deriving the
-    permutation from the sorted pairs.
+    The timeline is two lists indexed by packet, ``(arrival, finish)``:
+    ``arrival[i]`` is packet ``i``'s offered time and ``finish[i]`` its
+    departure from the last hop — the shape
+    :meth:`Platform._spawn_pipeline` collects from the DES and
+    :func:`analytic_replay_vector` returns as arrays, value for value.
+    Fast packets overtake slow ones on mixed-path pipelines, so
+    ``finish`` need not be sorted; whoever wants finish order sorts.
 
     Callers must have validated the plans with :func:`plans_are_analytic`.
     """
-    arrival_at: List[float] = []
-    offered = arrival_at.append
-    completions: List[Tuple[int, float]] = []
+    arrival: List[float] = []
+    offered = arrival.append
+    finish: List[float] = []
+    finished = finish.append
     avail = [0.0] * stage_count
     get_times: List[List[float]] = [[] for __ in range(stage_count)]
     enqueued = [0] * stage_count
     cap = ring_capacity
     source_ready = 0.0
 
-    index = -1
     for plan, gap in zip(plans, gaps):
-        index += 1
         offer = source_ready + gap if gap > 0 else source_ready
         offered(offer)
         ready = offer
@@ -155,21 +142,8 @@ def analytic_replay(
             previous = stage
         # The final Put targets the unbounded done store: never blocks.
         avail[previous] = ready
-        completions.append((index, ready))
-    # Fast packets overtake slow ones on mixed-path pipelines; present
-    # completions in finish order exactly as the DES sink records them.
-    if index_latencies is not None:
-        # itemgetter/sub keep the whole pass in C — a Python per-packet
-        # callable here would cost more than the forensics budget allows
-        index_latencies.extend(
-            map(operator.sub, map(operator.itemgetter(1), completions), arrival_at)
-        )
-    completions.sort(key=_finish_time)
-    return arrival_at, completions
-
-
-def _finish_time(completion: Tuple[int, float]) -> float:
-    return completion[1]
+        finished(ready)
+    return arrival, finish
 
 
 def analytic_replay_vector(
@@ -201,12 +175,10 @@ def analytic_replay_vector(
     associative, so the general case cannot be re-bracketed into array
     passes without breaking exactness.
 
-    Returns the run's timeline as two float64 columns in packet order,
-    ``(arrival, finish)`` — what the scalar replay returns as
-    ``arrival_at`` and ``completions``.  Packet order equals finish
-    order here (service times are non-negative, and the scalar replay's
-    stable finish sort keeps packet order on ties), so latencies are
-    ``finish - arrival`` and the makespan is ``finish[-1]``.
+    Returns the run's timeline as two float64 columns indexed by
+    packet, ``(arrival, finish)`` — what the scalar replay returns as
+    lists.  Service times are non-negative, so ``finish`` is
+    non-decreasing here: packet order is finish order.
     """
     empty = np.empty(0, dtype=np.float64)
     if not table:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.framework import ProcessReport, ServiceChain, SpeedyBox
 from repro.net.packet import Packet
-from repro.platform.base import LoadResult, Platform, arrival_gaps
+from repro.platform.base import LoadResult, Platform, arrival_gaps, load_result
 from repro.sim import Engine
 from repro.traffic.generator import clone_packets
 
@@ -43,15 +43,19 @@ def des_run_load(
     packets: Sequence[Packet],
     inter_arrival_ns: float = 0.0,
     use_timestamps: bool = False,
+    gaps: Optional[Sequence[float]] = None,
 ) -> LoadResult:
     """The DES oracle: the platform's own functional pass, replayed by
-    the generator engine whatever the plans' shape."""
-    gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
+    the generator engine whatever the plans' shape.  Explicit ``gaps``
+    offer the packets as a cluster offers a replica its share of a
+    global timeline (the first gap need not be zero)."""
+    if gaps is None:
+        gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
     plans, dropped = platform._functional_pass(packets)
     engine = Engine()
     run = platform._spawn_pipeline(engine, plans, gaps)
     engine.run()
-    return run.to_load_result(offered=len(plans), dropped=dropped)
+    return load_result(run.arrival, run.finish, dropped)
 
 
 def run_lockstep(

@@ -34,6 +34,7 @@ import repro.sim.analytic as sim_analytic
 import repro.sim.engine as sim_engine
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
+from repro.ft import FaultInjector, FaultTolerance, SharedPortPool, TransactionalStore
 from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
 from repro.obs import (
     AuditLog,
@@ -44,6 +45,7 @@ from repro.obs import (
     TimeSeries,
 )
 from repro.platform import BessPlatform, OpenNetVMPlatform
+from repro.scale import ScaleCluster
 from repro.traffic.columnar import uniform_batch
 from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
 
@@ -208,3 +210,111 @@ def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
         # not a lane in name only: the array path served packets
         assert platform.last_lane_stats["span_packets"] > 0
     assert [name for name in routes if name != "lane"] == [replay]
+
+
+# -- the cluster joins the matrix ------------------------------------------------
+#
+# ``ScaleCluster.run_load`` is a dispatcher in front of the same tail: with
+# no core pool every replica finishes through its own platform's ``_replay``
+# (the route it would take alone, its own engine if that route is the DES);
+# only ``physical_cores`` couples the replicas on one shared engine.
+
+
+def offered_gap(arrival: str) -> float:
+    return ARRIVALS[arrival].get("inter_arrival_ns", 0.0)
+
+
+@pytest.mark.parametrize("cores", [None, 2])
+@pytest.mark.parametrize("arrival", ["saturation", "gapped"])
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+@pytest.mark.parametrize("attached", ["nothing", "timeseries+forensics", "registry", "tracer"])
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival, cores):
+    chain = "stateful"
+    reference = references(chain, platform_name, arrival)[0]
+    del routes[:]
+
+    build, sbox_kwargs, __ = CHAINS[chain]
+    cluster = ScaleCluster(
+        build,
+        platform=platform_name,
+        replicas=replicas,
+        speedybox_kwargs=sbox_kwargs,
+        physical_cores=cores,
+        **attach(attached)[1],
+    )
+    packets = list(make_batch(chain, arrival).packet_view())
+    shares = {rid: [] for rid in cluster.replicas}
+    for index, packet in enumerate(packets):
+        shares[cluster.home_of(packet.five_tuple())].append(index)
+    result = cluster.run_load(packets, **ARRIVALS[arrival])
+
+    total = result.total
+    assert (total.offered, total.delivered, total.dropped) == (
+        reference.offered, reference.delivered, reference.dropped
+    )
+    assert {rid: part.offered for rid, part in result.per_replica.items()} == {
+        rid: len(share) for rid, share in shares.items()
+    }
+    if cores is not None:
+        assert routes == ["des"]  # one shared engine, whatever is attached
+        return
+    # each replica's own route: as many engines as replicas that took the DES
+    assert routes == ["des" if attached in ("registry", "tracer") else "analytic"] * replicas
+
+    fresh = list(make_batch(chain, arrival).packet_view())
+    for rid, share in shares.items():
+        arrivals = [index * offered_gap(arrival) for index in share]
+        solo = des_run_load(
+            PLATFORMS[platform_name](InterpretedSpeedyBox(build(), **sbox_kwargs)),
+            [fresh[index] for index in share],
+            gaps=[now - before for before, now in zip([0.0] + arrivals, arrivals)],
+        )
+        assert result.per_replica[rid] == solo
+    if replicas == 1:
+        assert total == reference
+
+
+def test_cluster_kill_and_recover_window(routes):
+    """A replica killed mid-window leaves ``cluster.replicas`` but stays a
+    participant: its pre-kill packets replay with everyone else's, the
+    packets buffered against it are recovery's, and nothing is lost."""
+    pool = SharedPortPool(TransactionalStore(), port_range=(20000, 60000))
+
+    def build():
+        return [MazuNAT("nat", port_range=(20000, 60000), port_pool=pool), Monitor("mon"), IPFilter("fw")]
+
+    packets = list(
+        uniform_batch(12, 8, interleave="round_robin", block=8, **CHAINS["stateful"][2]).packet_view()
+    )
+    cluster = ScaleCluster(build, platform="onvm", replicas=3)
+    ft = FaultTolerance(
+        cluster,
+        checkpoint_interval=8,
+        injector=FaultInjector(kill_at=40, recover_after=12),
+        charge_recovery=False,
+    )
+    del routes[:]
+    result = cluster.run_load(packets, inter_arrival_ns=180.5)
+
+    (recovery,) = ft.recoveries
+    assert recovery.replica not in cluster.replicas
+    assert result.per_replica[recovery.replica].offered > 0
+    assert recovery.packets_delivered == ft.packets_buffered > 0
+    total = result.total
+    assert len(packets) == total.delivered + total.dropped + recovery.packets_delivered
+    assert total.offered == sum(part.offered for part in result.per_replica.values())
+    assert routes == ["analytic"] * 3
+
+
+def test_shared_recorder_keeps_an_earlier_runs_stamps():
+    """``annotate_loaded`` consumes the run's roots: the tails of a later
+    ``run_load`` (one per replica, same shared recorder, no run-local
+    indices of their own) must not restamp what ``run_load_batch`` left."""
+    recorder = FlowSpanRecorder(every=1)
+    cluster = ScaleCluster(header_chain, replicas=2, spans=recorder)
+    cluster.run_load_batch(make_batch("header", "saturation"))
+    stamps = [dict(root["args"]) for root in recorder.roots()]
+    assert stamps and all("sim_finish_ns" in args for args in stamps)
+    cluster.run_load(list(make_batch("header", "saturation").packet_view()), inter_arrival_ns=977.0)
+    assert [root["args"] for root in recorder.roots()[: len(stamps)]] == stamps

@@ -5,7 +5,10 @@ with the generator-based pipeline replay for every plan set that passes
 :func:`plans_are_analytic`.  Hypothesis generates random service-time
 plans over a shared stage route, random arrival gaps and small ring
 capacities, and compares against the real ``Platform._spawn_pipeline``
-driven on a real :class:`Engine` — field for field, float for float.
+driven on a real :class:`Engine` — the two per-packet columns of the
+timeline float for float, and (over small integer times, where exact
+finish ties are the rule) the ``LoadResult`` the one builder makes of
+them, element for element.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.framework import ServiceChain
 from repro.nf import IPFilter
-from repro.platform import BessPlatform, PlatformConfig
+from repro.platform import BessPlatform, OpenNetVMPlatform, PlatformConfig
+from repro.platform.base import load_result
 from repro.sim import Engine, analytic_replay, plans_are_analytic
 
 
@@ -32,12 +36,13 @@ class _ReplayHarness(BessPlatform):
         return self._stages
 
 
-def des_replay(plans, gaps, stage_count, ring_capacity):
-    harness = _ReplayHarness(stage_count, ring_capacity)
+def des_replay(plans, gaps, stage_count, ring_capacity, harness=None):
+    """(arrival, finish) of the plans on the generator engine."""
+    harness = harness or _ReplayHarness(stage_count, ring_capacity)
     engine = Engine()
     run = harness._spawn_pipeline(engine, plans, gaps)
     engine.run()
-    return run
+    return run.arrival, run.finish
 
 
 service_times = st.floats(
@@ -49,12 +54,12 @@ gap_times = st.floats(
 
 
 @st.composite
-def replay_cases(draw):
+def replay_cases(draw, service_times=service_times, gap_times=gap_times):
     """(plans, gaps, stage_count, ring_capacity) valid for the recursion.
 
     All plans follow prefixes of one shared stage route, which makes
     every stage single-producer by construction; service times and
-    arrival gaps are arbitrary non-negative floats.
+    arrival gaps are arbitrary non-negative floats unless narrowed.
     """
     stage_count = draw(st.integers(min_value=1, max_value=4))
     route = draw(st.permutations(list(range(stage_count))))
@@ -82,21 +87,45 @@ class TestAnalyticMatchesDES:
         plans, gaps, stage_count, ring_capacity = case
         assert plans_are_analytic(plans)
 
-        arrival_at, completions = analytic_replay(
+        assert analytic_replay(plans, gaps, stage_count, ring_capacity) == des_replay(
             plans, gaps, stage_count, ring_capacity
         )
-        des = des_replay(plans, gaps, stage_count, ring_capacity)
 
-        assert len(arrival_at) == len(des.arrival_at)
-        for index in range(len(plans)):
-            assert arrival_at[index] == des.arrival_at[index]
+    @given(
+        case=replay_cases(
+            service_times=st.integers(min_value=0, max_value=3).map(float),
+            gap_times=st.integers(min_value=0, max_value=2).map(float),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_results_agree_on_finish_ties(self, case):
+        """Small integer times make simultaneous finishes common; both
+        timelines go through the one result builder, so the latency
+        lists agree position for position, ties included."""
+        plans, gaps, stage_count, ring_capacity = case
+        closed_form = load_result(*analytic_replay(plans, gaps, stage_count, ring_capacity), 0)
+        des = load_result(*des_replay(plans, gaps, stage_count, ring_capacity), 0)
+        assert closed_form == des
 
-        # The DES sink records completions in finish order; on exact ties
-        # the analytic replay keeps packet order (the documented, stable
-        # tie-break), so compare as (finish-time-sorted) populations and
-        # assert the per-packet finish times agree exactly.
-        assert dict(completions) == dict(des.completions)
-        assert [t for __, t in completions] == sorted(t for __, t in des.completions)
+    def test_tie_order_regression(self):
+        """Packets 3 and 4 leave different last hops of a 2-NF ONVM
+        pipeline at the same instant.  The DES sink used to see 4 first
+        and report [0, 0, 5, 4, 7] against the closed form's
+        [0, 0, 5, 7, 4]; ties now keep packet order on every replay."""
+        plans = [
+            [(0, 0.0), (1, 3.0), (2, 2.0)],
+            [(0, 1.0), (1, 0.0), (2, 2.0)],
+            [(0, 0.0)],
+            [(0, 0.0)],
+            [(0, 1.0), (1, 3.0)],
+        ]
+        gaps = [2.0, 0.0, 2.0, 0.0, 1.0]
+        platform = OpenNetVMPlatform(ServiceChain([IPFilter("fw0"), IPFilter("fw1")]))
+        stages, cap = platform._stage_count(), platform.config.ring_capacity
+        assert stages == 4
+        closed_form = load_result(*analytic_replay(plans, gaps, stages, cap), 0)
+        des = load_result(*des_replay(plans, gaps, stages, cap, harness=platform), 0)
+        assert des.latencies_ns == closed_form.latencies_ns == [0.0, 0.0, 5.0, 7.0, 4.0]
 
 
 class TestValidityGate:

@@ -12,14 +12,16 @@ for *every* packet, not a sampled stride.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
-from repro.nf import IPFilter, Monitor, SyntheticNF
+from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
 from repro.obs import MetricsRegistry
 from repro.obs.forensics import ForensicsEngine, components_sum
 from repro.platform import BessPlatform, OpenNetVMPlatform
+from repro.scale import ScaleCluster
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.columnar import uniform_batch
 
@@ -111,3 +113,60 @@ def test_batch_lane_components_sum_exactly(case):
     batch = uniform_batch(flows, per_flow, interleave="round_robin", block=block)
     platform.run_load(batch)
     assert_exact(engine, "batch")
+
+
+# -- observing a run must not change what forensics reports about it -----------
+
+
+def stateful_trace():
+    return TrafficGenerator(
+        [FlowSpec.tcp(f"10.4.{i // 200}.{i % 200 + 1}", "99.0.0.9", 2000 + i, 443,
+                      packets=6, handshake=True, fin=True)
+         for i in range(40)],
+        interleave="round_robin",
+    ).packets()
+
+
+def stateful_chain():
+    return [MazuNAT("nat"), Monitor("mon"), IPFilter("fw")]
+
+
+def unlabelled_rows(engine: ForensicsEngine) -> list:
+    """The engine's rows without the labels that name the observer."""
+    return [
+        {key: value for key, value in row.items() if key not in ("lane", "replica")}
+        for row in engine.rows()
+    ]
+
+
+@pytest.mark.parametrize("platform_name", ["bess", "onvm"])
+def test_rows_do_not_depend_on_who_replayed_the_run(platform_name):
+    """The same packets, the same ``LoadResult`` — bare (closed form),
+    with a registry attached (DES) and as a one-replica cluster: the
+    1-in-N stride and the windows run in packet order, which no replay
+    reorders, so the rows are equal.  On ONVM, where fast packets
+    overtake slow ones, the DES route and the cluster used to stride in
+    completion order and disagreed with the closed form."""
+    platform_cls = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}[platform_name]
+
+    def engine():
+        return ForensicsEngine(worst_k=4, window_packets=64, sample_every=4)
+
+    bare, watched, clustered = engine(), engine(), engine()
+    results = [
+        platform_cls(SpeedyBox(stateful_chain()), forensics=bare).run_load(stateful_trace()),
+        platform_cls(
+            SpeedyBox(stateful_chain()), metrics=MetricsRegistry(), forensics=watched
+        ).run_load(stateful_trace()),
+        ScaleCluster(
+            stateful_chain, platform=platform_name, replicas=1, forensics=clustered
+        ).run_load(stateful_trace()).total,
+    ]
+    assert results[0] == results[1] == results[2]
+    assert {row["lane"] for row in watched.rows() if "lane" in row} == {"des"}
+    assert unlabelled_rows(bare) == unlabelled_rows(watched) == unlabelled_rows(clustered)
+    for row in bare.rows():
+        if row["type"] == "worst":
+            assert components_sum(
+                row["queue_ns"], row["service_ns"], row["transfer_ns"], row["stall_ns"]
+            ) == row["latency_ns"]

@@ -17,9 +17,7 @@ def scalar_timeline(table, plan_ids, cap):
     """(arrival, finish) per packet index from the scalar recursion."""
     plans = [table[pid] for pid in plan_ids]
     gaps = [0.0] * len(plans)
-    arrival_at, completions = analytic_replay(plans, gaps, stage_count=1, ring_capacity=cap)
-    finish_of = dict(completions)
-    return arrival_at, [finish_of[index] for index in range(len(plans))]
+    return analytic_replay(plans, gaps, stage_count=1, ring_capacity=cap)
 
 
 def assert_timeline_exact(table, plan_ids, cap):

@@ -201,6 +201,29 @@ class TestScaleCommand:
         ) == 0
         assert "replica sweep" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale", "--physical-cores", "0"],
+            ["scale", "--gap-ns", "-500"],
+            ["scale", "--gap-ns", "nan"],
+            ["trace", "--generate", "unwritten.sbtr", "--gap-ns", "inf"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_bad_load_shape_is_a_usage_error(self, argv, capsys, tmp_path, monkeypatch):
+        """Exit 2 with one usage error line before any packet runs — not a
+        SimulationError trace after the functional pass, not a negative
+        gap silently run as saturation."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        error_lines = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and argv[-2] in error_lines[0]
+        assert captured.out == "" and not list(tmp_path.iterdir())
+
     def test_scale_no_speedybox(self, capsys):
         assert main(
             ["scale", "--replicas", "1", "--platforms", "bess", "--flows", "6",

@@ -141,14 +141,11 @@ class TestLoadedAnnotation:
         recorder.begin_run()
         for index, packet in enumerate(make_packets(4)):
             recorder.record(runtime.process(packet), index)
-        arrival_at = [100.0, 200.0, 300.0, 400.0]
-        completions = [(0, 150.0), (1, 260.0), (3, 480.0)]
-        recorder.annotate_loaded(arrival_at, completions)
+        recorder.annotate_loaded([100.0, 200.0, 300.0, 400.0], [150.0, 260.0, 390.0, 480.0])
         roots = recorder.roots()
-        assert roots[0]["args"]["sim_latency_ns"] == 50.0
-        assert roots[1]["args"]["sim_latency_ns"] == 60.0
-        assert "sim_finish_ns" not in roots[2]["args"]  # dropped mid-run
-        assert roots[3]["args"]["sim_latency_ns"] == 80.0
+        assert [root["args"]["sim_latency_ns"] for root in roots] == [50.0, 60.0, 90.0, 80.0]
+        assert roots[3]["args"]["sim_arrival_ns"] == 400.0
+        assert roots[3]["args"]["sim_finish_ns"] == 480.0
 
     def test_begin_run_forgets_previous_indices(self):
         recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
@@ -156,7 +153,7 @@ class TestLoadedAnnotation:
         recorder.begin_run()
         recorder.record(runtime.process(make_packets(1)[0]), 0)
         recorder.begin_run()
-        recorder.annotate_loaded([999.0], [(0, 1000.0)])
+        recorder.annotate_loaded([999.0], [1000.0])
         assert "sim_arrival_ns" not in recorder.roots()[0]["args"]
 
 

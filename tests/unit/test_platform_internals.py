@@ -8,6 +8,7 @@ from repro.nf import Monitor, SyntheticNF
 from repro.obs import MetricsRegistry, PacketTracer
 from repro.platform import BessPlatform, CostModel, OpenNetVMPlatform, PlatformConfig
 from repro.traffic import FlowSpec, TrafficGenerator
+from repro.traffic.columnar import uniform_batch
 from repro.traffic.generator import clone_packets
 
 
@@ -142,3 +143,21 @@ class TestTimestampValidation:
         assert platform.packets == 0
         assert registry.snapshot() == before
         assert len(tracer) == 0
+
+    @pytest.mark.parametrize("gap", [-500.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("offered", ["packets", "registry", "batch"])
+    def test_bad_gap_raises_before_any_packet_is_processed(self, offered, gap):
+        """Neither route lets a negative or non-finite ``inter_arrival_ns``
+        reach a packet: the per-packet pass checks it with the gaps, the
+        lane (which builds its gaps after serving) at its entry."""
+        registry = MetricsRegistry(enabled=offered == "registry")
+        runtime = SpeedyBox([Monitor("mon")], metrics=registry)
+        platform = BessPlatform(runtime, metrics=registry)
+        load = uniform_batch(4, 3) if offered == "batch" else packets(10)
+        before = registry.snapshot()
+        with pytest.raises(ValueError, match="inter_arrival_ns"):
+            platform.run_load(load, inter_arrival_ns=gap)
+        assert runtime.stats()["packets"] == 0
+        assert platform.packets == 0 and platform.last_lane_stats is None
+        assert registry.snapshot() == before
+

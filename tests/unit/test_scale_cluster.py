@@ -188,6 +188,18 @@ class TestScaleCluster:
             ScaleCluster(build_chain, platform="dpdk")
         with pytest.raises(ValueError):
             ScaleCluster(build_chain, replicas=0)
+        for cores in (0, -2):
+            with pytest.raises(ValueError, match="physical_cores"):
+                ScaleCluster(build_chain, physical_cores=cores)
+
+    @pytest.mark.parametrize("gap", [-1, float("nan"), float("inf")])
+    def test_run_load_rejects_a_bad_gap_before_any_packet(self, gap):
+        """A negative gap used to run as saturation, silently."""
+        cluster = ScaleCluster(build_chain, replicas=2)
+        with pytest.raises(ValueError, match="inter_arrival_ns"):
+            cluster.run_load(trace(flows=4), inter_arrival_ns=gap)
+        assert not cluster.flow_homes()
+        assert all(r.platform.packets == 0 for r in cluster.replicas.values())
 
 
 def sample(ring=0.0, cores=0.0, p99=0.0, mpps=1.0, replicas=2):
