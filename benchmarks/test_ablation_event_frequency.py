@@ -68,6 +68,11 @@ def _report(results):
             rows,
             title="Ablation: event frequency vs fast-path cost (policer + monitor)",
         ),
+        metrics={
+            f"{name}_at_{ratio}x": value
+            for ratio, d in sorted(results.items())
+            for name, value in d.items()
+        },
     )
 
 

@@ -62,6 +62,10 @@ def _report(results):
             rows,
             title="Ablation: fast-path cost vs registered events per flow",
         ),
+        metrics={
+            f"events_{count}_fast_path_cycles": cycles
+            for count, cycles in sorted(results.items())
+        },
     )
 
 

@@ -19,6 +19,11 @@ asserting exact result equality and a >= 10x per-packet speedup; plus a
 10M-packet / 1M-flow scale cell that must finish in bounded wallclock
 and bounded peak RSS (the memory gate for the deferred-flush design).
 
+An identity-only leg (no stopwatch, no ``BENCH_wallclock.json`` key)
+holds the **event lane** to the same references: the paper's Chain 1 —
+Maglev keeps one event active on every flow, and the compiled lane
+checks it itself — on ONVM over Fig. 9's datacenter trace.
+
 The measured numbers land in ``BENCH_wallclock.json``;
 ``benchmarks/check_wallclock_regression.py`` compares a fresh run
 against the committed baseline in CI, normalising machine speed by the
@@ -31,6 +36,7 @@ import resource
 import time
 
 from benchmarks.harness import make_platform, save_result, uniform_flow_packets
+from benchmarks.test_fig9_real_world_chains import chain1, trace_packets
 from repro.core.framework import SpeedyBox
 from repro.core.actions import Modify
 from repro.nf import IPFilter, SyntheticNF
@@ -111,6 +117,16 @@ def identical(a, b):
         and a.makespan_ns == b.makespan_ns
         and a.latencies_ns == b.latencies_ns
     )
+
+
+def event_lane_identical():
+    """Chain 1 on ONVM over the datacenter trace, fast engine vs references."""
+    packets = trace_packets()
+    fast = make_platform("onvm", SpeedyBox(chain1())).run_load(clone_packets(packets))
+    legacy = des_run_load(
+        make_platform("onvm", InterpretedSpeedyBox(chain1())), clone_packets(packets)
+    )
+    return identical(fast, legacy)
 
 
 def run_wallclock():
@@ -212,6 +228,7 @@ def _report(results):
 
 
 def test_wallclock(benchmark):
+    assert event_lane_identical(), "event lane and interpreted + DES results diverged"
     results = benchmark.pedantic(run_wallclock, rounds=1, iterations=1)
     _report(results)
     for case, entry in results.items():

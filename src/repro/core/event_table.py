@@ -27,7 +27,18 @@ UpdateFunctionHandler = Callable[..., Optional[HeaderAction]]
 
 
 class Event:
-    """One registered event (the ``register_event`` record of Fig. 2)."""
+    """One registered event (the ``register_event`` record of Fig. 2).
+
+    Purity contract: ``condition`` is a *predicate* over NF state — it
+    reads, never writes, and returns the same answer however often it is
+    asked between two state changes.  Both fast paths rely on it: the
+    interpreted one asks twice a packet, and the compiled lane asks
+    first (:meth:`EventTable.quiet_active_count`) and leaves a true
+    answer for :meth:`EventTable.check_fid` to ask again and act on.
+    Everything an event *does* belongs in ``update_function`` /
+    ``update_action`` / ``update_state_functions``, which run exactly
+    once per firing.
+    """
 
     __slots__ = (
         "fid",
@@ -132,6 +143,33 @@ class EventTable:
             if event.active:
                 count += 1
         return count
+
+    def quiet_active_count(self, fid: int) -> int:
+        """``active_event_count`` if every active condition is false, else -1.
+
+        The compiled lane's probe: it evaluates, never fires and counts
+        nothing, so a caller that gets ``-1`` can hand the packet to
+        :meth:`check_fid` (which evaluates again — conditions are pure,
+        see :class:`Event`) and one that gets a count and goes on to
+        serve the packet books it with :meth:`count_checks`.
+        """
+        events = self._by_fid.get(fid)
+        if not events:
+            return 0
+        count = 0
+        for event in events:
+            # ``event.active`` and ``event.check()``, without their frames:
+            # this loop runs twice per packet of every event-bearing flow.
+            if not (event.one_shot and event.triggered):
+                if event.condition(*event.args):
+                    return -1
+                count += 1
+        return count
+
+    def count_checks(self, count: int) -> None:
+        """Book ``count`` condition evaluations that found nothing to fire."""
+        self.total_checks += count
+        self._m_checks.inc(count)
 
     def clear_flow(self, fid: int) -> None:
         """Remove every event of a closed flow (FIN/RST cleanup, §VI-B)."""

@@ -33,18 +33,35 @@ interpreted path) whenever the closure's assumptions no longer hold:
   export/import hooks, so a restore invalidates and the lane recompiles
   against the restored rule);
 - the classifier no longer tracks the compiled entry;
-- the Event Table holds an *active* event for the flow.
+- the descriptor arrives already dropped;
+- the event *pre-check* finds a true condition (the interpreted path
+  evaluates it again and fires it).
+
+An *active* event is not on that list.  The lane makes the Event
+Table's two per-packet checks itself: the pre-check is the gate's last
+test (all conditions false: serve, and book the evaluations as
+``check_fid`` would), and the post-update check after the SF waves
+either finds the same quiet count again — counts only — or hands a
+per-packet meter, charged in interpreted order, to
+``SpeedyBox._check_events``: the one implementation of firing, Local MAT
+replacement and re-consolidation.  Both rest on condition handlers
+being pure predicates (:class:`~repro.core.event_table.Event`).
 
 The shared fixed meter is immutable by convention — consumers read it
 (``cycles`` is memoized per cost model); nothing on the fast lane writes
-to it after compilation.
+to it.  It charges ``EVENT_CHECK`` for the flow's active events at both
+interpreted positions; when the gate counts a different number than it
+was built for (an event registered on a compiled flow, a one-shot
+spent) the lane derives a *new* template and keeps the flow.  The
+steady singleton report exists only while there is neither an SF
+schedule nor an active event.
 
 Metric-parity contract: when a registry is attached, a compiled run
 increments *exactly* the counters the interpreted fast path would —
-classifier classifications, Global MAT hits, fast/path/drop counters —
-so ``registry.snapshot()`` is identical whichever lane served the run
-(pinned by ``tests/unit/test_fastpath_metric_parity.py``).  The closure
-binds the real bound-``inc`` methods at compile time when metrics are
+classifier classifications, Global MAT hits, event checks and firings,
+fast/path/drop counters — so ``registry.snapshot()`` is identical
+whichever lane served the run (pinned by
+``tests/unit/test_fastpath_metric_parity.py``).  The closure binds the real bound-``inc`` methods at compile time when metrics are
 on and ``None`` when they are off (``SpeedyBox`` hands one registry to
 every component, so the group guard on ``speedybox._m_fast`` covers
 them all).  Corollary for new instrumentation: per-lane signals that
@@ -95,26 +112,35 @@ def _charge_nondrop(meter: CycleMeter, action) -> None:
     meter.charge(Operation.ENCAP_OP, len(action.net_encaps))
 
 
-def _build_fixed_meter(rule: GlobalRule) -> CycleMeter:
-    """The per-packet fixed meter of a steady-state fast-path packet.
+def _charge_through_action(meter: CycleMeter, rule: GlobalRule, active: int) -> None:
+    """A fast-path packet's fixed charges up to the post-update event check.
 
     Charge order mirrors the interpreted path exactly — classify
     (PARSE, FID_HASH, METADATA_ATTACH), Global MAT lookup, fast-path
-    dispatch, the consolidated action's charges, metadata detach — so
-    the float summation order inside ``cycles()`` is identical too.
+    dispatch, the event pre-check over ``active`` events, the
+    consolidated action's charges — so the float summation order inside
+    ``cycles()`` is identical too.
     """
-    meter = CycleMeter()
     meter.charge(Operation.PARSE)
     meter.charge(Operation.FID_HASH)
     meter.charge(Operation.METADATA_ATTACH)
     meter.charge(Operation.GLOBAL_MAT_LOOKUP)
     meter.charge(Operation.FAST_PATH_DISPATCH)
+    meter.charge(Operation.EVENT_CHECK, active)
     if rule.consolidated.drop:
         meter.charge(Operation.DROP_FREE)
         if rule.schedule.batch_count and rule.pre_drop is not None:
             _charge_nondrop(meter, rule.pre_drop)
     else:
         _charge_nondrop(meter, rule.consolidated)
+
+
+def _build_fixed_meter(rule: GlobalRule, active: int) -> CycleMeter:
+    """The shared fixed meter of a packet on which no event fires: both
+    event checks find ``active`` quiet events, then metadata detach."""
+    meter = CycleMeter()
+    _charge_through_action(meter, rule, active)
+    meter.charge(Operation.EVENT_CHECK, active)
     meter.charge(Operation.METADATA_DETACH)
     return meter
 
@@ -134,6 +160,7 @@ class CompiledFlow:
         "flows",
         "move_to_end",
         "events_by_fid",
+        "event_active",
         "apply_fn",
         "waves",
         "is_drop",
@@ -196,20 +223,7 @@ class CompiledFlow:
             for wave in rule.schedule.waves
         )
 
-        self.fixed_meter = _build_fixed_meter(rule)
-        if self.waves:
-            self.steady_report = None
-        else:
-            # With no SF schedule nothing in the report varies per packet
-            # (the drop decision is the rule's, the meter is the shared
-            # template): one singleton report serves every packet.
-            self.steady_report = ProcessReport(
-                path=_FAST,
-                fid=entry.fid,
-                dropped=self.is_drop,
-                fixed_meter=self.fixed_meter,
-                steady=True,
-            )
+        self._derive_template(speedybox.event_table.active_event_count(entry.fid))
         # SpeedyBox hands one registry to every component, so the
         # per-packet counters are all-null or all-real; guard the group
         # on the first binding (run() calls the rest unconditionally).
@@ -226,14 +240,41 @@ class CompiledFlow:
         #: lazily on the first drop otherwise (see ``_PENDING``)
         self._drops_inc = None if speedybox._m_drops is NULL_INSTRUMENT else _PENDING
 
+    def _derive_template(self, active: int) -> None:
+        """The shared meter (and report) of packets that find ``active``
+        quiet events on the flow.
+
+        Runs at compilation and again whenever the validity gate counts
+        a different number of active events — one registered on the
+        compiled flow, a one-shot spent — so a change of count moves the
+        ``EVENT_CHECK`` charge instead of knocking the flow off the lane.
+        """
+        self.event_active = active
+        self.fixed_meter = _build_fixed_meter(self.rule, active)
+        if self.waves or active:
+            self.steady_report = None
+        else:
+            # With no SF schedule and no event to check nothing in the
+            # report varies per packet (the drop decision is the rule's,
+            # the meter is the shared template): one singleton report
+            # serves every packet.
+            self.steady_report = ProcessReport(
+                path=_FAST,
+                fid=self.fid,
+                dropped=self.is_drop,
+                fixed_meter=self.fixed_meter,
+                steady=True,
+            )
+
     def clone_for(self, entry: FlowEntry, rule: GlobalRule) -> "CompiledFlow":
         """A compiled lane for another flow sharing this rule's artifacts.
 
-        Only valid for steady (no-wave) templates whose rule shares this
-        flow's ``consolidated``/``schedule`` *by identity* (bulk
-        admission's ``install_prebuilt`` clones) — identity is what
-        guarantees the fixed meter, apply closure and drop disposition
-        carry over unchanged.  Everything per-flow is fresh.
+        Only valid for steady templates (no SF wave, no active event)
+        whose rule shares this flow's ``consolidated``/``schedule`` *by
+        identity* (bulk admission's ``install_prebuilt`` clones) —
+        identity is what guarantees the fixed meter, apply closure and
+        drop disposition carry over unchanged.  Everything per-flow is
+        fresh.
         """
         clone = object.__new__(CompiledFlow)
         clone.speedybox = self.speedybox
@@ -247,6 +288,7 @@ class CompiledFlow:
         clone.flows = self.flows
         clone.move_to_end = self.move_to_end
         clone.events_by_fid = self.events_by_fid
+        clone.event_active = 0  # steady: no event to check, here or there
         clone.is_drop = self.is_drop
         clone.drop_cause = self.drop_cause
         clone.apply_fn = self.apply_fn
@@ -293,20 +335,27 @@ class CompiledFlow:
             return None  # rule deleted / evicted / rebuilt / migrated
         if self.flows.get(fid) is not self.entry:
             return None  # classifier entry replaced under us
-        events = self.events_by_fid.get(fid)
-        if events is not None:
-            for event in events:
-                if event.active:
-                    return None  # event pending: the interpreted path fires it
         if packet.dropped:
             return None  # pre-dropped descriptor: pathological, interpret it
+        # -- event pre-check, last in the gate: a true condition hands the
+        # packet, untouched, to the interpreted path, which fires it.
+        speedybox = self.speedybox
+        active = 0
+        if fid in self.events_by_fid:
+            event_table = speedybox.event_table
+            active = event_table.quiet_active_count(fid)
+            if active < 0:
+                return None
+            if active:
+                event_table.count_checks(active)
+        if active != self.event_active:
+            self._derive_template(active)
 
         # -- classify + Global MAT hit (established: pure bookkeeping).
         self.classifier.packets_classified += 1
         self.entry.packets += 1
         self.rule.hits += 1
         self.move_to_end(fid)
-        speedybox = self.speedybox
         speedybox.fast_packets += 1
         inc = self._m_classified_inc
         if inc is not None:
@@ -364,6 +413,24 @@ class CompiledFlow:
         if self.is_drop and not packet.dropped:
             packet.dropped = True
 
+        # -- post-update event check.  The same quiet count again is the
+        # shared template's second EVENT_CHECK charge plus the
+        # bookkeeping; for anything else the packet gets its own meter,
+        # charged in interpreted order, and ``_check_events`` — the one
+        # place events fire and rules re-consolidate — takes it from there.
+        fixed_meter = self.fixed_meter
+        fired = 0
+        if active:
+            if event_table.quiet_active_count(fid) == active:
+                event_table.count_checks(active)
+            else:
+                fixed_meter = CycleMeter()
+                _charge_through_action(fixed_meter, self.rule, active)
+                fired = speedybox._check_events(fid, fixed_meter)
+                fixed_meter.charge(Operation.METADATA_DETACH)
+                if fired:
+                    speedybox._m_events_fired.inc(fired)
+
         dropped = packet.dropped
         if dropped:
             drops_inc = self._drops_inc
@@ -383,7 +450,8 @@ class CompiledFlow:
             path=_FAST,
             fid=fid,
             dropped=dropped,
-            fixed_meter=self.fixed_meter,
+            events_fired=fired,
+            fixed_meter=fixed_meter,
             sf_waves=sf_waves,
         )
 

@@ -258,7 +258,9 @@ class SpeedyBox:
         #: and a hit doubles as the flow-identity check.  ``_compiled_fids``
         #: is the FID-keyed index the invalidation hooks use.  Observably
         #: identical to the interpreted fast path (``_run_fast``), which
-        #: stays the path of event-bearing flows and the tests' oracle.
+        #: stays the tests' oracle and serves what the lane hands back: a
+        #: packet whose event pre-check fires, FIN/RST teardown, the
+        #: consolidation-off ablation.
         self._compiled: Dict[FiveTuple, "object"] = {}
         self._compiled_fids: Dict[int, FiveTuple] = {}
         #: batch-lane invalidation feed.  While a lane run is active this
@@ -376,9 +378,11 @@ class SpeedyBox:
         """(Re)compile the flow's fast lane after an interpreted traversal.
 
         Runs after fast and recorded-original packets alike, so the flow's
-        *second* packet already takes the compiled lane.  Skipped while the
-        flow has active events (each packet would rebuild the rule) and
-        whenever :func:`repro.core.fastpath.compile_flow` declines.
+        *second* packet already takes the compiled lane, and a flow whose
+        rule an event just rebuilt is back on it one packet later.  Active
+        events do not keep a flow off the lane — :meth:`CompiledFlow.run`
+        makes both event checks itself — only
+        :func:`repro.core.fastpath.compile_flow` declining does.
         """
         fid = classification.fid
         rule = self.global_mat.peek(fid)
@@ -389,8 +393,6 @@ class SpeedyBox:
             existing = self._compiled.get(key)
             if existing is not None and existing.rule is rule:
                 return
-        if self.event_table.active_event_count(fid):
-            return
         flow = _fastpath.compile_flow(self, classification.entry, rule)
         if flow is not None:
             if key is not None:

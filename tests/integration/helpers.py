@@ -38,6 +38,32 @@ class InterpretedSpeedyBox(SpeedyBox):
         pass
 
 
+def count_interpreted(runtime: SpeedyBox) -> list:
+    """Wrap ``runtime._run_fast``; the returned list grows by one report
+    per packet the interpreted fast path serves (the rest of a compiling
+    runtime's fast-path packets rode ``CompiledFlow.run``)."""
+    served: list = []
+    run_fast = runtime._run_fast
+
+    def counted(packet, rule, report):
+        served.append(report)
+        return run_fast(packet, rule, report)
+
+    runtime._run_fast = counted
+    return served
+
+
+def fail_tracked_backend(nf_name: str) -> Callable[[SpeedyBox], None]:
+    """An intervention on one runtime: fail the backend the first flow
+    Maglev ``nf_name`` tracks is pinned to."""
+
+    def intervene(runtime) -> None:
+        maglev = nf_by_name(runtime, nf_name)
+        maglev.fail_backend(next(iter(maglev.conntrack.values())).name)
+
+    return intervene
+
+
 def des_run_load(
     platform: Platform,
     packets: Sequence[Packet],
@@ -117,11 +143,12 @@ def report_view(report: ProcessReport) -> tuple:
 
     Reports hold :class:`~repro.platform.costs.CycleMeter` objects, which
     compare by identity; two runtimes that must report a packet alike
-    compare these views instead.
+    compare these views instead.  Charges compare *in order*: a meter's
+    cycle total is a float sum in ``counts`` insertion order.
     """
 
     def meter(m):
-        return (dict(m.counts), m.direct_cycles)
+        return (list(m.counts.items()), m.direct_cycles)
 
     return (
         report.path,

@@ -10,6 +10,12 @@ Coverage follows the acceptance matrix: both platform models, chain
 lengths 1–9, with and without SpeedyBox, plus chains whose NFs register
 events, run SF schedules or drop packets (forcing the compiled lane to
 fall back per packet) and the gapped / trace-timestamped arrival modes.
+
+The hostile event schedules at the end drop below ``run_load``: the
+compiling runtime and the interpreted one process one stream in
+lockstep and must agree packet by packet — bytes, report, meters in
+charge order — while events fire at both of the lane's check positions
+and bounded tables evict under them.
 """
 
 from __future__ import annotations
@@ -28,7 +34,14 @@ from repro.nf import (
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
-from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
+from tests.integration.helpers import (
+    InterpretedSpeedyBox,
+    count_interpreted,
+    des_run_load,
+    fail_tracked_backend,
+    nf_by_name,
+    report_view,
+)
 
 
 def multi_flow_packets(flows: int = 4, per_flow: int = 30):
@@ -156,3 +169,124 @@ def test_fin_teardown_flows():
     ]
     packets = TrafficGenerator(specs, interleave="round_robin").packets()
     run_both("bess", SpeedyBox, lambda: [IPFilter("fw0"), Monitor("mon0")], packets)
+
+
+# -- hostile event schedules: the lane and the oracle in lockstep ---------------
+
+
+def nf_state(runtime):
+    """Every NF's counters and per-flow tables (dataclass values compare)."""
+    return {
+        nf.name: {k: v for k, v in vars(nf).items() if isinstance(v, (dict, int, float))}
+        for nf in runtime.nfs
+    }
+
+
+def lockstep(build_chain, packets, interventions=None, **sbox_kwargs):
+    """One stream through a compiling and an interpreted runtime.
+
+    ``interventions[i]`` runs against both runtimes before packet ``i``.
+    Returns the compiling runtime's ``(report, on_lane)`` per packet,
+    ``on_lane`` false when ``_run_fast`` (or the slow path) served it.
+    """
+    interventions = interventions or {}
+    fast = SpeedyBox(build_chain(), **sbox_kwargs)
+    oracle = InterpretedSpeedyBox(build_chain(), **sbox_kwargs)
+    interpreted = count_interpreted(fast)
+    served = []
+    streams = zip(clone_packets(packets), clone_packets(packets))
+    for index, (fast_pkt, oracle_pkt) in enumerate(streams):
+        if index in interventions:
+            interventions[index](fast)
+            interventions[index](oracle)
+        calls = len(interpreted)
+        report = fast.process(fast_pkt)
+        assert report_view(report) == report_view(oracle.process(oracle_pkt)), index
+        assert fast_pkt.dropped == oracle_pkt.dropped, index
+        assert fast_pkt.serialize() == oracle_pkt.serialize(), index
+        served.append((report, report.is_fast and len(interpreted) == calls))
+    assert fast.stats() == oracle.stats()
+    for counter in ("total_registered", "total_checks", "total_triggered"):
+        assert getattr(fast.event_table, counter) == getattr(oracle.event_table, counter)
+    assert nf_state(fast) == nf_state(oracle)
+    return served
+
+
+def shuffled_flows(flows, per_flow):
+    specs = [
+        FlowSpec.tcp(f"10.3.{i}.1", "20.0.0.1", 6000 + i, 80, packets=per_flow, payload=b"h" * 12)
+        for i in range(flows)
+    ]
+    return TrafficGenerator(specs, interleave="shuffled", seed=11).packets()
+
+
+BOUNDS = [{}, {"max_flows": 2}]
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=["unbounded", "max_flows=2"])
+def test_maglev_failover_storm_in_lockstep(bounds):
+    """Fail / recover / fail again between packets: the lane's pre-check
+    sees the true condition and hands the packet to ``_run_fast``."""
+    packets = shuffled_flows(flows=4, per_flow=30)
+    fail = fail_tracked_backend("maglev0")
+
+    def recover(runtime):
+        maglev = nf_by_name(runtime, "maglev0")
+        for backend in maglev.backends:
+            if not backend.healthy:
+                maglev.recover_backend(backend.name)
+
+    served = lockstep(
+        lambda: [MaglevLoadBalancer("maglev0", table_size=131), Monitor("monitor0")],
+        packets,
+        {30: fail, 60: recover, 90: fail},
+        **bounds,
+    )
+    fired_off_lane = [r for r, on_lane in served if r.events_fired and not on_lane]
+    assert fired_off_lane and all(r.is_fast for r in fired_off_lane)
+    assert not any(r.events_fired for r, on_lane in served if on_lane)
+    assert sum(on_lane for __, on_lane in served) > len(packets) // 4
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=["unbounded", "max_flows=2"])
+def test_dos_threshold_crossing_in_lockstep(bounds):
+    """The counter crosses the threshold *in* a packet's SF wave: the
+    lane's post-update check fires the one-shot and rebuilds the rule."""
+    packets = shuffled_flows(flows=4, per_flow=30)
+    served = lockstep(
+        lambda: [
+            DosPrevention("dos0", threshold=10, mode="packets"),
+            Monitor("monitor0"),
+            IPFilter("fw0"),
+        ],
+        packets,
+        **bounds,
+    )
+    fired_on_lane = [r.events_fired for r, on_lane in served if on_lane and r.events_fired]
+    assert fired_on_lane and set(fired_on_lane) == {1}
+    if not bounds:
+        assert len(fired_on_lane) == 4  # every flow crosses once, on the lane
+    assert any(r.dropped for r, on_lane in served if on_lane)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=["unbounded", "max_flows=2"])
+def test_policer_event_storm_in_lockstep(bounds):
+    """Each flow offered at 2.0x its policed rate, by timestamp: the
+    verdict flips almost every packet (the event-frequency ablation's
+    worst cell), so rules rebuild and lanes recompile continuously."""
+    packets = multi_flow_packets(flows=3, per_flow=120)
+    for index, packet in enumerate(packets):
+        packet.timestamp_ns = (index // 3) * 5_000.0  # 2.0 x 100 kpps per flow
+    # Bursts of six per flow, so a two-rule table serves hits between evictions.
+    order = sorted(range(len(packets)), key=lambda i: (i // 18, i % 3, i))
+    packets = [packets[i] for i in order]
+    served = lockstep(
+        lambda: [TokenBucketPolicer("policer0", rate_pps=100_000.0, burst=4), Monitor("monitor0")],
+        packets,
+        **bounds,
+    )
+    fired = sum(r.events_fired for r, __ in served)
+    if not bounds:
+        assert fired > 0.9 * len(packets)
+    assert any(r.events_fired for r, on_lane in served if on_lane)
+    assert any(r.events_fired for r, on_lane in served if not on_lane)

@@ -35,7 +35,8 @@ import repro.sim.engine as sim_engine
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.ft import FaultInjector, FaultTolerance, SharedPortPool, TransactionalStore
-from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
+from repro.net.headers import TCP_FIN, TCP_RST
+from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor, SyntheticNF
 from repro.obs import (
     AuditLog,
     FlowSpanRecorder,
@@ -47,7 +48,8 @@ from repro.obs import (
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.scale import ScaleCluster
 from repro.traffic.columnar import uniform_batch
-from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
+from repro.traffic.datacenter import DatacenterTraceConfig, DatacenterTraceGenerator
+from tests.integration.helpers import InterpretedSpeedyBox, count_interpreted, des_run_load
 
 PLATFORMS = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}
 INPUTS = ("packets", "packet_view", "batch")
@@ -210,6 +212,54 @@ def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
         # not a lane in name only: the array path served packets
         assert platform.last_lane_stats["span_packets"] > 0
     assert [name for name in routes if name != "lane"] == [replay]
+
+
+# -- the paper's Chain 1: events do not pick the route ---------------------------
+
+
+def test_chain1_events_stay_on_the_compiled_lane(routes):
+    """MazuNAT + Maglev + Monitor + IPFilter on ONVM over the datacenter
+    trace: Maglev keeps one recurring event active on every flow, and the
+    compiled lane checks it itself.  ``_run_fast`` is left with exactly
+    the teardown packets, and the result is the references' float for
+    float."""
+
+    def chain1():
+        return [
+            MazuNAT("mazunat", external_ip="203.0.113.50", internal_prefix="10.0.0.0/8"),
+            MaglevLoadBalancer("maglev", table_size=131),
+            Monitor("monitor"),
+            IPFilter("ipfilter"),
+        ]
+
+    def trace():
+        # bench/workloads.py's dc_chain trace, 40 flows of its 600
+        config = DatacenterTraceConfig(
+            flows=40,
+            seed=2019,
+            lognormal_mu=2.3,
+            lognormal_sigma=0.8,
+            large_packet_fraction=0.25,
+            max_packets_per_flow=120,
+        )
+        return DatacenterTraceGenerator(config).timestamped_packets()
+
+    reference = des_run_load(OpenNetVMPlatform(InterpretedSpeedyBox(chain1())), trace())
+    del routes[:]
+
+    runtime = SpeedyBox(chain1())
+    interpreted = count_interpreted(runtime)
+    platform = OpenNetVMPlatform(runtime)
+    result = platform.run_load(trace())
+
+    assert result == reference
+    assert routes == ["analytic"]
+    assert runtime.event_table.total_registered == 40  # one per flow, never fired
+    assert runtime.event_table.total_triggered == 0
+    closing = sum(1 for packet in trace() if packet.l4.flags & (TCP_FIN | TCP_RST))
+    assert len(interpreted) == closing == 40
+    assert all(report.closing for report in interpreted)
+    assert runtime.fast_packets > 5 * closing  # the rest rode the lane
 
 
 # -- the cluster joins the matrix ------------------------------------------------

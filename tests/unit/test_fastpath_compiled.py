@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from repro.core.event_table import Event
 from repro.core.framework import PathTaken, SpeedyBox
-from repro.nf import IPFilter, Monitor
+from repro.nf import DosPrevention, IPFilter, Monitor
 from repro.obs import MetricsRegistry
 from repro.platform import BessPlatform
+from repro.platform.costs import Operation
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
-from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
+from tests.integration.helpers import InterpretedSpeedyBox, count_interpreted, des_run_load
 
 
 def flow_packets(count=6, sport=4100):
@@ -110,19 +111,6 @@ class TestInvalidation:
         runtime._invalidate_compiled(fid)  # second call is a no-op
         assert not runtime._compiled_fids
 
-    def test_active_event_bypasses_the_closure(self):
-        runtime, fid = self._established()
-        runtime.event_table.register(
-            Event(fid, "fw0", condition=lambda: False, update_action=None,
-                  update_function=lambda: None)
-        )
-        packets = flow_packets(2)
-        report = runtime.process(packets[0])
-        # The closure must decline (active event) and the interpreted
-        # fast path must serve the packet instead.
-        assert report.path is PathTaken.FAST
-        assert not report.steady
-
     def test_export_flow_drops_the_closure(self):
         runtime, fid = self._established()
         record = runtime.export_flow(fid)
@@ -135,6 +123,95 @@ class TestInvalidation:
         runtime.reset()
         assert not runtime._compiled
         assert not runtime._compiled_fids
+
+
+def never() -> bool:
+    return False
+
+
+def quiet_event(fid, one_shot=True):
+    return Event(fid, "fw0", condition=never, update_function=lambda: None, one_shot=one_shot)
+
+
+def counts_in_order(report):
+    return list(report.fixed_meter.counts.items())
+
+
+class TestEventsOnTheLane:
+    """Active events are checked *on* the lane; only a true condition,
+    before any state is touched, hands the packet back to ``_run_fast``."""
+
+    def _pair(self, build, warmup=3):
+        """A compiling runtime whose ``_run_fast`` calls are counted, and
+        the interpreted oracle, both past the same ``warmup`` packets."""
+        runtime, oracle = SpeedyBox(build()), InterpretedSpeedyBox(build())
+        for side in (runtime, oracle):
+            for packet in flow_packets(warmup):
+                side.process(packet)
+        return runtime, oracle, count_interpreted(runtime)
+
+    def _same_packet(self, runtime, oracle):
+        packet = flow_packets(1)[0]
+        report, reference = runtime.process(packet), oracle.process(clone_packets([packet])[0])
+        assert report.path is reference.path is PathTaken.FAST
+        assert counts_in_order(report) == counts_in_order(reference)
+        assert runtime.event_table.total_checks == oracle.event_table.total_checks
+        return report
+
+    def test_active_quiet_event_is_served_by_the_lane(self):
+        # The NF registers its (one-shot, far from firing) event while
+        # recording, so the flow compiles with one active event.
+        runtime, oracle, interpreted = self._pair(
+            lambda: [DosPrevention("dos0", threshold=1000, mode="packets")]
+        )
+        (flow,) = runtime._compiled.values()
+        assert flow.event_active == 1
+        report = self._same_packet(runtime, oracle)
+        assert not interpreted, "the closure declined a quiet event"
+        assert not report.steady and report.events_fired == 0
+        assert report.fixed_meter.count(Operation.EVENT_CHECK) == 2.0
+        assert report.fixed_meter is flow.fixed_meter  # the shared template
+
+    def test_event_registered_on_a_compiled_flow_moves_the_meter(self):
+        runtime, oracle, interpreted = self._pair(lambda: [IPFilter("fw0")])
+        (flow,) = runtime._compiled.values()
+        assert self._same_packet(runtime, oracle).steady
+        for side in (runtime, oracle):
+            side.event_table.register(quiet_event(flow.fid))
+        report = self._same_packet(runtime, oracle)  # 0 -> 1 active
+        assert not report.steady and flow.steady_report is None
+        assert report.fixed_meter.count(Operation.EVENT_CHECK) == 2.0
+        assert list(runtime._compiled.values()) == [flow] and not interpreted
+
+    def test_spent_one_shot_moves_the_meter_back(self):
+        runtime, oracle, interpreted = self._pair(lambda: [IPFilter("fw0")])
+        (flow,) = runtime._compiled.values()
+        events = [quiet_event(flow.fid), quiet_event(flow.fid)]
+        for side, event in zip((runtime, oracle), events):
+            side.event_table.register(event)
+        assert not self._same_packet(runtime, oracle).steady
+        for event in events:
+            event.triggered = True  # spent elsewhere (a migrated record says so)
+        report = self._same_packet(runtime, oracle)  # 1 -> 0 active
+        assert report.steady and report is flow.steady_report
+        assert report.fixed_meter.count(Operation.EVENT_CHECK) == 0.0
+        assert list(runtime._compiled.values()) == [flow] and not interpreted
+
+    def test_true_precheck_hands_the_packet_back_untouched(self):
+        armed = []
+        runtime, oracle, interpreted = self._pair(lambda: [IPFilter("fw0")])
+        (flow,) = runtime._compiled.values()
+        for side in (runtime, oracle):
+            side.event_table.register(
+                Event(flow.fid, "fw0", condition=lambda: bool(armed),
+                      update_function=lambda: None, one_shot=False)
+            )
+        self._same_packet(runtime, oracle)
+        armed.append(True)
+        report = self._same_packet(runtime, oracle)
+        # Recurring and still true: the pre-check and the post-check fire.
+        assert len(interpreted) == 1 and report.events_fired == 2
+        assert runtime.stats() == oracle.stats()
 
 
 class TestConfigGating:

@@ -23,7 +23,7 @@ from repro.nf import (
 from repro.obs import MetricsRegistry
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
-from tests.integration.helpers import InterpretedSpeedyBox
+from tests.integration.helpers import InterpretedSpeedyBox, fail_tracked_backend
 
 CHAINS = {
     "filters": lambda: [IPFilter(f"fw{i}") for i in range(3)],
@@ -46,11 +46,14 @@ def make_packets(flows=3, per_flow=40, fin=True):
     return TrafficGenerator(specs, interleave="round_robin").packets()
 
 
-def snapshot_for(chain_factory, packets, compiled):
+def snapshot_for(chain_factory, packets, compiled, interventions=None):
+    """``interventions[i]`` runs against the runtime before packet ``i``."""
     registry = MetricsRegistry()
     runtime_cls = SpeedyBox if compiled else InterpretedSpeedyBox
     runtime = runtime_cls(chain_factory(), metrics=registry)
-    for packet in clone_packets(packets):
+    for index, packet in enumerate(clone_packets(packets)):
+        if interventions and index in interventions:
+            interventions[index](runtime)
         runtime.process(packet)
     return registry.snapshot()
 
@@ -64,6 +67,18 @@ def test_compiled_lane_metric_parity(chain_name):
     assert compiled == interpreted
     # The run actually took the fast path, so parity is non-vacuous.
     assert compiled.get("path_packets_total{path=fast}", 0) > 0
+
+
+def test_parity_through_a_maglev_failover():
+    """Quiet checks are booked on the lane, the firing ones by the
+    interpreted path the lane hands the packet to: one total either way."""
+    packets = make_packets()
+    interventions = {len(packets) // 2: fail_tracked_backend("lb")}
+    interpreted = snapshot_for(CHAINS["rewrite"], packets, False, interventions)
+    compiled = snapshot_for(CHAINS["rewrite"], packets, True, interventions)
+    assert compiled == interpreted
+    assert compiled["events_triggered_total"] >= 1
+    assert compiled["event_checks_total"] > len(packets)
 
 
 def test_parity_survives_fin_teardown_and_reuse():
