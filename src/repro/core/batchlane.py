@@ -205,6 +205,8 @@ class BatchLane:
         #: change — the lane stays equivalent to the per-packet path
         #: with the same recorder attached.
         self.spans = platform.spans
+        #: batch index -> sampled root span, for the run's tail to stamp
+        self.roots: Dict[int, dict] = {}
         #: deferred-region flush count (lane introspection + metrics)
         self.flushes = 0
         #: flow five-tuple columns as plain Python lists, built on first
@@ -544,7 +546,9 @@ class BatchLane:
         packet = batch.materialize(index)
         report = runtime.process(packet)
         if spans is not None and spans.skip.get(report.fid) is None:
-            spans.record(report, index)
+            root = spans.record(report)
+            if root is not None:
+                self.roots[index] = root
         if report.dropped:
             self.dropped += 1
         if report.steady:

@@ -207,26 +207,7 @@ class GlobalMAT:
             pre_drop=pre_drop,
             dropper=dropper,
         )
-        existing = self._rules.get(fid)
-        if existing is not None:
-            new_rule.version = existing.version + 1
-            new_rule.hits = existing.hits
-            self.reconsolidations += 1
-            self._m_reconsolidations.inc()
-        self.consolidations += 1
-        self._m_consolidations.inc()
-        self.audit.emit(
-            "global_mat_rebuild" if existing is not None else "global_mat_insert",
-            fid=fid,
-            version=new_rule.version,
-            waves=schedule.wave_count,
-            drop=new_rule.consolidated.drop,
-        )
-        self._rules[fid] = new_rule
-        self._rules.move_to_end(fid)
-        self._enforce_capacity(keep_fid=fid)
-        self._m_occupancy.set(len(self._rules))
-        return new_rule
+        return self._install(new_rule)
 
     def install_prebuilt(self, fid: int, template: GlobalRule) -> GlobalRule:
         """Install a rule for ``fid`` sharing a template's consolidation.
@@ -250,6 +231,13 @@ class GlobalMAT:
             pre_drop=template.pre_drop,
             dropper=template.dropper,
         )
+        return self._install(new_rule)
+
+    def _install(self, new_rule: GlobalRule) -> GlobalRule:
+        """Put a freshly made rule in the table: carry the version and
+        hit count over from the rule it replaces, count and audit the
+        (re)consolidation, touch the LRU, enforce the capacity."""
+        fid = new_rule.fid
         existing = self._rules.get(fid)
         if existing is not None:
             new_rule.version = existing.version + 1
@@ -262,7 +250,7 @@ class GlobalMAT:
             "global_mat_rebuild" if existing is not None else "global_mat_insert",
             fid=fid,
             version=new_rule.version,
-            waves=template.schedule.wave_count,
+            waves=new_rule.schedule.wave_count,
             drop=new_rule.consolidated.drop,
         )
         self._rules[fid] = new_rule

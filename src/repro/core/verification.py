@@ -74,6 +74,64 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def diff_outputs(
+    ref_stream: Sequence[Packet],
+    other_stream: Sequence[Packet],
+    ref_name: str = "reference",
+    other_name: str = "cluster",
+) -> List[Divergence]:
+    """Per packet index: same drop decision, same bytes on the wire."""
+    divergences = []
+    for index, (ref_pkt, other_pkt) in enumerate(zip(ref_stream, other_stream)):
+        if ref_pkt.dropped != other_pkt.dropped:
+            divergences.append(
+                Divergence(
+                    index,
+                    "drop",
+                    f"{ref_name}={'dropped' if ref_pkt.dropped else 'forwarded'}, "
+                    f"{other_name}={'dropped' if other_pkt.dropped else 'forwarded'}",
+                )
+            )
+        elif not ref_pkt.dropped and ref_pkt.serialize() != other_pkt.serialize():
+            divergences.append(Divergence(index, "bytes", f"{ref_pkt!r} vs {other_pkt!r}"))
+    return divergences
+
+
+def diff_flow_state(reference: SpeedyBox, cluster) -> List[Divergence]:
+    """Per-flow NF state (NAT mappings, LB conntrack, IDS flowbits,
+    monitor counters, ...): the reference chain against whichever
+    replica now homes each flow."""
+    # Imported lazily: repro.scale imports repro.core at module load.
+    from repro.scale.migration import chain_state_snapshot
+
+    divergences = []
+    for key, home in sorted(cluster.flow_homes().items()):
+        ref_state = chain_state_snapshot(reference.nfs, key)
+        cluster_state = chain_state_snapshot(cluster.replica(home).runtime.nfs, key)
+        if ref_state != cluster_state:
+            divergences.append(
+                Divergence(
+                    -1,
+                    "state",
+                    f"flow {key} on replica {home}: "
+                    f"reference={ref_state!r} vs cluster={cluster_state!r}",
+                )
+            )
+    return divergences
+
+
+def cluster_counters(cluster) -> Dict[str, int]:
+    """Fast/slow-path and event totals over a cluster's live replicas."""
+    runtimes = [cluster.replica(rid).runtime for rid in sorted(cluster.replicas)]
+    return {
+        "fast_packets": sum(runtime.fast_packets for runtime in runtimes),
+        "slow_packets": sum(runtime.slow_packets for runtime in runtimes),
+        "events_triggered": sum(
+            runtime.event_table.total_triggered for runtime in runtimes
+        ),
+    }
+
+
 def verify_equivalence(
     chain_factory: ChainFactory,
     packets: Sequence[Packet],
@@ -103,20 +161,7 @@ def verify_equivalence(
             interventions[index](baseline, speedybox)
         baseline.process(base_pkt)
         speedybox.process(sbox_pkt)
-
-        if base_pkt.dropped != sbox_pkt.dropped:
-            report.divergences.append(
-                Divergence(
-                    index,
-                    "drop",
-                    f"baseline={'dropped' if base_pkt.dropped else 'forwarded'}, "
-                    f"speedybox={'dropped' if sbox_pkt.dropped else 'forwarded'}",
-                )
-            )
-        elif not base_pkt.dropped and base_pkt.serialize() != sbox_pkt.serialize():
-            report.divergences.append(
-                Divergence(index, "bytes", f"{base_pkt!r} vs {sbox_pkt!r}")
-            )
+    report.divergences.extend(diff_outputs(base_stream, sbox_stream, "baseline", "speedybox"))
 
     report.fast_packets = speedybox.fast_packets
     report.slow_packets = speedybox.slow_packets
@@ -171,7 +216,6 @@ def verify_equivalence_migration(
     """
     # Imported lazily: repro.scale imports repro.core at module load.
     from repro.scale.cluster import ScaleCluster
-    from repro.scale.migration import chain_state_snapshot
 
     if not 0 <= migrate_at < len(packets):
         raise ValueError(
@@ -205,46 +249,12 @@ def verify_equivalence_migration(
         if index == freeze_until and dst_rid is not None:
             report.migration, __ = cluster.complete_migration(flow, dst_rid)
 
-    for index, (ref_pkt, cl_pkt) in enumerate(zip(ref_stream, cluster_stream)):
-        if ref_pkt.dropped != cl_pkt.dropped:
-            report.divergences.append(
-                Divergence(
-                    index,
-                    "drop",
-                    f"reference={'dropped' if ref_pkt.dropped else 'forwarded'}, "
-                    f"cluster={'dropped' if cl_pkt.dropped else 'forwarded'}",
-                )
-            )
-        elif not ref_pkt.dropped and ref_pkt.serialize() != cl_pkt.serialize():
-            report.divergences.append(
-                Divergence(index, "bytes", f"{ref_pkt!r} vs {cl_pkt!r}")
-            )
-
-    # Per-flow NF state must match between the reference chain and
-    # whichever replica now homes each flow.
-    for key, home in sorted(cluster.flow_homes().items()):
-        ref_state = chain_state_snapshot(reference.nfs, key)
-        cluster_state = chain_state_snapshot(cluster.replica(home).runtime.nfs, key)
-        if ref_state != cluster_state:
-            report.divergences.append(
-                Divergence(
-                    -1,
-                    "state",
-                    f"flow {key} on replica {home}: "
-                    f"reference={ref_state!r} vs cluster={cluster_state!r}",
-                )
-            )
+    report.divergences.extend(diff_outputs(ref_stream, cluster_stream))
+    report.divergences.extend(diff_flow_state(reference, cluster))
 
     # Runtime counters: a complete migration leaves the fast path intact
     # on the target, so the cluster-wide totals must equal the reference.
-    runtimes = [cluster.replica(rid).runtime for rid in sorted(cluster.replicas)]
-    totals = {
-        "fast_packets": sum(runtime.fast_packets for runtime in runtimes),
-        "slow_packets": sum(runtime.slow_packets for runtime in runtimes),
-        "events_triggered": sum(
-            runtime.event_table.total_triggered for runtime in runtimes
-        ),
-    }
+    totals = cluster_counters(cluster)
     expected = {
         "fast_packets": reference.fast_packets,
         "slow_packets": reference.slow_packets,

@@ -35,12 +35,17 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.framework import SpeedyBox
-from repro.core.verification import Divergence, VerificationReport
+from repro.core.verification import (
+    Divergence,
+    VerificationReport,
+    cluster_counters,
+    diff_flow_state,
+    diff_outputs,
+)
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.scale.cluster import ScaleCluster
-from repro.scale.migration import chain_state_snapshot
 from repro.ft.failover import FaultTolerance, RecoveryReport
 from repro.ft.faults import FaultInjector
 
@@ -179,40 +184,13 @@ def verify_equivalence_failover(
             )
         )
 
-    for index, (ref_pkt, cl_pkt) in enumerate(zip(ref_stream, cluster_stream)):
-        if ref_pkt.dropped != cl_pkt.dropped:
-            report.divergences.append(
-                Divergence(
-                    index,
-                    "drop",
-                    f"reference={'dropped' if ref_pkt.dropped else 'forwarded'}, "
-                    f"cluster={'dropped' if cl_pkt.dropped else 'forwarded'}",
-                )
-            )
-        elif not ref_pkt.dropped and ref_pkt.serialize() != cl_pkt.serialize():
-            report.divergences.append(
-                Divergence(index, "bytes", f"{ref_pkt!r} vs {cl_pkt!r}")
-            )
+    report.divergences.extend(diff_outputs(ref_stream, cluster_stream))
+    # The reference chain vs whichever replica now homes each flow
+    # (failover re-homed the dead replica's flows).
+    report.divergences.extend(diff_flow_state(reference, cluster))
 
-    # Per-flow NF state: the reference chain vs whichever replica now
-    # homes each flow (failover re-homed the dead replica's flows).
-    for key, home in sorted(cluster.flow_homes().items()):
-        ref_state = chain_state_snapshot(reference.nfs, key)
-        cluster_state = chain_state_snapshot(cluster.replica(home).runtime.nfs, key)
-        if ref_state != cluster_state:
-            report.divergences.append(
-                Divergence(
-                    -1,
-                    "state",
-                    f"flow {key} on replica {home}: "
-                    f"reference={ref_state!r} vs cluster={cluster_state!r}",
-                )
-            )
-
-    runtimes = [cluster.replica(rid).runtime for rid in sorted(cluster.replicas)]
-    report.fast_packets = sum(runtime.fast_packets for runtime in runtimes)
-    report.slow_packets = sum(runtime.slow_packets for runtime in runtimes)
-    report.events_triggered = sum(
-        runtime.event_table.total_triggered for runtime in runtimes
-    )
+    totals = cluster_counters(cluster)
+    report.fast_packets = totals["fast_packets"]
+    report.slow_packets = totals["slow_packets"]
+    report.events_triggered = totals["events_triggered"]
     return report

@@ -522,34 +522,26 @@ class ForensicsEngine:
         """Per-index (service, transfer, stages) with per-plan caching.
 
         ``transfers`` is a dict keyed by ``id(plan)`` (the functional
-        pass records transfer at plan-build time, once per cached steady
-        plan), a list aligned with ``plans`` (the cluster's dispatcher),
-        or None (a lane's table plans, unloaded outcomes) — then the
-        platform's plan-shape estimate
+        pass records transfer on a plan's first sight, once per cached
+        steady plan) or None (a lane's table plans, unloaded outcomes) —
+        then the platform's plan-shape estimate
         (:meth:`Platform._transfer_estimate_for_plan`) is used.  Either
         way the split is exact per plan.
         """
         cache: Dict[int, Tuple[float, float, int]] = {}
-        transfer_list = transfers if isinstance(transfers, list) else None
-        transfer_map = transfers if isinstance(transfers, dict) else None
 
         def costs(index: int) -> Tuple[float, float, int]:
             plan = plans[index]
             key = id(plan)
             hit = cache.get(key)
-            if hit is not None and transfer_list is None:
+            if hit is not None:
                 return hit
-            total = self._plan_total(plan)
-            if transfer_list is not None:
-                transfer_est = transfer_list[index]
-            elif transfer_map is not None:
-                transfer_est = transfer_map.get(key, 0.0)
+            if transfers is not None:
+                transfer_est = transfers.get(key, 0.0)
             else:
                 transfer_est = platform._transfer_estimate_for_plan(plan)
-            service, transfer = split_plan_total(total, transfer_est)
-            entry = (service, transfer, len(plan))
-            if transfer_list is None:
-                cache[key] = entry
+            service, transfer = split_plan_total(self._plan_total(plan), transfer_est)
+            entry = cache[key] = (service, transfer, len(plan))
             return entry
 
         return costs

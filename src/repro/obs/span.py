@@ -43,7 +43,9 @@ model's ``cycles_to_ns`` on a monotonic recorder clock.  Loaded runs
 additionally stamp sampled roots with the replay's simulated arrival
 and finish times (``sim_arrival_ns`` / ``sim_latency_ns``) when the run
 ends (:meth:`annotate_loaded`) — the same stamps whichever replay
-produced the timeline.
+produced the timeline.  The recorder holds no run state: :meth:`record`
+returns the root it filed, the run keeps the ones it wants stamped, so
+platforms sharing one recorder (a cluster's replicas) cannot collide.
 """
 
 from __future__ import annotations
@@ -94,11 +96,11 @@ class FlowSpanRecorder:
         self.records: List[Dict[str, Any]] = []
         self._decisions: Dict[int, bool] = {}
         self._flow_spans: Dict[int, int] = {}
-        #: id(steady report) -> prebuilt child template (see _template_for)
-        self._steady_templates: Dict[int, List[Tuple[str, str, float, float, Optional[int]]]] = {}
+        #: id(steady report) -> (the report, its prebuilt child template).
+        #: The entry holds its report: a dead flow's report cannot hand a
+        #: recycled ``id()`` — and its template — to a live flow's.
+        self._steady_templates: Dict[int, tuple] = {}
         self._clock_ns = 0.0
-        #: run-local packet index -> root record, for annotate_loaded
-        self._run_roots: Dict[int, Dict[str, Any]] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -115,32 +117,34 @@ class FlowSpanRecorder:
                 self.skip[fid] = True
         return sampled
 
-    def record(self, report: "ProcessReport", index: Optional[int] = None) -> None:
+    def record(self, report: "ProcessReport") -> Optional[Dict[str, Any]]:
         """Record one packet's spans if its flow is sampled.
 
-        ``index`` is the packet's position within the current loaded run
-        (used by :meth:`annotate_loaded`); ``None`` in unloaded mode.
-        Callers on a hot path should gate the call on ``skip.get(fid) is
-        None`` — :meth:`record` re-checks, so the gate is optional.
+        Returns the packet's root span (shared with ``records``) for a
+        loaded run to hand back to :meth:`annotate_loaded`, or ``None``
+        when nothing was recorded.  Callers on a hot path should gate
+        the call on ``skip.get(fid) is None`` — :meth:`record`
+        re-checks, so the gate is optional.
         """
         fid = report.fid
         if not self.wants(fid):
-            return
+            return None
         cap = self.max_spans_per_flow
         if cap is not None:
             taken = self._flow_spans.get(fid, 0)
             if taken >= cap:
                 self.skip[fid] = True
-                return
+                return None
             self._flow_spans[fid] = taken + 1
 
         self.packets_sampled += 1
-        steady = report.steady
-        if steady:
-            template = self._steady_templates.get(id(report))
-            if template is None:
-                template = self._build_children(report)
-                self._steady_templates[id(report)] = template
+        if report.steady:
+            entry = self._steady_templates.get(id(report))
+            if entry is None or entry[0] is not report:
+                entry = self._steady_templates[id(report)] = (
+                    report, self._build_children(report)
+                )
+            template = entry[1]
         else:
             template = self._build_children(report)
 
@@ -186,8 +190,7 @@ class FlowSpanRecorder:
         root["dur_ns"] = total_ns
         root["args"]["cycles"] = total_cycles
         self._clock_ns = cursor
-        if index is not None:
-            self._run_roots[index] = root
+        return root
 
     def _build_children(
         self, report: "ProcessReport"
@@ -236,22 +239,15 @@ class FlowSpanRecorder:
 
     # -- loaded-run annotation --------------------------------------------
 
-    def begin_run(self) -> None:
-        """Forget the packet-index → root mapping of a run that never
-        reached :meth:`annotate_loaded` (it raised mid-pass)."""
-        self._run_roots = {}
+    def annotate_loaded(self, roots: Dict[int, Dict[str, Any]], arrival, finish) -> None:
+        """Stamp a run's sampled roots with its simulated timeline.
 
-    def annotate_loaded(self, arrival, finish) -> None:
-        """Stamp the run's sampled roots with its simulated timeline.
-
-        ``arrival`` and ``finish`` are the replay's two columns, indexed
-        by packet.  The root dicts are shared with ``records``, so the
-        stamps show everywhere at once.  The run's root map is consumed:
-        a recorder shared by a cluster's replicas sees one call per
-        replica, and a later one must not restamp roots an earlier run
-        left behind.
+        ``roots`` maps a packet's index in the run to the root
+        :meth:`record` returned for it; ``arrival`` and ``finish`` are
+        the replay's two columns, indexed the same way.  The root dicts
+        are shared with ``records``, so the stamps show everywhere at
+        once.
         """
-        roots, self._run_roots = self._run_roots, {}
         for index, root in roots.items():
             args = root["args"]
             args["sim_arrival_ns"] = float(arrival[index])
@@ -312,7 +308,6 @@ class FlowSpanRecorder:
         self._flow_spans.clear()
         self._steady_templates.clear()
         self._clock_ns = 0.0
-        self._run_roots = {}
 
     def __repr__(self) -> str:
         return (

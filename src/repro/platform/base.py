@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import PathTaken, ProcessReport, ServiceChain, SpeedyBox
 from repro.net.packet import Packet
@@ -189,21 +189,45 @@ def load_result(arrival, finish, dropped: int) -> LoadResult:
 #: moves on to the next packet.
 StagePlan = List[Tuple[Optional[int], float]]
 
-#: bound on ``Platform._forensics_plan_info`` (one entry per distinct
-#: plan, i.e. per flow) — past this the map is cleared rather than grown;
-#: worst-K records from evicted-and-reborn flows just lose their flow-id
-#: label, never their decomposition
-_FORENSICS_INFO_CAP = 1 << 16
+
+@dataclass
+class FunctionalRun:
+    """What one loaded run knows, from its functional phase to its tail.
+
+    Every functional route — :meth:`Platform._begin_pass`, the
+    whole-batch lane — fills one of these and hands it to
+    :meth:`Platform._replay` / :meth:`Platform._finish_run`; nothing a
+    run learns is kept on the platform, the recorder or the engine, so
+    platforms sharing a recorder cannot collide and a run that raises
+    leaves nothing behind.
+    """
+
+    #: per-packet stage plans; a lane run spells them out only when the
+    #: replay needs them
+    plans: Optional[List[StagePlan]] = None
+    dropped: int = 0
+    #: run-local packet index -> the sampled root span ``record()`` returned
+    roots: Dict[int, dict] = field(default_factory=dict)
+    #: ``id(plan) -> (plan, fid, is_fast, transfer_ns)`` captured on a
+    #: plan's first sight this run (per plan is per flow: a steady report
+    #: memoizes one plan), or None when no forensics engine is listening.
+    #: ``plans`` keeps every key alive, so no ``id()`` can be recycled.
+    labels: Optional[Dict[int, tuple]] = None
+    #: the forensic rows' ``replica``: the platform's label, or the
+    #: replica id a cluster gave the run
+    replica: object = None
+    #: a lane run's ``(plan table, plan-id column, batch)``
+    lane: Optional[tuple] = None
 
 
 class _PlanInfoColumn:
-    """Per-packet ``fids``/``fast_flags`` view over the plan-info map.
+    """Per-packet ``fids``/``fast_flags`` view over a run's plan labels.
 
     ``column[i]`` resolves packet ``i``'s captured context through its
     plan's identity — built lazily, paid only for the handful of worst-K
     records the forensics engine actually labels.  Raises ``IndexError``
-    for plans the capture never saw (cache hits predating the engine),
-    which the engine maps to an absent label.
+    for a plan the run never labelled, which the engine maps to an
+    absent label.
     """
 
     __slots__ = ("plans", "info", "slot")
@@ -336,7 +360,7 @@ class Platform:
         #: it coexists with the compiled lanes + analytic replay, so it is
         #: the way to see inside fast runs.  ``None`` = off.  May be
         #: reset or swapped between runs: nothing a run leaves on a
-        #: report outlives the run (see :meth:`_functional_pass`).
+        #: report outlives the run (see :meth:`_begin_pass`).
         self.spans = spans
         #: gen-3 windowed telemetry (repro.obs.timeseries.TimeSeries) or
         #: None.  Loaded runs hand it the finished LoadResult *after*
@@ -352,24 +376,16 @@ class Platform:
         #: functional pass additionally captures per-plan flow ids and
         #: transfer overhead for the worst-K causal context.
         self.forensics = forensics
-        #: ``id(plan) -> (plan, fid, is_fast, transfer_ns)`` captured by
-        #: the functional pass of forensics-enabled runs.  Filled on a
-        #: plan's first sight only — a steady-state packet pays
-        #: nothing — and keyed per plan, which is per flow (steady
-        #: singleton reports memoize exactly one plan each).  The plan
-        #: itself is held in the value so a garbage-collected plan can
-        #: never leave a recycled ``id()`` pointing at stale context;
-        #: the map survives across runs (plan caches do too) and is
-        #: cleared when it outgrows :data:`_FORENSICS_INFO_CAP`.
-        self._forensics_plan_info: Dict[int, tuple] = {}
         #: runtime.fast_packets at the last time-series ingest — the
         #: delta is the run's fast-path hit count for the windows
         self._ts_fast_prev = 0
         #: instance label used for ring/track names; replicas of the same
         #: platform class override it so their metrics stay distinguishable
         self.label = label or self.name
-        #: monotonic unloaded-mode timeline cursor (ns) for the tracer
+        #: monotonic unloaded-mode timeline cursor (ns) for the tracer,
+        #: and how many packets it has laid out (the next one's number)
         self._trace_clock_ns = 0.0
+        self._traced = 0
         self._m_packets = metrics.counter(
             "platform_packets_total", "packets timed by a platform"
         ).labels(platform=self.name)
@@ -503,22 +519,6 @@ class Platform:
             cycles += (len(plan) - 1) * self._transport_cycles_per_hop()
         return model.cycles_to_ns(cycles)
 
-    def _forensics_info_map(self) -> Optional[Dict[int, tuple]]:
-        """The plan-info capture map, or None when forensics is off.
-
-        Bounded: once the map outgrows :data:`_FORENSICS_INFO_CAP`
-        distinct plans it is cleared — future worst-K records from
-        already-cached flows lose their flow-id/fast labels (and fall
-        back to the plan-shape transfer estimate), nothing else.
-        """
-        forensics = self.forensics
-        if forensics is None or not forensics.enabled:
-            return None
-        info = self._forensics_plan_info
-        if len(info) > _FORENSICS_INFO_CAP:
-            info.clear()
-        return info
-
     # -- unloaded mode ---------------------------------------------------------
 
     def process(self, packet: Packet) -> PacketOutcome:
@@ -526,7 +526,7 @@ class Platform:
         self.packets += 1
         report = self.runtime.process(packet)
         work, latency, main_core = self._time_report(report)
-        self._observe(report, self.packets - 1)
+        self._observe(report)
         return PacketOutcome(
             packet=packet,
             report=report,
@@ -537,27 +537,31 @@ class Platform:
             dropped=report.dropped,
         )
 
-    def _observe(self, report: ProcessReport, number: int, run_index: Optional[int] = None) -> None:
+    def _observe(self, report: ProcessReport) -> Optional[dict]:
         """Show one processed packet to whatever is attached.
 
         The span recorder sees it while its flow is still sampled, the
-        registry counts it and the tracer lays out its unloaded
-        timeline.  ``number`` is the platform's running packet count
-        (the tracer's packet id), ``run_index`` the packet's position in
-        the current loaded run — what lets :meth:`_replay` stamp the
-        span with simulated times — or ``None`` outside one.
+        registry counts it and the tracer lays out its unloaded timeline
+        under the next packet number of its own count — so packets
+        :meth:`process` times while a pass is open (a cluster's recovery
+        deliveries) never share a number with the pass's.  Returns the
+        root span the recorder filed, if any: a loaded run keeps it to
+        stamp it with simulated times (:meth:`_finish_run`).
         """
+        root = None
         spans = self.spans
         if spans is not None and spans.skip.get(report.fid) is None:
-            spans.record(report, run_index)
+            root = spans.record(report)
         if self.metrics.enabled or self.tracer.enabled:
             latency_ns = self.costs.cycles_to_ns(self._time_report(report)[1])
             self._m_packets.inc()
             self._m_latency.observe(latency_ns)
             if self.tracer.enabled:
                 self._trace_clock_ns = trace_unloaded(
-                    self.tracer, self, report, self._trace_clock_ns, number
+                    self.tracer, self, report, self._trace_clock_ns, self._traced
                 )
+                self._traced += 1
+        return root
 
     def process_all(self, packets: Sequence[Packet]) -> List[PacketOutcome]:
         return [self.process(packet) for packet in packets]
@@ -601,54 +605,41 @@ class Platform:
         DES otherwise.  Every route gives exactly the result the
         materialized packet list would have produced.
         """
-        if self.spans is not None:
-            self.spans.begin_run()
         if _is_packet_batch(packets):
             if self._batch_lane_eligible(use_timestamps):
                 return self._run_load_batch(packets, inter_arrival_ns)
             packets = packets.packet_view()
         gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
-        plans, dropped = self._functional_pass(packets)
-        return self._replay(plans, gaps, dropped, inter_arrival_ns)
+        return self._replay(self._functional_pass(packets), gaps, inter_arrival_ns)
 
     def _replay(
-        self,
-        plans: Optional[List[StagePlan]],
-        gaps: Optional[List[float]],
-        dropped: int,
-        inter_arrival_ns: float,
-        lane_run: Optional[tuple] = None,
-        context: Optional[dict] = None,
+        self, run: FunctionalRun, gaps: Optional[List[float]], inter_arrival_ns: float
     ) -> LoadResult:
         """Phase two of a loaded run: pick a replay, get the run's
         timeline, finish (:meth:`_finish_run`).
 
-        The per-packet pass hands over ``plans`` and ``gaps``; a lane
-        hands over ``lane_run`` instead — its deduplicated plan table,
-        its plan-id column and the batch it served — and its gaps are
-        the constant ``inter_arrival_ns``.  Three replays, one shape:
-        the vector recursion when a lane's table admits it, the closed
-        form when :meth:`_analytic_valid`, the DES otherwise, each
-        returning ``(arrival, finish)`` indexed by packet.  The vector
-        route stays columnar; only an enabled forensics engine makes it
-        spell its plans out per packet.
+        The per-packet pass hands over ``run.plans`` and ``gaps``; a
+        lane hands over ``run.lane`` instead — its deduplicated plan
+        table, its plan-id column and the batch it served — and its
+        gaps are the constant ``inter_arrival_ns``.  Three replays, one
+        shape: the vector recursion when a lane's table admits it, the
+        closed form when :meth:`_analytic_valid`, the DES otherwise,
+        each returning ``(arrival, finish)`` indexed by packet.  The
+        vector route stays columnar; only an enabled forensics engine
+        makes it spell its plans out per packet.
         """
         timeline = None
-        if lane_run is not None:
-            table, plan_ids, batch = lane_run
+        if run.lane is not None:
+            table, plan_ids, __ = run.lane
             if inter_arrival_ns == 0:
                 timeline = sim_analytic.analytic_replay_vector(
                     table, plan_ids, self.config.ring_capacity
                 )
-            watched = self.forensics is not None and self.forensics.enabled
-            if timeline is None or watched:
-                plans = [table[pid] for pid in plan_ids.tolist()]
+            if timeline is None or (self.forensics is not None and self.forensics.enabled):
+                run.plans = [table[pid] for pid in plan_ids.tolist()]
             if timeline is None:
-                gaps = arrival_gaps(plans, inter_arrival_ns, use_timestamps=False)
-            if watched:
-                # A lane's table plans were never captured: its packets
-                # are labelled by their flow's index in the batch.
-                context = {"replica": self.label, "fids": batch.flow_index.tolist()}
+                gaps = arrival_gaps(run.plans, inter_arrival_ns, use_timestamps=False)
+        plans = run.plans
         if timeline is not None:
             route = "batch"
         elif self._analytic_valid(plans):
@@ -659,50 +650,48 @@ class Platform:
         else:
             engine = Engine()
             self._attach_observer(engine)
-            run = self._spawn_pipeline(engine, plans, gaps)
+            pipeline = self._spawn_pipeline(engine, plans, gaps)
             engine.run()
-            self._publish_load_metrics(run.rings)
-            timeline = run.arrival, run.finish
+            self._publish_load_metrics(pipeline.rings)
+            timeline = pipeline.arrival, pipeline.finish
             route = "des"
-        return self._finish_run(plans, timeline, dropped, inter_arrival_ns, route, context)
+        return self._finish_run(run, timeline, inter_arrival_ns, route)
 
     def _finish_run(
-        self,
-        plans: Optional[List[StagePlan]],
-        timeline: tuple,
-        dropped: int,
-        inter_arrival_ns: float,
-        route: str,
-        context: Optional[dict] = None,
+        self, run: FunctionalRun, timeline: tuple, inter_arrival_ns: float, route: str
     ) -> LoadResult:
-        """The one tail of a loaded run, whoever replayed it: build the
-        result from the timeline and hand the timeline to what is
-        attached (span stamps, time series, forensics).
+        """The one tail of a loaded run, whoever replayed it: count its
+        packets, build the result from the timeline and hand the
+        timeline to what is attached (span stamps, time series,
+        forensics).
 
-        ``context`` is the forensic labelling of the run's packets
-        (``observe_run``'s ``replica`` / ``fids`` / ``fast_flags`` /
-        ``transfers``) when the caller captured its own — a lane, a
-        cluster's dispatcher; by default it is what the functional pass
-        captured per plan.
+        The forensic labelling of the run's packets (``observe_run``'s
+        ``fids`` / ``fast_flags`` / ``transfers``) is what the pass
+        captured per plan; a lane's table plans were never captured, so
+        its packets are labelled by their flow's index in the batch.
         """
         arrival = np.asarray(timeline[0], dtype=np.float64)
         finish = np.asarray(timeline[1], dtype=np.float64)
-        result = load_result(arrival, finish, dropped)
+        self.packets += len(finish)
+        result = load_result(arrival, finish, run.dropped)
         if self.spans is not None:
-            self.spans.annotate_loaded(arrival, finish)
+            self.spans.annotate_loaded(run.roots, arrival, finish)
         if self.timeseries is not None:
             self._ingest_timeseries(result, inter_arrival_ns)
         forensics = self.forensics
         if forensics is not None and forensics.enabled:
-            if context is None:
-                info = self._forensics_plan_info
+            if run.lane is not None:
+                context = {"fids": run.lane[2].flow_index.tolist()}
+            else:
+                labels = run.labels
                 context = {
-                    "replica": self.label,
-                    "fids": _PlanInfoColumn(plans, info, 1),
-                    "fast_flags": _PlanInfoColumn(plans, info, 2),
-                    "transfers": {pid: entry[3] for pid, entry in info.items()},
+                    "fids": _PlanInfoColumn(run.plans, labels, 1),
+                    "fast_flags": _PlanInfoColumn(run.plans, labels, 2),
+                    "transfers": {pid: entry[3] for pid, entry in labels.items()},
                 }
-            forensics.observe_run(self, plans, arrival, finish, lane=route, **context)
+            forensics.observe_run(
+                self, run.plans, arrival, finish, replica=run.replica, lane=route, **context
+            )
         return result
 
     def _ingest_timeseries(self, result: LoadResult, inter_arrival_ns: float) -> None:
@@ -747,7 +736,6 @@ class Platform:
         lane = BatchLane(self, batch)
         table, plan_ids, dropped = lane.run()
         offered = len(batch)
-        self.packets += offered
         # Lane introspection (the batch analogue of the per-packet
         # counters): how much of the run the array path actually served.
         # A dict, not audit events — the lane's audit stream must stay
@@ -759,7 +747,13 @@ class Platform:
             "dropped": dropped,
             "plan_table_size": len(table),
         }
-        return self._replay(None, None, dropped, inter_arrival_ns, (table, plan_ids, batch))
+        run = FunctionalRun(
+            dropped=dropped,
+            roots=lane.roots,
+            replica=self.label,
+            lane=(table, plan_ids, batch),
+        )
+        return self._replay(run, None, inter_arrival_ns)
 
     def _analytic_valid(self, plans: Sequence[StagePlan]) -> bool:
         """May this run use the closed-form replay instead of the DES?
@@ -773,77 +767,91 @@ class Platform:
             return False
         return plans_are_analytic(plans)
 
-    def _functional_pass(self, packets: Sequence[Packet]) -> Tuple[List[StagePlan], int]:
-        """Phase one of a loaded run: process functionally, plan temporally.
+    def _functional_pass(self, packets: Sequence[Packet]) -> FunctionalRun:
+        """Phase one of a loaded run: every packet through one pass."""
+        offer, run = self._begin_pass()
+        for packet in packets:
+            offer(packet)
+        return run
 
-        Returns (stage plans, drop count).  One loop serves every
-        configuration.  A steady-state singleton report
-        (``report.steady``) whose ``plan_cache`` carries *this run's*
-        marker has nothing left to show anyone: its plan is appended
-        and the loop moves on, so the steady majority costs one probe
-        whatever is attached.  Every other report has its plan built (or
-        taken from a cache an earlier run or a lane left) and, while
-        anything is attached, is shown to it by :meth:`_watch`; a steady
-        report is marked the moment nothing will want its packets again.
-        The plan is cached only together with the marker, so a flow
-        still being recorded rebuilds its plan per packet — which only
-        the sampled minority pays.
+    def _begin_pass(self) -> Tuple[Callable[[Packet], StagePlan], FunctionalRun]:
+        """Open phase one of a loaded run: process functionally, plan
+        temporally, one packet per call.
 
-        The marker is a fresh object per run, kept on the report itself
+        Returns ``(offer, run)``: ``offer(packet)`` processes the packet,
+        files its stage plan in ``run`` and returns it; the caller drives
+        it — :meth:`_functional_pass` over a packet sequence, a cluster
+        over the packets it routes to this replica — and hands ``run``
+        to :meth:`_replay`.  This is the only place a loaded run calls
+        ``runtime.process``.
+
+        One step serves every configuration.  A steady-state singleton
+        report (``report.steady``) whose ``plan_cache`` carries *this
+        pass's* marker has nothing left to show anyone: its plan is
+        filed and the step returns, so the steady majority costs one
+        probe whatever is attached.  Every other report has its plan
+        built (or taken from a cache an earlier run or a lane left) and,
+        while anything is attached, is shown to it by :meth:`_watch`; a
+        steady report is marked the moment nothing will want its packets
+        again.  The plan is cached only together with the marker, so a
+        flow still being recorded rebuilds its plan per packet — which
+        only the sampled minority pays.
+
+        The marker is a fresh object per pass, kept on the report itself
         (``ProcessReport.plan_cache`` — an ``id()``-keyed side table
         would go stale once bounded flow tables let steady reports be
         garbage-collected mid-run and their ids recycled).  Reports
         outlive the run; the marker does not, so a recorder that was
         reset, swapped or attached since sees every flow again.
         """
-        plans: List[StagePlan] = []
-        dropped = 0
+        forensics = self.forensics
+        capturing = forensics is not None and forensics.enabled
+        run = FunctionalRun(plans=[], labels={} if capturing else None, replica=self.label)
         process = self.runtime.process
         stage_plan = self._stage_plan
-        append_plan = plans.append
+        append_plan = run.plans.append
         done = object()
-        capture = self._forensics_info_map()
         watch = None
-        if (
-            self.spans is not None
-            or capture is not None
-            or self.metrics.enabled
-            or self.tracer.enabled
-        ):
+        if self.spans is not None or capturing or self.metrics.enabled or self.tracer.enabled:
             watch = self._watch
-        for packet in packets:
+
+        def offer(packet: Packet) -> StagePlan:
             report = process(packet)
             if report.dropped:
-                dropped += 1
+                run.dropped += 1
             cached = report.plan_cache
             if cached is None:
                 plan = stage_plan(report)
             elif cached[3] is done:
-                append_plan(cached[1])
-                continue
+                plan = cached[1]
+                append_plan(plan)
+                return plan
             else:
                 plan = cached[1] if cached[0] is self else stage_plan(report)
-            if watch is None or watch(report, plan, len(plans), capture):
+            if watch is None or watch(report, plan, run):
                 if report.steady:
                     report.plan_cache = (self, plan, None, done)
             append_plan(plan)
-        self.packets += len(plans)
-        return plans, dropped
+            return plan
 
-    def _watch(
-        self, report: ProcessReport, plan: StagePlan, index: int, capture: Optional[Dict[int, tuple]]
-    ) -> bool:
-        """Show packet ``index`` of a loaded run to what is attached.
+        return offer, run
+
+    def _watch(self, report: ProcessReport, plan: StagePlan, run: FunctionalRun) -> bool:
+        """Show the packet ``run`` is about to file to what is attached.
 
         The observers see it exactly as :meth:`process` would show it
-        (:meth:`_observe`), and the plan's forensics context is captured
-        on first sight.  Returns whether nothing will want this report's
+        (:meth:`_observe`); a sampled root is kept under the packet's
+        index in the run, and the plan's forensic labels are captured on
+        first sight.  Returns whether nothing will want this report's
         packets again this run: no registry or tracer attached (those
         count every packet), and its flow unsampled or past the span cap.
         """
-        self._observe(report, self.packets + index, index)
-        if capture is not None and id(plan) not in capture:
-            capture[id(plan)] = (
+        root = self._observe(report)
+        if root is not None:
+            run.roots[len(run.plans)] = root
+        labels = run.labels
+        if labels is not None and id(plan) not in labels:
+            labels[id(plan)] = (
                 plan, report.fid, report.is_fast, self._plan_transfer_ns(report)
             )
         if self.metrics.enabled or self.tracer.enabled:
@@ -996,6 +1004,6 @@ class Platform:
         self.packets = 0
         self.last_lane_stats = None
         self._trace_clock_ns = 0.0
+        self._traced = 0
         self._ts_fast_prev = 0
-        self._forensics_plan_info.clear()
         self.runtime.reset()

@@ -36,6 +36,7 @@ from repro.obs.span import FlowSpanRecorder
 from repro.obs.trace import NULL_TRACER, PacketTracer
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.platform.base import (
+    FunctionalRun,
     LoadResult,
     PacketOutcome,
     Platform,
@@ -133,9 +134,8 @@ class ScaleCluster:
         self.timeseries = timeseries
         #: optional :class:`repro.obs.forensics.ForensicsEngine`, shared
         #: by every replica's platform, whose tail decomposes its
-        #: replica's finished replay — for :meth:`run_load` (whose
-        #: dispatcher captures per-packet flow ids / fast flags /
-        #: transfer overhead) and :meth:`run_load_batch` alike.
+        #: replica's finished replay — for :meth:`run_load` and
+        #: :meth:`run_load_batch` alike.
         self.forensics = forensics
         #: per-replica fast-path counter watermarks for the pump
         self._ts_fast_prev: Dict[int, int] = {}
@@ -219,9 +219,29 @@ class ScaleCluster:
         (buffered by the fault-tolerance coordinator, delivered in order
         when failover completes).
         """
-        if self.ft is not None:
-            self.ft.tick(packet)
         key = packet.five_tuple().canonical()
+        rid = self._route(packet, key)
+        if rid is None:
+            return None
+        outcome = self.replicas[rid].platform.process(packet)
+        self._note_egress(packet, key, rid)
+        return outcome
+
+    def _route(
+        self, packet: Packet, key: FiveTuple, arrival_ns: Optional[float] = None
+    ) -> Optional[int]:
+        """The one routing step, unloaded and loaded alike: the replica
+        that takes ``packet`` now, or ``None`` when it was buffered.
+
+        Advances the fault clock (which may execute an armed kill or
+        recovery), honours a migration freeze, finds the flow's home,
+        buffers against a dead home — with the packet's offered time,
+        when a loaded run knows it, so recovery can charge the stall —
+        and otherwise records the home and logs the dispatch.
+        """
+        ft = self.ft
+        if ft is not None:
+            ft.tick(packet)
         buffer = self._frozen.get(key)
         if buffer is not None:
             buffer.append(packet)
@@ -230,17 +250,16 @@ class ScaleCluster:
             self.audit.emit("migration_buffer", flow=str(key), buffered=len(buffer))
             return None
         rid = self.home_of(key)
-        if self.ft is not None and self.ft.is_dead(rid):
+        if ft is not None and ft.is_dead(rid):
             # Don't record a home: a *new* flow hashed onto the dead
             # replica gets a fresh home after the sharder rebalances.
-            self.ft.buffer_packet(rid, packet)
+            # Recovery delivers the packet and counts its outcome.
+            ft.buffer_packet(rid, packet, arrival_ns=arrival_ns)
             return None
         self._flow_homes[key] = rid
-        if self.ft is not None:
-            self.ft.note_dispatch(packet, key, rid)
-        outcome = self.replicas[rid].platform.process(packet)
-        self._note_egress(packet, key, rid)
-        return outcome
+        if ft is not None:
+            ft.note_dispatch(packet, key, rid)
+        return rid
 
     def _note_egress(self, packet: Packet, ingress_key: FiveTuple, rid: int) -> None:
         """Keep a rewritten connection's return traffic on this replica.
@@ -267,9 +286,11 @@ class ScaleCluster:
     ) -> ClusterLoadResult:
         """Two-phase loaded run across every replica.
 
-        The dispatcher shards and processes packets in global arrival
-        order, with arrival gaps preserving the *global* offered
-        timeline; then every replica's stage plans are replayed by its
+        The cluster is a router in front of N passes: it opens each
+        replica's per-packet pass (:meth:`Platform._begin_pass`), routes
+        the packets in global arrival order and offers each to its
+        replica's pass, with arrival gaps preserving the *global*
+        offered timeline; then every replica's run is replayed by its
         own platform, on the route that platform would take alone.  Only
         with ``physical_cores`` set do the replicas share one engine:
         all their stage workers contend for that core pool.
@@ -282,55 +303,31 @@ class ScaleCluster:
         # A fault injected mid-window removes a replica from self.replicas;
         # its pre-kill packets must still count in the timing replay, so
         # the window's participant set is fixed up front (recovery never
-        # spawns new replicas, it re-homes onto survivors).
+        # spawns new replicas, it re-homes onto survivors).  Recovery's
+        # deliveries go through ``process`` while the passes stay open.
         participants = dict(self.replicas)
-        plans: Dict[int, list] = {rid: [] for rid in participants}
+        offers: Dict[int, Callable] = {}
+        runs: Dict[int, FunctionalRun] = {}
+        for rid, replica in participants.items():
+            offers[rid], runs[rid] = replica.platform._begin_pass()
+            runs[rid].replica = rid
         gaps: Dict[int, List[float]] = {rid: [] for rid in participants}
-        dropped: Dict[int, int] = {rid: 0 for rid in participants}
         last_arrival: Dict[int, float] = {}
         timeseries = self.timeseries
-        forensics_on = self.forensics is not None and self.forensics.enabled
-        #: per-replica forensic labels aligned with plans (the tail's
-        #: ``context``), captured only while an engine is listening
-        contexts: Dict[int, Optional[dict]] = {
-            rid: {"replica": rid, "fids": [], "fast_flags": [], "transfers": []}
-            if forensics_on
-            else None
-            for rid in participants
-        }
         for index, packet in enumerate(packets):
             arrival = index * inter_arrival_ns
-            if self.ft is not None:
-                self.ft.tick(packet)
             key = packet.five_tuple().canonical()
-            rid = self.home_of(key)
-            if self.ft is not None and self.ft.is_dead(rid):
-                # Buffered against the dead replica: delivered (and its
-                # outcome counted) by recovery, outside this timing run.
-                # The arrival stamp lets recovery charge the stall from
-                # this packet's offered time to its delivery.
-                self.ft.buffer_packet(rid, packet, arrival_ns=arrival)
+            rid = self._route(packet, key, arrival)
+            if rid is None:
                 if timeseries is not None:
-                    timeseries.record(arrival, None, replica=rid, buffered=True)
+                    timeseries.record(
+                        arrival, None, replica=self.home_of(key), buffered=True
+                    )
                 continue
-            self._flow_homes[key] = rid
-            if self.ft is not None:
-                self.ft.note_dispatch(packet, key, rid)
-            platform = self.replicas[rid].platform
-            outcome = platform.process(packet)
+            plan = offers[rid](packet)
             self._note_egress(packet, key, rid)
-            plan = platform._stage_plan(outcome.report)
-            plans[rid].append(plan)
             gaps[rid].append(arrival - last_arrival.get(rid, 0.0))
             last_arrival[rid] = arrival
-            context = contexts[rid]
-            if context is not None:
-                report = outcome.report
-                context["fids"].append(report.fid)
-                context["fast_flags"].append(report.is_fast)
-                context["transfers"].append(platform._plan_transfer_ns(report))
-            if outcome.dropped:
-                dropped[rid] += 1
             if timeseries is not None:
                 # Dispatch-time latency signal: the packet's requested
                 # service time (stage-plan sum).  The queued end-to-end
@@ -338,15 +335,14 @@ class ScaleCluster:
                 # window must close *now* for degraded-before-dead
                 # detection — service time is the deterministic
                 # per-packet component of it.
-                runtime = platform.runtime
-                fast_now = getattr(runtime, "fast_packets", 0)
+                fast_now = getattr(participants[rid].runtime, "fast_packets", 0)
                 fast_hit = fast_now > self._ts_fast_prev.get(rid, 0)
                 self._ts_fast_prev[rid] = fast_now
                 timeseries.record(
                     arrival,
                     sum(service for __, service in plan),
                     replica=rid,
-                    dropped=outcome.dropped,
+                    dropped=packet.dropped,
                     fast_hit=fast_hit,
                 )
         if timeseries is not None:
@@ -354,8 +350,8 @@ class ScaleCluster:
             # at zero each window run, so windows never span run_load calls.
             timeseries.finish()
 
-        # The dispatcher ends here; every replica finishes where a
-        # platform does.  Without a shared core pool the pipelines are
+        # The router ends here; every replica finishes where a platform
+        # does.  Without a shared core pool the pipelines are
         # independent, so each replica replays exactly as it would alone
         # (Platform._replay picks its route).  A core pool couples them:
         # every pipeline is spawned on one engine, and each platform is
@@ -364,30 +360,28 @@ class ScaleCluster:
         if self.physical_cores is None:
             for rid, replica in participants.items():
                 per_replica[rid] = replica.platform._replay(
-                    plans[rid], gaps[rid], dropped[rid], inter_arrival_ns,
-                    context=contexts[rid],
+                    runs[rid], gaps[rid], inter_arrival_ns
                 )
         else:
             engine = Engine()
             next(iter(participants.values())).platform._attach_observer(engine)
             core_pool = Resource(engine, capacity=self.physical_cores, name="cores")
-            runs = {
+            pipelines = {
                 rid: replica.platform._spawn_pipeline(
-                    engine, plans[rid], gaps[rid], core_pool=core_pool
+                    engine, runs[rid].plans, gaps[rid], core_pool=core_pool
                 )
                 for rid, replica in participants.items()
             }
             engine.run()
-            for rid, run in runs.items():
+            for rid, pipeline in pipelines.items():
                 platform = participants[rid].platform
-                platform._publish_load_metrics(run.rings)
+                platform._publish_load_metrics(pipeline.rings)
                 per_replica[rid] = platform._finish_run(
-                    plans[rid], (run.arrival, run.finish), dropped[rid],
-                    inter_arrival_ns, "des", contexts[rid],
+                    runs[rid], (pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
                 )
         busy_ns = {
-            rid: sum(service for plan in plans[rid] for __, service in plan)
-            for rid in participants
+            rid: sum(service for plan in run.plans for __, service in plan)
+            for rid, run in runs.items()
         }
         total = LoadResult.merged(list(per_replica.values()))
         return ClusterLoadResult(total=total, per_replica=per_replica, busy_ns=busy_ns)
@@ -398,7 +392,7 @@ class ScaleCluster:
 
         The columnar analogue of :meth:`run_load`: the sharding unit is
         the *flow* (``home_of`` on each flow's canonical five-tuple, the
-        same mapping the per-packet dispatcher uses), each replica gets
+        same mapping the per-packet router uses), each replica gets
         a self-contained sub-batch (:meth:`PacketBatch.select_flows`,
         packet order preserved), and each replica's platform runs it —
         down the whole-batch lane when that platform is eligible.  With

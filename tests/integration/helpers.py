@@ -77,11 +77,11 @@ def des_run_load(
     global timeline (the first gap need not be zero)."""
     if gaps is None:
         gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
-    plans, dropped = platform._functional_pass(packets)
+    run = platform._functional_pass(packets)
     engine = Engine()
-    run = platform._spawn_pipeline(engine, plans, gaps)
+    pipeline = platform._spawn_pipeline(engine, run.plans, gaps)
     engine.run()
-    return load_result(run.arrival, run.finish, dropped)
+    return load_result(pipeline.arrival, pipeline.finish, run.dropped)
 
 
 def run_lockstep(

@@ -274,10 +274,25 @@ def offered_gap(arrival: str) -> float:
     return ARRIVALS[arrival].get("inter_arrival_ns", 0.0)
 
 
+def sim_stamps(recorder: FlowSpanRecorder) -> dict:
+    """(fid, k) -> the simulated times stamped on flow ``fid``'s k-th
+    recorded packet; every recorded root must carry all three."""
+    stamps, seen = {}, {}
+    for root in recorder.roots():
+        args = root["args"]
+        k = seen[args["fid"]] = seen.get(args["fid"], -1) + 1
+        stamps[args["fid"], k] = (
+            args["sim_arrival_ns"], args["sim_finish_ns"], args["sim_latency_ns"]
+        )
+    return stamps
+
+
 @pytest.mark.parametrize("cores", [None, 2])
 @pytest.mark.parametrize("arrival", ["saturation", "gapped"])
 @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
-@pytest.mark.parametrize("attached", ["nothing", "timeseries+forensics", "registry", "tracer"])
+@pytest.mark.parametrize(
+    "attached", ["nothing", "spans", "timeseries+forensics", "registry", "tracer"]
+)
 @pytest.mark.parametrize("replicas", [1, 3])
 def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival, cores):
     chain = "stateful"
@@ -285,13 +300,14 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
     del routes[:]
 
     build, sbox_kwargs, __ = CHAINS[chain]
+    observers = attach(attached)[1]
     cluster = ScaleCluster(
         build,
         platform=platform_name,
         replicas=replicas,
         speedybox_kwargs=sbox_kwargs,
         physical_cores=cores,
-        **attach(attached)[1],
+        **observers,
     )
     packets = list(make_batch(chain, arrival).packet_view())
     shares = {rid: [] for rid in cluster.replicas}
@@ -306,6 +322,10 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
     assert {rid: part.offered for rid, part in result.per_replica.items()} == {
         rid: len(share) for rid, share in shares.items()
     }
+    # one recorder shared by the replicas: every root a run records is
+    # stamped by the tail of the replica that recorded it
+    stamped = sim_stamps(observers["spans"]) if attached == "spans" else {}
+    assert bool(stamped) == (attached == "spans")
     if cores is not None:
         assert routes == ["des"]  # one shared engine, whatever is attached
         return
@@ -313,14 +333,29 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
     assert routes == ["des" if attached in ("registry", "tracer") else "analytic"] * replicas
 
     fresh = list(make_batch(chain, arrival).packet_view())
+    again = list(make_batch(chain, arrival).packet_view())
+    solo_stamped = {}
     for rid, share in shares.items():
         arrivals = [index * offered_gap(arrival) for index in share]
+        gaps = [now - before for before, now in zip([0.0] + arrivals, arrivals)]
         solo = des_run_load(
             PLATFORMS[platform_name](InterpretedSpeedyBox(build(), **sbox_kwargs)),
             [fresh[index] for index in share],
-            gaps=[now - before for before, now in zip([0.0] + arrivals, arrivals)],
+            gaps=gaps,
         )
         assert result.per_replica[rid] == solo
+        if attached != "spans":
+            continue
+        # ... and a platform alone, offered this replica's share at the
+        # same times, stamps every packet of a sampled flow the same
+        alone = PLATFORMS[platform_name](
+            SpeedyBox(build(), **sbox_kwargs), spans=FlowSpanRecorder(every=1)
+        )
+        alone._replay(
+            alone._functional_pass([again[index] for index in share]), gaps, offered_gap(arrival)
+        )
+        solo_stamped.update(sim_stamps(alone.spans))
+    assert stamped.items() <= solo_stamped.items()
     if replicas == 1:
         assert total == reference
 
@@ -358,9 +393,9 @@ def test_cluster_kill_and_recover_window(routes):
 
 
 def test_shared_recorder_keeps_an_earlier_runs_stamps():
-    """``annotate_loaded`` consumes the run's roots: the tails of a later
-    ``run_load`` (one per replica, same shared recorder, no run-local
-    indices of their own) must not restamp what ``run_load_batch`` left."""
+    """A run's tail stamps the roots that run recorded and no others:
+    the tails of a later ``run_load`` (one per replica, same shared
+    recorder) must not restamp what ``run_load_batch`` left."""
     recorder = FlowSpanRecorder(every=1)
     cluster = ScaleCluster(header_chain, replicas=2, spans=recorder)
     cluster.run_load_batch(make_batch("header", "saturation"))

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
-from repro.nf import IPFilter, MazuNAT, Monitor
+from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
+from repro.nf.ipfilter import AclRule
 from repro.obs import FlowSpanRecorder, PacketTracer, load_span_jsonl
 from repro.platform import BessPlatform
 from repro.platform.costs import CostModel
@@ -138,23 +140,63 @@ class TestLoadedAnnotation:
     def test_annotate_loaded_stamps_sim_times(self):
         recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
         runtime = SpeedyBox([Monitor("mon")])
-        recorder.begin_run()
-        for index, packet in enumerate(make_packets(4)):
-            recorder.record(runtime.process(packet), index)
-        recorder.annotate_loaded([100.0, 200.0, 300.0, 400.0], [150.0, 260.0, 390.0, 480.0])
+        roots = {
+            index: recorder.record(runtime.process(packet))
+            for index, packet in enumerate(make_packets(4))
+        }
+        recorder.annotate_loaded(roots, [100.0, 200.0, 300.0, 400.0], [150.0, 260.0, 390.0, 480.0])
         roots = recorder.roots()
         assert [root["args"]["sim_latency_ns"] for root in roots] == [50.0, 60.0, 90.0, 80.0]
         assert roots[3]["args"]["sim_arrival_ns"] == 400.0
         assert roots[3]["args"]["sim_finish_ns"] == 480.0
 
-    def test_begin_run_forgets_previous_indices(self):
-        recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
-        runtime = SpeedyBox([Monitor("mon")])
-        recorder.begin_run()
-        recorder.record(runtime.process(make_packets(1)[0]), 0)
-        recorder.begin_run()
-        recorder.annotate_loaded([999.0], [1000.0])
-        assert "sim_arrival_ns" not in recorder.roots()[0]["args"]
+    def test_a_run_that_raises_leaks_no_roots(self):
+        """Sampled roots live on the run: one that dies mid-pass takes
+        them along, and the next run's stamps are exactly what a fresh
+        recorder's would be."""
+        specs = [
+            FlowSpec.udp(f"10.0.0.{i + 1}", "20.0.0.1", 5000 + i, 53, packets=3)
+            for i in range(4)
+        ]
+        packets = TrafficGenerator(specs, interleave="round_robin").packets()
+
+        def stamps_of_next_run(fresh_recorder):
+            recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
+            platform = BessPlatform(SpeedyBox([RaisesOnThirdPacket("mon")]), spans=recorder)
+            with pytest.raises(RuntimeError, match="third packet"):
+                platform.run_load(clone_packets(packets), inter_arrival_ns=500.0)
+            aborted = len(recorder.roots())
+            assert aborted == 2
+            if fresh_recorder:
+                platform.spans = recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
+                aborted = 0
+            platform.run_load(clone_packets(packets), inter_arrival_ns=500.0)
+            roots = recorder.roots()
+            assert not any("sim_arrival_ns" in root["args"] for root in roots[:aborted])
+            return [
+                {key: value for key, value in root["args"].items() if key.startswith("sim_")}
+                for root in roots[aborted:]
+            ]
+
+        stamps = stamps_of_next_run(fresh_recorder=False)
+        assert len(stamps) == len(packets)
+        assert [stamp["sim_arrival_ns"] for stamp in stamps] == [
+            index * 500.0 for index in range(len(packets))
+        ]
+        assert stamps == stamps_of_next_run(fresh_recorder=True)
+
+
+class RaisesOnThirdPacket(Monitor):
+    """Fails the third packet it is shown (first packets take the slow
+    path, so that is the third flow's first), then behaves."""
+
+    calls = 0
+
+    def process(self, packet, api):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("third packet")
+        super().process(packet, api)
 
 
 class TestRecorderAcrossRuns:
@@ -180,6 +222,36 @@ class TestRecorderAcrossRuns:
         assert sampled_and_seen() == (8, 4)
         platform.spans = FlowSpanRecorder(every=1, max_spans_per_flow=2)
         assert sampled_and_seen() == (8, 4)
+
+
+class TestSteadyTemplates:
+    def test_a_dead_flows_template_is_not_served_to_a_live_one(self):
+        """Steady templates are found by ``id(report)``; with tables of
+        one flow a dead flow's steady report is collected mid-run and
+        its id recycled by the next flow's, whose spans must still be
+        its own (forwarded: 660 cycles of children, ACL-dropped: 750)."""
+        model = CostModel()
+        recorder = FlowSpanRecorder(model, every=1, max_spans_per_flow=None)
+        runtime = SpeedyBox(
+            [
+                SyntheticNF("a", action=Modify.ttl_dec(), sf_payload_class=None),
+                IPFilter("fw", rules=[AclRule.make(src="10.0.0.2")]),
+            ],
+            max_flows=1,
+            max_tracked_flows=1,
+        )
+        checked = 0
+        for trial in range(30):
+            for src in ("10.0.0.1", "10.0.0.2"):
+                spec = FlowSpec.udp(src, "20.0.0.1", 7000 + trial, 53, packets=4)
+                for packet in TrafficGenerator([spec]).packets():
+                    report = runtime.process(packet)
+                    root = recorder.record(report)
+                    assert root["args"]["cycles"] == report.total_meter().cycles(model)
+                    checked += 1
+                    # let a dead flow's report be collected, as a loaded run does
+                    del report, root
+        assert checked == 240
 
 
 class TestExport:

@@ -3,7 +3,11 @@ dispatch/freeze/elasticity mechanics, and the autoscaler's watermarks."""
 
 import pytest
 
-from repro.nf import IPFilter, MazuNAT, Monitor
+import repro.platform.base as platform_base
+from repro.core.actions import Modify
+from repro.ft import FaultInjector, FaultTolerance
+from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
+from repro.obs import PacketTracer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.signals import ClusterSignals, SignalSample
 from repro.platform.base import LoadResult
@@ -210,6 +214,94 @@ def sample(ring=0.0, cores=0.0, p99=0.0, mpps=1.0, replicas=2):
         throughput_mpps=mpps,
         replicas=replicas,
     )
+
+
+class TestClusterOffersThroughThePlatformsPass:
+    """``run_load`` is a router in front of each replica's per-packet
+    pass (``Platform._begin_pass``) — counted, not timed."""
+
+    FLOWS, PACKETS_PER_FLOW, REPLICAS = 64, 30, 4
+
+    @staticmethod
+    def rewrite_chain():
+        return [
+            SyntheticNF("ttl", action=Modify.ttl_dec(), sf_payload_class=None),
+            SyntheticNF("mark", action=Modify.set(dst_port=8080), sf_payload_class=None),
+            SyntheticNF("port", action=Modify.set(src_port=4040), sf_payload_class=None),
+        ]
+
+    def steady_packets(self):
+        specs = [
+            FlowSpec.udp(f"10.3.{i}.1", "20.0.0.1", 6000 + i, 53, packets=self.PACKETS_PER_FLOW)
+            for i in range(self.FLOWS)
+        ]
+        return TrafficGenerator(specs, interleave="round_robin").packets()
+
+    def counted(self, cluster, attribute):
+        """Wrap ``platform.<attribute>`` on every replica; returns the
+        per-replica call counts, kept up to date as the cluster runs."""
+        calls = {rid: 0 for rid in cluster.replicas}
+
+        def wrap(rid, original):
+            def counting(*args, **kwargs):
+                calls[rid] += 1
+                return original(*args, **kwargs)
+
+            return counting
+
+        for rid, replica in cluster.replicas.items():
+            setattr(replica.platform, attribute, wrap(rid, getattr(replica.platform, attribute)))
+        return calls
+
+    def test_steady_flows_build_one_plan_each_not_one_per_packet(self):
+        cluster = ScaleCluster(self.rewrite_chain, replicas=self.REPLICAS)
+        plan_calls = self.counted(cluster, "_stage_plan")
+        packets = self.steady_packets()
+        result = cluster.run_load(packets)
+        assert result.total.delivered == len(packets)
+        # per flow: its first packet's slow-path plan, its steady plan
+        assert sum(plan_calls.values()) == 2 * self.FLOWS
+        assert all(calls > 0 for calls in plan_calls.values())
+        assert {rid: r.platform.packets for rid, r in cluster.replicas.items()} == {
+            rid: part.offered for rid, part in result.per_replica.items()
+        }
+
+    def test_recovery_interleaves_with_the_open_passes(self, monkeypatch):
+        """A kill and a recovery mid-window: recovery's replays and
+        deliveries are ``cluster.process`` calls made while every
+        survivor's pass is open.  Nothing is lost, every platform counts
+        exactly the packets it handled, and the tracer numbers them
+        without a repeat."""
+        cluster = ScaleCluster(self.rewrite_chain, replicas=self.REPLICAS, tracer=PacketTracer())
+        platforms = {rid: replica.platform for rid, replica in cluster.replicas.items()}
+        process_calls = self.counted(cluster, "process")
+        packets = self.steady_packets()
+        ft = FaultTolerance(
+            cluster,
+            checkpoint_interval=32,
+            injector=FaultInjector(kill_at=len(packets) // 2, recover_after=len(packets) // 8),
+            charge_recovery=False,
+        )
+        numbers = {rid: [] for rid in platforms}
+        by_platform = {id(platform): rid for rid, platform in platforms.items()}
+        trace_unloaded = platform_base.trace_unloaded
+
+        def numbered(tracer, platform, report, start_ns, number):
+            numbers[by_platform[id(platform)]].append(number)
+            return trace_unloaded(tracer, platform, report, start_ns, number)
+
+        monkeypatch.setattr(platform_base, "trace_unloaded", numbered)
+        result = cluster.run_load(packets, inter_arrival_ns=200.0)
+
+        (recovery,) = ft.recoveries
+        total = result.total
+        assert recovery.packets_delivered == ft.packets_buffered > 0
+        assert len(packets) == total.delivered + total.dropped + recovery.packets_delivered
+        assert recovery.packets_replayed + recovery.packets_delivered == sum(process_calls.values())
+        assert process_calls[recovery.replica] == 0
+        for rid, platform in platforms.items():
+            assert platform.packets == result.per_replica[rid].offered + process_calls[rid]
+            assert numbers[rid] == list(range(platform.packets))
 
 
 class TestAutoscalerDecisions:

@@ -1,0 +1,38 @@
+"""The part of the lint gate a box without ruff can check.
+
+``pyproject.toml`` selects ruff's error tier only (E9, F63, F7, F82);
+ruff itself is a CI dependency, not a test one.  What that tier guards
+first — every file parses and compiles, every exported name exists — is
+checked here so tier-1 says it too.
+"""
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("tree", ["src", "tests", "benchmarks", "examples", "bench"])
+def test_every_source_file_compiles(tree):
+    paths = sorted((ROOT / tree).rglob("*.py"))
+    assert paths
+    for path in paths:
+        # compile() alone: nothing is executed and no bytecode is written
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def test_every_exported_name_resolves():
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    assert len(packages) > 10
+    for package in packages:
+        missing = [name for name in package.__all__ if not hasattr(package, name)]
+        assert not missing, f"{package.__name__}.__all__ names {missing}"
