@@ -3,31 +3,24 @@
 Usage::
 
     PYTHONPATH=src python benchmarks/check_bench_diff.py BASELINE CURRENT \
-        [--threshold 0.05] [--ignore REGEX] [--show-ok]
+        [--threshold 0.05] [--show-ok]
 
 ``BASELINE`` and ``CURRENT`` are each a ``BENCH_*.json`` file or a
 directory of them (the repo root holds the committed baselines; a CI
-run stashes them, re-runs the benchmark suite, and diffs).  The differ
-(:mod:`repro.obs.benchdiff`) classifies every metric by its name's
-good direction — latency/loss keys gate lower-is-better, throughput
-keys higher-is-better — and wall-clock-derived keys (absolute seconds,
-overhead ratios, speedups) are reported but never gate, because runner
-speed is not comparable across machines.  Exit code 1 when any gated
-metric regressed beyond the threshold.  ``repro obs diff`` is the
-human-facing face of the same differ.
+run stashes them, re-runs the benchmark suite, and diffs).  This is
+``repro obs diff`` with positional arguments: every key is what its
+artifact's ``schema`` block declares it to be — ``sim`` keys gate at
+the threshold in their direction, ``count`` keys on any change, ``wall``
+keys are reported and never gate.  Exit code 1 when a gated key
+regressed, 2 (one line on stderr) when an artifact cannot be read or
+declares nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.obs.benchdiff import (
-    DEFAULT_IGNORE,
-    collect_benches,
-    diff_benches,
-    regressions,
-    render_diff,
-)
+from repro.cli import main as repro_main
 
 
 def main(argv=None) -> int:
@@ -38,35 +31,13 @@ def main(argv=None) -> int:
         "--threshold",
         type=float,
         default=0.05,
-        help="fractional change that counts as a regression (default 0.05)",
+        help="fractional change of a sim key that counts as a regression (default 0.05)",
     )
-    parser.add_argument(
-        "--ignore",
-        default=DEFAULT_IGNORE,
-        help="regex of metric keys to report but never gate "
-        "(default: wall-clock-derived keys)",
-    )
-    parser.add_argument(
-        "--show-ok",
-        action="store_true",
-        help="also list unchanged metrics",
-    )
+    parser.add_argument("--show-ok", action="store_true", help="also list unchanged metrics")
     args = parser.parse_args(argv)
-    entries = diff_benches(
-        collect_benches(args.baseline),
-        collect_benches(args.current),
-        threshold=args.threshold,
-        ignore=args.ignore or None,
-    )
-    print(render_diff(entries, title="bench regression gate", show_ok=args.show_ok))
-    bad = regressions(entries)
-    if bad:
-        print(f"{len(bad)} metric(s) regressed beyond {args.threshold:.0%}:")
-        for entry in bad:
-            print(f"  {entry.describe()}")
-        return 1
-    print("bench diff gate passed")
-    return 0
+    command = ["obs", "diff", "--baseline", args.baseline, "--current", args.current]
+    command += ["--threshold", str(args.threshold)] + ["--show-ok"] * args.show_ok
+    return repro_main(command)
 
 
 if __name__ == "__main__":

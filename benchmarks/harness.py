@@ -9,6 +9,12 @@ paper reports, and writes the rendered text to
 The pytest-benchmark fixture times the simulation run itself, so
 ``pytest benchmarks/ --benchmark-only`` both regenerates the numbers and
 tracks the harness's own performance.
+
+A benchmark that tracks numbers hands them to :func:`save_result` as
+``metrics``, each one declared where it is produced — :func:`sim`,
+:func:`count` or :func:`wall` — and the declaration is written into
+``BENCH_<experiment>.json`` beside the value, which is all the
+regression gate (:mod:`repro.obs.benchdiff`) knows about a key.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import ServiceChain, SpeedyBox
 from repro.net.packet import Packet
+from repro.obs.benchdiff import DIRECTIONS, Metric
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.platform.base import PacketOutcome, Platform
 from repro.traffic import FlowSpec, TrafficGenerator
@@ -35,25 +42,55 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 NIC_CYCLES = 260.0
 
 
-def save_result(name: str, text: str, metrics: Optional[Dict[str, float]] = None) -> None:
+def sim(value: float, direction: str) -> Metric:
+    """A deterministic simulated quantity (cycles, Mpps, simulated µs):
+    gated at the differ's threshold in ``direction``."""
+    return Metric(value, "sim", direction)
+
+
+def count(value: float, direction: str = "none") -> Metric:
+    """An exact integer (packets, flows, calls, identity flags): any
+    change against ``direction`` gates."""
+    return Metric(value, "count", direction)
+
+
+def wall(value: float) -> Metric:
+    """Host time, RSS or a ratio of host times: reported, never gated."""
+    return Metric(value, "wall", "none")
+
+
+def save_result(name: str, text: str, metrics: Optional[Dict[str, Metric]] = None) -> None:
     """Print the rendered table/series and persist it under results/.
 
     When ``metrics`` is given, the machine-readable companion
-    ``BENCH_<name>.json`` is written at the repo root as well.
+    ``BENCH_<name>.json`` is written at the repo root as well: the
+    values under ``metrics``, what each one is under ``schema``.
+    ``TypeError`` for a value that does not say what it is.
     """
+    for key, metric in (metrics or {}).items():
+        if not isinstance(metric, Metric):
+            raise TypeError(
+                f"{name}: {key} = {metric!r} is undeclared; wrap it in sim(), count() or wall()"
+            )
+        if metric.direction not in DIRECTIONS:
+            raise ValueError(f"{name}: {key}: direction is one of {DIRECTIONS}: {metric}")
+        if metric.kind == "count" and metric.value != int(metric.value):
+            raise ValueError(f"{name}: {key}: a count is an integer: {metric}")
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}\n")
-    if metrics is not None:
-        save_bench_json(name, metrics)
-
-
-def save_bench_json(experiment: str, metrics: Dict[str, float]) -> Path:
-    """Write BENCH_<experiment>.json at the repo root; returns the path."""
-    path = REPO_ROOT / f"BENCH_{experiment}.json"
-    payload = {"experiment": experiment, "metrics": metrics}
+    if metrics is None:
+        return
+    payload = {
+        "experiment": name,
+        "metrics": {key: metric.value for key, metric in metrics.items()},
+        "schema": {
+            key: {"kind": metric.kind, "direction": metric.direction}
+            for key, metric in metrics.items()
+        },
+    }
+    path = REPO_ROOT / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def make_platform(platform_name: str, runtime, **kwargs) -> Platform:

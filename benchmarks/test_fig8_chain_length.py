@@ -10,7 +10,7 @@ SpeedyBox holds BESS's rate high on long chains; ONVM's pipelined rate
 stays flat regardless.
 """
 
-from benchmarks.harness import make_platform, save_result, uniform_flow_packets
+from benchmarks.harness import make_platform, save_result, sim, uniform_flow_packets
 from repro.core.framework import ServiceChain, SpeedyBox
 from repro.nf import IPFilter
 from repro.platform import OpenNetVMPlatform
@@ -51,9 +51,9 @@ def _cell(results, platform, variant, n, metric):
 
 
 def _report(results):
-    for metric, label, fname in (
-        ("latency_us", "Processing Latency (us)", "fig8_latency"),
-        ("rate_mpps", "Processing Rate (Mpps)", "fig8_rate"),
+    for metric, label, fname, better in (
+        ("latency_us", "Processing Latency (us)", "fig8_latency", "lower"),
+        ("rate_mpps", "Processing Rate (Mpps)", "fig8_rate", "higher"),
     ):
         rows = []
         for n in LENGTHS:
@@ -67,9 +67,8 @@ def _report(results):
                 ]
             )
         metrics = {
-            f"{platform}_{variant}_{metric}_n{n}": value
+            f"{platform}_{variant}_{metric}_n{n}": sim(entry[metric], better)
             for (platform, variant, n), entry in results.items()
-            for value in [entry[metric]]
         }
         text = format_table(
             ["Chain Length", "BESS", "BESS w/ SBox", "ONVM", "ONVM w/ SBox"],

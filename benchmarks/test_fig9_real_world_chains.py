@@ -16,7 +16,12 @@ Paper anchors (p50 flow-time reduction): Chain 1: 39.6% (BESS) / 40.2%
 (ONVM); Chain 2: 41.3% (BESS) / 34.2% (ONVM).
 """
 
-from benchmarks.harness import per_flow_processing_time_us, percent_reduction, save_result
+from benchmarks.harness import (
+    per_flow_processing_time_us,
+    percent_reduction,
+    save_result,
+    sim,
+)
 from repro.core.framework import ServiceChain, SpeedyBox
 from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor, SnortIDS
 from repro.nf.maglev import Backend
@@ -85,20 +90,27 @@ def _report(results):
         ("chain2", "Chain 2: IPFilter+Snort+Monitor"),
     ):
         rows = []
+        metrics = {}
         for platform_name, label in (("bess", "BESS"), ("onvm", "ONVM")):
             data = results[(chain_name, platform_name)]
-            for variant, dist in (("", data["original"]), (" w/ SBox", data["speedybox"])):
+            for variant, suffix in (("original", ""), ("speedybox", " w/ SBox")):
+                dist = data[variant]
                 rows.append(
-                    [f"{label}{variant}", dist.p(0.10), dist.p50, dist.p90, dist.p99, dist.mean]
+                    [f"{label}{suffix}", dist.p(0.10), dist.p50, dist.p90, dist.p99, dist.mean]
                 )
+                for column in ("p50", "p90", "p99", "mean"):
+                    metrics[f"{platform_name}_{variant}_flow_time_{column}_us"] = sim(
+                        getattr(dist, column), "lower"
+                    )
             reduction = percent_reduction(data["original"].p50, data["speedybox"].p50)
             rows.append([f"{label} p50 reduction", f"-{reduction:.1f}%", "", "", "", ""])
+            metrics[f"{platform_name}_p50_reduction_pct"] = sim(reduction, "higher")
         text = format_table(
             ["Config", "p10 (us)", "p50 (us)", "p90 (us)", "p99 (us)", "mean (us)"],
             rows,
             title=f"Figure 9 ({title}): flow processing time distribution",
         )
-        save_result(f"fig9_{chain_name}", text)
+        save_result(f"fig9_{chain_name}", text, metrics=metrics)
 
         # Also persist the CDF series the figure plots.
         for platform_name in ("bess", "onvm"):

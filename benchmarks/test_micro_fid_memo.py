@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.harness import save_result
+from benchmarks.harness import count, save_result, wall
 from repro.core.classifier import fid_of
 from repro.net.flow import FiveTuple, PROTO_TCP
 
@@ -47,12 +47,12 @@ def run_micro():
     assert [fid_of(t) for t in tuples] == [uncached(t) for t in tuples]
 
     return {
-        "lookups": float(LOOKUPS),
-        "flows": float(FLOWS),
-        "raw_ns_per_call": raw_s / LOOKUPS * 1e9,
-        "memo_ns_per_call": memo_s / LOOKUPS * 1e9,
-        "speedup": raw_s / memo_s,
-        "hits": float(fid_of.cache_info().hits),
+        "lookups": count(float(LOOKUPS)),
+        "flows": count(float(FLOWS)),
+        "raw_ns_per_call": wall(raw_s / LOOKUPS * 1e9),
+        "memo_ns_per_call": wall(memo_s / LOOKUPS * 1e9),
+        "speedup": wall(raw_s / memo_s),
+        "hits": count(float(fid_of.cache_info().hits), "higher"),
     }
 
 
@@ -62,11 +62,10 @@ def test_micro_fid_memo(benchmark):
         "micro_fid_memo",
         (
             f"fid_of over {LOOKUPS} lookups across {FLOWS} flows:\n"
-            f"raw FNV-1a : {metrics['raw_ns_per_call']:.0f} ns/call\n"
-            f"memoized   : {metrics['memo_ns_per_call']:.0f} ns/call\n"
-            f"speedup    : {metrics['speedup']:.1f}x"
+            f"raw FNV-1a : {metrics['raw_ns_per_call'].value:.0f} ns/call\n"
+            f"memoized   : {metrics['memo_ns_per_call'].value:.0f} ns/call\n"
+            f"speedup    : {metrics['speedup'].value:.1f}x"
         ),
         metrics=metrics,
     )
-    assert metrics["speedup"] > 3.0
-    assert metrics["hits"] >= LOOKUPS - FLOWS
+    assert metrics["hits"].value >= LOOKUPS - FLOWS

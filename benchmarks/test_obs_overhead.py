@@ -1,4 +1,4 @@
-"""Span-sampling and telemetry overhead benchmark (the obs perf gate).
+"""Span-sampling and telemetry overhead benchmark.
 
 The flow-span recorder's contract is that production-grade sampling
 (1 in 64 flows, default per-flow cap) rides on the fast engine — the
@@ -12,7 +12,7 @@ over many-flow traffic three ways:
 - ``full``      — ``every=1`` with no per-flow cap (every packet, the
   exact-attribution configuration the integration tests use).
 
-Two further cell pairs gate the gen-3 windowed-telemetry layer
+Two further cell pairs time the gen-3 windowed-telemetry layer
 (:mod:`repro.obs.timeseries` + health model + SLO engine, default
 sampling) on both fast-path shapes:
 
@@ -26,34 +26,33 @@ compiled per-packet path:
 
 - ``forensics``     — :class:`ForensicsEngine` at the production
   stride (1-in-16 packet sampling, worst-K ring), post-run
-  decomposition only (≤ the same 5 % budget);
+  decomposition only;
 - ``forensics_off`` — the engine constructed but ``enabled=False``,
   the disabled-mode configuration every run without
   ``--forensics-out`` pays: one attribute check per run, ~0 %.
 
 Best-of-``REPEATS`` wall-clock for each lands in
-``BENCH_obs_overhead.json``; the gate asserts every instrumented cell
-costs at most ``MAX_SAMPLED_OVERHEAD`` (5 %) over its uninstrumented
-twin, and ``benchmarks/check_obs_overhead.py`` re-checks the committed
-JSON in CI.
+``BENCH_obs_overhead.json`` as ``wall`` keys: reported, never gated or
+asserted on — a stopwatch ratio on a shared runner swings by more than
+the 5 % it would have to resolve, and host time has its calibrated,
+paired instrument in ``bench/`` (workload ``dc_obs``).
 
-Beside each stopwatch cell of the per-packet path sits a count that
-does not depend on the box: how often the run called the platform's
-``_stage_plan`` hook (``*_stage_plan_calls``).  The loaded loop builds
-a plan only for a report it could not serve from the cached branch, so
-the count is the number of packets that left it — the property the
-5 % budgets exist to protect (the steady majority never leaves the
-cached branch, whatever is attached), stated exactly:
-``check_obs_overhead.py`` requires forensics, disabled forensics and
-telemetry to equal ``off``, and sampling to add at most sampled flows
-x span cap.
+What *is* asserted sits beside each stopwatch cell of the per-packet
+path and does not depend on the box: how often the run called the
+platform's ``_stage_plan`` hook (``*_stage_plan_calls``).  The loaded
+loop builds a plan only for a report it could not serve from the cached
+branch, so the count is the number of packets that left it — the
+property a low overhead follows from (the steady majority never leaves
+the cached branch, whatever is attached), stated exactly: forensics,
+disabled forensics and telemetry equal ``off``, and sampling adds at
+most sampled flows x span cap.
 """
 
 from __future__ import annotations
 
 import time
 
-from benchmarks.harness import make_platform, save_result
+from benchmarks.harness import count, make_platform, save_result, wall
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter, SyntheticNF
@@ -66,7 +65,6 @@ FLOWS = 256
 PACKETS_PER_FLOW = 200
 REPEATS = 8
 CHAIN_LENGTH = 9
-MAX_SAMPLED_OVERHEAD = 0.05
 #: telemetry window width for the gate cells (packet clock keeps the
 #: window count identical across machines)
 TS_WINDOW_PACKETS = 4_096
@@ -217,35 +215,39 @@ def run_overhead():
         lane_ts_s = min(lane_ts_s, timed_lane_run(batch, make_telemetry()))
 
     return {
-        **{f"{cell}_stage_plan_calls": float(calls) for cell, calls in plan_calls.items()},
-        "sampled_span_cap": float(recorders["sampled"].max_spans_per_flow),
-        "packets": float(total_packets),
-        "flows": float(FLOWS),
-        "off_s": seconds["off"],
-        "sampled_s": seconds["sampled"],
-        "full_s": seconds["full"],
-        "sampled_overhead": seconds["sampled"] / seconds["off"] - 1.0,
-        "full_overhead": seconds["full"] / seconds["off"] - 1.0,
-        "off_ns_per_packet": seconds["off"] * 1e9 / total_packets,
-        "sampled_ns_per_packet": seconds["sampled"] * 1e9 / total_packets,
-        "sampled_flows_sampled": float(sampled_summary["flows_sampled"]),
-        "sampled_spans": float(sampled_summary["spans"]),
-        "full_spans": float(full_summary["spans"]),
-        "timeseries_s": ts_s,
-        "timeseries_overhead": ts_s / seconds["off"] - 1.0,
-        "forensics_s": forensics_s,
-        "forensics_overhead": forensics_s / seconds["off"] - 1.0,
-        "forensics_off_s": forensics_off_s,
-        "forensics_off_overhead": forensics_off_s / seconds["off"] - 1.0,
-        "forensics_sampled": float(forensics_summary["sampled"]),
-        "forensics_windows": float(forensics_summary["windows"]),
-        "lane_off_s": lane_off_s,
-        "lane_timeseries_s": lane_ts_s,
-        "lane_timeseries_overhead": lane_ts_s / lane_off_s - 1.0,
+        **{
+            f"{cell}_stage_plan_calls": count(float(calls), "lower")
+            for cell, calls in plan_calls.items()
+        },
+        "sampled_span_cap": count(float(recorders["sampled"].max_spans_per_flow)),
+        "packets": count(float(total_packets)),
+        "flows": count(float(FLOWS)),
+        "off_s": wall(seconds["off"]),
+        "sampled_s": wall(seconds["sampled"]),
+        "full_s": wall(seconds["full"]),
+        "sampled_overhead": wall(seconds["sampled"] / seconds["off"] - 1.0),
+        "full_overhead": wall(seconds["full"] / seconds["off"] - 1.0),
+        "off_ns_per_packet": wall(seconds["off"] * 1e9 / total_packets),
+        "sampled_ns_per_packet": wall(seconds["sampled"] * 1e9 / total_packets),
+        "sampled_flows_sampled": count(float(sampled_summary["flows_sampled"])),
+        "sampled_spans": count(float(sampled_summary["spans"])),
+        "full_spans": count(float(full_summary["spans"])),
+        "timeseries_s": wall(ts_s),
+        "timeseries_overhead": wall(ts_s / seconds["off"] - 1.0),
+        "forensics_s": wall(forensics_s),
+        "forensics_overhead": wall(forensics_s / seconds["off"] - 1.0),
+        "forensics_off_s": wall(forensics_off_s),
+        "forensics_off_overhead": wall(forensics_off_s / seconds["off"] - 1.0),
+        "forensics_sampled": count(float(forensics_summary["sampled"])),
+        "forensics_windows": count(float(forensics_summary["windows"])),
+        "lane_off_s": wall(lane_off_s),
+        "lane_timeseries_s": wall(lane_ts_s),
+        "lane_timeseries_overhead": wall(lane_ts_s / lane_off_s - 1.0),
     }
 
 
-def _report(metrics):
+def _report(declared):
+    metrics = {key: metric.value for key, metric in declared.items()}
     text = (
         f"fig8 bess 9xIPFilter, {FLOWS} flows x {PACKETS_PER_FLOW} packets, "
         f"best of {REPEATS}:\n"
@@ -271,46 +273,18 @@ def _report(metrics):
         f"timeseries {metrics['lane_timeseries_s']:.3f}s "
         f"(overhead {100 * metrics['lane_timeseries_overhead']:+.1f}%)"
     )
-    save_result("obs_overhead", text, metrics=metrics)
+    save_result("obs_overhead", text, metrics=declared)
+    return metrics
 
 
 def test_obs_overhead(benchmark):
-    metrics = benchmark.pedantic(run_overhead, rounds=1, iterations=1)
-    _report(metrics)
+    metrics = _report(benchmark.pedantic(run_overhead, rounds=1, iterations=1))
     assert metrics["sampled_flows_sampled"] == FLOWS / 64
     assert metrics["full_spans"] > metrics["sampled_spans"]
-    # The stopwatch-free form of the budgets below (check_obs_overhead.py
-    # re-checks it on the committed JSON).
+    assert metrics["forensics_sampled"] > 0, "forensics cell sampled no packets"
     off_calls = metrics["off_stage_plan_calls"]
     for cell in ("forensics", "forensics_off", "timeseries"):
         assert metrics[f"{cell}_stage_plan_calls"] == off_calls, cell
     assert metrics["sampled_stage_plan_calls"] <= (
         off_calls + metrics["sampled_flows_sampled"] * metrics["sampled_span_cap"]
-    )
-    assert metrics["sampled_overhead"] <= MAX_SAMPLED_OVERHEAD, (
-        f"1-in-64 span sampling costs {100 * metrics['sampled_overhead']:.1f}% "
-        f"over the uninstrumented fast path "
-        f"(budget {100 * MAX_SAMPLED_OVERHEAD:.0f}%)"
-    )
-    assert metrics["timeseries_overhead"] <= MAX_SAMPLED_OVERHEAD, (
-        f"windowed telemetry costs {100 * metrics['timeseries_overhead']:.1f}% "
-        f"over the uninstrumented per-packet fast path "
-        f"(budget {100 * MAX_SAMPLED_OVERHEAD:.0f}%)"
-    )
-    assert metrics["forensics_sampled"] > 0, "forensics cell sampled no packets"
-    assert metrics["forensics_overhead"] <= MAX_SAMPLED_OVERHEAD, (
-        f"1-in-16 latency forensics costs "
-        f"{100 * metrics['forensics_overhead']:.1f}% over the uninstrumented "
-        f"fast path (budget {100 * MAX_SAMPLED_OVERHEAD:.0f}%)"
-    )
-    assert metrics["forensics_off_overhead"] <= MAX_SAMPLED_OVERHEAD, (
-        f"a disabled forensics engine costs "
-        f"{100 * metrics['forensics_off_overhead']:.1f}% — the disabled mode "
-        f"must be one attribute check per run"
-    )
-    assert metrics["lane_timeseries_overhead"] <= MAX_SAMPLED_OVERHEAD, (
-        f"windowed telemetry costs "
-        f"{100 * metrics['lane_timeseries_overhead']:.1f}% over the "
-        f"uninstrumented batch lane "
-        f"(budget {100 * MAX_SAMPLED_OVERHEAD:.0f}%)"
     )

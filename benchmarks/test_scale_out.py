@@ -8,7 +8,8 @@ migration-churn ablation: forcibly re-homing live flows mid-run must not
 change delivered counts (zero loss) and barely moves the numbers.
 """
 
-from benchmarks.harness import save_result
+from benchmarks.harness import count as count_of  # ``count`` is a replica count below
+from benchmarks.harness import save_result, sim
 from repro.net.headers import TCP_FIN
 from repro.nf import IPFilter, MazuNAT, Monitor
 from repro.scale import ScaleCluster
@@ -95,9 +96,10 @@ def test_scale_out_sweep(benchmark):
                     f"{speedup:.2f}x",
                 ]
             )
-            metrics[f"{platform_name}_{count}r_mpps"] = round(row["mpps"], 3)
-            metrics[f"{platform_name}_{count}r_p99_us"] = round(row["p99_us"], 2)
-        metrics[f"{platform_name}_speedup_4r"] = round(rows[4]["mpps"] / base, 3)
+            metrics[f"{platform_name}_{count}r_mpps"] = sim(round(row["mpps"], 3), "higher")
+            metrics[f"{platform_name}_{count}r_p99_us"] = sim(round(row["p99_us"], 2), "lower")
+        # a ratio of simulated rates
+        metrics[f"{platform_name}_speedup_4r"] = sim(round(rows[4]["mpps"] / base, 3), "higher")
 
     text = format_table(
         ["platform", "replicas", "offered", "delivered", "Mpps", "p99 us", "speedup"],
@@ -111,7 +113,7 @@ def test_scale_out_sweep(benchmark):
             assert rows[count]["delivered"] == rows[count]["offered"]
     # The headline acceptance: ONVM aggregate throughput scales >= 3x
     # from one replica to four.
-    assert metrics["onvm_speedup_4r"] >= 3.0, metrics["onvm_speedup_4r"]
+    assert metrics["onvm_speedup_4r"].value >= 3.0, metrics["onvm_speedup_4r"]
 
 
 def test_migration_churn_ablation(benchmark):
@@ -139,9 +141,9 @@ def test_migration_churn_ablation(benchmark):
                 churned["delivered"],
             ]
         )
-        metrics[f"baseline_{count}r_mpps"] = round(base["mpps"], 3)
-        metrics[f"churned_{count}r_mpps"] = round(churned["mpps"], 3)
-        metrics[f"migrations_{count}r"] = churned["migrations"]
+        metrics[f"baseline_{count}r_mpps"] = sim(round(base["mpps"], 3), "higher")
+        metrics[f"churned_{count}r_mpps"] = sim(round(churned["mpps"], 3), "higher")
+        metrics[f"migrations_{count}r"] = count_of(churned["migrations"])
         # Zero loss under churn: every offered packet still delivered.
         assert churned["delivered"] == churned["offered"]
 
@@ -151,4 +153,4 @@ def test_migration_churn_ablation(benchmark):
         title="migration-churn ablation on onvm (16 flows re-homed mid-run)",
     )
     save_result("scale_churn", text, metrics=metrics)
-    assert any(metrics[f"migrations_{count}r"] > 0 for count in (2, 3, 4))
+    assert any(results["churned"][count]["migrations"] > 0 for count in (2, 3, 4))

@@ -1,33 +1,32 @@
-"""Wall-clock benchmark of the fast execution engine (perf gate source).
+"""Wall-clock benchmark of the fast execution engine, and its identity gate.
 
 Runs the Figure-8 worst case — BESS, a 9-NF IPFilter chain, 100k
 back-to-back packets — once with the fast engine (compiled flow closures
 + analytic replay: what ``run_load`` does with nothing attached) and
 once through the references it is checked against (the interpreted fast
 path + generator DES, reached by ``tests/integration/helpers.py``'s two
-selectors), *in the same process*, and asserts:
+selectors), *in the same process*, and asserts that the two runs'
+``LoadResult``\\ s are numerically identical, including the per-packet
+latency list element for element.
 
-- the two runs' ``LoadResult``\\ s are numerically identical, including
-  the per-packet latency list element for element;
-- the fast engine is at least 5x faster.
-
-A second family of cells gates the **batch lane**
+A second family of cells covers the **batch lane**
 (:mod:`repro.core.batchlane`): a columnar 1M-packet / 100k-flow churn
 workload through a bounded 8192-entry flow table, once down the lane
 and once through the per-packet oracle (``batch.packet_view()``),
-asserting exact result equality and a >= 10x per-packet speedup; plus a
-10M-packet / 1M-flow scale cell that must finish in bounded wallclock
-and bounded peak RSS (the memory gate for the deferred-flush design).
+asserting exact result and runtime-stats equality; plus a
+10M-packet / 1M-flow scale cell that must finish in bounded peak RSS
+(the memory gate for the deferred-flush design).
 
-An identity-only leg (no stopwatch, no ``BENCH_wallclock.json`` key)
-holds the **event lane** to the same references: the paper's Chain 1 —
-Maglev keeps one event active on every flow, and the compiled lane
-checks it itself — on ONVM over Fig. 9's datacenter trace.
+An identity-only leg (no ``BENCH_wallclock.json`` key) holds the
+**event lane** to the same references: the paper's Chain 1 — Maglev
+keeps one event active on every flow, and the compiled lane checks it
+itself — on ONVM over Fig. 9's datacenter trace.
 
-The measured numbers land in ``BENCH_wallclock.json``;
-``benchmarks/check_wallclock_regression.py`` compares a fresh run
-against the committed baseline in CI, normalising machine speed by the
-legacy run so the gate tracks the *ratio*, not absolute seconds.
+The seconds, speed-ups and RSS land in ``BENCH_wallclock.json`` as
+``wall`` keys — reported, never gated, and no stopwatch reading is
+asserted on; host time is measured with calibration and parent/change
+pairing by ``bench/`` (workloads ``steady_batch`` and ``churn_batch``
+are these cells).  The ``*_identical`` keys are counts and gate.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import resource
 import time
 
-from benchmarks.harness import make_platform, save_result, uniform_flow_packets
+from benchmarks.harness import count, make_platform, save_result, uniform_flow_packets, wall
 from benchmarks.test_fig9_real_world_chains import chain1, trace_packets
 from repro.core.framework import SpeedyBox
 from repro.core.actions import Modify
@@ -46,7 +45,6 @@ from tests.integration.helpers import InterpretedSpeedyBox, des_run_load
 
 PACKETS = 100_000
 REPEATS = 3
-MIN_SPEEDUP = 5.0
 
 CASES = {
     "bess_n9": ("bess", 9),
@@ -60,9 +58,6 @@ BATCH_FLOWS = 100_000
 BATCH_PPF = 10
 BATCH_CAP = 8_192
 BATCH_BLOCK = 4_096
-#: the batch lane must beat the per-packet compiled path by this factor
-#: on the churn cell (acceptance gate; measured ~10.7x on the dev box)
-MIN_BATCH_SPEEDUP = 10.0
 #: scale cell: same shape, 10x the flows — 10M packets total
 BATCH_10M_FLOWS = 1_000_000
 #: peak-RSS ceiling for the 10M cell; columnar storage is ~50 bytes per
@@ -215,7 +210,7 @@ def _report(results):
                 f"speedup={entry['speedup_vs_1m_legacy']:.2f}x (vs 1m legacy)"
             )
     metrics = {
-        f"{case}_{key}": float(value)
+        f"{case}_{key}": count(float(value), "higher") if key == "identical" else wall(value)
         for case, entry in results.items()
         for key, value in entry.items()
     }
@@ -234,21 +229,7 @@ def test_wallclock(benchmark):
     for case, entry in results.items():
         if "identical" in entry:
             assert entry["identical"], f"{case}: fast and legacy results diverged"
-    assert results["bess_n9"]["speedup"] >= MIN_SPEEDUP, (
-        f"fast engine only {results['bess_n9']['speedup']:.2f}x on bess_n9 "
-        f"(need >= {MIN_SPEEDUP}x)"
-    )
-    assert results["onvm_n5"]["speedup"] >= 2.0
-    batch = results["bess_batch_1m"]
-    assert batch["speedup"] >= MIN_BATCH_SPEEDUP, (
-        f"batch lane only {batch['speedup']:.2f}x on bess_batch_1m "
-        f"(need >= {MIN_BATCH_SPEEDUP}x)"
-    )
     scale = results["bess_batch_10m"]
-    assert scale["speedup_vs_1m_legacy"] >= MIN_BATCH_SPEEDUP, (
-        f"batch lane only {scale['speedup_vs_1m_legacy']:.2f}x on the "
-        f"10M-packet cell (need >= {MIN_BATCH_SPEEDUP}x)"
-    )
     assert scale["peak_rss_mb"] <= BATCH_10M_MAX_RSS_MB, (
         f"10M-packet cell peaked at {scale['peak_rss_mb']:.0f}MB RSS "
         f"(bound {BATCH_10M_MAX_RSS_MB:.0f}MB)"

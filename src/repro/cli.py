@@ -32,7 +32,9 @@ Commands
 
 ``obs diff``
     Compare two sets of ``BENCH_*.json`` results (files or directories)
-    direction-aware and exit 1 on regressions — the CI bench gate.
+    by the kind and direction each key declares in its artifact; exit 1
+    on regressions, 2 on an artifact without declarations — the CI
+    bench gate.
 
 ``obs explain``
     Tail-latency forensics: render the worst-K packet table with its
@@ -60,6 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.framework import ServiceChain, SpeedyBox
+from repro.core.verification import verify_equivalence
 from repro.nf import (
     DosPrevention,
     IPFilter,
@@ -400,25 +403,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_equivalence(args: argparse.Namespace) -> int:
     packets = make_trace_packets(args.flows, args.seed)
-    baseline = ServiceChain(build_chain(args.chain))
-    speedybox = SpeedyBox(build_chain(args.chain))
-    base_stream = clone_packets(packets)
-    sbox_stream = clone_packets(packets)
-    for packet in base_stream:
-        baseline.process(packet)
-    for packet in sbox_stream:
-        speedybox.process(packet)
-
-    mismatches = 0
-    for index, (a, b) in enumerate(zip(base_stream, sbox_stream)):
-        if a.dropped != b.dropped or (not a.dropped and a.serialize() != b.serialize()):
-            mismatches += 1
-            if mismatches <= 5:
-                print(f"MISMATCH at packet {index}: {a!r} vs {b!r}")
-    total = len(packets)
-    print(f"{total} packets, {mismatches} mismatches; "
-          f"fast path served {speedybox.fast_packets}/{total}")
-    return 1 if mismatches else 0
+    report = verify_equivalence(lambda: build_chain(args.chain), packets)
+    for divergence in report.divergences[:5]:
+        print(f"MISMATCH at packet {divergence.index}: {divergence.detail}")
+    print(f"{report.packets} packets, {len(report.divergences)} mismatches; "
+          f"fast path served {report.fast_packets}/{report.packets}")
+    return 0 if report.equivalent else 1
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -666,12 +656,15 @@ def _run_obs(args: argparse.Namespace) -> int:
                   "(BENCH_*.json files or directories)", file=sys.stderr)
             return 2
         entries = diff_benches(
-            collect_benches(args.baseline),
-            collect_benches(args.current),
+            _load_artifact("diff", "baseline", collect_benches, args.baseline),
+            _load_artifact("diff", "current", collect_benches, args.current),
             threshold=args.threshold,
         )
         print(render_diff(entries, show_ok=args.show_ok))
-        return 1 if regressions(entries) else 0
+        bad = regressions(entries)
+        for entry in bad:
+            print(f"regressed: {entry.describe()}")
+        return 1 if bad else 0
 
     if args.action == "watch":
         from repro.obs import load_timeseries_jsonl, render_windows
@@ -1171,7 +1164,8 @@ def make_parser() -> argparse.ArgumentParser:
     obs.add_argument("--current", metavar="PATH",
                      help="diff: current BENCH_*.json file or directory")
     obs.add_argument("--threshold", type=float, default=0.05, metavar="FRAC",
-                     help="diff: regression threshold as a fraction (default 0.05)")
+                     help="diff: regression threshold for sim keys, as a fraction "
+                          "(default 0.05)")
     obs.add_argument("--show-ok", action="store_true",
                      help="diff: also list unchanged metrics")
     obs.add_argument("--metrics", metavar="PATH",

@@ -140,6 +140,16 @@ class BatchLane:
         #: table stays tiny no matter how many flows the batch holds.
         self.table: List[list] = []
         self._pid_by_value: Dict[tuple, int] = {}
+        #: ``id(plan) -> (plan, fid, is_fast, transfer_ns)`` for every
+        #: table plan, from the report that minted it (the shape
+        #: ``FunctionalRun.labels`` has), or None while no forensics
+        #: engine listens.  A label is per flow, so a listening engine
+        #: keys the table by (value, label) and turns bulk admission,
+        #: which has no report per flow, off.
+        forensics = platform.forensics
+        self.labels: Optional[Dict[int, tuple]] = (
+            {} if forensics is not None and forensics.enabled else None
+        )
         flow_count = batch.flow_count
         n = len(batch)
         #: per-flow hint: 1 = last seen compiled-steady.  A stale hint
@@ -215,6 +225,7 @@ class BatchLane:
         self._ft_lists = None
         self.bulk_ok = (
             runtime.enable_consolidation
+            and self.labels is None
             and batch._payloads is None
             and all(nf.setup_flow_oblivious for nf in runtime.nfs)
         )
@@ -554,7 +565,7 @@ class BatchLane:
         if report.steady:
             pid = self._steady_pid(report)
         else:
-            pid = self._pid_of(self.platform._stage_plan(report))
+            pid = self._pid_of(self.platform._stage_plan(report), report)
         self.plan_ids[index] = pid
 
         five_tuple = batch.five_tuple_of(flow)
@@ -825,10 +836,19 @@ class BatchLane:
 
     # -- plan table ----------------------------------------------------------
 
-    def _pid_of(self, plan) -> int:
+    def _pid_of(self, plan, report) -> int:
         key = tuple(plan)
+        labels = self.labels
+        if labels is not None:
+            label = (report.fid, report.is_fast, self.platform._plan_transfer_ns(report))
+            key = (key, label)
         pid = self._pid_by_value.get(key)
         if pid is None:
+            if labels is not None:
+                # the label hangs on the plan's identity, and a plan a
+                # report cached in an earlier run may be shared
+                plan = list(plan)
+                labels[id(plan)] = (plan, *label)
             pid = len(self.table)
             self.table.append(plan)
             self._pid_by_value[key] = pid
@@ -848,6 +868,6 @@ class BatchLane:
             plan = cached[1]
         else:
             plan = self.platform._stage_plan(report)
-        pid = self._pid_of(plan)
+        pid = self._pid_of(plan, report)
         report.plan_cache = (self.platform, plan, pid, self)
         return pid

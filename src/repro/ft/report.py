@@ -43,7 +43,7 @@ def render_failure_timeline(events: Sequence[Dict[str, Any]], limit: int = 30) -
         fields = {
             key: value
             for key, value in event.items()
-            if key not in ("seq", "ts", "kind")
+            if key not in ("seq", "kind")
         }
         rendered = " ".join(f"{key}={value}" for key, value in sorted(fields.items()))
         lines.append(f"  #{event.get('seq', '?')} {event['kind']} {rendered}".rstrip())

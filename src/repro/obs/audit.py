@@ -4,8 +4,8 @@ The data plane has metrics (how many) and traces (when); what neither
 answers is *why the runtime is shaped the way it is* — why this flow's
 fast lane was recompiled, why that Global MAT rule disappeared, why the
 autoscaler added a replica at window 12.  :class:`AuditLog` records
-those control-plane decisions as structured, timestamped events with
-causal flow identifiers:
+those control-plane decisions as structured, sequence-numbered events
+with causal flow identifiers:
 
 - fast-path lifecycle — ``fastpath_compile`` / ``fastpath_invalidate``
   (from :meth:`repro.core.framework.SpeedyBox._maybe_compile` and the
@@ -42,10 +42,12 @@ causal flow identifiers:
   component that moved (``component=`` queue / service / transfer /
   stall) with the baseline and current values.
 
-Events are dicts with a monotonically increasing ``seq`` (deterministic
-— tests assert on it), a wall-clock ``ts`` (injectable clock), the
-``kind`` and the emitter's keyword fields.  Export is JSON lines, one
-event per line, greppable and loadable with pandas.
+Events are dicts with a monotonically increasing ``seq`` (the order of
+emission — the only clock the log adds, so two runs of one workload
+export byte-identical journals unless an emitter puts a host-time
+reading in a field of its own), the ``kind`` and the emitter's keyword
+fields.  Export is JSON lines, one event per line,
+greppable and loadable with pandas.
 
 Deliberately *not* a metrics surface: none of these events increment
 registry counters, so enabling the audit log cannot perturb the
@@ -61,16 +63,14 @@ early return inside :meth:`AuditLog.emit`.
 from __future__ import annotations
 
 import json
-import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 
 class AuditLog:
     """Append-only structured event log for control-plane decisions."""
 
-    def __init__(self, enabled: bool = True, clock: Callable[[], float] = time.time):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.clock = clock
         self._events: List[Dict[str, Any]] = []
         self._seq = 0
 
@@ -81,7 +81,7 @@ class AuditLog:
         if not self.enabled:
             return None
         self._seq += 1
-        event: Dict[str, Any] = {"seq": self._seq, "ts": self.clock(), "kind": kind}
+        event: Dict[str, Any] = {"seq": self._seq, "kind": kind}
         event.update(fields)
         self._events.append(event)
         return event

@@ -2,44 +2,45 @@
 
 Every benchmark writes a flat ``BENCH_<experiment>.json`` artifact at
 the repo root; those files are the perf trajectory of the project.
-This module diffs two such artifacts (or two directories of them) and
-classifies every metric change:
+Each value in one carries its declaration — the artifact's ``schema``
+block, written by ``benchmarks/harness.py::save_result`` next to
+``metrics`` — and this module reads what a key is from there and from
+nowhere else; a key's name means nothing to it.  A declaration is a
+*kind* and a *direction* (``lower`` / ``higher`` is better, or ``none``):
 
-- each key gets a **direction** from its name — timing/latency/loss
-  keys are lower-is-better, throughput/speedup/hit keys are
-  higher-is-better, everything else is direction-neutral;
-- a change beyond ``threshold`` against the key's good direction is a
-  **regression**; beyond it in the good direction, an **improvement**;
-  neutral keys only ever *change*;
-- wall-clock keys (matched by ``ignore``) are reported but never gate —
-  CI runners differ too much for absolute seconds to be comparable.
+- ``sim`` — a deterministic simulated quantity.  A change beyond
+  ``threshold`` against its direction is a **regression**, beyond it
+  in the good direction an **improvement**; with no direction it only
+  ever *changes*;
+- ``count`` — an exact integer.  Any change at all classifies the same
+  way, whatever the threshold;
+- ``wall`` — host time, RSS and ratios of host times.  Reported, never
+  gated: runners differ too much for them to be comparable, and host
+  time has its own calibrated, paired instrument under ``bench/``.
 
-``repro obs diff`` renders the result for humans;
-``benchmarks/check_bench_diff.py`` turns regressions into a CI exit
-code against the committed baselines.
+``repro obs diff`` renders the result and turns regressions into an
+exit code; ``benchmarks/check_bench_diff.py`` is the same command for
+CI, against the committed baselines.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-#: lower-is-better key patterns (timing, latency, loss, memory)
-_LOWER_BETTER = re.compile(
-    r"(_ns$|_ns_per_packet$|_us$|_ms$|latency|p50|p99|p999|dropped|drops|"
-    r"loss|overhead|_rss|aborts|replay_depth|recovery|lane_compiles|lane_invalidations|"
-    r"_calls$)"
-)
-#: higher-is-better key patterns (rates, ratios, speedups)
-_HIGHER_BETTER = re.compile(r"(mpps|throughput|speedup|_hit|delivered|compliance|survived)")
-#: wall-clock-derived keys: reported, never gated (runner-dependent —
-#: absolute seconds, overhead ratios, speedups and RSS all move with
-#: the machine, while sim-time metrics are deterministic)
-DEFAULT_IGNORE = r"(_s$|_secs$|wallclock|_seconds$|overhead|_rss|speedup|ns_per_packet)"
+KINDS = ("sim", "count", "wall")
+DIRECTIONS = ("lower", "higher", "none")
+
+
+class Metric(NamedTuple):
+    """One benchmark value with its declaration."""
+
+    value: float
+    kind: str       # one of KINDS
+    direction: str  # one of DIRECTIONS
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,8 @@ class DiffEntry:
     baseline: Optional[float]
     current: Optional[float]
     delta_fraction: Optional[float]  # (current - baseline) / |baseline|
-    direction: str                   # "lower", "higher", "neutral"
+    kind: str
+    direction: str
     status: str                      # "ok", "regression", "improvement",
                                      # "changed", "added", "removed", "ignored"
 
@@ -64,104 +66,105 @@ class DiffEntry:
         return f"{self.experiment}:{self.key} {base} -> {cur} ({delta}) [{self.status}]"
 
 
-def direction_of(key: str) -> str:
-    lowered = key.lower()
-    if _LOWER_BETTER.search(lowered):
-        return "lower"
-    if _HIGHER_BETTER.search(lowered):
-        return "higher"
-    return "neutral"
+def load_bench(path) -> Tuple[str, Dict[str, Metric]]:
+    """Read one BENCH_*.json; returns ``(experiment, {key: Metric})``.
 
-
-def load_bench(path) -> Tuple[str, Dict[str, float]]:
-    """Read one BENCH_*.json; returns (experiment, metrics)."""
+    ``ValueError`` for an artifact that does not declare exactly the
+    keys it holds, each with a known kind and direction.
+    """
     payload = json.loads(Path(path).read_text())
     experiment = payload.get("experiment") or Path(path).stem.replace("BENCH_", "")
     metrics = payload.get("metrics", {})
-    return experiment, {k: v for k, v in metrics.items() if isinstance(v, (int, float))}
+    schema = payload.get("schema")
+    if schema is None:
+        raise ValueError(f"{path} has no schema block: regenerate it with its benchmark")
+    if set(schema) != set(metrics):
+        odd = sorted(set(schema) ^ set(metrics))
+        raise ValueError(f"{path}: metrics and schema disagree on {', '.join(odd)}")
+    out = {}
+    for key, value in metrics.items():
+        declared = schema[key]
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not isinstance(declared, dict)
+            or declared.get("kind") not in KINDS
+            or declared.get("direction") not in DIRECTIONS
+        ):
+            raise ValueError(f"{path}: bad value or declaration for {key}: {value!r}, {declared!r}")
+        out[key] = Metric(value, declared["kind"], declared["direction"])
+    return experiment, out
 
 
-def collect_benches(path) -> Dict[str, Dict[str, float]]:
-    """Map experiment -> metrics for a file or a directory of files."""
+def collect_benches(path) -> Dict[str, Dict[str, Metric]]:
+    """Map experiment -> declared metrics for a file or a directory of files."""
     p = Path(path)
-    if p.is_dir():
-        out: Dict[str, Dict[str, float]] = {}
-        for child in sorted(p.glob("BENCH_*.json")):
-            experiment, metrics = load_bench(child)
-            out[experiment] = metrics
-        return out
-    experiment, metrics = load_bench(p)
-    return {experiment: metrics}
+    files = sorted(p.glob("BENCH_*.json")) if p.is_dir() else [p]
+    return dict(load_bench(child) for child in files)
 
 
 def diff_metrics(
     experiment: str,
-    baseline: Dict[str, float],
-    current: Dict[str, float],
+    baseline: Dict[str, Metric],
+    current: Dict[str, Metric],
     threshold: float = 0.05,
-    ignore: Optional[str] = DEFAULT_IGNORE,
 ) -> List[DiffEntry]:
-    """Classify every key of one experiment pair."""
-    ignore_re = re.compile(ignore) if ignore else None
+    """Classify every key of one experiment pair (a key present on both
+    sides is what the current artifact declares it to be)."""
     entries: List[DiffEntry] = []
     for key in sorted(set(baseline) | set(current)):
         base = baseline.get(key)
         cur = current.get(key)
-        direction = direction_of(key)
-        if base is None:
-            entries.append(DiffEntry(experiment, key, None, cur, None, direction, "added"))
+        __, kind, direction = cur or base
+        if base is None or cur is None:
+            entries.append(
+                DiffEntry(
+                    experiment,
+                    key,
+                    None if base is None else base.value,
+                    None if cur is None else cur.value,
+                    None,
+                    kind,
+                    direction,
+                    "added" if base is None else "removed",
+                )
+            )
             continue
-        if cur is None:
-            entries.append(DiffEntry(experiment, key, base, None, None, direction, "removed"))
-            continue
+        base, cur = base.value, cur.value
         if base == cur:
             delta = 0.0
         elif base == 0 or not math.isfinite(base):
             delta = math.inf if cur > base else -math.inf
         else:
             delta = (cur - base) / abs(base)
-        if ignore_re is not None and ignore_re.search(key.lower()):
+        if kind == "wall":
             status = "ignored" if delta else "ok"
-        elif abs(delta) <= threshold:
+        elif delta == 0 or (kind == "sim" and abs(delta) <= threshold):
             status = "ok"
-        elif direction == "lower":
-            status = "regression" if delta > 0 else "improvement"
-        elif direction == "higher":
-            status = "regression" if delta < 0 else "improvement"
-        else:
+        elif direction == "none":
             status = "changed"
-        entries.append(DiffEntry(experiment, key, base, cur, delta, direction, status))
+        elif (delta > 0) == (direction == "lower"):
+            status = "regression"
+        else:
+            status = "improvement"
+        entries.append(DiffEntry(experiment, key, base, cur, delta, kind, direction, status))
     return entries
 
 
 def diff_benches(
-    baseline: Dict[str, Dict[str, float]],
-    current: Dict[str, Dict[str, float]],
+    baseline: Dict[str, Dict[str, Metric]],
+    current: Dict[str, Dict[str, Metric]],
     threshold: float = 0.05,
-    ignore: Optional[str] = DEFAULT_IGNORE,
 ) -> List[DiffEntry]:
-    """Diff two experiment->metrics maps (only experiments in both gate)."""
+    """Diff two experiment->metrics maps; an experiment only one side
+    has is all added / removed keys, which never gate."""
     entries: List[DiffEntry] = []
     for experiment in sorted(set(baseline) | set(current)):
-        base = baseline.get(experiment)
-        cur = current.get(experiment)
-        if base is None or cur is None:
-            side = "added" if base is None else "removed"
-            for key in sorted((cur or base) or {}):
-                value = (cur or base)[key]
-                entries.append(
-                    DiffEntry(
-                        experiment,
-                        key,
-                        None if base is None else value,
-                        None if cur is None else value,
-                        None,
-                        direction_of(key),
-                        side,
-                    )
-                )
-            continue
-        entries.extend(diff_metrics(experiment, base, cur, threshold, ignore))
+        entries.extend(
+            diff_metrics(
+                experiment, baseline.get(experiment, {}), current.get(experiment, {}), threshold
+            )
+        )
     return entries
 
 
@@ -190,14 +193,15 @@ def render_diff(
                 "-" if entry.baseline is None else f"{entry.baseline:g}",
                 "-" if entry.current is None else f"{entry.current:g}",
                 "-" if entry.delta_fraction is None else f"{entry.delta_fraction:+.1%}",
+                entry.kind,
                 entry.direction,
                 entry.status,
             ]
         )
     if not rows:
-        rows.append(["-", "(no changes)", "-", "-", "-", "-", "ok"])
+        rows.append(["-", "(no changes)", "-", "-", "-", "-", "-", "ok"])
     return format_table(
-        ["experiment", "metric", "baseline", "current", "delta", "dir", "status"],
+        ["experiment", "metric", "baseline", "current", "delta", "kind", "dir", "status"],
         rows,
         title=title,
     )

@@ -409,26 +409,6 @@ class RegimeShiftDetector:
             return "unknown"
         return max(COMPONENTS, key=lambda name: components.get(name, 0.0))
 
-    def note_recovery_stall(
-        self, replica: Any, delivered: int, stall_p50_ns: float, stall_max_ns: float
-    ) -> None:
-        """A failover just charged its buffered packets: stall regime shift.
-
-        Called by the FT coordinator *before* it emits
-        ``ft_failover_complete``, so the shift's audit ``seq`` precedes
-        the completion's — the causal order the timeline relies on.
-        """
-        self._emit(
-            window=None,
-            metric="stall_charge",
-            component="stall",
-            baseline=0.0,
-            current=round(stall_p50_ns, 3),
-            stall_max_ns=round(stall_max_ns, 3),
-            packets=delivered,
-            replica=replica,
-        )
-
 
 #: module-level helper so the FT coordinator can audit a stall regime
 #: shift without constructing a detector (its audit log is enough)
@@ -516,17 +496,13 @@ class ForensicsEngine:
             total += service_ns
         return total
 
-    def _cost_fn(
-        self, platform, plans, transfers
-    ) -> Callable[[int], Tuple[float, float, int]]:
+    def _cost_fn(self, plans, transfers) -> Callable[[int], Tuple[float, float, int]]:
         """Per-index (service, transfer, stages) with per-plan caching.
 
-        ``transfers`` is a dict keyed by ``id(plan)`` (the functional
-        pass records transfer on a plan's first sight, once per cached
-        steady plan) or None (a lane's table plans, unloaded outcomes) —
-        then the platform's plan-shape estimate
-        (:meth:`Platform._transfer_estimate_for_plan`) is used.  Either
-        way the split is exact per plan.
+        ``transfers`` maps ``id(plan)`` to the plan's transfer estimate
+        (:meth:`Platform._plan_transfer_ns` of the report that made the
+        plan, taken on its first sight by whoever ran it); the split is
+        exact per plan.
         """
         cache: Dict[int, Tuple[float, float, int]] = {}
 
@@ -536,11 +512,7 @@ class ForensicsEngine:
             hit = cache.get(key)
             if hit is not None:
                 return hit
-            if transfers is not None:
-                transfer_est = transfers.get(key, 0.0)
-            else:
-                transfer_est = platform._transfer_estimate_for_plan(plan)
-            service, transfer = split_plan_total(self._plan_total(plan), transfer_est)
+            service, transfer = split_plan_total(self._plan_total(plan), transfers[key])
             entry = cache[key] = (service, transfer, len(plan))
             return entry
 
@@ -550,14 +522,13 @@ class ForensicsEngine:
 
     def observe_run(
         self,
-        platform,
         plans: Sequence,
         arrival,
         finish,
+        transfers: Dict[int, float],
         replica: Any = None,
         lane: str = "analytic",
         fids: Optional[Sequence[int]] = None,
-        transfers=None,
         fast_flags: Optional[Sequence[bool]] = None,
     ) -> None:
         """Decompose one run from its timeline, whichever replay made it.
@@ -583,7 +554,7 @@ class ForensicsEngine:
         latencies = np.asarray(finish, dtype=np.float64) - np.asarray(
             arrival, dtype=np.float64
         )
-        costs = self._cost_fn(platform, plans, transfers)
+        costs = self._cost_fn(plans, transfers)
         labels = (costs, fids, replica, lane, fast_flags)  # what _record takes
         window_packets = self.window_packets
         stride = 1 if self.record_all else self.sample_every
@@ -641,15 +612,17 @@ class ForensicsEngine:
         """Decompose unloaded outcomes (sweep mode: no queueing, queue~0)."""
         if not self.enabled or not outcomes:
             return
+        reports = [outcome.report for outcome in outcomes]
+        plans = [platform._stage_plan(report) for report in reports]
         self.observe_run(
-            platform,
-            [platform._stage_plan(outcome.report) for outcome in outcomes],
+            plans,
             np.zeros(len(outcomes)),
             [outcome.latency_ns for outcome in outcomes],
+            {id(plan): platform._plan_transfer_ns(report) for plan, report in zip(plans, reports)},
             replica=replica,
             lane="unloaded",
-            fids=[outcome.report.fid for outcome in outcomes],
-            fast_flags=[outcome.report.is_fast for outcome in outcomes],
+            fids=[report.fid for report in reports],
+            fast_flags=[report.is_fast for report in reports],
         )
 
     def note_stall(self, charge: StallCharge) -> None:

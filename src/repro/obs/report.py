@@ -229,7 +229,7 @@ def render_audit_summary(events: Sequence[Dict[str, Any]], last_n: int = 3) -> s
         fields = {
             key: value
             for key, value in event.items()
-            if key not in ("seq", "ts", "kind")
+            if key not in ("seq", "kind")
         }
         rendered = " ".join(f"{key}={value}" for key, value in sorted(fields.items()))
         tail_lines.append(f"  #{event.get('seq', '?')} {event.get('kind', '?')} {rendered}".rstrip())

@@ -503,22 +503,6 @@ class Platform:
             transport = len(report.nf_meters) * self._transport_cycles_per_hop()
         return model.cycles_to_ns(self._nic_cycles() + transport)
 
-    def _transfer_estimate_for_plan(self, plan: StagePlan) -> float:
-        """Transfer estimate when only the plan shape is available.
-
-        The batch lane's plan table has no reports to consult; table
-        plans are steady fast-path flows, so the NIC share plus the
-        fast-path extra is the right model.  Multi-hop (slow-path)
-        plans add one transport hop per extra stage.
-        """
-        model = self.costs
-        cycles = self._nic_cycles()
-        if len(plan) <= 1:
-            cycles += self._fast_path_extra_cycles()
-        else:
-            cycles += (len(plan) - 1) * self._transport_cycles_per_hop()
-        return model.cycles_to_ns(cycles)
-
     # -- unloaded mode ---------------------------------------------------------
 
     def process(self, packet: Packet) -> PacketOutcome:
@@ -666,9 +650,8 @@ class Platform:
         forensics).
 
         The forensic labelling of the run's packets (``observe_run``'s
-        ``fids`` / ``fast_flags`` / ``transfers``) is what the pass
-        captured per plan; a lane's table plans were never captured, so
-        its packets are labelled by their flow's index in the batch.
+        ``fids`` / ``fast_flags`` / ``transfers``) is what the pass, or
+        the lane, captured per plan from the report that made it.
         """
         arrival = np.asarray(timeline[0], dtype=np.float64)
         finish = np.asarray(timeline[1], dtype=np.float64)
@@ -680,17 +663,16 @@ class Platform:
             self._ingest_timeseries(result, inter_arrival_ns)
         forensics = self.forensics
         if forensics is not None and forensics.enabled:
-            if run.lane is not None:
-                context = {"fids": run.lane[2].flow_index.tolist()}
-            else:
-                labels = run.labels
-                context = {
-                    "fids": _PlanInfoColumn(run.plans, labels, 1),
-                    "fast_flags": _PlanInfoColumn(run.plans, labels, 2),
-                    "transfers": {pid: entry[3] for pid, entry in labels.items()},
-                }
+            labels = run.labels
             forensics.observe_run(
-                self, run.plans, arrival, finish, replica=run.replica, lane=route, **context
+                run.plans,
+                arrival,
+                finish,
+                {key: entry[3] for key, entry in labels.items()},
+                replica=run.replica,
+                lane=route,
+                fids=_PlanInfoColumn(run.plans, labels, 1),
+                fast_flags=_PlanInfoColumn(run.plans, labels, 2),
             )
         return result
 
@@ -750,6 +732,7 @@ class Platform:
         run = FunctionalRun(
             dropped=dropped,
             roots=lane.roots,
+            labels=lane.labels,
             replica=self.label,
             lane=(table, plan_ids, batch),
         )

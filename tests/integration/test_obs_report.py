@@ -200,7 +200,11 @@ class TestGen3Sections:
         cur = tmp_path / "cur"
         base.mkdir()
         cur.mkdir()
-        payload = {"experiment": "x", "metrics": {"rate_mpps": 2.0}}
+        payload = {
+            "experiment": "x",
+            "metrics": {"rate_mpps": 2.0},
+            "schema": {"rate_mpps": {"kind": "sim", "direction": "higher"}},
+        }
         (base / "BENCH_x.json").write_text(json.dumps(payload))
         (cur / "BENCH_x.json").write_text(json.dumps(payload))
         assert main(["obs", "diff", "--baseline", str(base),
@@ -212,6 +216,13 @@ class TestGen3Sections:
                      "--current", str(cur)]) == 1
         assert "regression" in capsys.readouterr().out
         assert main(["obs", "diff"]) == 2
+        # what a key is comes from the artifact and from nowhere else
+        del payload["schema"]
+        (cur / "BENCH_x.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["obs", "diff", "--baseline", str(base),
+                     "--current", str(cur)]) == 2
+        assert "no schema block" in capsys.readouterr().err
 
     def test_txn_section_renders_from_audit_kinds(self):
         from repro.obs.report import render_txn_summary

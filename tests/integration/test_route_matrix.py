@@ -91,10 +91,10 @@ def make_batch(chain: str, arrival: str):
 
 
 def journal(audit: AuditLog, lanes: bool = True) -> list:
-    """The audit events without their wall-clock stamp; ``lanes=False``
+    """The audit events without their sequence numbers; ``lanes=False``
     also drops what only a compiling runtime can say."""
     return [
-        {key: value for key, value in event.items() if key not in ("ts", "seq")}
+        {key: value for key, value in event.items() if key != "seq"}
         for event in audit.events()
         if lanes or not event["kind"].startswith("fastpath_")
     ]
@@ -115,6 +115,24 @@ def references(chain: str, platform_name: str, arrival: str):
         list(make_batch(chain, arrival).packet_view()), **ARRIVALS[arrival]
     )
     return result, runtime.stats(), journal(audit, lanes=False), journal(compiled_audit)
+
+
+@functools.lru_cache(maxsize=None)
+def forensic_rows(chain: str, platform_name: str, arrival: str, attached: str) -> list:
+    """What the attached forensics engine reports about the run when it
+    is offered as a plain packet list."""
+    build, sbox_kwargs, __ = CHAINS[chain]
+    runtime_kwargs, platform_kwargs = attach(attached)
+    platform = PLATFORMS[platform_name](
+        SpeedyBox(build(), **sbox_kwargs, **runtime_kwargs), **platform_kwargs
+    )
+    platform.run_load(list(make_batch(chain, arrival).packet_view()), **ARRIVALS[arrival])
+    return unlabelled_rows(platform.forensics)
+
+
+def unlabelled_rows(engine: ForensicsEngine) -> list:
+    """The engine's rows without the label that names the replay."""
+    return [{key: value for key, value in row.items() if key != "lane"} for row in engine.rows()]
 
 
 def attach(what: str) -> tuple:
@@ -181,10 +199,12 @@ def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
     reference, stats, interpreted_journal, compiled_journal = references(
         chain, platform_name, arrival
     )
+    runtime_kwargs, platform_kwargs = attach(attached)
+    if "forensics" in platform_kwargs:
+        forensic_reference = forensic_rows(chain, platform_name, arrival, attached)
     del routes[:]  # the references' own replays
 
     build, sbox_kwargs, __ = CHAINS[chain]
-    runtime_kwargs, platform_kwargs = attach(attached)
     audit = AuditLog()
     runtime = SpeedyBox(build(), audit=audit, **sbox_kwargs, **runtime_kwargs)
     platform = PLATFORMS[platform_name](runtime, **platform_kwargs)
@@ -204,6 +224,10 @@ def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
     assert runtime.stats() == stats
     assert journal(audit, lanes=False) == interpreted_journal
     assert journal(audit) == compiled_journal
+    if platform.forensics is not None:
+        # fid, fast flag and the service / transfer split of every row
+        # come from the report that made the plan, whoever ran it
+        assert unlabelled_rows(platform.forensics) == forensic_reference
 
     functional, replay = expected_route(offered, attached, platform_name, arrival)
     assert routes.count("lane") == (1 if functional == "lane" else 0)

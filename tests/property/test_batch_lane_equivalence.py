@@ -84,8 +84,7 @@ def run_leg(platform_cls, indices, load, capacity):
     runtime = SpeedyBox(build_chain(indices), audit=audit, **kwargs)
     platform = platform_cls(runtime)
     result = platform.run_load(load)
-    events = [{k: v for k, v in e.items() if k != "ts"} for e in audit.events()]
-    return result, runtime, events
+    return result, runtime, audit.events()
 
 
 flow_strategy = st.lists(
