@@ -18,17 +18,10 @@ for the steady-state majority of a :class:`~repro.traffic.columnar.PacketBatch`:
 - the region is **flushed** — per-flow packet counts, rule hits, drop
   totals and Global-MAT LRU touches in last-occurrence order, all from
   one ``np.unique`` pass over the concatenated slices — only when a
-  scalar packet that could observe or mutate runtime state is about to
-  run, and once at the end of the batch;
-- scalar packets that provably cannot interact with deferred state —
-  data packets of FID-*collided* flows, which the classifier pins to
-  the slow path before touching any table — do **not** flush, so a few
-  collided flows sprinkled through millions of steady packets no longer
-  fragment the region into per-flow crumbs;
-- any other scalar packet — first packets, handshake and FIN/RST,
-  fast-path misses, invalidated closures — flushes, then is
-  materialized and handed to ``SpeedyBox.process``, the unmodified
-  oracle;
+  scalar packet is about to run, and once at the end of the batch;
+- a scalar packet — first packets, handshake and FIN/RST, fast-path
+  misses, invalidated closures — flushes, then is materialized and
+  handed to ``SpeedyBox.process``, the unmodified oracle;
 - first packets of *flow-setup-oblivious* chains skip even that: after
   one scalar first packet establishes a template, subsequent new flows
   are **bulk admitted** — classifier entry, Local MAT records, Global
@@ -36,7 +29,9 @@ for the steady-state majority of a :class:`~repro.traffic.columnar.PacketBatch`:
   and the compiled closure (cloned straight from the template's) are
   installed directly, operation-for-operation what
   ``SpeedyBox.process`` does, without materializing a packet or
-  running an NF.
+  running an NF.  A new flow whose home FID is taken is *displaced* by
+  the classifier and pays probe charges the template's shared plans do
+  not carry: its first packet goes to the oracle instead.
 
 Correctness contract: a batch-lane run leaves the runtime in the same
 state — tables, counters, audit stream, LRU order — and produces the
@@ -55,8 +50,7 @@ per-packet path.  Three rules keep that true:
   sequence would have had: counters are commutative sums, no audit is
   emitted on the fast lane, and one LRU touch per flow in
   last-occurrence order equals the final recency order of the
-  per-packet touches (collided scalars between runs never touch the
-  LRU, so deferring across them reorders nothing);
+  per-packet touches;
 - bulk admission mirrors the recorded slow path exactly (same inserts,
   same eviction check, same audit events in the same order) and is
   gated on every NF declaring ``setup_flow_oblivious`` — the contract
@@ -170,15 +164,13 @@ class BatchLane:
         self.kind_arr = np.ascontiguousarray(batch.kind)
         self.flow_arr = np.ascontiguousarray(batch.flow_index)
         self._vclone: List[object] = [None] * flow_count
-        #: validated-FID index: which flow slots must be dropped when the
-        #: runtime reports the FID's compiled lane mutated (a list — FID
-        #: collisions can map one FID to several five-tuple slots)
-        self._flows_of_fid: Dict[int, list] = {}
+        #: validated-FID index: the flow slot to drop when the runtime
+        #: reports the FID's compiled lane mutated.  One slot: live flows
+        #: own distinct FIDs, and a second slot carrying the *same*
+        #: five-tuple is never validated (``_append_run``).
+        self._flows_of_fid: Dict[int, int] = {}
         #: validated steady runs awaiting their per-flow flush
         self._deferred: List[Tuple[int, int]] = []
-        #: flow slots pinned to the slow path by a FID collision; their
-        #: data packets are deferral-safe (no table or LRU touches)
-        self._collided: set = set()
         #: the runtime's invalidation feed while this run is active
         self._inval: Optional[list] = None
         #: lazily built fid-per-flow column (bulk admission only)
@@ -253,7 +245,6 @@ class BatchLane:
             flow_arr = self.flow_arr
             fstat = self.fstat
             fstat_np = self._fstat_np
-            collided = self._collided
             i = 0
             while i < n:
                 j = min(i + _CHUNK, n)
@@ -286,8 +277,7 @@ class BatchLane:
                         index = pos + position
                         if position > previous:
                             self._append_run(pos + previous, index)
-                        if kind != KIND_DATA or flow not in collided:
-                            self._flush()
+                        self._flush()
                         self._scalar_packet(index, flow, kind)
                         previous = position + 1
                     if stale_at >= 0:
@@ -367,53 +357,20 @@ class BatchLane:
 
     def _drain(self, inval: list) -> None:
         """Evict cached closures for every FID the runtime invalidated."""
-        flows_of_fid = self._flows_of_fid
-        vclone = self._vclone
-        vmask = self._vmask
         for fid in inval:
-            flows = flows_of_fid.pop(fid, None)
-            if flows is None:
-                continue
-            if type(flows) is int:
-                vclone[flows] = None
-                vmask[flows] = 0
-            else:
-                for flow in flows:
-                    vclone[flow] = None
-                    vmask[flow] = 0
+            self._drain_fid(fid)
         inval.clear()
 
     def _drain_fid(self, fid: int) -> None:
-        flows = self._flows_of_fid.pop(fid, None)
-        if flows is None:
-            return
-        if type(flows) is int:
-            self._vclone[flows] = None
-            self._vmask[flows] = 0
-        else:
-            vclone = self._vclone
-            vmask = self._vmask
-            for flow in flows:
-                vclone[flow] = None
-                vmask[flow] = 0
-
-    def _index_fid(self, fid: int, flow: int) -> None:
-        """Record flow slot under its FID (int for the overwhelmingly
-        common single-slot case; a list only on an actual collision —
-        a million admissions otherwise allocate a million lists)."""
-        flows_of_fid = self._flows_of_fid
-        prev = flows_of_fid.get(fid)
-        if prev is None:
-            flows_of_fid[fid] = flow
-        elif type(prev) is int:
-            flows_of_fid[fid] = [prev, flow]
-        else:
-            prev.append(flow)
+        flow = self._flows_of_fid.pop(fid, None)
+        if flow is not None:
+            self._vclone[flow] = None
+            self._vmask[flow] = 0
 
     def _cache_clone(self, flow: int, clone) -> None:
         self._vclone[flow] = clone
         self._vmask[flow] = 1
-        self._index_fid(clone.fid, flow)
+        self._flows_of_fid[clone.fid] = flow
         self.fplan[flow] = self._steady_pid(clone.steady_report)
 
     def _append_run(self, lo: int, hi: int) -> None:
@@ -434,12 +391,19 @@ class BatchLane:
             return
         compiled = self.runtime._compiled
         five_tuple_of = self.batch.five_tuple_of
+        slot_of_fid = self._flows_of_fid.get
         bad = False
         for flow in np.unique(flows_run).tolist():
             if vmask[flow]:
                 continue
             clone = compiled.get(five_tuple_of(flow))
-            if clone is None or not self._clone_valid(clone):
+            if (
+                clone is None
+                or not self._clone_valid(clone)
+                # two slots of one five-tuple: the index holds one, the
+                # other stays scalar
+                or slot_of_fid(clone.fid, flow) != flow
+            ):
                 bad = True
                 self.fstat[flow] = 0
                 continue
@@ -490,8 +454,7 @@ class BatchLane:
         Counts, rule hits and drop totals are commutative; the LRU
         touches — one ``move_to_end`` per flow in last-occurrence order
         over the *whole region* — leave exactly the recency order the
-        per-packet sequence would have (scalar packets deferred across
-        never touch the LRU).
+        per-packet sequence would have.
         """
         deferred = self._deferred
         if not deferred:
@@ -538,21 +501,41 @@ class BatchLane:
         spans = self.spans
         if bulk_shape and self.template is not None:
             fid = self._fid_of_flow(flow)
-            entry = runtime.classifier._flows.get(fid)
-            if entry is None:
+            classifier = runtime.classifier
+            # Home FID free and the five-tuple not displaced elsewhere: a
+            # new flow the classifier would place at home.  A taken home
+            # means a tracked flow or one about to be displaced, and
+            # both are the oracle's.
+            if fid not in classifier._flows:
+                ft_lists = self._ft_lists
+                if ft_lists is None:
+                    ft_lists = self._ft_lists = tuple(
+                        col.tolist()
+                        for col in (
+                            batch.flow_src_ip,
+                            batch.flow_dst_ip,
+                            batch.flow_src_port,
+                            batch.flow_dst_port,
+                            batch.flow_proto,
+                        )
+                    )
+                five_tuple = FiveTuple(
+                    ft_lists[0][flow],
+                    ft_lists[1][flow],
+                    ft_lists[2][flow],
+                    ft_lists[3][flow],
+                    ft_lists[4][flow],
+                )
                 # The sampling decision must fall in first-packet order,
                 # exactly where the per-packet path would take it.  A
                 # sampled flow skips bulk admission — its first packet
                 # (and every later one, via ``fstat`` staying 0) goes
                 # through the oracle so the recorder sees real reports.
-                if spans is None or not spans.wants(fid):
-                    self._admit(flow, fid, index)
+                if five_tuple not in classifier._displaced and (
+                    spans is None or not spans.wants(fid)
+                ):
+                    self._admit(flow, fid, index, five_tuple)
                     return
-            elif entry.five_tuple != batch.five_tuple_of(flow):
-                # FID collision: the classifier pins the flow to the
-                # slow path before touching any table, which is what
-                # makes its data packets deferral-safe.
-                self._collided.add(flow)
 
         packet = batch.materialize(index)
         report = runtime.process(packet)
@@ -588,7 +571,7 @@ class BatchLane:
             and report.path is PathTaken.ORIGINAL
             and not report.closing
         ):
-            self._try_capture_template(flow, five_tuple, report, clone, pid)
+            self._try_capture_template(report, clone, pid)
         # The invalidation feed cannot see an NF *activating* an event
         # on a cached FID mid-traversal (registration bypasses the
         # compiled table).  Probe for it: active events on the FID kill
@@ -617,11 +600,11 @@ class BatchLane:
 
     # -- bulk admission ------------------------------------------------------
 
-    def _try_capture_template(self, flow, five_tuple, report, clone, pid) -> None:
+    def _try_capture_template(self, report, clone, pid) -> None:
         """Capture the one-per-run bulk template from a scalar first packet.
 
         Every guard re-checks what bulk admission will assume: the flow
-        really is brand new (one packet, owns its FID), its rule is the
+        really is brand new (one packet, at its home FID), its rule is the
         live compiled one, the recording was header-actions-only.  The
         template stays valid even after the template flow itself is
         evicted — the GlobalRule object and its shared artifacts are
@@ -632,9 +615,7 @@ class BatchLane:
             return
         fid = clone.fid
         entry = runtime.classifier._flows.get(fid)
-        if entry is not clone.entry or entry.packets != 1:
-            return
-        if entry.five_tuple != five_tuple:
+        if entry is not clone.entry or entry.packets != 1 or entry.probes:
             return
         if runtime.global_mat.peek(fid) is not clone.rule:
             return
@@ -672,7 +653,7 @@ class BatchLane:
         # clone's steady report (identical timing by meter identity).
         self._admit_plan_cache = (self.platform, steady_plan, steady_pid, self)
 
-    def _admit(self, flow: int, fid: int, index: int) -> None:
+    def _admit(self, flow: int, fid: int, index: int, five_tuple: FiveTuple) -> None:
         """Install one new flow from the template, no packet materialized.
 
         Operation-for-operation what ``SpeedyBox.process`` does: same
@@ -697,6 +678,8 @@ class BatchLane:
                 # dominated eviction-heavy admission.  Same pops, same
                 # invalidation-feed append, same audit events in order.
                 vfid, victim = flows.popitem(last=False)
+                if victim.probes:
+                    del classifier._displaced[victim.five_tuple]
                 classifier.evictions += 1
                 if not null_metrics:
                     classifier._m_flows.set(len(flows))
@@ -716,32 +699,13 @@ class BatchLane:
                 audit.emit("classifier_evict", fid=vfid, packets=victim.packets)
             else:
                 classifier._evict_oldest()
-        ft_lists = self._ft_lists
-        if ft_lists is None:
-            batch = self.batch
-            ft_lists = self._ft_lists = tuple(
-                col.tolist()
-                for col in (
-                    batch.flow_src_ip,
-                    batch.flow_dst_ip,
-                    batch.flow_src_port,
-                    batch.flow_dst_port,
-                    batch.flow_proto,
-                )
-            )
-        five_tuple = FiveTuple(
-            ft_lists[0][flow],
-            ft_lists[1][flow],
-            ft_lists[2][flow],
-            ft_lists[3][flow],
-            ft_lists[4][flow],
-        )
         entry = FlowEntry.__new__(FlowEntry)
         entry.fid = fid
         entry.five_tuple = five_tuple
         entry.established = True
         entry.closed = False
         entry.packets = 1
+        entry.probes = 0
         flows[fid] = entry
         runtime.slow_packets += 1
         # Inlined ``begin_recording`` + recorded-action replay: same
@@ -819,16 +783,13 @@ class BatchLane:
         compiled.steady_report.plan_cache = self._admit_plan_cache
         self.fstat[flow] = 1
         self.fplan[flow] = template.steady_pid
+        if fid in self._flows_of_fid:
+            # the FID's last owner died since the last steady run and its
+            # invalidation still sits in the feed: drop that slot's clone now
+            self._drain_fid(fid)
+        self._flows_of_fid[fid] = flow
         self._vclone[flow] = compiled
         self._vmask[flow] = 1
-        flows_of_fid = self._flows_of_fid
-        prev = flows_of_fid.get(fid)
-        if prev is None:
-            flows_of_fid[fid] = flow
-        elif type(prev) is int:
-            flows_of_fid[fid] = [prev, flow]
-        else:
-            prev.append(flow)
         if template.dropped:
             self.dropped += 1
         self.plan_ids[index] = template.original_pid

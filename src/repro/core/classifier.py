@@ -13,9 +13,13 @@ Responsibilities:
 - track TCP FIN/RST so closed flows' rules are deleted from the Global
   MAT and all Local MATs.
 
-FID collisions (two live flows hashing to the same 20-bit value) are
-detected by remembering the owning five-tuple; collided flows are pinned
-to the original path so correctness never depends on hash uniqueness.
+Every live flow owns its FID.  The hash is the flow's *home*; a new flow
+whose home is held by a different live five-tuple probes forward
+``(home + i) & (FID_SPACE - 1)`` to the first free FID and keeps it for
+life.  Only such *displaced* flows enter the five-tuple index
+(``_displaced``), so a packet of a flow at home is one dict probe and the
+index is read on a home miss or mismatch alone.  A displaced flow pays
+one extra ``FID_HASH`` per probe step on every packet (``probes``).
 
 The flow table can be bounded (``capacity=``): when a new flow would
 exceed it, the oldest-inserted entry is evicted and ``on_evict`` fires so
@@ -82,7 +86,7 @@ def fid_column(src_ip, dst_ip, src_port, dst_port, protocol):
     (FNV-1a is byte-sequential), using uint64 wrap-around multiplies,
     so the returned column is *bit-identical* to calling ``fid_of`` per
     flow — the batch lane relies on that to agree with the classifier
-    about collisions.
+    about each flow's home FID.
     """
     u64 = np.uint64
     prime = u64(_FNV_PRIME)
@@ -115,11 +119,14 @@ class FlowEntry:
     established: bool = False
     closed: bool = False
     packets: int = 0
+    #: probe steps from the hashed home to ``fid`` (0: the flow sits at home)
+    probes: int = 0
 
     def __deepcopy__(self, memo) -> "FlowEntry":
         # Every slot holds an immutable value.
         return FlowEntry(
-            self.fid, self.five_tuple, self.established, self.closed, self.packets
+            self.fid, self.five_tuple, self.established, self.closed, self.packets,
+            self.probes,
         )
 
 
@@ -129,24 +136,22 @@ class Classification:
 
     fid: int
     entry: Optional[FlowEntry]
-    collided: bool = False
     is_handshake: bool = False
     is_closing: bool = False
 
     @property
     def fast_path_eligible(self) -> bool:
-        """May this packet use a cached Global MAT rule, if one exists?"""
-        return not (self.collided or self.is_handshake)
-
-    @property
-    def may_record(self) -> bool:
-        """May this packet's traversal install/refresh the fast path?
+        """May this packet use a cached Global MAT rule, or install one?
 
         Handshake packets traverse the original chain but must not arm
         the fast path: the paper's "initial packet" is the first packet
         *after* establishment.
         """
-        return not (self.collided or self.is_handshake)
+        return not self.is_handshake
+
+
+class FidSpaceExhausted(RuntimeError):
+    """Every FID is held by a live flow: a new one cannot be placed."""
 
 
 class PacketClassifier:
@@ -158,24 +163,31 @@ class PacketClassifier:
         capacity: Optional[int] = None,
         on_evict: Optional[Callable[[FlowEntry], None]] = None,
     ):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"classifier capacity must be >= 1, got {capacity}")
+        if capacity is not None and not 1 <= capacity <= FID_SPACE:
+            raise ValueError(
+                f"classifier capacity must be in 1..{FID_SPACE}, got {capacity}"
+            )
         # An OrderedDict, not a plain dict: eviction pops from the front,
         # and a plain dict's iterator re-walks every tombstoned slot to
         # find the first live entry — after ~100k front-pops each
         # eviction scans an ever-growing dead prefix (quadratic churn).
         # The linked-list order makes popitem(last=False) O(1) forever.
         self._flows: "OrderedDict[int, FlowEntry]" = OrderedDict()
+        #: five-tuple -> FID of the flows that do not sit at their home
+        #: (exactly the entries with ``probes > 0``)
+        self._displaced: Dict[FiveTuple, int] = {}
         self.capacity = capacity
         self.on_evict = on_evict
         self.evictions = 0
+        #: probe steps taken placing flows (assignment or import)
         self.collisions = 0
         self.packets_classified = 0
         self._m_classified = metrics.counter(
             "classifier_packets_total", "packets assigned a FID"
         )
         self._m_collisions = metrics.counter(
-            "classifier_fid_collisions_total", "live-flow 20-bit FID collisions"
+            "classifier_fid_collisions_total",
+            "probe steps past FIDs held by other live flows, at assignment or import",
         )
         self._m_flows = metrics.gauge(
             "classifier_tracked_flows", "flow entries currently tracked"
@@ -187,6 +199,19 @@ class PacketClassifier:
     def flow(self, fid: int) -> Optional[FlowEntry]:
         return self._flows.get(fid)
 
+    def fid_for(self, five_tuple: FiveTuple) -> Optional[int]:
+        """The FID a tracked five-tuple owns, or ``None`` if it is not tracked.
+
+        The one five-tuple -> FID lookup: migration, checkpoint capture
+        and the inspector resolve through it instead of hashing for
+        themselves.
+        """
+        fid = fid_of(five_tuple)
+        entry = self._flows.get(fid)
+        if entry is not None and entry.five_tuple == five_tuple:
+            return fid
+        return self._displaced.get(five_tuple)
+
     def classify(self, packet: Packet, meter: CycleMeter = NULL_METER) -> Classification:
         """Assign the FID, update connection state, attach metadata."""
         self.packets_classified += 1
@@ -194,24 +219,19 @@ class PacketClassifier:
         meter.charge(Operation.PARSE)  # the single parse of the fast design
         five_tuple = packet.five_tuple()
         fid = fid_of(five_tuple)
-        meter.charge(Operation.FID_HASH)
-
         entry = self._flows.get(fid)
-        if entry is not None and entry.five_tuple != five_tuple:
-            # 20-bit collision between live flows: pin to the slow path.
-            self.collisions += 1
-            self._m_collisions.inc()
-            packet.metadata["fid"] = fid
-            packet.metadata["fid_collision"] = True
-            meter.charge(Operation.METADATA_ATTACH)
-            return Classification(fid=fid, entry=entry, collided=True)
-
-        if entry is None:
-            if self.capacity is not None and len(self._flows) >= self.capacity:
-                self._evict_oldest()
-            entry = FlowEntry(fid=fid, five_tuple=five_tuple)
-            self._flows[fid] = entry
-            self._m_flows.set(len(self._flows))
+        if entry is None or entry.five_tuple != five_tuple:
+            # Home miss or mismatch: a displaced flow (its home may have
+            # emptied since — that is not a new flow), or a new one.
+            fid = self._displaced.get(five_tuple) if self._displaced else None
+            if fid is None:
+                if self.capacity is not None and len(self._flows) >= self.capacity:
+                    self._evict_oldest()
+                entry = FlowEntry(fid=-1, five_tuple=five_tuple)
+                fid = self._place(entry)
+            else:
+                entry = self._flows[fid]
+        meter.charge(Operation.FID_HASH, 1 + entry.probes)
         entry.packets += 1
 
         is_handshake = False
@@ -240,12 +260,39 @@ class PacketClassifier:
     def detach(self, packet: Packet, meter: CycleMeter = NULL_METER) -> None:
         """Remove the FID metadata as the packet leaves the chain (§VI-B)."""
         packet.metadata.pop("fid", None)
-        packet.metadata.pop("fid_collision", None)
         meter.charge(Operation.METADATA_DETACH)
+
+    def _place(self, entry: FlowEntry) -> int:
+        """Give an untracked flow its FID: home, or the first free one after.
+
+        Raises :class:`FidSpaceExhausted` before touching the table when
+        no FID is free — the probe loop below must terminate.
+        """
+        flows = self._flows
+        if len(flows) >= FID_SPACE:
+            raise FidSpaceExhausted(
+                f"all {FID_SPACE} FIDs are live; cannot place {entry.five_tuple}"
+            )
+        home = fid = fid_of(entry.five_tuple)
+        probes = 0
+        while fid in flows:
+            probes += 1
+            fid = (home + probes) & (FID_SPACE - 1)
+        entry.fid = fid
+        entry.probes = probes
+        flows[fid] = entry
+        if probes:
+            self._displaced[entry.five_tuple] = fid
+            self.collisions += probes
+            self._m_collisions.inc(probes)
+        self._m_flows.set(len(flows))
+        return fid
 
     def _evict_oldest(self) -> None:
         """Drop the oldest-inserted entry to make room for a new flow."""
         __, victim = self._flows.popitem(last=False)
+        if victim.probes:
+            del self._displaced[victim.five_tuple]
         self.evictions += 1
         self._m_flows.set(len(self._flows))
         if self.on_evict is not None:
@@ -253,24 +300,28 @@ class PacketClassifier:
 
     def remove_flow(self, fid: int) -> bool:
         """Forget a closed flow (frees the FID for reuse)."""
-        removed = self._flows.pop(fid, None) is not None
-        if removed:
-            self._m_flows.set(len(self._flows))
-        return removed
+        entry = self._flows.pop(fid, None)
+        if entry is None:
+            return False
+        if entry.probes:
+            del self._displaced[entry.five_tuple]
+        self._m_flows.set(len(self._flows))
+        return True
 
     # -- migration support (repro.scale) -------------------------------------
 
-    def import_flow(self, entry: FlowEntry) -> None:
-        """Adopt a migrated flow's connection state.
+    def import_flow(self, entry: FlowEntry) -> int:
+        """Adopt a migrated flow's connection state; returns its FID *here*.
 
-        Raises if the FID is already owned by a *different* five-tuple on
-        this replica — that collision would silently corrupt both flows.
+        A five-tuple this table already tracks keeps its FID and has its
+        entry replaced; any other is placed like a new flow, so the FID
+        may differ from the source's and the caller re-keys what it
+        carries under the old one (:meth:`SpeedyBox.import_flow`).
         """
-        existing = self._flows.get(entry.fid)
-        if existing is not None and existing.five_tuple != entry.five_tuple:
-            raise ValueError(
-                f"FID {entry.fid} already tracks {existing.five_tuple}; "
-                f"cannot import {entry.five_tuple}"
-            )
-        self._flows[entry.fid] = entry
-        self._m_flows.set(len(self._flows))
+        fid = self.fid_for(entry.five_tuple)
+        if fid is None:
+            return self._place(entry)
+        entry.fid = fid
+        entry.probes = self._flows[fid].probes
+        self._flows[fid] = entry
+        return fid

@@ -25,7 +25,6 @@ exact equality), same counter/LRU side effects.  :meth:`CompiledFlow.run`
 re-validates per packet and returns ``None`` (fall back to the
 interpreted path) whenever the closure's assumptions no longer hold:
 
-- the packet's five-tuple is not the flow's (FID collision);
 - the packet carries TCP FIN/RST (teardown runs interpreted);
 - the Global MAT no longer maps the FID to the compiled rule (deleted,
   evicted, rebuilt by an event, replaced by migration, or restored from
@@ -112,17 +111,19 @@ def _charge_nondrop(meter: CycleMeter, action) -> None:
     meter.charge(Operation.ENCAP_OP, len(action.net_encaps))
 
 
-def _charge_through_action(meter: CycleMeter, rule: GlobalRule, active: int) -> None:
+def _charge_through_action(
+    meter: CycleMeter, rule: GlobalRule, active: int, probes: int
+) -> None:
     """A fast-path packet's fixed charges up to the post-update event check.
 
     Charge order mirrors the interpreted path exactly — classify
-    (PARSE, FID_HASH, METADATA_ATTACH), Global MAT lookup, fast-path
-    dispatch, the event pre-check over ``active`` events, the
-    consolidated action's charges — so the float summation order inside
-    ``cycles()`` is identical too.
+    (PARSE, FID_HASH once per probed FID, METADATA_ATTACH), Global MAT
+    lookup, fast-path dispatch, the event pre-check over ``active``
+    events, the consolidated action's charges — so the float summation
+    order inside ``cycles()`` is identical too.
     """
     meter.charge(Operation.PARSE)
-    meter.charge(Operation.FID_HASH)
+    meter.charge(Operation.FID_HASH, 1 + probes)
     meter.charge(Operation.METADATA_ATTACH)
     meter.charge(Operation.GLOBAL_MAT_LOOKUP)
     meter.charge(Operation.FAST_PATH_DISPATCH)
@@ -135,11 +136,11 @@ def _charge_through_action(meter: CycleMeter, rule: GlobalRule, active: int) -> 
         _charge_nondrop(meter, rule.consolidated)
 
 
-def _build_fixed_meter(rule: GlobalRule, active: int) -> CycleMeter:
+def _build_fixed_meter(rule: GlobalRule, active: int, probes: int) -> CycleMeter:
     """The shared fixed meter of a packet on which no event fires: both
     event checks find ``active`` quiet events, then metadata detach."""
     meter = CycleMeter()
-    _charge_through_action(meter, rule, active)
+    _charge_through_action(meter, rule, active, probes)
     meter.charge(Operation.EVENT_CHECK, active)
     meter.charge(Operation.METADATA_DETACH)
     return meter
@@ -250,7 +251,7 @@ class CompiledFlow:
         ``EVENT_CHECK`` charge instead of knocking the flow off the lane.
         """
         self.event_active = active
-        self.fixed_meter = _build_fixed_meter(self.rule, active)
+        self.fixed_meter = _build_fixed_meter(self.rule, active, self.entry.probes)
         if self.waves or active:
             self.steady_report = None
         else:
@@ -273,8 +274,9 @@ class CompiledFlow:
         whose rule shares this flow's ``consolidated``/``schedule`` *by
         identity* (bulk admission's ``install_prebuilt`` clones) —
         identity is what guarantees the fixed meter, apply closure and
-        drop disposition carry over unchanged.  Everything per-flow is
-        fresh.
+        drop disposition carry over unchanged — and for an ``entry`` with
+        this flow's ``probes`` (bulk admission: both sit at home), which
+        the fixed meter charges.  Everything per-flow is fresh.
         """
         clone = object.__new__(CompiledFlow)
         clone.speedybox = self.speedybox
@@ -425,7 +427,7 @@ class CompiledFlow:
                 event_table.count_checks(active)
             else:
                 fixed_meter = CycleMeter()
-                _charge_through_action(fixed_meter, self.rule, active)
+                _charge_through_action(fixed_meter, self.rule, active, self.entry.probes)
                 fired = speedybox._check_events(fid, fixed_meter)
                 fixed_meter.charge(Operation.METADATA_DETACH)
                 if fired:
@@ -442,7 +444,6 @@ class CompiledFlow:
 
         # -- detach + path accounting.
         metadata.pop("fid", None)
-        metadata.pop("fid_collision", None)
         inc = self._m_path_inc
         if inc is not None:
             inc()
@@ -460,8 +461,8 @@ def compile_flow(speedybox, entry: Optional[FlowEntry], rule: GlobalRule):
     """Compile a flow's fast path, or ``None`` when it cannot be cached.
 
     Compilation requires the consolidated form (the raw-action ablation
-    keeps the interpreted path) and an established, open, collision-free
-    classifier entry whose FID owns the rule.
+    keeps the interpreted path) and an established, open classifier
+    entry whose FID owns the rule.
     """
     if not speedybox.enable_consolidation:
         return None

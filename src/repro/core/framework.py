@@ -52,7 +52,6 @@ from repro.platform.costs import CycleMeter, NULL_METER as _NULL_API_METER, Oper
 class PathTaken(enum.Enum):
     ORIGINAL = "original"            # initial packet, recorded + consolidated
     ORIGINAL_HANDSHAKE = "handshake"  # pre-establishment, not recorded
-    ORIGINAL_COLLISION = "collision"  # FID collision, pinned to slow path
     FAST = "fast"                    # Global MAT fast path
 
 
@@ -137,6 +136,17 @@ class FlowRecord:
     global_rule: Optional[GlobalRule] = None
     events: List[Event] = field(default_factory=list)
     nf_state: Dict[str, object] = field(default_factory=dict)
+
+    def rekey(self, fid: int) -> None:
+        """Move the record to another FID (the importing runtime's).
+
+        Everything keyed by FID carries it as a plain ``.fid``; NF state
+        is keyed by five-tuple and does not move.
+        """
+        self.fid = fid
+        for item in (*self.local_rules.values(), self.global_rule, *self.events):
+            if item is not None:
+                item.fid = fid
 
     def __deepcopy__(self, memo) -> "FlowRecord":
         return FlowRecord(
@@ -328,7 +338,7 @@ class SpeedyBox:
                 ip = packet.ip
                 # A plain tuple hashes/compares like the FiveTuple keys,
                 # so the probe is allocation-free and a hit *is* the
-                # flow-identity check (no FID collision can slip through).
+                # flow-identity check.
                 flow = compiled.get(
                     (ip.src_ip, ip.dst_ip, l4.src_port, l4.dst_port, ip.protocol)
                 )
@@ -342,10 +352,7 @@ class SpeedyBox:
         report.fid = classification.fid
         report.closing = classification.is_closing
 
-        if classification.collided:
-            report.path = PathTaken.ORIGINAL_COLLISION
-            self._run_original(packet, report, record=False)
-        elif classification.is_handshake:
+        if classification.is_handshake:
             report.path = PathTaken.ORIGINAL_HANDSHAKE
             self._run_original(packet, report, record=False)
         else:
@@ -395,11 +402,8 @@ class SpeedyBox:
                 return
         flow = _fastpath.compile_flow(self, classification.entry, rule)
         if flow is not None:
-            if key is not None:
-                if key != flow.five_tuple:
-                    self._compiled.pop(key, None)
-                if self._lane_invalidations is not None:
-                    self._lane_invalidations.append(fid)
+            if key is not None and self._lane_invalidations is not None:
+                self._lane_invalidations.append(fid)
             self._compiled[flow.five_tuple] = flow
             self._compiled_fids[fid] = flow.five_tuple
             self.audit.emit(
@@ -689,10 +693,16 @@ class SpeedyBox:
         fault-tolerance subsystem re-installs a snapshot — the restored
         flow's next packet recompiles its fast lane, observably identical
         by the compiled/interpreted parity contract).
+
+        The classifier places the flow first (a full FID space raises
+        before any table changes); when the FID it owns here differs
+        from the source's, the record is re-keyed to it.
         """
-        self._invalidate_compiled(record.fid, reason=reason)
         if record.classifier_entry is not None:
-            self.classifier.import_flow(record.classifier_entry)
+            fid = self.classifier.import_flow(record.classifier_entry)
+            if fid != record.fid:
+                record.rekey(fid)
+        self._invalidate_compiled(record.fid, reason=reason)
         for name, rule in record.local_rules.items():
             local_mat = self.local_mats.get(name)
             if local_mat is None:

@@ -96,6 +96,7 @@ def dump_global_mat(speedybox: SpeedyBox, limit: Optional[int] = None) -> str:
 
 def lookup_flow_rule(speedybox: SpeedyBox, five_tuple: FiveTuple) -> str:
     """Describe the rule a given five-tuple would hit."""
-    from repro.core.classifier import fid_of
-
-    return describe_rule(speedybox, fid_of(five_tuple))
+    fid = speedybox.classifier.fid_for(five_tuple)
+    if fid is None:
+        return f"{five_tuple}: not tracked"
+    return describe_rule(speedybox, fid)

@@ -7,8 +7,8 @@ per-flow state — but *copied*, not moved: the flow keeps running on its
 replica after capture.
 
 Capture **reads the SpeedyBox tables in place**
-(:func:`~repro.scale.migration.peek_direction`: same wire-direction
-walk and same FID-collision skip as a migration, but nothing detaches),
+(:meth:`~repro.core.framework.SpeedyBox.peek_flow`: same wire-direction
+walk and same classifier lookup as a migration, but nothing detaches),
 so the runtime cannot tell it happened: no LRU order moves, the flow's
 compiled fast lane stays, and the runtime's audit journal records
 nothing.  Only the NFs' own per-flow state still takes the migration
@@ -64,7 +64,6 @@ from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.scale.migration import (
     check_same_shape,
     observed_tuples,
-    peek_direction,
     rebind_record,
     wire_directions,
 )
@@ -119,9 +118,9 @@ def capture_flow(
     records: List[FlowRecord] = []
     if isinstance(runtime, SpeedyBox):
         for direction in directions:
-            record = peek_direction(runtime, direction)
-            if record is not None:
-                records.append(record)
+            fid = runtime.classifier.fid_for(direction)
+            if fid is not None:
+                records.append(runtime.peek_flow(fid))
     # Every observed key is derived before any NF state detaches: the
     # walk reads the mappings (NAT) that export removes.
     observed = [

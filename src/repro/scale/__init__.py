@@ -29,9 +29,7 @@ from repro.scale.migration import (
     MigrationReport,
     chain_state_snapshot,
     check_same_shape,
-    export_direction,
     observed_tuples,
-    peek_direction,
     rebind_record,
     wire_directions,
 )
@@ -51,9 +49,7 @@ __all__ = [
     "ScaleDecision",
     "chain_state_snapshot",
     "check_same_shape",
-    "export_direction",
     "observed_tuples",
-    "peek_direction",
     "rebind_record",
     "shard_hash",
     "wire_directions",

@@ -33,9 +33,8 @@ Two subtleties the implementation works around:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from repro.core.classifier import fid_of
 from repro.core.framework import FlowRecord, ServiceChain, SpeedyBox
 from repro.net.flow import FiveTuple
 from repro.nf.base import NetworkFunction
@@ -124,32 +123,6 @@ def chain_state_snapshot(
                 snapshot.setdefault(nf.name, ())
                 snapshot[nf.name] = snapshot[nf.name] + (state,)
     return snapshot
-
-
-def peek_direction(src: SpeedyBox, direction: FiveTuple) -> Optional[FlowRecord]:
-    """One direction's SpeedyBox tables, read in place (nothing detaches).
-
-    Returns ``None`` when the runtime holds nothing for ``direction`` —
-    including when its 20-bit FID belongs to a *different* live flow,
-    whose tables are none of this flow's business.  The one collision
-    rule the migrator and checkpoint capture (:mod:`repro.ft.checkpoint`)
-    share, so both skip exactly the same directions.
-    """
-    record = src.peek_flow(fid_of(direction))
-    if record is None or record.classifier_entry.five_tuple != direction:
-        return None
-    return record
-
-
-def export_direction(src: SpeedyBox, direction: FiveTuple) -> Optional[FlowRecord]:
-    """Detach one direction's SpeedyBox tables, tolerating FID collisions.
-
-    Moves nothing (and leaves the colliding flow untouched) when
-    :func:`peek_direction` finds the FID owned by another flow.
-    """
-    if peek_direction(src, direction) is None:
-        return None
-    return src.export_flow(fid_of(direction))
 
 
 def check_same_shape(
@@ -270,18 +243,20 @@ class FlowMigrator:
         observed = {d: observed_tuples(src_nfs, d) for d in directions}
 
         # Phase 2: move SpeedyBox table state (classifier entry, Local
-        # MAT rules, Global MAT rule, events), one FID per direction.
+        # MAT rules, Global MAT rule, events), one FID per direction —
+        # the FID the flow owns on ``dst``, which places it afresh.
         if isinstance(src, SpeedyBox):
             for direction in directions:
-                record = export_direction(src, direction)
-                if record is None:
+                fid = src.classifier.fid_for(direction)
+                if fid is None:
                     continue
-                report.fids = report.fids + (record.fid,)
+                record = src.export_flow(fid)
                 report.local_rules_moved += len(record.local_rules)
                 report.global_rules_moved += int(record.global_rule is not None)
                 report.events_moved += len(record.events)
                 report.handlers_rebound += rebind_record(record, src_nfs, dst_nfs)
                 dst.import_flow(record)
+                report.fids = report.fids + (record.fid,)
 
         # Phase 3: move the NFs' own per-flow state at each observed key.
         for direction in directions:

@@ -139,7 +139,7 @@ class PayloadSynthesizer:
         if rule.payload_matches(body):
             raise RuntimeError(
                 f"near-miss for sid={rule.sid} accidentally matches; "
-                "the corrupted byte collided with another occurrence"
+                "the corrupted byte completes another occurrence"
             )
         return body
 

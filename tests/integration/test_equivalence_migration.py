@@ -8,11 +8,15 @@ NF state and runtime counters, zero packet loss while frozen.
 """
 
 from repro.core import verify_equivalence_migration
+from repro.core.classifier import fid_of
+from repro.core.framework import SpeedyBox
 from repro.core.verification import MigrationVerificationReport
 from repro.net.addresses import ip_to_str
 from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor
 from repro.nf.maglev import Backend
+from repro.scale import FlowMigrator, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
+from tests.integration.helpers import FID23_PAIR
 
 EXTERNAL_IP = "203.0.113.9"
 
@@ -115,8 +119,6 @@ class TestBidirectionalMigration:
         )
         outbound = TrafficGenerator([outbound_spec]).packets()
         # Learn the NAT's deterministic external port from a probe run.
-        from repro.core.framework import SpeedyBox
-
         probe = SpeedyBox(self._chain())
         probe_stream = [packet.clone() for packet in outbound]
         for packet in probe_stream:
@@ -144,8 +146,6 @@ class TestBidirectionalMigration:
         assert len(report.migration.fids) == 2
         # The reference forwards everything — equivalence therefore means
         # the cluster translated replies correctly after the move too.
-        from repro.core.framework import SpeedyBox
-
         reference = SpeedyBox(self._chain())
         for packet in [p.clone() for p in packets]:
             reference.process(packet)
@@ -157,3 +157,66 @@ class TestBidirectionalMigration:
         packets = self._mixed_stream()
         report = verify_equivalence_migration(self._chain, packets, migrate_at=5)
         assert report.equivalent, report.summary()
+
+
+class TestMigrationIntoAnOccupiedFid:
+    """The destination already tracks a live flow on the migrant's home
+    FID (the UDP pair whose hash is 23): the migrant is placed on the
+    next free FID and its record re-keyed, whole."""
+
+    @staticmethod
+    def _chain():
+        return [Monitor("mon"), IPFilter("fw")]
+
+    @staticmethod
+    def _packets(flow, count):
+        return TrafficGenerator([FlowSpec(flow, packets=count, payload=b"x" * 14)]).packets()
+
+    def test_the_migrant_is_rekeyed_and_the_resident_untouched(self):
+        migrant, resident = FID23_PAIR
+        assert fid_of(migrant) == fid_of(resident) == 23
+        src, dst = SpeedyBox(self._chain()), SpeedyBox(self._chain())
+        for packet in self._packets(migrant, 4):
+            src.process(packet)
+        for packet in self._packets(resident, 3):
+            dst.process(packet)
+        resident_rule = dst.global_mat.peek(23)
+        resident_state = chain_state_snapshot(dst.nfs, resident)
+        migrant_state = chain_state_snapshot(src.nfs, migrant)
+
+        report = FlowMigrator().migrate(src, dst, migrant)
+
+        assert report.fids == (24,)  # the FID the flow owns on dst, not src's 23
+        assert (report.local_rules_moved, report.global_rules_moved) == (2, 1)
+        assert len(src.classifier) == 0 and not src.global_mat.flows()
+        assert dst.classifier.fid_for(resident) == 23
+        assert dst.classifier.fid_for(migrant) == 24
+        record = dst.peek_flow(24)
+        assert record.classifier_entry.five_tuple == migrant
+        assert {rule.fid for rule in record.local_rules.values()} == {24}
+        assert record.global_rule.fid == 24
+        # the resident: same rule object, same hits, same Monitor counters
+        assert dst.global_mat.peek(23) is resident_rule and resident_rule.hits == 2
+        assert chain_state_snapshot(dst.nfs, resident) == resident_state
+        assert chain_state_snapshot(dst.nfs, migrant) == migrant_state
+        assert chain_state_snapshot(src.nfs, migrant) == {}
+        # and the migrant's next packets ride the moved rule
+        reports = [dst.process(packet) for packet in self._packets(migrant, 3)]
+        assert all(report.is_fast and report.fid == 24 for report in reports)
+        assert dst.slow_packets == 1  # the resident's first packet, nothing since
+
+    def test_the_pair_migrates_invisibly_in_either_order(self):
+        specs = [FlowSpec(flow, packets=10, payload=b"pair") for flow in FID23_PAIR]
+        specs += [
+            FlowSpec.tcp("10.1.0.2", "99.0.0.9", 4000, 80, packets=10, payload=b"tcp", handshake=True)
+        ]
+        packets = TrafficGenerator(specs, interleave="round_robin").packets()
+        # the first of the pair sits at home on the source, the second is
+        # displaced there and placed afresh (at home) on the empty target
+        for flow in FID23_PAIR:
+            report = verify_equivalence_migration(
+                self._chain, packets, migrate_at=len(packets) // 2, freeze_for=3, flow=flow
+            )
+            assert report.equivalent, report.summary()
+            assert report.migration.fids == (23,)
+            assert report.migration.global_rules_moved == 1

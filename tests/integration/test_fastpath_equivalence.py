@@ -36,11 +36,10 @@ from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
 from tests.integration.helpers import (
     InterpretedSpeedyBox,
-    count_interpreted,
     des_run_load,
     fail_tracked_backend,
+    lockstep,
     nf_by_name,
-    report_view,
 )
 
 
@@ -172,44 +171,6 @@ def test_fin_teardown_flows():
 
 
 # -- hostile event schedules: the lane and the oracle in lockstep ---------------
-
-
-def nf_state(runtime):
-    """Every NF's counters and per-flow tables (dataclass values compare)."""
-    return {
-        nf.name: {k: v for k, v in vars(nf).items() if isinstance(v, (dict, int, float))}
-        for nf in runtime.nfs
-    }
-
-
-def lockstep(build_chain, packets, interventions=None, **sbox_kwargs):
-    """One stream through a compiling and an interpreted runtime.
-
-    ``interventions[i]`` runs against both runtimes before packet ``i``.
-    Returns the compiling runtime's ``(report, on_lane)`` per packet,
-    ``on_lane`` false when ``_run_fast`` (or the slow path) served it.
-    """
-    interventions = interventions or {}
-    fast = SpeedyBox(build_chain(), **sbox_kwargs)
-    oracle = InterpretedSpeedyBox(build_chain(), **sbox_kwargs)
-    interpreted = count_interpreted(fast)
-    served = []
-    streams = zip(clone_packets(packets), clone_packets(packets))
-    for index, (fast_pkt, oracle_pkt) in enumerate(streams):
-        if index in interventions:
-            interventions[index](fast)
-            interventions[index](oracle)
-        calls = len(interpreted)
-        report = fast.process(fast_pkt)
-        assert report_view(report) == report_view(oracle.process(oracle_pkt)), index
-        assert fast_pkt.dropped == oracle_pkt.dropped, index
-        assert fast_pkt.serialize() == oracle_pkt.serialize(), index
-        served.append((report, report.is_fast and len(interpreted) == calls))
-    assert fast.stats() == oracle.stats()
-    for counter in ("total_registered", "total_checks", "total_triggered"):
-        assert getattr(fast.event_table, counter) == getattr(oracle.event_table, counter)
-    assert nf_state(fast) == nf_state(oracle)
-    return served
 
 
 def shuffled_flows(flows, per_flow):

@@ -12,6 +12,7 @@ shape.  Every cell of
   x platform  {BESS, ONVM}
   x arrivals  {saturation, ``inter_arrival_ns`` > 0, ``use_timestamps``}
   x chain     {header-only, NAT + Monitor + IPFilter over bounded tables}
+  x flows     {on ten FIDs, all ten on one FID (nine displaced)}
 
 must (a) give the ``LoadResult`` of the references — the interpreted
 fast path replayed by the DES — float for float, (b) leave the runtime
@@ -49,7 +50,13 @@ from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.scale import ScaleCluster
 from repro.traffic.columnar import uniform_batch
 from repro.traffic.datacenter import DatacenterTraceConfig, DatacenterTraceGenerator
-from tests.integration.helpers import InterpretedSpeedyBox, count_interpreted, des_run_load
+from tests.integration.helpers import (
+    InterpretedSpeedyBox,
+    batch_over,
+    colliding_flows,
+    count_interpreted,
+    des_run_load,
+)
 
 PLATFORMS = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}
 INPUTS = ("packets", "packet_view", "batch")
@@ -81,10 +88,18 @@ CHAINS = {
         {"protocol": "tcp", "handshake": True, "fin": True},
     ),
 }
+# ... and each again with all ten flows hashing to one FID, so nine of them
+# are displaced: the routes and the references' agreement must not notice.
+CHAINS.update({f"{name}-one-fid": cell for name, cell in list(CHAINS.items())})
 
 
 def make_batch(chain: str, arrival: str):
-    batch = uniform_batch(10, 5, interleave="round_robin", block=5, **CHAINS[chain][2])
+    batch_kwargs = dict(interleave="round_robin", block=5, **CHAINS[chain][2])
+    if chain.endswith("-one-fid"):
+        flows = colliding_flows(10, batch_kwargs.get("protocol", "udp"))
+        batch = batch_over(flows, 5, **batch_kwargs)
+    else:
+        batch = uniform_batch(10, 5, **batch_kwargs)
     if arrival == "timestamps":
         batch.timestamp_ns = np.arange(len(batch)) * 91.25
     return batch
@@ -232,7 +247,7 @@ def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
     functional, replay = expected_route(offered, attached, platform_name, arrival)
     assert routes.count("lane") == (1 if functional == "lane" else 0)
     assert (platform.last_lane_stats is not None) == (functional == "lane")
-    if functional == "lane" and chain == "header":
+    if functional == "lane" and chain.startswith("header"):
         # not a lane in name only: the array path served packets
         assert platform.last_lane_stats["span_packets"] > 0
     assert [name for name in routes if name != "lane"] == [replay]

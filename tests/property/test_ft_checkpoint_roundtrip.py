@@ -32,9 +32,9 @@ from repro.ft import (
 )
 from repro.nf import IPFilter, MazuNAT, Monitor
 from repro.obs.audit import AuditLog
-from repro.scale import chain_state_snapshot
+from repro.scale import ScaleCluster, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
-from tests.integration.helpers import report_view
+from tests.integration.helpers import FID23_PAIR, colliding_flows, report_view
 
 PORTS = (25000, 60000)
 
@@ -198,3 +198,83 @@ def test_capture_is_invisible_under_bounded_tables(data, case, bounds):
     # invalidation in the same order — a capture writes nothing
     assert audit_cap.events() == audit_twin.events()
     assert captured.stats() == twin.stats()
+
+
+# -- restoring into an occupied FID (the pair whose hash is 23) -----------------
+
+
+def stateless_nat_free_chain():
+    """No NAT: two runtimes that never met must not race for one port."""
+    return [Monitor("mon"), IPFilter("fw")]
+
+
+def pair_packets(flow, count):
+    return TrafficGenerator([FlowSpec(flow, packets=count, payload=b"x" * 14)]).packets()
+
+
+def test_restore_into_an_occupied_fid_keeps_both_flows():
+    """The target already tracks a live flow on the checkpointed flow's
+    home FID: the restored flow is placed on the next free FID, its
+    record re-keyed, and carries on where the checkpoint left it."""
+    migrant, resident = FID23_PAIR
+    source = SpeedyBox(stateless_nat_free_chain())
+    reference = SpeedyBox(stateless_nat_free_chain())
+    target = SpeedyBox(stateless_nat_free_chain())
+    for packet in pair_packets(migrant, 4):
+        source.process(packet.clone())
+        reference.process(packet.clone())
+    for packet in pair_packets(resident, 3):
+        target.process(packet)
+    resident_state = chain_state_snapshot(target.nfs, resident)
+    resident_rule = target.global_mat.peek(23)
+
+    checkpoint = capture_flow(source, migrant)
+    restore_flow(checkpoint, target, list(source.nfs))
+    assert checkpoint.records[0].fid == 23  # the stored copy keeps the source's FID
+    assert target.classifier.fid_for(migrant) == 24
+    assert target.classifier.fid_for(resident) == 23
+    assert target.peek_flow(24).global_rule.fid == 24
+    assert target.global_mat.peek(23) is resident_rule
+    assert chain_state_snapshot(target.nfs, resident) == resident_state
+
+    for packet in pair_packets(migrant, 3):
+        tgt_report = target.process(packet.clone())
+        ref_report = reference.process(packet.clone())
+        assert tgt_report.is_fast and ref_report.is_fast
+        assert (tgt_report.fid, ref_report.fid) == (24, 23)
+    assert chain_state_snapshot(target.nfs, migrant) == chain_state_snapshot(
+        reference.nfs, migrant
+    )
+    assert target.stats()["fid_collisions"] == 1  # one probe step, counted once
+
+
+def test_failover_restores_beside_a_flow_on_the_same_home_fid():
+    """Two replicas, each homing flows that hash to one FID: whichever
+    dies, its flows are restored onto a survivor that already holds that
+    FID (and its successors), so every restore probes and re-keys."""
+    flows = colliding_flows(8)
+    probe = ScaleCluster(stateless_nat_free_chain, replicas=2)
+    assert {probe.home_of(flow) for flow in flows} == {0, 1}
+    specs = [FlowSpec(flow, packets=12, payload=b"pair") for flow in flows]
+    specs += [
+        FlowSpec.tcp("10.7.0.9", "99.4.0.1", 7000, 80, packets=12, handshake=True)
+    ]
+    packets = TrafficGenerator(specs, interleave="round_robin").packets()
+    for kill_replica in (0, 1):
+        audit = AuditLog()
+        report = verify_equivalence_failover(
+            stateless_nat_free_chain,
+            packets,
+            kill_at=60,
+            replicas=2,
+            checkpoint_interval=4,
+            kill_replica=kill_replica,
+            audit=audit,
+        )
+        assert report.equivalent, report.summary()
+        assert report.buffered_packets == report.delivered_packets
+        # every colliding flow the dead replica homed came back from a
+        # checkpoint, onto the replica that holds the rest of them
+        homed = sum(1 for flow in flows if probe.home_of(flow) == kill_replica)
+        restores = [event for event in audit.events() if event["kind"] == "ft_restore"]
+        assert len(restores) == report.flows_restored >= homed > 0

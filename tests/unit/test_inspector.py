@@ -13,6 +13,7 @@ from repro.net import AuthenticationHeader, FiveTuple
 from repro.net.addresses import ip_to_int
 from repro.nf import DosPrevention, IPFilter, MaglevLoadBalancer, Monitor
 from repro.traffic import FlowSpec, TrafficGenerator
+from tests.integration.helpers import FID23_PAIR
 
 
 def run_flow(sbox, packets=3, sport=1000):
@@ -111,3 +112,18 @@ class TestDump:
         five_tuple = FiveTuple.make("10.0.0.1", "10.0.0.2", 1000, 80)
         text = lookup_flow_rule(sbox, five_tuple)
         assert "set dst_ip=" in text
+
+    def test_lookup_flow_rule_answers_for_the_flow_asked_about(self):
+        """Regression: the lookup described ``fid_of(five_tuple)``'s rule,
+        which for the second flow on one home FID is the *other* flow's."""
+        first, second = FID23_PAIR
+        sbox = SpeedyBox([Monitor("m"), IPFilter("fw")])
+        assert "not tracked" in lookup_flow_rule(sbox, first)
+        for flow, packets in ((first, 2), (second, 5)):
+            for packet in TrafficGenerator([FlowSpec(flow, packets=packets)]).packets():
+                sbox.process(packet)
+        assert f"{first} (2 pkts)" in lookup_flow_rule(sbox, first)
+        text = lookup_flow_rule(sbox, second)
+        assert text.startswith("fid=24 ") and f"{second} (5 pkts)" in text
+        stranger = FiveTuple.make("10.0.0.1", "99.0.0.1", 7842, 80)
+        assert lookup_flow_rule(sbox, stranger) == f"{stranger}: not tracked"

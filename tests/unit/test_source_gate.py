@@ -8,6 +8,7 @@ checked here so tier-1 says it too.
 
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,19 @@ def test_every_exported_name_resolves():
     for package in packages:
         missing = [name for name in package.__all__ if not hasattr(package, name)]
         assert not missing, f"{package.__name__}.__all__ names {missing}"
+
+
+def test_no_trace_of_the_collision_path():
+    """Every live flow owns its FID (the classifier probes), so nothing
+    in ``src/repro`` may name the old pinned-to-the-slow-path rule.  The
+    acceptance grep, minus the two names ISSUE 23 keeps for the probe
+    counter (``stats()["fid_collisions"]``,
+    ``classifier_fid_collisions_total``)."""
+    old_rule = re.compile(r"collided|fid_collision(?!s)|ORIGINAL_COLLISION")
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if old_rule.search(line)
+    ]
+    assert not hits, hits
