@@ -28,8 +28,8 @@ compiled per-packet path:
   stride (1-in-16 packet sampling, worst-K ring), post-run
   decomposition only;
 - ``forensics_off`` — the engine constructed but ``enabled=False``,
-  the disabled-mode configuration every run without
-  ``--forensics-out`` pays: one attribute check per run, ~0 %.
+  the disabled-mode configuration every run without ``--obs-out``
+  pays: one attribute check per run, ~0 %.
 
 Best-of-``REPEATS`` wall-clock for each lands in
 ``BENCH_obs_overhead.json`` as ``wall`` keys: reported, never gated or

@@ -18,17 +18,18 @@ Commands
     Generate a synthetic datacenter trace to a ``.sbtr`` file, or print a
     summary of an existing one.
 
-``obs report``
-    Render a text dashboard (top flows by latency, SLO attainment, cycle
-    attribution, audit summary, metrics, telemetry windows) from the
-    artifacts another command wrote via ``--metrics-json``/
-    ``--metrics-prom``, ``--span-out``, ``--audit-out`` and
-    ``--timeseries-out``.
+``demo`` / ``sweep`` / ``scale`` / ``ft demo`` / ``batch`` take ``--obs-out
+DIR`` (and ``--obs {run,full}``) and leave one run record there: fixed
+file names plus a ``manifest.json`` (:mod:`repro.obs.record`).
 
-``obs watch``
-    Render the per-window telemetry table from a ``--timeseries-out``
-    artifact, with the health transitions and SLO burn alerts from the
-    matching ``--audit-out`` file when given.
+``obs report|watch|explain DIR``
+    Render a run record: the one-page dashboard — top flows by latency,
+    SLO attainment, cycle attribution, audit summary, telemetry windows,
+    forensics, metrics (``report``); the per-window telemetry table with
+    the health transitions and SLO burn alerts (``watch``); or the
+    worst-K packets with their queue/service/transfer/stall
+    decomposition, the stall charges, the regime shifts and the causal
+    timeline joined from the record's other surfaces (``explain``).
 
 ``obs diff``
     Compare two sets of ``BENCH_*.json`` results (files or directories)
@@ -36,18 +37,11 @@ Commands
     on regressions, 2 on an artifact without declarations — the CI
     bench gate.
 
-``obs explain``
-    Tail-latency forensics: render the worst-K packet table with its
-    queue/service/transfer/stall decomposition, the stall charges, the
-    regime shifts and the unified causal timeline from a
-    ``--forensics-out`` artifact (joined with ``--audit`` / ``--spans``
-    / ``--windows`` artifacts when given).
-
-``ft demo`` / ``ft report``
+``ft demo`` / ``ft report DIR``
     Kill a replica mid-stream under checkpointed fault tolerance and
     prove the recovery was loss-free (``demo``); render the recovery
     post-mortem (failure timeline, per-failover table, checkpoint
-    cadence) from a run's audit/metrics artifacts (``report``).
+    cadence) from a run record (``report``).
 
 Chain specs are comma-separated NF names, e.g. ``--chain
 nat,maglev,monitor,firewall``.  Each name may repeat; instances are
@@ -92,8 +86,10 @@ from repro.obs import (
     SLOEngine,
     TimeSeries,
 )
+from repro.obs.record import LEVELS, describe, load_record, write_record
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.platform.base import checked_gap
+from repro.platform.costs import CostModel
 from repro.stats import Distribution, format_table
 from repro.traffic import DatacenterTraceConfig, DatacenterTraceGenerator, TrafficGenerator
 from repro.traffic.generator import clone_packets
@@ -135,21 +131,7 @@ def build_chain(spec: str) -> List[NetworkFunction]:
     return nfs
 
 
-def build_platform(
-    name: str, runtime, metrics=NULL_REGISTRY, tracer=NULL_TRACER, spans=None,
-    timeseries=None, forensics=None,
-):
-    if name == "bess":
-        return BessPlatform(
-            runtime, metrics=metrics, tracer=tracer, spans=spans,
-            timeseries=timeseries, forensics=forensics,
-        )
-    if name == "onvm":
-        return OpenNetVMPlatform(
-            runtime, metrics=metrics, tracer=tracer, spans=spans,
-            timeseries=timeseries, forensics=forensics,
-        )
-    raise SystemExit(f"unknown platform {name!r} (bess|onvm)")
+PLATFORMS = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}
 
 
 @dataclass
@@ -169,115 +151,72 @@ class ObsBundle:
         """Keyword arguments for a SpeedyBox runtime built from this bundle."""
         return {"metrics": self.metrics, "audit": self.audit}
 
+    def platform_kwargs(self) -> dict:
+        """... and for the platform it runs on."""
+        return {"metrics": self.metrics, "tracer": self.tracer, "spans": self.spans,
+                "timeseries": self.timeseries, "forensics": self.forensics}
+
 
 def make_observability(args) -> ObsBundle:
-    """The observability bundle, each surface real only when a flag asks.
+    """The observability bundle ``--obs-out`` / ``--obs`` / ``--slo`` ask for.
 
-    ``--metrics-json``/``--metrics-prom`` enable the registry,
-    ``--trace-out`` the packet tracer, ``--audit-out`` the decision audit
-    log, ``--span-out`` the 1-in-N flow span sampler (ratio from
-    ``--span-every``), ``--timeseries-out``/``--slo`` the windowed
-    telemetry layer (window clock from ``--window-ns`` or
-    ``--window-packets``) with its health model and SLO engine, and
-    ``--forensics-out`` the tail-latency forensics engine (worst-K from
-    ``--worst-k``, regime-shift detector attached to the telemetry
-    windows when those are on too).
+    ``--obs-out`` at level ``run`` turns on the surfaces that consume the
+    finished run or sampled flows — the audit journal, the 1-in-N flow
+    span sampler (``--span-every``), the telemetry windows
+    (``--window-ns`` / ``--window-packets``) with their health model,
+    and tail-latency forensics (``--worst-k``, its regime-shift detector
+    also fed by the telemetry windows) — so the run's route and every
+    simulated number stay put.  Level ``full`` adds the metrics registry
+    and the packet tracer, which put the run on the per-packet pass and
+    the discrete-event engine.  ``--slo`` alone turns on the telemetry
+    windows and the SLO engine.
     """
-    want_metrics = getattr(args, "metrics_json", None) or getattr(args, "metrics_prom", None)
-    metrics = MetricsRegistry() if want_metrics else NULL_REGISTRY
-    tracer = PacketTracer() if getattr(args, "trace_out", None) else NULL_TRACER
-    audit = AuditLog() if getattr(args, "audit_out", None) else NULL_AUDIT
-    spans = None
-    if getattr(args, "span_out", None):
-        spans = FlowSpanRecorder(every=max(1, getattr(args, "span_every", 64)))
-    timeseries = health = slo = None
-    slo_specs = getattr(args, "slo", None)
-    if getattr(args, "timeseries_out", None) or slo_specs:
-        window_packets = getattr(args, "window_packets", None)
-        if window_packets:
-            timeseries = TimeSeries(window_packets=window_packets, registry=metrics)
+    recording = args.obs_out is not None
+    if args.obs != "run" and not recording:
+        raise SystemExit(f"--obs {args.obs} needs --obs-out DIR")
+    full = args.obs == "full"
+    metrics = MetricsRegistry() if full else NULL_REGISTRY
+    tracer = PacketTracer() if full else NULL_TRACER
+    audit = AuditLog() if recording else NULL_AUDIT
+    spans = FlowSpanRecorder(every=max(1, args.span_every)) if recording else None
+    timeseries = health = slo = forensics = None
+    if recording or args.slo:
+        if args.window_packets:
+            timeseries = TimeSeries(window_packets=args.window_packets, registry=metrics)
         else:
-            timeseries = TimeSeries(
-                window_ns=getattr(args, "window_ns", None) or 1_000_000.0,
-                registry=metrics,
-            )
+            timeseries = TimeSeries(window_ns=args.window_ns or 1_000_000.0, registry=metrics)
         health = HealthModel(timeseries=timeseries, audit=audit)
-        if slo_specs:
-            slo = SLOEngine.from_specs(slo_specs, timeseries=timeseries, audit=audit)
-    forensics = None
-    if getattr(args, "forensics_out", None):
-        forensics = ForensicsEngine(
-            worst_k=max(1, getattr(args, "worst_k", None) or 8), audit=audit
+        if args.slo:
+            slo = SLOEngine.from_specs(args.slo, timeseries=timeseries, audit=audit)
+    if recording:
+        forensics = ForensicsEngine(worst_k=max(1, args.worst_k), audit=audit)
+        forensics.detector.attach(timeseries)
+    return ObsBundle(metrics, tracer, audit, spans, timeseries, health, slo, forensics)
+
+
+def emit_observability(args, obs: ObsBundle, chain: str, platform: str) -> None:
+    """Write the run record ``--obs-out`` asked for; print ``--slo``'s verdicts.
+
+    The record's one status line goes to stderr: stdout is the same with
+    and without ``--obs-out``.
+    """
+    if args.obs_out is not None:
+        manifest = write_record(
+            args.obs_out,
+            obs,
+            level=args.obs,
+            argv=args.argv,
+            run={"command": args.command, "chain": chain, "platform": platform,
+                 "seed": args.seed},
+            cost_model=CostModel(),  # no command overrides a cost
+            profiler=args.profiler,
         )
-        if timeseries is not None:
-            # Telemetry windows double as a second regime-shift signal:
-            # the detector sees every closing window, not just the
-            # forensics engine's own arrival-order windows.
-            forensics.detector.attach(timeseries)
-    return ObsBundle(
-        metrics=metrics,
-        tracer=tracer,
-        audit=audit,
-        spans=spans,
-        timeseries=timeseries,
-        health=health,
-        slo=slo,
-        forensics=forensics,
-    )
-
-
-def emit_observability(args, obs: ObsBundle) -> None:
-    """Write the artifact files the command's observability flags asked for."""
-    import json
-
-    metrics, tracer, audit, spans = obs.metrics, obs.tracer, obs.audit, obs.spans
-    if getattr(args, "metrics_json", None):
-        payload = json.dumps(metrics.snapshot(), indent=2, sort_keys=True)
-        if args.metrics_json == "-":
-            print(payload)
-        else:
-            with open(args.metrics_json, "w") as handle:
-                handle.write(payload + "\n")
-            print(f"wrote {len(metrics.snapshot())} metric series to {args.metrics_json}")
-    if getattr(args, "metrics_prom", None):
-        from repro.obs import render_prometheus, write_prometheus
-
-        if args.metrics_prom == "-":
-            print(render_prometheus(metrics), end="")
-        else:
-            count = write_prometheus(metrics, args.metrics_prom)
-            print(f"wrote {count} Prometheus samples to {args.metrics_prom}")
-    if getattr(args, "audit_out", None):
-        count = audit.write_jsonl(args.audit_out)
-        print(f"wrote {count} audit events to {args.audit_out}")
-    if spans is not None and getattr(args, "span_out", None):
-        count = spans.write_jsonl(args.span_out)
-        summary = spans.summary()
-        print(f"wrote {count} flow spans to {args.span_out} "
-              f"(1-in-{spans.every}: {summary['flows_sampled']}/{summary['flows_seen']} "
-              f"flows, {summary['packets_sampled']} packets)")
-    if getattr(args, "trace_out", None):
-        if spans is not None:
-            spans.replay_into(tracer)
-        count = tracer.write_chrome(args.trace_out)
-        print(f"wrote {count} trace events to {args.trace_out} "
-              f"(open in chrome://tracing or ui.perfetto.dev)")
-    timeseries, health, slo = obs.timeseries, obs.health, obs.slo
-    if timeseries is not None and getattr(args, "timeseries_out", None):
-        timeseries.finish()
-        count = timeseries.write_jsonl(args.timeseries_out)
-        print(f"wrote {count} telemetry windows to {args.timeseries_out}")
-    if obs.forensics is not None and getattr(args, "forensics_out", None):
-        count = obs.forensics.write_jsonl(args.forensics_out)
-        summary = obs.forensics.summary()
-        print(f"wrote {count} forensics rows to {args.forensics_out} "
-              f"({summary['packets']} packets decomposed, "
-              f"{summary['stall_records']} stall charges, "
-              f"{summary['regime_shifts']} regime shifts)")
-    if health is not None and health.snapshot():
-        print(f"cluster health: {health.worst_state()}")
-    if slo is not None:
-        print(slo.render())
+        print(f"wrote run record to {args.obs_out} (level {args.obs}: "
+              f"{describe(manifest)})", file=sys.stderr)
+    if obs.slo is not None:
+        if obs.health.snapshot():
+            print(f"cluster health: {obs.health.worst_state()}")
+        print(obs.slo.render())
 
 
 def make_trace_packets(flows: int, seed: int, mean_packets: float = 8.0):
@@ -317,22 +256,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
             runtime = SpeedyBox(build_chain(args.chain), **obs.speedybox_kwargs())
         else:
             runtime = ServiceChain(build_chain(args.chain), metrics=obs.metrics)
-        platform = build_platform(
-            args.platform,
-            runtime,
-            metrics=obs.metrics,
-            tracer=obs.tracer,
-            spans=obs.spans,
-            timeseries=obs.timeseries,
-            forensics=obs.forensics,
-        )
+        platform = PLATFORMS[args.platform](runtime, **obs.platform_kwargs())
         latency = Distribution()
         dropped = 0
         for packet in clone_packets(packets):
             outcome = platform.process(packet)
             latency.add(outcome.latency_us)
             dropped += outcome.dropped
-        load = None
         platform.reset()
         load = platform.run_load(clone_packets(packets))
         results[label] = latency
@@ -349,7 +279,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if "speedybox" in results:
         reduction = 100 * (1 - results["speedybox"].p50 / results["original"].p50)
         print(f"\np50 latency reduction: {reduction:.1f}%")
-    emit_observability(args, obs)
+    emit_observability(args, obs, chain=args.chain, platform=args.platform)
     if args.dump_rules and not args.no_speedybox:
         # Re-run once to leave the runtime populated, then dump its MAT.
         # FIN packets are withheld so the rules survive for inspection.
@@ -380,10 +310,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 runtime = SpeedyBox(chain, **obs.speedybox_kwargs())
             else:
                 runtime = ServiceChain(chain, metrics=obs.metrics)
-            platform = build_platform(
-                args.platform, runtime,
-                metrics=obs.metrics, tracer=obs.tracer, spans=obs.spans,
-            )
+            platform = PLATFORMS[args.platform](runtime, **obs.platform_kwargs())
             outcomes = platform.process_all(clone_packets(packets))
             if obs.forensics is not None:
                 obs.forensics.observe_outcomes(
@@ -397,7 +324,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows,
         title=f"latency vs chain length on {args.platform}",
     ))
-    emit_observability(args, obs)
+    emit_observability(
+        args, obs, chain=f"firewall x 1..{max_len}", platform=args.platform
+    )
     return 0
 
 
@@ -442,24 +371,21 @@ def cmd_batch(args: argparse.Namespace) -> int:
         f"packets, {args.block} concurrently live, flow table capacity {args.table}"
     )
 
-    forensics = None
-    if args.forensics_out:
-        forensics = ForensicsEngine(worst_k=max(1, args.worst_k or 8))
-
-    def run_leg(load, forensics=None):
+    def run_leg(load, obs=ObsBundle()):
         runtime = SpeedyBox(
-            batch_chain(), max_tracked_flows=args.table, max_flows=args.table
+            batch_chain(), max_tracked_flows=args.table, max_flows=args.table,
+            **obs.speedybox_kwargs(),
         )
-        platform_cls = BessPlatform if args.platform == "bess" else OpenNetVMPlatform
-        platform = platform_cls(runtime, forensics=forensics)
+        platform = PLATFORMS[args.platform](runtime, **obs.platform_kwargs())
         started = _time.perf_counter()
         result = platform.run_load(load)
         return _time.perf_counter() - started, result, runtime
 
-    # Forensics rides only the measured leg; the post-run decomposition
-    # runs inside the timed window, so the wallclock column includes it
-    # when --forensics-out is given.
-    lane_s, lane_result, lane_runtime = run_leg(batch, forensics=forensics)
+    # Observation rides only the measured leg; what it does after the run
+    # (window ingestion, the forensic decomposition) is inside the timed
+    # window, so the wallclock column includes it under --obs-out.
+    obs = make_observability(args)
+    lane_s, lane_result, lane_runtime = run_leg(batch, obs)
     stats = lane_runtime.stats()
     rows = [
         [
@@ -489,11 +415,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    if forensics is not None:
-        count = forensics.write_jsonl(args.forensics_out)
-        summary = forensics.summary()
-        print(f"wrote {count} forensics rows to {args.forensics_out} "
-              f"({summary['packets']} packets decomposed)")
+    emit_observability(args, obs, chain="fw,nat,mon (synthetic)", platform=args.platform)
     if args.compare:
         same = (
             lane_result.latencies_ns == legacy_result.latencies_ns
@@ -527,12 +449,8 @@ def cmd_scale(args: argparse.Namespace) -> int:
                 replicas=count,
                 speedybox=not args.no_speedybox,
                 physical_cores=args.physical_cores,
-                metrics=obs.metrics,
-                tracer=obs.tracer,
                 audit=obs.audit,
-                spans=obs.spans,
-                timeseries=obs.timeseries,
-                forensics=obs.forensics,
+                **obs.platform_kwargs(),
             )
             ft = None
             if want_ft:
@@ -610,43 +528,23 @@ def cmd_scale(args: argparse.Namespace) -> int:
         rows,
         title=f"replica sweep over chain {args.chain}",
     ))
-    emit_observability(args, obs)
+    emit_observability(args, obs, chain=args.chain, platform=args.platforms)
     return 0
 
 
-class _ArtifactError(Exception):
-    """An obs artifact could not be loaded (missing, empty, truncated)."""
-
-
-def _load_artifact(action: str, what: str, loader, path):
-    """Load one artifact file; wrap failures in a user-facing message.
-
-    A run interrupted mid-write leaves an empty or truncated JSONL file;
-    the obs subcommands report that as one clear line on stderr and exit
-    2 instead of dumping a traceback.
-    """
+def _open_record(label: str, args, require=()):
+    """The record a read-side command was pointed at — or ``None`` after
+    one stderr line saying why it cannot be read (the caller exits 2)."""
     try:
-        return loader(path)
-    except OSError as exc:
-        raise _ArtifactError(
-            f"obs {action}: cannot read {what} artifact {path}: "
-            f"{exc.strerror or exc}"
-        ) from exc
+        if args.record is None:
+            raise ValueError("pass a run record: the directory a run's --obs-out wrote")
+        return load_record(args.record, require=require)
     except ValueError as exc:
-        raise _ArtifactError(f"obs {action}: bad {what} artifact: {exc}") from exc
+        print(f"{label}: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    try:
-        return _run_obs(args)
-    except _ArtifactError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-
-def _run_obs(args: argparse.Namespace) -> int:
-    from repro.obs.report import load_jsonl, load_metrics, render_report
-
     if args.action == "diff":
         from repro.obs import collect_benches, diff_benches, render_diff
         from repro.obs.benchdiff import regressions
@@ -655,116 +553,64 @@ def _run_obs(args: argparse.Namespace) -> int:
             print("obs diff: pass --baseline PATH and --current PATH "
                   "(BENCH_*.json files or directories)", file=sys.stderr)
             return 2
-        entries = diff_benches(
-            _load_artifact("diff", "baseline", collect_benches, args.baseline),
-            _load_artifact("diff", "current", collect_benches, args.current),
-            threshold=args.threshold,
-        )
+        try:
+            entries = diff_benches(
+                collect_benches(args.baseline),
+                collect_benches(args.current),
+                threshold=args.threshold,
+            )
+        except (OSError, ValueError) as exc:
+            print(f"obs diff: {exc}", file=sys.stderr)
+            return 2
         print(render_diff(entries, show_ok=args.show_ok))
         bad = regressions(entries)
         for entry in bad:
             print(f"regressed: {entry.describe()}")
         return 1 if bad else 0
 
+    require = {"watch": ("timeseries",), "explain": ("forensics",)}.get(args.action, ())
+    record = _open_record(f"obs {args.action}", args, require)
+    if record is None:
+        return 2
     if args.action == "watch":
-        from repro.obs import load_timeseries_jsonl, render_windows
+        from repro.obs import render_windows
         from repro.obs.report import HEALTH_KINDS, SLO_KINDS, render_health_slo
 
-        if not args.windows:
-            print("obs watch: pass --windows PATH (a run's --timeseries-out file)",
-                  file=sys.stderr)
-            return 2
-        rows = _load_artifact("watch", "windows", load_timeseries_jsonl, args.windows)
-        print(render_windows(rows, title=f"telemetry windows ({args.windows})"))
-        if args.audit:
-            events = _load_artifact("watch", "audit", load_jsonl, args.audit)
-            if any(e.get("kind") in HEALTH_KINDS + SLO_KINDS for e in events):
-                print()
-                print(render_health_slo(events))
-        return 0
+        print(render_windows(record.timeseries, title=f"telemetry windows ({record.path})"))
+        if any(e.get("kind") in HEALTH_KINDS + SLO_KINDS for e in record.audit or ()):
+            print()
+            print(render_health_slo(record.audit))
+    elif args.action == "explain":
+        from repro.obs.forensics import render_explain
 
-    if args.action == "explain":
-        from repro.obs import load_timeseries_jsonl
-        from repro.obs.forensics import load_forensics_jsonl, render_explain
-
-        if not args.forensics:
-            print("obs explain: pass --forensics PATH (a run's --forensics-out "
-                  "file); --audit/--spans/--windows join the causal timeline",
-                  file=sys.stderr)
-            return 2
-        data = _load_artifact(
-            "explain", "forensics", load_forensics_jsonl, args.forensics
-        )
-        audit = (
-            _load_artifact("explain", "audit", load_jsonl, args.audit)
-            if args.audit else None
-        )
-        spans = (
-            _load_artifact("explain", "spans", load_jsonl, args.spans)
-            if args.spans else None
-        )
-        windows = (
-            _load_artifact("explain", "windows", load_timeseries_jsonl, args.windows)
-            if args.windows else None
-        )
         print(render_explain(
-            data, audit=audit, spans=spans, windows=windows, top=args.top
+            record.forensics, audit=record.audit, spans=record.spans,
+            windows=record.timeseries, top=args.top,
         ))
-        return 0
+    else:
+        from repro.obs.report import render_report
 
-    if not (args.metrics or args.spans or args.audit or args.windows
-            or args.forensics):
-        print("obs report: pass at least one of --metrics, --spans, --audit, "
-              "--windows, --forensics", file=sys.stderr)
-        return 2
-    from repro.obs import load_timeseries_jsonl
-    from repro.obs.forensics import load_forensics_jsonl
-
-    metrics = (
-        _load_artifact("report", "metrics", load_metrics, args.metrics)
-        if args.metrics else None
-    )
-    spans = (
-        _load_artifact("report", "spans", load_jsonl, args.spans)
-        if args.spans else None
-    )
-    audit = (
-        _load_artifact("report", "audit", load_jsonl, args.audit)
-        if args.audit else None
-    )
-    windows = (
-        _load_artifact("report", "windows", load_timeseries_jsonl, args.windows)
-        if args.windows else None
-    )
-    forensics = (
-        _load_artifact("report", "forensics", load_forensics_jsonl, args.forensics)
-        if args.forensics else None
-    )
-    print(render_report(
-        metrics=metrics,
-        spans=spans,
-        audit=audit,
-        windows=windows,
-        forensics=forensics,
-        slo_us=args.slo_us,
-        percentile=args.percentile,
-        top=args.top,
-    ))
+        print(render_report(
+            metrics=record.metrics,
+            spans=record.spans,
+            audit=record.audit,
+            windows=record.timeseries,
+            forensics=record.forensics,
+            slo_us=args.slo_us,
+            percentile=args.percentile,
+            top=args.top,
+        ))
     return 0
 
 
 def cmd_ft(args: argparse.Namespace) -> int:
     if args.action == "report":
         from repro.ft.report import render_ft_report
-        from repro.obs.report import load_jsonl, load_metrics
 
-        if not args.audit:
-            print("ft report: pass --audit PATH (the run's --audit-out file)",
-                  file=sys.stderr)
+        record = _open_record("ft report", args, require=("audit",))
+        if record is None:
             return 2
-        audit = load_jsonl(args.audit)
-        metrics = load_metrics(args.metrics) if args.metrics else None
-        print(render_ft_report(audit, metrics=metrics))
+        print(render_ft_report(record.audit, metrics=record.metrics))
         return 0
 
     # demo: kill a replica mid-stream, recover, prove nothing was lost.
@@ -778,11 +624,8 @@ def cmd_ft(args: argparse.Namespace) -> int:
         lambda: build_chain(args.chain),
         platform=args.platform,
         replicas=args.replicas,
-        metrics=obs.metrics,
-        tracer=obs.tracer,
         audit=obs.audit,
-        spans=obs.spans,
-        forensics=obs.forensics,
+        **obs.platform_kwargs(),
     )
     ft = FaultTolerance(
         cluster,
@@ -826,7 +669,7 @@ def cmd_ft(args: argparse.Namespace) -> int:
     print(f"offered {len(packets)}  in-stream {live}  buffered {ft.packets_buffered}  "
           f"recovered {delivered}  lost {lost}")
     print("LOSS-FREE" if lost == 0 else f"LOST {lost} PACKETS")
-    emit_observability(args, obs)
+    emit_observability(args, obs, chain=args.chain, platform=args.platform)
     return 0 if lost == 0 else 1
 
 
@@ -887,49 +730,45 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--flows", type=int, default=40, help="flows in the synthetic trace")
         p.add_argument("--seed", type=int, default=1, help="trace seed")
 
+    def recovery(p):
+        p.add_argument(
+            "--recover-after", type=int, default=None, metavar="M",
+            help="auto-recover M packets after the kill (default: recover "
+                 "at end of the window)",
+        )
+        p.add_argument(
+            "--no-charge-recovery", action="store_true",
+            help="do not charge failover stall (detect->drain wall time) to "
+                 "buffered packets' simulated latency (pre-charging behaviour)",
+        )
+
     def profiling(p):
         p.add_argument(
             "--profile",
             action="store_true",
             help="run the command under cProfile and print the top 30 "
-                 "functions by cumulative time",
-        )
-        p.add_argument(
-            "--profile-out",
-            metavar="PATH",
-            help="also dump the raw profile stats to PATH "
-                 "(load with pstats.Stats or snakeviz)",
+                 "functions by cumulative time (with --obs-out the raw "
+                 "stats are the record's profile.pstats)",
         )
 
     def observability(p):
         p.add_argument(
-            "--metrics-json",
-            metavar="PATH",
-            help="enable the metrics registry and write its snapshot as JSON "
-                 "('-' prints to stdout)",
+            "--obs-out",
+            metavar="DIR",
+            help="write the run record to DIR: audit.jsonl, spans.jsonl, "
+                 "timeseries.jsonl, forensics.jsonl and a manifest.json "
+                 "naming what ran — read it back with 'repro obs "
+                 "report|watch|explain DIR' or 'repro ft report DIR'",
         )
         p.add_argument(
-            "--trace-out",
-            metavar="PATH",
-            help="enable the packet-path tracer and write a Chrome trace-event "
-                 "file (opens in chrome://tracing / Perfetto)",
-        )
-        p.add_argument(
-            "--metrics-prom",
-            metavar="PATH",
-            help="enable the metrics registry and write a Prometheus "
-                 "text-format exposition ('-' prints to stdout)",
-        )
-        p.add_argument(
-            "--audit-out",
-            metavar="PATH",
-            help="enable the decision audit log and write it as JSON lines",
-        )
-        p.add_argument(
-            "--span-out",
-            metavar="PATH",
-            help="enable the sampled per-flow span recorder and write its "
-                 "spans as JSON lines",
+            "--obs",
+            choices=LEVELS,
+            default="run",
+            help="record level: 'run' (default) observes the finished run "
+                 "and sampled flows and leaves its route and simulated "
+                 "numbers alone; 'full' adds the metrics registry "
+                 "(metrics.prom) and the packet tracer (trace.json), which "
+                 "put the run on the per-packet pass and the event engine",
         )
         p.add_argument(
             "--span-every",
@@ -937,12 +776,6 @@ def make_parser() -> argparse.ArgumentParser:
             default=64,
             metavar="N",
             help="sample 1 in N flows for spans (default 64; 1 = every flow)",
-        )
-        p.add_argument(
-            "--timeseries-out",
-            metavar="PATH",
-            help="enable windowed telemetry (and the cluster health model) "
-                 "and write per-window summaries as JSON lines",
         )
         p.add_argument(
             "--window-ns",
@@ -964,15 +797,8 @@ def make_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SPEC",
             help="declare an SLO, e.g. 'p99<250us@0.999' or 'loss<0.1%%' "
-                 "(repeatable; enables the telemetry layer and SLO engine)",
-        )
-        p.add_argument(
-            "--forensics-out",
-            metavar="PATH",
-            help="enable tail-latency forensics (per-packet "
-                 "queue/service/transfer/stall decomposition, worst-K flight "
-                 "recorder, regime-shift detector) and write the artifact as "
-                 "JSON lines — render it with 'repro obs explain'",
+                 "(repeatable; enables the telemetry windows and prints the "
+                 "SLO table after the run)",
         )
         p.add_argument(
             "--worst-k",
@@ -984,7 +810,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run a chain with and without SpeedyBox")
     demo.add_argument("--chain", default="nat,monitor,firewall")
-    demo.add_argument("--platform", default="bess", choices=("bess", "onvm"))
+    demo.add_argument("--platform", default="bess", choices=sorted(PLATFORMS))
     demo.add_argument("--no-speedybox", action="store_true")
     demo.add_argument("--list-nfs", action="store_true", help="print the NF catalogue")
     demo.add_argument(
@@ -1000,7 +826,7 @@ def make_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=cmd_demo)
 
     sweep = sub.add_parser("sweep", help="chain-length sweep (live Fig. 8)")
-    sweep.add_argument("--platform", default="bess", choices=("bess", "onvm"))
+    sweep.add_argument("--platform", default="bess", choices=sorted(PLATFORMS))
     sweep.add_argument("--max-length", type=int, default=9)
     common(sweep)
     observability(sweep)
@@ -1017,7 +843,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="columnar batch run down the whole-batch lane (vs the "
              "per-packet oracle with --compare)",
     )
-    batch.add_argument("--platform", default="bess", choices=("bess", "onvm"))
+    batch.add_argument("--platform", default="bess", choices=sorted(PLATFORMS))
     batch.add_argument(
         "--flows", type=_positive_int, default=100_000, metavar="N",
         help="total flows in the batch (default 100000)",
@@ -1041,16 +867,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="also run the per-packet oracle and verify the lane "
              "produced identical results (exit 1 on divergence)",
     )
-    batch.add_argument(
-        "--forensics-out", metavar="PATH",
-        help="enable tail-latency forensics on the measured leg and write "
-             "the artifact as JSON lines (render with 'repro obs explain')",
-    )
-    batch.add_argument(
-        "--worst-k", type=int, default=8, metavar="K",
-        help="worst packets kept per forensics window (default 8)",
-    )
     batch.add_argument("--seed", type=int, default=1, help=argparse.SUPPRESS)
+    observability(batch)
     profiling(batch)
     batch.set_defaults(func=cmd_batch)
 
@@ -1091,16 +909,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="kill the busiest replica when global packet K arrives "
              "(rows with >1 replica; implies fault tolerance)",
     )
-    scale.add_argument(
-        "--recover-after", type=int, default=None, metavar="M",
-        help="auto-recover M packets after the kill (default: recover "
-             "at end of the window)",
-    )
-    scale.add_argument(
-        "--no-charge-recovery", action="store_true",
-        help="do not charge failover stall (detect->drain wall time) to "
-             "buffered packets' simulated latency (pre-charging behaviour)",
-    )
+    recovery(scale)
     common(scale)
     observability(scale)
     scale.set_defaults(func=cmd_scale)
@@ -1109,8 +918,10 @@ def make_parser() -> argparse.ArgumentParser:
         "ft", help="fault-tolerance demo and recovery report"
     )
     ft.add_argument("action", choices=["demo", "report"], help="what to run")
+    ft.add_argument("record", nargs="?", metavar="DIR",
+                    help="(report) the run record an FT run's --obs-out wrote")
     ft.add_argument("--chain", default="nat,monitor,firewall")
-    ft.add_argument("--platform", default="bess", choices=("bess", "onvm"))
+    ft.add_argument("--platform", default="bess", choices=sorted(PLATFORMS))
     ft.add_argument(
         "--replicas", type=int, default=4, metavar="N",
         help="cluster size for the demo (default 4)",
@@ -1127,38 +938,23 @@ def make_parser() -> argparse.ArgumentParser:
         "--kill-replica", type=int, default=None, metavar="R",
         help="replica to kill (default: the one homing the most flows)",
     )
-    ft.add_argument(
-        "--recover-after", type=int, default=None, metavar="M",
-        help="auto-recover M packets after the kill (default: at end)",
-    )
-    ft.add_argument(
-        "--no-charge-recovery", action="store_true",
-        help="do not charge failover stall (detect->drain wall time) to "
-             "buffered packets' simulated latency (pre-charging behaviour)",
-    )
-    ft.add_argument("--audit", metavar="PATH",
-                    help="(report) audit-event JSONL file from --audit-out")
-    ft.add_argument("--metrics", metavar="PATH",
-                    help="(report) metrics snapshot JSON or Prometheus text")
+    recovery(ft)
     common(ft)
     observability(ft)
     ft.set_defaults(func=cmd_ft)
 
     obs = sub.add_parser(
         "obs",
-        help="render observability artifacts (spans, audit, metrics, "
-             "telemetry windows, forensics) or diff benchmark results",
+        help="render a run record (report, watch, explain) or diff "
+             "benchmark results",
     )
     obs.add_argument(
         "action", choices=["report", "watch", "diff", "explain"],
         help="what to render",
     )
-    obs.add_argument("--windows", metavar="PATH",
-                     help="telemetry-window JSONL file (a --timeseries-out artifact)")
-    obs.add_argument("--forensics", metavar="PATH",
-                     help="tail-latency forensics JSONL file (a --forensics-out "
-                          "artifact; drives 'obs explain' and the report's "
-                          "forensics section)")
+    obs.add_argument("record", nargs="?", metavar="DIR",
+                     help="report/watch/explain: the run record a run's "
+                          "--obs-out wrote")
     obs.add_argument("--baseline", metavar="PATH",
                      help="diff: baseline BENCH_*.json file or directory")
     obs.add_argument("--current", metavar="PATH",
@@ -1168,10 +964,6 @@ def make_parser() -> argparse.ArgumentParser:
                           "(default 0.05)")
     obs.add_argument("--show-ok", action="store_true",
                      help="diff: also list unchanged metrics")
-    obs.add_argument("--metrics", metavar="PATH",
-                     help="metrics snapshot (JSON) or Prometheus text file")
-    obs.add_argument("--spans", metavar="PATH", help="flow-span JSONL file")
-    obs.add_argument("--audit", metavar="PATH", help="audit-event JSONL file")
     obs.add_argument("--slo-us", type=float, default=None, metavar="US",
                      help="latency SLO in microseconds for the attainment section")
     obs.add_argument("--percentile", type=float, default=0.99,
@@ -1198,21 +990,20 @@ def run_profiled(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    profiler = cProfile.Profile()
-    status = profiler.runcall(args.func, args)
-    stats = pstats.Stats(profiler, stream=sys.stdout)
+    args.profiler = cProfile.Profile()
+    status = args.profiler.runcall(args.func, args)
+    stats = pstats.Stats(args.profiler, stream=sys.stdout)
     print("\n-- profile (top 30 by cumulative time) " + "-" * 32)
     stats.strip_dirs().sort_stats("cumulative").print_stats(30)
-    if args.profile_out:
-        stats.dump_stats(args.profile_out)
-        print(f"wrote raw profile stats to {args.profile_out}")
     return status
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "profile", False) or getattr(args, "profile_out", None):
+    args = make_parser().parse_args(argv)
+    # what the record writer needs to know about the invocation
+    args.argv = list(sys.argv[1:] if argv is None else argv)
+    args.profiler = None
+    if getattr(args, "profile", False):
         return run_profiled(args)
     return args.func(args)
 

@@ -1,7 +1,8 @@
-"""The ``repro ft report`` page: a recovery run's artifacts → one view.
+"""The ``repro ft report`` page: a recovery run's record → one view.
 
-Folds the audit-event JSONL (and optionally a metrics snapshot) a
-fault-tolerant run emitted into an operator's recovery post-mortem:
+Folds the audit journal (and, from a record written at ``--obs full``,
+the metrics) of a fault-tolerant run into an operator's recovery
+post-mortem:
 
 - **failure timeline** — every kill / buffer / restore / replay /
   failover-complete event in order, with its headline fields;
@@ -12,7 +13,8 @@ fault-tolerant run emitted into an operator's recovery post-mortem:
 - the standard audit + metrics summaries from ``repro obs report``.
 
 Pure functions over loaded dicts, same contract as
-:mod:`repro.obs.report` — the CLI does the file I/O.
+:mod:`repro.obs.report` — :func:`repro.obs.record.load_record` does the
+file I/O.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ benchmark arithmetic:
   error-budget accounting and burn-rate alerts.
 - :mod:`repro.obs.benchdiff` — BENCH_*.json regression differ behind
   ``repro obs diff`` and the CI bench-diff gate.
+- :mod:`repro.obs.record` — the run record: the directory ``--obs-out``
+  writes (fixed file names plus a ``manifest.json``) and the one loader
+  ``repro obs report|watch|explain`` and ``repro ft report`` read it
+  back through.
 - :mod:`repro.obs.forensics` — tail-latency forensics: exact per-packet
   latency decomposition (queue / service / transfer / stall), a worst-K
   flight recorder, a regime-shift detector emitting
@@ -37,8 +41,7 @@ disabled, instrumented code paths cost one no-op method call and the
 simulated cycle outputs are bit-identical to an uninstrumented build.
 """
 
-from repro.obs.attribution import STAGE_ORDER, CycleAttribution, stage_of
-from repro.obs.audit import AuditLog, NULL_AUDIT, load_audit_jsonl, summarize_events
+from repro.obs.audit import AuditLog, NULL_AUDIT, summarize_events
 from repro.obs.benchdiff import (
     DiffEntry,
     collect_benches,
@@ -81,9 +84,10 @@ from repro.obs.registry import (
     MetricsRegistry,
     NULL_REGISTRY,
 )
+from repro.obs.record import RunRecord, load_jsonl, load_metrics, load_record, write_record
 from repro.obs.report import render_report
 from repro.obs.slo import SLObjective, SLOEngine
-from repro.obs.span import FlowSpanRecorder, load_span_jsonl
+from repro.obs.span import STAGE_ORDER, FlowSpanRecorder, stage_of
 from repro.obs.timeline import trace_unloaded
 from repro.obs.timeseries import (
     TimeSeries,
@@ -98,7 +102,6 @@ __all__ = [
     "AuditLog",
     "Counter",
     "CountingObserver",
-    "CycleAttribution",
     "DEFAULT_BUCKETS",
     "DiffEntry",
     "EngineObserver",
@@ -117,6 +120,7 @@ __all__ = [
     "PacketTracer",
     "RegimeShiftDetector",
     "ReplicaHealth",
+    "RunRecord",
     "SLOEngine",
     "SLObjective",
     "STAGE_ORDER",
@@ -133,9 +137,10 @@ __all__ = [
     "diff_benches",
     "diff_metrics",
     "exact_residual",
-    "load_audit_jsonl",
     "load_forensics_jsonl",
-    "load_span_jsonl",
+    "load_jsonl",
+    "load_metrics",
+    "load_record",
     "load_timeseries_jsonl",
     "parse_prometheus",
     "percentile_from_deltas",
@@ -150,4 +155,5 @@ __all__ = [
     "summarize_events",
     "trace_unloaded",
     "write_prometheus",
+    "write_record",
 ]

@@ -62,8 +62,9 @@ early return inside :meth:`AuditLog.emit`.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional
+
+from repro.obs.record import dump_jsonl
 
 
 class AuditLog:
@@ -114,31 +115,13 @@ class AuditLog:
 
     # -- export ------------------------------------------------------------
 
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(event, sort_keys=True) for event in self._events)
-
     def write_jsonl(self, path) -> int:
         """Write one JSON object per line; returns the event count."""
-        payload = self.to_jsonl()
-        with open(path, "w") as handle:
-            if payload:
-                handle.write(payload + "\n")
-        return len(self._events)
+        return dump_jsonl(path, self._events)
 
     def __repr__(self) -> str:
         kinds = len({event["kind"] for event in self._events})
         return f"<AuditLog {len(self._events)} events, {kinds} kinds>"
-
-
-def load_audit_jsonl(path) -> List[Dict[str, Any]]:
-    """Read an audit JSONL file back into event dicts (report tooling)."""
-    events: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
 
 
 def summarize_events(events: Iterable[Dict[str, Any]]) -> Dict[str, int]:

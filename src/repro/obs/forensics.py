@@ -51,12 +51,12 @@ forensics cell inside the obs-overhead benchmark's 5% gate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.audit import AuditLog, NULL_AUDIT
+from repro.obs.record import dump_jsonl, load_jsonl
 from repro.stats.summary import percentile_sorted
 from repro.vector import np
 
@@ -696,15 +696,8 @@ class ForensicsEngine:
             out.append(row)
         return out
 
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(row, sort_keys=True) for row in self.rows())
-
     def write_jsonl(self, path) -> int:
-        rows = self.rows()
-        with open(path, "w") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-        return len(rows)
+        return dump_jsonl(path, self.rows())
 
     def reset(self) -> None:
         self.recorder = FlightRecorder(
@@ -722,42 +715,25 @@ class ForensicsEngine:
 # -- loading / timeline / rendering -------------------------------------------
 
 
-def load_forensics_jsonl(path) -> Dict[str, Any]:
-    """Read a ``--forensics-out`` artifact back, grouped by row type."""
-    summary: Optional[Dict[str, Any]] = None
-    windows: List[Dict[str, Any]] = []
-    worst: List[Dict[str, Any]] = []
-    stalls: List[Dict[str, Any]] = []
-    shifts: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {number}: invalid JSON ({exc})") from exc
-            kind = row.get("type")
-            if kind == "summary":
-                summary = row
-            elif kind == "window":
-                windows.append(row)
-            elif kind == "worst":
-                worst.append(row)
-            elif kind == "stall":
-                stalls.append(row)
-            elif kind == "regime_shift":
-                shifts.append(row)
-    if summary is None and not (windows or worst or stalls or shifts):
-        raise ValueError(f"{path}: empty forensics artifact (no rows)")
-    return {
-        "summary": summary or {},
-        "windows": windows,
-        "worst": worst,
-        "stalls": stalls,
-        "regime_shifts": shifts,
+def group_forensics_rows(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Forensics rows (:meth:`ForensicsEngine.rows`) grouped by row type."""
+    grouped: Dict[str, Any] = {
+        "summary": {}, "windows": [], "worst": [], "stalls": [], "regime_shifts": [],
     }
+    plural = {"window": "windows", "worst": "worst", "stall": "stalls",
+              "regime_shift": "regime_shifts"}
+    for row in rows:
+        kind = row.get("type")
+        if kind == "summary":
+            grouped["summary"] = row
+        elif kind in plural:
+            grouped[plural[kind]].append(row)
+    return grouped
+
+
+def load_forensics_jsonl(path) -> Dict[str, Any]:
+    """Read a record's ``forensics.jsonl`` back, grouped by row type."""
+    return group_forensics_rows(load_jsonl(path))
 
 
 def build_timeline(

@@ -15,8 +15,9 @@ version 0.0.4):
 :func:`parse_prometheus` is the matching reader — enough of a scraper
 to round-trip the exporter's output (the unit suite feeds one into the
 other and asserts sample-level equality plus the histogram invariants:
-bucket monotonicity, ``+Inf == count``).  It also powers ``repro obs
-report`` when pointed at a ``--metrics-prom`` artifact.
+bucket monotonicity, ``+Inf == count``).  A run record written at
+``--obs full`` holds the exposition as ``metrics.prom``, and
+:func:`repro.obs.record.load_metrics` reads it back through this parser.
 """
 
 from __future__ import annotations

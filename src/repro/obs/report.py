@@ -1,9 +1,8 @@
-"""The ``repro obs report`` dashboard: run artifacts → one text page.
+"""The ``repro obs report`` dashboard: a run record → one text page.
 
-A run emits up to four artifacts — a metrics snapshot (JSON) or
-Prometheus scrape, a flow-span JSONL, an audit-event JSONL, and a
-Chrome trace.  This module folds the first three into the operator's
-one-page view:
+A run leaves one record (:mod:`repro.obs.record`); this module folds
+what :func:`~repro.obs.record.load_record` read back into the
+operator's one-page view, one section per surface the record holds:
 
 - **top flows by latency** — sampled root spans grouped per flow,
   ranked by worst simulated latency (falling back to modelled pipeline
@@ -12,8 +11,8 @@ one-page view:
   against ``--slo-us``, with a PASS/FAIL verdict and the attainment
   fraction (share of packets inside the objective);
 - **cycle attribution** — the per-stage/per-NF budget recovered from
-  the spans' depth-1 children (same stage taxonomy as
-  :mod:`repro.obs.attribution`);
+  the spans' depth-1 children (the stage taxonomy of
+  :func:`repro.obs.span.stage_of`);
 - **audit summary** — per-kind decision counts plus the most recent
   event of each kind;
 - **FT recovery** — one row per ``ft_failover_complete`` trail
@@ -24,16 +23,12 @@ one-page view:
   ``txn_*`` audit kinds;
 - **health & SLO** — replica state transitions and burn-rate alerts
   (gen-3 windows), when a run emitted them;
-- **telemetry windows** — the per-window table when a
-  ``--timeseries-out`` artifact is supplied;
+- **telemetry windows** — the per-window table, when the run fed the
+  windowed telemetry;
 - **latency forensics** — component attribution and the worst-K tail
-  table when a ``--forensics-out`` artifact is supplied (see
-  :mod:`repro.obs.forensics`);
-- **metrics summary** — the snapshot itself, family-grouped.
-
-The loaders raise :class:`ValueError` with the offending path and line
-number on truncated or invalid JSONL input — the CLI turns that into a
-clear message and a nonzero exit instead of a traceback.
+  table (see :mod:`repro.obs.forensics`);
+- **metrics summary** — the registry, family-grouped (records written
+  at ``--obs full``).
 
 Everything here is pure functions over loaded dicts so the unit suite
 drives it without a CLI round-trip; :func:`render_report` is what the
@@ -42,56 +37,11 @@ CLI subcommand prints.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.audit import summarize_events
 from repro.stats.summary import percentile_sorted
 from repro.stats.tables import format_table
-
-
-def load_jsonl(path) -> List[Dict[str, Any]]:
-    """Read a JSONL artifact (spans or audit events) into dicts.
-
-    Raises :class:`ValueError` naming the path and 1-based line number
-    when a line is not valid JSON (a truncated write leaves a partial
-    final line), and when the file holds no records at all — both cases
-    the CLI reports as a clear error with a nonzero exit.
-    """
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: invalid JSONL (truncated write?): {exc.msg}"
-                ) from exc
-    if not records:
-        raise ValueError(f"{path}: empty artifact — no JSONL records to report on")
-    return records
-
-
-def load_metrics(path) -> Dict[str, float]:
-    """Read a metrics artifact: snapshot JSON or Prometheus text."""
-    with open(path) as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
-    from repro.obs.promexport import parse_prometheus
-
-    parsed = parse_prometheus(text)
-    out: Dict[str, float] = {}
-    for name, labels, value in parsed.samples:
-        key = name if not labels else (
-            name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
-        )
-        out[key] = value
-    return out
 
 
 def _flow_latencies(roots: Sequence[Dict[str, Any]]) -> Dict[int, Dict[str, float]]:
@@ -386,5 +336,5 @@ def render_report(
     if metrics is not None:
         blocks.append(render_metrics_summary(metrics))
     if len(blocks) == 1:
-        blocks.append("(no artifacts given — pass --spans / --audit / --metrics)")
+        blocks.append("(the record holds no surface this report renders)")
     return "\n\n".join(blocks)

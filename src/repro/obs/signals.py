@@ -13,7 +13,7 @@ operator would:
 
 Keeping the derivation here (``repro.obs``) keeps the scaling layer's
 inputs inspectable: the exact numbers the autoscaler saw are in the
-registry snapshot an operator can dump with ``--metrics-json``.
+``metrics.prom`` of a run record written with ``--obs-out DIR --obs full``.
 """
 
 from __future__ import annotations

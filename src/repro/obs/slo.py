@@ -241,7 +241,8 @@ class SLOEngine:
                     f"{info['target']:.4f}",
                     info["events"],
                     info["bad"],
-                    f"{info['compliance']:.5f}",
+                    # no window reached the engine: that is not compliance
+                    f"{info['compliance']:.5f}" if info["events"] else "no data",
                     f"{info['budget_remaining']:.1f}",
                     f"{info['worst_burn']:.2f}",
                     info["alerts"],

@@ -36,8 +36,7 @@ Cycle and sim-time attribution
 
 Each recorded packet becomes one root span (track ``flow:<fid>``) whose
 children partition the packet's meter charges by pipeline stage using
-the same :func:`repro.obs.attribution.stage_of` mapping the Fig. 7
-profiler uses; per-stage ``cycles`` sum *exactly* to the packet's
+the :func:`stage_of` mapping (Fig. 7's stage taxonomy); per-stage ``cycles`` sum *exactly* to the packet's
 ``total_meter()`` cycles (integer costs).  Durations are the cost
 model's ``cycles_to_ns`` on a monotonic recorder clock.  Loaded runs
 additionally stamp sampled roots with the replay's simulated arrival
@@ -50,15 +49,70 @@ platforms sharing one recorder (a cluster's replicas) cannot collide.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.obs.attribution import STAGE_ORDER, stage_of
-from repro.platform.costs import CostModel
+from repro.obs.record import dump_jsonl
+from repro.platform.costs import CostModel, Operation
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.framework import ProcessReport
     from repro.obs.trace import PacketTracer
+
+#: Canonical stage order for rendering and span layout (chain order of
+#: the per-packet walkthrough; "other" collects unmapped operations).
+STAGE_ORDER: Tuple[str, ...] = (
+    "classify",
+    "mat_lookup",
+    "dispatch",
+    "header_action",
+    "record",
+    "consolidate",
+    "events",
+    "teardown",
+    "emit",
+    "transport",
+    "other",
+)
+
+_STAGE_OF: Dict[Operation, str] = {
+    # packet ingestion: parse, FID hash, classifier bookkeeping
+    Operation.PARSE: "classify",
+    Operation.FID_HASH: "classify",
+    Operation.METADATA_ATTACH: "classify",
+    Operation.EXACT_MATCH_LOOKUP: "classify",
+    Operation.GLOBAL_MAT_LOOKUP: "mat_lookup",
+    Operation.FAST_PATH_DISPATCH: "dispatch",
+    # consolidated header action (or its raw-ablation equivalents)
+    Operation.FIELD_WRITE: "header_action",
+    Operation.MERGED_FIELD_WRITE: "header_action",
+    Operation.CHECKSUM_UPDATE: "header_action",
+    Operation.ENCAP_OP: "header_action",
+    Operation.DECAP_OP: "header_action",
+    Operation.DROP_FREE: "header_action",
+    # original-path recording and Global MAT consolidation
+    Operation.MAT_BEGIN_RECORD: "record",
+    Operation.MAT_RECORD_HA: "record",
+    Operation.MAT_RECORD_SF: "record",
+    Operation.CONSOLIDATE_ACTION: "consolidate",
+    Operation.GLOBAL_RULE_INSTALL: "consolidate",
+    Operation.EVENT_REGISTER: "events",
+    Operation.EVENT_CHECK: "events",
+    Operation.FLOW_DELETE: "teardown",
+    Operation.METADATA_DETACH: "emit",
+    # platform transport charges (only appear in NF/transport meters)
+    Operation.NIC_RX: "transport",
+    Operation.NIC_TX: "transport",
+    Operation.NF_DISPATCH: "transport",
+    Operation.RING_ENQUEUE: "transport",
+    Operation.RING_DEQUEUE: "transport",
+    Operation.CROSS_CORE_SYNC: "transport",
+}
+
+
+def stage_of(operation: Operation) -> str:
+    """The pipeline stage an operation's cycles are attributed to."""
+    return _STAGE_OF.get(operation, "other")
+
 
 #: Fixed-meter stages laid out before the NF/SF spans, in walk order.
 _PRE_NF_STAGES: Tuple[str, ...] = tuple(
@@ -201,9 +255,9 @@ class FlowSpanRecorder:
         laid out in the canonical stage order, with the per-NF spans
         (slow-path hops or fast-path SF batches) between the dispatch
         stages and the teardown/emit tail — the packet's actual walk.
-        Per-stage cycles are computed as count × cost sums, the same
-        arithmetic :class:`~repro.obs.attribution.CycleAttribution`
-        uses, so span totals and profiler totals match exactly.
+        Per-stage cycles are count × cost sums in sorted-operation
+        order, so with integer costs the children sum to the packet's
+        ``total_meter()`` cycles exactly.
         """
         model = self.model
         table = model.op_cycles
@@ -272,15 +326,8 @@ class FlowSpanRecorder:
             "spans": len(self.records),
         }
 
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(record, sort_keys=True) for record in self.records)
-
     def write_jsonl(self, path) -> int:
-        payload = self.to_jsonl()
-        with open(path, "w") as handle:
-            if payload:
-                handle.write(payload + "\n")
-        return len(self.records)
+        return dump_jsonl(path, self.records)
 
     def replay_into(self, tracer: "PacketTracer") -> int:
         """Copy the recorded spans into a PacketTracer (Chrome export)."""
@@ -324,14 +371,3 @@ def _meter_cycles(meter, table) -> float:
     for operation in sorted(counts, key=lambda op: op.value):
         total += table[operation] * counts[operation]
     return total
-
-
-def load_span_jsonl(path) -> List[Dict[str, Any]]:
-    """Read a flow-span JSONL file back into record dicts."""
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -47,11 +47,11 @@ model and the SLO engine subscribe there.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.record import dump_jsonl, load_jsonl
 from repro.obs.registry import Histogram, MetricsRegistry, NULL_REGISTRY
 from repro.stats.summary import percentile_sorted
 
@@ -512,17 +512,8 @@ class TimeSeries:
             "sample_every": self.sample_every,
         }
 
-    def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(window.summary(), sort_keys=True) for window in self.windows
-        )
-
     def write_jsonl(self, path) -> int:
-        payload = self.to_jsonl()
-        with open(path, "w") as handle:
-            if payload:
-                handle.write(payload + "\n")
-        return len(self.windows)
+        return dump_jsonl(path, (window.summary() for window in self.windows))
 
     def reset(self) -> None:
         self.windows.clear()
@@ -549,14 +540,8 @@ class TimeSeries:
 
 
 def load_timeseries_jsonl(path) -> List[Dict[str, Any]]:
-    """Read a windows JSONL export back into summary dicts."""
-    rows: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    """Read a record's ``timeseries.jsonl`` back into window summary dicts."""
+    return load_jsonl(path)
 
 
 def render_windows(rows: Sequence[Dict[str, Any]], title: str = "windows") -> str:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.record import dump_jsonl
 
 #: events per ``json.dumps`` call in :meth:`PacketTracer.write_chrome`
 _CHROME_CHUNK_EVENTS = 1024
@@ -208,11 +209,7 @@ class PacketTracer:
         return "\n".join(json.dumps(record, sort_keys=True) for record in self._jsonl_records())
 
     def write_jsonl(self, path) -> int:
-        records = self.to_jsonl()
-        with open(path, "w") as handle:
-            if records:
-                handle.write(records + "\n")
-        return len(self)
+        return dump_jsonl(path, self._jsonl_records())
 
     def to_chrome(self) -> Dict[str, Any]:
         """The capture as a Chrome trace-event JSON object.

@@ -1,37 +1,31 @@
 """CLI acceptance for tail-latency forensics (``repro obs explain``).
 
-Round-trips real artifacts through the command line: a demo run writes
-``--forensics-out``, ``obs explain`` and ``obs report`` render it; a
+Round-trips real run records through the command line: a demo run
+writes ``--obs-out``, ``obs explain`` and ``obs report`` render it; a
 fig8-style cluster run with an injected failover must name the failover
-stall as the dominant tail component; and empty or truncated artifacts
-must fail with one clear message and exit code 2 — not a traceback.
+stall as the dominant tail component; and a missing, empty or truncated
+record must fail with one clear message and exit code 2 — not a
+traceback — from every reader, ``ft report`` included.
 """
 
-import json
+import pytest
 
 from repro.cli import main
-from repro.obs.forensics import COMPONENTS, load_forensics_jsonl
+from repro.obs import load_record
+from repro.obs.forensics import COMPONENTS
 
 
 class TestForensicsRoundTrip:
     def run_demo(self, tmp_path, capsys):
-        forensics = tmp_path / "forensics.jsonl"
-        audit = tmp_path / "audit.jsonl"
-        windows = tmp_path / "windows.jsonl"
+        record = tmp_path / "record"
         assert main([
-            "demo", "--flows", "10",
-            "--forensics-out", str(forensics),
-            "--audit-out", str(audit),
-            "--timeseries-out", str(windows),
-            "--window-packets", "32",
+            "demo", "--flows", "10", "--obs-out", str(record), "--window-packets", "32",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "forensics rows" in out
-        return forensics, audit, windows
+        assert "forensics" in capsys.readouterr().err
+        return record
 
     def test_demo_emits_decomposed_artifact(self, tmp_path, capsys):
-        forensics, __, __ = self.run_demo(tmp_path, capsys)
-        data = load_forensics_jsonl(forensics)
+        data = load_record(self.run_demo(tmp_path, capsys)).forensics
         assert data["summary"]["packets"] > 0
         assert data["windows"] and data["worst"]
         for record in data["worst"]:
@@ -41,63 +35,59 @@ class TestForensicsRoundTrip:
             assert total == record["latency_ns"]
 
     def test_obs_explain_renders(self, tmp_path, capsys):
-        forensics, audit, windows = self.run_demo(tmp_path, capsys)
-        assert main([
-            "obs", "explain", "--forensics", str(forensics),
-            "--audit", str(audit), "--windows", str(windows),
-        ]) == 0
+        assert main(["obs", "explain", str(self.run_demo(tmp_path, capsys))]) == 0
         out = capsys.readouterr().out
         assert "repro obs explain" in out
         assert "component attribution" in out
         for name in COMPONENTS:
             assert name in out
         assert "worst" in out
+        assert "correlated cause" in out  # the record's audit journal was joined
 
     def test_obs_report_gains_forensics_section(self, tmp_path, capsys):
-        forensics, __, __ = self.run_demo(tmp_path, capsys)
-        assert main(["obs", "report", "--forensics", str(forensics)]) == 0
+        assert main(["obs", "report", str(self.run_demo(tmp_path, capsys))]) == 0
         out = capsys.readouterr().out
         assert "latency forensics" in out
         assert "component attribution" in out
 
     def test_batch_forensics_round_trip(self, tmp_path, capsys):
-        forensics = tmp_path / "batch.jsonl"
+        record = tmp_path / "batch"
         assert main([
             "batch", "--flows", "300", "--packets-per-flow", "4",
-            "--block", "64", "--forensics-out", str(forensics),
+            "--block", "64", "--compare", "--obs-out", str(record),
         ]) == 0
-        capsys.readouterr()
-        assert main(["obs", "explain", "--forensics", str(forensics)]) == 0
+        # the watched lane leg and the unwatched oracle leg agree
+        assert "identical results: yes" in capsys.readouterr().out
+        loaded = load_record(record)
+        assert loaded.manifest["command"] == "batch"
+        assert {row["lane"] for row in loaded.forensics["windows"]} == {"batch"}
+        assert main(["obs", "explain", str(record)]) == 0
         assert "component attribution" in capsys.readouterr().out
 
 
 class TestFailoverForensics:
     def run_failover(self, tmp_path, capsys):
-        forensics = tmp_path / "forensics.jsonl"
-        audit = tmp_path / "audit.jsonl"
+        record = tmp_path / "record"
         assert main([
             "scale", "--replicas", "3", "--platforms", "bess",
             "--flows", "30", "--checkpoint-every", "16", "--kill-at", "150",
-            "--forensics-out", str(forensics), "--audit-out", str(audit),
+            "--obs-out", str(record),
         ]) == 0
         capsys.readouterr()
-        return forensics, audit
+        return record
 
     def test_explain_names_stall_as_dominant_tail_component(
         self, tmp_path, capsys
     ):
-        forensics, audit = self.run_failover(tmp_path, capsys)
-        data = load_forensics_jsonl(forensics)
+        record = self.run_failover(tmp_path, capsys)
+        data = load_record(record).forensics
         assert data["stalls"], "failover charged no stall records"
         components = data["summary"]["components"]
         assert components["stall"] == max(
             components[name] for name in COMPONENTS
         ), f"stall is not the dominant component: {components}"
 
-        assert main([
-            "obs", "explain", "--forensics", str(forensics),
-            "--audit", str(audit),
-        ]) == 0
+        assert main(["obs", "explain", str(record)]) == 0
         out = capsys.readouterr().out
         assert "stall charges" in out
         assert "stall-dominant" in out
@@ -105,8 +95,7 @@ class TestFailoverForensics:
         assert "latency_regime_shift" in out
 
     def test_regime_shift_precedes_failover_complete(self, tmp_path, capsys):
-        __, audit_path = self.run_failover(tmp_path, capsys)
-        events = [json.loads(line) for line in audit_path.read_text().splitlines()]
+        events = load_record(self.run_failover(tmp_path, capsys)).audit
         completes = [e["seq"] for e in events
                      if e["kind"] == "ft_failover_complete"]
         shifts = [e["seq"] for e in events
@@ -118,6 +107,11 @@ class TestFailoverForensics:
                 f"ft_failover_complete seq={seq} has no preceding "
                 f"stall regime shift (shifts at {shifts})"
             )
+
+    def test_ft_report_reads_the_same_record(self, tmp_path, capsys):
+        assert main(["ft", "report", str(self.run_failover(tmp_path, capsys))]) == 0
+        out = capsys.readouterr().out
+        assert "failure timeline" in out and "ft_failover_complete" in out
 
     def test_charged_stall_raises_reported_p99(self, capsys, tmp_path):
         args = ["scale", "--replicas", "2", "--platforms", "bess",
@@ -141,34 +135,49 @@ class TestFailoverForensics:
 
 
 class TestGracefulArtifactFailures:
-    def test_empty_artifact_exits_2_with_message(self, tmp_path, capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert main(["obs", "report", "--audit", str(empty)]) == 2
-        err = capsys.readouterr().err
-        assert "empty" in err
-        assert "Traceback" not in err
+    """One stderr line and exit 2; tests/unit/test_obs_record.py runs the
+    whole damage x reader matrix, these are the CI smoke's cases."""
 
-    def test_truncated_artifact_exits_2_with_line_number(self, tmp_path, capsys):
-        truncated = tmp_path / "trunc.jsonl"
-        truncated.write_text('{"kind": "ft_kill"}\n{"kind": "ft_re')
-        assert main(["obs", "report", "--audit", str(truncated)]) == 2
-        err = capsys.readouterr().err
-        assert ":2:" in err  # names the offending line
-        assert "invalid JSON" in err
+    READERS = (["obs", "report"], ["obs", "watch"], ["obs", "explain"], ["ft", "report"])
 
-    def test_missing_artifact_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "nope.jsonl"
-        assert main(["obs", "watch", "--windows", str(missing)]) == 2
-        assert "cannot read" in capsys.readouterr().err
+    @pytest.fixture
+    def record(self, tmp_path, capsys):
+        directory = tmp_path / "record"
+        assert main(["scale", "--replicas", "2", "--platforms", "bess", "--flows", "12",
+                     "--kill-at", "60", "--obs-out", str(directory)]) == 0
+        capsys.readouterr()
+        return directory
+
+    def test_empty_artifact_exits_2_with_message(self, record, capsys):
+        (record / "audit.jsonl").write_text("")
+        for reader in self.READERS:  # ft report used to be a traceback here
+            assert main(reader + [str(record)]) == 2
+            err = capsys.readouterr().err
+            assert "audit.jsonl: empty" in err
+            assert "Traceback" not in err
+
+    def test_truncated_artifact_exits_2_with_line_number(self, record, capsys):
+        (record / "audit.jsonl").write_text('{"kind": "ft_kill"}\n{"kind": "ft_re')
+        for reader in self.READERS:
+            assert main(reader + [str(record)]) == 2
+            err = capsys.readouterr().err
+            assert "audit.jsonl:2:" in err  # names the offending line
+            assert "invalid JSON" in err
+
+    def test_missing_artifact_exits_2(self, record, tmp_path, capsys):
+        (record / "manifest.json").unlink()  # what an interrupted run leaves
+        for reader in self.READERS:
+            assert main(reader + [str(record)]) == 2
+            assert "manifest.json: no manifest" in capsys.readouterr().err
+            assert main(reader + [str(tmp_path / "nope")]) == 2
+            assert "not a run record" in capsys.readouterr().err
 
     def test_explain_requires_forensics_artifact(self, capsys):
         assert main(["obs", "explain"]) == 2
-        assert "--forensics" in capsys.readouterr().err
+        assert "pass a run record" in capsys.readouterr().err
 
-    def test_explain_rejects_truncated_forensics(self, tmp_path, capsys):
-        truncated = tmp_path / "trunc.jsonl"
-        truncated.write_text('{"type": "summ')
-        assert main(["obs", "explain", "--forensics", str(truncated)]) == 2
+    def test_explain_rejects_truncated_forensics(self, record, capsys):
+        (record / "forensics.jsonl").write_text('{"type": "summ')
+        assert main(["obs", "explain", str(record)]) == 2
         err = capsys.readouterr().err
-        assert "bad forensics artifact" in err
+        assert "forensics.jsonl:1: invalid JSONL" in err

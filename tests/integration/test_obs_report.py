@@ -3,18 +3,18 @@
 The tentpole acceptance check lives here: a fig8-style run (9 IPFilter
 chain) with flow spans at ``every=1`` / no cap produces per-stage span
 cycles that sum to the run's total cycle count with exact ``==``
-equality — the span layer, the Fig. 7 profiler and the raw CycleMeter
-arithmetic all agree bit for bit.  The CLI half drives ``repro demo``
-with every artifact flag and renders ``repro obs report`` from the
-files it wrote.
+equality — the span layer and the raw CycleMeter arithmetic agree bit
+for bit.  The CLI half drives ``repro demo --obs-out`` and renders
+``repro obs report`` from the record it wrote.
 """
 
 from repro.cli import main
 from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter
-from repro.obs import CycleAttribution, FlowSpanRecorder
+from repro.obs import FlowSpanRecorder, load_record, stage_of
 from repro.platform import BessPlatform
 from repro.platform.costs import CostModel
+from tests.integration.test_route_matrix import routes  # noqa: F401  (the fixture)
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
 
@@ -42,12 +42,9 @@ class TestExactAttribution:
         assert result.delivered == len(packets)
         assert spans.packets_sampled == len(packets)
 
-        # The oracle: the identical run's reports, summed raw and bucketed
-        # through the Fig. 7 profiler.
-        attribution = CycleAttribution(model)
+        # The oracle: the identical run's reports, summed raw.
         oracle = SpeedyBox(fig8_chain())
         reports = [oracle.process(p) for p in clone_packets(packets)]
-        attribution.ingest_all(reports)
         raw_total = sum(r.total_meter().cycles(model) for r in reports)
 
         span_total = sum(
@@ -58,7 +55,6 @@ class TestExactAttribution:
         root_total = sum(root["args"]["cycles"] for root in spans.roots())
         assert span_total == raw_total  # exact ==, no approx
         assert root_total == raw_total
-        assert attribution.total_cycles() == raw_total
 
     def test_per_stage_spans_match_profiler_stages(self):
         """Fixed-meter stages agree bucket by bucket, not just in total."""
@@ -68,9 +64,17 @@ class TestExactAttribution:
         platform = BessPlatform(SpeedyBox(fig8_chain()), spans=spans)
         platform.run_load(clone_packets(packets))
 
-        attribution = CycleAttribution(model)
+        # The oracle: every fixed-meter charge of the identical run,
+        # bucketed by stage_of straight from the reports.
         oracle = SpeedyBox(fig8_chain())
-        attribution.ingest_all(oracle.process(p) for p in clone_packets(packets))
+        meter_stages = {}
+        for packet in clone_packets(packets):
+            fixed = oracle.process(packet).fixed_meter
+            for operation, times in fixed.counts.items():
+                stage = stage_of(operation)
+                meter_stages[stage] = (
+                    meter_stages.get(stage, 0.0) + model.op_cycles[operation] * times
+                )
 
         by_stage = {}
         for record in spans.records:
@@ -78,11 +82,9 @@ class TestExactAttribution:
                 continue
             stage = record["args"]["stage"]
             if stage in ("nf", "sf"):
-                continue  # NF buckets are keyed by name in the profiler
+                continue  # NF meters are not the fixed meter's
             by_stage[stage] = by_stage.get(stage, 0.0) + record["args"]["cycles"]
-        profiler_stages = attribution.stage_cycles()
-        for stage, cycles in by_stage.items():
-            assert cycles == profiler_stages[stage]
+        assert by_stage == meter_stages
 
     def test_loaded_roots_carry_sim_latency(self):
         spans = FlowSpanRecorder(every=1, max_spans_per_flow=None)
@@ -95,57 +97,64 @@ class TestExactAttribution:
 
 
 class TestReportCli:
-    def run_demo(self, tmp_path, capsys):
-        metrics = tmp_path / "metrics.prom"
-        spans = tmp_path / "spans.jsonl"
-        audit = tmp_path / "audit.jsonl"
+    def run_demo(self, tmp_path, capsys, level="full"):
+        record = tmp_path / "record"
         status = main([
             "demo", "--chain", "firewall,monitor", "--flows", "8",
-            "--metrics-prom", str(metrics),
-            "--span-out", str(spans), "--span-every", "1",
-            "--audit-out", str(audit),
+            "--span-every", "1", "--obs-out", str(record), "--obs", level,
         ])
         assert status == 0
         capsys.readouterr()
-        return metrics, spans, audit
+        return record
 
     def test_obs_report_renders_every_section(self, tmp_path, capsys):
-        metrics, spans, audit = self.run_demo(tmp_path, capsys)
-        status = main([
-            "obs", "report",
-            "--metrics", str(metrics),
-            "--spans", str(spans),
-            "--audit", str(audit),
-            "--slo-us", "50",
-        ])
-        assert status == 0
+        record = self.run_demo(tmp_path, capsys)
+        assert main(["obs", "report", str(record), "--slo-us", "50"]) == 0
         out = capsys.readouterr().out
         assert "repro obs report" in out
         assert "flows by latency" in out
         assert "SLO attainment" in out
         assert "cycle attribution" in out
         assert "audit events" in out
-        assert "metrics" in out
+        assert "telemetry windows" in out
+        assert "latency forensics" in out
+        assert "metrics (" in out
         assert "fastpath_compile" in out
 
     def test_obs_report_accepts_json_metrics(self, tmp_path, capsys):
-        metrics = tmp_path / "metrics.json"
-        status = main([
-            "demo", "--chain", "firewall", "--flows", "4",
-            "--metrics-json", str(metrics),
-        ])
-        assert status == 0
-        capsys.readouterr()
-        assert main(["obs", "report", "--metrics", str(metrics)]) == 0
+        """The metrics section is the full level's: a level-run record
+        renders every other section and no metrics one."""
+        assert main(["obs", "report", str(self.run_demo(tmp_path, capsys))]) == 0
         out = capsys.readouterr().out
-        assert "metrics" in out
+        assert "metrics (" in out
         assert "chain_packets_total" in out
-        # A single artifact is enough: no "(no artifacts given ...)" hint.
-        assert "no artifacts" not in out
+        assert main(["obs", "report", str(self.run_demo(tmp_path, capsys, "run"))]) == 0
+        out = capsys.readouterr().out
+        assert "audit events" in out and "latency forensics" in out
+        assert "metrics (" not in out
 
     def test_obs_report_without_artifacts_is_an_error(self, capsys):
         assert main(["obs", "report"]) == 2
-        assert "at least one" in capsys.readouterr().err
+        assert "pass a run record" in capsys.readouterr().err
+
+    def test_recording_at_level_run_changes_neither_stdout_nor_route(
+        self, tmp_path, capsys, routes
+    ):
+        demo = ["demo", "--chain", "nat,maglev,monitor", "--flows", "6", "--seed", "3"]
+        assert main(demo) == 0
+        plain = capsys.readouterr().out
+        plain_routes = list(routes)
+        assert plain_routes == ["analytic", "analytic"]  # original, speedybox
+        del routes[:]
+        assert main(demo + ["--obs-out", str(tmp_path / "record")]) == 0
+        assert capsys.readouterr().out == plain
+        assert routes == plain_routes
+        watched = load_record(tmp_path / "record")  # ... and it was being watched
+        assert watched.spans and watched.timeseries and watched.forensics["windows"]
+        del routes[:]
+        # the decision table's consequence of the other level
+        assert main(demo + ["--obs-out", str(tmp_path / "record"), "--obs", "full"]) == 0
+        assert routes == ["des", "des"]
 
 
 class TestGen3Sections:
@@ -153,25 +162,20 @@ class TestGen3Sections:
     surface in the dashboard (the report used to drop ft_*/txn_*)."""
 
     def run_scale(self, tmp_path, capsys):
-        audit = tmp_path / "audit.jsonl"
-        windows = tmp_path / "windows.jsonl"
+        record = tmp_path / "record"
         status = main([
             "scale", "--replicas", "3", "--flows", "24",
             "--kill-at", "100", "--checkpoint-every", "16",
-            "--audit-out", str(audit),
-            "--timeseries-out", str(windows), "--window-packets", "32",
+            "--obs-out", str(record), "--window-packets", "32",
             "--slo", "p99<250us", "--slo", "loss<0.1%",
         ])
         assert status == 0
         capsys.readouterr()
-        return audit, windows
+        return record
 
     def test_report_includes_ft_txn_health_and_windows(self, tmp_path, capsys):
-        audit, windows = self.run_scale(tmp_path, capsys)
-        status = main([
-            "obs", "report", "--audit", str(audit), "--windows", str(windows),
-        ])
-        assert status == 0
+        record = self.run_scale(tmp_path, capsys)
+        assert main(["obs", "report", str(record)]) == 0
         out = capsys.readouterr().out
         assert "fault tolerance" in out
         assert "ft_failover_complete" in out
@@ -181,17 +185,29 @@ class TestGen3Sections:
         assert "telemetry windows" in out
 
     def test_obs_watch_tables_windows_and_health(self, tmp_path, capsys):
-        audit, windows = self.run_scale(tmp_path, capsys)
-        assert main(["obs", "watch", "--windows", str(windows),
-                     "--audit", str(audit)]) == 0
+        record = self.run_scale(tmp_path, capsys)
+        assert main(["obs", "watch", str(record)]) == 0
         out = capsys.readouterr().out
         assert "telemetry windows" in out
         assert "p99_us" in out
         assert "health & SLO" in out
 
-    def test_obs_watch_needs_windows(self, capsys):
+    def test_obs_watch_needs_windows(self, tmp_path, capsys):
+        """A record whose windows were never fed, or whose windows file
+        is empty: exit 2 naming the surface, not exit 0 and an empty table."""
         assert main(["obs", "watch"]) == 2
-        assert "--windows" in capsys.readouterr().err
+        assert "pass a run record" in capsys.readouterr().err
+        record = tmp_path / "record"
+        assert main(["sweep", "--max-length", "2", "--flows", "3",
+                     "--obs-out", str(record)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "watch", str(record)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no timeseries surface" in captured.err
+        (self.run_scale(tmp_path, capsys) / "timeseries.jsonl").write_text("")
+        assert main(["obs", "watch", str(record)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "timeseries.jsonl: empty artifact" in captured.err
 
     def test_obs_diff_gates_regressions(self, tmp_path, capsys):
         import json

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import NF_CATALOGUE, build_chain, main
+from repro.obs import load_metrics, load_record
 
 
 class TestChainSpec:
@@ -59,46 +60,106 @@ class TestDemoCommand:
         assert "action  :" in out
 
 
+DELETED_FLAGS = (
+    "--metrics-json", "--metrics-prom", "--trace-out", "--span-out",
+    "--audit-out", "--timeseries-out", "--forensics-out", "--profile-out",
+)
+RECORDING_COMMANDS = (["demo"], ["sweep"], ["scale"], ["ft", "demo"], ["batch"])
+
+
+def manifest_of(directory):
+    return json.loads((directory / "manifest.json").read_text())
+
+
 class TestObservabilityFlags:
-    def test_metrics_json_to_stdout(self, capsys):
-        assert main(["demo", "--flows", "4", "--chain", "nat,maglev,monitor",
-                     "--metrics-json", "-"]) == 0
-        out = capsys.readouterr().out
-        assert "fast_path_packets_total" in out
-        assert "slow_path_packets_total" in out
-        assert "ring_high_watermark" in out
+    """``--obs-out DIR`` / ``--obs LEVEL`` and the run record they leave.
+
+    Some names here are older than the record (one flag per artifact);
+    each test says what it pins now.
+    """
+
+    def test_metrics_json_to_stdout(self, tmp_path, capsys):
+        """A record never goes to stdout: its one status line is on stderr."""
+        plain = ["demo", "--flows", "4", "--chain", "nat,maglev,monitor"]
+        assert main(plain) == 0
+        expected = capsys.readouterr().out
+        assert main(plain + ["--obs-out", str(tmp_path / "r"), "--obs", "full"]) == 0
+        captured = capsys.readouterr()
+        assert "fast_path_packets_total" not in captured.out
+        # full flips the replay, so only the shape is compared here; the
+        # level-run identity is tests/integration/test_obs_report.py's
+        assert captured.out.splitlines()[0] == expected.splitlines()[0]
+        assert captured.err.startswith(f"wrote run record to {tmp_path / 'r'} (level full: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_metrics_json_to_file(self, tmp_path, capsys):
-        path = tmp_path / "metrics.json"
-        assert main(["demo", "--flows", "4", "--metrics-json", str(path)]) == 0
-        snapshot = json.loads(path.read_text())
+        """The registry is the full record's ``metrics.prom``."""
+        out = tmp_path / "r"
+        assert main(["demo", "--flows", "4", "--obs-out", str(out), "--obs", "full"]) == 0
+        snapshot = load_metrics(out / "metrics.prom")
         assert snapshot["load_runs_total{platform=bess}"] >= 1
         assert any(key.startswith("path_packets_total") for key in snapshot)
-        assert str(path) in capsys.readouterr().out
+        entry = manifest_of(out)["surfaces"]["metrics"]
+        assert entry == {"file": "metrics.prom", "records": len(snapshot)}
 
     def test_trace_out_writes_chrome_trace(self, tmp_path, capsys):
-        path = tmp_path / "trace.json"
-        assert main(["demo", "--flows", "4", "--trace-out", str(path)]) == 0
-        trace = json.loads(path.read_text())
-        events = trace["traceEvents"]
-        assert len(events) > 0
+        """The packet tracer is the full record's ``trace.json``."""
+        out = tmp_path / "r"
+        assert main(["demo", "--flows", "4", "--obs-out", str(out), "--obs", "full"]) == 0
+        events = json.loads((out / "trace.json").read_text())["traceEvents"]
+        assert len(events) == manifest_of(out)["surfaces"]["trace"]["records"] > 0
         timestamps = [e["ts"] for e in events if e["ph"] != "M"]
         assert timestamps == sorted(timestamps)
-        assert str(path) in capsys.readouterr().out
 
     def test_sweep_supports_metrics_json(self, tmp_path, capsys):
-        path = tmp_path / "metrics.json"
-        assert main(["sweep", "--max-length", "2", "--flows", "3",
-                     "--metrics-json", str(path)]) == 0
+        """``sweep`` records too, and does not claim the surface it never feeds."""
+        out = tmp_path / "r"
+        assert main(["sweep", "--max-length", "2", "--flows", "3", "--slo", "p99<250us",
+                     "--obs-out", str(out), "--obs", "full"]) == 0
         # Sweep runs unloaded (no rings): latency histogram + path counters.
-        snapshot = json.loads(path.read_text())
+        snapshot = load_metrics(out / "metrics.prom")
         assert snapshot["platform_packets_total{platform=bess}"] > 0
         assert any(key.startswith("unloaded_latency_ns_bucket") for key in snapshot)
+        # ... and no telemetry windows: no 0-byte file, no 100 % compliance
+        assert manifest_of(out)["surfaces"]["timeseries"] == "not fed"
+        assert not (out / "timeseries.jsonl").exists()
+        captured = capsys.readouterr()
+        assert "timeseries not fed" in captured.err
+        assert "no data" in captured.out and "1.00000" not in captured.out
+
+    def test_ft_demo_does_not_claim_windows_either(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["ft", "demo", "--flows", "12", "--replicas", "2",
+                     "--obs-out", str(out)]) == 0
+        surfaces = manifest_of(out)["surfaces"]
+        assert surfaces["timeseries"] == "not fed"
+        assert surfaces["audit"]["records"] > 0
+        assert not (out / "timeseries.jsonl").exists()
 
     def test_no_flags_no_observability_output(self, capsys):
         assert main(["demo", "--flows", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "fast_path_packets_total" not in out
+        captured = capsys.readouterr()
+        assert "fast_path_packets_total" not in captured.out
+        assert captured.err == ""
+
+    def test_level_needs_somewhere_to_write(self, capsys):
+        with pytest.raises(SystemExit, match="--obs full needs --obs-out"):
+            main(["demo", "--flows", "4", "--obs", "full"])
+
+    @pytest.mark.parametrize("command", RECORDING_COMMANDS, ids=" ".join)
+    def test_help_shows_the_record_flags_and_no_old_one(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main(command + ["--help"])
+        text = capsys.readouterr().out
+        assert "--obs-out DIR" in text and "--obs {run,full}" in text
+        assert not [flag for flag in DELETED_FLAGS if flag in text]
+
+    @pytest.mark.parametrize("flag", DELETED_FLAGS)
+    def test_no_old_flag_survives_as_an_alias(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["demo", "--flows", "4", flag, str(tmp_path / "x")])
+        assert usage.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEquivalenceCommand:
@@ -132,14 +193,16 @@ class TestProfileFlag:
         assert "cumtime" in out
 
     def test_demo_profile_out_writes_stats(self, tmp_path, capsys):
+        """Under ``--profile`` the raw stats are the record's ``profile.pstats``."""
         import pstats
 
-        path = str(tmp_path / "demo.prof")
-        assert main(["demo", "--flows", "4", "--profile-out", path]) == 0
-        out = capsys.readouterr().out
-        assert f"wrote raw profile stats to {path}" in out
-        stats = pstats.Stats(path)
+        out = tmp_path / "r"
+        assert main(["demo", "--flows", "4", "--profile", "--obs-out", str(out)]) == 0
+        assert "top 30 by cumulative time" in capsys.readouterr().out
+        stats = pstats.Stats(str(out / "profile.pstats"))
         assert stats.total_calls > 0
+        assert manifest_of(out)["surfaces"]["profile"]["file"] == "profile.pstats"
+        load_record(out)  # a record with a profile reads back
 
 
 class TestTraceCommand:
@@ -231,14 +294,18 @@ class TestScaleCommand:
         ) == 0
 
     def test_scale_metrics_json(self, tmp_path, capsys):
-        target = tmp_path / "scale-metrics.json"
+        """``scale`` records: the cluster's series, and what ran, in the manifest."""
+        out = tmp_path / "r"
         assert main(
             ["scale", "--replicas", "2", "--platforms", "onvm", "--flows", "8",
-             "--churn", "2", "--metrics-json", str(target)]
+             "--churn", "2", "--obs-out", str(out), "--obs", "full"]
         ) == 0
-        payload = json.loads(target.read_text())
-        assert "cluster_replicas" in payload
-        assert "flow_migrations_total" in payload
+        record = load_record(out)
+        assert "cluster_replicas" in record.metrics
+        assert "flow_migrations_total" in record.metrics
+        assert record.manifest["command"] == "scale"
+        assert record.manifest["platform"] == "onvm"
+        assert record.manifest["argv"][:3] == ["scale", "--replicas", "2"]
 
 
 class TestBatchCommand:

@@ -141,7 +141,13 @@ class TestObservabilityDocAccuracy:
     def test_cli_flags_match_doc(self):
         from repro.cli import make_parser
 
-        help_text = make_parser().format_help()
+        parser = make_parser()
+        help_text = parser.format_help()
         text = (REPO / "docs" / "observability.md").read_text()
-        assert "--metrics-json" in text and "--trace-out" in text
         assert "demo" in help_text and "sweep" in help_text
+        # the run record's two flags, as the doc spells them, are demo's
+        demo_help = parser._subparsers._group_actions[0].choices["demo"].format_help()
+        for flag in ("--obs-out DIR", "--obs {run,full}"):
+            assert flag in text and flag in demo_help
+        for flag in ("--span-every", "--window-ns", "--window-packets", "--worst-k", "--slo"):
+            assert flag in text and flag in demo_help

@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.core.framework import SpeedyBox
 from repro.net.headers import TCP_FIN, TCPHeader
 from repro.nf import IPFilter, MazuNAT, Monitor
-from repro.obs import AuditLog, NULL_AUDIT, load_audit_jsonl, summarize_events
+from repro.obs import AuditLog, NULL_AUDIT, load_jsonl, summarize_events
 from repro.obs.registry import MetricsRegistry
 from repro.traffic import FlowSpec, TrafficGenerator
 
@@ -60,7 +62,7 @@ class TestAuditLog:
         log.emit("migration_freeze", flow="10.0.0.1:1000>20.0.0.1:80")
         path = tmp_path / "audit.jsonl"
         assert log.write_jsonl(path) == 2
-        loaded = load_audit_jsonl(path)
+        loaded = load_jsonl(path)
         assert loaded == log.events()
         # ... and every line parses independently.
         lines = path.read_text().splitlines()
@@ -72,7 +74,9 @@ class TestAuditLog:
         path = tmp_path / "empty.jsonl"
         assert AuditLog().write_jsonl(path) == 0
         assert path.read_text() == ""
-        assert load_audit_jsonl(path) == []
+        # ... which no record holds: the one loader calls it damage
+        with pytest.raises(ValueError, match="empty.jsonl: empty artifact"):
+            load_jsonl(path)
 
     def test_summarize_events(self):
         events = [{"kind": "a"}, {"kind": "a"}, {"kind": "b"}, {"n": 1}]

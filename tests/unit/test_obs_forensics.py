@@ -284,7 +284,7 @@ class TestForensicsEngine:
         truncated.write_text(
             json.dumps({"type": "summary"}) + "\n" + '{"type": "wind'
         )
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="trunc.jsonl:2:"):
             load_forensics_jsonl(truncated)
 
 

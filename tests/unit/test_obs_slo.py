@@ -115,3 +115,9 @@ class TestAccounting:
         text = engine.render()
         assert "p99<250us" in text and "loss<0.1%" in text
         assert "burn_max" in text
+        assert "1.00000" in text and "no data" not in text
+
+    def test_render_does_not_call_zero_events_compliance(self):
+        engine, __ = run_windows(["p99<250us"], [])
+        text = engine.render()
+        assert "no data" in text and "1.00000" not in text

@@ -1,4 +1,4 @@
-"""FlowSpanRecorder: sampling, capping, exact attribution, export."""
+"""FlowSpanRecorder: stage mapping, sampling, capping, exact attribution, export."""
 
 import pytest
 
@@ -6,9 +6,9 @@ from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
 from repro.nf.ipfilter import AclRule
-from repro.obs import FlowSpanRecorder, PacketTracer, load_span_jsonl
+from repro.obs import STAGE_ORDER, FlowSpanRecorder, PacketTracer, load_jsonl, stage_of
 from repro.platform import BessPlatform
-from repro.platform.costs import CostModel
+from repro.platform.costs import CostModel, Operation
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
 
@@ -24,6 +24,21 @@ def record_run(recorder, chain=None, packets=None):
     for report in reports:
         recorder.record(report)
     return reports
+
+
+class TestStageMapping:
+    def test_every_operation_maps_to_a_known_stage(self):
+        for operation in Operation:
+            assert stage_of(operation) in STAGE_ORDER
+
+    def test_representative_mappings(self):
+        assert stage_of(Operation.PARSE) == "classify"
+        assert stage_of(Operation.GLOBAL_MAT_LOOKUP) == "mat_lookup"
+        assert stage_of(Operation.FAST_PATH_DISPATCH) == "dispatch"
+        assert stage_of(Operation.MERGED_FIELD_WRITE) == "header_action"
+        assert stage_of(Operation.CONSOLIDATE_ACTION) == "consolidate"
+        assert stage_of(Operation.FLOW_DELETE) == "teardown"
+        assert stage_of(Operation.NIC_RX) == "transport"
 
 
 class TestSampling:
@@ -260,7 +275,7 @@ class TestExport:
         record_run(recorder, packets=make_packets(3))
         path = tmp_path / "spans.jsonl"
         assert recorder.write_jsonl(path) == len(recorder.records)
-        assert load_span_jsonl(path) == recorder.records
+        assert load_jsonl(path) == recorder.records
 
     def test_replay_into_tracer(self):
         recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)

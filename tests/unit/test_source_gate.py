@@ -53,3 +53,32 @@ def test_no_trace_of_the_collision_path():
         if old_rule.search(line)
     ]
     assert not hits, hits
+
+
+def test_no_trace_of_the_artifact_flags():
+    """One run leaves one record (``--obs-out DIR``): nothing we ship or
+    document may name the eight per-artifact flags it replaced, or the
+    recorder nobody called.  ``bench/`` is not ours to edit (its own
+    ``run.py --trace-out`` is a different flag) and
+    ``docs/measurements/`` is a log of commands as they were run."""
+    gone = re.compile(
+        r"--(metrics-json|metrics-prom|trace-out|span-out|audit-out|timeseries-out"
+        r"|forensics-out|profile-out)\b|CycleAttribution"
+    )
+    trees = ["src", "docs", "README.md", "examples", "benchmarks", ".github", ".claude"]
+    paths = [
+        path
+        for tree in trees
+        for path in ([ROOT / tree] if (ROOT / tree).is_file() else sorted((ROOT / tree).rglob("*")))
+        if path.is_file()
+        and path.suffix in (".py", ".md", ".yml", ".yaml", ".toml", ".txt", ".json")
+        and "measurements" not in path.parts
+    ]
+    assert len(paths) > 100
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in paths
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if gone.search(line)
+    ]
+    assert not hits, hits
