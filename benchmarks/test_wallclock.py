@@ -104,16 +104,6 @@ def timed_run(platform_name, length, packets, legacy):
     return time.perf_counter() - started, result
 
 
-def identical(a, b):
-    return (
-        a.offered == b.offered
-        and a.delivered == b.delivered
-        and a.dropped == b.dropped
-        and a.makespan_ns == b.makespan_ns
-        and a.latencies_ns == b.latencies_ns
-    )
-
-
 def event_lane_identical():
     """Chain 1 on ONVM over the datacenter trace, fast engine vs references."""
     packets = trace_packets()
@@ -121,7 +111,7 @@ def event_lane_identical():
     legacy = des_run_load(
         make_platform("onvm", InterpretedSpeedyBox(chain1())), clone_packets(packets)
     )
-    return identical(fast, legacy)
+    return fast == legacy
 
 
 def run_wallclock():
@@ -147,7 +137,7 @@ def run_wallclock():
             "speedup": legacy_s / fast_s,
             "fast_s_per_100k": fast_s * (100_000 / PACKETS),
             "legacy_s_per_100k": legacy_s * (100_000 / PACKETS),
-            "identical": identical(fast_result, legacy_result),
+            "identical": fast_result == legacy_result,
         }
     results.update(run_batch_cells())
     return results
@@ -176,7 +166,7 @@ def run_batch_cells():
         "speedup": legacy_s / fast_s,
         "fast_s_per_100k": fast_s * (100_000 / n_1m),
         "legacy_s_per_100k": legacy_s * (100_000 / n_1m),
-        "identical": identical(fast_result, legacy_result)
+        "identical": fast_result == legacy_result
         and fast_runtime.stats() == legacy_runtime.stats(),
     }
     del batch_1m, legacy_result, fast_result

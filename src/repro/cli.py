@@ -418,9 +418,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     emit_observability(args, obs, chain="fw,nat,mon (synthetic)", platform=args.platform)
     if args.compare:
         same = (
-            lane_result.latencies_ns == legacy_result.latencies_ns
-            and lane_result.makespan_ns == legacy_result.makespan_ns
-            and lane_result.dropped == legacy_result.dropped
+            lane_result == legacy_result
             and lane_runtime.stats() == legacy_runtime.stats()
         )
         print(

@@ -17,8 +17,9 @@ for the steady-state majority of a :class:`~repro.traffic.columnar.PacketBatch`:
   no per-flow bookkeeping yet, just the ``(lo, hi)`` slice;
 - the region is **flushed** — per-flow packet counts, rule hits, drop
   totals and Global-MAT LRU touches in last-occurrence order, all from
-  one ``np.unique`` pass over the concatenated slices — only when a
-  scalar packet is about to run, and once at the end of the batch;
+  one sort-free pass over the slices into two flow-indexed scratch
+  columns — only when a scalar packet is about to run, and once at the
+  end of the batch;
 - a scalar packet — first packets, handshake and FIN/RST, fast-path
   misses, invalidated closures — flushes, then is materialized and
   handed to ``SpeedyBox.process``, the unmodified oracle;
@@ -160,6 +161,10 @@ class BatchLane:
         self._vmask_np = np.frombuffer(self._vmask, dtype=np.uint8)
         #: per-flow steady plan id, set when the flow's clone is cached
         self.fplan = np.zeros(flow_count, dtype=np.int32)
+        #: flush scratch: each flow's last batch position in a deferred
+        #: region, and its packet count there (zero between flushes)
+        self._last = np.full(flow_count, -1, dtype=np.int64)
+        self._counts = np.zeros(flow_count, dtype=np.int64)
         self.plan_ids = np.zeros(n, dtype=np.int32)
         self.kind_arr = np.ascontiguousarray(batch.kind)
         self.flow_arr = np.ascontiguousarray(batch.flow_index)
@@ -454,38 +459,46 @@ class BatchLane:
         Counts, rule hits and drop totals are commutative; the LRU
         touches — one ``move_to_end`` per flow in last-occurrence order
         over the *whole region* — leave exactly the recency order the
-        per-packet sequence would have.
+        per-packet sequence would have.  Both come from two flow-indexed
+        scratch columns in O(region) — no sort — and only the slots the
+        region touched are reset, so a flush never costs O(flows).
         """
         deferred = self._deferred
         if not deferred:
             return
         self.flushes += 1
         flow_arr = self.flow_arr
-        if len(deferred) == 1:
-            lo, hi = deferred[0]
-            flows_cat = flow_arr[lo:hi]
-        else:
-            flows_cat = np.concatenate([flow_arr[lo:hi] for lo, hi in deferred])
+        last = self._last
+        counts = self._counts
+        for lo, hi in deferred:
+            flows = flow_arr[lo:hi]
+            np.maximum.at(last, flows, np.arange(lo, hi))
+            np.add.at(counts, flows, 1)
+        # A flow's last occurrence is the one position where
+        # ``last[flow] == position``, so the flows picked out in position
+        # order are distinct and in ascending last-occurrence order.
+        # Positions only grow over a run, so ``last`` never needs a reset.
+        touched = []
+        for lo, hi in deferred:
+            flows = flow_arr[lo:hi]
+            touched.append(flows[last[flows] == np.arange(lo, hi)])
         deferred.clear()
-        # unique over the *reversed* region makes each first_index the
-        # distance from the end: descending first_index == ascending
-        # last occurrence.
-        uniq, first_rev, counts = np.unique(
-            flows_cat[::-1], return_index=True, return_counts=True
-        )
+        order = np.concatenate(touched)
+        order_counts = counts[order].tolist()
+        counts[order] = 0
         vclone = self._vclone
-        uniq_list = uniq.tolist()
+        order = order.tolist()
         dropped = 0
-        for flow, count in zip(uniq_list, counts.tolist()):
+        for flow, count in zip(order, order_counts):
             clone = vclone[flow]
             clone.entry.packets += count
             clone.rule.hits += count
             if clone.is_drop:
                 dropped += count
         self.dropped += dropped
-        move = vclone[uniq_list[0]].move_to_end
-        for position in np.argsort(first_rev)[::-1].tolist():
-            move(vclone[uniq_list[position]].fid)
+        move = vclone[order[0]].move_to_end
+        for flow in order:
+            move(vclone[flow].fid)
 
     # -- scalar packets ------------------------------------------------------
 

@@ -371,7 +371,7 @@ class TimeSeries:
 
         Arrivals are reconstructed as ``i * inter_arrival_ns`` (the
         spacing ``run_load`` offered them at); windowing is slice
-        arithmetic over the delivered-latency list — no per-packet
+        arithmetic over the delivered-latency column — no per-packet
         Python loop, which is what keeps the fast lanes' obs overhead
         near zero.  Drops (arrival positions unknown post-run) are
         charged to the final window.  Every ingested window is closed
@@ -405,7 +405,7 @@ class TimeSeries:
                 window = self._current or self._open(float(lo))
                 room = size - window.packets
                 hi = min(lo + room, n)
-                chunk = list(latencies[lo:hi])
+                chunk = latencies[lo:hi].tolist()
                 fast = max(0, min(len(chunk), delivered_fast - lo))
                 fill(window, chunk, fast)
                 if window.packets >= size:
@@ -414,7 +414,7 @@ class TimeSeries:
         elif inter_arrival_ns <= 0:
             # Saturation: every arrival at t=0, one window holds the run.
             window = self._current or self._open(0.0)
-            fill(window, list(latencies), delivered_fast)
+            fill(window, latencies.tolist(), delivered_fast)
             closed.append(self._close())
         else:
             lo = 0
@@ -425,7 +425,7 @@ class TimeSeries:
                 # arrivals in [window.start, window.end) — slice bounds
                 hi = min(n, int(math.ceil(window.end_ns / inter_arrival_ns)))
                 hi = max(hi, lo + 1)
-                chunk = list(latencies[lo:hi])
+                chunk = latencies[lo:hi].tolist()
                 fast = max(0, min(len(chunk), delivered_fast - lo))
                 fill(window, chunk, fast)
                 lo = hi

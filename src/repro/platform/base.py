@@ -90,22 +90,39 @@ class PacketOutcome:
         return self.latency_ns / 1000.0
 
 
-@dataclass
+@dataclass(eq=False)
 class LoadResult:
-    """The result of a loaded run (throughput mode)."""
+    """The result of a loaded run (throughput mode).
+
+    ``latencies_ns`` is one float64 column in delivery order (a sequence
+    passed in is converted); consumers that iterate it take ``.tolist()``
+    slices, so no numpy scalar reaches an artifact or a printed value.
+    """
 
     offered: int
     delivered: int
     dropped: int
     makespan_ns: float
-    latencies_ns: List[float]
-    #: sorted copy of ``latencies_ns``, built on the first percentile
-    #: query and reused afterwards; ``merge`` returns a *new* result, so
-    #: the cache needs no invalidation hook — the length guard only
-    #: protects against in-place appends to ``latencies_ns``
-    _sorted_latencies: Optional[List[float]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    latencies_ns: np.ndarray
+    #: ``(column, sorted copy)`` from the first percentile query, reused
+    #: while ``latencies_ns`` is still that column
+    _sorted_latencies: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.latencies_ns = np.asarray(self.latencies_ns, dtype=np.float64)
+
+    def __eq__(self, other) -> bool:
+        """Exact equality: the counts, the makespan and every latency in
+        delivery order."""
+        if not isinstance(other, LoadResult):
+            return NotImplemented
+        return (
+            self.offered == other.offered
+            and self.delivered == other.delivered
+            and self.dropped == other.dropped
+            and self.makespan_ns == other.makespan_ns
+            and np.array_equal(self.latencies_ns, other.latencies_ns)
+        )
 
     @property
     def throughput_mpps(self) -> float:
@@ -123,13 +140,12 @@ class LoadResult:
         sweeps query p50/p90/p99 off one multi-thousand-sample run.
         """
         samples = self.latencies_ns
-        if not samples:
+        if not len(samples):
             return 0.0
-        ordered = self._sorted_latencies
-        if ordered is None or len(ordered) != len(samples):
-            ordered = sorted(samples)
-            self._sorted_latencies = ordered
-        return percentile_sorted(ordered, fraction)
+        cached = self._sorted_latencies
+        if cached is None or cached[0] is not samples:
+            cached = self._sorted_latencies = (samples, np.sort(samples))
+        return float(percentile_sorted(cached[1], fraction))
 
     def merge(self, other: "LoadResult") -> "LoadResult":
         """Combine two runs as if their packets shared one run.
@@ -142,21 +158,21 @@ class LoadResult:
         are taken to start at the same instant, which is exactly how a
         multi-replica cluster drives its replicas.
         """
-        return LoadResult(
-            offered=self.offered + other.offered,
-            delivered=self.delivered + other.delivered,
-            dropped=self.dropped + other.dropped,
-            makespan_ns=max(self.makespan_ns, other.makespan_ns),
-            latencies_ns=self.latencies_ns + other.latencies_ns,
-        )
+        return LoadResult.merged((self, other))
 
     @classmethod
     def merged(cls, results: Sequence["LoadResult"]) -> "LoadResult":
-        """Fold :meth:`merge` over any number of per-replica results."""
-        total = cls(offered=0, delivered=0, dropped=0, makespan_ns=0.0, latencies_ns=[])
-        for result in results:
-            total = total.merge(result)
-        return total
+        """:meth:`merge` over any number of per-replica results, with one
+        concatenation of their columns."""
+        return cls(
+            offered=sum(result.offered for result in results),
+            delivered=sum(result.delivered for result in results),
+            dropped=sum(result.dropped for result in results),
+            makespan_ns=max([0.0] + [result.makespan_ns for result in results]),
+            latencies_ns=np.concatenate(
+                [np.empty(0)] + [result.latencies_ns for result in results]
+            ),
+        )
 
 
 def load_result(arrival, finish, dropped: int) -> LoadResult:
@@ -179,7 +195,7 @@ def load_result(arrival, finish, dropped: int) -> LoadResult:
         delivered=offered - dropped,
         dropped=dropped,
         makespan_ns=float(finish.max()) if offered else 0.0,
-        latencies_ns=latencies.tolist(),
+        latencies_ns=latencies,
     )
 
 

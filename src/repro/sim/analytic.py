@@ -196,23 +196,21 @@ def analytic_replay_vector(
             return None
 
     service_by_pid = np.array([plan[0][1] for plan in table], dtype=np.float64)
-    service = service_by_pid[plan_ids]
-    n = len(service)
-    if n == 0:
-        return empty, empty
-    ready = np.add.accumulate(service)
-    start = np.empty(n, dtype=np.float64)
-    start[0] = 0.0
-    start[1:] = ready[:-1]
+    n = len(plan_ids)
+    # Both columns are written in place: the gathered service times
+    # become ``ready`` (the finish column), and ``arrival`` is the
+    # shifted ``start`` folded by the running maximum.
+    finish = np.take(service_by_pid, plan_ids)
+    np.add.accumulate(finish, out=finish)
+    arrival = np.zeros(n, dtype=np.float64)
     # Ring back-pressure: enqueue c blocks until dequeue c-cap, i.e. on
-    # max(start[:c-cap+1]) — a running maximum (comparison-exact).
-    enq = np.zeros(n, dtype=np.float64)
+    # max(start[:c-cap+1]) — a running maximum (comparison-exact) — and
+    # packet i's offered time is the source's ready time after packet
+    # i-1, which is that packet's enqueue instant: arrival[i] = enq[i-1],
+    # zero for every enqueue that found a free slot.
     cap = ring_capacity
-    if cap is not None and n > cap:
-        enq[cap:] = np.maximum.accumulate(start[: n - cap])
-    # Packet i's offered time is the source's ready time after packet
-    # i-1, which is that packet's enqueue instant.
-    arrival = np.empty(n, dtype=np.float64)
-    arrival[0] = 0.0
-    arrival[1:] = enq[:-1]
-    return arrival, ready
+    if cap is not None and n > cap + 1:
+        blocked = arrival[cap + 1 :]
+        blocked[1:] = finish[: n - cap - 2]  # start[1:] is ready[:-1]
+        np.maximum.accumulate(blocked, out=blocked)
+    return arrival, finish

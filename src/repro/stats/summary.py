@@ -14,10 +14,11 @@ def percentile_sorted(ordered: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of an *already sorted* sequence.
 
     The sort is the expensive part of a percentile query; callers that
-    cache a sorted sample (e.g. ``LoadResult``) use this entry point to
-    answer many percentile queries off one sort.
+    cache a sorted sample (e.g. ``LoadResult``, whose sample is an
+    ndarray) use this entry point to answer many percentile queries off
+    one sort.
     """
-    if not ordered:
+    if len(ordered) == 0:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction out of range: {fraction}")

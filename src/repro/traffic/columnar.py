@@ -371,8 +371,9 @@ def uniform_batch(
     millions.
 
     Builds pure array columns — no per-flow or per-packet Python
-    objects.  ``flows=0`` is an empty batch; negative counts and
-    ``block < 1`` raise ``ValueError``.
+    objects, and no full-length temporary: the high-water mark is the
+    columns themselves.  ``flows=0`` is an empty batch; negative counts
+    and ``block < 1`` raise ``ValueError``.
     """
     if flows < 0:
         raise ValueError(f"flows must be >= 0, got {flows!r}")
@@ -393,46 +394,55 @@ def uniform_batch(
     src_base = ip_to_int(src_ip_base)
     dst = ip_to_int(dst_ip)
 
-    f = np.arange(flows, dtype=np.int64)
     # Keep clear of the all-zero host part; wrap inside the /8.
-    flow_src_ip = src_base + 1 + (f % ((1 << 24) - 2))
-    flow_src_port = src_port_base + (f % 60000)
+    flow_src_ip = np.arange(flows, dtype=np.int64)
+    flow_src_port = flow_src_ip % 60000
+    flow_src_ip %= (1 << 24) - 2
+    flow_src_ip += src_base + 1
+    flow_src_port += src_port_base
     flow_dst_ip = np.full(flows, dst, dtype=np.int64)
     flow_dst_port = np.full(flows, dst_port, dtype=np.int64)
     flow_proto = np.full(flows, protocol, dtype=np.uint8)
     flow_handshake = np.full(flows, 1 if handshake else 0, dtype=np.uint8)
 
-    # Seeded with an empty chunk so flows == 0 concatenates to empty columns.
-    chunks_fi = [np.empty(0, dtype=np.int64)]
-    chunks_ord = [np.empty(0, dtype=np.int64)]
-    for start in range(0, flows, block or 1):
-        width = min(block, flows - start)
-        if interleave == "sequential" and block == 1:
-            fi = np.repeat(np.arange(start, start + width, dtype=np.int64), total_per_flow)
-            oi = np.tile(np.arange(total_per_flow, dtype=np.int64), width)
-        else:
-            # round-robin inside the block: ordinal-major order.
-            fi = np.tile(np.arange(start, start + width, dtype=np.int64), total_per_flow)
-            oi = np.repeat(np.arange(total_per_flow, dtype=np.int64), width)
-        chunks_fi.append(fi)
-        chunks_ord.append(oi)
-    flow_index = np.concatenate(chunks_fi)
-    ordinal = np.concatenate(chunks_ord)
+    # Blocks of ``block`` flows run back to back, round-robin inside a
+    # block (ordinal-major: row o of a block is every flow's o-th
+    # packet); a block of one flow is that flow's packets in order.
+    n = flows * total_per_flow
+    flow_index = np.empty(n, dtype=np.int64)
+    ordinal = np.empty(n, dtype=np.int64)
+    full = flows // block if flows else 0
+    head = full * block * total_per_flow
+    rows = np.arange(total_per_flow, dtype=np.int64)
+    if full:
+        flow_index[:head].reshape(full, total_per_flow, block)[...] = np.arange(
+            full * block, dtype=np.int64
+        ).reshape(full, 1, block)
+        ordinal[:head].reshape(full, total_per_flow, block)[...] = rows.reshape(1, -1, 1)
+    if head < n:
+        width = flows - full * block
+        flow_index[head:].reshape(total_per_flow, width)[...] = np.arange(
+            full * block, flows, dtype=np.int64
+        )
+        ordinal[head:].reshape(total_per_flow, width)[...] = rows.reshape(-1, 1)
 
-    kind = np.full(len(flow_index), KIND_DATA, dtype=np.uint8)
-    data_index = ordinal.copy()
+    # kind, seq and size are functions of the ordinal alone: build them
+    # per ordinal and gather.
+    kind_of = np.full(total_per_flow, KIND_DATA, dtype=np.uint8)
     if handshake:
-        kind[ordinal == 0] = KIND_SYN
-        data_index = ordinal - 1
+        kind_of[0] = KIND_SYN
     if fin:
-        kind[ordinal == total_per_flow - 1] = KIND_FIN
-    seq = np.full(len(flow_index), _BASE_SEQ, dtype=np.int64)
-    data_mask = kind == KIND_DATA
+        kind_of[-1] = KIND_FIN
     hs = 1 if handshake else 0
-    seq[data_mask] = _BASE_SEQ + hs + data_index[data_mask] * step
+    data = kind_of == KIND_DATA
+    seq_of = np.full(total_per_flow, _BASE_SEQ, dtype=np.int64)
+    seq_of[data] = _BASE_SEQ + hs + (rows[data] - hs) * step
     if fin:
-        seq[kind == KIND_FIN] = _BASE_SEQ + hs + packets_per_flow * step
-    size = np.where(data_mask, len(payload), 0).astype(np.int64)
+        seq_of[-1] = _BASE_SEQ + hs + packets_per_flow * step
+    size_of = np.where(data, len(payload), 0).astype(np.int64)
+    kind = kind_of[ordinal]
+    seq = seq_of[ordinal]
+    size = size_of[ordinal]
     return PacketBatch(
         flow_src_ip,
         flow_dst_ip,

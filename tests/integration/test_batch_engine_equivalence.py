@@ -53,11 +53,7 @@ def assert_legs_identical(platform_cls, build_chain, batch, sbox_kwargs=None):
     slow, slow_rt, slow_audit = run_leg(
         platform_cls, build_chain, batch.packet_view(), sbox_kwargs
     )
-    assert fast.offered == slow.offered
-    assert fast.delivered == slow.delivered
-    assert fast.dropped == slow.dropped
-    assert fast.makespan_ns == slow.makespan_ns
-    assert list(fast.latencies_ns) == list(slow.latencies_ns)
+    assert fast == slow
     assert fast_rt.stats() == slow_rt.stats()
     assert fast_audit == slow_audit
     for fast_nf, slow_nf in zip(fast_rt.nfs, slow_rt.nfs):

@@ -231,11 +231,7 @@ def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
     }[offered]()
     result = platform.run_load(load, **ARRIVALS[arrival])
 
-    assert result.offered == reference.offered
-    assert result.delivered == reference.delivered
-    assert result.dropped == reference.dropped
-    assert result.makespan_ns == reference.makespan_ns
-    assert list(result.latencies_ns) == reference.latencies_ns
+    assert result == reference
     assert runtime.stats() == stats
     assert journal(audit, lanes=False) == interpreted_journal
     assert journal(audit) == compiled_journal

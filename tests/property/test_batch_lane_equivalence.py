@@ -154,11 +154,7 @@ def assert_lane_equals_legacy(platform_cls, indices, batch, capacity):
         platform_cls, indices, batch.packet_view(), capacity
     )
 
-    assert fast.offered == slow.offered
-    assert fast.delivered == slow.delivered
-    assert fast.dropped == slow.dropped
-    assert fast.makespan_ns == slow.makespan_ns
-    assert list(fast.latencies_ns) == list(slow.latencies_ns)
+    assert fast == slow
     assert fast_rt.stats() == slow_rt.stats()
     assert fast_audit == slow_audit
     assert list(fast_rt.classifier._flows.items()) == list(slow_rt.classifier._flows.items())

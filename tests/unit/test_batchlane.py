@@ -7,15 +7,20 @@ matching ``fastpath_invalidate``, or a dangling closure keeps serving a
 forgotten flow).
 """
 
+import pytest
+
 from repro.core.actions import Modify
+from repro.core.batchlane import BatchLane
 from repro.core.framework import ServiceChain, SpeedyBox
-from repro.nf import SyntheticNF
+from repro.nf import IPFilter, SyntheticNF
+from repro.nf.ipfilter import AclRule, Verdict
 from repro.obs.audit import AuditLog
 from repro.obs.span import FlowSpanRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.platform import BessPlatform
 from repro.obs.trace import PacketTracer
-from repro.traffic.columnar import uniform_batch
+from repro.traffic.columnar import KIND_DATA, PacketBatch, uniform_batch
+from repro.vector import np
 from tests.integration.helpers import InterpretedSpeedyBox
 
 
@@ -35,16 +40,6 @@ def run_batch(load, *, runtime=None):
     runtime = runtime or make_runtime()
     platform = BessPlatform(runtime)
     return platform.run_load(load), runtime, platform
-
-
-def results_equal(a, b):
-    return (
-        a.offered == b.offered
-        and a.delivered == b.delivered
-        and a.dropped == b.dropped
-        and a.makespan_ns == b.makespan_ns
-        and a.latencies_ns == b.latencies_ns
-    )
 
 
 def test_lane_eligibility_flags():
@@ -72,7 +67,7 @@ def test_lane_without_compiled_closures_serves_every_packet_scalar():
         batch, runtime=InterpretedSpeedyBox(build_chain())
     )
     oracle_result, oracle_runtime, __ = run_batch(batch.packet_view())
-    assert results_equal(lane_result, oracle_result)
+    assert lane_result == oracle_result
     assert lane_runtime.stats() == oracle_runtime.stats()
     stats = platform.last_lane_stats
     assert stats["offered"] == len(batch)
@@ -83,7 +78,7 @@ def test_lane_matches_per_packet_oracle():
     batch = uniform_batch(40, 5, interleave="round_robin", block=8)
     lane_result, lane_runtime, __ = run_batch(batch)
     oracle_result, oracle_runtime, __ = run_batch(batch.packet_view())
-    assert results_equal(lane_result, oracle_result)
+    assert lane_result == oracle_result
     assert lane_runtime.stats() == oracle_runtime.stats()
 
 
@@ -242,7 +237,7 @@ def test_lane_with_spans_matches_oracle_and_coverage():
     oracle_rec = FlowSpanRecorder(every=4)
     lane_result, __ = run_with_spans(batch, lane_rec)
     oracle_result, __ = run_with_spans(batch.packet_view(), oracle_rec)
-    assert results_equal(lane_result, oracle_result)
+    assert lane_result == oracle_result
     assert lane_rec.summary() == oracle_rec.summary()
     lane_fids = {root["args"]["fid"] for root in lane_rec.roots()}
     oracle_fids = {root["args"]["fid"] for root in oracle_rec.roots()}
@@ -299,3 +294,103 @@ def test_lane_publishes_runtime_lane_metrics():
     assert snapshot["lane_fast_packets_total"] == result.delivered - 20.0
     assert snapshot["lane_flushes_total"] >= 1.0
     assert snapshot["lane_plan_table_size"] >= 1.0
+
+
+# -- the deferred-region flush against the per-packet oracle --
+
+
+def ordered_batch(order, dst_ports):
+    """UDP data packets in exactly ``order`` (flow indices), flow ``f``
+    sending to ``dst_ports[f]``."""
+    table = uniform_batch(len(dst_ports), 0)
+    table.flow_dst_port[:] = dst_ports
+    seen = [0] * len(dst_ports)
+    ordinals = []
+    for flow in order:
+        ordinals.append(seen[flow])
+        seen[flow] += 1
+    ordinal = np.array(ordinals, dtype=np.int64)
+    return PacketBatch(
+        table.flow_src_ip,
+        table.flow_dst_ip,
+        table.flow_src_port,
+        table.flow_dst_port,
+        table.flow_proto,
+        table.flow_handshake,
+        np.array(order, dtype=np.int64),
+        np.full(len(order), KIND_DATA, dtype=np.uint8),
+        ordinal,
+        1000 + ordinal,
+        np.zeros(len(order), dtype=np.int64),
+    )
+
+
+def drop_chain():
+    return [
+        SyntheticNF("ttl", action=Modify.ttl_dec(), sf_payload_class=None),
+        IPFilter("fw", rules=[AclRule.make(dst_ports=(9999, 9999), verdict=Verdict.DROP)]),
+    ]
+
+
+def per_flow_state(runtime):
+    """Per-flow counters and both LRU orders, as the oracle must match."""
+    return (
+        [(fid, entry.packets) for fid, entry in runtime.classifier._flows.items()],
+        [(fid, rule.hits) for fid, rule in runtime.global_mat._rules.items()],
+    )
+
+
+def flushed_regions(monkeypatch):
+    """Record each non-empty deferred region's slices as it is flushed."""
+    regions = []
+    flush = BatchLane._flush
+
+    def recording(lane):
+        if lane._deferred:
+            regions.append(list(lane._deferred))
+        flush(lane)
+
+    monkeypatch.setattr(BatchLane, "_flush", recording)
+    return regions
+
+
+FLUSH_CASES = {
+    # flows 0 and 2 are the ends of the flow columns; flow 1 sits between
+    "only_first_and_last_flow": ([0, 1, 2, 0, 2, 2, 0, 2], [80, 80, 80]),
+    # flow 1's one packet is flushed before flow 2's first packet
+    "one_packet_region": ([0, 1, 1, 2, 0, 2], [80, 80, 80]),
+    # flow 2 turns steady mid-segment, so its region is two slices; flow
+    # 0 opens the region and recurs after every other flow
+    "multi_slice_recurring_flow": ([0, 1, 0, 2, 0, 2, 1, 2, 1, 0], [80, 80, 80]),
+    # flows 0 and 2 are dropped by the filter, 1 and 3 pass
+    "drop_rule": ([0, 1, 2, 3, 3, 2, 1, 0, 0, 2, 1, 3], [9999, 80, 9999, 80]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLUSH_CASES))
+def test_flush_edge_cases_match_the_oracle(case, monkeypatch):
+    order, dst_ports = FLUSH_CASES[case]
+    chain = drop_chain if case == "drop_rule" else build_chain
+    regions = flushed_regions(monkeypatch)
+    batch = ordered_batch(order, dst_ports)
+    lane_result, lane_runtime, platform = run_batch(batch, runtime=SpeedyBox(chain()))
+    oracle_result, oracle_runtime, __ = run_batch(
+        batch.packet_view(), runtime=SpeedyBox(chain())
+    )
+    assert lane_result == oracle_result
+    assert per_flow_state(lane_runtime) == per_flow_state(oracle_runtime)
+    assert lane_runtime.stats() == oracle_runtime.stats()
+    assert platform.last_lane_stats["dropped"] == oracle_result.dropped
+
+    # the region shape each case is named for
+    if case == "only_first_and_last_flow":
+        assert [sorted({order[i] for lo, hi in r for i in range(lo, hi)}) for r in regions] == [
+            [0, 2]
+        ]
+    elif case == "one_packet_region":
+        assert regions[0] == [(2, 3)]
+    elif case == "multi_slice_recurring_flow":
+        assert regions[-1] == [(4, 5), (5, 10)]
+    else:
+        assert oracle_result.dropped == 6
+        assert platform.last_lane_stats["span_packets"] == 8

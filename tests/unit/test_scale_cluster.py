@@ -45,7 +45,17 @@ class TestLoadResultMerge:
         assert total.delivered == 5
         assert total.dropped == 1
         assert total.makespan_ns == 250.0
-        assert total.latencies_ns == [10.0, 20.0, 30.0, 500.0, 600.0]
+        assert total.latencies_ns.tolist() == [10.0, 20.0, 30.0, 500.0, 600.0]
+
+    def test_equal_length_columns_concatenate_not_add(self):
+        """Two columns of one length: ``+`` on ndarrays would add them
+        element-wise and still have the right length."""
+        a = LoadResult(2, 2, 0, 10.0, [1.0, 2.0])
+        b = LoadResult(2, 2, 0, 20.0, [30.0, 40.0])
+        for total in (a.merge(b), LoadResult.merged([a, b])):
+            assert total.latencies_ns.tolist() == [1.0, 2.0, 30.0, 40.0]
+            assert total.offered == 4 and total.makespan_ns == 20.0
+        assert a.latencies_ns.tolist() == [1.0, 2.0]
 
     def test_percentiles_come_from_the_merged_population(self):
         """The merged p99 is computed over the concatenated samples — it
@@ -63,7 +73,15 @@ class TestLoadResultMerge:
         total = LoadResult.merged(parts)
         assert total.offered == 4
         assert total.makespan_ns == 4.0
-        assert sorted(total.latencies_ns) == [1.0, 2.0, 3.0, 4.0]
+        assert total.latencies_ns.tolist() == [1.0, 2.0, 3.0, 4.0]
+        folded = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3])
+        assert total == folded
+
+    def test_merged_of_nothing_is_the_empty_result(self):
+        total = LoadResult.merged([])
+        assert total == LoadResult(0, 0, 0, 0.0, [])
+        assert total.latencies_ns.dtype.name == "float64"
+        assert total.latency_percentile(0.99) == 0.0
 
     def test_merge_matches_concatenated_run(self):
         """Sharding a stream over two replicas and merging equals one
