@@ -429,9 +429,30 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scale(args: argparse.Namespace) -> int:
-    from repro.net.headers import TCP_FIN, TCPHeader
+def build_cluster(args, obs: ObsBundle, platform: str, replicas: int, injector=None,
+                  checkpoint_interval: Optional[int] = None, **cluster_kwargs):
+    """The ``ScaleCluster`` ``scale`` and ``ft demo`` drive, wired to the
+    run's observers, and — given an ``injector`` — its fault-tolerance
+    coordinator (else ``None``), which checkpoints a replica the health
+    model sees degrading while that replica is still reachable."""
+    from repro.ft import FaultTolerance
     from repro.scale import ScaleCluster
+
+    cluster = ScaleCluster(lambda: build_chain(args.chain), platform=platform, replicas=replicas,
+                           audit=obs.audit, **cluster_kwargs, **obs.platform_kwargs())
+    if injector is None:
+        return cluster, None
+    ft = FaultTolerance(cluster, checkpoint_interval=checkpoint_interval, injector=injector,
+                        tracer=obs.tracer, charge_recovery=not args.no_charge_recovery,
+                        forensics=obs.forensics)
+    if obs.health is not None:
+        obs.health.add_listener(ft.on_health)
+    return cluster, ft
+
+
+def cmd_scale(args: argparse.Namespace) -> int:
+    from repro.ft import FaultInjector
+    from repro.net.headers import TCP_FIN, TCPHeader
 
     packets = make_trace_packets(args.flows, args.seed)
     obs = make_observability(args)
@@ -441,35 +462,14 @@ def cmd_scale(args: argparse.Namespace) -> int:
     for platform_name in platforms:
         baseline_mpps = None
         for count in range(1, args.replicas + 1):
-            cluster = ScaleCluster(
-                lambda: build_chain(args.chain),
-                platform=platform_name,
-                replicas=count,
-                speedybox=not args.no_speedybox,
-                physical_cores=args.physical_cores,
-                audit=obs.audit,
-                **obs.platform_kwargs(),
+            # A one-replica row has nothing to fail over onto.
+            injector = FaultInjector(kill_at=args.kill_at if count > 1 else None,
+                                     recover_after=args.recover_after) if want_ft else None
+            cluster, ft = build_cluster(
+                args, obs, platform_name, count, injector=injector,
+                checkpoint_interval=args.checkpoint_every or 32,
+                speedybox=not args.no_speedybox, physical_cores=args.physical_cores,
             )
-            ft = None
-            if want_ft:
-                from repro.ft import FaultInjector, FaultTolerance
-
-                ft = FaultTolerance(
-                    cluster,
-                    checkpoint_interval=args.checkpoint_every or 32,
-                    # A one-replica row has nothing to fail over onto.
-                    injector=FaultInjector(
-                        kill_at=args.kill_at if count > 1 else None,
-                        recover_after=args.recover_after,
-                    ),
-                    tracer=obs.tracer,
-                    charge_recovery=not args.no_charge_recovery,
-                    forensics=obs.forensics,
-                )
-                if obs.health is not None:
-                    # Degraded windows trigger proactive checkpoints
-                    # while the struggling replica is still reachable.
-                    obs.health.add_listener(ft.on_health)
             migrations = 0
             if args.churn:
                 # Establish live flows (FINs withheld so they survive),
@@ -612,31 +612,15 @@ def cmd_ft(args: argparse.Namespace) -> int:
         return 0
 
     # demo: kill a replica mid-stream, recover, prove nothing was lost.
-    from repro.ft import FaultInjector, FaultTolerance
-    from repro.scale import ScaleCluster
+    from repro.ft import FaultInjector
 
     packets = make_trace_packets(args.flows, args.seed)
     obs = make_observability(args)
     kill_at = args.kill_at if args.kill_at is not None else len(packets) // 2
-    cluster = ScaleCluster(
-        lambda: build_chain(args.chain),
-        platform=args.platform,
-        replicas=args.replicas,
-        audit=obs.audit,
-        **obs.platform_kwargs(),
-    )
-    ft = FaultTolerance(
-        cluster,
-        checkpoint_interval=args.checkpoint_every,
-        injector=FaultInjector(
-            kill_at=kill_at,
-            replica=args.kill_replica,
-            recover_after=args.recover_after,
-        ),
-        tracer=obs.tracer,
-        charge_recovery=not args.no_charge_recovery,
-        forensics=obs.forensics,
-    )
+    injector = FaultInjector(kill_at=kill_at, replica=args.kill_replica,
+                             recover_after=args.recover_after)
+    cluster, ft = build_cluster(args, obs, args.platform, args.replicas, injector=injector,
+                                checkpoint_interval=args.checkpoint_every)
     print(f"chain: {args.chain}   replicas: {args.replicas}   "
           f"packets: {len(packets)}   kill at: {kill_at}   "
           f"checkpoint every: {args.checkpoint_every}")

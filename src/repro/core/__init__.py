@@ -32,7 +32,7 @@ from repro.core.event_table import Event, EventTable
 from repro.core.director import DirectedReport, ServiceDirector, SteeringRule
 from repro.core.framework import FlowRecord, ServiceChain, SpeedyBox
 from repro.core.global_mat import GlobalMAT, GlobalRule
-from repro.core.inspector import describe_rule, dump_global_mat, lookup_flow_rule
+from repro.core.inspector import describe_rule, dump_global_mat
 from repro.core.verification import (
     MigrationVerificationReport,
     VerificationReport,
@@ -80,7 +80,6 @@ __all__ = [
     "describe_rule",
     "dump_global_mat",
     "fid_of",
-    "lookup_flow_rule",
     "verify_equivalence",
     "verify_equivalence_migration",
 ]

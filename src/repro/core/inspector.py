@@ -14,7 +14,6 @@ from repro.core.consolidation import ConsolidatedAction
 from repro.core.framework import SpeedyBox
 from repro.core.global_mat import GlobalRule
 from repro.net.addresses import ip_to_str
-from repro.net.flow import FiveTuple
 
 
 def describe_action(action: ConsolidatedAction) -> str:
@@ -92,11 +91,3 @@ def dump_global_mat(speedybox: SpeedyBox, limit: Optional[int] = None) -> str:
         f"{stats['events_triggered']:.0f} events fired"
     )
     return "\n".join(blocks + [footer])
-
-
-def lookup_flow_rule(speedybox: SpeedyBox, five_tuple: FiveTuple) -> str:
-    """Describe the rule a given five-tuple would hit."""
-    fid = speedybox.classifier.fid_for(five_tuple)
-    if fid is None:
-        return f"{five_tuple}: not tracked"
-    return describe_rule(speedybox, fid)

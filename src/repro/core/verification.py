@@ -241,7 +241,7 @@ def verify_equivalence_migration(
     dst_rid: Optional[int] = None
     for index, packet in enumerate(cluster_stream):
         if index == migrate_at:
-            dst_rid = cluster.scale_out(rebalance=False)
+            dst_rid = cluster.scale_out()
             cluster.begin_migration(flow)
         outcome = cluster.process(packet)
         if outcome is None:

@@ -19,8 +19,7 @@ loss-free, duplicate-free, state-identical — with the classic
 snapshot+log protocol mapped onto the existing migration machinery:
 
 1. the dead replica leaves the sharder (its buckets rebalance onto
-   peers, its pins drop) — the same indirection-table move a planned
-   scale-in makes;
+   peers, its pins drop);
 2. each orphaned flow's latest checkpoint is restored onto the replica
    the sharder now names, handlers rebound from the dead replica's NF
    objects (kept alive in a graveyard precisely for this) to the
@@ -615,7 +614,6 @@ class FaultTolerance:
             delivered=report.packets_delivered,
             duration_ms=round(report.duration_s * 1000.0, 3),
         )
-        cluster.notify_placement("failover")
         return report
 
     def recover_all(self) -> List[RecoveryReport]:

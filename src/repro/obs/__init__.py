@@ -19,8 +19,8 @@ benchmark arithmetic:
   ring of per-window latency percentiles, drop/buffered counts and
   registry metric deltas on a sim-time or packet-count clock.
 - :mod:`repro.obs.health` — per-replica health scoring (degraded /
-  critical before dead) over the telemetry windows, consumed by the
-  autoscaler and the FT coordinator.
+  critical before dead) over the telemetry windows, consumed by the FT
+  coordinator.
 - :mod:`repro.obs.slo` — declarative latency/loss objectives with
   error-budget accounting and burn-rate alerts.
 - :mod:`repro.obs.benchdiff` — BENCH_*.json regression differ behind
@@ -59,7 +59,6 @@ from repro.obs.forensics import (
     components_sum,
     decompose,
     exact_residual,
-    load_forensics_jsonl,
     render_explain,
     render_forensics,
     split_plan_total,
@@ -92,7 +91,6 @@ from repro.obs.timeline import trace_unloaded
 from repro.obs.timeseries import (
     TimeSeries,
     Window,
-    load_timeseries_jsonl,
     percentile_from_deltas,
     render_windows,
 )
@@ -137,11 +135,9 @@ __all__ = [
     "diff_benches",
     "diff_metrics",
     "exact_residual",
-    "load_forensics_jsonl",
     "load_jsonl",
     "load_metrics",
     "load_record",
-    "load_timeseries_jsonl",
     "parse_prometheus",
     "percentile_from_deltas",
     "render_diff",

@@ -2,8 +2,8 @@
 
 The data plane has metrics (how many) and traces (when); what neither
 answers is *why the runtime is shaped the way it is* — why this flow's
-fast lane was recompiled, why that Global MAT rule disappeared, why the
-autoscaler added a replica at window 12.  :class:`AuditLog` records
+fast lane was recompiled, why that Global MAT rule disappeared, why a
+flow's packets were buffered and replayed.  :class:`AuditLog` records
 those control-plane decisions as structured, sequence-numbered events
 with causal flow identifiers:
 
@@ -16,8 +16,7 @@ with causal flow identifiers:
 - migration protocol — ``migration_freeze`` / ``migration_buffer`` /
   ``migration_transfer`` / ``migration_replay``, one event per phase of
   the freeze-buffer-replay choreography;
-- elasticity — ``scale_out`` / ``scale_in`` / ``autoscale_decision``
-  (the watermark verdict with the signal sample it was based on);
+- elasticity — ``scale_out`` (an empty replica joined the cluster);
 - fault tolerance — ``ft_checkpoint`` (snapshot round, with cause) /
   ``ft_kill`` / ``ft_buffer`` (in-flight packet held for a dead
   replica) / ``ft_freeze_absorbed`` (crash-during-migration guard) /

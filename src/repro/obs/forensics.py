@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.audit import AuditLog, NULL_AUDIT
-from repro.obs.record import dump_jsonl, load_jsonl
+from repro.obs.record import dump_jsonl
 from repro.stats.summary import percentile_sorted
 from repro.vector import np
 
@@ -729,11 +729,6 @@ def group_forensics_rows(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         elif kind in plural:
             grouped[plural[kind]].append(row)
     return grouped
-
-
-def load_forensics_jsonl(path) -> Dict[str, Any]:
-    """Read a record's ``forensics.jsonl`` back, grouped by row type."""
-    return group_forensics_rows(load_jsonl(path))
 
 
 def build_timeline(

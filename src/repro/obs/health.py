@@ -1,10 +1,10 @@
 """Cluster health scoring over telemetry windows (obs gen-3).
 
 The FT coordinator only learns about a replica when the fault injector
-declares it dead; the autoscaler only sees cluster-wide watermarks.
-Neither sees the *degraded-before-dead* shape real failures have: p99
-creeping up window over window, a drop burst, the fast-path hit ratio
-collapsing, transaction aborts spiking.  :class:`HealthModel` watches
+declares it dead, so it never sees the *degraded-before-dead* shape
+real failures have: p99 creeping up window over window, a drop burst,
+the fast-path hit ratio collapsing, transaction aborts spiking.
+:class:`HealthModel` watches
 the per-replica sub-windows a :class:`~repro.obs.timeseries.TimeSeries`
 closes and scores each replica each window:
 
@@ -19,9 +19,7 @@ closes and scores each replica each window:
 State transitions emit ``health_degraded`` / ``health_critical`` /
 ``health_recovered`` audit events and fan out to listeners — the FT
 coordinator subscribes to checkpoint a degrading replica proactively
-(:meth:`repro.ft.failover.FaultTolerance.on_health`), the autoscaler to
-veto scale-in and add scale-out pressure
-(``Autoscaler(health=...)``).
+(:meth:`repro.ft.failover.FaultTolerance.on_health`).
 
 Latency trend uses a per-replica EWMA baseline of window p99 that only
 learns from *healthy* windows, so a replica sliding into trouble is
@@ -273,12 +271,6 @@ class HealthModel:
             if _RANK[track.state] < _RANK[worst]:
                 worst = track.state
         return worst
-
-    def unhealthy_replicas(self) -> List[Any]:
-        return sorted(
-            (rid for rid, track in self._tracks.items() if track.state != HEALTHY),
-            key=str,
-        )
 
     def snapshot(self) -> Dict[str, Any]:
         return {

@@ -4,7 +4,7 @@ Everything the registry and the load results expose is cumulative: one
 number per run, no notion of *when*.  That is enough for the paper's
 end-of-run tables but useless for the questions the scale and FT layers
 ask — "was this replica slowing down before it died?", "did the drop
-burst start before or after the autoscaler acted?".  This module adds
+burst start before or after the failover?".  This module adds
 the missing axis: a :class:`TimeSeries` cuts a run into **windows** on a
 sim-time (or packet-count) clock and summarizes each window as it
 closes:
@@ -51,7 +51,7 @@ import math
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.record import dump_jsonl, load_jsonl
+from repro.obs.record import dump_jsonl
 from repro.obs.registry import Histogram, MetricsRegistry, NULL_REGISTRY
 from repro.stats.summary import percentile_sorted
 
@@ -537,11 +537,6 @@ class TimeSeries:
             f"<TimeSeries {clock} windows: {len(self.windows)} retained, "
             f"{self.evicted} evicted, {self.total_packets} packets>"
         )
-
-
-def load_timeseries_jsonl(path) -> List[Dict[str, Any]]:
-    """Read a record's ``timeseries.jsonl`` back into window summary dicts."""
-    return load_jsonl(path)
 
 
 def render_windows(rows: Sequence[Dict[str, Any]], title: str = "windows") -> str:

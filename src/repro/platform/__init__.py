@@ -22,7 +22,6 @@ from repro.platform.costs import CostModel, CycleMeter, Operation
 
 __all__ = [
     "BessPlatform",
-    "ChainSetup",
     "CostModel",
     "CycleMeter",
     "LoadResult",
@@ -38,7 +37,6 @@ _LAZY = {
     "PlatformConfig": "repro.platform.base",
     "PacketOutcome": "repro.platform.base",
     "LoadResult": "repro.platform.base",
-    "ChainSetup": "repro.platform.base",
     "BessPlatform": "repro.platform.bess",
     "OpenNetVMPlatform": "repro.platform.onvm",
 }

@@ -336,18 +336,6 @@ class PipelineRun:
     finish: List[float]
 
 
-@dataclass
-class ChainSetup:
-    """Descriptor for constructing a platform run (used by benchmarks)."""
-
-    name: str
-    runtime: Union[ServiceChain, SpeedyBox]
-
-    @property
-    def with_speedybox(self) -> bool:
-        return isinstance(self.runtime, SpeedyBox)
-
-
 class Platform:
     """Abstract platform."""
 

@@ -2,7 +2,7 @@
 
 The paper's prototype runs one chain instance; serving millions of flows
 means replicating the chain across cores and moving flows between
-replicas without breaking stateful NFs.  This package supplies the four
+replicas without breaking stateful NFs.  This package supplies the three
 pieces:
 
 - :mod:`repro.scale.sharder` — RSS-style five-tuple sharding onto
@@ -15,13 +15,10 @@ pieces:
 - :mod:`repro.scale.migration` — :class:`FlowMigrator`, the atomic
   transfer of a flow's classifier entry, Local/Global MAT rules, events
   and NF per-flow state, with handler rebinding to the target replica.
-- :mod:`repro.scale.autoscaler` — watermark-driven scale-out/in over
-  the ``repro.obs`` signal surfaces.
 
 See ``docs/scaling.md`` for the protocol walk-through.
 """
 
-from repro.scale.autoscaler import Autoscaler, AutoscalerConfig, ScaleDecision
 from repro.scale.cluster import ChainReplica, ClusterLoadResult, ScaleCluster
 from repro.scale.migration import (
     FlowMigrator,
@@ -36,8 +33,6 @@ from repro.scale.migration import (
 from repro.scale.sharder import FlowSharder, IndirectionTable, shard_hash
 
 __all__ = [
-    "Autoscaler",
-    "AutoscalerConfig",
     "ChainReplica",
     "ClusterLoadResult",
     "FlowMigrator",
@@ -46,7 +41,6 @@ __all__ = [
     "MigrationError",
     "MigrationReport",
     "ScaleCluster",
-    "ScaleDecision",
     "chain_state_snapshot",
     "check_same_shape",
     "observed_tuples",

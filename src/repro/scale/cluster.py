@@ -23,7 +23,7 @@ It also owns the migration choreography (the part the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import ServiceChain, SpeedyBox
@@ -81,13 +81,10 @@ class ClusterLoadResult:
 
     total: LoadResult
     per_replica: Dict[int, LoadResult]
-    #: total requested service time per replica (ns) — the autoscaler's
-    #: core-demand signal, summed from the replayed stage plans
-    busy_ns: Dict[int, float] = field(default_factory=dict)
 
 
 class ScaleCluster:
-    """N sharded chain replicas with migration and elastic repartitioning."""
+    """N sharded chain replicas with live flow migration."""
 
     def __init__(
         self,
@@ -158,7 +155,6 @@ class ScaleCluster:
         #: set by :class:`repro.ft.failover.FaultTolerance` when attached —
         #: the cluster then routes every dispatch through its fault hooks
         self.ft = None
-        self._placement_listeners: List[Callable[[str], None]] = []
         self._m_replicas = metrics.gauge(
             "cluster_replicas", "chain replicas currently running"
         )
@@ -191,6 +187,19 @@ class ScaleCluster:
             forensics=self.forensics,
         )
         self.replicas[rid] = ChainReplica(replica_id=rid, platform=platform)
+        return rid
+
+    def scale_out(self) -> int:
+        """Add an empty replica and return its id.
+
+        It joins the sharder with no buckets, so flows reach it only by
+        pin: the migration equivalence oracle adds one and migrates a
+        single flow onto it, isolating migration from resharding.
+        """
+        rid = self._spawn_replica()
+        self.sharder.add_replica(rid, rebalance=False)
+        self._m_replicas.set(len(self.replicas))
+        self.audit.emit("scale_out", replica=rid, replicas=len(self.replicas))
         return rid
 
     @property
@@ -379,12 +388,8 @@ class ScaleCluster:
                 per_replica[rid] = platform._finish_run(
                     runs[rid], (pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
                 )
-        busy_ns = {
-            rid: sum(service for plan in run.plans for __, service in plan)
-            for rid, run in runs.items()
-        }
         total = LoadResult.merged(list(per_replica.values()))
-        return ClusterLoadResult(total=total, per_replica=per_replica, busy_ns=busy_ns)
+        return ClusterLoadResult(total=total, per_replica=per_replica)
 
     def run_load_batch(self, batch) -> ClusterLoadResult:
         """Shard a columnar :class:`~repro.traffic.columnar.PacketBatch`
@@ -403,8 +408,7 @@ class ScaleCluster:
 
         Not supported (both need per-packet hooks): flows frozen
         mid-migration, and fault tolerance (checkpoint ticking, dead-
-        replica buffering).  ``busy_ns`` is empty — the per-replica
-        stage plans live inside each platform's run, not here.
+        replica buffering).
         """
         if self._frozen:
             raise MigrationError(
@@ -424,7 +428,7 @@ class ScaleCluster:
             sub_batch = batch.select_flows(flow_ids)
             per_replica[rid] = self.replicas[rid].platform.run_load(sub_batch)
         total = LoadResult.merged(list(per_replica.values()))
-        return ClusterLoadResult(total=total, per_replica=per_replica, busy_ns={})
+        return ClusterLoadResult(total=total, per_replica=per_replica)
 
     # -- migration choreography -----------------------------------------------
 
@@ -463,9 +467,10 @@ class ScaleCluster:
         return key
 
     def complete_migration(
-        self, flow: FiveTuple, dst_replica_id: int, pin: bool = True
+        self, flow: FiveTuple, dst_replica_id: int
     ) -> Tuple[Optional[MigrationReport], List[PacketOutcome]]:
-        """Transfer the frozen flow's state, then replay its buffer.
+        """Transfer the frozen flow's state, pin every wire direction to
+        its new home, then replay its buffer.
 
         Returns the migration report (``None`` if the flow was already
         home) and the outcomes of the replayed packets — exactly one per
@@ -503,12 +508,8 @@ class ScaleCluster:
             del self._frozen[member]
             if member in self._flow_homes or member == key:
                 self._flow_homes[member] = dst_replica_id
-            # Secondary keys (translated return tuples) must always stay
-            # with the state that translates them; only the primary key's
-            # table override is the caller's choice.
-            if pin or member != key:
-                if self.sharder.replica_for(member) != dst_replica_id:
-                    self.sharder.pin(member, dst_replica_id)
+            if self.sharder.replica_for(member) != dst_replica_id:
+                self.sharder.pin(member, dst_replica_id)
         outcomes = []
         for packet in buffered:
             ingress = packet.five_tuple().canonical()
@@ -532,12 +533,10 @@ class ScaleCluster:
             self.ft.on_flow_migrated(key, src_rid, dst_replica_id)
         return report, outcomes
 
-    def migrate_flow(
-        self, flow: FiveTuple, dst_replica_id: int, pin: bool = True
-    ) -> Optional[MigrationReport]:
+    def migrate_flow(self, flow: FiveTuple, dst_replica_id: int) -> Optional[MigrationReport]:
         """Freeze + transfer + resume in one call (no traffic in between)."""
         self.begin_migration(flow)
-        report, __ = self.complete_migration(flow, dst_replica_id, pin=pin)
+        report, __ = self.complete_migration(flow, dst_replica_id)
         return report
 
     def churn_flows(self, count: int, seed: int = 0) -> List[MigrationReport]:
@@ -562,67 +561,6 @@ class ScaleCluster:
             if report is not None:
                 reports.append(report)
         return reports
-
-    # -- elasticity (used by the autoscaler) ----------------------------------
-
-    def scale_out(self, weight: float = 1.0, rebalance: bool = True) -> int:
-        """Add a replica; repartition and migrate the moved buckets' flows."""
-        rid = self._spawn_replica()
-        # rebalance=False joins with zero buckets — the equivalence
-        # oracle uses this to add an empty replica and migrate one flow
-        # onto it by pin, isolating migration from resharding effects.
-        self.sharder.add_replica(rid, weight, rebalance=rebalance)
-        if rebalance:
-            self._migrate_rehomed_flows()
-        self._m_replicas.set(len(self.replicas))
-        self.audit.emit("scale_out", replica=rid, replicas=len(self.replicas))
-        self.notify_placement("scale_out")
-        return rid
-
-    def scale_in(self) -> int:
-        """Retire the highest-id replica, migrating its flows away first."""
-        if len(self.replicas) <= 1:
-            raise MigrationError("cannot scale in below one replica")
-        rid = max(self.replicas)
-        self.sharder.remove_replica(rid)
-        self._migrate_rehomed_flows()
-        remaining = self.flows_homed_on(rid)
-        if remaining:
-            raise MigrationError(
-                f"replica {rid} still homes {len(remaining)} flow(s) after drain"
-            )
-        del self.replicas[rid]
-        self._m_replicas.set(len(self.replicas))
-        self.audit.emit("scale_in", replica=rid, replicas=len(self.replicas))
-        self.notify_placement("scale_in")
-        return rid
-
-    def _migrate_rehomed_flows(self) -> List[MigrationReport]:
-        """Move every live flow whose sharder target no longer matches home."""
-        reports = []
-        for key in sorted(self._flow_homes):
-            target = self.sharder.replica_for(key)
-            if target != self._flow_homes[key]:
-                report = self.migrate_flow(key, target, pin=False)
-                if report is not None:
-                    reports.append(report)
-        return reports
-
-    # -- placement events -----------------------------------------------------
-
-    def add_placement_listener(self, listener: Callable[[str], None]) -> None:
-        """Subscribe to placement changes made outside the autoscaler.
-
-        A failover re-homes flows exactly like a scaling action does, so
-        the autoscaler subscribes here to restart its cooldown — without
-        this, it could pile a scale decision onto a cluster still
-        settling from recovery.
-        """
-        self._placement_listeners.append(listener)
-
-    def notify_placement(self, kind: str) -> None:
-        for listener in self._placement_listeners:
-            listener(kind)
 
     # -- introspection --------------------------------------------------------
 

@@ -1,25 +1,19 @@
 """Measurement utilities: distributions, CDFs, tables, LOC accounting."""
 
-from repro.stats.comparison import Comparison, compare, comparison_rows
 from repro.stats.loc import InstrumentationReport, count_instrumentation, integration_table
-from repro.stats.metrics_view import render_families, render_metrics, snapshot_rows
+from repro.stats.metrics_view import render_metrics, snapshot_rows
 from repro.stats.summary import Distribution, cdf_points, percentile, percentile_sorted
-from repro.stats.tables import format_series, format_table
+from repro.stats.tables import format_table
 
 __all__ = [
-    "Comparison",
     "Distribution",
     "InstrumentationReport",
     "cdf_points",
-    "compare",
-    "comparison_rows",
     "count_instrumentation",
-    "format_series",
     "format_table",
     "integration_table",
     "percentile",
     "percentile_sorted",
-    "render_families",
     "render_metrics",
     "snapshot_rows",
 ]

@@ -2,8 +2,8 @@
 
 :meth:`repro.obs.MetricsRegistry.snapshot` produces a flat
 ``name{label=value} -> value`` dict; these helpers turn one into the
-same aligned, diff-friendly text the benchmark tables use, optionally
-grouped by metric family.
+same aligned, diff-friendly text the benchmark tables use, sorted by
+metric family.
 """
 
 from __future__ import annotations
@@ -27,15 +27,3 @@ def render_metrics(snapshot: Dict[str, float], title: str = "metrics") -> str:
     if not snapshot:
         return f"{title}\n(no metrics recorded)"
     return format_table(["metric", "value"], snapshot_rows(snapshot), title=title)
-
-
-def render_families(snapshot: Dict[str, float]) -> str:
-    """One table per metric family, blank-line separated."""
-    families: Dict[str, Dict[str, float]] = {}
-    for key, value in snapshot.items():
-        families.setdefault(_family(key), {})[key] = value
-    blocks = [
-        render_metrics(series, title=family)
-        for family, series in sorted(families.items())
-    ]
-    return "\n\n".join(blocks)

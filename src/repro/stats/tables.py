@@ -6,7 +6,7 @@ report; these helpers keep that output aligned and diff-friendly.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -42,13 +42,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]], title: 
     parts.append("  ".join("-" * w for w in widths))
     parts.extend(line(row) for row in rendered_rows)
     return "\n".join(parts)
-
-
-def format_series(
-    name: str,
-    points: Sequence[Tuple[Cell, Cell]],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """One figure series as aligned (x, y) pairs."""
-    return format_table([x_label, y_label], points, title=f"series: {name}")

@@ -2,16 +2,14 @@
 
 Drives the whole ``repro.ft`` stack through the cluster's public
 surface: the equivalence oracle under churn, the crash-during-migration
-guard, cross-replica port-pool safety under concurrent failures, the
-migration audit trail's replay counts, and the autoscaler's reaction to
-a failover placement event.
+guard, cross-replica port-pool safety under concurrent failures, and
+the migration audit trail's replay counts.
 """
 
 import pytest
 
 from repro.ft import (
     FailoverError,
-    FaultInjector,
     FaultTolerance,
     SharedAggregate,
     SharedPortPool,
@@ -19,7 +17,7 @@ from repro.ft import (
     verify_equivalence_failover,
 )
 from repro.obs.audit import AuditLog
-from repro.scale import Autoscaler, AutoscalerConfig, MigrationError, ScaleCluster
+from repro.scale import MigrationError, ScaleCluster
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.nf import IPFilter, MazuNAT, Monitor
 
@@ -299,31 +297,3 @@ class TestAuditTrail:
         complete = audit.last("ft_failover_complete")
         assert complete["replica"] == victim
         assert complete["delivered"] == ft.packets_buffered
-
-
-class TestAutoscalerPlacementEvents:
-    def test_failover_restarts_the_cooldown(self):
-        """A failover during the window counts as a placement event: the
-        next autoscaler decision holds in cooldown instead of piling a
-        scale action onto a still-settling cluster."""
-        cluster = ScaleCluster(reference_chain, replicas=3)
-        ft = FaultTolerance(
-            cluster,
-            checkpoint_interval=16,
-            injector=FaultInjector(kill_at=40, recover_after=20),
-        )
-        scaler = Autoscaler(
-            cluster,
-            # watermarks that always read as pressure, so only the
-            # cooldown can hold the decision back
-            AutoscalerConfig(high_ring_occupancy=0.0, high_core_utilisation=0.0,
-                             cooldown_windows=1, max_replicas=8),
-        )
-        packets = workload(flows=12, packets_per_flow=10, fin_every=None)
-        decision = scaler.step(packets)
-        assert "failover" in scaler.placement_events
-        assert decision.action == 0 and decision.reason == "cooldown"
-        assert len(ft.recoveries) == 1
-        # the window after the quiet one is free to scale again
-        decision = scaler.step(workload(flows=6, packets_per_flow=4, seed=3))
-        assert decision.action == +1

@@ -5,13 +5,12 @@ from repro.core.inspector import (
     describe_action,
     describe_rule,
     dump_global_mat,
-    lookup_flow_rule,
 )
 from repro.core.consolidation import consolidate_header_actions
 from repro.core.actions import Decap, Drop, Encap, Forward, Modify
-from repro.net import AuthenticationHeader, FiveTuple
+from repro.net import AuthenticationHeader
 from repro.net.addresses import ip_to_int
-from repro.nf import DosPrevention, IPFilter, MaglevLoadBalancer, Monitor
+from repro.nf import DosPrevention, IPFilter, Monitor
 from repro.traffic import FlowSpec, TrafficGenerator
 from tests.integration.helpers import FID23_PAIR
 
@@ -106,24 +105,14 @@ class TestDump:
         assert "records src_ip" in text
         assert any("result:" in line for line in text.splitlines())
 
-    def test_lookup_flow_rule(self):
-        sbox = SpeedyBox([MaglevLoadBalancer("lb", table_size=131)])
-        run_flow(sbox)
-        five_tuple = FiveTuple.make("10.0.0.1", "10.0.0.2", 1000, 80)
-        text = lookup_flow_rule(sbox, five_tuple)
-        assert "set dst_ip=" in text
-
-    def test_lookup_flow_rule_answers_for_the_flow_asked_about(self):
-        """Regression: the lookup described ``fid_of(five_tuple)``'s rule,
-        which for the second flow on one home FID is the *other* flow's."""
+    def test_describe_rule_names_the_flow_that_owns_the_fid(self):
+        """The second flow on one home FID probes to the next FID; its
+        rule block names that flow, not the one holding the home."""
         first, second = FID23_PAIR
         sbox = SpeedyBox([Monitor("m"), IPFilter("fw")])
-        assert "not tracked" in lookup_flow_rule(sbox, first)
         for flow, packets in ((first, 2), (second, 5)):
             for packet in TrafficGenerator([FlowSpec(flow, packets=packets)]).packets():
                 sbox.process(packet)
-        assert f"{first} (2 pkts)" in lookup_flow_rule(sbox, first)
-        text = lookup_flow_rule(sbox, second)
+        assert f"{first} (2 pkts)" in describe_rule(sbox, sbox.classifier.fid_for(first))
+        text = describe_rule(sbox, sbox.classifier.fid_for(second))
         assert text.startswith("fid=24 ") and f"{second} (5 pkts)" in text
-        stranger = FiveTuple.make("10.0.0.1", "99.0.0.1", 7842, 80)
-        assert lookup_flow_rule(sbox, stranger) == f"{stranger}: not tracked"

@@ -27,11 +27,12 @@ from repro.obs.forensics import (
     decompose,
     emit_recovery_regime_shift,
     exact_residual,
-    load_forensics_jsonl,
+    group_forensics_rows,
     render_explain,
     render_forensics,
     split_plan_total,
 )
+from repro.obs.record import load_jsonl
 from repro.platform import BessPlatform
 
 
@@ -268,7 +269,7 @@ class TestForensicsEngine:
         path = tmp_path / "forensics.jsonl"
         count = engine.write_jsonl(path)
         assert count == len(engine.rows())
-        data = load_forensics_jsonl(path)
+        data = group_forensics_rows(load_jsonl(path))
         assert data["summary"]["packets"] == engine.packets
         assert len(data["windows"]) == len(engine.windows)
         assert len(data["stalls"]) == 1
@@ -278,13 +279,13 @@ class TestForensicsEngine:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            load_forensics_jsonl(empty)
+            load_jsonl(empty)
         truncated = tmp_path / "trunc.jsonl"
         truncated.write_text(
             json.dumps({"type": "summary"}) + "\n" + '{"type": "wind'
         )
         with pytest.raises(ValueError, match="trunc.jsonl:2:"):
-            load_forensics_jsonl(truncated)
+            load_jsonl(truncated)
 
 
 class TestTimelineAndRendering:
@@ -322,7 +323,7 @@ class TestTimelineAndRendering:
         run_engine(engine)
         path = tmp_path / "f.jsonl"
         engine.write_jsonl(path)
-        text = render_forensics(load_forensics_jsonl(path), top=3)
+        text = render_forensics(group_forensics_rows(load_jsonl(path)), top=3)
         assert "component attribution" in text
         for name in COMPONENTS:
             assert name in text
@@ -337,7 +338,7 @@ class TestTimelineAndRendering:
         audit.emit("ft_failover_complete", replica="r0")
         path = tmp_path / "f.jsonl"
         engine.write_jsonl(path)
-        text = render_explain(load_forensics_jsonl(path), audit=audit.events())
+        text = render_explain(group_forensics_rows(load_jsonl(path)), audit=audit.events())
         assert "stall charges (1 packets)" in text
         assert "stall-dominant  : 1/1" in text
         assert "regime shifts" in text

@@ -91,7 +91,7 @@ class TestWiring:
         feed_window(ts, drops=1)  # still degraded: no new event
         assert seen == [(0, DEGRADED)]
 
-    def test_worst_state_and_unhealthy_replicas(self):
+    def test_worst_state_and_snapshot(self):
         ts, __, health = make_pair()
         for i in range(16):
             ts.record(float(i), latency_ns=100.0, replica=i % 2)
@@ -106,7 +106,6 @@ class TestWiring:
         assert health.state_of(1) == CRITICAL  # 4/8 dropped
         assert health.state_of(0) == HEALTHY
         assert health.worst_state() == CRITICAL
-        assert health.unhealthy_replicas() == [1]
         snapshot = health.snapshot()
         assert snapshot["1"]["state"] == CRITICAL
 

@@ -14,11 +14,8 @@ from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter
 from repro.obs import TimeSeries
 from repro.obs.registry import MetricsRegistry
-from repro.obs.timeseries import (
-    load_timeseries_jsonl,
-    percentile_from_deltas,
-    render_windows,
-)
+from repro.obs.record import load_jsonl
+from repro.obs.timeseries import percentile_from_deltas, render_windows
 from repro.platform import BessPlatform
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
@@ -181,7 +178,7 @@ class TestExport:
             ts.record(float(i), latency_ns=100.0 * (i + 1), replica="r0")
         path = tmp_path / "windows.jsonl"
         assert ts.write_jsonl(path) == 2
-        rows = load_timeseries_jsonl(path)
+        rows = load_jsonl(path)
         assert [row["index"] for row in rows] == [0, 1]
         assert rows[0]["packets"] == 2
         assert rows[0]["replicas"]["r0"]["packets"] == 2

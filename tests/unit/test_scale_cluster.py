@@ -1,5 +1,5 @@
-"""Unit tests for the scale layer: merge semantics, the cluster's
-dispatch/freeze/elasticity mechanics, and the autoscaler's watermarks."""
+"""Unit tests for the scale layer: merge semantics and the cluster's
+dispatch, freeze and scale-out mechanics."""
 
 import pytest
 
@@ -7,11 +7,9 @@ import repro.platform.base as platform_base
 from repro.core.actions import Modify
 from repro.ft import FaultInjector, FaultTolerance
 from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
-from repro.obs import PacketTracer
-from repro.obs.registry import MetricsRegistry
-from repro.obs.signals import ClusterSignals, SignalSample
+from repro.obs import AuditLog, PacketTracer
 from repro.platform.base import LoadResult
-from repro.scale import Autoscaler, AutoscalerConfig, MigrationError, ScaleCluster
+from repro.scale import MigrationError, ScaleCluster
 from repro.stats.summary import percentile
 from repro.traffic import FlowSpec, TrafficGenerator
 
@@ -159,29 +157,23 @@ class TestScaleCluster:
         with pytest.raises(MigrationError):
             cluster.begin_migration(flow.reversed())
 
-    def test_scale_out_rehomes_to_match_table(self):
-        cluster = ScaleCluster(build_chain, replicas=2, buckets=64)
+    def test_scale_out_adds_an_empty_replica(self):
+        """The new replica owns no bucket: no live flow moves, and a flow
+        reaches it only by migration."""
+        cluster = ScaleCluster(build_chain, replicas=2, buckets=64, audit=AuditLog())
         for packet in trace(flows=24):
             cluster.process(packet)
+        homes = cluster.flow_homes()
+        buckets = cluster.sharder.table.buckets_snapshot()
         rid = cluster.scale_out()
-        assert cluster.replica_count == 3
-        for key, home in cluster.flow_homes().items():
-            assert cluster.sharder.replica_for(key) == home
-        assert any(home == rid for home in cluster.flow_homes().values())
-
-    def test_scale_in_drains_the_retired_replica(self):
-        cluster = ScaleCluster(build_chain, replicas=3, buckets=64)
-        for packet in trace(flows=24):
-            cluster.process(packet)
-        retired = cluster.scale_in()
-        assert retired == 2
-        assert cluster.replica_count == 2
-        assert all(home != retired for home in cluster.flow_homes().values())
-
-    def test_scale_in_below_one_rejected(self):
-        cluster = ScaleCluster(build_chain, replicas=1)
-        with pytest.raises(MigrationError):
-            cluster.scale_in()
+        assert rid == 2 and cluster.replica_count == 3
+        assert cluster.flow_homes() == homes
+        assert cluster.sharder.table.buckets_snapshot() == buckets
+        event = cluster.audit.last("scale_out")
+        assert (event["replica"], event["replicas"]) == (rid, 3)
+        key = sorted(homes)[0]
+        cluster.migrate_flow(key, rid)
+        assert cluster.home_of(key) == rid
 
     def test_migration_preserves_functional_results(self):
         """Post-migration packets through the cluster match a never-
@@ -222,16 +214,6 @@ class TestScaleCluster:
             cluster.run_load(trace(flows=4), inter_arrival_ns=gap)
         assert not cluster.flow_homes()
         assert all(r.platform.packets == 0 for r in cluster.replicas.values())
-
-
-def sample(ring=0.0, cores=0.0, p99=0.0, mpps=1.0, replicas=2):
-    return SignalSample(
-        ring_occupancy=ring,
-        core_utilisation=cores,
-        p99_latency_ns=p99,
-        throughput_mpps=mpps,
-        replicas=replicas,
-    )
 
 
 class TestClusterOffersThroughThePlatformsPass:
@@ -320,164 +302,3 @@ class TestClusterOffersThroughThePlatformsPass:
         for rid, platform in platforms.items():
             assert platform.packets == result.per_replica[rid].offered + process_calls[rid]
             assert numbers[rid] == list(range(platform.packets))
-
-
-class TestAutoscalerDecisions:
-    def make(self, replicas=2, **cfg):
-        cluster = ScaleCluster(lambda: [Monitor("mon")], replicas=replicas)
-        return Autoscaler(cluster, AutoscalerConfig(**cfg))
-
-    def test_high_ring_occupancy_scales_out(self):
-        scaler = self.make()
-        decision = scaler.evaluate(sample(ring=0.9))
-        assert decision.action == +1
-        assert "ring occupancy" in decision.reason
-
-    def test_high_core_utilisation_scales_out(self):
-        decision = self.make().evaluate(sample(cores=0.95))
-        assert decision.action == +1
-        assert "core utilisation" in decision.reason
-
-    def test_p99_slo_trigger_only_when_configured(self):
-        assert self.make().evaluate(sample(ring=0.3, cores=0.5, p99=9e9)).action == 0
-        decision = self.make(high_p99_ns=1e6).evaluate(
-            sample(ring=0.3, cores=0.5, p99=2e6)
-        )
-        assert decision.action == +1
-        assert "p99" in decision.reason
-
-    def test_idle_scales_in_only_when_all_signals_low(self):
-        scaler = self.make()
-        assert scaler.evaluate(sample(ring=0.05, cores=0.05)).action == -1
-        # One low signal alone is not idleness.
-        assert scaler.evaluate(sample(ring=0.05, cores=0.5)).action == 0
-
-    def test_bounds_respected(self):
-        at_max = self.make(replicas=2, max_replicas=2)
-        decision = at_max.evaluate(sample(ring=0.9))
-        assert decision.action == 0
-        assert "at max_replicas" in decision.reason
-        at_min = self.make(replicas=1, min_replicas=1)
-        assert at_min.evaluate(sample(ring=0.0, cores=0.0)).action == 0
-
-    def test_cooldown_suppresses_action(self):
-        scaler = self.make(cooldown_windows=2)
-        scaler._windows_since_action = 0
-        decision = scaler.evaluate(sample(ring=0.9))
-        assert decision.action == 0
-        assert decision.reason == "cooldown"
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_replicas=3, max_replicas=2)
-
-
-class TestAutoscalerLoop:
-    def test_step_scales_out_under_pressure_then_cools_down(self):
-        metrics = MetricsRegistry()
-        cluster = ScaleCluster(
-            build_chain, platform="onvm", replicas=1, metrics=metrics
-        )
-        scaler = Autoscaler(
-            cluster,
-            AutoscalerConfig(high_core_utilisation=0.0, cooldown_windows=1),
-        )
-        packets = trace(flows=8)
-        first = scaler.step(packets_clone(packets), inter_arrival_ns=10.0)
-        assert first.action == +1
-        assert cluster.replica_count == 2
-        second = scaler.step(packets_clone(packets), inter_arrival_ns=10.0)
-        assert second.action == 0
-        assert second.reason == "cooldown"
-        third = scaler.step(packets_clone(packets), inter_arrival_ns=10.0)
-        assert third.action == +1
-        assert cluster.replica_count == 3
-        assert [d.replicas_after for d in scaler.decisions] == [2, 2, 3]
-
-    def test_step_scales_in_when_idle(self):
-        cluster = ScaleCluster(build_chain, platform="bess", replicas=3)
-        scaler = Autoscaler(
-            cluster,
-            AutoscalerConfig(
-                low_ring_occupancy=1.0,
-                low_core_utilisation=1.0,
-                high_ring_occupancy=1.1,
-                high_core_utilisation=1.1,
-                cooldown_windows=0,
-            ),
-        )
-        packets = trace(flows=4, packets=2)
-        scaler.step(packets_clone(packets), inter_arrival_ns=1e6)
-        assert cluster.replica_count == 2
-        scaler.step(packets_clone(packets), inter_arrival_ns=1e6)
-        assert cluster.replica_count == 1
-
-    def test_signal_sample_describe(self):
-        text = sample(ring=0.5, cores=0.25, p99=1500.0).describe()
-        assert "50%" in text and "25%" in text and "1.5us" in text
-
-    def test_cluster_signals_validation(self):
-        with pytest.raises(ValueError):
-            ClusterSignals(MetricsRegistry(), ring_capacity=0)
-
-
-class TestAutoscalerHealth:
-    """Health-aware decisions: critical pressure and the scale-in veto."""
-
-    def feed(self, ts, replica=0, drops=0):
-        for i in range(16):
-            ts.record(
-                float(i),
-                latency_ns=None if i < drops else 100.0,
-                replica=replica,
-                dropped=(i < drops),
-            )
-
-    def make(self, replicas=3, drops_by_replica=(), **cfg):
-        from repro.obs import HealthModel, TimeSeries
-
-        ts = TimeSeries(window_packets=16)
-        health = HealthModel(timeseries=ts)
-        for replica, drops in enumerate(drops_by_replica):
-            self.feed(ts, replica=replica, drops=drops)
-        cluster = ScaleCluster(lambda: [Monitor("mon")], replicas=replicas)
-        return Autoscaler(cluster, AutoscalerConfig(**cfg), health=health)
-
-    def test_critical_replica_is_scale_out_pressure(self):
-        scaler = self.make(drops_by_replica=(0, 4))  # 25% drops -> CRITICAL
-        decision = scaler.evaluate(sample(ring=0.3, cores=0.5, replicas=3))
-        assert decision.action == +1
-        assert "critical replicas: 1" in decision.reason
-
-    def test_degraded_replica_vetoes_scale_in_without_pressure(self):
-        scaler = self.make(drops_by_replica=(0, 1))  # 6% drops -> DEGRADED
-        decision = scaler.evaluate(sample(ring=0.05, cores=0.05, replicas=3))
-        assert decision.action == 0
-        assert "scale-in vetoed: unhealthy replicas 1" in decision.reason
-
-    def test_healthy_cluster_scales_in_normally(self):
-        scaler = self.make(drops_by_replica=(0, 0))
-        decision = scaler.evaluate(sample(ring=0.05, cores=0.05, replicas=3))
-        assert decision.action == -1
-
-    def test_step_audits_cluster_health(self):
-        from repro.obs import HealthModel, TimeSeries
-        from repro.obs.health import DEGRADED
-
-        ts = TimeSeries(window_packets=16)
-        health = HealthModel(timeseries=ts)
-        from repro.obs.audit import AuditLog
-
-        self.feed(ts, replica=0, drops=1)  # DEGRADED before the window runs
-        cluster = ScaleCluster(build_chain, replicas=2, audit=AuditLog())
-        scaler = Autoscaler(
-            cluster,
-            AutoscalerConfig(
-                low_ring_occupancy=0.0, low_core_utilisation=0.0, cooldown_windows=0
-            ),
-            health=health,
-        )
-        scaler.step(packets_clone(trace(flows=4, packets=2)), inter_arrival_ns=1e6)
-        events = cluster.audit.events("autoscale_decision")
-        assert len(events) == 1
-        assert events[0]["cluster_health"] == DEGRADED

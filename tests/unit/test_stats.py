@@ -6,7 +6,6 @@ from repro.stats import (
     Distribution,
     cdf_points,
     count_instrumentation,
-    format_series,
     format_table,
     integration_table,
     percentile,
@@ -90,11 +89,6 @@ class TestTables:
         text = format_table(["v"], [[1234.5], [0.333333]])
         assert "1,234" in text or "1,235" in text
         assert "0.333" in text
-
-    def test_format_series(self):
-        text = format_series("fig", [(1, 2.0), (2, 4.0)], x_label="n", y_label="us")
-        assert "series: fig" in text
-        assert "n" in text
 
 
 class TestInstrumentationLoc:
