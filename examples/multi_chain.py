@@ -54,9 +54,7 @@ def main():
     for index, packet in enumerate(packets):
         if index == len(packets) // 2:
             # Mid-run policy change: port 8080 moves to the inspect chain.
-            director.add_rule(
-                SteeringRule(AclRule.make(dst_ports=(8080, 8080)), "inspect"), position=0
-            )
+            director.add_rule(SteeringRule(AclRule.make(dst_ports=(8080, 8080)), "inspect"))
             print("*** steering change: 8080 now routes to 'inspect' (live flows stay pinned)\n")
         director.process(packet)
 

@@ -219,14 +219,11 @@ def emit_observability(args, obs: ObsBundle, chain: str, platform: str) -> None:
         print(obs.slo.render())
 
 
-def make_trace_packets(flows: int, seed: int, mean_packets: float = 8.0):
+def make_trace_packets(flows: int, seed: int):
     import math
 
-    config = DatacenterTraceConfig(
-        flows=flows,
-        seed=seed,
-        lognormal_mu=max(0.1, math.log(mean_packets)),
-    )
+    # Eight packets per flow on average.
+    config = DatacenterTraceConfig(flows=flows, seed=seed, lognormal_mu=math.log(8.0))
     from repro.nf.snort.rules import parse_rules
 
     specs = DatacenterTraceGenerator(config, parse_rules(DEFAULT_RULES)).generate_flows()

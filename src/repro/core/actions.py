@@ -167,9 +167,9 @@ class Modify(HeaderAction):
         return cls(ops)
 
     @classmethod
-    def ttl_dec(cls, hops: int = 1) -> "Modify":
+    def ttl_dec(cls) -> "Modify":
         """The router-style TTL decrement."""
-        return cls({PacketField.TTL: FieldOp.adjust(-hops)})
+        return cls({PacketField.TTL: FieldOp.adjust(-1)})
 
     def apply(self, packet: Packet) -> None:
         for field, op in self.ops.items():

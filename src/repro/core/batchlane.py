@@ -221,8 +221,7 @@ class BatchLane:
         #: calls when admissions number in the hundreds of thousands
         self._ft_lists = None
         self.bulk_ok = (
-            runtime.enable_consolidation
-            and self.labels is None
+            self.labels is None
             and batch._payloads is None
             and all(nf.setup_flow_oblivious for nf in runtime.nfs)
         )
@@ -553,7 +552,7 @@ class BatchLane:
         packet = batch.materialize(index)
         report = runtime.process(packet)
         if spans is not None and spans.skip.get(report.fid) is None:
-            root = spans.record(report)
+            root = spans.record(report, self.platform.costs)
             if root is not None:
                 self.roots[index] = root
         if report.dropped:
@@ -761,7 +760,6 @@ class BatchLane:
             rule.consolidated = t_rule.consolidated
             rule.schedule = t_rule.schedule
             rule.nf_names = t_rule.nf_names
-            rule.raw_actions = t_rule.raw_actions
             rule.pre_drop = t_rule.pre_drop
             rule.dropper = t_rule.dropper
             rule.version = 1

@@ -214,68 +214,6 @@ def consolidate_header_actions(actions: Iterable[HeaderAction]) -> ConsolidatedA
     )
 
 
-def explain_consolidation(actions: Sequence[HeaderAction]) -> List[str]:
-    """A human-readable, step-by-step trace of the §V-B algorithm.
-
-    Returns one line per input action describing what the consolidator
-    did with it, plus a final summary line — the narration the inspector
-    and teaching material use.  Raises the same errors as
-    :func:`consolidate_header_actions` on malformed input.
-    """
-    lines: List[str] = []
-    field_ops: Dict[PacketField, FieldOp] = {}
-    encap_stack: List[Encap] = []
-    leading_decaps: List[Decap] = []
-
-    for index, action in enumerate(actions):
-        prefix = f"[{index}] {action!r}: "
-        if isinstance(action, Drop):
-            lines.append(prefix + "DROP dominates — remaining actions unreachable")
-            lines.append("result: drop")
-            return lines
-        if isinstance(action, Forward):
-            lines.append(prefix + "identity, elided")
-        elif isinstance(action, Modify):
-            for field, op in action.ops.items():
-                existing = field_ops.get(field)
-                if existing is None:
-                    field_ops[field] = op
-                    lines.append(prefix + f"records {field.value} <- {op!r}")
-                else:
-                    field_ops[field] = existing.then(op)
-                    lines.append(
-                        prefix + f"composes onto {field.value}: {existing!r} then {op!r}"
-                    )
-        elif isinstance(action, Encap):
-            encap_stack.append(action)
-            lines.append(prefix + f"pushed (stack depth {len(encap_stack)})")
-        elif isinstance(action, Decap):
-            if encap_stack:
-                pushed = encap_stack[-1]
-                if not action.matches(pushed):
-                    raise ConsolidationError(
-                        f"decap {action!r} cannot remove header pushed by {pushed!r}"
-                    )
-                encap_stack.pop()
-                lines.append(prefix + f"cancels {pushed!r} (stack depth {len(encap_stack)})")
-            else:
-                leading_decaps.append(action)
-                lines.append(prefix + "underflows the stack -> leading decap of an arrival header")
-        else:
-            raise ConsolidationError(f"unknown header action: {action!r}")
-
-    live_fields = sum(
-        1 for op in field_ops.values() if not (op.set_value is None and op.delta == 0)
-    )
-    lines.append(
-        "result: "
-        f"{len(leading_decaps)} leading decap(s), "
-        f"{live_fields} merged field op(s), "
-        f"{len(encap_stack)} net encap(s)"
-    )
-    return lines
-
-
 def xor_merge_bytes(original: bytes, outputs: Sequence[bytes]) -> bytes:
     """The paper's literal merge formula for modifies on different fields.
 

@@ -16,15 +16,13 @@ runtime does everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.framework import ProcessReport, ServiceChain, SpeedyBox
+from repro.core.framework import ProcessReport, SpeedyBox
 from repro.net.flow import FiveTuple
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.nf.ipfilter import AclRule
-
-Runtime = Union[ServiceChain, SpeedyBox]
 
 
 @dataclass
@@ -51,17 +49,10 @@ class ServiceDirector:
         chains: Dict[str, Sequence[NetworkFunction]],
         rules: Sequence[SteeringRule],
         default_chain: Optional[str] = None,
-        enable_speedybox: bool = True,
-        max_flows_per_chain: Optional[int] = None,
     ):
         if not chains:
             raise ValueError("the director needs at least one chain")
-        self.runtimes: Dict[str, Runtime] = {}
-        for name, nfs in chains.items():
-            if enable_speedybox:
-                self.runtimes[name] = SpeedyBox(nfs, max_flows=max_flows_per_chain)
-            else:
-                self.runtimes[name] = ServiceChain(nfs)
+        self.runtimes: Dict[str, SpeedyBox] = {name: SpeedyBox(nfs) for name, nfs in chains.items()}
         for rule in rules:
             if rule.chain not in self.runtimes:
                 raise ValueError(f"steering rule targets unknown chain {rule.chain!r}")
@@ -96,27 +87,19 @@ class ServiceDirector:
             self._pins.pop(flow, None)
         return DirectedReport(chain=chain, report=report)
 
-    def runtime(self, chain: str) -> Runtime:
+    def runtime(self, chain: str) -> SpeedyBox:
         return self.runtimes[chain]
 
-    def add_rule(self, rule: SteeringRule, position: Optional[int] = None) -> None:
-        """Insert a steering rule (live flows stay pinned to their chain)."""
+    def add_rule(self, rule: SteeringRule) -> None:
+        """Put a steering rule ahead of the others (live flows stay pinned
+        to their chain)."""
         if rule.chain not in self.runtimes:
             raise ValueError(f"steering rule targets unknown chain {rule.chain!r}")
-        if position is None:
-            self.rules.append(rule)
-        else:
-            self.rules.insert(position, rule)
+        self.rules.insert(0, rule)
 
     def stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-chain runtime statistics (SpeedyBox chains only)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name, runtime in self.runtimes.items():
-            if isinstance(runtime, SpeedyBox):
-                out[name] = runtime.stats()
-            else:
-                out[name] = {"packets": float(self.per_chain_packets[name])}
-        return out
+        """Per-chain runtime statistics."""
+        return {name: runtime.stats() for name, runtime in self.runtimes.items()}
 
     def reset(self) -> None:
         for runtime in self.runtimes.values():

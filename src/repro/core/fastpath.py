@@ -460,12 +460,9 @@ class CompiledFlow:
 def compile_flow(speedybox, entry: Optional[FlowEntry], rule: GlobalRule):
     """Compile a flow's fast path, or ``None`` when it cannot be cached.
 
-    Compilation requires the consolidated form (the raw-action ablation
-    keeps the interpreted path) and an established, open classifier
-    entry whose FID owns the rule.
+    Compilation requires an established, open classifier entry whose FID
+    owns the rule.
     """
-    if not speedybox.enable_consolidation:
-        return None
     if entry is None or entry.closed or not entry.established:
         return None
     if entry.fid != rule.fid:

@@ -18,9 +18,10 @@ Both runtimes return a :class:`ProcessReport` carrying per-stage cycle
 meters; platforms (``repro.platform``) convert meters into time, adding
 their own transport costs (BESS module dispatch vs ONVM ring hops).
 
-Ablation flags: ``enable_consolidation`` (header-action consolidation,
-§V-B) and ``enable_parallelism`` (state-function parallelism, §V-C2) can
-be disabled independently to reproduce the Fig. 7 breakdown.
+Ablation flag: ``enable_parallelism=False`` runs every state-function
+batch in its own wave (no §V-C2 parallelism).  Fig. 7 splits SpeedyBox's
+gain with it: original → parallelism off is the header-action share,
+parallelism off → full SpeedyBox the state-function share.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.actions import Decap, Drop, Encap, Forward, HeaderAction, Modify
 from repro.core.classifier import Classification, FlowEntry, PacketClassifier
 from repro.core.consolidation import ConsolidatedAction
 from repro.core.event_table import Event, EventTable
@@ -241,7 +241,6 @@ class SpeedyBox:
     def __init__(
         self,
         nfs: Sequence[NetworkFunction],
-        enable_consolidation: bool = True,
         enable_parallelism: bool = True,
         max_flows: Optional[int] = None,
         metrics: MetricsRegistry = NULL_REGISTRY,
@@ -253,7 +252,6 @@ class SpeedyBox:
         _check_unique_names(nfs)
         self.nfs: List[NetworkFunction] = list(nfs)
         self.nf_by_name: Dict[str, NetworkFunction] = {nf.name: nf for nf in nfs}
-        self.enable_consolidation = enable_consolidation
         self.max_flows = max_flows
         #: bound on *classifier* connection-tracking entries; evicting a
         #: tracked flow tears down everything else keyed by it, so with
@@ -269,8 +267,7 @@ class SpeedyBox:
         #: is the FID-keyed index the invalidation hooks use.  Observably
         #: identical to the interpreted fast path (``_run_fast``), which
         #: stays the tests' oracle and serves what the lane hands back: a
-        #: packet whose event pre-check fires, FIN/RST teardown, the
-        #: consolidation-off ablation.
+        #: packet whose event pre-check fires, FIN/RST teardown.
         self._compiled: Dict[FiveTuple, "object"] = {}
         self._compiled_fids: Dict[int, FiveTuple] = {}
         #: batch-lane invalidation feed.  While a lane run is active this
@@ -482,23 +479,19 @@ class SpeedyBox:
             report.events_fired += fired
             rule = self.global_mat.peek(fid) or rule
 
-        # (2) Apply the consolidated header action (or the raw action list
-        #     when the consolidation ablation is off).  Drop rules with
+        # (2) Apply the consolidated header action.  Drop rules with
         #     state functions defer the actual drop: the batches up to the
         #     dropping NF must observe the packet exactly as the original
         #     path showed it to their NFs — rewritten by the upstream
         #     actions (pre_drop), and not yet dropped until the dropper's
         #     own position.
-        is_drop_rule = self.enable_consolidation and rule.consolidated.drop
-        if self.enable_consolidation:
-            if is_drop_rule:
-                meter.charge(Operation.DROP_FREE)
-                if rule.schedule.batch_count and rule.pre_drop is not None:
-                    self._apply_nondrop(rule.pre_drop, packet, meter)
-            else:
-                self._apply_nondrop(rule.consolidated, packet, meter)
+        is_drop_rule = rule.consolidated.drop
+        if is_drop_rule:
+            meter.charge(Operation.DROP_FREE)
+            if rule.schedule.batch_count and rule.pre_drop is not None:
+                self._apply_nondrop(rule.pre_drop, packet, meter)
         else:
-            self._apply_raw(rule, packet, meter)
+            self._apply_nondrop(rule.consolidated, packet, meter)
 
         # (3) Execute the state-function schedule.
         for wave in rule.schedule.waves:
@@ -540,23 +533,6 @@ class SpeedyBox:
             meter.charge(Operation.CHECKSUM_UPDATE)
         meter.charge(Operation.ENCAP_OP, len(action.net_encaps))
         action.apply(packet)
-
-    def _apply_raw(self, rule: GlobalRule, packet: Packet, meter: CycleMeter) -> None:
-        """Ablation: apply every recorded action sequentially (no merge)."""
-        for action in rule.raw_actions:
-            if isinstance(action, Drop):
-                meter.charge(Operation.DROP_FREE)
-            elif isinstance(action, Modify):
-                meter.charge(Operation.FIELD_WRITE, len(action.ops))
-                meter.charge(Operation.CHECKSUM_UPDATE)
-            elif isinstance(action, Encap):
-                meter.charge(Operation.ENCAP_OP)
-            elif isinstance(action, Decap):
-                meter.charge(Operation.DECAP_OP)
-            action.apply(packet)
-            if packet.dropped:
-                return
-        packet.finalize()
 
     def _check_events(self, fid: int, meter: CycleMeter) -> int:
         active = self.event_table.active_event_count(fid)

@@ -37,7 +37,6 @@ class GlobalRule:
         "consolidated",
         "schedule",
         "nf_names",
-        "raw_actions",
         "pre_drop",
         "dropper",
         "version",
@@ -50,7 +49,6 @@ class GlobalRule:
         consolidated: ConsolidatedAction,
         schedule: ParallelSchedule,
         nf_names: Sequence[str],
-        raw_actions: Sequence[HeaderAction] = (),
         pre_drop: Optional[ConsolidatedAction] = None,
         dropper: Optional[str] = None,
     ):
@@ -58,8 +56,6 @@ class GlobalRule:
         self.consolidated = consolidated
         self.schedule = schedule
         self.nf_names: Tuple[str, ...] = tuple(nf_names)
-        #: chain-ordered un-consolidated actions (consolidation ablation)
-        self.raw_actions: Tuple[HeaderAction, ...] = tuple(raw_actions)
         #: for drop rules: the consolidation of the actions *upstream* of
         #: the drop — applied before state functions run, so they observe
         #: the packet exactly as the original path showed it to their NFs
@@ -79,7 +75,6 @@ class GlobalRule:
         clone.consolidated = self.consolidated
         clone.schedule = copy.deepcopy(self.schedule, memo)
         clone.nf_names = self.nf_names
-        clone.raw_actions = self.raw_actions
         clone.pre_drop = self.pre_drop
         clone.dropper = self.dropper
         clone.version = self.version
@@ -203,7 +198,6 @@ class GlobalMAT:
             consolidated,
             schedule,
             nf_names,
-            raw_actions=actions,
             pre_drop=pre_drop,
             dropper=dropper,
         )
@@ -227,7 +221,6 @@ class GlobalMAT:
             template.consolidated,
             template.schedule,
             template.nf_names,
-            raw_actions=template.raw_actions,
             pre_drop=template.pre_drop,
             dropper=template.dropper,
         )

@@ -47,12 +47,8 @@ def describe_schedule(rule: GlobalRule) -> str:
     return " -> ".join(waves) if waves else "(no state functions)"
 
 
-def describe_rule(speedybox: SpeedyBox, fid: int, verbose: bool = False) -> str:
-    """Multi-line description of one flow's fast-path rule.
-
-    ``verbose=True`` appends the step-by-step consolidation narration
-    (how each recorded action merged into the final rule).
-    """
+def describe_rule(speedybox: SpeedyBox, fid: int) -> str:
+    """Multi-line description of one flow's fast-path rule."""
     rule = speedybox.global_mat.peek(fid)
     if rule is None:
         return f"fid={fid}: no consolidated rule (slow path)"
@@ -67,12 +63,6 @@ def describe_rule(speedybox: SpeedyBox, fid: int, verbose: bool = False) -> str:
         for event in events:
             state = "armed" if event.active else f"fired x{event.trigger_count}"
             lines.append(f"  event   : {event.nf_name}/{event.condition.__name__} ({state})")
-    if verbose and rule.raw_actions:
-        from repro.core.consolidation import explain_consolidation
-
-        lines.append("  consolidation trace:")
-        for trace_line in explain_consolidation(rule.raw_actions):
-            lines.append(f"    {trace_line}")
     return "\n".join(lines)
 
 

@@ -245,9 +245,9 @@ class CheckpointManager:
         return captured
 
     def snapshot_flow(
-        self, replica_id: int, flow: FiveTuple, log_seq: int, cause: str = "single"
+        self, replica_id: int, flow: FiveTuple, log_seq: int
     ) -> Optional[FlowCheckpoint]:
-        """Capture one flow (e.g. right after it migrates onto a replica)."""
+        """Capture one flow right after it migrates onto a replica."""
         runtime = self.cluster.replicas[replica_id].runtime
         checkpoint = capture_flow(runtime, flow, replica_id=replica_id, log_seq=log_seq)
         if checkpoint is not None:
@@ -259,7 +259,7 @@ class CheckpointManager:
                 flows=1,
                 flow=str(checkpoint.flow),
                 log_seq=log_seq,
-                cause=cause,
+                cause="migrated_in",
             )
         return checkpoint
 

@@ -37,7 +37,8 @@ snapshot+log protocol mapped onto the existing migration machinery:
 Replay re-runs packets whose effects partially happened (shared-state
 updates committed before the crash): per-flow state is rebuilt from
 zero so re-running is exact, and genuinely shared state (NAT port pool,
-monitor aggregates) lives in the :class:`~repro.ft.txstate.TransactionalStore`,
+monitor aggregates) lives in a :class:`~repro.ft.txstate.TransactionalStore`
+the replicas' NFs share (the chain builder owns it, not the coordinator),
 whose idempotent transactions make the replayed updates commit exactly
 once.
 
@@ -57,14 +58,16 @@ from typing import Dict, List, Optional
 from repro.net.packet import Packet
 from repro.obs.audit import AuditLog
 from repro.obs.forensics import StallCharge, emit_recovery_regime_shift
-from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, PacketTracer
 from repro.platform.base import LoadResult
 from repro.scale.cluster import ChainReplica, ScaleCluster
 from repro.ft.checkpoint import CheckpointManager, restore_flow
 from repro.ft.faults import FaultInjector
 from repro.ft.pktlog import PacketLog
-from repro.ft.txstate import TransactionalStore
+
+
+#: entries a replica's input log holds before it forces a checkpoint
+LOG_CAPACITY = 4096
 
 
 class FailoverError(RuntimeError):
@@ -110,11 +113,8 @@ class FaultTolerance:
         self,
         cluster: ScaleCluster,
         checkpoint_interval: int = 32,
-        log_capacity: int = 4096,
         injector: Optional[FaultInjector] = None,
-        store: Optional[TransactionalStore] = None,
         audit: Optional[AuditLog] = None,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: PacketTracer = NULL_TRACER,
         charge_recovery: bool = True,
         forensics=None,
@@ -125,13 +125,9 @@ class FaultTolerance:
             )
         self.cluster = cluster
         self.checkpoint_interval = checkpoint_interval
-        self.log_capacity = log_capacity
         self.injector = injector or FaultInjector()
         self.audit = audit if audit is not None else cluster.audit
-        metrics = metrics if metrics is not None else cluster.metrics
-        #: the cluster-shared transactional store (NAT port pool, monitor
-        #: aggregates); survives every replica by construction
-        self.store = store or TransactionalStore(audit=self.audit)
+        metrics = cluster.metrics
         self.checkpoints = CheckpointManager(cluster, audit=self.audit, metrics=metrics)
         self.logs: Dict[int, PacketLog] = {}
         self._since_checkpoint: Dict[int, int] = {}
@@ -187,7 +183,7 @@ class FaultTolerance:
             return
         action = self.injector.tick()
         if action == "kill":
-            self.injector.replica = self.kill(self.injector.replica, reason="injected")
+            self.injector.replica = self.kill(self.injector.replica)
         elif action == "recover":
             self.recover_all()
 
@@ -241,9 +237,7 @@ class FaultTolerance:
         self.checkpoints.drop_flow(key)
         if dst_rid in self.cluster.replicas:
             log = self._log_for(dst_rid)
-            self.checkpoints.snapshot_flow(
-                dst_rid, key, log_seq=log.last_seq, cause="migrated_in"
-            )
+            self.checkpoints.snapshot_flow(dst_rid, key, log_seq=log.last_seq)
 
     def on_health(self, report) -> None:
         """Cluster-health listener: snapshot a struggling replica early.
@@ -270,7 +264,7 @@ class FaultTolerance:
         log = self.logs.get(replica_id)
         if log is None:
             log = self.logs[replica_id] = PacketLog(
-                capacity=self.log_capacity,
+                capacity=LOG_CAPACITY,
                 on_full=lambda rid=replica_id: self.checkpoint_replica(
                     rid, cause="log_full"
                 ),
@@ -304,7 +298,7 @@ class FaultTolerance:
                 loads[home] += 1
         return max(sorted(loads), key=lambda rid: loads[rid])
 
-    def kill(self, replica_id: Optional[int] = None, reason: str = "manual") -> int:
+    def kill(self, replica_id: Optional[int] = None) -> int:
         """Remove a replica abruptly; its flows' packets buffer until recovery."""
         cluster = self.cluster
         if len(cluster.replicas) <= 1:
@@ -320,7 +314,7 @@ class FaultTolerance:
             killed_ns=self._now_ns(),
         )
         self.tracer.instant(
-            "detect", f"ft:r{replica_id}", dead.killed_ns, reason=reason
+            "detect", f"ft:r{replica_id}", dead.killed_ns, reason="injected"
         )
         # Crash-during-migration guard: absorb the freeze buffers of any
         # flow homed here that is frozen mid-migration.  The migration is
@@ -351,7 +345,7 @@ class FaultTolerance:
         self.audit.emit(
             "ft_kill",
             replica=replica_id,
-            reason=reason,
+            reason="injected",
             at_index=dead.killed_at_index,
             flows_orphaned=flows_orphaned,
             frozen_absorbed=dead.frozen_absorbed,

@@ -34,8 +34,9 @@ TIMELINE_KINDS = (
 )
 
 
-def render_failure_timeline(events: Sequence[Dict[str, Any]], limit: int = 30) -> str:
-    """The ordered story of every failure in the run."""
+def render_failure_timeline(events: Sequence[Dict[str, Any]]) -> str:
+    """The ordered story of every failure in the run (its first 30 events)."""
+    limit = 30
     story = [event for event in events if event.get("kind") in TIMELINE_KINDS]
     if not story:
         return "failure timeline\n(no fault-tolerance events recorded)"

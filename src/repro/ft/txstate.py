@@ -33,8 +33,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.flow import FiveTuple
-from repro.obs.audit import AuditLog, NULL_AUDIT
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+
+#: optimistic-conflict retries before a transaction gives up
+MAX_RETRIES = 8
 
 
 class TxnConflict(RuntimeError):
@@ -44,35 +45,13 @@ class TxnConflict(RuntimeError):
 class TransactionalStore:
     """Versioned key-value store with optimistic per-key commit/abort."""
 
-    def __init__(
-        self,
-        audit: AuditLog = NULL_AUDIT,
-        audit_commits: bool = False,
-        metrics: MetricsRegistry = NULL_REGISTRY,
-    ):
-        self.audit = audit
-        #: emit ``txn_commit`` for every commit (aborts always audit);
-        #: off by default so per-packet aggregate updates don't flood
-        #: the decision log.
-        self.audit_commits = audit_commits
+    def __init__(self):
         self._values: Dict[Any, Any] = {}
         self._versions: Dict[Any, int] = {}
         self._applied: Dict[Any, Any] = {}
         self.commits = 0
         self.aborts = 0
         self.replays_deduped = 0
-        # Registry mirrors of the plain counters, so windowed telemetry
-        # sees txn activity as per-window deltas (health's retry-rate
-        # signal); off by default like every other metrics surface.
-        self._m_commits = metrics.counter(
-            "txn_commits_total", "transactions committed"
-        )
-        self._m_aborts = metrics.counter(
-            "txn_aborts_total", "optimistic-conflict aborts"
-        )
-        self._m_deduped = metrics.counter(
-            "txn_replays_deduped_total", "replayed transactions skipped as applied"
-        )
 
     # -- direct reads (no isolation needed) ---------------------------------
 
@@ -95,20 +74,10 @@ class TransactionalStore:
 
     # -- transactions -------------------------------------------------------
 
-    def transaction(self, txn_id: Any = None, audit_commit: Optional[bool] = None) -> "Transaction":
-        return Transaction(
-            self,
-            txn_id=txn_id,
-            audit_commit=self.audit_commits if audit_commit is None else audit_commit,
-        )
+    def transaction(self, txn_id: Any = None) -> "Transaction":
+        return Transaction(self, txn_id=txn_id)
 
-    def run(
-        self,
-        fn: Callable[["Transaction"], Any],
-        txn_id: Any = None,
-        max_retries: int = 8,
-        audit_commit: Optional[bool] = None,
-    ) -> Any:
+    def run(self, fn: Callable[["Transaction"], Any], txn_id: Any = None) -> Any:
         """Run ``fn(txn)`` and commit, retrying on optimistic conflicts.
 
         With a ``txn_id`` that already committed, ``fn`` is skipped and
@@ -117,17 +86,16 @@ class TransactionalStore:
         """
         if txn_id is not None and txn_id in self._applied:
             self.replays_deduped += 1
-            self._m_deduped.inc()
             return self._applied[txn_id]
-        for __ in range(max_retries):
-            txn = self.transaction(txn_id=txn_id, audit_commit=audit_commit)
+        for __ in range(MAX_RETRIES):
+            txn = self.transaction(txn_id=txn_id)
             result = fn(txn)
             try:
                 txn.commit(result=result)
             except TxnConflict:
                 continue
             return result
-        raise TxnConflict(f"transaction {txn_id!r} aborted {max_retries} times")
+        raise TxnConflict(f"transaction {txn_id!r} aborted {MAX_RETRIES} times")
 
     # -- commit machinery (called by Transaction) ---------------------------
 
@@ -135,14 +103,6 @@ class TransactionalStore:
         for key, version in txn.reads.items():
             if self._versions.get(key, 0) != version:
                 self.aborts += 1
-                self._m_aborts.inc()
-                self.audit.emit(
-                    "txn_abort",
-                    txn=_render_id(txn.txn_id),
-                    key=_render_id(key),
-                    expected=version,
-                    found=self._versions.get(key, 0),
-                )
                 raise TxnConflict(
                     f"key {key!r} moved from version {version} to "
                     f"{self._versions.get(key, 0)}"
@@ -154,16 +114,8 @@ class TransactionalStore:
                 self._values[key] = value
             self._versions[key] = self._versions.get(key, 0) + 1
         self.commits += 1
-        self._m_commits.inc()
         if txn.txn_id is not None:
             self._applied[txn.txn_id] = result
-        if txn.audit_commit:
-            self.audit.emit(
-                "txn_commit",
-                txn=_render_id(txn.txn_id),
-                reads=len(txn.reads),
-                writes=len(txn.writes),
-            )
 
     def __repr__(self) -> str:
         return (
@@ -180,17 +132,12 @@ class _Deleted:
 _DELETED = _Deleted()
 
 
-def _render_id(value: Any) -> str:
-    return repr(value) if not isinstance(value, str) else value
-
-
 class Transaction:
     """One optimistic transaction: read versions, staged writes."""
 
-    def __init__(self, store: TransactionalStore, txn_id: Any = None, audit_commit: bool = False):
+    def __init__(self, store: TransactionalStore, txn_id: Any = None):
         self.store = store
         self.txn_id = txn_id
-        self.audit_commit = audit_commit
         self.reads: Dict[Any, int] = {}
         self.writes: Dict[Any, Any] = {}
         self.committed = False
@@ -213,15 +160,6 @@ class Transaction:
             raise RuntimeError("transaction already committed")
         self.store._commit(self, result)
         self.committed = True
-
-    def abort(self, reason: str = "caller abort") -> None:
-        self.store.aborts += 1
-        self.store.audit.emit(
-            "txn_abort", txn=_render_id(self.txn_id), key="", expected=-1,
-            found=-1, reason=reason,
-        )
-        self.reads.clear()
-        self.writes.clear()
 
 
 class PortPoolExhausted(RuntimeError):
@@ -246,14 +184,13 @@ class SharedPortPool:
         self,
         store: TransactionalStore,
         port_range: Tuple[int, int] = (10000, 60000),
-        name: str = "natpool",
     ):
         self.store = store
-        self.name = name
+        self.name = "natpool"
         self.port_lo, self.port_hi = port_range
         if self.port_lo > self.port_hi:
             raise ValueError(f"invalid port range: {port_range!r}")
-        store.run(self._init_txn, txn_id=(name, "init"))
+        store.run(self._init_txn, txn_id=(self.name, "init"))
 
     def _init_txn(self, txn: Transaction) -> None:
         txn.set((self.name, "next"), self.port_lo)
@@ -284,7 +221,7 @@ class SharedPortPool:
             txn.set((self.name, "owner", port), flow)
             return port
 
-        return self.store.run(body, audit_commit=self.store.audit_commits)
+        return self.store.run(body)
 
     def release(self, flow: FiveTuple) -> bool:
         """Return the flow's port to the free list (idempotent)."""
@@ -300,7 +237,7 @@ class SharedPortPool:
                 txn.set((self.name, "free"), free + (port,))
             return True
 
-        return self.store.run(body, audit_commit=self.store.audit_commits)
+        return self.store.run(body)
 
     # -- introspection ------------------------------------------------------
 

@@ -65,7 +65,6 @@ from repro.obs.forensics import (
 )
 from repro.obs.health import (
     HealthModel,
-    HealthThresholds,
     ReplicaHealth,
 )
 from repro.obs.hooks import (
@@ -109,7 +108,6 @@ __all__ = [
     "ForensicsEngine",
     "Gauge",
     "HealthModel",
-    "HealthThresholds",
     "Histogram",
     "MetricsRegistry",
     "NULL_AUDIT",

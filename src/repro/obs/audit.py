@@ -22,9 +22,6 @@ with causal flow identifiers:
   replica) / ``ft_freeze_absorbed`` (crash-during-migration guard) /
   ``ft_restore`` / ``ft_replay`` / ``ft_failover_complete``, one trail
   per failure from injection to recovered;
-- transactional shared state — ``txn_abort`` (always) and
-  ``txn_commit`` (opt-in per store/commit: every NAT port draw would
-  be noise), from :class:`repro.ft.txstate.TransactionalStore`;
 - cluster health — ``health_degraded`` / ``health_critical`` /
   ``health_recovered``, one event per replica *state transition* from
   :class:`repro.obs.health.HealthModel` (with the window index, score

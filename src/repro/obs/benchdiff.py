@@ -174,7 +174,6 @@ def regressions(entries: List[DiffEntry]) -> List[DiffEntry]:
 
 def render_diff(
     entries: List[DiffEntry],
-    title: str = "bench diff",
     show_ok: bool = False,
 ) -> str:
     """Aligned table of the diff, regressions first."""
@@ -203,5 +202,5 @@ def render_diff(
     return format_table(
         ["experiment", "metric", "baseline", "current", "delta", "kind", "dir", "status"],
         rows,
-        title=title,
+        title="bench diff",
     )

@@ -67,13 +67,14 @@ COMPONENTS = ("service", "transfer", "stall", "queue")
 # -- exact float decomposition ------------------------------------------------
 
 
-def exact_residual(total: float, partial: float, max_steps: int = 64) -> float:
+def exact_residual(total: float, partial: float) -> float:
     """A float ``q`` with ``partial + q == total`` exactly, when one exists.
 
     The naive IEEE difference does *not* qualify in general —
     ``(a - b) + b != a`` for ``a = 2**52 + 3, b = 0.5`` — so this walks
     ``q`` by ulps from the naive starting point until the rounded sum
-    reproduces ``total`` (in practice within two steps).  An exact
+    reproduces ``total`` (in practice within two steps; it gives up after
+    64).  An exact
     residual can fail to exist at round-half-even midpoints (the same
     ``2**52 + 3`` example: both neighbouring ``q`` values tie to an
     *even* sum while the target is odd); then the naive difference is
@@ -83,7 +84,7 @@ def exact_residual(total: float, partial: float, max_steps: int = 64) -> float:
     q = total - partial
     s = partial + q
     steps = 0
-    while s != total and steps < max_steps:
+    while s != total and steps < 64:
         q = math.nextafter(q, math.inf if s < total else -math.inf)
         s = partial + q
         steps += 1
@@ -113,26 +114,24 @@ def split_plan_total(plan_total: float, transfer_estimate: float) -> Tuple[float
 
 
 def decompose(
-    latency_ns: float,
-    service_ns: float,
-    transfer_ns: float,
-    stall_ns: float = 0.0,
+    latency_ns: float, service_ns: float, transfer_ns: float
 ) -> Tuple[float, float, float, float]:
     """(queue, service, transfer, stall) summing exactly to ``latency_ns``.
 
     The canonical order is ``((service + transfer) + stall) + queue``;
-    the queue-wait is the exact residual against the known components.
-    If no exact residual exists (only possible for wildly inconsistent
-    inputs), everything collapses into the queue term so the invariant
-    *always* holds.
+    a replayed packet carries no stall (a charged stall is a
+    :class:`StallCharge`), and the queue-wait is the exact residual
+    against the known components.  If no exact residual exists (only
+    possible for wildly inconsistent inputs), everything collapses into
+    the queue term so the invariant *always* holds.
     """
-    known = (service_ns + transfer_ns) + stall_ns
+    known = service_ns + transfer_ns
     queue = exact_residual(latency_ns, known)
     if (known + queue) != latency_ns:
         # No exact residual exists (round-half-even midpoint): collapse
         # to a queue-only split rather than break the invariant.
         return latency_ns, 0.0, 0.0, 0.0
-    return queue, service_ns, transfer_ns, stall_ns
+    return queue, service_ns, transfer_ns, 0.0
 
 
 def components_sum(
@@ -266,20 +265,19 @@ class FlightRecorder:
 
     Each closed window contributes one entry holding its K worst
     packets (by latency) with full causal context; the ring keeps the
-    most recent ``capacity`` windows, so a long run's recorder stays
+    most recent ``CAPACITY`` windows, so a long run's recorder stays
     bounded no matter how many windows it cuts.
     """
 
-    def __init__(self, worst_k: int = 8, capacity: int = 256):
+    CAPACITY = 256
+
+    def __init__(self, worst_k: int = 8):
         if worst_k < 1:
             raise ValueError(f"worst_k must be >= 1, got {worst_k!r}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         from collections import deque
 
         self.worst_k = worst_k
-        self.capacity = capacity
-        self.entries: "Any" = deque(maxlen=capacity)
+        self.entries: "Any" = deque(maxlen=self.CAPACITY)
         self.windows_recorded = 0
         self.windows_evicted = 0
 
@@ -289,11 +287,11 @@ class FlightRecorder:
         self.entries.append((window_summary, list(worst)))
         self.windows_recorded += 1
 
-    def worst_overall(self, top: Optional[int] = None) -> List[TailRecord]:
+    def worst_overall(self) -> List[TailRecord]:
         """The worst packets across every retained window, latency-desc."""
         records = [record for __, worst in self.entries for record in worst]
         records.sort(key=lambda r: (-r.latency_ns, r.index))
-        return records if top is None else records[:top]
+        return records
 
 
 # -- the regime-shift detector ------------------------------------------------
@@ -308,35 +306,28 @@ class RegimeShiftDetector:
     forensics engine's own post-run windows.  Two rules fire a
     ``latency_regime_shift`` audit event:
 
-    - a window's p50 or p99 exceeds ``factor`` times the trailing
-      median of the last ``baseline`` windows (needs at least
-      ``min_baseline`` of them), component attribution from the
+    - a window's p50 or p99 exceeds ``FACTOR`` times the trailing
+      median of the last ``BASELINE`` windows (needs at least
+      ``MIN_BASELINE`` of them), component attribution from the
       forensic component sums when the caller supplies them;
-    - a window's buffered fraction crosses ``buffered_fraction`` —
+    - a window's buffered fraction crosses ``BUFFERED_FRACTION`` —
       those packets are accruing failover stall charge, so the stall
       regime has *already* shifted even though their charged latencies
       only materialise at recovery (this is the event that precedes
       ``ft_failover_complete`` in the degraded-before-dead test).
     """
 
-    def __init__(
-        self,
-        audit: AuditLog = NULL_AUDIT,
-        factor: float = 2.0,
-        baseline: int = 8,
-        min_baseline: int = 2,
-        buffered_fraction: float = 0.05,
-    ):
+    FACTOR = 2.0
+    BASELINE = 8
+    MIN_BASELINE = 2
+    BUFFERED_FRACTION = 0.05
+
+    def __init__(self, audit: AuditLog = NULL_AUDIT):
         from collections import deque
 
-        if factor <= 1.0:
-            raise ValueError(f"factor must be > 1, got {factor!r}")
         self.audit = audit
-        self.factor = factor
-        self.min_baseline = min_baseline
-        self.buffered_fraction = buffered_fraction
-        self._p50s: "Any" = deque(maxlen=baseline)
-        self._p99s: "Any" = deque(maxlen=baseline)
+        self._p50s: "Any" = deque(maxlen=self.BASELINE)
+        self._p99s: "Any" = deque(maxlen=self.BASELINE)
         self._buffered_regime = False
         self.shifts: List[Dict[str, Any]] = []
 
@@ -365,7 +356,7 @@ class RegimeShiftDetector:
         window = summary.get("index", summary.get("window"))
         packets = summary.get("packets") or 0
         buffered = summary.get("buffered") or 0
-        if packets and buffered / packets >= self.buffered_fraction:
+        if packets and buffered / packets >= self.BUFFERED_FRACTION:
             if not self._buffered_regime:
                 self._buffered_regime = True
                 self._emit(
@@ -389,9 +380,9 @@ class RegimeShiftDetector:
             base = self._baseline(history)
             if (
                 base is not None
-                and len(history) >= self.min_baseline
+                and len(history) >= self.MIN_BASELINE
                 and base > 0
-                and value > self.factor * base
+                and value > self.FACTOR * base
             ):
                 self._emit(
                     window=window,
@@ -459,11 +450,8 @@ class ForensicsEngine:
         worst_k: int = 8,
         window_packets: int = 4096,
         sample_every: int = 16,
-        ring_capacity: int = 256,
         audit: AuditLog = NULL_AUDIT,
-        detector: Optional[RegimeShiftDetector] = None,
         enabled: bool = True,
-        record_all: bool = False,
     ):
         if window_packets < 1:
             raise ValueError(f"window_packets must be >= 1, got {window_packets!r}")
@@ -474,12 +462,8 @@ class ForensicsEngine:
         self.window_packets = window_packets
         self.sample_every = sample_every
         self.audit = audit
-        self.recorder = FlightRecorder(worst_k=worst_k, capacity=ring_capacity)
-        self.detector = detector or RegimeShiftDetector(audit=audit)
-        #: keep a TailRecord for *every* packet (tests only — the
-        #: exactness suites iterate them; unbounded, never the default)
-        self.record_all = record_all
-        self.records: List[TailRecord] = []
+        self.recorder = FlightRecorder(worst_k=worst_k)
+        self.detector = RegimeShiftDetector(audit=audit)
         self.windows: List[Dict[str, Any]] = []
         self.stall_records: List[StallCharge] = []
         self.runs = 0
@@ -546,8 +530,7 @@ class ForensicsEngine:
         Python iteration per packet would cost more than the forensics
         budget allows against the compiled fast path); only the stride
         is decomposed in Python, through :func:`decompose`, which is
-        what keeps the split exact.  ``record_all`` decomposes every
-        packet: stride 1.
+        what keeps the split exact.
         """
         if not self.enabled or not len(finish):
             return
@@ -557,7 +540,7 @@ class ForensicsEngine:
         costs = self._cost_fn(plans, transfers)
         labels = (costs, fids, replica, lane, fast_flags)  # what _record takes
         window_packets = self.window_packets
-        stride = 1 if self.record_all else self.sample_every
+        stride = self.sample_every
         self.runs += 1
         for start in range(0, len(latencies), window_packets):
             seg = latencies[start : start + window_packets]
@@ -572,11 +555,6 @@ class ForensicsEngine:
                 components["service"] += service
                 components["transfer"] += transfer
                 components["stall"] += stall
-            if self.record_all:
-                self.records.extend(
-                    self._record(start + offset, latency, *labels)
-                    for offset, latency in enumerate(sampled)
-                )
             self.packets += count
             self.sampled += len(sampled)
             for name, total in components.items():
@@ -700,10 +678,7 @@ class ForensicsEngine:
         return dump_jsonl(path, self.rows())
 
     def reset(self) -> None:
-        self.recorder = FlightRecorder(
-            worst_k=self.worst_k, capacity=self.recorder.capacity
-        )
-        self.records.clear()
+        self.recorder = FlightRecorder(worst_k=self.worst_k)
         self.windows.clear()
         self.stall_records.clear()
         self.runs = 0

@@ -3,15 +3,15 @@
 The FT coordinator only learns about a replica when the fault injector
 declares it dead, so it never sees the *degraded-before-dead* shape
 real failures have: p99 creeping up window over window, a drop burst,
-the fast-path hit ratio collapsing, transaction aborts spiking.
+the fast-path hit ratio collapsing.
 :class:`HealthModel` watches
 the per-replica sub-windows a :class:`~repro.obs.timeseries.TimeSeries`
 closes and scores each replica each window:
 
 - **healthy** — nothing notable;
 - **degraded** — drop rate or latency trend above the degraded
-  thresholds, fast-path hit ratio collapsed, or transaction retry rate
-  high: the replica still serves, but something is wrong;
+  thresholds, or fast-path hit ratio collapsed: the replica still
+  serves, but something is wrong;
 - **critical** — packets are being *buffered* to it (the FT layer
   believes it dead), or drop rate / latency passed the critical
   thresholds.
@@ -41,11 +41,13 @@ CRITICAL = "critical"
 #: worst-first severity order
 STATES = (CRITICAL, DEGRADED, HEALTHY)
 _RANK = {state: rank for rank, state in enumerate(STATES)}
+#: scored windows kept per replica (what "ever fast" looks back over)
+HISTORY = 64
 
 
 @dataclass(frozen=True)
 class HealthThresholds:
-    """Knobs of the per-window scoring rules."""
+    """The per-window scoring rules' boundaries."""
 
     #: window drop rate (drops / packets) boundaries
     drop_rate_degraded: float = 0.01
@@ -58,8 +60,6 @@ class HealthThresholds:
     latency_factor_critical: float = 4.0
     #: fast-path hit ratio below this (once warm) is degraded
     fast_hit_degraded: float = 0.25
-    #: transaction abort rate (aborts / attempts) in the window
-    txn_retry_degraded: float = 0.05
     #: windows with fewer packets than this are not scored for ratio
     #: rules (tiny denominators make every ratio a cliff)
     min_packets: int = 8
@@ -82,7 +82,6 @@ class ReplicaHealth:
     p99_ns: Optional[float] = None
     baseline_p99_ns: Optional[float] = None
     fast_hit_ratio: Optional[float] = None
-    txn_retry_rate: float = 0.0
 
     def describe(self) -> str:
         why = ", ".join(self.reasons) if self.reasons else "ok"
@@ -104,20 +103,12 @@ class HealthModel:
     def __init__(
         self,
         timeseries: Optional[TimeSeries] = None,
-        thresholds: Optional[HealthThresholds] = None,
         audit: AuditLog = NULL_AUDIT,
-        txn_store=None,
-        history: int = 64,
     ):
-        self.thresholds = thresholds or HealthThresholds()
+        self.thresholds = HealthThresholds()
         self.audit = audit
-        #: optional :class:`repro.ft.txstate.TransactionalStore`; its
-        #: cumulative commit/abort counters are differenced per window
-        self.txn_store = txn_store
-        self.history = history
         self._tracks: Dict[Any, _ReplicaTrack] = {}
         self._listeners: List[Callable[[ReplicaHealth], None]] = []
-        self._txn_prev = (0, 0)  # (commits, aborts)
         self.windows_scored = 0
         if timeseries is not None:
             timeseries.on_close(self.observe_window)
@@ -133,25 +124,10 @@ class HealthModel:
     def observe_window(self, window: Window) -> List[ReplicaHealth]:
         """Score every replica present in a closed window."""
         self.windows_scored += 1
-        txn_rate = self._txn_window_rate()
-        reports = []
-        for replica in sorted(window.replicas, key=str):
-            reports.append(self._score(window, window.replicas[replica], txn_rate))
-        return reports
+        return [self._score(window, window.replicas[replica])
+                for replica in sorted(window.replicas, key=str)]
 
-    def _txn_window_rate(self) -> float:
-        store = self.txn_store
-        if store is None:
-            return 0.0
-        commits, aborts = store.commits, store.aborts
-        prev_commits, prev_aborts = self._txn_prev
-        self._txn_prev = (commits, aborts)
-        d_commits = commits - prev_commits
-        d_aborts = aborts - prev_aborts
-        attempts = d_commits + d_aborts
-        return d_aborts / attempts if attempts > 0 else 0.0
-
-    def _score(self, window: Window, rw, txn_rate: float) -> ReplicaHealth:
+    def _score(self, window: Window, rw) -> ReplicaHealth:
         t = self.thresholds
         reasons: List[str] = []
         score = 1.0
@@ -196,8 +172,6 @@ class HealthModel:
                     fast_ratio == 0 and rw.fast_hits == 0 and self._ever_fast(track)
                 ):
                     flag(DEGRADED, f"fast_hit={fast_ratio:.2f}", 0.15)
-        if txn_rate >= t.txn_retry_degraded:
-            flag(DEGRADED, f"txn_retry={txn_rate:.3f}", 0.15)
 
         report = ReplicaHealth(
             replica=rw.replica,
@@ -211,7 +185,6 @@ class HealthModel:
             p99_ns=p99,
             baseline_p99_ns=baseline,
             fast_hit_ratio=fast_ratio,
-            txn_retry_rate=txn_rate,
         )
         self._finish(track, report)
         return report
@@ -227,8 +200,8 @@ class HealthModel:
         track.windows_seen += 1
         track.last = report
         track.history.append(report)
-        if len(track.history) > self.history:
-            del track.history[: len(track.history) - self.history]
+        if len(track.history) > HISTORY:
+            del track.history[: len(track.history) - HISTORY]
         if report.state == HEALTHY and report.p99_ns is not None:
             if track.baseline_p99 is None:
                 track.baseline_p99 = report.p99_ns

@@ -19,8 +19,6 @@ operator's one-page view, one section per surface the record holds:
   (restored/rebuilt/replayed/delivered and duration), with the
   kill/buffer/restore/replay event counts beside it, so an FT run is
   readable from the report alone;
-- **transactions** — commit/abort/replay-dedup counts from the
-  ``txn_*`` audit kinds;
 - **health & SLO** — replica state transitions and burn-rate alerts
   (gen-3 windows), when a run emitted them;
 - **telemetry windows** — the per-window table, when the run fed the
@@ -165,8 +163,8 @@ def render_attribution_from_spans(spans: Sequence[Dict[str, Any]]) -> str:
     )
 
 
-def render_audit_summary(events: Sequence[Dict[str, Any]], last_n: int = 3) -> str:
-    """Per-kind decision counts plus the tail of the log."""
+def render_audit_summary(events: Sequence[Dict[str, Any]]) -> str:
+    """Per-kind decision counts plus the log's last three events."""
     if not events:
         return "audit events\n(no events recorded)"
     counts = summarize_events(events)
@@ -175,7 +173,7 @@ def render_audit_summary(events: Sequence[Dict[str, Any]], last_n: int = 3) -> s
         ["event kind", "count"], rows, title=f"audit events ({len(events)} total)"
     )
     tail_lines = ["", "last events:"]
-    for event in list(events)[-last_n:]:
+    for event in list(events)[-3:]:
         fields = {
             key: value
             for key, value in event.items()
@@ -196,7 +194,6 @@ FT_TRAIL_KINDS = (
     "ft_replay",
     "ft_failover_complete",
 )
-TXN_KINDS = ("txn_commit", "txn_abort")
 HEALTH_KINDS = ("health_degraded", "health_critical", "health_recovered")
 SLO_KINDS = ("slo_burn_alert",)
 
@@ -248,30 +245,6 @@ def render_ft_recovery(events: Sequence[Dict[str, Any]]) -> str:
     return "\n\n".join(blocks)
 
 
-def render_txn_summary(events: Sequence[Dict[str, Any]]) -> str:
-    """Transactional shared-state activity from ``txn_*`` audit kinds."""
-    txn_events = [e for e in events if str(e.get("kind", "")).startswith("txn_")]
-    if not txn_events:
-        return "transactions\n(no txn_* events recorded)"
-    commits = sum(1 for e in txn_events if e.get("kind") == "txn_commit")
-    aborts = [e for e in txn_events if e.get("kind") == "txn_abort"]
-    by_key: Dict[str, int] = {}
-    for event in aborts:
-        key = str(event.get("key", "?"))
-        by_key[key] = by_key.get(key, 0) + 1
-    lines = [
-        f"transactions ({len(txn_events)} events)",
-        f"  commits audited : {commits}",
-        f"  aborts          : {len(aborts)}",
-    ]
-    if by_key:
-        hot = sorted(by_key.items(), key=lambda item: (-item[1], item[0]))[:5]
-        lines.append("  hottest abort keys:")
-        for key, count in hot:
-            lines.append(f"    {count:>4}x {key}")
-    return "\n".join(lines)
-
-
 def render_health_slo(events: Sequence[Dict[str, Any]]) -> str:
     """Gen-3 health transitions and SLO burn alerts from the audit log."""
     health = [e for e in events if e.get("kind") in HEALTH_KINDS]
@@ -321,8 +294,6 @@ def render_report(
         kinds = {event.get("kind") for event in audit}
         if any(str(kind).startswith("ft_") for kind in kinds):
             blocks.append(render_ft_recovery(audit))
-        if any(str(kind).startswith("txn_") for kind in kinds):
-            blocks.append(render_txn_summary(audit))
         if kinds & (set(HEALTH_KINDS) | set(SLO_KINDS)):
             blocks.append(render_health_slo(audit))
     if windows is not None:

@@ -13,7 +13,7 @@ does the bookkeeping against the telemetry windows a
   events over the engine's lifetime) and computes the window **burn
   rate** — bad fraction over allowed fraction, the standard
   multi-window burn-rate alerting quantity;
-- a window whose burn rate reaches ``alert_burn_rate`` emits one
+- a window whose burn rate reaches ``ALERT_BURN_RATE`` (2×) emits one
   ``slo_burn_alert`` audit event, so alerts are ordered against every
   other decision in the run (the FT integration test asserts the alert
   lands *before* recovery completes).
@@ -121,17 +121,17 @@ class _ObjectiveState:
 class SLOEngine:
     """Charge telemetry windows against declared objectives."""
 
+    ALERT_BURN_RATE = 2.0
+
     def __init__(
         self,
         objectives: Sequence[SLObjective],
         timeseries: Optional[TimeSeries] = None,
         audit: AuditLog = NULL_AUDIT,
-        alert_burn_rate: float = 2.0,
     ):
         if not objectives:
             raise ValueError("SLOEngine needs at least one objective")
         self.audit = audit
-        self.alert_burn_rate = alert_burn_rate
         self._states = {obj.name: _ObjectiveState(obj) for obj in objectives}
         self.windows_observed = 0
         if timeseries is not None:
@@ -143,14 +143,8 @@ class SLOEngine:
         specs: Sequence[str],
         timeseries: Optional[TimeSeries] = None,
         audit: AuditLog = NULL_AUDIT,
-        alert_burn_rate: float = 2.0,
     ) -> "SLOEngine":
-        return cls(
-            [SLObjective.parse(spec) for spec in specs],
-            timeseries=timeseries,
-            audit=audit,
-            alert_burn_rate=alert_burn_rate,
-        )
+        return cls([SLObjective.parse(spec) for spec in specs], timeseries=timeseries, audit=audit)
 
     @property
     def objectives(self) -> List[SLObjective]:
@@ -178,7 +172,7 @@ class SLOEngine:
             burn = bad_fraction / objective.error_budget_fraction
             state.last_burn = burn
             state.worst_burn = max(state.worst_burn, burn)
-            if burn >= self.alert_burn_rate and bad > 0:
+            if burn >= self.ALERT_BURN_RATE and bad > 0:
                 alert = {
                     "objective": objective.name,
                     "window": window.index,
@@ -199,9 +193,7 @@ class SLOEngine:
 
     # -- reads --------------------------------------------------------------
 
-    def alerts(self, objective: Optional[str] = None) -> List[Dict[str, Any]]:
-        if objective is not None:
-            return list(self._states[objective].alerts)
+    def alerts(self) -> List[Dict[str, Any]]:
         out: List[Dict[str, Any]] = []
         for state in self._states.values():
             out.extend(state.alerts)

@@ -127,7 +127,6 @@ class FlowSpanRecorder:
 
     def __init__(
         self,
-        model: Optional[CostModel] = None,
         every: int = 64,
         max_spans_per_flow: Optional[int] = 64,
     ):
@@ -137,7 +136,6 @@ class FlowSpanRecorder:
             raise ValueError(
                 f"max_spans_per_flow must be >= 1 or None, got {max_spans_per_flow!r}"
             )
-        self.model = model or CostModel()
         self.every = int(every)
         self.max_spans_per_flow = max_spans_per_flow
         #: hot-path probe: fid -> True for flows the platform must not
@@ -171,8 +169,9 @@ class FlowSpanRecorder:
                 self.skip[fid] = True
         return sampled
 
-    def record(self, report: "ProcessReport") -> Optional[Dict[str, Any]]:
-        """Record one packet's spans if its flow is sampled.
+    def record(self, report: "ProcessReport", costs: CostModel) -> Optional[Dict[str, Any]]:
+        """Record one packet's spans, priced by ``costs`` (the recording
+        platform's cost model), if its flow is sampled.
 
         Returns the packet's root span (shared with ``records``) for a
         loaded run to hand back to :meth:`annotate_loaded`, or ``None``
@@ -196,11 +195,11 @@ class FlowSpanRecorder:
             entry = self._steady_templates.get(id(report))
             if entry is None or entry[0] is not report:
                 entry = self._steady_templates[id(report)] = (
-                    report, self._build_children(report)
+                    report, self._build_children(report, costs)
                 )
             template = entry[1]
         else:
-            template = self._build_children(report)
+            template = self._build_children(report, costs)
 
         start = self._clock_ns
         total_ns = 0.0
@@ -247,7 +246,7 @@ class FlowSpanRecorder:
         return root
 
     def _build_children(
-        self, report: "ProcessReport"
+        self, report: "ProcessReport", model: CostModel
     ) -> List[Tuple[str, str, float, float, Optional[int]]]:
         """(name, stage, cycles, dur_ns, wave) children for one report.
 
@@ -259,7 +258,6 @@ class FlowSpanRecorder:
         order, so with integer costs the children sum to the packet's
         ``total_meter()`` cycles exactly.
         """
-        model = self.model
         table = model.op_cycles
         to_ns = model.ns_per_cycle()
 

@@ -10,10 +10,10 @@ sim-time (or packet-count) clock and summarizes each window as it
 closes:
 
 - per-window packet/drop/buffered counts and arrival rate;
-- exact p50/p99 latency from a per-window sample channel
-  (``sample_every=1`` keeps every sample, so a run that fits in one
-  window reproduces ``LoadResult.latency_percentile`` bit-for-bit —
-  the oracle test in ``tests/unit/test_obs_timeseries.py``);
+- exact p50/p99 latency from every delivered packet's latency, so a
+  run that fits in one window reproduces
+  ``LoadResult.latency_percentile`` bit-for-bit — the oracle test in
+  ``tests/unit/test_obs_timeseries.py``;
 - **registry deltas**: every metric in an attached
   :class:`~repro.obs.registry.MetricsRegistry` is snapshotted at window
   close and differenced against the previous close, turning cumulative
@@ -24,7 +24,7 @@ closes:
   latency percentiles) — the input of
   :class:`~repro.obs.health.HealthModel`.
 
-Windows land in a bounded ring (``deque(maxlen=capacity)``): old
+Windows land in a bounded ring (``deque(maxlen=CAPACITY)``): old
 windows are *evicted*, never merged, so eviction can never change any
 retained window's totals (the Hypothesis property in
 ``tests/property/test_timeseries_properties.py``).
@@ -143,7 +143,7 @@ class Window:
         self.packets = 0
         self.drops = 0
         self.buffered = 0
-        #: sampled latency channel (``sample_every`` stride)
+        #: every delivered packet's latency
         self.latencies: List[float] = []
         self.replicas: Dict[Any, ReplicaWindow] = {}
         #: per-window change of every registry series (set at close)
@@ -221,17 +221,16 @@ class TimeSeries:
 
     Exactly one clock drives window closes: ``window_ns`` closes a
     window when an arrival crosses its end (sim time), ``window_packets``
-    after that many records.  ``capacity`` bounds the ring;
-    ``sample_every`` strides the latency sample channel (1 = exact).
+    after that many records.  ``CAPACITY`` bounds the ring.
     """
+
+    CAPACITY = 256
 
     def __init__(
         self,
         window_ns: Optional[float] = None,
         window_packets: Optional[int] = None,
-        capacity: int = 256,
         registry: MetricsRegistry = NULL_REGISTRY,
-        sample_every: int = 1,
     ):
         if window_ns is not None and window_packets is not None:
             raise ValueError("pass window_ns or window_packets, not both")
@@ -241,16 +240,10 @@ class TimeSeries:
             raise ValueError(f"window_ns must be positive, got {window_ns!r}")
         if window_packets is not None and window_packets < 1:
             raise ValueError(f"window_packets must be >= 1, got {window_packets!r}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
         self.window_ns = window_ns
         self.window_packets = window_packets
-        self.capacity = capacity
         self.registry = registry
-        self.sample_every = sample_every
-        self.windows: "deque[Window]" = deque(maxlen=capacity)
+        self.windows: "deque[Window]" = deque(maxlen=self.CAPACITY)
         self.evicted = 0
         self.windows_closed = 0
         #: run totals (never affected by ring eviction)
@@ -259,7 +252,6 @@ class TimeSeries:
         self.total_buffered = 0
         self._current: Optional[Window] = None
         self._next_index = 0
-        self._stride = 0
         self._callbacks: List[Callable[[Window], None]] = []
         #: registry state at the previous window close (delta base)
         self._snap_prev: Dict[str, float] = {}
@@ -313,9 +305,9 @@ class TimeSeries:
         while self._current is not None and now_ns >= self._current.end_ns:
             self._close()
 
-    def finish(self, end_ns: Optional[float] = None) -> Optional[Window]:
+    def finish(self) -> Optional[Window]:
         """Close the in-progress window (end of run)."""
-        return self._close(end_ns)
+        return self._close()
 
     # -- per-dispatch ingestion (cluster path) ------------------------------
 
@@ -350,11 +342,8 @@ class TimeSeries:
         if fast_hit:
             rw.fast_hits += 1
         if latency_ns is not None:
-            self._stride += 1
-            if self._stride >= self.sample_every:
-                self._stride = 0
-                window.latencies.append(latency_ns)
-                rw.latencies.append(latency_ns)
+            window.latencies.append(latency_ns)
+            rw.latencies.append(latency_ns)
         if self.window_packets is not None and window.packets >= self.window_packets:
             self._close(arrival_ns)
 
@@ -389,13 +378,8 @@ class TimeSeries:
             rw = window.replica_window(replica)
             rw.packets += count
             rw.fast_hits += fast
-            if self.sample_every == 1:
-                window.latencies.extend(chunk)
-                rw.latencies.extend(chunk)
-            else:
-                sampled = chunk[self.sample_every - 1 :: self.sample_every]
-                window.latencies.extend(sampled)
-                rw.latencies.extend(sampled)
+            window.latencies.extend(chunk)
+            rw.latencies.extend(chunk)
 
         if self.window_ns is None:
             size = self.window_packets or n or 1
@@ -509,7 +493,6 @@ class TimeSeries:
             "total_buffered": self.total_buffered,
             "window_ns": self.window_ns,
             "window_packets": self.window_packets,
-            "sample_every": self.sample_every,
         }
 
     def write_jsonl(self, path) -> int:
@@ -524,7 +507,6 @@ class TimeSeries:
         self.total_buffered = 0
         self._current = None
         self._next_index = 0
-        self._stride = 0
         self._snap_prev = {}
         self._hist_prev = {}
 

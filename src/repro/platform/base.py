@@ -539,7 +539,7 @@ class Platform:
         root = None
         spans = self.spans
         if spans is not None and spans.skip.get(report.fid) is None:
-            root = spans.record(report)
+            root = spans.record(report, self.costs)
         if self.metrics.enabled or self.tracer.enabled:
             latency_ns = self.costs.cycles_to_ns(self._time_report(report)[1])
             self._m_packets.inc()
@@ -595,7 +595,7 @@ class Platform:
         """
         if _is_packet_batch(packets):
             if self._batch_lane_eligible(use_timestamps):
-                return self._run_load_batch(packets, inter_arrival_ns)
+                return self._run_batch_lane(packets, inter_arrival_ns)
             packets = packets.packet_view()
         gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
         return self._replay(self._functional_pass(packets), gaps, inter_arrival_ns)
@@ -714,7 +714,7 @@ class Platform:
             and isinstance(self.runtime, SpeedyBox)
         )
 
-    def _run_load_batch(self, batch, inter_arrival_ns: float) -> LoadResult:
+    def _run_batch_lane(self, batch, inter_arrival_ns: float) -> LoadResult:
         """Loaded run of a columnar batch through the whole-batch lane."""
         from repro.core.batchlane import BatchLane
 

@@ -47,15 +47,13 @@ class OpenNetVMPlatform(Platform):
         self,
         runtime: Union[ServiceChain, SpeedyBox],
         config: Optional[PlatformConfig] = None,
-        enforce_core_limit: bool = True,
         **kwargs,
     ):
         super().__init__(runtime, config, **kwargs)
-        if enforce_core_limit and len(runtime.nfs) > self.MAX_CHAIN_LENGTH:
+        if len(runtime.nfs) > self.MAX_CHAIN_LENGTH:
             raise ValueError(
                 f"OpenNetVM on the paper's 14-core testbed supports at most "
-                f"{self.MAX_CHAIN_LENGTH} NFs per chain, got {len(runtime.nfs)} "
-                f"(pass enforce_core_limit=False to lift the testbed limit)"
+                f"{self.MAX_CHAIN_LENGTH} NFs per chain, got {len(runtime.nfs)}"
             )
 
     def _transport_cycles_per_hop(self) -> float:

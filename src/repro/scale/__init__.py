@@ -6,7 +6,7 @@ replicas without breaking stateful NFs.  This package supplies the three
 pieces:
 
 - :mod:`repro.scale.sharder` — RSS-style five-tuple sharding onto
-  weighted replicas through a pluggable indirection table, with per-flow
+  equal-share replicas through an indirection table, with per-flow
   pins and minimal-remap repartitioning.
 - :mod:`repro.scale.cluster` — :class:`ScaleCluster`, N independent
   ``SpeedyBox``+``Platform`` chain copies driven on one shared sim

@@ -40,7 +40,7 @@ from repro.platform.base import (
     LoadResult,
     PacketOutcome,
     Platform,
-    PlatformConfig,
+    _is_packet_batch,
     checked_gap,
 )
 from repro.scale.migration import (
@@ -93,7 +93,6 @@ class ScaleCluster:
         replicas: int = 1,
         speedybox: bool = True,
         speedybox_kwargs: Optional[dict] = None,
-        config: Optional[PlatformConfig] = None,
         physical_cores: Optional[int] = None,
         buckets: int = 64,
         metrics: MetricsRegistry = NULL_REGISTRY,
@@ -115,7 +114,6 @@ class ScaleCluster:
         self.platform_name = platform
         self.speedybox = speedybox
         self.speedybox_kwargs = dict(speedybox_kwargs or {})
-        self.config = config
         self.physical_cores = physical_cores
         self.metrics = metrics
         self.tracer = tracer
@@ -131,8 +129,7 @@ class ScaleCluster:
         self.timeseries = timeseries
         #: optional :class:`repro.obs.forensics.ForensicsEngine`, shared
         #: by every replica's platform, whose tail decomposes its
-        #: replica's finished replay — for :meth:`run_load` and
-        #: :meth:`run_load_batch` alike.
+        #: replica's finished replay.
         self.forensics = forensics
         #: per-replica fast-path counter watermarks for the pump
         self._ts_fast_prev: Dict[int, int] = {}
@@ -140,9 +137,7 @@ class ScaleCluster:
         self._next_id = 0
         for __ in range(replicas):
             self._spawn_replica()
-        self.sharder = FlowSharder(
-            {rid: 1.0 for rid in self.replicas}, buckets=buckets
-        )
+        self.sharder = FlowSharder(list(self.replicas), buckets=buckets)
         self.migrator = FlowMigrator(metrics=metrics, tracer=tracer, audit=audit)
         #: canonical five-tuple -> buffered packets (flow is mid-migration);
         #: all wire directions of one frozen flow share one buffer list
@@ -179,7 +174,6 @@ class ScaleCluster:
         platform_cls = PLATFORM_CLASSES[self.platform_name]
         platform = platform_cls(
             runtime,
-            config=self.config,
             metrics=self.metrics,
             tracer=self.tracer,
             label=f"{platform_cls.name}:r{rid}",
@@ -197,7 +191,7 @@ class ScaleCluster:
         single flow onto it, isolating migration from resharding.
         """
         rid = self._spawn_replica()
-        self.sharder.add_replica(rid, rebalance=False)
+        self.sharder.add_replica(rid)
         self._m_replicas.set(len(self.replicas))
         self.audit.emit("scale_out", replica=rid, replicas=len(self.replicas))
         return rid
@@ -302,9 +296,13 @@ class ScaleCluster:
         offered timeline; then every replica's run is replayed by its
         own platform, on the route that platform would take alone.  Only
         with ``physical_cores`` set do the replicas share one engine:
-        all their stage workers contend for that core pool.
+        all their stage workers contend for that core pool.  A columnar
+        :class:`~repro.traffic.columnar.PacketBatch` streams through
+        ``packet_view()``, as it does on a platform the lane cannot take.
         """
         checked_gap(inter_arrival_ns)
+        if _is_packet_batch(packets):
+            packets = packets.packet_view()
         if self._frozen:
             raise MigrationError(
                 f"cannot run load with {len(self._frozen)} flow(s) frozen mid-migration"
@@ -388,45 +386,6 @@ class ScaleCluster:
                 per_replica[rid] = platform._finish_run(
                     runs[rid], (pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
                 )
-        total = LoadResult.merged(list(per_replica.values()))
-        return ClusterLoadResult(total=total, per_replica=per_replica)
-
-    def run_load_batch(self, batch) -> ClusterLoadResult:
-        """Shard a columnar :class:`~repro.traffic.columnar.PacketBatch`
-        across the replicas and run every sub-batch, one loaded window.
-
-        The columnar analogue of :meth:`run_load`: the sharding unit is
-        the *flow* (``home_of`` on each flow's canonical five-tuple, the
-        same mapping the per-packet router uses), each replica gets
-        a self-contained sub-batch (:meth:`PacketBatch.select_flows`,
-        packet order preserved), and each replica's platform runs it —
-        down the whole-batch lane when that platform is eligible.  With
-        back-to-back arrivals the per-replica results are exactly what
-        the per-packet window would have produced, which is why no
-        ``inter_arrival_ns`` parameter exists here: a global arrival
-        timeline cannot be cut into self-contained sub-batches.
-
-        Not supported (both need per-packet hooks): flows frozen
-        mid-migration, and fault tolerance (checkpoint ticking, dead-
-        replica buffering).
-        """
-        if self._frozen:
-            raise MigrationError(
-                f"cannot run load with {len(self._frozen)} flow(s) frozen mid-migration"
-            )
-        if self.ft is not None:
-            raise MigrationError(
-                "fault tolerance needs the per-packet window; use run_load"
-            )
-        flows_by_rid: Dict[int, List[int]] = {rid: [] for rid in self.replicas}
-        five_tuple_of = batch.five_tuple_of
-        for flow in range(batch.flow_count):
-            rid = self.home_of(five_tuple_of(flow))
-            flows_by_rid[rid].append(flow)
-        per_replica: Dict[int, LoadResult] = {}
-        for rid, flow_ids in flows_by_rid.items():
-            sub_batch = batch.select_flows(flow_ids)
-            per_replica[rid] = self.replicas[rid].platform.run_load(sub_batch)
         total = LoadResult.merged(list(per_replica.values()))
         return ClusterLoadResult(total=total, per_replica=per_replica)
 

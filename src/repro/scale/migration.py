@@ -82,9 +82,7 @@ def observed_tuples(nfs: Sequence[NetworkFunction], flow: FiveTuple) -> List[Fiv
     return observed
 
 
-def wire_directions(
-    nfs: Sequence[NetworkFunction], flow: FiveTuple, limit: int = 8
-) -> List[FiveTuple]:
+def wire_directions(nfs: Sequence[NetworkFunction], flow: FiveTuple) -> List[FiveTuple]:
     """Every wire-ingress five-tuple this connection can arrive with.
 
     For a header-preserving chain that is just ``flow`` and its reverse.
@@ -93,11 +91,11 @@ def wire_directions(
     the reverse of the direction's **egress** tuple, not of its ingress
     tuple.  Starting from ``flow`` and ``flow.reversed()``, repeatedly
     walking each direction down the chain and adding its egress-reverse
-    closes the set (bounded by ``limit`` as a cycle guard).
+    closes the set (at most eight directions, a cycle guard).
     """
     directions: List[FiveTuple] = []
     pending: List[FiveTuple] = [flow, flow.reversed()]
-    while pending and len(directions) < limit:
+    while pending and len(directions) < 8:
         direction = pending.pop(0)
         if direction in directions:
             continue

@@ -8,10 +8,10 @@ properties are exactly what flow-state migration needs:
 - **stability** — a flow's bucket is a pure function of its five-tuple,
   so the same flow always lands on the same replica until the table is
   explicitly repartitioned;
-- **minimal remapping** — repartitioning moves whole buckets, and the
-  largest-remainder quota assignment moves only the buckets that *must*
-  move: growing from N to N+1 equal-weight replicas relocates about
-  ``size/(N+1)`` buckets, all of them onto the new replica.
+- **minimal remapping** — repartitioning moves whole buckets, and only
+  the buckets that *must* move: every replica keeps an equal share
+  (``size // N``, the first ``size % N`` replica ids one more), and a
+  bucket keeps its owner while that owner is within its share.
 
 Both directions of a connection must reach the same replica (the NAT's
 reverse mapping, Snort's flowbits and the monitor counters live there),
@@ -19,12 +19,14 @@ so hashing is over :meth:`~repro.net.flow.FiveTuple.canonical`.
 
 Per-flow *pins* override the table during migrations: a migrated flow is
 pinned to its new home so it does not snap back when the table changes.
+A replica added to a running sharder joins with no buckets: flows reach
+it only by pin.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.net.flow import FiveTuple
 
@@ -54,28 +56,8 @@ def shard_hash(flow: FiveTuple) -> int:
     return value
 
 
-def _largest_remainder_quotas(weights: Mapping[int, float], size: int) -> Dict[int, int]:
-    """Integer bucket quotas proportional to weight, summing to ``size``."""
-    total = float(sum(weights.values()))
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    raw = {rid: size * weight / total for rid, weight in weights.items()}
-    quotas = {rid: int(value) for rid, value in raw.items()}
-    leftover = size - sum(quotas.values())
-    by_remainder = sorted(raw, key=lambda rid: (-(raw[rid] - quotas[rid]), rid))
-    for rid in by_remainder[:leftover]:
-        quotas[rid] += 1
-    return quotas
-
-
 class IndirectionTable:
-    """bucket → replica, repartitioned with minimal movement.
-
-    The table is the pluggable policy object of the sharder: subclass and
-    override :meth:`rebalance` for a different repartitioning strategy
-    (e.g. consistent hashing); the sharder only relies on ``size``,
-    ``replica_of`` and ``rebalance``'s moved-bucket report.
-    """
+    """bucket → replica, repartitioned with minimal movement."""
 
     def __init__(self, size: int = 128):
         if size <= 0:
@@ -93,23 +75,21 @@ class IndirectionTable:
     def buckets_snapshot(self) -> Tuple[Optional[int], ...]:
         return tuple(self._buckets)
 
-    def rebalance(
-        self, weights: Mapping[int, float]
-    ) -> Dict[int, Tuple[Optional[int], int]]:
-        """Repartition to the given replica weights; move as little as possible.
+    def rebalance(self, replica_ids: Sequence[int]) -> Dict[int, Tuple[Optional[int], int]]:
+        """Repartition into equal shares; move as little as possible.
 
-        Every bucket keeps its current replica while that replica stays
-        within its new quota; orphaned buckets (owner removed) and
-        over-quota spill move to the replicas with remaining deficit, in
-        ascending replica id.  Returns ``{bucket: (old, new)}`` for every
-        bucket that changed owner.
+        Every replica's share is ``size // N`` buckets, and the ``size % N``
+        lowest replica ids take one more.  Every bucket keeps its current
+        replica while that replica stays within its share; orphaned
+        buckets (owner removed) and over-share spill move to the replicas
+        with remaining deficit, in ascending replica id.  Returns
+        ``{bucket: (old, new)}`` for every bucket that changed owner.
         """
-        if not weights:
+        if not replica_ids:
             raise ValueError("rebalance needs at least one replica")
-        for rid, weight in weights.items():
-            if weight <= 0:
-                raise ValueError(f"replica {rid} weight must be positive, got {weight!r}")
-        quotas = _largest_remainder_quotas(weights, self.size)
+        ordered = sorted(replica_ids)
+        share, extra = divmod(self.size, len(ordered))
+        quotas = {rid: share + (rank < extra) for rank, rid in enumerate(ordered)}
         kept: Dict[int, int] = {rid: 0 for rid in quotas}
         homeless: List[int] = []
         for bucket, owner in enumerate(self._buckets):
@@ -132,36 +112,22 @@ class IndirectionTable:
 
 
 class FlowSharder:
-    """Hash five-tuples onto weighted chain replicas, RSS style."""
+    """Hash five-tuples onto chain replicas in equal shares, RSS style."""
 
-    def __init__(
-        self,
-        replicas: Union[int, Mapping[int, float], Sequence[int]],
-        buckets: int = 128,
-        table: Optional[IndirectionTable] = None,
-    ):
-        if isinstance(replicas, int):
-            weights: Dict[int, float] = {rid: 1.0 for rid in range(replicas)}
-        elif isinstance(replicas, Mapping):
-            weights = dict(replicas)
-        else:
-            weights = {rid: 1.0 for rid in replicas}
-        if not weights:
+    def __init__(self, replicas: Union[int, Sequence[int]], buckets: int = 128):
+        ids = range(replicas) if isinstance(replicas, int) else replicas
+        self._replicas: Set[int] = set(ids)
+        if not self._replicas:
             raise ValueError("a sharder needs at least one replica")
-        self.table = table or IndirectionTable(buckets)
-        self._weights = weights
+        self.table = IndirectionTable(buckets)
         self._pins: Dict[FiveTuple, int] = {}
-        self.table.rebalance(weights)
+        self.table.rebalance(list(self._replicas))
 
     # -- lookup ---------------------------------------------------------------
 
     @property
     def replica_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._weights))
-
-    @property
-    def weights(self) -> Dict[int, float]:
-        return dict(self._weights)
+        return tuple(sorted(self._replicas))
 
     def bucket_of(self, flow: FiveTuple) -> int:
         return shard_hash(flow) % self.table.size
@@ -176,7 +142,7 @@ class FlowSharder:
     # -- pins (migration overrides) -------------------------------------------
 
     def pin(self, flow: FiveTuple, replica_id: int) -> None:
-        if replica_id not in self._weights:
+        if replica_id not in self._replicas:
             raise KeyError(f"unknown replica {replica_id!r}")
         self._pins[flow.canonical()] = replica_id
 
@@ -188,46 +154,29 @@ class FlowSharder:
 
     # -- repartitioning -------------------------------------------------------
 
-    def set_weights(
-        self, weights: Mapping[int, float]
-    ) -> Dict[int, Tuple[Optional[int], int]]:
-        """Install a new replica set/weighting; returns the moved buckets."""
-        if not weights:
-            raise ValueError("a sharder needs at least one replica")
-        moved = self.table.rebalance(weights)
-        self._weights = dict(weights)
+    def add_replica(self, replica_id: int) -> None:
+        """Register a replica with no buckets: flows reach it only via
+        pins until a removal repartitions the table."""
+        if replica_id in self._replicas:
+            raise ValueError(f"replica {replica_id!r} already present")
+        self._replicas.add(replica_id)
+
+    def remove_replica(self, replica_id: int) -> Dict[int, Tuple[Optional[int], int]]:
+        """Drop a replica: equal shares over the rest, its pins dropped;
+        returns the moved buckets."""
+        if replica_id not in self._replicas:
+            raise KeyError(f"unknown replica {replica_id!r}")
+        if len(self._replicas) == 1:
+            raise ValueError("cannot remove the last replica")
+        self._replicas.discard(replica_id)
+        moved = self.table.rebalance(list(self._replicas))
         for flow, rid in list(self._pins.items()):
-            if rid not in self._weights:
+            if rid == replica_id:
                 del self._pins[flow]
         return moved
 
-    def add_replica(
-        self, replica_id: int, weight: float = 1.0, rebalance: bool = True
-    ) -> Dict[int, Tuple[Optional[int], int]]:
-        """Register a replica; with ``rebalance=False`` it joins with no
-        buckets (flows reach it only via pins until the next rebalance)."""
-        if replica_id in self._weights:
-            raise ValueError(f"replica {replica_id!r} already present")
-        if not rebalance:
-            if weight <= 0:
-                raise ValueError(f"replica weight must be positive, got {weight!r}")
-            self._weights[replica_id] = weight
-            return {}
-        weights = dict(self._weights)
-        weights[replica_id] = weight
-        return self.set_weights(weights)
-
-    def remove_replica(self, replica_id: int) -> Dict[int, Tuple[Optional[int], int]]:
-        if replica_id not in self._weights:
-            raise KeyError(f"unknown replica {replica_id!r}")
-        if len(self._weights) == 1:
-            raise ValueError("cannot remove the last replica")
-        weights = dict(self._weights)
-        del weights[replica_id]
-        return self.set_weights(weights)
-
     def __repr__(self) -> str:
         return (
-            f"<FlowSharder {len(self._weights)} replicas, "
+            f"<FlowSharder {len(self._replicas)} replicas, "
             f"{self.table.size} buckets, {len(self._pins)} pins>"
         )

@@ -48,7 +48,7 @@ class PacketBatch:
 
     Every column is an ndarray of fixed dtype: int64, except uint8 for
     ``flow_proto``, ``flow_handshake`` and ``kind`` and float64 for the
-    optional ``timestamp_ns``.
+    optional ``timestamp_ns`` (``None`` as built; a trace sets it).
     """
 
     __slots__ = (
@@ -83,7 +83,6 @@ class PacketBatch:
         ordinal,
         seq,
         size,
-        timestamp_ns=None,
         payloads: Optional[List[PayloadPolicy]] = None,
         uniform_payload: bytes = b"",
     ):
@@ -100,7 +99,7 @@ class PacketBatch:
         self.ordinal = ordinal
         self.seq = seq
         self.size = size
-        self.timestamp_ns = timestamp_ns
+        self.timestamp_ns = None
         #: lazily built FiveTuple cache for flows the scalar path touches
         self._five_tuples: dict = {}
         self._ft_getters = None
@@ -196,39 +195,6 @@ class PacketBatch:
         only needs ``len()`` and one forward iteration.
         """
         return LazyPacketView(self)
-
-    # -- sharding (repro.scale) ----------------------------------------------
-
-    def select_flows(self, flow_ids: Sequence[int]) -> "PacketBatch":
-        """The sub-batch of the given flows, preserving packet order.
-
-        Flow indices are remapped to the compacted flow table, so the
-        result is a self-contained batch (cluster replicas each get one).
-        """
-        wanted = np.unique(np.fromiter(flow_ids, np.int64))
-        remap = np.full(self.flow_count, -1, dtype=np.int64)
-        remap[wanted] = np.arange(len(wanted))
-        flow_index = remap[self.flow_index]
-        keep = flow_index >= 0
-        sub_payloads = None
-        if self._payloads is not None:
-            sub_payloads = [self._payloads[f] for f in wanted.tolist()]
-        return PacketBatch(
-            self.flow_src_ip[wanted],
-            self.flow_dst_ip[wanted],
-            self.flow_src_port[wanted],
-            self.flow_dst_port[wanted],
-            self.flow_proto[wanted],
-            self.flow_handshake[wanted],
-            flow_index[keep],
-            self.kind[keep],
-            self.ordinal[keep],
-            self.seq[keep],
-            self.size[keep],
-            timestamp_ns=None if self.timestamp_ns is None else self.timestamp_ns[keep],
-            payloads=sub_payloads,
-            uniform_payload=self._uniform_payload,
-        )
 
 
 class LazyPacketView:

@@ -167,18 +167,13 @@ class DatacenterTraceGenerator:
 
         return policy
 
-    def timestamped_packets(
-        self,
-        mean_flow_gap_ns: float = 20_000.0,
-        burst_size: int = 4,
-        intra_burst_gap_ns: float = 1_000.0,
-        mean_off_gap_ns: float = 60_000.0,
-    ) -> List["Packet"]:
+    def timestamped_packets(self) -> List["Packet"]:
         """Expand the trace to packets with ON/OFF arrival timestamps.
 
         Benson et al. characterise datacenter traffic as ON/OFF at packet
-        granularity: flows start at (exponential) random offsets, send
-        bursts of back-to-back packets, then pause.  The returned packets
+        granularity: flows start at (exponential, mean 20 µs) random
+        offsets, send bursts of four packets 1 µs apart, then pause
+        (exponential, mean 60 µs).  The returned packets
         carry ``timestamp_ns`` and are globally time-ordered, ready for
         ``Platform.run_load(..., use_timestamps=True)`` replay.
         """
@@ -187,14 +182,14 @@ class DatacenterTraceGenerator:
         all_packets = []
         flow_start = 0.0
         for spec in self.generate_flows():
-            flow_start += self._random.expovariate(1.0 / mean_flow_gap_ns)
+            flow_start += self._random.expovariate(1.0 / 20_000.0)
             timestamp = flow_start
             for index, packet in enumerate(packets_for_flow(spec)):
                 if index:
-                    if index % burst_size == 0:
-                        timestamp += self._random.expovariate(1.0 / mean_off_gap_ns)
+                    if index % 4 == 0:
+                        timestamp += self._random.expovariate(1.0 / 60_000.0)
                     else:
-                        timestamp += intra_burst_gap_ns
+                        timestamp += 1_000.0
                 packet.timestamp_ns = timestamp
                 all_packets.append(packet)
         all_packets.sort(key=lambda packet: packet.timestamp_ns)

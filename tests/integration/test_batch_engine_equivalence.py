@@ -131,22 +131,12 @@ def test_cluster_batch_matches_per_packet():
         return modify_chain()
 
     batch = uniform_batch(90, 4, interleave="round_robin", block=16)
-    lane_cluster = ScaleCluster(factory, platform="bess", replicas=3)
-    oracle_cluster = ScaleCluster(factory, platform="bess", replicas=3)
-
-    lane = lane_cluster.run_load_batch(batch)
-    oracle = oracle_cluster.run_load(batch.packet_view())
-
-    assert lane.total.offered == oracle.total.offered
-    assert lane.total.delivered == oracle.total.delivered
-    assert lane.total.dropped == oracle.total.dropped
-    assert sorted(lane.total.latencies_ns) == sorted(oracle.total.latencies_ns)
-    assert set(lane.per_replica) == set(oracle.per_replica)
-    for rid in lane.per_replica:
-        assert lane.per_replica[rid].offered == oracle.per_replica[rid].offered, rid
-        assert (
-            lane.per_replica[rid].delivered == oracle.per_replica[rid].delivered
-        ), rid
+    batched = ScaleCluster(factory, platform="bess", replicas=3).run_load(batch)
+    listed = ScaleCluster(factory, platform="bess", replicas=3).run_load(
+        list(batch.packet_view())
+    )
+    assert batched.total.offered == len(batch)
+    assert batched == listed
 
 
 def test_cluster_batch_rejects_frozen_and_ft():
@@ -156,4 +146,4 @@ def test_cluster_batch_rejects_frozen_and_ft():
     batch = uniform_batch(4, 1)
     cluster._frozen[batch.five_tuple_of(0).canonical()] = []
     with pytest.raises(MigrationError):
-        cluster.run_load_batch(batch)
+        cluster.run_load(batch)

@@ -220,7 +220,7 @@ class TestSharedPoolUnderFailover:
         serves two flows — the pinned acceptance property."""
         store, pool, aggregate = shared_state()
         cluster = ScaleCluster(cluster_chain_factory(pool, aggregate), replicas=4)
-        ft = FaultTolerance(cluster, checkpoint_interval=12, store=store)
+        ft = FaultTolerance(cluster, checkpoint_interval=12)
         packets = workload(flows=20, packets_per_flow=8, fin_every=None)
         two_thirds = 2 * len(packets) // 3
         for packet in packets[:two_thirds]:

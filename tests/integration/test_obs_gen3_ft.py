@@ -168,12 +168,11 @@ class TestRecoveryTimeline:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-        cluster = ScaleCluster(build_chain, replicas=2)
+        cluster = ScaleCluster(build_chain, replicas=2, metrics=registry)
         ft = FaultTolerance(
             cluster,
             checkpoint_interval=8,
             injector=FaultInjector(kill_at=40),
-            metrics=registry,
         )
         cluster.run_load(clone_packets(workload(flows=16, packets_per_flow=6)))
         assert ft.dead

@@ -36,7 +36,7 @@ class TestExactAttribution:
         """Acceptance: span attribution == run total, exact equality."""
         model = CostModel()
         packets = fig8_packets()
-        spans = FlowSpanRecorder(model=model, every=1, max_spans_per_flow=None)
+        spans = FlowSpanRecorder(every=1, max_spans_per_flow=None)
         platform = BessPlatform(SpeedyBox(fig8_chain()), spans=spans)
         result = platform.run_load(clone_packets(packets))
         assert result.delivered == len(packets)
@@ -60,7 +60,7 @@ class TestExactAttribution:
         """Fixed-meter stages agree bucket by bucket, not just in total."""
         model = CostModel()
         packets = fig8_packets(flows=3, per_flow=20)
-        spans = FlowSpanRecorder(model=model, every=1, max_spans_per_flow=None)
+        spans = FlowSpanRecorder(every=1, max_spans_per_flow=None)
         platform = BessPlatform(SpeedyBox(fig8_chain()), spans=spans)
         platform.run_load(clone_packets(packets))
 
@@ -240,17 +240,3 @@ class TestGen3Sections:
                      "--current", str(cur)]) == 2
         assert "no schema block" in capsys.readouterr().err
 
-    def test_txn_section_renders_from_audit_kinds(self):
-        from repro.obs.report import render_txn_summary
-
-        events = [
-            {"kind": "txn_commit", "txn": "a", "reads": 1, "writes": 1},
-            {"kind": "txn_abort", "txn": "b", "key": "('natpool', 'next')",
-             "expected": 1, "found": 2},
-            {"kind": "txn_abort", "txn": "c", "key": "('natpool', 'next')",
-             "expected": 2, "found": 3},
-        ]
-        text = render_txn_summary(events)
-        assert "commits audited : 1" in text
-        assert "aborts          : 2" in text
-        assert "natpool" in text

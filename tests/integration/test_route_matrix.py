@@ -430,10 +430,10 @@ def test_cluster_kill_and_recover_window(routes):
 def test_shared_recorder_keeps_an_earlier_runs_stamps():
     """A run's tail stamps the roots that run recorded and no others:
     the tails of a later ``run_load`` (one per replica, same shared
-    recorder) must not restamp what ``run_load_batch`` left."""
+    recorder) must not restamp what an earlier one left."""
     recorder = FlowSpanRecorder(every=1)
     cluster = ScaleCluster(header_chain, replicas=2, spans=recorder)
-    cluster.run_load_batch(make_batch("header", "saturation"))
+    cluster.run_load(make_batch("header", "saturation"))
     stamps = [dict(root["args"]) for root in recorder.roots()]
     assert stamps and all("sim_finish_ns" in args for args in stamps)
     cluster.run_load(list(make_batch("header", "saturation").packet_view()), inter_arrival_ns=977.0)

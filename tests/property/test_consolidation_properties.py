@@ -41,7 +41,7 @@ def modify_strategy():
 
 
 def ttl_dec_strategy():
-    return st.integers(1, 3).map(Modify.ttl_dec)
+    return st.integers(1, 3).map(lambda hops: Modify.adjust(ttl=-hops))
 
 
 def encap_strategy():
@@ -144,7 +144,7 @@ class TestConsolidationEquivalence:
     )
     @settings(max_examples=100, deadline=None)
     def test_ttl_adjustments_sum(self, hops, start_ttl):
-        actions = [Modify.ttl_dec(hop) for hop in hops]
+        actions = [Modify.adjust(ttl=-hop) for hop in hops]
         packet = make_packet()
         packet.ip.ttl = start_ttl
         total = sum(hops)

@@ -114,7 +114,7 @@ def nat_chain():
 
 
 def vpn_chain():
-    # the pair cancels in the consolidated action; raw_actions keep both
+    # the pair cancels in the consolidated action
     return [VpnEncap("enc"), Monitor("mon"), VpnDecap("dec")]
 
 
@@ -255,7 +255,6 @@ def record_view(record):
             consolidated_view(rule.consolidated),
             [[batch_view(batch) for batch in wave] for wave in rule.schedule.waves],
             rule.nf_names,
-            rule.raw_actions,
             consolidated_view(rule.pre_drop),
             rule.dropper,
             rule.version,
@@ -355,7 +354,6 @@ def assert_copy_discipline(original: FlowRecord, clone: FlowRecord, nfs) -> None
         assert dst_rule.schedule is not src_rule.schedule
         assert dst_rule.consolidated is src_rule.consolidated
         assert dst_rule.pre_drop is src_rule.pre_drop
-        assert dst_rule.raw_actions is src_rule.raw_actions
         assert dst_rule.nf_names is src_rule.nf_names
         for src_batch, dst_batch in zip(src_batches, dst_batches):
             check_batch(src_batch, dst_batch)

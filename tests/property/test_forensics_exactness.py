@@ -6,8 +6,8 @@ generator DES, the vectorized whole-batch lane) — the four components
 must reproduce the packet's reported latency under IEEE float equality
 in the canonical order ``((service + transfer) + stall) + queue``.
 Hypothesis draws random flow populations, arrival gaps and chain
-shapes; the engine runs in ``record_all`` mode so the claim is checked
-for *every* packet, not a sampled stride.
+shapes; the engine keeps every packet of its one window as a worst-K
+record, so the claim is checked for *every* packet, not a sampled stride.
 """
 
 from __future__ import annotations
@@ -26,9 +26,18 @@ from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.columnar import uniform_batch
 
 
+def every_packet_engine(**kwargs) -> ForensicsEngine:
+    """An engine whose worst-K is its whole (one) window: a record per packet."""
+    return ForensicsEngine(worst_k=4096, window_packets=4096, **kwargs)
+
+
+def every_record(engine: ForensicsEngine) -> list:
+    return sorted(engine.recorder.worst_overall(), key=lambda record: record.index)
+
+
 def assert_exact(engine: ForensicsEngine, expected_lane: str) -> None:
-    assert engine.records, "record_all engine observed no packets"
-    for record in engine.records:
+    assert every_record(engine), "the engine observed no packets"
+    for record in every_record(engine):
         assert record.lane == expected_lane
         assert components_sum(
             record.queue_ns, record.service_ns, record.transfer_ns, record.stall_ns
@@ -69,7 +78,7 @@ scalar_cases = st.tuples(
 @given(scalar_cases)
 def test_analytic_lane_components_sum_exactly(case):
     flows, per_flow, shape, gap, bess = case
-    engine = ForensicsEngine(record_all=True, sample_every=1)
+    engine = every_packet_engine(sample_every=1)
     platform_cls = BessPlatform if bess else OpenNetVMPlatform
     platform = platform_cls(SpeedyBox(chain_for(shape)), forensics=engine)
     platform.run_load(packet_stream(flows, per_flow), inter_arrival_ns=gap)
@@ -80,7 +89,7 @@ def test_analytic_lane_components_sum_exactly(case):
 @given(scalar_cases)
 def test_des_lane_components_sum_exactly(case):
     flows, per_flow, shape, gap, bess = case
-    engine = ForensicsEngine(record_all=True, sample_every=1)
+    engine = every_packet_engine(sample_every=1)
     platform_cls = BessPlatform if bess else OpenNetVMPlatform
     platform = platform_cls(
         SpeedyBox(chain_for(shape)),
@@ -104,7 +113,7 @@ batch_cases = st.tuples(
 @given(batch_cases)
 def test_batch_lane_components_sum_exactly(case):
     flows, per_flow, block = case
-    engine = ForensicsEngine(record_all=True, sample_every=1)
+    engine = every_packet_engine(sample_every=1)
     chain = [
         SyntheticNF("fw", action=Modify.ttl_dec(), sf_payload_class=None),
         SyntheticNF("mon", sf_payload_class=None),
@@ -125,7 +134,7 @@ def test_lane_rows_equal_the_per_packet_rows(platform_cls):
     out as 1 325 / 130 ns where the pass says 920 / 535)."""
 
     def rows(offered):
-        engine = ForensicsEngine(record_all=True)
+        engine = every_packet_engine()
         chain = [
             SyntheticNF("fw", action=Modify.ttl_dec(), sf_payload_class=None),
             SyntheticNF("nat", action=Modify.set(dst_port=8080), sf_payload_class=None),
@@ -137,7 +146,7 @@ def test_lane_rows_equal_the_per_packet_rows(platform_cls):
         assert (platform.last_lane_stats is not None) == (offered == "batch")
         return [
             (record.fid, record.fast, record.service_ns, record.transfer_ns)
-            for record in engine.records
+            for record in every_record(engine)
         ]
 
     assert rows("batch") == rows("packet_view")

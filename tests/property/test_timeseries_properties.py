@@ -61,8 +61,14 @@ def window_key(window):
 def test_eviction_never_changes_retained_windows(stream, capacity, window):
     kind, size = window
     kwargs = {"window_ns": size} if kind == "ns" else {"window_packets": size}
-    full = TimeSeries(capacity=10_000, **kwargs)
-    ring = TimeSeries(capacity=capacity, **kwargs)
+    class Full(TimeSeries):
+        CAPACITY = 10_000
+
+    class Ring(TimeSeries):
+        CAPACITY = capacity
+
+    full = Full(**kwargs)
+    ring = Ring(**kwargs)
     replay(full, stream)
     replay(ring, stream)
 

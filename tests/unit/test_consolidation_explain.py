@@ -1,53 +1,48 @@
-"""Unit tests for the consolidation explainer (explain_consolidation)."""
+"""What the §V-B consolidator makes of each kind of recorded action, one
+case per step of the algorithm: a forward is elided, a drop dominates,
+modifies compose per field, an encap/decap pair cancels, a decap past
+the stack is a leading decap of an arrival header."""
 
 import pytest
 
 from repro.core.actions import Decap, Drop, Encap, Forward, Modify
-from repro.core.consolidation import (
-    ConsolidationError,
-    consolidate_header_actions,
-    explain_consolidation,
-)
+from repro.core.consolidation import ConsolidationError, consolidate_header_actions
 from repro.net import AuthenticationHeader, VxlanHeader
 from repro.net.addresses import ip_to_int
 
 
 class TestExplain:
     def test_forward_elided(self):
-        lines = explain_consolidation([Forward()])
-        assert "identity, elided" in lines[0]
-        assert lines[-1].startswith("result:")
+        result = consolidate_header_actions([Forward()])
+        assert result.is_noop
+        assert result.source_count == 1
 
     def test_drop_short_circuits_narration(self):
-        lines = explain_consolidation([Forward(), Drop(), Modify.set(ttl=1)])
-        assert any("DROP dominates" in line for line in lines)
-        assert lines[-1] == "result: drop"
-        # Nothing narrated after the drop.
-        assert not any("[2]" in line for line in lines)
+        result = consolidate_header_actions([Forward(), Drop(), Modify.set(ttl=1)])
+        assert result.drop
+        # Nothing after the drop is consumed.
+        assert not result.field_ops
 
     def test_modify_records_then_composes(self):
-        lines = explain_consolidation(
-            [Modify.set(dst_port=1), Modify.set(dst_port=2)]
-        )
-        assert any("records dst_port" in line for line in lines)
-        assert any("composes onto dst_port" in line for line in lines)
+        result = consolidate_header_actions([Modify.set(dst_port=1), Modify.set(dst_port=2)])
+        assert result.merged_modify_count == 1
+        (field, op), = result.field_ops.items()
+        assert (field.value, op.apply(7)) == ("dst_port", 2)
 
     def test_encap_decap_cancellation_narrated(self):
-        lines = explain_consolidation(
+        result = consolidate_header_actions(
             [Encap(AuthenticationHeader(spi=1)), Decap(AuthenticationHeader)]
         )
-        assert any("pushed (stack depth 1)" in line for line in lines)
-        assert any("cancels" in line for line in lines)
-        assert "0 net encap(s)" in lines[-1]
+        assert not result.net_encaps
+        assert not result.leading_decaps
 
     def test_underflow_narrated(self):
-        lines = explain_consolidation([Decap()])
-        assert any("underflows" in line for line in lines)
-        assert "1 leading decap(s)" in lines[-1]
+        result = consolidate_header_actions([Decap()])
+        assert len(result.leading_decaps) == 1
 
     def test_mismatched_decap_raises(self):
         with pytest.raises(ConsolidationError):
-            explain_consolidation([Encap(AuthenticationHeader(spi=1)), Decap(VxlanHeader)])
+            consolidate_header_actions([Encap(AuthenticationHeader(spi=1)), Decap(VxlanHeader)])
 
     def test_summary_counts_match_consolidator(self):
         actions = [
@@ -56,19 +51,18 @@ class TestExplain:
             Modify.ttl_dec(),
             Forward(),
         ]
-        lines = explain_consolidation(actions)
         result = consolidate_header_actions(actions)
-        summary = lines[-1]
-        assert f"{len(result.leading_decaps)} leading decap(s)" in summary
-        assert f"{result.merged_modify_count} merged field op(s)" in summary
-        assert f"{len(result.net_encaps)} net encap(s)" in summary
+        assert len(result.leading_decaps) == 0
+        assert result.merged_modify_count == 2
+        assert len(result.net_encaps) == 1
 
     def test_zero_net_adjust_excluded_from_live_count(self):
-        lines = explain_consolidation([Modify.adjust(ttl=-2), Modify.adjust(ttl=2)])
-        assert "0 merged field op(s)" in lines[-1]
+        result = consolidate_header_actions([Modify.adjust(ttl=-2), Modify.adjust(ttl=2)])
+        assert result.merged_modify_count == 0
 
     def test_every_action_is_narrated(self):
         actions = [Forward(), Modify.set(dscp=5), Encap(VxlanHeader(vni=1))]
-        lines = explain_consolidation(actions)
-        for index in range(len(actions)):
-            assert any(line.startswith(f"[{index}]") for line in lines)
+        result = consolidate_header_actions(actions)
+        assert result.source_count == len(actions)
+        assert result.merged_modify_count == 1
+        assert len(result.net_encaps) == 1

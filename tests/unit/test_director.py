@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.director import ServiceDirector, SteeringRule
-from repro.core.framework import PathTaken, ServiceChain, SpeedyBox
+from repro.core.framework import PathTaken, SpeedyBox
 from repro.nf import IPFilter, Monitor, SnortIDS
 from repro.nf.ipfilter import AclRule
 from repro.traffic import FlowSpec, TrafficGenerator
@@ -45,10 +45,6 @@ class TestConstruction:
         director = ServiceDirector(chains(), rules())
         assert isinstance(director.runtime("web"), SpeedyBox)
 
-    def test_baseline_mode(self):
-        director = ServiceDirector(chains(), rules(), enable_speedybox=False)
-        assert isinstance(director.runtime("web"), ServiceChain)
-
 
 class TestSteering:
     def test_rules_route_by_port(self):
@@ -78,7 +74,7 @@ class TestSteering:
         assert first.chain == "web"
         # Re-steer port 80 to the dns chain mid-flow: the live flow must
         # stay pinned to its original chain.
-        director.add_rule(SteeringRule(AclRule.make(dst_ports=(80, 80)), "dns"), position=0)
+        director.add_rule(SteeringRule(AclRule.make(dst_ports=(80, 80)), "dns"))
         for packet in packets[1:]:
             assert director.process(packet).chain == "web"
         # A brand new flow follows the new rule.

@@ -127,18 +127,6 @@ class TestSpeedyBoxFastPath:
         report = sbox.process(packets[1])
         assert len(report.sf_waves) == 2
 
-    def test_consolidation_ablation_applies_raw_actions(self):
-        chain = [
-            SyntheticNF("m1", action=Modify.set(dst_port=1111), sf_payload_class=None),
-            SyntheticNF("m2", action=Modify.set(dst_port=2222), sf_payload_class=None),
-        ]
-        sbox = SpeedyBox(chain, enable_consolidation=False)
-        packets = flow_packets(2)
-        sbox.process(packets[0])
-        report = sbox.process(packets[1])
-        assert report.path is PathTaken.FAST
-        assert packets[1].l4.dst_port == 2222
-
 
 class TestSpeedyBoxEvents:
     def test_event_flips_flow_to_drop(self):

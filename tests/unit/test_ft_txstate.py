@@ -16,7 +16,6 @@ from repro.ft import (
     TxnConflict,
 )
 from repro.net.flow import FiveTuple
-from repro.obs.audit import AuditLog
 
 
 def tcp_flow(i: int) -> FiveTuple:
@@ -91,21 +90,6 @@ class TestTransactionalStore:
         txn.commit()
         assert store.get("k") is None
         assert store.version("k") == 2  # delete still bumps the version
-
-    def test_aborts_are_audited_commits_gated(self):
-        audit = AuditLog()
-        store = TransactionalStore(audit=audit, audit_commits=False)
-        store.run(lambda t: t.set("k", 0))
-        txn = store.transaction()
-        txn.get("k")
-        store.run(lambda t: t.set("k", 1))
-        with pytest.raises(TxnConflict):
-            txn.commit()
-        kinds = [event["kind"] for event in audit.events()]
-        assert "txn_abort" in kinds and "txn_commit" not in kinds
-        # opt-in commit auditing
-        store.run(lambda t: t.set("j", 1), audit_commit=True)
-        assert audit.last("txn_commit") is not None
 
 
 class TestSharedPortPool:

@@ -27,7 +27,6 @@ class TestBuildRule:
         rule = gmat.build_rule(1, rules)
         assert rule.consolidated.merged_modify_count == 2
         assert rule.nf_names == ("nat", "lb")
-        assert len(rule.raw_actions) == 2
 
     def test_none_rules_skipped(self):
         gmat = GlobalMAT()

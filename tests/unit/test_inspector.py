@@ -35,7 +35,7 @@ class TestDescribeAction:
         assert "set dst_ip=9.9.9.9" in describe_action(action)
 
     def test_modify_renders_ports_and_adjusts(self):
-        action = consolidate_header_actions([Modify.set(dst_port=8080), Modify.ttl_dec(2)])
+        action = consolidate_header_actions([Modify.set(dst_port=8080), Modify.adjust(ttl=-2)])
         text = describe_action(action)
         assert "set dst_port=8080" in text
         assert "adjust ttl-2" in text
@@ -94,16 +94,6 @@ class TestDump:
             run_flow(sbox, sport=sport)
         text = dump_global_mat(sbox, limit=1)
         assert text.count("fid=") == 1
-
-    def test_verbose_includes_consolidation_trace(self):
-        from repro.nf import MazuNAT
-
-        sbox = SpeedyBox([MazuNAT("nat"), Monitor("m")])
-        fid = run_flow(sbox)
-        text = describe_rule(sbox, fid, verbose=True)
-        assert "consolidation trace:" in text
-        assert "records src_ip" in text
-        assert any("result:" in line for line in text.splitlines())
 
     def test_describe_rule_names_the_flow_that_owns_the_fid(self):
         """The second flow on one home FID probes to the next FID; its

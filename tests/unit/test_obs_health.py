@@ -1,7 +1,7 @@
 """Health scoring: thresholds, EWMA baseline, transitions, audit."""
 
 from repro.obs import AuditLog, HealthModel, TimeSeries
-from repro.obs.health import CRITICAL, DEGRADED, HEALTHY, HealthThresholds
+from repro.obs.health import CRITICAL, DEGRADED, HEALTHY
 
 
 def feed_window(ts, replica=0, packets=16, drops=0, buffered=0,
@@ -108,25 +108,3 @@ class TestWiring:
         assert health.worst_state() == CRITICAL
         snapshot = health.snapshot()
         assert snapshot["1"]["state"] == CRITICAL
-
-    def test_txn_retry_rate_degrades(self):
-        class Store:
-            commits = 0
-            aborts = 0
-
-        store = Store()
-        ts, __, health = make_pair(txn_store=store)
-        feed_window(ts)
-        store.commits, store.aborts = 90, 10  # 10% abort rate
-        feed_window(ts)
-        assert health.state_of(0) == DEGRADED
-        assert any(
-            "txn_retry" in reason for reason in health.last_report(0).reasons
-        )
-
-    def test_custom_thresholds(self):
-        ts, __, health = make_pair(
-            thresholds=HealthThresholds(drop_rate_degraded=0.5, drop_rate_critical=0.9)
-        )
-        feed_window(ts, drops=4)  # 25% < 50%: still healthy
-        assert health.state_of(0) == HEALTHY

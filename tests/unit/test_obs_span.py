@@ -22,7 +22,7 @@ def record_run(recorder, chain=None, packets=None):
     runtime = SpeedyBox(chain or [MazuNAT("nat"), Monitor("mon")])
     reports = [runtime.process(p) for p in (packets or make_packets(8))]
     for report in reports:
-        recorder.record(report)
+        recorder.record(report, CostModel())
     return reports
 
 
@@ -73,7 +73,7 @@ class TestSampling:
         runtime = SpeedyBox([Monitor("mon")])
         for sport in (1000, 1001, 1002, 1003):
             for packet in make_packets(4, sport=sport):
-                recorder.record(runtime.process(packet))
+                recorder.record(runtime.process(packet), CostModel())
         assert recorder.flows_sampled == 2
         fids = {root["args"]["fid"] for root in recorder.roots()}
         assert len(fids) == 2
@@ -94,10 +94,29 @@ class TestCap:
 
 
 class TestAttribution:
+    def test_spans_are_priced_by_the_recording_platform(self):
+        """A platform with its own cost model prices its spans with it:
+        the first root span of a NAT + Monitor flow on BESS reads the
+        report's cycles under the platform's costs (2 980 here), not
+        under a default ``CostModel()`` (2 080)."""
+        from repro.platform.base import PlatformConfig
+
+        costs = CostModel().with_overrides(parse=400.0, counter_update=500.0)
+        recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
+        platform = BessPlatform(
+            SpeedyBox([MazuNAT("nat"), Monitor("mon")]),
+            config=PlatformConfig(cost_model=costs),
+            spans=recorder,
+        )
+        outcome = platform.process(make_packets(1)[0])
+        first = recorder.roots()[0]["args"]["cycles"]
+        assert first == outcome.report.total_meter().cycles(platform.costs) == 2980.0
+        assert outcome.report.total_meter().cycles(CostModel()) == 2080.0
+
     def test_child_cycles_partition_the_meter_exactly(self):
         """Per-span cycles sum to total_meter().cycles() — exact ==."""
         model = CostModel()
-        recorder = FlowSpanRecorder(model=model, every=1, max_spans_per_flow=None)
+        recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
         reports = record_run(
             recorder, chain=[MazuNAT("nat"), Monitor("mon"), IPFilter("fw")]
         )
@@ -156,7 +175,7 @@ class TestLoadedAnnotation:
         recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
         runtime = SpeedyBox([Monitor("mon")])
         roots = {
-            index: recorder.record(runtime.process(packet))
+            index: recorder.record(runtime.process(packet), CostModel())
             for index, packet in enumerate(make_packets(4))
         }
         recorder.annotate_loaded(roots, [100.0, 200.0, 300.0, 400.0], [150.0, 260.0, 390.0, 480.0])
@@ -246,7 +265,7 @@ class TestSteadyTemplates:
         its id recycled by the next flow's, whose spans must still be
         its own (forwarded: 660 cycles of children, ACL-dropped: 750)."""
         model = CostModel()
-        recorder = FlowSpanRecorder(model, every=1, max_spans_per_flow=None)
+        recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
         runtime = SpeedyBox(
             [
                 SyntheticNF("a", action=Modify.ttl_dec(), sf_payload_class=None),
@@ -261,7 +280,7 @@ class TestSteadyTemplates:
                 spec = FlowSpec.udp(src, "20.0.0.1", 7000 + trial, 53, packets=4)
                 for packet in TrafficGenerator([spec]).packets():
                     report = runtime.process(packet)
-                    root = recorder.record(report)
+                    root = recorder.record(report, model)
                     assert root["args"]["cycles"] == report.total_meter().cycles(model)
                     checked += 1
                     # let a dead flow's report be collected, as a loaded run does

@@ -1,7 +1,7 @@
 """Windowed telemetry: clocks, ring eviction, registry deltas, export.
 
 Includes the gen-3 oracle test: a platform run that fits in a single
-window with ``sample_every=1`` must reproduce the end-of-run
+window must reproduce the end-of-run
 ``LoadResult.latency_percentile`` values *bit-for-bit* — the window's
 sample channel is the same population.
 """
@@ -39,10 +39,6 @@ class TestConstruction:
             TimeSeries(window_ns=0.0)
         with pytest.raises(ValueError):
             TimeSeries(window_packets=0)
-        with pytest.raises(ValueError):
-            TimeSeries(capacity=0)
-        with pytest.raises(ValueError):
-            TimeSeries(sample_every=0)
 
     def test_default_is_sim_time_clock(self):
         ts = TimeSeries()
@@ -97,14 +93,6 @@ class TestSimTimeClock:
 
 
 class TestSampling:
-    def test_sample_every_strides_the_latency_channel(self):
-        ts = TimeSeries(window_packets=100, sample_every=3)
-        for i in range(9):
-            ts.record(float(i), latency_ns=float(i))
-        window = ts.finish()
-        assert window.packets == 9
-        assert len(window.latencies) == 3  # every 3rd sample kept
-
     def test_replica_subwindows_partition_the_window(self):
         ts = TimeSeries(window_packets=100)
         for i in range(6):
@@ -150,16 +138,17 @@ class TestRegistryDeltas:
 
 class TestRing:
     def test_eviction_is_bounded_and_keeps_totals(self):
-        ts = TimeSeries(window_packets=1, capacity=2)
-        for i in range(5):
+        ts = TimeSeries(window_packets=1)
+        closed = TimeSeries.CAPACITY + 3
+        for i in range(closed):
             ts.record(float(i), latency_ns=1.0)
-        assert ts.windows_closed == 5
-        assert len(ts.windows) == 2
+        assert ts.windows_closed == closed
+        assert len(ts.windows) == TimeSeries.CAPACITY
         assert ts.evicted == 3
         # run totals are tracked outside the ring
-        assert ts.total_packets == 5
+        assert ts.total_packets == closed
         # retained windows keep their own totals untouched
-        assert [w.index for w in ts.windows] == [3, 4]
+        assert [w.index for w in ts.windows] == list(range(3, closed))
         assert all(w.packets == 1 for w in ts.windows)
 
     def test_on_close_fires_in_order(self):
@@ -221,7 +210,7 @@ class TestOracle:
 
     def test_single_window_percentiles_match_latency_percentile_exactly(self):
         packets = make_packets(flows=8, per_flow=16)
-        ts = TimeSeries(window_packets=10 * len(packets), sample_every=1)
+        ts = TimeSeries(window_packets=10 * len(packets))
         platform = BessPlatform(
             SpeedyBox([IPFilter(f"f{i}") for i in range(3)]), timeseries=ts
         )
@@ -236,7 +225,7 @@ class TestOracle:
 
     def test_spaced_run_splits_into_sim_time_windows(self):
         packets = make_packets(flows=4, per_flow=16)
-        ts = TimeSeries(window_ns=16_000.0, sample_every=1)
+        ts = TimeSeries(window_ns=16_000.0)
         platform = BessPlatform(SpeedyBox([IPFilter("fw")]), timeseries=ts)
         result = platform.run_load(clone_packets(packets), inter_arrival_ns=1000.0)
         assert result.delivered == len(packets)

@@ -96,11 +96,6 @@ class TestOnvmTiming:
         with pytest.raises(ValueError):
             OpenNetVMPlatform(ServiceChain(nfs))
 
-    def test_core_limit_liftable(self):
-        nfs = [IPFilter(f"fw{i}") for i in range(6)]
-        platform = OpenNetVMPlatform(ServiceChain(nfs), enforce_core_limit=False)
-        assert platform.process(packets(1)[0]).latency_cycles > 0
-
 
 class TestThroughput:
     def test_bess_rate_drops_with_chain_length(self):

@@ -1,5 +1,5 @@
-"""The part of the lint gate a box without ruff can check, and the
-reachability gate.
+"""The part of the lint gate a box without ruff can check, the
+reachability gate and the knob gate.
 
 ``pyproject.toml`` selects ruff's error tier only (E9, F63, F7, F82);
 ruff itself is a CI dependency, not a test one.  What that tier guards
@@ -7,6 +7,8 @@ first — every file parses and compiles, every exported name exists — is
 checked here so tier-1 says it too.  The reachability gate checks that
 every module is imported by something a user or a measurement runs,
 and that every exported name is used by something other than a test.
+The knob gate checks that every setting something calls takes more
+than one value there.
 """
 
 import ast
@@ -76,6 +78,15 @@ def test_no_trace_of_the_collision_path():
             "no command, workload, benchmark or example reached the autoscaler, "
             "its signals, the placement-listener bus or stats.comparison",
             id="autoscaler",
+        ),
+        pytest.param(
+            r"enable_consolidation|_apply_raw|raw_actions|explain_consolidation|run_load_batch"
+            r"|select_flows|audit_commit|txn_commit|txn_store|set_weights|record_all",
+            "a setting nothing set is a constant: the raw-action ablation, the "
+            "cluster's columnar route, commit auditing, the health model's "
+            "transaction rule, the weighted sharder and the forensics record-all "
+            "mode are gone",
+            id="one-value-knobs",
         ),
     ],
 )
@@ -256,3 +267,267 @@ def test_the_reachability_allowlist_is_short_and_current():
     assert all(reason.strip() for reason in REACH_ALLOWLIST.values())
     stale = set(REACH_ALLOWLIST) - set(_unreached_modules()) - set(_unused_exports())
     assert not stale, f"allowlisted but reached and used: {sorted(stale)}"
+
+
+# -- knobs ----------------------------------------------------------------------
+
+#: The NF and packet vocabulary and the generic primitives: their defaults
+#: are part of a reusable API, not settings of this system.
+KNOB_EXEMPT = ("repro.nf", "repro.net", "repro.sim", "repro.stats", "repro.obs.registry")
+
+#: Functions whose one-value parameters are kept on purpose: dotted name -> why.
+KNOB_ALLOWLIST = {
+    "repro.cli.main":
+        "argv=None reads sys.argv; the tests pass argument lists, the console script none",
+    "repro.core.verification.verify_equivalence":
+        "the equivalence oracle; its knobs are what the tests sweep it over",
+    "repro.ft.verify.verify_equivalence_failover":
+        "the failover oracle; its knobs are what the tests sweep it over",
+    "repro.traffic.columnar.uniform_batch":
+        "the synthetic batch builder; the tests shape it per case",
+}
+
+#: A value no literal comparison can pin down: a name, a call, a splat.
+MANY = object()
+
+
+def _literal(node):
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return MANY
+    return (type(value).__name__, repr(value))
+
+
+def _parameters(func):
+    """``func``'s positional parameter names after ``self``/``cls``, and
+    ``{name: default value}`` for every defaulted parameter."""
+    args = func.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+    if positional and positional[0] in ("self", "cls") and not static:
+        positional = positional[1:]
+    defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaults.update(
+        (arg.arg, default)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
+    # A default is one value even when it is a name (``NULL_REGISTRY``).
+    return positional, {
+        name: value if (value := _literal(node)) is not MANY else ("expr", ast.unparse(node))
+        for name, node in defaults.items()
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _knob_index():
+    """Every public in-scope function by call name: ``{name: [(qualname,
+    positional, defaults)]}``, with ``__init__`` filed under its class's
+    name and under every public subclass that inherits it."""
+    trees, packages, __ = _source()
+    defs, bases = {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.setdefault(node.name, []).append((f"{module}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                bases[node.name] = [getattr(base, "id", None) for base in node.bases]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not item.name.startswith("_")
+                    ):
+                        call_name = node.name if item.name == "__init__" else item.name
+                        defs.setdefault(call_name, []).append(
+                            (f"{module}.{node.name}.{item.name}", item)
+                        )
+    # A class without its own __init__ is constructed through its base's.
+    for name in bases:
+        base = name
+        while base in bases and base not in defs:
+            base = next(iter(bases[base]), None)
+        if base != name and base in defs:
+            defs.setdefault(name, []).extend(
+                entry for entry in defs[base] if entry[0].endswith(".__init__")
+            )
+    return (
+        {
+            name: [(qualname, *_parameters(func)) for qualname, func in entries]
+            for name, entries in defs.items()
+        },
+        bases,
+    )
+
+
+def _call_name(node, enclosing_class, bases):
+    func = node.func
+    if isinstance(func, ast.Name):
+        return enclosing_class if func.id == "cls" else func.id
+    if isinstance(func, ast.Attribute):
+        if (
+            func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"
+        ):
+            return next(iter(bases.get(enclosing_class, [])), None)
+        return func.attr
+    return None
+
+
+def _dict_keys(trees):
+    """Every key some dict display or ``dict(...)`` call spells out: what a
+    ``**`` splat can carry."""
+    keys = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys.update(k.value for k in node.keys if isinstance(k, ast.Constant))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+                keys.update(keyword.arg for keyword in node.keywords if keyword.arg)
+    return keys
+
+
+def _forwarders(trees):
+    """``{function name: callee names}`` for every function that passes its
+    own ``**kwargs`` on."""
+    forwards = {}
+    for tree in trees:
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.args.kwarg is not None:
+                splat = func.args.kwarg.arg
+                for call in ast.walk(func):
+                    if isinstance(call, ast.Call) and any(
+                        keyword.arg is None and getattr(keyword.value, "id", None) == splat
+                        for keyword in call.keywords
+                    ):
+                        callee = call.func
+                        forwards.setdefault(func.name, set()).add(
+                            getattr(callee, "attr", None) or getattr(callee, "id", None)
+                        )
+    return forwards
+
+
+def _walk_with_scope(tree):
+    """Every node of ``tree`` with the name of the class it sits in and
+    the names its enclosing function binds (parameters, assignments)."""
+    todo = [(tree, None, frozenset())]
+    while todo:
+        node, owner, bound = todo.pop()
+        yield node, owner, bound
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            bound = frozenset(
+                [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+                + [name.id for name in ast.walk(node)
+                   if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+            )
+        todo.extend((child, owner, bound) for child in ast.iter_child_nodes(node))
+
+
+@functools.lru_cache(maxsize=None)
+def _knob_uses():
+    """``{(qualname, parameter): values}`` over every call in ``src/repro``
+    and the entry trees, and the set of ``(qualname, parameter)`` a
+    ``bench/`` call passes (``bench/`` is not ours to edit)."""
+    trees, __, ___ = _source()
+    index, bases = _knob_index()
+    roots = [
+        (tree, tree_name == "bench")
+        for tree_name in ENTRY_TREES
+        for tree in (_parse(path) for path in sorted((ROOT / tree_name).rglob("*.py")))
+    ] + [(tree, False) for tree in trees.values()]
+    splattable = _dict_keys(tree for tree, __ in roots)
+    forwards = _forwarders(tree for tree, __ in roots)
+    uses, from_bench = {}, set()
+
+    def record(name, args, keywords, in_bench):
+        for qualname, positional, defaults in index.get(name, ()):
+            given = {}
+            for position, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    given.update((p, MANY) for p in positional[position:])
+                    break
+                if position < len(positional):
+                    given[positional[position]] = _literal(arg)
+            for keyword in keywords:
+                if keyword.arg is not None:
+                    given[keyword.arg] = _literal(keyword.value)
+                else:
+                    given.update((p, MANY) for p in defaults if p in splattable)
+            for parameter, default in defaults.items():
+                uses.setdefault((qualname, parameter), set()).add(given.get(parameter, default))
+                if in_bench and parameter in given:
+                    from_bench.add((qualname, parameter))
+
+    top_level = set(bases) | {
+        node.name for tree in trees.values() for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for tree, in_bench in roots:
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        handed = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and id(node) not in callees and node.id in index and node.id in top_level
+        }
+        for node, owner, bound in _walk_with_scope(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node, owner, bases)
+            record(name, node.args, node.keywords, in_bench)
+            named = [keyword for keyword in node.keywords if keyword.arg is not None]
+            for callee in forwards.get(name, ()):
+                record(callee, [], named, in_bench)
+            if name not in index and name in bound:
+                # A callee picked at run time (``platform_cls(...)``) may be
+                # any function or class the module hands around as a value.
+                for callee in handed:
+                    record(callee, [], named, in_bench)
+    return uses, from_bench
+
+
+def _in_scope_knobs():
+    index, __ = _knob_index()
+    return {
+        (qualname, parameter)
+        for entries in index.values()
+        for qualname, __, defaults in entries
+        for parameter in defaults
+        if not qualname.startswith(KNOB_EXEMPT)
+    }
+
+
+def _one_value_knobs():
+    """``(qualname, parameter)`` for every in-scope defaulted parameter
+    whose calls all leave it at one value.  A function no root calls has
+    no value in use at all; whether it should exist is a question about
+    its callers (the reachability gate's), not its settings."""
+    uses, from_bench = _knob_uses()
+    return sorted(
+        knob
+        for knob in _in_scope_knobs()
+        if knob not in from_bench and len(uses.get(knob, ())) == 1 and MANY not in uses[knob]
+    )
+
+
+def test_every_setting_takes_more_than_one_value():
+    """A defaulted parameter every caller leaves alone, or sets to the one
+    same literal, is a constant with a name: fold its value in and delete
+    its other arm.  Callers are ``src/repro`` code and the entry trees;
+    tests do not count."""
+    flagged = [
+        f"{qualname}({parameter})"
+        for qualname, parameter in _one_value_knobs()
+        if qualname not in KNOB_ALLOWLIST
+    ]
+    assert not flagged, f"delete them or allowlist their function with a reason: {flagged}"
+
+
+def test_the_knob_allowlist_is_short_and_current():
+    assert len(KNOB_ALLOWLIST) <= 5
+    assert all(reason.strip() for reason in KNOB_ALLOWLIST.values())
+    owners = {qualname for qualname, __ in _one_value_knobs()}
+    stale = sorted(set(KNOB_ALLOWLIST) - owners)
+    assert not stale, f"allowlisted but every setting takes two values: {stale}"

@@ -130,38 +130,6 @@ def test_uniform_batch_tcp_lifecycle():
     assert_column_dtypes(batch)
 
 
-def select_flows_per_element(batch, flow_ids):
-    """The per-element construction ``select_flows`` must equal."""
-    wanted = sorted(set(int(f) for f in flow_ids))
-    remap = {flow: new for new, flow in enumerate(wanted)}
-    keep = [i for i in range(len(batch)) if int(batch.flow_index[i]) in remap]
-    columns = {
-        name: [int(getattr(batch, name)[f]) for f in wanted] for name in FLOW_COLUMNS
-    }
-    columns["flow_index"] = [remap[int(batch.flow_index[i])] for i in keep]
-    for name in ("kind", "ordinal", "seq", "size"):
-        columns[name] = [int(getattr(batch, name)[i]) for i in keep]
-    return columns
-
-
-@pytest.mark.parametrize("flow_ids", [[1, 3], [3, 1, 3], [], range(4)])
-def test_select_flows_is_self_contained(flow_ids):
-    specs = mixed_specs()
-    batch = batch_from_specs(specs, interleave="round_robin")
-    sub = batch.select_flows(flow_ids)
-    assert sub.flow_count == len(set(flow_ids))
-    # The sub-batch preserves packet order and is internally remapped.
-    kept = [
-        p for p in batch.to_packets()
-        if p.serialize() in set(wire(sub.to_packets()))
-    ]
-    assert wire(sub.to_packets()) == wire(kept)
-    assert_column_dtypes(sub)
-    expected = select_flows_per_element(batch, flow_ids)
-    assert {name: getattr(sub, name).tolist() for name in expected} == expected
-    assert sub.timestamp_ns is None
-
-
 def test_fid_column_matches_scalar_fid():
     batch = uniform_batch(257, 1, interleave="sequential")
     column = fid_column(

@@ -46,12 +46,12 @@ class TestPayloadPolicies:
 
 
 class TestTimestampedTraceShape:
-    def make(self, **kwargs):
+    def make(self):
         config = DatacenterTraceConfig(flows=8, seed=4)
-        return DatacenterTraceGenerator(config).timestamped_packets(**kwargs)
+        return DatacenterTraceGenerator(config).timestamped_packets()
 
     def test_burst_structure(self):
-        packets = self.make(burst_size=3, intra_burst_gap_ns=100.0, mean_off_gap_ns=1e6)
+        packets = self.make()
         by_flow = {}
         for packet in packets:
             by_flow.setdefault(packet.five_tuple(), []).append(packet.timestamp_ns)
@@ -60,17 +60,12 @@ class TestTimestampedTraceShape:
         small, large = 0, 0
         for stamps in by_flow.values():
             for gap in (b - a for a, b in zip(stamps, stamps[1:])):
-                if gap == pytest.approx(100.0):
+                if gap == pytest.approx(1_000.0):
                     small += 1
                 elif gap > 10_000:
                     large += 1
         assert small > 0
         assert large > 0
-
-    def test_mean_flow_gap_scales_span(self):
-        tight = self.make(mean_flow_gap_ns=1_000.0)
-        loose = self.make(mean_flow_gap_ns=1_000_000.0)
-        assert loose[-1].timestamp_ns > tight[-1].timestamp_ns
 
     def test_total_packet_count_matches_specs(self):
         config = DatacenterTraceConfig(flows=8, seed=4)
