@@ -70,9 +70,6 @@ class FieldOp:
             return FieldOp(set_value=self.set_value, delta=self.delta + later.delta)
         return FieldOp(delta=self.delta + later.delta)
 
-    def __deepcopy__(self, memo) -> "FieldOp":
-        return self  # never mutated after construction
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldOp):
             return NotImplemented
@@ -97,11 +94,6 @@ class HeaderAction:
     def apply(self, packet: Packet) -> None:
         """Execute this action on ``packet`` in place."""
         raise NotImplementedError
-
-    def __deepcopy__(self, memo) -> "HeaderAction":
-        # A recorded action is a value: NFs build it once, the MATs only
-        # ever replace it.  Flow snapshots (repro.ft.checkpoint) share it.
-        return self
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

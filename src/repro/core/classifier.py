@@ -122,7 +122,7 @@ class FlowEntry:
     #: probe steps from the hashed home to ``fid`` (0: the flow sits at home)
     probes: int = 0
 
-    def __deepcopy__(self, memo) -> "FlowEntry":
+    def copy(self) -> "FlowEntry":
         # Every slot holds an immutable value.
         return FlowEntry(
             self.fid, self.five_tuple, self.established, self.closed, self.packets,

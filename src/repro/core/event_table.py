@@ -103,6 +103,26 @@ class Event:
             replacement = self.update_action
         return replacement
 
+    def copy(self, copies: Dict[int, object]) -> "Event":
+        # Handlers, args and the update action are shared like a state
+        # function's; the update functions go through ``copies`` because
+        # firing puts the very same objects into the NF's rule batch.
+        clone = Event.__new__(Event)
+        clone.fid = self.fid
+        clone.nf_name = self.nf_name
+        clone.condition = self.condition
+        clone.args = self.args
+        clone.update_action = self.update_action
+        clone.update_function = self.update_function
+        functions = self.update_state_functions
+        clone.update_state_functions = (
+            None if functions is None else [fn.copy(copies) for fn in functions]
+        )
+        clone.one_shot = self.one_shot
+        clone.triggered = self.triggered
+        clone.trigger_count = self.trigger_count
+        return clone
+
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "armed"
         return f"<Event fid={self.fid} nf={self.nf_name} ({state})>"

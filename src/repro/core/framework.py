@@ -26,7 +26,6 @@ parallelism off → full SpeedyBox the state-function share.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -120,14 +119,6 @@ class FlowRecord:
     :meth:`SpeedyBox.export_flow`) and consumed by
     :meth:`SpeedyBox.import_flow`; ``repro.scale.FlowMigrator`` rebinds
     the recorded handlers to the target replica's NFs in between.
-
-    A record says how it copies (``__deepcopy__``, as do the classes in
-    it): recorded actions are immutable values and are shared, the
-    mutable shells — entry, rules, batches, functions — copy exactly the
-    slots a packet, an event or a rebind can change, and events and NF
-    state take ``copy``'s generic walk.  Everything goes through the
-    caller's memo, so one batch referenced from a Local MAT rule and
-    from the Global MAT schedule is still one batch in the copy.
     """
 
     fid: int
@@ -148,17 +139,29 @@ class FlowRecord:
             if item is not None:
                 item.fid = fid
 
-    def __deepcopy__(self, memo) -> "FlowRecord":
+    def copy(self) -> "FlowRecord":
+        """A snapshot that shares nothing a later packet can change.
+
+        Counters, flags, the rule version, each action *list* and the
+        schedule are copied.  Recorded and consolidated actions,
+        five-tuples, handlers, ``args`` and NF state are values (NFs and
+        MATs only ever replace them) and are shared.  One ``id -> clone``
+        map for the whole record keeps every alias: a batch a Local MAT
+        rule shares with the Global MAT schedule, and the functions a
+        fired event put into a rule's batch, are one object each in the
+        copy as in the original.
+        """
+        copies: Dict[int, object] = {}
+        entry, rule = self.classifier_entry, self.global_rule
         return FlowRecord(
             fid=self.fid,
-            classifier_entry=copy.deepcopy(self.classifier_entry, memo),
+            classifier_entry=None if entry is None else entry.copy(),
             local_rules={
-                name: copy.deepcopy(rule, memo)
-                for name, rule in self.local_rules.items()
+                name: local.copy(copies) for name, local in self.local_rules.items()
             },
-            global_rule=copy.deepcopy(self.global_rule, memo),
-            events=copy.deepcopy(self.events, memo),
-            nf_state=copy.deepcopy(self.nf_state, memo),
+            global_rule=None if rule is None else rule.copy(copies),
+            events=[event.copy(copies) for event in self.events],
+            nf_state=dict(self.nf_state),
         )
 
 

@@ -16,7 +16,6 @@ which never saw the packet.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -65,7 +64,7 @@ class GlobalRule:
         self.version = 1
         self.hits = 0
 
-    def __deepcopy__(self, memo) -> "GlobalRule":
+    def copy(self, copies: Dict[int, object]) -> "GlobalRule":
         # Only the schedule (its functions count invocations and get
         # rebound on migration) and the two counters can differ between
         # a rule and its snapshot; the consolidated actions and the
@@ -73,7 +72,7 @@ class GlobalRule:
         clone = GlobalRule.__new__(GlobalRule)
         clone.fid = self.fid
         clone.consolidated = self.consolidated
-        clone.schedule = copy.deepcopy(self.schedule, memo)
+        clone.schedule = self.schedule.copy(copies)
         clone.nf_names = self.nf_names
         clone.pre_drop = self.pre_drop
         clone.dropper = self.dropper

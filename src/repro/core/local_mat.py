@@ -11,7 +11,6 @@ baseline (original-chain) configuration.
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.actions import HeaderAction
@@ -38,15 +37,13 @@ class LocalRule:
         self.event_count = 0
         self.hits = 0
 
-    def __deepcopy__(self, memo) -> "LocalRule":
-        # The action *list* is replaced by event updates, so the copy
-        # gets its own; the actions in it are immutable and shared.  The
-        # batch goes through the memo: the Global MAT schedule usually
-        # holds the very same object.
+    def copy(self, copies: Dict[int, object]) -> "LocalRule":
+        # An event replaces the action *list*, so the copy gets its own;
+        # the actions in it are values and are shared.
         clone = LocalRule.__new__(LocalRule)
         clone.fid = self.fid
         clone.header_actions = list(self.header_actions)
-        clone.sf_batch = copy.deepcopy(self.sf_batch, memo)
+        clone.sf_batch = self.sf_batch.copy(copies)
         clone.event_count = self.event_count
         clone.hits = self.hits
         return clone

@@ -11,9 +11,8 @@ among its members (WRITE > READ > IGNORE, §V-C2).
 
 from __future__ import annotations
 
-import copy
 import enum
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
 
@@ -62,17 +61,19 @@ class StateFunction:
         self.invocations += 1
         return self.handler(packet, *self.args)
 
-    def __deepcopy__(self, memo) -> "StateFunction":
-        # Handler and args may reference NFs, so they take the generic
-        # walk through the caller's memo (repro.ft.checkpoint seeds it
-        # to keep them bound to the same NF objects); the rest is values.
-        clone = StateFunction.__new__(StateFunction)
-        clone.handler = copy.deepcopy(self.handler, memo)
-        clone.payload_class = self.payload_class
-        clone.args = copy.deepcopy(self.args, memo)
-        clone.name = self.name
-        clone.nf_name = self.nf_name
-        clone.invocations = self.invocations
+    def copy(self, copies: Dict[int, object]) -> "StateFunction":
+        # One clone per original (``FlowRecord.copy``'s map), so a function
+        # a batch and a fired event both hold stays one object.  Handler
+        # and args are shared: a rebind replaces them rather than edits.
+        clone = copies.get(id(self))
+        if clone is None:
+            clone = copies[id(self)] = StateFunction.__new__(StateFunction)
+            clone.handler = self.handler
+            clone.payload_class = self.payload_class
+            clone.args = self.args
+            clone.name = self.name
+            clone.nf_name = self.nf_name
+            clone.invocations = self.invocations
         return clone
 
     def __repr__(self) -> str:
@@ -124,10 +125,15 @@ class StateFunctionBatch:
     def clone_with(self, functions: Sequence[StateFunction]) -> "StateFunctionBatch":
         return StateFunctionBatch(self.nf_name, functions)
 
-    def __deepcopy__(self, memo) -> "StateFunctionBatch":
-        return StateFunctionBatch(
-            self.nf_name, [copy.deepcopy(fn, memo) for fn in self._functions]
-        )
+    def copy(self, copies: Dict[int, object]) -> "StateFunctionBatch":
+        # One clone per original: a batch a Local MAT rule shares with the
+        # Global MAT schedule stays shared.
+        clone = copies.get(id(self))
+        if clone is None:
+            clone = copies[id(self)] = StateFunctionBatch.__new__(StateFunctionBatch)
+            clone.nf_name = self.nf_name
+            clone._functions = [fn.copy(copies) for fn in self._functions]
+        return clone
 
     def __repr__(self) -> str:
         names = ", ".join(fn.name for fn in self._functions)

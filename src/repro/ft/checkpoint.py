@@ -12,37 +12,19 @@ walk and same classifier lookup as a migration, but nothing detaches),
 so the runtime cannot tell it happened: no LRU order moves, the flow's
 compiled fast lane stays, and the runtime's audit journal records
 nothing.  Only the NFs' own per-flow state still takes the migration
-pair — ``export_flow_state`` → copy → ``import_flow_state`` of the very
-same object — because that opaque state has no read-only accessor.
+pair — ``export_flow_state`` → ``import_flow_state`` of the very same
+value, which the checkpoint stores as it is (an exported state is
+immutable) — because that opaque state has no read-only accessor.
 
-What was read is then copied by one ``copy.deepcopy`` call, and the
-classes in a :class:`~repro.core.framework.FlowRecord` declare what
-that costs (their ``__deepcopy__``):
-
-- *atomic* — ``FiveTuple``, ``FieldOp``, every ``HeaderAction``,
-  ``ConsolidatedAction`` return themselves.  They are values: an NF
-  builds one when it records, and from then on the MATs only ever
-  *replace* them (an event swaps the action list, a reconsolidation
-  installs a new rule).  Nothing a later packet does can reach into
-  the snapshot through a shared one.
-- *shells* — ``FlowEntry``, ``LocalRule``, ``StateFunction``,
-  ``StateFunctionBatch``, ``ParallelSchedule``, ``GlobalRule`` and
-  ``FlowRecord`` copy exactly the slots a packet, an event or a rebind
-  can change (counters, connection flags, the action *list*, handlers)
-  and pass the memo down, so a batch a Local MAT rule shares with the
-  Global MAT schedule is still one batch in the copy.
-- *generic* — handler ``args``, ``Event`` objects and NF state take
-  ``copy``'s ordinary walk.
-
-The memo is seeded ``id(nf) -> nf`` for every chain NF, so recorded
-handlers in the *stored* copy remain bound methods of the source
-replica's NF objects, exactly like a freshly exported migration record.
-Restoring onto a peer is then literally the migration import path:
-deep-copy the stored record (the checkpoint stays pristine for a second
-failure), :func:`~repro.scale.migration.rebind_record` from the dead
-replica's NFs to the target's, and import (``checkpoint_restore`` in
-the audit log; the flow's next packet compiles its lane on the new
-home).
+What was read is then copied by
+:meth:`~repro.core.framework.FlowRecord.copy`, which shares handlers,
+so stored handlers remain bound methods of the source replica's NF
+objects, exactly like a freshly exported migration record.  Restoring
+onto a peer is then literally the migration import path: copy the
+stored record (the checkpoint stays pristine for a second failure),
+:func:`~repro.scale.migration.rebind_record` from the dead replica's
+NFs to the target's, and import (``checkpoint_restore`` in the audit
+log; the flow's next packet compiles its lane on the new home).
 
 :class:`CheckpointManager` holds the latest snapshot per flow across a
 :class:`~repro.scale.cluster.ScaleCluster`, each stamped with the
@@ -52,7 +34,6 @@ recovery restores the snapshot and replays only log entries past it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,12 +42,7 @@ from repro.net.flow import FiveTuple
 from repro.nf.base import NetworkFunction
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
-from repro.scale.migration import (
-    check_same_shape,
-    observed_tuples,
-    rebind_record,
-    wire_directions,
-)
+from repro.scale.migration import check_same_shape, flow_walk, rebind_record
 
 Runtime = Union[ServiceChain, SpeedyBox]
 
@@ -94,11 +70,6 @@ class FlowCheckpoint:
         return len(self.records) + len(self.nf_states)
 
 
-def _identity_memo(nfs: Sequence[NetworkFunction]) -> Dict[int, object]:
-    """A deepcopy memo that keeps every chain NF shared, not copied."""
-    return {id(nf): nf for nf in nfs}
-
-
 def capture_flow(
     runtime: Runtime,
     flow: FiveTuple,
@@ -108,49 +79,41 @@ def capture_flow(
     """Snapshot one flow without disturbing it (read → copy).
 
     Returns ``None`` when the runtime holds nothing for the flow.  The
-    SpeedyBox tables are only read; each NF's own state is exported,
-    copied and handed straight back to the same NF.
+    SpeedyBox tables are only read; each NF's own state is exported and
+    handed straight back to the same NF.
     """
     key = flow.canonical()
     nfs = list(runtime.nfs)
-    directions = tuple(wire_directions(nfs, key))
+    walk = flow_walk(nfs, key)
 
     records: List[FlowRecord] = []
     if isinstance(runtime, SpeedyBox):
-        for direction in directions:
+        for direction in walk:
             fid = runtime.classifier.fid_for(direction)
             if fid is not None:
-                records.append(runtime.peek_flow(fid))
-    # Every observed key is derived before any NF state detaches: the
-    # walk reads the mappings (NAT) that export removes.
-    observed = [
-        (nf, observed_key)
-        for direction in directions
-        for nf, observed_key in zip(nfs, observed_tuples(nfs, direction))
+                records.append(runtime.peek_flow(fid).copy())
+    # Every state is exported before any is handed back: the walk above
+    # read the mappings (NAT) that export removes, and a state handed
+    # back early would be exported again on the flow's other direction.
+    live_states = [
+        (nf, observed_key, nf.export_flow_state(observed_key))
+        for observed in walk.values()
+        for nf, observed_key in zip(nfs, observed)
     ]
-    live_states = []
-    for nf, observed_key in observed:
-        state = nf.export_flow_state(observed_key)
-        if state is not None:
-            live_states.append((nf, observed_key, state))
-
-    if not records and not live_states:
-        return None
-
-    stored_records, stored_states = copy.deepcopy(
-        (records, [state for __, __, state in live_states]), _identity_memo(nfs)
-    )
     nf_states: List[NFStateItem] = []
-    for (nf, observed_key, state), stored in zip(live_states, stored_states):
-        nf.import_flow_state(observed_key, state)
-        nf_states.append((nf.name, observed_key, stored))
+    for nf, observed_key, state in live_states:
+        if state is not None:
+            nf.import_flow_state(observed_key, state)
+            nf_states.append((nf.name, observed_key, state))
 
+    if not records and not nf_states:
+        return None
     return FlowCheckpoint(
         flow=key,
         replica_id=replica_id,
         log_seq=log_seq,
-        directions=directions,
-        records=stored_records,
+        directions=tuple(walk),
+        records=records,
         nf_states=nf_states,
     )
 
@@ -166,21 +129,19 @@ def restore_flow(
     replica's chain, kept alive in the coordinator's graveyard precisely
     so this rebind has its source objects; they must pair up with
     ``runtime.nfs`` NF for NF (:class:`MigrationError` otherwise).  The
-    checkpoint itself is deep-copied first and stays reusable (a second
+    stored records are copied first, so the checkpoint stays reusable (a second
     failure on the new home can restore from it again until a fresher
     snapshot replaces it).
     """
     check_same_shape(src_nfs, runtime.nfs)
-    records, nf_states = copy.deepcopy(
-        (checkpoint.records, checkpoint.nf_states), _identity_memo(src_nfs)
-    )
     rebound = 0
     if isinstance(runtime, SpeedyBox):
-        for record in records:
+        for stored in checkpoint.records:
+            record = stored.copy()
             rebound += rebind_record(record, src_nfs, runtime.nfs)
             runtime.import_flow(record, reason="checkpoint_restore")
     nf_by_name = {nf.name: nf for nf in runtime.nfs}
-    for name, observed_key, state in nf_states:
+    for name, observed_key, state in checkpoint.nf_states:
         nf_by_name[name].import_flow_state(observed_key, state)
     return rebound
 

@@ -59,11 +59,6 @@ class FiveTuple(NamedTuple):
         """
         return _canonical_of(self)
 
-    def __deepcopy__(self, memo) -> "FiveTuple":
-        # An immutable value: snapshots share it (and its interned
-        # canonical form) instead of rebuilding it field by field.
-        return self
-
     def __str__(self) -> str:
         proto = _PROTO_NAMES.get(self.protocol, str(self.protocol))
         return (

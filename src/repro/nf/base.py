@@ -106,6 +106,9 @@ class NetworkFunction:
         ``flow`` is the five-tuple observed at this NF's position.  Both
         directions of a flow may be exported; an export that finds the
         state already detached returns ``None`` (as do stateless NFs).
+        The value is immutable (hashable), and ``import_flow_state``
+        never keeps a mutable reference to it: a checkpoint stores the
+        very value it hands back to the live NF.
         """
         return None
 

@@ -72,7 +72,7 @@ class Monitor(NetworkFunction):
             # Txn id = (flow, per-flow sequence number): replayed packets
             # recompute the same id and dedupe, so the shared total stays
             # exactly-once across failover.
-            self.aggregate.add((str(key), counters.packets), packets=1, bytes_=size)
+            self.aggregate.add((key, counters.packets), packets=1, bytes_=size)
 
     def process(self, packet: Packet, api: InstrumentationAPI) -> None:
         self.ingress(packet)

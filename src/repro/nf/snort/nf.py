@@ -122,7 +122,7 @@ class SnortIDS(NetworkFunction):
         # is a pure function of the (identical) rule config, so the
         # target re-assigns its own matcher rather than adopting one
         # wired to our engine.
-        return set(matcher.flowbits)
+        return frozenset(matcher.flowbits)
 
     def import_flow_state(self, flow: FiveTuple, state) -> None:
         matcher = self.engine.assign_flow_matcher(flow)

@@ -26,9 +26,8 @@ from repro.scale.migration import (
     MigrationReport,
     chain_state_snapshot,
     check_same_shape,
-    observed_tuples,
+    flow_walk,
     rebind_record,
-    wire_directions,
 )
 from repro.scale.sharder import FlowSharder, IndirectionTable, shard_hash
 
@@ -43,8 +42,7 @@ __all__ = [
     "ScaleCluster",
     "chain_state_snapshot",
     "check_same_shape",
-    "observed_tuples",
+    "flow_walk",
     "rebind_record",
     "shard_hash",
-    "wire_directions",
 ]

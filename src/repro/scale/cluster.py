@@ -47,7 +47,7 @@ from repro.scale.migration import (
     FlowMigrator,
     MigrationError,
     MigrationReport,
-    wire_directions,
+    flow_walk,
 )
 from repro.scale.sharder import FlowSharder
 # ``analytic_replay`` is not called here (each replica replays through its
@@ -408,7 +408,7 @@ class ScaleCluster:
             )
         src_nfs = self.replicas[home].runtime.nfs
         group: List[FiveTuple] = []
-        for direction in wire_directions(src_nfs, key):
+        for direction in flow_walk(src_nfs, key):
             canonical = direction.canonical()
             if canonical not in group:
                 group.append(canonical)

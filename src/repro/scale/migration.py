@@ -72,41 +72,35 @@ class MigrationReport:
         )
 
 
-def observed_tuples(nfs: Sequence[NetworkFunction], flow: FiveTuple) -> List[FiveTuple]:
-    """The five-tuple each NF observes at its position, for one direction."""
-    observed: List[FiveTuple] = []
-    current = flow
-    for nf in nfs:
-        observed.append(current)
-        current = nf.flow_through(current)
-    return observed
+def flow_walk(
+    nfs: Sequence[NetworkFunction], flow: FiveTuple
+) -> Dict[FiveTuple, List[FiveTuple]]:
+    """Every wire-ingress five-tuple of the connection, each mapped to
+    the tuple every NF observes at its position on that direction.
 
-
-def wire_directions(nfs: Sequence[NetworkFunction], flow: FiveTuple) -> List[FiveTuple]:
-    """Every wire-ingress five-tuple this connection can arrive with.
-
-    For a header-preserving chain that is just ``flow`` and its reverse.
-    But when an NF rewrites the tuple (NAT, load balancer), the peer's
-    return traffic arrives addressed to the *translated* endpoint — i.e.
-    the reverse of the direction's **egress** tuple, not of its ingress
-    tuple.  Starting from ``flow`` and ``flow.reversed()``, repeatedly
-    walking each direction down the chain and adding its egress-reverse
-    closes the set (at most eight directions, a cycle guard).
+    For a header-preserving chain the directions are ``flow`` and its
+    reverse.  But when an NF rewrites the tuple (NAT, load balancer), the
+    peer's return traffic arrives addressed to the *translated* endpoint
+    — i.e. the reverse of the direction's **egress** tuple, not of its
+    ingress tuple.  Starting from ``flow`` and ``flow.reversed()``, each
+    direction is walked down the chain once, and its egress-reverse is
+    added until the set closes (at most eight directions, a cycle guard).
     """
-    directions: List[FiveTuple] = []
+    walk: Dict[FiveTuple, List[FiveTuple]] = {}
     pending: List[FiveTuple] = [flow, flow.reversed()]
-    while pending and len(directions) < 8:
+    while pending and len(walk) < 8:
         direction = pending.pop(0)
-        if direction in directions:
+        if direction in walk:
             continue
-        directions.append(direction)
-        egress = direction
+        observed = walk[direction] = []
+        current = direction
         for nf in nfs:
-            egress = nf.flow_through(egress)
-        returned = egress.reversed()
-        if returned not in directions and returned not in pending:
+            observed.append(current)
+            current = nf.flow_through(current)
+        returned = current.reversed()
+        if returned not in walk and returned not in pending:
             pending.append(returned)
-    return directions
+    return walk
 
 
 def chain_state_snapshot(
@@ -114,8 +108,8 @@ def chain_state_snapshot(
 ) -> Dict[str, tuple]:
     """Comparable per-NF state of every direction of ``flow`` (oracle use)."""
     snapshot: Dict[str, tuple] = {}
-    for direction in wire_directions(nfs, flow):
-        for nf, observed in zip(nfs, observed_tuples(nfs, direction)):
+    for observed_keys in flow_walk(nfs, flow).values():
+        for nf, observed in zip(nfs, observed_keys):
             state = nf.state_snapshot(observed)
             if state is not None:
                 snapshot.setdefault(nf.name, ())
@@ -236,15 +230,14 @@ class FlowMigrator:
         # Phase 1: derive the flow's wire directions (a NAT'd flow's
         # return traffic arrives on the *translated* tuple) and each NF's
         # observed tuple per direction — all *before* any state detaches,
-        # since these walks read the mappings that export removes.
-        directions = tuple(wire_directions(src_nfs, flow))
-        observed = {d: observed_tuples(src_nfs, d) for d in directions}
+        # since the walk reads the mappings that export removes.
+        walk = flow_walk(src_nfs, flow)
 
         # Phase 2: move SpeedyBox table state (classifier entry, Local
         # MAT rules, Global MAT rule, events), one FID per direction —
         # the FID the flow owns on ``dst``, which places it afresh.
         if isinstance(src, SpeedyBox):
-            for direction in directions:
+            for direction in walk:
                 fid = src.classifier.fid_for(direction)
                 if fid is None:
                     continue
@@ -257,8 +250,8 @@ class FlowMigrator:
                 report.fids = report.fids + (record.fid,)
 
         # Phase 3: move the NFs' own per-flow state at each observed key.
-        for direction in directions:
-            for src_nf, dst_nf, key in zip(src_nfs, dst_nfs, observed[direction]):
+        for observed in walk.values():
+            for src_nf, dst_nf, key in zip(src_nfs, dst_nfs, observed):
                 state = src_nf.export_flow_state(key)
                 if state is None:
                     continue

@@ -1,45 +1,41 @@
 """Property tests: how a :class:`~repro.core.framework.FlowRecord` copies.
 
 Checkpoint capture and restore (:mod:`repro.ft.checkpoint`) are one
-``copy.deepcopy`` each, and the classes inside a record declare through
-``__deepcopy__`` what that costs: recorded actions are atomic values,
-mutable shells copy exactly their mutable slots, everything goes through
-the caller's memo.  Over Hypothesis-chosen chains that exercise every
-slot — NAT + monitor + firewall, a VPN encap/decap pair, a firewall drop
-rule with ``pre_drop``, DoS prevention (one-shot event) and Maglev
-(recurring event), Snort state functions, and a test-local NF that
-records NF-typed ``args`` — this file checks that
+:meth:`FlowRecord.copy` per record: recorded actions, five-tuples,
+handlers and args are shared values, mutable shells are cloned slot by
+slot, and one ``id -> clone`` map per record keeps every alias.  Over
+Hypothesis-chosen chains that exercise every slot — NAT + monitor +
+firewall, a VPN encap/decap pair, a firewall drop rule with
+``pre_drop``, DoS prevention (one-shot event) and Maglev (recurring
+event), Snort state functions, and a test-local NF that records
+NF-typed ``args`` — this file checks that
 
 1. the copy is structurally equal to the original slot by slot, and to
-   the *generic* walk (``copy.deepcopy`` with every hook masked), which
-   stays here as the reference;
+   the *generic* walk (``copy.deepcopy`` with the chain NFs in the
+   memo), which stays here as the reference;
 2. every mutable shell in the copy is a distinct object while every
-   declared-atomic value is the very same object;
-3. a batch shared between a Local MAT rule and the Global MAT schedule
-   is shared in the copy exactly when it is in the original;
-4. handlers and NF-typed arguments stay bound to the memo'd NFs;
+   shared value is the very same object;
+3. batches and state functions fall into the same identity classes in
+   the copy as in the generic walk — across Local MAT rules, the Global
+   MAT schedule and the functions a fired event installs;
+4. handlers and NF-typed arguments stay bound to the source NFs;
 5. the stored checkpoint is independent: more traffic through the live
    runtime (an event firing and a reconsolidation included) and a
-   rebound, imported, *running* restored copy leave it untouched.
+   rebound, imported, *running* restored copy leave it untouched;
+6. :func:`~repro.scale.migration.flow_walk` finds the directions and
+   observed tuples the two separate walks it replaced found.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actions import FieldOp, Forward, HeaderAction
-from repro.core.classifier import FlowEntry
-from repro.core.consolidation import ConsolidatedAction
+from repro.core.actions import Forward
 from repro.core.framework import FlowRecord, SpeedyBox
-from repro.core.global_mat import GlobalRule
-from repro.core.local_mat import LocalRule
-from repro.core.parallel import ParallelSchedule
 from repro.core.state_function import PayloadClass, StateFunction, StateFunctionBatch
 from repro.ft import capture_flow, restore_flow
-from repro.net.flow import FiveTuple
 from repro.nf import (
     DosPrevention,
     IPFilter,
@@ -53,6 +49,7 @@ from repro.nf import (
 from repro.nf.base import NetworkFunction
 from repro.nf.ipfilter import AclRule
 from repro.nf.maglev import Backend
+from repro.scale.migration import flow_walk
 from repro.traffic import FlowSpec, TrafficGenerator
 
 RULES_TEXT = """
@@ -61,21 +58,6 @@ log tcp any any -> any 80 (msg:"scanner ua"; content:"nmap"; nocase; sid:2001;)
 """
 
 DOS_THRESHOLD = 5
-
-#: every class that declares how it copies
-HOOKED = (
-    FiveTuple,
-    FieldOp,
-    HeaderAction,
-    ConsolidatedAction,
-    FlowEntry,
-    LocalRule,
-    StateFunction,
-    StateFunctionBatch,
-    ParallelSchedule,
-    GlobalRule,
-    FlowRecord,
-)
 
 
 class PeerTouch(NetworkFunction):
@@ -284,21 +266,37 @@ def record_view(record):
 # -- the reference: copy's generic walk -----------------------------------------
 
 
-@contextlib.contextmanager
-def hooks_masked():
-    """Temporarily remove every ``__deepcopy__`` hook this PR declares."""
-    saved = [(cls, cls.__dict__["__deepcopy__"]) for cls in HOOKED]
-    for cls, __ in saved:
-        delattr(cls, "__deepcopy__")
-    try:
-        yield
-    finally:
-        for cls, hook in saved:
-            setattr(cls, "__deepcopy__", hook)
-
-
 def identity_memo(nfs):
     return {id(nf): nf for nf in nfs}
+
+
+def generic_copy(record, nfs):
+    return copy.deepcopy(record, identity_memo(nfs))
+
+
+def alias_signature(record):
+    """Each batch and state function the record reaches — Local MAT
+    rules, then the schedule, then event update functions — named by the
+    position at which its object was first reached."""
+    first = {}
+    signature = []
+
+    def reach(obj):
+        signature.append(first.setdefault(id(obj), len(first)))
+
+    def reach_batch(batch):
+        reach(batch)
+        for fn in batch:
+            reach(fn)
+
+    for rule in record.local_rules.values():
+        reach_batch(rule.sf_batch)
+    for batch in schedule_batches(record.global_rule):
+        reach_batch(batch)
+    for event in record.events:
+        for fn in event.update_state_functions or ():
+            reach(fn)
+    return signature
 
 
 # -- sharing discipline ---------------------------------------------------------
@@ -404,12 +402,12 @@ def test_copy_equals_original_and_generic_walk_and_shares_only_atomics(case):
     drive(runtime, packets[:cut])
 
     for record in live_records(runtime):
-        clone = copy.deepcopy(record, identity_memo(runtime.nfs))
-        with hooks_masked():
-            reference = copy.deepcopy(record, identity_memo(runtime.nfs))
+        clone = record.copy()
+        reference = generic_copy(record, runtime.nfs)
         assert record_view(clone) == record_view(record)
         assert record_view(clone) == record_view(reference)
         assert_copy_discipline(record, clone, runtime.nfs)
+        assert alias_signature(clone) == alias_signature(reference) == alias_signature(record)
         # the reference really is the generic walk: it copies the values
         # the protocol shares
         if record.global_rule is not None:
@@ -478,3 +476,67 @@ def test_checkpoint_survives_an_event_firing_and_a_reconsolidation():
     assert record_view(record) == before
     assert record.global_rule.version == 1
     assert not record.global_rule.consolidated.drop
+
+
+def test_a_fired_one_shot_keeps_its_functions_shared_with_the_rule_batch():
+    """Firing the DoS one-shot puts its update functions into the NF's
+    rule batch as the very same objects; the copy must keep that alias,
+    as the generic walk does, or a restored flow would count blocked
+    packets in one object and report another."""
+    source = SpeedyBox(event_chain())
+    spec = FlowSpec.tcp("10.5.0.7", "99.3.0.1", 4000, 80, packets=DOS_THRESHOLD + 3)
+    drive(source, TrafficGenerator([spec], interleave="round_robin", seed=3).packets())
+    (record,) = [r for r in live_records(source) if any(e.triggered for e in r.events)]
+
+    def installed(rec):
+        (fired,) = [event for event in rec.events if event.triggered]
+        batch = rec.local_rules[fired.nf_name].sf_batch
+        return [any(fn is member for member in batch) for fn in fired.update_state_functions]
+
+    assert installed(record) == [True]
+    clone = record.copy()
+    assert installed(clone) == [True]
+    assert alias_signature(clone) == alias_signature(generic_copy(record, source.nfs))
+
+
+# -- the single chain walk ------------------------------------------------------
+
+
+def reference_observed_tuples(nfs, flow):
+    observed, current = [], flow
+    for nf in nfs:
+        observed.append(current)
+        current = nf.flow_through(current)
+    return observed
+
+
+def reference_wire_directions(nfs, flow):
+    directions, pending = [], [flow, flow.reversed()]
+    while pending and len(directions) < 8:
+        direction = pending.pop(0)
+        if direction in directions:
+            continue
+        directions.append(direction)
+        egress = direction
+        for nf in nfs:
+            egress = nf.flow_through(egress)
+        returned = egress.reversed()
+        if returned not in directions and returned not in pending:
+            pending.append(returned)
+    return directions
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), chain=st.sampled_from(["nat", "vpn", "events", "drop"]))
+def test_flow_walk_matches_the_two_walks_it_replaced(case, chain):
+    __, packets, cut = case
+    runtime = SpeedyBox(CHAINS[chain]())
+    drive(runtime, packets[:cut])
+    nfs = list(runtime.nfs)
+    for flow in sorted({packet.five_tuple() for packet in packets}):
+        for key in (flow, flow.canonical(), flow.reversed()):
+            expected = [
+                (direction, reference_observed_tuples(nfs, direction))
+                for direction in reference_wire_directions(nfs, key)
+            ]
+            assert list(flow_walk(nfs, key).items()) == expected

@@ -18,7 +18,8 @@ from repro.ft import (
     restore_flow,
 )
 from repro.net.flow import FiveTuple
-from repro.nf import IPFilter, MazuNAT, Monitor
+from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor, SnortIDS
+from repro.nf.maglev import Backend
 from repro.obs.audit import AuditLog
 from repro.scale import MigrationError, ScaleCluster, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
@@ -167,6 +168,33 @@ class TestCaptureFlow:
         for packet in packets[4:]:
             runtime.process(packet)  # moves monitor counters on the source
         assert [state for __, __, state in checkpoint.nf_states] == before
+
+
+NF_STATE_OWNERS = {
+    "mazunat": lambda: MazuNAT("nat", external_ip="203.0.113.50", port_range=(30000, 60000)),
+    "monitor": lambda: Monitor("mon"),
+    "ipfilter": lambda: IPFilter("fw"),
+    "maglev": lambda: MaglevLoadBalancer(
+        "lb", backends=[Backend.make("b0", "192.168.7.1", 8080)], table_size=131
+    ),
+    "snort": lambda: SnortIDS(
+        "snort", 'alert tcp any any -> any 443 (msg:"x"; content:"x"; sid:1;)'
+    ),
+}
+
+
+@pytest.mark.parametrize("make_nf", NF_STATE_OWNERS.values(), ids=NF_STATE_OWNERS.keys())
+def test_exported_nf_state_is_an_immutable_value(make_nf):
+    """A checkpoint stores the very value it hands back to the live NF,
+    so every exported per-flow state must be immutable (hashable)."""
+    runtime = SpeedyBox([make_nf()])
+    packets = trace(flows=1)
+    for packet in packets:
+        runtime.process(packet.clone())
+    (nf,) = runtime.nfs
+    state = nf.export_flow_state(packets[0].five_tuple())
+    assert state is not None
+    hash(state)
 
 
 class TestRestoreFlow:

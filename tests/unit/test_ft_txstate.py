@@ -16,6 +16,8 @@ from repro.ft import (
     TxnConflict,
 )
 from repro.net.flow import FiveTuple
+from repro.nf import Monitor
+from repro.traffic import FlowSpec, TrafficGenerator
 
 
 def tcp_flow(i: int) -> FiveTuple:
@@ -153,6 +155,30 @@ class TestSharedAggregate:
         assert agg.add(("f1", 1), packets=1, bytes_=100) is False
         assert agg.packets == 2 and agg.bytes == 150
         assert store.replays_deduped == 1
+
+    def test_monitor_replay_of_a_flow_and_count_is_deduped(self):
+        """The monitor's txn id is ``(five-tuple, per-flow count)``: a
+        replica restored to the flow's counters after packet 1 replays
+        packets 2 and 3 under the very ids they first committed with."""
+        store = TransactionalStore()
+        agg = SharedAggregate(store, name="mon")
+        spec = FlowSpec.tcp("10.0.0.1", "99.2.0.1", 6001, 80, packets=3, handshake=False)
+        packets = TrafficGenerator([spec], seed=1).packets()
+        key = packets[0].five_tuple()
+        live = Monitor("mon", aggregate=agg)
+        live.count_packet(packets[0])
+        snapshot = live.export_flow_state(key)
+        live.import_flow_state(key, snapshot)
+        for packet in packets[1:]:
+            live.count_packet(packet)
+        assert store.applied(("mon", (key, 3)))
+
+        restored = Monitor("mon", aggregate=agg)
+        restored.import_flow_state(key, snapshot)
+        for packet in packets[1:]:
+            restored.count_packet(packet)
+        assert agg.packets == 3 and store.replays_deduped == 2
+        assert restored.state_snapshot(key) == live.state_snapshot(key)
 
     def test_independent_aggregates_share_one_store(self):
         store = TransactionalStore()

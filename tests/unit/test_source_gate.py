@@ -88,6 +88,13 @@ def test_no_trace_of_the_collision_path():
             "mode are gone",
             id="one-value-knobs",
         ),
+        pytest.param(
+            r"__deepcopy__|_identity_memo|wire_directions|observed_tuples",
+            "a flow record copies itself (FlowRecord.copy) and one flow_walk finds "
+            "every direction with its observed tuples: the deepcopy hooks, their "
+            "memo and the two separate chain walks are gone",
+            id="deepcopy-protocol",
+        ),
     ],
 )
 def test_no_trace_of_deleted_names(gone, reason):
@@ -114,6 +121,18 @@ def test_no_trace_of_deleted_names(gone, reason):
         if gone.search(line)
     ]
     assert not hits, f"{reason}: {hits}"
+
+
+def test_nothing_in_the_package_deep_copies():
+    """Snapshots copy through ``FlowRecord.copy``; the docs may still
+    tell how ``copy.deepcopy`` used to do it, the package may not."""
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "deepcopy" in line
+    ]
+    assert not hits, hits
 
 
 # -- reachability ---------------------------------------------------------------
