@@ -1,4 +1,4 @@
-"""BENCH_*.json regression differ (obs gen-3 tooling).
+"""BENCH_*.json regression differ.
 
 Every benchmark writes a flat ``BENCH_<experiment>.json`` artifact at
 the repo root; those files are the perf trajectory of the project.
@@ -18,9 +18,9 @@ nowhere else; a key's name means nothing to it.  A declaration is a
   gated: runners differ too much for them to be comparable, and host
   time has its own calibrated, paired instrument under ``bench/``.
 
-``repro obs diff`` renders the result and turns regressions into an
-exit code; ``benchmarks/check_bench_diff.py`` is the same command for
-CI, against the committed baselines.
+``benchmarks/check_bench_diff.py`` renders the result and turns
+regressions into an exit code — the CI gate, against the committed
+baselines; ``benchmarks/harness.py`` writes the declarations it reads.
 """
 
 from __future__ import annotations

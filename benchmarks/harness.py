@@ -14,7 +14,7 @@ A benchmark that tracks numbers hands them to :func:`save_result` as
 ``metrics``, each one declared where it is produced — :func:`sim`,
 :func:`count` or :func:`wall` — and the declaration is written into
 ``BENCH_<experiment>.json`` beside the value, which is all the
-regression gate (:mod:`repro.obs.benchdiff`) knows about a key.
+regression gate (:mod:`benchmarks.benchdiff`) knows about a key.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from benchmarks.benchdiff import DIRECTIONS, Metric
 from repro.core.framework import ServiceChain, SpeedyBox
 from repro.net.packet import Packet
-from repro.obs.benchdiff import DIRECTIONS, Metric
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.platform.base import PacketOutcome, Platform
 from repro.traffic import FlowSpec, TrafficGenerator

@@ -31,12 +31,6 @@ file names plus a ``manifest.json`` (:mod:`repro.obs.record`).
     decomposition, the stall charges, the regime shifts and the causal
     timeline joined from the record's other surfaces (``explain``).
 
-``obs diff``
-    Compare two sets of ``BENCH_*.json`` results (files or directories)
-    by the kind and direction each key declares in its artifact; exit 1
-    on regressions, 2 on an artifact without declarations — the CI
-    bench gate.
-
 ``ft demo`` / ``ft report DIR``
     Kill a replica mid-stream under checkpointed fault tolerance and
     prove the recovery was loss-free (``demo``); render the recovery
@@ -540,29 +534,6 @@ def _open_record(label: str, args, require=()):
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    if args.action == "diff":
-        from repro.obs import collect_benches, diff_benches, render_diff
-        from repro.obs.benchdiff import regressions
-
-        if not (args.baseline and args.current):
-            print("obs diff: pass --baseline PATH and --current PATH "
-                  "(BENCH_*.json files or directories)", file=sys.stderr)
-            return 2
-        try:
-            entries = diff_benches(
-                collect_benches(args.baseline),
-                collect_benches(args.current),
-                threshold=args.threshold,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"obs diff: {exc}", file=sys.stderr)
-            return 2
-        print(render_diff(entries, show_ok=args.show_ok))
-        bad = regressions(entries)
-        for entry in bad:
-            print(f"regressed: {entry.describe()}")
-        return 1 if bad else 0
-
     require = {"watch": ("timeseries",), "explain": ("forensics",)}.get(args.action, ())
     record = _open_record(f"obs {args.action}", args, require)
     if record is None:
@@ -924,25 +895,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser(
         "obs",
-        help="render a run record (report, watch, explain) or diff "
-             "benchmark results",
+        help="render a run record (report, watch, explain)",
     )
     obs.add_argument(
-        "action", choices=["report", "watch", "diff", "explain"],
+        "action", choices=["report", "watch", "explain"],
         help="what to render",
     )
     obs.add_argument("record", nargs="?", metavar="DIR",
-                     help="report/watch/explain: the run record a run's "
-                          "--obs-out wrote")
-    obs.add_argument("--baseline", metavar="PATH",
-                     help="diff: baseline BENCH_*.json file or directory")
-    obs.add_argument("--current", metavar="PATH",
-                     help="diff: current BENCH_*.json file or directory")
-    obs.add_argument("--threshold", type=float, default=0.05, metavar="FRAC",
-                     help="diff: regression threshold for sim keys, as a fraction "
-                          "(default 0.05)")
-    obs.add_argument("--show-ok", action="store_true",
-                     help="diff: also list unchanged metrics")
+                     help="the run record a run's --obs-out wrote")
     obs.add_argument("--slo-us", type=float, default=None, metavar="US",
                      help="latency SLO in microseconds for the attainment section")
     obs.add_argument("--percentile", type=float, default=0.99,

@@ -70,6 +70,7 @@ from repro.core.local_mat import LocalRule
 from repro.core.state_function import StateFunctionBatch
 from repro.net.flow import FiveTuple, PROTO_UDP
 from repro.obs.registry import NULL_INSTRUMENT
+from repro.platform.base import PlanTable
 from repro.traffic.columnar import KIND_DATA, PacketBatch
 from repro.vector import np
 
@@ -130,21 +131,13 @@ class BatchLane:
         self.span_packets = 0
         #: flows installed by bulk admission (lane introspection)
         self.admitted = 0
-        #: the stage-plan table the replay consumes; ``plan_ids[i]``
-        #: indexes into it.  Plans are deduplicated by value, so the
-        #: table stays tiny no matter how many flows the batch holds.
-        self.table: List[list] = []
-        self._pid_by_value: Dict[tuple, int] = {}
-        #: ``id(plan) -> (plan, fid, is_fast, transfer_ns)`` for every
-        #: table plan, from the report that minted it (the shape
-        #: ``FunctionalRun.labels`` has), or None while no forensics
-        #: engine listens.  A label is per flow, so a listening engine
-        #: keys the table by (value, label) and turns bulk admission,
-        #: which has no report per flow, off.
+        #: the run's plan table; ``plan_ids[i]`` indexes into it.  Plans
+        #: are deduplicated by value, so the table stays tiny no matter
+        #: how many flows the batch holds.  A listening forensics engine
+        #: labels every plan with the report that minted it, which is
+        #: per flow, so it turns bulk admission (no report per flow) off.
         forensics = platform.forensics
-        self.labels: Optional[Dict[int, tuple]] = (
-            {} if forensics is not None and forensics.enabled else None
-        )
+        self.table = PlanTable(labelled=forensics is not None and forensics.enabled)
         flow_count = batch.flow_count
         n = len(batch)
         #: per-flow hint: 1 = last seen compiled-steady.  A stale hint
@@ -221,14 +214,14 @@ class BatchLane:
         #: calls when admissions number in the hundreds of thousands
         self._ft_lists = None
         self.bulk_ok = (
-            self.labels is None
+            self.table.labels is None
             and batch._payloads is None
             and all(nf.setup_flow_oblivious for nf in runtime.nfs)
         )
 
     # -- driving the batch ---------------------------------------------------
 
-    def run(self) -> Tuple[List[list], object, int]:
+    def run(self) -> Tuple[PlanTable, object, int]:
         """Process the whole batch; returns (plan table, plan ids, dropped)."""
         runtime = self.runtime
         previous_feed = runtime._lane_invalidations
@@ -560,7 +553,8 @@ class BatchLane:
         if report.steady:
             pid = self._steady_pid(report)
         else:
-            pid = self._pid_of(self.platform._stage_plan(report), report)
+            plan = self.platform._stage_plan(report)
+            pid = self.platform._plan_id(self.table, plan, report)
         self.plan_ids[index] = pid
 
         five_tuple = batch.five_tuple_of(flow)
@@ -663,7 +657,7 @@ class BatchLane:
         )
         # One shared, immutable plan-cache tuple for every admitted
         # clone's steady report (identical timing by meter identity).
-        self._admit_plan_cache = (self.platform, steady_plan, steady_pid, self)
+        self._admit_plan_cache = (self.platform, steady_plan, steady_pid, self.table)
 
     def _admit(self, flow: int, fid: int, index: int, five_tuple: FiveTuple) -> None:
         """Install one new flow from the template, no packet materialized.
@@ -808,38 +802,22 @@ class BatchLane:
 
     # -- plan table ----------------------------------------------------------
 
-    def _pid_of(self, plan, report) -> int:
-        key = tuple(plan)
-        labels = self.labels
-        if labels is not None:
-            label = (report.fid, report.is_fast, self.platform._plan_transfer_ns(report))
-            key = (key, label)
-        pid = self._pid_by_value.get(key)
-        if pid is None:
-            if labels is not None:
-                # the label hangs on the plan's identity, and a plan a
-                # report cached in an earlier run may be shared
-                plan = list(plan)
-                labels[id(plan)] = (plan, *label)
-            pid = len(self.table)
-            self.table.append(plan)
-            self._pid_by_value[key] = pid
-        return pid
-
     def _steady_pid(self, report) -> int:
         """Plan id of a steady singleton report, memoized on the report.
 
-        The ``lane`` slot guards cross-run staleness: a pid minted by a
-        previous lane run indexes *that* run's table, so only the plan
-        object survives and the pid is re-derived for this table.
+        The marker slot guards cross-run staleness: a pid minted by an
+        earlier run indexes *that* run's table, so only the plan object
+        survives and the pid is re-derived for this table.
         """
+        platform = self.platform
+        table = self.table
         cached = report.plan_cache
-        if cached is not None and cached[0] is self.platform:
-            if cached[3] is self:
+        if cached is not None and cached[0] is platform:
+            if cached[3] is table:
                 return cached[2]
             plan = cached[1]
         else:
-            plan = self.platform._stage_plan(report)
-        pid = self._pid_of(plan, report)
-        report.plan_cache = (self.platform, plan, pid, self)
+            plan = platform._stage_plan(report)
+        pid = platform._plan_id(table, plan, report)
+        report.plan_cache = (platform, plan, pid, table)
         return pid

@@ -80,16 +80,15 @@ class ProcessReport:
     #: it varies per packet).  Consumers may key caches on the report's
     #: identity when this is set — the object outlives the run.
     steady: bool = field(default=False, repr=False, compare=False)
-    #: ``(platform, stage_plan, plan_id, run)`` memo for steady singleton
-    #: reports.  The loaded functional pass and the batch lane both derive
-    #: exactly one stage plan per steady report; keeping the memo *on the
-    #: report* (instead of an ``id()``-keyed side table) means a report
-    #: garbage-collected after a flow eviction can never leave a stale
-    #: entry behind for a recycled id.  ``run`` says which run wrote the
-    #: entry — a per-packet pass's marker or the batch lane, whose
-    #: plan-table index is ``plan_id`` (``None`` elsewhere) — and only
-    #: that run trusts more of it than the plan.  Owned by
-    #: ``repro.platform``.
+    #: ``(platform, stage_plan, plan_id, table)`` memo for steady
+    #: singleton reports.  The loaded functional pass and the batch lane
+    #: both derive exactly one stage plan per steady report; keeping the
+    #: memo *on the report* (instead of an ``id()``-keyed side table)
+    #: means a report garbage-collected after a flow eviction can never
+    #: leave a stale entry behind for a recycled id.  ``table`` is the
+    #: plan table of the run that wrote the entry, ``plan_id`` the plan's
+    #: index in it, and only that run trusts more of the entry than the
+    #: plan.  Owned by ``repro.platform``.
     plan_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property

@@ -21,7 +21,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.report import render_audit_summary, render_metrics_summary
+from repro.obs.report import (
+    render_audit_summary,
+    render_metrics_summary,
+    render_recovery_table,
+)
 from repro.stats.tables import format_table
 
 #: the event kinds that tell the failure story, in the timeline section
@@ -53,31 +57,6 @@ def render_failure_timeline(events: Sequence[Dict[str, Any]]) -> str:
     if len(story) > limit:
         lines.append(f"  ... and {len(story) - limit} more")
     return "\n".join(lines)
-
-
-def render_recovery_table(events: Sequence[Dict[str, Any]]) -> str:
-    """One row per completed failover."""
-    rows: List[List[Any]] = []
-    for event in events:
-        if event.get("kind") != "ft_failover_complete":
-            continue
-        rows.append(
-            [
-                event.get("replica", "?"),
-                event.get("flows_restored", 0),
-                event.get("flows_rebuilt", 0),
-                event.get("replayed", 0),
-                event.get("delivered", 0),
-                event.get("duration_ms", 0.0),
-            ]
-        )
-    if not rows:
-        return "recoveries\n(no failover completed in this run)"
-    return format_table(
-        ["replica", "restored", "rebuilt", "replayed", "delivered", "ms"],
-        rows,
-        title=f"recoveries ({len(rows)})",
-    )
 
 
 def render_checkpoint_cadence(events: Sequence[Dict[str, Any]]) -> str:

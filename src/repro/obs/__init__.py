@@ -23,8 +23,6 @@ benchmark arithmetic:
   coordinator.
 - :mod:`repro.obs.slo` — declarative latency/loss objectives with
   error-budget accounting and burn-rate alerts.
-- :mod:`repro.obs.benchdiff` — BENCH_*.json regression differ behind
-  ``repro obs diff`` and the CI bench-diff gate.
 - :mod:`repro.obs.record` — the run record: the directory ``--obs-out``
   writes (fixed file names plus a ``manifest.json``) and the one loader
   ``repro obs report|watch|explain`` and ``repro ft report`` read it
@@ -42,13 +40,6 @@ simulated cycle outputs are bit-identical to an uninstrumented build.
 """
 
 from repro.obs.audit import AuditLog, NULL_AUDIT, summarize_events
-from repro.obs.benchdiff import (
-    DiffEntry,
-    collect_benches,
-    diff_benches,
-    diff_metrics,
-    render_diff,
-)
 from repro.obs.forensics import (
     FlightRecorder,
     ForensicsEngine,
@@ -100,7 +91,6 @@ __all__ = [
     "Counter",
     "CountingObserver",
     "DEFAULT_BUCKETS",
-    "DiffEntry",
     "EngineObserver",
     "FanoutObserver",
     "FlightRecorder",
@@ -127,18 +117,14 @@ __all__ = [
     "TracingObserver",
     "Window",
     "build_timeline",
-    "collect_benches",
     "components_sum",
     "decompose",
-    "diff_benches",
-    "diff_metrics",
     "exact_residual",
     "load_jsonl",
     "load_metrics",
     "load_record",
     "parse_prometheus",
     "percentile_from_deltas",
-    "render_diff",
     "render_explain",
     "render_forensics",
     "render_prometheus",

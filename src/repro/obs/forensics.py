@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.record import dump_jsonl
@@ -471,56 +471,18 @@ class ForensicsEngine:
         self.sampled = 0
         self.totals = {name: 0.0 for name in COMPONENTS}
 
-    # -- plan cost bookkeeping ----------------------------------------------
-
-    @staticmethod
-    def _plan_total(plan) -> float:
-        total = 0.0
-        for __, service_ns in plan:
-            total += service_ns
-        return total
-
-    def _cost_fn(self, plans, transfers) -> Callable[[int], Tuple[float, float, int]]:
-        """Per-index (service, transfer, stages) with per-plan caching.
-
-        ``transfers`` maps ``id(plan)`` to the plan's transfer estimate
-        (:meth:`Platform._plan_transfer_ns` of the report that made the
-        plan, taken on its first sight by whoever ran it); the split is
-        exact per plan.
-        """
-        cache: Dict[int, Tuple[float, float, int]] = {}
-
-        def costs(index: int) -> Tuple[float, float, int]:
-            plan = plans[index]
-            key = id(plan)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            service, transfer = split_plan_total(self._plan_total(plan), transfers[key])
-            entry = cache[key] = (service, transfer, len(plan))
-            return entry
-
-        return costs
-
     # -- observation ---------------------------------------------------------
 
-    def observe_run(
-        self,
-        plans: Sequence,
-        arrival,
-        finish,
-        transfers: Dict[int, float],
-        replica: Any = None,
-        lane: str = "analytic",
-        fids: Optional[Sequence[int]] = None,
-        fast_flags: Optional[Sequence[bool]] = None,
-    ) -> None:
+    def observe_run(self, table, plan_ids, arrival, finish, replica, lane: str) -> None:
         """Decompose one run from its timeline, whichever replay made it.
 
-        ``arrival`` and ``finish`` are the replay's two columns, indexed
-        by packet like ``plans``; ``fids`` / ``fast_flags`` label packet
-        ``i`` at ``[i]`` (a sequence that raises for an unknown packet
-        leaves the label absent) and ``transfers`` is :meth:`_cost_fn`'s.
+        ``table`` is the run's :class:`~repro.platform.base.PlanTable`,
+        labelled: packet ``i`` followed plan ``table[plan_ids[i]]``, and
+        ``table.labels[pid]`` is ``(fid, is_fast, transfer_ns)`` of the
+        report that made the plan.  Each plan's service / transfer split
+        (:func:`split_plan_total`, exact per plan) is computed once per
+        table.  ``arrival`` and ``finish`` are the replay's two columns,
+        indexed by packet.
 
         This loop is the one window aggregator: a window is a contiguous
         slice of ``finish - arrival`` in packet order — the order no
@@ -537,8 +499,13 @@ class ForensicsEngine:
         latencies = np.asarray(finish, dtype=np.float64) - np.asarray(
             arrival, dtype=np.float64
         )
-        costs = self._cost_fn(plans, transfers)
-        labels = (costs, fids, replica, lane, fast_flags)  # what _record takes
+        costs = []
+        for plan, label in zip(table, table.labels):
+            total = 0.0
+            for __, service_ns in plan:
+                total += service_ns
+            costs.append((*split_plan_total(total, label[2]), len(plan)))
+        run = (table.labels, costs, plan_ids, replica, lane)  # what _record takes
         window_packets = self.window_packets
         stride = self.sample_every
         self.runs += 1
@@ -549,7 +516,7 @@ class ForensicsEngine:
             sampled = seg[samples].tolist()
             components = dict.fromkeys(("queue", "service", "transfer", "stall"), 0.0)
             for offset, latency in zip(samples.tolist(), sampled):
-                service, transfer, __ = costs(start + offset)
+                service, transfer, __ = costs[plan_ids[start + offset]]
                 queue, service, transfer, stall = decompose(latency, service, transfer)
                 components["queue"] += queue
                 components["service"] += service
@@ -576,7 +543,7 @@ class ForensicsEngine:
             }
             worst_k = min(self.worst_k, count)
             worst = [
-                self._record(start + offset, float(seg[offset]), *labels)
+                self._record(start + offset, float(seg[offset]), *run)
                 for offset in np.argpartition(seg, count - worst_k)[count - worst_k:].tolist()
             ]
             worst.sort(key=lambda record: (record.latency_ns, -record.index), reverse=True)
@@ -584,23 +551,24 @@ class ForensicsEngine:
             self.recorder.record_window(summary, worst)
             self.detector.observe_summary(summary, components=components)
 
-    def observe_outcomes(
-        self, platform, outcomes: Sequence, replica: Any = None
-    ) -> None:
+    def observe_outcomes(self, platform, outcomes: Sequence, replica: Any) -> None:
         """Decompose unloaded outcomes (sweep mode: no queueing, queue~0)."""
         if not self.enabled or not outcomes:
             return
-        reports = [outcome.report for outcome in outcomes]
-        plans = [platform._stage_plan(report) for report in reports]
+        from repro.platform.base import PlanTable
+
+        table = PlanTable(labelled=True)
+        plan_ids = [
+            platform._plan_id(table, platform._stage_plan(outcome.report), outcome.report)
+            for outcome in outcomes
+        ]
         self.observe_run(
-            plans,
+            table,
+            plan_ids,
             np.zeros(len(outcomes)),
             [outcome.latency_ns for outcome in outcomes],
-            {id(plan): platform._plan_transfer_ns(report) for plan, report in zip(plans, reports)},
-            replica=replica,
-            lane="unloaded",
-            fids=[report.fid for report in reports],
-            fast_flags=[report.is_fast for report in reports],
+            replica,
+            "unloaded",
         )
 
     def note_stall(self, charge: StallCharge) -> None:
@@ -613,23 +581,11 @@ class ForensicsEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _record(
-        self, index, latency, costs, fids, replica, lane, fast_flags
-    ) -> TailRecord:
-        service, transfer, stages = costs(index)
+    def _record(self, index, latency, labels, costs, plan_ids, replica, lane) -> TailRecord:
+        pid = plan_ids[index]
+        service, transfer, stages = costs[pid]
         queue, service, transfer, stall = decompose(latency, service, transfer)
-        fid = None
-        if fids is not None:
-            try:
-                fid = fids[index]
-            except (IndexError, KeyError, TypeError):
-                fid = None
-        fast = None
-        if fast_flags is not None:
-            try:
-                fast = bool(fast_flags[index])
-            except (IndexError, KeyError, TypeError):
-                fast = None
+        fid, fast, __ = labels[pid]
         return TailRecord(
             index=index,
             latency_ns=latency,

@@ -198,12 +198,35 @@ HEALTH_KINDS = ("health_degraded", "health_critical", "health_recovered")
 SLO_KINDS = ("slo_burn_alert",)
 
 
-def render_ft_recovery(events: Sequence[Dict[str, Any]]) -> str:
-    """Recovery trails and FT event counts from ``ft_*`` audit kinds.
+def render_recovery_table(events: Sequence[Dict[str, Any]]) -> str:
+    """One row per completed failover (``ft_failover_complete``): flows
+    restored vs rebuilt, log packets replayed, buffered packets
+    delivered, wall-clock cost — the table ``repro obs report`` and
+    ``repro ft report`` both print."""
+    rows = [
+        [
+            event.get("replica", "?"),
+            event.get("flows_restored", 0),
+            event.get("flows_rebuilt", 0),
+            event.get("replayed", 0),
+            event.get("delivered", 0),
+            f"{event.get('duration_ms', 0.0):.2f}",
+        ]
+        for event in events
+        if event.get("kind") == "ft_failover_complete"
+    ]
+    if not rows:
+        return "recoveries\n(no failover completed in this run)"
+    return format_table(
+        ["replica", "restored", "rebuilt", "replayed", "delivered", "ms"],
+        rows,
+        title=f"recoveries ({len(rows)})",
+    )
 
-    Implemented here (not imported from :mod:`repro.ft.report`, which
-    itself imports this module) so the obs dashboard owns its sections.
-    """
+
+def render_ft_recovery(events: Sequence[Dict[str, Any]]) -> str:
+    """FT event counts from ``ft_*`` audit kinds, and the recovery table
+    when a failover completed."""
     ft_events = [e for e in events if str(e.get("kind", "")).startswith("ft_")]
     if not ft_events:
         return "fault tolerance\n(no ft_* events recorded)"
@@ -221,27 +244,8 @@ def render_ft_recovery(events: Sequence[Dict[str, Any]]) -> str:
             title=f"fault tolerance ({len(ft_events)} events)",
         )
     ]
-    completions = [e for e in ft_events if e.get("kind") == "ft_failover_complete"]
-    if completions:
-        rows = []
-        for event in completions:
-            rows.append(
-                [
-                    event.get("replica", "?"),
-                    event.get("flows_restored", 0),
-                    event.get("flows_rebuilt", 0),
-                    event.get("replayed", 0),
-                    event.get("delivered", 0),
-                    f"{event.get('duration_ms', 0.0):.2f}",
-                ]
-            )
-        blocks.append(
-            format_table(
-                ["replica", "restored", "rebuilt", "replayed", "delivered", "ms"],
-                rows,
-                title=f"recoveries ({len(completions)})",
-            )
-        )
+    if "ft_failover_complete" in counts:
+        blocks.append(render_recovery_table(ft_events))
     return "\n\n".join(blocks)
 
 

@@ -136,7 +136,7 @@ class Window:
         "_sorted",
     )
 
-    def __init__(self, index: int, start_ns: float, end_ns: Optional[float]):
+    def __init__(self, index: int, start_ns: Optional[float], end_ns: Optional[float]):
         self.index = index
         self.start_ns = start_ns
         self.end_ns = end_ns
@@ -176,7 +176,7 @@ class Window:
 
     @property
     def duration_ns(self) -> Optional[float]:
-        if self.end_ns is None:
+        if self.start_ns is None or self.end_ns is None:
             return None
         return self.end_ns - self.start_ns
 
@@ -265,7 +265,7 @@ class TimeSeries:
 
     # -- the window clock ---------------------------------------------------
 
-    def _open(self, start_ns: float) -> Window:
+    def _open(self, start_ns: Optional[float]) -> Window:
         if self.window_ns is not None:
             # Align the window to the clock grid so arrivals map to
             # window indices arithmetically.
@@ -363,8 +363,11 @@ class TimeSeries:
         arithmetic over the delivered-latency column — no per-packet
         Python loop, which is what keeps the fast lanes' obs overhead
         near zero.  Drops (arrival positions unknown post-run) are
-        charged to the final window.  Every ingested window is closed
-        before returning, so ``on_close`` subscribers fire here too.
+        charged to the final window.  The result carries no arrival
+        times, so a packet-clock window cut here has no simulated bounds:
+        its ``start_ns``, ``end_ns`` and ``rate_pps`` stay ``None``.
+        Every ingested window is closed before returning, so
+        ``on_close`` subscribers fire here too.
         """
         latencies = result.latencies_ns
         n = len(latencies)
@@ -386,14 +389,14 @@ class TimeSeries:
             lo = 0
             while lo < n:
                 hi = min(lo + size, n)
-                window = self._current or self._open(float(lo))
+                window = self._current or self._open(None)
                 room = size - window.packets
                 hi = min(lo + room, n)
                 chunk = latencies[lo:hi].tolist()
                 fast = max(0, min(len(chunk), delivered_fast - lo))
                 fill(window, chunk, fast)
                 if window.packets >= size:
-                    closed.append(self._close(float(hi)))
+                    closed.append(self._close())
                 lo = hi
         elif inter_arrival_ns <= 0:
             # Saturation: every arrival at t=0, one window holds the run.
@@ -417,7 +420,10 @@ class TimeSeries:
         window = self._current
         if result.dropped:
             if window is None:
-                window = self._open(max(0.0, (n - 1)) * max(inter_arrival_ns, 0.0))
+                start = None
+                if self.window_ns is not None:
+                    start = max(0.0, (n - 1)) * max(inter_arrival_ns, 0.0)
+                window = self._open(start)
             window.drops += result.dropped
             self.total_drops += result.dropped
             rw = window.replica_window(replica)
@@ -533,7 +539,7 @@ def render_windows(rows: Sequence[Dict[str, Any]], title: str = "windows") -> st
         table_rows.append(
             [
                 row.get("index"),
-                f"{row.get('start_ns', 0.0):.0f}",
+                "-" if row.get("start_ns") is None else f"{row['start_ns']:.0f}",
                 row.get("packets", 0),
                 row.get("drops", 0),
                 row.get("buffered", 0),

@@ -34,7 +34,7 @@ from repro.obs.trace import NULL_TRACER, PacketTracer
 from repro.platform.costs import CostModel, CycleMeter, Operation
 from repro.sim import Engine, Get, Put, Request, Resource, Store, Timeout
 from repro.sim import analytic as sim_analytic
-from repro.sim.analytic import analytic_replay, plans_are_analytic
+from repro.sim.analytic import analytic_replay, plans_are_analytic, plans_are_vector
 from repro.stats.summary import percentile_sorted
 from repro.vector import np
 
@@ -206,6 +206,38 @@ def load_result(arrival, finish, dropped: int) -> LoadResult:
 StagePlan = List[Tuple[Optional[int], float]]
 
 
+class PlanTable(list):
+    """One run's distinct stage plans, deduplicated by value.
+
+    A plan id is an index into the table; a run is the table plus one
+    plan id per packet, however the run was made (the per-packet pass,
+    the whole-batch lane, each replica of a cluster), and every replay
+    and the forensics engine read that one shape.  While a forensics
+    engine listens, a plan's key is its value plus its forensic label
+    ``(fid, is_fast, transfer_ns)`` — the report that made it — and
+    ``labels[pid]`` keeps that label; otherwise ``labels`` is None.
+    """
+
+    __slots__ = ("labels", "_pid_by_key")
+
+    def __init__(self, labelled: bool):
+        super().__init__()
+        self.labels: Optional[List[tuple]] = [] if labelled else None
+        self._pid_by_key: Dict[tuple, int] = {}
+
+    def pid_of(self, plan: StagePlan, label: Optional[tuple]) -> int:
+        """The id of ``plan`` (with ``label``, in a labelled table),
+        filed on first sight."""
+        key = tuple(plan) if label is None else (tuple(plan), label)
+        pid = self._pid_by_key.get(key)
+        if pid is None:
+            pid = self._pid_by_key[key] = len(self)
+            self.append(plan)
+            if label is not None:
+                self.labels.append(label)
+        return pid
+
+
 @dataclass
 class FunctionalRun:
     """What one loaded run knows, from its functional phase to its tail.
@@ -218,46 +250,17 @@ class FunctionalRun:
     leaves nothing behind.
     """
 
-    #: per-packet stage plans; a lane run spells them out only when the
-    #: replay needs them
-    plans: Optional[List[StagePlan]] = None
+    #: the run's distinct stage plans
+    table: PlanTable
+    #: packet ``i``'s plan is ``table[plan_ids[i]]``: a list the pass
+    #: appends to, or the lane's int32 column
+    plan_ids: object
     dropped: int = 0
     #: run-local packet index -> the sampled root span ``record()`` returned
     roots: Dict[int, dict] = field(default_factory=dict)
-    #: ``id(plan) -> (plan, fid, is_fast, transfer_ns)`` captured on a
-    #: plan's first sight this run (per plan is per flow: a steady report
-    #: memoizes one plan), or None when no forensics engine is listening.
-    #: ``plans`` keeps every key alive, so no ``id()`` can be recycled.
-    labels: Optional[Dict[int, tuple]] = None
     #: the forensic rows' ``replica``: the platform's label, or the
     #: replica id a cluster gave the run
     replica: object = None
-    #: a lane run's ``(plan table, plan-id column, batch)``
-    lane: Optional[tuple] = None
-
-
-class _PlanInfoColumn:
-    """Per-packet ``fids``/``fast_flags`` view over a run's plan labels.
-
-    ``column[i]`` resolves packet ``i``'s captured context through its
-    plan's identity — built lazily, paid only for the handful of worst-K
-    records the forensics engine actually labels.  Raises ``IndexError``
-    for a plan the run never labelled, which the engine maps to an
-    absent label.
-    """
-
-    __slots__ = ("plans", "info", "slot")
-
-    def __init__(self, plans, info, slot):
-        self.plans = plans
-        self.info = info
-        self.slot = slot
-
-    def __getitem__(self, index):
-        entry = self.info.get(id(self.plans[index]))
-        if entry is None:
-            raise IndexError(index)
-        return entry[self.slot]
 
 
 def _is_packet_batch(packets) -> bool:
@@ -587,11 +590,13 @@ class Platform:
         (and streams through
         :meth:`~repro.traffic.columnar.PacketBatch.packet_view`
         otherwise); packets — ``batch.packet_view()`` included, which is
-        the lane's equivalence oracle — take the per-packet pass.  The
-        replay is the vector recursion for a lane run of one-hop plans
-        at saturation, the closed form when :meth:`_analytic_valid`, the
-        DES otherwise.  Every route gives exactly the result the
-        materialized packet list would have produced.
+        the lane's equivalence oracle — take the per-packet pass.  Either
+        route hands :meth:`_replay` one plan table, and the table and
+        the gaps pick the replay: the vector recursion for one-hop plans
+        on one stage at saturation, the closed form when
+        :meth:`_analytic_valid`, the DES otherwise.  Every route gives
+        exactly the result the materialized packet list would have
+        produced.
         """
         if _is_packet_batch(packets):
             if self._batch_lane_eligible(use_timestamps):
@@ -606,44 +611,45 @@ class Platform:
         """Phase two of a loaded run: pick a replay, get the run's
         timeline, finish (:meth:`_finish_run`).
 
-        The per-packet pass hands over ``run.plans`` and ``gaps``; a
-        lane hands over ``run.lane`` instead — its deduplicated plan
-        table, its plan-id column and the batch it served — and its
-        gaps are the constant ``inter_arrival_ns``.  Three replays, one
-        shape: the vector recursion when a lane's table admits it, the
-        closed form when :meth:`_analytic_valid`, the DES otherwise,
-        each returning ``(arrival, finish)`` indexed by packet.  The
-        vector route stays columnar; only an enabled forensics engine
-        makes it spell its plans out per packet.
+        Every route hands over its plan table and plan-id column; the
+        per-packet pass adds its ``gaps``, and a lane's gaps (``None``)
+        are the constant ``inter_arrival_ns``.  The table and the gaps
+        alone pick the replay: an attached registry or tracer takes the
+        DES (:meth:`_analytic_valid`); all-zero gaps over a table
+        :func:`plans_are_vector` accepts take the
+        vector recursion; a table :func:`plans_are_analytic` accepts
+        the closed form; anything else the DES.  A vector table is an
+        analytic one, so the vector route is the closed form's special
+        case.  Each returns ``(arrival, finish)`` indexed by packet.
         """
-        timeline = None
-        if run.lane is not None:
-            table, plan_ids, __ = run.lane
-            if inter_arrival_ns == 0:
-                timeline = sim_analytic.analytic_replay_vector(
-                    table, plan_ids, self.config.ring_capacity
-                )
-            if timeline is None or (self.forensics is not None and self.forensics.enabled):
-                run.plans = [table[pid] for pid in plan_ids.tolist()]
-            if timeline is None:
-                gaps = arrival_gaps(run.plans, inter_arrival_ns, use_timestamps=False)
-        plans = run.plans
-        if timeline is not None:
-            route = "batch"
-        elif self._analytic_valid(plans):
-            timeline = analytic_replay(
-                plans, gaps, self._stage_count(), self.config.ring_capacity
-            )
-            route = "analytic"
+        table, plan_ids = run.table, run.plan_ids
+        analytic = self._analytic_valid(table)
+        if gaps is None:  # a lane's: zero ahead of the first packet, then constant
+            saturated = inter_arrival_ns == 0 or len(plan_ids) < 2
         else:
-            engine = Engine()
-            self._attach_observer(engine)
-            pipeline = self._spawn_pipeline(engine, plans, gaps)
-            engine.run()
-            self._publish_load_metrics(pipeline.rings)
-            timeline = pipeline.arrival, pipeline.finish
-            route = "des"
-        return self._finish_run(run, timeline, inter_arrival_ns, route)
+            saturated = not any(gaps)
+        if analytic and saturated and plans_are_vector(table):
+            timeline = sim_analytic.analytic_replay_vector(
+                table, plan_ids, self.config.ring_capacity
+            )
+            return self._finish_run(run, timeline, inter_arrival_ns, "vector")
+        if not isinstance(plan_ids, list):  # the lane's int32 column
+            plan_ids = plan_ids.tolist()
+        if gaps is None:
+            gaps = arrival_gaps(plan_ids, inter_arrival_ns, use_timestamps=False)
+        if analytic:
+            timeline = analytic_replay(
+                table, plan_ids, gaps, self._stage_count(), self.config.ring_capacity
+            )
+            return self._finish_run(run, timeline, inter_arrival_ns, "analytic")
+        engine = Engine()
+        self._attach_observer(engine)
+        pipeline = self._spawn_pipeline(engine, table, plan_ids, gaps)
+        engine.run()
+        self._publish_load_metrics(pipeline.rings)
+        return self._finish_run(
+            run, (pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
+        )
 
     def _finish_run(
         self, run: FunctionalRun, timeline: tuple, inter_arrival_ns: float, route: str
@@ -651,11 +657,8 @@ class Platform:
         """The one tail of a loaded run, whoever replayed it: count its
         packets, build the result from the timeline and hand the
         timeline to what is attached (span stamps, time series,
-        forensics).
-
-        The forensic labelling of the run's packets (``observe_run``'s
-        ``fids`` / ``fast_flags`` / ``transfers``) is what the pass, or
-        the lane, captured per plan from the report that made it.
+        forensics — which reads each packet's labels off the run's plan
+        table).
         """
         arrival = np.asarray(timeline[0], dtype=np.float64)
         finish = np.asarray(timeline[1], dtype=np.float64)
@@ -667,17 +670,7 @@ class Platform:
             self._ingest_timeseries(result, inter_arrival_ns)
         forensics = self.forensics
         if forensics is not None and forensics.enabled:
-            labels = run.labels
-            forensics.observe_run(
-                run.plans,
-                arrival,
-                finish,
-                {key: entry[3] for key, entry in labels.items()},
-                replica=run.replica,
-                lane=route,
-                fids=_PlanInfoColumn(run.plans, labels, 1),
-                fast_flags=_PlanInfoColumn(run.plans, labels, 2),
-            )
+            forensics.observe_run(run.table, run.plan_ids, arrival, finish, run.replica, route)
         return result
 
     def _ingest_timeseries(self, result: LoadResult, inter_arrival_ns: float) -> None:
@@ -734,25 +727,33 @@ class Platform:
             "plan_table_size": len(table),
         }
         run = FunctionalRun(
+            table=table,
+            plan_ids=plan_ids,
             dropped=dropped,
             roots=lane.roots,
-            labels=lane.labels,
             replica=self.label,
-            lane=(table, plan_ids, batch),
         )
         return self._replay(run, None, inter_arrival_ns)
 
-    def _analytic_valid(self, plans: Sequence[StagePlan]) -> bool:
-        """May this run use the closed-form replay instead of the DES?
+    def _analytic_valid(self, table: Sequence[StagePlan]) -> bool:
+        """May this run use a closed-form replay instead of the DES?
 
-        The analytic recursion cannot express observer instrumentation
+        The analytic recursions cannot express observer instrumentation
         (metrics/tracer hooks see every engine event), pure-delay hops
         or multi-producer stage graphs — those fall back to the DES.  (A
         shared core pool needs it too; a cluster that has one never asks.)
         """
         if self.metrics.enabled or self.tracer.enabled:
             return False
-        return plans_are_analytic(plans)
+        return plans_are_analytic(table)
+
+    def _plan_id(self, table: PlanTable, plan: StagePlan, report: ProcessReport) -> int:
+        """``plan``'s id in ``table``, labelled by ``report`` while a
+        forensics engine listens (:class:`PlanTable`)."""
+        if table.labels is None:
+            return table.pid_of(plan, None)
+        label = (report.fid, report.is_fast, self._plan_transfer_ns(report))
+        return table.pid_of(plan, label)
 
     def _functional_pass(self, packets: Sequence[Packet]) -> FunctionalRun:
         """Phase one of a loaded run: every packet through one pass."""
@@ -766,38 +767,40 @@ class Platform:
         temporally, one packet per call.
 
         Returns ``(offer, run)``: ``offer(packet)`` processes the packet,
-        files its stage plan in ``run`` and returns it; the caller drives
-        it — :meth:`_functional_pass` over a packet sequence, a cluster
-        over the packets it routes to this replica — and hands ``run``
-        to :meth:`_replay`.  This is the only place a loaded run calls
-        ``runtime.process``.
+        files its plan's id in ``run`` and returns the plan; the caller
+        drives it — :meth:`_functional_pass` over a packet sequence, a
+        cluster over the packets it routes to this replica — and hands
+        ``run`` to :meth:`_replay`.  This is the only place a loaded run
+        calls ``runtime.process``.
 
         One step serves every configuration.  A steady-state singleton
         report (``report.steady``) whose ``plan_cache`` carries *this
-        pass's* marker has nothing left to show anyone: its plan is
-        filed and the step returns, so the steady majority costs one
+        run's* plan table has nothing left to show anyone: its plan id
+        is filed and the step returns, so the steady majority costs one
         probe whatever is attached.  Every other report has its plan
-        built (or taken from a cache an earlier run or a lane left) and,
-        while anything is attached, is shown to it by :meth:`_watch`; a
-        steady report is marked the moment nothing will want its packets
-        again.  The plan is cached only together with the marker, so a
-        flow still being recorded rebuilds its plan per packet — which
-        only the sampled minority pays.
+        built (or taken from a cache an earlier run or a lane left),
+        looked up in the table and, while anything is attached, is shown
+        to it by :meth:`_watch`; a steady report is marked the moment
+        nothing will want its packets again.  The plan is cached only
+        together with the marker, so a flow still being recorded
+        rebuilds its plan per packet — which only the sampled minority
+        pays.
 
-        The marker is a fresh object per pass, kept on the report itself
+        The marker is the run's table, kept on the report itself
         (``ProcessReport.plan_cache`` — an ``id()``-keyed side table
         would go stale once bounded flow tables let steady reports be
         garbage-collected mid-run and their ids recycled).  Reports
-        outlive the run; the marker does not, so a recorder that was
+        outlive the run; the table does not, so a recorder that was
         reset, swapped or attached since sees every flow again.
         """
         forensics = self.forensics
         capturing = forensics is not None and forensics.enabled
-        run = FunctionalRun(plans=[], labels={} if capturing else None, replica=self.label)
+        table = PlanTable(labelled=capturing)
+        run = FunctionalRun(table=table, plan_ids=[], replica=self.label)
         process = self.runtime.process
         stage_plan = self._stage_plan
-        append_plan = run.plans.append
-        done = object()
+        plan_id = self._plan_id
+        file_pid = run.plan_ids.append
         watch = None
         if self.spans is not None or capturing or self.metrics.enabled or self.tracer.enabled:
             watch = self._watch
@@ -809,38 +812,33 @@ class Platform:
             cached = report.plan_cache
             if cached is None:
                 plan = stage_plan(report)
-            elif cached[3] is done:
-                plan = cached[1]
-                append_plan(plan)
-                return plan
+            elif cached[3] is table:
+                file_pid(cached[2])
+                return cached[1]
             else:
                 plan = cached[1] if cached[0] is self else stage_plan(report)
-            if watch is None or watch(report, plan, run):
+            pid = plan_id(table, plan, report)
+            if watch is None or watch(report, run):
                 if report.steady:
-                    report.plan_cache = (self, plan, None, done)
-            append_plan(plan)
+                    report.plan_cache = (self, plan, pid, table)
+            file_pid(pid)
             return plan
 
         return offer, run
 
-    def _watch(self, report: ProcessReport, plan: StagePlan, run: FunctionalRun) -> bool:
+    def _watch(self, report: ProcessReport, run: FunctionalRun) -> bool:
         """Show the packet ``run`` is about to file to what is attached.
 
         The observers see it exactly as :meth:`process` would show it
-        (:meth:`_observe`); a sampled root is kept under the packet's
-        index in the run, and the plan's forensic labels are captured on
-        first sight.  Returns whether nothing will want this report's
-        packets again this run: no registry or tracer attached (those
-        count every packet), and its flow unsampled or past the span cap.
+        (:meth:`_observe`), and a sampled root is kept under the
+        packet's index in the run.  Returns whether nothing will want
+        this report's packets again this run: no registry or tracer
+        attached (those count every packet), and its flow unsampled or
+        past the span cap.
         """
         root = self._observe(report)
         if root is not None:
-            run.roots[len(run.plans)] = root
-        labels = run.labels
-        if labels is not None and id(plan) not in labels:
-            labels[id(plan)] = (
-                plan, report.fid, report.is_fast, self._plan_transfer_ns(report)
-            )
+            run.roots[len(run.plan_ids)] = root
         if self.metrics.enabled or self.tracer.enabled:
             return False
         spans = self.spans
@@ -849,13 +847,15 @@ class Platform:
     def _spawn_pipeline(
         self,
         engine: Engine,
-        plans: Sequence[StagePlan],
+        table: Sequence[StagePlan],
+        plan_ids: Sequence[int],
         gaps: Sequence[float],
         core_pool: Optional[Resource] = None,
     ) -> PipelineRun:
         """Register this platform's stage pipeline on ``engine``.
 
-        ``gaps[i]`` is the source's Timeout before offering packet ``i``.
+        Packet ``i`` follows plan ``table[plan_ids[i]]``; ``gaps[i]`` is
+        the source's Timeout before offering it.
         ``core_pool`` (optional) is a shared :class:`Resource` every stage
         worker must hold while serving a packet — how a replica cluster
         models oversubscribed physical cores.  Pure-delay hops (offloaded
@@ -873,8 +873,8 @@ class Platform:
             for i in range(stage_count)
         ]
         done = Store(engine, name=f"{label}:done")
-        arrival = [0.0] * len(plans)
-        finish = [0.0] * len(plans)
+        arrival = [0.0] * len(plan_ids)
+        finish = [0.0] * len(plan_ids)
         tracing = self.tracer.enabled
 
         def delay_hop(packet_index: int, hop: int, plan: StagePlan):
@@ -903,7 +903,7 @@ class Platform:
                 yield Put(done, (packet_index, engine.now))
 
         def source():
-            for index, plan in enumerate(plans):
+            for index, plan in enumerate(map(table.__getitem__, plan_ids)):
                 if gaps[index] > 0:
                     yield Timeout(gaps[index])
                 arrival[index] = engine.now
@@ -934,7 +934,7 @@ class Platform:
                 yield from forward(packet_index, hop, plan)
 
         def sink():
-            for __ in range(len(plans)):
+            for __ in range(len(plan_ids)):
                 packet_index, finished_at = yield Get(done)
                 finish[packet_index] = finished_at
             for ring in rings:

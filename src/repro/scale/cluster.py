@@ -375,7 +375,7 @@ class ScaleCluster:
             core_pool = Resource(engine, capacity=self.physical_cores, name="cores")
             pipelines = {
                 rid: replica.platform._spawn_pipeline(
-                    engine, runs[rid].plans, gaps[rid], core_pool=core_pool
+                    engine, runs[rid].table, runs[rid].plan_ids, gaps[rid], core_pool=core_pool
                 )
                 for rid, replica in participants.items()
             }

@@ -47,10 +47,13 @@ from repro.vector import np
 _SOURCE = -1
 
 
-def plans_are_analytic(plans: Sequence[Sequence[Tuple[Optional[int], float]]]) -> bool:
-    """Can these stage plans be replayed with the closed-form recursion?
+def plans_are_analytic(table: Sequence[Sequence[Tuple[Optional[int], float]]]) -> bool:
+    """Can a run over this plan table be replayed with the closed-form
+    recursion?
 
-    Requirements, checked in one pass over the hops:
+    ``table`` holds the run's distinct plans (each packet names one by
+    its plan id), so every plan is walked once however many packets
+    share it.  Requirements, checked in one pass over the hops:
 
     - every plan is non-empty (an empty plan would route the packet
       straight to the sink, a case only the DES models);
@@ -63,17 +66,9 @@ def plans_are_analytic(plans: Sequence[Sequence[Tuple[Optional[int], float]]]) -
       source order, so no later packet can delay an earlier one.
     """
     producer_of: Dict[int, int] = {}
-    seen_plans: set = set()
-    for plan in plans:
-        # Steady-state plans are shared list objects (one per compiled
-        # flow); re-walking an already-validated plan cannot change the
-        # producer map, so identical plans are checked once.
-        plan_id = id(plan)
-        if plan_id in seen_plans:
-            continue
+    for plan in table:
         if not plan:
             return False
-        seen_plans.add(plan_id)
         previous = _SOURCE
         for stage, __ in plan:
             if stage is None or stage == previous:
@@ -87,15 +82,34 @@ def plans_are_analytic(plans: Sequence[Sequence[Tuple[Optional[int], float]]]) -
     return True
 
 
+def plans_are_vector(table: Sequence[Sequence[Tuple[Optional[int], float]]]) -> bool:
+    """Does this plan table have the shape :func:`analytic_replay_vector`
+    evaluates: every plan a single hop with a non-negative service time,
+    all on one common stage (the BESS topology; ONVM's no-wave fast path
+    compresses to it too)?  An empty table qualifies."""
+    stages = set()
+    for plan in table:
+        if len(plan) != 1:
+            return False
+        stage, service_ns = plan[0]
+        if stage is None or service_ns < 0:
+            return False
+        stages.add(stage)
+    return len(stages) <= 1
+
+
 def analytic_replay(
-    plans: Sequence[Sequence[Tuple[int, float]]],
+    table: Sequence[Sequence[Tuple[int, float]]],
+    plan_ids: Sequence[int],
     gaps: Sequence[float],
     stage_count: int,
     ring_capacity: Optional[int],
 ) -> Tuple[List[float], List[float]]:
-    """Replay stage plans analytically; returns the run's timeline.
+    """Replay a run analytically; returns its timeline.
 
-    The timeline is two lists indexed by packet, ``(arrival, finish)``:
+    Packet ``i`` follows plan ``table[plan_ids[i]]`` after the source
+    waits ``gaps[i]``.  The timeline is two lists indexed by packet,
+    ``(arrival, finish)``:
     ``arrival[i]`` is packet ``i``'s offered time and ``finish[i]`` its
     departure from the last hop — the shape
     :meth:`Platform._spawn_pipeline` collects from the DES and
@@ -103,7 +117,7 @@ def analytic_replay(
     Fast packets overtake slow ones on mixed-path pipelines, so
     ``finish`` need not be sorted; whoever wants finish order sorts.
 
-    Callers must have validated the plans with :func:`plans_are_analytic`.
+    Callers must have validated the table with :func:`plans_are_analytic`.
     """
     arrival: List[float] = []
     offered = arrival.append
@@ -115,7 +129,7 @@ def analytic_replay(
     cap = ring_capacity
     source_ready = 0.0
 
-    for plan, gap in zip(plans, gaps):
+    for plan, gap in zip(map(table.__getitem__, plan_ids), gaps):
         offer = source_ready + gap if gap > 0 else source_ready
         offered(offer)
         ready = offer
@@ -151,16 +165,14 @@ def analytic_replay_vector(
     plan_ids,
     ring_capacity: Optional[int],
 ):
-    """Whole-batch array evaluation of the saturation recursion, or ``None``.
+    """Whole-run array evaluation of the saturation recursion.
 
-    Applies only to the case the batch lane's hot benchmarks hit:
-    all-zero arrival gaps (saturation), and every plan in the
-    deduplicated ``table`` a single hop on one common stage (the BESS
-    topology; ONVM's no-wave fast path compresses to it too).  Under
-    those conditions the scalar recursion collapses — with every gap
-    zero, the stage's ready time is non-decreasing, so ``start_i`` always
-    resolves to ``ready_{i-1}`` and the whole run is two cumulative
-    passes::
+    Applies to all-zero arrival gaps (saturation) over a plan table
+    :func:`plans_are_vector` accepts — every plan a single hop on one
+    common stage; callers check both.  Under those conditions the
+    scalar recursion collapses — with every gap zero, the stage's ready
+    time is non-decreasing, so ``start_i`` always resolves to
+    ``ready_{i-1}`` and the whole run is two cumulative passes::
 
         ready = cumsum(service)            # add.accumulate: the same
         start = [0, ready[:-1]]            #   left-fold of float adds
@@ -171,32 +183,20 @@ def analytic_replay_vector(
     left folds over float64, so every intermediate is bit-identical to
     the scalar loop's — the equivalence suite asserts exact equality.
     Anything outside this shape (heterogeneous gaps, multi-hop plans,
-    several target stages) returns ``None``: float addition is not
-    associative, so the general case cannot be re-bracketed into array
-    passes without breaking exactness.
+    several target stages) is the scalar recursion's: float addition is
+    not associative, so the general case cannot be re-bracketed into
+    array passes without breaking exactness.
 
     Returns the run's timeline as two float64 columns indexed by
     packet, ``(arrival, finish)`` — what the scalar replay returns as
     lists.  Service times are non-negative, so ``finish`` is
     non-decreasing here: packet order is finish order.
     """
-    empty = np.empty(0, dtype=np.float64)
-    if not table:
-        return empty, empty
-    stage: Optional[int] = None
-    for plan in table:
-        if len(plan) != 1:
-            return None
-        hop_stage, service_ns = plan[0]
-        if hop_stage is None or service_ns < 0:
-            return None
-        if stage is None:
-            stage = hop_stage
-        elif hop_stage != stage:
-            return None
-
     service_by_pid = np.array([plan[0][1] for plan in table], dtype=np.float64)
     n = len(plan_ids)
+    if not n:
+        empty = np.empty(0, dtype=np.float64)
+        return empty, empty
     # Both columns are written in place: the gathered service times
     # become ``ready`` (the finish column), and ``arrival`` is the
     # shifted ``start`` folded by the running maximum.

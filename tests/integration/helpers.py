@@ -185,7 +185,7 @@ def des_run_load(
         gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
     run = platform._functional_pass(packets)
     engine = Engine()
-    pipeline = platform._spawn_pipeline(engine, run.plans, gaps)
+    pipeline = platform._spawn_pipeline(engine, run.table, run.plan_ids, gaps)
     engine.run()
     return load_result(pipeline.arrival, pipeline.finish, run.dropped)
 

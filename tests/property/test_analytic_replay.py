@@ -37,10 +37,11 @@ class _ReplayHarness(BessPlatform):
 
 
 def des_replay(plans, gaps, stage_count, ring_capacity, harness=None):
-    """(arrival, finish) of the plans on the generator engine."""
+    """(arrival, finish) of the plans on the generator engine: a table
+    whose every packet has a plan of its own."""
     harness = harness or _ReplayHarness(stage_count, ring_capacity)
     engine = Engine()
-    run = harness._spawn_pipeline(engine, plans, gaps)
+    run = harness._spawn_pipeline(engine, plans, range(len(plans)), gaps)
     engine.run()
     return run.arrival, run.finish
 
@@ -87,7 +88,8 @@ class TestAnalyticMatchesDES:
         plans, gaps, stage_count, ring_capacity = case
         assert plans_are_analytic(plans)
 
-        assert analytic_replay(plans, gaps, stage_count, ring_capacity) == des_replay(
+        ids = range(len(plans))
+        assert analytic_replay(plans, ids, gaps, stage_count, ring_capacity) == des_replay(
             plans, gaps, stage_count, ring_capacity
         )
 
@@ -103,7 +105,9 @@ class TestAnalyticMatchesDES:
         timelines go through the one result builder, so the latency
         lists agree position for position, ties included."""
         plans, gaps, stage_count, ring_capacity = case
-        closed_form = load_result(*analytic_replay(plans, gaps, stage_count, ring_capacity), 0)
+        closed_form = load_result(
+            *analytic_replay(plans, range(len(plans)), gaps, stage_count, ring_capacity), 0
+        )
         des = load_result(*des_replay(plans, gaps, stage_count, ring_capacity), 0)
         assert closed_form == des
 
@@ -123,7 +127,7 @@ class TestAnalyticMatchesDES:
         platform = OpenNetVMPlatform(ServiceChain([IPFilter("fw0"), IPFilter("fw1")]))
         stages, cap = platform._stage_count(), platform.config.ring_capacity
         assert stages == 4
-        closed_form = load_result(*analytic_replay(plans, gaps, stages, cap), 0)
+        closed_form = load_result(*analytic_replay(plans, range(5), gaps, stages, cap), 0)
         des = load_result(*des_replay(plans, gaps, stages, cap, harness=platform), 0)
         assert des == closed_form
         assert closed_form.latencies_ns.tolist() == [0.0, 0.0, 5.0, 7.0, 4.0]

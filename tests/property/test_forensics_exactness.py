@@ -1,8 +1,8 @@
 """Property test: forensic decomposition is exact on every lane.
 
 For every packet the :class:`~repro.obs.forensics.ForensicsEngine`
-observes — whatever the execution lane (Lindley analytic replay, the
-generator DES, the vectorized whole-batch lane) — the four components
+observes — whatever the replay (Lindley analytic replay, the generator
+DES, the vector recursion at saturation) — the four components
 must reproduce the packet's reported latency under IEEE float equality
 in the canonical order ``((service + transfer) + stall) + queue``.
 Hypothesis draws random flow populations, arrival gaps and chain
@@ -82,7 +82,10 @@ def test_analytic_lane_components_sum_exactly(case):
     platform_cls = BessPlatform if bess else OpenNetVMPlatform
     platform = platform_cls(SpeedyBox(chain_for(shape)), forensics=engine)
     platform.run_load(packet_stream(flows, per_flow), inter_arrival_ns=gap)
-    assert_exact(engine, "analytic")
+    # BESS plans are one hop on one stage: with every gap zero (a lone
+    # packet's one gap is) the table takes the vector recursion
+    saturated = gap == 0 or flows * per_flow == 1
+    assert_exact(engine, "vector" if bess and saturated else "analytic")
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,7 +124,7 @@ def test_batch_lane_components_sum_exactly(case):
     platform = BessPlatform(SpeedyBox(chain), forensics=engine)
     batch = uniform_batch(flows, per_flow, interleave="round_robin", block=block)
     platform.run_load(batch)
-    assert_exact(engine, "batch")
+    assert_exact(engine, "vector")
 
 
 @pytest.mark.parametrize("platform_cls", [BessPlatform, OpenNetVMPlatform])

@@ -1,4 +1,4 @@
-"""BENCH_*.json differ: declared kinds and directions, thresholds, CLI gate."""
+"""BENCH_*.json differ: declared kinds and directions, thresholds, the CI gate."""
 
 import json
 from pathlib import Path
@@ -7,7 +7,7 @@ import pytest
 
 import benchmarks.harness as harness
 from benchmarks.harness import count, sim, wall
-from repro.obs.benchdiff import (
+from benchmarks.benchdiff import (
     DIRECTIONS,
     KINDS,
     collect_benches,
@@ -273,7 +273,9 @@ class TestCheckerScript:
         write_bench(cur / "BENCH_a.json", "a", metrics)
         assert checker.main([str(base), str(cur)]) == 0
         write_bench(cur / "BENCH_a.json", "a", {**metrics, "rate_mpps": sim(1.0, "higher")})
+        capsys.readouterr()
         assert checker.main([str(base), str(cur)]) == 1
+        assert "regressed: a:rate_mpps" in capsys.readouterr().out
         # loosening the threshold can un-gate the same change
         assert checker.main([str(base), str(cur), "--threshold", "0.6"]) == 0
         # ... but not a count that moved against its direction

@@ -71,6 +71,26 @@ class TestPacketClock:
         assert ts.total_drops == 1
         assert ts.total_buffered == 1
 
+    def test_ingested_windows_have_no_simulated_bounds(self):
+        """A finished result carries no arrival times: packet-clock
+        windows cut from it used to take packet positions (0, 64, 128 …)
+        for nanoseconds and report every rate as 1 000 Mpps."""
+        ts = TimeSeries(window_packets=8)
+        BessPlatform(SpeedyBox([IPFilter("fw0")]), timeseries=ts).run_load(make_packets())
+        assert len(ts.windows) == 4 and all(w.packets == 8 for w in ts.windows)
+        for window in ts.windows:
+            row = window.summary()
+            assert (row["start_ns"], row["end_ns"], row["rate_pps"]) == (None, None, None)
+        table = render_windows([w.summary() for w in ts.windows])
+        assert "1000.000" not in table
+        assert all(line.split()[1] == "-" for line in table.splitlines()[3:])
+        # a dispatch-time window keeps the arrival bounds it was fed
+        live = TimeSeries(window_packets=2)
+        live.record(10.0, latency_ns=1.0)
+        live.record(30.0, latency_ns=1.0)
+        assert (live.windows[0].start_ns, live.windows[0].end_ns) == (10.0, 30.0)
+        assert live.windows[0].rate_pps == pytest.approx(2 / (20.0 / 1e9))
+
 
 class TestSimTimeClock:
     def test_windows_align_to_the_grid(self):
