@@ -64,7 +64,7 @@ import gc
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.classifier import FlowEntry, fid_column
-from repro.core.framework import PathTaken, SpeedyBox
+from repro.core.framework import PathTaken
 from repro.core.global_mat import GlobalRule
 from repro.core.local_mat import LocalRule
 from repro.core.state_function import StateFunctionBatch
@@ -182,16 +182,11 @@ class BatchLane:
         self._clear_nf_flow = runtime.event_table.clear_nf_flow
         self._events_by_fid = runtime.event_table._by_fid
         self._local_rule_dicts = [mat._rules for mat in runtime.local_mats.values()]
-        #: the classifier's eviction callback is exactly SpeedyBox's own
-        #: teardown (no subclass override, no external wrapper), so bulk
+        #: the classifier's eviction callback is this runtime's own
+        #: teardown (no external wrapper), so bulk
         #: admission may inline it — five dict pops instead of five
         #: method frames per eviction
-        on_evict = runtime.classifier.on_evict
-        self._plain_evict = (
-            getattr(on_evict, "__self__", None) is runtime
-            and getattr(on_evict, "__func__", None)
-            is SpeedyBox._on_classifier_evicted
-        )
+        self._plain_evict = runtime.classifier.on_evict == runtime._on_classifier_evicted
         #: the lane only engages on uninstrumented runs, so the metric
         #: instruments are usually the shared no-op — admission skips the
         #: no-op calls outright (behavior-identical: a null set/inc does

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.actions import HeaderAction
-from repro.core.state_function import StateFunction
+from repro.core.state_function import StateFunction, plain_args
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 
 ConditionHandler = Callable[..., bool]
@@ -38,15 +38,22 @@ class Event:
     Everything an event *does* belongs in ``update_function`` /
     ``update_action`` / ``update_state_functions``, which run exactly
     once per firing.
+
+    Like a state function, the event names its handlers
+    (``condition_method``, ``update_method`` on the NF ``nf_name``);
+    ``condition`` and ``update_function`` hold those methods as resolved
+    on one runtime.
     """
 
     __slots__ = (
         "fid",
         "nf_name",
         "condition",
+        "condition_method",
         "args",
         "update_action",
         "update_function",
+        "update_method",
         "update_state_functions",
         "one_shot",
         "triggered",
@@ -71,9 +78,11 @@ class Event:
         self.fid = fid
         self.nf_name = nf_name
         self.condition = condition
-        self.args = tuple(args)
+        self.condition_method = condition.__name__
+        self.args = plain_args(args)
         self.update_action = update_action
         self.update_function = update_function
+        self.update_method = None if update_function is None else update_function.__name__
         self.update_state_functions = update_state_functions
         self.one_shot = one_shot
         self.triggered = False
@@ -104,16 +113,19 @@ class Event:
         return replacement
 
     def copy(self, copies: Dict[int, object]) -> "Event":
-        # Handlers, args and the update action are shared like a state
-        # function's; the update functions go through ``copies`` because
-        # firing puts the very same objects into the NF's rule batch.
+        # Args and the update action are shared, and the handlers left
+        # out, like a state function's; the update functions go through
+        # ``copies`` because firing puts the very same objects into the
+        # NF's rule batch.
         clone = Event.__new__(Event)
         clone.fid = self.fid
         clone.nf_name = self.nf_name
-        clone.condition = self.condition
+        clone.condition = None
+        clone.condition_method = self.condition_method
         clone.args = self.args
         clone.update_action = self.update_action
-        clone.update_function = self.update_function
+        clone.update_function = None
+        clone.update_method = self.update_method
         functions = self.update_state_functions
         clone.update_state_functions = (
             None if functions is None else [fn.copy(copies) for fn in functions]
@@ -209,7 +221,7 @@ class EventTable:
     # -- migration support (repro.scale) -------------------------------------
 
     def import_flow(self, fid: int, events: List[Event]) -> None:
-        """Adopt a migrated flow's events (handlers already rebound)."""
+        """Adopt an imported flow's events (handlers already resolved)."""
         if not events:
             return
         self._by_fid.setdefault(fid, []).extend(events)

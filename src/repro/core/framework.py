@@ -108,16 +108,15 @@ class ProcessReport:
 
 @dataclass
 class FlowRecord:
-    """One flow's complete runtime state, detached for migration.
+    """One flow's complete runtime state, as plain data.
 
     Everything SpeedyBox holds for the flow — classifier connection
     state, per-NF Local MAT rules, the consolidated Global MAT rule, and
-    registered events — plus ``nf_state``: per-NF opaque snapshots
-    (:meth:`NetworkFunction.export_flow_state`) keyed by NF name.  The
-    record is read by :meth:`SpeedyBox.peek_flow` (or detached by
-    :meth:`SpeedyBox.export_flow`) and consumed by
-    :meth:`SpeedyBox.import_flow`; ``repro.scale.FlowMigrator`` rebinds
-    the recorded handlers to the target replica's NFs in between.
+    registered events.  The record is read by :meth:`SpeedyBox.peek_flow`
+    (or detached by :meth:`SpeedyBox.export_flow`) and consumed by
+    :meth:`SpeedyBox.import_flow`, which resolves every recorded handler
+    by name against the importing runtime's NFs.  NF-internal state
+    travels beside it (``repro.scale.migration.install_flow``).
     """
 
     fid: int
@@ -125,7 +124,6 @@ class FlowRecord:
     local_rules: Dict[str, LocalRule] = field(default_factory=dict)
     global_rule: Optional[GlobalRule] = None
     events: List[Event] = field(default_factory=list)
-    nf_state: Dict[str, object] = field(default_factory=dict)
 
     def rekey(self, fid: int) -> None:
         """Move the record to another FID (the importing runtime's).
@@ -138,17 +136,40 @@ class FlowRecord:
             if item is not None:
                 item.fid = fid
 
+    def resolve(self, nf_by_name: Dict[str, NetworkFunction]) -> None:
+        """Point every recorded handler at its named method on these NFs."""
+
+        def resolve_functions(functions) -> None:
+            for function in functions:
+                function.handler = getattr(nf_by_name[function.nf_name], function.method)
+
+        for rule in self.local_rules.values():
+            resolve_functions(rule.sf_batch)
+        if self.global_rule is not None:
+            # Usually the local rules' own functions (build_rule shares
+            # batches); resolving twice is harmless.
+            for wave in self.global_rule.schedule.waves:
+                for batch in wave:
+                    resolve_functions(batch)
+        for event in self.events:
+            owner = nf_by_name[event.nf_name]
+            event.condition = getattr(owner, event.condition_method)
+            if event.update_method is not None:
+                event.update_function = getattr(owner, event.update_method)
+            resolve_functions(event.update_state_functions or ())
+
     def copy(self) -> "FlowRecord":
         """A snapshot that shares nothing a later packet can change.
 
         Counters, flags, the rule version, each action *list* and the
         schedule are copied.  Recorded and consolidated actions,
-        five-tuples, handlers, ``args`` and NF state are values (NFs and
-        MATs only ever replace them) and are shared.  One ``id -> clone``
-        map for the whole record keeps every alias: a batch a Local MAT
-        rule shares with the Global MAT schedule, and the functions a
-        fired event put into a rule's batch, are one object each in the
-        copy as in the original.
+        five-tuples and ``args`` are values (NFs and MATs only ever
+        replace them) and are shared.  Handlers are left out — the copy
+        names them, so it holds no NF object.  One ``id -> clone`` map
+        for the whole record keeps every alias: a batch a Local MAT rule
+        shares with the Global MAT schedule, and the functions a fired
+        event put into a rule's batch, are one object each in the copy
+        as in the original.
         """
         copies: Dict[int, object] = {}
         entry, rule = self.classifier_entry, self.global_rule
@@ -160,7 +181,6 @@ class FlowRecord:
             },
             global_rule=None if rule is None else rule.copy(copies),
             events=[event.copy(copies) for event in self.events],
-            nf_state=dict(self.nf_state),
         )
 
 
@@ -212,7 +232,7 @@ class ServiceChain:
                 report.dropped = True
                 self._m_drops.labels(cause=nf.name).inc()
                 break
-        if _is_closing_packet(packet):
+        if is_closing_packet(packet):
             report.closing = True
             for nf in self.nfs:
                 nf.handle_flow_close(packet)
@@ -229,7 +249,7 @@ def _detach_meter(nf: NetworkFunction):
     return _NULL_API_METER
 
 
-def _is_closing_packet(packet: Packet) -> bool:
+def is_closing_packet(packet: Packet) -> bool:
     from repro.net.headers import TCP_FIN, TCP_RST, TCPHeader
 
     return isinstance(packet.l4, TCPHeader) and (
@@ -651,9 +671,7 @@ class SpeedyBox:
         """Detach all runtime state of one flow as an atomic unit.
 
         :meth:`peek_flow`, then every table forgets the flow — not an
-        eviction, so no ``on_evict`` teardown fires.  Recorded handlers
-        in the returned record still reference *this* runtime's NFs — the
-        migrator must rebind them before :meth:`import_flow` on a target.
+        eviction, so no ``on_evict`` teardown fires.
         """
         self._invalidate_compiled(fid, reason="flow_export")
         record = self.peek_flow(fid)
@@ -662,10 +680,11 @@ class SpeedyBox:
         return record
 
     def import_flow(self, record: FlowRecord, reason: str = "flow_import") -> None:
-        """Install a migrated flow's runtime state into this runtime's tables.
+        """Install a foreign flow's runtime state into this runtime's tables.
 
-        Handlers must already be rebound to this runtime's NF instances;
-        NF-internal state (``record.nf_state``) is the migrator's job.
+        The only way a record enters a runtime: every recorded handler is
+        resolved here, once, against this runtime's own NFs.  NF-internal
+        state travels beside the record (``repro.scale.migration``).
         ``reason`` labels the compiled-lane invalidation in the audit log
         (``flow_import`` for migration, ``checkpoint_restore`` when the
         fault-tolerance subsystem re-installs a snapshot — the restored
@@ -676,6 +695,7 @@ class SpeedyBox:
         before any table changes); when the FID it owns here differs
         from the source's, the record is re-keyed to it.
         """
+        record.resolve(self.nf_by_name)
         if record.classifier_entry is not None:
             fid = self.classifier.import_flow(record.classifier_entry)
             if fid != record.fid:

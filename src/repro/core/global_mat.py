@@ -65,10 +65,10 @@ class GlobalRule:
         self.hits = 0
 
     def copy(self, copies: Dict[int, object]) -> "GlobalRule":
-        # Only the schedule (its functions count invocations and get
-        # rebound on migration) and the two counters can differ between
-        # a rule and its snapshot; the consolidated actions and the
-        # tuples are immutable and shared.
+        # Only the schedule (its functions count invocations; the copy
+        # leaves their handlers out) and the two counters can differ
+        # between a rule and its snapshot; the consolidated actions and
+        # the tuples are immutable and shared.
         clone = GlobalRule.__new__(GlobalRule)
         clone.fid = self.fid
         clone.consolidated = self.consolidated
@@ -277,7 +277,7 @@ class GlobalMAT:
     # -- migration support (repro.scale) -------------------------------------
 
     def import_rule(self, rule: GlobalRule) -> None:
-        """Adopt a migrated rule (schedule batches already rebound)."""
+        """Adopt an imported rule (schedule handlers already resolved)."""
         self._rules[rule.fid] = rule
         self._rules.move_to_end(rule.fid)
         self._enforce_capacity(keep_fid=rule.fid)

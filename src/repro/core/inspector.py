@@ -62,7 +62,7 @@ def describe_rule(speedybox: SpeedyBox, fid: int) -> str:
     if events:
         for event in events:
             state = "armed" if event.active else f"fired x{event.trigger_count}"
-            lines.append(f"  event   : {event.nf_name}/{event.condition.__name__} ({state})")
+            lines.append(f"  event   : {event.nf_name}/{event.condition_method} ({state})")
     return "\n".join(lines)
 
 

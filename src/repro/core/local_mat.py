@@ -117,7 +117,7 @@ class LocalMAT:
     # -- migration support (repro.scale) -------------------------------------
 
     def import_flow(self, rule: LocalRule) -> None:
-        """Adopt a migrated flow's rule (handlers already rebound)."""
+        """Adopt an imported flow's rule (handlers already resolved)."""
         self._rules[rule.fid] = rule
 
     def flows(self) -> Tuple[int, ...]:

@@ -12,6 +12,7 @@ among its members (WRITE > READ > IGNORE, §V-C2).
 from __future__ import annotations
 
 import enum
+import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
@@ -30,14 +31,35 @@ class PayloadClass(enum.IntEnum):
     WRITE = 2
 
 
+def plain_args(args: Tuple) -> Tuple:
+    """``args`` as a record keeps them: plain values, never an NF.
+
+    A record names its code (NF name + method name) and holds no NF
+    object, so it pickles on its own and installs on any replica.
+    """
+    args = tuple(args)
+    # No NF exists before repro.nf.base is loaded, and reading the class
+    # from there keeps this module out of an import cycle (repro.nf
+    # imports repro.core).
+    nf_base = sys.modules.get("repro.nf.base")
+    if nf_base is not None:
+        for arg in args:
+            if isinstance(arg, nf_base.NetworkFunction):
+                raise TypeError(f"recorded args must be plain values, got NF {arg.name!r}")
+    return args
+
+
 class StateFunction:
     """A recorded NF callback: handler + payload class + bound arguments.
 
     Invocation passes the packet first, then the recorded ``args`` — the
-    function-handler convention of Fig. 2's ``localmat_add_SF``.
+    function-handler convention of Fig. 2's ``localmat_add_SF``.  The
+    record keeps the handler's ``method`` name beside the owning NF's
+    ``nf_name``; ``handler`` is that method resolved on one runtime's NF
+    (:meth:`~repro.core.framework.FlowRecord.resolve`).
     """
 
-    __slots__ = ("handler", "payload_class", "args", "name", "nf_name", "invocations")
+    __slots__ = ("handler", "method", "payload_class", "args", "name", "nf_name", "invocations")
 
     def __init__(
         self,
@@ -50,9 +72,10 @@ class StateFunction:
         if not callable(handler):
             raise TypeError(f"state function handler must be callable, got {handler!r}")
         self.handler = handler
+        self.method = getattr(handler, "__name__", "state_function")
         self.payload_class = PayloadClass(payload_class)
-        self.args = tuple(args)
-        self.name = name or getattr(handler, "__name__", "state_function")
+        self.args = plain_args(args)
+        self.name = name or self.method
         self.nf_name = nf_name
         self.invocations = 0
 
@@ -63,12 +86,13 @@ class StateFunction:
 
     def copy(self, copies: Dict[int, object]) -> "StateFunction":
         # One clone per original (``FlowRecord.copy``'s map), so a function
-        # a batch and a fired event both hold stays one object.  Handler
-        # and args are shared: a rebind replaces them rather than edits.
+        # a batch and a fired event both hold stays one object.  The clone
+        # names its handler and holds none: an import resolves it.
         clone = copies.get(id(self))
         if clone is None:
             clone = copies[id(self)] = StateFunction.__new__(StateFunction)
-            clone.handler = self.handler
+            clone.handler = None
+            clone.method = self.method
             clone.payload_class = self.payload_class
             clone.args = self.args
             clone.name = self.name

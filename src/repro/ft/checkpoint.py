@@ -17,14 +17,17 @@ value, which the checkpoint stores as it is (an exported state is
 immutable) — because that opaque state has no read-only accessor.
 
 What was read is then copied by
-:meth:`~repro.core.framework.FlowRecord.copy`, which shares handlers,
-so stored handlers remain bound methods of the source replica's NF
-objects, exactly like a freshly exported migration record.  Restoring
-onto a peer is then literally the migration import path: copy the
-stored record (the checkpoint stays pristine for a second failure),
-:func:`~repro.scale.migration.rebind_record` from the dead replica's
-NFs to the target's, and import (``checkpoint_restore`` in the audit
-log; the flow's next packet compiles its lane on the new home).
+:meth:`~repro.core.framework.FlowRecord.copy`, which leaves the
+handlers out: a stored record names each one (NF name + method name),
+so a checkpoint is plain data that references no NF object and pickles
+on its own.  It also keeps the source chain's shape
+(:func:`~repro.scale.migration.chain_signature`).  Restoring onto a
+peer is the migration's install step,
+:func:`~repro.scale.migration.install_flow`: copy the stored records
+(the checkpoint stays pristine for a second failure), import them —
+which resolves every handler on the target's NFs — and import the NF
+states (``checkpoint_restore`` in the audit log; the flow's next packet
+compiles its lane on the new home).
 
 :class:`CheckpointManager` holds the latest snapshot per flow across a
 :class:`~repro.scale.cluster.ScaleCluster`, each stamped with the
@@ -35,19 +38,22 @@ recovery restores the snapshot and replays only log entries past it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.framework import FlowRecord, ServiceChain, SpeedyBox
 from repro.net.flow import FiveTuple
-from repro.nf.base import NetworkFunction
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
-from repro.scale.migration import check_same_shape, flow_walk, rebind_record
+from repro.scale.migration import (
+    ChainSignature,
+    NFStateItem,
+    chain_signature,
+    check_same_shape,
+    flow_walk,
+    install_flow,
+)
 
 Runtime = Union[ServiceChain, SpeedyBox]
-
-#: (nf name, observed five-tuple, opaque NF state)
-NFStateItem = Tuple[str, FiveTuple, object]
 
 
 @dataclass
@@ -57,14 +63,13 @@ class FlowCheckpoint:
     flow: FiveTuple  # canonical primary key
     replica_id: int  # home replica at capture time
     log_seq: int  # the replica input-log position at capture
+    #: the source chain's shape, which a restore target must have
+    chain: ChainSignature = ()
     directions: Tuple[FiveTuple, ...] = ()
-    #: SpeedyBox table copies, one per live direction; handlers still
-    #: bound to the *source* replica's NF objects
+    #: SpeedyBox table copies, one per live direction; handlers named,
+    #: not held
     records: List[FlowRecord] = field(default_factory=list)
     nf_states: List[NFStateItem] = field(default_factory=list)
-
-    def covers(self, key: FiveTuple) -> bool:
-        return any(direction.canonical() == key for direction in self.directions)
 
     def item_count(self) -> int:
         return len(self.records) + len(self.nf_states)
@@ -112,38 +117,24 @@ def capture_flow(
         flow=key,
         replica_id=replica_id,
         log_seq=log_seq,
+        chain=chain_signature(nfs),
         directions=tuple(walk),
         records=records,
         nf_states=nf_states,
     )
 
 
-def restore_flow(
-    checkpoint: FlowCheckpoint,
-    runtime: Runtime,
-    src_nfs: Sequence[NetworkFunction],
-) -> int:
-    """Install a checkpoint into ``runtime``; returns handlers rebound.
+def restore_flow(checkpoint: FlowCheckpoint, runtime: Runtime) -> None:
+    """Install a checkpoint into ``runtime``.
 
-    ``src_nfs`` are the NFs the stored handlers are bound to — the dead
-    replica's chain, kept alive in the coordinator's graveyard precisely
-    so this rebind has its source objects; they must pair up with
-    ``runtime.nfs`` NF for NF (:class:`MigrationError` otherwise).  The
-    stored records are copied first, so the checkpoint stays reusable (a second
-    failure on the new home can restore from it again until a fresher
-    snapshot replaces it).
+    ``runtime`` must have the checkpointed chain's shape
+    (:class:`~repro.scale.migration.MigrationError` otherwise, before
+    anything is installed).  The stored records are copied first, so the
+    checkpoint stays reusable (a second failure on the new home can
+    restore from it again until a fresher snapshot replaces it).
     """
-    check_same_shape(src_nfs, runtime.nfs)
-    rebound = 0
-    if isinstance(runtime, SpeedyBox):
-        for stored in checkpoint.records:
-            record = stored.copy()
-            rebound += rebind_record(record, src_nfs, runtime.nfs)
-            runtime.import_flow(record, reason="checkpoint_restore")
-    nf_by_name = {nf.name: nf for nf in runtime.nfs}
-    for name, observed_key, state in checkpoint.nf_states:
-        nf_by_name[name].import_flow_state(observed_key, state)
-    return rebound
+    check_same_shape(checkpoint.chain, runtime.nfs)
+    install_flow(runtime, checkpoint.records, checkpoint.nf_states, reason="checkpoint_restore")
 
 
 class CheckpointManager:
@@ -247,13 +238,6 @@ class CheckpointManager:
             for direction in checkpoint.directions:
                 self._by_direction.pop(direction.canonical(), None)
         return checkpoint
-
-    def snapshots_for_replica(self, replica_id: int) -> List[FlowCheckpoint]:
-        return [
-            checkpoint
-            for checkpoint in self._snapshots.values()
-            if checkpoint.replica_id == replica_id
-        ]
 
     def __len__(self) -> int:
         return len(self._snapshots)

@@ -21,9 +21,8 @@ snapshot+log protocol mapped onto the existing migration machinery:
 1. the dead replica leaves the sharder (its buckets rebalance onto
    peers, its pins drop);
 2. each orphaned flow's latest checkpoint is restored onto the replica
-   the sharder now names, handlers rebound from the dead replica's NF
-   objects (kept alive in a graveyard precisely for this) to the
-   target's;
+   the sharder now names (the checkpoint names its handlers; the
+   target's import resolves them on its own NFs);
 3. the dead replica's input log replays *through the normal pipeline* —
    only entries past each flow's checkpoint position; flows born after
    the last checkpoint have their whole history in the log and are
@@ -33,6 +32,13 @@ snapshot+log protocol mapped onto the existing migration machinery:
 5. the recovered flows are immediately re-checkpointed on their new
    homes, so a second failure replays from *now*, not from the dead
    replica's era.
+
+Recovery reads nothing from the dead replica: a fail-stop replica's
+memory is gone.  What survives it is the checkpoints, the input log the
+coordinator holds, the buffered packets and the peers — and from the
+first two alone recovery decides which orphaned flows had finished
+before the kill (a FIN or RST in the log closes a direction; an
+eviction closes nothing).
 
 Replay re-runs packets whose effects partially happened (shared-state
 updates committed before the crash): per-flow state is rebuilt from
@@ -55,12 +61,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.framework import is_closing_packet
 from repro.net.packet import Packet
 from repro.obs.audit import AuditLog
 from repro.obs.forensics import StallCharge, emit_recovery_regime_shift
 from repro.obs.trace import NULL_TRACER, PacketTracer
 from repro.platform.base import LoadResult
-from repro.scale.cluster import ChainReplica, ScaleCluster
+from repro.scale.cluster import ScaleCluster
 from repro.ft.checkpoint import CheckpointManager, restore_flow
 from repro.ft.faults import FaultInjector
 from repro.ft.pktlog import PacketLog
@@ -76,9 +83,9 @@ class FailoverError(RuntimeError):
 
 @dataclass
 class DeadReplica:
-    """A killed replica's remains: graveyard object + in-flight buffer."""
+    """What the coordinator holds for a killed replica: its in-flight buffer."""
 
-    replica: ChainReplica
+    replica_id: int
     killed_at_index: int
     buffered: List[Packet] = field(default_factory=list)
     #: simulated arrival stamp of each buffered packet (parallel to
@@ -97,7 +104,6 @@ class RecoveryReport:
     replica: int
     flows_restored: int = 0  # from checkpoints
     flows_rebuilt: int = 0  # from log replay alone (born after last snapshot)
-    handlers_rebound: int = 0
     packets_replayed: int = 0  # log entries re-run through the pipeline
     packets_delivered: int = 0  # buffered in-flight packets delivered live
     packets_charged: int = 0  # deliveries charged with recovery stall
@@ -281,12 +287,6 @@ class FaultTolerance:
         self._since_checkpoint[replica_id] = 0
         return captured
 
-    def checkpoint_all(self, cause: str = "manual") -> int:
-        return sum(
-            self.checkpoint_replica(rid, cause=cause)
-            for rid in sorted(self.cluster.replicas)
-        )
-
     # -- kill ----------------------------------------------------------------
 
     def _pick_victim(self) -> int:
@@ -307,9 +307,9 @@ class FaultTolerance:
             replica_id = self._pick_victim()
         if replica_id not in cluster.replicas:
             raise FailoverError(f"unknown or already-dead replica {replica_id!r}")
-        replica = cluster.replicas.pop(replica_id)
+        del cluster.replicas[replica_id]
         dead = DeadReplica(
-            replica=replica,
+            replica_id=replica_id,
             killed_at_index=self.injector.packet_index,
             killed_ns=self._now_ns(),
         )
@@ -402,8 +402,6 @@ class FaultTolerance:
             frozen_absorbed=dead.frozen_absorbed,
         )
         try:
-            src_nfs = list(dead.replica.runtime.nfs)
-
             # 1. The dead replica leaves the indirection table: its
             # buckets rebalance onto the peers, its pins drop.
             cluster.sharder.remove_replica(replica_id)
@@ -414,54 +412,68 @@ class FaultTolerance:
                 del cluster._flow_homes[key]
             orphan_set = set(orphan_keys)
 
-            # Flows the dead replica's classifier no longer tracked had
-            # finished (FIN teardown) before the kill: their state was
-            # already gone and their shared-state effects (NAT port
-            # release) already committed.  Restoring or replaying one
-            # would resurrect a completed flow — and its NAT setup,
-            # whose idempotency record died with the flow, would draw a
+            # Which orphans finished before the kill, from what survives
+            # it: each flow's checkpoint and the logged input past it.  A
+            # wire direction is open where the checkpoint holds its
+            # classifier entry or a logged packet without FIN/RST came
+            # through; a FIN or RST closes it, an eviction nothing.  A
+            # flow the log closed and left with no open direction had
+            # finished: its state was gone and its shared-state effects
+            # (NAT port release) committed.  Restoring or replaying it
+            # would resurrect a completed flow — and its NAT setup, whose
+            # idempotency record died with the flow, would draw a
             # *different* port from the freed list, permuting the
-            # allocation the reference run made.  ``None`` (no
-            # classifier on the dead runtime) disables the guard.
-            classifier = getattr(dead.replica.runtime, "classifier", None)
-            live_keys = None
-            if classifier is not None:
-                live_keys = {
-                    entry.five_tuple.canonical()
-                    for entry in classifier._flows.values()
-                    if not entry.closed
-                }
+            # allocation the reference run made.
+            log = self._log_for(replica_id)
+            tail = []
+            for entry in log.entries():
+                if entry.key not in orphan_set:
+                    continue  # migrated away before the kill: lives elsewhere
+                checkpoint = self.checkpoints.snapshot_for(entry.key)
+                if checkpoint is None or entry.seq > checkpoint.log_seq:
+                    tail.append(entry)  # else its effect is inside the snapshot
+            open_directions = {
+                record.classifier_entry.five_tuple
+                for checkpoint in map(self.checkpoints.snapshot_for, orphan_keys)
+                if checkpoint is not None
+                for record in checkpoint.records
+            }
+            closed_keys = set()
+            for entry in tail:
+                if is_closing_packet(entry.packet):
+                    open_directions.discard(entry.packet.five_tuple())
+                    closed_keys.add(entry.key)
+                else:
+                    open_directions.add(entry.packet.five_tuple())
+            live_keys = {direction.canonical() for direction in open_directions}
+            finished = closed_keys - live_keys
 
             # 3. Restore checkpoints onto the replicas the sharder now
             # names; pin every wire direction to the same target, exactly
             # as live egress tracking would have.
-            restored: Dict = {}
+            restored: set = set()
             snapshot_covered: set = set()
             for key in orphan_keys:
                 checkpoint = self.checkpoints.snapshot_for(key)
                 if checkpoint is None or checkpoint.flow in restored:
                     continue
-                if live_keys is not None and not live_keys.intersection(
-                    direction.canonical() for direction in checkpoint.directions
-                ):
+                keys = {direction.canonical() for direction in checkpoint.directions}
+                if finished & keys and not live_keys & keys:
                     # Closed since its last snapshot: a stale checkpoint
                     # must not resurrect it (same rule the cadence
                     # applies when a capture comes back empty).
                     self.checkpoints.drop_flow(checkpoint.flow)
                     continue
                 target = self._alive_home(checkpoint.flow)
-                rebound = restore_flow(
-                    checkpoint, cluster.replicas[target].runtime, src_nfs
-                )
+                restore_flow(checkpoint, cluster.replicas[target].runtime)
                 for direction in checkpoint.directions:
                     direction_key = direction.canonical()
                     snapshot_covered.add(direction_key)
                     cluster._flow_homes[direction_key] = target
                     if cluster.sharder.replica_for(direction_key) != target:
                         cluster.sharder.pin(direction_key, target)
-                restored[checkpoint.flow] = (checkpoint, target)
+                restored.add(checkpoint.flow)
                 report.flows_restored += 1
-                report.handlers_rebound += rebound
                 self.audit.emit(
                     "ft_restore",
                     flow=str(checkpoint.flow),
@@ -478,7 +490,6 @@ class FaultTolerance:
                 stage_start,
                 now - stage_start,
                 flows=report.flows_restored,
-                handlers=report.handlers_rebound,
             )
             self._m_restore_ns.inc(now - stage_start)
             stage_start = now
@@ -487,16 +498,10 @@ class FaultTolerance:
             # snapshot-covered flows from their checkpoint position,
             # snapshot-less flows (born since the last checkpoint) from
             # their first logged packet.
-            log = self._log_for(replica_id)
             rebuilt_flows: set = set()
-            for entry in log.entries():
-                if entry.key not in orphan_set:
-                    continue  # migrated away before the kill: lives elsewhere
-                if live_keys is not None and entry.key not in live_keys:
+            for entry in tail:
+                if entry.key in finished:
                     continue  # flow finished before the kill: nothing to rebuild
-                checkpoint = self.checkpoints.snapshot_for(entry.key)
-                if checkpoint is not None and entry.seq <= checkpoint.log_seq:
-                    continue  # effect already inside the snapshot
                 if entry.key not in snapshot_covered:
                     rebuilt_flows.add(entry.key)
                 # A replayed clone must never land in a concurrently-dead

@@ -46,7 +46,6 @@ class PacketLog:
         self.on_full = on_full
         self._entries: List[LogEntry] = []
         self._next_seq = 1
-        self.appended = 0
         self.trimmed = 0
 
     def __len__(self) -> int:
@@ -74,7 +73,6 @@ class PacketLog:
         self._entries.append(
             LogEntry(seq=seq, key=packet.five_tuple().canonical(), packet=packet.clone())
         )
-        self.appended += 1
         return seq
 
     def trim(self, upto_seq: int) -> int:
@@ -87,10 +85,6 @@ class PacketLog:
 
     def entries(self) -> List[LogEntry]:
         return list(self._entries)
-
-    def entries_after(self, seq: int) -> List[LogEntry]:
-        """Entries newer than ``seq``, in arrival order."""
-        return [entry for entry in self._entries if entry.seq > seq]
 
     def __repr__(self) -> str:
         return (

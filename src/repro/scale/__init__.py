@@ -14,7 +14,8 @@ pieces:
   freeze/buffer/replay migration choreography.
 - :mod:`repro.scale.migration` — :class:`FlowMigrator`, the atomic
   transfer of a flow's classifier entry, Local/Global MAT rules, events
-  and NF per-flow state, with handler rebinding to the target replica.
+  and NF per-flow state; the record names its handlers and the target
+  resolves them on its own NFs.
 
 See ``docs/scaling.md`` for the protocol walk-through.
 """
@@ -27,7 +28,6 @@ from repro.scale.migration import (
     chain_state_snapshot,
     check_same_shape,
     flow_walk,
-    rebind_record,
 )
 from repro.scale.sharder import FlowSharder, IndirectionTable, shard_hash
 
@@ -43,6 +43,5 @@ __all__ = [
     "chain_state_snapshot",
     "check_same_shape",
     "flow_walk",
-    "rebind_record",
     "shard_hash",
 ]

@@ -22,18 +22,17 @@ Two subtleties the implementation works around:
   read-only :meth:`~repro.nf.base.NetworkFunction.flow_through` hooks to
   derive each NF's observed tuple, and only then starts exporting (the
   walk needs the mappings that export detaches).
-- **Recorded handlers.**  Local-MAT state functions, Global-MAT schedule
-  batches and event conditions are bound methods of the *source*
-  replica's NF instances.  The migrator rebinds each to the same-named NF
-  on the target, in place — the schedule shares its
-  :class:`~repro.core.state_function.StateFunction` objects with the
-  local rules, so one mutation fixes both.
+- **Recorded handlers.**  A record names each handler (NF name + method
+  name); :meth:`~repro.core.framework.SpeedyBox.import_flow` resolves
+  the names against the target's own NFs, so nothing moves code.
+  :func:`install_flow` is the one install step a migration and a
+  checkpoint restore (:mod:`repro.ft.checkpoint`) share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.framework import FlowRecord, ServiceChain, SpeedyBox
 from repro.net.flow import FiveTuple
@@ -43,6 +42,12 @@ from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.trace import NULL_TRACER, PacketTracer
 
 Runtime = Union[ServiceChain, SpeedyBox]
+
+#: (NF type name, NF name) per chain position
+ChainSignature = Tuple[Tuple[str, str], ...]
+
+#: (nf name, observed five-tuple, opaque NF state)
+NFStateItem = Tuple[str, FiveTuple, object]
 
 
 class MigrationError(RuntimeError):
@@ -59,7 +64,6 @@ class MigrationReport:
     local_rules_moved: int = 0
     global_rules_moved: int = 0
     events_moved: int = 0
-    handlers_rebound: int = 0
     #: freeze-buffer packets the caller replays on the target
     packets_replayed: int = 0
 
@@ -117,78 +121,47 @@ def chain_state_snapshot(
     return snapshot
 
 
-def check_same_shape(
-    src_nfs: Sequence[NetworkFunction], dst_nfs: Sequence[NetworkFunction]
-) -> None:
-    """Raise :class:`MigrationError` unless the chains pair up NF for NF.
+def chain_signature(nfs: Sequence[NetworkFunction]) -> ChainSignature:
+    """The chain's shape as plain data: (NF type name, NF name) per position."""
+    return tuple((type(nf).__name__, nf.name) for nf in nfs)
 
-    Handlers are rebound position by position (:func:`rebind_record`), so
-    a length, NF-type or NF-name mismatch would silently bind a flow's
-    handlers to the wrong NF.
+
+def check_same_shape(shape: ChainSignature, dst_nfs: Sequence[NetworkFunction]) -> None:
+    """Raise :class:`MigrationError` unless ``dst_nfs`` has this shape.
+
+    Handlers resolve by NF name and NF state installs by NF name, so a
+    length, NF-type or NF-name mismatch would hand a flow to the wrong
+    NF, or to none.
     """
-    if [type(nf) for nf in src_nfs] != [type(nf) for nf in dst_nfs] or [
-        nf.name for nf in src_nfs
-    ] != [nf.name for nf in dst_nfs]:
+    if chain_signature(dst_nfs) != shape:
         raise MigrationError(
-            f"replica chains differ: {[nf.name for nf in src_nfs]} vs "
+            f"replica chains differ: {[name for __, name in shape]} vs "
             f"{[nf.name for nf in dst_nfs]}"
         )
 
 
-def rebind_record(
-    record: FlowRecord,
-    src_nfs: Sequence[NetworkFunction],
-    dst_nfs: Sequence[NetworkFunction],
-) -> int:
-    """Re-home every recorded handler in ``record`` from src NFs to dst NFs.
+def install_flow(
+    runtime: Runtime,
+    records: Sequence[FlowRecord],
+    nf_states: Sequence[NFStateItem],
+    reason: str,
+) -> List[int]:
+    """Install one flow's records and NF states; returns its FIDs here.
 
-    Local-MAT state functions, Global-MAT schedule batches and event
-    conditions are bound methods of (and may take as arguments) the
-    source chain's NF instances; importing the record anywhere else
-    requires rebinding each to the same-positioned NF on the target.
-    Used by the migrator and by checkpoint restore
-    (:mod:`repro.ft.checkpoint`), where the "source" is a dead replica's
-    still-live NF objects.  Returns the number of handlers rebound.
+    Each record is copied first (the caller's stays as it was), then
+    imported — which resolves its handlers on ``runtime``'s NFs — and
+    each NF state goes to the same-named NF.
     """
-    nf_map = {id(s): d for s, d in zip(src_nfs, dst_nfs)}
-    rebound = 0
-
-    def rebind(handler: Callable) -> Callable:
-        nonlocal rebound
-        owner = getattr(handler, "__self__", None)
-        target = nf_map.get(id(owner)) if owner is not None else None
-        if target is None:
-            return handler
-        rebound += 1
-        return handler.__func__.__get__(target)
-
-    def rebind_args(args: tuple) -> tuple:
-        return tuple(
-            nf_map.get(id(arg), arg) if isinstance(arg, NetworkFunction) else arg
-            for arg in args
-        )
-
-    def rebind_functions(functions) -> None:
-        for fn in functions:
-            fn.handler = rebind(fn.handler)
-            fn.args = rebind_args(fn.args)
-
-    for rule in record.local_rules.values():
-        rebind_functions(rule.sf_batch)
-    if record.global_rule is not None:
-        # Usually the same StateFunction objects as the local rules
-        # (build_rule shares batches); rebinding is idempotent.
-        for wave in record.global_rule.schedule.waves:
-            for batch in wave:
-                rebind_functions(batch)
-    for event in record.events:
-        event.condition = rebind(event.condition)
-        event.args = rebind_args(event.args)
-        if event.update_function is not None:
-            event.update_function = rebind(event.update_function)
-        if event.update_state_functions is not None:
-            rebind_functions(event.update_state_functions)
-    return rebound
+    fids: List[int] = []
+    if isinstance(runtime, SpeedyBox):
+        for stored in records:
+            record = stored.copy()
+            runtime.import_flow(record, reason=reason)
+            fids.append(record.fid)
+    nf_by_name = {nf.name: nf for nf in runtime.nfs}
+    for name, observed_key, state in nf_states:
+        nf_by_name[name].import_flow_state(observed_key, state)
+    return fids
 
 
 class FlowMigrator:
@@ -224,7 +197,12 @@ class FlowMigrator:
         counts).  Raises :class:`MigrationError` when the chains are not
         the same shape or exactly one side is a SpeedyBox runtime.
         """
-        src_nfs, dst_nfs = self._paired_nfs(src, dst)
+        if isinstance(src, SpeedyBox) != isinstance(dst, SpeedyBox):
+            raise MigrationError(
+                "cannot migrate between a SpeedyBox runtime and a plain chain"
+            )
+        src_nfs = list(src.nfs)
+        check_same_shape(chain_signature(src_nfs), dst.nfs)
         report = MigrationReport(flow=flow, packets_replayed=replayed)
 
         # Phase 1: derive the flow's wire directions (a NAT'd flow's
@@ -233,30 +211,30 @@ class FlowMigrator:
         # since the walk reads the mappings that export removes.
         walk = flow_walk(src_nfs, flow)
 
-        # Phase 2: move SpeedyBox table state (classifier entry, Local
-        # MAT rules, Global MAT rule, events), one FID per direction —
-        # the FID the flow owns on ``dst``, which places it afresh.
+        # Phase 2: detach SpeedyBox table state (classifier entry, Local
+        # MAT rules, Global MAT rule, events), one record per direction,
+        # and the NFs' own per-flow state at each observed key.
+        records = []
         if isinstance(src, SpeedyBox):
             for direction in walk:
                 fid = src.classifier.fid_for(direction)
-                if fid is None:
-                    continue
-                record = src.export_flow(fid)
-                report.local_rules_moved += len(record.local_rules)
-                report.global_rules_moved += int(record.global_rule is not None)
-                report.events_moved += len(record.events)
-                report.handlers_rebound += rebind_record(record, src_nfs, dst_nfs)
-                dst.import_flow(record)
-                report.fids = report.fids + (record.fid,)
+                if fid is not None:
+                    records.append(src.export_flow(fid))
+        nf_states = [
+            (nf.name, key, state)
+            for observed in walk.values()
+            for nf, key in zip(src_nfs, observed)
+            if (state := nf.export_flow_state(key)) is not None
+        ]
+        for record in records:
+            report.local_rules_moved += len(record.local_rules)
+            report.global_rules_moved += int(record.global_rule is not None)
+            report.events_moved += len(record.events)
+        report.nf_states_moved = len(nf_states)
 
-        # Phase 3: move the NFs' own per-flow state at each observed key.
-        for observed in walk.values():
-            for src_nf, dst_nf, key in zip(src_nfs, dst_nfs, observed):
-                state = src_nf.export_flow_state(key)
-                if state is None:
-                    continue
-                dst_nf.import_flow_state(key, state)
-                report.nf_states_moved += 1
+        # Phase 3: install it all on ``dst`` — each record under the FID
+        # the flow owns there, which places it afresh.
+        report.fids = tuple(install_flow(dst, records, nf_states, reason="flow_import"))
 
         self.migrations += 1
         self._m_migrations.inc()
@@ -266,7 +244,6 @@ class FlowMigrator:
             flow=str(flow),
             fids=list(report.fids),
             items=report.total_items(),
-            rebound=report.handlers_rebound,
             replayed=replayed,
         )
         if self.tracer.enabled:
@@ -278,16 +255,3 @@ class FlowMigrator:
                 fids=list(report.fids),
             )
         return report
-
-    # -- helpers --------------------------------------------------------------
-
-    def _paired_nfs(
-        self, src: Runtime, dst: Runtime
-    ) -> Tuple[List[NetworkFunction], List[NetworkFunction]]:
-        if isinstance(src, SpeedyBox) != isinstance(dst, SpeedyBox):
-            raise MigrationError(
-                "cannot migrate between a SpeedyBox runtime and a plain chain"
-            )
-        src_nfs, dst_nfs = list(src.nfs), list(dst.nfs)
-        check_same_shape(src_nfs, dst_nfs)
-        return src_nfs, dst_nfs

@@ -124,6 +124,31 @@ def assert_classifier_invariants(runtime: SpeedyBox) -> None:
     assert all(flows[fid].five_tuple == key for fid, key in runtime._compiled_fids.items())
 
 
+def recorded_handlers(record) -> List[tuple]:
+    """``(nf name, method name, handler)`` for every handler in a record:
+    Local MAT batches, the Global MAT schedule, event conditions, update
+    functions and update state functions."""
+    functions = [fn for rule in record.local_rules.values() for fn in rule.sf_batch]
+    if record.global_rule is not None:
+        functions += [fn for batch in record.global_rule.schedule.all_batches() for fn in batch]
+    handlers = []
+    for event in record.events:
+        functions += event.update_state_functions or []
+        handlers.append((event.nf_name, event.condition_method, event.condition))
+        if event.update_method is not None:
+            handlers.append((event.nf_name, event.update_method, event.update_function))
+    return [(fn.nf_name, fn.method, fn.handler) for fn in functions] + handlers
+
+
+def assert_handlers_resolved_on(runtime: SpeedyBox, record) -> None:
+    """Every handler in ``record`` is the named method of ``runtime``'s
+    own NF — an import installs nothing bound elsewhere."""
+    for nf_name, method, handler in recorded_handlers(record):
+        owner = runtime.nf_by_name[nf_name]
+        assert handler.__self__ is owner, (nf_name, method)
+        assert handler == getattr(owner, method), (nf_name, method)
+
+
 def friendly_twins(flows: Sequence[FiveTuple]) -> List[FiveTuple]:
     """Flows of the same shape on distinct FIDs, none of them the
     fixture's: flow ``i`` moves to source port ``20000 + i``."""

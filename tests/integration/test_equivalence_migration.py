@@ -16,7 +16,11 @@ from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor
 from repro.nf.maglev import Backend
 from repro.scale import FlowMigrator, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
-from tests.integration.helpers import FID23_PAIR
+from tests.integration.helpers import (
+    FID23_PAIR,
+    assert_handlers_resolved_on,
+    recorded_handlers,
+)
 
 EXTERNAL_IP = "203.0.113.9"
 
@@ -50,7 +54,15 @@ def midlife_trace(flows=10, packets_per_flow=12, seed=7):
 
 
 class TestMigrationEquivalence:
-    def test_midlife_migration_is_invisible(self):
+    def test_midlife_migration_is_invisible(self, monkeypatch):
+        imports = []
+        import_flow = SpeedyBox.import_flow
+
+        def spy(runtime, record, **kwargs):
+            import_flow(runtime, record, **kwargs)
+            imports.append((runtime, record))
+
+        monkeypatch.setattr(SpeedyBox, "import_flow", spy)
         packets = midlife_trace()
         report = verify_equivalence_migration(
             build_chain, packets, migrate_at=len(packets) // 2
@@ -65,7 +77,10 @@ class TestMigrationEquivalence:
         assert report.migration.global_rules_moved == len(report.migration.fids)
         # Maglev registers a per-flow health event; it must travel too.
         assert report.migration.events_moved >= 1
-        assert report.migration.handlers_rebound >= 1
+        # Every handler the import installed is a method of the target's NFs.
+        assert imports and all(recorded_handlers(record) for __, record in imports)
+        for runtime, record in imports:
+            assert_handlers_resolved_on(runtime, record)
 
     def test_freeze_window_buffers_without_loss(self):
         packets = midlife_trace()

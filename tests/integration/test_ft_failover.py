@@ -16,9 +16,10 @@ from repro.ft import (
     TransactionalStore,
     verify_equivalence_failover,
 )
+from repro.net.headers import TCP_FIN
 from repro.obs.audit import AuditLog
 from repro.scale import MigrationError, ScaleCluster
-from repro.traffic import FlowSpec, TrafficGenerator
+from repro.traffic import FlowSpec, TrafficGenerator, packets_for_flow
 from repro.nf import IPFilter, MazuNAT, Monitor
 
 PORTS = (20000, 60000)
@@ -145,6 +146,65 @@ class TestFailoverOracle:
         assert report.equivalent, report.summary()
         # only flows still live at the kill were rebuilt
         assert report.flows_rebuilt <= 2
+
+    @pytest.mark.parametrize("interval", [8, 10**6])
+    @pytest.mark.parametrize("bound", [2, 4])
+    def test_an_evicted_flow_is_not_a_closed_flow(self, bound, interval):
+        """Regression: recovery used to read the dead replica's
+        classifier to decide which flows had closed, so under a bounded
+        flow table a flow it had merely evicted lost its checkpoint and
+        its log replay (the monitor counted 5 packets of 10).  UDP flows
+        never close; only a FIN or RST in the log closes a direction."""
+        specs = [
+            FlowSpec.udp(f"10.7.{i}.9", f"99.4.0.{i + 1}", 7000 + i, 53, packets=10)
+            for i in range(12)
+        ]
+        packets = TrafficGenerator(specs, interleave="round_robin").packets()
+        report = verify_equivalence_failover(
+            lambda: [Monitor("mon"), IPFilter("fw")],
+            packets,
+            kill_at=len(packets) // 2,
+            replicas=2,
+            checkpoint_interval=interval,
+            speedybox_kwargs={"max_tracked_flows": bound},
+        )
+        assert report.equivalent, report.summary()
+        assert report.buffered_packets == report.delivered_packets
+
+    @pytest.mark.parametrize("interval", [1, 8, 10**6])
+    def test_a_half_closed_flow_is_live(self, interval):
+        """Only the forward side sends FIN; the reverse talked before it
+        and talks again after the kill.  One closed direction does not
+        finish the flow — also when the reverse was silent between the
+        last checkpoint and the FIN (interval 1) — so recovery restores
+        and replays it."""
+        forward, reverse = [], []
+        for i in range(6):
+            spec = FlowSpec.tcp(
+                f"10.6.{i}.2", f"99.6.0.{i + 1}", 8000 + i, 80, packets=3, fin=True
+            )
+            forward.append(packets_for_flow(spec))
+            reverse.append(
+                packets_for_flow(FlowSpec(spec.five_tuple.reversed(), packets=6, payload=b"re"))
+            )
+        talk = [
+            packet
+            for step in range(3)
+            for i in range(6)
+            for packet in (reverse[i][step], forward[i][step])
+        ]
+        fins = [packets[-1] for packets in forward]
+        replies = [packets[step] for step in range(3, 6) for packets in reverse]
+        assert all(packet.l4.has_flag(TCP_FIN) for packet in fins)
+        report = verify_equivalence_failover(
+            lambda: [Monitor("mon"), IPFilter("fw")],
+            talk + fins + replies,
+            kill_at=len(talk) + len(fins),
+            replicas=2,
+            checkpoint_interval=interval,
+        )
+        assert report.equivalent, report.summary()
+        assert report.buffered_packets == report.delivered_packets > 0
 
     def test_recovery_at_end_of_stream(self):
         """recover_after=None leaves the replica dead until the caller

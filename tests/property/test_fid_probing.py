@@ -147,7 +147,7 @@ def test_probing_survives_traffic_eviction_migration_and_failover(specs, sbox_kw
                     checkpoints = [capture_flow(dead_runtime, flow) for flow in orphans]
                     for checkpoint in checkpoints:  # the replica is gone; restore what was saved
                         if checkpoint is not None:
-                            restore_flow(checkpoint, live_runtime, list(dead_runtime.nfs))
+                            restore_flow(checkpoint, live_runtime)
                 replicas[pick % 2] = Replica(sbox_kwargs)
                 home.update({flow: 1 - pick % 2 for flow in orphans})
             else:

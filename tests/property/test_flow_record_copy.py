@@ -1,14 +1,14 @@
 """Property tests: how a :class:`~repro.core.framework.FlowRecord` copies.
 
 Checkpoint capture and restore (:mod:`repro.ft.checkpoint`) are one
-:meth:`FlowRecord.copy` per record: recorded actions, five-tuples,
-handlers and args are shared values, mutable shells are cloned slot by
-slot, and one ``id -> clone`` map per record keeps every alias.  Over
-Hypothesis-chosen chains that exercise every slot — NAT + monitor +
-firewall, a VPN encap/decap pair, a firewall drop rule with
-``pre_drop``, DoS prevention (one-shot event) and Maglev (recurring
-event), Snort state functions, and a test-local NF that records
-NF-typed ``args`` — this file checks that
+:meth:`FlowRecord.copy` per record: recorded actions, five-tuples and
+args are shared values, handlers are left out (the copy names them),
+mutable shells are cloned slot by slot, and one ``id -> clone`` map per
+record keeps every alias.  Over Hypothesis-chosen chains that exercise
+every slot — NAT + monitor + firewall, a VPN encap/decap pair, a
+firewall drop rule with ``pre_drop``, DoS prevention (one-shot event)
+and Maglev (recurring event) and Snort state functions — this file
+checks that
 
 1. the copy is structurally equal to the original slot by slot, and to
    the *generic* walk (``copy.deepcopy`` with the chain NFs in the
@@ -18,10 +18,11 @@ NF-typed ``args`` — this file checks that
 3. batches and state functions fall into the same identity classes in
    the copy as in the generic walk — across Local MAT rules, the Global
    MAT schedule and the functions a fired event installs;
-4. handlers and NF-typed arguments stay bound to the source NFs;
+4. the copy holds no handler, only its name, and recording an NF in
+   ``args`` is refused;
 5. the stored checkpoint is independent: more traffic through the live
-   runtime (an event firing and a reconsolidation included) and a
-   rebound, imported, *running* restored copy leave it untouched;
+   runtime (an event firing and a reconsolidation included) and an
+   imported, *running* restored copy leave it untouched;
 6. :func:`~repro.scale.migration.flow_walk` finds the directions and
    observed tuples the two separate walks it replaced found.
 """
@@ -30,9 +31,11 @@ from __future__ import annotations
 
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.actions import Forward
+from repro.core.event_table import Event
 from repro.core.framework import FlowRecord, SpeedyBox
 from repro.core.state_function import PayloadClass, StateFunction, StateFunctionBatch
 from repro.ft import capture_flow, restore_flow
@@ -61,7 +64,7 @@ DOS_THRESHOLD = 5
 
 
 class PeerTouch(NetworkFunction):
-    """Records a state function and an event whose ``args`` hold an NF."""
+    """Tries to record a state function whose ``args`` hold an NF."""
 
     def __init__(self, name: str, peer: NetworkFunction):
         super().__init__(name)
@@ -85,6 +88,21 @@ class PeerTouch(NetworkFunction):
         api.register_event(
             fid, self.never, args=(self.peer,), update_action=Forward(), one_shot=False
         )
+
+
+def test_recording_an_nf_in_args_is_a_type_error():
+    """A record names its code and keeps plain values: PeerTouch's state
+    function (and an event like its) with an NF among the ``args`` is
+    refused when it is recorded."""
+    monitor = Monitor("mon")
+    peer = PeerTouch("peer", monitor)
+    runtime = SpeedyBox([monitor, peer])
+    spec = FlowSpec.tcp("10.5.0.7", "99.3.0.1", 4000, 80, packets=2, handshake=False)
+    packet = TrafficGenerator([spec]).packets()[0]
+    with pytest.raises(TypeError, match="plain values"):
+        runtime.process(packet)
+    with pytest.raises(TypeError, match="plain values"):
+        Event(1, "peer", peer.never, args=(monitor,), update_action=Forward())
 
 
 def nat_chain():
@@ -129,11 +147,6 @@ def snort_chain():
     return [SnortIDS("snort", RULES_TEXT), Monitor("mon")]
 
 
-def peer_chain():
-    monitor = Monitor("mon")
-    return [monitor, PeerTouch("peer", monitor)]
-
-
 CHAINS = {
     "nat": nat_chain,
     "vpn": vpn_chain,
@@ -141,7 +154,6 @@ CHAINS = {
     "drop": drop_chain,
     "events": event_chain,
     "snort": snort_chain,
-    "peer_args": peer_chain,
 }
 
 
@@ -171,23 +183,11 @@ def cases(draw):
 # -- views: a record as plain comparable values ---------------------------------
 
 
-def handler_view(handler):
-    if handler is None:
-        return None
-    return (id(getattr(handler, "__self__", None)), getattr(handler, "__func__", handler))
-
-
-def args_view(args):
-    return tuple(
-        ("nf", id(arg)) if isinstance(arg, NetworkFunction) else arg for arg in args
-    )
-
-
 def function_view(fn):
     return (
-        handler_view(fn.handler),
+        fn.method,
         fn.payload_class,
-        args_view(fn.args),
+        fn.args,
         fn.name,
         fn.nf_name,
         fn.invocations,
@@ -246,10 +246,10 @@ def record_view(record):
             (
                 event.fid,
                 event.nf_name,
-                handler_view(event.condition),
-                args_view(event.args),
+                event.condition_method,
+                event.args,
                 event.update_action,
-                handler_view(event.update_function),
+                event.update_method,
                 None
                 if event.update_state_functions is None
                 else [function_view(fn) for fn in event.update_state_functions],
@@ -259,7 +259,6 @@ def record_view(record):
             )
             for event in record.events
         ],
-        "nf_state": dict(record.nf_state),
     }
 
 
@@ -306,9 +305,8 @@ def schedule_batches(rule):
     return [] if rule is None else rule.schedule.all_batches()
 
 
-def assert_copy_discipline(original: FlowRecord, clone: FlowRecord, nfs) -> None:
-    """Shells distinct, atomics identical, aliasing and binding preserved."""
-    nf_ids = {id(nf) for nf in nfs}
+def assert_copy_discipline(original: FlowRecord, clone: FlowRecord) -> None:
+    """Shells distinct, atomics identical, aliasing preserved, no handler."""
     assert clone is not original
     assert clone.local_rules is not original.local_rules
     assert clone.events is not original.events
@@ -319,10 +317,8 @@ def assert_copy_discipline(original: FlowRecord, clone: FlowRecord, nfs) -> None
 
     def check_function(src: StateFunction, dst: StateFunction) -> None:
         assert dst is not src
-        assert getattr(dst.handler, "__self__", None) is getattr(src.handler, "__self__", None)
-        for src_arg, dst_arg in zip(src.args, dst.args):
-            if isinstance(src_arg, NetworkFunction):
-                assert dst_arg is src_arg and id(dst_arg) in nf_ids
+        assert dst.handler is None and dst.method == src.method
+        assert dst.args is src.args
 
     def check_batch(src: StateFunctionBatch, dst: StateFunctionBatch) -> None:
         assert dst is not src
@@ -359,12 +355,8 @@ def assert_copy_discipline(original: FlowRecord, clone: FlowRecord, nfs) -> None
     for src_event, dst_event in zip(original.events, clone.events):
         assert dst_event is not src_event
         assert dst_event.update_action is src_event.update_action
-        assert getattr(dst_event.condition, "__self__", None) is getattr(
-            src_event.condition, "__self__", None
-        )
-        for src_arg, dst_arg in zip(src_event.args, dst_event.args):
-            if isinstance(src_arg, NetworkFunction):
-                assert dst_arg is src_arg and id(dst_arg) in nf_ids
+        assert dst_event.condition is None and dst_event.update_function is None
+        assert dst_event.args is src_event.args
         if src_event.update_state_functions is not None:
             assert dst_event.update_state_functions is not src_event.update_state_functions
             for src_fn, dst_fn in zip(
@@ -406,7 +398,7 @@ def test_copy_equals_original_and_generic_walk_and_shares_only_atomics(case):
         reference = generic_copy(record, runtime.nfs)
         assert record_view(clone) == record_view(record)
         assert record_view(clone) == record_view(reference)
-        assert_copy_discipline(record, clone, runtime.nfs)
+        assert_copy_discipline(record, clone)
         assert alias_signature(clone) == alias_signature(reference) == alias_signature(record)
         # the reference really is the generic walk: it copies the values
         # the protocol shares
@@ -425,11 +417,11 @@ def test_stored_checkpoint_is_independent_of_source_and_restored_copy(case):
     frozen = [[record_view(record) for record in cp.records] for cp in checkpoints]
     frozen_states = [copy.deepcopy(cp.nf_states) for cp in checkpoints]
 
-    # a restored copy: deep-copied from the checkpoint, rebound to the
-    # target's NFs (rebind_record), imported and *running*
+    # a restored copy: copied from the checkpoint, imported (its
+    # handlers resolved on the target's NFs) and *running*
     target = SpeedyBox(CHAINS[chain]())
     for checkpoint in checkpoints:
-        restore_flow(checkpoint, target, list(source.nfs))
+        restore_flow(checkpoint, target)
     # the live source keeps going, an event firing in the middle
     fail_a_backend(source)
     fail_a_backend(target)

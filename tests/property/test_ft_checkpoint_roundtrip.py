@@ -8,9 +8,9 @@ Three claims, over Hypothesis-chosen workloads:
    that was never interrupted, at *any* capture point.
 2. The whole failover protocol (checkpoint cadence + log replay +
    buffered delivery) stays loss-free, duplicate-free and
-   state-identical for arbitrary kill positions, checkpoint intervals
-   and replica counts — :func:`verify_equivalence_failover` is the
-   oracle.
+   state-identical for arbitrary kill positions, checkpoint intervals,
+   replica counts and table bounds — :func:`verify_equivalence_failover`
+   is the oracle.
 3. Capture alone is invisible even under table pressure: with the
    classifier and the Global MAT bounded below the live flow count, a
    runtime checkpointed at arbitrary points keeps the same LRU orders,
@@ -104,7 +104,7 @@ def test_capture_restore_roundtrip_matches_uninterrupted_run(data, case):
     for flow in flows:
         checkpoint = capture_flow(source, flow)
         if checkpoint is not None:
-            restore_flow(checkpoint, target, list(source.nfs))
+            restore_flow(checkpoint, target)
             restored_any = True
 
     runtime = target if restored_any else reference
@@ -125,9 +125,20 @@ def test_capture_restore_roundtrip_matches_uninterrupted_run(data, case):
             )
 
 
+@st.composite
+def bounded_tables(draw):
+    """Table bounds that bite: each at most the workload's flow count."""
+    return {
+        "max_flows": draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4))),
+        "max_tracked_flows": draw(
+            st.one_of(st.none(), st.integers(min_value=1, max_value=5))
+        ),
+    }
+
+
 @settings(max_examples=15, deadline=None)
-@given(data=st.data(), case=workloads())
-def test_failover_is_equivalent_for_arbitrary_schedules(data, case):
+@given(data=st.data(), case=workloads(), bounds=bounded_tables())
+def test_failover_is_equivalent_for_arbitrary_schedules(data, case, bounds):
     packets, flows = case
     # Byte-identity is promised for flows established before the kill
     # (see verify_equivalence_failover); with round-robin interleave
@@ -152,20 +163,10 @@ def test_failover_is_equivalent_for_arbitrary_schedules(data, case):
         replicas=replicas,
         checkpoint_interval=interval,
         recover_after=recover_after,
+        speedybox_kwargs=bounds,
     )
     assert report.equivalent, report.summary()
     assert report.buffered_packets == report.delivered_packets
-
-
-@st.composite
-def bounded_tables(draw):
-    """Table bounds that bite: each at most the workload's flow count."""
-    return {
-        "max_flows": draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4))),
-        "max_tracked_flows": draw(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=5))
-        ),
-    }
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,7 +230,7 @@ def test_restore_into_an_occupied_fid_keeps_both_flows():
     resident_rule = target.global_mat.peek(23)
 
     checkpoint = capture_flow(source, migrant)
-    restore_flow(checkpoint, target, list(source.nfs))
+    restore_flow(checkpoint, target)
     assert checkpoint.records[0].fid == 23  # the stored copy keeps the source's FID
     assert target.classifier.fid_for(migrant) == 24
     assert target.classifier.fid_for(resident) == 23

@@ -2,7 +2,7 @@
 
 Capture must be invisible (the flow keeps running, identical to a twin
 runtime that was never captured); restore must install the full snapshot
-onto a fresh runtime with handlers rebound; the log must stay bounded
+onto a fresh runtime with handlers resolved there; the log must stay bounded
 and the injector deterministic on the packet-index clock.
 """
 
@@ -23,7 +23,11 @@ from repro.nf.maglev import Backend
 from repro.obs.audit import AuditLog
 from repro.scale import MigrationError, ScaleCluster, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
-from tests.integration.helpers import report_view
+from tests.integration.helpers import (
+    assert_handlers_resolved_on,
+    recorded_handlers,
+    report_view,
+)
 
 
 def build_chain():
@@ -42,6 +46,19 @@ def trace(flows=4, packets=6, seed=5, interleave="round_robin"):
         for i in range(flows)
     ]
     return TrafficGenerator(specs, interleave=interleave, seed=seed).packets()
+
+
+def snapshots_for_replica(manager, replica_id):
+    return [
+        checkpoint
+        for checkpoint in manager._snapshots.values()
+        if checkpoint.replica_id == replica_id
+    ]
+
+
+def entries_after(log, seq):
+    """Entries newer than ``seq``, in arrival order."""
+    return [entry for entry in log.entries() if entry.seq > seq]
 
 
 class TestCaptureFlow:
@@ -210,8 +227,15 @@ class TestRestoreFlow:
         checkpoint = capture_flow(source, flow)
 
         target = SpeedyBox(build_chain())
-        rebound = restore_flow(checkpoint, target, list(source.nfs))
-        assert rebound > 0  # monitor's count_packet handler at minimum
+        restore_flow(checkpoint, target)
+        # every handler the import installed is a method of the target's
+        # NFs — monitor's count_packet at minimum
+        restored = [target.peek_flow(fid) for fid in target.classifier._flows]
+        assert ("mon", "count_packet") in {
+            handler[:2] for record in restored for handler in recorded_handlers(record)
+        }
+        for record in restored:
+            assert_handlers_resolved_on(target, record)
         assert chain_state_snapshot(target.nfs, flow) == chain_state_snapshot(
             reference.nfs, flow
         )
@@ -239,7 +263,7 @@ class TestRestoreFlow:
         flow = packets[0].five_tuple().canonical()
         checkpoint = capture_flow(source, flow)
         target = SpeedyBox(build_chain())
-        restore_flow(checkpoint, target, list(source.nfs))
+        restore_flow(checkpoint, target)
 
         source_total = source.nfs[1].total_packets()
         target.process(packets[4].clone())
@@ -265,7 +289,7 @@ class TestRestoreFlow:
         checkpoint = capture_flow(source, packets[0].five_tuple().canonical())
         target = SpeedyBox(target_chain())
         with pytest.raises(MigrationError, match="replica chains differ"):
-            restore_flow(checkpoint, target, list(source.nfs))
+            restore_flow(checkpoint, target)
         assert len(target.classifier) == 0  # nothing half-installed
 
     def test_checkpoint_is_reusable_after_restore(self):
@@ -277,8 +301,8 @@ class TestRestoreFlow:
         checkpoint = capture_flow(source, flow)
         first = SpeedyBox(build_chain())
         second = SpeedyBox(build_chain())
-        restore_flow(checkpoint, first, list(source.nfs))
-        restore_flow(checkpoint, second, list(source.nfs))
+        restore_flow(checkpoint, first)
+        restore_flow(checkpoint, second)
         assert chain_state_snapshot(first.nfs, flow) == chain_state_snapshot(
             second.nfs, flow
         )
@@ -318,7 +342,7 @@ class TestSnapshotReplica:
             "log_seq": 7,
             "cause": "manual",
         }
-        assert captured == len(ft.checkpoints.snapshots_for_replica(1)) > 0
+        assert captured == len(snapshots_for_replica(ft.checkpoints, 1)) > 0
 
 
 class TestPacketLog:
@@ -339,7 +363,7 @@ class TestPacketLog:
             log.append(packet)
         assert log.trim(3) == 3
         assert [entry.seq for entry in log.entries()] == [4, 5]
-        assert [entry.seq for entry in log.entries_after(4)] == [5]
+        assert [entry.seq for entry in entries_after(log, 4)] == [5]
         assert log.trimmed == 3
 
     def test_pressure_hook_fires_before_overflow(self):

@@ -119,6 +119,13 @@ SHIPPED = ("src", "docs", "README.md", "DESIGN.md", "examples", "benchmarks", ".
             ("src/repro",),
             id="benchdiff",
         ),
+        pytest.param(
+            r"rebind|graveyard|handlers_rebound|__func__",
+            "a record names its handlers and the importing runtime resolves them; "
+            "recovery reads nothing from the dead replica",
+            ("src/repro",),
+            id="named-handlers",
+        ),
     ],
 )
 def test_no_trace_of_deleted_names(gone, reason, trees):
