@@ -459,7 +459,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
             cluster, ft = build_cluster(
                 args, obs, platform_name, count, injector=injector,
                 checkpoint_interval=args.checkpoint_every or 32,
-                speedybox=not args.no_speedybox, physical_cores=args.physical_cores,
+                speedybox=not args.no_speedybox,
             )
             migrations = 0
             if args.churn:
@@ -838,11 +838,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--churn", type=int, default=0, metavar="K",
         help="forcibly migrate K live flows between replicas before the "
              "loaded window (migration-churn ablation)",
-    )
-    scale.add_argument(
-        "--physical-cores", type=_positive_int, default=None, metavar="C",
-        help="shared core pool all replicas contend for (default: each "
-             "replica gets its own cores)",
     )
     scale.add_argument(
         "--gap-ns", type=_gap_ns, default=0.0,

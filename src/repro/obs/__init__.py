@@ -11,8 +11,8 @@ benchmark arithmetic:
 - :mod:`repro.obs.trace` — the :class:`PacketTracer` records per-packet
   spans and exports JSON-lines or Chrome trace-event JSON (opens in
   ``chrome://tracing`` / Perfetto).
-- :mod:`repro.obs.hooks` — observers for the discrete-event engine
-  (process lifecycle, store put/get/blocked).
+- :mod:`repro.obs.hooks` — the discrete-event engine's observer, which
+  streams store put/get/blocked into the tracer.
 - :mod:`repro.obs.timeline` — builds unloaded-mode span timelines from
   :class:`~repro.core.framework.ProcessReport` objects.
 - :mod:`repro.obs.timeseries` — gen-3 windowed telemetry: a bounded
@@ -58,12 +58,7 @@ from repro.obs.health import (
     HealthModel,
     ReplicaHealth,
 )
-from repro.obs.hooks import (
-    CountingObserver,
-    EngineObserver,
-    FanoutObserver,
-    TracingObserver,
-)
+from repro.obs.hooks import TracingObserver
 from repro.obs.promexport import parse_prometheus, render_prometheus, write_prometheus
 from repro.obs.registry import (
     Counter,
@@ -89,10 +84,7 @@ from repro.obs.trace import NULL_TRACER, PacketTracer, Span
 __all__ = [
     "AuditLog",
     "Counter",
-    "CountingObserver",
     "DEFAULT_BUCKETS",
-    "EngineObserver",
-    "FanoutObserver",
     "FlightRecorder",
     "FlowSpanRecorder",
     "ForensicsEngine",

@@ -1,171 +1,41 @@
-"""Sim-engine observability hooks.
+"""The sim engine's observer.
 
 :class:`repro.sim.engine.Engine` carries a nullable ``observer``
-attribute; when set, the engine and its stores call the observer at six
-points — process scheduled / resumed / finished, store put / get /
-blocked.  The engine stays dependency-free (it never imports this
-module): an observer is anything with these six methods, and the
-implementations here are what the platforms and tests plug in.
-
-- :class:`EngineObserver` — the no-op base class / protocol;
-- :class:`CountingObserver` — firing counts per hook plus per-store
-  put/get/blocked tallies (cheap; used by tests and the metrics layer);
-- :class:`TracingObserver` — streams store occupancy into a
-  :class:`~repro.obs.trace.PacketTracer` as counter samples (one Chrome
-  counter track per ring) and marks blocked puts/gets as instants.
-
-Every callback receives the engine-owned object itself (a ``Process`` or
-``Store``), so observers read the current simulation time from
-``store.engine.now`` without holding an engine reference.
+attribute; when set, the engine's stores call it at three points — put,
+get, blocked.  The engine stays dependency-free (it never imports this
+module).  The run's blocked counts live on the stores themselves and
+reach the registry through ``Platform._publish_load_metrics``; this
+observer is for the tracer alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any
 
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
-from repro.obs.trace import NULL_TRACER, PacketTracer
-
-
-class EngineObserver:
-    """No-op base: subclass and override the hooks you care about."""
-
-    def process_scheduled(self, process: Any) -> None:
-        pass
-
-    def process_resumed(self, process: Any) -> None:
-        pass
-
-    def process_finished(self, process: Any) -> None:
-        pass
-
-    def store_put(self, store: Any, item: Any) -> None:
-        pass
-
-    def store_get(self, store: Any, item: Any) -> None:
-        pass
-
-    def store_blocked(self, store: Any, process: Any, kind: str) -> None:
-        """``kind`` is ``"put"`` (store full) or ``"get"`` (store empty)."""
-        pass
+from repro.obs.trace import PacketTracer
 
 
-class CountingObserver(EngineObserver):
-    """Tallies every hook firing; optionally mirrors into a registry."""
-
-    def __init__(self, metrics: MetricsRegistry = NULL_REGISTRY):
-        self.scheduled = 0
-        self.resumed = 0
-        self.finished = 0
-        self.puts = 0
-        self.gets = 0
-        self.blocked: Dict[str, int] = {"put": 0, "get": 0}
-        self.per_store_puts: Dict[str, int] = {}
-        self.per_store_gets: Dict[str, int] = {}
-        self._m_resumes = metrics.counter(
-            "sim_process_resumes_total", "generator resumptions inside the engine"
-        )
-        self._m_blocked = metrics.counter(
-            "sim_store_blocked_total", "puts/gets that had to wait on a store"
-        )
-
-    def process_scheduled(self, process: Any) -> None:
-        self.scheduled += 1
-
-    def process_resumed(self, process: Any) -> None:
-        self.resumed += 1
-        self._m_resumes.inc()
-
-    def process_finished(self, process: Any) -> None:
-        self.finished += 1
-
-    def store_put(self, store: Any, item: Any) -> None:
-        self.puts += 1
-        name = store.name or "store"
-        self.per_store_puts[name] = self.per_store_puts.get(name, 0) + 1
-
-    def store_get(self, store: Any, item: Any) -> None:
-        self.gets += 1
-        name = store.name or "store"
-        self.per_store_gets[name] = self.per_store_gets.get(name, 0) + 1
-
-    def store_blocked(self, store: Any, process: Any, kind: str) -> None:
-        self.blocked[kind] = self.blocked.get(kind, 0) + 1
-        self._m_blocked.labels(kind=kind).inc()
-
-
-class TracingObserver(EngineObserver):
+class TracingObserver:
     """Streams store occupancy and blocking into a packet tracer.
 
     Emits one counter sample per put/get (the occupancy *after* the
-    operation) on track ``ring:<store name>`` and an instant marker for
-    each blocked put/get — in Perfetto the rings render as stacked area
-    charts with block events pinned on top.
-
-    One observer may serve several engines (platforms reuse their
-    observability bundle across runs): tracks are namespaced per engine,
-    so two engines whose rings share a name — every platform calls its
-    first ring ``ring:nf0`` — land on distinct tracks instead of
-    interleaving.  The first engine seen keeps the bare legacy names;
-    later engines are prefixed ``e1:``, ``e2:``, ...
+    operation) on track ``<prefix>ring:<store name>`` and an instant
+    marker for each blocked put/get — in Perfetto the rings render as
+    stacked area charts with block events pinned on top.  ``prefix``
+    keeps one run's tracks apart from another's on a shared tracer.
     """
 
-    def __init__(self, tracer: PacketTracer = NULL_TRACER):
+    def __init__(self, tracer: PacketTracer, prefix: str):
         self.tracer = tracer
-        # id(engine) -> (engine, tag).  The engine reference is held on
-        # purpose: it pins the id, so a dead engine's recycled address
-        # can never alias a later engine onto the wrong namespace.
-        self._engine_tags: Dict[int, tuple] = {}
+        self.prefix = prefix
 
-    def _track(self, store: Any) -> str:
-        engine = store.engine
-        entry = self._engine_tags.get(id(engine))
-        if entry is None:
-            tag = "" if not self._engine_tags else f"e{len(self._engine_tags)}:"
-            entry = self._engine_tags[id(engine)] = (engine, tag)
-        return f"{entry[1]}ring:{store.name or id(store)}"
+    def store_put(self, store: Any) -> None:
+        """One occupancy sample, after a put or a get."""
+        track = f"{self.prefix}ring:{store.name}"
+        self.tracer.counter("occupancy", track, store.engine.now, len(store))
 
-    def store_put(self, store: Any, item: Any) -> None:
-        self.tracer.counter("occupancy", self._track(store), store.engine.now, len(store))
-
-    def store_get(self, store: Any, item: Any) -> None:
-        self.tracer.counter("occupancy", self._track(store), store.engine.now, len(store))
+    store_get = store_put
 
     def store_blocked(self, store: Any, process: Any, kind: str) -> None:
-        self.tracer.instant(
-            f"blocked_{kind}",
-            self._track(store),
-            store.engine.now,
-            process=getattr(process, "name", ""),
-        )
-
-
-class FanoutObserver(EngineObserver):
-    """Forward every hook to several observers (counting + tracing)."""
-
-    def __init__(self, *observers: EngineObserver):
-        self.observers = [obs for obs in observers if obs is not None]
-
-    def process_scheduled(self, process: Any) -> None:
-        for obs in self.observers:
-            obs.process_scheduled(process)
-
-    def process_resumed(self, process: Any) -> None:
-        for obs in self.observers:
-            obs.process_resumed(process)
-
-    def process_finished(self, process: Any) -> None:
-        for obs in self.observers:
-            obs.process_finished(process)
-
-    def store_put(self, store: Any, item: Any) -> None:
-        for obs in self.observers:
-            obs.store_put(store, item)
-
-    def store_get(self, store: Any, item: Any) -> None:
-        for obs in self.observers:
-            obs.store_get(store, item)
-
-    def store_blocked(self, store: Any, process: Any, kind: str) -> None:
-        for obs in self.observers:
-            obs.store_blocked(store, process, kind)
+        track = f"{self.prefix}ring:{store.name}"
+        self.tracer.instant(f"blocked_{kind}", track, store.engine.now, process=process.name)

@@ -99,6 +99,9 @@ class PacketTracer:
         self._counters: List[_CounterSample] = []
         #: per-track stack of (name, start_ns, args) for begin/end nesting
         self._open: Dict[str, List[Tuple[str, float, Dict[str, Any]]]] = {}
+        #: DES replays recorded so far (``Platform._replay`` numbers them
+        #: and prefixes the tracks of every one after the first)
+        self.des_runs = 0
 
     # -- recording ---------------------------------------------------------
 
@@ -174,6 +177,7 @@ class PacketTracer:
         self._instants.clear()
         self._counters.clear()
         self._open.clear()
+        self.des_runs = 0
 
     # -- export ------------------------------------------------------------
 

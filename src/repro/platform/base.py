@@ -26,13 +26,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import PathTaken, ProcessReport, ServiceChain, SpeedyBox
 from repro.net.packet import Packet
-from repro.obs.hooks import CountingObserver, FanoutObserver, TracingObserver
+from repro.obs.hooks import TracingObserver
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.span import FlowSpanRecorder
 from repro.obs.timeline import trace_unloaded
 from repro.obs.trace import NULL_TRACER, PacketTracer
 from repro.platform.costs import CostModel, CycleMeter, Operation
-from repro.sim import Engine, Get, Put, Request, Resource, Store, Timeout
+from repro.sim import Engine, Get, Put, Store, Timeout
 from repro.sim import analytic as sim_analytic
 from repro.sim.analytic import analytic_replay, plans_are_analytic, plans_are_vector
 from repro.stats.summary import percentile_sorted
@@ -199,11 +199,9 @@ def load_result(arrival, finish, dropped: int) -> LoadResult:
     )
 
 
-#: A packet's temporal footprint: per-hop (stage_index, service_ns).
-#: ``stage_index=None`` marks a pure delay with unbounded parallelism —
-#: e.g. worker cores running a packet's SF wave while the ONVM manager
-#: moves on to the next packet.
-StagePlan = List[Tuple[Optional[int], float]]
+#: A packet's temporal footprint: per-hop (stage_index, service_ns),
+#: never empty.
+StagePlan = List[Tuple[int, float]]
 
 
 class PlanTable(list):
@@ -324,14 +322,11 @@ def arrival_gaps(
 
 @dataclass
 class PipelineRun:
-    """The live plumbing of one platform's pipeline on a (shared) engine.
+    """The live plumbing of one platform's pipeline on a DES engine."""
 
-    A DES replay spawns exactly one of these on a private engine; a
-    cluster with a core pool (``repro.scale``) spawns one per replica on
-    a *shared* engine so the replicas' pipelines contend for the pool.
-    """
-
+    #: one ring per stage, and the unbounded store the sink drains
     rings: List[Store]
+    done: Store
     #: the timeline, indexed by packet and filled in as the engine runs:
     #: offered time, and departure from the last hop (every packet,
     #: dropped ones included, reaches the sink, so both are total)
@@ -643,10 +638,19 @@ class Platform:
             )
             return self._finish_run(run, timeline, inter_arrival_ns, "analytic")
         engine = Engine()
-        self._attach_observer(engine)
-        pipeline = self._spawn_pipeline(engine, table, plan_ids, gaps)
+        prefix = ""
+        tracer = self.tracer
+        if tracer.enabled:
+            # Runs sharing a tracer (a cluster's replicas, a CLI command's
+            # rows) are numbered; every run after the first prefixes its
+            # ring and stage tracks, so no two runs draw on one track.
+            if tracer.des_runs:
+                prefix = f"run{tracer.des_runs}:"
+            tracer.des_runs += 1
+            engine.observer = TracingObserver(tracer, prefix)
+        pipeline = self._spawn_pipeline(engine, table, plan_ids, gaps, prefix)
         engine.run()
-        self._publish_load_metrics(pipeline.rings)
+        self._publish_load_metrics(pipeline)
         return self._finish_run(
             run, (pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
         )
@@ -739,9 +743,8 @@ class Platform:
         """May this run use a closed-form replay instead of the DES?
 
         The analytic recursions cannot express observer instrumentation
-        (metrics/tracer hooks see every engine event), pure-delay hops
-        or multi-producer stage graphs — those fall back to the DES.  (A
-        shared core pool needs it too; a cluster that has one never asks.)
+        (metrics/tracer hooks see every engine event) or multi-producer
+        stage graphs — those fall back to the DES.
         """
         if self.metrics.enabled or self.tracer.enabled:
             return False
@@ -850,88 +853,47 @@ class Platform:
         table: Sequence[StagePlan],
         plan_ids: Sequence[int],
         gaps: Sequence[float],
-        core_pool: Optional[Resource] = None,
+        prefix: str = "",
     ) -> PipelineRun:
         """Register this platform's stage pipeline on ``engine``.
 
         Packet ``i`` follows plan ``table[plan_ids[i]]``; ``gaps[i]`` is
-        the source's Timeout before offering it.
-        ``core_pool`` (optional) is a shared :class:`Resource` every stage
-        worker must hold while serving a packet — how a replica cluster
-        models oversubscribed physical cores.  Pure-delay hops (offloaded
-        SF waves) stay outside the pool, mirroring single-platform runs
-        where worker cores are modelled as a free-running pool.
+        the source's Timeout before offering it.  An attached tracer
+        gets one span per hop on the stage's track, ``prefix`` first.
         """
-        stage_count = self._stage_count()
         label = self.label
-        rings = [
-            Store(
-                engine,
-                capacity=self.config.ring_capacity,
-                name=f"{label}:{self._stage_label(i)}",
-            )
-            for i in range(stage_count)
-        ]
+        names = [f"{label}:{self._stage_label(i)}" for i in range(self._stage_count())]
+        rings = [Store(engine, capacity=self.config.ring_capacity, name=name) for name in names]
         done = Store(engine, name=f"{label}:done")
         arrival = [0.0] * len(plan_ids)
         finish = [0.0] * len(plan_ids)
         tracing = self.tracer.enabled
-
-        def delay_hop(packet_index: int, hop: int, plan: StagePlan):
-            """A None-stage hop: pure delay, no core contention."""
-            __, service_ns = plan[hop]
-            started = engine.now
-            yield Timeout(service_ns)
-            if tracing:
-                self.tracer.span(
-                    f"pkt{packet_index}",
-                    f"{label}:offload",
-                    started,
-                    engine.now - started,
-                    hop=hop,
-                )
-            yield from forward(packet_index, hop, plan)
-
-        def forward(packet_index: int, hop: int, plan: StagePlan):
-            if hop + 1 < len(plan):
-                next_stage = plan[hop + 1][0]
-                if next_stage is None:
-                    engine.add_process(delay_hop(packet_index, hop + 1, plan))
-                else:
-                    yield Put(rings[next_stage], (packet_index, hop + 1, plan))
-            else:
-                yield Put(done, (packet_index, engine.now))
 
         def source():
             for index, plan in enumerate(map(table.__getitem__, plan_ids)):
                 if gaps[index] > 0:
                     yield Timeout(gaps[index])
                 arrival[index] = engine.now
-                first_stage = plan[0][0] if plan else stage_count - 1
-                if first_stage is None:
-                    engine.add_process(delay_hop(index, 0, plan))
-                else:
-                    yield Put(rings[first_stage], (index, 0, plan))
+                yield Put(rings[plan[0][0]], (index, 0, plan))
 
         def stage_worker(stage_index: int):
-            track = f"{label}:{self._stage_label(stage_index)}"
+            ring = rings[stage_index]
+            track = prefix + names[stage_index]
             while True:
-                item = yield Get(rings[stage_index])
+                item = yield Get(ring)
                 if item is None:
                     return
                 packet_index, hop, plan = item
-                __, service_ns = plan[hop]
-                if core_pool is not None:
-                    yield Request(core_pool)
                 started = engine.now
-                yield Timeout(service_ns)
-                if core_pool is not None:
-                    yield core_pool.release()
+                yield Timeout(plan[hop][1])
                 if tracing:
                     self.tracer.span(
                         f"pkt{packet_index}", track, started, engine.now - started, hop=hop
                     )
-                yield from forward(packet_index, hop, plan)
+                if hop + 1 < len(plan):
+                    yield Put(rings[plan[hop + 1][0]], (packet_index, hop + 1, plan))
+                else:
+                    yield Put(done, (packet_index, engine.now))
 
         def sink():
             for __ in range(len(plan_ids)):
@@ -941,33 +903,16 @@ class Platform:
                 yield Put(ring, None)  # poison pills
 
         engine.add_process(source(), name=f"{label}:source")
-        for stage_index in range(stage_count):
+        for stage_index in range(len(rings)):
             engine.add_process(stage_worker(stage_index), name=f"{label}:stage{stage_index}")
         engine.add_process(sink(), name=f"{label}:sink")
-        return PipelineRun(rings=rings, arrival=arrival, finish=finish)
+        return PipelineRun(rings=rings, done=done, arrival=arrival, finish=finish)
 
     # -- loaded-mode observability --------------------------------------------
 
-    def _attach_observer(self, engine: Engine) -> None:
-        """Hook the replay engine up to the tracer and/or metrics registry.
-
-        The counting observer streams engine counters (resumes, blocked
-        puts/gets) straight into the registry; the tracing observer
-        streams ring occupancy into the tracer.  With both disabled the
-        engine's observer stays ``None`` and the replay is untouched.
-        """
-        observers = []
-        if self.metrics.enabled:
-            observers.append(CountingObserver(self.metrics))
-        if self.tracer.enabled:
-            observers.append(TracingObserver(self.tracer))
-        if len(observers) == 1:
-            engine.observer = observers[0]
-        elif observers:
-            engine.observer = FanoutObserver(*observers)
-
-    def _publish_load_metrics(self, rings: Sequence[Store]) -> None:
-        """Per-ring enqueue/dequeue/high-water after a loaded run."""
+    def _publish_load_metrics(self, pipeline: PipelineRun) -> None:
+        """Per-ring enqueue/dequeue/high-water, and the puts and gets
+        that waited on any of the run's stores, after a DES replay."""
         if not self.metrics.enabled:
             return
         enqueues = self.metrics.counter(
@@ -979,10 +924,20 @@ class Platform:
         high_water = self.metrics.gauge(
             "ring_high_watermark", "deepest occupancy each ring reached"
         )
-        for ring in rings:
+        for ring in pipeline.rings:
             enqueues.labels(ring=ring.name).inc(ring.total_put)
             dequeues.labels(ring=ring.name).inc(ring.total_got)
             high_water.labels(ring=ring.name).set(ring.high_watermark)
+        blocked = self.metrics.counter(
+            "sim_store_blocked_total", "puts/gets that had to wait on a store"
+        )
+        stores = [*pipeline.rings, pipeline.done]
+        for kind, count in (
+            ("put", sum(store.blocked_puts for store in stores)),
+            ("get", sum(store.blocked_gets for store in stores)),
+        ):
+            if count:
+                blocked.labels(kind=kind).inc(count)
         self.metrics.counter(
             "load_runs_total", "run_load invocations"
         ).labels(platform=self.name).inc()

@@ -100,8 +100,8 @@ class OpenNetVMPlatform(Platform):
             # The Manager executes the fixed fast path plus the inline
             # (single-batch) waves and the fork/join of parallel waves;
             # parallel batches run on worker cores while the Manager
-            # pipelines on to the next packet, so they appear as a pure
-            # delay hop, not Manager occupancy.
+            # pipelines on to the next packet, so they are a hop on the
+            # worker stage, not Manager occupancy.
             __, sf_latency, sf_main = self._time_sf_waves(report)
             manager_total = (
                 manager_cycles + sf_main + self._fast_path_extra_cycles() + model.nic_tx

@@ -9,9 +9,9 @@ pieces:
   equal-share replicas through an indirection table, with per-flow
   pins and minimal-remap repartitioning.
 - :mod:`repro.scale.cluster` — :class:`ScaleCluster`, N independent
-  ``SpeedyBox``+``Platform`` chain copies driven on one shared sim
-  engine (optionally contending for a physical core pool), plus the
-  freeze/buffer/replay migration choreography.
+  ``SpeedyBox``+``Platform`` chain copies on one arrival timeline, each
+  replaying its share on its own cores, plus the freeze/buffer/replay
+  migration choreography.
 - :mod:`repro.scale.migration` — :class:`FlowMigrator`, the atomic
   transfer of a flow's classifier entry, Local/Global MAT rules, events
   and NF per-flow state; the record names its handlers and the target

@@ -4,10 +4,8 @@
 baseline ``ServiceChain``) + ``Platform`` copies from one chain factory,
 shards flows across them with :class:`~repro.scale.sharder.FlowSharder`,
 and offers every replica its share of one global arrival timeline.
-Each replica's platform replays its share as it would alone — unless
-``physical_cores`` is set: then every pipeline runs on one *shared*
-discrete-event engine and contends for a common core pool instead of
-each enjoying its own private machine.
+Each replica's platform replays its share as it would alone, on its own
+cores.
 
 It also owns the migration choreography (the part the
 :class:`~repro.scale.migration.FlowMigrator` deliberately does not):
@@ -52,7 +50,7 @@ from repro.scale.migration import (
 from repro.scale.sharder import FlowSharder
 # ``analytic_replay`` is not called here (each replica replays through its
 # platform's ``_replay``); bench/workloads.py patches the name on this module.
-from repro.sim import Engine, Resource, analytic_replay  # noqa: F401
+from repro.sim import analytic_replay  # noqa: F401
 
 PLATFORM_CLASSES = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}
 
@@ -93,7 +91,6 @@ class ScaleCluster:
         replicas: int = 1,
         speedybox: bool = True,
         speedybox_kwargs: Optional[dict] = None,
-        physical_cores: Optional[int] = None,
         buckets: int = 64,
         metrics: MetricsRegistry = NULL_REGISTRY,
         tracer: PacketTracer = NULL_TRACER,
@@ -106,15 +103,10 @@ class ScaleCluster:
             raise ValueError(f"unknown platform {platform!r} (bess|onvm)")
         if replicas <= 0:
             raise ValueError(f"cluster needs at least one replica, got {replicas!r}")
-        if physical_cores is not None and physical_cores < 1:
-            raise ValueError(
-                f"physical_cores must be >= 1 or None, got {physical_cores!r}"
-            )
         self.chain_factory = chain_factory
         self.platform_name = platform
         self.speedybox = speedybox
         self.speedybox_kwargs = dict(speedybox_kwargs or {})
-        self.physical_cores = physical_cores
         self.metrics = metrics
         self.tracer = tracer
         self.audit = audit
@@ -294,9 +286,7 @@ class ScaleCluster:
         the packets in global arrival order and offers each to its
         replica's pass, with arrival gaps preserving the *global*
         offered timeline; then every replica's run is replayed by its
-        own platform, on the route that platform would take alone.  Only
-        with ``physical_cores`` set do the replicas share one engine:
-        all their stage workers contend for that core pool.  A columnar
+        own platform, on the route that platform would take alone.  A columnar
         :class:`~repro.traffic.columnar.PacketBatch` streams through
         ``packet_view()``, as it does on a platform the lane cannot take.
         """
@@ -357,35 +347,13 @@ class ScaleCluster:
             # at zero each window run, so windows never span run_load calls.
             timeseries.finish()
 
-        # The router ends here; every replica finishes where a platform
-        # does.  Without a shared core pool the pipelines are
-        # independent, so each replica replays exactly as it would alone
-        # (Platform._replay picks its route).  A core pool couples them:
-        # every pipeline is spawned on one engine, and each platform is
-        # handed its timeline for the same finishing step.
-        per_replica: Dict[int, LoadResult] = {}
-        if self.physical_cores is None:
-            for rid, replica in participants.items():
-                per_replica[rid] = replica.platform._replay(
-                    runs[rid], gaps[rid], inter_arrival_ns
-                )
-        else:
-            engine = Engine()
-            next(iter(participants.values())).platform._attach_observer(engine)
-            core_pool = Resource(engine, capacity=self.physical_cores, name="cores")
-            pipelines = {
-                rid: replica.platform._spawn_pipeline(
-                    engine, runs[rid].table, runs[rid].plan_ids, gaps[rid], core_pool=core_pool
-                )
-                for rid, replica in participants.items()
-            }
-            engine.run()
-            for rid, pipeline in pipelines.items():
-                platform = participants[rid].platform
-                platform._publish_load_metrics(pipeline.rings)
-                per_replica[rid] = platform._finish_run(
-                    runs[rid], (pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
-                )
+        # The router ends here.  The replicas' pipelines are independent,
+        # so each replays exactly as it would alone (Platform._replay
+        # picks its route) and finishes where a platform does.
+        per_replica: Dict[int, LoadResult] = {
+            rid: replica.platform._replay(runs[rid], gaps[rid], inter_arrival_ns)
+            for rid, replica in participants.items()
+        }
         total = LoadResult.merged(list(per_replica.values()))
         return ClusterLoadResult(total=total, per_replica=per_replica)
 

@@ -1,10 +1,10 @@
 """Closed-form temporal replay (the fast path of ``Platform.run_load``).
 
-The generator-based DES in :mod:`repro.sim.engine` is fully general — it
-handles shared core pools, interrupts and observer instrumentation — but
-the common benchmark configuration needs none of that: every packet's
-stage plan is fixed after the functional pass, every ring has a single
-producer and a single consumer, and service times are deterministic.
+The generator-based DES in :mod:`repro.sim.engine` replays any plan
+table and reports every ring event to an observer, but an unobserved run
+needs neither: every packet's stage plan is fixed after the functional
+pass, every ring has a single producer and a single consumer, and
+service times are deterministic.
 Under those conditions the departure times obey a Lindley-style
 recursion that a plain Python loop evaluates in O(total hops), roughly
 an order of magnitude faster than driving the event loop.
@@ -27,9 +27,8 @@ The recursion is only valid when later packets can never influence
 earlier ones.  :func:`plans_are_analytic` checks the sufficient
 structural condition: every stage is fed by exactly one producer (the
 source or one other stage), which makes every ring single-producer /
-single-consumer and keeps enqueue order equal to source order.  Pure
-delay hops (``stage_index=None``), empty plans and anything else the
-recursion cannot express fall back to the DES.
+single-consumer and keeps enqueue order equal to source order.  A
+table that fails it falls back to the DES.
 
 Float arithmetic deliberately mirrors the DES event loop operation for
 operation (the same additions and the same max-via-comparison), so the
@@ -47,18 +46,15 @@ from repro.vector import np
 _SOURCE = -1
 
 
-def plans_are_analytic(table: Sequence[Sequence[Tuple[Optional[int], float]]]) -> bool:
+def plans_are_analytic(table: Sequence[Sequence[Tuple[int, float]]]) -> bool:
     """Can a run over this plan table be replayed with the closed-form
     recursion?
 
     ``table`` holds the run's distinct plans (each packet names one by
     its plan id), so every plan is walked once however many packets
-    share it.  Requirements, checked in one pass over the hops:
+    share it.  Every plan is a non-empty list of hops, each on a real
+    stage.  Requirements, checked in one pass over the hops:
 
-    - every plan is non-empty (an empty plan would route the packet
-      straight to the sink, a case only the DES models);
-    - every hop names a real stage (``None`` marks free-running delay
-      hops that spawn detached processes in the DES);
     - no plan visits the same stage twice in a row (a self-edge would
       make the stage its own producer);
     - every stage is entered from exactly one predecessor across *all*
@@ -67,11 +63,9 @@ def plans_are_analytic(table: Sequence[Sequence[Tuple[Optional[int], float]]]) -
     """
     producer_of: Dict[int, int] = {}
     for plan in table:
-        if not plan:
-            return False
         previous = _SOURCE
         for stage, __ in plan:
-            if stage is None or stage == previous:
+            if stage == previous:
                 return False
             known = producer_of.get(stage)
             if known is None:
@@ -82,7 +76,7 @@ def plans_are_analytic(table: Sequence[Sequence[Tuple[Optional[int], float]]]) -
     return True
 
 
-def plans_are_vector(table: Sequence[Sequence[Tuple[Optional[int], float]]]) -> bool:
+def plans_are_vector(table: Sequence[Sequence[Tuple[int, float]]]) -> bool:
     """Does this plan table have the shape :func:`analytic_replay_vector`
     evaluates: every plan a single hop with a non-negative service time,
     all on one common stage (the BESS topology; ONVM's no-wave fast path
@@ -92,7 +86,7 @@ def plans_are_vector(table: Sequence[Sequence[Tuple[Optional[int], float]]]) -> 
         if len(plan) != 1:
             return False
         stage, service_ns = plan[0]
-        if stage is None or service_ns < 0:
+        if service_ns < 0:
             return False
         stages.add(stage)
     return len(stages) <= 1
@@ -161,7 +155,7 @@ def analytic_replay(
 
 
 def analytic_replay_vector(
-    table: Sequence[Sequence[Tuple[Optional[int], float]]],
+    table: Sequence[Sequence[Tuple[int, float]]],
     plan_ids,
     ring_capacity: Optional[int],
 ):

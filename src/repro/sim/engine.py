@@ -1,9 +1,9 @@
 """Core of the discrete-event simulation engine.
 
 Processes are plain Python generators.  A process yields *commands* —
-:class:`Timeout`, :class:`Get`, :class:`Put` or :class:`Request` — and the
-engine resumes it when the command completes, sending the command's result
-back into the generator.  Example::
+:class:`Timeout`, :class:`Get` or :class:`Put` — and the engine resumes
+it when the command completes, sending the command's result back into
+the generator.  Example::
 
     def producer(engine, store):
         for i in range(3):
@@ -22,32 +22,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
 class SimulationError(Exception):
     """Raised for invalid simulator usage (e.g. negative delays)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Command:
-    """Base class for everything a process may yield to the engine."""
-
-    __slots__ = ()
-
-
-class Timeout(Command):
+class Timeout:
     """Suspend the yielding process for ``delay`` time units."""
 
     __slots__ = ("delay",)
@@ -61,7 +43,7 @@ class Timeout(Command):
         return f"Timeout({self.delay})"
 
 
-class Put(Command):
+class Put:
     """Put ``item`` into ``store``; blocks while the store is full."""
 
     __slots__ = ("store", "item")
@@ -74,7 +56,7 @@ class Put(Command):
         return f"Put({self.store!r}, {self.item!r})"
 
 
-class Get(Command):
+class Get:
     """Take the oldest item from ``store``; blocks while it is empty."""
 
     __slots__ = ("store",)
@@ -86,83 +68,16 @@ class Get(Command):
         return f"Get({self.store!r})"
 
 
-class Request(Command):
-    """Acquire one slot of ``resource``; blocks while it is saturated.
-
-    The process must later yield ``resource.release()``.
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        self.resource = resource
-
-    def __repr__(self) -> str:
-        return f"Request({self.resource!r})"
-
-
-class Release(Command):
-    """Release one previously acquired slot of ``resource``."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        self.resource = resource
-
-    def __repr__(self) -> str:
-        return f"Release({self.resource!r})"
-
-
-class Event:
-    """A one-shot event processes can wait on (yield) and trigger."""
-
-    __slots__ = ("engine", "triggered", "value", "_waiters")
-
-    def __init__(self, engine: "Engine"):
-        self.engine = engine
-        self.triggered = False
-        self.value: Any = None
-        self._waiters: List["Process"] = []
-
-    def trigger(self, value: Any = None) -> None:
-        """Fire the event, waking every waiting process at the current time."""
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        self.triggered = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self.engine._schedule_resume(process, value)
-
-    def _add_waiter(self, process: "Process") -> None:
-        self._waiters.append(process)
-
-
 class Process:
-    """A running generator inside the engine.
+    """A running generator inside the engine; ``finished`` flips to True
+    when the generator returns."""
 
-    ``finished`` flips to True when the generator returns; ``result`` holds
-    its ``StopIteration`` value.  Other processes may ``yield`` a Process to
-    join on it.
-    """
+    __slots__ = ("generator", "name", "finished")
 
-    __slots__ = ("engine", "generator", "name", "finished", "result", "_joiners", "_pending_interrupt")
-
-    def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
-        self.engine = engine
+    def __init__(self, generator: Generator, name: str = ""):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self.finished = False
-        self.result: Any = None
-        self._joiners: List["Process"] = []
-        self._pending_interrupt: Optional[Interrupt] = None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.finished:
-            return
-        self._pending_interrupt = Interrupt(cause)
-        self.engine._schedule_resume(self, None)
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"
@@ -172,23 +87,20 @@ class Process:
 class Engine:
     """The event loop: a priority queue of (time, sequence, callback).
 
-    ``observer`` is a nullable instrumentation hook: when set to an
-    object with the :class:`repro.obs.hooks.EngineObserver` interface,
-    the engine reports process lifecycle transitions (scheduled /
-    resumed / finished) and stores report put / get / blocked.  The
-    attribute defaults to ``None`` and every call site is guarded, so an
-    untraced engine pays one ``is None`` test per event and nothing
-    else.  The engine never imports the observer types — anything with
-    the six methods qualifies.
+    ``observer`` is a nullable instrumentation hook read by the stores:
+    when set to an object with the three store methods of
+    :class:`repro.obs.hooks.TracingObserver` (``store_put``,
+    ``store_get``, ``store_blocked``), every store on this engine
+    reports to it.  It defaults to ``None``, and the engine never
+    imports the observer type.
     """
 
-    __slots__ = ("_now", "_queue", "_sequence", "_active", "observer")
+    __slots__ = ("_now", "_queue", "_sequence", "observer")
 
     def __init__(self):
         self._now = 0.0
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
-        self._active: int = 0  # number of unfinished processes
         self.observer: Optional[Any] = None
 
     @property
@@ -196,16 +108,9 @@ class Engine:
         """Current simulation time."""
         return self._now
 
-    def event(self) -> Event:
-        """Create a fresh one-shot :class:`Event` bound to this engine."""
-        return Event(self)
-
     def add_process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a process starting at the current time."""
-        process = Process(self, generator, name=name)
-        self._active += 1
-        if self.observer is not None:
-            self.observer.process_scheduled(process)
+        process = Process(generator, name=name)
         self._schedule_resume(process, None)
         return process
 
@@ -215,29 +120,14 @@ class Engine:
             raise SimulationError(f"negative schedule delay: {delay!r}")
         heapq.heappush(self._queue, (self._now + delay, next(self._sequence), callback))
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains or the clock passes ``until``.
-
-        Returns the final simulation time.
-        """
+    def run(self) -> float:
+        """Run until the queue drains; returns the final simulation time."""
         queue = self._queue
         heappop = heapq.heappop
-        if until is None:
-            # Hot loop of every loaded run: no bound check, hoisted lookups.
-            while queue:
-                entry = heappop(queue)
-                self._now = entry[0]
-                entry[2]()
-            return self._now
         while queue:
-            time = queue[0][0]
-            if time > until:
-                self._now = until
-                return self._now
             entry = heappop(queue)
-            self._now = time
+            self._now = entry[0]
             entry[2]()
-        self._now = max(self._now, until)
         return self._now
 
     # -- process machinery -------------------------------------------------
@@ -246,61 +136,16 @@ class Engine:
         self.schedule(delay, lambda: self._resume(process, value))
 
     def _resume(self, process: Process, value: Any) -> None:
-        if process.finished:
-            return
-        if self.observer is not None:
-            self.observer.process_resumed(process)
         try:
-            if process._pending_interrupt is not None:
-                interrupt, process._pending_interrupt = process._pending_interrupt, None
-                command = process.generator.throw(interrupt)
-            else:
-                command = process.generator.send(value)
-        except StopIteration as stop:
-            self._finish(process, stop.value)
+            command = process.generator.send(value)
+        except StopIteration:
+            process.finished = True
             return
-        except Interrupt:
-            # Process chose not to catch its interrupt: treat as completion.
-            self._finish(process, None)
-            return
-        self._dispatch(process, command)
-
-    def _finish(self, process: Process, result: Any) -> None:
-        process.finished = True
-        process.result = result
-        self._active -= 1
-        if self.observer is not None:
-            self.observer.process_finished(process)
-        joiners, process._joiners = process._joiners, []
-        for joiner in joiners:
-            self._schedule_resume(joiner, result)
-
-    def _dispatch(self, process: Process, command: Any) -> None:
         if isinstance(command, Timeout):
             self._schedule_resume(process, None, delay=command.delay)
         elif isinstance(command, Put):
             command.store._put(process, command.item)
         elif isinstance(command, Get):
             command.store._get(process)
-        elif isinstance(command, Request):
-            command.resource._request(process)
-        elif isinstance(command, Release):
-            command.resource._release(process)
-        elif isinstance(command, Event):
-            if command.triggered:
-                self._schedule_resume(process, command.value)
-            else:
-                command._add_waiter(process)
-        elif isinstance(command, Process):
-            if command.finished:
-                self._schedule_resume(process, command.result)
-            else:
-                command._joiners.append(process)
         else:
             raise SimulationError(f"process {process.name} yielded unsupported value: {command!r}")
-
-
-def drain(iterable: Iterable) -> None:
-    """Exhaust an iterable, discarding values (helper for tests)."""
-    for __ in iterable:
-        pass

@@ -1,17 +1,11 @@
-"""Shared resources for the discrete-event engine.
-
-Two primitives cover everything the platform models need:
-
-- :class:`Store` — a bounded FIFO queue (models the RX/TX ring buffers that
-  OpenNetVM uses to hand packet descriptors between cores).
-- :class:`Resource` — a counted semaphore (models a pool of worker cores
-  used for SpeedyBox's parallel state-function execution).
-"""
+"""The one shared resource of the discrete-event engine: :class:`Store`,
+a bounded FIFO queue (models the RX/TX ring buffers that OpenNetVM uses
+to hand packet descriptors between cores)."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Deque, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.engine import SimulationError
 
@@ -24,7 +18,9 @@ class Store:
 
     Producers yield ``Put(store, item)`` and block while the store is full;
     consumers yield ``Get(store)`` and block while it is empty.  FIFO order
-    is preserved for both items and blocked processes.
+    is preserved for both items and blocked processes.  The store counts
+    what went through it: puts, gets, the deepest occupancy, and the puts
+    and gets that had to wait.
     """
 
     __slots__ = (
@@ -37,6 +33,8 @@ class Store:
         "total_put",
         "total_got",
         "high_watermark",
+        "blocked_puts",
+        "blocked_gets",
     )
 
     def __init__(self, engine: "Engine", capacity: Optional[int] = None, name: str = ""):
@@ -51,6 +49,8 @@ class Store:
         self.total_put = 0
         self.total_got = 0
         self.high_watermark = 0
+        self.blocked_puts = 0
+        self.blocked_gets = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -63,15 +63,12 @@ class Store:
     def full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 
-    def items_snapshot(self) -> List[Any]:
-        """A copy of the queued items, oldest first (for inspection/tests)."""
-        return list(self._items)
-
     # -- engine-facing plumbing -------------------------------------------
 
     def _put(self, process: "Process", item: Any) -> None:
         if self.full:
             self._blocked_putters.append((process, item))
+            self.blocked_puts += 1
             observer = self.engine.observer
             if observer is not None:
                 observer.store_blocked(self, process, "put")
@@ -83,6 +80,7 @@ class Store:
     def _get(self, process: "Process") -> None:
         if not self._items:
             self._blocked_getters.append(process)
+            self.blocked_gets += 1
             observer = self.engine.observer
             if observer is not None:
                 observer.store_blocked(self, process, "get")
@@ -99,14 +97,14 @@ class Store:
             self.high_watermark = len(items)
         observer = self.engine.observer
         if observer is not None:
-            observer.store_put(self, item)
+            observer.store_put(self)
 
     def _dequeue(self) -> Any:
         item = self._items.popleft()
         self.total_got += 1
         observer = self.engine.observer
         if observer is not None:
-            observer.store_get(self, item)
+            observer.store_get(self)
         return item
 
     def _feed_getters(self) -> None:
@@ -120,57 +118,3 @@ class Store:
             self._enqueue(item)
             self.engine._schedule_resume(putter, None)
         self._feed_getters()
-
-
-class Resource:
-    """A counted semaphore with FIFO granting.
-
-    A process acquires a slot with ``yield Request(resource)`` and must
-    release it with ``yield resource.release()``.
-    """
-
-    __slots__ = ("engine", "capacity", "name", "in_use", "_waiting", "total_grants")
-
-    def __init__(self, engine: "Engine", capacity: int = 1, name: str = ""):
-        if capacity <= 0:
-            raise SimulationError(f"resource capacity must be positive, got {capacity!r}")
-        self.engine = engine
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._waiting: Deque["Process"] = deque()
-        self.total_grants = 0
-
-    def __repr__(self) -> str:
-        return f"<Resource {self.name or id(self)} {self.in_use}/{self.capacity}>"
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    def release(self):
-        """Command to yield for releasing one previously acquired slot."""
-        from repro.sim.engine import Release
-
-        return Release(self)
-
-    # -- engine-facing plumbing -------------------------------------------
-
-    def _request(self, process: "Process") -> None:
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            self.total_grants += 1
-            self.engine._schedule_resume(process, self)
-            return
-        self._waiting.append(process)
-
-    def _release(self, process: "Process") -> None:
-        if self.in_use <= 0:
-            raise SimulationError(f"release of idle resource {self!r}")
-        self.in_use -= 1
-        self.engine._schedule_resume(process, None)
-        if self._waiting and self.in_use < self.capacity:
-            waiter = self._waiting.popleft()
-            self.in_use += 1
-            self.total_grants += 1
-            self.engine._schedule_resume(waiter, self)

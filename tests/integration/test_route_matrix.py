@@ -297,10 +297,9 @@ def test_chain1_events_stay_on_the_compiled_lane(routes):
 
 # -- the cluster joins the matrix ------------------------------------------------
 #
-# ``ScaleCluster.run_load`` is a dispatcher in front of the same tail: with
-# no core pool every replica finishes through its own platform's ``_replay``
-# (the route it would take alone, its own engine if that route is the DES);
-# only ``physical_cores`` couples the replicas on one shared engine.
+# ``ScaleCluster.run_load`` is a dispatcher in front of the same tail: every
+# replica finishes through its own platform's ``_replay`` (the route it
+# would take alone, its own engine if that route is the DES).
 
 
 def offered_gap(arrival: str) -> float:
@@ -320,14 +319,13 @@ def sim_stamps(recorder: FlowSpanRecorder) -> dict:
     return stamps
 
 
-@pytest.mark.parametrize("cores", [None, 2])
 @pytest.mark.parametrize("arrival", ["saturation", "gapped"])
 @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
 @pytest.mark.parametrize(
     "attached", ["nothing", "spans", "timeseries+forensics", "registry", "tracer"]
 )
 @pytest.mark.parametrize("replicas", [1, 3])
-def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival, cores):
+def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival):
     chain = "stateful"
     reference = references(chain, platform_name, arrival)[0]
     del routes[:]
@@ -339,7 +337,6 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
         platform=platform_name,
         replicas=replicas,
         speedybox_kwargs=sbox_kwargs,
-        physical_cores=cores,
         **observers,
     )
     packets = list(make_batch(chain, arrival).packet_view())
@@ -359,9 +356,6 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
     # stamped by the tail of the replica that recorded it
     stamped = sim_stamps(observers["spans"]) if attached == "spans" else {}
     assert bool(stamped) == (attached == "spans")
-    if cores is not None:
-        assert routes == ["des"]  # one shared engine, whatever is attached
-        return
     # each replica's own route: as many engines as replicas that took the DES
     if attached in ("registry", "tracer"):
         alone = "des"

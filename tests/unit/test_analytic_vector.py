@@ -66,11 +66,7 @@ def test_vector_empty_batch():
 def test_vector_declines_ineligible_shapes():
     # Multi-hop plan.
     assert not plans_are_vector([[(0, 1.0), (1, 2.0)]])
-    # Pure-delay hop (stage None).
-    assert not plans_are_vector([[(None, 1.0)]])
     # Two distinct target stages.
     assert not plans_are_vector([[(0, 1.0)], [(1, 1.0)]])
     # Negative service time.
     assert not plans_are_vector([[(0, -1.0)]])
-    # An empty plan.
-    assert not plans_are_vector([[(0, 1.0)], []])

@@ -257,17 +257,16 @@ class TestScaleCommand:
         ]
         assert two_replica_row and two_replica_row[0].rstrip().endswith("3")
 
-    def test_scale_physical_cores_and_gap(self, capsys):
+    def test_scale_gap(self, capsys):
         assert main(
             ["scale", "--replicas", "2", "--platforms", "bess", "--flows", "6",
-             "--physical-cores", "4", "--gap-ns", "100"]
+             "--gap-ns", "100"]
         ) == 0
         assert "replica sweep" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["scale", "--physical-cores", "0"],
             ["scale", "--gap-ns", "-500"],
             ["scale", "--gap-ns", "nan"],
             ["trace", "--generate", "unwritten.sbtr", "--gap-ns", "inf"],

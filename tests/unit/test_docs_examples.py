@@ -100,9 +100,8 @@ class TestObservabilityDocAccuracy:
         import repro.obs as obs
 
         text = (REPO / "docs" / "observability.md").read_text()
-        for symbol in ("MetricsRegistry", "PacketTracer", "CountingObserver",
-                       "TracingObserver", "FanoutObserver", "NULL_REGISTRY",
-                       "NULL_TRACER", "trace_unloaded"):
+        for symbol in ("MetricsRegistry", "PacketTracer", "TracingObserver",
+                       "NULL_REGISTRY", "NULL_TRACER", "trace_unloaded"):
             assert symbol in text
             assert hasattr(obs, symbol)
 

@@ -1,14 +1,14 @@
 """Edge cases for TracingObserver and the unloaded-mode timeline.
 
 Covers the corners the happy-path hook tests skip: empty runs,
-blocked-put storms at tiny ring capacity, one observer shared across
-several engines (tracks must not mix), and timeline layout for dropped
+blocked-put storms at tiny ring capacity, one tracer shared by several
+observed runs (tracks must not mix), and timeline layout for dropped
 and parallel-wave packets.
 """
 
 from repro.core.framework import ServiceChain, SpeedyBox
 from repro.nf import IPFilter, Monitor, TokenBucketPolicer
-from repro.obs import CountingObserver, PacketTracer, TracingObserver
+from repro.obs import PacketTracer, TracingObserver
 from repro.obs.timeline import trace_unloaded
 from repro.platform import BessPlatform
 from repro.sim.engine import Engine, Get, Put, Timeout
@@ -43,14 +43,14 @@ class TestTracingObserverEdges:
     def test_empty_engine_run_records_nothing(self):
         tracer = PacketTracer()
         engine = Engine()
-        engine.observer = TracingObserver(tracer)
+        engine.observer = TracingObserver(tracer, "")
         engine.run()  # no processes at all
         assert tracer.tracks() == []
 
     def test_blocked_put_storm_is_fully_recorded(self):
         """Capacity 1 under a slow consumer: every put but the first blocks."""
         tracer = PacketTracer()
-        run_pipeline(Engine(), TracingObserver(tracer), items=20, capacity=1)
+        run_pipeline(Engine(), TracingObserver(tracer, ""), items=20, capacity=1)
         records = tracer.to_chrome()["traceEvents"]
         blocked = [e for e in records if e.get("name") == "blocked_put"]
         # The producer outruns the consumer's 10 ns service time: after
@@ -61,40 +61,43 @@ class TestTracingObserverEdges:
         occupancies = [e["args"]["occupancy"] for e in counters]
         assert max(occupancies) <= 1  # never exceeds ring capacity
 
-    def test_one_observer_two_engines_does_not_mix_tracks(self):
-        """Same ring name on two engines must land on distinct tracks."""
+    def test_two_observed_runs_on_one_tracer_keep_their_tracks_apart(self):
+        """Two traced ``run_load`` calls replay on two engines: the
+        second run's ring and stage tracks are its own, so no track
+        holds replay samples (occupancy, blocked marks, stage spans)
+        from both runs."""
         tracer = PacketTracer()
-        observer = TracingObserver(tracer)
-        run_pipeline(Engine(), observer, items=3, capacity=2, name="ring0")
-        run_pipeline(Engine(), observer, items=5, capacity=2, name="ring0")
-        tracks = tracer.tracks()
-        assert "ring:ring0" in tracks  # first engine keeps the legacy name
-        namespaced = [t for t in tracks if t.endswith(":ring:ring0") and t != "ring:ring0"]
-        assert len(namespaced) == 1  # second engine got its own namespace
-        by_track = {}
-        for sample in tracer._counters:
-            by_track[sample.track] = by_track.get(sample.track, 0) + 1
-        assert by_track["ring:ring0"] == 6  # 3 puts + 3 gets
-        assert by_track[namespaced[0]] == 10  # 5 puts + 5 gets
+        platform = BessPlatform(SpeedyBox([IPFilter("fw")]), tracer=tracer)
+        marks = []
+        for __ in range(2):
+            platform.run_load(make_packets(8))
+            marks.append((len(tracer._counters), len(tracer._instants), len(tracer._spans)))
 
-    def test_same_engine_reuse_keeps_one_namespace(self):
-        tracer = PacketTracer()
-        observer = TracingObserver(tracer)
-        engine = Engine()
-        run_pipeline(engine, observer, items=2, capacity=2, name="ring0")
-        run_pipeline(engine, observer, items=2, capacity=2, name="ring1")
-        assert "ring:ring0" in tracer.tracks()
-        assert "ring:ring1" in tracer.tracks()  # no e1: prefix: same engine
+        def run_of(index, column):
+            return 0 if index < marks[0][column] else 1
+
+        runs_by_track = {}
+        for index, sample in enumerate(tracer._counters):
+            runs_by_track.setdefault(sample.track, set()).add(run_of(index, 0))
+        for index, instant in enumerate(tracer._instants):
+            if instant.name.startswith("blocked_"):
+                runs_by_track.setdefault(instant.track, set()).add(run_of(index, 1))
+        for index, span in enumerate(tracer._spans):
+            if span.name.startswith("pkt"):
+                runs_by_track.setdefault(span.track, set()).add(run_of(index, 2))
+        assert {"ring:bess:chain-core", "bess:chain-core"} <= set(runs_by_track)
+        assert {track for track, runs in runs_by_track.items() if runs == {1}} == {
+            "run1:ring:bess:chain-core", "run1:ring:bess:done", "run1:bess:chain-core"
+        }
+        assert all(len(runs) == 1 for runs in runs_by_track.values())
 
 
 class TestEmptyRuns:
     def test_run_load_with_no_packets(self):
-        observer_metrics = CountingObserver()
         platform = BessPlatform(SpeedyBox([IPFilter("fw")]))
         result = platform.run_load([])
         assert result.offered == 0
         assert result.delivered == 0
-        assert observer_metrics.puts == 0
 
     def test_run_load_with_no_packets_and_tracer(self):
         tracer = PacketTracer()

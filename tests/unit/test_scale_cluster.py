@@ -202,9 +202,6 @@ class TestScaleCluster:
             ScaleCluster(build_chain, platform="dpdk")
         with pytest.raises(ValueError):
             ScaleCluster(build_chain, replicas=0)
-        for cores in (0, -2):
-            with pytest.raises(ValueError, match="physical_cores"):
-                ScaleCluster(build_chain, physical_cores=cores)
 
     @pytest.mark.parametrize("gap", [-1, float("nan"), float("inf")])
     def test_run_load_rejects_a_bad_gap_before_any_packet(self, gap):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Get, Put, Request, SimulationError, Store, Resource, Timeout
+from repro.sim import Engine, Get, Put, SimulationError, Store, Timeout
 
 
 def test_clock_starts_at_zero():
@@ -43,19 +43,6 @@ def test_zero_timeout_allowed():
     assert seen == [0.0]
 
 
-def test_run_until_stops_early():
-    engine = Engine()
-    seen = []
-
-    def proc():
-        for __ in range(10):
-            yield Timeout(1.0)
-            seen.append(engine.now)
-
-    engine.add_process(proc())
-    final = engine.run(until=3.5)
-    assert final == 3.5
-    assert seen == [1.0, 2.0, 3.0]
 
 
 def test_ties_broken_by_insertion_order():
@@ -73,94 +60,14 @@ def test_ties_broken_by_insertion_order():
     assert order == ["a", "b", "c"]
 
 
-def test_process_result_and_join():
-    engine = Engine()
-    results = []
-
-    def worker():
-        yield Timeout(3.0)
-        return 42
-
-    def waiter(process):
-        value = yield process
-        results.append((engine.now, value))
-
-    process = engine.add_process(worker())
-    engine.add_process(waiter(process))
-    engine.run()
-    assert results == [(3.0, 42)]
-    assert process.finished
-    assert process.result == 42
 
 
-def test_join_on_finished_process_returns_immediately():
-    engine = Engine()
-    results = []
-
-    def worker():
-        yield Timeout(1.0)
-        return "done"
-
-    process = engine.add_process(worker())
-    engine.run()
-
-    def late_waiter():
-        value = yield process
-        results.append(value)
-
-    engine.add_process(late_waiter())
-    engine.run()
-    assert results == ["done"]
 
 
-def test_event_wakes_all_waiters():
-    engine = Engine()
-    event = engine.event()
-    woken = []
-
-    def waiter(tag):
-        value = yield event
-        woken.append((tag, value, engine.now))
-
-    def trigger():
-        yield Timeout(4.0)
-        event.trigger("fired")
-
-    engine.add_process(waiter("x"))
-    engine.add_process(waiter("y"))
-    engine.add_process(trigger())
-    engine.run()
-    assert woken == [("x", "fired", 4.0), ("y", "fired", 4.0)]
 
 
-def test_event_double_trigger_rejected():
-    engine = Engine()
-    event = engine.event()
-    event.trigger()
-    with pytest.raises(SimulationError):
-        event.trigger()
 
 
-def test_interrupt_raises_in_process():
-    engine = Engine()
-    from repro.sim import Interrupt
-
-    caught = []
-
-    def sleeper():
-        try:
-            yield Timeout(100.0)
-        except Interrupt as interrupt:
-            caught.append((engine.now, interrupt.cause))
-
-    def interrupter(target):
-        yield Timeout(2.0)
-        target.interrupt("wake up")
-
-    target = engine.add_process(sleeper())
-    engine.add_process(interrupter(target))
-    engine.run()
-    assert caught == [(2.0, "wake up")]
 
 
 def test_unsupported_yield_raises():
@@ -236,6 +143,9 @@ def test_store_capacity_blocks_producer():
     # The second put can only complete once the consumer drains one slot.
     assert ("put-a", 0.0) in timeline
     assert ("put-b", 10.0) in timeline
+    # ... and the store counted the one put that waited, and the get
+    # that did not.
+    assert (store.blocked_puts, store.blocked_gets) == (1, 0)
 
 
 def test_store_invalid_capacity():
@@ -264,60 +174,15 @@ def test_store_watermark_and_counters():
     assert store.total_got == 5
     assert store.high_watermark == 5
     assert len(store) == 0
+    assert (store.blocked_puts, store.blocked_gets) == (0, 0)
 
 
-def test_resource_serialises_access():
-    engine = Engine()
-    core = Resource(engine, capacity=1)
-    spans = []
-
-    def worker(tag, hold):
-        yield Request(core)
-        start = engine.now
-        yield Timeout(hold)
-        spans.append((tag, start, engine.now))
-        yield core.release()
-
-    engine.add_process(worker("a", 5.0))
-    engine.add_process(worker("b", 3.0))
-    engine.run()
-    assert spans == [("a", 0.0, 5.0), ("b", 5.0, 8.0)]
 
 
-def test_resource_parallel_capacity():
-    engine = Engine()
-    pool = Resource(engine, capacity=2)
-    done = []
-
-    def worker(tag):
-        yield Request(pool)
-        yield Timeout(4.0)
-        done.append((tag, engine.now))
-        yield pool.release()
-
-    for tag in ("a", "b", "c"):
-        engine.add_process(worker(tag))
-    engine.run()
-    # Two run together, the third waits for a slot.
-    assert done == [("a", 4.0), ("b", 4.0), ("c", 8.0)]
 
 
-def test_resource_release_when_idle_raises():
-    engine = Engine()
-    pool = Resource(engine, capacity=1)
-
-    def bad():
-        yield pool.release()
-
-    engine.add_process(bad())
-    with pytest.raises(SimulationError):
-        engine.run()
 
 
-def test_resource_invalid_capacity():
-    engine = Engine()
-    with pytest.raises(SimulationError):
-        Resource(engine, capacity=0)
 
 
 def test_determinism_two_runs_identical():

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Event, Get, Interrupt, Put, Request, Resource, SimulationError, Store, Timeout
-from repro.sim.engine import drain
+from repro.sim import Engine, SimulationError, Timeout
 
 
 class TestScheduleApi:
@@ -36,86 +35,9 @@ class TestScheduleApi:
     def test_run_with_empty_queue_returns_now(self):
         engine = Engine()
         assert engine.run() == 0.0
-        assert engine.run(until=50.0) == 50.0
-
-
-class TestEventValues:
-    def test_waiting_after_trigger_gets_value_immediately(self):
-        engine = Engine()
-        event = engine.event()
-        event.trigger({"answer": 42})
-        received = []
-
-        def waiter():
-            value = yield event
-            received.append(value)
-
-        engine.add_process(waiter())
-        engine.run()
-        assert received == [{"answer": 42}]
-
-    def test_event_default_value_none(self):
-        engine = Engine()
-        event = engine.event()
-        received = []
-
-        def waiter():
-            received.append((yield event))
-
-        engine.add_process(waiter())
-        engine.schedule(1.0, event.trigger)
-        engine.run()
-        assert received == [None]
 
 
 class TestProcessLifecycle:
-    def test_join_chain(self):
-        engine = Engine()
-        results = []
-
-        def leaf():
-            yield Timeout(2.0)
-            return "leaf-done"
-
-        def middle(leaf_process):
-            value = yield leaf_process
-            yield Timeout(1.0)
-            return f"middle({value})"
-
-        def root(middle_process):
-            value = yield middle_process
-            results.append((engine.now, value))
-
-        leaf_process = engine.add_process(leaf())
-        middle_process = engine.add_process(middle(leaf_process))
-        engine.add_process(root(middle_process))
-        engine.run()
-        assert results == [(3.0, "middle(leaf-done)")]
-
-    def test_uncaught_interrupt_finishes_process(self):
-        engine = Engine()
-
-        def stubborn():
-            yield Timeout(100.0)
-
-        process = engine.add_process(stubborn())
-        engine.schedule(1.0, lambda: process.interrupt("die"))
-        engine.run()
-        assert process.finished
-        assert process.result is None
-
-    def test_interrupt_finished_process_is_noop(self):
-        engine = Engine()
-
-        def quick():
-            yield Timeout(1.0)
-
-        process = engine.add_process(quick())
-        engine.run()
-        process.interrupt("too late")
-        engine.run()
-        assert process.finished
-
     def test_repr_states(self):
         engine = Engine()
 
@@ -128,37 +50,3 @@ class TestProcessLifecycle:
         engine.run()
         assert "finished" in repr(process)
 
-
-class TestStoreResourceExtra:
-    def test_items_snapshot_is_a_copy(self):
-        engine = Engine()
-        store = Store(engine)
-
-        def producer():
-            yield Put(store, 1)
-            yield Put(store, 2)
-
-        engine.add_process(producer())
-        engine.run()
-        snapshot = store.items_snapshot()
-        snapshot.append(99)
-        assert len(store) == 2
-
-    def test_resource_grant_counter(self):
-        engine = Engine()
-        pool = Resource(engine, capacity=2)
-
-        def worker():
-            yield Request(pool)
-            yield Timeout(1.0)
-            yield pool.release()
-
-        for __ in range(5):
-            engine.add_process(worker())
-        engine.run()
-        assert pool.total_grants == 5
-        assert pool.in_use == 0
-        assert pool.available == 2
-
-    def test_drain_helper(self):
-        drain(iter(range(100)))  # must simply not raise

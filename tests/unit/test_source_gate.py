@@ -126,6 +126,15 @@ SHIPPED = ("src", "docs", "README.md", "DESIGN.md", "examples", "benchmarks", ".
             ("src/repro",),
             id="named-handlers",
         ),
+        pytest.param(
+            r"physical_cores|physical-cores|core_pool|\bResource\b|Interrupt|delay_hop"
+            r"|CountingObserver|FanoutObserver|EngineObserver|sim_process_resumes_total",
+            "each replica replays on its own cores and every plan hop is a real stage: "
+            "the shared core pool, the delay hops, the engine counters and the "
+            "primitives only their own tests reached are gone",
+            ("src", "docs", "DESIGN.md"),
+            id="des-extras",
+        ),
     ],
 )
 def test_no_trace_of_deleted_names(gone, reason, trees):
