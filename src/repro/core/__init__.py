@@ -33,12 +33,7 @@ from repro.core.director import DirectedReport, ServiceDirector, SteeringRule
 from repro.core.framework import FlowRecord, ServiceChain, SpeedyBox
 from repro.core.global_mat import GlobalMAT, GlobalRule
 from repro.core.inspector import describe_rule, dump_global_mat
-from repro.core.verification import (
-    MigrationVerificationReport,
-    VerificationReport,
-    verify_equivalence,
-    verify_equivalence_migration,
-)
+from repro.core.verification import VerificationReport, verify_equivalence
 from repro.core.local_mat import InstrumentationAPI, LocalMAT, LocalRule
 from repro.core.parallel import ParallelSchedule, batches_parallelizable, build_schedule
 from repro.core.state_function import PayloadClass, StateFunction, StateFunctionBatch
@@ -62,7 +57,6 @@ __all__ = [
     "InstrumentationAPI",
     "LocalMAT",
     "LocalRule",
-    "MigrationVerificationReport",
     "Modify",
     "PacketClassifier",
     "ParallelSchedule",
@@ -81,5 +75,4 @@ __all__ = [
     "dump_global_mat",
     "fid_of",
     "verify_equivalence",
-    "verify_equivalence_migration",
 ]

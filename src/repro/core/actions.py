@@ -17,14 +17,14 @@ FieldOps form a tiny composition algebra used by the consolidation engine:
 This field-level algebra is the exact semantics of the paper's XOR merge
 P0 ⊕ [(P0⊕P1) | (P0⊕P2)] for modifies touching different fields, plus its
 "select the value of the latter" rule for the same field; see
-``repro.core.consolidation.xor_merge_bytes`` for a byte-level
+the tests' ``xor_merge_bytes`` for a byte-level
 implementation of the paper's formula used in the property tests.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Type, Union
+from typing import Dict, Mapping, Optional, Type
 
 from repro.net.headers import Header
 from repro.net.packet import Packet, PacketField
@@ -167,9 +167,6 @@ class Modify(HeaderAction):
         for field, op in self.ops.items():
             field.write(packet, op.apply(field.read(packet)))
 
-    def touched_fields(self) -> Tuple[PacketField, ...]:
-        return tuple(self.ops)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Modify):
             return NotImplemented
@@ -247,19 +244,3 @@ class Decap(HeaderAction):
         expected = self.expected_type.__name__ if self.expected_type else "any"
         return f"Decap({expected})"
 
-
-ActionLike = Union[HeaderAction, Iterable[HeaderAction]]
-
-
-def apply_sequentially(packet: Packet, actions: Iterable[HeaderAction]) -> None:
-    """Reference semantics: apply actions in order, stopping at a drop.
-
-    This is the *original chain* behaviour that consolidation must be
-    equivalent to (minus the early-drop optimisation); the property tests
-    compare :func:`repro.core.consolidation.consolidate_header_actions`
-    against it.
-    """
-    for action in actions:
-        action.apply(packet)
-        if packet.dropped:
-            return

@@ -435,7 +435,7 @@ class BatchLane:
         clone.entry.packets += 1
         clone.rule.hits += 1
         clone.move_to_end(clone.fid)
-        if clone.is_drop:
+        if clone.program.is_drop:
             self.dropped += 1
         self.plan_ids[index] = self.fplan[flow]
         self.span_packets += 1
@@ -480,7 +480,7 @@ class BatchLane:
             clone = vclone[flow]
             clone.entry.packets += count
             clone.rule.hits += count
-            if clone.is_drop:
+            if clone.program.is_drop:
                 dropped += count
         self.dropped += dropped
         move = vclone[order[0]].move_to_end
@@ -753,6 +753,7 @@ class BatchLane:
             rule.dropper = t_rule.dropper
             rule.version = 1
             rule.hits = 0
+            rule.program = t_rule.program
             gm.consolidations += 1
             runtime.audit.emit(
                 "global_mat_insert",

@@ -139,17 +139,6 @@ class Classification:
     is_handshake: bool = False
     is_closing: bool = False
 
-    @property
-    def fast_path_eligible(self) -> bool:
-        """May this packet use a cached Global MAT rule, or install one?
-
-        Handshake packets traverse the original chain but must not arm
-        the fast path: the paper's "initial packet" is the first packet
-        *after* establishment.
-        """
-        return not self.is_handshake
-
-
 class FidSpaceExhausted(RuntimeError):
     """Every FID is held by a live flow: a new one cannot be placed."""
 

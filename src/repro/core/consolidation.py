@@ -14,8 +14,8 @@ The algorithm walks the action list once:
   is recorded as a leading decap of the consolidated action.
 - **Modify merge** — per-field composition with last-writer-wins for sets
   and additive composition for adjusts (the FieldOp algebra).  This is
-  semantically the paper's bit-level formula; :func:`xor_merge_bytes`
-  implements the literal P0 ⊕ [(P0⊕P1)|(P0⊕P2)] for validation.
+  semantically the paper's bit-level formula; the tests cross-validate it
+  against the literal P0 ⊕ [(P0⊕P1)|(P0⊕P2)].
 - **Finalisation fields** — checksum/TTL/MAC-style fields are applied at
   the end of the consolidated action so the fast path always emits valid
   packets (the paper's "we modify these fields at the end").
@@ -73,41 +73,22 @@ class ConsolidatedAction:
         """True when the consolidated action is pure FORWARD."""
         return not (self.drop or self.leading_decaps or self.field_ops or self.net_encaps)
 
-    @property
-    def merged_modify_count(self) -> int:
-        """Number of fields the consolidated modify touches (cost driver)."""
-        return len(self.field_ops)
-
     def routing_ops(self) -> Dict[PacketField, FieldOp]:
         return {f: op for f, op in self.field_ops.items() if not f.is_finalisation_field}
 
     def finalisation_ops(self) -> Dict[PacketField, FieldOp]:
         return {f: op for f, op in self.field_ops.items() if f.is_finalisation_field}
 
-    def apply(self, packet: Packet) -> None:
-        """Apply the consolidated action to ``packet`` in place."""
-        if self.drop:
-            packet.drop()
-            return
-        for decap in self.leading_decaps:
-            decap.apply(packet)
-        for field, op in self.routing_ops().items():
-            field.write(packet, op.apply(field.read(packet)))
-        for encap in self.net_encaps:
-            encap.apply(packet)
-        for field, op in self.finalisation_ops().items():
-            field.write(packet, op.apply(field.read(packet)))
-        packet.finalize()
-
     def compiled(self):
-        """A pre-bound single callable equivalent to :meth:`apply`.
+        """The action as one pre-bound callable that mutates a packet in place.
 
-        Flattens the decap/modify/encap/finalisation walk into a tuple
-        of bound step functions built once per rule, so the fast path
-        pays neither the per-call ``routing_ops()``/``finalisation_ops()``
-        dict rebuilds nor the enum-accessor indirection of
-        :meth:`PacketField.read`/``write``.  Field-write order matches
-        :meth:`apply` exactly.
+        Drop marks the packet dropped.  Otherwise the walk — leading
+        decaps, routing-field modifies, net encaps, finalisation-field
+        modifies, the checksum refresh (``finalize``) — is flattened into
+        a tuple of bound step functions built once per rule, so a packet
+        pays neither a per-call ``routing_ops()``/``finalisation_ops()``
+        dict rebuild nor the enum-accessor indirection of
+        :meth:`PacketField.read`/``write``.
         """
         if self.drop:
             return Packet.drop
@@ -206,20 +187,3 @@ def consolidate_header_actions(actions: Iterable[HeaderAction]) -> ConsolidatedA
         net_encaps=encap_stack,
         source_count=count,
     )
-
-
-def xor_merge_bytes(original: bytes, outputs: Sequence[bytes]) -> bytes:
-    """The paper's literal merge formula for modifies on different fields.
-
-    Given the original packet bytes P0 and per-NF outputs P1..Pn (each the
-    result of one modify applied to P0, touching disjoint bit ranges),
-    computes  P0 ⊕ [(P0⊕P1) | (P0⊕P2) | ...]  — the merged packet.  Used
-    by the property tests to cross-validate the FieldOp algebra.
-    """
-    if any(len(out) != len(original) for out in outputs):
-        raise ValueError("all outputs must have the same length as the original")
-    merged_diff = bytes(len(original))
-    for out in outputs:
-        diff = bytes(a ^ b for a, b in zip(original, out))
-        merged_diff = bytes(a | b for a, b in zip(merged_diff, diff))
-    return bytes(a ^ b for a, b in zip(original, merged_diff))

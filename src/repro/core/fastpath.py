@@ -1,29 +1,36 @@
-"""Compiled flow closures: the steady-state fast lane (perf engine, part 1).
+"""The Global MAT fast path: one rule program, and the compiled lane.
 
 Once a flow is established on the Global MAT fast path, every subsequent
 packet repeats exactly the same work: classify to the same FID, look up
 the same rule, apply the same consolidated action, run the same
-state-function schedule, charge the same fixed cycle counts.  The
-interpreted path (:meth:`SpeedyBox.process` → ``_run_fast``) re-derives
-all of that per packet through framework dispatch.
+state-function schedule, charge the same fixed cycle counts.
 
-:func:`compile_flow` folds the per-flow constants into a
-:class:`CompiledFlow`: pre-bound header-action steps
-(:meth:`ConsolidatedAction.compiled`), a pre-charged fixed
-:class:`CycleMeter` template shared by every packet of the flow, the
-flow's interned key and FID, and direct references to the counters and
-tables the interpreted path would re-look-up.  ``SpeedyBox.process``
-consults its ``_compiled`` cache first; a hit runs :meth:`CompiledFlow.run`
-and skips classification, MAT lookup and consolidation machinery
-entirely.
+That work has one implementation: a rule's :class:`RuleProgram`, built
+once per rule — pre-bound header-action steps
+(:meth:`ConsolidatedAction.compiled`), the SF waves with their owning
+NFs bound, the drop disposition — and shared by every route that serves
+the rule.  Two routes do:
+
+- the compiled lane.  :func:`compile_flow` folds the per-flow constants
+  into a :class:`CompiledFlow`: the rule's program, a pre-charged fixed
+  :class:`CycleMeter` template shared by every packet of the flow, the
+  flow's interned key and FID, and direct references to the counters and
+  tables.  ``SpeedyBox.process`` consults its ``_compiled`` cache first;
+  a hit runs :meth:`CompiledFlow.run` and skips classification, MAT
+  lookup and consolidation machinery entirely;
+- the interpreted route (:meth:`SpeedyBox.process` → ``_run_fast``),
+  which serves what the lane hands back and charges live what the lane
+  folds into its template.
 
 Correctness contract: a compiled run is *observably identical* to the
-interpreted fast path — same packet mutations, same report fields, same
-meter charges in the same order (the cycle total of a meter is a float
-sum in ``counts`` insertion order, so even the charge *order* matters for
-exact equality), same counter/LRU side effects.  :meth:`CompiledFlow.run`
-re-validates per packet and returns ``None`` (fall back to the
-interpreted path) whenever the closure's assumptions no longer hold:
+interpreted route — same report fields, same meter charges in the same
+order (the cycle total of a meter is a float sum in ``counts``
+insertion order, so even the charge *order* matters for exact
+equality), same counter/LRU side effects.  Packet mutations are the
+program's on both routes; what the contract covers is the validity gate
+and the fixed-meter template.  :meth:`CompiledFlow.run` re-validates per
+packet and returns ``None`` (take the interpreted route) whenever the
+closure's assumptions no longer hold:
 
 - the packet carries TCP FIN/RST (teardown runs interpreted);
 - the Global MAT no longer maps the FID to the compiled rule (deleted,
@@ -33,8 +40,11 @@ interpreted path) whenever the closure's assumptions no longer hold:
   against the restored rule);
 - the classifier no longer tracks the compiled entry;
 - the descriptor arrives already dropped;
-- the event *pre-check* finds a true condition (the interpreted path
+- the event *pre-check* finds a true condition (the interpreted route
   evaluates it again and fires it).
+
+The tests hold both routes to an independent step-by-step interpreter
+(``InterpretedSpeedyBox`` in ``tests/integration/helpers.py``).
 
 An *active* event is not on that list.  The lane makes the Event
 Table's two per-packet checks itself: the pre-check is the gate's last
@@ -56,17 +66,18 @@ steady singleton report exists only while there is neither an SF
 schedule nor an active event.
 
 Metric-parity contract: when a registry is attached, a compiled run
-increments *exactly* the counters the interpreted fast path would —
+increments *exactly* the counters the interpreted route would —
 classifier classifications, Global MAT hits, event checks and firings,
 fast/path/drop counters — so ``registry.snapshot()`` is identical
-whichever lane served the run (pinned by
-``tests/unit/test_fastpath_metric_parity.py``).  The closure binds the real bound-``inc`` methods at compile time when metrics are
-on and ``None`` when they are off (``SpeedyBox`` hands one registry to
-every component, so the group guard on ``speedybox._m_fast`` covers
-them all).  Corollary for new instrumentation: per-lane signals that
-only one lane could emit (compile/invalidate bookkeeping, lane-hit
-tallies) must go to the :class:`~repro.obs.audit.AuditLog`, never to
-registry counters, or parity breaks.
+whichever route served the run (pinned by
+``tests/unit/test_fastpath_metric_parity.py``).  The closure binds the
+real bound-``inc`` methods at compile time when metrics are on and
+``None`` when they are off (``SpeedyBox`` hands one registry to every
+component, so the group guard on ``speedybox._m_fast`` covers them all).
+Corollary for new instrumentation: per-lane signals that only one lane
+could emit (compile/invalidate bookkeeping, lane-hit tallies) must go to
+the :class:`~repro.obs.audit.AuditLog`, never to registry counters, or
+parity breaks.
 """
 
 from __future__ import annotations
@@ -101,7 +112,8 @@ def _inc_of(counter):
 
 
 def _charge_nondrop(meter: CycleMeter, action) -> None:
-    """Replicate ``SpeedyBox._apply_nondrop``'s charges, in its order."""
+    """A non-drop action's charges: decaps, one merged field write plus
+    the rest, the checksum refresh, encaps."""
     meter.charge(Operation.DECAP_OP, len(action.leading_decaps))
     field_count = len(action.field_ops)
     if field_count:
@@ -112,11 +124,11 @@ def _charge_nondrop(meter: CycleMeter, action) -> None:
 
 
 def _charge_through_action(
-    meter: CycleMeter, rule: GlobalRule, active: int, probes: int
+    meter: CycleMeter, program: "RuleProgram", active: int, probes: int
 ) -> None:
     """A fast-path packet's fixed charges up to the post-update event check.
 
-    Charge order mirrors the interpreted path exactly — classify
+    Charge order mirrors the interpreted route exactly — classify
     (PARSE, FID_HASH once per probed FID, METADATA_ATTACH), Global MAT
     lookup, fast-path dispatch, the event pre-check over ``active``
     events, the consolidated action's charges — so the float summation
@@ -128,22 +140,108 @@ def _charge_through_action(
     meter.charge(Operation.GLOBAL_MAT_LOOKUP)
     meter.charge(Operation.FAST_PATH_DISPATCH)
     meter.charge(Operation.EVENT_CHECK, active)
-    if rule.consolidated.drop:
-        meter.charge(Operation.DROP_FREE)
-        if rule.schedule.batch_count and rule.pre_drop is not None:
-            _charge_nondrop(meter, rule.pre_drop)
-    else:
-        _charge_nondrop(meter, rule.consolidated)
+    program.charge_action(meter)
 
 
-def _build_fixed_meter(rule: GlobalRule, active: int, probes: int) -> CycleMeter:
+def _build_fixed_meter(program: "RuleProgram", active: int, probes: int) -> CycleMeter:
     """The shared fixed meter of a packet on which no event fires: both
     event checks find ``active`` quiet events, then metadata detach."""
     meter = CycleMeter()
-    _charge_through_action(meter, rule, active, probes)
+    _charge_through_action(meter, program, active, probes)
     meter.charge(Operation.EVENT_CHECK, active)
     meter.charge(Operation.METADATA_DETACH)
     return meter
+
+
+class RuleProgram:
+    """One Global MAT rule's fast-path work, built once per rule.
+
+    Applies the consolidated action (a drop rule's pre-drop action), runs
+    the state-function waves with one meter per batch, and finishes a
+    drop.  A drop rule's batches up to the dropping NF observe the packet
+    as the original path showed it to their NFs — rewritten by the
+    upstream actions and not dropped until the dropper's own batch.
+    :class:`CompiledFlow`, its ``clone_for`` clones and the interpreted
+    route (``SpeedyBox._run_fast``) all run this one body; it lives on the
+    rule (``GlobalRule.program``), which ``copy()`` and an import leave
+    without one, because the waves hold the runtime's own NFs.
+    """
+
+    __slots__ = ("action", "apply_fn", "waves", "is_drop", "drop_cause")
+
+    def __init__(self, rule: GlobalRule, nf_by_name):
+        self.is_drop = is_drop = rule.consolidated.drop
+        self.drop_cause = rule.dropper or "consolidated"
+        if not is_drop:
+            action = rule.consolidated
+        elif rule.schedule.batch_count:
+            action = rule.pre_drop
+        else:
+            action = None
+        #: the non-drop action the packet gets (``None``: none at all)
+        self.action = action
+        # A pure-FORWARD action compiles to nothing at all: its
+        # ``finalize`` only re-derives fields (length/checksum) no one has
+        # touched since arrival, so it is a fixpoint on any consistent
+        # packet and ``serialize`` re-derives them regardless.
+        self.apply_fn = None if action is None or action.is_noop else action.compiled()
+        dropper = rule.dropper
+        self.waves = tuple(
+            tuple(
+                (
+                    batch.nf_name,
+                    nf_by_name.get(batch.nf_name),
+                    batch.execute,
+                    len(batch),
+                    is_drop and batch.nf_name == dropper,
+                )
+                for batch in wave
+            )
+            for wave in rule.schedule.waves
+        )
+
+    def charge_action(self, meter: CycleMeter) -> None:
+        """The action's charges: a drop rule's ``DROP_FREE``, then the
+        non-drop action's.  The interpreted route charges them live; the
+        fixed-meter template charges them once."""
+        if self.is_drop:
+            meter.charge(Operation.DROP_FREE)
+        if self.action is not None:
+            _charge_nondrop(meter, self.action)
+
+    def run(self, packet) -> list:
+        """Serve one packet; returns its per-wave ``(nf_name, meter)`` lists."""
+        apply_fn = self.apply_fn
+        if apply_fn is not None:
+            apply_fn(packet)
+        sf_waves = []
+        for wave in self.waves:
+            wave_meters = []
+            for nf_name, owner, execute, sf_count, drop_first in wave:
+                if drop_first:
+                    packet.dropped = True  # the dropper's own SFs see a dropped packet
+                batch_meter = CycleMeter()
+                if owner is not None:
+                    owner.meter = batch_meter
+                batch_meter.charge(_SF_INVOKE, sf_count)
+                try:
+                    execute(packet)
+                finally:
+                    if owner is not None:
+                        owner.meter = NULL_METER
+                wave_meters.append((nf_name, batch_meter))
+            sf_waves.append(wave_meters)
+        if self.is_drop:
+            packet.dropped = True
+        return sf_waves
+
+
+def program_of(speedybox, rule: GlobalRule) -> RuleProgram:
+    """``rule``'s program on ``speedybox``, built on first use."""
+    program = rule.program
+    if program is None:
+        program = rule.program = RuleProgram(rule, speedybox.nf_by_name)
+    return program
 
 
 class CompiledFlow:
@@ -162,10 +260,7 @@ class CompiledFlow:
         "move_to_end",
         "events_by_fid",
         "event_active",
-        "apply_fn",
-        "waves",
-        "is_drop",
-        "drop_cause",
+        "program",
         "fixed_meter",
         "steady_report",
         "_m_classified_inc",
@@ -189,41 +284,7 @@ class CompiledFlow:
         self.flows = classifier._flows
         self.move_to_end = global_mat._rules.move_to_end
         self.events_by_fid = speedybox.event_table._by_fid
-
-        self.is_drop = rule.consolidated.drop
-        if self.is_drop:
-            self.drop_cause = rule.dropper or "consolidated"
-            if rule.schedule.batch_count and rule.pre_drop is not None:
-                pre_drop = rule.pre_drop
-                self.apply_fn = None if pre_drop.is_noop else pre_drop.compiled()
-            else:
-                self.apply_fn = None
-        else:
-            # A pure-FORWARD consolidated action compiles to nothing at
-            # all: the interpreted path's trailing ``finalize`` only
-            # re-derives fields (length/checksum) no one has touched
-            # since arrival, so it is a fixpoint on any consistent
-            # packet and ``serialize`` re-derives them regardless.
-            action = rule.consolidated
-            self.drop_cause = "consolidated"
-            self.apply_fn = None if action.is_noop else action.compiled()
-
-        nf_by_name = speedybox.nf_by_name
-        dropper = rule.dropper
-        self.waves = tuple(
-            tuple(
-                (
-                    batch.nf_name,
-                    nf_by_name.get(batch.nf_name),
-                    batch.execute,
-                    len(batch),
-                    self.is_drop and batch.nf_name == dropper,
-                )
-                for batch in wave
-            )
-            for wave in rule.schedule.waves
-        )
-
+        self.program = program_of(speedybox, rule)
         self._derive_template(speedybox.event_table.active_event_count(entry.fid))
         # SpeedyBox hands one registry to every component, so the
         # per-packet counters are all-null or all-real; guard the group
@@ -251,8 +312,8 @@ class CompiledFlow:
         ``EVENT_CHECK`` charge instead of knocking the flow off the lane.
         """
         self.event_active = active
-        self.fixed_meter = _build_fixed_meter(self.rule, active, self.entry.probes)
-        if self.waves or active:
+        self.fixed_meter = _build_fixed_meter(self.program, active, self.entry.probes)
+        if self.program.waves or active:
             self.steady_report = None
         else:
             # With no SF schedule and no event to check nothing in the
@@ -262,7 +323,7 @@ class CompiledFlow:
             self.steady_report = ProcessReport(
                 path=_FAST,
                 fid=self.fid,
-                dropped=self.is_drop,
+                dropped=self.program.is_drop,
                 fixed_meter=self.fixed_meter,
                 steady=True,
             )
@@ -273,8 +334,8 @@ class CompiledFlow:
         Only valid for steady templates (no SF wave, no active event)
         whose rule shares this flow's ``consolidated``/``schedule`` *by
         identity* (bulk admission's ``install_prebuilt`` clones) —
-        identity is what guarantees the fixed meter, apply closure and
-        drop disposition carry over unchanged — and for an ``entry`` with
+        identity is what guarantees the fixed meter and the rule program
+        carry over unchanged — and for an ``entry`` with
         this flow's ``probes`` (bulk admission: both sit at home), which
         the fixed meter charges.  Everything per-flow is fresh.
         """
@@ -291,10 +352,7 @@ class CompiledFlow:
         clone.move_to_end = self.move_to_end
         clone.events_by_fid = self.events_by_fid
         clone.event_active = 0  # steady: no event to check, here or there
-        clone.is_drop = self.is_drop
-        clone.drop_cause = self.drop_cause
-        clone.apply_fn = self.apply_fn
-        clone.waves = self.waves  # () — clones exist only for steady rules
+        clone.program = self.program  # no waves: clones exist only for steady rules
         clone.fixed_meter = self.fixed_meter
         # Direct construction: clone_for sits on the bulk-admission hot
         # path, and the generated dataclass __init__ spends more time
@@ -302,7 +360,7 @@ class CompiledFlow:
         report = ProcessReport.__new__(ProcessReport)
         report.path = _FAST
         report.fid = entry.fid
-        report.dropped = self.is_drop
+        report.dropped = self.program.is_drop
         report.closing = False
         report.events_fired = 0
         report.fixed_meter = self.fixed_meter
@@ -320,7 +378,7 @@ class CompiledFlow:
         return clone
 
     def run(self, packet) -> Optional[ProcessReport]:
-        """One steady-state packet; ``None`` means take the interpreted path.
+        """One steady-state packet; ``None`` means take the interpreted route.
 
         The caller dispatched here through a five-tuple-keyed dict probe,
         so the packet is already known to belong to this flow.
@@ -340,7 +398,7 @@ class CompiledFlow:
         if packet.dropped:
             return None  # pre-dropped descriptor: pathological, interpret it
         # -- event pre-check, last in the gate: a true condition hands the
-        # packet, untouched, to the interpreted path, which fires it.
+        # packet, untouched, to the interpreted route, which fires it.
         speedybox = self.speedybox
         active = 0
         if fid in self.events_by_fid:
@@ -365,20 +423,18 @@ class CompiledFlow:
             self._m_hits_inc()
             self._m_fast_inc()
 
-        apply_fn = self.apply_fn
+        program = self.program
         steady = self.steady_report
         if steady is not None:
             # -- no SF schedule: nothing observes the packet between here
             # and the return, so the fid metadata attach/detach pair (a
             # net no-op) is skipped and the singleton report says it all.
-            if apply_fn is not None:
-                apply_fn(packet)
-            if self.is_drop:
-                packet.dropped = True
+            program.run(packet)
+            if program.is_drop:
                 drops_inc = self._drops_inc
                 if drops_inc is not None:
                     if drops_inc is _PENDING:
-                        drops_inc = speedybox._m_drops.labels(cause=self.drop_cause).inc
+                        drops_inc = speedybox._m_drops.labels(cause=program.drop_cause).inc
                         self._drops_inc = drops_inc
                     drops_inc()
             inc = self._m_path_inc
@@ -389,31 +445,7 @@ class CompiledFlow:
         # -- SF batches may read the flow metadata the classifier attaches.
         metadata = packet.metadata
         metadata["fid"] = fid
-
-        # -- consolidated header action (pre-bound steps).
-        if apply_fn is not None:
-            apply_fn(packet)
-
-        # -- state-function schedule.
-        sf_waves = []
-        for wave in self.waves:
-            wave_meters = []
-            for nf_name, owner, execute, sf_count, drop_first in wave:
-                if drop_first and not packet.dropped:
-                    packet.dropped = True
-                batch_meter = CycleMeter()
-                if owner is not None:
-                    owner.meter = batch_meter
-                batch_meter.charge(_SF_INVOKE, sf_count)
-                try:
-                    execute(packet)
-                finally:
-                    if owner is not None:
-                        owner.meter = NULL_METER
-                wave_meters.append((nf_name, batch_meter))
-            sf_waves.append(wave_meters)
-        if self.is_drop and not packet.dropped:
-            packet.dropped = True
+        sf_waves = program.run(packet)
 
         # -- post-update event check.  The same quiet count again is the
         # shared template's second EVENT_CHECK charge plus the
@@ -427,7 +459,7 @@ class CompiledFlow:
                 event_table.count_checks(active)
             else:
                 fixed_meter = CycleMeter()
-                _charge_through_action(fixed_meter, self.rule, active, self.entry.probes)
+                _charge_through_action(fixed_meter, self.program, active, self.entry.probes)
                 fired = speedybox._check_events(fid, fixed_meter)
                 fixed_meter.charge(Operation.METADATA_DETACH)
                 if fired:
@@ -438,7 +470,7 @@ class CompiledFlow:
             drops_inc = self._drops_inc
             if drops_inc is not None:
                 if drops_inc is _PENDING:
-                    drops_inc = speedybox._m_drops.labels(cause=self.drop_cause).inc
+                    drops_inc = speedybox._m_drops.labels(cause=program.drop_cause).inc
                     self._drops_inc = drops_inc
                 drops_inc()
 

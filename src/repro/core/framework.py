@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.classifier import Classification, FlowEntry, PacketClassifier
-from repro.core.consolidation import ConsolidatedAction
 from repro.core.event_table import Event, EventTable
 from repro.core.global_mat import GlobalMAT, GlobalRule
 from repro.core.local_mat import (
@@ -95,17 +94,6 @@ class ProcessReport:
     def is_fast(self) -> bool:
         return self.path is PathTaken.FAST
 
-    def total_meter(self) -> CycleMeter:
-        """All charges merged (platform-transport costs NOT included)."""
-        total = self.fixed_meter.copy()
-        for __, meter in self.nf_meters:
-            total.merge(meter)
-        for wave in self.sf_waves:
-            for __, meter in wave:
-                total.merge(meter)
-        return total
-
-
 @dataclass
 class FlowRecord:
     """One flow's complete runtime state, as plain data.
@@ -137,7 +125,8 @@ class FlowRecord:
                 item.fid = fid
 
     def resolve(self, nf_by_name: Dict[str, NetworkFunction]) -> None:
-        """Point every recorded handler at its named method on these NFs."""
+        """Point every recorded handler at its named method on these NFs,
+        and drop a rule program built against other NFs."""
 
         def resolve_functions(functions) -> None:
             for function in functions:
@@ -146,6 +135,7 @@ class FlowRecord:
         for rule in self.local_rules.values():
             resolve_functions(rule.sf_batch)
         if self.global_rule is not None:
+            self.global_rule.program = None
             # Usually the local rules' own functions (build_rule shares
             # batches); resolving twice is harmless.
             for wave in self.global_rule.schedule.waves:
@@ -286,10 +276,10 @@ class SpeedyBox:
         #: by *five-tuple* so the per-packet dispatch is one dict probe on
         #: a plain header tuple — no FID hash, no FiveTuple allocation —
         #: and a hit doubles as the flow-identity check.  ``_compiled_fids``
-        #: is the FID-keyed index the invalidation hooks use.  Observably
-        #: identical to the interpreted fast path (``_run_fast``), which
-        #: stays the tests' oracle and serves what the lane hands back: a
-        #: packet whose event pre-check fires, FIN/RST teardown.
+        #: is the FID-keyed index the invalidation hooks use.  A lane runs
+        #: its rule's program, as the interpreted route (``_run_fast``)
+        #: does for what the lane hands back: FIN/RST teardown, a packet
+        #: whose event pre-check fires.
         self._compiled: Dict[FiveTuple, "object"] = {}
         self._compiled_fids: Dict[int, FiveTuple] = {}
         #: batch-lane invalidation feed.  While a lane run is active this
@@ -489,72 +479,37 @@ class SpeedyBox:
     # -- the fast path -------------------------------------------------------
 
     def _run_fast(self, packet: Packet, rule: GlobalRule, report: ProcessReport) -> None:
+        """The interpreted route: what the compiled lane hands back.
+
+        The rule's work is its :class:`~repro.core.fastpath.RuleProgram`,
+        the one the compiled lane runs; what is done here live is what
+        the lane folds into its fixed meter: the dispatch charge, both
+        event checks (the pre-check may fire and rebuild the rule), the
+        action's charges and the drop counter.
+        """
         self.fast_packets += 1
         self._m_fast.inc()
         fid = rule.fid
         meter = report.fixed_meter
         meter.charge(Operation.FAST_PATH_DISPATCH)
 
-        # (1) Event pre-check: has anything changed since the last packet?
+        # Event pre-check: has anything changed since the last packet?
         fired = self._check_events(fid, meter)
         if fired:
             report.events_fired += fired
             rule = self.global_mat.peek(fid) or rule
 
-        # (2) Apply the consolidated header action.  Drop rules with
-        #     state functions defer the actual drop: the batches up to the
-        #     dropping NF must observe the packet exactly as the original
-        #     path showed it to their NFs — rewritten by the upstream
-        #     actions (pre_drop), and not yet dropped until the dropper's
-        #     own position.
-        is_drop_rule = rule.consolidated.drop
-        if is_drop_rule:
-            meter.charge(Operation.DROP_FREE)
-            if rule.schedule.batch_count and rule.pre_drop is not None:
-                self._apply_nondrop(rule.pre_drop, packet, meter)
-        else:
-            self._apply_nondrop(rule.consolidated, packet, meter)
+        program = _fastpath.program_of(self, rule)
+        program.charge_action(meter)
+        report.sf_waves = program.run(packet)
 
-        # (3) Execute the state-function schedule.
-        for wave in rule.schedule.waves:
-            wave_meters: List[Tuple[str, CycleMeter]] = []
-            for batch in wave:
-                if is_drop_rule and not packet.dropped and batch.nf_name == rule.dropper:
-                    packet.drop()  # the dropper's own SFs see a dropped packet
-                batch_meter = CycleMeter()
-                owner = self.nf_by_name.get(batch.nf_name)
-                if owner is not None:
-                    owner.meter = batch_meter
-                batch_meter.charge(Operation.SF_INVOKE, len(batch))
-                try:
-                    batch.execute(packet)
-                finally:
-                    if owner is not None:
-                        _detach_meter(owner)
-                wave_meters.append((batch.nf_name, batch_meter))
-            report.sf_waves.append(wave_meters)
-        if is_drop_rule and not packet.dropped:
-            packet.drop()
-
-        # (4) Post-update event check ("as soon as states have been
-        #     updated", §V-C1): affects *subsequent* packets.
-        fired = self._check_events(fid, meter)
-        report.events_fired += fired
+        # Post-update event check ("as soon as states have been updated",
+        # §V-C1): affects *subsequent* packets.
+        report.events_fired += self._check_events(fid, meter)
 
         report.dropped = packet.dropped
         if report.dropped:
-            self._m_drops.labels(cause=rule.dropper or "consolidated").inc()
-
-    def _apply_nondrop(self, action: ConsolidatedAction, packet: Packet, meter: CycleMeter) -> None:
-        """Charge and apply a consolidated action's non-drop effects."""
-        meter.charge(Operation.DECAP_OP, len(action.leading_decaps))
-        field_count = len(action.field_ops)
-        if field_count:
-            meter.charge(Operation.FIELD_WRITE)
-            meter.charge(Operation.MERGED_FIELD_WRITE, field_count - 1)
-            meter.charge(Operation.CHECKSUM_UPDATE)
-        meter.charge(Operation.ENCAP_OP, len(action.net_encaps))
-        action.apply(packet)
+            self._m_drops.labels(cause=program.drop_cause).inc()
 
     def _check_events(self, fid: int, meter: CycleMeter) -> int:
         active = self.event_table.active_event_count(fid)
@@ -739,6 +694,6 @@ class SpeedyBox:
 
 
 # Imported last: fastpath needs ProcessReport/PathTaken from this module,
-# and this module only touches fastpath at runtime (inside _maybe_compile),
-# so the cycle resolves through the module object.
+# and this module only touches fastpath at runtime (``_run_fast``,
+# ``_maybe_compile``), so the cycle resolves through the module object.
 from repro.core import fastpath as _fastpath  # noqa: E402

@@ -40,6 +40,7 @@ class GlobalRule:
         "dropper",
         "version",
         "hits",
+        "program",
     )
 
     def __init__(
@@ -63,12 +64,17 @@ class GlobalRule:
         self.dropper = dropper
         self.version = 1
         self.hits = 0
+        #: the rule's :class:`~repro.core.fastpath.RuleProgram` on the
+        #: runtime that holds it, built on the rule's first fast-path packet
+        self.program = None
 
     def copy(self, copies: Dict[int, object]) -> "GlobalRule":
         # Only the schedule (its functions count invocations; the copy
         # leaves their handlers out) and the two counters can differ
         # between a rule and its snapshot; the consolidated actions and
-        # the tuples are immutable and shared.
+        # the tuples are immutable and shared.  The program runs this
+        # runtime's NFs, so the copy is left without one, as it is
+        # without handlers.
         clone = GlobalRule.__new__(GlobalRule)
         clone.fid = self.fid
         clone.consolidated = self.consolidated
@@ -78,6 +84,7 @@ class GlobalRule:
         clone.dropper = self.dropper
         clone.version = self.version
         clone.hits = self.hits
+        clone.program = None
         return clone
 
     def __repr__(self) -> str:
@@ -208,7 +215,8 @@ class GlobalMAT:
         Bulk admission (``repro.core.batchlane``) calls this when a new
         flow's recorded behaviour is action-for-action identical to a
         flow that already consolidated: the expensive artifacts — the consolidated
-        action, the parallel schedule, the pre-drop consolidation — are
+        action, the parallel schedule, the pre-drop consolidation, the rule
+        program — are
         *shared by identity* with the template (all immutable once built;
         event-driven rebuilds replace the rule rather than mutate these).
         Counter, audit and LRU side effects mirror :meth:`build_rule`
@@ -223,6 +231,7 @@ class GlobalMAT:
             pre_drop=template.pre_drop,
             dropper=template.dropper,
         )
+        new_rule.program = template.program
         return self._install(new_rule)
 
     def _install(self, new_rule: GlobalRule) -> GlobalRule:

@@ -59,14 +59,6 @@ class ParallelSchedule:
     def wave_count(self) -> int:
         return len(self.waves)
 
-    @property
-    def max_wave_width(self) -> int:
-        """Worker cores needed to realise the full parallelism."""
-        return max((len(wave) for wave in self.waves), default=0)
-
-    def all_batches(self) -> List[StateFunctionBatch]:
-        return [batch for wave in self.waves for batch in wave]
-
     def copy(self, copies: Dict[int, object]) -> "ParallelSchedule":
         # Each batch is normally also some Local MAT rule's ``sf_batch``;
         # ``copies`` keeps that aliasing.

@@ -68,10 +68,6 @@ class TransactionalStore:
         """Has a transaction with this id already committed?"""
         return txn_id in self._applied
 
-    def result_of(self, txn_id: Any) -> Any:
-        """The committed result of an applied transaction id."""
-        return self._applied.get(txn_id)
-
     # -- transactions -------------------------------------------------------
 
     def transaction(self, txn_id: Any = None) -> "Transaction":
@@ -240,12 +236,6 @@ class SharedPortPool:
         return self.store.run(body)
 
     # -- introspection ------------------------------------------------------
-
-    def port_of(self, flow: FiveTuple) -> Optional[int]:
-        return self.store.get((self.name, "byflow", flow))
-
-    def owner_of(self, port: int) -> Optional[FiveTuple]:
-        return self.store.get((self.name, "owner", port))
 
     def allocated(self) -> Dict[FiveTuple, int]:
         out: Dict[FiveTuple, int] = {}

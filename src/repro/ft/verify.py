@@ -15,7 +15,7 @@ properties:
   replica now homes it matches the uninterrupted reference run, and
   forwarded wire bytes match per packet index.
 
-Unlike :func:`~repro.core.verification.verify_equivalence_migration`,
+Unlike the migration variant beside the migration tests,
 fast/slow-path and event counter totals are deliberately **not**
 compared: log replay re-runs packets through the pipeline, inflating
 those counters on the cluster side by design.  (The audit log's

@@ -22,7 +22,6 @@ from repro.net.headers import (
     TCPHeader,
     UDPHeader,
     VxlanHeader,
-    internet_checksum,
 )
 from repro.net.packet import Packet, PacketField
 from repro.net.trace import TraceFormatError, load_trace, read_trace, write_trace
@@ -48,7 +47,6 @@ __all__ = [
     "TraceFormatError",
     "UDPHeader",
     "VxlanHeader",
-    "internet_checksum",
     "ip_to_int",
     "ip_to_str",
     "is_valid_ipv4",

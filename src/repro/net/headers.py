@@ -29,25 +29,6 @@ PROTO_UDP = 17
 PROTO_AH = 51
 
 
-#: Cache of ``!nH`` struct formats keyed by word count — checksums run per
-#: packet on the fast path, and one bulk unpack beats iter_unpack by ~4x.
-_CHECKSUM_STRUCTS: dict = {}
-
-
-def internet_checksum(data: bytes) -> int:
-    """RFC 1071 internet checksum over ``data`` (pad odd lengths with 0)."""
-    if len(data) % 2:
-        data += b"\x00"
-    words = len(data) // 2
-    unpacker = _CHECKSUM_STRUCTS.get(words)
-    if unpacker is None:
-        unpacker = _CHECKSUM_STRUCTS[words] = struct.Struct(f"!{words}H").unpack
-    total = sum(unpacker(data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
 class Header:
     """Base class for all protocol headers."""
 
@@ -142,9 +123,10 @@ class IPv4Header(Header):
         """Recompute the header checksum from the current fields.
 
         Computed arithmetically over the header's eight non-checksum
-        16-bit words — bit-identical to ``internet_checksum(self.pack())``
-        with the checksum field zeroed, without the pack/unpack round
-        trip (this runs once per packet via :meth:`Packet.finalize`).
+        16-bit words — bit-identical to the RFC 1071 checksum of the
+        packed header with the checksum field zeroed, without the
+        pack/unpack round trip (this runs once per packet via
+        :meth:`Packet.finalize`).
         """
         total = (
             (((4 << 4) | 5) << 8 | (self.dscp << 2))
@@ -159,9 +141,6 @@ class IPv4Header(Header):
         total = (total & 0xFFFF) + (total >> 16)
         total = (total & 0xFFFF) + (total >> 16)
         self.checksum = (~total) & 0xFFFF
-
-    def checksum_valid(self) -> bool:
-        return internet_checksum(self.pack()) == 0
 
     def pack(self) -> bytes:
         version_ihl = (4 << 4) | 5

@@ -1,10 +1,10 @@
-"""Classic libpcap export/import.
+"""Classic libpcap export.
 
 Our packets serialise to real wire bytes, so they can be written as a
-standard ``.pcap`` file (magic 0xa1b2c3d4, LINKTYPE_ETHERNET) and opened
-in Wireshark/tcpdump — handy for eyeballing what a chain actually emitted
-and for interoperating with external tooling.  Reading supports both
-byte orders and both microsecond and nanosecond (0xa1b23c4d) flavours.
+standard ``.pcap`` file (magic 0xa1b2c3d4 for microsecond ticks,
+0xa1b23c4d for nanosecond ones; LINKTYPE_ETHERNET) and opened in
+Wireshark/tcpdump — handy for eyeballing what a chain actually emitted
+and for interoperating with external tooling.
 
 For the library's own capture/replay round trips prefer
 :mod:`repro.net.trace` (it keeps float-ns timestamps exactly); pcap
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, List, Tuple, Union
+from typing import BinaryIO, Iterable, Union
 
 from repro.net.packet import Packet
 
@@ -25,10 +25,6 @@ LINKTYPE_ETHERNET = 1
 
 _GLOBAL_HEADER = struct.Struct("IHHiIII")
 _RECORD_HEADER = struct.Struct("IIII")
-
-
-class PcapFormatError(ValueError):
-    """Not a valid pcap byte stream."""
 
 
 def write_pcap(
@@ -58,53 +54,3 @@ def write_pcap(
     finally:
         if own:
             stream.close()
-
-
-def _open_header(data: bytes) -> Tuple[str, float]:
-    """Returns (struct byte-order prefix, ns per sub-second unit)."""
-    if len(data) < 4:
-        raise PcapFormatError("truncated pcap global header")
-    raw = struct.unpack("<I", data[:4])[0]
-    for order in ("<", ">"):
-        magic = struct.unpack(order + "I", data[:4])[0]
-        if magic == MAGIC_US:
-            return order, 1000.0
-        if magic == MAGIC_NS:
-            return order, 1.0
-    raise PcapFormatError(f"bad pcap magic 0x{raw:08x}")
-
-
-def read_pcap(source: Union[str, Path, BinaryIO]) -> Iterator[Packet]:
-    """Yield packets from a pcap file (Ethernet linktype only)."""
-    own = isinstance(source, (str, Path))
-    stream: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
-    try:
-        header = stream.read(_GLOBAL_HEADER.size)
-        order, tick = _open_header(header)
-        fields = struct.unpack(order + "IHHiIII", header)
-        linktype = fields[6]
-        if linktype != LINKTYPE_ETHERNET:
-            raise PcapFormatError(f"unsupported linktype {linktype}")
-        record = struct.Struct(order + "IIII")
-        while True:
-            record_header = stream.read(record.size)
-            if not record_header:
-                return
-            if len(record_header) < record.size:
-                raise PcapFormatError("truncated pcap record header")
-            seconds, subsec, included, original = record.unpack(record_header)
-            if included != original:
-                raise PcapFormatError("snap-length-truncated captures are not supported")
-            wire = stream.read(included)
-            if len(wire) < included:
-                raise PcapFormatError("truncated pcap record body")
-            packet = Packet.parse(wire)
-            packet.timestamp_ns = seconds * 1_000_000_000.0 + subsec * tick
-            yield packet
-    finally:
-        if own:
-            stream.close()
-
-
-def load_pcap(source: Union[str, Path, BinaryIO]) -> List[Packet]:
-    return list(read_pcap(source))

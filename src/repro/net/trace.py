@@ -14,7 +14,6 @@ framing; a truncated final record raises :class:`TraceFormatError`.
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, List, Tuple, Union
@@ -88,11 +87,3 @@ def read_trace(source: Union[str, Path, BinaryIO]) -> Iterator[Packet]:
 def load_trace(source: Union[str, Path, BinaryIO]) -> List[Packet]:
     """Eagerly read a whole trace into memory."""
     return list(read_trace(source))
-
-
-def roundtrip_bytes(packets: Iterable[Packet]) -> List[Packet]:
-    """Write + read through an in-memory buffer (testing helper)."""
-    buffer = io.BytesIO()
-    write_trace(buffer, packets)
-    buffer.seek(0)
-    return load_trace(buffer)

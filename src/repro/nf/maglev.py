@@ -146,18 +146,6 @@ class MaglevTable:
         slot = _fnv1a(data, seed=0x10) % self.table_size
         return self._entries[slot]
 
-    def slot_share(self) -> Dict[str, int]:
-        """Slots owned per backend (balance analysis / tests)."""
-        share: Dict[str, int] = {}
-        for entry in self._entries:
-            if entry is not None:
-                share[entry.name] = share.get(entry.name, 0) + 1
-        return share
-
-    def entries_snapshot(self) -> List[Optional[str]]:
-        return [entry.name if entry is not None else None for entry in self._entries]
-
-
 class MaglevLoadBalancer(NetworkFunction):
     """The Maglev NF: VIP traffic is rewritten to a tracked backend."""
 
@@ -192,10 +180,6 @@ class MaglevLoadBalancer(NetworkFunction):
     def fail_backend(self, name: str) -> None:
         """Mark a backend unhealthy and rebuild the lookup table."""
         self.backend_by_name(name).healthy = False
-        self.table.rebuild()
-
-    def recover_backend(self, name: str) -> None:
-        self.backend_by_name(name).healthy = True
         self.table.rebuild()
 
     # -- per-flow selection and the failure event -----------------------------

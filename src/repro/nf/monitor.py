@@ -86,10 +86,6 @@ class Monitor(NetworkFunction):
             name="count_packet",
         )
 
-    def flow_counters(self, key: FiveTuple) -> FlowCounters:
-        """Counters for a flow (zeros if never seen)."""
-        return self.counters.get(key, FlowCounters())
-
     # -- migration hooks (repro.scale) ---------------------------------------
 
     def export_flow_state(self, flow: FiveTuple):

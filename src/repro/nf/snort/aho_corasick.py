@@ -112,10 +112,6 @@ class AhoCorasick:
         """The set of pattern ids occurring anywhere in ``text``."""
         return {pattern_id for pattern_id, __ in self.search(text)}
 
-    def contains(self, text: bytes, pattern_id: int) -> bool:
-        return pattern_id in self.matched_ids(text)
-
-
 class MultiPatternIndex:
     """Two automatons — case-sensitive and nocase — behind one interface.
 

@@ -54,14 +54,6 @@ class SnortIDS(NetworkFunction):
         self.passed_packets = 0
         self.inspected_packets = 0
 
-    @classmethod
-    def from_file(cls, path, name: str = "snort") -> "SnortIDS":
-        """Load the rule set from a rule file on disk (var lines, comments
-        and blank lines handled by :func:`parse_rules`)."""
-        from pathlib import Path
-
-        return cls(name, Path(path).read_text())
-
     @property
     def rules(self) -> List[SnortRule]:
         return self.engine.rules

@@ -190,12 +190,6 @@ class ContentOption:
             return -1
         return index + len(self.pattern)
 
-    def found_in(self, payload: bytes) -> bool:
-        """Standalone check (absolute modifiers only; used by prescan
-        verification)."""
-        return self.match_end(payload, 0) >= 0
-
-
 @dataclass(frozen=True)
 class FlowbitOp:
     """One ``flowbits`` option: cross-packet per-flow state.

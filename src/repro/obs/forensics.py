@@ -300,21 +300,24 @@ class FlightRecorder:
 class RegimeShiftDetector:
     """Windowed p50/p99 vs a trailing baseline; audits the shift.
 
-    Consumes window *summaries* (dicts carrying ``p50_ns``/``p99_ns``/
-    ``packets``/``buffered``), so the same detector watches live
-    :class:`~repro.obs.timeseries.TimeSeries` windows (mid-run) and the
-    forensics engine's own post-run windows.  Two rules fire a
-    ``latency_regime_shift`` audit event:
+    Consumes window *summaries*.  Two rules fire a
+    ``latency_regime_shift`` audit event, each fed by one source of
+    windows, so no window is seen twice:
 
     - a window's p50 or p99 exceeds ``FACTOR`` times the trailing
-      median of the last ``BASELINE`` windows (needs at least
+      median of the last ``BASELINE`` earlier windows (needs at least
       ``MIN_BASELINE`` of them), component attribution from the
-      forensic component sums when the caller supplies them;
+      forensic component sums (:meth:`observe_latency`, fed the
+      forensics engine's own post-run windows — only they carry
+      components);
     - a window's buffered fraction crosses ``BUFFERED_FRACTION`` —
       those packets are accruing failover stall charge, so the stall
       regime has *already* shifted even though their charged latencies
       only materialise at recovery (this is the event that precedes
-      ``ft_failover_complete`` in the degraded-before-dead test).
+      ``ft_failover_complete`` in the degraded-before-dead test;
+      :meth:`observe_buffered`, fed live
+      :class:`~repro.obs.timeseries.TimeSeries` windows through
+      :meth:`attach` — only they count buffered packets).
     """
 
     FACTOR = 2.0
@@ -332,8 +335,9 @@ class RegimeShiftDetector:
         self.shifts: List[Dict[str, Any]] = []
 
     def attach(self, timeseries) -> None:
-        """Subscribe to a TimeSeries: every closing window is observed."""
-        timeseries.on_close(lambda window: self.observe_summary(window.summary()))
+        """Subscribe to a TimeSeries: every closing window feeds the
+        buffered-fraction rule."""
+        timeseries.on_close(lambda window: self.observe_buffered(window.summary()))
 
     @staticmethod
     def _baseline(samples: Sequence[float]) -> Optional[float]:
@@ -347,20 +351,15 @@ class RegimeShiftDetector:
         self.shifts.append(event)
         self.audit.emit("latency_regime_shift", **fields)
 
-    def observe_summary(
-        self,
-        summary: Dict[str, Any],
-        components: Optional[Dict[str, float]] = None,
-    ) -> None:
-        """Fold one closed window in; maybe emit ``latency_regime_shift``."""
-        window = summary.get("index", summary.get("window"))
+    def observe_buffered(self, summary: Dict[str, Any]) -> None:
+        """The buffered-fraction rule over one closed TimeSeries window."""
         packets = summary.get("packets") or 0
         buffered = summary.get("buffered") or 0
         if packets and buffered / packets >= self.BUFFERED_FRACTION:
             if not self._buffered_regime:
                 self._buffered_regime = True
                 self._emit(
-                    window=window,
+                    window=summary.get("index"),
                     metric="buffered_fraction",
                     component="stall",
                     baseline=0.0,
@@ -371,6 +370,13 @@ class RegimeShiftDetector:
         else:
             self._buffered_regime = False
 
+    def observe_latency(
+        self, summary: Dict[str, Any], components: Optional[Dict[str, float]] = None
+    ) -> None:
+        """The p50/p99 rules over one forensics window, against the
+        windows observed before it."""
+        window = summary.get("window")
+        packets = summary.get("packets") or 0
         for metric, value, history in (
             ("p50", summary.get("p50_ns"), self._p50s),
             ("p99", summary.get("p99_ns"), self._p99s),
@@ -549,7 +555,7 @@ class ForensicsEngine:
             worst.sort(key=lambda record: (record.latency_ns, -record.index), reverse=True)
             self.windows.append(summary)
             self.recorder.record_window(summary, worst)
-            self.detector.observe_summary(summary, components=components)
+            self.detector.observe_latency(summary, components=components)
 
     def observe_outcomes(self, platform, outcomes: Sequence, replica: Any) -> None:
         """Decompose unloaded outcomes (sweep mode: no queueing, queue~0)."""

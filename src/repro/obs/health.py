@@ -230,14 +230,6 @@ class HealthModel:
 
     # -- reads --------------------------------------------------------------
 
-    def state_of(self, replica: Any) -> str:
-        track = self._tracks.get(replica)
-        return track.state if track is not None else HEALTHY
-
-    def last_report(self, replica: Any) -> Optional[ReplicaHealth]:
-        track = self._tracks.get(replica)
-        return track.last if track is not None else None
-
     def worst_state(self) -> str:
         worst = HEALTHY
         for track in self._tracks.values():

@@ -178,9 +178,6 @@ class ParsedExposition:
             seen.setdefault(name, None)
         return list(seen)
 
-    def as_dict(self) -> Dict[Tuple[str, LabelSet], float]:
-        return {(name, labels): value for name, labels, value in self.samples}
-
     def __len__(self) -> int:
         return len(self.samples)
 

@@ -55,9 +55,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -147,9 +144,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self._values[()] = self._values.get((), 0.0) + amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def value(self, **labels: object) -> float:
         return self._values.get(_label_key({k: str(v) for k, v in labels.items()}), 0.0)
 
@@ -176,9 +170,6 @@ class _BoundGauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self._gauge._values[self._key] = self._gauge._values.get(self._key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     def value(self) -> float:
         return self._gauge._values.get(self._key, 0.0)
@@ -349,9 +340,6 @@ class MetricsRegistry:
         for name in sorted(self._metrics):
             out.update(self._metrics[name].series())  # type: ignore[attr-defined]
         return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def render(self, title: str = "metrics") -> str:
         """The snapshot as an aligned text table."""

@@ -37,7 +37,7 @@ Cycle and sim-time attribution
 Each recorded packet becomes one root span (track ``flow:<fid>``) whose
 children partition the packet's meter charges by pipeline stage using
 the :func:`stage_of` mapping (Fig. 7's stage taxonomy); per-stage ``cycles`` sum *exactly* to the packet's
-``total_meter()`` cycles (integer costs).  Durations are the cost
+merged-meter cycles (integer costs).  Durations are the cost
 model's ``cycles_to_ns`` on a monotonic recorder clock.  Loaded runs
 additionally stamp sampled roots with the replay's simulated arrival
 and finish times (``sim_arrival_ns`` / ``sim_latency_ns``) when the run
@@ -256,7 +256,7 @@ class FlowSpanRecorder:
         stages and the teardown/emit tail — the packet's actual walk.
         Per-stage cycles are count × cost sums in sorted-operation
         order, so with integer costs the children sum to the packet's
-        ``total_meter()`` cycles exactly.
+        merged-meter cycles exactly.
         """
         table = model.op_cycles
         to_ns = model.ns_per_cycle()

@@ -10,7 +10,7 @@ sub-span, and the recorded depth survives export.
 Exports
 -------
 
-- :meth:`PacketTracer.to_jsonl` — one JSON object per line, trivially
+- :meth:`PacketTracer.write_jsonl` — one JSON object per line, trivially
   greppable / loadable with pandas;
 - :meth:`PacketTracer.to_chrome` — the Chrome trace-event format
   (``{"traceEvents": [...]}``, complete ``"ph": "X"`` events with ``ts``
@@ -154,10 +154,6 @@ class PacketTracer:
     def spans(self) -> List[Span]:
         return list(self._spans)
 
-    @property
-    def open_depth(self) -> int:
-        return sum(len(stack) for stack in self._open.values())
-
     def __len__(self) -> int:
         return len(self._spans) + len(self._instants) + len(self._counters)
 
@@ -208,9 +204,6 @@ class PacketTracer:
                 "ts_ns": sample.ts_ns,
                 "value": sample.value,
             }
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(record, sort_keys=True) for record in self._jsonl_records())
 
     def write_jsonl(self, path) -> int:
         return dump_jsonl(path, self._jsonl_records())

@@ -150,27 +150,15 @@ class CostModel:
         """
         return {operation: getattr(self, operation.value) for operation in Operation}
 
-    def cycles_for(self, operation: Operation) -> float:
-        return self.op_cycles[operation]
-
     def ns_per_cycle(self) -> float:
         return 1.0 / self.clock_ghz
 
     def cycles_to_ns(self, cycles: float) -> float:
         return cycles * self.ns_per_cycle()
 
-    def cycles_to_us(self, cycles: float) -> float:
-        return self.cycles_to_ns(cycles) / 1000.0
-
     def with_overrides(self, **overrides: float) -> "CostModel":
         """A copy with some constants replaced (ablation benches)."""
         return replace(self, **overrides)
-
-    @classmethod
-    def operation_names(cls) -> Dict[str, float]:
-        """Mapping of every cost field to its default value (docs/tests)."""
-        return {f.name: f.default for f in fields(cls) if f.name != "clock_ghz"}
-
 
 class CycleMeter:
     """Accumulates operation counts plus direct cycle charges.

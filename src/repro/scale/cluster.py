@@ -188,10 +188,6 @@ class ScaleCluster:
         self.audit.emit("scale_out", replica=rid, replicas=len(self.replicas))
         return rid
 
-    @property
-    def replica_count(self) -> int:
-        return len(self.replicas)
-
     def replica(self, replica_id: int) -> ChainReplica:
         return self.replicas[replica_id]
 

@@ -72,9 +72,6 @@ class IndirectionTable:
             raise RuntimeError("indirection table not yet populated; call rebalance()")
         return replica
 
-    def buckets_snapshot(self) -> Tuple[Optional[int], ...]:
-        return tuple(self._buckets)
-
     def rebalance(self, replica_ids: Sequence[int]) -> Dict[int, Tuple[Optional[int], int]]:
         """Repartition into equal shares; move as little as possible.
 
@@ -145,12 +142,6 @@ class FlowSharder:
         if replica_id not in self._replicas:
             raise KeyError(f"unknown replica {replica_id!r}")
         self._pins[flow.canonical()] = replica_id
-
-    def unpin(self, flow: FiveTuple) -> bool:
-        return self._pins.pop(flow.canonical(), None) is not None
-
-    def pinned_flows(self) -> Dict[FiveTuple, int]:
-        return dict(self._pins)
 
     # -- repartitioning -------------------------------------------------------
 

@@ -96,13 +96,6 @@ class Distribution:
     def p99(self) -> float:
         return self.p(0.99)
 
-    def stdev(self) -> float:
-        if len(self._values) < 2:
-            return 0.0
-        mean = self.mean
-        variance = sum((v - mean) ** 2 for v in self._values) / (len(self._values) - 1)
-        return math.sqrt(variance)
-
     def cdf(self) -> List[Tuple[float, float]]:
         return cdf_points(self._values)
 

@@ -13,15 +13,10 @@
 - :mod:`repro.traffic.columnar` — struct-of-arrays :class:`PacketBatch`
   for the batch engine (five-tuple/size/timestamp columns, no per-packet
   objects), with :func:`uniform_batch` for vectorized million-flow
-  workloads and :func:`batch_from_specs` mirroring the generator.
+  workloads.
 """
 
-from repro.traffic.columnar import (
-    LazyPacketView,
-    PacketBatch,
-    batch_from_specs,
-    uniform_batch,
-)
+from repro.traffic.columnar import LazyPacketView, PacketBatch, uniform_batch
 from repro.traffic.datacenter import DatacenterTraceConfig, DatacenterTraceGenerator
 from repro.traffic.generator import FlowSpec, TrafficGenerator, packets_for_flow
 from repro.traffic.payloads import PayloadSynthesizer
@@ -34,7 +29,6 @@ __all__ = [
     "PacketBatch",
     "PayloadSynthesizer",
     "TrafficGenerator",
-    "batch_from_specs",
     "packets_for_flow",
     "uniform_batch",
 ]

@@ -11,28 +11,24 @@ by :meth:`PacketBatch.materialize`, byte-identical to what the per-packet
 generator would have produced — that identity is what makes the legacy
 per-packet path a valid equivalence oracle for batch runs.
 
-Builders:
-
-- :func:`uniform_batch` — vectorized synthesis of N identical-shape
-  flows (the millions-of-flows benchmark path; no per-flow Python
-  objects are created, so 1M flows cost three int64 columns);
-- :func:`batch_from_specs` — expand :class:`~repro.traffic.generator.FlowSpec`
-  lists with the same interleave modes as :class:`TrafficGenerator`
-  (``sequential`` / ``round_robin`` / ``shuffled``), used by the
-  equivalence and property tests.
+One function builds a batch: :func:`uniform_batch` synthesizes N
+identical-shape flows vectorized (the millions-of-flows benchmark path;
+no per-flow Python objects are created, so 1M flows cost three int64
+columns).  The tests
+expand arbitrary flow specs with their own columnar twin of the
+generator (``tests/integration/helpers.py``).
 
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.net.addresses import ip_to_int
 from repro.net.flow import FiveTuple, PROTO_TCP, PROTO_UDP
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_SYN
 from repro.net.packet import Packet
-from repro.traffic.generator import FlowSpec, PayloadPolicy
+from repro.traffic.generator import PayloadPolicy
 from repro.vector import np
 
 #: per-packet kind column values
@@ -83,7 +79,6 @@ class PacketBatch:
         ordinal,
         seq,
         size,
-        payloads: Optional[List[PayloadPolicy]] = None,
         uniform_payload: bytes = b"",
     ):
         self.flow_src_ip = flow_src_ip
@@ -92,7 +87,10 @@ class PacketBatch:
         self.flow_dst_port = flow_dst_port
         self.flow_proto = flow_proto
         self.flow_handshake = flow_handshake
-        self._payloads = payloads
+        #: per-flow payload policies instead of the one uniform payload
+        #: (a batch built from flow specs); the lane admits such a batch
+        #: one packet at a time
+        self._payloads: Optional[List[PayloadPolicy]] = None
         self._uniform_payload = uniform_payload
         self.flow_index = flow_index
         self.kind = kind
@@ -183,10 +181,6 @@ class PacketBatch:
             packet.timestamp_ns = ts
         return packet
 
-    def to_packets(self) -> List[Packet]:
-        """Materialize the whole batch (tests and small runs only)."""
-        return [self.materialize(i) for i in range(len(self))]
-
     def packet_view(self) -> "LazyPacketView":
         """A sized, iterable view that materializes packets on the fly.
 
@@ -215,100 +209,6 @@ class LazyPacketView:
         batch = self.batch
         for i in range(len(batch)):
             yield batch.materialize(i)
-
-
-def _flow_order(specs: Sequence[FlowSpec], interleave: str, seed: int) -> List[int]:
-    """Per-packet flow index sequence, mirroring ``TrafficGenerator``."""
-    counts = [spec.total_packets for spec in specs]
-    order: List[int] = []
-    if interleave == "sequential":
-        for flow, count in enumerate(counts):
-            order.extend([flow] * count)
-    elif interleave == "round_robin":
-        remaining = list(counts)
-        left = sum(remaining)
-        while left:
-            for flow in range(len(specs)):
-                if remaining[flow]:
-                    order.append(flow)
-                    remaining[flow] -= 1
-                    left -= 1
-    elif interleave == "shuffled":
-        rng = random.Random(seed)
-        remaining = list(counts)
-        live = [i for i, count in enumerate(remaining) if count]
-        while live:
-            flow = rng.choice(live)
-            order.append(flow)
-            remaining[flow] -= 1
-            if not remaining[flow]:
-                live.remove(flow)
-    else:
-        raise ValueError(f"unknown interleave mode {interleave!r}")
-    return order
-
-
-def batch_from_specs(
-    specs: Sequence[FlowSpec],
-    interleave: str = "sequential",
-    seed: int = 1,
-) -> PacketBatch:
-    """Columnar expansion of flow specs (order-identical to the generator)."""
-    for spec in specs:
-        if spec.packets < 0:
-            raise ValueError(f"negative packet count: {spec.packets}")
-        is_tcp = spec.five_tuple.protocol == PROTO_TCP
-        if spec.handshake and not is_tcp:
-            raise ValueError("handshake requested for a non-TCP flow")
-        if spec.fin and not is_tcp:
-            raise ValueError("fin requested for a non-TCP flow")
-
-    order = _flow_order(specs, interleave, seed)
-    cursor = [0] * len(specs)
-    kinds: List[int] = []
-    ordinals: List[int] = []
-    seqs: List[int] = []
-    sizes: List[int] = []
-    # Per-flow running seq, matching packets_for_flow: SYN consumes 1,
-    # each data packet consumes max(len(payload), 1).
-    next_seq = [_BASE_SEQ] * len(specs)
-    for flow in order:
-        spec = specs[flow]
-        ordinal = cursor[flow]
-        cursor[flow] = ordinal + 1
-        handshake = 1 if spec.handshake else 0
-        if spec.handshake and ordinal == 0:
-            kinds.append(KIND_SYN)
-            seqs.append(next_seq[flow])
-            sizes.append(0)
-            next_seq[flow] += 1
-        elif spec.fin and ordinal == spec.total_packets - 1:
-            kinds.append(KIND_FIN)
-            seqs.append(next_seq[flow])
-            sizes.append(0)
-        else:
-            payload = spec.payload_for(ordinal - handshake)
-            kinds.append(KIND_DATA)
-            seqs.append(next_seq[flow])
-            sizes.append(len(payload))
-            next_seq[flow] += max(len(payload), 1)
-        ordinals.append(ordinal)
-
-    i64, u8 = np.int64, np.uint8
-    return PacketBatch(
-        np.fromiter((spec.five_tuple.src_ip for spec in specs), i64),
-        np.fromiter((spec.five_tuple.dst_ip for spec in specs), i64),
-        np.fromiter((spec.five_tuple.src_port for spec in specs), i64),
-        np.fromiter((spec.five_tuple.dst_port for spec in specs), i64),
-        np.fromiter((spec.five_tuple.protocol for spec in specs), u8),
-        np.fromiter((1 if spec.handshake else 0 for spec in specs), u8),
-        np.fromiter(order, i64),
-        np.fromiter(kinds, u8),
-        np.fromiter(ordinals, i64),
-        np.fromiter(seqs, i64),
-        np.fromiter(sizes, i64),
-        payloads=[spec.payload for spec in specs],
-    )
 
 
 def uniform_batch(

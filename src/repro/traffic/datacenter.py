@@ -194,17 +194,3 @@ class DatacenterTraceGenerator:
                 all_packets.append(packet)
         all_packets.sort(key=lambda packet: packet.timestamp_ns)
         return all_packets
-
-    def flow_size_histogram(self, flows: Sequence[FlowSpec]) -> dict:
-        """Bucketised flow sizes (sanity checks / docs)."""
-        buckets = {"1-2": 0, "3-9": 0, "10-99": 0, "100+": 0}
-        for spec in flows:
-            if spec.packets <= 2:
-                buckets["1-2"] += 1
-            elif spec.packets <= 9:
-                buckets["3-9"] += 1
-            elif spec.packets <= 99:
-                buckets["10-99"] += 1
-            else:
-                buckets["100+"] += 1
-        return buckets

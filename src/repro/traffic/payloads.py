@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import random
 import string
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.nf.snort.rules import RuleAction, SnortRule
+from repro.nf.snort.rules import SnortRule
 
 _FILLER_ALPHABET = (string.ascii_uppercase + string.digits).encode()
 
@@ -53,7 +53,7 @@ class PayloadSynthesizer:
         letter, so drawing exactly the outstanding deficit never
         consumes a word past the one the per-byte loop would stop on:
         the generator's state afterwards is the loop's, and everything
-        drawn later (the next payload, ``mixed_stream``'s coin flips) is
+        drawn later (the next payload, a caller's next coin flip) is
         unchanged.
         """
         getrandbits = self._random.getrandbits
@@ -106,58 +106,3 @@ class PayloadSynthesizer:
                 "(pcre constrains beyond contents); craft the payload manually"
             )
         return payload
-
-    def rule_with_action(self, action: RuleAction) -> SnortRule:
-        """The first rule carrying ``action`` (for branch-coverage tests)."""
-        for rule in self.rules:
-            if rule.action is action:
-                return rule
-        raise LookupError(f"rule set has no {action.value} rule")
-
-    def matching_action(self, action: RuleAction, length: int = 64) -> bytes:
-        return self.matching(self.rule_with_action(action), length=length)
-
-    def near_miss(self, rule: SnortRule, length: int = 64) -> bytes:
-        """A payload one byte away from matching ``rule``.
-
-        Embeds every content except the last, and the last with its
-        final byte flipped — the hardest negative for a detection engine
-        (everything matches except one byte).  Requires a rule with at
-        least one content whose pattern is ≥ 2 bytes.
-        """
-        _require_length(length)
-        if not rule.contents:
-            raise ValueError(f"rule sid={rule.sid} has no contents to near-miss")
-        last = rule.contents[-1].pattern
-        if len(last) < 2:
-            raise ValueError("near-miss needs a final content of at least 2 bytes")
-        corrupted = last[:-1] + bytes([last[-1] ^ 0x01])
-        parts = [content.pattern for content in rule.contents[:-1]] + [corrupted]
-        body = b"-".join(parts)
-        if len(body) < length:
-            body = body + b"-" + self._filler(length - len(body) - 1)
-        if rule.payload_matches(body):
-            raise RuntimeError(
-                f"near-miss for sid={rule.sid} accidentally matches; "
-                "the corrupted byte completes another occurrence"
-            )
-        return body
-
-    def mixed_stream(
-        self,
-        count: int,
-        malicious_fraction: float = 0.2,
-        length: int = 64,
-        rule: Optional[SnortRule] = None,
-    ) -> List[bytes]:
-        """``count`` payloads with the given fraction matching a rule."""
-        if not 0.0 <= malicious_fraction <= 1.0:
-            raise ValueError(f"fraction out of range: {malicious_fraction}")
-        if rule is None and self.rules:
-            candidates = [r for r in self.rules if r.contents]
-            rule = candidates[0] if candidates else None
-        payloads = []
-        for index in range(count):
-            malicious = self._random.random() < malicious_fraction and rule is not None
-            payloads.append(self.matching(rule, length) if malicious else self.benign(length))
-        return payloads

@@ -11,11 +11,20 @@ applying mid-stream interventions (e.g. failing a Maglev backend before
 packet 6) to *both* runs at the same packet index, and asserts the packet
 outputs are identical.  NF-state comparisons are the caller's to add.
 
-Two *selectors* reach the references the fast engine is checked against
-— the interpreted fast path and the discrete-event replay — by running
-``src/`` code, not by copying it: :class:`InterpretedSpeedyBox` and
-:func:`des_run_load`; :func:`lockstep` drives the first against a
-compiling runtime packet by packet.
+The references the fast engine is checked against live here or are
+reached from here.  :class:`InterpretedSpeedyBox` carries the
+step-by-step fast-path interpreter (and :func:`apply_consolidated` the
+step-by-step action walk), independent of the rule program both
+production routes run; :func:`lockstep` drives it against a compiling
+runtime packet by packet.  :func:`des_run_load` *selects* the
+discrete-event replay by running ``src/`` code, not by copying it.
+
+Code only the tests use lives here too, beside them (the source gate's
+method-level check keeps it out of ``src/``): the reference semantics
+:func:`apply_sequentially` and :func:`xor_merge_bytes`, the columnar
+twin of the generator :func:`batch_from_specs`, the pcap reader
+:func:`read_pcap`, the RFC 1071 :func:`internet_checksum`, and small
+readings of NF and schedule internals.
 
 Hostile addresses come from here too: :func:`colliding_flows` (a
 committed fixture of five-tuples on one FID), their
@@ -28,22 +37,50 @@ the flow table whatever happened to it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
+import io
 import json
+import random
+import struct
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 from unittest import mock
 
 import repro.core.batchlane as batchlane_module
 import repro.core.classifier as classifier_module
+from repro.core.actions import HeaderAction
 from repro.core.classifier import fid_of
+from repro.core.consolidation import ConsolidatedAction
 from repro.core.framework import ProcessReport, ServiceChain, SpeedyBox
-from repro.net.flow import PROTO_UDP, FiveTuple
+from repro.net.flow import PROTO_TCP, PROTO_UDP, FiveTuple
 from repro.net.packet import Packet
+from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US
+from repro.net.trace import load_trace, write_trace
 from repro.platform.base import LoadResult, Platform, arrival_gaps, load_result
+from repro.platform.costs import NULL_METER, CostModel, CycleMeter, Operation
 from repro.sim import Engine
-from repro.traffic.columnar import uniform_batch
-from repro.traffic.generator import clone_packets
+from repro.traffic.columnar import (
+    _BASE_SEQ,
+    KIND_DATA,
+    KIND_FIN,
+    KIND_SYN,
+    PacketBatch,
+    uniform_batch,
+)
+from repro.traffic.generator import FlowSpec, clone_packets
+from repro.vector import np
 
 Intervention = Callable[[ServiceChain, SpeedyBox], None]
 
@@ -70,6 +107,103 @@ def colliding_flows(k: int, protocol: str = "udp") -> List[FiveTuple]:
         "fid_of changed: regenerate tests/fixtures/fid_collisions.json"
     )
     return flows
+
+
+def _flow_order(specs: Sequence[FlowSpec], interleave: str, seed: int) -> List[int]:
+    """Per-packet flow index sequence, mirroring ``TrafficGenerator``."""
+    counts = [spec.total_packets for spec in specs]
+    order: List[int] = []
+    if interleave == "sequential":
+        for flow, count in enumerate(counts):
+            order.extend([flow] * count)
+    elif interleave == "round_robin":
+        remaining = list(counts)
+        left = sum(remaining)
+        while left:
+            for flow in range(len(specs)):
+                if remaining[flow]:
+                    order.append(flow)
+                    remaining[flow] -= 1
+                    left -= 1
+    elif interleave == "shuffled":
+        rng = random.Random(seed)
+        remaining = list(counts)
+        live = [i for i, count in enumerate(remaining) if count]
+        while live:
+            flow = rng.choice(live)
+            order.append(flow)
+            remaining[flow] -= 1
+            if not remaining[flow]:
+                live.remove(flow)
+    else:
+        raise ValueError(f"unknown interleave mode {interleave!r}")
+    return order
+
+
+def batch_from_specs(
+    specs: Sequence[FlowSpec],
+    interleave: str = "sequential",
+    seed: int = 1,
+) -> PacketBatch:
+    """Columnar expansion of flow specs, order-identical to
+    ``TrafficGenerator``: the columnar twin the batch-lane equivalence
+    tests build their input with."""
+    for spec in specs:
+        if spec.packets < 0:
+            raise ValueError(f"negative packet count: {spec.packets}")
+        is_tcp = spec.five_tuple.protocol == PROTO_TCP
+        if spec.handshake and not is_tcp:
+            raise ValueError("handshake requested for a non-TCP flow")
+        if spec.fin and not is_tcp:
+            raise ValueError("fin requested for a non-TCP flow")
+
+    order = _flow_order(specs, interleave, seed)
+    cursor = [0] * len(specs)
+    kinds: List[int] = []
+    ordinals: List[int] = []
+    seqs: List[int] = []
+    sizes: List[int] = []
+    # Per-flow running seq, matching packets_for_flow: SYN consumes 1,
+    # each data packet consumes max(len(payload), 1).
+    next_seq = [_BASE_SEQ] * len(specs)
+    for flow in order:
+        spec = specs[flow]
+        ordinal = cursor[flow]
+        cursor[flow] = ordinal + 1
+        handshake = 1 if spec.handshake else 0
+        if spec.handshake and ordinal == 0:
+            kinds.append(KIND_SYN)
+            seqs.append(next_seq[flow])
+            sizes.append(0)
+            next_seq[flow] += 1
+        elif spec.fin and ordinal == spec.total_packets - 1:
+            kinds.append(KIND_FIN)
+            seqs.append(next_seq[flow])
+            sizes.append(0)
+        else:
+            payload = spec.payload_for(ordinal - handshake)
+            kinds.append(KIND_DATA)
+            seqs.append(next_seq[flow])
+            sizes.append(len(payload))
+            next_seq[flow] += max(len(payload), 1)
+        ordinals.append(ordinal)
+
+    i64, u8 = np.int64, np.uint8
+    batch = PacketBatch(
+        np.fromiter((spec.five_tuple.src_ip for spec in specs), i64),
+        np.fromiter((spec.five_tuple.dst_ip for spec in specs), i64),
+        np.fromiter((spec.five_tuple.src_port for spec in specs), i64),
+        np.fromiter((spec.five_tuple.dst_port for spec in specs), i64),
+        np.fromiter((spec.five_tuple.protocol for spec in specs), u8),
+        np.fromiter((1 if spec.handshake else 0 for spec in specs), u8),
+        np.fromiter(order, i64),
+        np.fromiter(kinds, u8),
+        np.fromiter(ordinals, i64),
+        np.fromiter(seqs, i64),
+        np.fromiter(sizes, i64),
+    )
+    batch._payloads = [spec.payload for spec in specs]
+    return batch
 
 
 def batch_over(flows: Sequence[FiveTuple], packets_per_flow: int, **uniform_kwargs):
@@ -130,7 +264,7 @@ def recorded_handlers(record) -> List[tuple]:
     functions and update state functions."""
     functions = [fn for rule in record.local_rules.values() for fn in rule.sf_batch]
     if record.global_rule is not None:
-        functions += [fn for batch in record.global_rule.schedule.all_batches() for fn in batch]
+        functions += [fn for batch in schedule_batches(record.global_rule.schedule) for fn in batch]
     handlers = []
     for event in record.events:
         functions += event.update_state_functions or []
@@ -161,17 +295,309 @@ def friendly_twins(flows: Sequence[FiveTuple]) -> List[FiveTuple]:
     return twins
 
 
+def apply_consolidated(action: ConsolidatedAction, packet: Packet) -> None:
+    """A consolidated action applied step by step, in its stated order:
+    leading decaps, routing-field modifies, net encaps, finalisation-field
+    modifies, the checksum refresh.  The reference ``compiled()`` is
+    checked against."""
+    if action.drop:
+        packet.drop()
+        return
+    for decap in action.leading_decaps:
+        decap.apply(packet)
+    for field, op in action.routing_ops().items():
+        field.write(packet, op.apply(field.read(packet)))
+    for encap in action.net_encaps:
+        encap.apply(packet)
+    for field, op in action.finalisation_ops().items():
+        field.write(packet, op.apply(field.read(packet)))
+    packet.finalize()
+
+
+def apply_sequentially(packet: Packet, actions: Iterable[HeaderAction]) -> None:
+    """Reference semantics: apply actions in order, stopping at a drop.
+
+    This is the *original chain* behaviour that consolidation must be
+    equivalent to (minus the early-drop optimisation); the tests compare
+    :func:`repro.core.consolidation.consolidate_header_actions` against it.
+    """
+    for action in actions:
+        action.apply(packet)
+        if packet.dropped:
+            return
+
+
+def xor_merge_bytes(original: bytes, outputs: Sequence[bytes]) -> bytes:
+    """The paper's literal merge formula for modifies on different fields.
+
+    Given the original packet bytes P0 and per-NF outputs P1..Pn (each the
+    result of one modify applied to P0, touching disjoint bit ranges),
+    computes  P0 ⊕ [(P0⊕P1) | (P0⊕P2) | ...]  — the merged packet, which
+    cross-validates the FieldOp algebra.
+    """
+    if any(len(out) != len(original) for out in outputs):
+        raise ValueError("all outputs must have the same length as the original")
+    merged_diff = bytes(len(original))
+    for out in outputs:
+        diff = bytes(a ^ b for a, b in zip(original, out))
+        merged_diff = bytes(a | b for a, b in zip(merged_diff, diff))
+    return bytes(a ^ b for a, b in zip(original, merged_diff))
+
+
+class PcapFormatError(ValueError):
+    """Not a valid pcap byte stream."""
+
+
+def _open_header(data: bytes) -> Tuple[str, float]:
+    """Returns (struct byte-order prefix, ns per sub-second unit)."""
+    if len(data) < 4:
+        raise PcapFormatError("truncated pcap global header")
+    raw = struct.unpack("<I", data[:4])[0]
+    for order in ("<", ">"):
+        magic = struct.unpack(order + "I", data[:4])[0]
+        if magic == MAGIC_US:
+            return order, 1000.0
+        if magic == MAGIC_NS:
+            return order, 1.0
+    raise PcapFormatError(f"bad pcap magic 0x{raw:08x}")
+
+
+def read_pcap(source: Union[str, Path, BinaryIO]) -> Iterator[Packet]:
+    """Yield packets from a pcap file (Ethernet linktype only)."""
+    own = isinstance(source, (str, Path))
+    stream: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
+    try:
+        header = stream.read(struct.calcsize("IHHiIII"))
+        order, tick = _open_header(header)
+        fields = struct.unpack(order + "IHHiIII", header)
+        linktype = fields[6]
+        if linktype != LINKTYPE_ETHERNET:
+            raise PcapFormatError(f"unsupported linktype {linktype}")
+        record = struct.Struct(order + "IIII")
+        while True:
+            record_header = stream.read(record.size)
+            if not record_header:
+                return
+            if len(record_header) < record.size:
+                raise PcapFormatError("truncated pcap record header")
+            seconds, subsec, included, original = record.unpack(record_header)
+            if included != original:
+                raise PcapFormatError("snap-length-truncated captures are not supported")
+            wire = stream.read(included)
+            if len(wire) < included:
+                raise PcapFormatError("truncated pcap record body")
+            packet = Packet.parse(wire)
+            packet.timestamp_ns = seconds * 1_000_000_000.0 + subsec * tick
+            yield packet
+    finally:
+        if own:
+            stream.close()
+
+
+def internet_checksum(data: bytes) -> int:
+    """RFC 1071 internet checksum over ``data`` (pad odd lengths with 0)."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+def checksum_valid(header) -> bool:
+    """An IPv4 header whose checksum verifies (the one's-complement sum is 0)."""
+    return internet_checksum(header.pack()) == 0
+
+
+def roundtrip_bytes(packets: Iterable[Packet]) -> List[Packet]:
+    """Packets written as a trace to an in-memory buffer and read back."""
+    buffer = io.BytesIO()
+    write_trace(buffer, packets)
+    buffer.seek(0)
+    return load_trace(buffer)
+
+
+def maglev_entries(table) -> list:
+    """A Maglev lookup table's slots by backend name (``None`` if empty)."""
+    return [entry.name if entry is not None else None for entry in table._entries]
+
+
+def maglev_slot_share(table) -> Dict[str, int]:
+    """Slots owned per backend."""
+    share: Dict[str, int] = {}
+    for entry in table._entries:
+        if entry is not None:
+            share[entry.name] = share.get(entry.name, 0) + 1
+    return share
+
+
+def recover_backend(maglev, name: str) -> None:
+    """Bring a failed Maglev backend back and rebuild the lookup table."""
+    maglev.backend_by_name(name).healthy = True
+    maglev.table.rebuild()
+
+
+def rule_with_action(synth, action):
+    """The synthesizer's first rule carrying ``action``."""
+    for rule in synth.rules:
+        if rule.action is action:
+            return rule
+    raise LookupError(f"rule set has no {action.value} rule")
+
+
+def matching_action(synth, action, length: int = 64) -> bytes:
+    """A payload matching the synthesizer's first rule with ``action``."""
+    return synth.matching(rule_with_action(synth, action), length=length)
+
+
+def near_miss(synth, rule, length: int = 64) -> bytes:
+    """A payload one byte away from matching ``rule``.
+
+    Embeds every content except the last, and the last with its final
+    byte flipped — the hardest negative for a detection engine
+    (everything matches except one byte).  Requires a rule with at least
+    one content whose pattern is ≥ 2 bytes.
+    """
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length!r}")
+    if not rule.contents:
+        raise ValueError(f"rule sid={rule.sid} has no contents to near-miss")
+    last = rule.contents[-1].pattern
+    if len(last) < 2:
+        raise ValueError("near-miss needs a final content of at least 2 bytes")
+    corrupted = last[:-1] + bytes([last[-1] ^ 0x01])
+    parts = [content.pattern for content in rule.contents[:-1]] + [corrupted]
+    body = b"-".join(parts)
+    if len(body) < length:
+        body = body + b"-" + synth._filler(length - len(body) - 1)
+    if rule.payload_matches(body):
+        raise RuntimeError(
+            f"near-miss for sid={rule.sid} accidentally matches; "
+            "the corrupted byte completes another occurrence"
+        )
+    return body
+
+
+def mixed_stream(synth, count: int, malicious_fraction: float, length: int) -> List[bytes]:
+    """``count`` payloads, each matching the synthesizer's first rule with
+    contents with probability ``malicious_fraction``, benign otherwise."""
+    candidates = [rule for rule in synth.rules if rule.contents]
+    rule = candidates[0] if candidates else None
+    payloads = []
+    for __ in range(count):
+        malicious = synth._random.random() < malicious_fraction and rule is not None
+        payloads.append(synth.matching(rule, length) if malicious else synth.benign(length))
+    return payloads
+
+
+def cost_fields() -> Dict[str, float]:
+    """Every cost field of the cycle model with its default value."""
+    return {f.name: f.default for f in dataclasses.fields(CostModel) if f.name != "clock_ghz"}
+
+
+def schedule_batches(schedule) -> list:
+    """A parallel schedule's batches, wave by wave."""
+    return [batch for wave in schedule.waves for batch in wave]
+
+
+def max_wave_width(schedule) -> int:
+    """Worker cores a schedule needs to realise its full parallelism."""
+    return max((len(wave) for wave in schedule.waves), default=0)
+
+
+def total_meter(report: ProcessReport) -> CycleMeter:
+    """All of a report's charges merged (platform-transport costs not included)."""
+    total = report.fixed_meter.copy()
+    for __, meter in report.nf_meters:
+        total.merge(meter)
+    for wave in report.sf_waves:
+        for __, meter in wave:
+            total.merge(meter)
+    return total
+
+
 class InterpretedSpeedyBox(SpeedyBox):
-    """The interpreted oracle: no flow ever compiles, so every fast-path
-    packet is served by ``SpeedyBox._run_fast``."""
+    """The interpreted oracle: no flow ever compiles, and every fast-path
+    packet runs this class's step-by-step rule interpreter — its own
+    charges, action walk and wave loop, not the rule program the
+    production routes share.  Firing, re-consolidation and the tables are
+    production's (``_check_events``)."""
 
     def _maybe_compile(self, classification) -> None:
         pass
 
+    def _run_fast(self, packet: Packet, rule, report: ProcessReport) -> None:
+        self.fast_packets += 1
+        self._m_fast.inc()
+        fid = rule.fid
+        meter = report.fixed_meter
+        meter.charge(Operation.FAST_PATH_DISPATCH)
+
+        # (1) Event pre-check: has anything changed since the last packet?
+        fired = self._check_events(fid, meter)
+        if fired:
+            report.events_fired += fired
+            rule = self.global_mat.peek(fid) or rule
+
+        # (2) Apply the consolidated header action.  Drop rules with
+        #     state functions defer the actual drop: the batches up to the
+        #     dropping NF must observe the packet exactly as the original
+        #     path showed it to their NFs — rewritten by the upstream
+        #     actions (pre_drop), and not yet dropped until the dropper's
+        #     own position.
+        is_drop_rule = rule.consolidated.drop
+        if is_drop_rule:
+            meter.charge(Operation.DROP_FREE)
+            if rule.schedule.batch_count and rule.pre_drop is not None:
+                self._apply_nondrop(rule.pre_drop, packet, meter)
+        else:
+            self._apply_nondrop(rule.consolidated, packet, meter)
+
+        # (3) Execute the state-function schedule.
+        for wave in rule.schedule.waves:
+            wave_meters: List[Tuple[str, CycleMeter]] = []
+            for batch in wave:
+                if is_drop_rule and not packet.dropped and batch.nf_name == rule.dropper:
+                    packet.drop()  # the dropper's own SFs see a dropped packet
+                batch_meter = CycleMeter()
+                owner = self.nf_by_name.get(batch.nf_name)
+                if owner is not None:
+                    owner.meter = batch_meter
+                batch_meter.charge(Operation.SF_INVOKE, len(batch))
+                try:
+                    batch.execute(packet)
+                finally:
+                    if owner is not None:
+                        owner.meter = NULL_METER
+                wave_meters.append((batch.nf_name, batch_meter))
+            report.sf_waves.append(wave_meters)
+        if is_drop_rule and not packet.dropped:
+            packet.drop()
+
+        # (4) Post-update event check ("as soon as states have been
+        #     updated", §V-C1): affects *subsequent* packets.
+        fired = self._check_events(fid, meter)
+        report.events_fired += fired
+
+        report.dropped = packet.dropped
+        if report.dropped:
+            self._m_drops.labels(cause=rule.dropper or "consolidated").inc()
+
+    def _apply_nondrop(self, action: ConsolidatedAction, packet: Packet, meter: CycleMeter) -> None:
+        """Charge and apply a consolidated action's non-drop effects."""
+        meter.charge(Operation.DECAP_OP, len(action.leading_decaps))
+        field_count = len(action.field_ops)
+        if field_count:
+            meter.charge(Operation.FIELD_WRITE)
+            meter.charge(Operation.MERGED_FIELD_WRITE, field_count - 1)
+            meter.charge(Operation.CHECKSUM_UPDATE)
+        meter.charge(Operation.ENCAP_OP, len(action.net_encaps))
+        apply_consolidated(action, packet)
+
 
 def count_interpreted(runtime: SpeedyBox) -> list:
     """Wrap ``runtime._run_fast``; the returned list grows by one report
-    per packet the interpreted fast path serves (the rest of a compiling
+    per packet the interpreted route serves (the rest of a compiling
     runtime's fast-path packets rode ``CompiledFlow.run``)."""
     served: list = []
     run_fast = runtime._run_fast

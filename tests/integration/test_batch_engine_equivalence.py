@@ -18,8 +18,9 @@ from repro.nf import SyntheticNF
 from repro.obs.audit import AuditLog
 from repro.obs.span import FlowSpanRecorder
 from repro.platform import BessPlatform, OpenNetVMPlatform
-from repro.traffic.columnar import batch_from_specs, uniform_batch
+from repro.traffic.columnar import uniform_batch
 from repro.traffic.generator import FlowSpec
+from tests.integration.helpers import batch_from_specs
 
 PLATFORMS = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}
 

@@ -7,14 +7,25 @@ invisible — byte-identical outputs, identical drop decisions, identical
 NF state and runtime counters, zero packet loss while frozen.
 """
 
-from repro.core import verify_equivalence_migration
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
 from repro.core.classifier import fid_of
 from repro.core.framework import SpeedyBox
-from repro.core.verification import MigrationVerificationReport
+from repro.core.verification import (
+    ChainFactory,
+    Divergence,
+    VerificationReport,
+    cluster_counters,
+    diff_flow_state,
+    diff_outputs,
+)
 from repro.net.addresses import ip_to_str
+from repro.net.flow import FiveTuple
+from repro.net.packet import Packet
 from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor
 from repro.nf.maglev import Backend
-from repro.scale import FlowMigrator, chain_state_snapshot
+from repro.scale import FlowMigrator, MigrationReport, ScaleCluster, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
 from tests.integration.helpers import (
     FID23_PAIR,
@@ -23,6 +34,108 @@ from tests.integration.helpers import (
 )
 
 EXTERNAL_IP = "203.0.113.9"
+
+
+@dataclass
+class MigrationVerificationReport(VerificationReport):
+    """Outcome of the migration variant of the equivalence methodology."""
+
+    migrated_flow: Optional[FiveTuple] = None
+    migration: Optional[MigrationReport] = None
+    buffered_packets: int = 0
+
+    def summary(self) -> str:
+        lines = [super().summary()]
+        if self.migration is not None:
+            lines.append(
+                f"migration moved {self.migration.total_items()} state item(s) "
+                f"for {self.migrated_flow}; {self.buffered_packets} packet(s) "
+                f"buffered during the freeze"
+            )
+        return "\n".join(lines)
+
+
+def verify_equivalence_migration(
+    chain_factory: ChainFactory,
+    packets: Sequence[Packet],
+    migrate_at: int,
+    freeze_for: int = 0,
+    flow: Optional[FiveTuple] = None,
+    speedybox_kwargs: Optional[dict] = None,
+    platform: str = "bess",
+) -> MigrationVerificationReport:
+    """§VII-C equivalence across a mid-life flow migration.
+
+    Runs the same packets through a single SpeedyBox runtime (reference)
+    and through a :class:`~repro.scale.cluster.ScaleCluster` that starts
+    with one replica and, just before packet ``migrate_at``, adds an
+    *empty* replica (no sharder buckets) and migrates ``flow`` onto it —
+    so any divergence is attributable to the migration itself, not to
+    resharding.  The flow stays frozen for ``freeze_for`` further packets
+    to exercise the buffer-and-replay path; buffered packets are replayed
+    on the target replica and still compared byte-for-byte.
+
+    ``flow`` defaults to the five-tuple of ``packets[migrate_at]``.
+    Besides drop decisions and wire bytes, the report diffs per-flow NF
+    state snapshots (NAT mappings, LB conntrack, IDS flowbits, monitor
+    counters, ...) and the runtime counters (fast/slow path totals and
+    events triggered) — migration must be invisible to all of them.
+    """
+    if not 0 <= migrate_at < len(packets):
+        raise ValueError(
+            f"migrate_at must index into the packet stream, got {migrate_at!r}"
+        )
+    flow = flow or packets[migrate_at].five_tuple()
+    reference = SpeedyBox(chain_factory(), **(speedybox_kwargs or {}))
+    cluster = ScaleCluster(
+        chain_factory,
+        platform=platform,
+        replicas=1,
+        speedybox=True,
+        speedybox_kwargs=speedybox_kwargs,
+    )
+
+    ref_stream = [packet.clone() for packet in packets]
+    cluster_stream = [packet.clone() for packet in packets]
+    for packet in ref_stream:
+        reference.process(packet)
+
+    report = MigrationVerificationReport(packets=len(packets), migrated_flow=flow)
+    freeze_until = min(migrate_at + max(0, freeze_for), len(packets) - 1)
+    dst_rid: Optional[int] = None
+    for index, packet in enumerate(cluster_stream):
+        if index == migrate_at:
+            dst_rid = cluster.scale_out()
+            cluster.begin_migration(flow)
+        outcome = cluster.process(packet)
+        if outcome is None:
+            report.buffered_packets += 1
+        if index == freeze_until and dst_rid is not None:
+            report.migration, __ = cluster.complete_migration(flow, dst_rid)
+
+    report.divergences.extend(diff_outputs(ref_stream, cluster_stream))
+    report.divergences.extend(diff_flow_state(reference, cluster))
+
+    # Runtime counters: a complete migration leaves the fast path intact
+    # on the target, so the cluster-wide totals must equal the reference.
+    totals = cluster_counters(cluster)
+    expected = {
+        "fast_packets": reference.fast_packets,
+        "slow_packets": reference.slow_packets,
+        "events_triggered": reference.event_table.total_triggered,
+    }
+    for name, want in expected.items():
+        if totals[name] != want:
+            report.divergences.append(
+                Divergence(
+                    -1, "counters", f"{name}: reference={want} vs cluster={totals[name]}"
+                )
+            )
+
+    report.fast_packets = totals["fast_packets"]
+    report.slow_packets = totals["slow_packets"]
+    report.events_triggered = totals["events_triggered"]
+    return report
 
 
 def build_chain():

@@ -9,7 +9,7 @@ outputs are identical."
 from repro.nf import Monitor, SnortIDS
 from repro.nf.snort.rules import RuleAction, parse_rules
 from repro.traffic import FlowSpec, PayloadSynthesizer, TrafficGenerator
-from tests.integration.helpers import nf_by_name, run_lockstep
+from tests.integration.helpers import matching_action, nf_by_name, run_lockstep
 
 RULES_TEXT = """
 alert tcp any any -> any 80 (msg:"exploit attempt"; content:"exploit"; sid:1001;)
@@ -28,8 +28,8 @@ def build_chain():
 def three_branch_traffic():
     """Flows covering alert, log and pass branches, plus a clean one."""
     synth = PayloadSynthesizer(RULES)
-    alert_payload = synth.matching_action(RuleAction.ALERT)
-    log_payload = synth.matching_action(RuleAction.LOG)
+    alert_payload = matching_action(synth, RuleAction.ALERT)
+    log_payload = matching_action(synth, RuleAction.LOG)
     benign = synth.benign()
 
     flows = [

@@ -40,6 +40,7 @@ from tests.integration.helpers import (
     fail_tracked_backend,
     lockstep,
     nf_by_name,
+    recover_backend,
 )
 
 
@@ -187,7 +188,7 @@ def test_maglev_failover_storm_in_lockstep(bounds):
         maglev = nf_by_name(runtime, "maglev0")
         for backend in maglev.backends:
             if not backend.healthy:
-                maglev.recover_backend(backend.name)
+                recover_backend(maglev, backend.name)
 
     served = lockstep(
         lambda: [MaglevLoadBalancer("maglev0", table_size=131), Monitor("monitor0")],

@@ -24,7 +24,7 @@ from repro.nf import (
 )
 from repro.nf.maglev import Backend
 from repro.traffic import FlowSpec, TrafficGenerator
-from tests.integration.helpers import nf_by_name, run_lockstep
+from tests.integration.helpers import nf_by_name, run_lockstep, schedule_batches
 
 RULES_TEXT = 'alert tcp any any -> any any (msg:"sink"; content:"needle"; sid:1;)'
 
@@ -99,7 +99,7 @@ class TestKitchenSink:
         rule = speedybox.global_mat.peek(fast_report.fid)
         # All recorded SFs are READ or IGNORE here, so one wide wave.
         assert rule.schedule.wave_count == 1
-        names = {batch.nf_name for batch in rule.schedule.all_batches()}
+        names = {batch.nf_name for batch in schedule_batches(rule.schedule)}
         assert {"snort", "monitor", "dos", "maglev"} <= names
 
     def test_fast_path_dominates(self):

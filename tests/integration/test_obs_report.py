@@ -19,6 +19,7 @@ from repro.platform.costs import CostModel
 from tests.integration.test_route_matrix import routes  # noqa: F401  (the fixture)
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
+from tests.integration.helpers import total_meter
 
 
 def fig8_chain():
@@ -47,7 +48,7 @@ class TestExactAttribution:
         # The oracle: the identical run's reports, summed raw.
         oracle = SpeedyBox(fig8_chain())
         reports = [oracle.process(p) for p in clone_packets(packets)]
-        raw_total = sum(r.total_meter().cycles(model) for r in reports)
+        raw_total = sum(total_meter(r).cycles(model) for r in reports)
 
         span_total = sum(
             record["args"]["cycles"]

@@ -24,10 +24,10 @@ from repro.nf import IPFilter, Monitor, SyntheticNF
 from repro.nf.ipfilter import AclRule, Verdict
 from repro.obs.audit import AuditLog
 from repro.platform import BessPlatform, OpenNetVMPlatform
-from repro.traffic.columnar import batch_from_specs
 from repro.traffic.generator import FlowSpec
 from tests.integration.helpers import (
     assert_classifier_invariants,
+    batch_from_specs,
     batch_over,
     colliding_flows,
     friendly_twins,

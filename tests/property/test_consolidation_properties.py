@@ -7,9 +7,10 @@ the same drop decision) as applying the actions sequentially.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actions import Decap, Drop, Encap, FieldOp, Forward, Modify, apply_sequentially
-from repro.core.consolidation import consolidate_header_actions, xor_merge_bytes
+from repro.core.actions import Decap, Drop, Encap, FieldOp, Forward, Modify
+from repro.core.consolidation import consolidate_header_actions
 from repro.net import AuthenticationHeader, FiveTuple, Packet, PacketField, VxlanHeader
+from tests.integration.helpers import apply_consolidated, apply_sequentially, xor_merge_bytes
 
 # -- strategies ---------------------------------------------------------------
 
@@ -104,12 +105,26 @@ class TestConsolidationEquivalence:
 
         consolidated_packet = make_packet(initial_encaps)
         consolidated = consolidate_header_actions(actions)
-        consolidated.apply(consolidated_packet)
+        consolidated.compiled()(consolidated_packet)
 
         assert consolidated_packet.dropped == sequential.dropped
         if not sequential.dropped:
             sequential.finalize()
             assert consolidated_packet.serialize() == sequential.serialize()
+
+    @given(actions=action_lists(), initial_encaps=st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_equals_the_step_by_step_walk(self, actions, initial_encaps):
+        """The pre-bound applier production runs writes the same fields in
+        the same order as the action's stated walk, field for field."""
+        consolidated = consolidate_header_actions(sanitize(actions, initial_encaps))
+        walked = make_packet(initial_encaps)
+        apply_consolidated(consolidated, walked)
+        compiled = make_packet(initial_encaps)
+        consolidated.compiled()(compiled)
+        assert compiled.dropped == walked.dropped
+        assert compiled.encaps == walked.encaps
+        assert compiled.serialize() == walked.serialize()
 
     @given(actions=action_lists(allow_drop=False))
     @settings(max_examples=200, deadline=None)
@@ -150,7 +165,7 @@ class TestConsolidationEquivalence:
         total = sum(hops)
         if total > start_ttl:
             return  # would underflow the field; not a legal chain
-        consolidate_header_actions(actions).apply(packet)
+        consolidate_header_actions(actions).compiled()(packet)
         assert packet.ip.ttl == start_ttl - total
 
 

@@ -302,7 +302,7 @@ def alias_signature(record):
 
 
 def schedule_batches(rule):
-    return [] if rule is None else rule.schedule.all_batches()
+    return [] if rule is None else [batch for wave in rule.schedule.waves for batch in wave]
 
 
 def assert_copy_discipline(original: FlowRecord, clone: FlowRecord) -> None:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.flow import FiveTuple
 from repro.nf.maglev import Backend, MaglevTable
+from tests.integration.helpers import maglev_entries, maglev_slot_share
 
 PRIMES = [131, 257, 521, 1031]
 
@@ -30,13 +31,13 @@ class TestMaglevTableProperties:
     @settings(max_examples=25, deadline=None)
     def test_table_fully_populated(self, backends, prime):
         table = MaglevTable(backends, table_size=prime)
-        assert all(entry is not None for entry in table.entries_snapshot())
+        assert all(entry is not None for entry in maglev_entries(table))
 
     @given(backends=backends_strategy(), prime=st.sampled_from(PRIMES[:2]))
     @settings(max_examples=25, deadline=None)
     def test_all_backends_own_slots(self, backends, prime):
         table = MaglevTable(backends, table_size=prime)
-        share = table.slot_share()
+        share = maglev_slot_share(table)
         assert set(share) == {backend.name for backend in backends}
         assert sum(share.values()) == prime
 
@@ -71,9 +72,9 @@ class TestMaglevTableProperties:
     @settings(max_examples=20, deadline=None)
     def test_recovery_restores_original_mapping(self, backends):
         table = MaglevTable(backends, table_size=257)
-        snapshot = table.entries_snapshot()
+        snapshot = maglev_entries(table)
         backends[0].healthy = False
         table.rebuild()
         backends[0].healthy = True
         table.rebuild()
-        assert table.entries_snapshot() == snapshot
+        assert maglev_entries(table) == snapshot

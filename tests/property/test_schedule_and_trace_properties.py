@@ -7,7 +7,7 @@ from repro.core.event_table import Event, EventTable
 from repro.core.parallel import batches_parallelizable, build_schedule
 from repro.core.state_function import PayloadClass, StateFunction, StateFunctionBatch
 from repro.net import FiveTuple, Packet
-from repro.net.trace import roundtrip_bytes
+from tests.integration.helpers import max_wave_width, roundtrip_bytes, schedule_batches
 
 PAYLOAD_CLASSES = [PayloadClass.IGNORE, PayloadClass.READ, PayloadClass.WRITE]
 
@@ -34,7 +34,7 @@ class TestScheduleProperties:
     def test_all_batches_scheduled_in_chain_order(self, classes):
         batches = [make_batch(i, cls) for i, cls in enumerate(classes)]
         schedule = build_schedule(batches)
-        names = [batch.nf_name for batch in schedule.all_batches()]
+        names = [batch.nf_name for batch in schedule_batches(schedule)]
         assert names == [f"nf{i}" for i in range(len(classes))]
 
     @given(classes=st.lists(st.sampled_from(PAYLOAD_CLASSES), min_size=1, max_size=10))
@@ -53,7 +53,7 @@ class TestScheduleProperties:
     def test_all_write_chain_fully_serial(self, classes):
         writers = [make_batch(i, PayloadClass.WRITE) for i in range(len(classes))]
         schedule = build_schedule(writers)
-        assert schedule.max_wave_width <= 1
+        assert max_wave_width(schedule) <= 1
 
 
 class TestTraceFuzz:

@@ -5,10 +5,11 @@ import itertools
 
 import pytest
 
-from repro.core.actions import Decap, Drop, Encap, Forward, Modify, apply_sequentially
+from repro.core.actions import Decap, Drop, Encap, Forward, Modify
 from repro.core.consolidation import ConsolidationError, consolidate_header_actions
 from repro.net import AuthenticationHeader, FiveTuple, Packet, VxlanHeader
 from repro.net.addresses import ip_to_int
+from tests.integration.helpers import apply_sequentially
 
 ACTION_FACTORIES = {
     "forward": lambda: Forward(),
@@ -66,7 +67,7 @@ def test_pair_consolidates_equivalently(first, second, initial_encap):
         # Only typed-decap mismatches may raise; the generic Decap here
         # never should.
         pytest.fail(f"unexpected ConsolidationError for {first} -> {second}")
-    consolidated.apply(consolidated_packet)
+    consolidated.compiled()(consolidated_packet)
 
     assert consolidated_packet.dropped == sequential.dropped
     if not sequential.dropped:

@@ -10,10 +10,10 @@ from repro.core.actions import (
     Forward,
     HeaderActionKind,
     Modify,
-    apply_sequentially,
 )
 from repro.net import AuthenticationHeader, FiveTuple, Packet, PacketField, VxlanHeader
 from repro.net.addresses import ip_to_int, ip_to_str
+from tests.integration.helpers import apply_sequentially
 
 
 def make_packet(**kwargs):
@@ -102,7 +102,7 @@ class TestModify:
 
     def test_touched_fields(self):
         action = Modify.set(dst_ip=1, src_port=2)
-        assert set(action.touched_fields()) == {PacketField.DST_IP, PacketField.SRC_PORT}
+        assert set(action.ops) == {PacketField.DST_IP, PacketField.SRC_PORT}
 
     def test_equality(self):
         assert Modify.set(ttl=3) == Modify.set(ttl=3)

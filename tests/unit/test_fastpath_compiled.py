@@ -53,6 +53,36 @@ class TestCompilation:
         assert all(r is steady[0] for r in steady)
         assert all(r.path is PathTaken.FAST for r in steady)
 
+    def test_one_program_per_rule_shared_by_both_routes(self, monkeypatch):
+        """The event-frequency ablation's storm cell (policer offered at
+        2.0x its rate): a firing packet runs the rebuilt rule's program on
+        the interpreted route, and the recompiled lane shares that same
+        program — one build per rule that serves a fast-path packet."""
+        import repro.core.fastpath as fastpath
+        from repro.nf import TokenBucketPolicer
+
+        built = []
+        init = fastpath.RuleProgram.__init__
+
+        def counting_init(program, rule, nf_by_name):
+            built.append(rule)
+            init(program, rule, nf_by_name)
+
+        monkeypatch.setattr(fastpath.RuleProgram, "__init__", counting_init)
+        runtime = SpeedyBox([TokenBucketPolicer("pol", rate_pps=100_000.0, burst=4),
+                             Monitor("mon")])
+        spec = FlowSpec.tcp("10.0.0.1", "10.0.0.2", 1000, 80, packets=400, payload=b"x")
+        packets = TrafficGenerator([spec]).packets()
+        for index, packet in enumerate(packets):
+            packet.timestamp_ns = index * 1e9 / 200_000.0
+        for packet in packets:
+            runtime.process(packet)
+            for flow in runtime._compiled.values():
+                if flow.rule is runtime.global_mat.peek(flow.fid):
+                    assert flow.program is flow.rule.program
+        assert runtime.stats()["reconsolidations"] > 100
+        assert len(built) == len({id(rule) for rule in built})
+
     def test_sf_chain_compiles_without_steady_singleton(self):
         runtime = SpeedyBox([IPFilter("fw0"), Monitor("mon0")])
         packets = flow_packets(4)

@@ -8,6 +8,7 @@ from repro.nf import DosPrevention, IPFilter, Monitor, SyntheticNF
 from repro.nf.ipfilter import AclRule, Verdict
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
+from tests.integration.helpers import total_meter
 
 
 def flow_packets(packets=5, handshake=False, fin=False, sport=1000, payload=b"data"):
@@ -174,7 +175,7 @@ class TestEquivalenceSmoke:
         packets = flow_packets(2)
         sbox.process(packets[0])
         report = sbox.process(packets[1])
-        total = report.total_meter()
+        total = total_meter(report)
         assert total.cycles(__import__("repro.platform.costs", fromlist=["CostModel"]).CostModel()) > 0
 
     def test_baseline_and_speedybox_same_outputs(self):

@@ -81,7 +81,7 @@ class TestTransactionalStore:
         assert first == again == 1
         assert store.get("count") == 1
         assert store.replays_deduped == 1
-        assert store.applied("pkt-1") and store.result_of("pkt-1") == 1
+        assert store.applied("pkt-1") and store._applied["pkt-1"] == 1
 
     def test_delete_round_trips_through_staging(self):
         store = TransactionalStore()
@@ -140,8 +140,8 @@ class TestSharedPortPool:
         pool = SharedPortPool(TransactionalStore(), port_range=(20000, 60000))
         flow = tcp_flow(3)
         port = pool.acquire(flow)
-        assert pool.port_of(flow) == port
-        assert pool.owner_of(port) == flow
+        assert pool.store.get((pool.name, "byflow", flow)) == port
+        assert pool.store.get((pool.name, "owner", port)) == flow
         assert pool.allocated() == {flow: port}
 
 

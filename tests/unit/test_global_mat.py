@@ -4,6 +4,7 @@ from repro.core.actions import Drop, Forward, Modify
 from repro.core.global_mat import GlobalMAT
 from repro.core.local_mat import LocalMAT
 from repro.core.state_function import PayloadClass, StateFunction
+from tests.integration.helpers import max_wave_width, schedule_batches
 
 
 def local_rule(nf_name, fid, actions=(), sf_classes=()):
@@ -25,7 +26,7 @@ class TestBuildRule:
             ("lb", local_rule("lb", 1, [Modify.set(dst_port=8080)])),
         ]
         rule = gmat.build_rule(1, rules)
-        assert rule.consolidated.merged_modify_count == 2
+        assert len(rule.consolidated.field_ops) == 2
         assert rule.nf_names == ("nat", "lb")
 
     def test_none_rules_skipped(self):
@@ -41,7 +42,7 @@ class TestBuildRule:
         ]
         rule = gmat.build_rule(1, rules)
         assert rule.schedule.wave_count == 1
-        assert rule.schedule.max_wave_width == 2
+        assert max_wave_width(rule.schedule) == 2
 
     def test_sequential_schedule_when_parallelism_disabled(self):
         gmat = GlobalMAT(enable_parallelism=False)
@@ -51,7 +52,7 @@ class TestBuildRule:
         ]
         rule = gmat.build_rule(1, rules)
         assert rule.schedule.wave_count == 2
-        assert rule.schedule.max_wave_width == 1
+        assert max_wave_width(rule.schedule) == 1
 
 
 class TestDropTruncation:
@@ -64,7 +65,7 @@ class TestDropTruncation:
         ]
         rule = gmat.build_rule(1, rules)
         assert rule.consolidated.drop
-        names = [batch.nf_name for batch in rule.schedule.all_batches()]
+        names = [batch.nf_name for batch in schedule_batches(rule.schedule)]
         assert names == ["mon"]  # the IDS after the firewall never saw it
 
     def test_dropper_own_sfs_kept(self):
@@ -73,7 +74,7 @@ class TestDropTruncation:
             ("dos", local_rule("dos", 1, [Drop()], [PayloadClass.IGNORE])),
         ]
         rule = gmat.build_rule(1, rules)
-        names = [batch.nf_name for batch in rule.schedule.all_batches()]
+        names = [batch.nf_name for batch in schedule_batches(rule.schedule)]
         assert names == ["dos"]
 
     def test_pre_drop_consolidation_recorded(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.nf.snort.rules import parse_rules
 from repro.stats import Distribution
 from repro.traffic import PayloadSynthesizer
+from tests.integration.helpers import near_miss
 
 RULES = parse_rules(
     """
@@ -55,19 +56,19 @@ class TestHistogram:
 class TestNearMiss:
     def test_near_miss_does_not_match(self):
         synth = PayloadSynthesizer(RULES)
-        payload = synth.near_miss(RULES[0])
+        payload = near_miss(synth, RULES[0])
         assert not RULES[0].payload_matches(payload)
 
     def test_near_miss_contains_all_but_last_content(self):
         synth = PayloadSynthesizer(RULES)
-        payload = synth.near_miss(RULES[0])
+        payload = near_miss(synth, RULES[0])
         assert b"alpha" in payload
         assert b"bravo" not in payload
 
     def test_single_byte_content_rejected(self):
         synth = PayloadSynthesizer(RULES)
         with pytest.raises(ValueError):
-            synth.near_miss(RULES[1])
+            near_miss(synth, RULES[1])
 
     def test_near_miss_through_detection_engine(self):
         from repro.net.flow import FiveTuple
@@ -76,7 +77,7 @@ class TestNearMiss:
         synth = PayloadSynthesizer(RULES)
         engine = DetectionEngine(RULES)
         matcher = engine.assign_flow_matcher(FiveTuple.make("1.1.1.1", "2.2.2.2", 1, 2))
-        near = matcher.inspect(synth.near_miss(RULES[0]))
+        near = matcher.inspect(near_miss(synth, RULES[0]))
         assert all(rule.sid != 1 for rule in near.alerts)
         hit = matcher.inspect(synth.matching(RULES[0]))
         assert any(rule.sid == 1 for rule in hit.alerts)

@@ -9,10 +9,9 @@ from repro.net import FiveTuple, Packet
 from repro.net.pcap import (
     MAGIC_NS,
     MAGIC_US,
-    PcapFormatError,
-    load_pcap,
     write_pcap,
 )
+from tests.integration.helpers import PcapFormatError, read_pcap, roundtrip_bytes
 
 
 def sample_packets(n=4):
@@ -25,6 +24,10 @@ def sample_packets(n=4):
         packet.timestamp_ns = 1_500_000_000_000_000_000.0 + index * 1_000.0
         packets.append(packet)
     return packets
+
+
+def load_pcap(source):
+    return list(read_pcap(source))
 
 
 def roundtrip(packets, nanosecond=True):
@@ -118,8 +121,6 @@ class TestHeaderValidation:
 class TestInterop:
     def test_sbtr_to_pcap_conversion(self):
         """The two capture formats agree on content."""
-        from repro.net.trace import roundtrip_bytes
-
         packets = sample_packets()
         via_sbtr = roundtrip_bytes(packets)
         via_pcap = roundtrip(packets)

@@ -9,10 +9,10 @@ from repro.net.trace import (
     TraceFormatError,
     load_trace,
     read_trace,
-    roundtrip_bytes,
     write_trace,
 )
 from repro.traffic import FlowSpec, TrafficGenerator
+from tests.integration.helpers import roundtrip_bytes
 
 
 def sample_packets(n=5):

@@ -6,6 +6,7 @@ from repro.core.local_mat import NullInstrumentationAPI
 from repro.net import FiveTuple, Packet
 from repro.net.addresses import ip_to_str
 from repro.nf.maglev import Backend, MaglevLoadBalancer, MaglevTable
+from tests.integration.helpers import maglev_entries, maglev_slot_share, recover_backend
 
 
 def backends(n=3):
@@ -25,12 +26,12 @@ class TestMaglevTable:
 
     def test_every_slot_filled(self):
         table = MaglevTable(backends(), table_size=131)
-        assert all(entry is not None for entry in table.entries_snapshot())
+        assert all(entry is not None for entry in maglev_entries(table))
 
     def test_balance_within_maglev_bound(self):
         # Maglev §3.4: with M >> N the slot share is near-uniform.
         table = MaglevTable(backends(5), table_size=1031)
-        share = table.slot_share()
+        share = maglev_slot_share(table)
         expected = 1031 / 5
         for count in share.values():
             assert abs(count - expected) / expected < 0.12
@@ -113,7 +114,7 @@ class TestMaglevNF:
     def test_recover_backend(self):
         maglev = MaglevLoadBalancer("lb", backends=backends(), table_size=131)
         maglev.fail_backend("b0")
-        maglev.recover_backend("b0")
+        recover_backend(maglev, "b0")
         assert maglev.backend_by_name("b0").healthy
 
     def test_unknown_backend_name(self):

@@ -22,7 +22,7 @@ class TestMonitor:
         key = packet.five_tuple()
         monitor.process(packet, NullInstrumentationAPI())
         monitor.process(make_packet(payload=b"x" * 10), NullInstrumentationAPI())
-        counters = monitor.flow_counters(key)
+        counters = monitor.counters[key]
         assert counters.packets == 2
         assert counters.bytes == 2 * packet.byte_length()
 
@@ -35,8 +35,8 @@ class TestMonitor:
 
     def test_unseen_flow_reads_zero(self):
         monitor = Monitor("m")
-        counters = monitor.flow_counters(FiveTuple.make("9.9.9.9", "8.8.8.8", 1, 2))
-        assert counters.packets == 0
+        monitor.process(make_packet(), NullInstrumentationAPI())
+        assert FiveTuple.make("9.9.9.9", "8.8.8.8", 1, 2) not in monitor.counters
 
     def test_reset(self):
         monitor = Monitor("m")

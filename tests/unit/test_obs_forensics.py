@@ -146,9 +146,9 @@ class TestRegimeShiftDetector:
         audit = AuditLog()
         detector = RegimeShiftDetector(audit=audit)
         for i in range(4):
-            detector.observe_summary(self.window(i, 100.0, 150.0))
+            detector.observe_latency(self.window(i, 100.0, 150.0))
         assert detector.shifts == []
-        detector.observe_summary(
+        detector.observe_latency(
             self.window(4, 100.0, 400.0), components={"queue": 9.0, "stall": 1.0}
         )
         assert len(detector.shifts) == 1
@@ -161,20 +161,54 @@ class TestRegimeShiftDetector:
 
     def test_needs_min_baseline_before_firing(self):
         detector = RegimeShiftDetector()
-        detector.observe_summary(self.window(0, 100.0, 100.0))
-        detector.observe_summary(self.window(1, 900.0, 900.0))  # only 1 sample
+        detector.observe_latency(self.window(0, 100.0, 100.0))
+        detector.observe_latency(self.window(1, 900.0, 900.0))  # only 1 sample
         assert detector.shifts == []
 
     def test_buffered_fraction_fires_stall_component_once_per_regime(self):
         detector = RegimeShiftDetector()
-        detector.observe_summary(self.window(0, 100.0, 100.0, buffered=10))
-        detector.observe_summary(self.window(1, 100.0, 100.0, buffered=20))
+        detector.observe_buffered(self.window(0, 100.0, 100.0, buffered=10))
+        detector.observe_buffered(self.window(1, 100.0, 100.0, buffered=20))
         stall_shifts = [s for s in detector.shifts if s["component"] == "stall"]
         assert len(stall_shifts) == 1  # latched until the surge clears
-        detector.observe_summary(self.window(2, 100.0, 100.0, buffered=0))
-        detector.observe_summary(self.window(3, 100.0, 100.0, buffered=50))
+        detector.observe_buffered(self.window(2, 100.0, 100.0, buffered=0))
+        detector.observe_buffered(self.window(3, 100.0, 100.0, buffered=50))
         stall_shifts = [s for s in detector.shifts if s["component"] == "stall"]
         assert len(stall_shifts) == 2
+
+    def test_each_closed_window_is_observed_once_against_earlier_ones(self, monkeypatch):
+        """Wired as the CLI wires it (the detector attached to the run's
+        TimeSeries), a run that closes three windows gives the latency
+        rules three observations — the forensics windows, in order, each
+        judged against the windows before it — and the TimeSeries windows
+        feed only the buffered rule."""
+        from repro.cli import build_chain, make_trace_packets
+        from repro.obs import TimeSeries
+
+        timeseries = TimeSeries(window_packets=256)
+        engine = ForensicsEngine(window_packets=256)
+        detector = engine.detector
+        detector.attach(timeseries)
+        judged = []
+        observe_latency = detector.observe_latency
+
+        def spy(summary, components=None):
+            judged.append((summary["window"], list(detector._p99s)))
+            observe_latency(summary, components)
+
+        monkeypatch.setattr(detector, "observe_latency", spy)
+        platform = BessPlatform(
+            SpeedyBox(build_chain("nat,monitor,firewall")),
+            timeseries=timeseries,
+            forensics=engine,
+        )
+        packets = make_trace_packets(40, 1)
+        assert len(packets) == 602
+        platform.run_load(packets)
+        p99s = [window["p99_ns"] for window in engine.windows]
+        assert len(timeseries) == len(engine.windows) == 3
+        assert judged == [(index, p99s[:index]) for index in range(3)]
+        assert list(detector._p99s) == p99s
 
     def test_unknown_component_without_sums(self):
         assert RegimeShiftDetector._moved_component(None) == "unknown"

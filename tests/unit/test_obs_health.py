@@ -27,12 +27,22 @@ def make_pair(window_packets=16, **kwargs):
     return ts, audit, health
 
 
+def state_of(health, replica):
+    track = health._tracks.get(replica)
+    return track.state if track is not None else HEALTHY
+
+
+def last_report(health, replica):
+    track = health._tracks.get(replica)
+    return track.last if track is not None else None
+
+
 class TestScoring:
     def test_quiet_replica_stays_healthy(self):
         ts, audit, health = make_pair()
         for __ in range(3):
             feed_window(ts)
-        assert health.state_of(0) == HEALTHY
+        assert state_of(health, 0) == HEALTHY
         assert health.worst_state() == HEALTHY
         assert audit.events() == []
 
@@ -40,36 +50,36 @@ class TestScoring:
         ts, audit, health = make_pair()
         feed_window(ts)  # healthy baseline
         feed_window(ts, drops=1)  # 1/16 > 1% degraded threshold
-        assert health.state_of(0) == DEGRADED
+        assert state_of(health, 0) == DEGRADED
         feed_window(ts, drops=4)  # 25% > 10% critical threshold
-        assert health.state_of(0) == CRITICAL
+        assert state_of(health, 0) == CRITICAL
         kinds = [e["kind"] for e in audit.events()]
         assert kinds == ["health_degraded", "health_critical"]
 
     def test_buffered_packets_are_critical_by_definition(self):
         ts, __, health = make_pair()
         feed_window(ts, buffered=2)
-        assert health.state_of(0) == CRITICAL
-        report = health.last_report(0)
+        assert state_of(health, 0) == CRITICAL
+        report = last_report(health, 0)
         assert any("buffered" in reason for reason in report.reasons)
 
     def test_latency_trend_judged_against_healthy_baseline(self):
         ts, __, health = make_pair()
         feed_window(ts, latency_ns=100.0)   # baseline learns 100ns
         feed_window(ts, latency_ns=250.0)   # 2.5x baseline -> degraded
-        assert health.state_of(0) == DEGRADED
-        report = health.last_report(0)
+        assert state_of(health, 0) == DEGRADED
+        report = last_report(health, 0)
         assert report.baseline_p99_ns == 100.0
         # the degraded window must NOT teach the baseline
         feed_window(ts, latency_ns=100.0)
-        assert health.last_report(0).baseline_p99_ns == 100.0
+        assert last_report(health, 0).baseline_p99_ns == 100.0
 
     def test_recovery_emits_health_recovered(self):
         ts, audit, health = make_pair()
         feed_window(ts)
         feed_window(ts, drops=1)
         feed_window(ts)
-        assert health.state_of(0) == HEALTHY
+        assert state_of(health, 0) == HEALTHY
         assert [e["kind"] for e in audit.events()] == [
             "health_degraded",
             "health_recovered",
@@ -78,7 +88,7 @@ class TestScoring:
     def test_tiny_windows_skip_ratio_rules(self):
         ts, __, health = make_pair(window_packets=4)
         feed_window(ts, packets=4, drops=2)  # 50% drops but < min_packets
-        assert health.state_of(0) == HEALTHY
+        assert state_of(health, 0) == HEALTHY
 
 
 class TestWiring:
@@ -103,8 +113,8 @@ class TestWiring:
                 dropped=(i % 2 == 1 and i < 8),
             )
         ts.finish()
-        assert health.state_of(1) == CRITICAL  # 4/8 dropped
-        assert health.state_of(0) == HEALTHY
+        assert state_of(health, 1) == CRITICAL  # 4/8 dropped
+        assert state_of(health, 0) == HEALTHY
         assert health.worst_state() == CRITICAL
         snapshot = health.snapshot()
         assert snapshot["1"]["state"] == CRITICAL

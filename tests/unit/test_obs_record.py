@@ -38,6 +38,34 @@ def test_two_runs_of_one_command_leave_byte_identical_directories(level, tmp_pat
     assert {name for name in first if elsewhere[name] != first[name]} == {MANIFEST}
 
 
+#: Commands that run the whole-batch lane, the per-packet sweep and the
+#: cluster router, recorded like ``DEMO``.
+LANE_AND_CLUSTER = {
+    "batch": ["batch", "--flows", "200", "--packets-per-flow", "5"],
+    "sweep": ["sweep", "--max-length", "3"],
+    "scale": ["scale", "--replicas", "2", "--platforms", "bess"],
+}
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_SURFACES))
+@pytest.mark.parametrize("command", sorted(LANE_AND_CLUSTER))
+def test_two_runs_of_the_lane_and_cluster_commands_leave_identical_directories(
+    command, level, tmp_path, capsys
+):
+    def record(directory):
+        argv = LANE_AND_CLUSTER[command] + ["--obs-out", str(directory), "--obs", level]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    first = record(tmp_path / "r")
+    assert MANIFEST in first and len(first) > 2
+    assert record(tmp_path / "r") == first
+    elsewhere = record(tmp_path / "elsewhere")
+    assert sorted(elsewhere) == sorted(first)
+    assert {name for name in first if elsewhere[name] != first[name]} == {MANIFEST}
+
+
 @pytest.mark.parametrize("level", sorted(LEVEL_SURFACES))
 def test_record_round_trips_with_the_manifests_counts(level, tmp_path, capsys):
     record = load_record(record_demo(tmp_path / "r", level, capsys))

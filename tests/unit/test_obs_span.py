@@ -11,6 +11,7 @@ from repro.platform import BessPlatform
 from repro.platform.costs import CostModel, Operation
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
+from tests.integration.helpers import total_meter
 
 
 def make_packets(n=8, sport=1000):
@@ -110,8 +111,8 @@ class TestAttribution:
         )
         outcome = platform.process(make_packets(1)[0])
         first = recorder.roots()[0]["args"]["cycles"]
-        assert first == outcome.report.total_meter().cycles(platform.costs) == 2980.0
-        assert outcome.report.total_meter().cycles(CostModel()) == 2080.0
+        assert first == total_meter(outcome.report).cycles(platform.costs) == 2980.0
+        assert total_meter(outcome.report).cycles(CostModel()) == 2080.0
 
     def test_child_cycles_partition_the_meter_exactly(self):
         """Per-span cycles sum to total_meter().cycles() — exact ==."""
@@ -123,11 +124,11 @@ class TestAttribution:
         roots = recorder.roots()
         assert len(roots) == len(reports)
         for root, report in zip(roots, reports):
-            assert root["args"]["cycles"] == report.total_meter().cycles(model)
+            assert root["args"]["cycles"] == total_meter(report).cycles(model)
         span_total = sum(
             r["args"]["cycles"] for r in recorder.records if r["depth"] == 1
         )
-        run_total = sum(r.total_meter().cycles(model) for r in reports)
+        run_total = sum(total_meter(r).cycles(model) for r in reports)
         assert span_total == run_total
 
     def test_children_carry_stage_labels_and_tile_the_root(self):
@@ -281,7 +282,7 @@ class TestSteadyTemplates:
                 for packet in TrafficGenerator([spec]).packets():
                     report = runtime.process(packet)
                     root = recorder.record(report, model)
-                    assert root["args"]["cycles"] == report.total_meter().cycles(model)
+                    assert root["args"]["cycles"] == total_meter(report).cycles(model)
                     checked += 1
                     # let a dead flow's report be collected, as a loaded run does
                     del report, root

@@ -8,6 +8,11 @@ from repro.obs import NULL_TRACER, PacketTracer
 from repro.obs.trace import Span
 
 
+def open_depth(tracer) -> int:
+    """Spans ``begin`` opened that ``end`` has not closed, over all tracks."""
+    return sum(len(stack) for stack in tracer._open.values())
+
+
 class TestSpan:
     def test_end_ns(self):
         span = Span("nf:fw", "core0", start_ns=100, dur_ns=50)
@@ -38,7 +43,7 @@ class TestRecording:
         assert outer.name == "outer"
         assert outer.depth == 0
         assert outer.dur_ns == 100
-        assert tracer.open_depth == 0
+        assert open_depth(tracer) == 0
 
     def test_nesting_is_per_track(self):
         tracer = PacketTracer()
@@ -46,7 +51,7 @@ class TestRecording:
         tracer.begin("b", "core1", 5)
         # Closing core1 pops its own stack, not core0's.
         assert tracer.end("core1", 15).name == "b"
-        assert tracer.open_depth == 1
+        assert open_depth(tracer) == 1
         assert tracer.end("core0", 20).name == "a"
 
     def test_one_shot_span_inside_open_span_nests(self):
@@ -81,7 +86,7 @@ class TestRecording:
         tracer.begin("open", "t", 2)
         tracer.reset()
         assert len(tracer) == 0
-        assert tracer.open_depth == 0
+        assert open_depth(tracer) == 0
         assert tracer.tracks() == []
 
 
@@ -97,12 +102,13 @@ class TestDisabledMode:
 
 
 class TestJsonlExport:
-    def test_jsonl_lines_parse_and_cover_all_record_types(self):
+    def test_jsonl_lines_parse_and_cover_all_record_types(self, tmp_path):
         tracer = PacketTracer()
         tracer.span("hop", "core0", 0, 10, packet=1)
         tracer.instant("drop", "core0", 4)
         tracer.counter("occupancy", "ring0", 5, 3)
-        lines = tracer.to_jsonl().splitlines()
+        tracer.write_jsonl(tmp_path / "trace.jsonl")
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert {record["type"] for record in records} == {"span", "instant", "counter"}
         span = next(r for r in records if r["type"] == "span")

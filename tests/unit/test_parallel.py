@@ -7,6 +7,7 @@ from repro.core.parallel import (
 )
 from repro.core.state_function import PayloadClass, StateFunction, StateFunctionBatch
 from repro.net import FiveTuple, Packet
+from tests.integration.helpers import max_wave_width, schedule_batches
 
 W, R, I = PayloadClass.WRITE, PayloadClass.READ, PayloadClass.IGNORE
 
@@ -57,13 +58,13 @@ class TestScheduleConstruction:
         batches = [make_batch(f"r{i}", R) for i in range(3)]
         schedule = build_schedule(batches)
         assert schedule.wave_count == 1
-        assert schedule.max_wave_width == 3
+        assert max_wave_width(schedule) == 3
 
     def test_writers_serialise(self):
         batches = [make_batch(f"w{i}", W) for i in range(3)]
         schedule = build_schedule(batches)
         assert schedule.wave_count == 3
-        assert schedule.max_wave_width == 1
+        assert max_wave_width(schedule) == 1
 
     def test_writer_between_readers_splits(self):
         batches = [make_batch("r1", R), make_batch("w", W), make_batch("r2", R)]
@@ -84,12 +85,12 @@ class TestScheduleConstruction:
     def test_no_batches(self):
         schedule = build_schedule([])
         assert schedule.wave_count == 0
-        assert schedule.max_wave_width == 0
+        assert max_wave_width(schedule) == 0
 
     def test_chain_order_preserved_across_waves(self):
         batches = [make_batch("w1", W), make_batch("r", R), make_batch("w2", W)]
         schedule = build_schedule(batches)
-        flattened = [batch.nf_name for batch in schedule.all_batches()]
+        flattened = [batch.nf_name for batch in schedule_batches(schedule)]
         assert flattened == ["w1", "r", "w2"]
 
     def test_execute_runs_everything_in_wave_order(self):

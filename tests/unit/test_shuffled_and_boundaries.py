@@ -92,7 +92,7 @@ class TestHeaderBoundaries:
         assert parsed.ack == 0xFFFFFFFF
 
     def test_checksum_odd_length_stability(self):
-        from repro.net import internet_checksum
+        from tests.integration.helpers import internet_checksum
 
         data = b"\x01\x02\x03"  # odd length pads with zero
         assert internet_checksum(data) == internet_checksum(data + b"\x00")

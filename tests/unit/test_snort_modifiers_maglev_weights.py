@@ -5,6 +5,7 @@ import pytest
 from repro.nf.maglev import Backend, MaglevTable
 from repro.nf.snort import DetectionEngine
 from repro.nf.snort.rules import RuleParseError, parse_rule
+from tests.integration.helpers import maglev_entries, maglev_slot_share
 
 
 class TestContentModifiers:
@@ -74,13 +75,13 @@ class TestMaglevWeights:
 
     def test_slot_share_proportional_to_weight(self):
         table = MaglevTable(self.make_backends(), table_size=1031)
-        share = table.slot_share()
+        share = maglev_slot_share(table)
         ratio = share["heavy"] / share["light"]
         assert 2.5 <= ratio <= 3.5  # ~3x, with consistent-hashing noise
 
     def test_all_slots_still_filled(self):
         table = MaglevTable(self.make_backends(), table_size=131)
-        assert all(entry is not None for entry in table.entries_snapshot())
+        assert all(entry is not None for entry in maglev_entries(table))
 
     def test_equal_weights_unchanged_behaviour(self):
         even = [
@@ -88,7 +89,7 @@ class TestMaglevWeights:
             Backend.make("b", "192.168.1.2", 80),
         ]
         table = MaglevTable(even, table_size=1031)
-        share = table.slot_share()
+        share = maglev_slot_share(table)
         assert abs(share["a"] - share["b"]) / 1031 < 0.1
 
     def test_weighted_failover_still_minimal(self):

@@ -7,8 +7,9 @@ first — every file parses and compiles, every exported name exists — is
 checked here so tier-1 says it too.  The reachability gate checks that
 every module is imported by something a user or a measurement runs,
 and that every exported name is used by something other than a test.
-The knob gate checks that every setting something calls takes more
-than one value there.
+Its method-level check asks the same of every public function, class
+and method.  The knob gate checks that every setting something calls
+takes more than one value there.
 """
 
 import ast
@@ -135,6 +136,13 @@ SHIPPED = ("src", "docs", "README.md", "DESIGN.md", "examples", "benchmarks", ".
             ("src", "docs", "DESIGN.md"),
             id="des-extras",
         ),
+        pytest.param(
+            r"_apply_nondrop|ConsolidatedAction\.apply\b",
+            "a Global MAT hit runs the rule's one program on both routes; the "
+            "step-by-step interpreter and action walk live beside the tests",
+            ("src/repro",),
+            id="one-rule-body",
+        ),
     ],
 )
 def test_no_trace_of_deleted_names(gone, reason, trees):
@@ -157,6 +165,20 @@ def test_no_trace_of_deleted_names(gone, reason, trees):
         if gone.search(line)
     ]
     assert not hits, f"{reason}: {hits}"
+
+
+def test_the_interpreted_route_runs_the_rule_program():
+    """A Global MAT hit has one body, ``RuleProgram.run``: the interpreted
+    route (``SpeedyBox._run_fast``) loops over nothing itself, and the
+    step-by-step interpreter lives in the tests."""
+    framework = _parse(ROOT / "src" / "repro" / "core" / "framework.py")
+    (run_fast,) = [
+        node for node in ast.walk(framework)
+        if isinstance(node, ast.FunctionDef) and node.name == "_run_fast"
+    ]
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(run_fast))
+    assert "program_of" in {getattr(node, "attr", None) for node in ast.walk(run_fast)}
 
 
 def test_nothing_in_the_package_deep_copies():
@@ -182,12 +204,7 @@ ENTRY_MODULES = ("repro.cli", "repro.__main__")
 ENTRY_TREES = ("bench", "benchmarks", "examples")
 
 #: Modules or exports the gate would flag, kept on purpose: dotted name -> why.
-REACH_ALLOWLIST = {
-    "repro.core.verify_equivalence_migration":
-        "the migration equivalence oracle; the migration tests are its callers by design",
-    "repro.traffic.batch_from_specs":
-        "the columnar twin of TrafficGenerator the batch-lane equivalence tests build input with",
-}
+REACH_ALLOWLIST = {}
 
 
 def _parse(path):
@@ -322,6 +339,112 @@ def test_the_reachability_allowlist_is_short_and_current():
     assert all(reason.strip() for reason in REACH_ALLOWLIST.values())
     stale = set(REACH_ALLOWLIST) - set(_unreached_modules()) - set(_unused_exports())
     assert not stale, f"allowlisted but reached and used: {sorted(stale)}"
+
+
+# -- definitions ----------------------------------------------------------------
+
+#: Where a use counts: everything a user or a measurement runs.  Tests do not.
+USE_TREES = ("src", "bench", "benchmarks", "examples")
+
+#: Public functions, classes and methods the gate would flag, kept on
+#: purpose: dotted name -> why.
+DEF_ALLOWLIST = {
+    "repro.obs.trace.PacketTracer.begin":
+        "the nested half of the tracer's span API (begin/end): no recorder nests spans "
+        "today, and deleting it takes the tracer's nesting tests with it (ROADMAP item 5)",
+}
+
+
+def _is_exempt(name):
+    """Private names, dunders, and ``ast.NodeVisitor``'s ``visit_*``
+    dispatch (the visitor calls them by a name it builds)."""
+    return name.startswith("_") or name.startswith("visit_")
+
+
+@functools.lru_cache(maxsize=None)
+def _definitions():
+    """``{name: [dotted name]}`` for every public top-level function and
+    class under ``src/repro`` and every public method (or nested class)
+    of a top-level class."""
+    trees, __, ___ = _source()
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, kinds):
+                continue
+            found.setdefault(node.name, []).append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, kinds):
+                        found.setdefault(item.name, []).append(f"{module}.{node.name}.{item.name}")
+    return {name: where for name, where in found.items() if not _is_exempt(name)}
+
+
+def _uses(tree, is_package):
+    """Every name ``tree``'s code uses: an identifier, an attribute, an
+    imported name or a string constant (a handler a record resolves with
+    ``getattr`` is named by a string).  A use inside a definition of the
+    same name is the definition's own; ``__all__`` and a package's
+    re-exports (its imports, its ``_LAZY`` map) are not uses."""
+    used = set()
+    todo = [(tree, frozenset())]
+    while todo:
+        node, inside = todo.pop()
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) in ("__all__", "_LAZY") for target in node.targets
+        ):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if not is_package:
+                used.update(alias.name for alias in node.names if alias.name not in inside)
+            continue
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in inside:
+            used.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        todo.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return used
+
+
+@functools.lru_cache(maxsize=None)
+def _unused_definitions():
+    """Every public definition under ``src/repro`` whose name no code in
+    ``USE_TREES`` uses, as dotted names.  By name: a use of ``run``
+    anywhere keeps every ``run``."""
+    used = set()
+    for tree_name in USE_TREES:
+        for path in sorted((ROOT / tree_name).rglob("*.py")):
+            used |= _uses(_parse(path), path.name == "__init__.py")
+    return sorted(
+        dotted
+        for name, where in _definitions().items()
+        if name not in used
+        for dotted in where
+    )
+
+
+def test_every_definition_is_used_outside_the_tests():
+    """A public function, class or method under ``src/repro`` that only
+    tests use is test code: move it beside the tests that use it (a
+    reference they compare against moves; it is not deleted), or delete
+    it with its tests."""
+    flagged = [name for name in _unused_definitions() if name not in DEF_ALLOWLIST]
+    assert not flagged, f"move them beside their tests, delete them, or allowlist them: {flagged}"
+
+
+def test_the_definition_allowlist_is_short_and_current():
+    assert len(DEF_ALLOWLIST) <= 5
+    assert all(reason.strip() for reason in DEF_ALLOWLIST.values())
+    stale = sorted(set(DEF_ALLOWLIST) - set(_unused_definitions()))
+    assert not stale, f"allowlisted but used: {stale}"
 
 
 # -- knobs ----------------------------------------------------------------------

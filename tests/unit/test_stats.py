@@ -65,13 +65,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution().mean
 
-    def test_stdev(self):
-        dist = Distribution([2, 4, 4, 4, 5, 5, 7, 9])
-        assert dist.stdev() == pytest.approx(2.138, rel=0.01)
-
-    def test_stdev_single_value_zero(self):
-        assert Distribution([5]).stdev() == 0.0
-
 
 class TestTables:
     def test_format_table_aligns(self):

@@ -13,6 +13,7 @@ from repro.traffic import (
     packets_for_flow,
 )
 from tests.property.test_payload_stream_exactness import PerByteSynthesizer
+from tests.integration.helpers import matching_action, mixed_stream, near_miss, rule_with_action
 
 RULES = parse_rules(
     """
@@ -25,6 +26,8 @@ pass tcp any any -> any 80 (msg:"ok"; sid:3;)
 
 def synthesize(synth, method, length):
     """``benign`` takes a length; ``matching`` / ``near_miss`` a rule first."""
+    if method == "near_miss":
+        return near_miss(synth, RULES[0], length)
     args = () if method == "benign" else (RULES[0],)
     return getattr(synth, method)(*args, length)
 
@@ -121,17 +124,17 @@ class TestPayloadSynthesizer:
 
     def test_matching_action_lookup(self):
         synth = PayloadSynthesizer(RULES)
-        payload = synth.matching_action(RuleAction.LOG)
+        payload = matching_action(synth, RuleAction.LOG)
         assert RULES[1].payload_matches(payload)
 
     def test_missing_action_raises(self):
         synth = PayloadSynthesizer(RULES[:1])
         with pytest.raises(LookupError):
-            synth.rule_with_action(RuleAction.LOG)
+            rule_with_action(synth, RuleAction.LOG)
 
     def test_mixed_stream_fraction(self):
         synth = PayloadSynthesizer(RULES, seed=3)
-        payloads = synth.mixed_stream(200, malicious_fraction=0.3, length=32)
+        payloads = mixed_stream(synth, 200, malicious_fraction=0.3, length=32)
         hits = sum(1 for p in payloads if RULES[0].payload_matches(p))
         assert 35 <= hits <= 85  # ~30% of 200, with sampling slack
 
@@ -165,7 +168,7 @@ class TestPayloadStreamExactness:
     @pytest.mark.parametrize("length", [0, 26, 1400])
     def test_mixed_stream(self, length):
         kernel, oracle = self.pair(seed=2020)
-        assert kernel.mixed_stream(60, 0.3, length) == oracle.mixed_stream(60, 0.3, length)
+        assert mixed_stream(kernel, 60, 0.3, length) == mixed_stream(oracle, 60, 0.3, length)
         assert kernel._random.getstate() == oracle._random.getstate()
 
     def test_benign_retry_path(self):
@@ -177,6 +180,21 @@ class TestPayloadStreamExactness:
         for __ in range(20):
             assert kernel.benign(20) == oracle.benign(20)
             assert kernel._random.getstate() == oracle._random.getstate()
+
+
+def flow_size_histogram(flows) -> dict:
+    """Bucketised flow sizes."""
+    buckets = {"1-2": 0, "3-9": 0, "10-99": 0, "100+": 0}
+    for spec in flows:
+        if spec.packets <= 2:
+            buckets["1-2"] += 1
+        elif spec.packets <= 9:
+            buckets["3-9"] += 1
+        elif spec.packets <= 99:
+            buckets["10-99"] += 1
+        else:
+            buckets["100+"] += 1
+    return buckets
 
 
 class TestDatacenterTrace:
@@ -202,7 +220,7 @@ class TestDatacenterTrace:
         config = DatacenterTraceConfig(flows=400, seed=3)
         generator = DatacenterTraceGenerator(config, RULES)
         flows = generator.generate_flows()
-        histogram = generator.flow_size_histogram(flows)
+        histogram = flow_size_histogram(flows)
         mice = histogram["1-2"] + histogram["3-9"]
         elephants = histogram["100+"]
         assert mice > 0.5 * len(flows)  # mostly mice

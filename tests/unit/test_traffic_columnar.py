@@ -13,10 +13,10 @@ import pytest
 from repro.core.classifier import fid_column, fid_of
 from repro.traffic.columnar import (
     PacketBatch,
-    batch_from_specs,
     uniform_batch,
 )
 from repro.traffic.generator import FlowSpec, TrafficGenerator
+from tests.integration.helpers import batch_from_specs
 
 
 def mixed_specs():
@@ -72,7 +72,7 @@ def test_batch_from_specs_matches_generator(interleave):
     batch = batch_from_specs(specs, interleave=interleave, seed=7)
     expected = TrafficGenerator(specs, interleave=interleave, seed=7).packets()
     assert len(batch) == len(expected)
-    assert wire(batch.to_packets()) == wire(expected)
+    assert wire(list(batch.packet_view())) == wire(expected)
     assert_column_dtypes(batch)
 
 
@@ -81,7 +81,7 @@ def test_packet_view_is_lazy_and_identical():
     batch = batch_from_specs(specs, interleave="round_robin")
     view = batch.packet_view()
     assert len(view) == len(batch)
-    assert wire(list(view)) == wire(batch.to_packets())
+    assert wire(list(view)) == wire([batch.materialize(i) for i in range(len(batch))])
     # Indexed access materializes the same packet as iteration.
     assert view[3].serialize() == batch.materialize(3).serialize()
 
@@ -99,7 +99,7 @@ def test_uniform_batch_matches_equivalent_specs():
     # block=3: flows [0,1,2] round-robin to completion, then [3,4,5].
     first = TrafficGenerator(specs[:3], interleave="round_robin").packets()
     second = TrafficGenerator(specs[3:], interleave="round_robin").packets()
-    assert wire(batch.to_packets()) == wire(first + second)
+    assert wire(list(batch.packet_view())) == wire(first + second)
     assert_column_dtypes(batch)
 
 
@@ -108,7 +108,7 @@ def test_uniform_batch_zero_flows_is_empty():
     for batch in (uniform_batch(0, 5), uniform_batch(0, 5, block=3)):
         assert len(batch) == len(empty) == 0
         assert batch.flow_count == empty.flow_count == 0
-        assert batch.to_packets() == []
+        assert list(batch.packet_view()) == []
         assert_column_dtypes(batch)
     assert_column_dtypes(empty)
 
@@ -117,7 +117,7 @@ def test_uniform_batch_tcp_lifecycle():
     batch = uniform_batch(
         2, 2, protocol="tcp", handshake=True, fin=True, interleave="sequential"
     )
-    packets = batch.to_packets()
+    packets = list(batch.packet_view())
     specs = [
         FlowSpec.tcp(
             f"10.0.0.{f + 1}", "20.0.0.1", 1024 + f, 80,
