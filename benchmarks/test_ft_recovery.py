@@ -15,7 +15,8 @@ carries the failure-to-delivery wall time as simulated stall, so the
 ``stall ms`` column is the tail-latency bill of the failover.  It and
 ``recovery ms`` are host-clock readings (declared ``wall``: reported,
 never gated or asserted on); everything else in the table is a count.
-``repro obs explain`` decomposes the same charge per packet.
+``repro obs report``'s forensics section decomposes the same charge per
+packet.
 
 What the sweep holds, none of it read off a stopwatch: every run is
 equivalent, every buffered packet is delivered and charged, the

@@ -22,20 +22,16 @@ Commands
 DIR`` (and ``--obs {run,full}``) and leave one run record there: fixed
 file names plus a ``manifest.json`` (:mod:`repro.obs.record`).
 
-``obs report|watch|explain DIR``
-    Render a run record: the one-page dashboard — top flows by latency,
-    SLO attainment, cycle attribution, audit summary, telemetry windows,
-    forensics, metrics (``report``); the per-window telemetry table with
-    the health transitions and SLO burn alerts (``watch``); or the
-    worst-K packets with their queue/service/transfer/stall
-    decomposition, the stall charges, the regime shifts and the causal
-    timeline joined from the record's other surfaces (``explain``).
+``obs report DIR``
+    Render a run record on one page: top flows by latency, SLO
+    attainment, cycle attribution, the audit summary, the journal's
+    failure / health / SLO / regime-shift timeline in ``seq`` order,
+    recoveries and checkpoint cadence, telemetry windows, latency
+    forensics (components, worst-K packets, stall charges) and metrics.
 
-``ft demo`` / ``ft report DIR``
+``ft demo``
     Kill a replica mid-stream under checkpointed fault tolerance and
-    prove the recovery was loss-free (``demo``); render the recovery
-    post-mortem (failure timeline, per-failover table, checkpoint
-    cadence) from a run record (``report``).
+    prove the recovery was loss-free.
 
 Chain specs are comma-separated NF names, e.g. ``--chain
 nat,maglev,monitor,firewall``.  Each name may repeat; instances are
@@ -521,65 +517,22 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_record(label: str, args, require=()):
-    """The record a read-side command was pointed at — or ``None`` after
-    one stderr line saying why it cannot be read (the caller exits 2)."""
+def cmd_obs(args: argparse.Namespace) -> int:
+    from repro.obs.report import render_report
+
     try:
         if args.record is None:
             raise ValueError("pass a run record: the directory a run's --obs-out wrote")
-        return load_record(args.record, require=require)
+        record = load_record(args.record)
     except ValueError as exc:
-        print(f"{label}: {exc}", file=sys.stderr)
-        return None
-
-
-def cmd_obs(args: argparse.Namespace) -> int:
-    require = {"watch": ("timeseries",), "explain": ("forensics",)}.get(args.action, ())
-    record = _open_record(f"obs {args.action}", args, require)
-    if record is None:
+        print(f"obs report: {exc}", file=sys.stderr)
         return 2
-    if args.action == "watch":
-        from repro.obs import render_windows
-        from repro.obs.report import HEALTH_KINDS, SLO_KINDS, render_health_slo
-
-        print(render_windows(record.timeseries, title=f"telemetry windows ({record.path})"))
-        if any(e.get("kind") in HEALTH_KINDS + SLO_KINDS for e in record.audit or ()):
-            print()
-            print(render_health_slo(record.audit))
-    elif args.action == "explain":
-        from repro.obs.forensics import render_explain
-
-        print(render_explain(
-            record.forensics, audit=record.audit, spans=record.spans,
-            windows=record.timeseries, top=args.top,
-        ))
-    else:
-        from repro.obs.report import render_report
-
-        print(render_report(
-            metrics=record.metrics,
-            spans=record.spans,
-            audit=record.audit,
-            windows=record.timeseries,
-            forensics=record.forensics,
-            slo_us=args.slo_us,
-            percentile=args.percentile,
-            top=args.top,
-        ))
+    print(render_report(record, slo_us=args.slo_us, percentile=args.percentile, top=args.top))
     return 0
 
 
 def cmd_ft(args: argparse.Namespace) -> int:
-    if args.action == "report":
-        from repro.ft.report import render_ft_report
-
-        record = _open_record("ft report", args, require=("audit",))
-        if record is None:
-            return 2
-        print(render_ft_report(record.audit, metrics=record.metrics))
-        return 0
-
-    # demo: kill a replica mid-stream, recover, prove nothing was lost.
+    """``ft demo``: kill a replica mid-stream, recover, prove nothing was lost."""
     from repro.ft import FaultInjector
 
     packets = make_trace_packets(args.flows, args.seed)
@@ -661,6 +614,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a number in [0, 1] (bad values exit 2 likewise)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1], got {text}")
+    return value
+
+
 def _gap_ns(text: str) -> float:
     """argparse type: a gap ``run_load`` accepts (bad values exit 2 likewise)."""
     try:
@@ -708,7 +669,7 @@ def make_parser() -> argparse.ArgumentParser:
             help="write the run record to DIR: audit.jsonl, spans.jsonl, "
                  "timeseries.jsonl, forensics.jsonl and a manifest.json "
                  "naming what ran — read it back with 'repro obs "
-                 "report|watch|explain DIR' or 'repro ft report DIR'",
+                 "report DIR'",
         )
         p.add_argument(
             "--obs",
@@ -859,12 +820,8 @@ def make_parser() -> argparse.ArgumentParser:
     observability(scale)
     scale.set_defaults(func=cmd_scale)
 
-    ft = sub.add_parser(
-        "ft", help="fault-tolerance demo and recovery report"
-    )
-    ft.add_argument("action", choices=["demo", "report"], help="what to run")
-    ft.add_argument("record", nargs="?", metavar="DIR",
-                    help="(report) the run record an FT run's --obs-out wrote")
+    ft = sub.add_parser("ft", help="fault-tolerance demo")
+    ft.add_argument("action", choices=["demo"], help="what to run")
     ft.add_argument("--chain", default="nat,monitor,firewall")
     ft.add_argument("--platform", default="bess", choices=sorted(PLATFORMS))
     ft.add_argument(
@@ -888,22 +845,16 @@ def make_parser() -> argparse.ArgumentParser:
     observability(ft)
     ft.set_defaults(func=cmd_ft)
 
-    obs = sub.add_parser(
-        "obs",
-        help="render a run record (report, watch, explain)",
-    )
-    obs.add_argument(
-        "action", choices=["report", "watch", "explain"],
-        help="what to render",
-    )
+    obs = sub.add_parser("obs", help="render a run record on one page")
+    obs.add_argument("action", choices=["report"], help="what to render")
     obs.add_argument("record", nargs="?", metavar="DIR",
                      help="the run record a run's --obs-out wrote")
     obs.add_argument("--slo-us", type=float, default=None, metavar="US",
                      help="latency SLO in microseconds for the attainment section")
-    obs.add_argument("--percentile", type=float, default=0.99,
-                     help="SLO percentile (default 0.99)")
-    obs.add_argument("--top", type=int, default=5,
-                     help="rows in the top-flows table (default 5)")
+    obs.add_argument("--percentile", type=_fraction, default=0.99,
+                     help="SLO percentile as a fraction in [0, 1] (default 0.99)")
+    obs.add_argument("--top", type=_positive_int, default=5,
+                     help="rows in the top-flows and worst-packet tables (default 5)")
     obs.set_defaults(func=cmd_obs)
 
     trace = sub.add_parser("trace", help="generate, inspect or convert .sbtr traces")

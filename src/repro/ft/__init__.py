@@ -21,10 +21,10 @@ machinery the cluster already trusts:
   aggregates) so recovery replay commits exactly once.
 - :mod:`repro.ft.verify` — the §VII-C equivalence oracle extended
   across a failure: loss-free, duplicate-free, state-identical.
-- :mod:`repro.ft.report` — the ``repro ft report`` recovery
-  post-mortem over the run's audit/metrics artifacts.
 
-See ``docs/fault_tolerance.md`` for the protocol walk-through.
+Every step is an audit event; ``repro obs report`` reads a run's
+recoveries, checkpoint cadence and failure timeline back from its
+record.  See ``docs/fault_tolerance.md`` for the protocol walk-through.
 """
 
 from repro.ft.checkpoint import (
@@ -41,7 +41,6 @@ from repro.ft.failover import (
 )
 from repro.ft.faults import FaultInjector
 from repro.ft.pktlog import LogEntry, PacketLog
-from repro.ft.report import render_ft_report
 from repro.ft.txstate import (
     PortPoolExhausted,
     SharedAggregate,
@@ -70,7 +69,6 @@ __all__ = [
     "TransactionalStore",
     "TxnConflict",
     "capture_flow",
-    "render_ft_report",
     "restore_flow",
     "verify_equivalence_failover",
 ]

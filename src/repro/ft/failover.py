@@ -597,7 +597,7 @@ class FaultTolerance:
         self._m_recoveries.inc()
         # The stall regime shifted the moment these deliveries were
         # charged: audit it *before* ft_failover_complete so the shift's
-        # seq precedes the completion's in the causal timeline.
+        # seq precedes the completion's on the report's timeline.
         if recovery_charges:
             emit_recovery_regime_shift(
                 self.audit,

@@ -25,13 +25,14 @@ benchmark arithmetic:
   error-budget accounting and burn-rate alerts.
 - :mod:`repro.obs.record` — the run record: the directory ``--obs-out``
   writes (fixed file names plus a ``manifest.json``) and the one loader
-  ``repro obs report|watch|explain`` and ``repro ft report`` read it
-  back through.
+  that reads it back.
 - :mod:`repro.obs.forensics` — tail-latency forensics: exact per-packet
   latency decomposition (queue / service / transfer / stall), a worst-K
-  flight recorder, a regime-shift detector emitting
-  ``latency_regime_shift`` audit events, and the unified causal
-  timeline behind ``repro obs explain``.
+  flight recorder, and a regime-shift detector emitting
+  ``latency_regime_shift`` audit events.
+- :mod:`repro.obs.report` — the read side: ``repro obs report`` lays
+  out every surface a loaded record holds on one page, the journal's
+  story as one timeline in ``seq`` order.
 
 Everything defaults to *off* via shared null objects
 (:data:`NULL_REGISTRY`, :data:`NULL_TRACER`); with observability
@@ -46,12 +47,9 @@ from repro.obs.forensics import (
     RegimeShiftDetector,
     StallCharge,
     TailRecord,
-    build_timeline,
     components_sum,
     decompose,
     exact_residual,
-    render_explain,
-    render_forensics,
     split_plan_total,
 )
 from repro.obs.health import (
@@ -77,7 +75,6 @@ from repro.obs.timeseries import (
     TimeSeries,
     Window,
     percentile_from_deltas,
-    render_windows,
 )
 from repro.obs.trace import NULL_TRACER, PacketTracer, Span
 
@@ -108,7 +105,6 @@ __all__ = [
     "TimeSeries",
     "TracingObserver",
     "Window",
-    "build_timeline",
     "components_sum",
     "decompose",
     "exact_residual",
@@ -117,11 +113,8 @@ __all__ = [
     "load_record",
     "parse_prometheus",
     "percentile_from_deltas",
-    "render_explain",
-    "render_forensics",
     "render_prometheus",
     "render_report",
-    "render_windows",
     "split_plan_total",
     "stage_of",
     "summarize_events",

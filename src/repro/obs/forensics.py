@@ -1,10 +1,10 @@
-"""Tail-latency forensics: per-packet decomposition, flight recorder,
-regime-shift detection and the unified causal timeline.
+"""Tail-latency forensics: per-packet decomposition, flight recorder and
+regime-shift detection.
 
 The rest of the observability stack can say *that* p99 regressed —
 metrics give totals, spans give sampled flows, windows give trends.
 What none of them answers is *why packet #8,431,207 took 40x the
-median*.  This module closes that gap with four cooperating pieces:
+median*.  This module closes that gap with three cooperating pieces:
 
 - **per-packet latency decomposition** — every packet's sojourn is
   split into four components that sum *exactly* (IEEE float equality)
@@ -37,16 +37,15 @@ median*.  This module closes that gap with four cooperating pieces:
   charge), so it fires the same event with ``component="stall"``
   *before* the recovery that will charge them completes.
 
-- a **unified causal timeline** (:func:`build_timeline`) — joins audit
-  events, flow spans, telemetry windows and forensic stall/worst
-  records on (time, replica, flow) into one ordered event stream.
-
 All observation is **post-run**: :class:`ForensicsEngine` consumes a
 finished replay's plans and timeline, so a disabled (or absent) engine
 costs nothing per packet and never disqualifies the analytic or batch
 fast lanes.  Enabled, the engine decomposes a 1-in-``sample_every``
 stride (plus every worst-K survivor), which is what keeps the
 forensics cell inside the obs-overhead benchmark's 5% gate.
+
+Nothing here renders: :mod:`repro.obs.report` lays out the rows a loaded
+record holds, grouped by :func:`group_forensics_rows`.
 """
 
 from __future__ import annotations
@@ -649,7 +648,7 @@ class ForensicsEngine:
         self.totals = {name: 0.0 for name in COMPONENTS}
 
 
-# -- loading / timeline / rendering -------------------------------------------
+# -- loading -------------------------------------------------------------------
 
 
 def group_forensics_rows(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
@@ -666,254 +665,3 @@ def group_forensics_rows(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         elif kind in plural:
             grouped[plural[kind]].append(row)
     return grouped
-
-
-def build_timeline(
-    audit: Optional[Sequence[Dict[str, Any]]] = None,
-    spans: Optional[Sequence[Dict[str, Any]]] = None,
-    windows: Optional[Sequence[Dict[str, Any]]] = None,
-    forensics: Optional[Dict[str, Any]] = None,
-) -> List[Dict[str, Any]]:
-    """Join the run's artifacts into one ordered causal event stream.
-
-    Every event normalizes to ``{t, source, kind, replica, flow,
-    detail}``.  Audit events order by their monotone ``seq`` (the
-    control-plane causal order); spans and windows carry simulated-time
-    stamps; forensic stall/worst records carry arrival stamps.  The
-    stream sorts on ``(t, source-priority, seq)`` so equal-time events
-    keep a deterministic, audit-causal order — queryable by replica,
-    flow or time range with plain list comprehensions.
-    """
-    events: List[Dict[str, Any]] = []
-    if audit:
-        for event in audit:
-            events.append(
-                {
-                    "t": float(event.get("seq", 0)),
-                    "source": "audit",
-                    "kind": event.get("kind", "?"),
-                    "replica": event.get("replica"),
-                    "flow": event.get("flow"),
-                    "detail": {
-                        k: v
-                        for k, v in event.items()
-                        if k not in ("kind", "replica", "flow")
-                    },
-                }
-            )
-    if spans:
-        for record in spans:
-            if record.get("depth") != 0:
-                continue
-            args = record.get("args", {})
-            start = args.get("sim_arrival_ns", record.get("start_ns", 0.0))
-            events.append(
-                {
-                    "t": float(start or 0.0),
-                    "source": "span",
-                    "kind": "flow_span",
-                    "replica": None,
-                    "flow": args.get("fid"),
-                    "detail": {
-                        "latency_ns": args.get("sim_latency_ns", record.get("dur_ns")),
-                        "path": args.get("path"),
-                    },
-                }
-            )
-    if windows:
-        for row in windows:
-            events.append(
-                {
-                    "t": float(row.get("start_ns") or 0.0),
-                    "source": "window",
-                    "kind": "telemetry_window",
-                    "replica": None,
-                    "flow": None,
-                    "detail": {
-                        "index": row.get("index"),
-                        "packets": row.get("packets"),
-                        "buffered": row.get("buffered"),
-                        "p99_ns": row.get("p99_ns"),
-                    },
-                }
-            )
-    if forensics:
-        for row in forensics.get("stalls", []):
-            events.append(
-                {
-                    "t": float(row.get("arrival_ns") or 0.0),
-                    "source": "forensics",
-                    "kind": "stall_charge",
-                    "replica": row.get("replica"),
-                    "flow": row.get("flow"),
-                    "detail": {
-                        "stall_ns": row.get("stall_ns"),
-                        "cause": row.get("cause"),
-                    },
-                }
-            )
-        for row in forensics.get("worst", []):
-            events.append(
-                {
-                    "t": float(row.get("index") or 0),
-                    "source": "forensics",
-                    "kind": "worst_packet",
-                    "replica": row.get("replica"),
-                    "flow": row.get("fid"),
-                    "detail": {
-                        "latency_ns": row.get("latency_ns"),
-                        "dominant": row.get("dominant"),
-                        "window": row.get("window"),
-                    },
-                }
-            )
-    priority = {"audit": 0, "window": 1, "span": 2, "forensics": 3}
-    events.sort(key=lambda e: (e["t"], priority.get(e["source"], 9)))
-    return events
-
-
-def _us(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value / 1000.0:.2f}"
-
-
-def render_forensics(data: Dict[str, Any], top: int = 5) -> str:
-    """The ``repro obs report`` forensics section."""
-    from repro.stats.tables import format_table
-
-    summary = data.get("summary", {})
-    components = summary.get("components", {})
-    total = sum(components.get(name, 0.0) for name in COMPONENTS)
-    lines = [
-        f"latency forensics ({summary.get('packets', 0)} packets, "
-        f"{summary.get('sampled', 0)} decomposed, "
-        f"{summary.get('stall_records', 0)} stall charges, "
-        f"{summary.get('regime_shifts', 0)} regime shifts)"
-    ]
-    if components:
-        rows = [
-            [
-                name,
-                f"{components.get(name, 0.0) / 1e6:.3f}",
-                f"{100.0 * components.get(name, 0.0) / total:.1f}%" if total else "-",
-            ]
-            for name in COMPONENTS
-        ]
-        lines.append(
-            format_table(["component", "total ms", "share"], rows,
-                         title="component attribution (sampled)")
-        )
-    worst = sorted(
-        data.get("worst", []), key=lambda r: -(r.get("latency_ns") or 0.0)
-    )[:top]
-    if worst:
-        rows = [
-            [
-                record.get("index"),
-                record.get("fid") if record.get("fid") is not None else "-",
-                str(record.get("replica") if record.get("replica") is not None else "-"),
-                _us(record.get("latency_ns")),
-                _us(record.get("queue_ns")),
-                _us(record.get("service_ns")),
-                _us(record.get("transfer_ns")),
-                _us(record.get("stall_ns")),
-                record.get("dominant", "-"),
-            ]
-            for record in worst
-        ]
-        lines.append(
-            format_table(
-                ["pkt", "flow", "replica", "lat us", "queue", "service",
-                 "transfer", "stall", "dominant"],
-                rows,
-                title=f"worst {len(rows)} packets",
-            )
-        )
-    return "\n\n".join(lines)
-
-
-def render_explain(
-    data: Dict[str, Any],
-    audit: Optional[Sequence[Dict[str, Any]]] = None,
-    spans: Optional[Sequence[Dict[str, Any]]] = None,
-    windows: Optional[Sequence[Dict[str, Any]]] = None,
-    top: int = 10,
-) -> str:
-    """``repro obs explain``: tail table + attribution + correlated causes."""
-    from repro.stats.tables import format_table
-
-    blocks = ["repro obs explain\n=================", render_forensics(data, top=top)]
-
-    stalls = data.get("stalls", [])
-    if stalls:
-        dominant_stall = sum(1 for s in stalls if s.get("dominant") == "stall")
-        worst_stall = max(stalls, key=lambda s: s.get("stall_ns") or 0.0)
-        blocks.append(
-            "\n".join(
-                [
-                    f"stall charges ({len(stalls)} packets)",
-                    f"  stall-dominant  : {dominant_stall}/{len(stalls)} packets",
-                    f"  worst stall     : {_us(worst_stall.get('stall_ns'))} us "
-                    f"(flow {worst_stall.get('flow')}, cause "
-                    f"{worst_stall.get('cause')})",
-                ]
-            )
-        )
-
-    shifts = list(data.get("regime_shifts", []))
-    if audit:
-        seen = {
-            (s.get("window"), s.get("metric"), s.get("current")) for s in shifts
-        }
-        for event in audit:
-            if event.get("kind") != "latency_regime_shift":
-                continue
-            key = (event.get("window"), event.get("metric"), event.get("current"))
-            if key not in seen:
-                shifts.append(event)
-    if shifts:
-        lines = [f"regime shifts ({len(shifts)})"]
-        for shift in shifts:
-            lines.append(
-                f"  window={shift.get('window')} metric={shift.get('metric')}"
-                f" component={shift.get('component')}"
-                f" baseline={shift.get('baseline')} current={shift.get('current')}"
-            )
-        blocks.append("\n".join(lines))
-
-    if audit:
-        interesting = (
-            "ft_kill", "ft_buffer", "ft_restore", "ft_replay",
-            "ft_failover_complete", "migration_freeze", "migration_replay",
-            "fastpath_invalidate", "latency_regime_shift",
-            "health_degraded", "health_critical", "slo_burn_alert",
-        )
-        counts: Dict[str, int] = {}
-        for event in audit:
-            kind = event.get("kind", "?")
-            if kind in interesting:
-                counts[kind] = counts.get(kind, 0) + 1
-        if counts:
-            rows = [[kind, counts[kind]] for kind in interesting if kind in counts]
-            blocks.append(
-                format_table(
-                    ["correlated cause", "events"], rows, title="correlated causes"
-                )
-            )
-        timeline = build_timeline(
-            audit=audit, spans=spans, windows=windows, forensics=data
-        )
-        tail = [e for e in timeline if e["source"] in ("audit", "forensics")][-8:]
-        if tail:
-            lines = ["causal timeline (tail)"]
-            for event in tail:
-                where = []
-                if event.get("replica") is not None:
-                    where.append(f"replica={event['replica']}")
-                if event.get("flow") is not None:
-                    where.append(f"flow={event['flow']}")
-                lines.append(
-                    f"  [{event['source']}] {event['kind']} "
-                    + " ".join(where)
-                )
-            blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)

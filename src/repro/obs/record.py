@@ -5,9 +5,8 @@
 fixed file names — ``audit.jsonl``, ``spans.jsonl``, ``timeseries.jsonl``
 and ``forensics.jsonl`` at level ``run``, ``metrics.prom`` and
 ``trace.json`` too at level ``full``, ``profile.pstats`` under
-``--profile``, and always ``manifest.json`` — and ``repro obs
-report|watch|explain DIR`` and ``repro ft report DIR`` read it back
-(docs/observability.md, "The run record").
+``--profile``, and always ``manifest.json`` — and ``repro obs report
+DIR`` reads it back (docs/observability.md, "The run record").
 
 ``manifest.json`` is written last, so a directory without one is a run
 that did not finish.  It holds the schema version, the package version,
@@ -139,10 +138,9 @@ class RunRecord:
     metrics: Optional[Dict[str, float]] = None
 
 
-def load_record(directory, require: Sequence[str] = ()) -> RunRecord:
-    """Read a run record back; ``require`` names surfaces the caller
-    cannot work without.  Every way this can fail is a ``ValueError``
-    that names the path."""
+def load_record(directory) -> RunRecord:
+    """Read a run record back.  Every way this can fail is a
+    ``ValueError`` that names the path."""
     from repro.obs.forensics import group_forensics_rows
 
     root = Path(directory)
@@ -166,12 +164,6 @@ def load_record(directory, require: Sequence[str] = ()) -> RunRecord:
         ]
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"{manifest_path}: not a manifest this reader knows: {exc}") from exc
-    for surface in require:
-        if surfaces.get(surface, NOT_FED) == NOT_FED:
-            raise ValueError(
-                f"{root}: the record has no {surface} surface "
-                f"(manifest: {surfaces.get(surface, 'not recorded at this level')!r})"
-            )
     loaded: Dict[str, Any] = {}
     for surface, read, path, records in fed:
         rows = read(path)

@@ -1,36 +1,33 @@
-"""The ``repro obs report`` dashboard: a run record → one text page.
+"""``repro obs report``: a run record → one text page.
 
-A run leaves one record (:mod:`repro.obs.record`); this module folds
-what :func:`~repro.obs.record.load_record` read back into the
-operator's one-page view, one section per surface the record holds:
+A run leaves one record (:mod:`repro.obs.record`); this module lays out
+everything :func:`~repro.obs.record.load_record` read back on one page,
+one section per question, in this order:
 
-- **top flows by latency** — sampled root spans grouped per flow,
-  ranked by worst simulated latency (falling back to modelled pipeline
-  time for unloaded runs);
-- **SLO attainment** — the latency distribution's target percentile
-  against ``--slo-us``, with a PASS/FAIL verdict and the attainment
-  fraction (share of packets inside the objective);
-- **cycle attribution** — the per-stage/per-NF budget recovered from
-  the spans' depth-1 children (the stage taxonomy of
-  :func:`repro.obs.span.stage_of`);
-- **audit summary** — per-kind decision counts plus the most recent
-  event of each kind;
-- **FT recovery** — one row per ``ft_failover_complete`` trail
-  (restored/rebuilt/replayed/delivered and duration), with the
-  kill/buffer/restore/replay event counts beside it, so an FT run is
-  readable from the report alone;
-- **health & SLO** — replica state transitions and burn-rate alerts
-  (gen-3 windows), when a run emitted them;
-- **telemetry windows** — the per-window table, when the run fed the
-  windowed telemetry;
-- **latency forensics** — component attribution and the worst-K tail
-  table (see :mod:`repro.obs.forensics`);
-- **metrics summary** — the registry, family-grouped (records written
-  at ``--obs full``).
+1. **spans** — top flows by latency (sampled root spans grouped per
+   flow, ranked by worst simulated latency, falling back to modelled
+   pipeline time for unloaded runs); SLO attainment (the target
+   percentile against ``--slo-us``, a PASS/FAIL verdict and the share of
+   packets inside the objective); cycle attribution (the per-stage/per-NF
+   budget recovered from the spans' depth-1 children, in the stage
+   taxonomy of :func:`repro.obs.span.stage_of`);
+2. **audit summary** — per-kind decision counts and the journal's last
+   three events;
+3. **timeline** — the journal's story (failures, health transitions, SLO
+   burn alerts, latency regime shifts) in ascending ``seq``, the one
+   causal order a record has; a long story keeps its first and last
+   events and says how many it leaves out;
+4. **fault tolerance** — one row per completed failover, and the
+   checkpoint rounds per cause;
+5. **telemetry windows** — the per-window table;
+6. **latency forensics** — component attribution, the worst-K tail table
+   and the stall charges (see :mod:`repro.obs.forensics`);
+7. **metrics** — the registry, family-grouped (records written at
+   ``--obs full``).
 
-Everything here is pure functions over loaded dicts so the unit suite
-drives it without a CLI round-trip; :func:`render_report` is what the
-CLI subcommand prints.
+A surface the record does not hold renders as one ``(not fed)`` line.
+Everything here is pure functions over loaded rows, so the unit suite
+drives it without a CLI round-trip; :func:`render_report` is the page.
 """
 
 from __future__ import annotations
@@ -38,38 +35,66 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.audit import summarize_events
+from repro.obs.forensics import COMPONENTS
+from repro.obs.record import RunRecord
 from repro.stats.summary import percentile_sorted
 from repro.stats.tables import format_table
 
+#: the journal's story: what the timeline lists
+STORY_KINDS = frozenset({
+    "ft_kill",
+    "ft_freeze_absorbed",
+    "ft_restore",
+    "ft_replay",
+    "ft_failover_complete",
+    "health_degraded",
+    "health_critical",
+    "health_recovered",
+    "slo_burn_alert",
+    "latency_regime_shift",
+})
+#: a longer story shows its first ``TIMELINE_HEAD`` and last ``TIMELINE_TAIL`` events
+TIMELINE_HEAD, TIMELINE_TAIL = 20, 10
 
-def _flow_latencies(roots: Sequence[Dict[str, Any]]) -> Dict[int, Dict[str, float]]:
-    """Per-flow packet counts and worst/total latency from root spans."""
-    flows: Dict[int, Dict[str, float]] = {}
-    for record in roots:
+
+def _not_fed(title: str) -> str:
+    return f"{title} (not fed)"
+
+
+def _us(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value / 1000.0:.2f}"
+
+
+def _event_line(event: Dict[str, Any]) -> str:
+    fields = " ".join(
+        f"{key}={value}" for key, value in sorted(event.items()) if key not in ("seq", "kind")
+    )
+    return f"  #{event.get('seq', '?')} {event.get('kind', '?')} {fields}".rstrip()
+
+
+# -- spans -----------------------------------------------------------------------
+
+
+def _root_latencies(spans: Sequence[Dict[str, Any]]):
+    """``(fid, latency ns)`` per sampled root span."""
+    for record in spans:
+        if record.get("depth") != 0:
+            continue
         args = record.get("args", {})
-        fid = args.get("fid")
+        latency = args.get("sim_latency_ns")
+        yield args.get("fid"), record.get("dur_ns", 0.0) if latency is None else latency
+
+
+def render_top_flows(spans: Sequence[Dict[str, Any]], top: int) -> str:
+    """Top flows by worst observed latency, from sampled root spans."""
+    flows: Dict[int, Dict[str, float]] = {}
+    for fid, latency in _root_latencies(spans):
         if fid is None:
             continue
-        latency = args.get("sim_latency_ns")
-        if latency is None:
-            latency = record.get("dur_ns", 0.0)
-        entry = flows.get(fid)
-        if entry is None:
-            entry = flows[fid] = {"packets": 0, "worst_ns": 0.0, "total_ns": 0.0}
+        entry = flows.setdefault(fid, {"packets": 0, "worst_ns": 0.0, "total_ns": 0.0})
         entry["packets"] += 1
         entry["total_ns"] += latency
-        if latency > entry["worst_ns"]:
-            entry["worst_ns"] = latency
-    return flows
-
-
-def _span_roots(spans: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    return [record for record in spans if record.get("depth") == 0]
-
-
-def render_top_flows(spans: Sequence[Dict[str, Any]], top: int = 5) -> str:
-    """Top flows by worst observed latency, from sampled root spans."""
-    flows = _flow_latencies(_span_roots(spans))
+        entry["worst_ns"] = max(entry["worst_ns"], latency)
     if not flows:
         return "top flows\n(no spans recorded)"
     ranked = sorted(flows.items(), key=lambda item: -item[1]["worst_ns"])[:top]
@@ -90,21 +115,12 @@ def render_top_flows(spans: Sequence[Dict[str, Any]], top: int = 5) -> str:
 
 
 def render_slo(
-    spans: Sequence[Dict[str, Any]],
-    slo_us: Optional[float],
-    percentile: float = 0.99,
+    spans: Sequence[Dict[str, Any]], slo_us: Optional[float], percentile: float
 ) -> str:
     """SLO attainment for the sampled latency distribution."""
-    latencies = []
-    for record in _span_roots(spans):
-        args = record.get("args", {})
-        latency = args.get("sim_latency_ns")
-        if latency is None:
-            latency = record.get("dur_ns", 0.0)
-        latencies.append(latency)
+    latencies = sorted(latency for __, latency in _root_latencies(spans))
     if not latencies:
         return "SLO attainment\n(no spans recorded)"
-    latencies.sort()
     target = percentile_sorted(latencies, percentile)
     lines = [
         "SLO attainment",
@@ -127,7 +143,6 @@ def render_slo(
 def render_attribution_from_spans(spans: Sequence[Dict[str, Any]]) -> str:
     """Per-stage cycle budget recovered from depth-1 child spans."""
     stage_cycles: Dict[str, float] = {}
-    order: List[str] = []
     packets = 0
     for record in spans:
         if record.get("depth") == 0:
@@ -137,23 +152,19 @@ def render_attribution_from_spans(spans: Sequence[Dict[str, Any]]) -> str:
             continue
         args = record.get("args", {})
         stage = args.get("stage", "other")
-        name = record.get("name", stage)
-        key = name if stage in ("nf", "sf") else stage
-        if key not in stage_cycles:
-            stage_cycles[key] = 0.0
-            order.append(key)
-        stage_cycles[key] += args.get("cycles", 0.0)
+        key = record.get("name", stage) if stage in ("nf", "sf") else stage
+        stage_cycles[key] = stage_cycles.get(key, 0.0) + args.get("cycles", 0.0)
     if not stage_cycles:
         return "cycle attribution\n(no spans recorded)"
     total = sum(stage_cycles.values())
     rows = [
         [
             key,
-            f"{stage_cycles[key]:.0f}",
-            f"{stage_cycles[key] / packets:.1f}" if packets else "-",
-            f"{100.0 * stage_cycles[key] / total:.1f}%" if total else "-",
+            f"{cycles:.0f}",
+            f"{cycles / packets:.1f}" if packets else "-",
+            f"{100.0 * cycles / total:.1f}%" if total else "-",
         ]
-        for key in order
+        for key, cycles in stage_cycles.items()
     ]
     rows.append(["total", f"{total:.0f}", f"{total / packets:.1f}" if packets else "-", "100.0%"])
     return format_table(
@@ -163,46 +174,46 @@ def render_attribution_from_spans(spans: Sequence[Dict[str, Any]]) -> str:
     )
 
 
+# -- the audit journal -----------------------------------------------------------
+
+
 def render_audit_summary(events: Sequence[Dict[str, Any]]) -> str:
     """Per-kind decision counts plus the log's last three events."""
-    if not events:
-        return "audit events\n(no events recorded)"
     counts = summarize_events(events)
     rows = [[kind, counts[kind]] for kind in sorted(counts)]
     table = format_table(
         ["event kind", "count"], rows, title=f"audit events ({len(events)} total)"
     )
-    tail_lines = ["", "last events:"]
-    for event in list(events)[-3:]:
-        fields = {
-            key: value
-            for key, value in event.items()
-            if key not in ("seq", "kind")
-        }
-        rendered = " ".join(f"{key}={value}" for key, value in sorted(fields.items()))
-        tail_lines.append(f"  #{event.get('seq', '?')} {event.get('kind', '?')} {rendered}".rstrip())
-    return table + "\n".join(tail_lines)
+    tail = [_event_line(event) for event in list(events)[-3:]]
+    return table + "\n".join(["", "last events:", *tail])
 
 
-#: the per-failure FT audit trail, in choreography order
-FT_TRAIL_KINDS = (
-    "ft_checkpoint",
-    "ft_kill",
-    "ft_buffer",
-    "ft_freeze_absorbed",
-    "ft_restore",
-    "ft_replay",
-    "ft_failover_complete",
-)
-HEALTH_KINDS = ("health_degraded", "health_critical", "health_recovered")
-SLO_KINDS = ("slo_burn_alert",)
+def render_timeline(events: Sequence[Dict[str, Any]]) -> str:
+    """The journal's story events in ascending ``seq``, bounded."""
+    story = sorted(
+        (event for event in events if event.get("kind") in STORY_KINDS),
+        key=lambda event: event.get("seq", 0),
+    )
+    if not story:
+        return "timeline\n(no failure, health, SLO or regime-shift event in the journal)"
+    lines = [f"timeline ({len(story)} events)"]
+    if len(story) <= TIMELINE_HEAD + TIMELINE_TAIL:
+        lines.extend(_event_line(event) for event in story)
+        return "\n".join(lines)
+    left_out = story[TIMELINE_HEAD:-TIMELINE_TAIL]
+    lines.extend(_event_line(event) for event in story[:TIMELINE_HEAD])
+    lines.append(
+        f"  ... {len(left_out)} events left out "
+        f"(#{left_out[0].get('seq', '?')} to #{left_out[-1].get('seq', '?')})"
+    )
+    lines.extend(_event_line(event) for event in story[-TIMELINE_TAIL:])
+    return "\n".join(lines)
 
 
 def render_recovery_table(events: Sequence[Dict[str, Any]]) -> str:
     """One row per completed failover (``ft_failover_complete``): flows
     restored vs rebuilt, log packets replayed, buffered packets
-    delivered, wall-clock cost — the table ``repro obs report`` and
-    ``repro ft report`` both print."""
+    delivered, wall-clock cost."""
     rows = [
         [
             event.get("replica", "?"),
@@ -224,51 +235,109 @@ def render_recovery_table(events: Sequence[Dict[str, Any]]) -> str:
     )
 
 
-def render_ft_recovery(events: Sequence[Dict[str, Any]]) -> str:
-    """FT event counts from ``ft_*`` audit kinds, and the recovery table
-    when a failover completed."""
-    ft_events = [e for e in events if str(e.get("kind", "")).startswith("ft_")]
-    if not ft_events:
-        return "fault tolerance\n(no ft_* events recorded)"
-    counts: Dict[str, int] = {}
-    for event in ft_events:
-        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-    count_rows = [[kind, counts[kind]] for kind in FT_TRAIL_KINDS if kind in counts]
-    for kind in sorted(counts):
-        if kind not in FT_TRAIL_KINDS:
-            count_rows.append([kind, counts[kind]])
-    blocks = [
-        format_table(
-            ["ft event", "count"],
-            count_rows,
-            title=f"fault tolerance ({len(ft_events)} events)",
-        )
+def render_checkpoint_cadence(events: Sequence[Dict[str, Any]]) -> str:
+    """Checkpoint rounds and captured flows, grouped by cause."""
+    by_cause: Dict[str, List[int]] = {}
+    for event in events:
+        if event.get("kind") == "ft_checkpoint":
+            by_cause.setdefault(str(event.get("cause", "?")), []).append(
+                int(event.get("flows", 0))
+            )
+    if not by_cause:
+        return "checkpoints\n(no checkpoints recorded)"
+    rows = [[cause, len(flows), sum(flows)] for cause, flows in sorted(by_cause.items())]
+    total = sum(len(flows) for flows in by_cause.values())
+    return format_table(
+        ["cause", "rounds", "flows captured"],
+        rows,
+        title=f"checkpoints ({total} rounds)",
+    )
+
+
+# -- windows, forensics, metrics -------------------------------------------------
+
+
+def render_windows(rows: Sequence[Dict[str, Any]]) -> str:
+    """The telemetry windows as an aligned table."""
+    table_rows = [
+        [
+            row.get("index"),
+            "-" if row.get("start_ns") is None else f"{row['start_ns']:.0f}",
+            row.get("packets", 0),
+            row.get("drops", 0),
+            row.get("buffered", 0),
+            _us(row.get("p50_ns")),
+            _us(row.get("p99_ns")),
+            "-" if row.get("rate_pps") is None else f"{row['rate_pps'] / 1e6:.3f}",
+        ]
+        for row in rows
     ]
-    if "ft_failover_complete" in counts:
-        blocks.append(render_recovery_table(ft_events))
+    return format_table(
+        ["win", "start_ns", "pkts", "drop", "buf", "p50_us", "p99_us", "Mpps"],
+        table_rows,
+        title=f"telemetry windows ({len(rows)})",
+    )
+
+
+def render_forensics(data: Dict[str, Any], top: int) -> str:
+    """Component attribution, the worst-K packets and the stall charges."""
+    summary = data.get("summary", {})
+    components = summary.get("components", {})
+    total = sum(components.get(name, 0.0) for name in COMPONENTS)
+    blocks = [
+        f"latency forensics ({summary.get('packets', 0)} packets, "
+        f"{summary.get('sampled', 0)} decomposed, "
+        f"{summary.get('stall_records', 0)} stall charges, "
+        f"{summary.get('regime_shifts', 0)} regime shifts)"
+    ]
+    if components:
+        rows = [
+            [
+                name,
+                f"{components.get(name, 0.0) / 1e6:.3f}",
+                f"{100.0 * components.get(name, 0.0) / total:.1f}%" if total else "-",
+            ]
+            for name in COMPONENTS
+        ]
+        blocks.append(
+            format_table(["component", "total ms", "share"], rows,
+                         title="component attribution (sampled)")
+        )
+    worst = sorted(data.get("worst", []), key=lambda r: -(r.get("latency_ns") or 0.0))[:top]
+    if worst:
+        rows = [
+            [
+                record.get("index"),
+                "-" if record.get("fid") is None else record.get("fid"),
+                "-" if record.get("replica") is None else str(record.get("replica")),
+                _us(record.get("latency_ns")),
+                _us(record.get("queue_ns")),
+                _us(record.get("service_ns")),
+                _us(record.get("transfer_ns")),
+                _us(record.get("stall_ns")),
+                record.get("dominant", "-"),
+            ]
+            for record in worst
+        ]
+        blocks.append(
+            format_table(
+                ["pkt", "flow", "replica", "lat us", "queue", "service",
+                 "transfer", "stall", "dominant"],
+                rows,
+                title=f"worst {len(rows)} packets",
+            )
+        )
+    stalls = data.get("stalls", [])
+    if stalls:
+        dominant = sum(1 for stall in stalls if stall.get("dominant") == "stall")
+        worst_stall = max(stalls, key=lambda stall: stall.get("stall_ns") or 0.0)
+        blocks.append("\n".join([
+            f"stall charges ({len(stalls)} packets)",
+            f"  stall-dominant  : {dominant}/{len(stalls)} packets",
+            f"  worst stall     : {_us(worst_stall.get('stall_ns'))} us "
+            f"(flow {worst_stall.get('flow')}, cause {worst_stall.get('cause')})",
+        ]))
     return "\n\n".join(blocks)
-
-
-def render_health_slo(events: Sequence[Dict[str, Any]]) -> str:
-    """Gen-3 health transitions and SLO burn alerts from the audit log."""
-    health = [e for e in events if e.get("kind") in HEALTH_KINDS]
-    alerts = [e for e in events if e.get("kind") in SLO_KINDS]
-    if not health and not alerts:
-        return "health & SLO\n(no health_*/slo_* events recorded)"
-    lines = [f"health & SLO ({len(health)} transitions, {len(alerts)} alerts)"]
-    for event in health:
-        lines.append(
-            f"  #{event.get('seq', '?')} {event.get('kind')} replica={event.get('replica')}"
-            f" window={event.get('window')} score={event.get('score')}"
-            f" reasons={event.get('reasons', '')}"
-        )
-    for event in alerts:
-        lines.append(
-            f"  #{event.get('seq', '?')} slo_burn_alert objective={event.get('objective')}"
-            f" window={event.get('window')} burn={event.get('burn')}"
-            f" bad={event.get('bad')}/{event.get('events')}"
-        )
-    return "\n".join(lines)
 
 
 def render_metrics_summary(snapshot: Dict[str, float]) -> str:
@@ -278,38 +347,37 @@ def render_metrics_summary(snapshot: Dict[str, float]) -> str:
 
 
 def render_report(
-    metrics: Optional[Dict[str, float]] = None,
-    spans: Optional[Sequence[Dict[str, Any]]] = None,
-    audit: Optional[Sequence[Dict[str, Any]]] = None,
-    slo_us: Optional[float] = None,
-    percentile: float = 0.99,
-    top: int = 5,
-    windows: Optional[Sequence[Dict[str, Any]]] = None,
-    forensics: Optional[Dict[str, Any]] = None,
+    record: RunRecord, *, slo_us: Optional[float], percentile: float, top: int
 ) -> str:
-    """The full dashboard; sections appear for the artifacts provided."""
+    """The whole page for a loaded record."""
     blocks: List[str] = ["repro obs report\n================"]
-    if spans is not None:
-        blocks.append(render_top_flows(spans, top=top))
-        blocks.append(render_slo(spans, slo_us, percentile=percentile))
-        blocks.append(render_attribution_from_spans(spans))
-    if audit is not None:
+    if record.spans is None:
+        blocks.append(_not_fed("spans"))
+    else:
+        blocks.append(render_top_flows(record.spans, top))
+        blocks.append(render_slo(record.spans, slo_us, percentile))
+        blocks.append(render_attribution_from_spans(record.spans))
+    audit = record.audit
+    if audit is None:
+        blocks.append(_not_fed("audit events"))
+    else:
         blocks.append(render_audit_summary(audit))
-        kinds = {event.get("kind") for event in audit}
-        if any(str(kind).startswith("ft_") for kind in kinds):
-            blocks.append(render_ft_recovery(audit))
-        if kinds & (set(HEALTH_KINDS) | set(SLO_KINDS)):
-            blocks.append(render_health_slo(audit))
-    if windows is not None:
-        from repro.obs.timeseries import render_windows
-
-        blocks.append(render_windows(windows, title=f"telemetry windows ({len(windows)})"))
-    if forensics is not None:
-        from repro.obs.forensics import render_forensics
-
-        blocks.append(render_forensics(forensics, top=top))
-    if metrics is not None:
-        blocks.append(render_metrics_summary(metrics))
-    if len(blocks) == 1:
-        blocks.append("(the record holds no surface this report renders)")
+        blocks.append(render_timeline(audit))
+        if any(event.get("kind") in ("ft_failover_complete", "ft_checkpoint") for event in audit):
+            blocks.append(render_recovery_table(audit))
+            blocks.append(render_checkpoint_cadence(audit))
+        else:
+            blocks.append("fault tolerance\n(no failover or checkpoint in the journal)")
+    if record.timeseries is None:
+        blocks.append(_not_fed("telemetry windows"))
+    else:
+        blocks.append(render_windows(record.timeseries))
+    if record.forensics is None:
+        blocks.append(_not_fed("latency forensics"))
+    else:
+        blocks.append(render_forensics(record.forensics, top))
+    if record.metrics is None:
+        blocks.append(_not_fed("metrics"))
+    else:
+        blocks.append(render_metrics_summary(record.metrics))
     return "\n\n".join(blocks)

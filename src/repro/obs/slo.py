@@ -19,8 +19,8 @@ does the bookkeeping against the telemetry windows a
   lands *before* recovery completes).
 
 The engine is deliberately small: objectives are windows-in, audit-out,
-with :meth:`summary`/:meth:`render` for the CLI (``repro obs watch``)
-and the report.
+with :meth:`summary`/:meth:`render` for the table ``--slo`` prints after
+a run.
 """
 
 from __future__ import annotations

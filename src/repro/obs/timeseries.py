@@ -525,31 +525,3 @@ class TimeSeries:
             f"<TimeSeries {clock} windows: {len(self.windows)} retained, "
             f"{self.evicted} evicted, {self.total_packets} packets>"
         )
-
-
-def render_windows(rows: Sequence[Dict[str, Any]], title: str = "windows") -> str:
-    """Window summaries (live or loaded) as an aligned text table."""
-    from repro.stats.tables import format_table
-
-    table_rows = []
-    for row in rows:
-        p50 = row.get("p50_ns")
-        p99 = row.get("p99_ns")
-        rate = row.get("rate_pps")
-        table_rows.append(
-            [
-                row.get("index"),
-                "-" if row.get("start_ns") is None else f"{row['start_ns']:.0f}",
-                row.get("packets", 0),
-                row.get("drops", 0),
-                row.get("buffered", 0),
-                "-" if p50 is None else f"{p50 / 1000.0:.2f}",
-                "-" if p99 is None else f"{p99 / 1000.0:.2f}",
-                "-" if rate is None else f"{rate / 1e6:.3f}",
-            ]
-        )
-    return format_table(
-        ["win", "start_ns", "pkts", "drop", "buf", "p50_us", "p99_us", "Mpps"],
-        table_rows,
-        title=title,
-    )

@@ -3,9 +3,8 @@
 A *span* is a named interval on a *track* (a core, a ring, a pipeline
 stage) with nanosecond start and duration plus free-form args — "this
 packet spent 400 cycles in the firewall hop", "ring1 held this descriptor
-for 2.3 µs".  Spans nest: :meth:`PacketTracer.begin`/:meth:`~PacketTracer.end`
-maintain a per-track stack so an NF hop can contain its transport
-sub-span, and the recorded depth survives export.
+for 2.3 µs".  A span's depth is 0 unless its recorder says otherwise (a
+flow span's stage children replay at depth 1).
 
 Exports
 -------
@@ -27,7 +26,7 @@ branches on "is tracing on".
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs.record import dump_jsonl
 
@@ -46,7 +45,6 @@ class Span:
         track: str,
         start_ns: float,
         dur_ns: float,
-        depth: int = 0,
         args: Optional[Dict[str, Any]] = None,
     ):
         if dur_ns < 0:
@@ -55,7 +53,8 @@ class Span:
         self.track = track
         self.start_ns = float(start_ns)
         self.dur_ns = float(dur_ns)
-        self.depth = depth
+        #: 0 unless a recorder nests it (``FlowSpanRecorder.replay_into``)
+        self.depth = 0
         self.args = args or {}
 
     @property
@@ -97,42 +96,24 @@ class PacketTracer:
         self._spans: List[Span] = []
         self._instants: List[_Instant] = []
         self._counters: List[_CounterSample] = []
-        #: per-track stack of (name, start_ns, args) for begin/end nesting
-        self._open: Dict[str, List[Tuple[str, float, Dict[str, Any]]]] = {}
         #: DES replays recorded so far (``Platform._replay`` numbers them
         #: and prefixes the tracks of every one after the first)
         self.des_runs = 0
+        #: the unloaded timeline's cursor (ns) and how many packets it has
+        #: laid out (the next one's number): one per tracer, so every
+        #: platform that shares it lays its packets end to end
+        self.unloaded_ns = 0.0
+        self.unloaded_packets = 0
 
     # -- recording ---------------------------------------------------------
 
     def span(
         self, name: str, track: str, start_ns: float, dur_ns: float, **args: Any
     ) -> Optional[Span]:
-        """Record a complete interval (the common one-shot form)."""
+        """Record a complete interval."""
         if not self.enabled:
             return None
-        depth = len(self._open.get(track, ()))
-        span = Span(name, track, start_ns, dur_ns, depth=depth, args=args)
-        self._spans.append(span)
-        return span
-
-    def begin(self, name: str, track: str, ts_ns: float, **args: Any) -> None:
-        """Open a nested span; close it with :meth:`end` on the same track."""
-        if not self.enabled:
-            return
-        self._open.setdefault(track, []).append((name, float(ts_ns), args))
-
-    def end(self, track: str, ts_ns: float, **extra_args: Any) -> Optional[Span]:
-        """Close the innermost open span on ``track``."""
-        if not self.enabled:
-            return None
-        stack = self._open.get(track)
-        if not stack:
-            raise ValueError(f"end() with no open span on track {track!r}")
-        name, start_ns, args = stack.pop()
-        if extra_args:
-            args = {**args, **extra_args}
-        span = Span(name, track, start_ns, ts_ns - start_ns, depth=len(stack), args=args)
+        span = Span(name, track, start_ns, dur_ns, args=args)
         self._spans.append(span)
         return span
 
@@ -172,8 +153,9 @@ class PacketTracer:
         self._spans.clear()
         self._instants.clear()
         self._counters.clear()
-        self._open.clear()
         self.des_runs = 0
+        self.unloaded_ns = 0.0
+        self.unloaded_packets = 0
 
     # -- export ------------------------------------------------------------
 

@@ -384,10 +384,6 @@ class Platform:
         #: instance label used for ring/track names; replicas of the same
         #: platform class override it so their metrics stay distinguishable
         self.label = label or self.name
-        #: monotonic unloaded-mode timeline cursor (ns) for the tracer,
-        #: and how many packets it has laid out (the next one's number)
-        self._trace_clock_ns = 0.0
-        self._traced = 0
         self._m_packets = metrics.counter(
             "platform_packets_total", "packets timed by a platform"
         ).labels(platform=self.name)
@@ -528,9 +524,11 @@ class Platform:
 
         The span recorder sees it while its flow is still sampled, the
         registry counts it and the tracer lays out its unloaded timeline
-        under the next packet number of its own count — so packets
+        at the tracer's own cursor and packet count, which every platform
+        sharing the tracer advances and none rewinds — so packets
         :meth:`process` times while a pass is open (a cluster's recovery
-        deliveries) never share a number with the pass's.  Returns the
+        deliveries) never share a number with the pass's, and no two
+        packets' spans overlap on a track.  Returns the
         root span the recorder filed, if any: a loaded run keeps it to
         stamp it with simulated times (:meth:`_finish_run`).
         """
@@ -542,11 +540,12 @@ class Platform:
             latency_ns = self.costs.cycles_to_ns(self._time_report(report)[1])
             self._m_packets.inc()
             self._m_latency.observe(latency_ns)
-            if self.tracer.enabled:
-                self._trace_clock_ns = trace_unloaded(
-                    self.tracer, self, report, self._trace_clock_ns, self._traced
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.unloaded_ns = trace_unloaded(
+                    tracer, self, report, tracer.unloaded_ns, tracer.unloaded_packets
                 )
-                self._traced += 1
+                tracer.unloaded_packets += 1
         return root
 
     def process_all(self, packets: Sequence[Packet]) -> List[PacketOutcome]:
@@ -945,7 +944,5 @@ class Platform:
     def reset(self) -> None:
         self.packets = 0
         self.last_lane_stats = None
-        self._trace_clock_ns = 0.0
-        self._traced = 0
         self._ts_fast_prev = 0
         self.runtime.reset()

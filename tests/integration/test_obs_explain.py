@@ -1,11 +1,11 @@
-"""CLI acceptance for tail-latency forensics (``repro obs explain``).
+"""CLI acceptance for tail-latency forensics, read back by ``repro obs report``.
 
 Round-trips real run records through the command line: a demo run
-writes ``--obs-out``, ``obs explain`` and ``obs report`` render it; a
+writes ``--obs-out`` and ``obs report`` renders its forensics section; a
 fig8-style cluster run with an injected failover must name the failover
-stall as the dominant tail component; and a missing, empty or truncated
-record must fail with one clear message and exit code 2 — not a
-traceback — from every reader, ``ft report`` included.
+stall as the dominant tail component and tell the failure story on one
+timeline in ``seq`` order; and a missing, empty or truncated record must
+fail with one clear message and exit code 2 — not a traceback.
 """
 
 import pytest
@@ -34,21 +34,20 @@ class TestForensicsRoundTrip:
                      + record["stall_ns"]) + record["queue_ns"]
             assert total == record["latency_ns"]
 
-    def test_obs_explain_renders(self, tmp_path, capsys):
-        assert main(["obs", "explain", str(self.run_demo(tmp_path, capsys))]) == 0
-        out = capsys.readouterr().out
-        assert "repro obs explain" in out
-        assert "component attribution" in out
-        for name in COMPONENTS:
-            assert name in out
-        assert "worst" in out
-        assert "correlated cause" in out  # the record's audit journal was joined
-
     def test_obs_report_gains_forensics_section(self, tmp_path, capsys):
         assert main(["obs", "report", str(self.run_demo(tmp_path, capsys))]) == 0
         out = capsys.readouterr().out
         assert "latency forensics" in out
         assert "component attribution" in out
+
+    def test_obs_report_renders_every_component(self, tmp_path, capsys):
+        assert main(["obs", "report", str(self.run_demo(tmp_path, capsys))]) == 0
+        out = capsys.readouterr().out
+        assert "component attribution" in out
+        for name in COMPONENTS:
+            assert name in out
+        assert "worst 5 packets" in out
+        assert "audit events (" in out and "timeline" in out  # the journal beside it
 
     def test_batch_forensics_round_trip(self, tmp_path, capsys):
         record = tmp_path / "batch"
@@ -61,7 +60,7 @@ class TestForensicsRoundTrip:
         loaded = load_record(record)
         assert loaded.manifest["command"] == "batch"
         assert {row["lane"] for row in loaded.forensics["windows"]} == {"vector"}
-        assert main(["obs", "explain", str(record)]) == 0
+        assert main(["obs", "report", str(record)]) == 0
         assert "component attribution" in capsys.readouterr().out
 
 
@@ -87,7 +86,7 @@ class TestFailoverForensics:
             components[name] for name in COMPONENTS
         ), f"stall is not the dominant component: {components}"
 
-        assert main(["obs", "explain", str(record)]) == 0
+        assert main(["obs", "report", str(record)]) == 0
         out = capsys.readouterr().out
         assert "stall charges" in out
         assert "stall-dominant" in out
@@ -108,10 +107,30 @@ class TestFailoverForensics:
                 f"stall regime shift (shifts at {shifts})"
             )
 
-    def test_ft_report_reads_the_same_record(self, tmp_path, capsys):
-        assert main(["ft", "report", str(self.run_failover(tmp_path, capsys))]) == 0
+    def test_the_report_tells_the_failure_story(self, tmp_path, capsys):
+        assert main(["obs", "report", str(self.run_failover(tmp_path, capsys))]) == 0
         out = capsys.readouterr().out
-        assert "failure timeline" in out and "ft_failover_complete" in out
+        assert "timeline (" in out and "ft_failover_complete" in out
+        assert "recoveries (" in out and "checkpoints (" in out
+
+    def test_the_timeline_is_in_seq_order_and_ends_in_the_completion(self, tmp_path, capsys):
+        """Paced arrivals put the stall charges at 201 000 - 601 000 ns and
+        the journal's completion at seq 614: a timeline that sorted the two
+        as one key ended in stall charges.  The journal's order ends in the
+        completion, which follows every delivery it reports."""
+        record = tmp_path / "record"
+        assert main(["scale", "--replicas", "2", "--platforms", "bess", "--kill-at", "200",
+                     "--gap-ns", "1000", "--obs-out", str(record)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(record)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("timeline ("))
+        end = lines.index("", start)
+        seqs = [int(line.split()[0][1:]) for line in lines[start + 1:end]]
+        assert seqs == sorted(seqs) and len(seqs) == int(lines[start].split("(")[1].split()[0])
+        assert lines[end - 1].split()[1] == "ft_failover_complete"
+        journal = load_record(record).audit
+        assert seqs[-1] == max(event["seq"] for event in journal)
 
     def test_charged_stall_raises_reported_p99(self, capsys, tmp_path):
         args = ["scale", "--replicas", "2", "--platforms", "bess",
@@ -138,7 +157,7 @@ class TestGracefulArtifactFailures:
     """One stderr line and exit 2; tests/unit/test_obs_record.py runs the
     whole damage x reader matrix, these are the CI smoke's cases."""
 
-    READERS = (["obs", "report"], ["obs", "watch"], ["obs", "explain"], ["ft", "report"])
+    READERS = (["obs", "report"],)
 
     @pytest.fixture
     def record(self, tmp_path, capsys):
@@ -150,7 +169,7 @@ class TestGracefulArtifactFailures:
 
     def test_empty_artifact_exits_2_with_message(self, record, capsys):
         (record / "audit.jsonl").write_text("")
-        for reader in self.READERS:  # ft report used to be a traceback here
+        for reader in self.READERS:
             assert main(reader + [str(record)]) == 2
             err = capsys.readouterr().err
             assert "audit.jsonl: empty" in err
@@ -172,12 +191,8 @@ class TestGracefulArtifactFailures:
             assert main(reader + [str(tmp_path / "nope")]) == 2
             assert "not a run record" in capsys.readouterr().err
 
-    def test_explain_requires_forensics_artifact(self, capsys):
-        assert main(["obs", "explain"]) == 2
-        assert "pass a run record" in capsys.readouterr().err
-
-    def test_explain_rejects_truncated_forensics(self, record, capsys):
+    def test_report_rejects_truncated_forensics(self, record, capsys):
         (record / "forensics.jsonl").write_text('{"type": "summ')
-        assert main(["obs", "explain", str(record)]) == 2
+        assert main(["obs", "report", str(record)]) == 2
         err = capsys.readouterr().err
         assert "forensics.jsonl:1: invalid JSONL" in err

@@ -10,6 +10,8 @@ for bit.  The CLI half drives ``repro demo --obs-out`` and renders
 
 import re
 
+import pytest
+
 from repro.cli import main
 from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter
@@ -134,7 +136,20 @@ class TestReportCli:
         assert main(["obs", "report", str(self.run_demo(tmp_path, capsys, "run"))]) == 0
         out = capsys.readouterr().out
         assert "audit events" in out and "latency forensics" in out
-        assert "metrics (" not in out
+        assert "metrics (not fed)" in out and "chain_packets_total" not in out
+
+    @pytest.mark.parametrize("flag", [
+        ["--percentile", "99"], ["--percentile", "-0.5"], ["--percentile", "nan"],
+        ["--top", "-1"], ["--top", "0"],
+    ], ids=" ".join)
+    def test_bad_report_flags_are_usage_errors(self, flag, tmp_path, capsys):
+        """``--percentile 99`` used to end in a traceback from the SLO
+        section and ``--top -1`` to drop the last flow silently."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["obs", "report", str(tmp_path), *flag])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and flag[0] in err
 
     def test_obs_report_without_artifacts_is_an_error(self, capsys):
         assert main(["obs", "report"]) == 2
@@ -181,52 +196,45 @@ class TestGen3Sections:
         record = self.run_scale(tmp_path, capsys)
         assert main(["obs", "report", str(record)]) == 0
         out = capsys.readouterr().out
-        assert "fault tolerance" in out
         assert "ft_failover_complete" in out
-        assert "recoveries (" in out
-        assert "health & SLO" in out
+        assert "recoveries (" in out and "checkpoints (" in out
+        assert "timeline (" in out
         assert "slo_burn_alert" in out
         assert "telemetry windows" in out
 
-    def test_obs_and_ft_report_print_one_recovery_table(self, tmp_path, capsys):
-        """Both readers of one failover record print the same recoveries
-        table (they used to disagree on the ``ms`` column's format)."""
+    def test_the_report_prints_one_recovery_table(self, tmp_path, capsys):
+        """One reader, one recoveries table, its ``ms`` column at two
+        decimals (two readers used to disagree on its format)."""
         record = self.run_scale(tmp_path, capsys)
-
-        def recoveries(argv):
-            assert main(argv) == 0
-            lines = capsys.readouterr().out.splitlines()
-            start = next(i for i, line in enumerate(lines) if line.startswith("recoveries ("))
-            end = next((i for i in range(start, len(lines)) if not lines[i].strip()), len(lines))
-            return lines[start:end]
-
-        table = recoveries(["obs", "report", str(record)])
-        assert table == recoveries(["ft", "report", str(record)])
+        assert main(["obs", "report", str(record)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (start,) = [i for i, line in enumerate(lines) if line.startswith("recoveries (")]
+        table = lines[start:lines.index("", start)]
         assert len(table) > 3 and table[1].split()[-1] == "ms"
         assert all(re.fullmatch(r"\d+\.\d\d", row.split()[-1]) for row in table[3:])
 
-    def test_obs_watch_tables_windows_and_health(self, tmp_path, capsys):
+    def test_report_tables_windows_and_the_health_timeline(self, tmp_path, capsys):
         record = self.run_scale(tmp_path, capsys)
-        assert main(["obs", "watch", str(record)]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry windows" in out
-        assert "p99_us" in out
-        assert "health & SLO" in out
+        assert main(["obs", "report", str(record)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("telemetry windows (") for line in lines)
+        assert any("p99_us" in line for line in lines)
+        start = next(i for i, line in enumerate(lines) if line.startswith("timeline ("))
+        story = lines[start + 1:lines.index("", start)]
+        assert any(" health_" in line for line in story)
+        assert any(" slo_burn_alert " in line for line in story)
 
-    def test_obs_watch_needs_windows(self, tmp_path, capsys):
-        """A record whose windows were never fed, or whose windows file
-        is empty: exit 2 naming the surface, not exit 0 and an empty table."""
-        assert main(["obs", "watch"]) == 2
-        assert "pass a run record" in capsys.readouterr().err
+    def test_an_unfed_surface_is_one_line_and_a_damaged_one_exit_2(self, tmp_path, capsys):
+        """A record whose windows were never fed renders, saying so in one
+        line; one whose windows file is empty is exit 2 naming the file."""
         record = tmp_path / "record"
         assert main(["sweep", "--max-length", "2", "--flows", "3",
                      "--obs-out", str(record)]) == 0
         capsys.readouterr()
-        assert main(["obs", "watch", str(record)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "no timeseries surface" in captured.err
-        (self.run_scale(tmp_path, capsys) / "timeseries.jsonl").write_text("")
-        assert main(["obs", "watch", str(record)]) == 2
+        assert main(["obs", "report", str(record)]) == 0
+        assert "telemetry windows (not fed)" in capsys.readouterr().out.splitlines()
+        scaled = self.run_scale(tmp_path, capsys)
+        (scaled / "timeseries.jsonl").write_text("")
+        assert main(["obs", "report", str(scaled)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "timeseries.jsonl: empty artifact" in captured.err
-

@@ -22,17 +22,15 @@ from repro.obs.forensics import (
     RegimeShiftDetector,
     StallCharge,
     TailRecord,
-    build_timeline,
     components_sum,
     decompose,
     emit_recovery_regime_shift,
     exact_residual,
     group_forensics_rows,
-    render_explain,
-    render_forensics,
     split_plan_total,
 )
 from repro.obs.record import load_jsonl
+from repro.obs.report import render_forensics, render_timeline
 from repro.platform import BessPlatform
 
 
@@ -321,33 +319,27 @@ class TestForensicsEngine:
 
 class TestTimelineAndRendering:
     def test_timeline_orders_and_normalizes(self):
+        """The journal's story in ascending ``seq``, one line per event in
+        one format; what is not story (a checkpoint) stays off it, and a
+        long story keeps its first and last events and names the rest."""
         audit = [
+            {"seq": 5, "kind": "ft_failover_complete", "replica": 0, "delivered": 3},
             {"seq": 1, "kind": "ft_kill", "replica": 0},
-            {"seq": 5, "kind": "ft_failover_complete", "replica": 0},
+            {"seq": 2, "kind": "ft_checkpoint", "replica": 1, "cause": "interval"},
+            {"seq": 3, "kind": "latency_regime_shift", "metric": "p99", "window": 0},
         ]
-        forensics = {
-            "stalls": [{"arrival_ns": 3.0, "replica": 0, "flow": "f",
-                        "stall_ns": 7.0, "cause": "failover"}],
-            "worst": [{"index": 2, "replica": 0, "fid": 9,
-                       "latency_ns": 10.0, "dominant": "stall", "window": 0}],
-        }
-        windows = [{"start_ns": 2.0, "index": 0, "packets": 4,
-                    "buffered": 1, "p99_ns": 9.0}]
-        timeline = build_timeline(audit=audit, windows=windows, forensics=forensics)
-        # Equal-time tie at t=2: the window (priority 1) precedes the
-        # forensic worst-packet record (priority 3).
-        assert [e["kind"] for e in timeline] == [
-            "ft_kill", "telemetry_window", "worst_packet",
-            "stall_charge", "ft_failover_complete",
+        assert render_timeline(audit).splitlines() == [
+            "timeline (3 events)",
+            "  #1 ft_kill replica=0",
+            "  #3 latency_regime_shift metric=p99 window=0",
+            "  #5 ft_failover_complete delivered=3 replica=0",
         ]
-        assert all({"t", "source", "kind", "replica", "flow", "detail"} <= set(e)
-                   for e in timeline)
-
-    def test_equal_time_orders_audit_before_forensics(self):
-        audit = [{"seq": 3, "kind": "ft_kill", "replica": 0}]
-        forensics = {"stalls": [{"arrival_ns": 3.0, "replica": 0, "flow": "f"}]}
-        timeline = build_timeline(audit=audit, forensics=forensics)
-        assert [e["source"] for e in timeline] == ["audit", "forensics"]
+        story = [{"seq": seq, "kind": "ft_restore"} for seq in range(100, 140)]
+        lines = render_timeline(story).splitlines()
+        assert lines[0] == "timeline (40 events)" and len(lines) == 1 + 20 + 1 + 10
+        assert lines[20] == "  #119 ft_restore" and lines[22] == "  #130 ft_restore"
+        assert lines[21] == "  ... 10 events left out (#120 to #129)"
+        assert render_timeline(audit[2:3]).splitlines()[1].startswith("(no ")
 
     def test_render_forensics_shows_attribution_and_worst(self, tmp_path):
         engine = ForensicsEngine(sample_every=1, window_packets=32)
@@ -360,7 +352,7 @@ class TestTimelineAndRendering:
             assert name in text
         assert "worst 3 packets" in text
 
-    def test_render_explain_includes_stalls_shifts_and_timeline(self, tmp_path):
+    def test_render_shows_stalls_and_the_shift_before_the_completion(self, tmp_path):
         audit = AuditLog()
         engine = ForensicsEngine(sample_every=1, window_packets=32, audit=audit)
         run_engine(engine)
@@ -369,9 +361,10 @@ class TestTimelineAndRendering:
         audit.emit("ft_failover_complete", replica="r0")
         path = tmp_path / "f.jsonl"
         engine.write_jsonl(path)
-        text = render_explain(group_forensics_rows(load_jsonl(path)), audit=audit.events())
+        text = render_forensics(group_forensics_rows(load_jsonl(path)), top=5)
         assert "stall charges (1 packets)" in text
         assert "stall-dominant  : 1/1" in text
-        assert "regime shifts" in text
-        assert "correlated causes" in text
-        assert "causal timeline (tail)" in text
+        lines = render_timeline(audit.events()).splitlines()
+        assert lines[0] == "timeline (2 events)"
+        assert "latency_regime_shift" in lines[1] and "component=stall" in lines[1]
+        assert "ft_failover_complete" in lines[2]

@@ -3,6 +3,7 @@ deterministic, reads back whole through ``load_record``, and every way
 of damaging it is a ``ValueError`` that names the path."""
 
 import json
+import re
 
 import pytest
 
@@ -160,7 +161,7 @@ def file_gone(directory):
 
 DAMAGE = [no_manifest, unknown_schema, unknown_surface, truncated_mid_line, truncated_at_a_line_end,
           emptied, file_gone]
-READERS = (["obs", "report"], ["obs", "watch"], ["obs", "explain"], ["ft", "report"])
+READERS = (["obs", "report"],)
 
 
 @pytest.mark.parametrize("damage", DAMAGE, ids=lambda fn: fn.__name__)
@@ -186,13 +187,52 @@ def test_not_a_directory_and_no_argument(tmp_path, capsys):
         assert "--obs-out" in capsys.readouterr().err
 
 
-def test_a_surface_the_run_never_fed_is_required_by_name(tmp_path, capsys):
+def test_a_surface_the_run_never_fed_is_one_line_of_the_report(tmp_path, capsys):
+    """A sweep feeds no windows: the record loads, and the report says so
+    in one line instead of exiting 2."""
     directory = tmp_path / "r"
     assert cli.main(["sweep", "--max-length", "2", "--flows", "3",
                      "--obs-out", str(directory)]) == 0
     capsys.readouterr()
-    assert load_record(directory).manifest["surfaces"]["timeseries"] == NOT_FED
-    with pytest.raises(ValueError, match="no timeseries surface"):
-        load_record(directory, require=("timeseries",))
-    with pytest.raises(ValueError, match="no metrics surface"):
-        load_record(directory, require=("metrics",))
+    record = load_record(directory)
+    assert record.manifest["surfaces"]["timeseries"] == NOT_FED
+    assert record.timeseries is None and record.metrics is None
+    assert cli.main(["obs", "report", str(directory)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "telemetry windows (not fed)" in out and "metrics (not fed)" in out
+
+
+@pytest.mark.parametrize("argv", [["obs", "watch"], ["obs", "explain"], ["ft", "report"]],
+                         ids=" ".join)
+def test_the_retired_readers_are_usage_errors(argv, tmp_path, capsys):
+    directory = record_demo(tmp_path / "r", "run", capsys)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + [str(directory)])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+@pytest.mark.parametrize("argv", [
+    ["demo"], ["sweep", "--max-length", "3"], ["scale", "--replicas", "2", "--platforms", "bess"],
+], ids=" ".join)
+def test_no_two_spans_overlap_on_a_core_track(argv, tmp_path, capsys):
+    """Every platform that shares a tracer lays its unloaded packets out at
+    the tracer's one cursor: a cluster's replicas, a sweep's chains and a
+    demo's second pass (after ``Platform.reset``) used to restart at 0."""
+    directory = tmp_path / "r"
+    assert cli.main(argv + ["--obs", "full", "--obs-out", str(directory)]) == 0
+    capsys.readouterr()
+    events = json.loads((directory / "trace.json").read_text())["traceEvents"]
+    tracks = {event["tid"]: event["args"]["name"] for event in events if event["ph"] == "M"}
+    spans = {}
+    for event in events:
+        track = tracks[event["tid"]]
+        if event["ph"] == "X" and re.search(r":(main|worker\d+)$", track):
+            spans.setdefault(track, []).append((event["ts"], event["dur"]))
+    assert any(track.endswith(":main") for track in spans)
+    for track, intervals in spans.items():
+        intervals.sort()
+        overlaps = sum(
+            1 for (start, dur), (after, __) in zip(intervals, intervals[1:])
+            if after < start + dur - 1e-6  # µs: ns rounding of a shared edge
+        )
+        assert overlaps == 0, f"{track}: {overlaps} of {len(intervals)} spans overlap"

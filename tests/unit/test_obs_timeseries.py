@@ -15,7 +15,8 @@ from repro.nf import IPFilter
 from repro.obs import TimeSeries
 from repro.obs.registry import MetricsRegistry
 from repro.obs.record import load_jsonl
-from repro.obs.timeseries import percentile_from_deltas, render_windows
+from repro.obs.report import render_windows
+from repro.obs.timeseries import percentile_from_deltas
 from repro.platform import BessPlatform
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets

@@ -8,11 +8,6 @@ from repro.obs import NULL_TRACER, PacketTracer
 from repro.obs.trace import Span
 
 
-def open_depth(tracer) -> int:
-    """Spans ``begin`` opened that ``end`` has not closed, over all tracks."""
-    return sum(len(stack) for stack in tracer._open.values())
-
-
 class TestSpan:
     def test_end_ns(self):
         span = Span("nf:fw", "core0", start_ns=100, dur_ns=50)
@@ -31,47 +26,6 @@ class TestRecording:
         assert span.args == {"packet": 0, "cycles": 240}
         assert len(tracer) == 1
 
-    def test_begin_end_nesting_depth(self):
-        tracer = PacketTracer()
-        tracer.begin("outer", "core0", 0)
-        tracer.begin("inner", "core0", 10)
-        inner = tracer.end("core0", 30)
-        outer = tracer.end("core0", 100)
-        assert inner.name == "inner"
-        assert inner.depth == 1
-        assert inner.start_ns == 10 and inner.dur_ns == 20
-        assert outer.name == "outer"
-        assert outer.depth == 0
-        assert outer.dur_ns == 100
-        assert open_depth(tracer) == 0
-
-    def test_nesting_is_per_track(self):
-        tracer = PacketTracer()
-        tracer.begin("a", "core0", 0)
-        tracer.begin("b", "core1", 5)
-        # Closing core1 pops its own stack, not core0's.
-        assert tracer.end("core1", 15).name == "b"
-        assert open_depth(tracer) == 1
-        assert tracer.end("core0", 20).name == "a"
-
-    def test_one_shot_span_inside_open_span_nests(self):
-        tracer = PacketTracer()
-        tracer.begin("hop", "core0", 0)
-        child = tracer.span("transport", "core0", 2, 3)
-        tracer.end("core0", 10)
-        assert child.depth == 1
-
-    def test_end_without_begin_raises(self):
-        tracer = PacketTracer()
-        with pytest.raises(ValueError):
-            tracer.end("core0", 10)
-
-    def test_end_merges_extra_args(self):
-        tracer = PacketTracer()
-        tracer.begin("hop", "core0", 0, packet=3)
-        span = tracer.end("core0", 10, verdict="drop")
-        assert span.args == {"packet": 3, "verdict": "drop"}
-
     def test_tracks_in_first_use_order(self):
         tracer = PacketTracer()
         tracer.span("a", "t2", 0, 1)
@@ -83,18 +37,16 @@ class TestRecording:
     def test_reset(self):
         tracer = PacketTracer()
         tracer.span("a", "t", 0, 1)
-        tracer.begin("open", "t", 2)
+        tracer.des_runs, tracer.unloaded_ns, tracer.unloaded_packets = 2, 40.0, 3
         tracer.reset()
         assert len(tracer) == 0
-        assert open_depth(tracer) == 0
         assert tracer.tracks() == []
+        assert (tracer.des_runs, tracer.unloaded_ns, tracer.unloaded_packets) == (0, 0.0, 0)
 
 
 class TestDisabledMode:
     def test_null_tracer_records_nothing(self):
         NULL_TRACER.span("a", "t", 0, 1)
-        NULL_TRACER.begin("b", "t", 0)
-        assert NULL_TRACER.end("t", 5) is None  # no stack, no error
         NULL_TRACER.instant("i", "t", 0)
         NULL_TRACER.counter("c", "t", 0, 1)
         assert len(NULL_TRACER) == 0

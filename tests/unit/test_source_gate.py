@@ -143,6 +143,23 @@ SHIPPED = ("src", "docs", "README.md", "DESIGN.md", "examples", "benchmarks", ".
             ("src/repro",),
             id="one-rule-body",
         ),
+        pytest.param(
+            r"obs (watch|explain)|ft report|render_explain|build_timeline|render_ft_report"
+            r"|render_ft_recovery|render_health_slo|ft/report\.py|ft\.report|causal timeline"
+            r"|require=",
+            "`repro obs report` is the one reader and repro.obs.report the one layout: "
+            "`obs watch`, `obs explain`, `ft report`, the mixed-unit causal timeline "
+            "and the loader's `require=` are gone",
+            SHIPPED,
+            id="one-reader",
+        ),
+        pytest.param(
+            r"tracer\.(begin|end)\(|_open\.|_trace_clock_ns|_traced\b",
+            "the tracer records flat spans and keeps the unloaded cursor itself: "
+            "begin/end nesting and the per-platform cursor are gone",
+            ("src/repro",),
+            id="flat-tracer",
+        ),
     ],
 )
 def test_no_trace_of_deleted_names(gone, reason, trees):
@@ -348,11 +365,7 @@ USE_TREES = ("src", "bench", "benchmarks", "examples")
 
 #: Public functions, classes and methods the gate would flag, kept on
 #: purpose: dotted name -> why.
-DEF_ALLOWLIST = {
-    "repro.obs.trace.PacketTracer.begin":
-        "the nested half of the tracer's span API (begin/end): no recorder nests spans "
-        "today, and deleting it takes the tracer's nesting tests with it (ROADMAP item 5)",
-}
+DEF_ALLOWLIST = {}
 
 
 def _is_exempt(name):
