@@ -799,7 +799,7 @@ class BatchLane:
     # -- plan table ----------------------------------------------------------
 
     def _steady_pid(self, report) -> int:
-        """Plan id of a steady singleton report, memoized on the report.
+        """Plan id of a steady (shared) report, memoized on the report.
 
         The marker slot guards cross-run staleness: a pid minted by an
         earlier run indexes *that* run's table, so only the plan object

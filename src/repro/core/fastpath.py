@@ -61,9 +61,18 @@ The shared fixed meter is immutable by convention — consumers read it
 to it.  It charges ``EVENT_CHECK`` for the flow's active events at both
 interpreted positions; when the gate counts a different number than it
 was built for (an event registered on a compiled flow, a one-shot
-spent) the lane derives a *new* template and keeps the flow.  The
-steady singleton report exists only while there is neither an SF
-schedule nor an active event.
+spent) the lane derives a *new* template and keeps the flow.
+
+Reports are shared too.  While there is neither an SF schedule nor an
+active event nothing in a report varies per packet, and one singleton
+(``steady_report``) serves the flow.  Otherwise a packet's report is
+fixed by its *signature* — the drop flag and, per SF batch in schedule
+order, the meter's counts in charge order and its direct cycles — so a
+packet that repeats a signature the flow already produced gets that
+packet's report back, marked ``steady`` like the singleton.  Each flow
+keeps at most :data:`SHARED_REPORTS` of them (later signatures get
+fresh reports, timed the same), a new template drops them all, and a
+packet on which an event fires never gets one.
 
 Metric-parity contract: when a registry is attached, a compiled run
 increments *exactly* the counters the interpreted route would —
@@ -95,6 +104,9 @@ from repro.platform.costs import CycleMeter, NULL_METER, Operation
 _FIN_RST = TCP_FIN | TCP_RST
 _FAST = PathTaken.FAST
 _SF_INVOKE = Operation.SF_INVOKE
+
+#: Shared reports one flow keeps, one per signature (see the module docstring).
+SHARED_REPORTS = 16
 
 #: Sentinel for a labelled drop counter not bound yet (binding a child
 #: eagerly would materialise a zero-count series in metrics exports).
@@ -263,6 +275,7 @@ class CompiledFlow:
         "program",
         "fixed_meter",
         "steady_report",
+        "shared",
         "_m_classified_inc",
         "_m_hits_inc",
         "_m_fast_inc",
@@ -313,8 +326,12 @@ class CompiledFlow:
         """
         self.event_active = active
         self.fixed_meter = _build_fixed_meter(self.program, active, self.entry.probes)
+        #: signature -> the report of the first packet that produced it
+        #: (None while the singleton serves every packet)
+        self.shared = None
         if self.program.waves or active:
             self.steady_report = None
+            self.shared = {}
         else:
             # With no SF schedule and no event to check nothing in the
             # report varies per packet (the drop decision is the rule's,
@@ -354,6 +371,7 @@ class CompiledFlow:
         clone.event_active = 0  # steady: no event to check, here or there
         clone.program = self.program  # no waves: clones exist only for steady rules
         clone.fixed_meter = self.fixed_meter
+        clone.shared = None
         # Direct construction: clone_for sits on the bulk-admission hot
         # path, and the generated dataclass __init__ spends more time
         # binding arguments than storing them.
@@ -479,14 +497,35 @@ class CompiledFlow:
         inc = self._m_path_inc
         if inc is not None:
             inc()
-        return ProcessReport(
-            path=_FAST,
-            fid=fid,
-            dropped=dropped,
-            events_fired=fired,
-            fixed_meter=fixed_meter,
-            sf_waves=sf_waves,
-        )
+        if fixed_meter is not self.fixed_meter:
+            # an event fired, or the count moved: this packet's own report
+            return ProcessReport(
+                path=_FAST,
+                fid=fid,
+                dropped=dropped,
+                events_fired=fired,
+                fixed_meter=fixed_meter,
+                sf_waves=sf_waves,
+            )
+        signature = [dropped]
+        for wave in sf_waves:
+            for __, meter in wave:
+                signature.append((*meter.counts.items(), meter.direct_cycles))
+        signature = tuple(signature)
+        shared = self.shared
+        report = shared.get(signature)
+        if report is None:
+            report = ProcessReport(
+                path=_FAST,
+                fid=fid,
+                dropped=dropped,
+                fixed_meter=fixed_meter,
+                sf_waves=sf_waves,
+                steady=len(shared) < SHARED_REPORTS,
+            )
+            if report.steady:
+                shared[signature] = report
+        return report
 
 
 def compile_flow(speedybox, entry: Optional[FlowEntry], rule: GlobalRule):

@@ -74,13 +74,14 @@ class ProcessReport:
     timing_cache: Optional[Tuple[object, float, float, float]] = field(
         default=None, repr=False, compare=False
     )
-    #: True for the per-flow singleton report a :class:`CompiledFlow`
-    #: returns for every steady-state packet (no SF waves, so nothing in
-    #: it varies per packet).  Consumers may key caches on the report's
-    #: identity when this is set — the object outlives the run.
+    #: True for a report a :class:`CompiledFlow` shares among its
+    #: packets: the flow's singleton (no SF waves, no active event), or
+    #: the one of a signature the flow produced before (see
+    #: :mod:`repro.core.fastpath`).  Consumers may key caches on the
+    #: report's identity when this is set — the object outlives the run.
     steady: bool = field(default=False, repr=False, compare=False)
     #: ``(platform, stage_plan, plan_id, table)`` memo for steady
-    #: singleton reports.  The loaded functional pass and the batch lane
+    #: (shared) reports.  The loaded functional pass and the batch lane
     #: both derive exactly one stage plan per steady report; keeping the
     #: memo *on the report* (instead of an ``id()``-keyed side table)
     #: means a report garbage-collected after a flow eviction can never

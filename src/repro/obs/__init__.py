@@ -10,9 +10,8 @@ benchmark arithmetic:
   Event Table, framework and platforms all publish into one.
 - :mod:`repro.obs.trace` — the :class:`PacketTracer` records per-packet
   spans and exports JSON-lines or Chrome trace-event JSON (opens in
-  ``chrome://tracing`` / Perfetto).
-- :mod:`repro.obs.hooks` — the discrete-event engine's observer, which
-  streams store put/get/blocked into the tracer.
+  ``chrome://tracing`` / Perfetto); its :class:`TracingObserver` streams
+  the discrete-event engine's store put/get/blocked into it.
 - :mod:`repro.obs.timeline` — builds unloaded-mode span timelines from
   :class:`~repro.core.framework.ProcessReport` objects.
 - :mod:`repro.obs.timeseries` — gen-3 windowed telemetry: a bounded
@@ -56,7 +55,6 @@ from repro.obs.health import (
     HealthModel,
     ReplicaHealth,
 )
-from repro.obs.hooks import TracingObserver
 from repro.obs.promexport import parse_prometheus, render_prometheus, write_prometheus
 from repro.obs.registry import (
     Counter,
@@ -76,7 +74,7 @@ from repro.obs.timeseries import (
     Window,
     percentile_from_deltas,
 )
-from repro.obs.trace import NULL_TRACER, PacketTracer, Span
+from repro.obs.trace import NULL_TRACER, PacketTracer, Span, TracingObserver
 
 __all__ = [
     "AuditLog",

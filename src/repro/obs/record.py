@@ -41,6 +41,8 @@ NOT_FED = "not fed"
 #: registry and the packet tracer, which put a run on the per-packet
 #: pass and the discrete-event engine.
 LEVELS = ("run", "full")
+#: one encoder for every row (``json.dumps(row, sort_keys=True)`` builds one a call)
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 # -- reading -------------------------------------------------------------------
@@ -77,7 +79,7 @@ def load_jsonl(path) -> List[Dict[str, Any]]:
 def dump_jsonl(path, rows) -> int:
     """Write ``rows`` as one sorted JSON object per line (what
     :func:`load_jsonl` reads); returns how many."""
-    lines = [json.dumps(row, sort_keys=True) + "\n" for row in rows]
+    lines = [_ROW_ENCODER.encode(row) + "\n" for row in rows]
     with open(path, "w") as handle:
         handle.write("".join(lines))
     return len(lines)

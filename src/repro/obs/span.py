@@ -1,57 +1,52 @@
 """Sampled per-flow spans: the packet-path microscope that stays cheap.
 
-The full :class:`~repro.obs.trace.PacketTracer` pipeline (metrics on,
-tracer on) shows every packet to the registry and the tracer and
-replays through the DES — an order of magnitude slower than the
-compiled fast lane with analytic replay.  :class:`FlowSpanRecorder` is
-the middle ground: a 1-in-N *flow* sampler that records nested spans
-(classify → MAT lookup → dispatch → header action → per-NF state
-functions → emit) with exact cycle and model-time attribution, while
-the compiled fast lane, the batch lane and the closed-form replays all
-stay in use.
+The full :class:`~repro.obs.trace.PacketTracer` pipeline shows every
+packet to the registry and the tracer and replays through the DES.
+:class:`FlowSpanRecorder` is the middle ground: a 1-in-N *flow* sampler
+that records nested spans (classify → MAT lookup → dispatch → header
+action → per-NF state functions → emit) with exact cycle and model-time
+attribution, while the compiled fast lane, the batch lane and the
+closed-form replays all stay in use.
 
-How it stays cheap
-------------------
+The recorder exposes ``skip``, a dict of the FIDs it must *not* record
+(unsampled, or past ``max_spans_per_flow``); the platform calls
+:meth:`~FlowSpanRecorder.record` only when the probe misses, so an
+unrecorded packet costs what it costs with no recorder attached (the
+1-in-64 overhead gate in ``benchmarks/test_obs_overhead.py``).  A
+recorded packet is one row, its template and its start; a steady
+(shared) report's template is built once, and every template encodes
+its spans once per export (:func:`repro.obs.trace.encode`).  Sampling is
+deterministic: the k-th distinct FID is sampled iff ``k % every == 0``;
+``max_spans_per_flow=None`` records every packet.
 
-The recorder exposes ``skip`` — a plain dict mapping FIDs of flows that
-must *not* be recorded (unsampled, or past their per-flow span cap) to
-``True``.  The platform calls :meth:`record` only when the probe
-misses, and stops probing a steady flow for the rest of the run the
-moment it lands here, so an unrecorded steady packet costs what it
-costs with no recorder attached; the 1-in-64 overhead gate in
-``benchmarks/test_obs_overhead.py`` holds it under 5 % of the
-uninstrumented fast path.  Sampled *steady* packets reuse a prebuilt
-per-flow span template (steady reports are per-flow singletons), so
-even recorded packets avoid re-walking the meter.
-
-Sampling is per *flow*, deterministic: the k-th distinct FID seen is
-sampled iff ``k % every == 0``, so ``every=1`` records every flow and
-the selection is reproducible run to run.  ``max_spans_per_flow``
-(default 64) bounds memory on long flows — after the cap the flow joins
-``skip``; pass ``None`` to record every packet (the exact-attribution
-tests do).
-
-Cycle and sim-time attribution
-------------------------------
-
-Each recorded packet becomes one root span (track ``flow:<fid>``) whose
-children partition the packet's meter charges by pipeline stage using
-the :func:`stage_of` mapping (Fig. 7's stage taxonomy); per-stage ``cycles`` sum *exactly* to the packet's
-merged-meter cycles (integer costs).  Durations are the cost
-model's ``cycles_to_ns`` on a monotonic recorder clock.  Loaded runs
-additionally stamp sampled roots with the replay's simulated arrival
-and finish times (``sim_arrival_ns`` / ``sim_latency_ns``) when the run
-ends (:meth:`annotate_loaded`) — the same stamps whichever replay
-produced the timeline.  The recorder holds no run state: :meth:`record`
-returns the root it filed, the run keeps the ones it wants stamped, so
-platforms sharing one recorder (a cluster's replicas) cannot collide.
+Each recorded packet is one root span (track ``flow:<fid>``) whose
+children partition its meter charges by :func:`stage_of` (Fig. 7's stage
+taxonomy); with integer costs their ``cycles`` sum exactly to the
+packet's.  Durations are ``cycles_to_ns`` on a monotonic recorder clock.
+A loaded run stamps its sampled roots with the replay's simulated
+``sim_arrival_ns`` / ``sim_finish_ns`` / ``sim_latency_ns``
+(:meth:`~FlowSpanRecorder.annotate_loaded`), whichever replay ran.  The
+recorder holds no run state — :meth:`~FlowSpanRecorder.record` returns
+the row, the run keeps the ones it stamps — so platforms sharing one
+recorder (a cluster's replicas) cannot collide.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.obs.record import dump_jsonl
+from repro.obs.trace import (
+    FIRST_TS,
+    PACKET,
+    ROW_SEP,
+    VALUE,
+    VALUE_US,
+    Span,
+    chrome_event,
+    encode,
+    rendered,
+    slot,
+)
 from repro.platform.costs import CostModel, Operation
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -144,14 +139,16 @@ class FlowSpanRecorder:
         self.flows_seen = 0
         self.flows_sampled = 0
         self.packets_sampled = 0
-        #: flat span dicts ({"type": "flow_span", ...}), root then children
-        self.records: List[Dict[str, Any]] = []
+        #: one ``[template, start_ns]`` row per recorded packet, stamped
+        #: ``[template, start_ns, arrival, finish, latency]``
+        self._rows: List[list] = []
         self._decisions: Dict[int, bool] = {}
         self._flow_spans: Dict[int, int] = {}
-        #: id(steady report) -> (the report, its prebuilt child template).
-        #: The entry holds its report: a dead flow's report cannot hand a
-        #: recycled ``id()`` — and its template — to a live flow's.
+        #: id(steady report) -> (the report, its template): holding the
+        #: report, a recycled ``id()`` cannot match a dead flow's entry
         self._steady_templates: Dict[int, tuple] = {}
+        #: encoded span texts every template shares (see ``_FlowTemplate``)
+        self._texts: Dict[tuple, str] = {}
         self._clock_ns = 0.0
 
     # -- recording ---------------------------------------------------------
@@ -169,16 +166,11 @@ class FlowSpanRecorder:
                 self.skip[fid] = True
         return sampled
 
-    def record(self, report: "ProcessReport", costs: CostModel) -> Optional[Dict[str, Any]]:
+    def record(self, report: "ProcessReport", costs: CostModel) -> Optional[list]:
         """Record one packet's spans, priced by ``costs`` (the recording
-        platform's cost model), if its flow is sampled.
-
-        Returns the packet's root span (shared with ``records``) for a
-        loaded run to hand back to :meth:`annotate_loaded`, or ``None``
-        when nothing was recorded.  Callers on a hot path should gate
-        the call on ``skip.get(fid) is None`` — :meth:`record`
-        re-checks, so the gate is optional.
-        """
+        platform's cost model), if its flow is sampled; returns its row
+        for :meth:`annotate_loaded`, or ``None``.  Callers on a hot path
+        gate the call on ``skip.get(fid) is None`` (re-checked here)."""
         fid = report.fid
         if not self.wants(fid):
             return None
@@ -191,73 +183,216 @@ class FlowSpanRecorder:
             self._flow_spans[fid] = taken + 1
 
         self.packets_sampled += 1
-        if report.steady:
-            entry = self._steady_templates.get(id(report))
-            if entry is None or entry[0] is not report:
-                entry = self._steady_templates[id(report)] = (
-                    report, self._build_children(report, costs)
-                )
-            template = entry[1]
-        else:
-            template = self._build_children(report, costs)
+        entry = self._steady_templates.get(id(report)) if report.steady else None
+        if entry is None or entry[0] is not report:
+            entry = (report, _FlowTemplate(report, costs, self._texts))
+            if report.steady:
+                self._steady_templates[id(report)] = entry
+        row = [entry[1], self._clock_ns]
+        self._rows.append(row)
+        for dur_ns in entry[1].durations:
+            self._clock_ns += dur_ns
+        return row
 
-        start = self._clock_ns
-        total_ns = 0.0
-        total_cycles = 0.0
-        track = f"flow:{fid}"
-        records = self.records
-        root: Dict[str, Any] = {
-            "type": "flow_span",
-            "name": "packet",
-            "track": track,
-            "start_ns": start,
-            "dur_ns": 0.0,
-            "depth": 0,
-            "args": {
-                "fid": fid,
-                "path": report.path.value,
-                "dropped": report.dropped,
-                "cycles": 0.0,
-            },
+    # -- loaded-run annotation --------------------------------------------
+
+    def annotate_loaded(self, roots: Dict[int, list], arrival, finish) -> None:
+        """Stamp a run's sampled roots with its simulated timeline:
+        ``roots`` maps a packet's index in the run to the row
+        :meth:`record` returned, ``arrival`` and ``finish`` are the
+        replay's columns."""
+        for index, row in roots.items():
+            arrival_ns, finish_ns = float(arrival[index]), float(finish[index])
+            # appended one by one: a tuple here would be the run's one
+            # burst of container allocations, and a collection with it
+            row.append(arrival_ns)
+            row.append(finish_ns)
+            row.append(finish_ns - arrival_ns)
+
+    # -- introspection / export -------------------------------------------
+
+    def __len__(self) -> int:
+        return sum(row[0].size for row in self._rows)
+
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """Every span as a ``{"type": "flow_span", ...}`` dict, each
+        packet's root then its children, in record order."""
+        return [record for template, start, *stamps in self._rows
+                for record in template.records(template._starts(start), stamps, template.track)]
+
+    def roots(self) -> List[Dict[str, Any]]:
+        """The per-packet root spans, in record order."""
+        return [template.records([start], stamps, "")[0] for template, start, *stamps in self._rows]
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            "every": self.every,
+            "flows_seen": self.flows_seen,
+            "flows_sampled": self.flows_sampled,
+            "packets_sampled": self.packets_sampled,
+            "spans": len(self),
         }
-        records.append(root)
-        cursor = start
-        for name, stage, cycles, dur_ns, wave in template:
-            args: Dict[str, Any] = {"stage": stage, "cycles": cycles}
-            if wave is not None:
-                args["wave"] = wave
-            records.append(
-                {
-                    "type": "flow_span",
-                    "name": name,
-                    "track": track,
-                    "start_ns": cursor,
-                    "dur_ns": dur_ns,
-                    "depth": 1,
-                    "args": args,
-                }
-            )
-            cursor += dur_ns
+
+    def write_jsonl(self, path) -> int:
+        rows = self._rows
+        for template in dict.fromkeys(row[0] for row in rows):
+            if template._jsonl is None:
+                texts = template.joined(template.events(), "\n")
+                template._jsonl = tuple(text + "\n" for text in texts)
+        with open(path, "w") as handle:
+            handle.write("".join(row[0].jsonl(row) for row in rows))
+        return len(self)
+
+    def replay_into(self, tracer: "PacketTracer") -> int:
+        """Hand the spans recorded since the last call to ``tracer`` (for
+        the Chrome export): the rows go by reference, and a repeat call
+        hands nothing.  Returns how many spans went."""
+        return tracer.adopt(self._rows)
+
+    def reset(self) -> None:
+        self.skip.clear()
+        self.flows_seen = 0
+        self.flows_sampled = 0
+        self.packets_sampled = 0
+        self._rows = []
+        self._decisions.clear()
+        self._flow_spans.clear()
+        self._steady_templates.clear()
+        self._texts.clear()
+        self._clock_ns = 0.0
+
+    def __repr__(self) -> str:
+        return (
+            f"<FlowSpanRecorder 1-in-{self.every}: {self.flows_sampled}/"
+            f"{self.flows_seen} flows, {self.packets_sampled} packets, "
+            f"{len(self)} spans>"
+        )
+
+
+class _FlowTemplate:
+    """One packet's flow spans but for its start and stamps: a root span
+    on track ``flow:<fid>``, then its children laid end to end from the
+    root's start (:meth:`_children`).
+
+    A row is ``[template, start_ns, *stamps]``.  Encoded (:meth:`events`),
+    a row's fields are the three stamps, the track (the FID, or in Chrome
+    form the track's ``tid``), the FID and each span's start, so a span's
+    text is the same on every flow: the recorder encodes each one once.
+    """
+
+    __slots__ = ("fid", "track", "tracks", "children", "durations", "size", "total_ns",
+                 "root_args", "_texts", "_jsonl", "_tid", "_encoded", "_chrome")
+
+    def __init__(self, report: "ProcessReport", costs: CostModel, texts: Dict[tuple, str]):
+        self.fid = report.fid
+        self.track = f"flow:{report.fid}"
+        self.tracks = ((0, self.track),)
+        self.children = self._children(report, costs)
+        self.durations = [child[3] for child in self.children]
+        self.size = 1 + len(self.children)
+        total_ns = total_cycles = 0.0
+        for __, __, cycles, dur_ns, __ in self.children:
             total_ns += dur_ns
             total_cycles += cycles
-        root["dur_ns"] = total_ns
-        root["args"]["cycles"] = total_cycles
-        self._clock_ns = cursor
-        return root
+        self.total_ns = total_ns
+        #: the root's args after its FID
+        self.root_args = {"path": report.path.value, "dropped": report.dropped,
+                          "cycles": total_cycles}
+        self._texts = texts  # the recorder's
+        self._jsonl = self._encoded = None
 
-    def _build_children(
-        self, report: "ProcessReport", model: CostModel
+    def _starts(self, start: float) -> List[float]:
+        """The root's start, then each child's, laid end to end."""
+        starts = [start]
+        for dur_ns in self.durations:
+            starts.append(start)
+            start += dur_ns
+        return starts
+
+    def _root(self, start, stamps, fid, track: str) -> Dict[str, Any]:
+        args = {"fid": fid, **self.root_args}
+        if stamps:
+            args["sim_arrival_ns"], args["sim_finish_ns"], args["sim_latency_ns"] = stamps
+        return {"type": "flow_span", "name": "packet", "track": track, "start_ns": start,
+                "dur_ns": self.total_ns, "depth": 0, "args": args}
+
+    def records(self, starts: list, stamps, track: str) -> List[Dict[str, Any]]:
+        """The spans at ``starts`` as dicts (as many as ``starts`` has),
+        the root stamped with ``stamps`` (if any), the children on ``track``."""
+        records = [self._root(starts[0], stamps, self.fid, self.track)]
+        for (name, stage, cycles, dur_ns, wave), start in zip(self.children, starts[1:]):
+            args = {"stage": stage, "cycles": cycles}
+            if wave is not None:
+                args["wave"] = wave
+            records.append({"type": "flow_span", "name": name, "track": track,
+                            "start_ns": start, "dur_ns": dur_ns, "depth": 1, "args": args})
+        return records
+
+    def events(self, tid: Optional[int] = None) -> List[str]:
+        """Each span's text — ``spans.jsonl`` rows, or Chrome events given
+        the track's ``tid`` — the unstamped root, the stamped root, then
+        the children, encoded on their first use by any flow."""
+        jsonl, texts = tid is None, self._texts
+        keys = [(jsonl, stamped, *self.root_args.values(), self.total_ns)
+                for stamped in (False, True)]
+        keys += [(jsonl, child, FIRST_TS + k) for k, child in enumerate(self.children, 1)]
+        misses = [key for key in dict.fromkeys(keys) if key not in texts]
+        if misses:
+            track = "flow:" + slot(3)
+            records = dict(zip(keys[2:], self.records(
+                [slot(FIRST_TS)] + [slot(key[2]) for key in keys[2:]], None, track)[1:]))
+            for key in keys[:2]:
+                stamps = (PACKET, VALUE, VALUE_US) if key[1] else None
+                records[key] = self._root(slot(FIRST_TS), stamps, slot(4), track)
+            if not jsonl:
+                records = {key: chrome_event(0, record["name"], "", slot(3), record["start_ns"],
+                                             record["dur_ns"], record["args"])
+                           for key, record in records.items()}
+            for key, text in zip(misses, encode([[records[key] for key in misses]],
+                                                sort_keys=jsonl)[0]):
+                texts[key] = text
+        return [texts[key] for key in keys]
+
+    def chrome(self, tids: Dict[str, int]) -> list:
+        self._tid = tids[self.track]
+        return self.events(self._tid)
+
+    @staticmethod
+    def joined(texts: List[str], separator: str) -> tuple:
+        """The row format strings of :meth:`events`' texts: unstamped, stamped."""
+        return separator.join([texts[0], *texts[2:]]), separator.join(texts[1:])
+
+    def jsonl(self, row: list) -> str:
+        """``row``'s ``spans.jsonl`` lines (once :attr:`_jsonl` is encoded)."""
+        __, start, *stamps = row
+        return self._jsonl[bool(stamps)].format(
+            *(stamps or (None,) * 3), self.fid, self.fid, *self._starts(start))
+
+    def render(self, row: list, texts: List[str], timed: tuple) -> None:
+        if texts is not self._encoded:
+            self._encoded, self._chrome = texts, self.joined(texts, ROW_SEP)
+        __, start, *stamps = row
+        fields = (*(stamps or (None,) * 3), self._tid, self.fid)
+        times, lines = rendered(self._starts(start), self._chrome[bool(stamps)], fields)
+        timed[0][0].extend(times)
+        timed[0][1].extend(lines)
+
+    def materialize(self, row: list, out: tuple) -> None:
+        for record in self.records(self._starts(row[1]), row[2:], self.track):
+            span = Span(record["name"], self.track, record["start_ns"], record["dur_ns"],
+                        record["args"])
+            span.depth = record["depth"]
+            out[0].append(span)
+
+    @staticmethod
+    def _children(
+        report: "ProcessReport", model: CostModel
     ) -> List[Tuple[str, str, float, float, Optional[int]]]:
-        """(name, stage, cycles, dur_ns, wave) children for one report.
-
-        The fixed meter's charges are grouped by :func:`stage_of` and
-        laid out in the canonical stage order, with the per-NF spans
-        (slow-path hops or fast-path SF batches) between the dispatch
-        stages and the teardown/emit tail — the packet's actual walk.
-        Per-stage cycles are count × cost sums in sorted-operation
-        order, so with integer costs the children sum to the packet's
-        merged-meter cycles exactly.
-        """
+        """(name, stage, cycles, dur_ns, wave) children for one report: the
+        fixed meter's stages in canonical order around the per-NF spans
+        (slow-path hops or SF batches), each a count × cost sum in sorted
+        operation order, so with integer costs they sum exactly."""
         table = model.op_cycles
         to_ns = model.ns_per_cycle()
 
@@ -288,78 +423,6 @@ class FlowSpanRecorder:
             if cycles:
                 children.append((stage, stage, cycles, cycles * to_ns, None))
         return children
-
-    # -- loaded-run annotation --------------------------------------------
-
-    def annotate_loaded(self, roots: Dict[int, Dict[str, Any]], arrival, finish) -> None:
-        """Stamp a run's sampled roots with its simulated timeline.
-
-        ``roots`` maps a packet's index in the run to the root
-        :meth:`record` returned for it; ``arrival`` and ``finish`` are
-        the replay's two columns, indexed the same way.  The root dicts
-        are shared with ``records``, so the stamps show everywhere at
-        once.
-        """
-        for index, root in roots.items():
-            args = root["args"]
-            args["sim_arrival_ns"] = float(arrival[index])
-            args["sim_finish_ns"] = float(finish[index])
-            args["sim_latency_ns"] = args["sim_finish_ns"] - args["sim_arrival_ns"]
-
-    # -- introspection / export -------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def roots(self) -> List[Dict[str, Any]]:
-        """The per-packet root spans, in record order."""
-        return [record for record in self.records if record["depth"] == 0]
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "every": self.every,
-            "flows_seen": self.flows_seen,
-            "flows_sampled": self.flows_sampled,
-            "packets_sampled": self.packets_sampled,
-            "spans": len(self.records),
-        }
-
-    def write_jsonl(self, path) -> int:
-        return dump_jsonl(path, self.records)
-
-    def replay_into(self, tracer: "PacketTracer") -> int:
-        """Copy the recorded spans into a PacketTracer (Chrome export)."""
-        count = 0
-        for record in self.records:
-            span = tracer.span(
-                record["name"],
-                record["track"],
-                record["start_ns"],
-                record["dur_ns"],
-                **record["args"],
-            )
-            if span is not None:
-                span.depth = record["depth"]
-                count += 1
-        return count
-
-    def reset(self) -> None:
-        self.skip.clear()
-        self.flows_seen = 0
-        self.flows_sampled = 0
-        self.packets_sampled = 0
-        self.records.clear()
-        self._decisions.clear()
-        self._flow_spans.clear()
-        self._steady_templates.clear()
-        self._clock_ns = 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"<FlowSpanRecorder 1-in-{self.every}: {self.flows_sampled}/"
-            f"{self.flows_seen} flows, {self.packets_sampled} packets, "
-            f"{len(self.records)} spans>"
-        )
 
 
 def _meter_cycles(meter, table) -> float:

@@ -26,11 +26,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import PathTaken, ProcessReport, ServiceChain, SpeedyBox
 from repro.net.packet import Packet
-from repro.obs.hooks import TracingObserver
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.span import FlowSpanRecorder
 from repro.obs.timeline import trace_unloaded
-from repro.obs.trace import NULL_TRACER, PacketTracer
+from repro.obs.trace import NULL_TRACER, PacketTracer, TracingObserver
 from repro.platform.costs import CostModel, CycleMeter, Operation
 from repro.sim import Engine, Get, Put, Store, Timeout
 from repro.sim import analytic as sim_analytic
@@ -775,25 +774,20 @@ class Platform:
         ``run`` to :meth:`_replay`.  This is the only place a loaded run
         calls ``runtime.process``.
 
-        One step serves every configuration.  A steady-state singleton
-        report (``report.steady``) whose ``plan_cache`` carries *this
-        run's* plan table has nothing left to show anyone: its plan id
-        is filed and the step returns, so the steady majority costs one
-        probe whatever is attached.  Every other report has its plan
-        built (or taken from a cache an earlier run or a lane left),
-        looked up in the table and, while anything is attached, is shown
-        to it by :meth:`_watch`; a steady report is marked the moment
-        nothing will want its packets again.  The plan is cached only
-        together with the marker, so a flow still being recorded
-        rebuilds its plan per packet — which only the sampled minority
-        pays.
+        One step serves every configuration.  A steady (shared) report
+        (``report.steady``) keeps its plan and this run's plan id on the
+        report, so the steady majority costs one probe for its plan
+        whatever is attached; every other report has its plan built (or
+        taken from a cache an earlier run or a lane left) and looked up
+        in the table.  What is attached still sees every packet it wants
+        (:meth:`_observe`): the registry and the tracer each one, the
+        span recorder each one of a flow it samples below its cap.
 
-        The marker is the run's table, kept on the report itself
-        (``ProcessReport.plan_cache`` — an ``id()``-keyed side table
-        would go stale once bounded flow tables let steady reports be
-        garbage-collected mid-run and their ids recycled).  Reports
-        outlive the run; the table does not, so a recorder that was
-        reset, swapped or attached since sees every flow again.
+        The plan id is valid for the run's table alone, so the table is
+        kept beside it (``ProcessReport.plan_cache`` — an ``id()``-keyed
+        side table would go stale once bounded flow tables let steady
+        reports be garbage-collected mid-run and their ids recycled).
+        Reports outlive the run; the table does not.
         """
         forensics = self.forensics
         capturing = forensics is not None and forensics.enabled
@@ -803,48 +797,37 @@ class Platform:
         stage_plan = self._stage_plan
         plan_id = self._plan_id
         file_pid = run.plan_ids.append
-        watch = None
-        if self.spans is not None or capturing or self.metrics.enabled or self.tracer.enabled:
-            watch = self._watch
+        counted = self.metrics.enabled or self.tracer.enabled
+        # the recorder's probe: a packet of an unsampled or capped flow
+        # costs one dict lookup
+        unrecorded = self.spans.skip.get if self.spans is not None and not counted else None
+        watched = counted or unrecorded is not None
+        observe = self._observe
+        roots = run.roots
 
         def offer(packet: Packet) -> StagePlan:
             report = process(packet)
             if report.dropped:
                 run.dropped += 1
             cached = report.plan_cache
-            if cached is None:
-                plan = stage_plan(report)
-            elif cached[3] is table:
-                file_pid(cached[2])
-                return cached[1]
+            if cached is not None and cached[3] is table:
+                plan, pid = cached[1], cached[2]
             else:
-                plan = cached[1] if cached[0] is self else stage_plan(report)
-            pid = plan_id(table, plan, report)
-            if watch is None or watch(report, run):
+                if cached is not None and cached[0] is self:
+                    plan = cached[1]
+                else:
+                    plan = stage_plan(report)
+                pid = plan_id(table, plan, report)
                 if report.steady:
                     report.plan_cache = (self, plan, pid, table)
+            if watched and (counted or unrecorded(report.fid) is None):
+                root = observe(report)
+                if root is not None:
+                    roots[len(run.plan_ids)] = root
             file_pid(pid)
             return plan
 
         return offer, run
-
-    def _watch(self, report: ProcessReport, run: FunctionalRun) -> bool:
-        """Show the packet ``run`` is about to file to what is attached.
-
-        The observers see it exactly as :meth:`process` would show it
-        (:meth:`_observe`), and a sampled root is kept under the
-        packet's index in the run.  Returns whether nothing will want
-        this report's packets again this run: no registry or tracer
-        attached (those count every packet), and its flow unsampled or
-        past the span cap.
-        """
-        root = self._observe(report)
-        if root is not None:
-            run.roots[len(run.plan_ids)] = root
-        if self.metrics.enabled or self.tracer.enabled:
-            return False
-        spans = self.spans
-        return spans is None or spans.skip.get(report.fid) is not None
 
     def _spawn_pipeline(
         self,
@@ -866,7 +849,8 @@ class Platform:
         done = Store(engine, name=f"{label}:done")
         arrival = [0.0] * len(plan_ids)
         finish = [0.0] * len(plan_ids)
-        tracing = self.tracer.enabled
+        tracer = self.tracer
+        tracing = tracer.enabled
 
         def source():
             for index, plan in enumerate(map(table.__getitem__, plan_ids)):
@@ -886,9 +870,7 @@ class Platform:
                 started = engine.now
                 yield Timeout(plan[hop][1])
                 if tracing:
-                    self.tracer.span(
-                        f"pkt{packet_index}", track, started, engine.now - started, hop=hop
-                    )
+                    tracer.packet_span(track, hop, started, engine.now - started, packet_index)
                 if hop + 1 < len(plan):
                     yield Put(rings[plan[hop + 1][0]], (packet_index, hop + 1, plan))
                 else:

@@ -89,7 +89,7 @@ class Engine:
 
     ``observer`` is a nullable instrumentation hook read by the stores:
     when set to an object with the three store methods of
-    :class:`repro.obs.hooks.TracingObserver` (``store_put``,
+    :class:`repro.obs.trace.TracingObserver` (``store_put``,
     ``store_get``, ``store_blocked``), every store on this engine
     reports to it.  It defaults to ``None``, and the engine never
     imports the observer type.

@@ -26,6 +26,13 @@ twin of the generator :func:`batch_from_specs`, the pcap reader
 :func:`read_pcap`, the RFC 1071 :func:`internet_checksum`, and small
 readings of NF and schedule internals.
 
+The trace exporters' reference encoders live here as well:
+:func:`to_chrome` builds a tracer's Chrome document one dict per event,
+and :func:`chrome_reference` / :func:`spans_jsonl_reference` encode it
+and a flow span recorder's records with ``json.dumps`` — the bytes
+``PacketTracer.write_chrome`` and ``FlowSpanRecorder.write_jsonl``
+render from pre-encoded fragments must equal theirs.
+
 Hostile addresses come from here too: :func:`colliding_flows` (a
 committed fixture of five-tuples on one FID), their
 :func:`friendly_twins`, :func:`batch_over` to offer either as a
@@ -755,3 +762,56 @@ def lockstep(build_chain, packets, interventions=None, **sbox_kwargs):
         assert getattr(fast.event_table, counter) == getattr(oracle.event_table, counter)
     assert nf_state(fast) == nf_state(oracle)
     return served
+
+
+# -- reference trace encoders ----------------------------------------------------
+
+
+def to_chrome(tracer) -> dict:
+    """``tracer``'s capture as a Chrome trace-event object, one dict per
+    event: ``thread_name`` metadata per track in first-use order, then
+    the spans, instants and counter samples stably sorted by ``ts``."""
+    tids = {track: index for index, track in enumerate(tracer.tracks())}
+    events = [
+        {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": track}}
+        for track, tid in tids.items()
+    ]
+    spans, instants, counters = tracer.events()
+    timed = [
+        {"name": span.name, "ph": "X", "pid": 0, "tid": tids[span.track],
+         "ts": span.start_ns / 1000.0, "dur": span.dur_ns / 1000.0, "args": span.args}
+        for span in spans
+    ]
+    timed += [
+        {"name": instant.name, "ph": "i", "s": "t", "pid": 0, "tid": tids[instant.track],
+         "ts": instant.ts_ns / 1000.0, "args": instant.args}
+        for instant in instants
+    ]
+    timed += [
+        {"name": f"{sample.track}:{sample.name}", "ph": "C", "pid": 0,
+         "tid": tids[sample.track], "ts": sample.ts_ns / 1000.0,
+         "args": {sample.name: sample.value}}
+        for sample in counters
+    ]
+    timed.sort(key=lambda event: event["ts"])
+    return {"traceEvents": events + timed, "displayTimeUnit": "ns"}
+
+
+def chrome_reference(tracer) -> str:
+    """What ``tracer.write_chrome`` must write, encoded with ``json.dumps``."""
+    return json.dumps(to_chrome(tracer))
+
+
+def spans_jsonl_reference(recorder) -> str:
+    """What ``recorder.write_jsonl`` must write, one ``json.dumps`` a span."""
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in recorder.records)
+
+
+def read_chrome(tracer) -> dict:
+    """The document ``tracer.write_chrome`` writes, parsed back."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.json"
+        tracer.write_chrome(path)
+        return json.loads(path.read_text())

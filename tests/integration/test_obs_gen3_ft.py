@@ -159,7 +159,7 @@ class TestRecoveryTimeline:
         for stage in ("buffer", "restore", "replay", "drain"):
             assert stage in names, f"missing {stage} span on {track}"
         # the detect marker fires at kill time, before every stage span
-        detects = [i for i in tracer._instants if i.track == track and i.name == "detect"]
+        detects = [i for i in tracer.events()[1] if i.track == track and i.name == "detect"]
         assert len(detects) == 1
         stage_spans = [span for span in tracer.spans if span.track == track]
         assert all(detects[0].ts_ns <= span.start_ns for span in stage_spans)

@@ -10,8 +10,9 @@ that).
 from __future__ import annotations
 
 from repro.core.event_table import Event
+from repro.core.fastpath import SHARED_REPORTS
 from repro.core.framework import PathTaken, SpeedyBox
-from repro.nf import DosPrevention, IPFilter, Monitor
+from repro.nf import DosPrevention, IPFilter, Monitor, SnortIDS
 from repro.obs import MetricsRegistry
 from repro.platform import BessPlatform
 from repro.platform.costs import Operation
@@ -20,8 +21,18 @@ from repro.traffic.generator import clone_packets
 from tests.integration.helpers import InterpretedSpeedyBox, count_interpreted, des_run_load
 
 
+RULES = 'alert tcp any any -> any any (msg:"x"; content:"malware"; sid:1;)'
+
+
 def flow_packets(count=6, sport=4100):
     spec = FlowSpec.tcp("10.0.0.1", "20.0.0.1", sport, 80, packets=count, payload=b"q" * 8)
+    return TrafficGenerator([spec]).packets()
+
+
+def sized_flow(sizes, sport=4200):
+    """One TCP flow whose packets carry payloads of ``sizes`` bytes."""
+    spec = FlowSpec.tcp("10.0.0.1", "20.0.0.1", sport, 80, packets=len(sizes),
+                        payload=lambda index: b"z" * sizes[index])
     return TrafficGenerator([spec]).packets()
 
 
@@ -87,10 +98,50 @@ class TestCompilation:
         runtime = SpeedyBox([IPFilter("fw0"), Monitor("mon0")])
         packets = flow_packets(4)
         reports = [runtime.process(p) for p in packets]
-        assert runtime._compiled
-        # Monitor's SF schedule makes per-packet meters: fresh reports.
-        assert not any(r.steady for r in reports)
-        assert reports[-1] is not reports[-2]
+        (flow,) = runtime._compiled.values()
+        # Monitor's SF schedule makes per-packet meters: no singleton, but
+        # packets that repeat the first compiled packet's signature get its
+        # report back.
+        assert flow.steady_report is None
+        assert not reports[0].steady
+        assert all(r.steady and r is reports[1] for r in reports[1:])
+        assert list(flow.shared.values()) == [reports[1]]
+
+    def test_alternating_snort_payloads_share_two_reports(self):
+        runtime = SpeedyBox([SnortIDS("snort", RULES), Monitor("mon0")])
+        packets = sized_flow([26, 1400] * 5)
+        reports = [runtime.process(packet) for packet in packets]
+        (flow,) = runtime._compiled.values()
+        assert len(flow.shared) == 2
+        small, large = reports[2], reports[3]
+        assert small is not large and small.steady and large.steady
+        assert reports[2::2] == [small] * 4 and all(r is small for r in reports[2::2])
+        assert all(r is large for r in reports[3::2])
+        scans = [meter.count(Operation.PAYLOAD_BYTE_SCAN)
+                 for report in (small, large) for wave in report.sf_waves
+                 for __, meter in wave if meter.count(Operation.PAYLOAD_BYTE_SCAN)]
+        assert scans == [26.0, 1400.0]
+
+    def test_a_flow_past_the_cap_gets_fresh_reports_timed_the_same(self):
+        sizes = [40 + index for index in range(SHARED_REPORTS + 4)]
+        runtime = SpeedyBox([SnortIDS("snort", RULES)])
+        oracle = InterpretedSpeedyBox([SnortIDS("snort", RULES)])
+        packets = sized_flow(sizes + sizes)
+        reports = [runtime.process(packet) for packet in packets]
+        references = [oracle.process(packet) for packet in sized_flow(sizes + sizes)]
+        (flow,) = runtime._compiled.values()
+        assert len(flow.shared) == SHARED_REPORTS
+        # The first packet records; the next SHARED_REPORTS signatures are shared.
+        first, second = reports[1 : len(sizes)], reports[len(sizes) + 1 :]
+        assert all(a.steady and a is b for a, b in zip(first[:SHARED_REPORTS],
+                                                       second[:SHARED_REPORTS]))
+        past = list(zip(first[SHARED_REPORTS:], second[SHARED_REPORTS:]))
+        assert len(past) == 3
+        assert all(not a.steady and not b.steady and a is not b for a, b in past)
+        platform = BessPlatform(runtime)
+        timings = [platform._time_report(report) for report in reports]
+        assert timings == [platform._time_report(report) for report in references]
+        assert all(platform._time_report(a) == platform._time_report(b) for a, b in past)
 
     def test_interpreted_selector_never_compiles(self):
         runtime = InterpretedSpeedyBox([IPFilter("fw0")])
@@ -198,7 +249,9 @@ class TestEventsOnTheLane:
         assert flow.event_active == 1
         report = self._same_packet(runtime, oracle)
         assert not interpreted, "the closure declined a quiet event"
-        assert not report.steady and report.events_fired == 0
+        # no singleton while an event is active, but the signature's shared report
+        assert report.steady and report.events_fired == 0
+        assert flow.steady_report is None and report in flow.shared.values()
         assert report.fixed_meter.count(Operation.EVENT_CHECK) == 2.0
         assert report.fixed_meter is flow.fixed_meter  # the shared template
 
@@ -209,7 +262,8 @@ class TestEventsOnTheLane:
         for side in (runtime, oracle):
             side.event_table.register(quiet_event(flow.fid))
         report = self._same_packet(runtime, oracle)  # 0 -> 1 active
-        assert not report.steady and flow.steady_report is None
+        assert flow.steady_report is None
+        assert report.steady and list(flow.shared.values()) == [report]
         assert report.fixed_meter.count(Operation.EVENT_CHECK) == 2.0
         assert list(runtime._compiled.values()) == [flow] and not interpreted
 
@@ -219,13 +273,28 @@ class TestEventsOnTheLane:
         events = [quiet_event(flow.fid), quiet_event(flow.fid)]
         for side, event in zip((runtime, oracle), events):
             side.event_table.register(event)
-        assert not self._same_packet(runtime, oracle).steady
+        shared = self._same_packet(runtime, oracle)
+        assert shared.steady and flow.steady_report is None
         for event in events:
             event.triggered = True  # spent elsewhere (a migrated record says so)
         report = self._same_packet(runtime, oracle)  # 1 -> 0 active
         assert report.steady and report is flow.steady_report
+        assert report is not shared and not flow.shared
         assert report.fixed_meter.count(Operation.EVENT_CHECK) == 0.0
         assert list(runtime._compiled.values()) == [flow] and not interpreted
+
+    def test_a_packet_that_fires_an_event_never_gets_a_shared_report(self):
+        runtime, oracle, interpreted = self._pair(
+            lambda: [DosPrevention("dos0", threshold=5, mode="packets"), Monitor("mon0")]
+        )
+        (flow,) = runtime._compiled.values()
+        reports = [self._same_packet(runtime, oracle) for __ in range(4)]
+        fired = [report for report in reports if report.events_fired]
+        # the lane fires it (the rebuilt rule serves the next packet interpreted)
+        assert len(fired) == 1 and len(interpreted) == 1
+        assert not fired[0].steady
+        assert all(fired[0] is not report for report in flow.shared.values())
+        assert reports[0].steady and not reports[0].events_fired
 
     def test_true_precheck_hands_the_packet_back_untouched(self):
         armed = []

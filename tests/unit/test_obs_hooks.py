@@ -10,6 +10,7 @@ from repro.sim.engine import Engine, Get, Put, Timeout
 from repro.sim.resources import Store
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.columnar import uniform_batch
+from tests.integration.helpers import read_chrome
 
 
 def make_packets(n=12):
@@ -42,7 +43,7 @@ class TestEngineHooks:
         tracer = PacketTracer()
         self.run_producer_consumer(TracingObserver(tracer, ""))
         assert "ring:ring0" in tracer.tracks()
-        records = tracer.to_chrome()["traceEvents"]
+        records = read_chrome(tracer)["traceEvents"]
         counters = [event for event in records if event["ph"] == "C"]
         # One occupancy sample per put and per get.
         assert len(counters) == 10
@@ -65,7 +66,7 @@ class TestEngineHooks:
         instants, and need no observer to be kept."""
         tracer = PacketTracer()
         traced = self.run_producer_consumer(TracingObserver(tracer, ""))
-        instants = [event["name"] for event in tracer.to_chrome()["traceEvents"] if event["ph"] == "i"]
+        instants = [event["name"] for event in read_chrome(tracer)["traceEvents"] if event["ph"] == "i"]
         assert (traced.blocked_puts, traced.blocked_gets) == (
             instants.count("blocked_put"),
             instants.count("blocked_get"),

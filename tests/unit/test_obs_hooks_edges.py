@@ -14,6 +14,7 @@ from repro.platform import BessPlatform
 from repro.sim.engine import Engine, Get, Put, Timeout
 from repro.sim.resources import Store
 from repro.traffic import FlowSpec, TrafficGenerator
+from tests.integration.helpers import read_chrome
 
 
 def make_packets(n=8):
@@ -51,7 +52,7 @@ class TestTracingObserverEdges:
         """Capacity 1 under a slow consumer: every put but the first blocks."""
         tracer = PacketTracer()
         run_pipeline(Engine(), TracingObserver(tracer, ""), items=20, capacity=1)
-        records = tracer.to_chrome()["traceEvents"]
+        records = read_chrome(tracer)["traceEvents"]
         blocked = [e for e in records if e.get("name") == "blocked_put"]
         # The producer outruns the consumer's 10 ns service time: after
         # the first two puts race ahead, every remaining put blocks.
@@ -71,18 +72,19 @@ class TestTracingObserverEdges:
         marks = []
         for __ in range(2):
             platform.run_load(make_packets(8))
-            marks.append((len(tracer._counters), len(tracer._instants), len(tracer._spans)))
+            spans, instants, counters = tracer.events()
+            marks.append((len(counters), len(instants), len(spans)))
 
         def run_of(index, column):
             return 0 if index < marks[0][column] else 1
 
         runs_by_track = {}
-        for index, sample in enumerate(tracer._counters):
+        for index, sample in enumerate(counters):
             runs_by_track.setdefault(sample.track, set()).add(run_of(index, 0))
-        for index, instant in enumerate(tracer._instants):
+        for index, instant in enumerate(instants):
             if instant.name.startswith("blocked_"):
                 runs_by_track.setdefault(instant.track, set()).add(run_of(index, 1))
-        for index, span in enumerate(tracer._spans):
+        for index, span in enumerate(spans):
             if span.name.startswith("pkt"):
                 runs_by_track.setdefault(span.track, set()).add(run_of(index, 2))
         assert {"ring:bess:chain-core", "bess:chain-core"} <= set(runs_by_track)
@@ -105,7 +107,7 @@ class TestEmptyRuns:
         result = platform.run_load([])
         assert result.delivered == 0
         # Chrome export of whatever little was traced still works.
-        tracer.to_chrome()
+        read_chrome(tracer)
 
 
 class TestTimelineEdges:
@@ -120,7 +122,7 @@ class TestTimelineEdges:
         end = trace_unloaded(tracer, platform, reports[1], 0.0, 1)
         names = [s.name for s in tracer.spans]
         assert "nic_tx" not in names
-        instants = [e for e in tracer.to_chrome()["traceEvents"] if e["ph"] == "i"]
+        instants = [e for e in read_chrome(tracer)["traceEvents"] if e["ph"] == "i"]
         assert any(e["name"] == "dropped" for e in instants)
         assert end > 0.0
 

@@ -282,7 +282,9 @@ class TestSteadyTemplates:
                 for packet in TrafficGenerator([spec]).packets():
                     report = runtime.process(packet)
                     root = recorder.record(report, model)
-                    assert root["args"]["cycles"] == total_meter(report).cycles(model)
+                    assert root is not None
+                    cycles = recorder.roots()[-1]["args"]["cycles"]
+                    assert cycles == total_meter(report).cycles(model)
                     checked += 1
                     # let a dead flow's report be collected, as a loaded run does
                     del report, root
@@ -303,6 +305,20 @@ class TestExport:
         tracer = PacketTracer()
         assert recorder.replay_into(tracer) == len(recorder.records)
         assert any(track.startswith("flow:") for track in tracer.tracks())
+
+    def test_a_second_replay_into_adds_nothing(self, tmp_path):
+        """Exporting a bundle twice must not write its flow spans twice."""
+        traces = []
+        for calls in (1, 2):
+            recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
+            record_run(recorder, packets=make_packets(6))
+            tracer = PacketTracer()
+            handed = [recorder.replay_into(tracer) for __ in range(calls)]
+            assert handed[0] == len(recorder.records) and handed[1:] in ([], [0])
+            path = tmp_path / f"trace{calls}.json"
+            tracer.write_chrome(path)
+            traces.append(path.read_text())
+        assert traces[0] == traces[1]
 
     def test_reset_and_repr(self):
         recorder = FlowSpanRecorder(every=1)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import NULL_TRACER, PacketTracer
 from repro.obs.trace import Span
+from tests.integration.helpers import read_chrome, to_chrome
 
 
 class TestSpan:
@@ -92,14 +93,14 @@ class TestChromeExport:
         assert loaded["displayTimeUnit"] == "ns"
 
     def test_timed_events_have_monotonic_ts(self):
-        trace = self.make_tracer().to_chrome()
+        trace = read_chrome(self.make_tracer())
         timed = [event for event in trace["traceEvents"] if event["ph"] != "M"]
         timestamps = [event["ts"] for event in timed]
         assert timestamps == sorted(timestamps)
 
     def test_metadata_names_every_track(self):
         tracer = self.make_tracer()
-        trace = tracer.to_chrome()
+        trace = read_chrome(tracer)
         metadata = [event for event in trace["traceEvents"] if event["ph"] == "M"]
         assert {event["args"]["name"] for event in metadata} == set(tracer.tracks())
         assert all(event["name"] == "thread_name" for event in metadata)
@@ -108,14 +109,14 @@ class TestChromeExport:
         assert {event["pid"] for event in metadata} == {0}
 
     def test_units_are_microseconds(self):
-        trace = self.make_tracer().to_chrome()
+        trace = read_chrome(self.make_tracer())
         classify = next(e for e in trace["traceEvents"] if e.get("name") == "classify")
         assert classify["ph"] == "X"
         assert classify["ts"] == 1.0  # 1000 ns
         assert classify["dur"] == 0.5  # 500 ns
 
     def test_event_phases(self):
-        trace = self.make_tracer().to_chrome()
+        trace = read_chrome(self.make_tracer())
         phases = {event["ph"] for event in trace["traceEvents"]}
         assert phases == {"M", "X", "i", "C"}
         counter = next(e for e in trace["traceEvents"] if e["ph"] == "C")
@@ -151,6 +152,6 @@ class TestChromeExport:
         tracer = getattr(self, build)()
         path = tmp_path / "trace.json"
         count = tracer.write_chrome(path)
-        trace = tracer.to_chrome()
+        trace = to_chrome(tracer)
         assert count == len(trace["traceEvents"])
         assert path.read_text() == json.dumps(trace)
