@@ -34,7 +34,6 @@ from repro.core.actions import (
     FieldOp,
     Forward,
     HeaderAction,
-    HeaderActionKind,
     Modify,
 )
 from repro.net.packet import Packet, PacketField

@@ -16,7 +16,7 @@ the associated states have been updated".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.actions import HeaderAction
 from repro.core.state_function import StateFunction, plain_args

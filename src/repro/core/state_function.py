@@ -24,6 +24,12 @@ class PayloadClass(enum.IntEnum):
     """How a state function interacts with the packet payload.
 
     Ordered by the priority rule of §V-C2: WRITE > READ > IGNORE.
+
+    - ``IGNORE`` may read header fields and the packet's length, never a
+      payload byte: Monitor's ``count_packet`` reads ``five_tuple()`` and
+      ``byte_length()``, and that is allowed.
+    - ``READ`` may also read payload bytes: Snort's ``inspect`` is READ.
+    - ``WRITE`` may also change them.
     """
 
     IGNORE = 0

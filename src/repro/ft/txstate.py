@@ -30,7 +30,7 @@ clients the chains use (``MazuNAT(port_pool=...)``,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.net.flow import FiveTuple
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, List, Tuple, Union
+from typing import BinaryIO, Iterable, Iterator, List, Union
 
 from repro.net.packet import Packet
 

@@ -3,7 +3,7 @@
 The five NFs the paper implements and evaluates (§VI-C, Table II) plus
 the helpers its microbenchmarks use:
 
-- :mod:`repro.nf.snort` — mini-Snort IDS: rule parsing, multi-pattern
+- :mod:`repro.nf.snort` — mini-Snort IDS: rule parsing, content and pcre
   payload inspection, per-flow rule-function assignment.
 - :mod:`repro.nf.maglev` — Google's Maglev load balancer (consistent
   hashing per §3.4 of the Maglev paper), with backend-failure events.

@@ -20,7 +20,7 @@ from repro.core.actions import Modify
 from repro.core.local_mat import InstrumentationAPI
 from repro.net.addresses import ip_to_int
 from repro.net.flow import FiveTuple
-from repro.net.packet import Packet, PacketField
+from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 

@@ -6,20 +6,23 @@ the flow — the subset of rules whose header part covers the five-tuple,
 compiled into a :class:`FlowMatcher` — and the same matcher is invoked
 for every subsequent packet.
 
-Payload evaluation uses an Aho–Corasick prescan shared across all rules:
-one pass over the payload yields the set of content patterns present;
-a rule fully matches when all of its contents were found and its pcre
-(if any) matches.  ``pass`` rules suppress ``alert``/``log`` verdicts for
-packets they match, covering the three conditional branches of §VII-C1.
+Each candidate rule is decided by :meth:`SnortRule.payload_matches`
+alone: its contents in order through :meth:`ContentOption.match_end`
+(a ``bytes`` search, at C speed), then its pcre.  Real Snort prescans
+every payload with one Aho–Corasick pass over all rules' contents, but
+that prescan is only a necessary condition, so the verdicts are the
+same; the prescan engine lives beside the tests as their oracle, and the
+cost model still charges Snort's scan per payload byte.  ``pass`` rules
+suppress ``alert``/``log`` verdicts for packets they match, covering the
+three conditional branches of §VII-C1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.net.flow import FiveTuple
-from repro.nf.snort.aho_corasick import MultiPatternIndex
 from repro.nf.snort.rules import RuleAction, SnortRule
 
 
@@ -52,13 +55,14 @@ class FlowMatcher:
     fast path as a recorded state function.
     """
 
-    __slots__ = ("flow", "candidates", "flowbits", "_engine")
+    __slots__ = ("flow", "candidates", "flowbits", "_passes", "_others")
 
-    def __init__(self, flow: FiveTuple, candidates: Sequence[SnortRule], engine: "DetectionEngine"):
+    def __init__(self, flow: FiveTuple, candidates: Sequence[SnortRule]):
         self.flow = flow
         self.candidates: Tuple[SnortRule, ...] = tuple(candidates)
         self.flowbits: set = set()
-        self._engine = engine
+        self._passes = tuple(r for r in self.candidates if r.action is RuleAction.PASS)
+        self._others = tuple(r for r in self.candidates if r.action is not RuleAction.PASS)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -70,32 +74,24 @@ class FlowMatcher:
         rules in the same packet observe them.  A matching ``pass`` rule
         short-circuits the packet entirely (Snort's pass precedence).
         """
-        matched_keys = self._engine.index.matched_keys(payload) if payload else set()
+        bits = self.flowbits
         result = InspectionResult()
 
         # Pass precedence: a pass rule matching this packet exempts it.
-        for rule in self.candidates:
-            if rule.action is not RuleAction.PASS:
-                continue
-            if rule.flowbits_allow(frozenset(self.flowbits)) and self._engine.rule_payload_matches(
-                rule, payload, matched_keys
-            ):
+        for rule in self._passes:
+            if rule.flowbits_allow(bits) and rule.payload_matches(payload):
                 result.passed = True
                 return result
 
-        for rule in self.candidates:
-            if rule.action is RuleAction.PASS:
+        for rule in self._others:
+            if not rule.flowbits_allow(bits) or not rule.payload_matches(payload):
                 continue
-            if not rule.flowbits_allow(frozenset(self.flowbits)):
-                continue
-            if not self._engine.rule_payload_matches(rule, payload, matched_keys):
-                continue
-            rule.flowbits_apply(self.flowbits)
+            rule.flowbits_apply(bits)
             if rule.suppresses_output:
                 continue
             if rule.action is RuleAction.ALERT:
                 result.alerts.append(rule)
-            elif rule.action is RuleAction.LOG:
+            else:
                 result.logs.append(rule)
         return result
 
@@ -104,53 +100,16 @@ class FlowMatcher:
 
 
 class DetectionEngine:
-    """Rule set + shared multi-pattern index + per-flow matcher factory."""
+    """Rule set + per-flow matcher factory."""
 
     def __init__(self, rules: Sequence[SnortRule]):
         self.rules: List[SnortRule] = list(rules)
-        self.index = MultiPatternIndex()
-        #: rule id -> keys of its content patterns in the shared index
-        self._content_keys: Dict[int, Set[int]] = {}
-        for rule_id, rule in enumerate(self.rules):
-            keys = {
-                self.index.add(content.pattern, nocase=content.nocase)
-                for content in rule.contents
-            }
-            self._content_keys[rule_id] = keys
-        self.index.build()
+        if any(not content.pattern for rule in self.rules for content in rule.contents):
+            raise ValueError("empty pattern")
 
     def __len__(self) -> int:
         return len(self.rules)
 
-    def rule_payload_matches(self, rule: SnortRule, payload: bytes, matched_keys: Set[int]) -> bool:
-        """Full payload evaluation given the prescan results.
-
-        The Aho-Corasick prescan is a necessary condition (pattern occurs
-        *somewhere*); contents with offset/depth modifiers are then
-        verified positionally, exactly like Snort's own fast-pattern +
-        rule-evaluation split.
-        """
-        keys = self._keys_for(rule)
-        if not keys.issubset(matched_keys):
-            return False
-        if any(
-            content.offset or content.depth is not None or content.is_relative
-            for content in rule.contents
-        ):
-            # Positional/relative constraints: full in-order evaluation.
-            return rule.payload_matches(payload)
-        if rule.pcre is not None and rule.pcre.search(payload) is None:
-            return False
-        return True
-
-    def _keys_for(self, rule: SnortRule) -> Set[int]:
-        cache = getattr(self, "_id_cache", None)
-        if cache is None:
-            cache = {id(r): self._content_keys[i] for i, r in enumerate(self.rules)}
-            self._id_cache = cache
-        return cache[id(rule)]
-
     def assign_flow_matcher(self, flow: FiveTuple) -> FlowMatcher:
         """Header-match every rule once; compile the flow's matcher."""
-        candidates = [rule for rule in self.rules if rule.header_matches(flow)]
-        return FlowMatcher(flow, candidates, self)
+        return FlowMatcher(flow, [rule for rule in self.rules if rule.header_matches(flow)])

@@ -11,7 +11,7 @@ time, so the fast path invokes the identical code the original path runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.core.actions import Forward
 from repro.core.local_mat import InstrumentationAPI

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Pattern, Tuple
+from typing import List, Optional, Pattern
 
 from repro.net.addresses import ip_to_int
 from repro.net.flow import FiveTuple, PROTO_TCP, PROTO_UDP

@@ -22,8 +22,7 @@ count.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 LabelSet = Tuple[Tuple[str, str], ...]
 

@@ -30,7 +30,7 @@ from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.span import FlowSpanRecorder
 from repro.obs.timeline import trace_unloaded
 from repro.obs.trace import NULL_TRACER, PacketTracer, TracingObserver
-from repro.platform.costs import CostModel, CycleMeter, Operation
+from repro.platform.costs import CostModel
 from repro.sim import Engine, Get, Put, Store, Timeout
 from repro.sim import analytic as sim_analytic
 from repro.sim.analytic import analytic_replay, plans_are_analytic, plans_are_vector

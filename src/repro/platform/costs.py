@@ -28,7 +28,7 @@ EXPERIMENTS.md compares shapes, ratios and crossovers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Optional
 

@@ -31,7 +31,7 @@ Two subtleties the implementation works around:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.framework import FlowRecord, ServiceChain, SpeedyBox

@@ -124,21 +124,20 @@ def combine(name: str, reports: List[InstrumentationReport]) -> InstrumentationR
 def integration_table() -> List[InstrumentationReport]:
     """The Table II rows for this repo's five paper NFs.
 
-    Snort's core functionality spans four modules (rule parser, pattern
-    engine, detection engine, NF wrapper); its instrumentation lives only
+    Snort's core functionality spans three modules (rule parser,
+    detection engine, NF wrapper); its instrumentation lives only
     in the wrapper — exactly the paper's structure, where 27 lines were
     added to the 1129-line Snort core.
     """
-    from repro.nf import snort as snort_pkg
     from repro.nf.ipfilter import IPFilter
     from repro.nf.maglev import MaglevLoadBalancer
     from repro.nf.mazunat import MazuNAT
     from repro.nf.monitor import Monitor
-    from repro.nf.snort import aho_corasick, engine, nf as snort_nf, rules
+    from repro.nf.snort import engine, nf as snort_nf, rules
 
     snort_parts = [
         count_instrumentation(inspect.getsource(module), name=module.__name__)
-        for module in (rules, aho_corasick, engine, snort_nf)
+        for module in (rules, engine, snort_nf)
     ]
     subjects = [
         ("Maglev", MaglevLoadBalancer),

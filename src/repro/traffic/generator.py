@@ -9,8 +9,8 @@ deterministic — standing in for the paper's DPDK packet generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, List, Sequence, Union
 
 from repro.net.flow import FiveTuple, PROTO_TCP, PROTO_UDP
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_SYN

@@ -1,19 +1,27 @@
-"""Aho–Corasick multi-pattern string matching.
+"""The Snort prescan engine: the reference the detection engine is checked against.
 
-Snort's detection engine prescans payloads for every ``content`` pattern
-of the active rule set in one pass; this module provides that machinery.
+Real Snort prescans each payload for every ``content`` pattern of the
+active rule set in one Aho–Corasick pass, then evaluates only the rules
+whose patterns all occurred.  ``repro.nf.snort`` tests each candidate
+rule's contents directly instead; this module keeps the prescan engine
+it replaced, so the tests can hold the two to the same verdicts.
+
 The automaton is built once per rule set (goto/fail/output construction)
-and reused for every packet.
-
-Patterns are byte strings; case-insensitive patterns are supported by
-normalising both the pattern and the scanned text through a translation
-table (ASCII lowercase), which matches Snort's ``nocase`` semantics.
+and reused for every packet.  Patterns are byte strings; case-insensitive
+patterns are supported by normalising both the pattern and the scanned
+text through a translation table (ASCII lowercase), which matches
+Snort's ``nocase`` semantics.  :class:`PrescanMatcher` is the per-flow
+matcher built on it, rule for rule as ``FlowMatcher`` was.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.net.flow import FiveTuple
+from repro.nf.snort.engine import InspectionResult
+from repro.nf.snort.rules import RuleAction, SnortRule
 
 _LOWER = bytes(
     b + 32 if 0x41 <= b <= 0x5A else b
@@ -112,6 +120,7 @@ class AhoCorasick:
         """The set of pattern ids occurring anywhere in ``text``."""
         return {pattern_id for pattern_id, __ in self.search(text)}
 
+
 class MultiPatternIndex:
     """Two automatons — case-sensitive and nocase — behind one interface.
 
@@ -148,3 +157,65 @@ class MultiPatternIndex:
             if inner_id in hits:
                 matched.add(key)
         return matched
+
+
+class PrescanMatcher:
+    """A flow's matcher as the prescan engine ran it.
+
+    One prescan per payload yields the set of patterns present; a rule
+    is evaluated only when all of its contents occurred, positionally
+    (:meth:`SnortRule.payload_matches`) when any content has offset,
+    depth, distance or within, else by its pcre alone.  Pass precedence,
+    rule order and flowbits timing are ``FlowMatcher``'s.
+    """
+
+    def __init__(self, rules: Sequence[SnortRule], flow: FiveTuple):
+        self.index = MultiPatternIndex()
+        keys = [
+            {self.index.add(content.pattern, nocase=content.nocase) for content in rule.contents}
+            for rule in rules
+        ]
+        self.index.build()
+        self.candidates = [
+            (rule, rule_keys) for rule, rule_keys in zip(rules, keys) if rule.header_matches(flow)
+        ]
+        self.flowbits: set = set()
+
+    def _payload_matches(
+        self, rule: SnortRule, keys: Set[int], payload: bytes, matched: Set[int]
+    ) -> bool:
+        if not keys.issubset(matched):
+            return False
+        if any(
+            content.offset or content.depth is not None or content.is_relative
+            for content in rule.contents
+        ):
+            return rule.payload_matches(payload)
+        return rule.pcre is None or rule.pcre.search(payload) is not None
+
+    def inspect(self, payload: bytes) -> InspectionResult:
+        matched = self.index.matched_keys(payload) if payload else set()
+        result = InspectionResult()
+        for rule, keys in self.candidates:
+            if rule.action is not RuleAction.PASS:
+                continue
+            if rule.flowbits_allow(frozenset(self.flowbits)) and self._payload_matches(
+                rule, keys, payload, matched
+            ):
+                result.passed = True
+                return result
+        for rule, keys in self.candidates:
+            if rule.action is RuleAction.PASS:
+                continue
+            if not rule.flowbits_allow(frozenset(self.flowbits)):
+                continue
+            if not self._payload_matches(rule, keys, payload, matched):
+                continue
+            rule.flowbits_apply(self.flowbits)
+            if rule.suppresses_output:
+                continue
+            if rule.action is RuleAction.ALERT:
+                result.alerts.append(rule)
+            elif rule.action is RuleAction.LOG:
+                result.logs.append(rule)
+        return result

@@ -1,8 +1,8 @@
-"""Unit tests for the Aho-Corasick engine (repro.nf.snort.aho_corasick)."""
+"""Unit tests for the Aho-Corasick reference engine (tests.integration.aho_corasick)."""
 
 import pytest
 
-from repro.nf.snort.aho_corasick import AhoCorasick, MultiPatternIndex
+from tests.integration.aho_corasick import AhoCorasick, MultiPatternIndex
 
 
 class TestAhoCorasick:

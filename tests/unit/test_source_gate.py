@@ -4,7 +4,8 @@ reachability gate and the knob gate.
 ``pyproject.toml`` selects ruff's error tier only (E9, F63, F7, F82);
 ruff itself is a CI dependency, not a test one.  What that tier guards
 first — every file parses and compiles, every exported name exists — is
-checked here so tier-1 says it too.  The reachability gate checks that
+checked here so tier-1 says it too, and so is pyflakes' F401 for
+``src/``: no import goes unused.  The reachability gate checks that
 every module is imported by something a user or a measurement runs,
 and that every exported name is used by something other than a test.
 Its method-level check asks the same of every public function, class
@@ -209,6 +210,48 @@ def test_nothing_in_the_package_deep_copies():
     ]
     assert not hits, hits
 
+
+
+def _unused_imports(path):
+    """``line:name`` for every name ``path`` imports, at any depth, that
+    its code never uses.  A use is an identifier, also inside a quoted
+    annotation; a name in the module's ``__all__`` is used, and
+    an import line marked ``# noqa: F401`` is kept on purpose."""
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text, str(path))
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [
+        annotation
+        for node in ast.walk(tree)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if annotation is not None
+    ]
+    for node in (inner for annotation in annotations for inner in ast.walk(annotation)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            quoted = ast.parse(node.value, mode="eval")
+            used.update(name.id for name in ast.walk(quoted) if isinstance(name, ast.Name))
+    used.update(_assigned(tree, "__all__") or ())
+    return [
+        f"{node.lineno}:{alias.asname or alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and not any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+    ]
+
+
+def test_no_import_goes_unused():
+    """CI's ruff selects the error tier only, so this is where an import
+    left behind by a deletion shows."""
+    hits = [
+        f"{path.relative_to(ROOT)}:{hit}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for hit in _unused_imports(path)
+    ]
+    assert not hits, f"delete them, or mark one kept on purpose '# noqa: F401': {hits}"
 
 # -- reachability ---------------------------------------------------------------
 
