@@ -25,10 +25,20 @@ from repro.net.headers import (
     Header,
     IPv4Header,
     PROTO_AH,
+    PROTO_TCP,
+    PROTO_UDP,
+    TCP_ACK,
     TCPHeader,
     UDPHeader,
     VxlanHeader,
 )
+
+# Every packet's default Ethernet header shares these two.  Sharing is
+# safe because a MACAddress is never changed in place: a MAC write
+# installs a new object (``_write_src_mac``), and only ``__init__``
+# assigns ``.value`` (tests/unit/test_net_packet.py pins both).
+_DEFAULT_DST_MAC = MACAddress("02:00:00:00:00:02")
+_DEFAULT_SRC_MAC = MACAddress("02:00:00:00:00:01")
 
 
 class PacketField(enum.Enum):
@@ -146,7 +156,7 @@ class Packet:
         timestamp_ns: float = 0.0,
     ):
         if eth is None:
-            eth = EthernetHeader(MACAddress("02:00:00:00:00:02"), MACAddress("02:00:00:00:00:01"))
+            eth = EthernetHeader(_DEFAULT_DST_MAC, _DEFAULT_SRC_MAC)
         if ip is None:
             ip = IPv4Header("10.0.0.1", "10.0.0.2")
         self.eth = eth
@@ -165,25 +175,12 @@ class Packet:
         cls,
         five_tuple: FiveTuple,
         payload: bytes = b"",
-        tcp_flags: int = 0x10,
+        tcp_flags: int = TCP_ACK,
         seq: int = 0,
         timestamp_ns: float = 0.0,
     ) -> "Packet":
         """Build a TCP or UDP packet whose headers realise ``five_tuple``."""
-        from repro.net.flow import PROTO_TCP, PROTO_UDP
-
-        ip = IPv4Header(five_tuple.src_ip, five_tuple.dst_ip, protocol=five_tuple.protocol)
-        if five_tuple.protocol == PROTO_TCP:
-            l4: Union[TCPHeader, UDPHeader] = TCPHeader(
-                five_tuple.src_port, five_tuple.dst_port, seq=seq, flags=tcp_flags
-            )
-        elif five_tuple.protocol == PROTO_UDP:
-            l4 = UDPHeader(five_tuple.src_port, five_tuple.dst_port, length=8 + len(payload))
-        else:
-            raise ValueError(f"unsupported protocol for packet synthesis: {five_tuple.protocol}")
-        packet = cls(ip=ip, l4=l4, payload=payload, timestamp_ns=timestamp_ns)
-        packet.finalize()
-        return packet
+        return HeaderStamp(five_tuple).packet(payload, tcp_flags, seq, timestamp_ns)
 
     # -- flow identity -----------------------------------------------------
 
@@ -305,4 +302,74 @@ class Packet:
         return f"<Packet {flow} len={self.byte_length()}{encaps}{state}>"
 
 
-__all__ = ["Packet", "PacketField", "VxlanHeader"]
+class HeaderStamp:
+    """One flow's header values, validated once, stamped onto each packet.
+
+    A stamped packet is finalized as built: the IPv4 total length follows
+    from the payload length, and the checksum, which depends on nothing
+    else that varies, is computed once per distinct length.  Each packet
+    gets its own headers; the default MAC addresses are the shared ones
+    every :class:`Packet` starts with.
+    """
+
+    __slots__ = ("five_tuple", "_tcp", "_header_length", "_template", "_checksums")
+
+    def __init__(self, five_tuple: FiveTuple):
+        protocol = five_tuple.protocol
+        if protocol == PROTO_TCP:
+            l4_length = TCPHeader.LENGTH
+        elif protocol == PROTO_UDP:
+            l4_length = UDPHeader.LENGTH
+        else:
+            raise ValueError(f"unsupported protocol for packet synthesis: {protocol}")
+        #: the IPv4 header every packet copies, at total length 0
+        self._template = IPv4Header(five_tuple.src_ip, five_tuple.dst_ip, protocol=protocol)
+        self.five_tuple = FiveTuple(
+            self._template.src_ip,
+            self._template.dst_ip,
+            five_tuple.src_port,
+            five_tuple.dst_port,
+            protocol,
+        )
+        self._tcp = protocol == PROTO_TCP
+        self._header_length = IPv4Header.LENGTH + l4_length
+        self._checksums: Dict[int, int] = {}
+
+    def packet(self, payload: bytes, tcp_flags: int, seq: int, timestamp_ns: float) -> Packet:
+        """The flow's packet carrying ``payload`` (``tcp_flags`` and
+        ``seq`` apply to a TCP flow only)."""
+        src_ip, dst_ip, src_port, dst_port, protocol = self.five_tuple
+        total_length = self._header_length + len(payload)
+        checksum = self._checksums.get(total_length)
+        if checksum is None:
+            template = self._template
+            template.total_length = total_length
+            template.refresh_checksum()
+            checksum = self._checksums[total_length] = template.checksum
+        # every slot is filled here, from values validated once per flow
+        ip = IPv4Header.__new__(IPv4Header)
+        ip.src_ip = src_ip
+        ip.dst_ip = dst_ip
+        ip.protocol = protocol
+        ip.ttl = 64
+        ip.dscp = 0
+        ip.identification = 0
+        ip.total_length = total_length
+        ip.checksum = checksum
+        if self._tcp:
+            l4: Union[TCPHeader, UDPHeader] = TCPHeader(src_port, dst_port, seq, 0, tcp_flags)
+        else:
+            l4 = UDPHeader(src_port, dst_port, UDPHeader.LENGTH + len(payload))
+        packet = Packet.__new__(Packet)
+        packet.eth = EthernetHeader(_DEFAULT_DST_MAC, _DEFAULT_SRC_MAC)
+        packet.ip = ip
+        packet.l4 = l4
+        packet.encaps = []
+        packet.payload = payload
+        packet.metadata = {}
+        packet.dropped = False
+        packet.timestamp_ns = timestamp_ns
+        return packet
+
+
+__all__ = ["HeaderStamp", "Packet", "PacketField", "VxlanHeader"]

@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Union
 from repro.net.addresses import ip_to_int
 from repro.net.flow import FiveTuple, PROTO_TCP, PROTO_UDP
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_SYN
-from repro.net.packet import Packet
+from repro.net.packet import HeaderStamp, Packet
 from repro.traffic.generator import PayloadPolicy
 from repro.vector import np
 
@@ -158,28 +158,18 @@ class PacketBatch:
     def materialize(self, index: int) -> Packet:
         """Build packet ``index`` exactly as ``TrafficGenerator`` would."""
         flow = int(self.flow_index[index])
-        five_tuple = self.five_tuple_of(flow)
         kind = self.kind[index]
-        ts = 0.0 if self.timestamp_ns is None else float(self.timestamp_ns[index])
         if kind == KIND_SYN:
-            packet = Packet.from_five_tuple(
-                five_tuple, tcp_flags=TCP_SYN, seq=int(self.seq[index])
-            )
+            payload, flags = b"", TCP_SYN
         elif kind == KIND_FIN:
-            packet = Packet.from_five_tuple(
-                five_tuple, tcp_flags=TCP_FIN | TCP_ACK, seq=int(self.seq[index])
-            )
+            payload, flags = b"", TCP_FIN | TCP_ACK
         else:
             data_index = int(self.ordinal[index]) - int(self.flow_handshake[flow])
-            packet = Packet.from_five_tuple(
-                five_tuple,
-                payload=self.payload_for(flow, data_index),
-                tcp_flags=TCP_ACK,
-                seq=int(self.seq[index]),
-            )
-        if ts:
-            packet.timestamp_ns = ts
-        return packet
+            payload, flags = self.payload_for(flow, data_index), TCP_ACK
+        ts = 0.0 if self.timestamp_ns is None else float(self.timestamp_ns[index])
+        return HeaderStamp(self.five_tuple_of(flow)).packet(
+            payload, flags, int(self.seq[index]), ts
+        )
 
     def packet_view(self) -> "LazyPacketView":
         """A sized, iterable view that materializes packets on the fly.

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.net.flow import FiveTuple, PROTO_TCP
+from repro.net.packet import Packet
 from repro.nf.snort.rules import SnortRule
-from repro.traffic.generator import FlowSpec
-from repro.traffic.payloads import PayloadSynthesizer
+from repro.traffic.generator import FlowSpec, packets_for_flow
+from repro.traffic.payloads import PayloadRequest, PayloadSynthesizer
 
 
 @dataclass
@@ -80,6 +81,18 @@ class DatacenterTraceConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {value!r}")
+        if self.pareto_alpha <= 0:
+            raise ValueError(f"pareto_alpha must be positive, got {self.pareto_alpha!r}")
+        if self.pareto_scale <= 0:
+            raise ValueError(f"pareto_scale must be positive, got {self.pareto_scale!r}")
+        if self.lognormal_sigma < 0:
+            raise ValueError(
+                f"lognormal_sigma must be non-negative, got {self.lognormal_sigma!r}"
+            )
+        for name in ("small_payload", "large_payload"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 class DatacenterTraceGenerator:
@@ -94,7 +107,10 @@ class DatacenterTraceGenerator:
         self._random = random.Random(self.config.seed)
         self._service_ports = list(self.config.service_ports)
         self._payloads = PayloadSynthesizer(rules, seed=self.config.seed + 1)
-        self._has_rules = any(rule.contents for rule in rules)
+        #: the rule every malicious flow's payloads match
+        self._malicious_rule = next(
+            (rule for rule in self._payloads.rules if rule.contents), None
+        )
 
     # -- distribution sampling -------------------------------------------------
 
@@ -127,9 +143,15 @@ class DatacenterTraceGenerator:
     # -- trace construction ------------------------------------------------------
 
     def generate_flows(self) -> List[FlowSpec]:
-        """The full trace as flow specs (seeded, reproducible)."""
+        """The full trace as flow specs (seeded, reproducible).
+
+        Each flow's five-tuple, size, malicious flag and payload lengths
+        are drawn flow after flow; the payloads then come from one bulk
+        call, on the synthesizer's own stream.
+        """
         cfg = self.config
-        flows: List[FlowSpec] = []
+        shapes = []
+        requests: List[PayloadRequest] = []
         seen = set()
         for index in range(cfg.flows):
             five_tuple = self._sample_five_tuple(index)
@@ -139,26 +161,27 @@ class DatacenterTraceGenerator:
 
             packets = self.sample_flow_packets()
             malicious = (
-                self._has_rules and self._random.random() < cfg.malicious_fraction
+                self._malicious_rule is not None
+                and self._random.random() < cfg.malicious_fraction
             )
-            payloads = self._flow_payloads(packets, malicious)
+            rule = self._malicious_rule if malicious else None
+            requests.extend((self.sample_payload_length(), rule) for __ in range(packets))
+            shapes.append((five_tuple, packets))
+        payloads = self._payloads.payloads(requests)
+        flows: List[FlowSpec] = []
+        start = 0
+        for five_tuple, packets in shapes:
             flows.append(
                 FlowSpec(
                     five_tuple=five_tuple,
                     packets=packets,
-                    payload=self._payload_policy(payloads),
+                    payload=self._payload_policy(payloads[start : start + packets]),
                     handshake=cfg.with_handshake,
                     fin=cfg.with_fin,
                 )
             )
+            start += packets
         return flows
-
-    def _flow_payloads(self, packets: int, malicious: bool) -> List[bytes]:
-        lengths = [self.sample_payload_length() for __ in range(packets)]
-        if malicious:
-            rule = next(rule for rule in self._payloads.rules if rule.contents)
-            return [self._payloads.matching(rule, length) for length in lengths]
-        return [self._payloads.benign(length) for length in lengths]
 
     @staticmethod
     def _payload_policy(payloads: List[bytes]):
@@ -167,7 +190,7 @@ class DatacenterTraceGenerator:
 
         return policy
 
-    def timestamped_packets(self) -> List["Packet"]:
+    def timestamped_packets(self) -> List[Packet]:
         """Expand the trace to packets with ON/OFF arrival timestamps.
 
         Benson et al. characterise datacenter traffic as ON/OFF at packet
@@ -177,20 +200,19 @@ class DatacenterTraceGenerator:
         carry ``timestamp_ns`` and are globally time-ordered, ready for
         ``Platform.run_load(..., use_timestamps=True)`` replay.
         """
-        from repro.traffic.generator import packets_for_flow
-
-        all_packets = []
+        all_packets: List[Packet] = []
+        expovariate = self._random.expovariate
         flow_start = 0.0
         for spec in self.generate_flows():
-            flow_start += self._random.expovariate(1.0 / 20_000.0)
+            flow_start += expovariate(1.0 / 20_000.0)
             timestamp = flow_start
-            for index, packet in enumerate(packets_for_flow(spec)):
-                if index:
-                    if index % 4 == 0:
-                        timestamp += self._random.expovariate(1.0 / 60_000.0)
-                    else:
-                        timestamp += 1_000.0
-                packet.timestamp_ns = timestamp
-                all_packets.append(packet)
+            timestamps = [timestamp]
+            for index in range(1, spec.total_packets):
+                if index % 4 == 0:
+                    timestamp += expovariate(1.0 / 60_000.0)
+                else:
+                    timestamp += 1_000.0
+                timestamps.append(timestamp)
+            all_packets.extend(packets_for_flow(spec, timestamps))
         all_packets.sort(key=lambda packet: packet.timestamp_ns)
         return all_packets

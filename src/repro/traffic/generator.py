@@ -10,11 +10,12 @@ deterministic — standing in for the paper's DPDK packet generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Sequence, Union
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.net.flow import FiveTuple, PROTO_TCP, PROTO_UDP
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_SYN
-from repro.net.packet import Packet
+from repro.net.packet import HeaderStamp, Packet
 
 PayloadPolicy = Union[bytes, Callable[[int], bytes]]
 
@@ -82,37 +83,39 @@ class FlowSpec:
         return self.packets + extra
 
 
-def packets_for_flow(spec: FlowSpec) -> List[Packet]:
-    """Expand one flow spec into its packet sequence."""
+def packets_for_flow(
+    spec: FlowSpec, timestamps: Optional[Sequence[float]] = None
+) -> List[Packet]:
+    """Expand one flow spec into its packet sequence.
+
+    The flow's headers are validated once and stamped onto each packet;
+    ``timestamps``, when given, are the packets' ``timestamp_ns`` in order.
+    """
     if spec.packets < 0:
         raise ValueError(f"negative packet count: {spec.packets}")
     is_tcp = spec.five_tuple.protocol == PROTO_TCP
+    if spec.handshake and not is_tcp:
+        raise ValueError("handshake requested for a non-TCP flow")
+    if spec.fin and not is_tcp:
+        raise ValueError("fin requested for a non-TCP flow")
+    if not spec.total_packets:
+        return []
+    stamp = HeaderStamp(spec.five_tuple).packet
+    times = iter(timestamps) if timestamps is not None else repeat(0.0)
     packets: List[Packet] = []
     seq = 1000
 
     if spec.handshake:
-        if not is_tcp:
-            raise ValueError("handshake requested for a non-TCP flow")
-        packets.append(
-            Packet.from_five_tuple(spec.five_tuple, tcp_flags=TCP_SYN, seq=seq)
-        )
+        packets.append(stamp(b"", TCP_SYN, seq, next(times)))
         seq += 1
 
     for index in range(spec.packets):
         payload = spec.payload_for(index)
-        flags = TCP_ACK
-        packet = Packet.from_five_tuple(
-            spec.five_tuple, payload=payload, tcp_flags=flags, seq=seq
-        )
-        packets.append(packet)
+        packets.append(stamp(payload, TCP_ACK, seq, next(times)))
         seq += max(len(payload), 1)
 
     if spec.fin:
-        if not is_tcp:
-            raise ValueError("fin requested for a non-TCP flow")
-        packets.append(
-            Packet.from_five_tuple(spec.five_tuple, tcp_flags=TCP_FIN | TCP_ACK, seq=seq)
-        )
+        packets.append(stamp(b"", TCP_FIN | TCP_ACK, seq, next(times)))
     return packets
 
 

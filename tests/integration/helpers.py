@@ -71,7 +71,17 @@ from repro.core.actions import HeaderAction
 from repro.core.classifier import fid_of
 from repro.core.consolidation import ConsolidatedAction
 from repro.core.framework import ProcessReport, ServiceChain, SpeedyBox
+from repro.net.addresses import MACAddress
 from repro.net.flow import PROTO_TCP, PROTO_UDP, FiveTuple
+from repro.net.headers import (
+    TCP_ACK,
+    TCP_FIN,
+    TCP_SYN,
+    EthernetHeader,
+    IPv4Header,
+    TCPHeader,
+    UDPHeader,
+)
 from repro.net.packet import Packet
 from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US
 from repro.net.trace import load_trace, write_trace
@@ -145,6 +155,94 @@ def _flow_order(specs: Sequence[FlowSpec], interleave: str, seed: int) -> List[i
     else:
         raise ValueError(f"unknown interleave mode {interleave!r}")
     return order
+
+
+def reference_packet(
+    five_tuple: FiveTuple,
+    payload: bytes = b"",
+    tcp_flags: int = TCP_ACK,
+    seq: int = 0,
+    timestamp_ns: float = 0.0,
+) -> Packet:
+    """``Packet.from_five_tuple`` as it was before header stamping: every
+    header built and validated from the five-tuple, fresh MAC addresses,
+    then ``finalize()`` for the total length and checksum.  The oracle
+    ``HeaderStamp`` is checked against."""
+    ip = IPv4Header(five_tuple.src_ip, five_tuple.dst_ip, protocol=five_tuple.protocol)
+    if five_tuple.protocol == PROTO_TCP:
+        l4: Union[TCPHeader, UDPHeader] = TCPHeader(
+            five_tuple.src_port, five_tuple.dst_port, seq=seq, flags=tcp_flags
+        )
+    elif five_tuple.protocol == PROTO_UDP:
+        l4 = UDPHeader(five_tuple.src_port, five_tuple.dst_port, length=8 + len(payload))
+    else:
+        raise ValueError(f"unsupported protocol for packet synthesis: {five_tuple.protocol}")
+    eth = EthernetHeader(MACAddress("02:00:00:00:00:02"), MACAddress("02:00:00:00:00:01"))
+    packet = Packet(eth=eth, ip=ip, l4=l4, payload=payload, timestamp_ns=timestamp_ns)
+    packet.finalize()
+    return packet
+
+
+def reference_packets_for_flow(spec: FlowSpec) -> List[Packet]:
+    """``packets_for_flow`` as it was before header stamping: one
+    :func:`reference_packet` per packet."""
+    if spec.packets < 0:
+        raise ValueError(f"negative packet count: {spec.packets}")
+    is_tcp = spec.five_tuple.protocol == PROTO_TCP
+    packets: List[Packet] = []
+    seq = _BASE_SEQ
+    if spec.handshake:
+        if not is_tcp:
+            raise ValueError("handshake requested for a non-TCP flow")
+        packets.append(reference_packet(spec.five_tuple, tcp_flags=TCP_SYN, seq=seq))
+        seq += 1
+    for index in range(spec.packets):
+        payload = spec.payload_for(index)
+        packets.append(
+            reference_packet(spec.five_tuple, payload=payload, tcp_flags=TCP_ACK, seq=seq)
+        )
+        seq += max(len(payload), 1)
+    if spec.fin:
+        if not is_tcp:
+            raise ValueError("fin requested for a non-TCP flow")
+        packets.append(reference_packet(spec.five_tuple, tcp_flags=TCP_FIN | TCP_ACK, seq=seq))
+    return packets
+
+
+def reference_trace(generator) -> List[Packet]:
+    """``DatacenterTraceGenerator.timestamped_packets`` as it was before
+    header stamping: each flow's reference packets, each timestamp set
+    after the packet is built, in the same draw order."""
+    packets: List[Packet] = []
+    flow_start = 0.0
+    for spec in generator.generate_flows():
+        flow_start += generator._random.expovariate(1.0 / 20_000.0)
+        timestamp = flow_start
+        for index, packet in enumerate(reference_packets_for_flow(spec)):
+            if index:
+                if index % 4 == 0:
+                    timestamp += generator._random.expovariate(1.0 / 60_000.0)
+                else:
+                    timestamp += 1_000.0
+            packet.timestamp_ns = timestamp
+            packets.append(packet)
+    packets.sort(key=lambda packet: packet.timestamp_ns)
+    return packets
+
+
+def assert_same_packet(packet: Packet, reference: Packet) -> None:
+    """Equal as built (headers packed without ``finalize``), on the wire
+    (``serialize``) and in every descriptor field."""
+    def as_built(p: Packet) -> bytes:
+        return p.eth.pack() + p.ip.pack() + p.l4.pack() + p.payload
+
+    assert type(packet.l4) is type(reference.l4)
+    assert as_built(packet) == as_built(reference)
+    assert packet.serialize() == reference.serialize()
+    assert packet.timestamp_ns == reference.timestamp_ns
+    assert packet.metadata == reference.metadata
+    assert packet.encaps == reference.encaps
+    assert packet.dropped == reference.dropped
 
 
 def batch_from_specs(

@@ -224,3 +224,49 @@ class TestPacket:
         # Classic RFC 1071 example.
         data = bytes([0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7])
         assert internet_checksum(data) == 0x220D
+
+
+class TestSharedDefaultMacs:
+    """Every packet's default Ethernet header shares two MACAddress
+    objects, which is sound only while no MACAddress changes in place."""
+
+    def test_only_the_constructor_assigns_a_mac_value(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        assignments = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = {}
+            for node in ast.walk(tree):
+                for child in ast.iter_child_nodes(node):
+                    scopes[child] = node
+            for node in ast.walk(tree):
+                targets = []
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Attribute) and target.attr == "value":
+                        scope = scopes.get(node)
+                        while scope is not None and not isinstance(scope, ast.FunctionDef):
+                            scope = scopes.get(scope)
+                        owner = scopes.get(scope)
+                        assignments.append(
+                            (path.name, getattr(owner, "name", None), getattr(scope, "name", None))
+                        )
+        assert assignments and set(assignments) == {("addresses.py", "MACAddress", "__init__")}
+
+    def test_a_mac_write_leaves_other_packets_alone(self):
+        flow = FiveTuple.make("10.0.0.1", "10.0.0.2", 1, 2)
+        first, second = Packet.from_five_tuple(flow), Packet.from_five_tuple(flow)
+        assert first.eth.src_mac is second.eth.src_mac
+        default_src, default_dst = second.eth.src_mac.value, second.eth.dst_mac.value
+        PacketField.SRC_MAC.write(first, 0x0A0B0C0D0E0F)
+        PacketField.DST_MAC.write(first, 0x010203040506)
+        assert PacketField.SRC_MAC.read(first) == 0x0A0B0C0D0E0F
+        assert (second.eth.src_mac.value, second.eth.dst_mac.value) == (default_src, default_dst)
+        assert Packet().eth.src_mac.value == default_src

@@ -252,6 +252,13 @@ class TestDatacenterTrace:
             ("elephant_fraction", 1.5),
             ("large_packet_fraction", -0.1),
             ("malicious_fraction", 2.0),
+            ("pareto_alpha", 0),
+            ("pareto_alpha", -1.3),
+            ("pareto_scale", 0.0),
+            ("pareto_scale", -20.0),
+            ("lognormal_sigma", -0.1),
+            ("small_payload", -1),
+            ("large_payload", -1),
         ],
     )
     def test_degenerate_config_names_the_field(self, field, value):
@@ -264,3 +271,14 @@ class TestDatacenterTrace:
             elephant_fraction=0.0, large_packet_fraction=1.0, malicious_fraction=1.0,
         )
         assert DatacenterTraceGenerator(config, RULES).generate_flows() == []
+
+
+def test_zero_sigma_and_empty_payloads_accepted():
+    """The new checks' boundaries: sigma 0 and 0-byte payloads are valid."""
+    config = DatacenterTraceConfig(
+        flows=5, seed=1, lognormal_sigma=0.0, small_payload=0, large_payload=0,
+        malicious_fraction=0.0,
+    )
+    flows = DatacenterTraceGenerator(config, RULES).generate_flows()
+    assert len(flows) == 5
+    assert all(spec.payload_for(index) == b"" for spec in flows for index in range(spec.packets))

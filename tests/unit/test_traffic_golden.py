@@ -37,9 +37,9 @@ GOLDEN = {
 }
 
 
-def trace_digest(flows: int, seed: int):
-    """(packet count, sha256) of the bench trace config at ``flows``/``seed``."""
-    config = DatacenterTraceConfig(
+def trace_config(flows: int, seed: int) -> DatacenterTraceConfig:
+    """The bench trace config at ``flows``/``seed``."""
+    return DatacenterTraceConfig(
         flows=flows,
         seed=seed,
         lognormal_mu=2.3,
@@ -47,7 +47,11 @@ def trace_digest(flows: int, seed: int):
         large_packet_fraction=0.25,
         max_packets_per_flow=120,
     )
-    packets = DatacenterTraceGenerator(config, RULES).timestamped_packets()
+
+
+def trace_digest(flows: int, seed: int):
+    """(packet count, sha256) of the bench trace config at ``flows``/``seed``."""
+    packets = DatacenterTraceGenerator(trace_config(flows, seed), RULES).timestamped_packets()
     digest = hashlib.sha256()
     for packet in packets:
         digest.update(
