@@ -7,7 +7,9 @@ machinery the cluster already trusts:
 
 - :mod:`repro.ft.checkpoint` — periodic per-flow snapshots (classifier
   entry, Local/Global MAT rows, events, NF state) captured by reading
-  the tables in place and copying only what a packet can change.
+  the tables in place and copying only what a packet can change, then
+  refreshed — counters and NF state read, the copy reused — while the
+  flow's table rows stay the same.
 - :mod:`repro.ft.pktlog` — a bounded per-replica input-packet log,
   trimmed at each checkpoint; recovery = restore the snapshot, then
   replay the logged packets through the normal pipeline.

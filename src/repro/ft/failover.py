@@ -68,7 +68,7 @@ from repro.obs.forensics import StallCharge, emit_recovery_regime_shift
 from repro.obs.trace import NULL_TRACER, PacketTracer
 from repro.platform.base import LoadResult
 from repro.scale.cluster import ScaleCluster
-from repro.ft.checkpoint import CheckpointManager, restore_flow
+from repro.ft.checkpoint import CheckpointManager
 from repro.ft.faults import FaultInjector
 from repro.ft.pktlog import PacketLog
 
@@ -219,15 +219,18 @@ class FaultTolerance:
 
     def note_dispatch(self, packet: Packet, key, replica_id: int) -> None:
         """Log the packet pre-processing; run the checkpoint cadence."""
-        if self._in_recovery:
-            return
-        if self._since_checkpoint.get(replica_id, 0) >= self.checkpoint_interval:
-            self.checkpoint_replica(replica_id, cause="interval")
-        log = self._log_for(replica_id)
-        log.append(packet)
-        self._since_checkpoint[replica_id] = (
-            self._since_checkpoint.get(replica_id, 0) + 1
-        )
+        if not self._in_recovery:
+            if self._since_checkpoint.get(replica_id, 0) >= self.checkpoint_interval:
+                self.checkpoint_replica(replica_id, cause="interval")
+            log = self._log_for(replica_id)
+            log.append(packet)
+            self._since_checkpoint[replica_id] = (
+                self._since_checkpoint.get(replica_id, 0) + 1
+            )
+        # Last: the packet is processed after this hook, so a round above
+        # may have found its key without state.  Recovery's replays and
+        # deliveries count too.
+        self.checkpoints.note_dispatched(key)
 
     def on_flow_migrated(self, key, src_rid: int, dst_rid: int) -> None:
         """A flow's state moved src→dst: its old snapshot is now wrong.
@@ -465,7 +468,7 @@ class FaultTolerance:
                     self.checkpoints.drop_flow(checkpoint.flow)
                     continue
                 target = self._alive_home(checkpoint.flow)
-                restore_flow(checkpoint, cluster.replicas[target].runtime)
+                self.checkpoints.restore(checkpoint, cluster.replicas[target].runtime)
                 for direction in checkpoint.directions:
                     direction_key = direction.canonical()
                     snapshot_covered.add(direction_key)
