@@ -11,14 +11,15 @@ Commands
     Chain-length sweep (a live Figure 8) on a chosen platform.
 
 ``equivalence``
-    Drive baseline and SpeedyBox in lockstep over a synthetic trace and
-    report any output mismatch (exit code 1 if any).
+    Drive the original chain and SpeedyBox (``--replicas N``: a cluster,
+    through ``--churn`` and a ``--kill-at``) in lockstep over a synthetic
+    trace; report every output or per-flow NF state mismatch (exit 1).
 
 ``trace``
     Generate a synthetic datacenter trace to a ``.sbtr`` file, or print a
     summary of an existing one.
 
-``demo`` / ``sweep`` / ``scale`` / ``ft demo`` / ``batch`` take ``--obs-out
+``demo`` / ``sweep`` / ``scale`` / ``batch`` take ``--obs-out
 DIR`` (and ``--obs {run,full}``) and leave one run record there: fixed
 file names plus a ``manifest.json`` (:mod:`repro.obs.record`).
 
@@ -28,10 +29,6 @@ file names plus a ``manifest.json`` (:mod:`repro.obs.record`).
     failure / health / SLO / regime-shift timeline in ``seq`` order,
     recoveries and checkpoint cadence, telemetry windows, latency
     forensics (components, worst-K packets, stall charges) and metrics.
-
-``ft demo``
-    Kill a replica mid-stream under checkpointed fault tolerance and
-    prove the recovery was loss-free.
 
 Chain specs are comma-separated NF names, e.g. ``--chain
 nat,maglev,monitor,firewall``.  Each name may repeat; instances are
@@ -46,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.framework import ServiceChain, SpeedyBox
-from repro.core.verification import verify_equivalence
+from repro.core.verification import Churn, Cluster, Kill, Recover, differential
 from repro.nf import (
     DosPrevention,
     IPFilter,
@@ -317,13 +314,56 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def pooled_chain_factory(spec: str) -> Callable[[], List[NetworkFunction]]:
+    """Replica chains whose NATs each draw from one ``SharedPortPool`` over
+    their own port range, in global arrival order like a private allocator."""
+    from repro.ft import SharedPortPool, TransactionalStore
+
+    pools: Dict[str, object] = {}
+
+    def chain():
+        nfs = build_chain(spec)
+        for nf in nfs:
+            if isinstance(nf, MazuNAT):
+                if nf.name not in pools:
+                    pools[nf.name] = SharedPortPool(TransactionalStore(), (nf.port_lo, nf.port_hi))
+                nf.port_pool = pools[nf.name]
+        return nfs
+
+    return chain
+
+
 def cmd_equivalence(args: argparse.Namespace) -> int:
     packets = make_trace_packets(args.flows, args.seed)
-    report = verify_equivalence(lambda: build_chain(args.chain), packets)
-    for divergence in report.divergences[:5]:
-        print(f"MISMATCH at packet {divergence.index}: {divergence.detail}")
-    print(f"{report.packets} packets, {len(report.divergences)} mismatches; "
+    steps: Dict[int, list] = {}
+    if args.churn:
+        at = len(packets) if args.kill_at is None else args.kill_at
+        steps[at // 2] = [Churn(args.churn, seed=args.seed)]
+    if args.kill_at is not None:
+        steps.setdefault(args.kill_at, []).append(Kill(args.kill_replica))
+    if args.recover_after is not None:
+        steps.setdefault((args.kill_at or 0) + args.recover_after, []).append(Recover())
+    if args.replicas < 2 and steps:
+        print("equivalence: --kill-at, --churn and --recover-after need --replicas 2 or more",
+              file=sys.stderr)
+        return 2
+    system = Cluster(args.replicas, pooled_chain_factory(args.chain),
+                     checkpoint_interval=args.checkpoint_every) if args.replicas > 1 else None
+    try:
+        report = differential(lambda: build_chain(args.chain), packets, system, steps)
+    except ValueError as exc:  # a step the stream never reaches, a recovery with none dead
+        print(f"equivalence: {exc}", file=sys.stderr)
+        return 2
+    shown: Dict[str, int] = {}
+    for divergence in report.divergences:
+        shown[divergence.kind] = shown.get(divergence.kind, 0) + 1
+        if shown[divergence.kind] <= 5:
+            print(f"MISMATCH {divergence}")
+    print(f"{report.packets} packets, {len(report.divergences)} mismatches "
+          f"({', '.join(f'{n} {kind}' for kind, n in shown.items()) or 'none'}); "
           f"fast path served {report.fast_packets}/{report.packets}")
+    if report.recoveries:
+        print(report.summary().splitlines()[-1])  # the failover line
     return 0 if report.equivalent else 1
 
 
@@ -416,22 +456,22 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_cluster(args, obs: ObsBundle, platform: str, replicas: int, injector=None,
-                  checkpoint_interval: Optional[int] = None, **cluster_kwargs):
-    """The ``ScaleCluster`` ``scale`` and ``ft demo`` drive, wired to the
-    run's observers, and — given an ``injector`` — its fault-tolerance
+def build_cluster(args, obs: ObsBundle, platform: str, replicas: int, injector):
+    """The ``ScaleCluster`` a ``scale`` row drives, wired to the run's
+    observers, and — given an ``injector`` — its fault-tolerance
     coordinator (else ``None``), which checkpoints a replica the health
     model sees degrading while that replica is still reachable."""
     from repro.ft import FaultTolerance
     from repro.scale import ScaleCluster
 
     cluster = ScaleCluster(lambda: build_chain(args.chain), platform=platform, replicas=replicas,
-                           audit=obs.audit, **cluster_kwargs, **obs.platform_kwargs())
+                           speedybox=not args.no_speedybox, audit=obs.audit,
+                           **obs.platform_kwargs())
     if injector is None:
         return cluster, None
-    ft = FaultTolerance(cluster, checkpoint_interval=checkpoint_interval, injector=injector,
-                        tracer=obs.tracer, charge_recovery=not args.no_charge_recovery,
-                        forensics=obs.forensics)
+    ft = FaultTolerance(cluster, checkpoint_interval=args.checkpoint_every or 32,
+                        injector=injector, tracer=obs.tracer,
+                        charge_recovery=not args.no_charge_recovery, forensics=obs.forensics)
     if obs.health is not None:
         obs.health.add_listener(ft.on_health)
     return cluster, ft
@@ -452,11 +492,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
             # A one-replica row has nothing to fail over onto.
             injector = FaultInjector(kill_at=args.kill_at if count > 1 else None,
                                      recover_after=args.recover_after) if want_ft else None
-            cluster, ft = build_cluster(
-                args, obs, platform_name, count, injector=injector,
-                checkpoint_interval=args.checkpoint_every or 32,
-                speedybox=not args.no_speedybox,
-            )
+            cluster, ft = build_cluster(args, obs, platform_name, count, injector)
             migrations = 0
             if args.churn:
                 # Establish live flows (FINs withheld so they survive),
@@ -531,51 +567,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ft(args: argparse.Namespace) -> int:
-    """``ft demo``: kill a replica mid-stream, recover, prove nothing was lost."""
-    from repro.ft import FaultInjector
-
-    packets = make_trace_packets(args.flows, args.seed)
-    obs = make_observability(args)
-    kill_at = args.kill_at if args.kill_at is not None else len(packets) // 2
-    injector = FaultInjector(kill_at=kill_at, replica=args.kill_replica,
-                             recover_after=args.recover_after)
-    cluster, ft = build_cluster(args, obs, args.platform, args.replicas, injector=injector,
-                                checkpoint_interval=args.checkpoint_every)
-    print(f"chain: {args.chain}   replicas: {args.replicas}   "
-          f"packets: {len(packets)}   kill at: {kill_at}   "
-          f"checkpoint every: {args.checkpoint_every}")
-    live = sum(
-        1 for packet in clone_packets(packets) if cluster.process(packet) is not None
-    )
-    if ft.dead:
-        ft.recover_all()
-    delivered = sum(r.packets_delivered for r in ft.recoveries)
-    rows = [
-        [
-            r.replica,
-            r.flows_restored,
-            r.flows_rebuilt,
-            r.packets_replayed,
-            r.packets_delivered,
-            f"{r.duration_s * 1000.0:.2f}",
-            f"{r.stall_charged_ns / 1e6:.2f}",
-        ]
-        for r in ft.recoveries
-    ]
-    print(format_table(
-        ["killed", "restored", "rebuilt", "replayed", "delivered", "ms", "stall ms"],
-        rows,
-        title=f"failover of replica {ft.injector.replica}",
-    ))
-    lost = len(packets) - live - delivered
-    print(f"offered {len(packets)}  in-stream {live}  buffered {ft.packets_buffered}  "
-          f"recovered {delivered}  lost {lost}")
-    print("LOSS-FREE" if lost == 0 else f"LOST {lost} PACKETS")
-    emit_observability(args, obs, chain=args.chain, platform=args.platform)
-    return 0 if lost == 0 else 1
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.net.trace import load_trace, write_trace
 
@@ -640,18 +631,6 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--flows", type=int, default=40, help="flows in the synthetic trace")
         p.add_argument("--seed", type=int, default=1, help="trace seed")
-
-    def recovery(p):
-        p.add_argument(
-            "--recover-after", type=int, default=None, metavar="M",
-            help="auto-recover M packets after the kill (default: recover "
-                 "at end of the window)",
-        )
-        p.add_argument(
-            "--no-charge-recovery", action="store_true",
-            help="do not charge failover stall (detect->drain wall time) to "
-                 "buffered packets' simulated latency (pre-charging behaviour)",
-        )
 
     def profiling(p):
         p.add_argument(
@@ -744,8 +723,22 @@ def make_parser() -> argparse.ArgumentParser:
     profiling(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
-    equivalence = sub.add_parser("equivalence", help="lockstep output comparison")
+    equivalence = sub.add_parser(
+        "equivalence", help="original chain vs SpeedyBox or a cluster: output and NF state"
+    )
     equivalence.add_argument("--chain", default="nat,maglev,monitor,firewall")
+    equivalence.add_argument("--replicas", type=_positive_int, default=1, metavar="N",
+                             help="test a cluster of N replicas (default 1: one runtime)")
+    equivalence.add_argument("--churn", type=int, default=0, metavar="K",
+                             help="re-home K connections halfway to the kill or the end")
+    equivalence.add_argument("--kill-at", type=int, default=None, metavar="K",
+                             help="kill a replica before global packet K")
+    equivalence.add_argument("--kill-replica", type=int, default=None, metavar="R",
+                             help="replica to kill (default: the one homing the most flows)")
+    equivalence.add_argument("--recover-after", type=int, default=None, metavar="M",
+                             help="recover M packets after the kill (default: at the end)")
+    equivalence.add_argument("--checkpoint-every", type=_positive_int, default=16, metavar="N",
+                             help="checkpoint cadence in packets per replica (default 16)")
     common(equivalence)
     equivalence.set_defaults(func=cmd_equivalence)
 
@@ -815,35 +808,19 @@ def make_parser() -> argparse.ArgumentParser:
         help="kill the busiest replica when global packet K arrives "
              "(rows with >1 replica; implies fault tolerance)",
     )
-    recovery(scale)
+    scale.add_argument(
+        "--recover-after", type=int, default=None, metavar="M",
+        help="auto-recover M packets after the kill (default: recover "
+             "at end of the window)",
+    )
+    scale.add_argument(
+        "--no-charge-recovery", action="store_true",
+        help="do not charge failover stall (detect->drain wall time) to "
+             "buffered packets' simulated latency (pre-charging behaviour)",
+    )
     common(scale)
     observability(scale)
     scale.set_defaults(func=cmd_scale)
-
-    ft = sub.add_parser("ft", help="fault-tolerance demo")
-    ft.add_argument("action", choices=["demo"], help="what to run")
-    ft.add_argument("--chain", default="nat,monitor,firewall")
-    ft.add_argument("--platform", default="bess", choices=sorted(PLATFORMS))
-    ft.add_argument(
-        "--replicas", type=int, default=4, metavar="N",
-        help="cluster size for the demo (default 4)",
-    )
-    ft.add_argument(
-        "--checkpoint-every", type=int, default=16, metavar="N",
-        help="checkpoint cadence in packets per replica (default 16)",
-    )
-    ft.add_argument(
-        "--kill-at", type=int, default=None, metavar="K",
-        help="global packet index of the kill (default: mid-stream)",
-    )
-    ft.add_argument(
-        "--kill-replica", type=int, default=None, metavar="R",
-        help="replica to kill (default: the one homing the most flows)",
-    )
-    recovery(ft)
-    common(ft)
-    observability(ft)
-    ft.set_defaults(func=cmd_ft)
 
     obs = sub.add_parser("obs", help="render a run record on one page")
     obs.add_argument("action", choices=["report"], help="what to render")

@@ -21,8 +21,6 @@ machinery the cluster already trusts:
   per-key optimistic concurrency and idempotent commits, backing the
   state that must be shared *across* replicas (NAT port pool, monitor
   aggregates) so recovery replay commits exactly once.
-- :mod:`repro.ft.verify` — the §VII-C equivalence oracle extended
-  across a failure: loss-free, duplicate-free, state-identical.
 
 Every step is an audit event; ``repro obs report`` reads a run's
 recoveries, checkpoint cadence and failure timeline back from its
@@ -51,13 +49,12 @@ from repro.ft.txstate import (
     TransactionalStore,
     TxnConflict,
 )
-from repro.ft.verify import FailoverVerificationReport, verify_equivalence_failover
+from repro.core.verification import verify_equivalence_failover
 
 __all__ = [
     "CheckpointManager",
     "DeadReplica",
     "FailoverError",
-    "FailoverVerificationReport",
     "FaultInjector",
     "FaultTolerance",
     "FlowCheckpoint",

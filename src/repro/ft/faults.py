@@ -23,7 +23,6 @@ class FaultInjector:
     def __init__(
         self,
         kill_at: Optional[int] = None,
-        replica: Optional[int] = None,
         recover_after: Optional[int] = None,
     ):
         if kill_at is not None and kill_at < 0:
@@ -32,8 +31,8 @@ class FaultInjector:
             raise ValueError(f"recover_after must be >= 0, got {recover_after!r}")
         #: global packet index at which the kill fires (None = never)
         self.kill_at = kill_at
-        #: the victim replica id (None = the replica homing the most flows)
-        self.replica = replica
+        #: the victim (None = the replica homing the most flows), then the one killed
+        self.replica: Optional[int] = None
         #: packets after the kill before recovery fires (None = manual)
         self.recover_after = recover_after
         self.packet_index = 0

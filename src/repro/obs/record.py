@@ -1,7 +1,7 @@
 """The run record: one directory a run leaves, one loader that reads it.
 
-``--obs-out DIR`` on ``demo`` / ``sweep`` / ``scale`` / ``ft demo`` /
-``batch`` makes the command write what it observed into ``DIR`` under
+``--obs-out DIR`` on ``demo`` / ``sweep`` / ``scale`` / ``batch`` makes
+the command write what it observed into ``DIR`` under
 fixed file names — ``audit.jsonl``, ``spans.jsonl``, ``timeseries.jsonl``
 and ``forensics.jsonl`` at level ``run``, ``metrics.prom`` and
 ``trace.json`` too at level ``full``, ``profile.pstats`` under

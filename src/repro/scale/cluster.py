@@ -138,6 +138,8 @@ class ScaleCluster:
         self._freeze_groups: Dict[FiveTuple, List[FiveTuple]] = {}
         #: canonical five-tuple -> replica currently holding its state
         self._flow_homes: Dict[FiveTuple, int] = {}
+        #: egress alias pinned by ``_note_egress`` -> its connection's ingress key
+        self._ingress_of: Dict[FiveTuple, FiveTuple] = {}
         self.packets_buffered = 0
         #: set by :class:`repro.ft.failover.FaultTolerance` when attached —
         #: the cluster then routes every dispatch through its fault hooks
@@ -263,7 +265,9 @@ class ScaleCluster:
         egress_key = packet.five_tuple().canonical()
         if egress_key == ingress_key:
             return
-        self._flow_homes.setdefault(egress_key, rid)
+        if egress_key not in self._flow_homes:
+            self._flow_homes[egress_key] = rid
+            self._ingress_of[egress_key] = ingress_key
         if self.sharder.replica_for(egress_key) != rid:
             self.sharder.pin(egress_key, rid)
 
@@ -466,7 +470,8 @@ class ScaleCluster:
         """Forcibly re-home ``count`` live flows (migration-churn ablation).
 
         Deterministic: flows are chosen by seeded sample over the sorted
-        live-flow set, each moved to the next replica id round-robin.
+        live-flow set, each moved to the next replica id round-robin.  An
+        egress alias moves its whole connection (Maglev cannot map it back).
         """
         import random
 
@@ -478,6 +483,9 @@ class ScaleCluster:
         rids = sorted(self.replicas)
         reports = []
         for key in chosen:
+            ingress = self._ingress_of.get(key)
+            if ingress in self._flow_homes:
+                key = ingress
             home = self._flow_homes[key]
             dst = rids[(rids.index(home) + 1) % len(rids)]
             report = self.migrate_flow(key, dst)
@@ -500,6 +508,7 @@ class ScaleCluster:
         self._frozen.clear()
         self._freeze_groups.clear()
         self._flow_homes.clear()
+        self._ingress_of.clear()
         self._ts_fast_prev.clear()
         self.packets_buffered = 0
 

@@ -1,31 +1,22 @@
 """§VII-C equivalence across mid-life flow migrations.
 
-The migration variant of the paper's methodology: the same packet stream
-through one SpeedyBox runtime and through a sharded cluster that
-migrates a flow between replicas mid-life.  The migration must be
-invisible — byte-identical outputs, identical drop decisions, identical
-NF state and runtime counters, zero packet loss while frozen.
+The migration steps of the differential runner: the same packet stream
+through the original chain and through a sharded cluster that starts
+with one replica and, at the step, adds an *empty* replica (no sharder
+buckets) and migrates one flow onto it — so any divergence is
+attributable to the migration itself, not to resharding.  The migration
+must be invisible — byte-identical outputs, identical drop decisions,
+identical NF state, the counters of a plain SpeedyBox run, zero packet
+loss while frozen.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
 from repro.core.classifier import fid_of
-from repro.core.framework import SpeedyBox
-from repro.core.verification import (
-    ChainFactory,
-    Divergence,
-    VerificationReport,
-    cluster_counters,
-    diff_flow_state,
-    diff_outputs,
-)
+from repro.core.framework import ServiceChain, SpeedyBox
+from repro.core.verification import Cluster, Migrate, VerificationReport, differential
 from repro.net.addresses import ip_to_str
-from repro.net.flow import FiveTuple
-from repro.net.packet import Packet
 from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor
 from repro.nf.maglev import Backend
-from repro.scale import FlowMigrator, MigrationReport, ScaleCluster, chain_state_snapshot
+from repro.scale import FlowMigrator, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
 from tests.integration.helpers import (
     FID23_PAIR,
@@ -34,108 +25,7 @@ from tests.integration.helpers import (
 )
 
 EXTERNAL_IP = "203.0.113.9"
-
-
-@dataclass
-class MigrationVerificationReport(VerificationReport):
-    """Outcome of the migration variant of the equivalence methodology."""
-
-    migrated_flow: Optional[FiveTuple] = None
-    migration: Optional[MigrationReport] = None
-    buffered_packets: int = 0
-
-    def summary(self) -> str:
-        lines = [super().summary()]
-        if self.migration is not None:
-            lines.append(
-                f"migration moved {self.migration.total_items()} state item(s) "
-                f"for {self.migrated_flow}; {self.buffered_packets} packet(s) "
-                f"buffered during the freeze"
-            )
-        return "\n".join(lines)
-
-
-def verify_equivalence_migration(
-    chain_factory: ChainFactory,
-    packets: Sequence[Packet],
-    migrate_at: int,
-    freeze_for: int = 0,
-    flow: Optional[FiveTuple] = None,
-    speedybox_kwargs: Optional[dict] = None,
-    platform: str = "bess",
-) -> MigrationVerificationReport:
-    """§VII-C equivalence across a mid-life flow migration.
-
-    Runs the same packets through a single SpeedyBox runtime (reference)
-    and through a :class:`~repro.scale.cluster.ScaleCluster` that starts
-    with one replica and, just before packet ``migrate_at``, adds an
-    *empty* replica (no sharder buckets) and migrates ``flow`` onto it —
-    so any divergence is attributable to the migration itself, not to
-    resharding.  The flow stays frozen for ``freeze_for`` further packets
-    to exercise the buffer-and-replay path; buffered packets are replayed
-    on the target replica and still compared byte-for-byte.
-
-    ``flow`` defaults to the five-tuple of ``packets[migrate_at]``.
-    Besides drop decisions and wire bytes, the report diffs per-flow NF
-    state snapshots (NAT mappings, LB conntrack, IDS flowbits, monitor
-    counters, ...) and the runtime counters (fast/slow path totals and
-    events triggered) — migration must be invisible to all of them.
-    """
-    if not 0 <= migrate_at < len(packets):
-        raise ValueError(
-            f"migrate_at must index into the packet stream, got {migrate_at!r}"
-        )
-    flow = flow or packets[migrate_at].five_tuple()
-    reference = SpeedyBox(chain_factory(), **(speedybox_kwargs or {}))
-    cluster = ScaleCluster(
-        chain_factory,
-        platform=platform,
-        replicas=1,
-        speedybox=True,
-        speedybox_kwargs=speedybox_kwargs,
-    )
-
-    ref_stream = [packet.clone() for packet in packets]
-    cluster_stream = [packet.clone() for packet in packets]
-    for packet in ref_stream:
-        reference.process(packet)
-
-    report = MigrationVerificationReport(packets=len(packets), migrated_flow=flow)
-    freeze_until = min(migrate_at + max(0, freeze_for), len(packets) - 1)
-    dst_rid: Optional[int] = None
-    for index, packet in enumerate(cluster_stream):
-        if index == migrate_at:
-            dst_rid = cluster.scale_out()
-            cluster.begin_migration(flow)
-        outcome = cluster.process(packet)
-        if outcome is None:
-            report.buffered_packets += 1
-        if index == freeze_until and dst_rid is not None:
-            report.migration, __ = cluster.complete_migration(flow, dst_rid)
-
-    report.divergences.extend(diff_outputs(ref_stream, cluster_stream))
-    report.divergences.extend(diff_flow_state(reference, cluster))
-
-    # Runtime counters: a complete migration leaves the fast path intact
-    # on the target, so the cluster-wide totals must equal the reference.
-    totals = cluster_counters(cluster)
-    expected = {
-        "fast_packets": reference.fast_packets,
-        "slow_packets": reference.slow_packets,
-        "events_triggered": reference.event_table.total_triggered,
-    }
-    for name, want in expected.items():
-        if totals[name] != want:
-            report.divergences.append(
-                Divergence(
-                    -1, "counters", f"{name}: reference={want} vs cluster={totals[name]}"
-                )
-            )
-
-    report.fast_packets = totals["fast_packets"]
-    report.slow_packets = totals["slow_packets"]
-    report.events_triggered = totals["events_triggered"]
-    return report
+ONE_REPLICA = Cluster(replicas=1)
 
 
 def build_chain():
@@ -177,10 +67,10 @@ class TestMigrationEquivalence:
 
         monkeypatch.setattr(SpeedyBox, "import_flow", spy)
         packets = midlife_trace()
-        report = verify_equivalence_migration(
-            build_chain, packets, migrate_at=len(packets) // 2
+        report = differential(
+            build_chain, packets, ONE_REPLICA, {len(packets) // 2: Migrate()}
         )
-        assert isinstance(report, MigrationVerificationReport)
+        assert isinstance(report, VerificationReport)
         assert report.equivalent, report.summary()
         # The migration actually moved the flow's state (tables + NF state).
         assert report.migration is not None
@@ -198,8 +88,8 @@ class TestMigrationEquivalence:
     def test_freeze_window_buffers_without_loss(self):
         packets = midlife_trace()
         migrate_at = len(packets) // 3
-        report = verify_equivalence_migration(
-            build_chain, packets, migrate_at=migrate_at, freeze_for=25
+        report = differential(
+            build_chain, packets, ONE_REPLICA, {migrate_at: Migrate(freeze_for=25)}
         )
         assert report.equivalent, report.summary()
         # Several of the frozen flow's packets arrived during the freeze;
@@ -209,8 +99,9 @@ class TestMigrationEquivalence:
     def test_migration_on_both_platform_models(self):
         packets = midlife_trace(flows=6, packets_per_flow=8)
         for platform in ("bess", "onvm"):
-            report = verify_equivalence_migration(
-                build_chain, packets, migrate_at=len(packets) // 2, platform=platform
+            report = differential(
+                build_chain, packets, Cluster(1, platform=platform),
+                {len(packets) // 2: Migrate()},
             )
             assert report.equivalent, f"[{platform}] {report.summary()}"
 
@@ -223,9 +114,7 @@ class TestMigrationEquivalence:
             if flow in seen_flows or index < 10:
                 continue
             seen_flows.add(flow)
-            report = verify_equivalence_migration(
-                build_chain, packets, migrate_at=index, flow=flow
-            )
+            report = differential(build_chain, packets, ONE_REPLICA, {index: Migrate(flow)})
             assert report.equivalent, f"flow {flow}: {report.summary()}"
 
 
@@ -265,16 +154,14 @@ class TestBidirectionalMigration:
 
     def test_reverse_direction_survives_migration(self):
         packets = self._mixed_stream()
-        report = verify_equivalence_migration(
-            self._chain, packets, migrate_at=6, freeze_for=4
-        )
+        report = differential(self._chain, packets, ONE_REPLICA, {6: Migrate(freeze_for=4)})
         assert report.equivalent, report.summary()
         # Both wire directions' FIDs moved in the one migration.
         assert report.migration is not None
         assert len(report.migration.fids) == 2
         # The reference forwards everything — equivalence therefore means
         # the cluster translated replies correctly after the move too.
-        reference = SpeedyBox(self._chain())
+        reference = ServiceChain(self._chain())
         for packet in [p.clone() for p in packets]:
             reference.process(packet)
             assert not packet.dropped
@@ -283,7 +170,7 @@ class TestBidirectionalMigration:
 
     def test_translated_replies_are_still_correct_post_migration(self):
         packets = self._mixed_stream()
-        report = verify_equivalence_migration(self._chain, packets, migrate_at=5)
+        report = differential(self._chain, packets, ONE_REPLICA, {5: Migrate()})
         assert report.equivalent, report.summary()
 
 
@@ -342,8 +229,9 @@ class TestMigrationIntoAnOccupiedFid:
         # the first of the pair sits at home on the source, the second is
         # displaced there and placed afresh (at home) on the empty target
         for flow in FID23_PAIR:
-            report = verify_equivalence_migration(
-                self._chain, packets, migrate_at=len(packets) // 2, freeze_for=3, flow=flow
+            report = differential(
+                self._chain, packets, ONE_REPLICA,
+                {len(packets) // 2: Migrate(flow, freeze_for=3)},
             )
             assert report.equivalent, report.summary()
             assert report.migration.fids == (23,)

@@ -192,7 +192,9 @@ def reopened_during_outage(flows: int):
     tail = churn(flows + 40)[4 * flows :]
 
     def injector():
-        return FaultInjector(kill_at=kill_at, replica=victim, recover_after=len(again) + 6)
+        armed = FaultInjector(kill_at=kill_at, recover_after=len(again) + 6)
+        armed.replica = victim
+        return armed
 
     return packets + holder[:2] + again + holder[2:] + tail, injector
 

@@ -64,7 +64,7 @@ DELETED_FLAGS = (
     "--metrics-json", "--metrics-prom", "--trace-out", "--span-out",
     "--audit-out", "--timeseries-out", "--forensics-out", "--profile-out",
 )
-RECORDING_COMMANDS = (["demo"], ["sweep"], ["scale"], ["ft", "demo"], ["batch"])
+RECORDING_COMMANDS = (["demo"], ["sweep"], ["scale"], ["batch"])
 
 
 def manifest_of(directory):
@@ -127,14 +127,15 @@ class TestObservabilityFlags:
         assert "timeseries not fed" in captured.err
         assert "no data" in captured.out and "1.00000" not in captured.out
 
-    def test_ft_demo_does_not_claim_windows_either(self, tmp_path, capsys):
+    def test_scale_kill_records_its_failover(self, tmp_path, capsys):
+        """A failover run still leaves a record: ``scale --kill-at``'s
+        journal holds the kill and the recovery."""
         out = tmp_path / "r"
-        assert main(["ft", "demo", "--flows", "12", "--replicas", "2",
-                     "--obs-out", str(out)]) == 0
-        surfaces = manifest_of(out)["surfaces"]
-        assert surfaces["timeseries"] == "not fed"
-        assert surfaces["audit"]["records"] > 0
-        assert not (out / "timeseries.jsonl").exists()
+        assert main(["scale", "--flows", "12", "--replicas", "2", "--platforms", "bess",
+                     "--kill-at", "40", "--obs-out", str(out)]) == 0
+        assert manifest_of(out)["surfaces"]["audit"]["records"] > 0
+        kinds = {json.loads(line)["kind"] for line in (out / "audit.jsonl").open()}
+        assert {"ft_kill", "ft_failover_complete"} <= kinds
 
     def test_no_flags_no_observability_output(self, capsys):
         assert main(["demo", "--flows", "4"]) == 0
@@ -169,6 +170,35 @@ class TestEquivalenceCommand:
 
     def test_custom_chain(self, capsys):
         assert main(["equivalence", "--chain", "snort,monitor", "--flows", "6"]) == 0
+
+    def test_state_mismatch_names_the_flow_and_the_nf(self, capsys):
+        """Monitor upstream of a NAT counts the rewritten tuple on the fast
+        path (ROADMAP item 17): the outputs agree, the state does not."""
+        assert main(["equivalence", "--chain", "monitor,nat"]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH state mismatch — flow 10." in out and ", monitor0: " in out
+        assert "40 mismatches (40 state)" in out
+
+    def test_cluster_failover_under_churn_is_equivalent(self, capsys):
+        """A kill, a recovery and churned connections on four replicas:
+        loss-free and identical in output and state."""
+        assert main(["equivalence", "--replicas", "4", "--kill-at", "300",
+                     "--recover-after", "20", "--churn", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "602 packets, 0 mismatches" in out
+        assert "failover of replica" in out and "delivered" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--kill-at", "10"], ["--churn", "2"], ["--replicas", "2", "--recover-after", "5"],
+        ["--replicas", "2", "--kill-at", "100000"], ["--replicas", "0"],
+    ], ids=" ".join)
+    def test_usage_errors(self, argv, capsys):
+        try:
+            code = main(["equivalence", "--flows", "4"] + argv)
+        except SystemExit as usage:
+            code = usage.code
+        assert code == 2
+        assert capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -518,7 +518,7 @@ KNOB_ALLOWLIST = {
         "argv=None reads sys.argv; the tests pass argument lists, the console script none",
     "repro.core.verification.verify_equivalence":
         "the equivalence oracle; its knobs are what the tests sweep it over",
-    "repro.ft.verify.verify_equivalence_failover":
+    "repro.core.verification.verify_equivalence_failover":
         "the failover oracle; its knobs are what the tests sweep it over",
     "repro.traffic.columnar.uniform_batch":
         "the synthetic batch builder; the tests shape it per case",
