@@ -76,6 +76,8 @@ from repro.vector import np
 
 #: packets per chunk of the steady-mask walk
 _CHUNK = 32768
+#: flows per slice of the flow table that bulk admission reads as lists
+_ROWS = 4096
 
 
 class BulkTemplate:
@@ -171,13 +173,17 @@ class BatchLane:
         self._deferred: List[Tuple[int, int]] = []
         #: the runtime's invalidation feed while this run is active
         self._inval: Optional[list] = None
-        #: lazily built fid-per-flow column (bulk admission only)
+        #: bulk admission's view of the flow table: the home-FID column
+        #: (built on first use), and one slice of it and of the
+        #: five-tuple columns as lists, for flows from ``_rows_lo`` on
+        #: (:meth:`_load_rows`)
         self._fids = None
+        self._rows_lo = 0
+        self._rows: tuple = ((),)
         #: the one bulk template per run; built from the first qualifying
         #: scalar first packet, then reused for every admitted flow
         self.template: Optional[BulkTemplate] = None
         self._admit_plan_cache: Optional[tuple] = None
-        self._proto_of = batch.flow_proto.item
         runtime = self.runtime
         self._clear_nf_flow = runtime.event_table.clear_nf_flow
         self._events_by_fid = runtime.event_table._by_fid
@@ -204,10 +210,6 @@ class BatchLane:
         self.roots: Dict[int, dict] = {}
         #: deferred-region flush count (lane introspection + metrics)
         self.flushes = 0
-        #: flow five-tuple columns as plain Python lists, built on first
-        #: bulk admission: list indexing beats per-field ndarray .item()
-        #: calls when admissions number in the hundreds of thousands
-        self._ft_lists = None
         self.bulk_ok = (
             self.table.labels is None
             and batch._payloads is None
@@ -493,38 +495,24 @@ class BatchLane:
         """One packet through the oracle (or bulk admission when eligible)."""
         batch = self.batch
         runtime = self.runtime
-        bulk_shape = (
-            self.bulk_ok
-            and kind == KIND_DATA
-            and self._proto_of(flow) == PROTO_UDP
-        )
+        bulk_shape = self.bulk_ok and kind == KIND_DATA
+        if bulk_shape:
+            rows = self._rows
+            at = flow - self._rows_lo
+            if not 0 <= at < len(rows[0]):
+                rows, at = self._load_rows(flow), 0
+            bulk_shape = rows[5][at] == PROTO_UDP
         spans = self.spans
         if bulk_shape and self.template is not None:
-            fid = self._fid_of_flow(flow)
+            fid = rows[0][at]
             classifier = runtime.classifier
             # Home FID free and the five-tuple not displaced elsewhere: a
             # new flow the classifier would place at home.  A taken home
             # means a tracked flow or one about to be displaced, and
             # both are the oracle's.
             if fid not in classifier._flows:
-                ft_lists = self._ft_lists
-                if ft_lists is None:
-                    ft_lists = self._ft_lists = tuple(
-                        col.tolist()
-                        for col in (
-                            batch.flow_src_ip,
-                            batch.flow_dst_ip,
-                            batch.flow_src_port,
-                            batch.flow_dst_port,
-                            batch.flow_proto,
-                        )
-                    )
                 five_tuple = FiveTuple(
-                    ft_lists[0][flow],
-                    ft_lists[1][flow],
-                    ft_lists[2][flow],
-                    ft_lists[3][flow],
-                    ft_lists[4][flow],
+                    rows[1][at], rows[2][at], rows[3][at], rows[4][at], rows[5][at]
                 )
                 # The sampling decision must fall in first-packet order,
                 # exactly where the per-packet path would take it.  A
@@ -584,22 +572,49 @@ class BatchLane:
             self._flush()
             self._drain_fid(report.fid)
 
-    def _fid_of_flow(self, flow: int) -> int:
+    # -- bulk admission ------------------------------------------------------
+
+    def _load_rows(self, flow: int) -> tuple:
+        """Turn the flow table's slice from ``flow`` on into lists: the
+        home FIDs, then the five-tuple fields, as plain ints (they flow
+        into table keys, audit payloads and ``FlowEntry`` fields that
+        must stay numpy-free).  Returns the lists; ``flow`` is row 0.
+
+        The lane keeps no per-flow Python copy of the table.  When
+        ``flow`` lies less than ``_ROWS`` past the slice it holds, the
+        next ``_ROWS`` flows become the slice it holds: first packets
+        come in flow order in a synthesized batch, so each flow is
+        turned into Python ints once.  Any other flow is read alone and
+        the slice kept, so an arbitrary order costs a one-row read per
+        packet, never a large one.
+        """
+        batch = self.batch
         fids = self._fids
         if fids is None:
-            batch = self.batch
-            self._fids = fids = fid_column(
+            fids = self._fids = fid_column(
                 batch.flow_src_ip,
                 batch.flow_dst_ip,
                 batch.flow_src_port,
                 batch.flow_dst_port,
                 batch.flow_proto,
-            ).tolist()
-        # Plain int: the fid flows into table keys, audit payloads and
-        # FlowEntry fields that must stay numpy-free.
-        return fids[flow]
-
-    # -- bulk admission ------------------------------------------------------
+            )
+        ahead = flow - self._rows_lo - len(self._rows[0])
+        forward = 0 <= ahead < _ROWS
+        hi = flow + (_ROWS if forward else 1)
+        rows = tuple(
+            column[flow:hi].tolist()
+            for column in (
+                fids,
+                batch.flow_src_ip,
+                batch.flow_dst_ip,
+                batch.flow_src_port,
+                batch.flow_dst_port,
+                batch.flow_proto,
+            )
+        )
+        if forward:
+            self._rows_lo, self._rows = flow, rows
+        return rows
 
     def _try_capture_template(self, report, clone, pid) -> None:
         """Capture the one-per-run bulk template from a scalar first packet.

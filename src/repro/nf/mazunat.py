@@ -14,6 +14,7 @@ its Local MAT.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core.actions import Modify
@@ -58,8 +59,12 @@ class MazuNAT(NetworkFunction):
         self._free_ports: Set[int] = set()
         #: internal five-tuple -> (external ip, external port)
         self.mappings: Dict[FiveTuple, Tuple[int, int]] = {}
-        #: (external ip, external port, proto) -> internal five-tuple
+        #: (external ip, external port, proto) -> internal five-tuple;
+        #: change it only through :meth:`_bind` / :meth:`_unbind`
         self.reverse: Dict[Tuple[int, int, int], FiveTuple] = {}
+        #: external port -> how many ``reverse`` keys hold it, so the
+        #: allocator skips a port in use in O(1)
+        self._port_uses: Counter = Counter()
         self.translations = 0
 
     # -- address-space helpers ----------------------------------------------
@@ -70,12 +75,24 @@ class MazuNAT(NetworkFunction):
         mask = (0xFFFFFFFF << (32 - self._internal_len)) & 0xFFFFFFFF
         return (address & mask) == (self._internal_base & mask)
 
+    def _bind(self, key: Tuple[int, int, int], flow: FiveTuple) -> None:
+        if key not in self.reverse:
+            self._port_uses[key[1]] += 1
+        self.reverse[key] = flow
+
+    def _unbind(self, key: Tuple[int, int, int]) -> None:
+        if self.reverse.pop(key, None) is not None:
+            uses = self._port_uses
+            uses[key[1]] -= 1
+            if not uses[key[1]]:
+                del uses[key[1]]
+
     def allocate_port(self) -> int:
         # Ports held by *imported* mappings were never handed out by this
         # allocator, so both sources must skip anything already in the
         # reverse table — without the guard a migrated-in flow's external
         # port could be double-allocated.
-        in_use = {port for __, port, __ in self.reverse}
+        in_use = self._port_uses
         while self._free_ports:
             port = self._free_ports.pop()
             if port not in in_use:
@@ -94,7 +111,7 @@ class MazuNAT(NetworkFunction):
         if mapping is None:
             return False
         ext_ip, ext_port = mapping
-        self.reverse.pop((ext_ip, ext_port, flow.protocol), None)
+        self._unbind((ext_ip, ext_port, flow.protocol))
         if self.port_pool is not None:
             self.port_pool.release(flow)
         else:
@@ -115,7 +132,7 @@ class MazuNAT(NetworkFunction):
                 port = self.allocate_port()
             mapping = (self.external_ip, port)
             self.mappings[flow] = mapping
-            self.reverse[(mapping[0], mapping[1], flow.protocol)] = flow
+            self._bind((mapping[0], mapping[1], flow.protocol), flow)
         ext_ip, ext_port = mapping
         return Modify.set(src_ip=ext_ip, src_port=ext_port)
 
@@ -182,7 +199,7 @@ class MazuNAT(NetworkFunction):
         if internal is None:
             return None
         ext_ip, ext_port = self.mappings.pop(internal)
-        self.reverse.pop((ext_ip, ext_port, internal.protocol), None)
+        self._unbind((ext_ip, ext_port, internal.protocol))
         # The port does NOT return to the free list: the mapping still
         # owns it, just on another replica now.
         return (internal, ext_ip, ext_port)
@@ -190,7 +207,7 @@ class MazuNAT(NetworkFunction):
     def import_flow_state(self, flow: FiveTuple, state) -> None:
         internal, ext_ip, ext_port = state
         self.mappings[internal] = (ext_ip, ext_port)
-        self.reverse[(ext_ip, ext_port, internal.protocol)] = internal
+        self._bind((ext_ip, ext_port, internal.protocol), internal)
         self._free_ports.discard(ext_port)
 
     def state_snapshot(self, flow: FiveTuple):
@@ -203,6 +220,7 @@ class MazuNAT(NetworkFunction):
         super().reset()
         self.mappings.clear()
         self.reverse.clear()
+        self._port_uses.clear()
         self._free_ports.clear()
         self._next_port = self.port_lo
         self.translations = 0

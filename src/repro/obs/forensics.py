@@ -478,19 +478,21 @@ class ForensicsEngine:
 
     # -- observation ---------------------------------------------------------
 
-    def observe_run(self, table, plan_ids, arrival, finish, replica, lane: str) -> None:
-        """Decompose one run from its timeline, whichever replay made it.
+    def observe_run(self, table, plan_ids, latencies, replica, lane: str) -> None:
+        """Decompose one run from its latency column, whichever replay
+        made it.
 
         ``table`` is the run's :class:`~repro.platform.base.PlanTable`,
         labelled: packet ``i`` followed plan ``table[plan_ids[i]]``, and
         ``table.labels[pid]`` is ``(fid, is_fast, transfer_ns)`` of the
         report that made the plan.  Each plan's service / transfer split
         (:func:`split_plan_total`, exact per plan) is computed once per
-        table.  ``arrival`` and ``finish`` are the replay's two columns,
-        indexed by packet.
+        table.  ``latencies`` is the run's float64 ``finish - arrival``
+        column, indexed by packet — the column the run's tail derived
+        once (:meth:`~repro.platform.base.Platform._finish_run`).
 
         This loop is the one window aggregator: a window is a contiguous
-        slice of ``finish - arrival`` in packet order — the order no
+        slice of ``latencies`` in packet order — the order no
         replay can change, so neither can it change which packets the
         1-in-``sample_every`` stride lands on.  Latency sums, maxima,
         worst-K and stride selection are whole-array operations (a
@@ -499,11 +501,8 @@ class ForensicsEngine:
         is decomposed in Python, through :func:`decompose`, which is
         what keeps the split exact.
         """
-        if not self.enabled or not len(finish):
+        if not self.enabled or not len(latencies):
             return
-        latencies = np.asarray(finish, dtype=np.float64) - np.asarray(
-            arrival, dtype=np.float64
-        )
         costs = []
         for plan, label in zip(table, table.labels):
             total = 0.0
@@ -570,8 +569,7 @@ class ForensicsEngine:
         self.observe_run(
             table,
             plan_ids,
-            np.zeros(len(outcomes)),
-            [outcome.latency_ns for outcome in outcomes],
+            np.array([outcome.latency_ns for outcome in outcomes], dtype=np.float64),
             replica,
             "unloaded",
         )

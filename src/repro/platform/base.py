@@ -174,19 +174,19 @@ class LoadResult:
         )
 
 
-def load_result(arrival, finish, dropped: int) -> LoadResult:
+def load_result(latencies, finish, dropped: int) -> LoadResult:
     """The result of a run from its timeline — the one place one is built.
 
-    ``arrival`` and ``finish`` are the two per-packet columns every
-    replay returns.  Latencies are ``finish - arrival`` reported in
-    finish order (what a sink at the end of the pipeline sees), packet
-    order on ties; the stable sort is skipped when ``finish`` is already
-    non-decreasing, which every single-stage run is.
+    ``latencies`` is ``finish - arrival`` in packet order and ``finish``
+    the replay's finish column.  Latencies are reported in finish order
+    (what a sink at the end of the pipeline sees), packet order on ties;
+    the stable sort is skipped when ``finish`` is already
+    non-decreasing, which every single-stage run is — the result then
+    holds ``latencies`` itself, not a copy.
     """
-    arrival = np.asarray(arrival, dtype=np.float64)
+    latencies = np.asarray(latencies, dtype=np.float64)
     finish = np.asarray(finish, dtype=np.float64)
     offered = len(finish)
-    latencies = finish - arrival
     if (finish[1:] < finish[:-1]).any():
         latencies = latencies[np.argsort(finish, kind="stable")]
     return LoadResult(
@@ -657,22 +657,28 @@ class Platform:
         self, run: FunctionalRun, timeline: tuple, inter_arrival_ns: float, route: str
     ) -> LoadResult:
         """The one tail of a loaded run, whoever replayed it: count its
-        packets, build the result from the timeline and hand the
-        timeline to what is attached (span stamps, time series,
-        forensics — which reads each packet's labels off the run's plan
-        table).
+        packets, stamp the sampled spans with the timeline, then derive
+        the run's one latency column, build the result from it and hand
+        it to what else is attached (time series, then forensics — which
+        reads each packet's labels off the run's plan table).
+
+        The latency column is ``finish - arrival`` in packet order,
+        written over the arrival buffer: a replay's arrival column is
+        its own (a fresh array, or a list ``asarray`` copies), and once
+        the spans have their stamps nothing reads it again.
         """
         arrival = np.asarray(timeline[0], dtype=np.float64)
         finish = np.asarray(timeline[1], dtype=np.float64)
         self.packets += len(finish)
-        result = load_result(arrival, finish, run.dropped)
         if self.spans is not None:
             self.spans.annotate_loaded(run.roots, arrival, finish)
+        latencies = np.subtract(finish, arrival, out=arrival)
+        result = load_result(latencies, finish, run.dropped)
         if self.timeseries is not None:
             self._ingest_timeseries(result, inter_arrival_ns)
         forensics = self.forensics
         if forensics is not None and forensics.enabled:
-            forensics.observe_run(run.table, run.plan_ids, arrival, finish, run.replica, route)
+            forensics.observe_run(run.table, run.plan_ids, latencies, run.replica, route)
         return result
 
     def _ingest_timeseries(self, result: LoadResult, inter_arrival_ns: float) -> None:

@@ -2,7 +2,7 @@
 
 A :class:`PacketBatch` is the column-oriented counterpart of a
 ``TrafficGenerator`` packet list: per-flow five-tuple columns plus
-per-packet (flow index, kind, ordinal, seq, size, timestamp) columns —
+per-packet (flow index, kind, ordinal, seq, timestamp) columns —
 no :class:`~repro.net.packet.Packet` objects anywhere.  The batch
 fast-path lane (``repro.core.fastpath.BatchLane``) consumes the columns
 directly; any packet the lane must run through the interpreted runtime
@@ -13,8 +13,8 @@ per-packet path a valid equivalence oracle for batch runs.
 
 One function builds a batch: :func:`uniform_batch` synthesizes N
 identical-shape flows vectorized (the millions-of-flows benchmark path;
-no per-flow Python objects are created, so 1M flows cost three int64
-columns).  The tests
+no per-flow Python objects are created, so 1M flows cost four int64
+columns and two bytes a flow).  The tests
 expand arbitrary flow specs with their own columnar twin of the
 generator (``tests/integration/helpers.py``).
 
@@ -38,13 +38,42 @@ KIND_FIN = 2
 
 _BASE_SEQ = 1000
 
+#: the largest value each narrow per-packet column holds
+_ORDINAL_MAX = 2**31 - 1
+_SEQ_MAX = 2**32 - 1
+
 
 class PacketBatch:
     """A struct-of-arrays batch of packets over a columnar flow table.
 
-    Every column is an ndarray of fixed dtype: int64, except uint8 for
-    ``flow_proto``, ``flow_handshake`` and ``kind`` and float64 for the
-    optional ``timestamp_ns`` (``None`` as built; a trace sets it).
+    Every column is an ndarray of fixed dtype, each as wide as what it
+    holds and no wider — the per-packet columns are what a run holds
+    for every packet of the trace, 17 bytes a packet:
+
+    - ``flow_src_ip``, ``flow_dst_ip``, ``flow_src_port``,
+      ``flow_dst_port``: int64, one row per flow.  The lane hashes them
+      to FIDs (``fid_column`` walks them as int64) and reads them back
+      as Python ints, so per flow they stay wide;
+    - ``flow_proto``, ``flow_handshake``: uint8 (a protocol number, a
+      0/1 flag);
+    - ``flow_index``: int64, the packet's flow row.  The lane gathers
+      per-flow columns with it chunk by chunk, and numpy casts a
+      narrower index to its native intp first: an int32 column measured
+      2x slower on those gathers;
+    - ``kind``: uint8, :data:`KIND_SYN` / :data:`KIND_DATA` /
+      :data:`KIND_FIN`;
+    - ``ordinal``: int32, the packet's position in its flow (under
+      2**31 packets a flow; :func:`uniform_batch` refuses more);
+    - ``seq``: uint32, the TCP sequence number — TCP's own width, so a
+      value that fits the column fits the header (:func:`uniform_batch`
+      refuses a TCP flow whose sequence numbers would pass 2**32 - 1,
+      as ``TCPHeader.pack`` would for the per-packet generator; a UDP
+      packet's is never read);
+    - ``timestamp_ns``: float64 and optional (``None`` as built; a trace
+      sets it).
+
+    A packet's size is not a column: a data packet carries its flow's
+    payload (:meth:`payload_for`), the others none.
     """
 
     __slots__ = (
@@ -60,7 +89,6 @@ class PacketBatch:
         "kind",
         "ordinal",
         "seq",
-        "size",
         "timestamp_ns",
         "_five_tuples",
         "_ft_getters",
@@ -78,7 +106,6 @@ class PacketBatch:
         kind,
         ordinal,
         seq,
-        size,
         uniform_payload: bytes = b"",
     ):
         self.flow_src_ip = flow_src_ip
@@ -96,7 +123,6 @@ class PacketBatch:
         self.kind = kind
         self.ordinal = ordinal
         self.seq = seq
-        self.size = size
         self.timestamp_ns = None
         #: lazily built FiveTuple cache for flows the scalar path touches
         self._five_tuples: dict = {}
@@ -229,7 +255,10 @@ def uniform_batch(
     Builds pure array columns — no per-flow or per-packet Python
     objects, and no full-length temporary: the high-water mark is the
     columns themselves.  ``flows=0`` is an empty batch; negative counts
-    and ``block < 1`` raise ``ValueError``.
+    and ``block < 1`` raise ``ValueError``, and so does a flow whose
+    ordinals or (TCP) sequence numbers would not fit their int32 /
+    uint32 columns (naming ``packets_per_flow``, and the payload length
+    by which each data packet advances the sequence number).
     """
     if flows < 0:
         raise ValueError(f"flows must be >= 0, got {flows!r}")
@@ -243,10 +272,23 @@ def uniform_batch(
         raise ValueError("handshake/fin require TCP")
     if interleave not in ("sequential", "round_robin"):
         raise ValueError(f"unknown interleave mode {interleave!r}")
+    hs = 1 if handshake else 0
+    total_per_flow = packets_per_flow + hs + (1 if fin else 0)
+    step = max(len(payload), 1)
+    if total_per_flow - 1 > _ORDINAL_MAX:
+        raise ValueError(
+            f"packets_per_flow={packets_per_flow!r}: a flow's packet ordinals "
+            f"must fit int32 (at most {_ORDINAL_MAX + 1} packets a flow)"
+        )
+    # The FIN's seq, or the last data packet's: the largest in a flow.
+    last_seq = _BASE_SEQ + hs + max(packets_per_flow - (0 if fin else 1), 0) * step
+    if protocol == PROTO_TCP and last_seq > _SEQ_MAX:
+        raise ValueError(
+            f"packets_per_flow={packets_per_flow!r} with a {len(payload)}-byte "
+            f"payload puts sequence number {last_seq} past TCP's 2**32 - 1"
+        )
     if block is None or block > flows:
         block = flows if interleave == "round_robin" else 1
-    total_per_flow = packets_per_flow + (1 if handshake else 0) + (1 if fin else 0)
-    step = max(len(payload), 1)
     src_base = ip_to_int(src_ip_base)
     dst = ip_to_int(dst_ip)
 
@@ -259,46 +301,48 @@ def uniform_batch(
     flow_dst_ip = np.full(flows, dst, dtype=np.int64)
     flow_dst_port = np.full(flows, dst_port, dtype=np.int64)
     flow_proto = np.full(flows, protocol, dtype=np.uint8)
-    flow_handshake = np.full(flows, 1 if handshake else 0, dtype=np.uint8)
+    flow_handshake = np.full(flows, hs, dtype=np.uint8)
 
     # Blocks of ``block`` flows run back to back, round-robin inside a
     # block (ordinal-major: row o of a block is every flow's o-th
     # packet); a block of one flow is that flow's packets in order.
     n = flows * total_per_flow
-    flow_index = np.empty(n, dtype=np.int64)
-    ordinal = np.empty(n, dtype=np.int64)
     full = flows // block if flows else 0
     head = full * block * total_per_flow
-    rows = np.arange(total_per_flow, dtype=np.int64)
+    width = flows - full * block
+    flow_index = np.empty(n, dtype=np.int64)
     if full:
         flow_index[:head].reshape(full, total_per_flow, block)[...] = np.arange(
             full * block, dtype=np.int64
         ).reshape(full, 1, block)
-        ordinal[:head].reshape(full, total_per_flow, block)[...] = rows.reshape(1, -1, 1)
     if head < n:
-        width = flows - full * block
         flow_index[head:].reshape(total_per_flow, width)[...] = np.arange(
             full * block, flows, dtype=np.int64
         )
-        ordinal[head:].reshape(total_per_flow, width)[...] = rows.reshape(-1, 1)
 
-    # kind, seq and size are functions of the ordinal alone: build them
-    # per ordinal and gather.
+    def by_ordinal(values):
+        """A per-packet column from its value at each ordinal, written
+        by broadcast: a gather through the ordinal column would first
+        cast that int32 index to a full-length intp copy."""
+        column = np.empty(n, dtype=values.dtype)
+        if full:
+            column[:head].reshape(full, total_per_flow, block)[...] = values.reshape(1, -1, 1)
+        if head < n:
+            column[head:].reshape(total_per_flow, width)[...] = values.reshape(-1, 1)
+        return column
+
+    # kind and seq are functions of the ordinal alone.
+    rows = np.arange(total_per_flow, dtype=np.int64)
     kind_of = np.full(total_per_flow, KIND_DATA, dtype=np.uint8)
     if handshake:
         kind_of[0] = KIND_SYN
     if fin:
         kind_of[-1] = KIND_FIN
-    hs = 1 if handshake else 0
     data = kind_of == KIND_DATA
     seq_of = np.full(total_per_flow, _BASE_SEQ, dtype=np.int64)
     seq_of[data] = _BASE_SEQ + hs + (rows[data] - hs) * step
     if fin:
         seq_of[-1] = _BASE_SEQ + hs + packets_per_flow * step
-    size_of = np.where(data, len(payload), 0).astype(np.int64)
-    kind = kind_of[ordinal]
-    seq = seq_of[ordinal]
-    size = size_of[ordinal]
     return PacketBatch(
         flow_src_ip,
         flow_dst_ip,
@@ -307,9 +351,8 @@ def uniform_batch(
         flow_proto,
         flow_handshake,
         flow_index,
-        kind,
-        ordinal,
-        seq,
-        size,
+        by_ordinal(kind_of),
+        by_ordinal(rows.astype(np.int32)),
+        by_ordinal(seq_of.astype(np.uint32)),
         uniform_payload=payload,
     )

@@ -267,7 +267,6 @@ def batch_from_specs(
     kinds: List[int] = []
     ordinals: List[int] = []
     seqs: List[int] = []
-    sizes: List[int] = []
     # Per-flow running seq, matching packets_for_flow: SYN consumes 1,
     # each data packet consumes max(len(payload), 1).
     next_seq = [_BASE_SEQ] * len(specs)
@@ -279,17 +278,14 @@ def batch_from_specs(
         if spec.handshake and ordinal == 0:
             kinds.append(KIND_SYN)
             seqs.append(next_seq[flow])
-            sizes.append(0)
             next_seq[flow] += 1
         elif spec.fin and ordinal == spec.total_packets - 1:
             kinds.append(KIND_FIN)
             seqs.append(next_seq[flow])
-            sizes.append(0)
         else:
             payload = spec.payload_for(ordinal - handshake)
             kinds.append(KIND_DATA)
             seqs.append(next_seq[flow])
-            sizes.append(len(payload))
             next_seq[flow] += max(len(payload), 1)
         ordinals.append(ordinal)
 
@@ -303,9 +299,8 @@ def batch_from_specs(
         np.fromiter((1 if spec.handshake else 0 for spec in specs), u8),
         np.fromiter(order, i64),
         np.fromiter(kinds, u8),
-        np.fromiter(ordinals, i64),
-        np.fromiter(seqs, i64),
-        np.fromiter(sizes, i64),
+        np.fromiter(ordinals, np.int32),
+        np.fromiter(seqs, np.uint32),
     )
     batch._payloads = [spec.payload for spec in specs]
     return batch
@@ -743,7 +738,13 @@ def des_run_load(
     engine = Engine()
     pipeline = platform._spawn_pipeline(engine, run.table, run.plan_ids, gaps)
     engine.run()
-    return load_result(pipeline.arrival, pipeline.finish, run.dropped)
+    return timeline_result(pipeline.arrival, pipeline.finish, run.dropped)
+
+
+def timeline_result(arrival, finish, dropped: int = 0) -> LoadResult:
+    """The ``LoadResult`` a run's tail builds from a replay's timeline:
+    the packet-order latency column, then ``load_result``."""
+    return load_result(np.subtract(finish, arrival), finish, dropped)
 
 
 def run_lockstep(

@@ -7,8 +7,10 @@ a FIN.  Output and per-flow NF state must equal the original chain's.
 
 The pairs that diverge today are pinned ``xfail(strict=True)`` with the
 kind of divergence: an SF of an NF upstream of a rewriter sees the
-rewrites of the NFs after it on the fast path (item 17).  The marks come
-off when item 17 (b) lands; a pair that starts passing fails its mark.
+rewrites of the NFs after it on the fast path (item 17).  One triple
+whose three pairs are all clean diverges too, and is pinned the same
+way as a named case.  The marks come off when item 17 (b) lands; a
+chain that starts passing fails its mark.
 """
 
 import itertools
@@ -36,6 +38,14 @@ DIVERGING = {
     ("vpn-encap", "monitor"): {"state"},
     ("vpn-encap", "nat"): {"state"},
     ("vpn-encap", "snort"): {"state"},
+}
+
+#: triples with no diverging pair that diverge all the same, with their
+#: kinds: Monitor between an encapsulation and its terminator counts the
+#: wrapped packet on the fast path (ROADMAP item 17 (b)); the seeded
+#: sample below does not draw it
+DIVERGING_TRIPLES = {
+    ("gateway", "monitor", "terminator"): {"state"},
 }
 
 #: triples with no diverging pair among their NFs (in chain order)
@@ -76,6 +86,7 @@ def divergence_kinds(names):
 def test_the_matrix_is_every_ordered_pair():
     assert len(NAMES) == 12 and len(list(pair_cases())) == 132
     assert set(DIVERGING) <= set(itertools.permutations(NAMES, 2))
+    assert set(DIVERGING_TRIPLES) <= set(CLEAN_TRIPLES)
 
 
 @pytest.mark.parametrize("pair", pair_cases())
@@ -88,6 +99,22 @@ def test_pair_is_equivalent_in_output_and_state(pair):
 def test_a_pinned_pair_diverges_in_its_kind(pair):
     """The xfail marks above pin *that* a pair diverges; this pins how."""
     assert divergence_kinds(pair)[0] == DIVERGING[pair]
+
+
+@pytest.mark.parametrize("triple", [
+    pytest.param(triple, id=",".join(triple), marks=pytest.mark.xfail(
+        strict=True, reason=f"ROADMAP item 17 (b): {'/'.join(sorted(kinds))} divergence"
+    ))
+    for triple, kinds in sorted(DIVERGING_TRIPLES.items())
+])
+def test_named_triple_is_equivalent_in_output_and_state(triple):
+    kinds, report = divergence_kinds(triple)
+    assert not kinds, report.summary()
+
+
+@pytest.mark.parametrize("triple", sorted(DIVERGING_TRIPLES), ids=",".join)
+def test_a_pinned_triple_diverges_in_its_kind(triple):
+    assert divergence_kinds(triple)[0] == DIVERGING_TRIPLES[triple]
 
 
 @pytest.mark.parametrize(

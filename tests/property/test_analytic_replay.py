@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.framework import ServiceChain
 from repro.nf import IPFilter
 from repro.platform import BessPlatform, OpenNetVMPlatform, PlatformConfig
-from repro.platform.base import load_result
 from repro.sim import Engine, analytic_replay, plans_are_analytic
+from tests.integration.helpers import timeline_result
 
 
 class _ReplayHarness(BessPlatform):
@@ -105,10 +105,10 @@ class TestAnalyticMatchesDES:
         timelines go through the one result builder, so the latency
         lists agree position for position, ties included."""
         plans, gaps, stage_count, ring_capacity = case
-        closed_form = load_result(
-            *analytic_replay(plans, range(len(plans)), gaps, stage_count, ring_capacity), 0
+        closed_form = timeline_result(
+            *analytic_replay(plans, range(len(plans)), gaps, stage_count, ring_capacity)
         )
-        des = load_result(*des_replay(plans, gaps, stage_count, ring_capacity), 0)
+        des = timeline_result(*des_replay(plans, gaps, stage_count, ring_capacity))
         assert closed_form == des
 
     def test_tie_order_regression(self):
@@ -127,8 +127,8 @@ class TestAnalyticMatchesDES:
         platform = OpenNetVMPlatform(ServiceChain([IPFilter("fw0"), IPFilter("fw1")]))
         stages, cap = platform._stage_count(), platform.config.ring_capacity
         assert stages == 4
-        closed_form = load_result(*analytic_replay(plans, range(5), gaps, stages, cap), 0)
-        des = load_result(*des_replay(plans, gaps, stages, cap, harness=platform), 0)
+        closed_form = timeline_result(*analytic_replay(plans, range(5), gaps, stages, cap))
+        des = timeline_result(*des_replay(plans, gaps, stages, cap, harness=platform))
         assert des == closed_form
         assert closed_form.latencies_ns.tolist() == [0.0, 0.0, 5.0, 7.0, 4.0]
 

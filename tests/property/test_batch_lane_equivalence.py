@@ -13,10 +13,12 @@ handed on between two steady runs) follow the fuzzed test.
 """
 
 import contextlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.batchlane as batchlane_module
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.core.state_function import PayloadClass
@@ -24,6 +26,7 @@ from repro.nf import IPFilter, Monitor, SyntheticNF
 from repro.nf.ipfilter import AclRule, Verdict
 from repro.obs.audit import AuditLog
 from repro.platform import BessPlatform, OpenNetVMPlatform
+from repro.traffic.columnar import uniform_batch
 from repro.traffic.generator import FlowSpec
 from tests.integration.helpers import (
     assert_classifier_invariants,
@@ -206,7 +209,7 @@ def reordered(batch, slots):
         order.append(slot * per_flow + taken[slot])
         taken[slot] += 1
     assert sorted(order) == list(range(len(batch)))
-    for column in ("flow_index", "kind", "ordinal", "seq", "size"):
+    for column in ("flow_index", "kind", "ordinal", "seq"):
         setattr(batch, column, getattr(batch, column)[order])
     return batch
 
@@ -223,6 +226,30 @@ def test_a_displaced_flow_with_an_empty_home_is_not_admitted_again():
         BessPlatform, [0, 1], batch, {"max_tracked_flows": 2, "max_flows": 1}
     )
     assert runtime.stats()["classifier_evictions"] > 0
+
+
+def test_bulk_admission_reads_the_flow_table_in_any_order():
+    """First packets out of flow order.  Bulk admission reads the flow
+    table through slices of ``_ROWS`` flows while it moves forward and
+    one row at a time otherwise (four-flow slices here); both reads
+    admit exactly what the oracle does."""
+    slots = [0, 17, 1, 9, 2, 12, 3, 4, 19, 5, 6, 7, 8, 16, 10]
+    batch = reordered(uniform_batch(20, 3, interleave="sequential"), slots)
+    reads = []
+    read = batchlane_module.BatchLane._load_rows
+
+    def spy(lane, flow):
+        rows = read(lane, flow)
+        reads.append((flow, len(rows[0])))
+        return rows
+
+    with mock.patch.object(batchlane_module, "_ROWS", 4), mock.patch.object(
+        batchlane_module.BatchLane, "_load_rows", spy
+    ):
+        assert_lane_equals_legacy(BessPlatform, [0, 1], batch, None)
+    # 17 lies beyond the slice of flows 0-3 and is read alone; 4 follows
+    # that slice and starts the next one
+    assert (17, 1) in reads and (4, 4) in reads
 
 
 def test_admission_onto_a_fid_whose_last_owner_just_died():

@@ -309,7 +309,7 @@ def ordered_batch(order, dst_ports):
     for flow in order:
         ordinals.append(seen[flow])
         seen[flow] += 1
-    ordinal = np.array(ordinals, dtype=np.int64)
+    ordinal = np.array(ordinals, dtype=np.int32)
     return PacketBatch(
         table.flow_src_ip,
         table.flow_dst_ip,
@@ -320,8 +320,7 @@ def ordered_batch(order, dst_ports):
         np.array(order, dtype=np.int64),
         np.full(len(order), KIND_DATA, dtype=np.uint8),
         ordinal,
-        1000 + ordinal,
-        np.zeros(len(order), dtype=np.int64),
+        (1000 + ordinal).astype(np.uint32),
     )
 
 

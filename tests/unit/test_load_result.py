@@ -4,8 +4,10 @@ A loaded run's latencies are one float64 column end to end.  These
 tests pin what that must not change — nearest-rank percentiles bit for
 bit against the list-and-``sorted`` definition, exact order-sensitive
 equality — and what it buys: a run that allocates a bounded number of
-bytes per packet beyond its batch, and a batch builder whose high-water
-mark is its own columns.
+bytes per packet beyond its batch (its plan ids, the replay's two
+timeline columns, the latency column derived in the arrival buffer), a
+batch of 17 bytes a packet, and a batch builder whose high-water mark is
+its own columns.
 """
 
 import random
@@ -95,10 +97,13 @@ def batch_chain():
     ]
 
 
-COLUMNS = (
+FLOW_COLUMNS = (
     "flow_src_ip", "flow_dst_ip", "flow_src_port", "flow_dst_port", "flow_proto",
-    "flow_handshake", "flow_index", "kind", "ordinal", "seq", "size",
+    "flow_handshake",
 )
+#: each per-packet column's width in bytes
+PACKET_BYTES = {"flow_index": 8, "kind": 1, "ordinal": 4, "seq": 4}
+COLUMNS = FLOW_COLUMNS + tuple(PACKET_BYTES)
 
 
 class TestMemory:
@@ -115,9 +120,30 @@ class TestMemory:
         # a few ndarray headers and the batch object on top of the data
         assert columns <= peak <= columns + 16 * 1024
 
+    def test_uniform_batch_costs_its_column_widths_a_packet(self):
+        """17 bytes a packet: the batch holds no per-packet size column,
+        and ordinals and sequence numbers take int32 / uint32."""
+        tracemalloc.start()
+        try:
+            batch = uniform_batch(1024, 400, protocol="tcp", handshake=True, fin=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(batch)
+        for name, width in PACKET_BYTES.items():
+            assert getattr(batch, name).itemsize == width, name
+        assert sum(PACKET_BYTES.values()) == 17
+        flows = sum(getattr(batch, name).nbytes for name in FLOW_COLUMNS)
+        assert 17 * n + flows <= peak <= 17 * n + flows + 16 * 1024
+
     def test_a_lane_run_allocates_a_bounded_amount_per_packet(self):
-        """≈ 400 k packets through BESS, then p50 and p99: a list-backed
-        result costs ≈ 65 B/packet here, the column ≈ 34."""
+        """≈ 400 k packets through BESS, then p50 and p99.  What a run
+        holds at its peak, beyond the batch: int32 plan ids and the two
+        float64 timeline columns, 20 B a packet, plus ≈ 9 B a packet of
+        fixed cost at this size (imports, per-flow tables) — 29.0 B
+        measured.  A third full-length float64 column (the ``finish -
+        arrival`` copy the tail used to keep beside the timeline) read
+        36.9; the bound is the measured value plus 3 B of slack."""
         batch = uniform_batch(1024, 400, interleave="round_robin")
         tracemalloc.start()
         try:
@@ -132,4 +158,35 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert platform.last_lane_stats["span_packets"] == len(batch) - 1024
-        assert (peak - before) / len(batch) <= 48
+        assert (peak - before) / len(batch) <= 32
+
+
+class TestColumnRanges:
+    """``uniform_batch`` refuses a flow whose ordinals or sequence
+    numbers would not fit their columns, before it allocates them; a
+    silent wrap would build packets the per-packet generator never
+    would."""
+
+    def test_ordinals_past_int32_name_packets_per_flow(self):
+        with pytest.raises(ValueError, match="packets_per_flow=2147483649"):
+            uniform_batch(1, 2**31 + 1)
+        # a SYN and a FIN around 2**31 - 1 data packets: ordinal 2**31
+        with pytest.raises(ValueError, match="packets_per_flow=2147483647"):
+            uniform_batch(1, 2**31 - 1, protocol="tcp", handshake=True, fin=True)
+
+    @pytest.mark.parametrize("fin", [False, True])
+    def test_sequence_numbers_past_uint32_name_the_arguments(self, fin):
+        payload = b"x" * 60000
+        # the largest flow whose last sequence number fits 2**32 - 1
+        fits = (2**32 - 1 - 1000) // 60000 + (0 if fin else 1)
+        batch = uniform_batch(1, fits, payload=payload, protocol="tcp", fin=fin)
+        last = batch.materialize(len(batch) - 1)
+        assert last.l4.seq == int(batch.seq[-1]) <= 2**32 - 1
+        assert last.l4.seq == 1000 + (fits - (0 if fin else 1)) * 60000
+        last.serialize()
+        with pytest.raises(ValueError, match=r"packets_per_flow=\d+ with a 60000-byte payload"):
+            uniform_batch(1, fits + 1, payload=payload, protocol="tcp", fin=fin)
+
+    def test_a_udp_flow_carries_no_sequence_number_to_overflow(self):
+        fits = (2**32 - 1 - 1000) // 60000 + 1
+        assert len(uniform_batch(1, fits + 1, payload=b"x" * 60000)) == fits + 1

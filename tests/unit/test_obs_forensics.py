@@ -8,12 +8,15 @@ the decomposition must fall back to a queue-only split rather than
 break the invariant.
 """
 
+import hashlib
 import json
+from unittest import mock
 
 import pytest
 
+import repro.platform.base as platform_base
 from repro.core.framework import SpeedyBox
-from repro.nf import IPFilter
+from repro.nf import IPFilter, Monitor
 from repro.obs import AuditLog
 from repro.obs.forensics import (
     COMPONENTS,
@@ -30,8 +33,11 @@ from repro.obs.forensics import (
     split_plan_total,
 )
 from repro.obs.record import load_jsonl
+from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_forensics, render_timeline
-from repro.platform import BessPlatform
+from repro.platform import BessPlatform, OpenNetVMPlatform
+from repro.traffic import FlowSpec, TrafficGenerator
+from repro.vector import np
 
 
 class TestExactResidual:
@@ -225,8 +231,6 @@ class TestRegimeShiftDetector:
 
 def run_engine(engine, packets=96):
     platform = BessPlatform(SpeedyBox([IPFilter("fw0")]), forensics=engine)
-    from repro.traffic import FlowSpec, TrafficGenerator
-
     stream = TrafficGenerator(
         [FlowSpec.tcp(f"10.0.0.{i}", "10.0.1.1", 1000 + i, 80, packets=8)
          for i in range(packets // 8)],
@@ -368,3 +372,70 @@ class TestTimelineAndRendering:
         assert lines[0] == "timeline (2 events)"
         assert "latency_regime_shift" in lines[1] and "component=stall" in lines[1]
         assert "ft_failover_complete" in lines[2]
+
+#: sha256 of ``ForensicsEngine.rows()`` (summary, windows, worst-K) for
+#: :func:`non_monotone_run` on each replay, as the engine computed them
+#: when it still derived ``finish - arrival`` from the two columns itself
+NON_MONOTONE_ROWS = {
+    "analytic": "8d562b9022269608117bcba35f4953f2c562886eda5f6913ac657fcc2a37105e",
+    "des": "b9a5f51cdb201b9d1e6e7805b910f67291975e456852f1784c2cc7f3bbfdf7f8",
+}
+
+
+def non_monotone_run(route):
+    """A three-NF ONVM pipeline (one stage per NF) under load: first
+    packets take every stage, later ones fewer, so packets overtake
+    each other and ``finish`` is not monotone.  An attached registry
+    takes the DES.  Returns the engine, the result and the run's
+    packet-order latency and finish columns, as the tail built the
+    result from them."""
+    stream = TrafficGenerator(
+        [FlowSpec.tcp(f"10.0.0.{i}", "10.0.1.1", 1000 + i, 80, packets=6,
+                      payload=b"x" * (40 * i), handshake=True, fin=True)
+         for i in range(1, 25)],
+        interleave="round_robin",
+    ).packets()
+    engine = ForensicsEngine(worst_k=5, window_packets=32, sample_every=3)
+    extra = {"metrics": MetricsRegistry()} if route == "des" else {}
+    platform = OpenNetVMPlatform(
+        SpeedyBox([IPFilter("fw0"), Monitor("mon"), IPFilter("fw1")]),
+        forensics=engine, **extra,
+    )
+    columns = []
+    build = platform_base.load_result
+
+    def spy(latencies, finish, dropped):
+        columns.append((np.array(latencies), np.array(finish)))
+        return build(latencies, finish, dropped)
+
+    with mock.patch.object(platform_base, "load_result", spy):
+        result = platform.run_load(stream, inter_arrival_ns=50.0)
+    ((latencies, finish),) = columns
+    return engine, result, latencies, finish
+
+
+class TestNonMonotoneRuns:
+    """The run's tail hands forensics the packet-order latency column and
+    the result a finish-order copy; on a run whose packets overtake each
+    other the two orders differ, and the windows must not move."""
+
+    @pytest.mark.parametrize("route", sorted(NON_MONOTONE_ROWS))
+    def test_windows_and_worst_k_are_unchanged(self, route):
+        engine, result, __, finish = non_monotone_run(route)
+        assert (finish[1:] < finish[:-1]).any()
+        assert {window["lane"] for window in engine.windows} == {route}
+        assert len(engine.windows) == 6 and engine.packets == len(finish) == 192
+        rows = json.dumps(engine.rows(), sort_keys=True).encode()
+        assert hashlib.sha256(rows).hexdigest() == NON_MONOTONE_ROWS[route]
+
+    @pytest.mark.parametrize("route", sorted(NON_MONOTONE_ROWS))
+    def test_windows_read_packet_order_and_the_result_finish_order(self, route):
+        engine, result, latencies, finish = non_monotone_run(route)
+        order = np.argsort(finish, kind="stable")
+        assert not np.array_equal(order, np.arange(len(order)))
+        assert np.array_equal(result.latencies_ns, latencies[order])
+        for window in engine.windows:
+            start = window["window"] * 32
+            segment = latencies[start : start + 32]
+            assert window["latency_sum_ns"] == float(segment.sum())
+            assert window["max_ns"] == float(segment.max())

@@ -53,9 +53,8 @@ FLOW_COLUMNS = {
 PACKET_COLUMNS = {
     "flow_index": np.int64,
     "kind": np.uint8,
-    "ordinal": np.int64,
-    "seq": np.int64,
-    "size": np.int64,
+    "ordinal": np.int32,
+    "seq": np.uint32,
 }
 
 
