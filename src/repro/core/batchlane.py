@@ -16,10 +16,11 @@ for the steady-state majority of a :class:`~repro.traffic.columnar.PacketBatch`:
   mask gather.  Validated runs accumulate in a **deferred region** —
   no per-flow bookkeeping yet, just the ``(lo, hi)`` slice;
 - the region is **flushed** — per-flow packet counts, rule hits, drop
-  totals and Global-MAT LRU touches in last-occurrence order, all from
-  one sort-free pass over the slices into two flow-indexed scratch
-  columns — only when a scalar packet is about to run, and once at the
-  end of the batch;
+  totals and Global-MAT LRU touches in last-occurrence order, from one
+  sort-free counting pass over the slices and a scan back from the
+  region's end that stops once every packet's flow is found — only
+  when a scalar packet is about to run, and once at the end of the
+  batch;
 - a scalar packet — first packets, handshake and FIN/RST, fast-path
   misses, invalidated closures — flushes, then is materialized and
   handed to ``SpeedyBox.process``, the unmodified oracle;
@@ -74,7 +75,7 @@ from repro.platform.base import PlanTable
 from repro.traffic.columnar import KIND_DATA, PacketBatch
 from repro.vector import np
 
-#: packets per chunk of the steady-mask walk
+#: packets per chunk of the steady-mask walk and of a flush's tail scan
 _CHUNK = 32768
 #: flows per slice of the flow table that bulk admission reads as lists
 _ROWS = 4096
@@ -443,14 +444,18 @@ class BatchLane:
         self.span_packets += 1
 
     def _flush(self) -> None:
-        """Apply the deferred region's per-flow effects in one pass.
+        """Apply the deferred region's per-flow effects.
 
         Counts, rule hits and drop totals are commutative; the LRU
         touches — one ``move_to_end`` per flow in last-occurrence order
         over the *whole region* — leave exactly the recency order the
-        per-packet sequence would have.  Both come from two flow-indexed
-        scratch columns in O(region) — no sort — and only the slots the
-        region touched are reset, so a flush never costs O(flows).
+        per-packet sequence would have.  The counts take one pass over
+        the region into a flow-indexed scratch column.  Last occurrences
+        are read from the region's end, a chunk at a time, into a
+        second one, until the flows found account for every packet of
+        the region (the sum of their counts) — on a region of long
+        flows, one chunk.  No sort, and only the slots the region
+        touched are reset, so a flush never costs O(flows).
         """
         deferred = self._deferred
         if not deferred:
@@ -459,20 +464,29 @@ class BatchLane:
         flow_arr = self.flow_arr
         last = self._last
         counts = self._counts
+        region = 0
         for lo, hi in deferred:
-            flows = flow_arr[lo:hi]
-            np.maximum.at(last, flows, np.arange(lo, hi))
-            np.add.at(counts, flows, 1)
-        # A flow's last occurrence is the one position where
-        # ``last[flow] == position``, so the flows picked out in position
-        # order are distinct and in ascending last-occurrence order.
-        # Positions only grow over a run, so ``last`` never needs a reset.
-        touched = []
-        for lo, hi in deferred:
-            flows = flow_arr[lo:hi]
-            touched.append(flows[last[flows] == np.arange(lo, hi)])
+            np.add.at(counts, flow_arr[lo:hi], 1)
+            region += hi - lo
+        # Scanning back, a chunk's ``maximum.at`` raises ``last`` only for
+        # flows no later chunk holds (positions only grow over a run, so
+        # ``last`` never needs a reset), and a flow's last occurrence is
+        # the one position where ``last[flow] == position``: the flows
+        # picked out per chunk are new, in ascending last-occurrence order.
+        found = []
+        covered = 0
+        for lo, hi in reversed(deferred):
+            while hi > lo and covered < region:
+                start = max(lo, hi - _CHUNK)
+                flows = flow_arr[start:hi]
+                positions = np.arange(start, hi)
+                np.maximum.at(last, flows, positions)
+                newly = flows[last[flows] == positions]
+                found.append(newly)
+                covered += int(counts[newly].sum())
+                hi = start
         deferred.clear()
-        order = np.concatenate(touched)
+        order = np.concatenate(found[::-1])
         order_counts = counts[order].tolist()
         counts[order] = 0
         vclone = self._vclone

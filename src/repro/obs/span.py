@@ -199,8 +199,9 @@ class FlowSpanRecorder:
     def annotate_loaded(self, roots: Dict[int, list], arrival, finish) -> None:
         """Stamp a run's sampled roots with its simulated timeline:
         ``roots`` maps a packet's index in the run to the row
-        :meth:`record` returned, ``arrival`` and ``finish`` are the
-        replay's columns."""
+        :meth:`record` returned; ``arrival`` and ``finish`` give each
+        root's times by that index (the replay's columns, or the stamps
+        the vector replay took for exactly these packets)."""
         for index, row in roots.items():
             arrival_ns, finish_ns = float(arrival[index]), float(finish[index])
             # appended one by one: a tuple here would be the run's one

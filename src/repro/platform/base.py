@@ -45,8 +45,8 @@ class PlatformConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     #: worker cores available for parallel state-function waves
     worker_cores: int = 3
-    #: ring capacity between pipeline stages (ONVM)
-    ring_capacity: int = 4096
+    #: ring capacity between pipeline stages, at least 1; None = unbounded
+    ring_capacity: Optional[int] = 4096
     #: DPDK-style RX/TX batching: driver costs amortise over the batch.
     #: 1 (default) = per-packet I/O; 32 is the typical DPDK burst.
     batch_size: int = 1
@@ -54,6 +54,10 @@ class PlatformConfig:
     def __post_init__(self):
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size!r}")
+        if self.ring_capacity is not None and self.ring_capacity < 1:
+            raise ValueError(
+                f"ring_capacity must be at least 1 (None: unbounded), got {self.ring_capacity!r}"
+            )
 
 
 @dataclass
@@ -174,28 +178,45 @@ class LoadResult:
         )
 
 
-def load_result(latencies, finish, dropped: int) -> LoadResult:
+def load_result(latencies, makespan_ns: float, dropped: int, delivery) -> LoadResult:
     """The result of a run from its timeline — the one place one is built.
 
-    ``latencies`` is ``finish - arrival`` in packet order and ``finish``
-    the replay's finish column.  Latencies are reported in finish order
-    (what a sink at the end of the pipeline sees), packet order on ties;
-    the stable sort is skipped when ``finish`` is already
-    non-decreasing, which every single-stage run is — the result then
-    holds ``latencies`` itself, not a copy.
+    ``latencies`` is the run's float64 ``finish - arrival`` column in
+    packet order and ``makespan_ns`` its last finish.  Latencies are
+    reported in finish order (what a sink at the end of the pipeline
+    sees): ``delivery`` is ``None`` when packet order is finish order
+    — the result then holds ``latencies`` itself, not a copy — and the
+    stable finish-order permutation otherwise (:func:`columns_timeline`).
     """
-    latencies = np.asarray(latencies, dtype=np.float64)
-    finish = np.asarray(finish, dtype=np.float64)
-    offered = len(finish)
-    if (finish[1:] < finish[:-1]).any():
-        latencies = latencies[np.argsort(finish, kind="stable")]
+    offered = len(latencies)
     return LoadResult(
         offered=offered,
         delivered=offered - dropped,
         dropped=dropped,
-        makespan_ns=float(finish.max()) if offered else 0.0,
-        latencies_ns=latencies,
+        makespan_ns=makespan_ns,
+        latencies_ns=latencies if delivery is None else latencies[delivery],
     )
+
+
+def columns_timeline(arrival, finish) -> Tuple[tuple, Optional[np.ndarray]]:
+    """A closed-form or DES replay's ``(arrival, finish)`` lists as the
+    run's tail takes a timeline, and the order its packets left in.
+
+    The timeline is what :func:`~repro.sim.analytic.analytic_replay_vector`
+    returns: the packet-order latency column (written over a copy of
+    ``arrival``), the makespan, and the two lists themselves, which the
+    sampled roots are stamped from.  Fast packets overtake slow ones on
+    mixed-path pipelines, so ``finish`` need not be sorted: the order is
+    ``None`` when it never decreases, else its stable argsort.
+    """
+    ends = np.asarray(finish, dtype=np.float64)
+    latencies = np.array(arrival, dtype=np.float64)
+    np.subtract(ends, latencies, out=latencies)
+    delivery = None
+    if (ends[1:] < ends[:-1]).any():
+        delivery = np.argsort(ends, kind="stable")
+    makespan_ns = float(ends.max()) if len(ends) else 0.0
+    return (latencies, makespan_ns, arrival, finish), delivery
 
 
 #: A packet's temporal footprint: per-hop (stage_index, service_ns),
@@ -613,7 +634,10 @@ class Platform:
         vector recursion; a table :func:`plans_are_analytic` accepts
         the closed form; anything else the DES.  A vector table is an
         analytic one, so the vector route is the closed form's special
-        case.  Each returns ``(arrival, finish)`` indexed by packet.
+        case.  The vector recursion returns the run's latency column
+        and the sampled roots' stamps; the closed form and the DES
+        return ``(arrival, finish)`` indexed by packet, which
+        :func:`columns_timeline` turns into the same shape.
         """
         table, plan_ids = run.table, run.plan_ids
         analytic = self._analytic_valid(table)
@@ -623,18 +647,21 @@ class Platform:
             saturated = not any(gaps)
         if analytic and saturated and plans_are_vector(table):
             timeline = sim_analytic.analytic_replay_vector(
-                table, plan_ids, self.config.ring_capacity
+                table, plan_ids, self.config.ring_capacity, sorted(run.roots)
             )
-            return self._finish_run(run, timeline, inter_arrival_ns, "vector")
+            # finish is a running sum there: packets leave in packet order
+            return self._finish_run(run, timeline, None, inter_arrival_ns, "vector")
         if not isinstance(plan_ids, list):  # the lane's int32 column
             plan_ids = plan_ids.tolist()
         if gaps is None:
             gaps = arrival_gaps(plan_ids, inter_arrival_ns, use_timestamps=False)
         if analytic:
-            timeline = analytic_replay(
+            columns = analytic_replay(
                 table, plan_ids, gaps, self._stage_count(), self.config.ring_capacity
             )
-            return self._finish_run(run, timeline, inter_arrival_ns, "analytic")
+            return self._finish_run(
+                run, *columns_timeline(*columns), inter_arrival_ns, "analytic"
+            )
         engine = Engine()
         prefix = ""
         tracer = self.tracer
@@ -650,30 +677,36 @@ class Platform:
         engine.run()
         self._publish_load_metrics(pipeline)
         return self._finish_run(
-            run, (pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
+            run, *columns_timeline(pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
         )
 
     def _finish_run(
-        self, run: FunctionalRun, timeline: tuple, inter_arrival_ns: float, route: str
+        self,
+        run: FunctionalRun,
+        timeline: tuple,
+        delivery: Optional[np.ndarray],
+        inter_arrival_ns: float,
+        route: str,
     ) -> LoadResult:
         """The one tail of a loaded run, whoever replayed it: count its
-        packets, stamp the sampled spans with the timeline, then derive
-        the run's one latency column, build the result from it and hand
-        it to what else is attached (time series, then forensics — which
-        reads each packet's labels off the run's plan table).
+        packets, stamp the sampled spans with the timeline, build the
+        result from the run's one latency column and hand it to what
+        else is attached (time series, then forensics — which reads each
+        packet's labels off the run's plan table).
 
-        The latency column is ``finish - arrival`` in packet order,
-        written over the arrival buffer: a replay's arrival column is
-        its own (a fresh array, or a list ``asarray`` copies), and once
-        the spans have their stamps nothing reads it again.
+        ``timeline`` is ``(latencies, makespan_ns, arrival, finish)``:
+        the packet-order ``finish - arrival`` column, the last finish,
+        and the arrival and finish of at least every sampled root's
+        packet — the vector replay hands over just those, the closed
+        form and the DES their full lists (:func:`columns_timeline`).
+        ``delivery`` is the finish-order permutation when packets left
+        out of order (:func:`load_result`).
         """
-        arrival = np.asarray(timeline[0], dtype=np.float64)
-        finish = np.asarray(timeline[1], dtype=np.float64)
-        self.packets += len(finish)
+        latencies, makespan_ns, arrival, finish = timeline
+        self.packets += len(latencies)
         if self.spans is not None:
             self.spans.annotate_loaded(run.roots, arrival, finish)
-        latencies = np.subtract(finish, arrival, out=arrival)
-        result = load_result(latencies, finish, run.dropped)
+        result = load_result(latencies, makespan_ns, run.dropped, delivery)
         if self.timeseries is not None:
             self._ingest_timeseries(result, inter_arrival_ns)
         forensics = self.forensics

@@ -38,12 +38,17 @@ close — the equivalence suite asserts exact equality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.vector import np
 
 #: Pseudo stage index for the packet source in the producer-uniqueness map.
 _SOURCE = -1
+
+#: packets per chunk of :func:`analytic_replay_vector`: its services,
+#: finishes and lagged finishes (256 KiB each) stay in cache
+CHUNK = 32768
 
 
 def plans_are_analytic(table: Sequence[Sequence[Tuple[int, float]]]) -> bool:
@@ -154,57 +159,101 @@ def analytic_replay(
     return arrival, finish
 
 
+def _ring_views(ring, position: int, length: int) -> tuple:
+    """The slots of ``length`` consecutive positions from ``position`` in
+    a ring indexed by ``position % len(ring)``, as at most two views in
+    position order (``length <= len(ring)``)."""
+    start = position % len(ring)
+    head = ring[start : start + length]
+    return head, ring[: length - len(head)]
+
+
 def analytic_replay_vector(
     table: Sequence[Sequence[Tuple[int, float]]],
     plan_ids,
     ring_capacity: Optional[int],
+    stamped: Sequence[int],
 ):
-    """Whole-run array evaluation of the saturation recursion.
+    """Chunked array evaluation of the saturation recursion.
 
     Applies to all-zero arrival gaps (saturation) over a plan table
     :func:`plans_are_vector` accepts — every plan a single hop on one
     common stage; callers check both.  Under those conditions the
-    scalar recursion collapses — with every gap zero, the stage's ready
-    time is non-decreasing, so ``start_i`` always resolves to
-    ``ready_{i-1}`` and the whole run is two cumulative passes::
+    scalar recursion collapses.  With every gap zero, the stage is never
+    idle, so ``start_i`` is ``finish_{i-1}`` and ``finish`` is a running
+    sum of the services.  Packet ``i``'s offered time is the source's
+    enqueue instant for packet ``i - 1``, which a full ring holds back
+    to the dequeue ``cap`` places earlier — the start of packet
+    ``i - 1 - cap``, i.e. the finish of packet ``i - 2 - cap``::
 
-        ready = cumsum(service)            # add.accumulate: the same
-        start = [0, ready[:-1]]            #   left-fold of float adds
-        enq   = [0]*cap + cummax(start[:n-cap])   # ring back-pressure
-        arrival[i] = enq[i-1]              # the prior source-ready time
+        finish  = cumsum(service)                  # add.accumulate
+        arrival = [0]*(cap+2) + finish[:n-cap-2]   # zero while a slot was free
+        latency = finish - arrival
 
-    ``np.add.accumulate`` and ``np.maximum.accumulate`` are sequential
-    left folds over float64, so every intermediate is bit-identical to
-    the scalar loop's — the equivalence suite asserts exact equality.
-    Anything outside this shape (heterogeneous gaps, multi-hop plans,
-    several target stages) is the scalar recursion's: float addition is
-    not associative, so the general case cannot be re-bracketed into
-    array passes without breaking exactness.
+    ``np.add.accumulate`` is a sequential left fold over float64, and
+    each chunk's fold starts from the ready time the previous chunk left
+    (IEEE addition is commutative, so ``service + ready`` is the scalar
+    loop's ``ready + service``): every finish is bit-identical to the
+    scalar loop's.  The scalar loop's enqueue clamp is a running maximum
+    over the lagged finishes; a running sum of non-negative services
+    never decreases, so that maximum is the lagged finish itself and
+    needs no pass.  Anything outside this shape (heterogeneous gaps,
+    multi-hop plans, several target stages) is the scalar recursion's:
+    float addition is not associative, so the general case cannot be
+    re-bracketed into array passes without breaking exactness.
 
-    Returns the run's timeline as two float64 columns indexed by
-    packet, ``(arrival, finish)`` — what the scalar replay returns as
-    lists.  Service times are non-negative, so ``finish`` is
-    non-decreasing here: packet order is finish order.
+    The run is evaluated :data:`CHUNK` packets at a time, so the
+    services, the finishes and the lagged finishes stay in cache and
+    each packet's latency is written once, straight into the run's
+    latency column.  The last ``cap + 2`` finishes are carried from
+    chunk to chunk in a ring of that many slots, so a ring capacity
+    larger than a chunk lags across several chunks just as exactly.
+
+    Returns ``(latencies, makespan_ns, arrival, finish)``: the float64
+    ``finish - arrival`` column indexed by packet (finish order too:
+    ``finish`` never decreases), the last finish, and each ``stamped``
+    packet index's arrival and finish as dicts — the timeline a sampled
+    span is stamped with, with no full arrival or finish column kept.
     """
     service_by_pid = np.array([plan[0][1] for plan in table], dtype=np.float64)
     n = len(plan_ids)
-    if not n:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    # Both columns are written in place: the gathered service times
-    # become ``ready`` (the finish column), and ``arrival`` is the
-    # shifted ``start`` folded by the running maximum.
-    finish = np.take(service_by_pid, plan_ids)
-    np.add.accumulate(finish, out=finish)
-    arrival = np.zeros(n, dtype=np.float64)
-    # Ring back-pressure: enqueue c blocks until dequeue c-cap, i.e. on
-    # max(start[:c-cap+1]) — a running maximum (comparison-exact) — and
-    # packet i's offered time is the source's ready time after packet
-    # i-1, which is that packet's enqueue instant: arrival[i] = enq[i-1],
-    # zero for every enqueue that found a free slot.
-    cap = ring_capacity
-    if cap is not None and n > cap + 1:
-        blocked = arrival[cap + 1 :]
-        blocked[1:] = finish[: n - cap - 2]  # start[1:] is ready[:-1]
-        np.maximum.accumulate(blocked, out=blocked)
-    return arrival, finish
+    latencies = np.empty(n, dtype=np.float64)
+    # Packets from ``lag`` on wait on a lagged finish; with no ring, or
+    # one the run never fills, none does and a latency is its finish.
+    lag = n if ring_capacity is None else min(ring_capacity + 2, n)
+    lagged = lag < n
+    # ring[i % lag] holds finish[i - lag] when packet i's chunk comes;
+    # zero is the offered time of every packet that found a free slot
+    ring = np.zeros(lag if lagged else 0, dtype=np.float64)
+    buffer = np.empty(min(n, CHUNK) if lagged else 0, dtype=np.float64)
+    wanted = sorted({*stamped, *(index - lag for index in stamped if index >= lag)})
+    finishes: Dict[int, float] = {}
+    ready = 0.0
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        count = hi - lo
+        out = latencies[lo:hi]
+        chunk = buffer[:count] if lagged else out  # the chunk's finishes
+        # plan ids index the table by construction; "clip" spares the
+        # buffered copy the default mode makes of an ``out``
+        service_by_pid.take(plan_ids[lo:hi], out=chunk, mode="clip")
+        chunk[0] += ready
+        np.add.accumulate(chunk, out=chunk)
+        ready = float(chunk[-1])
+        for index in wanted[bisect_left(wanted, lo) : bisect_left(wanted, hi)]:
+            finishes[index] = float(chunk[index - lo])
+        if lagged:
+            # the chunk's first ``carried`` packets lag behind finishes
+            # of earlier chunks, the rest behind its own
+            carried = min(count, lag)
+            head, tail = _ring_views(ring, lo, carried)
+            split = len(head)
+            np.subtract(chunk[:split], head, out=out[:split])
+            np.subtract(chunk[split:carried], tail, out=out[split:carried])
+            np.subtract(chunk[carried:], chunk[: count - carried], out=out[carried:])
+            head, tail = _ring_views(ring, hi - carried, carried)
+            split = count - carried + len(head)
+            head[:] = chunk[count - carried : split]
+            tail[:] = chunk[split:]
+    arrival = {index: finishes[index - lag] if index >= lag else 0.0 for index in stamped}
+    return latencies, ready, arrival, {index: finishes[index] for index in stamped}

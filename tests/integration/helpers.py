@@ -85,7 +85,13 @@ from repro.net.headers import (
 from repro.net.packet import Packet
 from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US
 from repro.net.trace import load_trace, write_trace
-from repro.platform.base import LoadResult, Platform, arrival_gaps, load_result
+from repro.platform.base import (
+    LoadResult,
+    Platform,
+    arrival_gaps,
+    columns_timeline,
+    load_result,
+)
 from repro.platform.costs import NULL_METER, CostModel, CycleMeter, Operation
 from repro.sim import Engine
 from repro.traffic.columnar import (
@@ -742,9 +748,11 @@ def des_run_load(
 
 
 def timeline_result(arrival, finish, dropped: int = 0) -> LoadResult:
-    """The ``LoadResult`` a run's tail builds from a replay's timeline:
-    the packet-order latency column, then ``load_result``."""
-    return load_result(np.subtract(finish, arrival), finish, dropped)
+    """The ``LoadResult`` a run's tail builds from a closed-form or DES
+    replay's timeline: the packet-order latency column, then
+    ``load_result``."""
+    (latencies, makespan_ns, __, __), delivery = columns_timeline(arrival, finish)
+    return load_result(latencies, makespan_ns, dropped, delivery)
 
 
 def run_lockstep(

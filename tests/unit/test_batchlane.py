@@ -7,8 +7,11 @@ matching ``fastpath_invalidate``, or a dangling closure keeps serving a
 forgotten flow).
 """
 
+import random
+
 import pytest
 
+import repro.core.batchlane as batchlane
 from repro.core.actions import Modify
 from repro.core.batchlane import BatchLane
 from repro.core.framework import ServiceChain, SpeedyBox
@@ -393,3 +396,101 @@ def test_flush_edge_cases_match_the_oracle(case, monkeypatch):
     else:
         assert oracle_result.dropped == 6
         assert platform.last_lane_stats["span_packets"] == 8
+
+
+# -- the tail scan against the three-pass flush it replaced --
+
+
+def three_pass_flush(lane):
+    """The flush before the tail scan, kept as its oracle: ``maximum.at``
+    and ``add.at`` over every slice of the region, then, per slice, the
+    positions where ``last`` holds — every flow's last occurrence, in
+    position order."""
+    deferred = lane._deferred
+    if not deferred:
+        return
+    lane.flushes += 1
+    flow_arr, last, counts = lane.flow_arr, lane._last, lane._counts
+    for lo, hi in deferred:
+        flows = flow_arr[lo:hi]
+        np.maximum.at(last, flows, np.arange(lo, hi))
+        np.add.at(counts, flows, 1)
+    touched = []
+    for lo, hi in deferred:
+        flows = flow_arr[lo:hi]
+        touched.append(flows[last[flows] == np.arange(lo, hi)])
+    deferred.clear()
+    order = np.concatenate(touched)
+    order_counts = counts[order].tolist()
+    counts[order] = 0
+    for flow, count in zip(order.tolist(), order_counts):
+        clone = lane._vclone[flow]
+        clone.entry.packets += count
+        clone.rule.hits += count
+        if clone.program.is_drop:
+            lane.dropped += count
+    for flow in order.tolist():
+        clone = lane._vclone[flow]
+        clone.move_to_end(clone.fid)
+
+
+def tail_scan_shapes(flows: int, seed: int) -> dict:
+    """Flow orders, each a warm-up (every flow's scalar first packet)
+    then deferred regions of the shape the case is named for."""
+    rng = random.Random(seed)
+    warm = list(range(flows))
+    shuffled = rng.sample(warm, flows)
+    return {
+        "one_flow": warm + [flows // 2] * 40,
+        "all_distinct": warm + shuffled,
+        "reversed": warm + warm[::-1] * 4,
+        "round_robin": warm + warm * 6,
+        "random_repeats": warm + [rng.randrange(flows) for __ in range(300)],
+        # two new flows' first packets split the steady packets into
+        # three regions
+        "several_regions": warm + shuffled * 2 + [flows] + warm * 2 + [flows + 1]
+        + [rng.randrange(flows + 2) for __ in range(120)],
+        # the region's first packet is flow 0's only one in it
+        "last_at_region_start": warm + [0] + [rng.randrange(1, flows) for __ in range(200)],
+    }
+
+
+TAIL_SCAN_FLOWS = 11
+TAIL_SCAN_CASES = sorted(tail_scan_shapes(TAIL_SCAN_FLOWS, 41))
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+@pytest.mark.parametrize("chunk", [3, 32768], ids=["chunk3", "chunk-default"])
+@pytest.mark.parametrize("case", TAIL_SCAN_CASES)
+def test_tail_scan_matches_the_three_pass_flush(case, chunk, seed, monkeypatch):
+    """Per-flow counts, rule hits, drops and both LRU orders after a lane
+    run are the three-pass flush's, whether the scan stops in the
+    region's last chunk or walks back through many small ones."""
+    monkeypatch.setattr(batchlane, "_CHUNK", chunk)
+    order = tail_scan_shapes(TAIL_SCAN_FLOWS, seed)[case]
+    flows = max(order) + 1
+    # every third flow hits the filter's drop rule
+    ports = [9999 if flow % 3 == 0 else 80 for flow in range(flows)]
+    batch = ordered_batch(order, ports)
+    regions = flushed_regions(monkeypatch)
+    scanned, scanned_runtime, scanned_platform = run_batch(batch, runtime=SpeedyBox(drop_chain()))
+    monkeypatch.setattr(BatchLane, "_flush", three_pass_flush)
+    reference, reference_runtime, reference_platform = run_batch(
+        batch, runtime=SpeedyBox(drop_chain())
+    )
+    assert scanned == reference
+    assert per_flow_state(scanned_runtime) == per_flow_state(reference_runtime)
+    assert scanned_runtime.stats() == reference_runtime.stats()
+    assert scanned_platform.last_lane_stats == reference_platform.last_lane_stats
+    assert scanned_platform.last_lane_stats["dropped"] == reference.dropped > 0
+
+    # the region shape each case is named for
+    region = [order[i] for lo, hi in regions[-1] for i in range(lo, hi)]
+    if case == "several_regions":
+        assert len(regions) >= 3
+    elif case == "last_at_region_start":
+        assert region[0] == 0 and 0 not in region[1:]
+    elif case == "all_distinct":
+        assert sorted(region) == list(range(flows))
+    elif case == "one_flow":
+        assert set(region) == {flows // 2}

@@ -402,13 +402,14 @@ def non_monotone_run(route):
         forensics=engine, **extra,
     )
     columns = []
-    build = platform_base.load_result
+    build = platform_base.columns_timeline
 
-    def spy(latencies, finish, dropped):
-        columns.append((np.array(latencies), np.array(finish)))
-        return build(latencies, finish, dropped)
+    def spy(arrival, finish):
+        timeline, delivery = build(arrival, finish)
+        columns.append((np.array(timeline[0]), np.array(finish)))
+        return timeline, delivery
 
-    with mock.patch.object(platform_base, "load_result", spy):
+    with mock.patch.object(platform_base, "columns_timeline", spy):
         result = platform.run_load(stream, inter_arrival_ns=50.0)
     ((latencies, finish),) = columns
     return engine, result, latencies, finish

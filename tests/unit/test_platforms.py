@@ -2,12 +2,17 @@
 
 import pytest
 
+import repro.platform.base as platform_base
+import repro.sim.analytic as sim_analytic
+import repro.sim.engine as sim_engine
 from repro.core.framework import PathTaken, ServiceChain, SpeedyBox
 from repro.nf import IPFilter, Monitor, SyntheticNF
+from repro.obs import MetricsRegistry
 from repro.platform import BessPlatform, CostModel, OpenNetVMPlatform, PlatformConfig
 from repro.platform.base import makespan_with_workers
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
+from tests.integration.helpers import des_run_load
 
 
 def packets(count=4, sport=1000):
@@ -165,3 +170,59 @@ class TestPlatformLifecycle:
         cheap = BessPlatform(ServiceChain([Monitor("m")]))
         pricey = BessPlatform(ServiceChain([Monitor("m")]), config)
         assert pricey.process(packets(1)[0]).latency_cycles > cheap.process(packets(1)[0]).latency_cycles
+
+
+#: route -> (platform keyword arguments, run_load keyword arguments)
+ROUTES = {
+    "vector": ({}, {}),
+    "analytic": ({}, {"inter_arrival_ns": 50.0}),
+    "des": ({"metrics": MetricsRegistry()}, {}),
+}
+
+
+class TestRingCapacity:
+    """A ring holds at least one descriptor.  The three replays used to
+    disagree below that — the vector recursion returned a timeline, the
+    closed form raised ``IndexError``, the DES ``SimulationError`` — so
+    the config refuses it, and at one slot, the tightest ring, every
+    route replays what the DES does."""
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_a_ring_below_one_slot_is_refused(self, capacity):
+        with pytest.raises(ValueError, match=rf"ring_capacity .*got {capacity}$"):
+            PlatformConfig(ring_capacity=capacity)
+
+    def test_unbounded_rings_stay_valid(self):
+        assert PlatformConfig(ring_capacity=None).ring_capacity is None
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_a_one_slot_ring_replays_like_the_des(self, route, monkeypatch):
+        platform_kwargs, load_kwargs = ROUTES[route]
+
+        def build():
+            return BessPlatform(
+                SpeedyBox([Monitor("mon"), IPFilter("fw")]),
+                config=PlatformConfig(ring_capacity=1),
+                **platform_kwargs,
+            )
+
+        stream = packets(30)
+        reference = des_run_load(build(), clone_packets(stream), **load_kwargs)
+        taken = []
+
+        def counted(owner, attribute, name):
+            original = getattr(owner, attribute)
+
+            def wrapper(*args, **kwargs):
+                taken.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, wrapper)
+
+        counted(sim_analytic, "analytic_replay_vector", "vector")
+        counted(platform_base, "analytic_replay", "analytic")
+        counted(sim_engine.Engine, "run", "des")
+        result = build().run_load(clone_packets(stream), **load_kwargs)
+        assert taken == [route]
+        assert result == reference
+        assert result.latency_percentile(0.99) > result.latency_percentile(0.01)
