@@ -38,6 +38,7 @@ numbered.  Run ``python -m repro demo --list-nfs`` to see the catalogue.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -165,18 +166,18 @@ def make_observability(args) -> ObsBundle:
     metrics = MetricsRegistry() if full else NULL_REGISTRY
     tracer = PacketTracer() if full else NULL_TRACER
     audit = AuditLog() if recording else NULL_AUDIT
-    spans = FlowSpanRecorder(every=max(1, args.span_every)) if recording else None
+    spans = FlowSpanRecorder(every=args.span_every) if recording else None
     timeseries = health = slo = forensics = None
     if recording or args.slo:
-        if args.window_packets:
+        if args.window_packets is not None:
             timeseries = TimeSeries(window_packets=args.window_packets, registry=metrics)
         else:
-            timeseries = TimeSeries(window_ns=args.window_ns or 1_000_000.0, registry=metrics)
+            timeseries = TimeSeries(window_ns=args.window_ns, registry=metrics)
         health = HealthModel(timeseries=timeseries, audit=audit)
         if args.slo:
             slo = SLOEngine.from_specs(args.slo, timeseries=timeseries, audit=audit)
     if recording:
-        forensics = ForensicsEngine(worst_k=max(1, args.worst_k), audit=audit)
+        forensics = ForensicsEngine(worst_k=args.worst_k, audit=audit)
         forensics.detector.attach(timeseries)
     return ObsBundle(metrics, tracer, audit, spans, timeseries, health, slo, forensics)
 
@@ -207,8 +208,6 @@ def emit_observability(args, obs: ObsBundle, chain: str, platform: str) -> None:
 
 
 def make_trace_packets(flows: int, seed: int):
-    import math
-
     # Eight packets per flow on average.
     config = DatacenterTraceConfig(flows=flows, seed=seed, lognormal_mu=math.log(8.0))
     from repro.nf.snort.rules import parse_rules
@@ -459,8 +458,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def build_cluster(args, obs: ObsBundle, platform: str, replicas: int, injector):
     """The ``ScaleCluster`` a ``scale`` row drives, wired to the run's
     observers, and — given an ``injector`` — its fault-tolerance
-    coordinator (else ``None``), which checkpoints a replica the health
-    model sees degrading while that replica is still reachable."""
+    coordinator (else ``None``).  The observers only read the finished
+    run: none of them reaches the coordinator."""
     from repro.ft import FaultTolerance
     from repro.scale import ScaleCluster
 
@@ -472,8 +471,6 @@ def build_cluster(args, obs: ObsBundle, platform: str, replicas: int, injector):
     ft = FaultTolerance(cluster, checkpoint_interval=args.checkpoint_every or 32,
                         injector=injector, tracer=obs.tracer,
                         charge_recovery=not args.no_charge_recovery, forensics=obs.forensics)
-    if obs.health is not None:
-        obs.health.add_listener(ft.on_health)
     return cluster, ft
 
 
@@ -605,6 +602,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (bad values exit 2 likewise)."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _fraction(text: str) -> float:
     """argparse type: a number in [0, 1] (bad values exit 2 likewise)."""
     value = float(text)
@@ -662,21 +667,21 @@ def make_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--span-every",
-            type=int,
+            type=_positive_int,
             default=64,
             metavar="N",
             help="sample 1 in N flows for spans (default 64; 1 = every flow)",
         )
         p.add_argument(
             "--window-ns",
-            type=float,
+            type=_positive_float,
             default=None,
             metavar="NS",
             help="telemetry window width in simulated ns (default 1e6)",
         )
         p.add_argument(
             "--window-packets",
-            type=int,
+            type=_positive_int,
             default=None,
             metavar="N",
             help="use an N-packet window clock instead of simulated time",
@@ -692,7 +697,7 @@ def make_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--worst-k",
-            type=int,
+            type=_positive_int,
             default=8,
             metavar="K",
             help="worst packets kept per forensics window (default 8)",

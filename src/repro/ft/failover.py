@@ -172,10 +172,6 @@ class FaultTolerance:
         self._m_drain_ns = metrics.counter(
             "ft_drain_ns_total", "wall time spent draining buffered in-flight packets"
         )
-        self._m_health_checkpoints = metrics.counter(
-            "ft_health_checkpoints_total",
-            "proactive checkpoints triggered by cluster-health transitions",
-        )
         cluster.ft = self
 
     def _now_ns(self) -> float:
@@ -247,25 +243,6 @@ class FaultTolerance:
         if dst_rid in self.cluster.replicas:
             log = self._log_for(dst_rid)
             self.checkpoints.snapshot_flow(dst_rid, key, log_seq=log.last_seq)
-
-    def on_health(self, report) -> None:
-        """Cluster-health listener: snapshot a struggling replica early.
-
-        Subscribed via ``HealthModel.add_listener(ft.on_health)``.  A
-        replica whose windows turn degraded or critical is statistically
-        closer to a kill than its peers, so take a checkpoint *now*
-        while its state is still reachable — recovery then replays from
-        the onset of trouble instead of the last cadence snapshot.
-        """
-        if self._in_recovery:
-            return
-        from repro.obs.health import HEALTHY
-
-        rid = report.replica
-        if report.state == HEALTHY or rid not in self.cluster.replicas:
-            return
-        self._m_health_checkpoints.inc()
-        self.checkpoint_replica(rid, cause=f"health_{report.state}")
 
     # -- checkpoint cadence --------------------------------------------------
 

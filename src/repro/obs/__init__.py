@@ -16,10 +16,11 @@ benchmark arithmetic:
   :class:`~repro.core.framework.ProcessReport` objects.
 - :mod:`repro.obs.timeseries` — gen-3 windowed telemetry: a bounded
   ring of per-window latency percentiles, drop/buffered counts and
-  registry metric deltas on a sim-time or packet-count clock.
+  registry metric deltas on a sim-time or packet-count clock, cut once
+  from each finished run's columns.
 - :mod:`repro.obs.health` — per-replica health scoring (degraded /
-  critical before dead) over the telemetry windows, consumed by the FT
-  coordinator.
+  critical before dead) over the telemetry windows, told as audit
+  events.
 - :mod:`repro.obs.slo` — declarative latency/loss objectives with
   error-budget accounting and burn-rate alerts.
 - :mod:`repro.obs.record` — the run record: the directory ``--obs-out``

@@ -1,9 +1,9 @@
 """Cluster health scoring over telemetry windows (obs gen-3).
 
 The FT coordinator only learns about a replica when the fault injector
-declares it dead, so it never sees the *degraded-before-dead* shape
-real failures have: p99 creeping up window over window, a drop burst,
-the fast-path hit ratio collapsing.
+declares it dead; the *degraded-before-dead* shape real failures have —
+p99 creeping up window over window, a drop burst, the fast-path hit
+ratio collapsing — is telemetry's to tell.
 :class:`HealthModel` watches
 the per-replica sub-windows a :class:`~repro.obs.timeseries.TimeSeries`
 closes and scores each replica each window:
@@ -17,9 +17,12 @@ closes and scores each replica each window:
   thresholds.
 
 State transitions emit ``health_degraded`` / ``health_critical`` /
-``health_recovered`` audit events and fan out to listeners — the FT
-coordinator subscribes to checkpoint a degrading replica proactively
-(:meth:`repro.ft.failover.FaultTolerance.on_health`).
+``health_recovered`` audit events, and that is all they do: there is no
+listener fan-out.  Windows are cut after their run
+(:meth:`~repro.obs.timeseries.TimeSeries.ingest_result`), so the model
+reads a finished run and nothing it concludes can steer that run.  A
+run's windows are scored when its replay ends, so in the journal they
+precede a failover completed after the run.
 
 Latency trend uses a per-replica EWMA baseline of window p99 that only
 learns from *healthy* windows, so a replica sliding into trouble is
@@ -30,7 +33,7 @@ decline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.timeseries import TimeSeries, Window
@@ -98,7 +101,11 @@ class _ReplicaTrack:
 
 
 class HealthModel:
-    """Score replicas from closed telemetry windows."""
+    """Score replicas from closed telemetry windows.
+
+    Subscribes to ``timeseries``'s window closes, which happen once per
+    finished run; each state transition is one audit event in ``audit``.
+    """
 
     def __init__(
         self,
@@ -108,16 +115,9 @@ class HealthModel:
         self.thresholds = HealthThresholds()
         self.audit = audit
         self._tracks: Dict[Any, _ReplicaTrack] = {}
-        self._listeners: List[Callable[[ReplicaHealth], None]] = []
         self.windows_scored = 0
         if timeseries is not None:
             timeseries.on_close(self.observe_window)
-
-    # -- wiring -------------------------------------------------------------
-
-    def add_listener(self, listener: Callable[[ReplicaHealth], None]) -> None:
-        """Call ``listener(report)`` on every replica *state change*."""
-        self._listeners.append(listener)
 
     # -- scoring ------------------------------------------------------------
 
@@ -225,8 +225,6 @@ class HealthModel:
                 was=previous,
                 reasons=",".join(report.reasons),
             )
-            for listener in self._listeners:
-                listener(report)
 
     # -- reads --------------------------------------------------------------
 

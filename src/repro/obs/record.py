@@ -222,8 +222,6 @@ def write_record(
     def jsonl(recorder, path) -> int:
         return recorder.write_jsonl(path)
 
-    if obs.timeseries is not None:
-        obs.timeseries.finish()
     put("audit", obs.audit, jsonl)
     put("spans", obs.spans, jsonl)
     put("timeseries", obs.timeseries, jsonl)

@@ -5,21 +5,23 @@ number per run, no notion of *when*.  That is enough for the paper's
 end-of-run tables but useless for the questions the scale and FT layers
 ask — "was this replica slowing down before it died?", "did the drop
 burst start before or after the failover?".  This module adds
-the missing axis: a :class:`TimeSeries` cuts a run into **windows** on a
-sim-time (or packet-count) clock and summarizes each window as it
-closes:
+the missing axis: a :class:`TimeSeries` cuts a finished run into
+**windows** on a sim-time (or packet-count) clock and summarizes each:
 
-- per-window packet/drop/buffered counts and arrival rate;
-- exact p50/p99 latency from every delivered packet's latency, so a
+- per-window packet/drop/buffered counts and arrival rate, over real
+  simulated bounds on every route;
+- exact p50/p99 latency from every replayed packet's latency, so a
   run that fits in one window reproduces
   ``LoadResult.latency_percentile`` bit-for-bit — the oracle test in
   ``tests/unit/test_obs_timeseries.py``;
 - **registry deltas**: every metric in an attached
   :class:`~repro.obs.registry.MetricsRegistry` is snapshotted at window
-  close and differenced against the previous close, turning cumulative
-  counters into per-window rates and cumulative histograms into
-  per-window bucket deltas with interpolated p50/p99
-  (:func:`percentile_from_deltas`);
+  close and differenced against the previous close.  Windows are cut
+  after their run, so the first window of a run carries everything the
+  registry moved since the previous run — counters as deltas, histograms
+  as per-bucket deltas with interpolated p50/p99
+  (:func:`percentile_from_deltas`) — and its later windows carry none:
+  the deltas are per run;
 - per-replica sub-windows (packets, drops, buffered, fast-path hits,
   latency percentiles) — the input of
   :class:`~repro.obs.health.HealthModel`.
@@ -29,20 +31,17 @@ windows are *evicted*, never merged, so eviction can never change any
 retained window's totals (the Hypothesis property in
 ``tests/property/test_timeseries_properties.py``).
 
-Two ingestion paths, chosen by who is running:
+One ingestion path: :meth:`TimeSeries.ingest_result` takes one finished
+run's per-packet columns — arrival, latency, replica, fast, dropped and
+buffered — and makes one cut.  A platform's run tail hands over its
+replay's columns (``Platform._finish_run``); a ``ScaleCluster`` hands
+over its replicas' merged columns plus a row per packet it buffered.
+Nothing is windowed while a run is in flight, so nothing a window shows
+can reach back into the run: telemetry is a pure reader.
 
-- **post-run** (:meth:`TimeSeries.ingest_result`): single-platform and
-  batch-lane runs hand over the finished
-  :class:`~repro.platform.base.LoadResult`; windowing is arithmetic on
-  the arrival spacing, costs nothing per packet, and keeps the run
-  eligible for the compiled/batch fast lanes — this is how the
-  obs-overhead gate cells stay under 5 %;
-- **per-dispatch** (:meth:`TimeSeries.record`): ``ScaleCluster`` calls
-  it once per packet so windows close *mid-run* — the FT integration
-  needs degraded/burn signals to fire before recovery completes.
-
-``on_close`` callbacks receive each window as it closes; the health
-model and the SLO engine subscribe there.
+``on_close`` callbacks receive each window as the cut closes it; the
+health model, the SLO engine and the regime-shift detector subscribe
+there.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.obs.record import dump_jsonl
 from repro.obs.registry import Histogram, MetricsRegistry, NULL_REGISTRY
 from repro.stats.summary import percentile_sorted
+from repro.vector import np
 
 #: default sim-time window when neither clock is given: 1 ms
 DEFAULT_WINDOW_NS = 1_000_000.0
@@ -118,8 +118,20 @@ class ReplicaWindow:
         }
 
 
+def _tally(share, held, dropped, latency) -> np.ndarray:
+    """Count one window's (or one replica's) rows into ``share``: packets,
+    buffered, drops among the replayed, and the replayed rows' latencies.
+    Returns the replayed-row mask."""
+    replayed = ~held
+    share.packets = len(held)
+    share.buffered = len(held) - int(np.count_nonzero(replayed))
+    share.drops = int(np.count_nonzero(dropped & replayed))
+    share.latencies = latency[replayed].tolist()
+    return replayed
+
+
 class Window:
-    """One closed (or in-progress) telemetry window."""
+    """One telemetry window of a finished run."""
 
     __slots__ = (
         "index",
@@ -132,31 +144,30 @@ class Window:
         "replicas",
         "metric_deltas",
         "hist_percentiles",
-        "closed",
         "_sorted",
     )
 
-    def __init__(self, index: int, start_ns: Optional[float], end_ns: Optional[float]):
+    def __init__(self, index: int, start_ns: float, end_ns: float):
         self.index = index
         self.start_ns = start_ns
         self.end_ns = end_ns
         self.packets = 0
         self.drops = 0
         self.buffered = 0
-        #: every delivered packet's latency
+        #: every replayed packet's latency (a dropped packet's included,
+        #: as in ``LoadResult.latencies_ns``); buffered packets have none
         self.latencies: List[float] = []
         self.replicas: Dict[Any, ReplicaWindow] = {}
-        #: per-window change of every registry series (set at close)
+        #: change of every registry series since the previous close (at close)
         self.metric_deltas: Dict[str, float] = {}
         #: per-histogram interpolated {"p50": ..., "p99": ...} (at close)
         self.hist_percentiles: Dict[str, Dict[str, Optional[float]]] = {}
-        self.closed = False
         self._sorted: Optional[List[float]] = None
 
     # -- reads --------------------------------------------------------------
 
     def sorted_latencies(self) -> List[float]:
-        if self._sorted is None or len(self._sorted) != len(self.latencies):
+        if self._sorted is None:
             self._sorted = sorted(self.latencies)
         return self._sorted
 
@@ -175,23 +186,11 @@ class Window:
         return self.percentile(0.99)
 
     @property
-    def duration_ns(self) -> Optional[float]:
-        if self.start_ns is None or self.end_ns is None:
-            return None
-        return self.end_ns - self.start_ns
-
-    @property
     def rate_pps(self) -> Optional[float]:
-        duration = self.duration_ns
+        duration = self.end_ns - self.start_ns
         if not duration:
             return None
         return self.packets / (duration / 1e9)
-
-    def replica_window(self, replica: Any) -> ReplicaWindow:
-        window = self.replicas.get(replica)
-        if window is None:
-            window = self.replicas[replica] = ReplicaWindow(replica)
-        return window
 
     def summary(self) -> Dict[str, Any]:
         """A JSON-friendly snapshot (the JSONL export row)."""
@@ -219,9 +218,12 @@ class Window:
 class TimeSeries:
     """Bounded ring of telemetry windows on a sim-time or packet clock.
 
-    Exactly one clock drives window closes: ``window_ns`` closes a
-    window when an arrival crosses its end (sim time), ``window_packets``
-    after that many records.  ``CAPACITY`` bounds the ring.
+    Exactly one clock cuts a run: ``window_ns`` puts each packet in the
+    grid slot its arrival falls in (``[k * window_ns, (k + 1) *
+    window_ns)``; a slot no packet arrived in is no window),
+    ``window_packets`` cuts fixed slices of that many packets in offered
+    order (bounded by their first and last arrival).  ``CAPACITY``
+    bounds the ring.
     """
 
     CAPACITY = 256
@@ -250,8 +252,6 @@ class TimeSeries:
         self.total_packets = 0
         self.total_drops = 0
         self.total_buffered = 0
-        self._current: Optional[Window] = None
-        self._next_index = 0
         self._callbacks: List[Callable[[Window], None]] = []
         #: registry state at the previous window close (delta base)
         self._snap_prev: Dict[str, float] = {}
@@ -263,32 +263,7 @@ class TimeSeries:
         """Call ``callback(window)`` at every window close, in order."""
         self._callbacks.append(callback)
 
-    # -- the window clock ---------------------------------------------------
-
-    def _open(self, start_ns: Optional[float]) -> Window:
-        if self.window_ns is not None:
-            # Align the window to the clock grid so arrivals map to
-            # window indices arithmetically.
-            slot = math.floor(start_ns / self.window_ns)
-            window = Window(
-                self._next_index,
-                slot * self.window_ns,
-                (slot + 1) * self.window_ns,
-            )
-        else:
-            window = Window(self._next_index, start_ns, None)
-        self._next_index += 1
-        self._current = window
-        return window
-
-    def _close(self, end_ns: Optional[float] = None) -> Optional[Window]:
-        window = self._current
-        if window is None:
-            return None
-        self._current = None
-        if window.end_ns is None:
-            window.end_ns = end_ns if end_ns is not None else window.start_ns
-        window.closed = True
+    def _close(self, window: Window) -> None:
         self._snapshot_deltas(window)
         if len(self.windows) == self.windows.maxlen:
             self.evicted += 1
@@ -296,144 +271,84 @@ class TimeSeries:
         self.windows_closed += 1
         for callback in self._callbacks:
             callback(window)
-        return window
 
-    def advance(self, now_ns: float) -> None:
-        """Close every sim-time window ending at or before ``now_ns``."""
-        if self.window_ns is None:
-            return
-        while self._current is not None and now_ns >= self._current.end_ns:
-            self._close()
+    def finish(self) -> None:
+        """End of run: nothing to close, since every
+        :meth:`ingest_result` closes the windows it cuts."""
 
-    def finish(self) -> Optional[Window]:
-        """Close the in-progress window (end of run)."""
-        return self._close()
-
-    # -- per-dispatch ingestion (cluster path) ------------------------------
-
-    def record(
-        self,
-        arrival_ns: float,
-        latency_ns: Optional[float] = None,
-        replica: Any = 0,
-        dropped: bool = False,
-        buffered: bool = False,
-        fast_hit: bool = False,
-    ) -> None:
-        """Fold one dispatch into the current window (opening/closing
-        windows as the arrival clock dictates)."""
-        if self.window_ns is not None:
-            self.advance(arrival_ns)
-        window = self._current
-        if window is None:
-            window = self._open(arrival_ns)
-        window.packets += 1
-        self.total_packets += 1
-        rw = window.replica_window(replica)
-        rw.packets += 1
-        if buffered:
-            window.buffered += 1
-            rw.buffered += 1
-            self.total_buffered += 1
-        elif dropped:
-            window.drops += 1
-            rw.drops += 1
-            self.total_drops += 1
-        if fast_hit:
-            rw.fast_hits += 1
-        if latency_ns is not None:
-            window.latencies.append(latency_ns)
-            rw.latencies.append(latency_ns)
-        if self.window_packets is not None and window.packets >= self.window_packets:
-            self._close(arrival_ns)
-
-    # -- post-run ingestion (platform / batch-lane path) --------------------
+    # -- the one ingestion path ---------------------------------------------
 
     def ingest_result(
         self,
-        result,
-        inter_arrival_ns: float = 0.0,
-        replica: Any = 0,
-        fast_hits: int = 0,
+        arrival,
+        latency,
+        replica: Any,
+        fast,
+        dropped,
+        buffered=None,
     ) -> List[Window]:
-        """Window a finished :class:`~repro.platform.base.LoadResult`.
+        """Cut one finished run into windows and close them, in order.
 
-        Arrivals are reconstructed as ``i * inter_arrival_ns`` (the
-        spacing ``run_load`` offered them at); windowing is slice
-        arithmetic over the delivered-latency column — no per-packet
-        Python loop, which is what keeps the fast lanes' obs overhead
-        near zero.  Drops (arrival positions unknown post-run) are
-        charged to the final window.  The result carries no arrival
-        times, so a packet-clock window cut here has no simulated bounds:
-        its ``start_ns``, ``end_ns`` and ``rate_pps`` stay ``None``.
-        Every ingested window is closed before returning, so
-        ``on_close`` subscribers fire here too.
+        The run is its per-packet columns, one row per offered packet in
+        offered order: ``arrival`` (the replay's offered time, ns),
+        ``latency`` (its replayed latency), ``fast`` and ``dropped``
+        (what the report that made its plan says) and ``buffered`` (a
+        cluster held the packet for a frozen or dead home: it was never
+        replayed, and its latency and flags are ignored).  ``replica``
+        is one label for every row or a column of them.  A window never
+        spans two runs, so ``on_close`` subscribers see a run's windows
+        all at once, after it.
         """
-        latencies = result.latencies_ns
-        n = len(latencies)
-        delivered_fast = min(fast_hits, n)
-        closed: List[Window] = []
-
-        def fill(window: Window, chunk: List[float], fast: int) -> None:
-            count = len(chunk)
-            window.packets += count
-            self.total_packets += count
-            rw = window.replica_window(replica)
-            rw.packets += count
-            rw.fast_hits += fast
-            window.latencies.extend(chunk)
-            rw.latencies.extend(chunk)
-
-        if self.window_ns is None:
-            size = self.window_packets or n or 1
-            lo = 0
-            while lo < n:
-                hi = min(lo + size, n)
-                window = self._current or self._open(None)
-                room = size - window.packets
-                hi = min(lo + room, n)
-                chunk = latencies[lo:hi].tolist()
-                fast = max(0, min(len(chunk), delivered_fast - lo))
-                fill(window, chunk, fast)
-                if window.packets >= size:
-                    closed.append(self._close())
-                lo = hi
-        elif inter_arrival_ns <= 0:
-            # Saturation: every arrival at t=0, one window holds the run.
-            window = self._current or self._open(0.0)
-            fill(window, latencies.tolist(), delivered_fast)
-            closed.append(self._close())
+        arrival = np.asarray(arrival, dtype=np.float64)
+        n = len(arrival)
+        if n == 0:
+            return []
+        latency = np.asarray(latency, dtype=np.float64)
+        fast = np.asarray(fast, dtype=bool)
+        dropped = np.asarray(dropped, dtype=bool)
+        held = np.zeros(n, dtype=bool) if buffered is None else np.asarray(buffered, dtype=bool)
+        labels = np.asarray(replica) if isinstance(replica, (list, np.ndarray)) else None
+        if self.window_ns is not None:
+            slot = np.floor(arrival / self.window_ns)
+            if (slot[1:] < slot[:-1]).any():
+                # arrivals out of order (one replica's backpressure against
+                # another's): group by slot, keeping offered order inside
+                order = np.argsort(slot, kind="stable")
+                slot, arrival, latency, fast, dropped, held = (
+                    column[order] for column in (slot, arrival, latency, fast, dropped, held)
+                )
+                labels = None if labels is None else labels[order]
+            cuts = (np.flatnonzero(slot[1:] != slot[:-1]) + 1).tolist()
         else:
-            lo = 0
-            while lo < n:
-                arrival = lo * inter_arrival_ns
-                self.advance(arrival)
-                window = self._current or self._open(arrival)
-                # arrivals in [window.start, window.end) — slice bounds
-                hi = min(n, int(math.ceil(window.end_ns / inter_arrival_ns)))
-                hi = max(hi, lo + 1)
-                chunk = latencies[lo:hi].tolist()
-                fast = max(0, min(len(chunk), delivered_fast - lo))
-                fill(window, chunk, fast)
-                lo = hi
+            cuts = list(range(self.window_packets, n, self.window_packets))
 
-        window = self._current
-        if result.dropped:
-            if window is None:
-                start = None
-                if self.window_ns is not None:
-                    start = max(0.0, (n - 1)) * max(inter_arrival_ns, 0.0)
-                window = self._open(start)
-            window.drops += result.dropped
-            self.total_drops += result.dropped
-            rw = window.replica_window(replica)
-            rw.packets += result.dropped
-            rw.drops += result.dropped
-            window.packets += result.dropped
-            self.total_packets += result.dropped
-        if self._current is not None:
-            closed.append(self.finish())
-        return [w for w in closed if w is not None]
+        closed: List[Window] = []
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            if self.window_ns is not None:
+                start = float(slot[lo]) * self.window_ns
+                end = (float(slot[lo]) + 1) * self.window_ns
+            else:
+                start = float(arrival[lo:hi].min())
+                end = float(arrival[lo:hi].max())
+            window = Window(self.windows_closed, start, end)
+            rows = slice(lo, hi)
+            _tally(window, held[rows], dropped[rows], latency[rows])
+            if labels is None:
+                groups = [(replica, rows)]
+            else:
+                ids = labels[rows]
+                groups = [(label, np.flatnonzero(ids == label) + lo)
+                          for label in np.unique(ids).tolist()]
+            for label, at in groups:
+                share = window.replicas[label] = ReplicaWindow(label)
+                replayed = _tally(share, held[at], dropped[at], latency[at])
+                share.fast_hits = int(np.count_nonzero(fast[at] & replayed))
+            self.total_packets += window.packets
+            self.total_drops += window.drops
+            self.total_buffered += window.buffered
+            self._close(window)
+            closed.append(window)
+        return closed
 
     # -- registry deltas ----------------------------------------------------
 
@@ -511,8 +426,6 @@ class TimeSeries:
         self.total_packets = 0
         self.total_drops = 0
         self.total_buffered = 0
-        self._current = None
-        self._next_index = 0
         self._snap_prev = {}
         self._hist_prev = {}
 

@@ -230,30 +230,41 @@ class PlanTable(list):
     A plan id is an index into the table; a run is the table plus one
     plan id per packet, however the run was made (the per-packet pass,
     the whole-batch lane, each replica of a cluster), and every replay
-    and the forensics engine read that one shape.  While a forensics
-    engine listens, a plan's key is its value plus its forensic label
-    ``(fid, is_fast, transfer_ns)`` — the report that made it — and
-    ``labels[pid]`` keeps that label; otherwise ``labels`` is None.
+    and the forensics engine read that one shape.  A plan's key is its
+    value plus the flags of the report that made it — ``is_fast + 2 *
+    dropped``, kept in ``flags[pid]`` — so two packets share a plan id
+    only if their reports agree on both, and a run's per-packet flags
+    are one gather (:meth:`flag_columns`).  While a forensics engine
+    listens, the key also holds the report's forensic label ``(fid,
+    is_fast, transfer_ns)`` and ``labels[pid]`` keeps it; otherwise
+    ``labels`` is None.
     """
 
-    __slots__ = ("labels", "_pid_by_key")
+    __slots__ = ("labels", "flags", "_pid_by_key")
 
     def __init__(self, labelled: bool):
         super().__init__()
         self.labels: Optional[List[tuple]] = [] if labelled else None
+        self.flags: List[int] = []
         self._pid_by_key: Dict[tuple, int] = {}
 
-    def pid_of(self, plan: StagePlan, label: Optional[tuple]) -> int:
-        """The id of ``plan`` (with ``label``, in a labelled table),
-        filed on first sight."""
-        key = tuple(plan) if label is None else (tuple(plan), label)
+    def pid_of(self, plan: StagePlan, flags: int, label: Optional[tuple]) -> int:
+        """The id of ``plan`` made by a report with ``flags`` (and
+        ``label``, in a labelled table), filed on first sight."""
+        key = (tuple(plan), flags) if label is None else (tuple(plan), flags, label)
         pid = self._pid_by_key.get(key)
         if pid is None:
             pid = self._pid_by_key[key] = len(self)
             self.append(plan)
+            self.flags.append(flags)
             if label is not None:
                 self.labels.append(label)
         return pid
+
+    def flag_columns(self, plan_ids) -> Tuple[np.ndarray, np.ndarray]:
+        """Per packet of a run over this table: ``(fast, dropped)``."""
+        flags = np.array(self.flags, dtype=np.uint8)[np.asarray(plan_ids, dtype=np.intp)]
+        return (flags & 1).astype(bool), (flags & 2).astype(bool)
 
 
 @dataclass
@@ -279,6 +290,19 @@ class FunctionalRun:
     #: the forensic rows' ``replica``: the platform's label, or the
     #: replica id a cluster gave the run
     replica: object = None
+    #: set by the run's tail: the replay's packet-order latency column,
+    #: and its arrival column (``None`` after the vector replay, which
+    #: keeps none: :meth:`columns` rebuilds it)
+    latencies: object = None
+    arrival: object = None
+
+    def columns(self, ring_capacity: Optional[int]) -> tuple:
+        """``(arrival, latency, fast, dropped)`` by packet, once the tail
+        has run — what a :class:`~repro.obs.timeseries.TimeSeries` cuts."""
+        arrival = self.arrival
+        if arrival is None:
+            arrival = sim_analytic.saturated_arrivals(self.table, self.plan_ids, ring_capacity)
+        return (arrival, self.latencies, *self.table.flag_columns(self.plan_ids))
 
 
 def _is_packet_batch(packets) -> bool:
@@ -385,10 +409,11 @@ class Platform:
         #: report outlives the run (see :meth:`_begin_pass`).
         self.spans = spans
         #: gen-3 windowed telemetry (repro.obs.timeseries.TimeSeries) or
-        #: None.  Loaded runs hand it the finished LoadResult *after*
-        #: the run — windowing is post-run arithmetic, so attaching one
-        #: costs nothing per packet and keeps the compiled/batch fast
-        #: lanes (and the analytic replay) fully eligible.
+        #: None.  A loaded run's tail hands it the replay's own columns
+        #: *after* the run — windowing is post-run arithmetic, so
+        #: attaching one costs nothing per packet and keeps the
+        #: compiled/batch fast lanes (and the analytic replay) fully
+        #: eligible.
         self.timeseries = timeseries
         #: tail-latency forensics engine (repro.obs.forensics) or None.
         #: Like the timeseries it consumes the *finished* replay — plans
@@ -398,9 +423,6 @@ class Platform:
         #: functional pass additionally captures per-plan flow ids and
         #: transfer overhead for the worst-K causal context.
         self.forensics = forensics
-        #: runtime.fast_packets at the last time-series ingest — the
-        #: delta is the run's fast-path hit count for the windows
-        self._ts_fast_prev = 0
         #: instance label used for ring/track names; replicas of the same
         #: platform class override it so their metrics stay distinguishable
         self.label = label or self.name
@@ -650,7 +672,7 @@ class Platform:
                 table, plan_ids, self.config.ring_capacity, sorted(run.roots)
             )
             # finish is a running sum there: packets leave in packet order
-            return self._finish_run(run, timeline, None, inter_arrival_ns, "vector")
+            return self._finish_run(run, timeline, None, "vector")
         if not isinstance(plan_ids, list):  # the lane's int32 column
             plan_ids = plan_ids.tolist()
         if gaps is None:
@@ -659,9 +681,7 @@ class Platform:
             columns = analytic_replay(
                 table, plan_ids, gaps, self._stage_count(), self.config.ring_capacity
             )
-            return self._finish_run(
-                run, *columns_timeline(*columns), inter_arrival_ns, "analytic"
-            )
+            return self._finish_run(run, *columns_timeline(*columns), "analytic")
         engine = Engine()
         prefix = ""
         tracer = self.tracer
@@ -677,7 +697,7 @@ class Platform:
         engine.run()
         self._publish_load_metrics(pipeline)
         return self._finish_run(
-            run, *columns_timeline(pipeline.arrival, pipeline.finish), inter_arrival_ns, "des"
+            run, *columns_timeline(pipeline.arrival, pipeline.finish), "des"
         )
 
     def _finish_run(
@@ -685,14 +705,14 @@ class Platform:
         run: FunctionalRun,
         timeline: tuple,
         delivery: Optional[np.ndarray],
-        inter_arrival_ns: float,
         route: str,
     ) -> LoadResult:
         """The one tail of a loaded run, whoever replayed it: count its
         packets, stamp the sampled spans with the timeline, build the
-        result from the run's one latency column and hand it to what
-        else is attached (time series, then forensics — which reads each
-        packet's labels off the run's plan table).
+        result from the run's one latency column, keep that column and
+        the arrivals on ``run`` (:meth:`FunctionalRun.columns`) and hand
+        the run to what else is attached (time series, then forensics —
+        which reads each packet's labels off the run's plan table).
 
         ``timeline`` is ``(latencies, makespan_ns, arrival, finish)``:
         the packet-order ``finish - arrival`` column, the last finish,
@@ -707,25 +727,15 @@ class Platform:
         if self.spans is not None:
             self.spans.annotate_loaded(run.roots, arrival, finish)
         result = load_result(latencies, makespan_ns, run.dropped, delivery)
+        run.latencies = latencies
+        run.arrival = None if route == "vector" else arrival
         if self.timeseries is not None:
-            self._ingest_timeseries(result, inter_arrival_ns)
+            arrival, latency, fast, dropped = run.columns(self.config.ring_capacity)
+            self.timeseries.ingest_result(arrival, latency, self.label, fast, dropped)
         forensics = self.forensics
         if forensics is not None and forensics.enabled:
             forensics.observe_run(run.table, run.plan_ids, latencies, run.replica, route)
         return result
-
-    def _ingest_timeseries(self, result: LoadResult, inter_arrival_ns: float) -> None:
-        """Window a finished run into the attached TimeSeries (post-run,
-        zero per-packet cost; see ``TimeSeries.ingest_result``)."""
-        fast_now = getattr(self.runtime, "fast_packets", 0)
-        fast_delta = fast_now - self._ts_fast_prev
-        self._ts_fast_prev = fast_now
-        self.timeseries.ingest_result(
-            result,
-            inter_arrival_ns=inter_arrival_ns,
-            replica=self.label,
-            fast_hits=max(0, fast_delta),
-        )
 
     def _batch_lane_eligible(self, use_timestamps: bool) -> bool:
         """May a PacketBatch take the whole-batch lane on this platform?
@@ -736,8 +746,8 @@ class Platform:
         allowed — the lane routes its sampled flows through the scalar
         oracle so they keep full span coverage while unsampled flows
         stay on the array path (see ``repro.core.batchlane``).  A
-        ``timeseries`` never disqualifies: it ingests the finished
-        result after the run.  The lane is a dispatcher over compiled
+        ``timeseries`` never disqualifies: it cuts the finished run's
+        columns after the run.  The lane is a dispatcher over compiled
         closures, so it needs a SpeedyBox runtime.  Ineligible batches
         stream through ``packet_view()`` — correct, just per-packet.
         """
@@ -788,12 +798,13 @@ class Platform:
         return plans_are_analytic(table)
 
     def _plan_id(self, table: PlanTable, plan: StagePlan, report: ProcessReport) -> int:
-        """``plan``'s id in ``table``, labelled by ``report`` while a
-        forensics engine listens (:class:`PlanTable`)."""
+        """``plan``'s id in ``table``, keyed by ``report``'s flags and
+        labelled by it while a forensics engine listens (:class:`PlanTable`)."""
+        flags = report.is_fast + 2 * report.dropped
         if table.labels is None:
-            return table.pid_of(plan, None)
+            return table.pid_of(plan, flags, None)
         label = (report.fid, report.is_fast, self._plan_transfer_ns(report))
-        return table.pid_of(plan, label)
+        return table.pid_of(plan, flags, label)
 
     def _functional_pass(self, packets: Sequence[Packet]) -> FunctionalRun:
         """Phase one of a loaded run: every packet through one pass."""
@@ -965,5 +976,4 @@ class Platform:
     def reset(self) -> None:
         self.packets = 0
         self.last_lane_stats = None
-        self._ts_fast_prev = 0
         self.runtime.reset()

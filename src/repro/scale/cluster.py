@@ -48,6 +48,7 @@ from repro.scale.migration import (
     flow_walk,
 )
 from repro.scale.sharder import FlowSharder
+from repro.vector import np
 # ``analytic_replay`` is not called here (each replica replays through its
 # platform's ``_replay``); bench/workloads.py patches the name on this module.
 from repro.sim import analytic_replay  # noqa: F401
@@ -113,18 +114,17 @@ class ScaleCluster:
         #: shared by every replica's platform — flows are sampled across
         #: the whole cluster, not per replica
         self.spans = spans
-        #: optional :class:`repro.obs.timeseries.TimeSeries` pumped per
-        #: dispatch inside :meth:`run_load` — unlike the platform-level
-        #: post-run ingestion, windows close *mid-run* here, which is
-        #: what lets the health model flag a replica as degraded while
-        #: the window that doomed it is still in flight
+        #: optional :class:`repro.obs.timeseries.TimeSeries`, cut once per
+        #: :meth:`run_load` after the replicas' replays, from their merged
+        #: columns in global arrival order plus a row for every packet
+        #: buffered against a frozen or dead home.  The replicas' own
+        #: platforms carry none, and nothing is windowed mid-run, so
+        #: watching a cluster cannot change what it does.
         self.timeseries = timeseries
         #: optional :class:`repro.obs.forensics.ForensicsEngine`, shared
         #: by every replica's platform, whose tail decomposes its
         #: replica's finished replay.
         self.forensics = forensics
-        #: per-replica fast-path counter watermarks for the pump
-        self._ts_fast_prev: Dict[int, int] = {}
         self.replicas: Dict[int, ChainReplica] = {}
         self._next_id = 0
         for __ in range(replicas):
@@ -310,42 +310,23 @@ class ScaleCluster:
             runs[rid].replica = rid
         gaps: Dict[int, List[float]] = {rid: [] for rid in participants}
         last_arrival: Dict[int, float] = {}
-        timeseries = self.timeseries
+        # each packet's replica (its home, when buffered) and whether it was
+        # buffered: where the window cut finds its row
+        homes: List[int] = []
+        held: List[bool] = []
         for index, packet in enumerate(packets):
             arrival = index * inter_arrival_ns
             key = packet.five_tuple().canonical()
             rid = self._route(packet, key, arrival)
+            held.append(rid is None)
             if rid is None:
-                if timeseries is not None:
-                    timeseries.record(
-                        arrival, None, replica=self.home_of(key), buffered=True
-                    )
+                homes.append(self.home_of(key))
                 continue
-            plan = offers[rid](packet)
+            homes.append(rid)
+            offers[rid](packet)
             self._note_egress(packet, key, rid)
             gaps[rid].append(arrival - last_arrival.get(rid, 0.0))
             last_arrival[rid] = arrival
-            if timeseries is not None:
-                # Dispatch-time latency signal: the packet's requested
-                # service time (stage-plan sum).  The queued end-to-end
-                # latency only exists after the temporal replay, but the
-                # window must close *now* for degraded-before-dead
-                # detection — service time is the deterministic
-                # per-packet component of it.
-                fast_now = getattr(participants[rid].runtime, "fast_packets", 0)
-                fast_hit = fast_now > self._ts_fast_prev.get(rid, 0)
-                self._ts_fast_prev[rid] = fast_now
-                timeseries.record(
-                    arrival,
-                    sum(service for __, service in plan),
-                    replica=rid,
-                    dropped=packet.dropped,
-                    fast_hit=fast_hit,
-                )
-        if timeseries is not None:
-            # Close the trailing window at run end: arrival clocks restart
-            # at zero each window run, so windows never span run_load calls.
-            timeseries.finish()
 
         # The router ends here.  The replicas' pipelines are independent,
         # so each replays exactly as it would alone (Platform._replay
@@ -354,8 +335,36 @@ class ScaleCluster:
             rid: replica.platform._replay(runs[rid], gaps[rid], inter_arrival_ns)
             for rid, replica in participants.items()
         }
+        if self.timeseries is not None:
+            self._window(participants, runs, homes, held, inter_arrival_ns)
         total = LoadResult.merged(list(per_replica.values()))
         return ClusterLoadResult(total=total, per_replica=per_replica)
+
+    def _window(
+        self,
+        participants: Dict[int, ChainReplica],
+        runs: Dict[int, FunctionalRun],
+        homes: List[int],
+        held: List[bool],
+        inter_arrival_ns: float,
+    ) -> None:
+        """Hand the time series one run: every offered packet in global
+        arrival order, a replayed one with its replica run's columns, a
+        buffered one at its offered time with its home replica."""
+        n = len(homes)
+        replica = np.asarray(homes, dtype=np.int64)
+        buffered = np.asarray(held, dtype=bool)
+        arrival = np.arange(n) * inter_arrival_ns
+        latency = np.full(n, np.nan)
+        fast = np.zeros(n, dtype=bool)
+        dropped = np.zeros(n, dtype=bool)
+        for rid, member in participants.items():
+            rows = np.flatnonzero((replica == rid) & ~buffered)
+            if len(rows):
+                columns = runs[rid].columns(member.platform.config.ring_capacity)
+                for merged, column in zip((arrival, latency, fast, dropped), columns):
+                    merged[rows] = column
+        self.timeseries.ingest_result(arrival, latency, replica, fast, dropped, buffered)
 
     # -- migration choreography -----------------------------------------------
 
@@ -509,7 +518,6 @@ class ScaleCluster:
         self._freeze_groups.clear()
         self._flow_homes.clear()
         self._ingress_of.clear()
-        self._ts_fast_prev.clear()
         self.packets_buffered = 0
 
     def __repr__(self) -> str:

@@ -159,6 +159,23 @@ def analytic_replay(
     return arrival, finish
 
 
+def saturated_arrivals(
+    table: Sequence[Sequence[Tuple[int, float]]], plan_ids, ring_capacity: Optional[int]
+) -> np.ndarray:
+    """The arrival column :func:`analytic_replay_vector` does not keep:
+    zero while the ring had a free slot, then the finish of the packet
+    ``ring_capacity + 2`` places earlier — a running sum of the services,
+    which ``np.add.accumulate`` folds in the recursion's own order, so
+    every arrival is the scalar loop's to the bit."""
+    n = len(plan_ids)
+    arrival = np.zeros(n, dtype=np.float64)
+    lag = n if ring_capacity is None else min(ring_capacity + 2, n)
+    if lag < n:
+        service_by_pid = np.array([plan[0][1] for plan in table], dtype=np.float64)
+        np.add.accumulate(service_by_pid[np.asarray(plan_ids[: n - lag])], out=arrival[lag:])
+    return arrival
+
+
 def _ring_views(ring, position: int, length: int) -> tuple:
     """The slots of ``length`` consecutive positions from ``position`` in
     a ring indexed by ``position % len(ring)``, as at most two views in

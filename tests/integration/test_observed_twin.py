@@ -1,0 +1,89 @@
+"""An observed cluster run equals its unobserved twin.
+
+Telemetry reads a finished run and nothing else: clusters wired the way
+``repro scale --obs-out DIR --slo SPEC`` wires them — one time series,
+health model, SLO engine and forensics engine shared by the sweep's
+rows — must route, checkpoint, fail over and time every packet exactly
+as the same clusters with nothing attached.  Each twin's coordinator
+keeps a journal of its own, so the two runs' checkpoint rounds can be
+compared; it is the only observer a twin has.
+"""
+
+import pytest
+
+from repro.cli import build_cluster, build_chain, make_observability, make_parser, make_trace_packets
+from repro.ft import FaultInjector, FaultTolerance
+from repro.obs import AuditLog
+from repro.scale import ScaleCluster
+from repro.traffic.generator import clone_packets
+
+CHAIN = "nat,monitor,firewall"
+KILL_AT, RECOVER_AFTER = 300, 20
+#: the sweep's rows, as ``repro scale --replicas 3`` runs them
+ROWS = (1, 2, 3)
+
+
+def scale_args(tmp_path):
+    return make_parser().parse_args([
+        "scale", "--chain", CHAIN, "--obs-out", str(tmp_path / "record"),
+        "--slo", "p99<250us", "--slo", "loss<0.1%",
+        "--kill-at", str(KILL_AT), "--recover-after", str(RECOVER_AFTER),
+        "--no-charge-recovery",
+    ])
+
+
+def injector(replicas: int) -> FaultInjector:
+    # as ``repro scale``: a one-replica row has nothing to fail over onto
+    return FaultInjector(kill_at=KILL_AT if replicas > 1 else None, recover_after=RECOVER_AFTER)
+
+
+def unobserved(platform: str, replicas: int):
+    cluster = ScaleCluster(lambda: build_chain(CHAIN), platform=platform, replicas=replicas)
+    ft = FaultTolerance(
+        cluster,
+        checkpoint_interval=32,
+        injector=injector(replicas),
+        audit=AuditLog(),
+        charge_recovery=False,
+    )
+    return cluster, ft
+
+
+def checkpoint_journal(audit: AuditLog) -> list:
+    return [
+        {key: value for key, value in event.items() if key != "seq"}
+        for event in audit.events("ft_checkpoint")
+    ]
+
+
+def recovery_view(ft: FaultTolerance) -> list:
+    return [
+        (r.replica, r.flows_restored, r.flows_rebuilt, r.packets_replayed,
+         r.packets_delivered, r.packets_charged, r.stall_charged_ns, len(r.outcomes))
+        for r in ft.recoveries
+    ]
+
+
+@pytest.mark.parametrize("platform", ["bess", "onvm"])
+def test_observed_cluster_run_equals_its_unobserved_twin(platform, tmp_path):
+    packets = make_trace_packets(40, 1)
+    args = scale_args(tmp_path)
+    obs = make_observability(args)
+    for replicas in ROWS:
+        watched, watched_ft = build_cluster(args, obs, platform, replicas, injector(replicas))
+        plain, plain_ft = unobserved(platform, replicas)
+        assert watched.timeseries is obs.timeseries and plain.timeseries is None
+        before = len(obs.audit.events("ft_checkpoint"))
+
+        result = watched.run_load(clone_packets(packets))
+        twin = plain.run_load(clone_packets(packets))
+
+        assert result == twin
+        journal = checkpoint_journal(watched_ft.audit)[before:]
+        assert journal == checkpoint_journal(plain_ft.audit)
+        assert not any(event["cause"].startswith("health") for event in journal)
+        assert recovery_view(watched_ft) == recovery_view(plain_ft)
+        assert len(watched_ft.recoveries) == (replicas > 1)
+    # ... and the telemetry did see the outages it left alone
+    assert obs.timeseries.total_buffered > 0
+    assert obs.audit.events("health_critical")

@@ -16,8 +16,11 @@ shape.  Every cell of
 
 must (a) give the ``LoadResult`` of the references — the interpreted
 fast path replayed by the DES — float for float, (b) leave the runtime
-with the references' ``stats()`` and audit journal, and (c) take the
-route the table states.  Routes are counted by wrapping the module
+with the references' ``stats()`` and audit journal, (c) take the
+route the table states, and (d) with a ``TimeSeries`` attached, cut the
+windows the reference's own columns cut, row for row — so a
+``PacketBatch`` and its ``packet_view()`` write the same
+``timeseries.jsonl``.  Routes are counted by wrapping the module
 attributes ``bench/workloads.py::instrument`` patches, so a renamed
 callable or a flipped route fails here and not in the benchmark.
 """
@@ -33,6 +36,8 @@ import repro.core.batchlane as batchlane
 import repro.platform.base as platform_base
 import repro.sim.analytic as sim_analytic
 import repro.sim.engine as sim_engine
+from repro.platform.base import arrival_gaps
+from repro.sim import Engine
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.ft import FaultInjector, FaultTolerance, SharedPortPool, TransactionalStore
@@ -133,6 +138,45 @@ def references(chain: str, platform_name: str, arrival: str):
 
 
 @functools.lru_cache(maxsize=None)
+def window_rows(chain: str, platform_name: str, arrival: str, label) -> list:
+    """The windows a ``TimeSeries(window_packets=16)`` cuts from the
+    interpreted DES reference's columns: its arrival and latency by
+    packet, and the fast and dropped flags of its own reports."""
+    build, sbox_kwargs, __ = CHAINS[chain]
+    packets = list(make_batch(chain, arrival).packet_view())
+    runtime = InterpretedSpeedyBox(build(), **sbox_kwargs)
+    flags = []
+    process = runtime.process
+
+    def noted(packet):
+        report = process(packet)
+        flags.append((report.is_fast, report.dropped))
+        return report
+
+    runtime.process = noted
+    platform = PLATFORMS[platform_name](runtime)
+    run = platform._functional_pass(packets)
+    engine = Engine()
+    gaps = arrival_gaps(packets, offered_gap(arrival), arrival == "timestamps")
+    pipeline = platform._spawn_pipeline(engine, run.table, run.plan_ids, gaps)
+    engine.run()
+    latencies = np.subtract(pipeline.finish, pipeline.arrival)
+    fast, dropped = zip(*flags)
+    timeseries = TimeSeries(window_packets=16)
+    timeseries.ingest_result(pipeline.arrival, latencies, label, list(fast), list(dropped))
+    return registry_free(timeseries)
+
+
+def registry_free(timeseries: TimeSeries) -> list:
+    """A time series' rows without what an attached registry adds."""
+    return [
+        {key: value for key, value in window.summary().items()
+         if key not in ("metric_deltas", "hist_percentiles")}
+        for window in timeseries.windows
+    ]
+
+
+@functools.lru_cache(maxsize=None)
 def forensic_rows(chain: str, platform_name: str, arrival: str, attached: str) -> list:
     """What the attached forensics engine reports about the run when it
     is offered as a plain packet list."""
@@ -215,6 +259,8 @@ def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
     runtime_kwargs, platform_kwargs = attach(attached)
     if "forensics" in platform_kwargs:
         forensic_reference = forensic_rows(chain, platform_name, arrival, attached)
+    if "timeseries" in platform_kwargs:
+        window_reference = window_rows(chain, platform_name, arrival, PLATFORMS[platform_name].name)
     del routes[:]  # the references' own replays
 
     build, sbox_kwargs, __ = CHAINS[chain]
@@ -237,6 +283,8 @@ def test_route_matrix(routes, offered, attached, platform_name, arrival, chain):
         # fid, fast flag and the service / transfer split of every row
         # come from the report that made the plan, whoever ran it
         assert unlabelled_rows(platform.forensics) == forensic_reference
+    if platform.timeseries is not None:
+        assert registry_free(platform.timeseries) == window_reference
 
     functional, replay = expected_route(offered, attached, platform_name, arrival)
     assert routes.count("lane") == (1 if functional == "lane" else 0)
@@ -391,6 +439,16 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
     assert stamped.items() <= solo_stamped.items()
     if replicas == 1:
         assert total == reference
+    timeseries = observers.get("timeseries")
+    if timeseries is not None:
+        # one cut, after the replicas' replays, of every packet's replayed latency
+        windows = list(timeseries.windows)
+        assert timeseries.total_packets == len(packets)
+        assert sorted(x for w in windows for x in w.latencies) == sorted(total.latencies_ns.tolist())
+        for rid, share in shares.items():
+            assert sum(w.replicas[rid].packets for w in windows if rid in w.replicas) == len(share)
+        if replicas == 1:
+            assert registry_free(timeseries) == window_rows("stateful", platform_name, arrival, 0)
 
 
 def test_cluster_kill_and_recover_window(routes):

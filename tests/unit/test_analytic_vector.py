@@ -4,7 +4,8 @@ The vector path evaluates the saturation recursion in chunks of
 ``CHUNK`` packets: each chunk's ``np.add.accumulate`` is a sequential
 left fold over float64 started from the previous chunk's ready time, and
 the lagged finishes a full ring waits on are carried across chunks.  So
-every latency, the makespan and every stamped arrival / finish must be
+every latency, the makespan, every stamped arrival / finish and the
+full arrival column ``saturated_arrivals`` rebuilds must be
 bit-identical to the scalar loop's, at every chunk boundary and for any
 ring capacity — one smaller than a chunk, one larger, one the run never
 fills.  The whole-array recursion the chunked one replaced is kept here
@@ -57,6 +58,8 @@ def assert_timeline_exact(table, plan_ids, cap, stamped=()):
     assert makespan == max(expected_finish, default=0.0)
     assert arrival == {index: expected_arrival[index] for index in stamped}
     assert finish == {index: expected_finish[index] for index in stamped}
+    # the arrival column a windowed run rebuilds, in full
+    assert sim_analytic.saturated_arrivals(table, plan_ids, cap).tolist() == expected_arrival
     whole_arrival, whole_finish = whole_array_replay(table, plan_ids, cap)
     assert np.array_equal(latencies, whole_finish - whole_arrival)
 

@@ -71,6 +71,37 @@ def manifest_of(directory):
     return json.loads((directory / "manifest.json").read_text())
 
 
+class TestObservabilityArguments:
+    """The record's numeric arguments: a value that cannot be used is a
+    usage error (exit 2, one ``error:`` line), never a traceback and
+    never quietly replaced by a default or clamped."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--obs-out", "D", "--window-packets", "-3"],
+            ["demo", "--obs-out", "D", "--window-packets", "0"],
+            ["demo", "--slo", "p99<250us", "--window-ns", "-5"],
+            ["demo", "--slo", "p99<250us", "--window-ns", "0"],
+            ["demo", "--slo", "p99<250us", "--window-ns", "inf"],
+            ["demo", "--obs-out", "D", "--span-every", "0"],
+            ["demo", "--obs-out", "D", "--worst-k", "0"],
+            ["scale", "--obs-out", "D", "--worst-k", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_bad_values_are_usage_errors(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        error_lines = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and argv[-2] in error_lines[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not list(tmp_path.iterdir())
+
+
 class TestObservabilityFlags:
     """``--obs-out DIR`` / ``--obs LEVEL`` and the run record they leave.
 
@@ -315,6 +346,30 @@ class TestScaleCommand:
         error_lines = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(error_lines) == 1 and argv[-2] in error_lines[0]
         assert captured.out == "" and not list(tmp_path.iterdir())
+
+    def test_slo_counts_the_replayed_packets_over_its_threshold(self, capsys):
+        """A cluster's windows hold each packet's replayed latency, so
+        ``--slo 'p99<250us'`` counts as bad exactly the delivered packets
+        slower than 250 us — not the service times a dispatch-time
+        window used to hold."""
+        from repro.cli import make_trace_packets
+        from repro.scale import ScaleCluster
+        from repro.traffic.generator import clone_packets
+
+        assert main(["scale", "--replicas", "2", "--platforms", "bess",
+                     "--slo", "p99<250us"]) == 0
+        row = [line.split() for line in capsys.readouterr().out.splitlines()
+               if line.startswith("p99<250us")]
+        packets = make_trace_packets(40, 1)
+        events = bad = 0
+        for replicas in (1, 2):
+            cluster = ScaleCluster(lambda: build_chain("nat,monitor,firewall"), replicas=replicas)
+            total = cluster.run_load(clone_packets(packets)).total
+            assert total.delivered == total.offered
+            events += total.offered
+            bad += int((total.latencies_ns > 250_000.0).sum())
+        assert bad > 0
+        assert row == [["p99<250us", "0.9990", str(events), str(bad), *row[0][4:]]]
 
     def test_scale_no_speedybox(self, capsys):
         assert main(

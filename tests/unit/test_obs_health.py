@@ -2,22 +2,24 @@
 
 from repro.obs import AuditLog, HealthModel, TimeSeries
 from repro.obs.health import CRITICAL, DEGRADED, HEALTHY
+from tests.integration.helpers import ingest_rows
 
 
 def feed_window(ts, replica=0, packets=16, drops=0, buffered=0,
                 latency_ns=100.0, fast_hits=None):
-    """Fill and close exactly one packet-clock window."""
-    served = packets - buffered
-    fast = served if fast_hits is None else fast_hits
+    """Hand ``ts`` one run that fills exactly one packet-clock window:
+    ``buffered`` packets held, then ``drops`` dropped, then the rest
+    delivered; the first ``fast_hits`` replayed ones (all, by default)
+    on the fast path."""
+    fast = packets if fast_hits is None else fast_hits
+    rows = []
     for i in range(packets):
-        ts.record(
-            float(i),
-            latency_ns=latency_ns if i >= buffered + drops else None,
-            replica=replica,
-            dropped=(buffered <= i < buffered + drops),
-            buffered=(i < buffered),
-            fast_hit=(i - buffered - drops < fast),
-        )
+        if i < buffered:
+            rows.append((float(i), None, replica, "buffer"))
+        else:
+            outcome = "drop" if i < buffered + drops else "ok"
+            rows.append((float(i), latency_ns, replica, outcome, i - buffered - drops < fast))
+    ingest_rows(ts, rows)
 
 
 def make_pair(window_packets=16, **kwargs):
@@ -92,27 +94,23 @@ class TestScoring:
 
 
 class TestWiring:
-    def test_listeners_fire_on_state_change_only(self):
-        ts, __, health = make_pair()
-        seen = []
-        health.add_listener(lambda report: seen.append((report.replica, report.state)))
+    def test_transitions_journal_on_state_change_only(self):
+        """A transition is one audit event and nothing else: the model
+        has no listeners, so what it concludes reaches no one mid-run."""
+        ts, audit, __ = make_pair()
         feed_window(ts)
         feed_window(ts, drops=1)
         feed_window(ts, drops=1)  # still degraded: no new event
-        assert seen == [(0, DEGRADED)]
+        assert [(e["kind"], e["replica"]) for e in audit.events()] == [("health_degraded", 0)]
 
     def test_worst_state_and_snapshot(self):
         ts, __, health = make_pair()
-        for i in range(16):
-            ts.record(float(i), latency_ns=100.0, replica=i % 2)
-        for i in range(16):
-            ts.record(
-                float(16 + i),
-                latency_ns=100.0,
-                replica=i % 2,
-                dropped=(i % 2 == 1 and i < 8),
-            )
-        ts.finish()
+        rows = [(float(i), 100.0, i % 2) for i in range(16)]
+        rows += [
+            (float(16 + i), 100.0, i % 2, "drop" if i % 2 == 1 and i < 8 else "ok")
+            for i in range(16)
+        ]
+        ingest_rows(ts, rows)
         assert state_of(health, 1) == CRITICAL  # 4/8 dropped
         assert state_of(health, 0) == HEALTHY
         assert health.worst_state() == CRITICAL

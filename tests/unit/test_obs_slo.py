@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs import AuditLog, SLOEngine, TimeSeries
 from repro.obs.slo import SLObjective
+from tests.integration.helpers import ingest_rows
 
 
 class TestParsing:
@@ -38,19 +39,17 @@ class TestParsing:
 
 
 def run_windows(engine_specs, windows):
-    """Feed synthetic windows; each window is (latencies, drops)."""
+    """Feed synthetic windows, one run each; a window is (latencies,
+    drops[, buffered]): packets delivered at those latencies, then
+    packets dropped, then packets held for a dead home."""
     ts = TimeSeries(window_packets=10_000)
     audit = AuditLog()
     engine = SLOEngine.from_specs(engine_specs, timeseries=ts, audit=audit)
-    clock = 0.0
-    for latencies, drops in windows:
-        for latency in latencies:
-            ts.record(clock, latency_ns=latency)
-            clock += 1.0
-        for __ in range(drops):
-            ts.record(clock, dropped=True)
-            clock += 1.0
-        ts.finish()
+    for latencies, drops, *held in windows:
+        outcomes = ["ok"] * len(latencies) + ["drop"] * drops + ["buffer"] * sum(held)
+        latencies = list(latencies) + [100.0] * drops + [None] * sum(held)
+        ingest_rows(ts, [(float(i), latency, 0, outcome)
+                         for i, (latency, outcome) in enumerate(zip(latencies, outcomes))])
     return engine, audit
 
 
@@ -74,7 +73,7 @@ class TestAccounting:
         assert summary["compliance"] == pytest.approx(0.99)
 
     def test_loss_counts_drops_and_buffered(self):
-        engine, __ = run_windows(["loss<0.1%"], [([100.0] * 98, 2)])
+        engine, __ = run_windows(["loss<0.1%"], [([100.0] * 98, 1, 1)])
         summary = engine.summary()["loss<0.1%"]
         assert summary["events"] == 100
         assert summary["bad"] == 2
