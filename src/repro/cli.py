@@ -459,10 +459,12 @@ def build_cluster(args, obs: ObsBundle, platform: str, replicas: int, injector):
     """The ``ScaleCluster`` a ``scale`` row drives, wired to the run's
     observers, and — given an ``injector`` — its fault-tolerance
     coordinator (else ``None``).  The observers only read the finished
-    run: none of them reaches the coordinator."""
+    run: none of them reaches the coordinator.  The health model starts each row afresh."""
     from repro.ft import FaultTolerance
     from repro.scale import ScaleCluster
 
+    if obs.health is not None:
+        obs.health.forget_replicas()
     cluster = ScaleCluster(lambda: build_chain(args.chain), platform=platform, replicas=replicas,
                            speedybox=not args.no_speedybox, audit=obs.audit,
                            **obs.platform_kwargs())

@@ -11,10 +11,10 @@ Capture **reads the SpeedyBox tables in place**
 walk and same classifier lookup as a migration, but nothing detaches),
 so the runtime cannot tell it happened: no LRU order moves, the flow's
 compiled fast lane stays, and the runtime's audit journal records
-nothing.  Only the NFs' own per-flow state still takes the migration
-pair — ``export_flow_state`` → ``import_flow_state`` of the very same
-value, which the checkpoint stores as it is (an exported state is
-immutable) — because that opaque state has no read-only accessor.
+nothing.  The NFs' own per-flow state is read in place as well
+(:meth:`~repro.nf.base.NetworkFunction.peek_flow_state`: the value
+``export_flow_state`` would detach, which is immutable, so the
+checkpoint stores it as it is).
 
 What was read is then copied by
 :meth:`~repro.core.framework.FlowRecord.copy`, which leaves the
@@ -46,9 +46,9 @@ FIDs, same entry, Local MAT rules, action lists, batches and events, the
 same rule version, no direction gained or lost a FID — and, when a packet
 took the original path on the replica since, or a flow was torn down,
 migrated or restored, that the walk is the same; then it reads only the
-counters and the NF states into a checkpoint that shares the skeleton.
-Anything else takes the full capture again.  Its ``records`` are
-materialized (skeleton copied, counters applied) when first read.
+counters and the NF states into a checkpoint that shares the skeleton
+and takes the old one's place.  Anything else takes the full capture
+again.  Its ``records`` are materialized when first read.
 """
 
 from __future__ import annotations
@@ -268,14 +268,14 @@ class FlowCheckpoint:
 
 
 def _read_nf_states(observed: ObservedKeys) -> List[NFStateItem]:
-    # Every state is exported before any is handed back: the walk read
-    # the mappings (NAT) that export removes, and a state handed back
-    # early would be exported again on the flow's other direction.
-    live_states = [(nf, key, nf.export_flow_state(key)) for nf, key in observed]
+    """What a migration's exports would take, read in place: a state two
+    directions resolve to (a NAT mapping) at the first of them."""
     nf_states: List[NFStateItem] = []
-    for nf, key, state in live_states:
-        if state is not None:
-            nf.import_flow_state(key, state)
+    places = set()
+    for nf, key in observed:
+        place, state = nf.peek_flow_state(key)
+        if state is not None and (nf, place) not in places:
+            places.add((nf, place))
             nf_states.append((nf.name, key, state))
     return nf_states
 
@@ -289,9 +289,9 @@ def capture_flow(
     """Snapshot one flow without disturbing it (read → copy).
 
     Returns ``None`` when the runtime holds nothing for the flow.  The
-    SpeedyBox tables are only read; each NF's own state is exported and
-    handed straight back to the same NF.  On a SpeedyBox the checkpoint
-    also carries the standing snapshot later rounds refresh from.
+    SpeedyBox tables and the NFs' own states are only read.  On a
+    SpeedyBox the checkpoint also carries the standing snapshot later
+    rounds refresh from.
     """
     key = flow.canonical()
     nfs = list(runtime.nfs)
@@ -500,9 +500,19 @@ class CheckpointManager:
             epoch = self._epoch(runtime)
             checkpoint = _refresh(previous, runtime, replica_id, log_seq, epoch)
             if checkpoint is not None:
-                self.store(checkpoint)
+                self._file_refresh(checkpoint)
                 return checkpoint
         return self._full_capture(runtime, key, replica_id, log_seq)
+
+    def _file_refresh(self, checkpoint: FlowCheckpoint) -> None:
+        """:meth:`store` a refresh: it has its predecessor's flow and directions,
+        so while each still indexes the flow, replacing the snapshot is all."""
+        flow, keys = checkpoint.flow, checkpoint._standing.keys
+        for key in keys:
+            if self._by_direction.get(key) != flow:
+                return self.store(checkpoint)
+        self._snapshots[flow] = checkpoint
+        self._stateless.difference_update(keys)
 
     def restore(self, checkpoint: FlowCheckpoint, runtime: Runtime) -> None:
         """:func:`restore_flow`, counted: the restored mappings may change

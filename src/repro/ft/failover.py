@@ -219,7 +219,7 @@ class FaultTolerance:
             if self._since_checkpoint.get(replica_id, 0) >= self.checkpoint_interval:
                 self.checkpoint_replica(replica_id, cause="interval")
             log = self._log_for(replica_id)
-            log.append(packet)
+            log.append(packet, key)
             self._since_checkpoint[replica_id] = (
                 self._since_checkpoint.get(replica_id, 0) + 1
             )

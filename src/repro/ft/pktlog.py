@@ -60,8 +60,8 @@ class PacketLog:
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
 
-    def append(self, packet: Packet) -> int:
-        """Log one input packet (cloned); returns its sequence number."""
+    def append(self, packet: Packet, key: FiveTuple) -> int:
+        """Log one input packet (cloned) under its canonical key; returns its sequence number."""
         if self.full and self.on_full is not None:
             self.on_full()
         if self.full:
@@ -71,7 +71,7 @@ class PacketLog:
         seq = self._next_seq
         self._next_seq += 1
         self._entries.append(
-            LogEntry(seq=seq, key=packet.five_tuple().canonical(), packet=packet.clone())
+            LogEntry(seq=seq, key=key, packet=packet.clone())
         )
         return seq
 

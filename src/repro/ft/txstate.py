@@ -18,7 +18,7 @@ conflict.  Two properties matter for fault tolerance:
 - **Idempotent commits.**  A transaction may carry a ``txn_id``; the
   store remembers applied ids, so replaying a packet whose state update
   already committed (recovery replays the input log *through the normal
-  pipeline*) re-runs the transaction body but commits exactly once.
+  pipeline*) re-runs the update but commits it exactly once.
 - **Survivability.**  The store lives outside every replica, so a
   replica death loses none of it — the recovered flow finds its NAT
   port allocation exactly where it left it.
@@ -64,10 +64,6 @@ class TransactionalStore:
     def keys(self) -> List[Any]:
         return list(self._values)
 
-    def applied(self, txn_id: Any) -> bool:
-        """Has a transaction with this id already committed?"""
-        return txn_id in self._applied
-
     # -- transactions -------------------------------------------------------
 
     def transaction(self, txn_id: Any = None) -> "Transaction":
@@ -92,6 +88,21 @@ class TransactionalStore:
                 continue
             return result
         raise TxnConflict(f"transaction {txn_id!r} aborted {MAX_RETRIES} times")
+
+    def add_once(self, txn_id: Any, deltas: Tuple[Tuple[Any, int], ...]) -> bool:
+        """Commit ``key += delta`` for each delta, once per ``txn_id`` (False
+        for a replay), as :meth:`run` would without a transaction: nothing
+        moves between the read and the write.  Each key's version moves,
+        so a transaction that read one still aborts."""
+        if txn_id in self._applied:
+            self.replays_deduped += 1
+            return False
+        for key, delta in deltas:
+            self._values[key] = self._values.get(key, 0) + delta
+            self._versions[key] = self._versions.get(key, 0) + 1
+        self.commits += 1
+        self._applied[txn_id] = True
+        return True
 
     # -- commit machinery (called by Transaction) ---------------------------
 
@@ -266,22 +277,10 @@ class SharedAggregate:
 
     def add(self, txn_id: Any, packets: int = 1, bytes_: int = 0) -> bool:
         """Apply one increment; returns False when it was a replay dupe."""
-        full_id = (self.name, txn_id)
-        if self.store.applied(full_id):
-            self.store.replays_deduped += 1
-            return False
-
-        def body(txn: Transaction) -> bool:
-            txn.set(
-                (self.name, "packets"),
-                txn.get((self.name, "packets"), 0) + packets,
-            )
-            txn.set(
-                (self.name, "bytes"), txn.get((self.name, "bytes"), 0) + bytes_
-            )
-            return True
-
-        return self.store.run(body, txn_id=full_id)
+        name = self.name
+        return self.store.add_once(
+            (name, txn_id), (((name, "packets"), packets), ((name, "bytes"), bytes_))
+        )
 
     @property
     def packets(self) -> int:

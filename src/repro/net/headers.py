@@ -82,7 +82,8 @@ class EthernetHeader(Header):
         )
 
     def clone(self) -> "EthernetHeader":
-        return EthernetHeader(MACAddress(self.dst_mac.value), MACAddress(self.src_mac.value), self.ethertype)
+        # A rewrite assigns a new MACAddress and never changes one: share them.
+        return EthernetHeader(self.dst_mac, self.src_mac, self.ethertype)
 
     def __repr__(self) -> str:
         return f"EthernetHeader({self.src_mac} -> {self.dst_mac}, 0x{self.ethertype:04x})"
@@ -178,16 +179,12 @@ class IPv4Header(Header):
         )
 
     def clone(self) -> "IPv4Header":
-        return IPv4Header(
-            self.src_ip,
-            self.dst_ip,
-            protocol=self.protocol,
-            ttl=self.ttl,
-            dscp=self.dscp,
-            identification=self.identification,
-            total_length=self.total_length,
-            checksum=self.checksum,
-        )
+        # Every field is a checked int already: copy the slots as they are.
+        copy = IPv4Header.__new__(IPv4Header)
+        copy.src_ip, copy.dst_ip, copy.protocol = self.src_ip, self.dst_ip, self.protocol
+        copy.ttl, copy.dscp, copy.identification = self.ttl, self.dscp, self.identification
+        copy.total_length, copy.checksum = self.total_length, self.checksum
+        return copy
 
     def __repr__(self) -> str:
         return (

@@ -212,26 +212,26 @@ class Packet:
 
     def clone(self) -> "Packet":
         """Deep copy headers, payload and metadata (not shared with original)."""
-        copy = Packet(
-            eth=self.eth.clone(),
-            ip=self.ip.clone(),
-            l4=self.l4.clone() if self.l4 is not None else None,
-            payload=self.payload,
-            timestamp_ns=self.timestamp_ns,
-        )
-        copy.encaps = [header.clone() for header in self.encaps]
+        copy = Packet.__new__(Packet)
+        copy.eth = self.eth.clone()
+        copy.ip = self.ip.clone()
+        copy.l4 = self.l4.clone() if self.l4 is not None else None
+        copy.encaps = [header.clone() for header in self.encaps] if self.encaps else []
+        copy.payload = self.payload
         copy.metadata = dict(self.metadata)
         copy.dropped = self.dropped
+        copy.timestamp_ns = self.timestamp_ns
         return copy
 
     # -- sizes, serialisation -----------------------------------------------
 
     def byte_length(self) -> int:
-        total = self.eth.byte_length() + self.ip.byte_length()
-        total += sum(header.byte_length() for header in self.encaps)
+        total = self.eth.byte_length() + self.ip.byte_length() + len(self.payload)
+        for header in self.encaps:
+            total += header.byte_length()
         if self.l4 is not None:
             total += self.l4.byte_length()
-        return total + len(self.payload)
+        return total
 
     def finalize(self) -> None:
         """Fix up derived fields: IP total length, protocol chain, checksums."""

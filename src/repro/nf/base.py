@@ -16,7 +16,7 @@ null meter in place.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.local_mat import InstrumentationAPI
 from repro.net.flow import FiveTuple
@@ -89,7 +89,8 @@ class NetworkFunction:
     # position — i.e. after every upstream rewrite.  ``flow_through`` lets
     # the migrator walk a flow down the chain deriving each NF's observed
     # key without re-deriving header-action algebra; the export/import
-    # pair moves the state itself; ``state_snapshot`` gives the
+    # pair moves the state itself; ``peek_flow_state`` reads what export
+    # would move, in place, for a checkpoint; ``state_snapshot`` gives the
     # equivalence oracle a comparable read-only view.
 
     def flow_through(self, flow: FiveTuple) -> FiveTuple:
@@ -115,6 +116,16 @@ class NetworkFunction:
     def import_flow_state(self, flow: FiveTuple, state: object) -> None:
         """Adopt per-flow state exported by a same-type NF elsewhere."""
         return None
+
+    def peek_flow_state(self, flow: FiveTuple) -> Tuple[object, Optional[object]]:
+        """(Where the state lives, what :meth:`export_flow_state` would
+        return), detaching nothing: two keys that resolve to one state name
+        one place.  The default exports and imports straight back, placed
+        at ``flow``; an NF that can read in place overrides it."""
+        state = self.export_flow_state(flow)
+        if state is not None:
+            self.import_flow_state(flow, state)
+        return flow, state
 
     def state_snapshot(self, flow: FiveTuple) -> Optional[object]:
         """A comparable, side-effect-free view of the flow's state."""

@@ -170,6 +170,9 @@ class IPFilter(NetworkFunction):
     def import_flow_state(self, flow: FiveTuple, state) -> None:
         self._verdict_cache[flow] = state
 
+    def peek_flow_state(self, flow: FiveTuple):
+        return flow, self._verdict_cache.get(flow)
+
     def state_snapshot(self, flow: FiveTuple):
         return self._verdict_cache.get(flow)
 

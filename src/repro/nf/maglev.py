@@ -268,6 +268,10 @@ class MaglevLoadBalancer(NetworkFunction):
     def import_flow_state(self, flow: FiveTuple, state) -> None:
         self.conntrack[flow] = self.backend_by_name(state)
 
+    def peek_flow_state(self, flow: FiveTuple):
+        backend = self.conntrack.get(flow)
+        return flow, None if backend is None else backend.name
+
     def state_snapshot(self, flow: FiveTuple):
         backend = self.conntrack.get(flow)
         return None if backend is None else (backend.name, backend.healthy)

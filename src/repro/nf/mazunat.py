@@ -210,6 +210,12 @@ class MazuNAT(NetworkFunction):
         self._bind((ext_ip, ext_port, internal.protocol), internal)
         self._free_ports.discard(ext_port)
 
+    def peek_flow_state(self, flow: FiveTuple):
+        internal = self._mapping_key(flow)  # where both directions' mapping lives
+        if internal is None:
+            return flow, None
+        return internal, (internal, *self.mappings[internal])
+
     def state_snapshot(self, flow: FiveTuple):
         internal = self._mapping_key(flow)
         if internal is None:

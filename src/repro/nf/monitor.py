@@ -100,9 +100,12 @@ class Monitor(NetworkFunction):
         counters.packets += packets
         counters.bytes += bytes_
 
-    def state_snapshot(self, flow: FiveTuple):
+    def peek_flow_state(self, flow: FiveTuple):
         counters = self.counters.get(flow)
-        return None if counters is None else (counters.packets, counters.bytes)
+        return flow, None if counters is None else (counters.packets, counters.bytes)
+
+    def state_snapshot(self, flow: FiveTuple):
+        return self.peek_flow_state(flow)[1]
 
     def total_packets(self) -> int:
         return sum(counter.packets for counter in self.counters.values())

@@ -226,6 +226,10 @@ class HealthModel:
                 reasons=",".join(report.reasons),
             )
 
+    def forget_replicas(self) -> None:
+        """Score from scratch: later windows' replica ids name another cluster's replicas."""
+        self._tracks.clear()
+
     # -- reads --------------------------------------------------------------
 
     def worst_state(self) -> str:

@@ -7,11 +7,23 @@ rows — must route, checkpoint, fail over and time every packet exactly
 as the same clusters with nothing attached.  Each twin's coordinator
 keeps a journal of its own, so the two runs' checkpoint rounds can be
 compared; it is the only observer a twin has.
+
+A row's verdicts depend on that row alone: the health model scores each
+row's replicas from scratch, so the rows a sweep runs first do not
+change the health and SLO journal entries of the rows after them.
 """
 
 import pytest
 
-from repro.cli import build_cluster, build_chain, make_observability, make_parser, make_trace_packets
+from repro.cli import (
+    build_cluster,
+    build_chain,
+    main,
+    make_observability,
+    make_parser,
+    make_trace_packets,
+)
+from repro.obs.record import load_record
 from repro.ft import FaultInjector, FaultTolerance
 from repro.obs import AuditLog
 from repro.scale import ScaleCluster
@@ -87,3 +99,37 @@ def test_observed_cluster_run_equals_its_unobserved_twin(platform, tmp_path):
     # ... and the telemetry did see the outages it left alone
     assert obs.timeseries.total_buffered > 0
     assert obs.audit.events("health_critical")
+
+
+def row_verdicts(tmp_path, platforms: str):
+    """``repro scale``'s health and SLO journal entries over ``platforms``
+    (without their sequence numbers), and how many windows the sweep cut."""
+    out = tmp_path / platforms.replace(",", "_")
+    argv = ["scale", "--chain", CHAIN, "--replicas", "3", "--platforms", platforms,
+            "--flows", "40", "--seed", "1", "--obs-out", str(out),
+            "--slo", "p99<60us", "--slo", "loss<0.1%",
+            "--kill-at", str(KILL_AT), "--recover-after", str(RECOVER_AFTER),
+            "--no-charge-recovery"]
+    assert main(argv) == 0
+    record = load_record(out)
+    verdicts = [
+        {key: value for key, value in event.items() if key != "seq"}
+        for event in record.audit
+        if event["kind"].startswith("health_") or event["kind"] == "slo_burn_alert"
+    ]
+    return verdicts, max(window["index"] for window in record.timeseries) + 1
+
+
+def test_a_rows_verdicts_do_not_depend_on_the_rows_before_it(tmp_path, capsys):
+    alone, alone_windows = row_verdicts(tmp_path, "onvm")
+    after, after_windows = row_verdicts(tmp_path, "bess,onvm")
+    capsys.readouterr()
+    first = after_windows - alone_windows  # the onvm rows' first window
+    onvm_rows = [
+        {**event, "window": event["window"] - first}
+        for event in after
+        if event["window"] >= first
+    ]
+    kinds = {event["kind"] for event in alone}
+    assert {"health_critical", "slo_burn_alert"} <= kinds
+    assert onvm_rows == alone

@@ -430,8 +430,8 @@ def colliding_nats():
 def assert_walked_again(bench, flow, peer, before) -> None:
     """The round took ``flow``'s checkpoint from a new walk, which
     reaches ``peer``.  (Checked on the checkpoint as the round took it:
-    capturing ``peer`` later in the round hands the NAT's port 30000 back
-    to whichever of the two its export → import pair imports last.)"""
+    ``peer``'s capture later in the round may index ``flow``'s
+    directions to itself.)"""
     (taken,) = [c for c in bench.taken if c.flow == flow.five_tuple.canonical()]
     assert not refreshed(taken, before)
     assert peer.five_tuple in taken.directions

@@ -349,7 +349,7 @@ class TestPacketLog:
     def test_appends_clone_and_sequence(self):
         log = PacketLog(capacity=8)
         packets = trace(flows=1, packets=3)
-        seqs = [log.append(packet) for packet in packets[:3]]
+        seqs = [log.append(packet, packet.five_tuple().canonical()) for packet in packets[:3]]
         assert seqs == [1, 2, 3]
         assert log.last_seq == 3
         # the log holds clones: mutating the original leaves them alone
@@ -360,7 +360,7 @@ class TestPacketLog:
     def test_trim_drops_only_older_entries(self):
         log = PacketLog(capacity=8)
         for packet in trace(flows=1, packets=5)[:5]:
-            log.append(packet)
+            log.append(packet, packet.five_tuple().canonical())
         assert log.trim(3) == 3
         assert [entry.seq for entry in log.entries()] == [4, 5]
         assert [entry.seq for entry in entries_after(log, 4)] == [5]
@@ -371,15 +371,15 @@ class TestPacketLog:
         log = PacketLog(capacity=3, on_full=lambda: calls.append(log.last_seq))
         packets = trace(flows=1, packets=6)
         for packet in packets[:3]:
-            log.append(packet)
+            log.append(packet, packet.five_tuple().canonical())
         assert not calls
-        log.append(packets[3])  # would overflow: hook fires first
+        log.append(packets[3], packets[3].five_tuple().canonical())  # would overflow: hook fires first
         assert calls == [3]
 
     def test_overflow_without_hook_drops_oldest(self):
         log = PacketLog(capacity=2)
         for packet in trace(flows=1, packets=4)[:3]:
-            log.append(packet)
+            log.append(packet, packet.five_tuple().canonical())
         assert [entry.seq for entry in log.entries()] == [2, 3]
 
     def test_rejects_nonpositive_capacity(self):
