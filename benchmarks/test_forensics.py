@@ -1,6 +1,7 @@
 """Tail-latency forensics benchmark — attribution across regime shifts.
 
-Three deterministic phases feed one :class:`ForensicsEngine` and one
+Three deterministic phases feed one :class:`ForensicsEngine`, the
+packet-clock :class:`TimeSeries` whose windows it reduces over, and one
 audit log, so the recorded metrics exercise the whole forensics
 pipeline end to end:
 
@@ -35,7 +36,7 @@ from benchmarks.harness import count, make_platform, save_result, sim, wall
 from repro.core.framework import SpeedyBox
 from repro.ft import FaultInjector, FaultTolerance
 from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
-from repro.obs import AuditLog, ForensicsEngine
+from repro.obs import AuditLog, ForensicsEngine, TimeSeries
 from repro.obs.forensics import components_sum
 from repro.scale import ScaleCluster
 from repro.stats import format_table
@@ -103,22 +104,22 @@ def ft_workload(flows=48, packets_per_flow=10):
 
 def run_phases():
     audit = AuditLog()
-    engine = ForensicsEngine(
-        worst_k=WORST_K,
-        window_packets=WINDOW_PACKETS,
-        sample_every=SAMPLE_EVERY,
-        audit=audit,
-    )
+    engine = ForensicsEngine(worst_k=WORST_K, sample_every=SAMPLE_EVERY, audit=audit)
+    # the packet clock keeps each window's stride where a 512-packet
+    # window puts it, whatever the replay's timing
+    timeseries = TimeSeries(window_packets=WINDOW_PACKETS)
+    engine.detector.attach(timeseries)
+    observers = {"timeseries": timeseries, "forensics": engine}
     packets = workload()
 
     started = time.perf_counter()
-    steady = make_platform("bess", SpeedyBox(chain(STEADY_CYCLES)), forensics=engine)
+    steady = make_platform("bess", SpeedyBox(chain(STEADY_CYCLES)), **observers)
     steady_result = steady.run_load(clone_packets(packets), inter_arrival_ns=GAP_NS)
-    steady_windows = list(engine.windows)
+    steady_windows = list(timeseries.windows)
 
-    surge = make_platform("bess", SpeedyBox(chain(SURGE_CYCLES)), forensics=engine)
+    surge = make_platform("bess", SpeedyBox(chain(SURGE_CYCLES)), **observers)
     surge_result = surge.run_load(clone_packets(packets), inter_arrival_ns=GAP_NS)
-    surge_windows = engine.windows[len(steady_windows):]
+    surge_windows = list(timeseries.windows)[len(steady_windows):]
     elapsed = time.perf_counter() - started
     # Component attribution snapshot before the failover phase pollutes
     # the totals with wall-clock-derived stall charge.
@@ -129,7 +130,7 @@ def run_phases():
         ft_chain,
         replicas=FT_REPLICAS,
         audit=audit,
-        forensics=engine,
+        **observers,
     )
     ft = FaultTolerance(
         cluster,
@@ -191,8 +192,8 @@ def test_forensics_attribution(benchmark):
     assert min(e["seq"] for e in stall_events) < complete[0]["seq"]
     assert engine.stall_records, "no charged stall deliveries reached the engine"
 
-    steady_p99 = max(w["p99_ns"] for w in ctx["steady_windows"])
-    surge_p99 = max(w["p99_ns"] for w in ctx["surge_windows"])
+    steady_p99 = max(w.p99_ns for w in ctx["steady_windows"])
+    surge_p99 = max(w.p99_ns for w in ctx["surge_windows"])
     summary = engine.summary()
     attribution = ctx["attribution"]
     share_total = sum(attribution.values())

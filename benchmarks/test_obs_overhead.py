@@ -21,15 +21,14 @@ sampling) on both fast-path shapes:
 - ``lane_off`` / ``lane_timeseries`` — the whole-batch columnar lane
   without and with the same telemetry stack.
 
-The tail-latency forensics engine gets its own cell pair on the
-compiled per-packet path:
+The tail-latency forensics engine gets its own cell on the compiled
+per-packet path:
 
-- ``forensics``     — :class:`ForensicsEngine` at the production
-  stride (1-in-16 packet sampling, worst-K ring), post-run
-  decomposition only;
-- ``forensics_off`` — the engine constructed but ``enabled=False``,
-  the disabled-mode configuration every run without ``--obs-out``
-  pays: one attribute check per run, ~0 %.
+- ``forensics`` — :class:`ForensicsEngine` at the production stride
+  (1-in-16 packet sampling, worst-K ring), reducing after the run over
+  the cut of the :class:`TimeSeries` it needs (``TS_WINDOW_PACKETS``
+  windows, no health model or SLO engine).  Not attaching one is the
+  off switch, which is the ``off`` cell.
 
 Best-of-``REPEATS`` wall-clock for each lands in
 ``BENCH_obs_overhead.json`` as ``wall`` keys: reported, never gated or
@@ -43,9 +42,9 @@ platform's ``_stage_plan`` hook (``*_stage_plan_calls``).  The loaded
 loop builds a plan only for a report it could not serve from the cached
 branch, so the count is the number of packets that left it — the
 property a low overhead follows from (the steady majority never leaves
-the cached branch, whatever is attached), stated exactly: forensics,
-disabled forensics and telemetry equal ``off``, and sampling adds at
-most sampled flows x span cap.
+the cached branch, whatever is attached), stated exactly: forensics
+and telemetry equal ``off``, and sampling adds at most sampled flows x
+span cap.
 """
 
 from __future__ import annotations
@@ -173,7 +172,7 @@ def run_overhead():
     }
     seconds = {mode: float("inf") for mode in modes}
     recorders = {}
-    ts_s = forensics_s = forensics_off_s = float("inf")
+    ts_s = forensics_s = float("inf")
     forensics_summary = None
     for __ in range(REPEATS):
         for mode in ("off", "sampled"):
@@ -184,15 +183,13 @@ def run_overhead():
             recorders[mode] = recorder
         engine = ForensicsEngine(sample_every=16)
         forensics_s = min(
-            forensics_s, timed_cell(plan_calls, "forensics", packets, forensics=engine)
-        )
-        forensics_summary = engine.summary()
-        forensics_off_s = min(
-            forensics_off_s,
+            forensics_s,
             timed_cell(
-                plan_calls, "forensics_off", packets, forensics=ForensicsEngine(enabled=False)
+                plan_calls, "forensics", packets,
+                timeseries=TimeSeries(window_packets=TS_WINDOW_PACKETS), forensics=engine,
             ),
         )
+        forensics_summary = engine.summary()
         ts_s = min(ts_s, timed_ts_run(plan_calls, packets))
         recorder = modes["full"]()
         seconds["full"] = min(
@@ -236,8 +233,6 @@ def run_overhead():
         "timeseries_overhead": wall(ts_s / seconds["off"] - 1.0),
         "forensics_s": wall(forensics_s),
         "forensics_overhead": wall(forensics_s / seconds["off"] - 1.0),
-        "forensics_off_s": wall(forensics_off_s),
-        "forensics_off_overhead": wall(forensics_off_s / seconds["off"] - 1.0),
         "forensics_sampled": count(float(forensics_summary["sampled"])),
         "forensics_windows": count(float(forensics_summary["windows"])),
         "lane_off_s": wall(lane_off_s),
@@ -266,9 +261,7 @@ def _report(declared):
         f"forensics  : {metrics['forensics_s']:.3f}s "
         f"(1-in-16 decomposition, {metrics['forensics_sampled']:.0f} sampled, "
         f"{metrics['forensics_windows']:.0f} windows, "
-        f"overhead {100 * metrics['forensics_overhead']:+.1f}%), "
-        f"disabled {metrics['forensics_off_s']:.3f}s "
-        f"({100 * metrics['forensics_off_overhead']:+.1f}%)\n"
+        f"overhead {100 * metrics['forensics_overhead']:+.1f}%)\n"
         f"lane       : off {metrics['lane_off_s']:.3f}s, "
         f"timeseries {metrics['lane_timeseries_s']:.3f}s "
         f"(overhead {100 * metrics['lane_timeseries_overhead']:+.1f}%)"
@@ -283,7 +276,7 @@ def test_obs_overhead(benchmark):
     assert metrics["full_spans"] > metrics["sampled_spans"]
     assert metrics["forensics_sampled"] > 0, "forensics cell sampled no packets"
     off_calls = metrics["off_stage_plan_calls"]
-    for cell in ("forensics", "forensics_off", "timeseries"):
+    for cell in ("forensics", "timeseries"):
         assert metrics[f"{cell}_stage_plan_calls"] == off_calls, cell
     assert metrics["sampled_stage_plan_calls"] <= (
         off_calls + metrics["sampled_flows_sampled"] * metrics["sampled_span_cap"]

@@ -152,12 +152,12 @@ def make_observability(args) -> ObsBundle:
     finished run or sampled flows — the audit journal, the 1-in-N flow
     span sampler (``--span-every``), the telemetry windows
     (``--window-ns`` / ``--window-packets``) with their health model,
-    and tail-latency forensics (``--worst-k``, its regime-shift detector
-    also fed by the telemetry windows) — so the run's route and every
-    simulated number stay put.  Level ``full`` adds the metrics registry
-    and the packet tracer, which put the run on the per-packet pass and
-    the discrete-event engine.  ``--slo`` alone turns on the telemetry
-    windows and the SLO engine.
+    and tail-latency forensics (``--worst-k``), a reducer over those
+    windows whose regime-shift detector judges each of them — so the
+    run's route and every simulated number stay put.  Level ``full``
+    adds the metrics registry and the packet tracer, which put the run
+    on the per-packet pass and the discrete-event engine.  ``--slo``
+    alone turns on the telemetry windows and the SLO engine.
     """
     recording = args.obs_out is not None
     if args.obs != "run" and not recording:
@@ -295,10 +295,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 runtime = ServiceChain(chain, metrics=obs.metrics)
             platform = PLATFORMS[args.platform](runtime, **obs.platform_kwargs())
             outcomes = platform.process_all(clone_packets(packets))
-            if obs.forensics is not None:
-                obs.forensics.observe_outcomes(
-                    platform, outcomes, replica=f"{runtime_cls.__name__}:n={n}"
-                )
             latency = Distribution([o.latency_us for o in outcomes])
             row.append(f"{latency.p50:.3f}")
         rows.append(row)
@@ -459,13 +455,18 @@ def build_cluster(args, obs: ObsBundle, platform: str, replicas: int, injector):
     """The ``ScaleCluster`` a ``scale`` row drives, wired to the run's
     observers, and — given an ``injector`` — its fault-tolerance
     coordinator (else ``None``).  The observers only read the finished
-    run: none of them reaches the coordinator.  The health model starts each row afresh."""
+    run: none of them reaches the coordinator.  The health model and the
+    regime-shift detector start each row afresh.  The replicas' NATs draw
+    from one port pool per NAT (:func:`pooled_chain_factory`), as the
+    ``equivalence --replicas`` cluster's do."""
     from repro.ft import FaultTolerance
     from repro.scale import ScaleCluster
 
     if obs.health is not None:
         obs.health.forget_replicas()
-    cluster = ScaleCluster(lambda: build_chain(args.chain), platform=platform, replicas=replicas,
+    if obs.forensics is not None:
+        obs.forensics.detector.forget()
+    cluster = ScaleCluster(pooled_chain_factory(args.chain), platform=platform, replicas=replicas,
                            speedybox=not args.no_speedybox, audit=obs.audit,
                            **obs.platform_kwargs())
     if injector is None:

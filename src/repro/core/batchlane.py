@@ -139,8 +139,7 @@ class BatchLane:
         #: how many flows the batch holds.  A listening forensics engine
         #: labels every plan with the report that minted it, which is
         #: per flow, so it turns bulk admission (no report per flow) off.
-        forensics = platform.forensics
-        self.table = PlanTable(labelled=forensics is not None and forensics.enabled)
+        self.table = PlanTable(labelled=platform.forensics is not None)
         flow_count = batch.flow_count
         n = len(batch)
         #: per-flow hint: 1 = last seen compiled-steady.  A stale hint

@@ -29,20 +29,25 @@ median*.  This module closes that gap with three cooperating pieces:
   window with full causal context: flow id, stage count, component
   breakdown, lane, replica.
 
-- a **regime-shift detector** (:class:`RegimeShiftDetector`) — watches
-  windowed p50/p99 against a trailing baseline and emits
-  ``latency_regime_shift`` audit events naming the decomposition
+- a **regime-shift detector** (:class:`RegimeShiftDetector`) — judges
+  each closed window's exact p50/p99 against a trailing baseline and
+  emits ``latency_regime_shift`` audit events naming the decomposition
   component that moved; a buffered-packet surge inside a window is an
   early stall-regime signal (those packets are accruing failover
   charge), so it fires the same event with ``component="stall"``
   *before* the recovery that will charge them completes.
 
-All observation is **post-run**: :class:`ForensicsEngine` consumes a
-finished replay's plans and timeline, so a disabled (or absent) engine
-costs nothing per packet and never disqualifies the analytic or batch
-fast lanes.  Enabled, the engine decomposes a 1-in-``sample_every``
-stride (plus every worst-K survivor), which is what keeps the
-forensics cell inside the obs-overhead benchmark's 5% gate.
+There is one window sequence per run: the one
+:meth:`~repro.obs.timeseries.TimeSeries.ingest_result` cuts.  The time
+series hands :class:`ForensicsEngine` the windows it has cut, with each
+packet's forensic label, before it closes them; the engine leaves each
+window's sampled component sums on it, and the detector, subscribed to
+the closing windows, reads them there.  All of it is **post-run**: an
+absent engine costs nothing per packet and never disqualifies the
+analytic or batch fast lanes.  The engine decomposes a
+1-in-``sample_every`` stride of each window (plus every worst-K
+survivor), which is what keeps the forensics cell inside the
+obs-overhead benchmark's 5% gate.
 
 Nothing here renders: :mod:`repro.obs.report` lays out the rows a loaded
 record holds, grouped by :func:`group_forensics_rows`.
@@ -56,7 +61,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.record import dump_jsonl
-from repro.stats.summary import percentile_sorted
 from repro.vector import np
 
 #: decomposition component names, canonical summation order
@@ -297,26 +301,25 @@ class FlightRecorder:
 
 
 class RegimeShiftDetector:
-    """Windowed p50/p99 vs a trailing baseline; audits the shift.
+    """Each closed telemetry window against a trailing baseline; audits
+    the shift.
 
-    Consumes window *summaries*.  Two rules fire a
-    ``latency_regime_shift`` audit event, each fed by one source of
-    windows, so no window is seen twice:
+    :meth:`attach` subscribes :meth:`observe` to a
+    :class:`~repro.obs.timeseries.TimeSeries`, so every window of the
+    run's one cut is judged once, by two rules that each fire a
+    ``latency_regime_shift`` audit event:
 
-    - a window's p50 or p99 exceeds ``FACTOR`` times the trailing
-      median of the last ``BASELINE`` earlier windows (needs at least
-      ``MIN_BASELINE`` of them), component attribution from the
-      forensic component sums (:meth:`observe_latency`, fed the
-      forensics engine's own post-run windows — only they carry
-      components);
-    - a window's buffered fraction crosses ``BUFFERED_FRACTION`` —
+    - the window's exact p50 or p99 exceeds ``FACTOR`` times the
+      trailing median of the last ``BASELINE`` earlier windows (needs
+      at least ``MIN_BASELINE`` of them); the event names the component
+      with the largest sampled sum in the window (``window.components``,
+      which the forensics engine fills before the window closes);
+    - the window's buffered fraction crosses ``BUFFERED_FRACTION`` —
       those packets are accruing failover stall charge, so the stall
       regime has *already* shifted even though their charged latencies
       only materialise at recovery (this is the event that precedes
-      ``ft_failover_complete`` in the degraded-before-dead test;
-      :meth:`observe_buffered`, fed live
-      :class:`~repro.obs.timeseries.TimeSeries` windows through
-      :meth:`attach` — only they count buffered packets).
+      ``ft_failover_complete`` in the degraded-before-dead test).  It
+      fires once per surge.
     """
 
     FACTOR = 2.0
@@ -334,31 +337,48 @@ class RegimeShiftDetector:
         self.shifts: List[Dict[str, Any]] = []
 
     def attach(self, timeseries) -> None:
-        """Subscribe to a TimeSeries: every closing window feeds the
-        buffered-fraction rule."""
-        timeseries.on_close(lambda window: self.observe_buffered(window.summary()))
+        """Judge every window ``timeseries`` closes."""
+        timeseries.on_close(self.observe)
 
-    @staticmethod
-    def _baseline(samples: Sequence[float]) -> Optional[float]:
-        if not samples:
-            return None
-        ordered = sorted(samples)
-        return ordered[len(ordered) // 2]
+    def forget(self) -> None:
+        """Start from no baseline and no surge (a new ``repro scale``
+        row); the shifts already emitted stay."""
+        self._p50s.clear()
+        self._p99s.clear()
+        self._buffered_regime = False
 
     def _emit(self, **fields: Any) -> None:
-        event = dict(fields)
-        self.shifts.append(event)
+        self.shifts.append(dict(fields))
         self.audit.emit("latency_regime_shift", **fields)
 
-    def observe_buffered(self, summary: Dict[str, Any]) -> None:
-        """The buffered-fraction rule over one closed TimeSeries window."""
-        packets = summary.get("packets") or 0
-        buffered = summary.get("buffered") or 0
+    def observe(self, window) -> None:
+        """Both rules over one closed window, the latency rules against
+        the windows observed before it."""
+        packets = window.packets
+        for metric, value, history in (
+            ("p50", window.p50_ns, self._p50s),
+            ("p99", window.p99_ns, self._p99s),
+        ):
+            if value is None:
+                continue
+            if len(history) >= self.MIN_BASELINE:
+                base = sorted(history)[len(history) // 2]
+                if base > 0 and value > self.FACTOR * base:
+                    self._emit(
+                        window=window.index,
+                        metric=metric,
+                        component=self._moved_component(window.components),
+                        baseline=round(base, 3),
+                        current=round(value, 3),
+                        packets=packets,
+                    )
+            history.append(value)
+        buffered = window.buffered
         if packets and buffered / packets >= self.BUFFERED_FRACTION:
             if not self._buffered_regime:
                 self._buffered_regime = True
                 self._emit(
-                    window=summary.get("index"),
+                    window=window.index,
                     metric="buffered_fraction",
                     component="stall",
                     baseline=0.0,
@@ -368,36 +388,6 @@ class RegimeShiftDetector:
                 )
         else:
             self._buffered_regime = False
-
-    def observe_latency(
-        self, summary: Dict[str, Any], components: Optional[Dict[str, float]] = None
-    ) -> None:
-        """The p50/p99 rules over one forensics window, against the
-        windows observed before it."""
-        window = summary.get("window")
-        packets = summary.get("packets") or 0
-        for metric, value, history in (
-            ("p50", summary.get("p50_ns"), self._p50s),
-            ("p99", summary.get("p99_ns"), self._p99s),
-        ):
-            if value is None:
-                continue
-            base = self._baseline(history)
-            if (
-                base is not None
-                and len(history) >= self.MIN_BASELINE
-                and base > 0
-                and value > self.FACTOR * base
-            ):
-                self._emit(
-                    window=window,
-                    metric=metric,
-                    component=self._moved_component(components),
-                    baseline=round(base, 3),
-                    current=round(value, 3),
-                    packets=packets,
-                )
-            history.append(value)
 
     @staticmethod
     def _moved_component(components: Optional[Dict[str, float]]) -> str:
@@ -433,187 +423,134 @@ def emit_recovery_regime_shift(
 
 
 class ForensicsEngine:
-    """Post-run tail-latency forensics over every execution lane.
+    """Post-run tail-latency forensics over the run's one window cut.
 
     Attach one to a :class:`~repro.platform.base.Platform` (or a
-    :class:`~repro.scale.cluster.ScaleCluster`); after each loaded run
-    the platform hands over the plans and the replay's timeline
-    (:meth:`observe_run`), whichever replay produced it.  Unloaded
-    sweeps can feed their outcomes through :meth:`observe_outcomes`.
-    The engine cuts the run into ``window_packets`` windows (packet
-    order, so a run's rows do not depend on its replay), accumulates
-    component sums on a 1-in-``sample_every`` stride, keeps the K worst
-    packets per window in the :class:`FlightRecorder`, and runs its
-    :class:`RegimeShiftDetector` over the closing windows.
-
-    ``enabled=False`` (or not attaching one at all) costs nothing: the
-    platforms check the flag once per *run*, never per packet.
+    :class:`~repro.scale.cluster.ScaleCluster`) beside the
+    :class:`~repro.obs.timeseries.TimeSeries` whose windows it reduces
+    over — one is required, and not attaching an engine is the off
+    switch.  After each loaded run the time series cuts the run's
+    columns and hands the windows over (:meth:`observe_run`) before it
+    closes them.  Per window the engine decomposes a
+    1-in-``sample_every`` stride of the replayed packets into component
+    sums, which it leaves on the window for the
+    :class:`RegimeShiftDetector`, keeps the K worst replayed packets in
+    the :class:`FlightRecorder`, and writes one row naming the window's
+    index.  A buffered packet is neither: its stall arrives as a
+    :class:`StallCharge` (:meth:`note_stall`) when recovery delivers it.
     """
 
     def __init__(
         self,
         worst_k: int = 8,
-        window_packets: int = 4096,
         sample_every: int = 16,
         audit: AuditLog = NULL_AUDIT,
-        enabled: bool = True,
     ):
-        if window_packets < 1:
-            raise ValueError(f"window_packets must be >= 1, got {window_packets!r}")
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
-        self.enabled = enabled
         self.worst_k = worst_k
-        self.window_packets = window_packets
         self.sample_every = sample_every
-        self.audit = audit
         self.recorder = FlightRecorder(worst_k=worst_k)
         self.detector = RegimeShiftDetector(audit=audit)
         self.windows: List[Dict[str, Any]] = []
         self.stall_records: List[StallCharge] = []
-        self.runs = 0
         self.packets = 0
         self.sampled = 0
         self.totals = {name: 0.0 for name in COMPONENTS}
 
     # -- observation ---------------------------------------------------------
 
-    def observe_run(self, table, plan_ids, latencies, replica, lane: str) -> None:
-        """Decompose one run from its latency column, whichever replay
-        made it.
+    def observe_run(self, cut, latency, replica, fast, held, labels) -> None:
+        """Reduce over one run's windows, as the time series cut them.
 
-        ``table`` is the run's :class:`~repro.platform.base.PlanTable`,
-        labelled: packet ``i`` followed plan ``table[plan_ids[i]]``, and
-        ``table.labels[pid]`` is ``(fid, is_fast, transfer_ns)`` of the
-        report that made the plan.  Each plan's service / transfer split
-        (:func:`split_plan_total`, exact per plan) is computed once per
-        table.  ``latencies`` is the run's float64 ``finish - arrival``
-        column, indexed by packet — the column the run's tail derived
-        once (:meth:`~repro.platform.base.Platform._finish_run`).
+        ``cut`` is ``[(window, rows)]`` in window order: each
+        :class:`~repro.obs.timeseries.Window` with the indices of its
+        packets in the run's columns.  ``latency``, ``fast`` and
+        ``held`` (buffered) are those columns, ``replica`` one label for
+        every packet or a column of them, and ``labels`` each packet's
+        forensic label, ``(service, transfer, stages, fid, lane)``
+        (:meth:`~repro.platform.base.PlanTable.label_columns`: its plan's
+        exact service / transfer split, hop count, flow id and replay).
 
-        This loop is the one window aggregator: a window is a contiguous
-        slice of ``latencies`` in packet order — the order no
-        replay can change, so neither can it change which packets the
-        1-in-``sample_every`` stride lands on.  Latency sums, maxima,
-        worst-K and stride selection are whole-array operations (a
-        Python iteration per packet would cost more than the forensics
-        budget allows against the compiled fast path); only the stride
-        is decomposed in Python, through :func:`decompose`, which is
-        what keeps the split exact.
+        Worst-K selection is a whole-array operation per window; only
+        the stride and the survivors are decomposed in Python, through
+        :func:`decompose`, which is what keeps the split exact.  The
+        stride runs over a window's replayed packets in offered order,
+        which no replay can change.
         """
-        if not self.enabled or not len(latencies):
-            return
-        costs = []
-        for plan, label in zip(table, table.labels):
-            total = 0.0
-            for __, service_ns in plan:
-                total += service_ns
-            costs.append((*split_plan_total(total, label[2]), len(plan)))
-        run = (table.labels, costs, plan_ids, replica, lane)  # what _record takes
-        window_packets = self.window_packets
+        service, transfer, stages, fid, lane = labels
         stride = self.sample_every
-        self.runs += 1
-        for start in range(0, len(latencies), window_packets):
-            seg = latencies[start : start + window_packets]
-            count = len(seg)
-            samples = np.arange(stride - 1, count, stride)
-            sampled = seg[samples].tolist()
-            components = dict.fromkeys(("queue", "service", "transfer", "stall"), 0.0)
-            for offset, latency in zip(samples.tolist(), sampled):
-                service, transfer, __ = costs[plan_ids[start + offset]]
-                queue, service, transfer, stall = decompose(latency, service, transfer)
+
+        def record(index: int, window: int) -> TailRecord:
+            latency_ns = float(latency[index])
+            queue, service_ns, transfer_ns, stall = decompose(
+                latency_ns, float(service[index]), float(transfer[index])
+            )
+            return TailRecord(
+                index=index,
+                latency_ns=latency_ns,
+                queue_ns=queue,
+                service_ns=service_ns,
+                transfer_ns=transfer_ns,
+                stall_ns=stall,
+                fid=int(fid[index]),
+                replica=replica[index].item() if isinstance(replica, np.ndarray) else replica,
+                lane=lane[index],
+                stages=int(stages[index]),
+                window=window,
+                fast=bool(fast[index]),
+            )
+
+        for window, rows in cut:
+            rows = rows[~held[rows]]
+            picked = rows[stride - 1 :: stride]
+            components = dict.fromkeys(COMPONENTS, 0.0)
+            for latency_ns, service_ns, transfer_ns in zip(
+                latency[picked].tolist(), service[picked].tolist(), transfer[picked].tolist()
+            ):
+                queue, service_ns, transfer_ns, stall = decompose(
+                    latency_ns, service_ns, transfer_ns
+                )
                 components["queue"] += queue
-                components["service"] += service
-                components["transfer"] += transfer
+                components["service"] += service_ns
+                components["transfer"] += transfer_ns
                 components["stall"] += stall
-            self.packets += count
-            self.sampled += len(sampled)
+            window.components = components
+            count = len(rows)
+            worst = []
+            if count:
+                kept = min(self.worst_k, count)
+                top = rows[np.argpartition(latency[rows], count - kept)[count - kept:]]
+                worst = [record(index, window.index) for index in top.tolist()]
+                worst.sort(key=lambda tail: (tail.latency_ns, -tail.index), reverse=True)
+            row = {
+                "type": "window",
+                "window": window.index,
+                "packets": window.packets,
+                "sampled": len(picked),
+                **{f"{name}_ns": total for name, total in components.items()},
+            }
+            self.packets += window.packets
+            self.sampled += len(picked)
             for name, total in components.items():
                 self.totals[name] += total
-            sampled.sort()
-            summary = {
-                "type": "window",
-                "run": self.runs,
-                "window": start // window_packets,
-                "replica": replica,
-                "lane": lane,
-                "packets": count,
-                "sampled": len(sampled),
-                "latency_sum_ns": float(seg.sum()),
-                "max_ns": float(seg.max()),
-                **{f"{name}_ns": total for name, total in components.items()},
-                "p50_ns": percentile_sorted(sampled, 0.50) if sampled else None,
-                "p99_ns": percentile_sorted(sampled, 0.99) if sampled else None,
-            }
-            worst_k = min(self.worst_k, count)
-            worst = [
-                self._record(start + offset, float(seg[offset]), *run)
-                for offset in np.argpartition(seg, count - worst_k)[count - worst_k:].tolist()
-            ]
-            worst.sort(key=lambda record: (record.latency_ns, -record.index), reverse=True)
-            self.windows.append(summary)
-            self.recorder.record_window(summary, worst)
-            self.detector.observe_latency(summary, components=components)
-
-    def observe_outcomes(self, platform, outcomes: Sequence, replica: Any) -> None:
-        """Decompose unloaded outcomes (sweep mode: no queueing, queue~0)."""
-        if not self.enabled or not outcomes:
-            return
-        from repro.platform.base import PlanTable
-
-        table = PlanTable(labelled=True)
-        plan_ids = [
-            platform._plan_id(table, platform._stage_plan(outcome.report), outcome.report)
-            for outcome in outcomes
-        ]
-        self.observe_run(
-            table,
-            plan_ids,
-            np.array([outcome.latency_ns for outcome in outcomes], dtype=np.float64),
-            replica,
-            "unloaded",
-        )
+            self.windows.append(row)
+            self.recorder.record_window(row, worst)
 
     def note_stall(self, charge: StallCharge) -> None:
         """Record one charged stall delivery (from the FT coordinator)."""
-        if not self.enabled:
-            return
         self.stall_records.append(charge)
         self.totals["stall"] += charge.stall_ns
         self.totals["service"] += charge.service_ns
-
-    # -- internals ------------------------------------------------------------
-
-    def _record(self, index, latency, labels, costs, plan_ids, replica, lane) -> TailRecord:
-        pid = plan_ids[index]
-        service, transfer, stages = costs[pid]
-        queue, service, transfer, stall = decompose(latency, service, transfer)
-        fid, fast, __ = labels[pid]
-        return TailRecord(
-            index=index,
-            latency_ns=latency,
-            queue_ns=queue,
-            service_ns=service,
-            transfer_ns=transfer,
-            stall_ns=stall,
-            fid=fid,
-            replica=replica,
-            lane=lane,
-            stages=stages,
-            window=index // self.window_packets,
-            fast=fast,
-        )
 
     # -- export ---------------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
         return {
             "type": "summary",
-            "runs": self.runs,
             "packets": self.packets,
             "sampled": self.sampled,
             "worst_k": self.worst_k,
-            "window_packets": self.window_packets,
             "sample_every": self.sample_every,
             "windows": len(self.windows),
             "stall_records": len(self.stall_records),
@@ -635,15 +572,6 @@ class ForensicsEngine:
 
     def write_jsonl(self, path) -> int:
         return dump_jsonl(path, self.rows())
-
-    def reset(self) -> None:
-        self.recorder = FlightRecorder(worst_k=self.worst_k)
-        self.windows.clear()
-        self.stall_records.clear()
-        self.runs = 0
-        self.packets = 0
-        self.sampled = 0
-        self.totals = {name: 0.0 for name in COMPONENTS}
 
 
 # -- loading -------------------------------------------------------------------

@@ -225,7 +225,7 @@ def write_record(
     put("audit", obs.audit, jsonl)
     put("spans", obs.spans, jsonl)
     put("timeseries", obs.timeseries, jsonl)
-    put("forensics", obs.forensics, jsonl, fed=lambda engine: engine.runs or engine.stall_records)
+    put("forensics", obs.forensics, jsonl, fed=lambda engine: engine.windows or engine.stall_records)
     if level == "full":
         put("metrics", obs.metrics, write_prometheus)
         if obs.spans is not None:

@@ -39,9 +39,12 @@ over its replicas' merged columns plus a row per packet it buffered.
 Nothing is windowed while a run is in flight, so nothing a window shows
 can reach back into the run: telemetry is a pure reader.
 
-``on_close`` callbacks receive each window as the cut closes it; the
-health model, the SLO engine and the regime-shift detector subscribe
-there.
+That cut is the run's one window sequence.  Given a
+:class:`~repro.obs.forensics.ForensicsEngine` and each packet's
+forensic label, the cut hands the engine its windows before it closes
+them (worst-K, stride-sampled component sums), so ``on_close`` callbacks
+receive each window finished, components included; the health model,
+the SLO engine and the regime-shift detector subscribe there.
 """
 
 from __future__ import annotations
@@ -144,6 +147,7 @@ class Window:
         "replicas",
         "metric_deltas",
         "hist_percentiles",
+        "components",
         "_sorted",
     )
 
@@ -162,6 +166,9 @@ class Window:
         self.metric_deltas: Dict[str, float] = {}
         #: per-histogram interpolated {"p50": ..., "p99": ...} (at close)
         self.hist_percentiles: Dict[str, Dict[str, Optional[float]]] = {}
+        #: the forensics engine's sampled component sums, when one reduced
+        #: over this window (before it closed)
+        self.components: Optional[Dict[str, float]] = None
         self._sorted: Optional[List[float]] = None
 
     # -- reads --------------------------------------------------------------
@@ -286,6 +293,8 @@ class TimeSeries:
         fast,
         dropped,
         buffered=None,
+        labels=None,
+        forensics=None,
     ) -> List[Window]:
         """Cut one finished run into windows and close them, in order.
 
@@ -297,7 +306,10 @@ class TimeSeries:
         replayed, and its latency and flags are ignored).  ``replica``
         is one label for every row or a column of them.  A window never
         spans two runs, so ``on_close`` subscribers see a run's windows
-        all at once, after it.
+        all at once, after it.  ``forensics`` (with ``labels``, each
+        packet's forensic label) reduces over the cut windows before
+        any of them closes (:meth:`ForensicsEngine.observe_run
+        <repro.obs.forensics.ForensicsEngine.observe_run>`).
         """
         arrival = np.asarray(arrival, dtype=np.float64)
         n = len(arrival)
@@ -307,48 +319,50 @@ class TimeSeries:
         fast = np.asarray(fast, dtype=bool)
         dropped = np.asarray(dropped, dtype=bool)
         held = np.zeros(n, dtype=bool) if buffered is None else np.asarray(buffered, dtype=bool)
-        labels = np.asarray(replica) if isinstance(replica, (list, np.ndarray)) else None
+        ids = np.asarray(replica) if isinstance(replica, (list, np.ndarray)) else None
+        order = None
         if self.window_ns is not None:
             slot = np.floor(arrival / self.window_ns)
             if (slot[1:] < slot[:-1]).any():
                 # arrivals out of order (one replica's backpressure against
                 # another's): group by slot, keeping offered order inside
                 order = np.argsort(slot, kind="stable")
-                slot, arrival, latency, fast, dropped, held = (
-                    column[order] for column in (slot, arrival, latency, fast, dropped, held)
-                )
-                labels = None if labels is None else labels[order]
+                slot = slot[order]
             cuts = (np.flatnonzero(slot[1:] != slot[:-1]) + 1).tolist()
         else:
             cuts = list(range(self.window_packets, n, self.window_packets))
 
-        closed: List[Window] = []
+        cut: List[Tuple[Window, np.ndarray]] = []
         for lo, hi in zip([0] + cuts, cuts + [n]):
+            rows = np.arange(lo, hi) if order is None else order[lo:hi]
             if self.window_ns is not None:
                 start = float(slot[lo]) * self.window_ns
                 end = (float(slot[lo]) + 1) * self.window_ns
             else:
-                start = float(arrival[lo:hi].min())
-                end = float(arrival[lo:hi].max())
-            window = Window(self.windows_closed, start, end)
-            rows = slice(lo, hi)
+                start = float(arrival[rows].min())
+                end = float(arrival[rows].max())
+            window = Window(self.windows_closed + len(cut), start, end)
             _tally(window, held[rows], dropped[rows], latency[rows])
-            if labels is None:
+            if ids is None:
                 groups = [(replica, rows)]
             else:
-                ids = labels[rows]
-                groups = [(label, np.flatnonzero(ids == label) + lo)
-                          for label in np.unique(ids).tolist()]
-            for label, at in groups:
+                at = ids[rows]
+                groups = [(label, rows[at == label]) for label in np.unique(at).tolist()]
+            for label, share_rows in groups:
                 share = window.replicas[label] = ReplicaWindow(label)
-                replayed = _tally(share, held[at], dropped[at], latency[at])
-                share.fast_hits = int(np.count_nonzero(fast[at] & replayed))
+                replayed = _tally(share, held[share_rows], dropped[share_rows], latency[share_rows])
+                share.fast_hits = int(np.count_nonzero(fast[share_rows] & replayed))
+            cut.append((window, rows))
+        if forensics is not None:
+            forensics.observe_run(
+                cut, latency, replica if ids is None else ids, fast, held, labels
+            )
+        for window, __ in cut:
             self.total_packets += window.packets
             self.total_drops += window.drops
             self.total_buffered += window.buffered
             self._close(window)
-            closed.append(window)
-        return closed
+        return [window for window, __ in cut]
 
     # -- registry deltas ----------------------------------------------------
 
@@ -400,9 +414,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.windows)
-
-    def last(self) -> Optional[Window]:
-        return self.windows[-1] if self.windows else None
 
     def summary(self) -> Dict[str, Any]:
         return {

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import PathTaken, ProcessReport, ServiceChain, SpeedyBox
 from repro.net.packet import Packet
+from repro.obs.forensics import split_plan_total
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.span import FlowSpanRecorder
 from repro.obs.timeline import trace_unloaded
@@ -230,14 +231,15 @@ class PlanTable(list):
     A plan id is an index into the table; a run is the table plus one
     plan id per packet, however the run was made (the per-packet pass,
     the whole-batch lane, each replica of a cluster), and every replay
-    and the forensics engine read that one shape.  A plan's key is its
-    value plus the flags of the report that made it — ``is_fast + 2 *
-    dropped``, kept in ``flags[pid]`` — so two packets share a plan id
-    only if their reports agree on both, and a run's per-packet flags
-    are one gather (:meth:`flag_columns`).  While a forensics engine
-    listens, the key also holds the report's forensic label ``(fid,
-    is_fast, transfer_ns)`` and ``labels[pid]`` keeps it; otherwise
-    ``labels`` is None.
+    reads that one shape.  A plan's key is its value plus the flags of
+    the report that made it — ``is_fast + 2 * dropped``, kept in
+    ``flags[pid]`` — so two packets share a plan id only if their
+    reports agree on both, and a run's per-packet flags are one gather
+    (:meth:`flag_columns`).  While a forensics engine listens, the key
+    also holds the report's forensic label ``(fid, is_fast,
+    transfer_ns)`` and ``labels[pid]`` keeps it, so a run's labels are
+    one gather too (:meth:`label_columns`); otherwise ``labels`` is
+    None.
     """
 
     __slots__ = ("labels", "flags", "_pid_by_key")
@@ -266,6 +268,24 @@ class PlanTable(list):
         flags = np.array(self.flags, dtype=np.uint8)[np.asarray(plan_ids, dtype=np.intp)]
         return (flags & 1).astype(bool), (flags & 2).astype(bool)
 
+    def label_columns(self, plan_ids, route: str) -> tuple:
+        """Per packet of a run over this labelled table, its forensic
+        label: ``(service, transfer, stages, fid, lane)`` — its plan's
+        total split once per plan (:func:`split_plan_total`, exact), the
+        plan's hop count, the flow id of the report that made it, and
+        ``route``, the replay the run took."""
+        per_plan = [
+            (*split_plan_total(sum(ns for __, ns in plan), transfer), len(plan), fid)
+            for plan, (fid, __, transfer) in zip(self, self.labels)
+        ]
+        ids = np.asarray(plan_ids, dtype=np.intp)
+        columns = zip(*per_plan) if per_plan else ((),) * 4
+        return (
+            *(np.array(column, dtype=dtype)[ids]
+              for column, dtype in zip(columns, (np.float64, np.float64, np.int64, np.int64))),
+            np.full(len(ids), route, dtype=object),
+        )
+
 
 @dataclass
 class FunctionalRun:
@@ -287,22 +307,24 @@ class FunctionalRun:
     dropped: int = 0
     #: run-local packet index -> the sampled root span ``record()`` returned
     roots: Dict[int, dict] = field(default_factory=dict)
-    #: the forensic rows' ``replica``: the platform's label, or the
-    #: replica id a cluster gave the run
-    replica: object = None
-    #: set by the run's tail: the replay's packet-order latency column,
-    #: and its arrival column (``None`` after the vector replay, which
-    #: keeps none: :meth:`columns` rebuilds it)
+    #: set by the run's tail: the replay it took, its packet-order
+    #: latency column, and its arrival column (``None`` after the vector
+    #: replay, which keeps none: :meth:`columns` rebuilds it)
+    route: Optional[str] = None
     latencies: object = None
     arrival: object = None
 
     def columns(self, ring_capacity: Optional[int]) -> tuple:
-        """``(arrival, latency, fast, dropped)`` by packet, once the tail
-        has run — what a :class:`~repro.obs.timeseries.TimeSeries` cuts."""
+        """``(arrival, latency, fast, dropped, labels)`` by packet, once
+        the tail has run — what a :class:`~repro.obs.timeseries.TimeSeries`
+        cuts; ``labels`` are the forensic labels of a labelled run
+        (:meth:`PlanTable.label_columns`), else ``None``."""
         arrival = self.arrival
         if arrival is None:
             arrival = sim_analytic.saturated_arrivals(self.table, self.plan_ids, ring_capacity)
-        return (arrival, self.latencies, *self.table.flag_columns(self.plan_ids))
+        table = self.table
+        labels = None if table.labels is None else table.label_columns(self.plan_ids, self.route)
+        return (arrival, self.latencies, *table.flag_columns(self.plan_ids), labels)
 
 
 def _is_packet_batch(packets) -> bool:
@@ -415,13 +437,14 @@ class Platform:
         #: compiled/batch fast lanes (and the analytic replay) fully
         #: eligible.
         self.timeseries = timeseries
-        #: tail-latency forensics engine (repro.obs.forensics) or None.
-        #: Like the timeseries it consumes the *finished* replay — plans
-        #: and timeline after the run — so it never disqualifies the
-        #: analytic or batch lanes and a disabled/absent engine costs one
-        #: flag check per run, not per packet.  When enabled, the
-        #: functional pass additionally captures per-plan flow ids and
-        #: transfer overhead for the worst-K causal context.
+        #: tail-latency forensics engine (repro.obs.forensics) or None:
+        #: a reducer over the windows the time series cuts, so it needs
+        #: one.  It reads the *finished* replay, so it never disqualifies
+        #: the analytic or batch lanes; while one listens, the functional
+        #: pass labels each plan with its flow id and transfer overhead
+        #: for the worst-K causal context.
+        if forensics is not None and timeseries is None:
+            raise ValueError("forensics reduces over the time series' windows: attach a timeseries")
         self.forensics = forensics
         #: instance label used for ring/track names; replicas of the same
         #: platform class override it so their metrics stay distinguishable
@@ -709,10 +732,11 @@ class Platform:
     ) -> LoadResult:
         """The one tail of a loaded run, whoever replayed it: count its
         packets, stamp the sampled spans with the timeline, build the
-        result from the run's one latency column, keep that column and
-        the arrivals on ``run`` (:meth:`FunctionalRun.columns`) and hand
-        the run to what else is attached (time series, then forensics —
-        which reads each packet's labels off the run's plan table).
+        result from the run's one latency column, keep the route, that
+        column and the arrivals on ``run`` (:meth:`FunctionalRun.columns`)
+        and hand the run's columns to an attached time series, whose cut
+        an attached forensics engine reduces over (with each packet's
+        label, gathered off the run's plan table).
 
         ``timeline`` is ``(latencies, makespan_ns, arrival, finish)``:
         the packet-order ``finish - arrival`` column, the last finish,
@@ -727,14 +751,15 @@ class Platform:
         if self.spans is not None:
             self.spans.annotate_loaded(run.roots, arrival, finish)
         result = load_result(latencies, makespan_ns, run.dropped, delivery)
+        run.route = route
         run.latencies = latencies
         run.arrival = None if route == "vector" else arrival
         if self.timeseries is not None:
-            arrival, latency, fast, dropped = run.columns(self.config.ring_capacity)
-            self.timeseries.ingest_result(arrival, latency, self.label, fast, dropped)
-        forensics = self.forensics
-        if forensics is not None and forensics.enabled:
-            forensics.observe_run(run.table, run.plan_ids, latencies, run.replica, route)
+            arrival, latency, fast, dropped, labels = run.columns(self.config.ring_capacity)
+            self.timeseries.ingest_result(
+                arrival, latency, self.label, fast, dropped,
+                labels=labels, forensics=self.forensics,
+            )
         return result
 
     def _batch_lane_eligible(self, use_timestamps: bool) -> bool:
@@ -777,13 +802,7 @@ class Platform:
             "dropped": dropped,
             "plan_table_size": len(table),
         }
-        run = FunctionalRun(
-            table=table,
-            plan_ids=plan_ids,
-            dropped=dropped,
-            roots=lane.roots,
-            replica=self.label,
-        )
+        run = FunctionalRun(table=table, plan_ids=plan_ids, dropped=dropped, roots=lane.roots)
         return self._replay(run, None, inter_arrival_ns)
 
     def _analytic_valid(self, table: Sequence[StagePlan]) -> bool:
@@ -808,14 +827,15 @@ class Platform:
 
     def _functional_pass(self, packets: Sequence[Packet]) -> FunctionalRun:
         """Phase one of a loaded run: every packet through one pass."""
-        offer, run = self._begin_pass()
+        offer, run = self._begin_pass(labelled=self.forensics is not None)
         for packet in packets:
             offer(packet)
         return run
 
-    def _begin_pass(self) -> Tuple[Callable[[Packet], StagePlan], FunctionalRun]:
+    def _begin_pass(self, labelled: bool) -> Tuple[Callable[[Packet], StagePlan], FunctionalRun]:
         """Open phase one of a loaded run: process functionally, plan
-        temporally, one packet per call.
+        temporally, one packet per call; ``labelled`` keeps each plan's
+        forensic label (:class:`PlanTable`).
 
         Returns ``(offer, run)``: ``offer(packet)`` processes the packet,
         files its plan's id in ``run`` and returns the plan; the caller
@@ -839,10 +859,8 @@ class Platform:
         reports be garbage-collected mid-run and their ids recycled).
         Reports outlive the run; the table does not.
         """
-        forensics = self.forensics
-        capturing = forensics is not None and forensics.enabled
-        table = PlanTable(labelled=capturing)
-        run = FunctionalRun(table=table, plan_ids=[], replica=self.label)
+        table = PlanTable(labelled=labelled)
+        run = FunctionalRun(table=table, plan_ids=[])
         process = self.runtime.process
         stage_plan = self._stage_plan
         plan_id = self._plan_id

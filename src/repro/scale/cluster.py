@@ -121,9 +121,12 @@ class ScaleCluster:
         #: platforms carry none, and nothing is windowed mid-run, so
         #: watching a cluster cannot change what it does.
         self.timeseries = timeseries
-        #: optional :class:`repro.obs.forensics.ForensicsEngine`, shared
-        #: by every replica's platform, whose tail decomposes its
-        #: replica's finished replay.
+        #: optional :class:`repro.obs.forensics.ForensicsEngine`: a
+        #: reducer over the time series' cut of the merged run, so it
+        #: needs one.  The cluster labels its replicas' passes itself;
+        #: their platforms carry no engine.
+        if forensics is not None and timeseries is None:
+            raise ValueError("forensics reduces over the time series' windows: attach a timeseries")
         self.forensics = forensics
         self.replicas: Dict[int, ChainReplica] = {}
         self._next_id = 0
@@ -172,7 +175,6 @@ class ScaleCluster:
             tracer=self.tracer,
             label=f"{platform_cls.name}:r{rid}",
             spans=self.spans,
-            forensics=self.forensics,
         )
         self.replicas[rid] = ChainReplica(replica_id=rid, platform=platform)
         return rid
@@ -306,8 +308,7 @@ class ScaleCluster:
         offers: Dict[int, Callable] = {}
         runs: Dict[int, FunctionalRun] = {}
         for rid, replica in participants.items():
-            offers[rid], runs[rid] = replica.platform._begin_pass()
-            runs[rid].replica = rid
+            offers[rid], runs[rid] = replica.platform._begin_pass(self.forensics is not None)
         gaps: Dict[int, List[float]] = {rid: [] for rid in participants}
         last_arrival: Dict[int, float] = {}
         # each packet's replica (its home, when buffered) and whether it was
@@ -349,8 +350,9 @@ class ScaleCluster:
         inter_arrival_ns: float,
     ) -> None:
         """Hand the time series one run: every offered packet in global
-        arrival order, a replayed one with its replica run's columns, a
-        buffered one at its offered time with its home replica."""
+        arrival order, a replayed one with its replica run's columns (and
+        forensic labels, while an engine listens), a buffered one at its
+        offered time with its home replica."""
         n = len(homes)
         replica = np.asarray(homes, dtype=np.int64)
         buffered = np.asarray(held, dtype=bool)
@@ -358,13 +360,20 @@ class ScaleCluster:
         latency = np.full(n, np.nan)
         fast = np.zeros(n, dtype=bool)
         dropped = np.zeros(n, dtype=bool)
+        labels = ()
+        if self.forensics is not None:
+            # service, transfer, stages, fid, lane (a buffered row's go unread)
+            labels = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64),
+                      np.zeros(n, dtype=np.int64), np.full(n, None, dtype=object))
         for rid, member in participants.items():
             rows = np.flatnonzero((replica == rid) & ~buffered)
             if len(rows):
-                columns = runs[rid].columns(member.platform.config.ring_capacity)
-                for merged, column in zip((arrival, latency, fast, dropped), columns):
+                *columns, run_labels = runs[rid].columns(member.platform.config.ring_capacity)
+                for merged, column in zip((arrival, latency, fast, dropped, *labels),
+                                          (*columns, *(run_labels or ()))):
                     merged[rows] = column
-        self.timeseries.ingest_result(arrival, latency, replica, fast, dropped, buffered)
+        self.timeseries.ingest_result(arrival, latency, replica, fast, dropped, buffered,
+                                      labels=labels or None, forensics=self.forensics)
 
     # -- migration choreography -----------------------------------------------
 
@@ -481,6 +490,8 @@ class ScaleCluster:
         Deterministic: flows are chosen by seeded sample over the sorted
         live-flow set, each moved to the next replica id round-robin.  An
         egress alias moves its whole connection (Maglev cannot map it back).
+        A flow homed on a killed replica not yet recovered stays put:
+        recovery re-homes it.
         """
         import random
 
@@ -496,6 +507,8 @@ class ScaleCluster:
             if ingress in self._flow_homes:
                 key = ingress
             home = self._flow_homes[key]
+            if home not in self.replicas:
+                continue  # homed on a dead replica: its recovery re-homes it
             dst = rids[(rids.index(home) + 1) % len(rids)]
             report = self.migrate_flow(key, dst)
             if report is not None:

@@ -59,7 +59,7 @@ class TestForensicsRoundTrip:
         assert "identical results: yes" in capsys.readouterr().out
         loaded = load_record(record)
         assert loaded.manifest["command"] == "batch"
-        assert {row["lane"] for row in loaded.forensics["windows"]} == {"vector"}
+        assert {row["lane"] for row in loaded.forensics["worst"]} == {"vector"}
         assert main(["obs", "report", str(record)]) == 0
         assert "component attribution" in capsys.readouterr().out
 

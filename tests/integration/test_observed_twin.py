@@ -9,19 +9,21 @@ keeps a journal of its own, so the two runs' checkpoint rounds can be
 compared; it is the only observer a twin has.
 
 A row's verdicts depend on that row alone: the health model scores each
-row's replicas from scratch, so the rows a sweep runs first do not
-change the health and SLO journal entries of the rows after them.
+row's replicas from scratch and the regime-shift detector judges each
+row's windows against that row's baseline, so the rows a sweep runs
+first do not change the health, SLO and regime-shift journal entries of
+the rows after them.
 """
 
 import pytest
 
 from repro.cli import (
     build_cluster,
-    build_chain,
     main,
     make_observability,
     make_parser,
     make_trace_packets,
+    pooled_chain_factory,
 )
 from repro.obs.record import load_record
 from repro.ft import FaultInjector, FaultTolerance
@@ -50,7 +52,9 @@ def injector(replicas: int) -> FaultInjector:
 
 
 def unobserved(platform: str, replicas: int):
-    cluster = ScaleCluster(lambda: build_chain(CHAIN), platform=platform, replicas=replicas)
+    """The cluster ``build_cluster`` builds (NATs on one port pool), with
+    nothing attached."""
+    cluster = ScaleCluster(pooled_chain_factory(CHAIN), platform=platform, replicas=replicas)
     ft = FaultTolerance(
         cluster,
         checkpoint_interval=32,
@@ -133,3 +137,41 @@ def test_a_rows_verdicts_do_not_depend_on_the_rows_before_it(tmp_path, capsys):
     kinds = {event["kind"] for event in alone}
     assert {"health_critical", "slo_burn_alert"} <= kinds
     assert onvm_rows == alone
+
+
+def scale_record(tmp_path, platforms: str):
+    """The record of ``repro scale`` over ``platforms``, charging recovery."""
+    out = tmp_path / f"shifts_{platforms.replace(',', '_')}"
+    assert main(["scale", "--replicas", "3", "--platforms", platforms, "--flows", "40",
+                 "--seed", "1", "--kill-at", str(KILL_AT), "--obs-out", str(out)]) == 0
+    return load_record(out)
+
+
+def regime_shifts(record, first: int) -> list:
+    """The record's ``latency_regime_shift`` events from the first event
+    of window ``first`` on, without their sequence numbers and window
+    indices, and without a recovery's stall magnitudes (charged from
+    wall-clock recovery time)."""
+    begin = min(event["seq"] for event in record.audit
+                if event.get("window") is not None and event["window"] >= first)
+    return [
+        {key: value for key, value in event.items()
+         if key not in ("seq", "window", "current", "stall_max_ns")
+         or (key == "current" and event["metric"] != "stall_charge")}
+        for event in record.audit
+        if event["kind"] == "latency_regime_shift" and event["seq"] >= begin
+    ]
+
+
+def test_a_rows_regime_shifts_do_not_depend_on_the_rows_before_it(tmp_path, capsys):
+    """The detector's trailing p50/p99 baseline and its surge latch start
+    afresh with each row: a bess-taught baseline used to make the first
+    onvm row fire a queue shift (p50 199 915 ns against 97 635 ns) that
+    the onvm rows alone do not."""
+    alone = scale_record(tmp_path, "onvm")
+    after = scale_record(tmp_path, "bess,onvm")
+    capsys.readouterr()
+    first = len(after.timeseries) - len(alone.timeseries)  # the onvm rows' first window
+    shifts = regime_shifts(alone, 0)
+    assert {event["metric"] for event in shifts} >= {"buffered_fraction", "stall_charge"}
+    assert regime_shifts(after, first) == shifts

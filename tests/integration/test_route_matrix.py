@@ -202,7 +202,7 @@ def attach(what: str) -> tuple:
         platform_kwargs["spans"] = FlowSpanRecorder(every=2)
     if everything or what == "timeseries+forensics":
         platform_kwargs["timeseries"] = TimeSeries(window_packets=16)
-        platform_kwargs["forensics"] = ForensicsEngine(window_packets=16, sample_every=4)
+        platform_kwargs["forensics"] = ForensicsEngine(sample_every=4)
     if everything or what == "registry":
         runtime_kwargs["metrics"] = platform_kwargs["metrics"] = MetricsRegistry()
     if everything or what == "tracer":

@@ -6,8 +6,9 @@ DES, the vector recursion at saturation) — the four components
 must reproduce the packet's reported latency under IEEE float equality
 in the canonical order ``((service + transfer) + stall) + queue``.
 Hypothesis draws random flow populations, arrival gaps and chain
-shapes; the engine keeps every packet of its one window as a worst-K
-record, so the claim is checked for *every* packet, not a sampled stride.
+shapes; the engine reduces over a ``TimeSeries`` cut of one 4 096-packet
+window and keeps every packet of it as a worst-K record, so the claim is
+checked for *every* packet, not a sampled stride.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TimeSeries
 from repro.obs.forensics import ForensicsEngine, components_sum
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.scale import ScaleCluster
@@ -27,8 +28,14 @@ from repro.traffic.columnar import uniform_batch
 
 
 def every_packet_engine(**kwargs) -> ForensicsEngine:
-    """An engine whose worst-K is its whole (one) window: a record per packet."""
-    return ForensicsEngine(worst_k=4096, window_packets=4096, **kwargs)
+    """An engine whose worst-K is a whole window (see :func:`observing`):
+    a record per packet."""
+    return ForensicsEngine(worst_k=4096, **kwargs)
+
+
+def observing(engine: ForensicsEngine, window_packets: int = 4096) -> dict:
+    """Platform keyword arguments: ``engine`` over a packet-clock cut."""
+    return {"timeseries": TimeSeries(window_packets=window_packets), "forensics": engine}
 
 
 def every_record(engine: ForensicsEngine) -> list:
@@ -80,7 +87,7 @@ def test_analytic_lane_components_sum_exactly(case):
     flows, per_flow, shape, gap, bess = case
     engine = every_packet_engine(sample_every=1)
     platform_cls = BessPlatform if bess else OpenNetVMPlatform
-    platform = platform_cls(SpeedyBox(chain_for(shape)), forensics=engine)
+    platform = platform_cls(SpeedyBox(chain_for(shape)), **observing(engine))
     platform.run_load(packet_stream(flows, per_flow), inter_arrival_ns=gap)
     # BESS plans are one hop on one stage: with every gap zero (a lone
     # packet's one gap is) the table takes the vector recursion
@@ -99,7 +106,7 @@ def test_des_lane_components_sum_exactly(case):
         # An attached registry watches engine events, which only the
         # generator DES has: observing selects it.
         metrics=MetricsRegistry(),
-        forensics=engine,
+        **observing(engine),
     )
     platform.run_load(packet_stream(flows, per_flow), inter_arrival_ns=gap)
     assert_exact(engine, "des")
@@ -121,7 +128,7 @@ def test_batch_lane_components_sum_exactly(case):
         SyntheticNF("fw", action=Modify.ttl_dec(), sf_payload_class=None),
         SyntheticNF("mon", sf_payload_class=None),
     ]
-    platform = BessPlatform(SpeedyBox(chain), forensics=engine)
+    platform = BessPlatform(SpeedyBox(chain), **observing(engine))
     batch = uniform_batch(flows, per_flow, interleave="round_robin", block=block)
     platform.run_load(batch)
     assert_exact(engine, "vector")
@@ -143,7 +150,7 @@ def test_lane_rows_equal_the_per_packet_rows(platform_cls):
             SyntheticNF("nat", action=Modify.set(dst_port=8080), sf_payload_class=None),
             SyntheticNF("mon", sf_payload_class=None),
         ]
-        platform = platform_cls(SpeedyBox(chain), forensics=engine)
+        platform = platform_cls(SpeedyBox(chain), **observing(engine))
         batch = uniform_batch(4, 4, interleave="round_robin")
         platform.run_load(batch if offered == "batch" else batch.packet_view())
         assert (platform.last_lane_stats is not None) == (offered == "batch")
@@ -190,16 +197,18 @@ def test_rows_do_not_depend_on_who_replayed_the_run(platform_name):
     platform_cls = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}[platform_name]
 
     def engine():
-        return ForensicsEngine(worst_k=4, window_packets=64, sample_every=4)
+        return ForensicsEngine(worst_k=4, sample_every=4)
 
     bare, watched, clustered = engine(), engine(), engine()
     results = [
-        platform_cls(SpeedyBox(stateful_chain()), forensics=bare).run_load(stateful_trace()),
+        platform_cls(SpeedyBox(stateful_chain()), **observing(bare, 64)).run_load(
+            stateful_trace()
+        ),
         platform_cls(
-            SpeedyBox(stateful_chain()), metrics=MetricsRegistry(), forensics=watched
+            SpeedyBox(stateful_chain()), metrics=MetricsRegistry(), **observing(watched, 64)
         ).run_load(stateful_trace()),
         ScaleCluster(
-            stateful_chain, platform=platform_name, replicas=1, forensics=clustered
+            stateful_chain, platform=platform_name, replicas=1, **observing(clustered, 64)
         ).run_load(stateful_trace()).total,
     ]
     assert results[0] == results[1] == results[2]

@@ -318,6 +318,47 @@ class TestScaleCommand:
         ]
         assert two_replica_row and two_replica_row[0].rstrip().endswith("3")
 
+    def test_no_replica_holds_two_connections_on_one_nat_port(self, capsys, monkeypatch):
+        """Every ``scale`` row builds its replicas' NATs over one port pool
+        per NAT (``pooled_chain_factory``).  With a private allocator per
+        replica, a connection migrated by the churn or restored by the
+        recovery kept a port its new replica had handed out too: the
+        parent construction left 51 doubled ports over these rows."""
+        import repro.cli as cli
+        from repro.ft import FaultTolerance
+        from repro.nf import MazuNAT
+        from repro.scale import ScaleCluster
+
+        doubled = []
+
+        def check(cluster):
+            for replica in cluster.replicas.values():
+                for nf in replica.runtime.nfs:
+                    if isinstance(nf, MazuNAT):
+                        ports = [port for __, port in nf.mappings.values()]
+                        doubled.append(len(ports) - len(set(ports)))
+
+        def checked(method, cluster_of):
+            def wrapper(self, *args, **kwargs):
+                result = method(self, *args, **kwargs)
+                check(cluster_of(self))
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(ScaleCluster, "churn_flows",
+                            checked(ScaleCluster.churn_flows, lambda cluster: cluster))
+        monkeypatch.setattr(FaultTolerance, "recover",
+                            checked(FaultTolerance.recover, lambda ft: ft.cluster))
+        assert cli.main(
+            ["scale", "--chain", "nat,monitor,firewall", "--replicas", "3",
+             "--platforms", "onvm", "--flows", "40", "--seed", "1", "--checkpoint-every", "8",
+             "--churn", "8", "--kill-at", "200", "--recover-after", "30"]
+        ) == 0
+        capsys.readouterr()
+        assert len(doubled) > 6  # after each churn, and after each recovery
+        assert sum(doubled) == 0
+
     def test_scale_gap(self, capsys):
         assert main(
             ["scale", "--replicas", "2", "--platforms", "bess", "--flows", "6",

@@ -34,6 +34,7 @@ from repro.obs.forensics import (
 )
 from repro.obs.record import load_jsonl
 from repro.obs.registry import MetricsRegistry
+from repro.obs.timeseries import TimeSeries
 from repro.obs.report import render_forensics, render_timeline
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic import FlowSpec, TrafficGenerator
@@ -140,67 +141,85 @@ class TestFlightRecorder:
             FlightRecorder(worst_k=0)
 
 
-class TestRegimeShiftDetector:
-    @staticmethod
-    def window(index, p50, p99, packets=100, buffered=0):
-        return {"index": index, "p50_ns": p50, "p99_ns": p99,
-                "packets": packets, "buffered": buffered}
+def judge(detector, windows, engine=None):
+    """Close one window per ``(latencies, buffered)`` through a
+    ``TimeSeries`` on a 1 us clock that ``detector`` is attached to, as
+    one run; ``engine`` (whose detector it is) reduces over the cut with
+    every packet's plan 10 ns of service."""
+    timeseries = TimeSeries(window_ns=1000.0)
+    detector.attach(timeseries)
+    arrival, latency, held = [], [], []
+    for index, (latencies, buffered) in enumerate(windows):
+        arrival += [index * 1000.0] * (len(latencies) + buffered)
+        latency += list(latencies) + [float("nan")] * buffered
+        held += [False] * len(latencies) + [True] * buffered
+    n = len(arrival)
+    labels = (np.full(n, 10.0), np.zeros(n), np.ones(n, dtype=np.int64),
+              np.zeros(n, dtype=np.int64), np.full(n, "vector", dtype=object))
+    flags = np.zeros(n, dtype=bool)
+    return timeseries.ingest_result(
+        arrival, latency, "r0", flags, flags, held, labels=labels, forensics=engine
+    )
 
+
+class TestRegimeShiftDetector:
     def test_fires_on_p99_jump_with_audit_event(self):
         audit = AuditLog()
-        detector = RegimeShiftDetector(audit=audit)
-        for i in range(4):
-            detector.observe_latency(self.window(i, 100.0, 150.0))
-        assert detector.shifts == []
-        detector.observe_latency(
-            self.window(4, 100.0, 400.0), components={"queue": 9.0, "stall": 1.0}
-        )
+        engine = ForensicsEngine(sample_every=1, audit=audit)
+        detector = engine.detector
+        judge(detector, [([100.0, 150.0], 0)] * 4 + [([100.0, 400.0], 0)], engine)
         assert len(detector.shifts) == 1
         shift = detector.shifts[0]
-        assert shift["metric"] == "p99"
-        assert shift["component"] == "queue"
+        assert (shift["window"], shift["metric"]) == (4, "p99")
+        assert shift["component"] == "queue"  # 390 of the 400 ns waited
         events = audit.events("latency_regime_shift")
         assert len(events) == 1
-        assert events[0]["current"] == 400.0
+        assert events[0]["current"] == 400.0 and events[0]["baseline"] == 150.0
 
     def test_needs_min_baseline_before_firing(self):
         detector = RegimeShiftDetector()
-        detector.observe_latency(self.window(0, 100.0, 100.0))
-        detector.observe_latency(self.window(1, 900.0, 900.0))  # only 1 sample
+        judge(detector, [([100.0, 100.0], 0), ([900.0, 900.0], 0)])  # only 1 sample
         assert detector.shifts == []
 
     def test_buffered_fraction_fires_stall_component_once_per_regime(self):
         detector = RegimeShiftDetector()
-        detector.observe_buffered(self.window(0, 100.0, 100.0, buffered=10))
-        detector.observe_buffered(self.window(1, 100.0, 100.0, buffered=20))
+        # latched through the second surge window, cleared by the third
+        judge(detector, [([100.0] * 90, 10), ([100.0] * 80, 20), ([100.0] * 100, 0),
+                         ([100.0] * 50, 50)])
         stall_shifts = [s for s in detector.shifts if s["component"] == "stall"]
-        assert len(stall_shifts) == 1  # latched until the surge clears
-        detector.observe_buffered(self.window(2, 100.0, 100.0, buffered=0))
-        detector.observe_buffered(self.window(3, 100.0, 100.0, buffered=50))
-        stall_shifts = [s for s in detector.shifts if s["component"] == "stall"]
-        assert len(stall_shifts) == 2
+        assert [s["window"] for s in stall_shifts] == [0, 3]
+        assert stall_shifts[0]["current"] == 0.1 and stall_shifts[0]["buffered"] == 10
+
+    def test_forget_starts_a_fresh_baseline(self):
+        detector = RegimeShiftDetector()
+        judge(detector, [([100.0, 100.0], 0)] * 3 + [([100.0] * 90, 10)])
+        detector.forget()
+        # no baseline to jump from, and the surge latch is open again
+        judge(detector, [([900.0, 900.0], 0), ([100.0] * 90, 10)])
+        assert [(s["metric"], s["window"]) for s in detector.shifts] == [
+            ("buffered_fraction", 3), ("buffered_fraction", 1)
+        ]
 
     def test_each_closed_window_is_observed_once_against_earlier_ones(self, monkeypatch):
         """Wired as the CLI wires it (the detector attached to the run's
-        TimeSeries), a run that closes three windows gives the latency
-        rules three observations — the forensics windows, in order, each
-        judged against the windows before it — and the TimeSeries windows
-        feed only the buffered rule."""
+        TimeSeries, the engine reducing over its cut), a run that closes
+        three windows is judged three times — each window once, in
+        order, on its exact p99 against the windows before it, with the
+        component sums the engine left on it."""
         from repro.cli import build_chain, make_trace_packets
-        from repro.obs import TimeSeries
 
         timeseries = TimeSeries(window_packets=256)
-        engine = ForensicsEngine(window_packets=256)
+        engine = ForensicsEngine()
         detector = engine.detector
-        detector.attach(timeseries)
         judged = []
-        observe_latency = detector.observe_latency
+        observe = detector.observe
 
-        def spy(summary, components=None):
-            judged.append((summary["window"], list(detector._p99s)))
-            observe_latency(summary, components)
+        def spy(window):
+            judged.append((window.index, list(detector._p99s), dict(window.components)))
+            observe(window)
 
-        monkeypatch.setattr(detector, "observe_latency", spy)
+        monkeypatch.setattr(detector, "observe", spy)
+        detector.attach(timeseries)
         platform = BessPlatform(
             SpeedyBox(build_chain("nat,monitor,firewall")),
             timeseries=timeseries,
@@ -209,9 +228,15 @@ class TestRegimeShiftDetector:
         packets = make_trace_packets(40, 1)
         assert len(packets) == 602
         platform.run_load(packets)
-        p99s = [window["p99_ns"] for window in engine.windows]
+        p99s = [window.p99_ns for window in timeseries.windows]
         assert len(timeseries) == len(engine.windows) == 3
-        assert judged == [(index, p99s[:index]) for index in range(3)]
+        assert [index for index, __, ___ in judged] == [row["window"] for row in engine.windows]
+        assert [(index, history) for index, history, __ in judged] == [
+            (index, p99s[:index]) for index in range(3)
+        ]
+        assert [components for __, ___, components in judged] == [
+            {name: row[f"{name}_ns"] for name in COMPONENTS} for row in engine.windows
+        ]
         assert list(detector._p99s) == p99s
 
     def test_unknown_component_without_sums(self):
@@ -229,8 +254,11 @@ class TestRegimeShiftDetector:
         assert len(audit.events("latency_regime_shift")) == 1
 
 
-def run_engine(engine, packets=96):
-    platform = BessPlatform(SpeedyBox([IPFilter("fw0")]), forensics=engine)
+def run_engine(engine, packets=96, window_packets=4096):
+    observers = {}
+    if engine is not None:
+        observers = {"timeseries": TimeSeries(window_packets=window_packets), "forensics": engine}
+    platform = BessPlatform(SpeedyBox([IPFilter("fw0")]), **observers)
     stream = TrafficGenerator(
         [FlowSpec.tcp(f"10.0.0.{i}", "10.0.1.1", 1000 + i, 80, packets=8)
          for i in range(packets // 8)],
@@ -241,12 +269,9 @@ def run_engine(engine, packets=96):
 
 
 class TestForensicsEngine:
-    def test_disabled_engine_observes_nothing(self):
-        engine = ForensicsEngine(enabled=False)
-        run_engine(engine)
-        assert engine.packets == 0
-        assert engine.windows == []
-        assert engine.runs == 0
+    def test_an_engine_needs_a_timeseries(self):
+        with pytest.raises(ValueError, match="timeseries"):
+            BessPlatform(SpeedyBox([IPFilter("fw0")]), forensics=ForensicsEngine())
 
     def test_absent_engine_keeps_platform_results_identical(self):
         bare = run_engine(None)
@@ -266,10 +291,10 @@ class TestForensicsEngine:
             ) == record.latency_ns
 
     def test_windows_and_worst_k_populate(self):
-        engine = ForensicsEngine(worst_k=3, window_packets=16, sample_every=1)
-        run_engine(engine, packets=64)
+        engine = ForensicsEngine(worst_k=3, sample_every=1)
+        run_engine(engine, packets=64, window_packets=16)
         assert engine.packets == 64
-        assert len(engine.windows) == 4
+        assert [row["window"] for row in engine.windows] == [0, 1, 2, 3]
         for __, worst in engine.recorder.entries:
             assert 1 <= len(worst) <= 3
         top = engine.recorder.worst_overall()[:3]
@@ -280,24 +305,10 @@ class TestForensicsEngine:
         engine.note_stall(StallCharge("r1", "f", 0.0, stall_ns=500.0, service_ns=20.0))
         assert engine.totals["stall"] == 500.0
         assert engine.summary()["stall_records"] == 1
-        disabled = ForensicsEngine(enabled=False)
-        disabled.note_stall(
-            StallCharge("r1", "f", 0.0, stall_ns=500.0, service_ns=20.0)
-        )
-        assert disabled.stall_records == []
-
-    def test_reset_clears_state(self):
-        engine = ForensicsEngine(sample_every=1)
-        run_engine(engine)
-        engine.note_stall(StallCharge("r", "f", 0.0, 1.0, 1.0))
-        engine.reset()
-        assert engine.packets == engine.sampled == engine.runs == 0
-        assert engine.windows == [] and engine.stall_records == []
-        assert all(v == 0.0 for v in engine.totals.values())
 
     def test_jsonl_round_trip(self, tmp_path):
-        engine = ForensicsEngine(sample_every=1, window_packets=32)
-        run_engine(engine)
+        engine = ForensicsEngine(sample_every=1)
+        run_engine(engine, window_packets=32)
         engine.note_stall(StallCharge("r0", "flow", 5.0, 900.0, 100.0))
         path = tmp_path / "forensics.jsonl"
         count = engine.write_jsonl(path)
@@ -346,8 +357,8 @@ class TestTimelineAndRendering:
         assert render_timeline(audit[2:3]).splitlines()[1].startswith("(no ")
 
     def test_render_forensics_shows_attribution_and_worst(self, tmp_path):
-        engine = ForensicsEngine(sample_every=1, window_packets=32)
-        run_engine(engine)
+        engine = ForensicsEngine(sample_every=1)
+        run_engine(engine, window_packets=32)
         path = tmp_path / "f.jsonl"
         engine.write_jsonl(path)
         text = render_forensics(group_forensics_rows(load_jsonl(path)), top=3)
@@ -358,8 +369,8 @@ class TestTimelineAndRendering:
 
     def test_render_shows_stalls_and_the_shift_before_the_completion(self, tmp_path):
         audit = AuditLog()
-        engine = ForensicsEngine(sample_every=1, window_packets=32, audit=audit)
-        run_engine(engine)
+        engine = ForensicsEngine(sample_every=1, audit=audit)
+        run_engine(engine, window_packets=32)
         engine.note_stall(StallCharge("r0", "flow", 5.0, 900.0, 100.0))
         emit_recovery_regime_shift(audit, "r0", [900.0])
         audit.emit("ft_failover_complete", replica="r0")
@@ -373,13 +384,34 @@ class TestTimelineAndRendering:
         assert "latency_regime_shift" in lines[1] and "component=stall" in lines[1]
         assert "ft_failover_complete" in lines[2]
 
-#: sha256 of ``ForensicsEngine.rows()`` (summary, windows, worst-K) for
-#: :func:`non_monotone_run` on each replay, as the engine computed them
-#: when it still derived ``finish - arrival`` from the two columns itself
+#: sha256 of :func:`kept_rows` for :func:`non_monotone_run` on each
+#: replay, as the engine computed them when it still derived ``finish -
+#: arrival`` from the two columns itself and cut its own windows
 NON_MONOTONE_ROWS = {
-    "analytic": "8d562b9022269608117bcba35f4953f2c562886eda5f6913ac657fcc2a37105e",
-    "des": "b9a5f51cdb201b9d1e6e7805b910f67291975e456852f1784c2cc7f3bbfdf7f8",
+    "analytic": "de04949709bdc28c9eeafb43fb0dc4a900ad130a1a534bfa20f3ecc5fa0d6534",
+    "des": "86e8a2b73e0181ccaedfdb217b9ccfd05bf6cde55a621038628bd02668fa331d",
 }
+WINDOW_KEYS = {"type", "window", "packets", "sampled", "queue_ns", "service_ns",
+               "transfer_ns", "stall_ns"}
+
+
+def kept_rows(rows):
+    """The summary's packet, sample, window and stall counts and its
+    component totals, each window's packet and sampled counts and
+    component sums, and every worst-K record: what an engine reducing
+    over a ``TimeSeries`` cut of the same packet windows reports as its
+    own-window engine did (no detector attached)."""
+    out = []
+    for row in rows:
+        if row["type"] == "summary":
+            row = {k: v for k, v in row.items()
+                   if k not in ("runs", "window_packets", "regime_shifts")}
+        elif row["type"] == "window":
+            row = {k: v for k, v in row.items() if k in WINDOW_KEYS}
+        elif row["type"] == "regime_shift":
+            continue
+        out.append(row)
+    return out
 
 
 def non_monotone_run(route):
@@ -395,11 +427,11 @@ def non_monotone_run(route):
          for i in range(1, 25)],
         interleave="round_robin",
     ).packets()
-    engine = ForensicsEngine(worst_k=5, window_packets=32, sample_every=3)
+    engine = ForensicsEngine(worst_k=5, sample_every=3)
     extra = {"metrics": MetricsRegistry()} if route == "des" else {}
     platform = OpenNetVMPlatform(
         SpeedyBox([IPFilter("fw0"), Monitor("mon"), IPFilter("fw1")]),
-        forensics=engine, **extra,
+        timeseries=TimeSeries(window_packets=32), forensics=engine, **extra,
     )
     columns = []
     build = platform_base.columns_timeline
@@ -416,7 +448,7 @@ def non_monotone_run(route):
 
 
 class TestNonMonotoneRuns:
-    """The run's tail hands forensics the packet-order latency column and
+    """The run's tail hands the cut the packet-order latency column and
     the result a finish-order copy; on a run whose packets overtake each
     other the two orders differ, and the windows must not move."""
 
@@ -424,9 +456,9 @@ class TestNonMonotoneRuns:
     def test_windows_and_worst_k_are_unchanged(self, route):
         engine, result, __, finish = non_monotone_run(route)
         assert (finish[1:] < finish[:-1]).any()
-        assert {window["lane"] for window in engine.windows} == {route}
+        assert {record.lane for record in engine.recorder.worst_overall()} == {route}
         assert len(engine.windows) == 6 and engine.packets == len(finish) == 192
-        rows = json.dumps(engine.rows(), sort_keys=True).encode()
+        rows = json.dumps(kept_rows(engine.rows()), sort_keys=True).encode()
         assert hashlib.sha256(rows).hexdigest() == NON_MONOTONE_ROWS[route]
 
     @pytest.mark.parametrize("route", sorted(NON_MONOTONE_ROWS))
@@ -435,8 +467,9 @@ class TestNonMonotoneRuns:
         order = np.argsort(finish, kind="stable")
         assert not np.array_equal(order, np.arange(len(order)))
         assert np.array_equal(result.latencies_ns, latencies[order])
-        for window in engine.windows:
-            start = window["window"] * 32
+        for row, (__, worst) in zip(engine.windows, engine.recorder.entries):
+            start = row["window"] * 32
             segment = latencies[start : start + 32]
-            assert window["latency_sum_ns"] == float(segment.sum())
-            assert window["max_ns"] == float(segment.max())
+            assert row["packets"] == len(segment)
+            assert all(start <= record.index < start + 32 for record in worst)
+            assert [record.latency_ns for record in worst] == sorted(segment.tolist())[-5:][::-1]

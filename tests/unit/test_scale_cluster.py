@@ -7,7 +7,7 @@ import repro.platform.base as platform_base
 from repro.core.actions import Modify
 from repro.ft import FaultInjector, FaultTolerance
 from repro.nf import IPFilter, MazuNAT, Monitor, SyntheticNF
-from repro.obs import AuditLog, PacketTracer
+from repro.obs import AuditLog, ForensicsEngine, PacketTracer
 from repro.platform.base import LoadResult
 from repro.scale import MigrationError, ScaleCluster
 from repro.stats.summary import percentile
@@ -197,11 +197,31 @@ class TestScaleCluster:
             if not a.dropped:
                 assert a.serialize() == b.serialize(), index
 
+    def test_churn_skips_flows_homed_on_a_dead_replica(self):
+        """A flow whose home was killed and not yet recovered stays put
+        (its recovery re-homes it): churning used to raise ``ValueError:
+        <rid> is not in list`` looking the dead home up among the live
+        replicas."""
+        cluster = ScaleCluster(build_chain, replicas=3)
+        ft = FaultTolerance(cluster, checkpoint_interval=8)
+        for packet in trace(flows=12, packets=4):
+            cluster.process(packet)
+        dead = ft.kill(0)
+        orphans = set(cluster.flows_homed_on(dead))
+        assert orphans and dead not in cluster.replicas
+        reports = cluster.churn_flows(12, seed=1)
+        assert reports, "the live replicas' flows still churn"
+        assert set(cluster.flows_homed_on(dead)) == orphans
+        ft.recover(dead)
+        assert not cluster.flows_homed_on(dead)
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ScaleCluster(build_chain, platform="dpdk")
         with pytest.raises(ValueError):
             ScaleCluster(build_chain, replicas=0)
+        with pytest.raises(ValueError, match="timeseries"):
+            ScaleCluster(build_chain, forensics=ForensicsEngine())
 
     @pytest.mark.parametrize("gap", [-1, float("nan"), float("inf")])
     def test_run_load_rejects_a_bad_gap_before_any_packet(self, gap):
