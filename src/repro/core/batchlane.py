@@ -21,9 +21,12 @@ for the steady-state majority of a :class:`~repro.traffic.columnar.PacketBatch`:
   region's end that stops once every packet's flow is found — only
   when a scalar packet is about to run, and once at the end of the
   batch;
-- a scalar packet — first packets, handshake and FIN/RST, fast-path
-  misses, invalidated closures — flushes, then is materialized and
-  handed to ``SpeedyBox.process``, the unmodified oracle;
+- scalar packets — first packets, handshake and FIN/RST, fast-path
+  misses, invalidated closures — come in *stretches* of consecutive
+  positions, and each stretch is one admission loop
+  (``_scalar_run``): it flushes once, before its first packet, and
+  hands every packet it cannot admit, in place, to
+  ``SpeedyBox.process``, the unmodified oracle, materialized;
 - first packets of *flow-setup-oblivious* chains skip even that: after
   one scalar first packet establishes a template, subsequent new flows
   are **bulk admitted** — classifier entry, Local MAT records, Global
@@ -31,9 +34,17 @@ for the steady-state majority of a :class:`~repro.traffic.columnar.PacketBatch`:
   and the compiled closure (cloned straight from the template's) are
   installed directly, operation-for-operation what
   ``SpeedyBox.process`` does, without materializing a packet or
-  running an NF.  A new flow whose home FID is taken is *displaced* by
-  the classifier and pays probe charges the template's shared plans do
-  not carry: its first packet goes to the oracle instead.
+  running an NF.  The loop looks every table up once a stretch, makes
+  no audit call while the log is off, and files the stretch's plan ids
+  with one scatter; an admitted flow's Local MAT records share their
+  MAT's one empty state-function batch and its clone's report shares
+  the template's empty meter lists, so it allocates eleven objects (a
+  three-NF chain).  A new flow whose home FID is taken is *displaced*
+  by the classifier and pays probe charges the template's shared plans
+  do not carry: its first packet goes to the oracle instead.  The
+  mixed-run replay (a steady run some of whose flows fail validation,
+  which is where every stale hint of a table smaller than its block
+  lands) serves its uncached stretches with the same loop.
 
 Correctness contract: a batch-lane run leaves the runtime in the same
 state — tables, counters, audit stream, LRU order — and produces the
@@ -68,7 +79,6 @@ from repro.core.classifier import FlowEntry, fid_column
 from repro.core.framework import PathTaken
 from repro.core.global_mat import GlobalRule
 from repro.core.local_mat import LocalRule
-from repro.core.state_function import StateFunctionBatch
 from repro.net.flow import FiveTuple, PROTO_UDP
 from repro.obs.registry import NULL_INSTRUMENT
 from repro.platform.base import PlanTable
@@ -107,8 +117,9 @@ class BulkTemplate:
         self.compiled = compiled
         #: how many NFs ran before the chain ended (drop templates stop early)
         self.ran = ran
-        #: per-NF ``(local_mat, actions_or_None, action_count)`` — the
-        #: record state every admitted flow receives, prebound so the
+        #: per-NF ``(local_mat, its rules dict, its shared empty batch,
+        #: the recorded actions)`` — the record every admitted flow
+        #: receives (no actions for NFs after a dropper), prebound so the
         #: admission loop is free of name lookups
         self.mat_plumbing = mat_plumbing
         self.dropped = dropped
@@ -257,26 +268,27 @@ class BatchLane:
                     # (each recompute follows at least one served packet,
                     # so the walk always advances).
                     scalar_at = np.flatnonzero(~steady)
-                    scalar_positions = scalar_at.tolist()
+                    positions = scalar_at.tolist()
                     flows_sc = flows_seg[scalar_at].tolist()
                     kinds_sc = kind_seg[scalar_at].tolist()
+                    # maximal stretches of consecutive scalar positions
+                    # (``positions[a:b]``), each served by one ``_scalar_run``
+                    cuts = (np.flatnonzero(np.diff(scalar_at) != 1) + 1).tolist()
+                    stretches = zip([0, *cuts], [*cuts, len(positions)]) if positions else ()
                     previous = 0
                     stale_at = -1
-                    for order, position in enumerate(scalar_positions):
-                        flow = flows_sc[order]
-                        kind = kinds_sc[order]
-                        if kind == KIND_DATA and fstat[flow] == 1:
-                            stale_at = pos + position
+                    for a, b in stretches:
+                        start = positions[a]
+                        if start > previous:
+                            self._append_run(pos + previous, pos + start)
+                        served = self._scalar_run(
+                            pos + start, flows_sc[a:b], kinds_sc[a:b], 0, fstat
+                        )
+                        if served < b - a:
+                            stale_at = pos + start + served
                             break
-                        index = pos + position
-                        if position > previous:
-                            self._append_run(pos + previous, index)
-                        self._flush()
-                        self._scalar_packet(index, flow, kind)
-                        previous = position + 1
+                        previous = start + b - a
                     if stale_at >= 0:
-                        if stale_at > pos + previous:
-                            self._append_run(pos + previous, stale_at)
                         pos = stale_at
                         continue
                     if previous < j - pos:
@@ -406,18 +418,19 @@ class BatchLane:
             self._accept_run(lo, hi, flows_run)
             return
         # Mixed run: some flows validate, some do not.  Flush what
-        # precedes it, then replay the run per packet in order (cached
-        # flows stay on the closure bookkeeping, the rest go scalar).
+        # precedes it, then replay the run in order: cached flows stay on
+        # the closure bookkeeping, and each stretch of the rest (a table
+        # smaller than its block sends every stale hint here) is one
+        # ``_scalar_run``, which stops at the next cached flow.
         self._flush()
-        inval = self._inval
-        for offset, flow in enumerate(flows_run.tolist()):
-            index = lo + offset
-            if inval:
-                self._drain(inval)
-            if vmask[flow]:
-                self._serve_cached(index, flow)
-            else:
-                self._scalar_packet(index, flow, KIND_DATA)
+        flows = flows_run.tolist()
+        count = len(flows)
+        k = 0
+        while k < count:
+            k = self._scalar_run(lo, flows, None, k, vmask)
+            while k < count and vmask[flows[k]]:
+                self._serve_cached(lo + k, flows[k])
+                k += 1
 
     def _accept_run(self, lo: int, hi: int, flows_run) -> None:
         count = hi - lo
@@ -502,42 +515,236 @@ class BatchLane:
         for flow in order:
             move(vclone[flow].fid)
 
-    # -- scalar packets ------------------------------------------------------
+    # -- scalar packets: the admission loop and the oracle route -------------
 
-    def _scalar_packet(self, index: int, flow: int, kind: int) -> None:
-        """One packet through the oracle (or bulk admission when eligible)."""
+    def _scalar_run(self, first: int, flows: list, kinds: Optional[list], at: int, hint) -> int:
+        """Serve a stretch of consecutive scalar packets, admitting the
+        new flows it can and handing every other packet to the oracle.
+
+        ``flows[k]`` (of kind ``kinds[k]``, data when ``kinds`` is None)
+        is batch position ``first + k``; the stretch starts at ``at``.
+        It stops before the first data packet whose flow ``hint`` marks —
+        ``fstat`` from :meth:`run` (the flow turned steady since the mask
+        was taken), ``_vmask`` from the mixed-run replay (a cached flow)
+        — and returns where it stopped (``len(flows)`` when it served
+        them all).
+
+        A packet is bulk admitted when a template exists and it is a UDP
+        data packet whose home FID is free, whose five-tuple is not
+        displaced elsewhere (both mean a tracked flow, the oracle's) and
+        whose flow is not sampled (the decision falls in first-packet
+        order, where the per-packet path takes it).  Admission installs,
+        operation for operation, what ``SpeedyBox.process`` would: the
+        same capacity eviction (``_evict_oldest`` + the runtime's
+        teardown, inlined when the teardown is the runtime's own), the
+        classifier entry, each NF's Local MAT record (its actions, the
+        MAT's shared empty state-function batch), the Global MAT rule
+        (``install_prebuilt``, inlined on a fresh insert), a clone of the
+        template's compiled closure, and the same audit events in the
+        same order — emitted only while the log is enabled.  Meter
+        charges are value-typical by the oblivious contract and live in
+        the template's report, which is what feeds the stage plan.
+        Tables, dicts and bound methods are looked up once per stretch,
+        counters are added once, and ``fplan``/``plan_ids`` take one
+        scatter each.
+        """
+        runtime = self.runtime
+        classifier = runtime.classifier
+        tracked = classifier._flows
+        displaced = classifier._displaced
+        capacity = classifier.capacity
+        gm = runtime.global_mat
+        gm_rules = gm._rules
+        compiled = runtime._compiled
+        compiled_fids = runtime._compiled_fids
+        emit = runtime.audit.emit if runtime.audit.enabled else None
+        null_metrics = self._null_metrics
+        plain_evict = self._plain_evict
+        local_rule_dicts = self._local_rule_dicts
+        events_by_fid = self._events_by_fid
+        inval = self._inval
+        deferred = self._deferred
+        fstat = self.fstat
+        vmask = self._vmask
+        vclone = self._vclone
+        flows_of_fid = self._flows_of_fid
+        spans = self.spans
+        bulk_ok = self.bulk_ok
+        held, held_lo = self._rows, self._rows_lo
+        template = self.template
+        admitted_flows: List[int] = []
+        admitted_at: List[int] = []
+        new_entry = FlowEntry.__new__
+        new_local = LocalRule.__new__
+        new_rule = GlobalRule.__new__
+        evicted = inserted = 0
+        stop = len(flows)
+        try:
+            for k in range(at, stop):
+                flow = flows[k]
+                kind = KIND_DATA if kinds is None else kinds[k]
+                if inval:
+                    self._drain(inval)
+                if kind == KIND_DATA and hint[flow]:
+                    stop = k
+                    break
+                if deferred:
+                    self._flush()
+                bulk_shape = False
+                if bulk_ok and kind == KIND_DATA:
+                    rows, row = held, flow - held_lo
+                    if not 0 <= row < len(rows[0]):
+                        rows, row = self._load_rows(flow), 0
+                        held, held_lo = self._rows, self._rows_lo
+                    bulk_shape = rows[5][row] == PROTO_UDP
+                admit = False
+                if bulk_shape and template is not None:
+                    fid = rows[0][row]
+                    if fid not in tracked:
+                        five_tuple = FiveTuple(
+                            rows[1][row], rows[2][row], rows[3][row], rows[4][row], PROTO_UDP
+                        )
+                        admit = five_tuple not in displaced and (
+                            spans is None or not spans.wants(fid)
+                        )
+                if not admit:
+                    self._scalar_packet(first + k, flow, kind, bulk_shape)
+                    template = self.template
+                    continue
+                if capacity is not None and len(tracked) >= capacity:
+                    if plain_evict:
+                        vfid, victim = tracked.popitem(last=False)
+                        if victim.probes:
+                            del displaced[victim.five_tuple]
+                        evicted += 1
+                        if not null_metrics:
+                            classifier._m_flows.set(len(tracked))
+                        key = compiled_fids.pop(vfid, None)
+                        if key is not None:
+                            compiled.pop(key, None)
+                            # the invalidation feed's entry, drained at once
+                            slot = flows_of_fid.pop(vfid, None)
+                            if slot is not None:
+                                vclone[slot] = None
+                                vmask[slot] = 0
+                            if emit is not None:
+                                emit("fastpath_invalidate", fid=vfid, reason="classifier_evict")
+                        if gm_rules.pop(vfid, None) is not None and not null_metrics:
+                            gm._m_occupancy.set(len(gm_rules))
+                        for rules in local_rule_dicts:
+                            rules.pop(vfid, None)
+                        events_by_fid.pop(vfid, None)
+                        if emit is not None:
+                            emit("classifier_evict", fid=vfid, packets=victim.packets)
+                    else:
+                        classifier._evict_oldest()
+                entry = new_entry(FlowEntry)
+                entry.fid = fid
+                entry.five_tuple = five_tuple
+                entry.established = True
+                entry.closed = False
+                entry.packets = 1
+                entry.probes = 0
+                tracked[fid] = entry
+                # begin_recording + the recorded actions' replay
+                if fid in events_by_fid:
+                    for local_mat, __, ___, ____ in template.mat_plumbing:
+                        self._clear_nf_flow(fid, local_mat.nf_name)
+                for __, rules, no_functions, actions in template.mat_plumbing:
+                    local_rule = new_local(LocalRule)
+                    local_rule.fid = fid
+                    local_rule.header_actions = [*actions]
+                    local_rule.sf_batch = no_functions
+                    local_rule.event_count = 0
+                    local_rule.hits = 0
+                    rules[fid] = local_rule
+                t_rule = template.rule
+                if fid in gm_rules:
+                    # A live rule under this FID (admission implies the
+                    # classifier forgot the flow, and that teardown
+                    # removed the rule): the full reinstall, with its
+                    # version bump and rebuild audit.
+                    rule = gm.install_prebuilt(fid, t_rule)
+                else:
+                    # ``install_prebuilt``'s fresh-insert arm; a fresh
+                    # key is already the youngest
+                    rule = new_rule(GlobalRule)
+                    rule.fid = fid
+                    rule.consolidated = t_rule.consolidated
+                    rule.schedule = t_rule.schedule
+                    rule.nf_names = t_rule.nf_names
+                    rule.pre_drop = t_rule.pre_drop
+                    rule.dropper = t_rule.dropper
+                    rule.version = 1
+                    rule.hits = 0
+                    rule.program = t_rule.program
+                    inserted += 1
+                    if emit is not None:
+                        emit(
+                            "global_mat_insert",
+                            fid=fid,
+                            version=1,
+                            waves=template.waves,
+                            drop=template.drop_action,
+                        )
+                    gm_rules[fid] = rule
+                    if gm.capacity is not None and len(gm_rules) > gm.capacity:
+                        gm._enforce_capacity(keep_fid=fid)
+                    if not null_metrics:
+                        gm._m_consolidations.inc()
+                        gm._m_occupancy.set(len(gm_rules))
+                clone = template.compiled.clone_for(entry, rule)
+                compiled[five_tuple] = clone
+                compiled_fids[fid] = five_tuple
+                if emit is not None:
+                    emit(
+                        "fastpath_compile",
+                        fid=fid,
+                        version=rule.version,
+                        waves=template.waves,
+                        drop=template.drop_action,
+                    )
+                # the template's steady plan, to the bit: the clone's
+                # report shares the template's fixed meter
+                clone.steady_report.plan_cache = self._admit_plan_cache
+                stale = flows_of_fid.pop(fid, None)
+                if stale is not None:
+                    # the FID's last owner died and its invalidation
+                    # is still in the feed: drop that slot's clone now
+                    vclone[stale] = None
+                    vmask[stale] = 0
+                flows_of_fid[fid] = flow
+                vclone[flow] = clone
+                vmask[flow] = 1
+                fstat[flow] = 1
+                admitted_flows.append(flow)
+                admitted_at.append(first + k)
+        finally:
+            # one settlement per stretch, even when the oracle raised
+            classifier.evictions += evicted
+            gm.consolidations += inserted
+            if admitted_flows:
+                admitted = len(admitted_flows)
+                self.fplan[admitted_flows] = template.steady_pid
+                self.plan_ids[admitted_at] = template.original_pid
+                classifier.packets_classified += admitted
+                runtime.slow_packets += admitted
+                for local_mat, __, ___, actions in template.mat_plumbing:
+                    local_mat.records_ha += admitted * len(actions)
+                if template.dropped:
+                    self.dropped += admitted
+                self.admitted += admitted
+        return stop
+
+    def _scalar_packet(self, index: int, flow: int, kind: int, bulk_shape: bool) -> None:
+        """One packet through the oracle, ``SpeedyBox.process``.
+
+        ``bulk_shape`` (a UDP data packet) lets a recorded first packet's
+        flow become the run's bulk template.
+        """
         batch = self.batch
         runtime = self.runtime
-        bulk_shape = self.bulk_ok and kind == KIND_DATA
-        if bulk_shape:
-            rows = self._rows
-            at = flow - self._rows_lo
-            if not 0 <= at < len(rows[0]):
-                rows, at = self._load_rows(flow), 0
-            bulk_shape = rows[5][at] == PROTO_UDP
         spans = self.spans
-        if bulk_shape and self.template is not None:
-            fid = rows[0][at]
-            classifier = runtime.classifier
-            # Home FID free and the five-tuple not displaced elsewhere: a
-            # new flow the classifier would place at home.  A taken home
-            # means a tracked flow or one about to be displaced, and
-            # both are the oracle's.
-            if fid not in classifier._flows:
-                five_tuple = FiveTuple(
-                    rows[1][at], rows[2][at], rows[3][at], rows[4][at], rows[5][at]
-                )
-                # The sampling decision must fall in first-packet order,
-                # exactly where the per-packet path would take it.  A
-                # sampled flow skips bulk admission — its first packet
-                # (and every later one, via ``fstat`` staying 0) goes
-                # through the oracle so the recorder sees real reports.
-                if five_tuple not in classifier._displaced and (
-                    spans is None or not spans.wants(fid)
-                ):
-                    self._admit(flow, fid, index, five_tuple)
-                    return
-
         packet = batch.materialize(index)
         report = runtime.process(packet)
         if spans is not None and spans.skip.get(report.fid) is None:
@@ -585,7 +792,7 @@ class BatchLane:
             self._flush()
             self._drain_fid(report.fid)
 
-    # -- bulk admission ------------------------------------------------------
+    # -- bulk admission: the flow table and the template ---------------------
 
     def _load_rows(self, flow: int) -> tuple:
         """Turn the flow table's slice from ``flow`` on into lists: the
@@ -654,16 +861,13 @@ class BatchLane:
         mat_plumbing = []
         for position, nf in enumerate(runtime.nfs):
             local_mat = runtime.local_mats[nf.name]
+            actions = ()
             if position < ran:
                 local_rule = local_mat.rule_for(fid)
                 if local_rule is None or local_rule.sf_batch or local_rule.event_count:
                     return
                 actions = tuple(local_rule.header_actions)
-                mat_plumbing.append(
-                    (local_mat, local_mat._rules, nf.name, actions, len(actions))
-                )
-            else:
-                mat_plumbing.append((local_mat, local_mat._rules, nf.name, None, 0))
+            mat_plumbing.append((local_mat, local_mat._rules, local_mat.no_functions, actions))
         steady_pid = self._steady_pid(clone.steady_report)
         steady_plan = self.table[steady_pid]
         self.template = BulkTemplate(
@@ -681,148 +885,6 @@ class BatchLane:
         # One shared, immutable plan-cache tuple for every admitted
         # clone's steady report (identical timing by meter identity).
         self._admit_plan_cache = (self.platform, steady_plan, steady_pid, self.table)
-
-    def _admit(self, flow: int, fid: int, index: int, five_tuple: FiveTuple) -> None:
-        """Install one new flow from the template, no packet materialized.
-
-        Operation-for-operation what ``SpeedyBox.process`` does: same
-        classifier insert (after the same capacity eviction), same Local
-        MAT record state, same Global MAT install, an observably equal
-        compiled closure, same audit events in the same order.  Meter charges are value-typical
-        by the oblivious contract and live only in the (shared) template
-        report, which is exactly what feeds the stage plan.
-        """
-        runtime = self.runtime
-        template = self.template
-        classifier = runtime.classifier
-        classifier.packets_classified += 1
-        flows = classifier._flows
-        null_metrics = self._null_metrics
-        gm = runtime.global_mat
-        gm_rules = gm._rules
-        if classifier.capacity is not None and len(flows) >= classifier.capacity:
-            if self._plain_evict:
-                # Inlined ``_evict_oldest`` + ``_on_classifier_evicted``:
-                # the teardown is five dict pops, and the method frames
-                # dominated eviction-heavy admission.  Same pops, same
-                # invalidation-feed append, same audit events in order.
-                vfid, victim = flows.popitem(last=False)
-                if victim.probes:
-                    del classifier._displaced[victim.five_tuple]
-                classifier.evictions += 1
-                if not null_metrics:
-                    classifier._m_flows.set(len(flows))
-                audit = runtime.audit
-                key = runtime._compiled_fids.pop(vfid, None)
-                if key is not None:
-                    runtime._compiled.pop(key, None)
-                    self._inval.append(vfid)
-                    audit.emit(
-                        "fastpath_invalidate", fid=vfid, reason="classifier_evict"
-                    )
-                if gm_rules.pop(vfid, None) is not None and not null_metrics:
-                    gm._m_occupancy.set(len(gm_rules))
-                for rules in self._local_rule_dicts:
-                    rules.pop(vfid, None)
-                self._events_by_fid.pop(vfid, None)
-                audit.emit("classifier_evict", fid=vfid, packets=victim.packets)
-            else:
-                classifier._evict_oldest()
-        entry = FlowEntry.__new__(FlowEntry)
-        entry.fid = fid
-        entry.five_tuple = five_tuple
-        entry.established = True
-        entry.closed = False
-        entry.packets = 1
-        entry.probes = 0
-        flows[fid] = entry
-        runtime.slow_packets += 1
-        # Inlined ``begin_recording`` + recorded-action replay: same
-        # event-table clear, same fresh LocalRule, same record counters —
-        # minus three method frames per admission.  The event-table clear
-        # is skipped entirely while no flow anywhere has events (the
-        # common case for setup-oblivious chains): clearing an empty
-        # table is a no-op by definition.  Rules are built field by field
-        # (``__new__``) — at hundreds of thousands of admissions the
-        # constructor frames alone are measurable.
-        clear_nf_flow = self._clear_nf_flow if self._events_by_fid else None
-        for local_mat, rules, nf_name, actions, n_actions in template.mat_plumbing:
-            if clear_nf_flow is not None:
-                clear_nf_flow(fid, nf_name)
-            local_rule = LocalRule.__new__(LocalRule)
-            local_rule.fid = fid
-            local_rule.header_actions = [] if actions is None else list(actions)
-            sf_batch = StateFunctionBatch.__new__(StateFunctionBatch)
-            sf_batch.nf_name = nf_name
-            sf_batch._functions = []
-            local_rule.sf_batch = sf_batch
-            local_rule.event_count = 0
-            local_rule.hits = 0
-            if actions is not None:
-                local_mat.records_ha += n_actions
-            rules[fid] = local_rule
-        if fid in gm_rules:
-            # A live rule under this FID (never on the bulk path in
-            # practice — admission implies the classifier forgot the
-            # flow, and that teardown removed the rule): take the full
-            # reinstall with its version bump and rebuild audit.
-            rule = gm.install_prebuilt(fid, template.rule)
-        else:
-            # Inlined ``install_prebuilt``, fresh-insert arm: identical
-            # rule, counters and audit; ``move_to_end`` elided because a
-            # fresh key is already youngest.
-            t_rule = template.rule
-            rule = GlobalRule.__new__(GlobalRule)
-            rule.fid = fid
-            rule.consolidated = t_rule.consolidated
-            rule.schedule = t_rule.schedule
-            rule.nf_names = t_rule.nf_names
-            rule.pre_drop = t_rule.pre_drop
-            rule.dropper = t_rule.dropper
-            rule.version = 1
-            rule.hits = 0
-            rule.program = t_rule.program
-            gm.consolidations += 1
-            runtime.audit.emit(
-                "global_mat_insert",
-                fid=fid,
-                version=1,
-                waves=template.waves,
-                drop=template.drop_action,
-            )
-            gm_rules[fid] = rule
-            if gm.capacity is not None and len(gm_rules) > gm.capacity:
-                gm._enforce_capacity(keep_fid=fid)
-            if not null_metrics:
-                gm._m_consolidations.inc()
-                gm._m_occupancy.set(len(gm_rules))
-        compiled = template.compiled.clone_for(entry, rule)
-        runtime._compiled[five_tuple] = compiled
-        runtime._compiled_fids[fid] = five_tuple
-        runtime.audit.emit(
-            "fastpath_compile",
-            fid=fid,
-            version=rule.version,
-            waves=template.waves,
-            drop=template.drop_action,
-        )
-        # Pre-seed the clone's steady plan: its report shares the
-        # template's fixed meter by identity, so the plan (and timing)
-        # are the template's to the bit — no per-flow stage_plan walk.
-        compiled.steady_report.plan_cache = self._admit_plan_cache
-        self.fstat[flow] = 1
-        self.fplan[flow] = template.steady_pid
-        if fid in self._flows_of_fid:
-            # the FID's last owner died since the last steady run and its
-            # invalidation still sits in the feed: drop that slot's clone now
-            self._drain_fid(fid)
-        self._flows_of_fid[fid] = flow
-        self._vclone[flow] = compiled
-        self._vmask[flow] = 1
-        if template.dropped:
-            self.dropped += 1
-        self.plan_ids[index] = template.original_pid
-        self.admitted += 1
 
     # -- plan table ----------------------------------------------------------
 

@@ -354,7 +354,10 @@ class CompiledFlow:
         identity is what guarantees the fixed meter and the rule program
         carry over unchanged — and for an ``entry`` with
         this flow's ``probes`` (bulk admission: both sit at home), which
-        the fixed meter charges.  Everything per-flow is fresh.
+        the fixed meter charges.  Everything per-flow is fresh, except the
+        steady report's ``nf_meters``/``sf_waves``: a steady report's are
+        empty and nothing appends to them, so every clone shares this
+        flow's two lists.
         """
         clone = object.__new__(CompiledFlow)
         clone.speedybox = self.speedybox
@@ -382,8 +385,8 @@ class CompiledFlow:
         report.closing = False
         report.events_fired = 0
         report.fixed_meter = self.fixed_meter
-        report.nf_meters = []
-        report.sf_waves = []
+        report.nf_meters = self.steady_report.nf_meters
+        report.sf_waves = self.steady_report.sf_waves
         report.timing_cache = None
         report.steady = True
         report.plan_cache = None

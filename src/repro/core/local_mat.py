@@ -62,6 +62,10 @@ class LocalMAT:
         self.nf_name = nf_name
         self.event_table = event_table
         self._rules: Dict[int, LocalRule] = {}
+        #: the one empty batch every rule the batch lane admits holds
+        #: (``repro.core.batchlane``); :meth:`add_state_function` gives a
+        #: rule its own batch before the first append, so it stays empty
+        self.no_functions = StateFunctionBatch(nf_name)
         self.records_ha = 0
         self.records_sf = 0
 
@@ -99,7 +103,10 @@ class LocalMAT:
         self.records_ha += 1
 
     def add_state_function(self, fid: int, function: StateFunction) -> None:
-        self._rule(fid).sf_batch.add(function)
+        rule = self._rule(fid)
+        if rule.sf_batch is self.no_functions:
+            rule.sf_batch = StateFunctionBatch(self.nf_name)
+        rule.sf_batch.add(function)
         self.records_sf += 1
 
     def replace_header_actions(self, fid: int, actions: List[HeaderAction]) -> None:

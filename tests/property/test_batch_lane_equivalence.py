@@ -9,7 +9,10 @@ stats, the audit stream, the flow table and both LRU orders.  Half the
 draws fold every home FID to three bits, so nearly every flow is
 displaced; the committed one-FID fixture and three hand-built batches
 (one five-tuple in two slots, a displaced flow whose home emptied, a FID
-handed on between two steady runs) follow the fuzzed test.
+handed on between two steady runs) follow the fuzzed test, then the
+block-admission cases: stretches of first packets that evict their own
+admissions, meet a taken home, a sampled flow or a TCP first packet
+mid-stretch, or come through the mixed-run replay.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ from repro.core.state_function import PayloadClass
 from repro.nf import IPFilter, Monitor, SyntheticNF
 from repro.nf.ipfilter import AclRule, Verdict
 from repro.obs.audit import AuditLog
+from repro.obs.span import FlowSpanRecorder
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic.columnar import uniform_batch
 from repro.traffic.generator import FlowSpec
@@ -92,7 +96,7 @@ def build_batch(flow_params, interleave, seed):
     return batch_from_specs(specs, interleave=interleave, seed=seed)
 
 
-def run_leg(platform_cls, indices, load, capacity):
+def run_leg(platform_cls, indices, load, capacity, spans=None):
     """A ``PacketBatch`` takes the lane; ``batch.packet_view()`` is the oracle."""
     audit = AuditLog()
     kwargs = {}
@@ -101,7 +105,7 @@ def run_leg(platform_cls, indices, load, capacity):
     elif capacity is not None:
         kwargs = dict(max_tracked_flows=capacity, max_flows=capacity)
     runtime = SpeedyBox(build_chain(indices), audit=audit, **kwargs)
-    platform = platform_cls(runtime)
+    platform = platform_cls(runtime, spans=spans)
     result = platform.run_load(load)
     return result, runtime, audit.events()
 
@@ -150,11 +154,36 @@ def test_batch_lane_equals_legacy(
         assert_lane_equals_legacy(PLATFORMS[platform_name], indices, batch, capacity)
 
 
-def assert_lane_equals_legacy(platform_cls, indices, batch, capacity):
-    """Result, counters, audit stream, tables and both LRU orders."""
-    fast, fast_rt, fast_audit = run_leg(platform_cls, indices, batch, capacity)
+def local_mat_records(runtime):
+    """Every Local MAT record — its actions and its state-function
+    batch's contents — and each MAT's record counters."""
+    return {
+        name: (
+            mat.records_ha,
+            mat.records_sf,
+            [
+                (
+                    fid,
+                    rule.header_actions,
+                    [(fn.nf_name, fn.name, fn.payload_class, fn.args) for fn in rule.sf_batch],
+                    rule.event_count,
+                    rule.hits,
+                )
+                for fid, rule in mat._rules.items()
+            ],
+        )
+        for name, mat in runtime.local_mats.items()
+    }
+
+
+def assert_lane_equals_legacy(platform_cls, indices, batch, capacity, spans=None):
+    """Result, counters, audit stream, tables (Local MAT records too) and
+    both LRU orders; with ``spans`` (a recorder factory), the two legs'
+    span populations."""
+    lane_spans, oracle_spans = (None, None) if spans is None else (spans(), spans())
+    fast, fast_rt, fast_audit = run_leg(platform_cls, indices, batch, capacity, lane_spans)
     slow, slow_rt, slow_audit = run_leg(
-        platform_cls, indices, batch.packet_view(), capacity
+        platform_cls, indices, batch.packet_view(), capacity, oracle_spans
     )
 
     assert fast == slow
@@ -163,6 +192,10 @@ def assert_lane_equals_legacy(platform_cls, indices, batch, capacity):
     assert list(fast_rt.classifier._flows.items()) == list(slow_rt.classifier._flows.items())
     assert fast_rt.global_mat.flows() == slow_rt.global_mat.flows()
     assert fast_rt._compiled_fids == slow_rt._compiled_fids
+    assert local_mat_records(fast_rt) == local_mat_records(slow_rt)
+    if spans is not None:
+        assert lane_spans.summary() == oracle_spans.summary()
+        assert lane_spans.roots() == oracle_spans.roots()
     for runtime in (fast_rt, slow_rt):
         assert_classifier_invariants(runtime)
     return fast_rt
@@ -265,3 +298,129 @@ def test_admission_onto_a_fid_whose_last_owner_just_died():
     )
     runtime = assert_lane_equals_legacy(BessPlatform, [0, 1], batch, 2)
     assert runtime.stats()["classifier_evictions"] > 2
+
+
+# -- block admission: one admission loop per stretch of scalar packets --
+
+
+@contextlib.contextmanager
+def admission_stretches():
+    """Record every ``BatchLane._scalar_run`` call of a lane run: whether
+    the mixed-run replay made it, the positions it served, how many flows
+    it admitted and the positions it handed to the oracle."""
+    stretches = []
+    scalar_run = batchlane_module.BatchLane._scalar_run
+    scalar_packet = batchlane_module.BatchLane._scalar_packet
+
+    def run_spy(lane, first, flows, kinds, at, hint):
+        admitted = lane.admitted
+        stretch = {"replay": kinds is None, "oracle": []}
+        stretches.append(stretch)
+        stop = scalar_run(lane, first, flows, kinds, at, hint)
+        stretch["served"] = list(range(first + at, first + stop))
+        stretch["admitted"] = lane.admitted - admitted
+        return stop
+
+    def packet_spy(lane, index, flow, kind, bulk_shape):
+        stretches[-1]["oracle"].append(index)
+        scalar_packet(lane, index, flow, kind, bulk_shape)
+
+    with mock.patch.object(batchlane_module.BatchLane, "_scalar_run", run_spy), mock.patch.object(
+        batchlane_module.BatchLane, "_scalar_packet", packet_spy
+    ):
+        yield stretches
+
+
+def mid_run_oracle(stretches):
+    """Positions the oracle served inside a stretch after that stretch
+    had started admitting: neither its first packet nor the template's."""
+    return [
+        index
+        for stretch in stretches
+        if stretch["admitted"]
+        for index in stretch["oracle"]
+        if index > stretch["served"][0]
+    ]
+
+
+def block_oracle(platform_name, batch, capacity, spans=None):
+    """The lane against ``packet_view()``, with the stretches it ran."""
+    with admission_stretches() as stretches:
+        assert_lane_equals_legacy(PLATFORMS[platform_name], [0, 1], batch, capacity, spans)
+    return [stretch for stretch in stretches if stretch["served"]]
+
+
+BOUNDS = [1, 2, {"max_tracked_flows": 4, "max_flows": 2}]
+
+
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+@pytest.mark.parametrize("capacity", BOUNDS, ids=["cap1", "cap2", "tracked4-rules2"])
+def test_an_admission_run_evicts_flows_it_admitted_itself(platform_name, capacity):
+    """Twelve first packets in one stretch through tables of at most four
+    flows: the stretch's own admissions are evicted by its later ones."""
+    batch = uniform_batch(12, 3, interleave="round_robin")
+    stretches = block_oracle(platform_name, batch, capacity)
+    bound = capacity if isinstance(capacity, int) else capacity["max_tracked_flows"]
+    assert stretches[0]["served"] == list(range(12))
+    assert stretches[0]["admitted"] == 11 > bound
+
+
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+@pytest.mark.parametrize("capacity", [None, 2])
+def test_a_taken_home_sends_a_first_packet_to_the_oracle_mid_run(platform_name, capacity):
+    """Twelve flows on eight homes: a flow whose home a flow admitted
+    earlier in the same stretch holds is displaced, so the loop hands
+    its first packet to the oracle and goes on admitting after it."""
+    batch = uniform_batch(12, 3, interleave="round_robin")
+    with three_bit_homes():
+        stretches = block_oracle(platform_name, batch, capacity)
+    assert stretches[0]["served"] == list(range(12))
+    assert mid_run_oracle(stretches)
+    assert stretches[0]["admitted"] + len(stretches[0]["oracle"]) == 12
+
+
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+def test_a_sampled_flow_leaves_an_admission_run_for_the_oracle(platform_name):
+    """Every third flow is sampled: its first packet goes to the oracle
+    in the middle of the stretch, which admits the flows around it."""
+    batch = uniform_batch(10, 3, interleave="round_robin")
+    stretches = block_oracle(
+        platform_name, batch, 4, spans=lambda: FlowSpanRecorder(every=3)
+    )
+    # flow 0 (sampled) records the template; 3, 6 and 9 are sampled, and
+    # a sampled flow stays scalar, so flow 0's second packet (10) is in
+    # the stretch too — which stops at flow 1's, steady since admitted
+    assert stretches[0]["served"] == list(range(11))
+    assert stretches[0]["oracle"] == [0, 3, 6, 9, 10]
+    assert stretches[0]["admitted"] == 6
+
+
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+@pytest.mark.parametrize("handshake", [False, True], ids=["data", "syn"])
+def test_a_tcp_first_packet_is_the_oracles_inside_an_admission_run(platform_name, handshake):
+    """A TCP flow's first packet — a data packet or its SYN — between
+    UDP first packets: the oracle serves it in place and the stretch goes
+    on admitting the UDP flows after it."""
+    specs = [
+        FlowSpec.udp(f"10.0.0.{flow + 1}", "20.0.0.1", 1000 + flow, 80, packets=4)
+        for flow in range(8)
+    ]
+    specs[4] = FlowSpec.tcp("10.0.0.5", "20.0.0.1", 1004, 80, packets=4, handshake=handshake)
+    batch = batch_from_specs(specs, interleave="round_robin")
+    batch._payloads = None  # every flow sends the uniform empty payload
+    stretches = block_oracle(platform_name, batch, 4)
+    assert stretches[0]["served"] == list(range(8))
+    assert stretches[0]["oracle"] == [0, 4]
+    assert stretches[0]["admitted"] == 6
+
+
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+def test_the_thrash_shape_admits_through_the_mixed_run_replay(platform_name):
+    """Blocks of 32 flows through an 8-flow table: every steady hint is
+    stale by the flow's next packet, so its run fails validation and the
+    mixed-run replay admits it again through the same loop."""
+    batch = uniform_batch(64, 4, interleave="round_robin", block=32)
+    stretches = block_oracle(platform_name, batch, 8)
+    replays = [stretch for stretch in stretches if stretch["replay"]]
+    assert replays and sum(stretch["admitted"] for stretch in replays) > 0
+    assert max(len(stretch["served"]) for stretch in replays) > 8

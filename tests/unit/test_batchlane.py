@@ -7,7 +7,9 @@ matching ``fastpath_invalidate``, or a dangling closure keeps serving a
 forgotten flow).
 """
 
+import gc
 import random
+import sys
 
 import pytest
 
@@ -15,12 +17,14 @@ import repro.core.batchlane as batchlane
 from repro.core.actions import Modify
 from repro.core.batchlane import BatchLane
 from repro.core.framework import ServiceChain, SpeedyBox
+from repro.core.state_function import PayloadClass
 from repro.nf import IPFilter, SyntheticNF
 from repro.nf.ipfilter import AclRule, Verdict
-from repro.obs.audit import AuditLog
+from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.span import FlowSpanRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.platform import BessPlatform
+from repro.scale.migration import install_flow
 from repro.obs.trace import PacketTracer
 from repro.traffic.columnar import KIND_DATA, PacketBatch, uniform_batch
 from repro.vector import np
@@ -205,8 +209,18 @@ def test_mat_evict_pairs_with_fastpath_invalidate():
         assert len(runtime.global_mat._rules) <= 8
 
 
+AUDITED_BATCHES = {
+    "short_flows": (60, 4, 8),
+    # churn_batch's shape: ten-packet flows, blocks of half the table
+    "churn": (200, 10, 8),
+    # blocks larger than the table: admission through the mixed-run replay
+    "thrash": (100, 4, 32),
+}
+
+
 def test_lane_and_oracle_emit_identical_audit_streams():
-    batch = uniform_batch(60, 4, interleave="round_robin", block=8)
+    """Through a 16-flow table, where evictions interleave with
+    admissions inside one stretch of first packets."""
 
     def run(load):
         audit = AuditLog()
@@ -216,7 +230,126 @@ def test_lane_and_oracle_emit_identical_audit_streams():
         run_batch(load, runtime=runtime)
         return audit.events()
 
-    assert run(batch) == run(batch.packet_view())
+    for shape, (flows, packets, block) in AUDITED_BATCHES.items():
+        batch = uniform_batch(flows, packets, interleave="round_robin", block=block)
+        events = run(batch)
+        assert events == run(batch.packet_view()), shape
+        kinds = [event["kind"] for event in events]
+        # an eviction before an insert: the two interleave
+        assert "global_mat_insert" in kinds[kinds.index("classifier_evict"):], shape
+
+
+def test_a_disabled_audit_log_costs_nothing_per_admitted_flow(monkeypatch):
+    """With the default ``NULL_AUDIT`` the admission loop makes no
+    ``emit`` call: the only calls are the template flow's own oracle
+    traversal (its rule insert and its compile), however many flows the
+    lane admits and evicts."""
+    calls = []
+    emit = AuditLog.emit
+
+    def spy(log, kind, **fields):
+        calls.append((sys._getframe(1).f_globals["__name__"], kind))
+        return emit(log, kind, **fields)
+
+    monkeypatch.setattr(AuditLog, "emit", spy)
+    seen = {}
+    for flows in (64, 640):
+        calls.clear()
+        runtime = make_runtime(max_tracked_flows=16, max_flows=16)
+        assert runtime.audit is NULL_AUDIT
+        batch = uniform_batch(flows, 10, interleave="round_robin", block=8)
+        __, ___, platform = run_batch(batch, runtime=runtime)
+        assert platform.last_lane_stats["admitted"] == flows - 1
+        assert runtime.classifier.evictions == flows - 16
+        seen[flows] = list(calls)
+    assert not [call for call in calls if call[0] == batchlane.__name__]
+    assert seen[64] == seen[640] == [
+        ("repro.core.global_mat", "global_mat_insert"),
+        ("repro.core.framework", "fastpath_compile"),
+    ]
+
+
+# -- the Local MAT's one shared empty state-function batch --
+
+
+def test_an_admitted_flow_holds_eleven_objects():
+    """Entry, five-tuple, three Local MAT records and their action
+    lists, the Global MAT rule, the compiled clone and its report; the
+    records share their MAT's empty batch, and the report the template
+    report's empty meter lists."""
+
+    def held(flows):
+        platform = BessPlatform(
+            SpeedyBox([*build_chain(), SyntheticNF("fwd", sf_payload_class=None)])
+        )
+        gc.collect()
+        before = len(gc.get_objects())
+        platform.run_load(uniform_batch(flows, 1))
+        gc.collect()
+        return len(gc.get_objects()) - before, platform.last_lane_stats["admitted"]
+
+    (small, admitted_small), (large, admitted_large) = held(500), held(1500)
+    assert round((large - small) / (admitted_large - admitted_small)) == 11
+
+
+def admitted_flows(runtime, flows=6):
+    """Run ``flows`` two-packet flows down the lane; returns the FIDs of
+    the flows it bulk admitted (all but the template, flow 0)."""
+    batch = uniform_batch(flows, 2, interleave="round_robin")
+    __, ___, platform = run_batch(batch, runtime=runtime)
+    assert platform.last_lane_stats["admitted"] == flows - 1
+    return [runtime.classifier.fid_for(batch.five_tuple_of(flow)) for flow in range(1, flows)]
+
+
+def count_packets(packet):
+    return None
+
+
+def test_a_state_function_on_one_admitted_flow_leaves_the_others_empty():
+    runtime = make_runtime()
+    fids = admitted_flows(runtime)
+    mat = runtime.local_mats["ttl"]
+    assert all(mat.rule_for(fid).sf_batch is mat.no_functions for fid in fids)
+    runtime.apis["ttl"].add_state_function(fids[0], count_packets, PayloadClass.IGNORE)
+    own = mat.rule_for(fids[0]).sf_batch
+    assert own is not mat.no_functions
+    assert [function.name for function in own] == ["count_packets"]
+    assert len(mat.no_functions) == 0
+    assert all(len(mat.rule_for(fid).sf_batch) == 0 for fid in fids[1:])
+
+
+def test_copies_of_an_admitted_flow_get_their_own_batches():
+    runtime = make_runtime()
+    fid = admitted_flows(runtime)[0]
+    record = runtime.peek_flow(fid).copy()
+    for name, mat in runtime.local_mats.items():
+        copied = mat.rule_for(fid).copy({})
+        assert copied.sf_batch is not mat.no_functions and len(copied.sf_batch) == 0
+        assert record.local_rules[name].sf_batch is not mat.no_functions
+    # exported and installed elsewhere, where the flow records a function
+    other = make_runtime()
+    (there,) = install_flow(other, [runtime.export_flow(fid)], [], reason="flow_import")
+    other.apis["ttl"].add_state_function(there, count_packets, PayloadClass.IGNORE)
+    assert len(other.local_mats["ttl"].rule_for(there).sf_batch) == 1
+    for each in (runtime, other):
+        assert all(len(mat.no_functions) == 0 for mat in each.local_mats.values())
+
+
+def test_an_evicted_admitted_flow_recorded_again_gets_a_fresh_batch():
+    runtime = make_runtime(max_tracked_flows=4, max_flows=4)
+    batch = uniform_batch(8, 1)
+    __, ___, platform = run_batch(batch, runtime=runtime)
+    assert platform.last_lane_stats["admitted"] == 7
+    five_tuple = batch.five_tuple_of(1)  # admitted, then evicted
+    assert runtime.classifier.fid_for(five_tuple) is None
+    # its packet again, down the per-packet route: recorded on the slow path
+    platform.run_load([batch.materialize(1)])
+    fid = runtime.classifier.fid_for(five_tuple)
+    for mat in runtime.local_mats.values():
+        batch_ = mat.rule_for(fid).sf_batch
+        assert batch_ is not mat.no_functions and len(batch_) == 0
+    runtime.apis["ttl"].add_state_function(fid, count_packets, PayloadClass.IGNORE)
+    assert len(runtime.local_mats["ttl"].no_functions) == 0
 
 
 # -- flow-span sampling on the lane (sampled flows keep full coverage) --
