@@ -27,7 +27,7 @@ import enum
 from typing import Dict, Mapping, Optional, Type
 
 from repro.net.headers import Header
-from repro.net.packet import Packet, PacketField
+from repro.net.packet import FIELD_BY_NAME, Packet, PacketField
 
 
 class HeaderActionKind(enum.Enum):
@@ -149,13 +149,14 @@ class Modify(HeaderAction):
     @classmethod
     def set(cls, **fields: int) -> "Modify":
         """Modify that sets the named fields, e.g. Modify.set(dst_port=80)."""
-        ops = {PacketField(name): FieldOp.set(value) for name, value in fields.items()}
+        # a name that is no field falls through to the Enum's ValueError
+        ops = {FIELD_BY_NAME.get(n) or PacketField(n): FieldOp.set(v) for n, v in fields.items()}
         return cls(ops)
 
     @classmethod
     def adjust(cls, **fields: int) -> "Modify":
         """Modify that adjusts the named fields by deltas."""
-        ops = {PacketField(name): FieldOp.adjust(delta) for name, delta in fields.items()}
+        ops = {FIELD_BY_NAME.get(n) or PacketField(n): FieldOp.adjust(d) for n, d in fields.items()}
         return cls(ops)
 
     @classmethod

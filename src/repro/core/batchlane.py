@@ -313,8 +313,12 @@ class BatchLane:
         Published into the *runtime's* registry — the platform registry
         must be off for the lane to engage at all, but a SpeedyBox may
         carry its own.  These are lane-only introspection series
-        (``lane_*``); the per-flow/table metrics the oracle would have
-        produced are kept in parity by the admission path itself.
+        (``lane_*``), and they are all the lane adds: admission and the
+        span flush do not count what they serve into the runtime's
+        per-packet and table series (``classifier_packets_total``,
+        ``fast_path_packets_total``, ``global_mat_lookups_total``, ...),
+        so those read lower than the per-packet oracle's.  ROADMAP item
+        23 makes the counters a post-run reduction, which closes the gap.
         """
         metrics = getattr(self.runtime, "metrics", None)
         if metrics is None or not metrics.enabled:

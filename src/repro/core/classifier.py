@@ -225,12 +225,14 @@ class PacketClassifier:
 
         is_handshake = False
         is_closing = False
-        if five_tuple.protocol == PROTO_TCP and isinstance(packet.l4, TCPHeader):
-            if packet.l4.has_flag(TCP_SYN) and not entry.established:
+        l4 = packet.l4
+        if five_tuple.protocol == PROTO_TCP and isinstance(l4, TCPHeader):
+            flags = l4.flags
+            if flags & TCP_SYN and not entry.established:
                 is_handshake = True
             elif not entry.established:
                 entry.established = True
-            if packet.l4.has_flag(TCP_FIN) or packet.l4.has_flag(TCP_RST):
+            if flags & (TCP_FIN | TCP_RST):
                 is_closing = True
                 entry.closed = True
         else:

@@ -36,6 +36,7 @@ from repro.core.actions import (
     HeaderAction,
     Modify,
 )
+from repro.net.addresses import ip_to_int
 from repro.net.packet import Packet, PacketField
 
 
@@ -79,31 +80,49 @@ class ConsolidatedAction:
         return {f: op for f, op in self.field_ops.items() if f.is_finalisation_field}
 
     def compiled(self):
-        """The action as one pre-bound callable that mutates a packet in place.
+        """The action as one callable, built once per rule, that mutates a
+        packet in place.
 
-        Drop marks the packet dropped.  Otherwise the walk — leading
+        Drop marks the packet dropped.  Otherwise the walk is leading
         decaps, routing-field modifies, net encaps, finalisation-field
-        modifies, the checksum refresh (``finalize``) — is flattened into
-        a tuple of bound step functions built once per rule, so a packet
-        pays neither a per-call ``routing_ops()``/``finalisation_ops()``
-        dict rebuild nor the enum-accessor indirection of
-        :meth:`PacketField.read`/``write``.
+        modifies and the checksum refresh (``finalize``).  A constant set
+        of an address or a port is a store on its header, its value
+        converted once here (a port store on a packet without L4 raises
+        ``ValueError``); every other modify is a bound read → apply →
+        write step, whose writer range-checks TTL and DSCP per packet.
         """
         if self.drop:
             return Packet.drop
-        steps = [decap.apply for decap in self.leading_decaps]
-        for field, op in self.routing_ops().items():
-            steps.append(_bind_field_step(field, op))
-        steps.extend(encap.apply for encap in self.net_encaps)
-        for field, op in self.finalisation_ops().items():
-            steps.append(_bind_field_step(field, op))
-        if not steps:
+        ip_stores, port_stores, after = [], [], []
+        for field, op in self.routing_ops().items():  # the addresses and the ports
+            if op.set_value is None:
+                after.append(_bind_field_step(field, op))
+            elif field in _ADDRESS_ATTRS:
+                ip_stores.append((_ADDRESS_ATTRS[field], ip_to_int(op.apply(0))))
+            else:
+                port_stores.append((_PORT_ATTRS[field], op.apply(0)))
+        after += [encap.apply for encap in self.net_encaps]
+        after += [_bind_field_step(field, op) for field, op in self.finalisation_ops().items()]
+        decaps = [decap.apply for decap in self.leading_decaps]
+        if not (decaps or ip_stores or port_stores or after):
             return Packet.finalize
+        finalize = Packet.finalize
 
-        def run(packet, _steps=tuple(steps), _finalize=Packet.finalize):
-            for step in _steps:
+        def run(packet):
+            for step in decaps:
                 step(packet)
-            _finalize(packet)
+            ip = packet.ip
+            for name, value in ip_stores:
+                setattr(ip, name, value)
+            if port_stores:
+                l4 = packet.l4
+                if l4 is None:
+                    raise ValueError("packet has no L4 header")
+                for name, value in port_stores:
+                    setattr(l4, name, value)
+            for step in after:
+                step(packet)
+            finalize(packet)
 
         return run
 
@@ -119,6 +138,10 @@ class ConsolidatedAction:
         if self.net_encaps:
             parts.append(f"encap x{len(self.net_encaps)}")
         return f"<ConsolidatedAction {' '.join(parts) or 'FORWARD'}>"
+
+
+_ADDRESS_ATTRS = {PacketField.SRC_IP: "src_ip", PacketField.DST_IP: "dst_ip"}
+_PORT_ATTRS = {PacketField.SRC_PORT: "src_port", PacketField.DST_PORT: "dst_port"}
 
 
 def _bind_field_step(field: PacketField, op: FieldOp):

@@ -183,7 +183,8 @@ class EventTable:
         nothing, so a caller that gets ``-1`` can hand the packet to
         :meth:`check_fid` (which evaluates again — conditions are pure,
         see :class:`Event`) and one that gets a count and goes on to
-        serve the packet books it with :meth:`count_checks`.
+        serve the packet books the evaluations itself (``total_checks``
+        and the ``event_checks_total`` counter).
         """
         events = self._by_fid.get(fid)
         if not events:
@@ -197,11 +198,6 @@ class EventTable:
                     return -1
                 count += 1
         return count
-
-    def count_checks(self, count: int) -> None:
-        """Book ``count`` condition evaluations that found nothing to fire."""
-        self.total_checks += count
-        self._m_checks.inc(count)
 
     def clear_flow(self, fid: int) -> None:
         """Remove every event of a closed flow (FIN/RST cleanup, §VI-B)."""

@@ -6,10 +6,15 @@ the same rule, apply the same consolidated action, run the same
 state-function schedule, charge the same fixed cycle counts.
 
 That work has one implementation: a rule's :class:`RuleProgram`, built
-once per rule — pre-bound header-action steps
-(:meth:`ConsolidatedAction.compiled`), the SF waves with their owning
-NFs bound, the drop disposition — and shared by every route that serves
-the rule.  Two routes do:
+once per rule — the action's field program
+(:meth:`ConsolidatedAction.compiled`: constant address and port sets
+are stores on the headers), the SF waves with their owning NFs bound,
+the drop disposition — and shared by every route that serves the rule.
+Per packet the program creates each batch's meter already holding its
+``SF_INVOKE`` charge, points the owning NF's ``meter`` at it and calls
+each state function's handler with its args, counting ``invocations``
+itself (the NF's meter is ``NULL_METER`` again even if one raises).
+Two routes run it:
 
 - the compiled lane.  :func:`compile_flow` folds the per-flow constants
   into a :class:`CompiledFlow`: the rule's program, a pre-charged fixed
@@ -49,8 +54,10 @@ The tests hold both routes to an independent step-by-step interpreter
 An *active* event is not on that list.  The lane makes the Event
 Table's two per-packet checks itself: the pre-check is the gate's last
 test (all conditions false: serve, and book the evaluations as
-``check_fid`` would), and the post-update check after the SF waves
-either finds the same quiet count again — counts only — or hands a
+``check_fid`` would — the lane adds them to ``total_checks`` and the
+``event_checks_total`` counter itself), and the post-update check after
+the SF waves either finds the same quiet count again — booked the same
+way — or hands a
 per-packet meter, charged in interpreted order, to
 ``SpeedyBox._check_events``: the one implementation of firing, Local MAT
 replacement and re-consolidation.  Both rest on condition handlers
@@ -113,26 +120,18 @@ SHARED_REPORTS = 16
 _PENDING = object()
 
 
-def _inc_of(counter):
-    """``counter.inc`` bound once, or ``None`` for the no-op instrument.
-
-    The interpreted path pays one empty method call per disabled
-    instrument per packet; the compiled lane replaces each with a single
-    ``is not None`` test.
-    """
-    return None if counter is NULL_INSTRUMENT else counter.inc
-
-
 def _charge_nondrop(meter: CycleMeter, action) -> None:
     """A non-drop action's charges: decaps, one merged field write plus
-    the rest, the checksum refresh, encaps."""
-    meter.charge(Operation.DECAP_OP, len(action.leading_decaps))
+    the rest, the checksum refresh, encaps (a charge of 0 is none)."""
+    if action.leading_decaps:
+        meter.charge(Operation.DECAP_OP, len(action.leading_decaps))
     field_count = len(action.field_ops)
     if field_count:
         meter.charge(Operation.FIELD_WRITE)
         meter.charge(Operation.MERGED_FIELD_WRITE, field_count - 1)
         meter.charge(Operation.CHECKSUM_UPDATE)
-    meter.charge(Operation.ENCAP_OP, len(action.net_encaps))
+    if action.net_encaps:
+        meter.charge(Operation.ENCAP_OP, len(action.net_encaps))
 
 
 def _charge_through_action(
@@ -203,8 +202,8 @@ class RuleProgram:
                 (
                     batch.nf_name,
                     nf_by_name.get(batch.nf_name),
-                    batch.execute,
-                    len(batch),
+                    batch.functions,
+                    float(len(batch)),
                     is_drop and batch.nf_name == dropper,
                 )
                 for batch in wave
@@ -229,15 +228,16 @@ class RuleProgram:
         sf_waves = []
         for wave in self.waves:
             wave_meters = []
-            for nf_name, owner, execute, sf_count, drop_first in wave:
+            for nf_name, owner, functions, sf_count, drop_first in wave:
                 if drop_first:
                     packet.dropped = True  # the dropper's own SFs see a dropped packet
-                batch_meter = CycleMeter()
+                batch_meter = CycleMeter({_SF_INVOKE: sf_count})  # as ``charge`` stores it
                 if owner is not None:
                     owner.meter = batch_meter
-                batch_meter.charge(_SF_INVOKE, sf_count)
                 try:
-                    execute(packet)
+                    for function in functions:
+                        function.invocations += 1
+                        function.handler(packet, *function.args)
                 finally:
                     if owner is not None:
                         owner.meter = NULL_METER
@@ -279,6 +279,7 @@ class CompiledFlow:
         "_m_classified_inc",
         "_m_hits_inc",
         "_m_fast_inc",
+        "_m_checks_inc",
         "_m_path_inc",
         "_drops_inc",
     )
@@ -300,17 +301,21 @@ class CompiledFlow:
         self.program = program_of(speedybox, rule)
         self._derive_template(speedybox.event_table.active_event_count(entry.fid))
         # SpeedyBox hands one registry to every component, so the
-        # per-packet counters are all-null or all-real; guard the group
-        # on the first binding (run() calls the rest unconditionally).
+        # per-packet counters are all-null or all-real: bound ``inc``
+        # methods, or ``None`` — one ``is not None`` test a packet where
+        # the interpreted path calls the no-op instrument.
         if speedybox._m_fast is NULL_INSTRUMENT:
             self._m_classified_inc = None
             self._m_hits_inc = None
             self._m_fast_inc = None
+            self._m_checks_inc = None
+            self._m_path_inc = None
         else:
             self._m_classified_inc = classifier._m_classified.inc
             self._m_hits_inc = global_mat._m_hits.inc
             self._m_fast_inc = speedybox._m_fast.inc
-        self._m_path_inc = _inc_of(speedybox._m_path[_FAST])
+            self._m_checks_inc = speedybox.event_table._m_checks.inc
+            self._m_path_inc = speedybox._m_path[_FAST].inc
         #: labelled drop counter: ``None`` when metrics are off, bound
         #: lazily on the first drop otherwise (see ``_PENDING``)
         self._drops_inc = None if speedybox._m_drops is NULL_INSTRUMENT else _PENDING
@@ -394,6 +399,7 @@ class CompiledFlow:
         clone._m_classified_inc = self._m_classified_inc
         clone._m_hits_inc = self._m_hits_inc
         clone._m_fast_inc = self._m_fast_inc
+        clone._m_checks_inc = self._m_checks_inc
         clone._m_path_inc = self._m_path_inc
         clone._drops_inc = self._drops_inc
         return clone
@@ -428,7 +434,10 @@ class CompiledFlow:
             if active < 0:
                 return None
             if active:
-                event_table.count_checks(active)
+                # the pre-check's quiet evaluations, booked as check_fid would
+                event_table.total_checks += active
+                if self._m_checks_inc is not None:
+                    self._m_checks_inc(active)
         if active != self.event_active:
             self._derive_template(active)
 
@@ -477,7 +486,9 @@ class CompiledFlow:
         fired = 0
         if active:
             if event_table.quiet_active_count(fid) == active:
-                event_table.count_checks(active)
+                event_table.total_checks += active
+                if self._m_checks_inc is not None:
+                    self._m_checks_inc(active)
             else:
                 fixed_meter = CycleMeter()
                 _charge_through_action(fixed_meter, self.program, active, self.entry.probes)
@@ -510,10 +521,12 @@ class CompiledFlow:
                 fixed_meter=fixed_meter,
                 sf_waves=sf_waves,
             )
+        # flat: each batch's (operation, times) pairs, then its direct cycles
         signature = [dropped]
         for wave in sf_waves:
             for __, meter in wave:
-                signature.append((*meter.counts.items(), meter.direct_cycles))
+                signature += meter.counts.items()
+                signature.append(meter.direct_cycles)
         signature = tuple(signature)
         shared = self.shared
         report = shared.get(signature)

@@ -217,7 +217,7 @@ class ServiceChain:
             try:
                 nf.process(packet, self._api)
             finally:
-                _detach_meter(nf)
+                nf.meter = _NULL_API_METER
             report.nf_meters.append((nf.name, meter))
             if packet.dropped:
                 report.dropped = True
@@ -233,11 +233,6 @@ class ServiceChain:
         self.packets = 0
         for nf in self.nfs:
             nf.reset()
-
-
-def _detach_meter(nf: NetworkFunction):
-    nf.meter = _NULL_API_METER
-    return _NULL_API_METER
 
 
 def is_closing_packet(packet: Packet) -> bool:
@@ -308,6 +303,7 @@ class SpeedyBox:
         self.apis: Dict[str, InstrumentationAPI] = {
             nf.name: InstrumentationAPI(self.local_mats[nf.name], self.event_table) for nf in nfs
         }
+        self._null_api = NullInstrumentationAPI()
         self.slow_packets = 0
         self.fast_packets = 0
         path_counter = metrics.counter(
@@ -448,9 +444,10 @@ class SpeedyBox:
         if record:
             for nf in self.nfs:
                 self.local_mats[nf.name].begin_recording(fid)
-                report.fixed_meter.charge(Operation.MAT_BEGIN_RECORD)
+            # one count per NF, in one charge: the same counts entry
+            report.fixed_meter.charge(Operation.MAT_BEGIN_RECORD, len(self.nfs))
 
-        null_api = NullInstrumentationAPI()
+        null_api = self._null_api
         for nf in self.nfs:
             meter = CycleMeter()
             nf.meter = meter
@@ -459,7 +456,7 @@ class SpeedyBox:
             try:
                 nf.process(packet, api)
             finally:
-                _detach_meter(nf)
+                nf.meter = _NULL_API_METER
                 api.meter = _NULL_API_METER
             report.nf_meters.append((nf.name, meter))
             if packet.dropped:

@@ -166,32 +166,27 @@ class GlobalMAT:
         """
         actions: List[HeaderAction] = []
         pre_drop_actions: List[HeaderAction] = []
-        drop_position: Optional[int] = None
         dropper: Optional[str] = None
-        for position, (name, rule) in enumerate(local_rules):
+        batches: List[StateFunctionBatch] = []
+        for name, rule in local_rules:
             if rule is None:
                 continue
-            actions.extend(rule.header_actions)
-            if drop_position is None:
-                for action in rule.header_actions:
+            header_actions = rule.header_actions
+            if dropper is None:
+                # NFs after the dropper never saw the packet: no batches
+                if rule.sf_batch:
+                    batches.append(rule.sf_batch)
+                for position, action in enumerate(header_actions):
                     if isinstance(action, Drop):
-                        drop_position = position
                         dropper = name
+                        pre_drop_actions = actions + header_actions[:position]
                         break
-                    pre_drop_actions.append(action)
+            actions.extend(header_actions)
 
         consolidated = consolidate_header_actions(actions)
         pre_drop: Optional[ConsolidatedAction] = None
-        if drop_position is not None:
+        if dropper is not None:
             pre_drop = consolidate_header_actions(pre_drop_actions)
-
-        batches: List[StateFunctionBatch] = []
-        for position, (__, rule) in enumerate(local_rules):
-            if rule is None or not rule.sf_batch:
-                continue
-            if drop_position is not None and position > drop_position:
-                continue  # NFs after the dropper never saw the packet
-            batches.append(rule.sf_batch)
 
         if self.enable_parallelism:
             schedule = build_schedule(batches)

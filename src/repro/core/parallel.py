@@ -21,10 +21,9 @@ inside a wave is irrelevant precisely because no payload hazard exists.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.state_function import PayloadClass, StateFunctionBatch
-from repro.net.packet import Packet
 
 
 def batches_parallelizable(first: StateFunctionBatch, second: StateFunctionBatch) -> bool:
@@ -65,21 +64,6 @@ class ParallelSchedule:
         clone = ParallelSchedule.__new__(ParallelSchedule)
         clone.waves = tuple(tuple(batch.copy(copies) for batch in wave) for wave in self.waves)
         return clone
-
-    def execute(self, packet: Packet) -> List[Any]:
-        """Run the schedule *functionally* (single-threaded, wave order).
-
-        Functional execution order within a wave follows chain order; by
-        construction no payload hazard exists inside a wave, so this is
-        equivalent to any concurrent interleaving.  Timing (the latency
-        benefit of width) is modelled by the platform layer, which charges
-        max-over-wave instead of sum.
-        """
-        results: List[Any] = []
-        for wave in self.waves:
-            for batch in wave:
-                results.extend(batch.execute(packet))
-        return results
 
     def __repr__(self) -> str:
         shape = " | ".join("+".join(b.nf_name or "?" for b in wave) for wave in self.waves)

@@ -15,8 +15,6 @@ import enum
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.net.packet import Packet
-
 StateFunctionHandler = Callable[..., Any]
 
 
@@ -59,7 +57,8 @@ class StateFunction:
     """A recorded NF callback: handler + payload class + bound arguments.
 
     Invocation passes the packet first, then the recorded ``args`` — the
-    function-handler convention of Fig. 2's ``localmat_add_SF``.  The
+    function-handler convention of Fig. 2's ``localmat_add_SF`` — and
+    counts in ``invocations`` (:class:`~repro.core.fastpath.RuleProgram`).  The
     record keeps the handler's ``method`` name beside the owning NF's
     ``nf_name``; ``handler`` is that method resolved on one runtime's NF
     (:meth:`~repro.core.framework.FlowRecord.resolve`).
@@ -84,11 +83,6 @@ class StateFunction:
         self.name = name or self.method
         self.nf_name = nf_name
         self.invocations = 0
-
-    def invoke(self, packet: Packet) -> Any:
-        """Execute the recorded handler on ``packet``."""
-        self.invocations += 1
-        return self.handler(packet, *self.args)
 
     def copy(self, copies: Dict[int, object]) -> "StateFunction":
         # One clone per original (``FlowRecord.copy``'s map), so a function
@@ -146,11 +140,7 @@ class StateFunctionBatch:
         """Highest-priority payload class in the batch (WRITE > READ > IGNORE)."""
         if not self._functions:
             return PayloadClass.IGNORE
-        return PayloadClass(max(fn.payload_class for fn in self._functions))
-
-    def execute(self, packet: Packet) -> List[Any]:
-        """Run every function in recording order; returns their results."""
-        return [function.invoke(packet) for function in self._functions]
+        return max(fn.payload_class for fn in self._functions)
 
     def clone_with(self, functions: Sequence[StateFunction]) -> "StateFunctionBatch":
         return StateFunctionBatch(self.nf_name, functions)

@@ -39,6 +39,7 @@ from repro.net.headers import (
 # assigns ``.value`` (tests/unit/test_net_packet.py pins both).
 _DEFAULT_DST_MAC = MACAddress("02:00:00:00:00:02")
 _DEFAULT_SRC_MAC = MACAddress("02:00:00:00:00:01")
+_new_tuple = tuple.__new__  # FiveTuple without its generated __new__'s frame
 
 
 class PacketField(enum.Enum):
@@ -62,13 +63,19 @@ class PacketField(enum.Enum):
     @property
     def is_finalisation_field(self) -> bool:
         """Fields the paper modifies "at the end of the consolidation" (§V-B)."""
-        return self in (PacketField.SRC_MAC, PacketField.DST_MAC, PacketField.TTL, PacketField.DSCP)
+        return self in _FINALISATION_FIELDS
 
     def read(self, packet: "Packet") -> int:
         return _FIELD_READERS[self](packet)
 
     def write(self, packet: "Packet", value: int) -> None:
         _FIELD_WRITERS[self](packet, value)
+
+
+# the C-level identity hash, as the cost model gives its Operation enum
+PacketField.__hash__ = object.__hash__  # type: ignore[method-assign]
+FIELD_BY_NAME = {field.value: field for field in PacketField}
+_FINALISATION_FIELDS = {PacketField.SRC_MAC, PacketField.DST_MAC, PacketField.TTL, PacketField.DSCP}
 
 
 def _require_l4(packet: "Packet"):
@@ -186,8 +193,11 @@ class Packet:
 
     def five_tuple(self) -> FiveTuple:
         """The current five-tuple (reflects any header rewrites so far)."""
-        l4 = _require_l4(self)
-        return FiveTuple(self.ip.src_ip, self.ip.dst_ip, l4.src_port, l4.dst_port, self.ip.protocol)
+        l4 = self.l4
+        if l4 is None:
+            raise ValueError("packet has no L4 header")
+        ip = self.ip
+        return _new_tuple(FiveTuple, (ip.src_ip, ip.dst_ip, l4.src_port, l4.dst_port, ip.protocol))
 
     # -- encapsulation -----------------------------------------------------
 
@@ -226,11 +236,12 @@ class Packet:
     # -- sizes, serialisation -----------------------------------------------
 
     def byte_length(self) -> int:
-        total = self.eth.byte_length() + self.ip.byte_length() + len(self.payload)
+        # Ethernet, IPv4 (no options), TCP and UDP headers have fixed lengths
+        total = EthernetHeader.LENGTH + IPv4Header.LENGTH + len(self.payload)
         for header in self.encaps:
             total += header.byte_length()
         if self.l4 is not None:
-            total += self.l4.byte_length()
+            total += self.l4.LENGTH
         return total
 
     def finalize(self) -> None:
@@ -238,9 +249,9 @@ class Packet:
         inner_len = len(self.payload)
         l4 = self.l4
         if l4 is not None:
-            inner_len += l4.byte_length()
+            inner_len += l4.LENGTH
             if isinstance(l4, UDPHeader):
-                l4.length = l4.byte_length() + len(self.payload)
+                l4.length = inner_len
         ip = self.ip
         encaps = self.encaps
         if encaps:
@@ -249,7 +260,7 @@ class Packet:
                 ip.protocol = PROTO_AH
         else:
             encap_len = 0
-        ip.total_length = ip.byte_length() + encap_len + inner_len
+        ip.total_length = IPv4Header.LENGTH + encap_len + inner_len
         ip.refresh_checksum()
 
     def serialize(self) -> bytes:

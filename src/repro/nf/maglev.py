@@ -29,6 +29,8 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 
+_CONNECTION_TRACK = Operation.CONNECTION_TRACK  # hoisted, as in ``repro.nf.monitor``
+
 
 def _is_prime(value: int) -> bool:
     if value < 2:
@@ -209,7 +211,7 @@ class MaglevLoadBalancer(NetworkFunction):
 
     def track(self, packet: Packet, flow: FiveTuple) -> None:
         """State function (IGNORE payload): per-packet conntrack touch."""
-        self.charge(Operation.CONNECTION_TRACK)
+        self.meter.charge(_CONNECTION_TRACK)  # direct: runs on every fast-path packet
 
     def process(self, packet: Packet, api: InstrumentationAPI) -> None:
         self.ingress(packet)

@@ -20,6 +20,7 @@ stay honest.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import re
 from dataclasses import dataclass, field
@@ -418,8 +419,6 @@ def parse_rule(line: str) -> SnortRule:
     def modify_last_content(**changes) -> None:
         if not rule.contents:
             raise RuleParseError("content modifier without a preceding content")
-        import dataclasses
-
         rule.contents[-1] = dataclasses.replace(rule.contents[-1], **changes)
 
     for option in _split_options(match.group("options")):
@@ -429,19 +428,19 @@ def parse_rule(line: str) -> SnortRule:
             modify_last_content(nocase=True)
             continue
         if name == "offset":
-            modify_last_content(offset=int(value.strip()))
+            modify_last_content(offset=_int_option(name, value))
             continue
         if name == "depth":
-            depth = int(value.strip())
+            depth = _int_option(name, value)
             if depth <= 0:
                 raise RuleParseError(f"depth must be positive, got {depth}")
             modify_last_content(depth=depth)
             continue
         if name == "distance":
-            modify_last_content(distance=int(value.strip()))
+            modify_last_content(distance=_int_option(name, value))
             continue
         if name == "within":
-            within = int(value.strip())
+            within = _int_option(name, value)
             if within < 0:
                 raise RuleParseError(f"within must be non-negative, got {within}")
             modify_last_content(within=within)
@@ -459,14 +458,23 @@ def parse_rule(line: str) -> SnortRule:
         elif name == "pcre":
             rule.pcre = _compile_pcre(value)
         elif name == "sid":
-            rule.sid = int(value.strip())
+            rule.sid = _int_option(name, value)
         elif name == "rev":
-            rule.rev = int(value.strip())
+            rule.rev = _int_option(name, value)
         elif name == "priority":
-            rule.priority = int(value.strip())
+            rule.priority = _int_option(name, value)
         else:
             raise RuleParseError(f"unsupported rule option {name!r}")
     return rule
+
+
+def _int_option(name: str, value: str) -> int:
+    """An integer option's value; anything else is a :class:`RuleParseError`
+    that names the option."""
+    try:
+        return int(value.strip())
+    except ValueError:
+        raise RuleParseError(f"{name} takes an integer, got {value.strip()!r}") from None
 
 
 _VAR_RE = re.compile(r"^var\s+(\w+)\s+(\S+)\s*$", re.IGNORECASE)

@@ -170,8 +170,9 @@ class CycleMeter:
 
     __slots__ = ("counts", "direct_cycles", "_memo_model", "_memo_cycles")
 
-    def __init__(self):
-        self.counts: Dict[Operation, float] = {}
+    def __init__(self, counts: Optional[Dict[Operation, float]] = None):
+        #: a caller that hands ``counts`` gives up the dict to the meter
+        self.counts: Dict[Operation, float] = {} if counts is None else counts
         self.direct_cycles = 0.0
         #: memo of the last cycles() conversion — hot meters (e.g. the
         #: shared fixed meter of a compiled flow) are converted with the

@@ -55,6 +55,8 @@ class OpenNetVMPlatform(Platform):
                 f"OpenNetVM on the paper's 14-core testbed supports at most "
                 f"{self.MAX_CHAIN_LENGTH} NFs per chain, got {len(runtime.nfs)}"
             )
+        #: NF name -> its core's stage (1..k; see ``_stage_count``)
+        self._stage_of = {nf.name: index + 1 for index, nf in enumerate(runtime.nfs)}
 
     def _transport_cycles_per_hop(self) -> float:
         model = self.costs
@@ -93,7 +95,8 @@ class OpenNetVMPlatform(Platform):
 
     def _stage_plan(self, report: ProcessReport) -> StagePlan:
         model = self.costs
-        hop = self._transport_cycles_per_hop()
+        # ``model.cycles_to_ns`` is ``cycles * model.ns_per_cycle()``
+        ns_per_cycle = model.ns_per_cycle()
         manager_cycles = report.fixed_meter.cycles(model) + model.nic_rx
 
         if report.is_fast:
@@ -107,17 +110,19 @@ class OpenNetVMPlatform(Platform):
                 manager_cycles + sf_main + self._fast_path_extra_cycles() + model.nic_tx
             )
             offloaded = sf_latency - sf_main
-            plan: StagePlan = [(0, model.cycles_to_ns(manager_total))]
+            plan: StagePlan = [(0, manager_total * ns_per_cycle)]
             if offloaded > 0:
                 worker_stage = 1 + len(self.runtime.nfs)
-                plan.append((worker_stage, model.cycles_to_ns(offloaded)))
+                plan.append((worker_stage, offloaded * ns_per_cycle))
             return plan
 
-        plan: StagePlan = [(0, model.cycles_to_ns(manager_cycles))]
-        stage_by_name = {nf.name: index + 1 for index, nf in enumerate(self.runtime.nfs)}
+        hop = self._transport_cycles_per_hop()
+        stage_of = self._stage_of
+        plan = [(0, manager_cycles * ns_per_cycle)]
+        last = len(report.nf_meters) - 1
         for position, (nf_name, meter) in enumerate(report.nf_meters):
             stage_cycles = meter.cycles(model) + hop
-            if position == len(report.nf_meters) - 1:
+            if position == last:
                 stage_cycles += model.nic_tx
-            plan.append((stage_by_name[nf_name], model.cycles_to_ns(stage_cycles)))
+            plan.append((stage_of[nf_name], stage_cycles * ns_per_cycle))
         return plan

@@ -23,8 +23,10 @@ Code only the tests use lives here too, beside them (the source gate's
 method-level check keeps it out of ``src/``): the reference semantics
 :func:`apply_sequentially` and :func:`xor_merge_bytes`, the columnar
 twin of the generator :func:`batch_from_specs`, the pcap reader
-:func:`read_pcap`, the RFC 1071 :func:`internet_checksum`, and small
-readings of NF and schedule internals.
+:func:`read_pcap`, the RFC 1071 :func:`internet_checksum`, the
+reference state-function calls :func:`invoke`, :func:`execute_batch`
+and :func:`execute_schedule`, and small readings of NF and schedule
+internals.
 
 The trace exporters' reference encoders live here as well:
 :func:`to_chrome` builds a tracer's Chrome document one dict per event,
@@ -607,6 +609,23 @@ def schedule_batches(schedule) -> list:
     return [batch for wave in schedule.waves for batch in wave]
 
 
+def invoke(function, packet):
+    """One state-function call as the rule program makes it: count it,
+    then run the handler on the packet and the recorded args."""
+    function.invocations += 1
+    return function.handler(packet, *function.args)
+
+
+def execute_batch(batch, packet) -> list:
+    """Run a batch's functions in recording order; returns their results."""
+    return [invoke(function, packet) for function in batch]
+
+
+def execute_schedule(schedule, packet) -> list:
+    """Run a schedule functionally, wave by wave in chain order."""
+    return [result for batch in schedule_batches(schedule) for result in execute_batch(batch, packet)]
+
+
 def max_wave_width(schedule) -> int:
     """Worker cores a schedule needs to realise its full parallelism."""
     return max((len(wave) for wave in schedule.waves), default=0)
@@ -672,7 +691,7 @@ class InterpretedSpeedyBox(SpeedyBox):
                     owner.meter = batch_meter
                 batch_meter.charge(Operation.SF_INVOKE, len(batch))
                 try:
-                    batch.execute(packet)
+                    execute_batch(batch, packet)
                 finally:
                     if owner is not None:
                         owner.meter = NULL_METER

@@ -9,13 +9,26 @@ that).
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.actions import Forward
 from repro.core.event_table import Event
 from repro.core.fastpath import SHARED_REPORTS
 from repro.core.framework import PathTaken, SpeedyBox
-from repro.nf import DosPrevention, IPFilter, Monitor, SnortIDS
+from repro.core.state_function import PayloadClass
+from repro.nf import (
+    DosPrevention,
+    IPFilter,
+    MaglevLoadBalancer,
+    MazuNAT,
+    Monitor,
+    NetworkFunction,
+    SnortIDS,
+)
+from repro.nf.maglev import Backend
 from repro.obs import MetricsRegistry
 from repro.platform import BessPlatform
-from repro.platform.costs import Operation
+from repro.platform.costs import NULL_METER, Operation
 from repro.traffic import FlowSpec, TrafficGenerator
 from repro.traffic.generator import clone_packets
 from tests.integration.helpers import InterpretedSpeedyBox, count_interpreted, des_run_load
@@ -336,3 +349,119 @@ class TestConfigGating:
         b = des_run_load(reference, clone_packets(packets))
         assert a == b
         assert platform.runtime._compiled
+
+
+class TwoFunctions(NetworkFunction):
+    """Records two state functions into its one batch per flow: a packet
+    tally, and a byte count with a recorded argument that raises while
+    ``failing`` is set."""
+
+    def __init__(self, name: str = "two"):
+        super().__init__(name)
+        self.tally = 0
+        self.bytes = 0
+        self.failing = False
+
+    def tally_packet(self, packet) -> None:
+        self.charge(Operation.COUNTER_UPDATE)
+        self.tally += 1
+
+    def count_bytes(self, packet, scale: int) -> None:
+        self.charge(Operation.EXACT_MATCH_LOOKUP, 2)
+        if self.failing:
+            raise RuntimeError("count_bytes failed")
+        self.bytes += scale * packet.byte_length()
+
+    def process(self, packet, api) -> None:
+        self.ingress(packet)
+        fid = api.nf_extract_fid(packet)
+        self.tally_packet(packet)
+        self.count_bytes(packet, 2)
+        api.add_header_action(fid, Forward())
+        api.add_state_function(fid, self.tally_packet, PayloadClass.IGNORE, name="tally")
+        api.add_state_function(fid, self.count_bytes, PayloadClass.IGNORE, args=(2,), name="bytes")
+
+
+def chain1_and_two_functions():
+    """The paper's Chain 1 (NAT, load balancer, monitor, firewall) with
+    :class:`TwoFunctions` before the firewall."""
+    backends = [Backend.make(f"b{i}", f"192.168.9.{i + 1}", 9000) for i in range(4)]
+    return [
+        MazuNAT("mazunat", external_ip="203.0.113.9", internal_prefix="10.0.0.0/8"),
+        MaglevLoadBalancer("maglev", backends=backends, table_size=131),
+        Monitor("monitor"),
+        TwoFunctions("two"),
+        IPFilter("ipfilter"),
+    ]
+
+
+def state_functions(runtime):
+    """Every state function the flow's tables hold, Local MATs first, then
+    the Global MAT schedule (each once, first place kept)."""
+    functions = {}
+    for fid in runtime.global_mat.flows():
+        for local_mat in runtime.local_mats.values():
+            for function in local_mat.rule_for(fid).sf_batch:
+                functions.setdefault(id(function), function)
+        for wave in runtime.global_mat.peek(fid).schedule.waves:
+            for batch in wave:
+                for function in batch:
+                    functions.setdefault(id(function), function)
+    return list(functions.values())
+
+
+def batch_counts(report):
+    """Each SF batch meter of a report: its NF and its counts in charge order."""
+    return [(name, list(meter.counts.items())) for wave in report.sf_waves for name, meter in wave]
+
+
+class TestStateFunctionBookkeeping:
+    """The lane's rule program counts invocations, pre-charges each batch
+    meter and books quiet event checks itself; the interpreted oracle
+    does all three step by step.  Both must leave the same numbers."""
+
+    def _pair(self):
+        registries = (MetricsRegistry(), MetricsRegistry())
+        runtime = SpeedyBox(chain1_and_two_functions(), metrics=registries[0])
+        oracle = InterpretedSpeedyBox(chain1_and_two_functions(), metrics=registries[1])
+        return runtime, oracle, registries
+
+    def test_lane_and_oracle_leave_the_same_counts(self):
+        runtime, oracle, (lane_metrics, oracle_metrics) = self._pair()
+        interpreted = count_interpreted(runtime)
+        packets = flow_packets(8)
+        for packet, twin in zip(packets, clone_packets(packets)):
+            report, reference = runtime.process(packet), oracle.process(twin)
+            assert batch_counts(report) == batch_counts(reference)
+        assert not interpreted, "the lane handed a packet back"
+        (flow,) = runtime._compiled.values()
+        assert flow.event_active == 1  # Maglev's reroute event, checked twice a packet
+        ((two_batch,),) = [
+            [batch for batch in wave if batch.nf_name == "two"]
+            for wave in runtime.global_mat.peek(flow.fid).schedule.waves
+        ]
+        assert [function.name for function in two_batch] == ["tally", "bytes"]
+        lane, reference = state_functions(runtime), state_functions(oracle)
+        assert [fn.name for fn in lane] == [fn.name for fn in reference]
+        assert [fn.invocations for fn in lane] == [fn.invocations for fn in reference]
+        assert all(fn.invocations == len(packets) - 1 for fn in lane)
+        assert runtime.event_table.total_checks == oracle.event_table.total_checks > 0
+        checks = lane_metrics.snapshot()["event_checks_total"]
+        assert checks == oracle_metrics.snapshot()["event_checks_total"]
+        assert checks == runtime.event_table.total_checks
+
+    @pytest.mark.parametrize("route", ["lane", "oracle"])
+    def test_a_raising_state_function_detaches_its_meter(self, route):
+        runtime, oracle, __ = self._pair()
+        side = runtime if route == "lane" else oracle
+        interpreted = count_interpreted(side)
+        packets = flow_packets(4)
+        for packet in packets[:3]:
+            side.process(packet)
+        two = side.nf_by_name["two"]
+        two.failing = True
+        with pytest.raises(RuntimeError, match="count_bytes failed"):
+            side.process(packets[3])
+        assert bool(interpreted) == (route == "oracle")
+        assert all(nf.meter is NULL_METER for nf in side.nfs)
+

@@ -7,7 +7,12 @@ from repro.core.parallel import (
 )
 from repro.core.state_function import PayloadClass, StateFunction, StateFunctionBatch
 from repro.net import FiveTuple, Packet
-from tests.integration.helpers import max_wave_width, schedule_batches
+from tests.integration.helpers import (
+    execute_batch,
+    execute_schedule,
+    max_wave_width,
+    schedule_batches,
+)
 
 W, R, I = PayloadClass.WRITE, PayloadClass.READ, PayloadClass.IGNORE
 
@@ -103,7 +108,7 @@ class TestScheduleConstruction:
 
         schedule = build_schedule([tagged("r1", R), tagged("w", W), tagged("r2", R)])
         packet = Packet.from_five_tuple(FiveTuple.make("10.0.0.1", "10.0.0.2", 1, 2))
-        schedule.execute(packet)
+        execute_schedule(schedule, packet)
         assert log == ["r1", "w", "r2"]
 
 
@@ -121,8 +126,8 @@ class TestScheduleSemanticEquivalence:
 
         packet = Packet.from_five_tuple(FiveTuple.make("10.0.0.1", "10.0.0.2", 1, 2))
         schedule = build_schedule([reader_batch(log_parallel, f"b{i}") for i in range(4)])
-        schedule.execute(packet)
+        execute_schedule(schedule, packet)
 
         for i in range(4):
-            reader_batch(log_sequential, f"b{i}").execute(packet)
+            execute_batch(reader_batch(log_sequential, f"b{i}"), packet)
         assert sorted(log_parallel) == sorted(log_sequential)

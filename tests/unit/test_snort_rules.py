@@ -164,6 +164,17 @@ class TestOptions:
         assert rule.rev == 3
         assert rule.priority == 1
 
+    @pytest.mark.parametrize(
+        "option",
+        ["offset:2x", "depth:four", "distance:1.5", "within:", "sid:9x", "rev:r2", "priority:high"],
+    )
+    def test_a_non_integer_option_is_a_parse_error_naming_it(self, option):
+        name = option.partition(":")[0]
+        # the content modifiers need a content before them; sid keeps its own place
+        options = f'content:"abc"; {option};' + ("" if name == "sid" else " sid:1;")
+        with pytest.raises(RuleParseError, match=f"^{name} takes an integer"):
+            parse_rule(f"alert tcp any any -> any any ({options})")
+
 
 class TestRuleFile:
     def test_comments_and_blanks_skipped(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.state_function import PayloadClass, StateFunction, StateFunctionBatch
 from repro.net import FiveTuple, Packet
+from tests.integration.helpers import execute_batch, invoke
 
 
 def make_packet():
@@ -15,13 +16,13 @@ class TestStateFunction:
         seen = []
         fn = StateFunction(lambda pkt, a, b: seen.append((pkt, a, b)), PayloadClass.IGNORE, args=(1, 2))
         packet = make_packet()
-        fn.invoke(packet)
+        invoke(fn, packet)
         assert seen == [(packet, 1, 2)]
         assert fn.invocations == 1
 
     def test_returns_handler_result(self):
         fn = StateFunction(lambda pkt: 42, PayloadClass.READ)
-        assert fn.invoke(make_packet()) == 42
+        assert invoke(fn, make_packet()) == 42
 
     def test_rejects_non_callable(self):
         with pytest.raises(TypeError):
@@ -47,7 +48,7 @@ class TestStateFunctionBatch:
         batch = StateFunctionBatch("nf")
         for tag in ("a", "b", "c"):
             batch.add(self.make_fn(log, tag))
-        batch.execute(make_packet())
+        execute_batch(batch, make_packet())
         assert log == ["a", "b", "c"]
 
     def test_empty_batch_is_falsy(self):
@@ -74,7 +75,7 @@ class TestStateFunctionBatch:
         batch = StateFunctionBatch("nf")
         batch.add(StateFunction(lambda pkt: 1, PayloadClass.IGNORE))
         batch.add(StateFunction(lambda pkt: 2, PayloadClass.IGNORE))
-        assert batch.execute(make_packet()) == [1, 2]
+        assert execute_batch(batch, make_packet()) == [1, 2]
 
     def test_clone_with_replaces_functions(self):
         batch = StateFunctionBatch("nf")
