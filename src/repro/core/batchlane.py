@@ -37,11 +37,11 @@ for the steady-state majority of a :class:`~repro.traffic.columnar.PacketBatch`:
   running an NF.  The loop looks every table up once a stretch, makes
   no audit call while the log is off, and files the stretch's plan ids
   with one scatter; an admitted flow's Local MAT records share their
-  MAT's one empty state-function batch and its clone's report shares
-  the template's empty meter lists, so it allocates eleven objects (a
-  three-NF chain).  A new flow whose home FID is taken is *displaced*
-  by the classifier and pays probe charges the template's shared plans
-  do not carry: its first packet goes to the oracle instead.  The
+  MAT's one empty state-function batch and the run's one action list,
+  and its clone the runtime's bindings and the template's empty meter
+  lists: eight objects (a three-NF chain).  A new flow whose home FID
+  is taken is placed as the classifier places it and cloned from the
+  template's variant for its probe count (:meth:`BatchLane._variant`).  The
   mixed-run replay (a steady run some of whose flows fail validation,
   which is where every stale hint of a table smaller than its block
   lands) serves its uncached stretches with the same loop.
@@ -76,12 +76,13 @@ import gc
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.classifier import FlowEntry, fid_column
-from repro.core.framework import PathTaken
+from repro.core.framework import PathTaken, ProcessReport
 from repro.core.global_mat import GlobalRule
 from repro.core.local_mat import LocalRule
 from repro.net.flow import FiveTuple, PROTO_UDP
 from repro.obs.registry import NULL_INSTRUMENT
 from repro.platform.base import PlanTable
+from repro.platform.costs import CycleMeter, Operation
 from repro.traffic.columnar import KIND_DATA, PacketBatch
 from repro.vector import np
 
@@ -89,26 +90,20 @@ from repro.vector import np
 _CHUNK = 32768
 #: flows per slice of the flow table that bulk admission reads as lists
 _ROWS = 4096
+_FID_HASH = Operation.FID_HASH
+_new_tuple = tuple.__new__  # FiveTuple without its generated __new__'s frame
 
 
 class BulkTemplate:
     """Everything needed to admit a new flow without running the chain."""
 
     __slots__ = (
-        "rule",
-        "compiled",
-        "ran",
-        "mat_plumbing",
-        "dropped",
-        "original_pid",
-        "steady_pid",
-        "steady_plan",
-        "waves",
-        "drop_action",
+        "rule", "compiled", "ran", "mat_plumbing", "first_report", "dropped",
+        "original_pid", "plan_cache", "waves", "drop_action",
     )
 
-    def __init__(self, rule, compiled, ran, mat_plumbing, dropped, original_pid,
-                 steady_pid, steady_plan, waves, drop_action):
+    def __init__(self, rule, compiled, ran, mat_plumbing, first_report, original_pid,
+                 plan_cache, waves, drop_action):
         #: the template GlobalRule whose artifacts install_prebuilt shares
         self.rule = rule
         #: the template flow's compiled closure; admitted flows clone it
@@ -118,16 +113,21 @@ class BulkTemplate:
         #: how many NFs ran before the chain ended (drop templates stop early)
         self.ran = ran
         #: per-NF ``(local_mat, its rules dict, its shared empty batch,
-        #: the recorded actions)`` — the record every admitted flow
+        #: the recorded action list)`` — the record every admitted flow
         #: receives (no actions for NFs after a dropper), prebound so the
-        #: admission loop is free of name lookups
+        #: admission loop is free of name lookups.  Admitted records share
+        #: the one list: an append only follows ``begin_recording``, which
+        #: installs a fresh record, and an event assigns a new list.
         self.mat_plumbing = mat_plumbing
-        self.dropped = dropped
+        #: the template flow's own first-packet report (its meters)
+        self.first_report = first_report
+        self.dropped = first_report.dropped
         #: plan-table id of the first-packet stage plan
         self.original_pid = original_pid
-        #: plan-table id (and the shared plan object) of the steady plan
-        self.steady_pid = steady_pid
-        self.steady_plan = steady_plan
+        #: the steady plan's ``(platform, plan, plan id, table)``, one
+        #: immutable tuple every admitted clone's steady report shares
+        #: (identical timing by meter identity)
+        self.plan_cache = plan_cache
         #: audit payload constants (template-invariant by construction)
         self.waves = waves
         self.drop_action = drop_action
@@ -194,7 +194,9 @@ class BatchLane:
         #: the one bulk template per run; built from the first qualifying
         #: scalar first packet, then reused for every admitted flow
         self.template: Optional[BulkTemplate] = None
-        self._admit_plan_cache: Optional[tuple] = None
+        #: probe count -> (compiled flow to clone, original pid, plan
+        #: cache): the template's variants for displaced flows (:meth:`_variant`)
+        self._variants: Dict[int, tuple] = {}
         runtime = self.runtime
         self._clear_nf_flow = runtime.event_table.clear_nf_flow
         self._events_by_fid = runtime.event_table._by_fid
@@ -354,11 +356,12 @@ class BatchLane:
         if clone.steady_report is None:
             return False
         fid = clone.fid
-        if clone.rules.get(fid) is not clone.rule:
+        bindings = clone.bindings
+        if bindings.rules.get(fid) is not clone.rule:
             return False
-        if clone.flows.get(fid) is not clone.entry:
+        if bindings.flows.get(fid) is not clone.entry:
             return False
-        events = clone.events_by_fid.get(fid)
+        events = bindings.events_by_fid.get(fid)
         if events is not None:
             for event in events:
                 if event.active:
@@ -453,7 +456,7 @@ class BatchLane:
         runtime.fast_packets += 1
         clone.entry.packets += 1
         clone.rule.hits += 1
-        clone.move_to_end(clone.fid)
+        clone.bindings.move_to_end(clone.fid)
         if clone.program.is_drop:
             self.dropped += 1
         self.plan_ids[index] = self.fplan[flow]
@@ -515,7 +518,7 @@ class BatchLane:
             if clone.program.is_drop:
                 dropped += count
         self.dropped += dropped
-        move = vclone[order[0]].move_to_end
+        move = vclone[order[0]].bindings.move_to_end
         for flow in order:
             move(vclone[flow].fid)
 
@@ -534,20 +537,22 @@ class BatchLane:
         them all).
 
         A packet is bulk admitted when a template exists and it is a UDP
-        data packet whose home FID is free, whose five-tuple is not
-        displaced elsewhere (both mean a tracked flow, the oracle's) and
-        whose flow is not sampled (the decision falls in first-packet
-        order, where the per-packet path takes it).  Admission installs,
-        operation for operation, what ``SpeedyBox.process`` would: the
-        same capacity eviction (``_evict_oldest`` + the runtime's
-        teardown, inlined when the teardown is the runtime's own), the
-        classifier entry, each NF's Local MAT record (its actions, the
-        MAT's shared empty state-function batch), the Global MAT rule
+        data packet of a new flow (a five-tuple displaced or at its home
+        is tracked: the oracle's) that is not sampled (decided in
+        first-packet order, as the per-packet path does; a displaced
+        flow is decided once placed, so a sampled run leaves it to the
+        oracle).  Admission installs, operation for operation, what
+        ``SpeedyBox.process`` would: the same capacity eviction
+        (``_evict_oldest`` + the runtime's teardown, inlined when the
+        teardown is the runtime's own), the classifier entry (``_place``
+        places a displaced one), each NF's Local MAT record (the run's
+        action list, the MAT's empty batch), the Global MAT rule
         (``install_prebuilt``, inlined on a fresh insert), a clone of the
-        template's compiled closure, and the same audit events in the
-        same order — emitted only while the log is enabled.  Meter
-        charges are value-typical by the oblivious contract and live in
-        the template's report, which is what feeds the stage plan.
+        template's compiled closure (of its :meth:`_variant` when
+        displaced), and the same audit events in the same order —
+        emitted only while the log is enabled.  Meter charges are
+        value-typical by the oblivious contract and live in the
+        template's reports, which feed the stage plans.
         Tables, dicts and bound methods are looked up once per stretch,
         counters are added once, and ``fplan``/``plan_ids`` take one
         scatter each.
@@ -576,12 +581,13 @@ class BatchLane:
         bulk_ok = self.bulk_ok
         held, held_lo = self._rows, self._rows_lo
         template = self.template
+        variants = self._variants
         admitted_flows: List[int] = []
         admitted_at: List[int] = []
         new_entry = FlowEntry.__new__
         new_local = LocalRule.__new__
         new_rule = GlobalRule.__new__
-        evicted = inserted = 0
+        evicted = inserted = displaced_admitted = 0
         stop = len(flows)
         try:
             for k in range(at, stop):
@@ -604,13 +610,16 @@ class BatchLane:
                 admit = False
                 if bulk_shape and template is not None:
                     fid = rows[0][row]
-                    if fid not in tracked:
-                        five_tuple = FiveTuple(
-                            rows[1][row], rows[2][row], rows[3][row], rows[4][row], PROTO_UDP
-                        )
-                        admit = five_tuple not in displaced and (
-                            spans is None or not spans.wants(fid)
-                        )
+                    five_tuple = _new_tuple(
+                        FiveTuple, (rows[1][row], rows[2][row], rows[3][row], rows[4][row], PROTO_UDP)
+                    )
+                    home = tracked.get(fid)
+                    # a new flow whose home is taken is placed after the
+                    # eviction, where the oracle samples spans
+                    admit = five_tuple not in displaced and (
+                        (spans is None or not spans.wants(fid)) if home is None
+                        else spans is None and home.five_tuple != five_tuple
+                    )
                 if not admit:
                     self._scalar_packet(first + k, flow, kind, bulk_shape)
                     template = self.template
@@ -643,13 +652,16 @@ class BatchLane:
                     else:
                         classifier._evict_oldest()
                 entry = new_entry(FlowEntry)
-                entry.fid = fid
                 entry.five_tuple = five_tuple
                 entry.established = True
                 entry.closed = False
                 entry.packets = 1
-                entry.probes = 0
-                tracked[fid] = entry
+                if home is None:
+                    entry.fid = fid
+                    entry.probes = 0
+                    tracked[fid] = entry
+                else:
+                    fid = classifier._place(entry)  # the oracle's FID, index and collisions
                 # begin_recording + the recorded actions' replay
                 if fid in events_by_fid:
                     for local_mat, __, ___, ____ in template.mat_plumbing:
@@ -657,10 +669,9 @@ class BatchLane:
                 for __, rules, no_functions, actions in template.mat_plumbing:
                     local_rule = new_local(LocalRule)
                     local_rule.fid = fid
-                    local_rule.header_actions = [*actions]
+                    local_rule.header_actions = actions
                     local_rule.sf_batch = no_functions
                     local_rule.event_count = 0
-                    local_rule.hits = 0
                     rules[fid] = local_rule
                 t_rule = template.rule
                 if fid in gm_rules:
@@ -697,7 +708,20 @@ class BatchLane:
                     if not null_metrics:
                         gm._m_consolidations.inc()
                         gm._m_occupancy.set(len(gm_rules))
-                clone = template.compiled.clone_for(entry, rule)
+                if entry.probes:
+                    variant = variants.get(entry.probes) or self._variant(entry, rule)
+                    clone = variant[0].clone_for(entry, rule)
+                    clone.steady_report.plan_cache = variant[2]
+                    self.fplan[flow] = variant[2][2]
+                    self.plan_ids[first + k] = variant[1]
+                    displaced_admitted += 1
+                else:
+                    clone = template.compiled.clone_for(entry, rule)
+                    # the template's steady plan, to the bit: the clone's
+                    # report shares the template's fixed meter
+                    clone.steady_report.plan_cache = template.plan_cache
+                    admitted_flows.append(flow)
+                    admitted_at.append(first + k)
                 compiled[five_tuple] = clone
                 compiled_fids[fid] = five_tuple
                 if emit is not None:
@@ -708,9 +732,6 @@ class BatchLane:
                         waves=template.waves,
                         drop=template.drop_action,
                     )
-                # the template's steady plan, to the bit: the clone's
-                # report shares the template's fixed meter
-                clone.steady_report.plan_cache = self._admit_plan_cache
                 stale = flows_of_fid.pop(fid, None)
                 if stale is not None:
                     # the FID's last owner died and its invalidation
@@ -721,16 +742,15 @@ class BatchLane:
                 vclone[flow] = clone
                 vmask[flow] = 1
                 fstat[flow] = 1
-                admitted_flows.append(flow)
-                admitted_at.append(first + k)
         finally:
             # one settlement per stretch, even when the oracle raised
             classifier.evictions += evicted
             gm.consolidations += inserted
             if admitted_flows:
-                admitted = len(admitted_flows)
-                self.fplan[admitted_flows] = template.steady_pid
+                self.fplan[admitted_flows] = template.plan_cache[2]
                 self.plan_ids[admitted_at] = template.original_pid
+            admitted = len(admitted_flows) + displaced_admitted
+            if admitted:
                 classifier.packets_classified += admitted
                 runtime.slow_packets += admitted
                 for local_mat, __, ___, actions in template.mat_plumbing:
@@ -865,30 +885,45 @@ class BatchLane:
         mat_plumbing = []
         for position, nf in enumerate(runtime.nfs):
             local_mat = runtime.local_mats[nf.name]
-            actions = ()
+            actions = []
             if position < ran:
                 local_rule = local_mat.rule_for(fid)
                 if local_rule is None or local_rule.sf_batch or local_rule.event_count:
                     return
-                actions = tuple(local_rule.header_actions)
+                actions = list(local_rule.header_actions)
             mat_plumbing.append((local_mat, local_mat._rules, local_mat.no_functions, actions))
-        steady_pid = self._steady_pid(clone.steady_report)
-        steady_plan = self.table[steady_pid]
+        self._steady_pid(clone.steady_report)
         self.template = BulkTemplate(
             rule=clone.rule,
             compiled=clone,
             ran=ran,
             mat_plumbing=mat_plumbing,
-            dropped=report.dropped,
+            first_report=report,
             original_pid=pid,
-            steady_pid=steady_pid,
-            steady_plan=steady_plan,
+            plan_cache=clone.steady_report.plan_cache,
             waves=clone.rule.schedule.wave_count,
             drop_action=clone.rule.consolidated.drop,
         )
-        # One shared, immutable plan-cache tuple for every admitted
-        # clone's steady report (identical timing by meter identity).
-        self._admit_plan_cache = (self.platform, steady_plan, steady_pid, self.table)
+
+    def _variant(self, entry, rule) -> tuple:
+        """The template for flows ``entry.probes`` past their home, cached
+        per run: a compiled flow charging ``FID_HASH`` 1 + probes times, and
+        the first-packet plan id and steady plan cache of meters so charged."""
+        template = self.template
+        probes = entry.probes
+        compiled = template.compiled.clone_for(entry, rule)
+        compiled._derive_template(0)  # rebuilt for this entry's probes
+        first = template.first_report
+        meter = CycleMeter()
+        for operation, times in first.fixed_meter.counts.items():
+            meter.charge(operation, 1 + probes if operation is _FID_HASH else times)
+        report = ProcessReport(PathTaken.ORIGINAL, entry.fid, first.dropped,
+                               fixed_meter=meter, nf_meters=first.nf_meters)
+        platform = self.platform
+        original_pid = platform._plan_id(self.table, platform._stage_plan(report), report)
+        self._steady_pid(compiled.steady_report)
+        variant = self._variants[probes] = (compiled, original_pid, compiled.steady_report.plan_cache)
+        return variant
 
     # -- plan table ----------------------------------------------------------
 

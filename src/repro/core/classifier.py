@@ -48,6 +48,10 @@ from repro.vector import np
 FID_BITS = 20
 FID_SPACE = 1 << FID_BITS
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_PARSE, _FID_HASH = Operation.PARSE, Operation.FID_HASH
+_ATTACH, _DETACH = Operation.METADATA_ATTACH, Operation.METADATA_DETACH
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -205,7 +209,7 @@ class PacketClassifier:
         """Assign the FID, update connection state, attach metadata."""
         self.packets_classified += 1
         self._m_classified.inc()
-        meter.charge(Operation.PARSE)  # the single parse of the fast design
+        meter.charge(_PARSE)  # the single parse of the fast design
         five_tuple = packet.five_tuple()
         fid = fid_of(five_tuple)
         entry = self._flows.get(fid)
@@ -220,7 +224,7 @@ class PacketClassifier:
                 fid = self._place(entry)
             else:
                 entry = self._flows[fid]
-        meter.charge(Operation.FID_HASH, 1 + entry.probes)
+        meter.charge(_FID_HASH, 1 + entry.probes)
         entry.packets += 1
 
         is_handshake = False
@@ -240,7 +244,7 @@ class PacketClassifier:
             entry.established = True
 
         packet.metadata["fid"] = fid
-        meter.charge(Operation.METADATA_ATTACH)
+        meter.charge(_ATTACH)
         return Classification(
             fid=fid,
             entry=entry,
@@ -251,7 +255,7 @@ class PacketClassifier:
     def detach(self, packet: Packet, meter: CycleMeter = NULL_METER) -> None:
         """Remove the FID metadata as the packet leaves the chain (§VI-B)."""
         packet.metadata.pop("fid", None)
-        meter.charge(Operation.METADATA_DETACH)
+        meter.charge(_DETACH)
 
     def _place(self, entry: FlowEntry) -> int:
         """Give an untracked flow its FID: home, or the first free one after.

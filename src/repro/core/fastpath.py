@@ -19,10 +19,10 @@ Two routes run it:
 - the compiled lane.  :func:`compile_flow` folds the per-flow constants
   into a :class:`CompiledFlow`: the rule's program, a pre-charged fixed
   :class:`CycleMeter` template shared by every packet of the flow, the
-  flow's interned key and FID, and direct references to the counters and
-  tables.  ``SpeedyBox.process`` consults its ``_compiled`` cache first;
-  a hit runs :meth:`CompiledFlow.run` and skips classification, MAT
-  lookup and consolidation machinery entirely;
+  flow's interned key and FID, and the runtime's one :class:`FlowBindings`
+  (its tables and counters).  ``SpeedyBox.process`` consults its
+  ``_compiled`` cache first; a hit runs :meth:`CompiledFlow.run` and
+  skips classification, MAT lookup and consolidation machinery entirely;
 - the interpreted route (:meth:`SpeedyBox.process` → ``_run_fast``),
   which serves what the lane hands back and charges live what the lane
   folds into its template.
@@ -86,9 +86,9 @@ increments *exactly* the counters the interpreted route would —
 classifier classifications, Global MAT hits, event checks and firings,
 fast/path/drop counters — so ``registry.snapshot()`` is identical
 whichever route served the run (pinned by
-``tests/unit/test_fastpath_metric_parity.py``).  The closure binds the
-real bound-``inc`` methods at compile time when metrics are on and
-``None`` when they are off (``SpeedyBox`` hands one registry to every
+``tests/unit/test_fastpath_metric_parity.py``).  The runtime's bindings
+hold the real bound-``inc`` methods when metrics are on and ``None``
+when they are off (``SpeedyBox`` hands one registry to every
 component, so the group guard on ``speedybox._m_fast`` covers them all).
 Corollary for new instrumentation: per-lane signals that only one lane
 could emit (compile/invalidate bookkeeping, lane-hit tallies) must go to
@@ -256,66 +256,60 @@ def program_of(speedybox, rule: GlobalRule) -> RuleProgram:
     return program
 
 
-class CompiledFlow:
-    """One flow's fast path, pre-bound into a single cached callable."""
+class FlowBindings:
+    """A runtime's tables and per-packet counters, one object per runtime
+    (``SpeedyBox._flow_bindings``) that its compiled flows share.  One
+    registry feeds every component, so the ``inc`` slots are all bound
+    methods or all ``None`` (metrics off): one test a packet."""
 
     __slots__ = (
-        "speedybox",
-        "classifier",
-        "entry",
-        "five_tuple",
-        "fid",
-        "is_tcp",
-        "rule",
-        "rules",
-        "flows",
-        "move_to_end",
-        "events_by_fid",
-        "event_active",
-        "program",
-        "fixed_meter",
-        "steady_report",
-        "shared",
-        "_m_classified_inc",
-        "_m_hits_inc",
-        "_m_fast_inc",
-        "_m_checks_inc",
-        "_m_path_inc",
-        "_drops_inc",
+        "speedybox", "classifier", "rules", "flows", "move_to_end", "events_by_fid",
+        "classified_inc", "hits_inc", "fast_inc", "checks_inc", "path_inc",
     )
 
-    def __init__(self, speedybox, entry: FlowEntry, rule: GlobalRule):
+    def __init__(self, speedybox):
         self.speedybox = speedybox
-        classifier = speedybox.classifier
-        self.classifier = classifier
-        self.entry = entry
-        self.five_tuple = entry.five_tuple
-        self.fid = entry.fid
-        self.is_tcp = entry.five_tuple.protocol == PROTO_TCP
-        self.rule = rule
+        self.classifier = classifier = speedybox.classifier
         global_mat = speedybox.global_mat
         self.rules = global_mat._rules
         self.flows = classifier._flows
         self.move_to_end = global_mat._rules.move_to_end
         self.events_by_fid = speedybox.event_table._by_fid
+        metered = speedybox._m_fast is not NULL_INSTRUMENT
+        self.classified_inc = classifier._m_classified.inc if metered else None
+        self.hits_inc = global_mat._m_hits.inc if metered else None
+        self.fast_inc = speedybox._m_fast.inc if metered else None
+        self.checks_inc = speedybox.event_table._m_checks.inc if metered else None
+        self.path_inc = speedybox._m_path[_FAST].inc if metered else None
+
+
+class CompiledFlow:
+    """One flow's fast path, pre-bound into a single cached callable."""
+
+    __slots__ = (
+        "bindings",
+        "entry",
+        "five_tuple",
+        "fid",
+        "is_tcp",
+        "rule",
+        "event_active",
+        "program",
+        "fixed_meter",
+        "steady_report",
+        "shared",
+        "_drops_inc",
+    )
+
+    def __init__(self, speedybox, entry: FlowEntry, rule: GlobalRule):
+        self.bindings = speedybox._flow_bindings
+        self.entry = entry
+        self.five_tuple = entry.five_tuple
+        self.fid = entry.fid
+        self.is_tcp = entry.five_tuple.protocol == PROTO_TCP
+        self.rule = rule
         self.program = program_of(speedybox, rule)
         self._derive_template(speedybox.event_table.active_event_count(entry.fid))
-        # SpeedyBox hands one registry to every component, so the
-        # per-packet counters are all-null or all-real: bound ``inc``
-        # methods, or ``None`` — one ``is not None`` test a packet where
-        # the interpreted path calls the no-op instrument.
-        if speedybox._m_fast is NULL_INSTRUMENT:
-            self._m_classified_inc = None
-            self._m_hits_inc = None
-            self._m_fast_inc = None
-            self._m_checks_inc = None
-            self._m_path_inc = None
-        else:
-            self._m_classified_inc = classifier._m_classified.inc
-            self._m_hits_inc = global_mat._m_hits.inc
-            self._m_fast_inc = speedybox._m_fast.inc
-            self._m_checks_inc = speedybox.event_table._m_checks.inc
-            self._m_path_inc = speedybox._m_path[_FAST].inc
         #: labelled drop counter: ``None`` when metrics are off, bound
         #: lazily on the first drop otherwise (see ``_PENDING``)
         self._drops_inc = None if speedybox._m_drops is NULL_INSTRUMENT else _PENDING
@@ -358,24 +352,19 @@ class CompiledFlow:
         identity* (bulk admission's ``install_prebuilt`` clones) —
         identity is what guarantees the fixed meter and the rule program
         carry over unchanged — and for an ``entry`` with
-        this flow's ``probes`` (bulk admission: both sit at home), which
-        the fixed meter charges.  Everything per-flow is fresh, except the
-        steady report's ``nf_meters``/``sf_waves``: a steady report's are
-        empty and nothing appends to them, so every clone shares this
-        flow's two lists.
+        this flow's ``probes``, which the fixed meter charges (bulk
+        admission clones from one flow per probe count).  Everything
+        per-flow is fresh; the clone shares the runtime's bindings and
+        this flow's steady report's ``nf_meters``/``sf_waves``: a steady
+        report's are empty and nothing appends to them.
         """
         clone = object.__new__(CompiledFlow)
-        clone.speedybox = self.speedybox
-        clone.classifier = self.classifier
+        clone.bindings = self.bindings
         clone.entry = entry
         clone.five_tuple = entry.five_tuple
         clone.fid = entry.fid
         clone.is_tcp = entry.five_tuple.protocol == PROTO_TCP
         clone.rule = rule
-        clone.rules = self.rules
-        clone.flows = self.flows
-        clone.move_to_end = self.move_to_end
-        clone.events_by_fid = self.events_by_fid
         clone.event_active = 0  # steady: no event to check, here or there
         clone.program = self.program  # no waves: clones exist only for steady rules
         clone.fixed_meter = self.fixed_meter
@@ -396,11 +385,6 @@ class CompiledFlow:
         report.steady = True
         report.plan_cache = None
         clone.steady_report = report
-        clone._m_classified_inc = self._m_classified_inc
-        clone._m_hits_inc = self._m_hits_inc
-        clone._m_fast_inc = self._m_fast_inc
-        clone._m_checks_inc = self._m_checks_inc
-        clone._m_path_inc = self._m_path_inc
         clone._drops_inc = self._drops_inc
         return clone
 
@@ -418,17 +402,18 @@ class CompiledFlow:
             except AttributeError:
                 return None
         fid = self.fid
-        if self.rules.get(fid) is not self.rule:
+        bindings = self.bindings
+        if bindings.rules.get(fid) is not self.rule:
             return None  # rule deleted / evicted / rebuilt / migrated
-        if self.flows.get(fid) is not self.entry:
+        if bindings.flows.get(fid) is not self.entry:
             return None  # classifier entry replaced under us
         if packet.dropped:
             return None  # pre-dropped descriptor: pathological, interpret it
         # -- event pre-check, last in the gate: a true condition hands the
         # packet, untouched, to the interpreted route, which fires it.
-        speedybox = self.speedybox
+        speedybox = bindings.speedybox
         active = 0
-        if fid in self.events_by_fid:
+        if fid in bindings.events_by_fid:
             event_table = speedybox.event_table
             active = event_table.quiet_active_count(fid)
             if active < 0:
@@ -436,22 +421,22 @@ class CompiledFlow:
             if active:
                 # the pre-check's quiet evaluations, booked as check_fid would
                 event_table.total_checks += active
-                if self._m_checks_inc is not None:
-                    self._m_checks_inc(active)
+                if bindings.checks_inc is not None:
+                    bindings.checks_inc(active)
         if active != self.event_active:
             self._derive_template(active)
 
         # -- classify + Global MAT hit (established: pure bookkeeping).
-        self.classifier.packets_classified += 1
+        bindings.classifier.packets_classified += 1
         self.entry.packets += 1
         self.rule.hits += 1
-        self.move_to_end(fid)
+        bindings.move_to_end(fid)
         speedybox.fast_packets += 1
-        inc = self._m_classified_inc
+        inc = bindings.classified_inc
         if inc is not None:
             inc()
-            self._m_hits_inc()
-            self._m_fast_inc()
+            bindings.hits_inc()
+            bindings.fast_inc()
 
         program = self.program
         steady = self.steady_report
@@ -467,7 +452,7 @@ class CompiledFlow:
                         drops_inc = speedybox._m_drops.labels(cause=program.drop_cause).inc
                         self._drops_inc = drops_inc
                     drops_inc()
-            inc = self._m_path_inc
+            inc = bindings.path_inc
             if inc is not None:
                 inc()
             return steady
@@ -487,8 +472,8 @@ class CompiledFlow:
         if active:
             if event_table.quiet_active_count(fid) == active:
                 event_table.total_checks += active
-                if self._m_checks_inc is not None:
-                    self._m_checks_inc(active)
+                if bindings.checks_inc is not None:
+                    bindings.checks_inc(active)
             else:
                 fixed_meter = CycleMeter()
                 _charge_through_action(fixed_meter, self.program, active, self.entry.probes)
@@ -508,7 +493,7 @@ class CompiledFlow:
 
         # -- detach + path accounting.
         metadata.pop("fid", None)
-        inc = self._m_path_inc
+        inc = bindings.path_inc
         if inc is not None:
             inc()
         if fixed_meter is not self.fixed_meter:

@@ -53,6 +53,12 @@ class PathTaken(enum.Enum):
     FAST = "fast"                    # Global MAT fast path
 
 
+# Enum members hoisted off the per-packet oracle (a class read runs Enum's hook)
+_ORIGINAL, _HANDSHAKE, _FAST = PathTaken.ORIGINAL, PathTaken.ORIGINAL_HANDSHAKE, PathTaken.FAST
+_MAT_LOOKUP, _BEGIN_RECORD = Operation.GLOBAL_MAT_LOOKUP, Operation.MAT_BEGIN_RECORD
+_CONSOLIDATE, _RULE_INSTALL = Operation.CONSOLIDATE_ACTION, Operation.GLOBAL_RULE_INSTALL
+
+
 @dataclass(slots=True)
 class ProcessReport:
     """Everything a platform needs to time one packet."""
@@ -93,7 +99,7 @@ class ProcessReport:
 
     @property
     def is_fast(self) -> bool:
-        return self.path is PathTaken.FAST
+        return self.path is _FAST
 
 @dataclass
 class FlowRecord:
@@ -325,6 +331,8 @@ class SpeedyBox:
         self._m_flow_deletes = metrics.counter(
             "flow_deletes_total", "FIN/RST full-table flow teardowns"
         )
+        #: the tables and counters every compiled flow reads (rebuilt by reset)
+        self._flow_bindings = _fastpath.FlowBindings(self)
 
     @property
     def nf_names(self) -> Tuple[str, ...]:
@@ -353,22 +361,22 @@ class SpeedyBox:
                     if report is not None:
                         return report
 
-        report = ProcessReport(path=PathTaken.ORIGINAL, fid=-1)
+        report = ProcessReport(path=_ORIGINAL, fid=-1)
         classification = self.classifier.classify(packet, report.fixed_meter)
         report.fid = classification.fid
         report.closing = classification.is_closing
 
         if classification.is_handshake:
-            report.path = PathTaken.ORIGINAL_HANDSHAKE
+            report.path = _HANDSHAKE
             self._run_original(packet, report, record=False)
         else:
             rule = self.global_mat.lookup(classification.fid)
-            report.fixed_meter.charge(Operation.GLOBAL_MAT_LOOKUP)
+            report.fixed_meter.charge(_MAT_LOOKUP)
             if rule is not None:
-                report.path = PathTaken.FAST
+                report.path = _FAST
                 self._run_fast(packet, rule, report)
             else:
-                report.path = PathTaken.ORIGINAL
+                report.path = _ORIGINAL
                 self._run_original(packet, report, record=True)
             if not classification.is_closing:
                 self._maybe_compile(classification)
@@ -445,7 +453,7 @@ class SpeedyBox:
             for nf in self.nfs:
                 self.local_mats[nf.name].begin_recording(fid)
             # one count per NF, in one charge: the same counts entry
-            report.fixed_meter.charge(Operation.MAT_BEGIN_RECORD, len(self.nfs))
+            report.fixed_meter.charge(_BEGIN_RECORD, len(self.nfs))
 
         null_api = self._null_api
         for nf in self.nfs:
@@ -470,8 +478,8 @@ class SpeedyBox:
     def _consolidate(self, fid: int, meter: CycleMeter) -> GlobalRule:
         ordered = [(nf.name, self.local_mats[nf.name].rule_for(fid)) for nf in self.nfs]
         action_count = sum(len(rule.header_actions) for __, rule in ordered if rule is not None)
-        meter.charge(Operation.CONSOLIDATE_ACTION, max(action_count, 1))
-        meter.charge(Operation.GLOBAL_RULE_INSTALL)
+        meter.charge(_CONSOLIDATE, max(action_count, 1))
+        meter.charge(_RULE_INSTALL)
         return self.global_mat.build_rule(fid, ordered)
 
     # -- the fast path -------------------------------------------------------
@@ -683,6 +691,7 @@ class SpeedyBox:
             nf.name: InstrumentationAPI(self.local_mats[nf.name], self.event_table)
             for nf in self.nfs
         }
+        self._flow_bindings = _fastpath.FlowBindings(self)
         self.slow_packets = 0
         self.fast_packets = 0
         self._compiled.clear()

@@ -19,6 +19,10 @@ from repro.core.state_function import PayloadClass, StateFunction, StateFunction
 from repro.net.packet import Packet
 from repro.platform.costs import CycleMeter, NULL_METER, Operation
 
+# Enum members hoisted off the recording path (a class read runs Enum's hook)
+_RECORD_HA, _RECORD_SF = Operation.MAT_RECORD_HA, Operation.MAT_RECORD_SF
+_EVENT_REGISTER = Operation.EVENT_REGISTER
+
 
 class LocalRule:
     """One flow's record in one NF's Local MAT.
@@ -28,14 +32,13 @@ class LocalRule:
     "we use a queue data structure to maintain the sequence").
     """
 
-    __slots__ = ("fid", "header_actions", "sf_batch", "event_count", "hits")
+    __slots__ = ("fid", "header_actions", "sf_batch", "event_count")
 
     def __init__(self, fid: int, nf_name: str):
         self.fid = fid
         self.header_actions: List[HeaderAction] = []
         self.sf_batch = StateFunctionBatch(nf_name)
         self.event_count = 0
-        self.hits = 0
 
     def copy(self, copies: Dict[int, object]) -> "LocalRule":
         # An event replaces the action *list*, so the copy gets its own;
@@ -45,7 +48,6 @@ class LocalRule:
         clone.header_actions = list(self.header_actions)
         clone.sf_batch = self.sf_batch.copy(copies)
         clone.event_count = self.event_count
-        clone.hits = self.hits
         return clone
 
     def __repr__(self) -> str:
@@ -161,7 +163,7 @@ class InstrumentationAPI:
 
     def add_header_action(self, fid: int, action: HeaderAction) -> None:
         """Record a header action for the flow (``localmat_add_HA``)."""
-        self.meter.charge(Operation.MAT_RECORD_HA)
+        self.meter.charge(_RECORD_HA)
         self.local_mat.add_header_action(fid, action)
 
     def add_state_function(
@@ -173,7 +175,7 @@ class InstrumentationAPI:
         name: str = "",
     ) -> None:
         """Record a state-function handler (``localmat_add_SF``)."""
-        self.meter.charge(Operation.MAT_RECORD_SF)
+        self.meter.charge(_RECORD_SF)
         function = StateFunction(
             handler,
             payload_class,
@@ -194,7 +196,7 @@ class InstrumentationAPI:
         one_shot: bool = True,
     ) -> Event:
         """Register a runtime event for the flow (``register_event``)."""
-        self.meter.charge(Operation.EVENT_REGISTER)
+        self.meter.charge(_EVENT_REGISTER)
         event = Event(
             fid=fid,
             nf_name=self.local_mat.nf_name,

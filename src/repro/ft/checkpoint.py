@@ -105,8 +105,7 @@ def _apply_counters(record: FlowRecord, counters: tuple) -> None:
     entry, local_rules, rule, functions, events = _counted(record)
     entry_counts, local_counts, rule_hits, invocations, event_counts = counters
     entry.packets, entry.established, entry.closed = entry_counts
-    for local, (hits, event_count) in zip(local_rules, local_counts):
-        local.hits = hits
+    for local, event_count in zip(local_rules, local_counts):
         local.event_count = event_count
     if rule is not None:
         rule.hits = rule_hits
@@ -163,7 +162,7 @@ class _Rows:
                     or len(batch) != length
                 ):
                     return None
-                local_counts.append((local.hits, local.event_count))
+                local_counts.append(local.event_count)
         entry = self.entry
         return (
             (entry.packets, entry.established, entry.closed),

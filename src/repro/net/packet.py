@@ -260,6 +260,11 @@ class Packet:
                 ip.protocol = PROTO_AH
         else:
             encap_len = 0
+        if ip.protocol == PROTO_AH and l4 is not None and not any(
+            isinstance(header, AuthenticationHeader) for header in encaps
+        ):
+            # the last AH is gone: the IP header names the L4 protocol again
+            ip.protocol = PROTO_UDP if isinstance(l4, UDPHeader) else PROTO_TCP
         ip.total_length = IPv4Header.LENGTH + encap_len + inner_len
         ip.refresh_checksum()
 

@@ -11,7 +11,8 @@ displaced; the committed one-FID fixture and three hand-built batches
 (one five-tuple in two slots, a displaced flow whose home emptied, a FID
 handed on between two steady runs) follow the fuzzed test, then the
 block-admission cases: stretches of first packets that evict their own
-admissions, meet a taken home, a sampled flow or a TCP first packet
+admissions, admit a flow whose home is taken (its plans the oracle's at
+one to three probes), meet a sampled flow or a TCP first packet
 mid-stretch, or come through the mixed-run replay.  Last, a strict
 xfail pins the one thing the lane does not match yet: the runtime
 registry's per-packet and table series (ROADMAP item 23).
@@ -170,7 +171,6 @@ def local_mat_records(runtime):
                     rule.header_actions,
                     [(fn.nf_name, fn.name, fn.payload_class, fn.args) for fn in rule.sf_batch],
                     rule.event_count,
-                    rule.hits,
                 )
                 for fid, rule in mat._rules.items()
             ],
@@ -193,6 +193,8 @@ def assert_lane_equals_legacy(platform_cls, indices, batch, capacity, spans=None
     assert fast_rt.stats() == slow_rt.stats()
     assert fast_audit == slow_audit
     assert list(fast_rt.classifier._flows.items()) == list(slow_rt.classifier._flows.items())
+    assert fast_rt.classifier._displaced == slow_rt.classifier._displaced
+    assert fast_rt.classifier.collisions == slow_rt.classifier.collisions
     assert fast_rt.global_mat.flows() == slow_rt.global_mat.flows()
     assert fast_rt._compiled_fids == slow_rt._compiled_fids
     assert local_mat_records(fast_rt) == local_mat_records(slow_rt)
@@ -371,15 +373,70 @@ def test_an_admission_run_evicts_flows_it_admitted_itself(platform_name, capacit
 @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
 @pytest.mark.parametrize("capacity", [None, 2])
 def test_a_taken_home_sends_a_first_packet_to_the_oracle_mid_run(platform_name, capacity):
-    """Twelve flows on eight homes: a flow whose home a flow admitted
-    earlier in the same stretch holds is displaced, so the loop hands
+    """Twelve flows on eight homes, sampled for spans: a flow whose home
+    a flow admitted earlier in the same stretch holds is displaced, and
+    the oracle decides its sampling once it is placed, so the loop hands
     its first packet to the oracle and goes on admitting after it."""
     batch = uniform_batch(12, 3, interleave="round_robin")
     with three_bit_homes():
-        stretches = block_oracle(platform_name, batch, capacity)
-    assert stretches[0]["served"] == list(range(12))
+        stretches = block_oracle(
+            platform_name, batch, capacity, spans=lambda: FlowSpanRecorder(every=64)
+        )
+    # flow 0, the one sampled, records the template and stays scalar, so
+    # its second packet (12) is in the stretch too
+    assert stretches[0]["served"] == list(range(13))
     assert mid_run_oracle(stretches)
-    assert stretches[0]["admitted"] + len(stretches[0]["oracle"]) == 12
+    assert stretches[0]["admitted"] + len(stretches[0]["oracle"]) == 13
+
+
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+@pytest.mark.parametrize("capacity", [1, 2, 8])
+def test_a_taken_home_admits_the_displaced_flow(platform_name, capacity):
+    """Twelve flows on eight homes, unsampled: every first packet after
+    the template's is admitted, a displaced one at the FID the oracle's
+    placement gives it (at a capacity of 1 the eviction frees the home
+    first).  Tables, the displaced index, collisions, the audit stream
+    and the result are the oracle's (``assert_lane_equals_legacy``)."""
+    batch = uniform_batch(12, 3, interleave="round_robin")
+    with three_bit_homes(), admission_stretches() as stretches:
+        runtime = assert_lane_equals_legacy(PLATFORMS[platform_name], [0, 1], batch, capacity)
+    assert stretches[0]["served"] == list(range(12))
+    assert stretches[0]["oracle"] == [0] and stretches[0]["admitted"] == 11
+    assert (runtime.classifier.collisions > 0) == (capacity > 1)
+
+
+def lane_runs():
+    """Every ``BatchLane`` a lane run builds, in the order they ran."""
+    lanes = []
+    run = batchlane_module.BatchLane.run
+
+    def spy(lane):
+        lanes.append(lane)
+        return run(lane)
+
+    return lanes, mock.patch.object(batchlane_module.BatchLane, "run", spy)
+
+
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+def test_a_displaced_admitted_flows_plans_are_the_oracles(platform_name):
+    """Four flows on one home: flow 0 records the template there and
+    flows 1-3 are admitted k = 1, 2, 3 probes past it.  Every packet's
+    stage plan and flags — first packets' and steady ones' — are those
+    of the oracle's report for that packet."""
+    batch = batch_over(colliding_flows(4), 3, interleave="round_robin")
+    lanes, spy = lane_runs()
+    with spy:
+        runtime = assert_lane_equals_legacy(PLATFORMS[platform_name], [0, 1], batch, None)
+    (lane,) = lanes
+    assert [entry.probes for entry in runtime.classifier._flows.values()] == [0, 1, 2, 3]
+    assert lane.admitted == 3 and sorted(lane._variants) == [1, 2, 3]
+    oracle = PLATFORMS[platform_name](SpeedyBox(build_chain([0, 1])))
+    for index, packet in enumerate(batch.packet_view()):
+        report = oracle.runtime.process(packet)
+        pid = int(lane.plan_ids[index])
+        assert (lane.table[pid], lane.table.flags[pid]) == (
+            oracle._stage_plan(report), report.is_fast + 2 * report.dropped
+        ), index
 
 
 @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))

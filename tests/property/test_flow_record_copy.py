@@ -226,7 +226,6 @@ def record_view(record):
                 list(local.header_actions),
                 batch_view(local.sf_batch),
                 local.event_count,
-                local.hits,
             )
             for name, local in record.local_rules.items()
         ],

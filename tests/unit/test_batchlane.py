@@ -16,7 +16,7 @@ import pytest
 import repro.core.batchlane as batchlane
 from repro.core.actions import Modify
 from repro.core.batchlane import BatchLane
-from repro.core.framework import ServiceChain, SpeedyBox
+from repro.core.framework import PathTaken, ServiceChain, SpeedyBox
 from repro.core.state_function import PayloadClass
 from repro.nf import IPFilter, SyntheticNF
 from repro.nf.ipfilter import AclRule, Verdict
@@ -272,11 +272,12 @@ def test_a_disabled_audit_log_costs_nothing_per_admitted_flow(monkeypatch):
 # -- the Local MAT's one shared empty state-function batch --
 
 
-def test_an_admitted_flow_holds_eleven_objects():
-    """Entry, five-tuple, three Local MAT records and their action
-    lists, the Global MAT rule, the compiled clone and its report; the
-    records share their MAT's empty batch, and the report the template
-    report's empty meter lists."""
+def test_an_admitted_flow_holds_eight_objects():
+    """Entry, five-tuple, three Local MAT records, the Global MAT rule,
+    the compiled clone and its report; the records share their MAT's
+    empty batch and the run's one action list per NF, the clone its
+    runtime's bindings, and the report the template report's empty
+    meter lists."""
 
     def held(flows):
         platform = BessPlatform(
@@ -289,7 +290,7 @@ def test_an_admitted_flow_holds_eleven_objects():
         return len(gc.get_objects()) - before, platform.last_lane_stats["admitted"]
 
     (small, admitted_small), (large, admitted_large) = held(500), held(1500)
-    assert round((large - small) / (admitted_large - admitted_small)) == 11
+    assert round((large - small) / (admitted_large - admitted_small)) == 8
 
 
 def admitted_flows(runtime, flows=6):
@@ -350,6 +351,35 @@ def test_an_evicted_admitted_flow_recorded_again_gets_a_fresh_batch():
         assert batch_ is not mat.no_functions and len(batch_) == 0
     runtime.apis["ttl"].add_state_function(fid, count_packets, PayloadClass.IGNORE)
     assert len(runtime.local_mats["ttl"].no_functions) == 0
+
+
+def test_re_recording_one_admitted_flow_leaves_the_others_records_unchanged():
+    """Admitted records share their run's one action list per NF.  A
+    flow recorded again gets fresh records (``begin_recording``), so the
+    recording NFs' appends land in lists of its own."""
+    runtime = make_runtime()
+    fids = admitted_flows(runtime)
+
+    def records(fid):
+        return [mat.rule_for(fid) for mat in runtime.local_mats.values()]
+
+    shared = [rule.header_actions for rule in records(fids[0])]
+    before = [list(actions) for actions in shared]
+    assert all(
+        rule.header_actions is actions
+        for fid in fids
+        for rule, actions in zip(records(fid), shared)
+    )
+    # its rule gone, flow 1's next packet takes the original path again
+    runtime.global_mat.delete_flow(fids[0])
+    report = runtime.process(uniform_batch(6, 2, interleave="round_robin").materialize(1))
+    assert report.path is PathTaken.ORIGINAL
+    again = records(fids[0])
+    assert [rule.header_actions for rule in again] == before
+    assert all(rule.header_actions is not actions for rule, actions in zip(again, shared))
+    assert [list(actions) for actions in shared] == before
+    for fid in fids[1:]:
+        assert all(rule.header_actions is actions for rule, actions in zip(records(fid), shared))
 
 
 # -- flow-span sampling on the lane (sampled flows keep full coverage) --
@@ -564,7 +594,7 @@ def three_pass_flush(lane):
             lane.dropped += count
     for flow in order.tolist():
         clone = lane._vclone[flow]
-        clone.move_to_end(clone.fid)
+        clone.bindings.move_to_end(clone.fid)
 
 
 def tail_scan_shapes(flows: int, seed: int) -> dict:

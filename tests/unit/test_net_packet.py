@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.actions import Decap
 from repro.net import (
     AuthenticationHeader,
     EthernetHeader,
@@ -209,6 +210,21 @@ class TestPacket:
         assert len(parsed.encaps) == 1
         assert parsed.encaps[0].spi == 0x10
         assert parsed.five_tuple() == packet.five_tuple()
+
+    @pytest.mark.parametrize("protocol", [PROTO_TCP, PROTO_UDP], ids=["tcp", "udp"])
+    def test_a_decapped_packet_serializes_its_l4_protocol(self, protocol):
+        """An AH-carrying packet decapped (``Decap(AuthenticationHeader)``)
+        leaves with the L4 protocol again, and its bytes parse back."""
+        ft = FiveTuple.make("10.0.0.1", "10.0.0.2", 1234, 80, protocol=protocol)
+        packet = Packet.from_five_tuple(ft, payload=b"inner")
+        packet.push_encap(AuthenticationHeader(next_header=protocol, spi=0x10))
+        assert Packet.parse(packet.serialize()).ip.protocol == 51
+        Decap(AuthenticationHeader).apply(packet)
+        parsed = Packet.parse(packet.serialize())
+        assert packet.ip.protocol == parsed.ip.protocol == protocol
+        assert not parsed.encaps and parsed.payload == b"inner"
+        assert parsed.five_tuple() == ft
+        assert checksum_valid(parsed.ip)
 
     def test_serialize_sets_total_length(self):
         packet = self.make_packet(payload=b"x" * 100)
