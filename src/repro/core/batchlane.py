@@ -78,7 +78,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.classifier import FlowEntry, fid_column
 from repro.core.framework import PathTaken, ProcessReport
 from repro.core.global_mat import GlobalRule
-from repro.core.local_mat import LocalRule
+from repro.core.local_mat import LocalRule, SharedActions
 from repro.net.flow import FiveTuple, PROTO_UDP
 from repro.obs.registry import NULL_INSTRUMENT
 from repro.platform.base import PlanTable
@@ -116,8 +116,8 @@ class BulkTemplate:
         #: the recorded action list)`` — the record every admitted flow
         #: receives (no actions for NFs after a dropper), prebound so the
         #: admission loop is free of name lookups.  Admitted records share
-        #: the one list: an append only follows ``begin_recording``, which
-        #: installs a fresh record, and an event assigns a new list.
+        #: the one list, a ``SharedActions``: ``LocalMAT.add_header_action``
+        #: copies it before an append, and an event assigns a new list.
         self.mat_plumbing = mat_plumbing
         #: the template flow's own first-packet report (its meters)
         self.first_report = first_report
@@ -885,12 +885,12 @@ class BatchLane:
         mat_plumbing = []
         for position, nf in enumerate(runtime.nfs):
             local_mat = runtime.local_mats[nf.name]
-            actions = []
+            actions = SharedActions()
             if position < ran:
                 local_rule = local_mat.rule_for(fid)
                 if local_rule is None or local_rule.sf_batch or local_rule.event_count:
                     return
-                actions = list(local_rule.header_actions)
+                actions = SharedActions(local_rule.header_actions)
             mat_plumbing.append((local_mat, local_mat._rules, local_mat.no_functions, actions))
         self._steady_pid(clone.steady_report)
         self.template = BulkTemplate(

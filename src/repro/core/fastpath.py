@@ -356,7 +356,8 @@ class CompiledFlow:
         admission clones from one flow per probe count).  Everything
         per-flow is fresh; the clone shares the runtime's bindings and
         this flow's steady report's ``nf_meters``/``sf_waves``: a steady
-        report's are empty and nothing appends to them.
+        report's are empty and nothing appends to them.  It shares the
+        report's telemetry ``shape`` too, which leaves the FID out.
         """
         clone = object.__new__(CompiledFlow)
         clone.bindings = self.bindings
@@ -384,6 +385,7 @@ class CompiledFlow:
         report.timing_cache = None
         report.steady = True
         report.plan_cache = None
+        report.shape = self.steady_report.shape
         clone.steady_report = report
         clone._drops_inc = self._drops_inc
         return clone

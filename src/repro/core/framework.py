@@ -96,6 +96,11 @@ class ProcessReport:
     #: index in it, and only that run trusts more of the entry than the
     #: plan.  Owned by ``repro.platform``.
     plan_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
+    #: the report's telemetry shape (:func:`repro.obs.span.shape_of`),
+    #: computed the first time a span recorder or tracer sees it.  It
+    #: leaves the FID out, so a bulk-admitted flow's report starts with
+    #: its template's (``CompiledFlow.clone_for``).  Owned by ``repro.obs``.
+    shape: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def is_fast(self) -> bool:

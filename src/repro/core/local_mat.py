@@ -24,6 +24,16 @@ _RECORD_HA, _RECORD_SF = Operation.MAT_RECORD_HA, Operation.MAT_RECORD_SF
 _EVENT_REGISTER = Operation.EVENT_REGISTER
 
 
+class SharedActions(list):
+    """An action list many records hold at once: each NF's one list for
+    the flows a batch-lane run admits (``repro.core.batchlane``).
+    :meth:`LocalMAT.add_header_action` gives a record its own copy
+    before the first append, as :meth:`LocalMAT.add_state_function` does
+    with ``no_functions``."""
+
+    __slots__ = ()
+
+
 class LocalRule:
     """One flow's record in one NF's Local MAT.
 
@@ -101,7 +111,10 @@ class LocalMAT:
         return rule
 
     def add_header_action(self, fid: int, action: HeaderAction) -> None:
-        self._rule(fid).header_actions.append(action)
+        rule = self._rule(fid)
+        if rule.header_actions.__class__ is SharedActions:
+            rule.header_actions = list(rule.header_actions)
+        rule.header_actions.append(action)
         self.records_ha += 1
 
     def add_state_function(self, fid: int, function: StateFunction) -> None:

@@ -13,10 +13,13 @@ The recorder exposes ``skip``, a dict of the FIDs it must *not* record
 :meth:`~FlowSpanRecorder.record` only when the probe misses, so an
 unrecorded packet costs what it costs with no recorder attached (the
 1-in-64 overhead gate in ``benchmarks/test_obs_overhead.py``).  A
-recorded packet is one row, its template and its start; a steady
-(shared) report's template is built once, and every template encodes
-its spans once per export (:func:`repro.obs.trace.encode`).  Sampling is
-deterministic: the k-th distinct FID is sampled iff ``k % every == 0``;
+recorded packet is one row — its template, start and FID — and a
+template is built once per cost model and report *shape*
+(:func:`shape_of`: everything the spans depend on but the FID), so a
+report whose shape any flow already produced builds nothing.
+:meth:`~FlowSpanRecorder.write_jsonl` renders the rows a template at a
+time (:func:`repro.obs.trace.render`).  Sampling is deterministic: the
+k-th distinct FID is sampled iff ``k % every == 0``;
 ``max_spans_per_flow=None`` records every packet.
 
 Each recorded packet is one root span (track ``flow:<fid>``) whose
@@ -33,21 +36,22 @@ recorder (a cluster's replicas) cannot collide.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.trace import (
     FIRST_TS,
-    PACKET,
-    ROW_SEP,
-    VALUE,
-    VALUE_US,
     Span,
     chrome_event,
     encode,
-    rendered,
+    groups_of,
+    joined,
+    laid_out,
+    render,
     slot,
 )
 from repro.platform.costs import CostModel, Operation
+from repro.vector import np
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.framework import ProcessReport
@@ -117,6 +121,46 @@ _PRE_NF_STAGES: Tuple[str, ...] = tuple(
 _POST_NF_STAGES: Tuple[str, ...] = ("teardown", "emit", "transport", "other")
 
 
+class Shape:
+    """A report's shape, interned: one object per distinct :func:`shape_of`
+    key while anything holds it, so a template cache probes by identity
+    instead of hashing the key's nested tuples again on every packet.
+    The table decides which object stands for a key, never a result."""
+
+    __slots__ = ("key", "__weakref__")
+
+    def __init__(self, key: tuple):
+        self.key = key
+
+
+_SHAPES: "weakref.WeakValueDictionary[tuple, Shape]" = weakref.WeakValueDictionary()
+
+
+def _meter_key(name: str, meter) -> tuple:
+    return name, tuple(meter.counts.items()), meter.direct_cycles
+
+
+def shape_of(report: "ProcessReport") -> Shape:
+    """Everything a report's telemetry shows but its FID: the path, the
+    drop flag, the events fired, and each fixed, NF and SF meter's name,
+    counts and direct cycles.  Counts go in charge order, the order a
+    meter sums its cycles in.  Computed once per report (``report.shape``):
+    a report's fields are final once the runtime hands it out."""
+    shape = report.shape
+    if shape is None:
+        fixed = report.fixed_meter
+        key = (report.path, report.dropped, report.events_fired,
+               tuple(fixed.counts.items()), fixed.direct_cycles,
+               tuple([_meter_key(name, meter) for name, meter in report.nf_meters]),
+               tuple([tuple([_meter_key(name, meter) for name, meter in wave])
+                      for wave in report.sf_waves]))
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _SHAPES[key] = Shape(key)
+        report.shape = shape
+    return shape
+
+
 class FlowSpanRecorder:
     """Low-overhead 1-in-N flow span sampler for the fast engine."""
 
@@ -139,16 +183,13 @@ class FlowSpanRecorder:
         self.flows_seen = 0
         self.flows_sampled = 0
         self.packets_sampled = 0
-        #: one ``[template, start_ns]`` row per recorded packet, stamped
-        #: ``[template, start_ns, arrival, finish, latency]``
+        #: one ``[template, start_ns, fid]`` row per recorded packet,
+        #: stamped ``[template, start_ns, fid, arrival, finish, latency]``
         self._rows: List[list] = []
         self._decisions: Dict[int, bool] = {}
         self._flow_spans: Dict[int, int] = {}
-        #: id(steady report) -> (the report, its template): holding the
-        #: report, a recycled ``id()`` cannot match a dead flow's entry
-        self._steady_templates: Dict[int, tuple] = {}
-        #: encoded span texts every template shares (see ``_FlowTemplate``)
-        self._texts: Dict[tuple, str] = {}
+        #: (cost model, report shape) -> the spans' template
+        self._templates: Dict[Tuple[CostModel, Shape], "_FlowTemplate"] = {}
         self._clock_ns = 0.0
 
     # -- recording ---------------------------------------------------------
@@ -183,14 +224,13 @@ class FlowSpanRecorder:
             self._flow_spans[fid] = taken + 1
 
         self.packets_sampled += 1
-        entry = self._steady_templates.get(id(report)) if report.steady else None
-        if entry is None or entry[0] is not report:
-            entry = (report, _FlowTemplate(report, costs, self._texts))
-            if report.steady:
-                self._steady_templates[id(report)] = entry
-        row = [entry[1], self._clock_ns]
+        key = (costs, shape_of(report))
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = _FlowTemplate(report, costs)
+        row = [template, self._clock_ns, fid]
         self._rows.append(row)
-        for dur_ns in entry[1].durations:
+        for dur_ns in template.durations:
             self._clock_ns += dur_ns
         return row
 
@@ -219,12 +259,11 @@ class FlowSpanRecorder:
     def records(self) -> List[Dict[str, Any]]:
         """Every span as a ``{"type": "flow_span", ...}`` dict, each
         packet's root then its children, in record order."""
-        return [record for template, start, *stamps in self._rows
-                for record in template.records(template._starts(start), stamps, template.track)]
+        return [record for row in self._rows for record in row[0].records(row)]
 
     def roots(self) -> List[Dict[str, Any]]:
         """The per-packet root spans, in record order."""
-        return [template.records([start], stamps, "")[0] for template, start, *stamps in self._rows]
+        return [row[0].records(row)[0] for row in self._rows]
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -236,13 +275,17 @@ class FlowSpanRecorder:
         }
 
     def write_jsonl(self, path) -> int:
+        """Write one JSON line a span, each packet's root then its
+        children, in record order; returns the span count."""
         rows = self._rows
-        for template in dict.fromkeys(row[0] for row in rows):
-            if template._jsonl is None:
-                texts = template.joined(template.events(), "\n")
-                template._jsonl = tuple(text + "\n" for text in texts)
+        groups = groups_of(rows)
+        # a row's spans are one text: its lines, joined
+        cut = [[joined(events, "\n")] for events in encode(
+            [template.spans(rows[indices[0]]) for template, indices in groups], sort_keys=True)]
+        texts, (__, __, owners, __) = render(rows, groups, cut, None, 1.0)
+        lines = list(map(texts.__getitem__, np.argsort(owners).tolist()))
         with open(path, "w") as handle:
-            handle.write("".join(row[0].jsonl(row) for row in rows))
+            handle.write("\n".join(lines + [""]))
         return len(self)
 
     def replay_into(self, tracer: "PacketTracer") -> int:
@@ -259,8 +302,7 @@ class FlowSpanRecorder:
         self._rows = []
         self._decisions.clear()
         self._flow_spans.clear()
-        self._steady_templates.clear()
-        self._texts.clear()
+        self._templates.clear()
         self._clock_ns = 0.0
 
     def __repr__(self) -> str:
@@ -272,26 +314,25 @@ class FlowSpanRecorder:
 
 
 class _FlowTemplate:
-    """One packet's flow spans but for its start and stamps: a root span
-    on track ``flow:<fid>``, then its children laid end to end from the
-    root's start (:meth:`_children`).
+    """One shape's flow spans but for a row's start, FID and stamps: a
+    root span on track ``flow:<fid>``, then its children laid end to end
+    from the root's start (:meth:`_children`).
 
-    A row is ``[template, start_ns, *stamps]``.  Encoded (:meth:`events`),
-    a row's fields are the three stamps, the track (the FID, or in Chrome
-    form the track's ``tid``), the FID and each span's start, so a span's
-    text is the same on every flow: the recorder encodes each one once.
+    A row is ``[template, start_ns, fid, *stamps]``.  Encoded, a row's
+    slots are the three stamps (0–2), the track's Chrome ``tid`` (3), the
+    FID (4, which names the track too) and each span's start.
     """
 
-    __slots__ = ("fid", "track", "tracks", "children", "durations", "size", "total_ns",
-                 "root_args", "_texts", "_jsonl", "_tid", "_encoded", "_chrome")
+    __slots__ = ("children", "durations", "offsets", "size", "kinds", "total_ns", "root_args")
 
-    def __init__(self, report: "ProcessReport", costs: CostModel, texts: Dict[tuple, str]):
-        self.fid = report.fid
-        self.track = f"flow:{report.fid}"
-        self.tracks = ((0, self.track),)
+    def __init__(self, report: "ProcessReport", costs: CostModel):
         self.children = self._children(report, costs)
         self.durations = [child[3] for child in self.children]
+        #: the root starts with its first child, each child after the
+        #: one before (``(off, step)`` pairs for :func:`laid_out`)
+        self.offsets = [(0.0, 0.0)] + [(0.0, dur_ns) for dur_ns in self.durations]
         self.size = 1 + len(self.children)
+        self.kinds = [0] * self.size
         total_ns = total_cycles = 0.0
         for __, __, cycles, dur_ns, __ in self.children:
             total_ns += dur_ns
@@ -300,28 +341,15 @@ class _FlowTemplate:
         #: the root's args after its FID
         self.root_args = {"path": report.path.value, "dropped": report.dropped,
                           "cycles": total_cycles}
-        self._texts = texts  # the recorder's
-        self._jsonl = self._encoded = None
 
-    def _starts(self, start: float) -> List[float]:
-        """The root's start, then each child's, laid end to end."""
-        starts = [start]
-        for dur_ns in self.durations:
-            starts.append(start)
-            start += dur_ns
-        return starts
-
-    def _root(self, start, stamps, fid, track: str) -> Dict[str, Any]:
+    def _records(self, starts: list, stamps, fid, track: str) -> List[Dict[str, Any]]:
+        """The spans at ``starts`` as dicts (as many as ``starts`` has),
+        the root stamped with ``stamps`` (if any)."""
         args = {"fid": fid, **self.root_args}
         if stamps:
             args["sim_arrival_ns"], args["sim_finish_ns"], args["sim_latency_ns"] = stamps
-        return {"type": "flow_span", "name": "packet", "track": track, "start_ns": start,
-                "dur_ns": self.total_ns, "depth": 0, "args": args}
-
-    def records(self, starts: list, stamps, track: str) -> List[Dict[str, Any]]:
-        """The spans at ``starts`` as dicts (as many as ``starts`` has),
-        the root stamped with ``stamps`` (if any), the children on ``track``."""
-        records = [self._root(starts[0], stamps, self.fid, self.track)]
+        records = [{"type": "flow_span", "name": "packet", "track": track, "start_ns": starts[0],
+                    "dur_ns": self.total_ns, "depth": 0, "args": args}]
         for (name, stage, cycles, dur_ns, wave), start in zip(self.children, starts[1:]):
             args = {"stage": stage, "cycles": cycles}
             if wave is not None:
@@ -330,58 +358,44 @@ class _FlowTemplate:
                             "start_ns": start, "dur_ns": dur_ns, "depth": 1, "args": args})
         return records
 
-    def events(self, tid: Optional[int] = None) -> List[str]:
-        """Each span's text — ``spans.jsonl`` rows, or Chrome events given
-        the track's ``tid`` — the unstamped root, the stamped root, then
-        the children, encoded on their first use by any flow."""
-        jsonl, texts = tid is None, self._texts
-        keys = [(jsonl, stamped, *self.root_args.values(), self.total_ns)
-                for stamped in (False, True)]
-        keys += [(jsonl, child, FIRST_TS + k) for k, child in enumerate(self.children, 1)]
-        misses = [key for key in dict.fromkeys(keys) if key not in texts]
-        if misses:
-            track = "flow:" + slot(3)
-            records = dict(zip(keys[2:], self.records(
-                [slot(FIRST_TS)] + [slot(key[2]) for key in keys[2:]], None, track)[1:]))
-            for key in keys[:2]:
-                stamps = (PACKET, VALUE, VALUE_US) if key[1] else None
-                records[key] = self._root(slot(FIRST_TS), stamps, slot(4), track)
-            if not jsonl:
-                records = {key: chrome_event(0, record["name"], "", slot(3), record["start_ns"],
-                                             record["dur_ns"], record["args"])
-                           for key, record in records.items()}
-            for key, text in zip(misses, encode([[records[key] for key in misses]],
-                                                sort_keys=jsonl)[0]):
-                texts[key] = text
-        return [texts[key] for key in keys]
+    def records(self, row: list) -> List[Dict[str, Any]]:
+        """``row``'s spans as dicts, the root first."""
+        return self._records(laid_out(self.offsets, row[1]), row[3:], row[2], f"flow:{row[2]}")
 
-    def chrome(self, tids: Dict[str, int]) -> list:
-        self._tid = tids[self.track]
-        return self.events(self._tid)
+    def spans(self, row: list) -> List[Dict[str, Any]]:
+        """The spans of rows like ``row`` (stamped or not), with their slots."""
+        stamps = (slot(0), slot(1), slot(2)) if len(row) > 3 else ()
+        return self._records([slot(FIRST_TS + k) for k in range(self.size)], stamps,
+                             slot(4), "flow:" + slot(4))
 
-    @staticmethod
-    def joined(texts: List[str], separator: str) -> tuple:
-        """The row format strings of :meth:`events`' texts: unstamped, stamped."""
-        return separator.join([texts[0], *texts[2:]]), separator.join(texts[1:])
+    def chrome(self, tids: Dict[str, int], row: list) -> List[Dict[str, Any]]:
+        """:meth:`spans` as Chrome events, on the track's ``tid`` (slot 3)."""
+        return [chrome_event(0, record["name"], "", slot(3), record["start_ns"],
+                             record["dur_ns"], record["args"]) for record in self.spans(row)]
 
-    def jsonl(self, row: list) -> str:
-        """``row``'s ``spans.jsonl`` lines (once :attr:`_jsonl` is encoded)."""
-        __, start, *stamps = row
-        return self._jsonl[bool(stamps)].format(
-            *(stamps or (None,) * 3), self.fid, self.fid, *self._starts(start))
+    def track_uses(self, rows: list, indices) -> List[tuple]:
+        """``(0, row, 0, "flow:<fid>")`` at each FID's first row."""
+        indices = indices.tolist()
+        fids = [rows[index][2] for index in indices]
+        # reversed, the first row of an FID is the last write
+        first = dict(zip(reversed(fids), reversed(indices)))
+        return [(0, index, 0, f"flow:{fid}") for fid, index in first.items()]
 
-    def render(self, row: list, texts: List[str], timed: tuple) -> None:
-        if texts is not self._encoded:
-            self._encoded, self._chrome = texts, self.joined(texts, ROW_SEP)
-        __, start, *stamps = row
-        fields = (*(stamps or (None,) * 3), self._tid, self.fid)
-        times, lines = rendered(self._starts(start), self._chrome[bool(stamps)], fields)
-        timed[0][0].extend(times)
-        timed[0][1].extend(lines)
+    def columns(self, rows: List[list], tids) -> Tuple[Dict[int, list], List[np.ndarray]]:
+        """The rows' slot values, and each span's start (ns) as a column."""
+        fids = [row[2] for row in rows]
+        fields = {4: fids}
+        if len(rows[0]) > 3:
+            for k in range(3):
+                fields[k] = [row[3 + k] for row in rows]
+        if tids is not None:
+            tid_of = {fid: tids[f"flow:{fid}"] for fid in dict.fromkeys(fids)}
+            fields[3] = list(map(tid_of.__getitem__, fids))
+        return fields, laid_out(self.offsets, np.array([row[1] for row in rows], np.float64))
 
     def materialize(self, row: list, out: tuple) -> None:
-        for record in self.records(self._starts(row[1]), row[2:], self.track):
-            span = Span(record["name"], self.track, record["start_ns"], record["dur_ns"],
+        for record in self.records(row):
+            span = Span(record["name"], record["track"], record["start_ns"], record["dur_ns"],
                         record["args"])
             span.depth = record["depth"]
             out[0].append(span)

@@ -10,18 +10,21 @@ platform's list scheduler would place them), and finally NIC TX.
 Tracks are ``<platform>:<variant>:main`` and ``...:worker<i>``, one
 swimlane per core; every span carries its raw cycle count in ``args``.
 
-All but a timeline's start, packet number and FID follows from the
-platform and the report, so a packet adds one row of an
-:class:`~repro.obs.trace.EventTemplate` shared by every packet of that
-shape, whatever its flow.  Loaded-mode (``run_load``) tracing lives in
-the platform, where the discrete-event engine supplies the timestamps.
+A timeline is a function of the platform and the report's *shape*
+(:func:`repro.obs.span.shape_of`) alone: the tracer keeps one
+:class:`~repro.obs.trace.EventTemplate` per (platform, shape), and a
+packet adds one row of it — its start, its number and its FID — so a
+report whose shape any flow already produced builds nothing.
+Loaded-mode (``run_load``) tracing lives in the platform, where the
+discrete-event engine supplies the timestamps.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.obs.trace import PACKET, VALUE, PacketTracer
+from repro.obs.span import shape_of
+from repro.obs.trace import PACKET, VALUE, EventTemplate, PacketTracer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.framework import ProcessReport
@@ -40,15 +43,10 @@ def trace_unloaded(
     packet_index: int,
 ) -> float:
     """Record one packet's spans starting at ``start_ns``; returns end time."""
-    if report.steady:
-        key = (platform, id(report))
-        # the entry holds its report: a recycled id() cannot match it
-        entry = tracer.templates.get(key)
-        if entry is None or entry[0] is not report:
-            entry = tracer.templates[key] = (report, _timeline(tracer, platform, report))
-        template = entry[1]
-    else:
-        template = _timeline(tracer, platform, report)
+    key = (platform, shape_of(report))
+    template = tracer.templates.get(key)
+    if template is None:
+        template = tracer.templates[key] = EventTemplate(_timeline(platform, report))
     tracer.add(template, start_ns, packet_index, report.fid)
     t = start_ns
     for entry in template.entries:
@@ -56,8 +54,8 @@ def trace_unloaded(
     return t
 
 
-def _timeline(tracer: PacketTracer, platform: "Platform", report: "ProcessReport"):
-    """The template of a packet's events on ``platform``."""
+def _timeline(platform: "Platform", report: "ProcessReport") -> tuple:
+    """The entries of a packet's events on ``platform``."""
     model = platform.costs
     base = f"{platform.name}:{_variant(platform)}"
     main = f"{base}:main"
@@ -109,5 +107,4 @@ def _timeline(tracer: PacketTracer, platform: "Platform", report: "ProcessReport
         entries.append((1, "dropped", main, 0.0, 0.0, 0.0, dict(common)))
     else:
         span("nic_tx", model.nic_tx / platform.config.batch_size)
-    return tracer.shared(tuple((*entry[:6], *entry[6].items()) for entry in entries),
-                         tuple(entries))
+    return tuple(entries)

@@ -6,22 +6,25 @@ packet spent 400 cycles in the firewall hop", "ring1 held this descriptor
 for 2.3 µs".  A span's depth is 0 unless its recorder says otherwise (a
 flow span's stage children are at depth 1).
 
-A packet's events repeat from one packet of a flow to the next but for
-where they start, so the tracer keeps one *row* per packet or call, in
-call order: ``(template, start_ns, packet, value)``.  An
-:class:`EventTemplate` fixes the rest and is built once: per timeline
-shape (:func:`repro.obs.timeline.trace_unloaded`), per DES stage and
-hop, per counter track, per repeating marker.  A flow span recorder's
-rows join by reference (:meth:`PacketTracer.adopt`);
-:meth:`PacketTracer.events` turns rows back into objects.
+A packet's events repeat from one packet to the next but for where they
+start, so the tracer keeps one *row* per packet or call, in call order:
+``(template, start_ns, packet, value)``.  An :class:`EventTemplate`
+fixes the rest and is built once: per report shape and platform
+(:func:`repro.obs.timeline.trace_unloaded`), per DES stage and hop, per
+counter track, per repeating marker.  A flow span recorder's rows join
+by reference (:meth:`PacketTracer.adopt`); :meth:`PacketTracer.events`
+turns rows back into objects.
 
 :meth:`PacketTracer.write_chrome` writes the Chrome trace-event format
 (``ts``/``dur`` in µs, one named thread per track, counter series as
-``"ph": "C"``) for ``chrome://tracing`` or https://ui.perfetto.dev.
-Each template's events are encoded once per export with ``str.format``
-fields where a row's numbers go (:func:`encode`), so a row is one
-``format``; events come out sorted by ``ts``, ties in record order
-(spans, then instants, then counter samples).
+``"ph": "C"``) for ``chrome://tracing`` or https://ui.perfetto.dev.  It
+renders a template at a time (:func:`render`): the rows are grouped by
+template, each template's events are encoded once with a :func:`slot`
+where a row's numbers go (:func:`encode`), each event's start is a
+float64 column summed in the per-row order, and the text of an event is
+its literal pieces joined around ``repr`` mapped over its columns.  One
+stable sort on (``ts``, kind, row, event) then orders the events: ties
+go spans, then instants, then counter samples, each in record order.
 :meth:`PacketTracer.write_jsonl` writes one JSON object per event.
 
 :class:`TracingObserver` is the discrete-event engine's observer: the
@@ -37,51 +40,138 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.record import dump_jsonl
+from repro.vector import np
 
-#: A :func:`slot` as ``json.dumps`` spells it (NUL is ``\u0000``; no
-#: recorded text holds a NUL, or the ``\x01`` :func:`encode` cuts at).
-_QUOTED = re.compile(r'"\\u0000(\d+)\\u0000"')
-_INNER = re.compile(r"\\u0000(\d+)\\u0000")
+#: A :func:`slot` as ``json.dumps`` spells it, a whole value (quoted) or
+#: inside a string (NUL is ``\u0000``; no recorded text holds a NUL, or
+#: the ``\x01`` :func:`encode` cuts at).
+_SLOT = re.compile(r'"\\u0000(\d+)\\u0000"|\\u0000(\d+)\\u0000')
 _CUT_JSON = ', "\\u0001", '
-#: a row's ``k``-th event starts at field ``{FIRST_TS + k}``
+#: a row's ``k``-th event starts at slot ``FIRST_TS + k``
 FIRST_TS = 5
-#: between a row's events in its one format string (JSON escapes it)
-ROW_SEP = "\x02"
 
 
 def slot(index: int) -> str:
-    """The stand-in for a row's ``index``-th number: encoded, the
-    ``str.format`` field ``{index!r}``."""
+    """The stand-in for a row's ``index``-th number: rendered, the
+    ``repr`` of that number."""
     return "\x00%d\x00" % index
 
 
 PACKET, VALUE, VALUE_US = slot(0), slot(1), slot(2)
 
 
-def encode(groups: List[list], sort_keys: bool = False) -> List[List[str]]:
-    """Every event of every group as JSON with each :func:`slot` a
-    ``str.format`` field, in one ``json.dumps`` call; an event that is a
-    ``str`` is its own text."""
+def encode(groups: List[list], sort_keys: bool = False) -> List[List[tuple]]:
+    """Every event of every group as JSON cut at its slots, in one
+    ``json.dumps`` call: per event, ``(pieces, slots)`` — the literal
+    text, and between each two pieces the number of the slot there."""
     flat: list = []
     for group in groups:
         for event in group:
-            if event.__class__ is not str:
-                flat += (event, "\x01")
-    text = json.dumps(flat, sort_keys=sort_keys)[1:-1].replace("{", "{{").replace("}", "}}")
-    text = _INNER.sub(r"{\1!r}", _QUOTED.sub(r"{\1!r}", text))
+            flat += (event, "\x01")
+    text = json.dumps(flat, sort_keys=sort_keys)[1:-1]
     texts = iter((text + ", ").split(_CUT_JSON))
-    return [[event if event.__class__ is str else next(texts) for event in group]
-            for group in groups]
+    cut = []
+    for group in groups:
+        events = []
+        for __ in group:
+            parts = _SLOT.split(next(texts))
+            events.append((parts[::3], [int(quoted or inner) for quoted, inner
+                                        in zip(parts[1::3], parts[2::3])]))
+        cut.append(events)
+    return cut
 
 
-def rendered(starts: List[float], text: str, fields: tuple) -> Tuple[List[float], List[str]]:
-    """The ``ts`` and the JSON of each event of a row whose events start
-    at ``starts`` (ns): ``text`` is the row's events' one format string."""
-    times = [start / 1000.0 for start in starts]
-    return times, text.format(*fields, *times).split(ROW_SEP)
+def laid_out(offsets, t) -> list:
+    """Each event's start from ``t``: ``t + off``, then ``t += step``, per
+    ``(off, step)`` of ``offsets``.  ``t`` is one row's start (a float) or
+    a group's, a column at a time (a float64 array): one summation order
+    for both.  A zero ``off`` or ``step`` adds nothing, so events that
+    start together share one column."""
+    starts = []
+    for off, step in offsets:
+        starts.append(t + off if off else t)
+        if step:
+            t = t + step
+    return starts
+
+
+def groups_of(rows: list) -> List[Tuple[Any, np.ndarray]]:
+    """The rows' indices, ascending, by template and row length (a flow
+    span row grows when it is stamped)."""
+    n = len(rows)
+    templates = list(map(itemgetter(0), rows))
+    codes = {template: code for code, template in enumerate(dict.fromkeys(templates))}
+    widths = np.fromiter(map(len, rows), np.intp, n)
+    keys = np.fromiter(map(codes.__getitem__, templates), np.intp, n)
+    keys = keys * (int(widths.max(initial=0)) + 1) + widths
+    order = np.argsort(keys, kind="stable")
+    cuts = (np.flatnonzero(np.diff(keys[order])) + 1).tolist()
+    return [(templates[order[lo]], order[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, n])
+            if hi > lo]
+
+
+def track_order(rows: list, groups: list) -> List[str]:
+    """Every track in first-use order: spans', then instants', then
+    counter samples', each by the row and event that first puts one there."""
+    uses = []
+    for template, indices in groups:
+        uses += template.track_uses(rows, indices)
+    uses.sort(key=itemgetter(0, 1, 2))
+    return list(dict.fromkeys(use[3] for use in uses))
+
+
+def joined(events: List[tuple], separator: str) -> tuple:
+    """:func:`encode`'s ``events`` as one, ``separator`` between each two."""
+    pieces, slots = list(events[0][0]), list(events[0][1])
+    for more, more_slots in events[1:]:
+        pieces[-1] += separator + more[0]
+        pieces += more[1:]
+        slots += more_slots
+    return pieces, slots
+
+
+def render(rows: list, groups: list, cut: list, tids, unit: float) -> tuple:
+    """The text of every event of ``rows``, a group at a time, and per
+    text its start (ns, divided by ``unit``), kind, row and event number
+    as four columns.  ``cut`` is each group's events, :func:`encode`d; a
+    start slot holds the start divided by ``unit`` (1.0 leaves it be)."""
+    texts: List[str] = []
+    times: List[np.ndarray] = []
+    kinds: List[np.ndarray] = []
+    owners: List[np.ndarray] = []
+    numbers: List[np.ndarray] = []
+    for (template, indices), events in zip(groups, cut):
+        n = len(indices)
+        values, starts = template.columns(list(map(rows.__getitem__, indices.tolist())), tids)
+        # a start column two events share (a flow root and its first
+        # child) is scaled and spelled once; ``starts`` keeps the ids live
+        scaled = {id(start): start / unit for start in starts}
+        spelled = {key: column.tolist() for key, column in scaled.items()}
+        for k, start in enumerate(starts):
+            values[FIRST_TS + k] = spelled[id(start)]
+        # by column, so a column two slots share is spelled once too
+        reprs: Dict[int, List[str]] = {}
+        for k, ((pieces, slots), kind) in enumerate(zip(events, template.kinds)):
+            parts = [repeat(pieces[0], n)]
+            for index, piece in zip(slots, pieces[1:]):
+                column = values[index]
+                text = reprs.get(id(column))
+                if text is None:
+                    text = reprs[id(column)] = list(map(repr, column))
+                parts += (text, repeat(piece, n))
+            texts += map("".join, zip(*parts))
+            times.append(scaled[id(starts[k])])
+            kinds.append(np.full(n, kind))
+            owners.append(indices)
+            numbers.append(np.full(n, k))
+    if not texts:
+        return texts, tuple(np.empty(0) for __ in range(4))
+    return texts, tuple(map(np.concatenate, (times, kinds, owners, numbers)))
 
 
 def chrome_event(kind: int, name: str, track: str, tid, ts, dur, args) -> Dict[str, Any]:
@@ -131,31 +221,29 @@ class EventTemplate:
     ``entries`` are ``(kind, name, track, off, step, dur_ns, args)``
     (kinds as :func:`chrome_event`'s); a row ``(template, start_ns,
     packet, value)`` puts each at ``t + off``, then ``t += step``, from
-    ``t = start_ns``, with :data:`PACKET` and :data:`VALUE` standing for
+    ``t = start_ns`` (:func:`laid_out`, for a row and a column alike), with :data:`PACKET` and :data:`VALUE` standing for
     its packet and value.  Every template — the flow span recorder's too
-    — has ``size``, ``tracks`` (its events' ``(kind, track)``),
-    :meth:`materialize`, :meth:`chrome` and :meth:`render`.
+    — has ``size``, ``kinds`` (its events'), :meth:`materialize`,
+    :meth:`track_uses`, :meth:`chrome` and :meth:`columns`.
     """
 
-    __slots__ = ("entries", "size", "tracks", "_texts", "_text")
+    __slots__ = ("entries", "size", "kinds", "offsets", "tracks", "_per_value")
 
     def __init__(self, entries: tuple):
         self.entries = entries
         self.size = len(entries)
+        #: each event's ``(off, step)``, for :func:`laid_out`
+        self.offsets = tuple((entry[3], entry[4]) for entry in entries)
+        self.kinds = [entry[0] for entry in entries]
         self.tracks = tuple((entry[0], entry[2]) for entry in entries)
-        self._texts = None
-
-    def starts(self, t: float) -> List[float]:
-        starts = []
-        for __, __, __, off, step, __, __ in self.entries:
-            starts.append(t + off)
-            t += step
-        return starts
+        #: a span lasting its row's value (a DES hop) shows it in µs too
+        self._per_value = any(entry[5] is VALUE for entry in entries)
 
     def materialize(self, row: tuple, out: tuple) -> None:
         """Append ``row``'s events to ``out``: (spans, instants, samples)."""
         __, t, packet, value = row
-        for (kind, name, track, __, __, dur, args), ts in zip(self.entries, self.starts(t)):
+        starts = laid_out(self.offsets, t)
+        for (kind, name, track, __, __, dur, args), ts in zip(self.entries, starts):
             if packet is not None or value is not None:
                 name = name.replace(PACKET, str(packet))
                 dur = value if dur is VALUE else dur
@@ -168,28 +256,25 @@ class EventTemplate:
             else:
                 out[2].append(_CounterSample(name, track, ts, args[name]))
 
-    def chrome(self, tids: Dict[str, int]) -> List[Dict[str, Any]]:
-        """The Chrome events with their slots; ``tids`` numbers the tracks."""
+    def track_uses(self, rows: list, indices: np.ndarray) -> List[tuple]:
+        """``(kind, row, event, track)`` for each of the template's
+        events, at the first of its rows (``indices`` into ``rows``)."""
+        first = int(indices[0])
+        return [(kind, first, k, track) for k, (kind, track) in enumerate(self.tracks)]
+
+    def chrome(self, tids: Dict[str, int], row: tuple) -> List[Dict[str, Any]]:
+        """The Chrome events of rows like ``row``, with their slots;
+        ``tids`` numbers the tracks."""
         return [chrome_event(kind, name, track, tids[track], slot(FIRST_TS + k), dur, args)
                 for k, (kind, name, track, __, __, dur, args) in enumerate(self.entries)]
 
-    def render(self, row: tuple, texts: List[str], timed: tuple) -> None:
-        """Add the ``ts`` and the JSON of each of ``row``'s events to
-        ``timed[kind]``'s two lists; ``texts`` are :meth:`chrome`'s, encoded."""
-        if texts is not self._texts:
-            self._texts, self._text = texts, ROW_SEP.join(texts)
-        __, t, packet, value = row
-        fields = (packet, value, None if value is None else value / 1000.0, None, None)
-        if self.size == 1:  # most rows: a counter sample, a DES hop, a marker
-            ts = (t + self.entries[0][3]) / 1000.0
-            times, lines = timed[self.entries[0][0]]
-            times.append(ts)
-            lines.append(self._text.format(*fields, ts))
-            return
-        for entry, ts, line in zip(self.entries, *rendered(self.starts(t), self._text, fields)):
-            times, lines = timed[entry[0]]
-            times.append(ts)
-            lines.append(line)
+    def columns(self, rows: List[tuple], tids) -> Tuple[Dict[int, list], List[np.ndarray]]:
+        """The rows' slot values, and each event's start (ns) as a column."""
+        values = [row[3] for row in rows]
+        fields = {0: [row[2] for row in rows], 1: values}
+        if self._per_value:
+            fields[2] = [value / 1000.0 for value in values]
+        return fields, laid_out(self.offsets, np.array([row[1] for row in rows], np.float64))
 
 
 class PacketTracer:
@@ -199,8 +284,7 @@ class PacketTracer:
         self.enabled = enabled
         self._rows: List[tuple] = []
         #: templates by key: (counter, track), (track, hop), (marker,
-        #: track, *args), a timeline's entries, and (platform, id(report))
-        #: -> (report, its timeline)
+        #: track, repr(args)), and (platform, report shape) for timelines
         self.templates: Dict[tuple, Any] = {}
         #: id(row list) -> (the list, rows taken) for :meth:`adopt`
         self._adopted: Dict[int, Tuple[list, int]] = {}
@@ -284,18 +368,10 @@ class PacketTracer:
     def __len__(self) -> int:
         return sum(row[0].size for row in self._rows)
 
-    def tracks(self, templates=None) -> List[str]:
+    def tracks(self) -> List[str]:
         """Every track name in first-use order: spans', then instants',
         then counter samples'."""
-        if templates is None:
-            templates = dict.fromkeys(row[0] for row in self._rows)
-        seen: Dict[str, None] = {}
-        for wanted in (0, 1, 2):
-            for template in templates:
-                for kind, track in template.tracks:
-                    if kind == wanted:
-                        seen.setdefault(track)
-        return list(seen)
+        return track_order(self._rows, groups_of(self._rows))
 
     def reset(self) -> None:
         self._rows.clear()
@@ -319,21 +395,14 @@ class PacketTracer:
     def write_chrome(self, path) -> int:
         """Write the Chrome-trace JSON; returns the event count: each
         track's ``thread_name`` metadata, then the events by ``ts``."""
-        templates = dict.fromkeys(row[0] for row in self._rows)
-        tids = {track: tid for tid, track in enumerate(self.tracks(templates))}
-        encoded = dict(zip(templates, encode([template.chrome(tids) for template in templates])))
-        # per kind, the events' ts and their JSON: two flat lists, so an
-        # event allocates nothing the garbage collector has to walk
-        timed = tuple(([], []) for __ in range(3))
-        for row in self._rows:
-            template = row[0]
-            template.render(row, encoded[template], timed)
-        times = timed[0][0] + timed[1][0] + timed[2][0]
-        texts = timed[0][1] + timed[1][1] + timed[2][1]
+        rows = self._rows
+        groups = groups_of(rows)
+        tids = {track: tid for tid, track in enumerate(track_order(rows, groups))}
+        cut = encode([template.chrome(tids, rows[indices[0]]) for template, indices in groups])
+        texts, (times, kinds, owners, events) = render(rows, groups, cut, tids, 1000.0)
         lines = [json.dumps({"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
                              "args": {"name": track}}) for track, tid in tids.items()]
-        # stable: ties keep record order
-        lines += map(texts.__getitem__, sorted(range(len(times)), key=times.__getitem__))
+        lines += map(texts.__getitem__, np.lexsort((events, owners, kinds, times)).tolist())
         with open(path, "w") as handle:
             handle.write('{"traceEvents": [' + ", ".join(lines) + '], "displayTimeUnit": "ns"}')
         return len(lines)

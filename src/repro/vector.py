@@ -2,9 +2,9 @@
 
 numpy is a declared dependency (``pyproject.toml``); every columnar
 consumer — the batch traffic generator, the batch fast-path lane, the
-vectorized Lindley replay, the forensics window aggregation, the payload
-kernel's ``np.random.MT19937`` (reached only when a payload is drawn) —
-takes ``np`` from here.
+vectorized Lindley replay, the forensics window aggregation, the trace
+exports' column renderer, the payload kernel's ``np.random.MT19937``
+(reached only when a payload is drawn) — takes ``np`` from here.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.core.framework import SpeedyBox
 from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor, SnortIDS
 from repro.nf.maglev import Backend
 from repro.obs import AuditLog, FlowSpanRecorder, MetricsRegistry, PacketTracer
+from repro.obs.timeline import trace_unloaded
 from repro.platform import BessPlatform, OpenNetVMPlatform
 from repro.traffic import FlowSpec, TrafficGenerator
 from tests.integration.helpers import chrome_reference, spans_jsonl_reference
@@ -123,3 +124,32 @@ def test_spans_recorded_after_the_recorders(tmp_path):
     platform.process_all(packets[9:])
     events = exported(tmp_path, tracer, recorder)
     assert {"late", "mark"} <= {event["name"] for event in events}
+
+
+def test_equal_timestamps_go_spans_instants_counters_then_row_and_event(tmp_path):
+    """Two flows' timelines, a flow's spans, a marker and a ring counter
+    all start at 0: the ties go spans, then instants, then counter
+    samples, each in row then event order, and tracks are numbered by
+    first use (spans', then instants', then counters')."""
+    runtime = SpeedyBox([IPFilter("fw"), Monitor("mon")])
+    platform = BessPlatform(runtime)
+    first, second = [runtime.process(packet) for packet in mixed_traffic(flows=2)[:2]]
+    assert first.fid != second.fid
+    tracer = PacketTracer()
+    recorder = FlowSpanRecorder(every=1, max_spans_per_flow=None)
+    tracer.counter("occupancy", "ring:rx", 0.0, 3.0)
+    tracer.instant("mark", "late", 0.0, where="tie")
+    trace_unloaded(tracer, platform, first, 0.0, 0)
+    trace_unloaded(tracer, platform, second, 0.0, 1)
+    recorder.record(second, platform.costs)
+    events = exported(tmp_path, tracer, recorder)
+    tracks = [event["args"]["name"] for event in events if event["ph"] == "M"]
+    assert tracks == ["bess:speedybox:main", f"flow:{second.fid}", "late", "ring:rx"]
+    tied = [(event["name"], event["tid"], event["args"].get("packet")) for event in events
+            if event.get("ts") == 0.0]
+    assert tied == [
+        ("nic_rx", 0, 0), ("nic_rx", 0, 1),  # spans: row, then event order
+        ("packet", 1, None), ("classify", 1, None),
+        ("mark", 2, None),  # an instant, recorded before them all
+        ("ring:rx:occupancy", 3, None),  # the counter, recorded first
+    ]

@@ -7,6 +7,7 @@ matching ``fastpath_invalidate``, or a dangling closure keeps serving a
 forgotten flow).
 """
 
+import dataclasses
 import gc
 import random
 import sys
@@ -14,9 +15,9 @@ import sys
 import pytest
 
 import repro.core.batchlane as batchlane
-from repro.core.actions import Modify
+from repro.core.actions import Forward, Modify
 from repro.core.batchlane import BatchLane
-from repro.core.framework import PathTaken, ServiceChain, SpeedyBox
+from repro.core.framework import PathTaken, ProcessReport, ServiceChain, SpeedyBox
 from repro.core.state_function import PayloadClass
 from repro.nf import IPFilter, SyntheticNF
 from repro.nf.ipfilter import AclRule, Verdict
@@ -306,6 +307,16 @@ def count_packets(packet):
     return None
 
 
+def test_an_admitted_flows_report_sets_every_field():
+    """``clone_for`` builds its report field by field, past the
+    dataclass ``__init__``: an unset slot would raise on first read."""
+    runtime = make_runtime()
+    for fid in admitted_flows(runtime):
+        report = runtime._compiled[runtime._compiled_fids[fid]].steady_report
+        for field in dataclasses.fields(ProcessReport):
+            getattr(report, field.name)
+
+
 def test_a_state_function_on_one_admitted_flow_leaves_the_others_empty():
     runtime = make_runtime()
     fids = admitted_flows(runtime)
@@ -382,6 +393,21 @@ def test_re_recording_one_admitted_flow_leaves_the_others_records_unchanged():
         assert all(rule.header_actions is actions for rule, actions in zip(records(fid), shared))
 
 
+def test_a_header_action_on_one_admitted_flow_leaves_the_others_lists_alone():
+    """Outside a recording, an action added to one admitted flow lands in
+    a list of its own: the run's shared list is copied on first write."""
+    runtime = make_runtime()
+    fids = admitted_flows(runtime)
+    mat = runtime.local_mats["ttl"]
+    shared = mat.rule_for(fids[0]).header_actions
+    before = list(shared)
+    runtime.apis["ttl"].add_header_action(fids[0], Forward())
+    own = mat.rule_for(fids[0]).header_actions
+    assert own is not shared and own == [*before, Forward()]
+    assert shared == before
+    assert all(mat.rule_for(fid).header_actions == before for fid in fids[1:])
+
+
 # -- flow-span sampling on the lane (sampled flows keep full coverage) --
 
 
@@ -408,6 +434,30 @@ def test_lane_with_spans_matches_oracle_and_coverage():
     lane_fids = {root["args"]["fid"] for root in lane_rec.roots()}
     oracle_fids = {root["args"]["fid"] for root in oracle_rec.roots()}
     assert lane_fids == oracle_fids
+
+
+@pytest.mark.parametrize("first", [None, 64], ids=["unrecorded", "every_64"])
+@pytest.mark.parametrize("swap", [True, False], ids=["swapped", "reset"])
+def test_admitted_flows_are_recorded_by_the_next_runs_recorder(first, swap):
+    """A flow admitted unrecorded keeps its clone's steady report into
+    the next run; a recorder attached or reset since then records it,
+    and its spans are the per-packet oracle's."""
+    batch = uniform_batch(40, 5, interleave="round_robin", block=8)
+
+    def second_run(load):
+        recorder = None if first is None else FlowSpanRecorder(every=first)
+        platform = BessPlatform(make_runtime(), spans=recorder)
+        platform.run_load(load())
+        if swap or recorder is None:
+            platform.spans = FlowSpanRecorder(every=1, max_spans_per_flow=None)
+        else:
+            recorder.every, recorder.max_spans_per_flow = 1, None
+            recorder.reset()
+        return platform.run_load(load()), platform.spans.records
+
+    lane = second_run(lambda: batch)
+    assert lane == second_run(batch.packet_view)
+    assert sum(span["depth"] == 0 for span in lane[1]) == len(batch)  # a root a packet
 
 
 def test_sampled_flows_stay_off_the_array_path():
