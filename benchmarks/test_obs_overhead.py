@@ -39,12 +39,12 @@ paired instrument in ``bench/`` (workload ``dc_obs``).
 What *is* asserted sits beside each stopwatch cell of the per-packet
 path and does not depend on the box: how often the run called the
 platform's ``_stage_plan`` hook (``*_stage_plan_calls``).  The loaded
-loop builds a plan only for a report it could not serve from the cached
-branch, so the count is the number of packets that left it — the
-property a low overhead follows from (the steady majority never leaves
-the cached branch, whatever is attached), stated exactly: forensics
-and telemetry equal ``off``, and sampling adds at most sampled flows x
-span cap.
+loop builds a plan only for a report shape the platform has not priced
+yet, so the count is the number of distinct report shapes (2 here: the
+flows' first packets and their steady packets) — the property a low
+overhead follows from (no packet builds a plan of its own, whatever is
+attached), stated exactly: forensics and telemetry equal ``off``, and
+sampling adds at most sampled flows x span cap.
 """
 
 from __future__ import annotations

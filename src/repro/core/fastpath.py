@@ -382,7 +382,6 @@ class CompiledFlow:
         report.fixed_meter = self.fixed_meter
         report.nf_meters = self.steady_report.nf_meters
         report.sf_waves = self.steady_report.sf_waves
-        report.timing_cache = None
         report.steady = True
         report.plan_cache = None
         report.shape = self.steady_report.shape

@@ -26,7 +26,6 @@ parallelism off → full SpeedyBox the state-function share.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +38,7 @@ from repro.core.local_mat import (
     LocalRule,
     NullInstrumentationAPI,
 )
+from repro.core.report import PathTaken, ProcessReport
 from repro.net.flow import FiveTuple
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
@@ -47,64 +47,13 @@ from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.platform.costs import CycleMeter, NULL_METER as _NULL_API_METER, Operation
 
 
-class PathTaken(enum.Enum):
-    ORIGINAL = "original"            # initial packet, recorded + consolidated
-    ORIGINAL_HANDSHAKE = "handshake"  # pre-establishment, not recorded
-    FAST = "fast"                    # Global MAT fast path
-
-
 # Enum members hoisted off the per-packet oracle (a class read runs Enum's hook)
 _ORIGINAL, _HANDSHAKE, _FAST = PathTaken.ORIGINAL, PathTaken.ORIGINAL_HANDSHAKE, PathTaken.FAST
 _MAT_LOOKUP, _BEGIN_RECORD = Operation.GLOBAL_MAT_LOOKUP, Operation.MAT_BEGIN_RECORD
 _CONSOLIDATE, _RULE_INSTALL = Operation.CONSOLIDATE_ACTION, Operation.GLOBAL_RULE_INSTALL
+_FAST_PATH_DISPATCH, _EVENT_CHECK = Operation.FAST_PATH_DISPATCH, Operation.EVENT_CHECK
+_FLOW_DELETE = Operation.FLOW_DELETE
 
-
-@dataclass(slots=True)
-class ProcessReport:
-    """Everything a platform needs to time one packet."""
-
-    path: PathTaken
-    fid: int
-    dropped: bool = False
-    closing: bool = False
-    events_fired: int = 0
-    #: classifier + MAT machinery + consolidated-action application
-    fixed_meter: CycleMeter = field(default_factory=CycleMeter)
-    #: slow path: chain-ordered (nf_name, meter) for NFs that ran
-    nf_meters: List[Tuple[str, CycleMeter]] = field(default_factory=list)
-    #: fast path: per wave, per batch (nf_name, meter)
-    sf_waves: List[List[Tuple[str, CycleMeter]]] = field(default_factory=list)
-    #: (platform, work, latency, main_core) memo — ``Platform._time_report``
-    #: is invoked twice per loaded packet (unloaded timing + stage plan);
-    #: the cache collapses the second walk.  Owned by ``repro.platform``.
-    timing_cache: Optional[Tuple[object, float, float, float]] = field(
-        default=None, repr=False, compare=False
-    )
-    #: True for a report a :class:`CompiledFlow` shares among its
-    #: packets: the flow's singleton (no SF waves, no active event), or
-    #: the one of a signature the flow produced before (see
-    #: :mod:`repro.core.fastpath`).  Consumers may key caches on the
-    #: report's identity when this is set — the object outlives the run.
-    steady: bool = field(default=False, repr=False, compare=False)
-    #: ``(platform, stage_plan, plan_id, table)`` memo for steady
-    #: (shared) reports.  The loaded functional pass and the batch lane
-    #: both derive exactly one stage plan per steady report; keeping the
-    #: memo *on the report* (instead of an ``id()``-keyed side table)
-    #: means a report garbage-collected after a flow eviction can never
-    #: leave a stale entry behind for a recycled id.  ``table`` is the
-    #: plan table of the run that wrote the entry, ``plan_id`` the plan's
-    #: index in it, and only that run trusts more of the entry than the
-    #: plan.  Owned by ``repro.platform``.
-    plan_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
-    #: the report's telemetry shape (:func:`repro.obs.span.shape_of`),
-    #: computed the first time a span recorder or tracer sees it.  It
-    #: leaves the FID out, so a bulk-admitted flow's report starts with
-    #: its template's (``CompiledFlow.clone_for``).  Owned by ``repro.obs``.
-    shape: Optional[object] = field(default=None, repr=False, compare=False)
-
-    @property
-    def is_fast(self) -> bool:
-        return self.path is _FAST
 
 @dataclass
 class FlowRecord:
@@ -221,7 +170,7 @@ class ServiceChain:
         """Run the packet through every NF in order (stop at drop)."""
         self.packets += 1
         self._m_packets.inc()
-        report = ProcessReport(path=PathTaken.ORIGINAL, fid=-1)
+        report = ProcessReport(path=_ORIGINAL, fid=-1)
         for nf in self.nfs:
             meter = CycleMeter()
             nf.meter = meter
@@ -502,7 +451,7 @@ class SpeedyBox:
         self._m_fast.inc()
         fid = rule.fid
         meter = report.fixed_meter
-        meter.charge(Operation.FAST_PATH_DISPATCH)
+        meter.charge(_FAST_PATH_DISPATCH)
 
         # Event pre-check: has anything changed since the last packet?
         fired = self._check_events(fid, meter)
@@ -524,7 +473,7 @@ class SpeedyBox:
 
     def _check_events(self, fid: int, meter: CycleMeter) -> int:
         active = self.event_table.active_event_count(fid)
-        meter.charge(Operation.EVENT_CHECK, active)
+        meter.charge(_EVENT_CHECK, active)
         if not active:
             return 0
         fired = self.event_table.check_fid(fid)
@@ -601,7 +550,7 @@ class SpeedyBox:
     def delete_flow(self, fid: int, meter: Optional[CycleMeter] = None) -> None:
         """FIN/RST cleanup across every table (§VI-B)."""
         if meter is not None:
-            meter.charge(Operation.FLOW_DELETE)
+            meter.charge(_FLOW_DELETE)
         self._invalidate_compiled(fid, reason="flow_delete")
         self.global_mat.delete_flow(fid)
         for local_mat in self.local_mats.values():

@@ -505,13 +505,15 @@ class CheckpointManager:
 
     def _file_refresh(self, checkpoint: FlowCheckpoint) -> None:
         """:meth:`store` a refresh: it has its predecessor's flow and directions,
-        so while each still indexes the flow, replacing the snapshot is all."""
-        flow, keys = checkpoint.flow, checkpoint._standing.keys
-        for key in keys:
+        so while each still indexes the flow, replacing the snapshot is all.
+        None of those keys is in ``_stateless`` then: a key indexes a flow
+        only through :meth:`store`, which clears it, and a round files a
+        key stateless only after :meth:`drop_flow` unmapped it."""
+        flow = checkpoint.flow
+        for key in checkpoint._standing.keys:
             if self._by_direction.get(key) != flow:
                 return self.store(checkpoint)
         self._snapshots[flow] = checkpoint
-        self._stateless.difference_update(keys)
 
     def restore(self, checkpoint: FlowCheckpoint, runtime: Runtime) -> None:
         """:func:`restore_flow`, counted: the restored mappings may change

@@ -23,6 +23,10 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_COUNTER_UPDATE, _EXACT_MATCH_LOOKUP = Operation.COUNTER_UPDATE, Operation.EXACT_MATCH_LOOKUP
+_DROP_FREE, _IGNORE = Operation.DROP_FREE, PayloadClass.IGNORE
+
 
 class DosPrevention(NetworkFunction):
     """Per-flow counter with a drop-above-threshold event.
@@ -54,7 +58,7 @@ class DosPrevention(NetworkFunction):
 
     def track(self, packet: Packet, key: FiveTuple) -> None:
         """State function (IGNORE payload): bump the flow counter."""
-        self.charge(Operation.COUNTER_UPDATE)
+        self.charge(_COUNTER_UPDATE)
         if self._counts(packet):
             self.counters[key] = self.counters.get(key, 0) + 1
 
@@ -64,7 +68,7 @@ class DosPrevention(NetworkFunction):
         Mirrors the slow-path drop branch exactly, so NF internal state
         stays identical between the original chain and the fast path.
         """
-        self.charge(Operation.COUNTER_UPDATE)
+        self.charge(_COUNTER_UPDATE)
         self.blocked_flows[key] = self.blocked_flows.get(key, 0) + 1
 
     def exceeded(self, key: FiveTuple) -> bool:
@@ -76,7 +80,7 @@ class DosPrevention(NetworkFunction):
         key = packet.five_tuple()
         fid = api.nf_extract_fid(packet)
 
-        self.charge(Operation.EXACT_MATCH_LOOKUP)
+        self.charge(_EXACT_MATCH_LOOKUP)
         # Check-then-count: a flow already over threshold is dropped on
         # arrival; otherwise the packet is counted and forwarded.  This
         # ordering makes the NF's inline behaviour packet-exact with the
@@ -84,7 +88,7 @@ class DosPrevention(NetworkFunction):
         # as of the *previous* packet (Fig. 3 semantics).
         if self.exceeded(key):
             self.blocked_flows[key] = self.blocked_flows.get(key, 0) + 1
-            self.charge(Operation.DROP_FREE)
+            self.charge(_DROP_FREE)
             packet.drop()
             api.add_header_action(fid, Drop())
             return
@@ -94,13 +98,13 @@ class DosPrevention(NetworkFunction):
         api.add_state_function(
             fid,
             self.track,
-            PayloadClass.IGNORE,
+            _IGNORE,
             args=(key,),
             name="track",
         )
         blocked_sf = StateFunction(
             self.count_blocked,
-            PayloadClass.IGNORE,
+            _IGNORE,
             args=(key,),
             name="count_blocked",
             nf_name=self.name,

@@ -24,6 +24,11 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_ACL_RULE_SCAN, _FIELD_WRITE = Operation.ACL_RULE_SCAN, Operation.FIELD_WRITE
+_CHECKSUM_UPDATE = Operation.CHECKSUM_UPDATE
+_ENCAP_OP, _DECAP_OP = Operation.ENCAP_OP, Operation.DECAP_OP
+
 
 class VniMap:
     """Longest-prefix-match table: destination prefix -> VNI."""
@@ -77,7 +82,7 @@ class VxlanGateway(NetworkFunction):
         fid = api.nf_extract_fid(packet)
         flow = packet.five_tuple()
 
-        self.charge(Operation.ACL_RULE_SCAN, max(len(self.vni_map), 1))
+        self.charge(_ACL_RULE_SCAN, max(len(self.vni_map), 1))
         vni = self.vni_map.lookup(flow.dst_ip)
         if vni is None:
             self.passed_through += 1
@@ -85,15 +90,15 @@ class VxlanGateway(NetworkFunction):
             return
 
         encap = Encap(VxlanHeader(vni=vni))
-        self.charge(Operation.ENCAP_OP)
+        self.charge(_ENCAP_OP)
         encap.apply(packet)
         api.add_header_action(fid, encap)
         self.encapsulated += 1
 
         if self.underlay_dscp is not None:
             mark = Modify.set(dscp=self.underlay_dscp)
-            self.charge(Operation.FIELD_WRITE)
-            self.charge(Operation.CHECKSUM_UPDATE)
+            self.charge(_FIELD_WRITE)
+            self.charge(_CHECKSUM_UPDATE)
             mark.apply(packet)
             api.add_header_action(fid, mark)
 
@@ -121,7 +126,7 @@ class VxlanTerminator(NetworkFunction):
             return
 
         decap = Decap(VxlanHeader)
-        self.charge(Operation.DECAP_OP)
+        self.charge(_DECAP_OP)
         decap.apply(packet)
         api.add_header_action(fid, decap)
         self.decapsulated += 1

@@ -32,6 +32,12 @@ class Verdict(enum.Enum):
     DROP = "drop"
 
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_EXACT_MATCH_LOOKUP, _ACL_RULE_SCAN = Operation.EXACT_MATCH_LOOKUP, Operation.ACL_RULE_SCAN
+_DROP_VERDICT, _DROP_FREE = Verdict.DROP, Operation.DROP_FREE
+_FIELD_WRITE, _CHECKSUM_UPDATE = Operation.FIELD_WRITE, Operation.CHECKSUM_UPDATE
+
+
 @dataclass(frozen=True)
 class AclRule:
     """One blacklist/whitelist entry: prefixes, port ranges, protocol.
@@ -135,16 +141,16 @@ class IPFilter(NetworkFunction):
         flow = packet.five_tuple()
         fid = api.nf_extract_fid(packet)
 
-        self.charge(Operation.EXACT_MATCH_LOOKUP)
+        self.charge(_EXACT_MATCH_LOOKUP)
         verdict = self._verdict_cache.get(flow)
         if verdict is None:
             verdict, scanned = self.lookup_verdict(flow)
-            self.charge(Operation.ACL_RULE_SCAN, scanned)
+            self.charge(_ACL_RULE_SCAN, scanned)
             self._verdict_cache[flow] = verdict
 
-        if verdict is Verdict.DROP:
+        if verdict is _DROP_VERDICT:
             self.dropped += 1
-            self.charge(Operation.DROP_FREE)
+            self.charge(_DROP_FREE)
             packet.drop()
             api.add_header_action(fid, Drop())
             return
@@ -152,8 +158,8 @@ class IPFilter(NetworkFunction):
         self.forwarded += 1
         if self.mark_dscp is not None:
             action = Modify.set(dscp=self.mark_dscp)
-            self.charge(Operation.FIELD_WRITE)
-            self.charge(Operation.CHECKSUM_UPDATE)
+            self.charge(_FIELD_WRITE)
+            self.charge(_CHECKSUM_UPDATE)
             action.apply(packet)
             api.add_header_action(fid, action)
         else:

@@ -29,7 +29,10 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 
-_CONNECTION_TRACK = Operation.CONNECTION_TRACK  # hoisted, as in ``repro.nf.monitor``
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_CONNECTION_TRACK, _HASH_COMPUTE = Operation.CONNECTION_TRACK, Operation.HASH_COMPUTE
+_EXACT_MATCH_LOOKUP, _IGNORE = Operation.EXACT_MATCH_LOOKUP, PayloadClass.IGNORE
+_FIELD_WRITE, _CHECKSUM_UPDATE = Operation.FIELD_WRITE, Operation.CHECKSUM_UPDATE
 
 
 def _is_prime(value: int) -> bool:
@@ -205,7 +208,7 @@ class MaglevLoadBalancer(NetworkFunction):
 
     def reroute_flow(self, flow: FiveTuple) -> Modify:
         """Event update function: re-select and return the new MODIFY."""
-        self.charge(Operation.HASH_COMPUTE)
+        self.charge(_HASH_COMPUTE)
         backend = self.select_backend(flow)
         return Modify.set(dst_ip=backend.ip, dst_port=backend.port)
 
@@ -218,21 +221,21 @@ class MaglevLoadBalancer(NetworkFunction):
         flow = packet.five_tuple()
         fid = api.nf_extract_fid(packet)
 
-        self.charge(Operation.EXACT_MATCH_LOOKUP)
+        self.charge(_EXACT_MATCH_LOOKUP)
         if flow not in self.conntrack or not self.conntrack[flow].healthy:
-            self.charge(Operation.HASH_COMPUTE)
+            self.charge(_HASH_COMPUTE)
         backend = self.select_backend(flow)
 
         action = Modify.set(dst_ip=backend.ip, dst_port=backend.port)
-        self.charge(Operation.FIELD_WRITE, len(action.ops))
-        self.charge(Operation.CHECKSUM_UPDATE)
+        self.charge(_FIELD_WRITE, len(action.ops))
+        self.charge(_CHECKSUM_UPDATE)
         action.apply(packet)
 
         api.add_header_action(fid, action)
         api.add_state_function(
             fid,
             self.track,
-            PayloadClass.IGNORE,
+            _IGNORE,
             args=(flow,),
             name="track",
         )

@@ -25,6 +25,10 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_NAT_PORT_ALLOC, _EXACT_MATCH_LOOKUP = Operation.NAT_PORT_ALLOC, Operation.EXACT_MATCH_LOOKUP
+_FIELD_WRITE, _CHECKSUM_UPDATE = Operation.FIELD_WRITE, Operation.CHECKSUM_UPDATE
+
 
 class NatPortExhausted(RuntimeError):
     """No free external ports remain."""
@@ -123,7 +127,7 @@ class MazuNAT(NetworkFunction):
     def _outbound_action(self, flow: FiveTuple) -> Modify:
         mapping = self.mappings.get(flow)
         if mapping is None:
-            self.charge(Operation.NAT_PORT_ALLOC)
+            self.charge(_NAT_PORT_ALLOC)
             if self.port_pool is not None:
                 # Idempotent per flow: a recovery replay of this packet
                 # re-acquires the *same* port the pre-crash run got.
@@ -147,7 +151,7 @@ class MazuNAT(NetworkFunction):
         flow = packet.five_tuple()
         fid = api.nf_extract_fid(packet)
 
-        self.charge(Operation.EXACT_MATCH_LOOKUP)
+        self.charge(_EXACT_MATCH_LOOKUP)
         if self.is_internal(flow.src_ip):
             action: Optional[Modify] = self._outbound_action(flow)
         else:
@@ -162,8 +166,8 @@ class MazuNAT(NetworkFunction):
             return
 
         self.translations += 1
-        self.charge(Operation.FIELD_WRITE, len(action.ops))
-        self.charge(Operation.CHECKSUM_UPDATE)
+        self.charge(_FIELD_WRITE, len(action.ops))
+        self.charge(_CHECKSUM_UPDATE)
         action.apply(packet)
         api.add_header_action(fid, action)
 

@@ -34,6 +34,7 @@ from repro.platform.costs import Operation
 # hoisted: reading an Enum member through its class costs a hook call (CPython 3.11)
 _EXACT_MATCH_LOOKUP = Operation.EXACT_MATCH_LOOKUP
 _COUNTER_UPDATE = Operation.COUNTER_UPDATE
+_IGNORE = PayloadClass.IGNORE
 
 
 @dataclass
@@ -87,7 +88,7 @@ class Monitor(NetworkFunction):
         api.add_state_function(
             fid,
             self.count_packet,
-            PayloadClass.IGNORE,
+            _IGNORE,
             name="count_packet",
         )
 

@@ -34,6 +34,10 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_COUNTER_UPDATE, _EXACT_MATCH_LOOKUP = Operation.COUNTER_UPDATE, Operation.EXACT_MATCH_LOOKUP
+_DROP_FREE, _IGNORE = Operation.DROP_FREE, PayloadClass.IGNORE
+
 
 @dataclass
 class Bucket:
@@ -77,7 +81,7 @@ class TokenBucketPolicer(NetworkFunction):
     def account(self, packet: Packet, key: FiveTuple) -> None:
         """State function (IGNORE payload): refill, then consume if the
         packet was forwarded (check-then-update ordering)."""
-        self.charge(Operation.COUNTER_UPDATE)
+        self.charge(_COUNTER_UPDATE)
         bucket = self._bucket(key, packet.timestamp_ns)
         self._refill(bucket, packet.timestamp_ns)
         if not packet.dropped:
@@ -120,12 +124,12 @@ class TokenBucketPolicer(NetworkFunction):
         self.ingress(packet)
         key = packet.five_tuple()
         fid = api.nf_extract_fid(packet)
-        self.charge(Operation.EXACT_MATCH_LOOKUP)
+        self.charge(_EXACT_MATCH_LOOKUP)
 
         # Verdict on the bucket as of the previous packet (check first).
         if self.exhausted(key):
             self.mode[key] = "drop"
-            self.charge(Operation.DROP_FREE)
+            self.charge(_DROP_FREE)
             packet.drop()
             api.add_header_action(fid, Drop())
         else:
@@ -133,7 +137,7 @@ class TokenBucketPolicer(NetworkFunction):
             api.add_header_action(fid, Forward())
 
         api.add_state_function(
-            fid, self.account, PayloadClass.IGNORE, args=(key,), name="account"
+            fid, self.account, _IGNORE, args=(key,), name="account"
         )
         # Two recurring, edge-triggered events flip the flow's action
         # whenever the bucket state disagrees with the installed verdict.

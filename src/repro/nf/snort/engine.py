@@ -25,6 +25,8 @@ from typing import List, Sequence, Tuple
 from repro.net.flow import FiveTuple
 from repro.nf.snort.rules import RuleAction, SnortRule
 
+_ALERT = RuleAction.ALERT  # hoisted: a class read runs Enum's hook
+
 
 @dataclass
 class InspectionResult:
@@ -89,7 +91,7 @@ class FlowMatcher:
             rule.flowbits_apply(bits)
             if rule.suppresses_output:
                 continue
-            if rule.action is RuleAction.ALERT:
+            if rule.action is _ALERT:
                 result.alerts.append(rule)
             else:
                 result.logs.append(rule)

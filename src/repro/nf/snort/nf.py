@@ -23,6 +23,11 @@ from repro.nf.snort.engine import DetectionEngine, FlowMatcher, InspectionResult
 from repro.nf.snort.rules import SnortRule, parse_rules
 from repro.platform.costs import Operation
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_ACL_RULE_SCAN, _EXACT_MATCH_LOOKUP = Operation.ACL_RULE_SCAN, Operation.EXACT_MATCH_LOOKUP
+_PATTERN_MATCH_SETUP = Operation.PATTERN_MATCH_SETUP
+_PAYLOAD_BYTE_SCAN, _READ = Operation.PAYLOAD_BYTE_SCAN, PayloadClass.READ
+
 
 @dataclass(frozen=True)
 class DetectionRecord:
@@ -63,8 +68,8 @@ class SnortIDS(NetworkFunction):
         matcher = self.flow_matchers.get(flow)
         if matcher is None:
             # Initial packet: header-match the full rule list once.
-            self.charge(Operation.ACL_RULE_SCAN, len(self.engine.rules))
-            self.charge(Operation.PATTERN_MATCH_SETUP)
+            self.charge(_ACL_RULE_SCAN, len(self.engine.rules))
+            self.charge(_PATTERN_MATCH_SETUP)
             matcher = self.engine.assign_flow_matcher(flow)
             self.flow_matchers[flow] = matcher
         return matcher
@@ -73,9 +78,9 @@ class SnortIDS(NetworkFunction):
         """The recorded state function (READ payload): inspect one packet."""
         self.inspected_packets += 1
         matcher = self._matcher_for(flow)
-        self.charge(Operation.EXACT_MATCH_LOOKUP)
-        self.charge(Operation.PATTERN_MATCH_SETUP)
-        self.charge(Operation.PAYLOAD_BYTE_SCAN, len(packet.payload))
+        self.charge(_EXACT_MATCH_LOOKUP)
+        self.charge(_PATTERN_MATCH_SETUP)
+        self.charge(_PAYLOAD_BYTE_SCAN, len(packet.payload))
         result = matcher.inspect(packet.payload)
         if result.passed:
             self.passed_packets += 1
@@ -95,7 +100,7 @@ class SnortIDS(NetworkFunction):
         api.add_state_function(
             fid,
             self.inspect,
-            PayloadClass.READ,
+            _READ,
             args=(flow,),
             name="inspect",
         )

@@ -20,6 +20,11 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_PAYLOAD_BYTE_SCAN, _PAYLOAD_BYTE_WRITE = Operation.PAYLOAD_BYTE_SCAN, Operation.PAYLOAD_BYTE_WRITE
+_FIELD_WRITE, _CHECKSUM_UPDATE = Operation.FIELD_WRITE, Operation.CHECKSUM_UPDATE
+_DROP_FREE, _WRITE = Operation.DROP_FREE, PayloadClass.WRITE
+
 
 class SyntheticNF(NetworkFunction):
     """A configurable NF for microbenchmarks.
@@ -67,12 +72,12 @@ class SyntheticNF(NetworkFunction):
         self.sf_invocations += 1
         self.meter.charge_cycles(self.sf_work_cycles)
         if self.sf_scans_payload:
-            self.charge(Operation.PAYLOAD_BYTE_SCAN, len(packet.payload))
-        if self.sf_payload_class is PayloadClass.WRITE and packet.payload:
+            self.charge(_PAYLOAD_BYTE_SCAN, len(packet.payload))
+        if self.sf_payload_class is _WRITE and packet.payload:
             # A deterministic, idempotence-free transform so equivalence
             # tests can detect ordering violations: rotate-add each byte.
             self.payload_writes += 1
-            self.charge(Operation.PAYLOAD_BYTE_WRITE, len(packet.payload))
+            self.charge(_PAYLOAD_BYTE_WRITE, len(packet.payload))
             packet.payload = bytes((b + 1) & 0xFF for b in packet.payload)
 
     def process(self, packet: Packet, api: InstrumentationAPI) -> None:
@@ -83,10 +88,10 @@ class SyntheticNF(NetworkFunction):
             from repro.core.actions import Drop, Modify
 
             if isinstance(self.action, Modify):
-                self.charge(Operation.FIELD_WRITE, len(self.action.ops))
-                self.charge(Operation.CHECKSUM_UPDATE)
+                self.charge(_FIELD_WRITE, len(self.action.ops))
+                self.charge(_CHECKSUM_UPDATE)
             elif isinstance(self.action, Drop):
-                self.charge(Operation.DROP_FREE)
+                self.charge(_DROP_FREE)
             self.action.apply(packet)
             api.add_header_action(fid, self.action)
             if packet.dropped:

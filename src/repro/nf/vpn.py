@@ -25,6 +25,11 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.platform.costs import Operation
 
+# Enum members hoisted off the per-packet path (a class read runs Enum's hook)
+_PAYLOAD_BYTE_SCAN, _HASH_COMPUTE = Operation.PAYLOAD_BYTE_SCAN, Operation.HASH_COMPUTE
+_ENCAP_OP, _DECAP_OP = Operation.ENCAP_OP, Operation.DECAP_OP
+_READ = PayloadClass.READ
+
 
 def keyed_digest(key: int, payload: bytes) -> int:
     """A keyed 64-bit FNV digest (stands in for the AH ICV computation)."""
@@ -46,8 +51,8 @@ class VpnEncap(NetworkFunction):
 
     def authenticate(self, packet: Packet, spi: int) -> None:
         """State function (READ payload): compute and check the digest."""
-        self.charge(Operation.PAYLOAD_BYTE_SCAN, len(packet.payload))
-        self.charge(Operation.HASH_COMPUTE)
+        self.charge(_PAYLOAD_BYTE_SCAN, len(packet.payload))
+        self.charge(_HASH_COMPUTE)
         digest = keyed_digest(self.key, packet.payload)
         if packet.encaps and isinstance(packet.peek_encap(), AuthenticationHeader):
             packet.peek_encap().icv = digest
@@ -64,7 +69,7 @@ class VpnEncap(NetworkFunction):
             icv=0,
         )
         action = Encap(header)
-        self.charge(Operation.ENCAP_OP)
+        self.charge(_ENCAP_OP)
         action.apply(packet)
         self.encapsulated += 1
 
@@ -72,7 +77,7 @@ class VpnEncap(NetworkFunction):
         api.add_state_function(
             fid,
             self.authenticate,
-            PayloadClass.READ,
+            _READ,
             args=(self.spi,),
             name="authenticate",
         )
@@ -96,8 +101,8 @@ class VpnDecap(NetworkFunction):
 
     def verify(self, packet: Packet, key: int) -> bool:
         """State function (READ payload): recompute and compare the digest."""
-        self.charge(Operation.PAYLOAD_BYTE_SCAN, len(packet.payload))
-        self.charge(Operation.HASH_COMPUTE)
+        self.charge(_PAYLOAD_BYTE_SCAN, len(packet.payload))
+        self.charge(_HASH_COMPUTE)
         return True
 
     def process(self, packet: Packet, api: InstrumentationAPI) -> None:
@@ -117,7 +122,7 @@ class VpnDecap(NetworkFunction):
             self.bad_flows[packet.five_tuple()] = self.bad_flows.get(packet.five_tuple(), 0) + 1
 
         action = Decap(AuthenticationHeader)
-        self.charge(Operation.DECAP_OP)
+        self.charge(_DECAP_OP)
         action.apply(packet)
         self.decapsulated += 1
 
@@ -125,7 +130,7 @@ class VpnDecap(NetworkFunction):
         api.add_state_function(
             fid,
             self.verify,
-            PayloadClass.READ,
+            _READ,
             args=(self.key,),
             name="verify",
         )

@@ -36,9 +36,9 @@ recorder (a cluster's replicas) cannot collide.
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.core.report import Shape, shape_of
 from repro.obs.trace import (
     FIRST_TS,
     Span,
@@ -54,7 +54,7 @@ from repro.platform.costs import CostModel, Operation
 from repro.vector import np
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.core.framework import ProcessReport
+    from repro.core.report import ProcessReport
     from repro.obs.trace import PacketTracer
 
 #: Canonical stage order for rendering and span layout (chain order of
@@ -119,46 +119,6 @@ _PRE_NF_STAGES: Tuple[str, ...] = tuple(
 )
 #: ... and after them (FIN teardown, metadata detach, unmapped charges).
 _POST_NF_STAGES: Tuple[str, ...] = ("teardown", "emit", "transport", "other")
-
-
-class Shape:
-    """A report's shape, interned: one object per distinct :func:`shape_of`
-    key while anything holds it, so a template cache probes by identity
-    instead of hashing the key's nested tuples again on every packet.
-    The table decides which object stands for a key, never a result."""
-
-    __slots__ = ("key", "__weakref__")
-
-    def __init__(self, key: tuple):
-        self.key = key
-
-
-_SHAPES: "weakref.WeakValueDictionary[tuple, Shape]" = weakref.WeakValueDictionary()
-
-
-def _meter_key(name: str, meter) -> tuple:
-    return name, tuple(meter.counts.items()), meter.direct_cycles
-
-
-def shape_of(report: "ProcessReport") -> Shape:
-    """Everything a report's telemetry shows but its FID: the path, the
-    drop flag, the events fired, and each fixed, NF and SF meter's name,
-    counts and direct cycles.  Counts go in charge order, the order a
-    meter sums its cycles in.  Computed once per report (``report.shape``):
-    a report's fields are final once the runtime hands it out."""
-    shape = report.shape
-    if shape is None:
-        fixed = report.fixed_meter
-        key = (report.path, report.dropped, report.events_fired,
-               tuple(fixed.counts.items()), fixed.direct_cycles,
-               tuple([_meter_key(name, meter) for name, meter in report.nf_meters]),
-               tuple([tuple([_meter_key(name, meter) for name, meter in wave])
-                      for wave in report.sf_waves]))
-        shape = _SHAPES.get(key)
-        if shape is None:
-            shape = _SHAPES[key] = Shape(key)
-        report.shape = shape
-    return shape
 
 
 class FlowSpanRecorder:

@@ -11,7 +11,7 @@ Tracks are ``<platform>:<variant>:main`` and ``...:worker<i>``, one
 swimlane per core; every span carries its raw cycle count in ``args``.
 
 A timeline is a function of the platform and the report's *shape*
-(:func:`repro.obs.span.shape_of`) alone: the tracer keeps one
+(:func:`repro.core.report.shape_of`) alone: the tracer keeps one
 :class:`~repro.obs.trace.EventTemplate` per (platform, shape), and a
 packet adds one row of it — its start, its number and its FID — so a
 report whose shape any flow already produced builds nothing.
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.obs.span import shape_of
+from repro.core.report import shape_of
 from repro.obs.trace import PACKET, VALUE, EventTemplate, PacketTracer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.core.framework import ProcessReport
+    from repro.core.report import ProcessReport
     from repro.platform.base import Platform
 
 

@@ -283,6 +283,10 @@ class PacketTracer:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._rows: List[tuple] = []
+        #: one row, ``append((template, start_ns, packet, value))``: what
+        #: :meth:`add` does once ``enabled`` is checked (a DES replay binds
+        #: it, and its templates, before the engine runs)
+        self.append = self._rows.append
         #: templates by key: (counter, track), (track, hop), (marker,
         #: track, repr(args)), and (platform, report shape) for timelines
         self.templates: Dict[tuple, Any] = {}
@@ -310,23 +314,29 @@ class PacketTracer:
 
     def instant(self, name: str, track: str, ts_ns: float, **args: Any) -> None:
         """A zero-duration marker (drop, event firing, blocked put)."""
-        if not self.enabled:
-            return
-        # a marker that repeats (a store's blocked puts) shares one template
-        entry = (1, name, track, 0.0, 0.0, 0.0, args)
-        self.add(self.shared((name, track, repr(args)), (entry,)), float(ts_ns))
+        if self.enabled:
+            self.add(self.marker(name, track, args), float(ts_ns))
 
     def counter(self, name: str, track: str, ts_ns: float, value: float) -> None:
         """One sample of a time-varying quantity (e.g. ring occupancy)."""
         if self.enabled:
-            entry = (2, name, track, 0.0, 0.0, 0.0, {name: VALUE})
-            self.add(self.shared((name, track), (entry,)), float(ts_ns), None, float(value))
+            self.add(self.series(name, track), float(ts_ns), None, float(value))
 
-    def packet_span(self, track: str, hop: int, start_ns: float, dur_ns: float, packet) -> None:
-        """Span ``pkt<packet>`` on ``track``, ``hop`` in its args: one DES
-        stage serving one packet."""
-        entry = (0, "pkt" + PACKET, track, 0.0, 0.0, VALUE, {"hop": hop})
-        self.add(self.shared((track, hop), (entry,)), float(start_ns), packet, float(dur_ns))
+    def marker(self, name: str, track: str, args: Dict[str, Any]) -> EventTemplate:
+        """The template of marker ``name`` on ``track`` with ``args``: a
+        marker that repeats (a store's blocked puts) shares one."""
+        return self.shared((name, track, repr(args)), ((1, name, track, 0.0, 0.0, 0.0, args),))
+
+    def series(self, name: str, track: str) -> EventTemplate:
+        """The template of counter ``name``'s samples on ``track``, a
+        row's value the sample."""
+        return self.shared((name, track), ((2, name, track, 0.0, 0.0, 0.0, {name: VALUE}),))
+
+    def hop(self, track: str, hop: int) -> EventTemplate:
+        """The template of span ``pkt<packet>`` on ``track``, ``hop`` in
+        its args: one DES stage serving one packet, a row's value its
+        duration."""
+        return self.shared((track, hop), ((0, "pkt" + PACKET, track, 0.0, 0.0, VALUE, {"hop": hop}),))
 
     def shared(self, key: tuple, entries: tuple) -> EventTemplate:
         """The template of ``entries``, built the first time ``key`` asks."""
@@ -420,22 +430,34 @@ class TracingObserver:
     counter sample per put/get (the occupancy *after* it) on track
     ``<prefix>ring:<store name>`` and a marker per blocked put/get, so
     Perfetto shows each ring as an area chart with its blocks on top.
-    ``prefix`` keeps one run's tracks apart from another's.  The stores'
-    own blocked counts reach the registry through
-    ``Platform._publish_load_metrics``; this observer feeds the tracer.
+    ``prefix`` keeps one run's tracks apart from another's.  A store's
+    templates are bound at its first sample and a process's first wait,
+    so a sample or a wait is one row appended.  The stores' own blocked
+    counts reach the registry through ``Platform._publish_load_metrics``;
+    this observer feeds the tracer.
     """
 
     def __init__(self, tracer: PacketTracer, prefix: str):
         self.tracer = tracer
         self.prefix = prefix
+        self._append = tracer.append
+        #: store -> its occupancy samples' template; (store, process,
+        #: kind) -> the template of that process's waits on it
+        self._depth: Dict[Any, EventTemplate] = {}
+        self._waits: Dict[tuple, EventTemplate] = {}
 
-    def store_put(self, store: Any) -> None:
+    def store_depth(self, store: Any, now: float, depth: int) -> None:
         """One occupancy sample, after a put or a get."""
-        track = f"{self.prefix}ring:{store.name}"
-        self.tracer.counter("occupancy", track, store.engine.now, len(store))
+        template = self._depth.get(store)
+        if template is None:
+            template = self._depth[store] = self.tracer.series(
+                "occupancy", f"{self.prefix}ring:{store.name}")
+        self._append((template, now, None, float(depth)))
 
-    store_get = store_put
-
-    def store_blocked(self, store: Any, process: Any, kind: str) -> None:
-        track = f"{self.prefix}ring:{store.name}"
-        self.tracer.instant(f"blocked_{kind}", track, store.engine.now, process=process.name)
+    def store_blocked(self, store: Any, now: float, process: Any, kind: str) -> None:
+        """A ``kind`` ("put" or "get") of ``process`` that has to wait."""
+        template = self._waits.get((store, process, kind))
+        if template is None:
+            template = self._waits[store, process, kind] = self.tracer.marker(
+                f"blocked_{kind}", f"{self.prefix}ring:{store.name}", {"process": process.name})
+        self._append((template, now, None, None))

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import PathTaken, ProcessReport, ServiceChain, SpeedyBox
+from repro.core.report import Shape, shape_of
 from repro.net.packet import Packet
 from repro.obs.forensics import split_plan_total
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
@@ -379,10 +380,15 @@ def arrival_gaps(
     gaps = []
     previous_ts: Optional[float] = None
     for packet in packets:
-        if previous_ts is not None and packet.timestamp_ns < previous_ts:
+        ts = packet.timestamp_ns
+        gap = 0.0 if previous_ts is None else ts - previous_ts
+        # a NaN compares false both ways, so it fails the test too
+        if not (-math.inf < ts < math.inf and gap < math.inf):
+            raise ValueError(f"trace timestamps must be finite, got {ts!r}")
+        if gap < 0:
             raise ValueError("trace timestamps must be non-decreasing for replay")
-        gaps.append(0.0 if previous_ts is None else packet.timestamp_ns - previous_ts)
-        previous_ts = packet.timestamp_ns
+        gaps.append(gap)
+        previous_ts = ts
     return gaps
 
 
@@ -449,6 +455,10 @@ class Platform:
         #: instance label used for ring/track names; replicas of the same
         #: platform class override it so their metrics stay distinguishable
         self.label = label or self.name
+        #: report shape -> its (work, latency, main-core) cycles / stage plan,
+        #: each priced once per shape (a ``ScaleCluster``'s replicas share both)
+        self._timings: Dict[Shape, Tuple[float, float, float]] = {}
+        self._plans: Dict[Shape, StagePlan] = {}
         self._m_packets = metrics.counter(
             "platform_packets_total", "packets timed by a platform"
         ).labels(platform=self.name)
@@ -478,21 +488,13 @@ class Platform:
         return (model.nic_rx + model.nic_tx) / self.config.batch_size
 
     def _time_report(self, report: ProcessReport) -> Tuple[float, float, float]:
-        """(work, latency, main-core) cycles for one packet's report.
-
-        Memoized on the report (keyed by platform identity, so a report
-        timed by two platforms is never cross-contaminated): loaded runs
-        time every report twice — once in :meth:`process`, once in the
-        stage-plan build.
-        """
-        cached = report.timing_cache
-        if cached is not None and cached[0] is self:
-            return cached[1], cached[2], cached[3]
-        work, latency, main_core = self._time_report_uncached(report)
-        report.timing_cache = (self, work, latency, main_core)
-        return work, latency, main_core
-
-    def _time_report_uncached(self, report: ProcessReport) -> Tuple[float, float, float]:
+        """(work, latency, main-core) cycles for one packet's report,
+        computed once per report shape (reports of one shape sum to equal
+        floats: :func:`~repro.core.report.shape_of`)."""
+        shape = shape_of(report)
+        timing = self._timings.get(shape)
+        if timing is not None:
+            return timing
         model = self.costs
         fixed = report.fixed_meter.cycles(model)
         work = fixed + self._nic_cycles()
@@ -512,7 +514,8 @@ class Platform:
                 work += stage
                 latency += stage
                 main_core += stage
-        return work, latency, main_core
+        timing = self._timings[shape] = (work, latency, main_core)
+        return timing
 
     def _time_sf_waves(self, report: ProcessReport) -> Tuple[float, float, float]:
         """(work, wall-clock, main-core) cycles of the SF schedule.
@@ -847,11 +850,12 @@ class Platform:
         One step serves every configuration.  A steady (shared) report
         (``report.steady``) keeps its plan and this run's plan id on the
         report, so the steady majority costs one probe for its plan
-        whatever is attached; every other report has its plan built (or
-        taken from a cache an earlier run or a lane left) and looked up
-        in the table.  What is attached still sees every packet it wants
-        (:meth:`_observe`): the registry and the tracer each one, the
-        span recorder each one of a flow it samples below its cap.
+        whatever is attached; every other report takes the plan of its
+        shape (:func:`~repro.core.report.shape_of`), built the first time
+        this platform meets the shape, and looks it up in the table.  What
+        is attached still sees every packet it wants (:meth:`_observe`):
+        the registry and the tracer each one, the span recorder each one
+        of a flow it samples below its cap.
 
         The plan id is valid for the run's table alone, so the table is
         kept beside it (``ProcessReport.plan_cache`` — an ``id()``-keyed
@@ -863,6 +867,7 @@ class Platform:
         run = FunctionalRun(table=table, plan_ids=[])
         process = self.runtime.process
         stage_plan = self._stage_plan
+        plans = self._plans
         plan_id = self._plan_id
         file_pid = run.plan_ids.append
         counted = self.metrics.enabled or self.tracer.enabled
@@ -881,10 +886,10 @@ class Platform:
             if cached is not None and cached[3] is table:
                 plan, pid = cached[1], cached[2]
             else:
-                if cached is not None and cached[0] is self:
-                    plan = cached[1]
-                else:
-                    plan = stage_plan(report)
+                shape = shape_of(report)
+                plan = plans.get(shape)
+                if plan is None:
+                    plan = plans[shape] = stage_plan(report)
                 pid = plan_id(table, plan, report)
                 if report.steady:
                     report.plan_cache = (self, plan, pid, table)
@@ -910,6 +915,10 @@ class Platform:
         Packet ``i`` follows plan ``table[plan_ids[i]]``; ``gaps[i]`` is
         the source's Timeout before offering it.  An attached tracer
         gets one span per hop on the stage's track, ``prefix`` first.
+        Each plan's hops are laid out once, before the engine runs, as a
+        chain of ``(timeout, span template, next store, next hop)``: a
+        stage serves a packet with the one Timeout of its service time
+        and appends its span's row, looking nothing up.
         """
         label = self.label
         names = [f"{label}:{self._stage_label(i)}" for i in range(self._stage_count())]
@@ -919,41 +928,49 @@ class Platform:
         finish = [0.0] * len(plan_ids)
         tracer = self.tracer
         tracing = tracer.enabled
+        append = tracer.append
+        timeouts = {ns: Timeout(ns) for plan in table for __, ns in plan}
+        routes = []
+        for plan in table:
+            route, to = None, done
+            for hop in range(len(plan) - 1, -1, -1):
+                stage, ns = plan[hop]
+                template = tracer.hop(prefix + names[stage], hop) if tracing else None
+                route, to = (timeouts[ns], template, to, route), rings[stage]
+            routes.append((to, route))
 
         def source():
-            for index, plan in enumerate(map(table.__getitem__, plan_ids)):
+            for index, pid in enumerate(plan_ids):
                 if gaps[index] > 0:
                     yield Timeout(gaps[index])
                 arrival[index] = engine.now
-                yield Put(rings[plan[0][0]], (index, 0, plan))
+                to, route = routes[pid]
+                yield Put(to, (index, route))
 
-        def stage_worker(stage_index: int):
-            ring = rings[stage_index]
-            track = prefix + names[stage_index]
+        def stage_worker(ring: Store):
+            get = Get(ring)
             while True:
-                item = yield Get(ring)
+                item = yield get
                 if item is None:
                     return
-                packet_index, hop, plan = item
+                index, (timeout, template, to, route) = item
                 started = engine.now
-                yield Timeout(plan[hop][1])
+                yield timeout
                 if tracing:
-                    tracer.packet_span(track, hop, started, engine.now - started, packet_index)
-                if hop + 1 < len(plan):
-                    yield Put(rings[plan[hop + 1][0]], (packet_index, hop + 1, plan))
-                else:
-                    yield Put(done, (packet_index, engine.now))
+                    append((template, started, index, engine.now - started))
+                yield Put(to, (index, engine.now) if route is None else (index, route))
 
         def sink():
+            get = Get(done)
             for __ in range(len(plan_ids)):
-                packet_index, finished_at = yield Get(done)
-                finish[packet_index] = finished_at
+                index, finished_at = yield get
+                finish[index] = finished_at
             for ring in rings:
                 yield Put(ring, None)  # poison pills
 
         engine.add_process(source(), name=f"{label}:source")
-        for stage_index in range(len(rings)):
-            engine.add_process(stage_worker(stage_index), name=f"{label}:stage{stage_index}")
+        for stage_index, ring in enumerate(rings):
+            engine.add_process(stage_worker(ring), name=f"{label}:stage{stage_index}")
         engine.add_process(sink(), name=f"{label}:sink")
         return PipelineRun(rings=rings, done=done, arrival=arrival, finish=finish)
 

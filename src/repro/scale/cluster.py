@@ -176,6 +176,11 @@ class ScaleCluster:
             label=f"{platform_cls.name}:r{rid}",
             spans=self.spans,
         )
+        first = next(iter(self.replicas.values()), None)
+        if first is not None:
+            # one chain on one platform class prices a report shape alike
+            # on every replica: they share the first one's priced shapes
+            platform._timings, platform._plans = first.platform._timings, first.platform._plans
         self.replicas[rid] = ChainReplica(replica_id=rid, platform=platform)
         return rid
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
@@ -35,8 +36,8 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not 0 <= delay < math.inf:  # a NaN fails both bounds
+            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay!r}")
         self.delay = float(delay)
 
     def __repr__(self) -> str:
@@ -72,10 +73,11 @@ class Process:
     """A running generator inside the engine; ``finished`` flips to True
     when the generator returns."""
 
-    __slots__ = ("generator", "name", "finished")
+    __slots__ = ("send", "name", "finished")
 
     def __init__(self, generator: Generator, name: str = ""):
-        self.generator = generator
+        #: resumes the generator with its last command's result
+        self.send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
         self.finished = False
 
@@ -85,13 +87,17 @@ class Process:
 
 
 class Engine:
-    """The event loop: a priority queue of (time, sequence, callback).
+    """The event loop: a priority queue of ``(time, sequence, process,
+    value)``, a process to resume with ``value`` or, with ``process``
+    None, a :meth:`schedule` callback.  :meth:`run` resumes a process
+    inline and carries out the command it yields; a store queues a
+    process once its put or get completes.
 
     ``observer`` is a nullable instrumentation hook read by the stores:
-    when set to an object with the three store methods of
-    :class:`repro.obs.trace.TracingObserver` (``store_put``,
-    ``store_get``, ``store_blocked``), every store on this engine
-    reports to it.  It defaults to ``None``, and the engine never
+    when set to an object with the two store methods of
+    :class:`repro.obs.trace.TracingObserver` (``store_depth`` after each
+    put and get, ``store_blocked`` for each wait), every store on this
+    engine reports to it.  It defaults to ``None``, and the engine never
     imports the observer type.
     """
 
@@ -99,7 +105,7 @@ class Engine:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
+        self._queue: List[Tuple[float, int, Optional[Process], Any]] = []
         self._sequence = itertools.count()
         self.observer: Optional[Any] = None
 
@@ -111,41 +117,38 @@ class Engine:
     def add_process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a process starting at the current time."""
         process = Process(generator, name=name)
-        self._schedule_resume(process, None)
+        heapq.heappush(self._queue, (self._now, next(self._sequence), process, None))
         return process
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` after ``delay`` time units."""
-        if delay < 0:
-            raise SimulationError(f"negative schedule delay: {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), callback))
+        if not 0 <= delay < math.inf:  # a NaN fails both bounds
+            raise SimulationError(f"schedule delay must be finite and >= 0, got {delay!r}")
+        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), None, callback))
 
     def run(self) -> float:
         """Run until the queue drains; returns the final simulation time."""
         queue = self._queue
-        heappop = heapq.heappop
+        heappop, heappush = heapq.heappop, heapq.heappush
+        sequence = self._sequence
         while queue:
-            entry = heappop(queue)
-            self._now = entry[0]
-            entry[2]()
+            now, __, process, value = heappop(queue)
+            self._now = now
+            if process is None:
+                value()
+                continue
+            try:
+                command = process.send(value)
+            except StopIteration:
+                process.finished = True
+                continue
+            kind = type(command)
+            if kind is Timeout:
+                heappush(queue, (now + command.delay, next(sequence), process, None))
+            elif kind is Get:
+                command.store._get(process)
+            elif kind is Put:
+                command.store._put(process, command.item)
+            else:
+                raise SimulationError(f"process {process.name} yielded unsupported value: {command!r}")
         return self._now
-
-    # -- process machinery -------------------------------------------------
-
-    def _schedule_resume(self, process: Process, value: Any, delay: float = 0.0) -> None:
-        self.schedule(delay, lambda: self._resume(process, value))
-
-    def _resume(self, process: Process, value: Any) -> None:
-        try:
-            command = process.generator.send(value)
-        except StopIteration:
-            process.finished = True
-            return
-        if isinstance(command, Timeout):
-            self._schedule_resume(process, None, delay=command.delay)
-        elif isinstance(command, Put):
-            command.store._put(process, command.item)
-        elif isinstance(command, Get):
-            command.store._get(process)
-        else:
-            raise SimulationError(f"process {process.name} yielded unsupported value: {command!r}")

@@ -5,6 +5,7 @@ to hand packet descriptors between cores)."""
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.engine import SimulationError
@@ -59,62 +60,58 @@ class Store:
         cap = "inf" if self.capacity is None else str(self.capacity)
         return f"<Store {self.name or id(self)} {len(self._items)}/{cap}>"
 
-    @property
-    def full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
     # -- engine-facing plumbing -------------------------------------------
+    #
+    # A putter waits only on a full store and a getter only on an empty
+    # one, so a get frees one slot for at most one waiting putter, and a
+    # put into an empty store feeds at most one waiting getter.  Each
+    # call enqueues or dequeues, reports to the observer and wakes its
+    # waiters itself, in the order the engine queues their resumptions.
 
     def _put(self, process: "Process", item: Any) -> None:
-        if self.full:
+        items = self._items
+        engine = self.engine
+        observer = engine.observer
+        if self.capacity is not None and len(items) >= self.capacity:
             self._blocked_putters.append((process, item))
             self.blocked_puts += 1
-            observer = self.engine.observer
             if observer is not None:
-                observer.store_blocked(self, process, "put")
+                observer.store_blocked(self, engine._now, process, "put")
             return
-        self._enqueue(item)
-        self.engine._schedule_resume(process, None)
-        self._feed_getters()
-
-    def _get(self, process: "Process") -> None:
-        if not self._items:
-            self._blocked_getters.append(process)
-            self.blocked_gets += 1
-            observer = self.engine.observer
-            if observer is not None:
-                observer.store_blocked(self, process, "get")
-            return
-        item = self._dequeue()
-        self.engine._schedule_resume(process, item)
-        self._admit_putters()
-
-    def _enqueue(self, item: Any) -> None:
-        items = self._items
         items.append(item)
         self.total_put += 1
         if len(items) > self.high_watermark:
             self.high_watermark = len(items)
-        observer = self.engine.observer
         if observer is not None:
-            observer.store_put(self)
-
-    def _dequeue(self) -> Any:
-        item = self._items.popleft()
-        self.total_got += 1
-        observer = self.engine.observer
-        if observer is not None:
-            observer.store_get(self)
-        return item
-
-    def _feed_getters(self) -> None:
-        while self._blocked_getters and self._items:
+            observer.store_depth(self, engine._now, len(items))
+        heappush(engine._queue, (engine._now, next(engine._sequence), process, None))
+        if self._blocked_getters:
             getter = self._blocked_getters.popleft()
-            self.engine._schedule_resume(getter, self._dequeue())
+            item = items.popleft()
+            self.total_got += 1
+            if observer is not None:
+                observer.store_depth(self, engine._now, len(items))
+            heappush(engine._queue, (engine._now, next(engine._sequence), getter, item))
 
-    def _admit_putters(self) -> None:
-        while self._blocked_putters and not self.full:
+    def _get(self, process: "Process") -> None:
+        items = self._items
+        engine = self.engine
+        observer = engine.observer
+        if not items:
+            self._blocked_getters.append(process)
+            self.blocked_gets += 1
+            if observer is not None:
+                observer.store_blocked(self, engine._now, process, "get")
+            return
+        item = items.popleft()
+        self.total_got += 1
+        if observer is not None:
+            observer.store_depth(self, engine._now, len(items))
+        heappush(engine._queue, (engine._now, next(engine._sequence), process, item))
+        if self._blocked_putters:
             putter, item = self._blocked_putters.popleft()
-            self._enqueue(item)
-            self.engine._schedule_resume(putter, None)
-        self._feed_getters()
+            items.append(item)
+            self.total_put += 1
+            if observer is not None:
+                observer.store_depth(self, engine._now, len(items))
+            heappush(engine._queue, (engine._now, next(engine._sequence), putter, None))

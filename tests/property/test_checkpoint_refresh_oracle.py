@@ -90,6 +90,19 @@ class Bench:
             return checkpoint
 
         self.manager._capture = capture
+        real_file = self.manager._file_refresh
+
+        def file_refresh(checkpoint):
+            # Filed in place, a refresh meets no key a round filed as
+            # stateless: each key maps to the flow only through ``store``,
+            # which clears it, and a round that files it stateless first
+            # drops the flow's snapshot and unmaps its directions.
+            manager, keys = self.manager, checkpoint._standing.keys
+            if all(manager._by_direction.get(key) == checkpoint.flow for key in keys):
+                assert not manager._stateless.intersection(keys), checkpoint.flow
+            return real_file(checkpoint)
+
+        self.manager._file_refresh = file_refresh
 
     def send(self, packets) -> list:
         return [self.cluster.process(packet.clone()) for packet in packets]
