@@ -76,9 +76,9 @@ from repro.obs import (
 )
 from repro.obs.record import LEVELS, describe, load_record, write_record
 from repro.platform import BessPlatform, OpenNetVMPlatform
-from repro.platform.base import checked_gap
+from repro.platform.base import LoadResult, checked_gap
 from repro.platform.costs import CostModel
-from repro.stats import Distribution, format_table
+from repro.stats import format_table, percentile
 from repro.traffic import DatacenterTraceConfig, DatacenterTraceGenerator, TrafficGenerator
 from repro.traffic.generator import clone_packets
 
@@ -207,6 +207,18 @@ def emit_observability(args, obs: ObsBundle, chain: str, platform: str) -> None:
         print(obs.slo.render())
 
 
+def delivered_us(outcomes, fraction: float) -> Optional[float]:
+    """Nearest-rank percentile of the delivered packets' unloaded latency
+    in µs, ``None`` when every packet was dropped."""
+    values = [outcome.latency_us for outcome in outcomes if not outcome.dropped]
+    return percentile(values, fraction) if values else None
+
+
+def fmt_us(value: Optional[float]) -> str:
+    """A latency cell: µs to three places, ``-`` for none delivered."""
+    return "-" if value is None else f"{value:.3f}"
+
+
 def make_trace_packets(flows: int, seed: int):
     # Eight packets per flow on average.
     config = DatacenterTraceConfig(flows=flows, seed=seed, lognormal_mu=math.log(8.0))
@@ -240,28 +252,26 @@ def cmd_demo(args: argparse.Namespace) -> int:
         else:
             runtime = ServiceChain(build_chain(args.chain), metrics=obs.metrics)
         platform = PLATFORMS[args.platform](runtime, **obs.platform_kwargs())
-        latency = Distribution()
-        dropped = 0
-        for packet in clone_packets(packets):
-            outcome = platform.process(packet)
-            latency.add(outcome.latency_us)
-            dropped += outcome.dropped
+        outcomes = platform.process_all(clone_packets(packets))
         platform.reset()
         load = platform.run_load(clone_packets(packets))
-        results[label] = latency
+        results[label] = p50 = delivered_us(outcomes, 0.50)
         rows.append(
             [
                 label,
-                f"{latency.p50:.3f}",
-                f"{latency.p99:.3f}",
+                fmt_us(p50),
+                fmt_us(delivered_us(outcomes, 0.99)),
                 f"{load.throughput_mpps:.2f}",
-                dropped,
+                sum(outcome.dropped for outcome in outcomes),
             ]
         )
     print(format_table(["variant", "p50 us", "p99 us", "Mpps", "dropped"], rows))
     if "speedybox" in results:
-        reduction = 100 * (1 - results["speedybox"].p50 / results["original"].p50)
-        print(f"\np50 latency reduction: {reduction:.1f}%")
+        original, speedybox = results["original"], results["speedybox"]
+        reduction = "-"
+        if original is not None and speedybox is not None:
+            reduction = f"{100 * (1 - speedybox / original):.1f}%"
+        print(f"\np50 latency reduction: {reduction}")
     emit_observability(args, obs, chain=args.chain, platform=args.platform)
     if args.dump_rules and not args.no_speedybox:
         # Re-run once to leave the runtime populated, then dump its MAT.
@@ -294,9 +304,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 runtime = ServiceChain(chain, metrics=obs.metrics)
             platform = PLATFORMS[args.platform](runtime, **obs.platform_kwargs())
-            outcomes = platform.process_all(clone_packets(packets))
-            latency = Distribution([o.latency_us for o in outcomes])
-            row.append(f"{latency.p50:.3f}")
+            row.append(fmt_us(delivered_us(platform.process_all(clone_packets(packets)), 0.50)))
         rows.append(row)
     print(format_table(
         ["chain length", "original p50 us", "speedybox p50 us"],
@@ -517,19 +525,20 @@ def cmd_scale(args: argparse.Namespace) -> int:
                 # Buffered-during-failover deliveries re-enter the
                 # latency population with their stall charged, so the
                 # p99 column reflects the outage they sat through.
-                total = total.merge(ft.charged_result())
+                total = LoadResult.merged([total, ft.charged_result()])
             if baseline_mpps is None:
                 baseline_mpps = total.throughput_mpps
             speedup = (
                 total.throughput_mpps / baseline_mpps if baseline_mpps else 0.0
             )
+            p99_ns = total.latency_percentile(0.99)
             row = [
                 platform_name,
                 count,
                 total.offered,
                 total.delivered,
                 f"{total.throughput_mpps:.2f}",
-                f"{total.latency_percentile(0.99) / 1000.0:.3f}",
+                fmt_us(None if p99_ns is None else p99_ns / 1000.0),
                 f"{speedup:.2f}x",
                 migrations,
             ]

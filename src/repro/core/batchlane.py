@@ -98,8 +98,8 @@ class BulkTemplate:
     """Everything needed to admit a new flow without running the chain."""
 
     __slots__ = (
-        "rule", "compiled", "ran", "mat_plumbing", "first_report", "dropped",
-        "original_pid", "plan_cache", "waves", "drop_action",
+        "rule", "compiled", "ran", "mat_plumbing", "first_report", "original_pid",
+        "plan_cache", "waves", "drop_action",
     )
 
     def __init__(self, rule, compiled, ran, mat_plumbing, first_report, original_pid,
@@ -121,7 +121,6 @@ class BulkTemplate:
         self.mat_plumbing = mat_plumbing
         #: the template flow's own first-packet report (its meters)
         self.first_report = first_report
-        self.dropped = first_report.dropped
         #: plan-table id of the first-packet stage plan
         self.original_pid = original_pid
         #: the steady plan's ``(platform, plan, plan id, table)``, one
@@ -140,6 +139,7 @@ class BatchLane:
         self.platform = platform
         self.batch = batch
         self.runtime = platform.runtime
+        #: packets whose plan drops, read off the plan table after the run
         self.dropped = 0
         #: packets served by whole-run array ops (lane introspection)
         self.span_packets = 0
@@ -231,8 +231,8 @@ class BatchLane:
 
     # -- driving the batch ---------------------------------------------------
 
-    def run(self) -> Tuple[PlanTable, object, int]:
-        """Process the whole batch; returns (plan table, plan ids, dropped)."""
+    def run(self) -> Tuple[PlanTable, object]:
+        """Process the whole batch; returns (plan table, plan ids)."""
         runtime = self.runtime
         previous_feed = runtime._lane_invalidations
         runtime._lane_invalidations = self._inval = []
@@ -306,8 +306,10 @@ class BatchLane:
         if template is not None and self.admitted:
             for nf in runtime.nfs[: template.ran]:
                 nf.admit_flows(self.admitted)
+        drops = self.table.drops(self.plan_ids)
+        self.dropped = 0 if drops is None else int(np.count_nonzero(drops))
         self._publish_lane_metrics()
-        return self.table, self.plan_ids, self.dropped
+        return self.table, self.plan_ids
 
     def _publish_lane_metrics(self) -> None:
         """One registry update per batch (never per packet).
@@ -457,15 +459,13 @@ class BatchLane:
         clone.entry.packets += 1
         clone.rule.hits += 1
         clone.bindings.move_to_end(clone.fid)
-        if clone.program.is_drop:
-            self.dropped += 1
         self.plan_ids[index] = self.fplan[flow]
         self.span_packets += 1
 
     def _flush(self) -> None:
         """Apply the deferred region's per-flow effects.
 
-        Counts, rule hits and drop totals are commutative; the LRU
+        Counts and rule hits are commutative; the LRU
         touches — one ``move_to_end`` per flow in last-occurrence order
         over the *whole region* — leave exactly the recency order the
         per-packet sequence would have.  The counts take one pass over
@@ -510,14 +510,10 @@ class BatchLane:
         counts[order] = 0
         vclone = self._vclone
         order = order.tolist()
-        dropped = 0
         for flow, count in zip(order, order_counts):
             clone = vclone[flow]
             clone.entry.packets += count
             clone.rule.hits += count
-            if clone.program.is_drop:
-                dropped += count
-        self.dropped += dropped
         move = vclone[order[0]].bindings.move_to_end
         for flow in order:
             move(vclone[flow].fid)
@@ -755,8 +751,6 @@ class BatchLane:
                 runtime.slow_packets += admitted
                 for local_mat, __, ___, actions in template.mat_plumbing:
                     local_mat.records_ha += admitted * len(actions)
-                if template.dropped:
-                    self.dropped += admitted
                 self.admitted += admitted
         return stop
 
@@ -775,8 +769,6 @@ class BatchLane:
             root = spans.record(report, self.platform.costs)
             if root is not None:
                 self.roots[index] = root
-        if report.dropped:
-            self.dropped += 1
         if report.steady:
             pid = self._steady_pid(report)
         else:

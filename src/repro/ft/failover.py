@@ -66,11 +66,12 @@ from repro.net.packet import Packet
 from repro.obs.audit import AuditLog
 from repro.obs.forensics import StallCharge, emit_recovery_regime_shift
 from repro.obs.trace import NULL_TRACER, PacketTracer
-from repro.platform.base import LoadResult
+from repro.platform.base import LoadResult, PlanTable, load_result
 from repro.scale.cluster import ScaleCluster
 from repro.ft.checkpoint import CheckpointManager
 from repro.ft.faults import FaultInjector
 from repro.ft.pktlog import PacketLog
+from repro.vector import np
 
 
 #: entries a replica's input log holds before it forces a checkpoint
@@ -529,7 +530,7 @@ class FaultTolerance:
                     continue
                 report.packets_delivered += 1
                 report.outcomes.append(outcome)
-                if charge:
+                if charge and not outcome.dropped:  # a drop has no latency to charge
                     stall_ns = self._now_ns() - dead.killed_ns
                     charged = StallCharge(
                         replica=replica_id,
@@ -600,28 +601,20 @@ class FaultTolerance:
         return [self.recover(rid) for rid in sorted(self.dead)]
 
     def charged_result(self) -> LoadResult:
-        """The charged deliveries as a mergeable :class:`LoadResult`.
+        """The charged deliveries as a :class:`LoadResult` to merge into a
+        run's total, so post-failover percentiles include the recovery
+        stall::
+
+            total = LoadResult.merged([result.total, ft.charged_result()])
 
         Each latency is the delivery's ``service + stall`` (canonical
         component order, so forensic decomposition of these packets is
-        exact by construction).  Merge it into a run's total so
-        post-failover percentiles include the recovery stall::
-
-            total = result.total.merge(ft.charged_result())
+        exact by construction); a recovered packet the chain dropped is
+        never charged, so none of these drops.
         """
-        latencies = [charged.latency_ns for charged in self.charged]
-        makespan = 0.0
-        for charged in self.charged:
-            finish = charged.arrival_ns + charged.latency_ns
-            if finish > makespan:
-                makespan = finish
-        return LoadResult(
-            offered=len(latencies),
-            delivered=len(latencies),
-            dropped=0,
-            makespan_ns=makespan,
-            latencies_ns=latencies,
-        )
+        latencies = np.array([charged.latency_ns for charged in self.charged], dtype=np.float64)
+        finish = [charged.arrival_ns + charged.latency_ns for charged in self.charged]
+        return load_result(latencies, max(finish, default=0.0), None, PlanTable(labelled=False), ())
 
     def __repr__(self) -> str:
         return (

@@ -285,10 +285,15 @@ class Packet:
         Encapsulation headers are recognised structurally: an AH directly
         after IPv4 (protocol 51), or a VXLAN header flagged by metadata is
         out of scope for raw parsing — only AH round-trips from bytes.
+        A frame shorter than its IPv4 total length is a ``ValueError``.
         """
         eth = EthernetHeader.unpack(data)
         offset = eth.byte_length()
         ip = IPv4Header.unpack(data[offset:])
+        if len(data) - offset < ip.total_length:
+            raise ValueError(
+                f"truncated IPv4 packet: {len(data) - offset} of {ip.total_length} bytes"
+            )
         offset += ip.byte_length()
         packet = cls(eth=eth, ip=ip)
         protocol = ip.protocol

@@ -466,7 +466,8 @@ class ForensicsEngine:
         ``cut`` is ``[(window, rows)]`` in window order: each
         :class:`~repro.obs.timeseries.Window` with the indices of its
         packets in the run's columns.  ``latency``, ``fast`` and
-        ``held`` (buffered) are those columns, ``replica`` one label for
+        ``held`` (buffered or dropped: no delivered latency) are those
+        columns, ``replica`` one label for
         every packet or a column of them, and ``labels`` each packet's
         forensic label, ``(service, transfer, stages, fid, lane)``
         (:meth:`~repro.platform.base.PlanTable.label_columns`: its plan's
@@ -475,7 +476,7 @@ class ForensicsEngine:
         Worst-K selection is a whole-array operation per window; only
         the stride and the survivors are decomposed in Python, through
         :func:`decompose`, which is what keeps the split exact.  The
-        stride runs over a window's replayed packets in offered order,
+        stride runs over a window's delivered packets in offered order,
         which no replay can change.
         """
         service, transfer, stages, fid, lane = labels

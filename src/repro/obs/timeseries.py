@@ -10,8 +10,9 @@ the missing axis: a :class:`TimeSeries` cuts a finished run into
 
 - per-window packet/drop/buffered counts and arrival rate, over real
   simulated bounds on every route;
-- exact p50/p99 latency from every replayed packet's latency, so a
-  run that fits in one window reproduces
+- exact p50/p99 latency from every delivered packet's latency (a
+  dropped packet counts as a drop and has none), so a run that fits in
+  one window reproduces
   ``LoadResult.latency_percentile`` bit-for-bit — the oracle test in
   ``tests/unit/test_obs_timeseries.py``;
 - **registry deltas**: every metric in an attached
@@ -123,13 +124,13 @@ class ReplicaWindow:
 
 def _tally(share, held, dropped, latency) -> np.ndarray:
     """Count one window's (or one replica's) rows into ``share``: packets,
-    buffered, drops among the replayed, and the replayed rows' latencies.
+    buffered, drops among the replayed, and the delivered rows' latencies.
     Returns the replayed-row mask."""
     replayed = ~held
     share.packets = len(held)
     share.buffered = len(held) - int(np.count_nonzero(replayed))
     share.drops = int(np.count_nonzero(dropped & replayed))
-    share.latencies = latency[replayed].tolist()
+    share.latencies = latency[replayed & ~dropped].tolist()
     return replayed
 
 
@@ -158,8 +159,8 @@ class Window:
         self.packets = 0
         self.drops = 0
         self.buffered = 0
-        #: every replayed packet's latency (a dropped packet's included,
-        #: as in ``LoadResult.latencies_ns``); buffered packets have none
+        #: every delivered packet's latency, as in
+        #: ``LoadResult.latencies_ns``; dropped and buffered packets have none
         self.latencies: List[float] = []
         self.replicas: Dict[Any, ReplicaWindow] = {}
         #: change of every registry series since the previous close (at close)
@@ -355,7 +356,7 @@ class TimeSeries:
             cut.append((window, rows))
         if forensics is not None:
             forensics.observe_run(
-                cut, latency, replica if ids is None else ids, fast, held, labels
+                cut, latency, replica if ids is None else ids, fast, held | dropped, labels
             )
         for window, __ in cut:
             self.total_packets += window.packets

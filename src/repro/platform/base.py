@@ -99,9 +99,12 @@ class PacketOutcome:
 class LoadResult:
     """The result of a loaded run (throughput mode).
 
-    ``latencies_ns`` is one float64 column in delivery order (a sequence
-    passed in is converted); consumers that iterate it take ``.tolist()``
-    slices, so no numpy scalar reaches an artifact or a printed value.
+    ``offered`` counts the packets the run replayed, ``delivered`` and
+    ``dropped`` split them, and ``latencies_ns`` is one float64 column
+    of the delivered packets' latencies in finish order (a sequence
+    passed in is converted); consumers that iterate it take
+    ``.tolist()`` slices, so no numpy scalar reaches an artifact or a
+    printed value.
     """
 
     offered: int
@@ -131,44 +134,33 @@ class LoadResult:
 
     @property
     def throughput_mpps(self) -> float:
+        """Delivered packets per microsecond of the makespan."""
         if self.makespan_ns <= 0:
             return 0.0
-        return (self.delivered + self.dropped) / (self.makespan_ns / 1000.0)
+        return self.delivered / (self.makespan_ns / 1000.0)
 
-    def latency_percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile of the loaded latencies.
+    def latency_percentile(self, fraction: float) -> Optional[float]:
+        """Nearest-rank percentile of the delivered packets' latencies,
+        ``None`` when none was delivered.
 
         Delegates to :func:`repro.stats.summary.percentile_sorted` (rank
-        = ``ceil(fraction * n)``); the previous ``int(fraction * n)``
-        index was biased low for small samples — p100 of a 4-sample
-        list only hit the maximum via the clamp.  The sort is cached:
-        sweeps query p50/p90/p99 off one multi-thousand-sample run.
+        = ``ceil(fraction * n)``).  The sort is cached: sweeps query
+        p50/p90/p99 off one multi-thousand-sample run.
         """
         samples = self.latencies_ns
         if not len(samples):
-            return 0.0
+            return None
         cached = self._sorted_latencies
         if cached is None or cached[0] is not samples:
             cached = self._sorted_latencies = (samples, np.sort(samples))
         return float(percentile_sorted(cached[1], fraction))
 
-    def merge(self, other: "LoadResult") -> "LoadResult":
-        """Combine two runs as if their packets shared one run.
-
-        Packet counts add; latency *samples* concatenate, so percentiles
-        of the merged result are computed over the raw population — not
-        averaged from the parts' pre-computed percentiles, which would
-        be statistically wrong (the p99 of two replicas is not the mean
-        of their p99s).  The makespan is the later finish line: the runs
-        are taken to start at the same instant, which is exactly how a
-        multi-replica cluster drives its replicas.
-        """
-        return LoadResult.merged((self, other))
-
     @classmethod
     def merged(cls, results: Sequence["LoadResult"]) -> "LoadResult":
-        """:meth:`merge` over any number of per-replica results, with one
-        concatenation of their columns."""
+        """Per-replica results as one run's: packet counts add, the
+        latency columns concatenate (a percentile of the total is over
+        the raw population, not a mean of the parts'), and the makespan
+        is the latest, since a cluster starts its replicas together."""
         return cls(
             offered=sum(result.offered for result in results),
             delivered=sum(result.delivered for result in results),
@@ -180,23 +172,36 @@ class LoadResult:
         )
 
 
-def load_result(latencies, makespan_ns: float, dropped: int, delivery) -> LoadResult:
+def load_result(
+    latencies, makespan_ns: float, delivery, table: "PlanTable", plan_ids
+) -> LoadResult:
     """The result of a run from its timeline — the one place one is built.
 
     ``latencies`` is the run's float64 ``finish - arrival`` column in
-    packet order and ``makespan_ns`` its last finish.  Latencies are
-    reported in finish order (what a sink at the end of the pipeline
-    sees): ``delivery`` is ``None`` when packet order is finish order
-    — the result then holds ``latencies`` itself, not a copy — and the
-    stable finish-order permutation otherwise (:func:`columns_timeline`).
+    packet order and ``makespan_ns`` its last finish; ``delivery`` is
+    ``None`` when packet order is finish order, else the stable
+    finish-order permutation (:func:`columns_timeline`).  Packet ``i``
+    is dropped when its plan, ``table[plan_ids[i]]``, carries the drop
+    flag; only delivered packets keep a latency, in the order they left
+    the pipeline's last hop.  A table with no dropping
+    plan costs no pass over the packets: the result then holds
+    ``latencies`` itself when packets left in order, not a copy.
     """
     offered = len(latencies)
+    dropped = table.drops(plan_ids)
+    if dropped is not None:
+        if delivery is not None:
+            dropped = dropped[delivery]
+        delivery = np.flatnonzero(~dropped) if delivery is None else delivery[~dropped]
+    if delivery is not None:
+        latencies = latencies[delivery]
+    delivered = len(latencies)
     return LoadResult(
         offered=offered,
-        delivered=offered - dropped,
-        dropped=dropped,
+        delivered=delivered,
+        dropped=offered - delivered,
         makespan_ns=makespan_ns,
-        latencies_ns=latencies if delivery is None else latencies[delivery],
+        latencies_ns=latencies,
     )
 
 
@@ -269,6 +274,14 @@ class PlanTable(list):
         flags = np.array(self.flags, dtype=np.uint8)[np.asarray(plan_ids, dtype=np.intp)]
         return (flags & 1).astype(bool), (flags & 2).astype(bool)
 
+    def drops(self, plan_ids) -> Optional[np.ndarray]:
+        """Per packet of a run over this table, whether its plan drops;
+        ``None`` when no plan does, read off the table without a pass
+        over the packets."""
+        if not any(flags & 2 for flags in self.flags):
+            return None
+        return self.flag_columns(plan_ids)[1]
+
     def label_columns(self, plan_ids, route: str) -> tuple:
         """Per packet of a run over this labelled table, its forensic
         label: ``(service, transfer, stages, fid, lane)`` — its plan's
@@ -305,7 +318,6 @@ class FunctionalRun:
     #: packet ``i``'s plan is ``table[plan_ids[i]]``: a list the pass
     #: appends to, or the lane's int32 column
     plan_ids: object
-    dropped: int = 0
     #: run-local packet index -> the sampled root span ``record()`` returned
     roots: Dict[int, dict] = field(default_factory=dict)
     #: set by the run's tail: the replay it took, its packet-order
@@ -396,12 +408,11 @@ def arrival_gaps(
 class PipelineRun:
     """The live plumbing of one platform's pipeline on a DES engine."""
 
-    #: one ring per stage, and the unbounded store the sink drains
+    #: one ring per stage
     rings: List[Store]
-    done: Store
     #: the timeline, indexed by packet and filled in as the engine runs:
-    #: offered time, and departure from the last hop (every packet,
-    #: dropped ones included, reaches the sink, so both are total)
+    #: offered time, and departure from the last hop, which every packet
+    #: reaches (a dropped one too: its plan ends where the drop happened)
     arrival: List[float]
     finish: List[float]
 
@@ -753,7 +764,7 @@ class Platform:
         self.packets += len(latencies)
         if self.spans is not None:
             self.spans.annotate_loaded(run.roots, arrival, finish)
-        result = load_result(latencies, makespan_ns, run.dropped, delivery)
+        result = load_result(latencies, makespan_ns, delivery, run.table, run.plan_ids)
         run.route = route
         run.latencies = latencies
         run.arrival = None if route == "vector" else arrival
@@ -792,20 +803,19 @@ class Platform:
 
         checked_gap(inter_arrival_ns)  # before the lane serves a packet
         lane = BatchLane(self, batch)
-        table, plan_ids, dropped = lane.run()
-        offered = len(batch)
+        table, plan_ids = lane.run()
         # Lane introspection (the batch analogue of the per-packet
         # counters): how much of the run the array path actually served.
         # A dict, not audit events — the lane's audit stream must stay
         # event-for-event identical to the per-packet oracle's.
         self.last_lane_stats = {
-            "offered": offered,
+            "offered": len(batch),
             "span_packets": lane.span_packets,
             "admitted": lane.admitted,
-            "dropped": dropped,
+            "dropped": lane.dropped,
             "plan_table_size": len(table),
         }
-        run = FunctionalRun(table=table, plan_ids=plan_ids, dropped=dropped, roots=lane.roots)
+        run = FunctionalRun(table=table, plan_ids=plan_ids, roots=lane.roots)
         return self._replay(run, None, inter_arrival_ns)
 
     def _analytic_valid(self, table: Sequence[StagePlan]) -> bool:
@@ -880,8 +890,6 @@ class Platform:
 
         def offer(packet: Packet) -> StagePlan:
             report = process(packet)
-            if report.dropped:
-                run.dropped += 1
             cached = report.plan_cache
             if cached is not None and cached[3] is table:
                 plan, pid = cached[1], cached[2]
@@ -918,12 +926,13 @@ class Platform:
         Each plan's hops are laid out once, before the engine runs, as a
         chain of ``(timeout, span template, next store, next hop)``: a
         stage serves a packet with the one Timeout of its service time
-        and appends its span's row, looking nothing up.
+        and appends its span's row, looking nothing up.  The last hop
+        (no next hop) stamps the packet's finish itself; the stage
+        workers then wait on their empty rings until the engine drains.
         """
         label = self.label
         names = [f"{label}:{self._stage_label(i)}" for i in range(self._stage_count())]
         rings = [Store(engine, capacity=self.config.ring_capacity, name=name) for name in names]
-        done = Store(engine, name=f"{label}:done")
         arrival = [0.0] * len(plan_ids)
         finish = [0.0] * len(plan_ids)
         tracer = self.tracer
@@ -932,7 +941,7 @@ class Platform:
         timeouts = {ns: Timeout(ns) for plan in table for __, ns in plan}
         routes = []
         for plan in table:
-            route, to = None, done
+            route = to = None
             for hop in range(len(plan) - 1, -1, -1):
                 stage, ns = plan[hop]
                 template = tracer.hop(prefix + names[stage], hop) if tracing else None
@@ -950,35 +959,26 @@ class Platform:
         def stage_worker(ring: Store):
             get = Get(ring)
             while True:
-                item = yield get
-                if item is None:
-                    return
-                index, (timeout, template, to, route) = item
+                index, (timeout, template, to, route) = yield get
                 started = engine.now
                 yield timeout
                 if tracing:
                     append((template, started, index, engine.now - started))
-                yield Put(to, (index, engine.now) if route is None else (index, route))
-
-        def sink():
-            get = Get(done)
-            for __ in range(len(plan_ids)):
-                index, finished_at = yield get
-                finish[index] = finished_at
-            for ring in rings:
-                yield Put(ring, None)  # poison pills
+                if route is None:
+                    finish[index] = engine.now
+                else:
+                    yield Put(to, (index, route))
 
         engine.add_process(source(), name=f"{label}:source")
         for stage_index, ring in enumerate(rings):
             engine.add_process(stage_worker(ring), name=f"{label}:stage{stage_index}")
-        engine.add_process(sink(), name=f"{label}:sink")
-        return PipelineRun(rings=rings, done=done, arrival=arrival, finish=finish)
+        return PipelineRun(rings=rings, arrival=arrival, finish=finish)
 
     # -- loaded-mode observability --------------------------------------------
 
     def _publish_load_metrics(self, pipeline: PipelineRun) -> None:
         """Per-ring enqueue/dequeue/high-water, and the puts and gets
-        that waited on any of the run's stores, after a DES replay."""
+        that waited on any of the run's rings, after a DES replay."""
         if not self.metrics.enabled:
             return
         enqueues = self.metrics.counter(
@@ -997,10 +997,9 @@ class Platform:
         blocked = self.metrics.counter(
             "sim_store_blocked_total", "puts/gets that had to wait on a store"
         )
-        stores = [*pipeline.rings, pipeline.done]
         for kind, count in (
-            ("put", sum(store.blocked_puts for store in stores)),
-            ("get", sum(store.blocked_gets for store in stores)),
+            ("put", sum(ring.blocked_puts for ring in pipeline.rings)),
+            ("get", sum(ring.blocked_gets for ring in pipeline.rings)),
         ):
             if count:
                 blocked.labels(kind=kind).inc(count)

@@ -189,12 +189,6 @@ class CycleMeter:
         self.direct_cycles += cycles
         self._memo_model = None
 
-    def merge(self, other: "CycleMeter") -> None:
-        for operation, times in other.counts.items():
-            self.counts[operation] = self.counts.get(operation, 0.0) + times
-        self.direct_cycles += other.direct_cycles
-        self._memo_model = None
-
     def cycles(self, model: CostModel) -> float:
         if self._memo_model is model:
             return self._memo_cycles

@@ -17,7 +17,9 @@ step-by-step fast-path interpreter (and :func:`apply_consolidated` the
 step-by-step action walk), independent of the rule program both
 production routes run; :func:`lockstep` drives it against a compiling
 runtime packet by packet.  :func:`des_run_load` *selects* the
-discrete-event replay by running ``src/`` code, not by copying it.
+discrete-event replay by running ``src/`` code, not by copying it, and
+:func:`reference_result` reads any replay's per-packet timeline the way
+RFC 2544 does, in plain Python, without ``src/``'s result builder.
 
 Code only the tests use lives here too, beside them (the source gate's
 method-level check keeps it out of ``src/``): the reference semantics
@@ -88,13 +90,7 @@ from repro.net.headers import (
 from repro.net.packet import Packet
 from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US
 from repro.net.trace import load_trace, write_trace
-from repro.platform.base import (
-    LoadResult,
-    Platform,
-    arrival_gaps,
-    columns_timeline,
-    load_result,
-)
+from repro.platform.base import LoadResult, Platform, arrival_gaps
 from repro.platform.costs import NULL_METER, CostModel, CycleMeter, Operation
 from repro.sim import Engine
 from repro.traffic.columnar import (
@@ -631,14 +627,22 @@ def max_wave_width(schedule) -> int:
     return max((len(wave) for wave in schedule.waves), default=0)
 
 
+def merge_meter(total: CycleMeter, other: CycleMeter) -> None:
+    """Add ``other``'s charges into ``total``."""
+    for operation, times in other.counts.items():
+        total.counts[operation] = total.counts.get(operation, 0.0) + times
+    total.direct_cycles += other.direct_cycles
+    total._memo_model = None
+
+
 def total_meter(report: ProcessReport) -> CycleMeter:
     """All of a report's charges merged (platform-transport costs not included)."""
     total = report.fixed_meter.copy()
     for __, meter in report.nf_meters:
-        total.merge(meter)
+        merge_meter(total, meter)
     for wave in report.sf_waves:
         for __, meter in wave:
-            total.merge(meter)
+            merge_meter(total, meter)
     return total
 
 
@@ -755,24 +759,43 @@ def des_run_load(
     gaps: Optional[Sequence[float]] = None,
 ) -> LoadResult:
     """The DES oracle: the platform's own functional pass, replayed by
-    the generator engine whatever the plans' shape.  Explicit ``gaps``
-    offer the packets as a cluster offers a replica its share of a
-    global timeline (the first gap need not be zero)."""
+    the generator engine whatever the plans' shape, read by
+    :func:`reference_result` (a packet is dropped when the runtime
+    dropped it).  Explicit ``gaps`` offer the packets as a cluster
+    offers a replica its share of a global timeline (the first gap need
+    not be zero)."""
     if gaps is None:
         gaps = arrival_gaps(packets, inter_arrival_ns, use_timestamps)
     run = platform._functional_pass(packets)
     engine = Engine()
     pipeline = platform._spawn_pipeline(engine, run.table, run.plan_ids, gaps)
     engine.run()
-    return timeline_result(pipeline.arrival, pipeline.finish, run.dropped)
+    return reference_result(
+        pipeline.arrival, pipeline.finish, [packet.dropped for packet in packets]
+    )
 
 
-def timeline_result(arrival, finish, dropped: int = 0) -> LoadResult:
-    """The ``LoadResult`` a run's tail builds from a closed-form or DES
-    replay's timeline: the packet-order latency column, then
-    ``load_result``."""
-    (latencies, makespan_ns, __, __), delivery = columns_timeline(arrival, finish)
-    return load_result(latencies, makespan_ns, dropped, delivery)
+def reference_result(arrival, finish, dropped=None) -> LoadResult:
+    """The reference reducer: a run's result from each packet's offered
+    time, departure from the last hop and drop flag (none dropped when
+    ``dropped`` is None), as RFC 2544 reads a run.  A packet is delivered
+    unless it was dropped; only delivered packets have a latency, listed
+    in the order they left (ties in offered order); the makespan is the
+    last departure of any packet, and the rate is delivered packets over
+    it."""
+    offered = len(arrival)
+    if dropped is None:
+        dropped = [False] * offered
+    left = sorted(range(offered), key=lambda index: finish[index])
+    latencies = [float(finish[index]) - float(arrival[index])
+                 for index in left if not dropped[index]]
+    return LoadResult(
+        offered=offered,
+        delivered=len(latencies),
+        dropped=offered - len(latencies),
+        makespan_ns=max((float(end) for end in finish), default=0.0),
+        latencies_ns=latencies,
+    )
 
 
 def ingest_rows(timeseries, rows) -> list:

@@ -38,18 +38,20 @@ alert tcp any any -> any any (msg:"c2 beacon"; content:"malware-beacon"; sid:900
 log tcp any any -> any any (msg:"http get"; content:"GET /"; sid:9002;)
 """
 
-#: capture -> (sha256 of trace.json, spans.jsonl, metrics.prom), each
-#: computed before the replay engine and the pricing were reworked
+#: capture -> (sha256 of trace.json, spans.jsonl, metrics.prom).  The
+#: spans.jsonl digests were computed before the replay engine and the
+#: pricing were reworked; the other two once the DES had no sink store
+#: and no end-of-run pills, whose removal moved no other event.
 PINNED = {
     "bess-chain-2-every-surface": (
-        "1bb589486f8b819a238c55ecc51501f2dc67c31a330ce047a65ff8c1dc6cf850",
+        "1206838be38b2dc63bc1e31dd54a03808445e8ba732d2513bcde47ab58383408",
         "db9ad6d7bad7d694880eea60cbd87d25690eff8199b5714fa7788c290c8f011c",
-        "da15caa9bd6e6a2833225fc8de0423dbbee000d591c3cc6d7d58440085aacf48",
+        "98d712e82445a09cce8ad23341383f0ad8d7f7504a72568069ceb63719f5c8be",
     ),
     "onvm-chain-1-two-slot-rings": (
-        "ad4cc631af16df4a3267aa6049d05e6a8aee103e9e817a7e8afde1eea4ff1f28",
+        "329c8d213cda740752fddaa419413029ef1df471353b449da08862aa9be97bd5",
         "5f3d51e78384585a6fb3839a5e0490f0d39d3ec58f87f32bb0990193de29c7c7",
-        "440e4b4b92917036e9eaaa627b0d2d8a78b4a143f2f944c4551684c1cc84754a",
+        "30449d029b3006e27209354ec4d159353468a1a93e358ad57a5067163001a71c",
     ),
 }
 

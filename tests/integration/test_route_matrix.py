@@ -15,7 +15,9 @@ shape.  Every cell of
   x flows     {on ten FIDs, all ten on one FID (nine displaced)}
 
 must (a) give the ``LoadResult`` of the references — the interpreted
-fast path replayed by the DES — float for float, (b) leave the runtime
+fast path replayed by the DES, read by the plain-Python reference
+reducer (``helpers.reference_result``: only a delivered packet has a
+latency) — float for float, (b) leave the runtime
 with the references' ``stats()`` and audit journal, (c) take the
 route the table states, and (d) with a ``TimeSeries`` attached, cut the
 windows the reference's own columns cut, row for row — so a
@@ -43,6 +45,7 @@ from repro.core.framework import SpeedyBox
 from repro.ft import FaultInjector, FaultTolerance, SharedPortPool, TransactionalStore
 from repro.net.headers import TCP_FIN, TCP_RST
 from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor, SyntheticNF
+from repro.nf.ipfilter import Verdict
 from repro.obs import (
     AuditLog,
     FlowSpanRecorder,
@@ -52,6 +55,7 @@ from repro.obs import (
     TimeSeries,
 )
 from repro.platform import BessPlatform, OpenNetVMPlatform
+from repro.platform.base import LoadResult, Platform
 from repro.scale import ScaleCluster
 from repro.traffic.columnar import uniform_batch
 from repro.traffic.datacenter import DatacenterTraceConfig, DatacenterTraceGenerator
@@ -61,6 +65,7 @@ from tests.integration.helpers import (
     colliding_flows,
     count_interpreted,
     des_run_load,
+    reference_result,
 )
 
 PLATFORMS = {"bess": BessPlatform, "onvm": OpenNetVMPlatform}
@@ -416,6 +421,7 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
     fresh = list(make_batch(chain, arrival).packet_view())
     again = list(make_batch(chain, arrival).packet_view())
     solo_stamped = {}
+    solos = []
     for rid, share in shares.items():
         arrivals = [index * offered_gap(arrival) for index in share]
         gaps = [now - before for before, now in zip([0.0] + arrivals, arrivals)]
@@ -425,6 +431,7 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
             gaps=gaps,
         )
         assert result.per_replica[rid] == solo
+        solos.append(solo)
         if attached != "spans":
             continue
         # ... and a platform alone, offered this replica's share at the
@@ -437,6 +444,7 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
         )
         solo_stamped.update(sim_stamps(alone.spans))
     assert stamped.items() <= solo_stamped.items()
+    assert total == LoadResult.merged(solos)
     if replicas == 1:
         assert total == reference
     timeseries = observers.get("timeseries")
@@ -451,10 +459,20 @@ def test_cluster_route_matrix(routes, replicas, attached, platform_name, arrival
             assert registry_free(timeseries) == window_rows("stateful", platform_name, arrival, 0)
 
 
-def test_cluster_kill_and_recover_window(routes):
+def test_cluster_kill_and_recover_window(routes, monkeypatch):
     """A replica killed mid-window leaves ``cluster.replicas`` but stays a
     participant: its pre-kill packets replay with everyone else's, the
-    packets buffered against it are recovery's, and nothing is lost."""
+    packets buffered against it are recovery's, and nothing is lost.
+    Each replica's result is the reference reducer's reading of the
+    timeline its replay produced."""
+    timelines = {}
+    finish_run = Platform._finish_run
+
+    def kept(platform, run, timeline, delivery, route):
+        timelines[platform.label] = (run, timeline)
+        return finish_run(platform, run, timeline, delivery, route)
+
+    monkeypatch.setattr(Platform, "_finish_run", kept)
     pool = SharedPortPool(TransactionalStore(), port_range=(20000, 60000))
 
     def build():
@@ -481,6 +499,53 @@ def test_cluster_kill_and_recover_window(routes):
     assert len(packets) == total.delivered + total.dropped + recovery.packets_delivered
     assert total.offered == sum(part.offered for part in result.per_replica.values())
     assert routes == ["analytic"] * 3
+    for rid, part in result.per_replica.items():
+        run, (__, __, arrival, finish) = timelines[f"onvm:r{rid}"]
+        dropped = [bool(run.table.flags[pid] & 2) for pid in run.plan_ids]
+        assert part == reference_result(arrival, finish, dropped)
+    assert total == LoadResult.merged(list(result.per_replica.values()))
+
+
+def all_drop_chain():
+    return [IPFilter("fw", default_verdict=Verdict.DROP)]
+
+
+#: route -> (platform, attached, offered, arrivals, the replays it counts)
+ALL_DROP_CELLS = {
+    "vector": ("bess", "nothing", "packets", "saturation", ["vector"]),
+    "analytic": ("onvm", "nothing", "packets", "saturation", ["analytic"]),
+    "des": ("bess", "registry", "packets", "saturation", ["des"]),
+    "lane": ("bess", "nothing", "batch", "gapped", ["lane", "analytic"]),
+    "cluster-1": ("onvm", "nothing", "packets", "saturation", ["analytic"]),
+    "cluster-3": ("onvm", "nothing", "packets", "saturation", ["analytic"] * 3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ALL_DROP_CELLS))
+def test_an_all_drop_run_delivers_nothing_on_every_route(routes, route):
+    """RFC 2544's reading: a dropped packet has no latency.  50 packets
+    of ten flows through an IPFilter that drops every one deliver
+    nothing, have no percentile and a rate of zero, whichever route
+    replayed them."""
+    platform_name, attached, offered, arrival, replays = ALL_DROP_CELLS[route]
+    batch = uniform_batch(10, 5, interleave="round_robin", block=5)
+    load = batch if offered == "batch" else list(batch.packet_view())
+    if route.startswith("cluster"):
+        replicas = len(replays)
+        cluster = ScaleCluster(all_drop_chain, platform=platform_name, replicas=replicas)
+        result = cluster.run_load(load, **ARRIVALS[arrival]).total
+    else:
+        runtime_kwargs, platform_kwargs = attach(attached)
+        runtime = SpeedyBox(all_drop_chain(), **runtime_kwargs)
+        result = PLATFORMS[platform_name](runtime, **platform_kwargs).run_load(
+            load, **ARRIVALS[arrival]
+        )
+    assert routes == replays
+    assert (result.offered, result.delivered, result.dropped) == (50, 0, 50)
+    assert len(result.latencies_ns) == 0
+    assert result.latency_percentile(0.5) is None and result.latency_percentile(0.99) is None
+    assert result.throughput_mpps == 0.0
+    assert result.makespan_ns > 0  # the drops still took time
 
 
 def test_shared_recorder_keeps_an_earlier_runs_stamps():
@@ -494,3 +559,20 @@ def test_shared_recorder_keeps_an_earlier_runs_stamps():
     assert stamps and all("sim_finish_ns" in args for args in stamps)
     cluster.run_load(list(make_batch("header", "saturation").packet_view()), inter_arrival_ns=977.0)
     assert [root["args"] for root in recorder.roots()[: len(stamps)]] == stamps
+
+
+def test_a_recovered_packet_that_is_dropped_is_not_charged():
+    """Failover charges its stall to the buffered packets it delivers; a
+    recovered packet the chain drops has no latency to carry it."""
+    cluster = ScaleCluster(all_drop_chain, platform="onvm", replicas=3)
+    ft = FaultTolerance(
+        cluster, checkpoint_interval=8, injector=FaultInjector(kill_at=40, recover_after=12)
+    )
+    packets = list(uniform_batch(12, 8, interleave="round_robin", block=8).packet_view())
+    result = cluster.run_load(packets, inter_arrival_ns=180.5)
+    (recovery,) = ft.recoveries
+    assert recovery.packets_delivered == ft.packets_buffered > 0
+    assert recovery.packets_charged == 0 and not ft.charged
+    total = LoadResult.merged([result.total, ft.charged_result()])
+    assert (total.delivered, total.dropped) == (0, len(packets) - ft.packets_buffered)
+    assert total.latency_percentile(0.99) is None

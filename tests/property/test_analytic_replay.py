@@ -19,7 +19,7 @@ from repro.core.framework import ServiceChain
 from repro.nf import IPFilter
 from repro.platform import BessPlatform, OpenNetVMPlatform, PlatformConfig
 from repro.sim import Engine, analytic_replay, plans_are_analytic
-from tests.integration.helpers import timeline_result
+from tests.integration.helpers import reference_result
 
 
 class _ReplayHarness(BessPlatform):
@@ -102,18 +102,18 @@ class TestAnalyticMatchesDES:
     @settings(max_examples=200, deadline=None)
     def test_results_agree_on_finish_ties(self, case):
         """Small integer times make simultaneous finishes common; both
-        timelines go through the one result builder, so the latency
+        timelines go through the reference reducer, so the latency
         lists agree position for position, ties included."""
         plans, gaps, stage_count, ring_capacity = case
-        closed_form = timeline_result(
+        closed_form = reference_result(
             *analytic_replay(plans, range(len(plans)), gaps, stage_count, ring_capacity)
         )
-        des = timeline_result(*des_replay(plans, gaps, stage_count, ring_capacity))
+        des = reference_result(*des_replay(plans, gaps, stage_count, ring_capacity))
         assert closed_form == des
 
     def test_tie_order_regression(self):
         """Packets 3 and 4 leave different last hops of a 2-NF ONVM
-        pipeline at the same instant.  The DES sink used to see 4 first
+        pipeline at the same instant.  The DES used to deliver 4 first
         and report [0, 0, 5, 4, 7] against the closed form's
         [0, 0, 5, 7, 4]; ties now keep packet order on every replay."""
         plans = [
@@ -127,8 +127,8 @@ class TestAnalyticMatchesDES:
         platform = OpenNetVMPlatform(ServiceChain([IPFilter("fw0"), IPFilter("fw1")]))
         stages, cap = platform._stage_count(), platform.config.ring_capacity
         assert stages == 4
-        closed_form = timeline_result(*analytic_replay(plans, range(5), gaps, stages, cap))
-        des = timeline_result(*des_replay(plans, gaps, stages, cap, harness=platform))
+        closed_form = reference_result(*analytic_replay(plans, range(5), gaps, stages, cap))
+        des = reference_result(*des_replay(plans, gaps, stages, cap, harness=platform))
         assert des == closed_form
         assert closed_form.latencies_ns.tolist() == [0.0, 0.0, 5.0, 7.0, 4.0]
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import NF_CATALOGUE, build_chain, main
+from repro.nf import IPFilter
+from repro.nf.ipfilter import Verdict
 from repro.obs import load_metrics, load_record
 
 
@@ -52,6 +54,24 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert "maglev" in out
         assert "snort" in out
+
+    def test_an_all_drop_chain_prints_no_latency(self, capsys, monkeypatch):
+        """Latency columns rank delivered packets only: a chain that
+        drops everything prints ``-`` for p50, p99 and the reduction,
+        counts every packet dropped and delivers at 0 Mpps."""
+        monkeypatch.setitem(
+            NF_CATALOGUE, "blackhole", lambda i: IPFilter(f"blackhole{i}", default_verdict=Verdict.DROP)
+        )
+        assert main(["demo", "--flows", "4", "--seed", "3", "--chain", "blackhole"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        packets = int(lines[0].split("packets: ")[1])
+        rows = [line.split() for line in lines if line.startswith(("original", "speedybox"))]
+        assert rows == [[variant, "-", "-", "0.00", str(packets)] for variant in ("original", "speedybox")]
+        assert lines[-1] == "p50 latency reduction: -"
+        assert main(["scale", "--flows", "4", "--seed", "3", "--chain", "blackhole",
+                     "--replicas", "2", "--platforms", "bess"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("bess")]
+        assert [(row[3], row[4], row[5]) for row in rows] == [("0", "0.00", "-")] * 2
 
     def test_dump_rules(self, capsys):
         assert main(["demo", "--flows", "4", "--dump-rules", "2"]) == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.platform.costs import CostModel, CycleMeter, NULL_METER, NullMeter, Operation
-from tests.integration.helpers import cost_fields
+from tests.integration.helpers import cost_fields, merge_meter
 
 
 class TestCostModel:
@@ -66,7 +66,7 @@ class TestCycleMeter:
         b.charge(Operation.PARSE, 2)
         b.charge(Operation.NIC_RX)
         b.charge_cycles(5)
-        a.merge(b)
+        merge_meter(a, b)
         assert a.count(Operation.PARSE) == 3
         assert a.count(Operation.NIC_RX) == 1
         assert a.direct_cycles == 15

@@ -1,4 +1,5 @@
-"""``LoadResult`` as a column: percentiles, equality and memory.
+"""``LoadResult`` as a column: the one builder, percentiles, equality
+and memory.
 
 A loaded run's latencies are one float64 column end to end.  These
 tests pin what that must not change — nearest-rank percentiles bit for
@@ -19,10 +20,11 @@ from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import SyntheticNF
 from repro.platform import BessPlatform
-from repro.platform.base import LoadResult
+from repro.platform.base import LoadResult, PlanTable, columns_timeline, load_result
 from repro.stats.summary import percentile_sorted
 from repro.traffic.columnar import uniform_batch
 from repro.vector import np
+from tests.integration.helpers import reference_result
 
 FRACTIONS = (0.0, 0.01, 0.5, 0.99, 1.0)
 
@@ -32,6 +34,41 @@ def sample(n, seed):
     fractional."""
     rng = random.Random(seed)
     return [rng.choice((0.0, 0.0, 1.0, 2.5, 2.5, 7.0, rng.random() * 100.0)) for __ in range(n)]
+
+
+class TestReferenceReducer:
+    """``load_result`` against the tests' plain-Python reducer, on
+    timelines small enough to check by hand."""
+
+    def built(self, arrival, finish, dropped):
+        """What a run's tail builds: one plan per drop flag."""
+        table = PlanTable(labelled=False)
+        plan_ids = [table.pid_of([(0, 1.0)], 2 * drop, None) for drop in dropped]
+        (latencies, makespan_ns, __, __), delivery = columns_timeline(arrival, finish)
+        return load_result(latencies, makespan_ns, delivery, table, plan_ids)
+
+    def test_only_delivered_packets_keep_a_latency_in_finish_order(self):
+        arrival, finish = [0.0, 1.0, 2.0, 3.0], [5.0, 3.0, 9.0, 4.0]
+        dropped = [False, True, False, False]
+        expected = reference_result(arrival, finish, dropped)
+        assert expected == LoadResult(4, 3, 1, 9.0, [1.0, 5.0, 7.0])
+        assert self.built(arrival, finish, dropped) == expected
+        assert expected.throughput_mpps == 3 / (9.0 / 1000.0)
+
+    @pytest.mark.parametrize("dropped", [(False,) * 5, (True,) * 5, (True, False, True, False, False)])
+    @pytest.mark.parametrize("finish", [(1.0, 2.0, 3.0, 4.0, 5.0), (4.0, 2.0, 2.0, 6.0, 1.0)])
+    def test_every_drop_pattern_and_finish_order(self, dropped, finish):
+        arrival = [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert self.built(arrival, list(finish), dropped) == reference_result(arrival, finish, dropped)
+
+    def test_a_table_without_drops_keeps_the_column_itself(self):
+        table = PlanTable(labelled=False)
+        plan_ids = [table.pid_of([(0, 1.0)], 1, None)] * 2  # fast, not dropped
+        latencies = np.array([1.0, 2.0])
+        assert load_result(latencies, 2.0, None, table, plan_ids).latencies_ns is latencies
+
+    def test_no_packets(self):
+        assert self.built([], [], []) == reference_result([], [], []) == LoadResult(0, 0, 0, 0.0, [])
 
 
 class TestPercentile:
@@ -56,10 +93,10 @@ class TestPercentile:
         result.latencies_ns = np.array([9.0])
         assert result.latency_percentile(0.5) == 9.0
 
-    def test_empty_result_is_zero(self):
+    def test_empty_result_has_no_percentile(self):
         result = LoadResult(0, 0, 0, 0.0, [])
         for fraction in FRACTIONS:
-            assert result.latency_percentile(fraction) == 0.0
+            assert result.latency_percentile(fraction) is None
 
     def test_percentile_sorted_takes_an_ndarray(self):
         ordered = np.array([0.0, 0.0, 1.0, 3.0])

@@ -226,6 +226,17 @@ class TestPacket:
         assert parsed.five_tuple() == ft
         assert checksum_valid(parsed.ip)
 
+    def test_every_truncation_of_a_frame_is_refused(self):
+        """A 60-byte TCP frame parses whole; each of its 59 truncations
+        raises, the ones that keep every header (54-59 bytes) too: a
+        frame shorter than its IPv4 total length is not a packet."""
+        wire = self.make_packet(payload=b"x" * 6).serialize()
+        assert len(wire) == 60
+        assert Packet.parse(wire).payload == b"x" * 6
+        for length in range(1, len(wire)):
+            with pytest.raises(ValueError):
+                Packet.parse(wire[:length])
+
     def test_serialize_sets_total_length(self):
         packet = self.make_packet(payload=b"x" * 100)
         packet.serialize()

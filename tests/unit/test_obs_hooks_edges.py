@@ -89,7 +89,7 @@ class TestTracingObserverEdges:
                 runs_by_track.setdefault(span.track, set()).add(run_of(index, 2))
         assert {"ring:bess:chain-core", "bess:chain-core"} <= set(runs_by_track)
         assert {track for track, runs in runs_by_track.items() if runs == {1}} == {
-            "run1:ring:bess:chain-core", "run1:ring:bess:done", "run1:bess:chain-core"
+            "run1:ring:bess:chain-core", "run1:bess:chain-core"
         }
         assert all(len(runs) == 1 for runs in runs_by_track.values())
 

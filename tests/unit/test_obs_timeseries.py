@@ -70,8 +70,8 @@ class TestPacketClock:
         assert window.packets == 3
         assert window.drops == 1
         assert window.buffered == 1
-        # a dropped packet keeps its replayed latency, as in LoadResult
-        assert window.latencies == [7.0, 50.0]
+        # a dropped packet has no latency, as in LoadResult
+        assert window.latencies == [50.0]
         assert ts.total_packets == 3
         assert ts.total_drops == 1
         assert ts.total_buffered == 1
@@ -279,6 +279,9 @@ class TestRunColumns:
         assert [(w.start_ns, w.packets, w.drops) for w in ts.windows] == [
             (1000.0 * k, 10, 10) for k in range(5)
         ]
+        # nothing was delivered, so no window has a latency to rank
+        assert all(not w.latencies and w.p99_ns is None for w in ts.windows)
+        assert all(w.replicas["bess"].percentile(0.99) is None for w in ts.windows)
 
     def test_a_timestamped_run_is_cut_on_its_timestamps(self):
         packets = make_packets(flows=5, per_flow=10)

@@ -38,7 +38,7 @@ class TestLoadResultMerge:
                        latencies_ns=[10.0, 20.0, 30.0])
         b = LoadResult(offered=2, delivered=2, dropped=0, makespan_ns=250.0,
                        latencies_ns=[500.0, 600.0])
-        total = a.merge(b)
+        total = LoadResult.merged([a, b])
         assert total.offered == 6
         assert total.delivered == 5
         assert total.dropped == 1
@@ -50,9 +50,9 @@ class TestLoadResultMerge:
         element-wise and still have the right length."""
         a = LoadResult(2, 2, 0, 10.0, [1.0, 2.0])
         b = LoadResult(2, 2, 0, 20.0, [30.0, 40.0])
-        for total in (a.merge(b), LoadResult.merged([a, b])):
-            assert total.latencies_ns.tolist() == [1.0, 2.0, 30.0, 40.0]
-            assert total.offered == 4 and total.makespan_ns == 20.0
+        total = LoadResult.merged([a, b])
+        assert total.latencies_ns.tolist() == [1.0, 2.0, 30.0, 40.0]
+        assert total.offered == 4 and total.makespan_ns == 20.0
         assert a.latencies_ns.tolist() == [1.0, 2.0]
 
     def test_percentiles_come_from_the_merged_population(self):
@@ -60,7 +60,7 @@ class TestLoadResultMerge:
         is *not* any combination of the parts' own percentiles."""
         fast = LoadResult(1, 1, 0, 100.0, [1.0] * 99)
         slow = LoadResult(1, 1, 0, 100.0, [1000.0])
-        total = fast.merge(slow)
+        total = LoadResult.merged([fast, slow])
         assert total.latency_percentile(0.99) == percentile([1.0] * 99 + [1000.0], 0.99)
         # Averaging the parts' p99s (500.5) would be wrong; the merged
         # population's p99 is still a fast sample.
@@ -72,14 +72,16 @@ class TestLoadResultMerge:
         assert total.offered == 4
         assert total.makespan_ns == 4.0
         assert total.latencies_ns.tolist() == [1.0, 2.0, 3.0, 4.0]
-        folded = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3])
+        folded = parts[0]
+        for part in parts[1:]:
+            folded = LoadResult.merged([folded, part])
         assert total == folded
 
     def test_merged_of_nothing_is_the_empty_result(self):
         total = LoadResult.merged([])
         assert total == LoadResult(0, 0, 0, 0.0, [])
         assert total.latencies_ns.dtype.name == "float64"
-        assert total.latency_percentile(0.99) == 0.0
+        assert total.latency_percentile(0.99) is None
 
     def test_merge_matches_concatenated_run(self):
         """Sharding a stream over two replicas and merging equals one

@@ -3,7 +3,7 @@
 For uniform traffic the platforms have analytic throughput: BESS is one
 server (rate = 1/service time), ONVM a tandem line (rate = 1/bottleneck
 stage).  The simulator must reproduce those within the pipeline-drain
-epsilon — if it drifts, the replay machinery (rings, poison pills,
+epsilon — if it drifts, the replay machinery (rings, last-hop finish stamps,
 delay stages) is broken, not the model.
 """
 
