@@ -742,6 +742,7 @@ class BatchLane:
             # one settlement per stretch, even when the oracle raised
             classifier.evictions += evicted
             gm.consolidations += inserted
+            runtime._changes += 1  # admissions and evictions: the tables' generation
             if admitted_flows:
                 self.fplan[admitted_flows] = template.plan_cache[2]
                 self.plan_ids[admitted_at] = template.original_pid

@@ -266,6 +266,9 @@ class SpeedyBox:
         self._null_api = NullInstrumentationAPI()
         self.slow_packets = 0
         self.fast_packets = 0
+        #: structural changes made here (:attr:`generation`)
+        self._changes = 0
+        self._flow_rows = [nf.flow_rows for nf in self.nfs if nf.flow_rows is not None]
         path_counter = metrics.counter(
             "path_packets_total", "packets by path taken through the runtime"
         )
@@ -295,6 +298,22 @@ class SpeedyBox:
     @property
     def enable_parallelism(self) -> bool:
         return self.global_mat.enable_parallelism
+
+    @property
+    def generation(self) -> int:
+        """Moves on every structural change to the tables or to the NFs'
+        flow mappings: a packet down the original path (it may record,
+        consolidate, register events or allocate a mapping), a rule
+        rebuilt by an event, an eviction, a teardown, an import or
+        export, an event registered (the Event Table counts those) and a
+        per-flow row an NF files or drops, also on the fast path (each
+        NF's :class:`~repro.nf.base.FlowRows` counts those).  While it
+        stands still only counters move: every row a flow held is still
+        its row, and every NF maps its keys as before."""
+        changes = self._changes + self.event_table.total_registered
+        for rows in self._flow_rows:
+            changes += rows.changes
+        return changes
 
     # -- the per-packet entry point (Fig. 1 walkthrough) --------------------
 
@@ -401,6 +420,7 @@ class SpeedyBox:
 
     def _run_original(self, packet: Packet, report: ProcessReport, record: bool) -> None:
         self.slow_packets += 1
+        self._changes += 1
         self._m_slow.inc()
         fid = report.fid
         if record:
@@ -432,6 +452,7 @@ class SpeedyBox:
     def _consolidate(self, fid: int, meter: CycleMeter) -> GlobalRule:
         ordered = [(nf.name, self.local_mats[nf.name].rule_for(fid)) for nf in self.nfs]
         action_count = sum(len(rule.header_actions) for __, rule in ordered if rule is not None)
+        self._changes += 1
         meter.charge(_CONSOLIDATE, max(action_count, 1))
         meter.charge(_RULE_INSTALL)
         return self.global_mat.build_rule(fid, ordered)
@@ -524,6 +545,7 @@ class SpeedyBox:
         packet counts) survives; the flow's next packet takes the
         original path and re-consolidates.
         """
+        self._changes += 1
         self._invalidate_compiled(fid, reason="rule_evicted")
         for local_mat in self.local_mats.values():
             local_mat.delete_flow(fid)
@@ -540,6 +562,7 @@ class SpeedyBox:
         dangling compiled closure would keep serving a forgotten flow).
         """
         fid = entry.fid
+        self._changes += 1
         self._invalidate_compiled(fid, reason="classifier_evict")
         self.global_mat.delete_flow(fid)
         for local_mat in self.local_mats.values():
@@ -551,6 +574,7 @@ class SpeedyBox:
         """FIN/RST cleanup across every table (§VI-B)."""
         if meter is not None:
             meter.charge(_FLOW_DELETE)
+        self._changes += 1
         self._invalidate_compiled(fid, reason="flow_delete")
         self.global_mat.delete_flow(fid)
         for local_mat in self.local_mats.values():
@@ -611,6 +635,7 @@ class SpeedyBox:
         from the source's, the record is re-keyed to it.
         """
         record.resolve(self.nf_by_name)
+        self._changes += 1
         if record.classifier_entry is not None:
             fid = self.classifier.import_flow(record.classifier_entry)
             if fid != record.fid:
@@ -627,6 +652,9 @@ class SpeedyBox:
 
     def reset(self) -> None:
         """Fresh run: clear all tables and NF state."""
+        # the fresh Event Table counts from 0: carry its count over, so
+        # the generation still only grows
+        self._changes = self.generation + 1
         self.classifier = PacketClassifier(
             metrics=self.metrics,
             capacity=self.max_tracked_flows,

@@ -39,26 +39,33 @@ when an event fires or the flow re-records, so between two rounds an
 established flow's tables stay the very same rows and only their
 counters move.  The first capture of a flow (:func:`capture_flow`, the
 full read and copy) therefore also keeps a *standing snapshot*: the
-walk, the live rows it read per direction, and the copy (the
-skeleton, which nothing mutates afterwards).  A later round on the same
-replica checks that the rows are still the ones the tables hold — same
+walk, the live rows it read per direction, and the copy (the skeleton,
+which nothing mutates afterwards).  A round is one pass over the
+replica's flows.  It reads the runtime's table generation
+(:attr:`~repro.core.framework.SpeedyBox.generation`) once: while it has
+not moved since a flow's rows and walk were last checked, they still
+stand, and the flow's refresh is one read of its counters.  Else the
+round checks that the rows are still the ones the tables hold — same
 FIDs, same entry, Local MAT rules, action lists, batches and events, the
-same rule version, no direction gained or lost a FID — and, when a packet
-took the original path on the replica since, or a flow was torn down,
-migrated or restored, that the walk is the same; then it reads only the
-counters and the NF states into a checkpoint that shares the skeleton
-and takes the old one's place.  Anything else takes the full capture
-again.  Its ``records`` are materialized when first read.
+same rule version, no direction gained or lost a FID — and that the walk
+is the same, or takes the full capture again.  NF states are read as
+one copy of each NF's row columns per round (:meth:`FlowRows.gather
+<repro.nf.base.FlowRows.gather>`), each flow reading its rows of it.  A
+refreshed flow is filed as its standing snapshot, pointing at the round;
+its :class:`FlowCheckpoint` is built only when something reads it
+(:meth:`CheckpointManager.snapshot_for`, recovery, pickling), and its
+``records`` only when they are read.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter, call
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.framework import FlowRecord, ServiceChain, SpeedyBox
 from repro.core.state_function import StateFunction
 from repro.net.flow import FiveTuple
-from repro.nf.base import NetworkFunction
+from repro.nf.base import NetworkFunction, row_value
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.scale.migration import (
@@ -75,55 +82,69 @@ Runtime = Union[ServiceChain, SpeedyBox]
 #: (NF, the five-tuple it observes) for every NF on every walked direction
 ObservedKeys = List[Tuple[NetworkFunction, FiveTuple]]
 
+#: the attributes that move while a row stays, per kind of counted object
+_ENTRY = ("packets", "established", "closed")
+_LOCAL = ("event_count",)
+_RULE = ("hits",)
+_FUNCTION = ("invocations",)
+_EVENT = ("triggered", "trigger_count")
+_GETTER = {names: attrgetter(*names) for names in (_ENTRY, _LOCAL, _RULE, _FUNCTION, _EVENT)}
 
-def _counted(record: FlowRecord):
-    """The objects of ``record`` whose counters move while its rows stay:
-    the entry, each Local MAT rule, the Global MAT rule, each distinct
-    state function (reached through the Local MAT batches, then the
-    schedule, then the events' update functions) and each event.  A
-    :meth:`FlowRecord.copy` lists them in the same order as its original.
+
+def _counted(records: List[FlowRecord]) -> Tuple[list, tuple]:
+    """The objects of ``records`` whose counters move while their rows
+    stay, and each one's counters: per record the entry, each Local MAT
+    rule, the Global MAT rule, each distinct state function (reached
+    through the Local MAT batches, then the schedule, then the events'
+    update functions) and each event.  Copies made by
+    :meth:`FlowRecord.copy` list them in the same order as their
+    originals.
     """
-    batches = [local.sf_batch for local in record.local_rules.values()]
-    if record.global_rule is not None:
-        batches.extend(batch for wave in record.global_rule.schedule.waves for batch in wave)
-    batches.extend(event.update_state_functions or () for event in record.events)
-    # Keyed by identity; a function reached again keeps its first place.
-    functions: Dict[int, StateFunction] = {
-        id(function): function for batch in batches for function in batch
-    }
-    return (
-        record.classifier_entry,
-        list(record.local_rules.values()),
-        record.global_rule,
-        list(functions.values()),
-        record.events,
-    )
+    targets: list = []
+    kinds: list = []
+    for record in records:
+        local_rules = list(record.local_rules.values())
+        rule = record.global_rule
+        batches = [local.sf_batch for local in local_rules]
+        if rule is not None:
+            batches.extend(batch for wave in rule.schedule.waves for batch in wave)
+        batches.extend(event.update_state_functions or () for event in record.events)
+        # Keyed by identity; a function reached again keeps its first place.
+        functions: Dict[int, StateFunction] = {
+            id(function): function for batch in batches for function in batch
+        }
+        targets.append(record.classifier_entry)
+        targets += local_rules
+        kinds += (_ENTRY,) + (_LOCAL,) * len(local_rules)
+        if rule is not None:
+            targets.append(rule)
+            kinds.append(_RULE)
+        targets += functions.values()
+        targets += record.events
+        kinds += (_FUNCTION,) * len(functions) + (_EVENT,) * len(record.events)
+    return targets, tuple(kinds)
 
 
-def _apply_counters(record: FlowRecord, counters: tuple) -> None:
-    """Write a :meth:`_Rows.read` reading into a copied record."""
-    entry, local_rules, rule, functions, events = _counted(record)
-    entry_counts, local_counts, rule_hits, invocations, event_counts = counters
-    entry.packets, entry.established, entry.closed = entry_counts
-    for local, event_count in zip(local_rules, local_counts):
-        local.event_count = event_count
-    if rule is not None:
-        rule.hits = rule_hits
-    for function, count in zip(functions, invocations):
-        function.invocations = count
-    for event, (triggered, trigger_count) in zip(events, event_counts):
-        event.triggered = triggered
-        event.trigger_count = trigger_count
+def _apply_counters(records: List[FlowRecord], counters: list) -> None:
+    """Write a round's counter reading into copied records."""
+    targets, kinds = _counted(records)
+    for target, names, value in zip(targets, kinds, counters):
+        if len(names) == 1:
+            setattr(target, names[0], value)
+        else:
+            for name, part in zip(names, value):
+                setattr(target, name, part)
 
 
 class _Rows:
     """One walked direction's live table rows, as a full capture read them."""
 
-    __slots__ = ("fid", "entry", "shells", "version", "events", "functions")
+    __slots__ = ("fid", "entry", "shells", "version", "events")
 
     def __init__(self, fid: int, runtime: SpeedyBox, live: FlowRecord):
         self.fid = fid
-        self.entry, __, rule, self.functions, self.events = _counted(live)
+        self.entry = live.classifier_entry
+        self.events = live.events
         #: every Local MAT with the rule it held (``None``: none), and
         #: that rule's action list and batch
         self.shells = []
@@ -134,11 +155,11 @@ class _Rows:
             else:
                 batch = local.sf_batch
                 self.shells.append((local_mat, local, local.header_actions, batch, len(batch)))
+        rule = live.global_rule
         self.version = None if rule is None else rule.version
 
-    def read(self, runtime: SpeedyBox) -> Optional[tuple]:
-        """The rows' counters, in :func:`_apply_counters`'s order, or
-        ``None`` when the tables no longer hold these rows for the FID."""
+    def stand(self, runtime: SpeedyBox) -> bool:
+        """Do the tables still hold these rows for the FID?"""
         fid = self.fid
         rule = runtime.global_mat.peek(fid)
         if (
@@ -150,49 +171,110 @@ class _Rows:
             # ``!=`` compares the events by identity (an Event defines no __eq__)
             or runtime.event_table.events_for(fid) != self.events
         ):
-            return None
-        local_counts = []
+            return False
         for local_mat, local, actions, batch, length in self.shells:
             if local_mat.rule_for(fid) is not local:
-                return None
-            if local is not None:
-                if (
-                    local.header_actions is not actions
-                    or local.sf_batch is not batch
-                    or len(batch) != length
-                ):
-                    return None
-                local_counts.append(local.event_count)
-        entry = self.entry
-        return (
-            (entry.packets, entry.established, entry.closed),
-            local_counts,
-            None if rule is None else rule.hits,
-            [function.invocations for function in self.functions],
-            [(event.triggered, event.trigger_count) for event in self.events],
-        )
+                return False
+            if local is not None and (
+                local.header_actions is not actions
+                or local.sf_batch is not batch
+                or len(batch) != length
+            ):
+                return False
+        return True
+
+
+class _Round:
+    """One replica round's shared reading: its input-log position and a
+    copy of every NF's row columns, taken at the round's first refresh."""
+
+    __slots__ = ("log_seq", "tables")
+
+    def __init__(self, runtime: SpeedyBox, log_seq: int):
+        self.log_seq = log_seq
+        self.tables = {nf: nf.flow_rows.gather() for nf in runtime.nfs if nf.flow_rows is not None}
 
 
 class _Standing:
-    """What a flow's last full capture read, kept to refresh it."""
+    """What a flow's last full capture read, kept to refresh it; a
+    refreshed flow is filed as this, pointing at its latest round."""
 
-    __slots__ = ("replica_id", "walk", "epoch", "keys", "observed", "rows", "fidless", "skeleton")
+    __slots__ = (
+        "flow", "replica_id", "chain", "directions", "walk", "generation", "keys",
+        "rows", "fidless", "skeleton", "live", "targets", "readers", "items", "peeks",
+        "round", "counters", "peeked", "_checkpoint",
+    )
 
-    def __init__(self, replica_id, walk, observed, rows, fidless, skeleton):
+    def __init__(self, flow, replica_id, chain, walk, rows, fidless, skeleton, live):
+        self.flow = flow
         self.replica_id = replica_id
-        #: the :func:`~repro.scale.migration.flow_walk`, in its order
-        self.walk: List[Tuple[FiveTuple, List[FiveTuple]]] = list(walk.items())
-        #: what the walk was taken after (:meth:`CheckpointManager._epoch`);
+        self.chain = chain
+        self.directions = tuple(walk)
+        #: the :func:`~repro.scale.migration.flow_walk`
+        self.walk: Dict[FiveTuple, List[FiveTuple]] = walk
+        #: the runtime generation the rows and walk were last checked at;
         #: the manager sets it
-        self.epoch: Optional[Tuple[int, int, int, int]] = None
+        self.generation: Optional[int] = None
         #: each walked direction's canonical key
         self.keys: List[FiveTuple] = [direction.canonical() for direction in walk]
-        self.observed: ObservedKeys = observed
         self.rows: List[_Rows] = rows
         #: walked directions the classifier had no FID for
-        self.fidless: List[FiveTuple] = fidless
+        self.fidless = fidless or ()
         #: the copied records; never mutated after the capture
         self.skeleton: List[FlowRecord] = skeleton
+        #: the live records read, until the first refresh finds in them
+        #: the objects whose counters a round reads (``targets``, in the
+        #: skeleton's order) and the getter of each (``readers``)
+        self.live: Optional[List[FlowRecord]] = live
+        self.targets: Optional[list] = None
+        self.readers: list = []
+        #: where each NF state lives: (NF name, observed key, NF, row), the
+        #: row ``None`` for an NF without declared fields (peeked each
+        #: round); located at the capture and whenever the rows are checked
+        self.items: list = []
+        #: (NF, observed key) of the items without a row, in their order
+        self.peeks = ()
+        self.round: Optional[_Round] = None
+        self.counters: Optional[list] = None
+        self.peeked: Optional[list] = None
+        self._checkpoint: Optional[FlowCheckpoint] = None
+
+    def locate(self, items: list) -> None:
+        """File where the flow's NF states live (:func:`_places`)."""
+        self.items = items
+        self.peeks = tuple((nf, key) for __, key, nf, row in items if row is None)
+
+    def refresh(self, rnd: _Round) -> None:
+        """Read the counters (and the states of NFs without rows) into ``rnd``."""
+        targets = self.targets
+        if targets is None:
+            targets, kinds = _counted(self.live)
+            self.targets, self.readers, self.live = targets, [_GETTER[names] for names in kinds], None
+        self.counters = list(map(call, self.readers, targets))
+        self.round = rnd
+        self._checkpoint = None
+        if self.peeks:
+            self.peeked = [nf.peek_flow_state(key)[1] for nf, key in self.peeks]
+
+    def checkpoint(self) -> "FlowCheckpoint":
+        """The flow's checkpoint as its latest round read it."""
+        checkpoint = self._checkpoint
+        if checkpoint is None:
+            rnd = self.round
+            peeked = iter(self.peeked or ())
+            nf_states = [
+                (name, key, next(peeked) if row is None else row_value(rnd.tables[nf], row))
+                for name, key, nf, row in self.items
+            ]
+            checkpoint = self._checkpoint = FlowCheckpoint(
+                self.flow, self.replica_id, rnd.log_seq, chain=self.chain,
+                directions=self.directions, nf_states=nf_states, standing=self,
+                counters=self.counters,
+            )
+        return checkpoint
+
+    def __reduce__(self):
+        return self.checkpoint().__reduce__()
 
 
 class FlowCheckpoint:
@@ -218,7 +300,7 @@ class FlowCheckpoint:
         records: Optional[List[FlowRecord]] = None,
         nf_states: Optional[List[NFStateItem]] = None,
         standing: Optional[_Standing] = None,
-        counters: Optional[List[tuple]] = None,
+        counters: Optional[list] = None,
     ):
         self.flow = flow  # canonical primary key
         self.replica_id = replica_id  # home replica at capture time
@@ -241,8 +323,7 @@ class FlowCheckpoint:
         changes those checkpoints too (restore copies them first)."""
         if self._records is None:
             records = [record.copy() for record in self._standing.skeleton]
-            for record, counters in zip(records, self._counters):
-                _apply_counters(record, counters)
+            _apply_counters(records, self._counters)
             self._records = records
         return self._records
 
@@ -264,6 +345,39 @@ class FlowCheckpoint:
             f"log_seq={self.log_seq}, directions={len(self.directions)}, "
             f"items={self.item_count()})"
         )
+
+
+def _observed(nfs: List[NetworkFunction], walk) -> ObservedKeys:
+    """(NF, the key it observes) for every NF on every walked direction."""
+    return [(nf, key) for keys in walk.values() for nf, key in zip(nfs, keys)]
+
+
+def _checkpoint_of(filed: Union[FlowCheckpoint, _Standing]) -> FlowCheckpoint:
+    """The checkpoint a filed entry stands for."""
+    return filed.checkpoint() if isinstance(filed, _Standing) else filed
+
+
+def _row(nf: NetworkFunction, key: FiveTuple) -> Optional[int]:
+    """The row holding the state ``nf`` keeps for ``key`` (``None``: the
+    NF declares no fields)."""
+    rows = nf.flow_rows
+    return None if rows is None else rows.index[nf.flow_place(key)]
+
+
+def _places(observed: ObservedKeys) -> list:
+    """Where each state :func:`_read_nf_states` would read lives, found
+    without reading one: (NF name, observed key, NF, :func:`_row`)."""
+    items = []
+    places = set()
+    for nf, key in observed:
+        if nf.flow_rows is None:
+            place, state = nf.peek_flow_state(key)
+        else:
+            place = state = nf.flow_place(key)
+        if state is not None and (nf, place) not in places:
+            places.add((nf, place))
+            items.append((nf.name, key, nf, _row(nf, key)))
+    return items
 
 
 def _read_nf_states(observed: ObservedKeys) -> List[NFStateItem]:
@@ -297,7 +411,8 @@ def capture_flow(
     walk = flow_walk(nfs, key)
 
     records: List[FlowRecord] = []
-    read: List[Tuple[int, FlowRecord]] = []
+    live: List[FlowRecord] = []
+    rows: List[_Rows] = []
     fidless: List[FiveTuple] = []
     if isinstance(runtime, SpeedyBox):
         for direction in walk:
@@ -305,71 +420,55 @@ def capture_flow(
             if fid is None:
                 fidless.append(direction)
             else:
-                live = runtime.peek_flow(fid)
-                records.append(live.copy())
-                read.append((fid, live))
-    observed = [
-        (nf, observed_key)
-        for observed_keys in walk.values()
-        for nf, observed_key in zip(nfs, observed_keys)
-    ]
-    nf_states = _read_nf_states(observed)
+                read = runtime.peek_flow(fid)
+                records.append(read.copy())
+                live.append(read)
+                rows.append(_Rows(fid, runtime, read))
+    nf_states = _read_nf_states(_observed(nfs, walk))
 
     if not records and not nf_states:
         return None
+    chain = chain_signature(nfs)
     standing = None
     if isinstance(runtime, SpeedyBox):
-        rows = [_Rows(fid, runtime, live) for fid, live in read]
-        standing = _Standing(replica_id, walk, observed, rows, fidless, records)
+        standing = _Standing(key, replica_id, chain, walk, rows, fidless, records, live)
+        nf_by_name = runtime.nf_by_name
+        standing.locate([
+            (name, state_key, nf_by_name[name], _row(nf_by_name[name], state_key))
+            for name, state_key, __ in nf_states
+        ])
     return FlowCheckpoint(
         key,
         replica_id,
         log_seq,
-        chain=chain_signature(nfs),
-        directions=tuple(walk),
+        chain=chain,
+        directions=standing.directions if standing is not None else tuple(walk),
         records=records,
         nf_states=nf_states,
         standing=standing,
     )
 
 
-def _refresh(
-    previous: FlowCheckpoint, runtime: SpeedyBox, replica_id: int, log_seq: int, epoch
-) -> Optional[FlowCheckpoint]:
-    """The flow's next checkpoint from its standing snapshot, or ``None``
-    when its rows or its walk changed (the caller captures it in full)."""
-    standing = previous._standing
-    if standing.replica_id != replica_id:
-        return None
+def _stands(standing: _Standing, runtime: SpeedyBox, generation: int) -> bool:
+    """Do the flow's rows and walk still stand?  Asked only when the
+    runtime's generation moved since they were last found standing."""
     classifier = runtime.classifier
-    for direction in standing.fidless:
-        if classifier.fid_for(direction) is not None:
-            return None
-    counters = []
-    for rows in standing.rows:
-        reading = rows.read(runtime)
-        if reading is None:
-            return None
-        counters.append(reading)
-    if epoch != standing.epoch:
-        # Since the walk was taken a packet took the original path, or a
-        # flow was torn down, migrated or restored: a mapping the walk
-        # read may have changed without a row of this flow to show it (a
-        # handshake, a flow without its rule, another connection's FIN,
-        # migration or restore on a NAT port two replicas both handed out).
-        if list(flow_walk(list(runtime.nfs), previous.flow).items()) != standing.walk:
-            return None
-        standing.epoch = epoch
-    return FlowCheckpoint(
-        previous.flow,
-        replica_id,
-        log_seq,
-        chain=previous.chain,
-        directions=previous.directions,
-        nf_states=_read_nf_states(standing.observed),
-        standing=standing,
-        counters=counters,
-    )
+    if any(classifier.fid_for(direction) is not None for direction in standing.fidless):
+        return False
+    if not all(rows.stand(runtime) for rows in standing.rows):
+        return False
+    # A mapping the walk read may have changed without a row of this flow
+    # to show it (a handshake, a flow without its rule, another
+    # connection's FIN, migration or restore on a NAT port two replicas
+    # both handed out).
+    walk = flow_walk(runtime.nfs, standing.flow)
+    if list(walk.items()) != list(standing.walk.items()):
+        return False
+    standing.generation = generation
+    # A state may have come or gone.  (Over the stored walk: equal to the
+    # new one, and its keys are the objects the checkpoint already names.)
+    standing.locate(_places(_observed(runtime.nfs, standing.walk)))
+    return True
 
 
 def _keys(checkpoint: FlowCheckpoint) -> List[FiveTuple]:
@@ -404,15 +503,14 @@ class CheckpointManager:
     ):
         self.cluster = cluster
         self.audit = audit
-        #: primary canonical key -> latest checkpoint
-        self._snapshots: Dict[FiveTuple, FlowCheckpoint] = {}
+        #: primary canonical key -> latest checkpoint, or the standing
+        #: snapshot a round refreshed it into (:func:`_checkpoint_of`)
+        self._snapshots: Dict[FiveTuple, Union[FlowCheckpoint, _Standing]] = {}
         #: any direction's canonical key -> primary key
         self._by_direction: Dict[FiveTuple, FiveTuple] = {}
         #: keys a round found without state, skipped until dispatched
         #: again (the cluster never forgets a home)
         self._stateless: set = set()
-        #: checkpoints restored through :meth:`restore` (a refresh's epoch)
-        self._restores = 0
         self.checkpoints_taken = 0
         self._m_checkpoints = metrics.counter(
             "ft_checkpoints_total", "replica-wide checkpoint rounds taken"
@@ -428,28 +526,34 @@ class CheckpointManager:
         runtime = self.cluster.replicas[replica_id].runtime
         homed = self.cluster.flows_homed_on(replica_id)
         skipped = {key for key in homed if key in self._stateless} if self._stateless else set()
+        # One read of the generation and, at the first refresh, one copy
+        # of every NF's row columns serve the whole round.
+        generation = runtime.generation if isinstance(runtime, SpeedyBox) else None
+        rounds: List[_Round] = []
         seen: set = set()
         captured = 0
         for key in sorted(key for key in homed if key not in skipped):
             if key in seen:
                 continue
-            checkpoint = self._capture(runtime, key, replica_id, log_seq)
-            if checkpoint is None:
+            filed = self._capture(runtime, key, replica_id, log_seq, generation, rounds)
+            if filed is None:
                 # The flow's state is gone (closed since last round): a
                 # stale snapshot must not resurrect it at recovery.
                 self.drop_flow(key)
                 self._stateless.add(key)
                 seen.add(key)
                 continue
-            keys = _keys(checkpoint)
-            first = min(skipped.intersection(keys), default=key)
-            if first < key:
-                # A skipped key came back as one of the flow's directions:
-                # capture the flow from it, as a round over every key
-                # would (its store replaces the checkpoint just stored).
-                recaptured = self._full_capture(runtime, first, replica_id, log_seq)
-                if recaptured is not None:
-                    keys = _keys(recaptured)
+            keys = filed.keys if isinstance(filed, _Standing) else _keys(filed)
+            if skipped and not skipped.isdisjoint(keys):
+                first = min(skipped.intersection(keys))
+                if first < key:
+                    # A skipped key came back as one of the flow's
+                    # directions: capture the flow from it, as a round
+                    # over every key would (its store replaces the
+                    # checkpoint just stored).
+                    recaptured = self._full_capture(runtime, first, replica_id, log_seq)
+                    if recaptured is not None:
+                        keys = _keys(recaptured)
             seen.update(keys)
             captured += 1
         self.checkpoints_taken += 1
@@ -464,62 +568,48 @@ class CheckpointManager:
         )
         return captured
 
-    def _epoch(self, runtime: SpeedyBox) -> Tuple[int, int, int, int]:
-        """Moves whenever an NF may have changed a mapping other than on
-        an unchanged flow's fast path: a packet down the original path, a
-        migration or a restore (each moves a flow's entries and mappings)
-        or a teardown (a FIN runs every NF's close handler, which may
-        release a mapping another flow's walk reads).  Every count but the
-        classifier's size only grows, and while they stand still no flow
-        is placed or imported, so the size then only falls: by the flows
-        torn down."""
-        return (
-            runtime.slow_packets,
-            self.cluster.migrator.migrations,
-            self._restores,
-            len(runtime.classifier),
-        )
-
     def _full_capture(
         self, runtime: Runtime, key: FiveTuple, replica_id: int, log_seq: int
     ) -> Optional[FlowCheckpoint]:
         checkpoint = capture_flow(runtime, key, replica_id=replica_id, log_seq=log_seq)
         if checkpoint is not None:
             if checkpoint._standing is not None:
-                checkpoint._standing.epoch = self._epoch(runtime)
+                checkpoint._standing.generation = runtime.generation
             self.store(checkpoint)
         return checkpoint
 
     def _capture(
-        self, runtime: Runtime, key: FiveTuple, replica_id: int, log_seq: int
-    ) -> Optional[FlowCheckpoint]:
-        """Refresh the flow's standing snapshot, or capture it in full."""
-        previous = self._snapshots.get(key)
-        if previous is not None and previous._standing is not None:
-            epoch = self._epoch(runtime)
-            checkpoint = _refresh(previous, runtime, replica_id, log_seq, epoch)
-            if checkpoint is not None:
-                self._file_refresh(checkpoint)
-                return checkpoint
+        self, runtime: Runtime, key: FiveTuple, replica_id: int, log_seq: int,
+        generation: Optional[int], rounds: List[_Round],
+    ) -> Union[FlowCheckpoint, _Standing, None]:
+        """Refresh the flow's standing snapshot into this round (the
+        round's first refresh takes its reading, ``rounds[0]``), or
+        capture it in full."""
+        filed = self._snapshots.get(key)
+        standing = filed if isinstance(filed, _Standing) or filed is None else filed._standing
+        if (
+            standing is not None
+            and standing.replica_id == replica_id
+            and (standing.generation == generation or _stands(standing, runtime, generation))
+        ):
+            if not rounds:
+                rounds.append(_Round(runtime, log_seq))
+            standing.refresh(rounds[0])
+            self._file_refresh(standing)
+            return standing
         return self._full_capture(runtime, key, replica_id, log_seq)
 
-    def _file_refresh(self, checkpoint: FlowCheckpoint) -> None:
+    def _file_refresh(self, standing: _Standing) -> None:
         """:meth:`store` a refresh: it has its predecessor's flow and directions,
         so while each still indexes the flow, replacing the snapshot is all.
         None of those keys is in ``_stateless`` then: a key indexes a flow
         only through :meth:`store`, which clears it, and a round files a
         key stateless only after :meth:`drop_flow` unmapped it."""
-        flow = checkpoint.flow
-        for key in checkpoint._standing.keys:
+        flow = standing.flow
+        for key in standing.keys:
             if self._by_direction.get(key) != flow:
-                return self.store(checkpoint)
-        self._snapshots[flow] = checkpoint
-
-    def restore(self, checkpoint: FlowCheckpoint, runtime: Runtime) -> None:
-        """:func:`restore_flow`, counted: the restored mappings may change
-        the walk of a flow already on ``runtime``."""
-        restore_flow(checkpoint, runtime)
-        self._restores += 1
+                return self.store(standing)
+        self._snapshots[flow] = standing
 
     def note_dispatched(self, key: FiveTuple) -> None:
         """A packet of ``key`` reached a replica: rounds try it again."""
@@ -543,7 +633,7 @@ class CheckpointManager:
             )
         return checkpoint
 
-    def store(self, checkpoint: FlowCheckpoint) -> None:
+    def store(self, checkpoint: Union[FlowCheckpoint, _Standing]) -> None:
         self.drop_flow(checkpoint.flow)
         self._snapshots[checkpoint.flow] = checkpoint
         for direction in checkpoint.directions:
@@ -558,16 +648,16 @@ class CheckpointManager:
         primary = self._by_direction.get(key.canonical())
         if primary is None:
             return None
-        return self._snapshots.get(primary)
+        filed = self._snapshots.get(primary)
+        return None if filed is None else _checkpoint_of(filed)
 
-    def drop_flow(self, key: FiveTuple) -> Optional[FlowCheckpoint]:
+    def drop_flow(self, key: FiveTuple) -> None:
         """Forget the checkpoint covering ``key`` (migrated / closed)."""
         primary = self._by_direction.get(key.canonical(), key.canonical())
-        checkpoint = self._snapshots.pop(primary, None)
-        if checkpoint is not None:
-            for direction in checkpoint.directions:
+        filed = self._snapshots.pop(primary, None)
+        if filed is not None:
+            for direction in filed.directions:
                 self._by_direction.pop(direction.canonical(), None)
-        return checkpoint
 
     def __len__(self) -> int:
         return len(self._snapshots)

@@ -68,7 +68,7 @@ from repro.obs.forensics import StallCharge, emit_recovery_regime_shift
 from repro.obs.trace import NULL_TRACER, PacketTracer
 from repro.platform.base import LoadResult, PlanTable, load_result
 from repro.scale.cluster import ScaleCluster
-from repro.ft.checkpoint import CheckpointManager
+from repro.ft.checkpoint import CheckpointManager, restore_flow
 from repro.ft.faults import FaultInjector
 from repro.ft.pktlog import PacketLog
 from repro.vector import np
@@ -446,7 +446,7 @@ class FaultTolerance:
                     self.checkpoints.drop_flow(checkpoint.flow)
                     continue
                 target = self._alive_home(checkpoint.flow)
-                self.checkpoints.restore(checkpoint, cluster.replicas[target].runtime)
+                restore_flow(checkpoint, cluster.replicas[target].runtime)
                 for direction in checkpoint.directions:
                     direction_key = direction.canonical()
                     snapshot_covered.add(direction_key)

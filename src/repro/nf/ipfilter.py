@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.actions import Drop, Forward, Modify
 from repro.core.local_mat import InstrumentationAPI
 from repro.net.addresses import ip_to_int
 from repro.net.flow import FiveTuple
 from repro.net.packet import Packet
-from repro.nf.base import NetworkFunction
+from repro.nf.base import FlowField, NetworkFunction
 from repro.platform.costs import Operation
 
 
@@ -114,6 +114,8 @@ class AclRule:
 class IPFilter(NetworkFunction):
     """Linear-scan ACL firewall with a per-flow verdict cache."""
 
+    flow_fields = (FlowField("verdict", "last"),)
+
     def __init__(
         self,
         name: str = "ipfilter",
@@ -125,7 +127,8 @@ class IPFilter(NetworkFunction):
         self.rules: List[AclRule] = list(rules)
         self.default_verdict = default_verdict
         self.mark_dscp = mark_dscp
-        self._verdict_cache: Dict[FiveTuple, Verdict] = {}
+        #: flow -> Verdict
+        self._verdict_cache = self.flow_rows
         self.dropped = 0
         self.forwarded = 0
 
@@ -142,11 +145,14 @@ class IPFilter(NetworkFunction):
         fid = api.nf_extract_fid(packet)
 
         self.charge(_EXACT_MATCH_LOOKUP)
-        verdict = self._verdict_cache.get(flow)
-        if verdict is None:
+        cache = self._verdict_cache
+        row = cache.index.get(flow)
+        if row is None:
             verdict, scanned = self.lookup_verdict(flow)
             self.charge(_ACL_RULE_SCAN, scanned)
-            self._verdict_cache[flow] = verdict
+            cache.insert(flow, (verdict,))
+        else:
+            verdict = cache.columns[0][row]
 
         if verdict is _DROP_VERDICT:
             self.dropped += 1
@@ -166,24 +172,9 @@ class IPFilter(NetworkFunction):
             api.add_header_action(fid, Forward())
 
     def handle_flow_close(self, packet: Packet) -> None:
-        self._verdict_cache.pop(packet.five_tuple(), None)
-
-    # -- migration hooks (repro.scale) ---------------------------------------
-
-    def export_flow_state(self, flow: FiveTuple):
-        return self._verdict_cache.pop(flow, None)
-
-    def import_flow_state(self, flow: FiveTuple, state) -> None:
-        self._verdict_cache[flow] = state
-
-    def peek_flow_state(self, flow: FiveTuple):
-        return flow, self._verdict_cache.get(flow)
-
-    def state_snapshot(self, flow: FiveTuple):
-        return self._verdict_cache.get(flow)
+        self._verdict_cache.pop(packet.five_tuple())
 
     def reset(self) -> None:
         super().reset()
-        self._verdict_cache.clear()
         self.dropped = 0
         self.forwarded = 0

@@ -26,7 +26,7 @@ from repro.core.state_function import PayloadClass
 from repro.net.addresses import ip_to_int, ip_to_str
 from repro.net.flow import FiveTuple
 from repro.net.packet import Packet
-from repro.nf.base import NetworkFunction
+from repro.nf.base import FlowField, NetworkFunction
 from repro.platform.costs import Operation
 
 # Enum members hoisted off the per-packet path (a class read runs Enum's hook)
@@ -154,6 +154,10 @@ class MaglevTable:
 class MaglevLoadBalancer(NetworkFunction):
     """The Maglev NF: VIP traffic is rewritten to a tracked backend."""
 
+    #: the tracked backend, by name: a replica resolves it to its own
+    #: Backend objects (with their own health state)
+    flow_fields = (FlowField("backend", "last"),)
+
     def __init__(
         self,
         name: str = "maglev",
@@ -168,19 +172,30 @@ class MaglevLoadBalancer(NetworkFunction):
                 Backend.make("backend-3", "192.168.1.3", 8080),
             ]
         self.table = MaglevTable(backends, table_size=table_size)
-        #: connection tracking: flow -> backend (sticky routing)
-        self.conntrack: Dict[FiveTuple, Backend] = {}
+        self._named = {backend.name: backend for backend in self.table.backends}
+        self._row_of = self.flow_rows.index
+        (self._tracked,) = self.flow_rows.columns
         self.reroutes = 0
 
     @property
     def backends(self) -> List[Backend]:
         return self.table.backends
 
+    @property
+    def conntrack(self) -> Dict[FiveTuple, Backend]:
+        """Connection tracking (sticky routing): flow -> its Backend."""
+        return {flow: self._named[name] for flow, name in self.flow_rows.items()}
+
     def backend_by_name(self, name: str) -> Backend:
-        for backend in self.table.backends:
-            if backend.name == name:
-                return backend
-        raise KeyError(f"no backend named {name!r}")
+        backend = self._named.get(name)
+        if backend is None:
+            raise KeyError(f"no backend named {name!r}")
+        return backend
+
+    def tracked(self, flow: FiveTuple) -> Optional[Backend]:
+        """The backend ``flow`` sticks to, if tracked."""
+        row = self._row_of.get(flow)
+        return None if row is None else self._named[self._tracked[row]]
 
     def fail_backend(self, name: str) -> None:
         """Mark a backend unhealthy and rebuild the lookup table."""
@@ -190,21 +205,24 @@ class MaglevLoadBalancer(NetworkFunction):
     # -- per-flow selection and the failure event -----------------------------
 
     def select_backend(self, flow: FiveTuple) -> Backend:
-        backend = self.conntrack.get(flow)
+        row = self._row_of.get(flow)
+        backend = None if row is None else self._named[self._tracked[row]]
         if backend is not None and backend.healthy:
             return backend
         selected = self.table.lookup(flow)
         if selected is None:
             raise RuntimeError(f"{self.name}: no healthy backends")
-        if backend is not None and not backend.healthy:
+        if row is None:
+            self.flow_rows.insert(flow, (selected.name,))
+        else:
             self.reroutes += 1
-        self.conntrack[flow] = selected
+            self._tracked[row] = selected.name
         return selected
 
     def backend_failed(self, flow: FiveTuple) -> bool:
         """Event condition: the flow's tracked backend went unhealthy."""
-        backend = self.conntrack.get(flow)
-        return backend is not None and not backend.healthy
+        row = self._row_of.get(flow)  # evaluated twice per fast-path packet
+        return row is not None and not self._named[self._tracked[row]].healthy
 
     def reroute_flow(self, flow: FiveTuple) -> Modify:
         """Event update function: re-select and return the new MODIFY."""
@@ -222,7 +240,8 @@ class MaglevLoadBalancer(NetworkFunction):
         fid = api.nf_extract_fid(packet)
 
         self.charge(_EXACT_MATCH_LOOKUP)
-        if flow not in self.conntrack or not self.conntrack[flow].healthy:
+        row = self._row_of.get(flow)
+        if row is None or not self._named[self._tracked[row]].healthy:
             self.charge(_HASH_COMPUTE)
         backend = self.select_backend(flow)
 
@@ -252,38 +271,18 @@ class MaglevLoadBalancer(NetworkFunction):
         self.track(packet, flow)
 
     def handle_flow_close(self, packet: Packet) -> None:
-        self.conntrack.pop(packet.five_tuple(), None)
+        self.flow_rows.pop(packet.five_tuple())
 
     # -- migration hooks (repro.scale) ---------------------------------------
 
     def flow_through(self, flow: FiveTuple) -> FiveTuple:
-        backend = self.conntrack.get(flow)
+        backend = self.tracked(flow)
         if backend is not None:
-            return flow._replace(dst_ip=backend.ip, dst_port=backend.port)
+            return FiveTuple(flow.src_ip, backend.ip, flow.src_port, backend.port, flow.protocol)
         return flow
-
-    def export_flow_state(self, flow: FiveTuple):
-        backend = self.conntrack.pop(flow, None)
-        if backend is None:
-            return None
-        # Transfer by *name*: the target replica tracks its own Backend
-        # objects (with their own health state), never ours.
-        return backend.name
-
-    def import_flow_state(self, flow: FiveTuple, state) -> None:
-        self.conntrack[flow] = self.backend_by_name(state)
-
-    def peek_flow_state(self, flow: FiveTuple):
-        backend = self.conntrack.get(flow)
-        return flow, None if backend is None else backend.name
-
-    def state_snapshot(self, flow: FiveTuple):
-        backend = self.conntrack.get(flow)
-        return None if backend is None else (backend.name, backend.healthy)
 
     def reset(self) -> None:
         super().reset()
-        self.conntrack.clear()
         self.reroutes = 0
         for backend in self.table.backends:
             backend.healthy = True

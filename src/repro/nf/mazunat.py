@@ -22,7 +22,7 @@ from repro.core.local_mat import InstrumentationAPI
 from repro.net.addresses import ip_to_int
 from repro.net.flow import FiveTuple
 from repro.net.packet import Packet
-from repro.nf.base import NetworkFunction
+from repro.nf.base import FlowField, NetworkFunction
 from repro.platform.costs import Operation
 
 # Enum members hoisted off the per-packet path (a class read runs Enum's hook)
@@ -36,6 +36,10 @@ class NatPortExhausted(RuntimeError):
 
 class MazuNAT(NetworkFunction):
     """Source NAT with sequential port allocation and a free list."""
+
+    #: one row per mapping, filed under the internal (outbound) tuple and
+    #: reached from the return direction through ``reverse``
+    flow_fields = (FlowField("mapping", "last"),)
 
     def __init__(
         self,
@@ -61,8 +65,8 @@ class MazuNAT(NetworkFunction):
             raise ValueError(f"invalid port range: {port_range!r}")
         self._next_port = self.port_lo
         self._free_ports: Set[int] = set()
-        #: internal five-tuple -> (external ip, external port)
-        self.mappings: Dict[FiveTuple, Tuple[int, int]] = {}
+        #: internal five-tuple -> (internal five-tuple, external ip, external port)
+        self.mappings = self.flow_rows
         #: (external ip, external port, proto) -> internal five-tuple;
         #: change it only through :meth:`_bind` / :meth:`_unbind`
         self.reverse: Dict[Tuple[int, int, int], FiveTuple] = {}
@@ -111,10 +115,10 @@ class MazuNAT(NetworkFunction):
         )
 
     def release_mapping(self, flow: FiveTuple) -> bool:
-        mapping = self.mappings.pop(flow, None)
+        mapping = self.mappings.pop(flow)
         if mapping is None:
             return False
-        ext_ip, ext_port = mapping
+        __, ext_ip, ext_port = mapping
         self._unbind((ext_ip, ext_port, flow.protocol))
         if self.port_pool is not None:
             self.port_pool.release(flow)
@@ -125,8 +129,9 @@ class MazuNAT(NetworkFunction):
     # -- packet processing ---------------------------------------------------
 
     def _outbound_action(self, flow: FiveTuple) -> Modify:
-        mapping = self.mappings.get(flow)
-        if mapping is None:
+        mappings = self.mappings
+        row = mappings.index.get(flow)
+        if row is None:
             self.charge(_NAT_PORT_ALLOC)
             if self.port_pool is not None:
                 # Idempotent per flow: a recovery replay of this packet
@@ -134,10 +139,12 @@ class MazuNAT(NetworkFunction):
                 port = self.port_pool.acquire(flow)
             else:
                 port = self.allocate_port()
-            mapping = (self.external_ip, port)
-            self.mappings[flow] = mapping
-            self._bind((mapping[0], mapping[1], flow.protocol), flow)
-        ext_ip, ext_port = mapping
+            mapping = (flow, self.external_ip, port)
+            mappings.insert(flow, (mapping,))
+            self._bind((self.external_ip, port, flow.protocol), flow)
+        else:
+            mapping = mappings.columns[0][row]
+        __, ext_ip, ext_port = mapping
         return Modify.set(src_ip=ext_ip, src_port=ext_port)
 
     def _inbound_action(self, flow: FiveTuple) -> Optional[Modify]:
@@ -183,52 +190,38 @@ class MazuNAT(NetworkFunction):
     # -- migration hooks (repro.scale) ---------------------------------------
 
     def flow_through(self, flow: FiveTuple) -> FiveTuple:
-        mapping = self.mappings.get(flow)
-        if mapping is not None:
-            ext_ip, ext_port = mapping
-            return flow._replace(src_ip=ext_ip, src_port=ext_port)
+        mappings = self.mappings
+        row = mappings.index.get(flow)
+        if row is not None:
+            __, ext_ip, ext_port = mappings.columns[0][row]
+            return FiveTuple(ext_ip, flow.dst_ip, ext_port, flow.dst_port, flow.protocol)
         internal = self.reverse.get((flow.dst_ip, flow.dst_port, flow.protocol))
         if internal is not None:
-            return flow._replace(dst_ip=internal.src_ip, dst_port=internal.src_port)
+            return FiveTuple(flow.src_ip, internal.src_ip, flow.src_port, internal.src_port, flow.protocol)
         return flow
 
-    def _mapping_key(self, flow: FiveTuple) -> Optional[FiveTuple]:
+    def flow_place(self, flow: FiveTuple) -> Optional[FiveTuple]:
         """The internal (outbound) tuple owning the flow's mapping, if any."""
-        if flow in self.mappings:
+        if flow in self.mappings.index:
             return flow
         return self.reverse.get((flow.dst_ip, flow.dst_port, flow.protocol))
 
-    def export_flow_state(self, flow: FiveTuple):
-        internal = self._mapping_key(flow)
-        if internal is None:
-            return None
-        ext_ip, ext_port = self.mappings.pop(internal)
-        self._unbind((ext_ip, ext_port, internal.protocol))
+    def drop_row(self, place: FiveTuple):
+        mapping = self.mappings.pop(place)
+        __, ext_ip, ext_port = mapping
+        self._unbind((ext_ip, ext_port, place.protocol))
         # The port does NOT return to the free list: the mapping still
         # owns it, just on another replica now.
-        return (internal, ext_ip, ext_port)
+        return mapping
 
     def import_flow_state(self, flow: FiveTuple, state) -> None:
         internal, ext_ip, ext_port = state
-        self.mappings[internal] = (ext_ip, ext_port)
+        self.mappings.merge(internal, state)
         self._bind((ext_ip, ext_port, internal.protocol), internal)
         self._free_ports.discard(ext_port)
 
-    def peek_flow_state(self, flow: FiveTuple):
-        internal = self._mapping_key(flow)  # where both directions' mapping lives
-        if internal is None:
-            return flow, None
-        return internal, (internal, *self.mappings[internal])
-
-    def state_snapshot(self, flow: FiveTuple):
-        internal = self._mapping_key(flow)
-        if internal is None:
-            return None
-        return (internal, self.mappings[internal])
-
     def reset(self) -> None:
         super().reset()
-        self.mappings.clear()
         self.reverse.clear()
         self._port_uses.clear()
         self._free_ports.clear()

@@ -20,15 +20,11 @@ the equivalence suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 from repro.core.actions import Forward
 from repro.core.local_mat import InstrumentationAPI
 from repro.core.state_function import PayloadClass
-from repro.net.flow import FiveTuple
 from repro.net.packet import Packet
-from repro.nf.base import NetworkFunction
+from repro.nf.base import FlowField, NetworkFunction
 from repro.platform.costs import Operation
 
 # hoisted: reading an Enum member through its class costs a hook call (CPython 3.11)
@@ -37,18 +33,17 @@ _COUNTER_UPDATE = Operation.COUNTER_UPDATE
 _IGNORE = PayloadClass.IGNORE
 
 
-@dataclass
-class FlowCounters:
-    packets: int = 0
-    bytes: int = 0
-
-
 class Monitor(NetworkFunction):
     """Per-flow traffic accounting."""
 
+    flow_fields = (FlowField("packets", "count"), FlowField("bytes", "add"))
+
     def __init__(self, name: str = "monitor", aggregate=None):
         super().__init__(name)
-        self.counters: Dict[FiveTuple, FlowCounters] = {}
+        #: flow -> (packets, bytes)
+        self.counters = self.flow_rows
+        self._row_of = self.counters.index
+        self._packets, self._bytes = self.counters.columns
         #: optional :class:`repro.ft.txstate.SharedAggregate` — when set,
         #: every counted packet also lands in a cluster-shared total via
         #: an idempotent transaction keyed by (flow, per-flow count), so
@@ -67,18 +62,17 @@ class Monitor(NetworkFunction):
         meter.charge(_EXACT_MATCH_LOOKUP)
         meter.charge(_COUNTER_UPDATE)
         key = packet.five_tuple()
-        counters = self.counters.get(key)
-        if counters is None:
-            counters = FlowCounters()
-            self.counters[key] = counters
-        counters.packets += 1
+        row = self._row_of.get(key)
+        if row is None:
+            row = self.counters.insert(key, (0, 0))
+        self._packets[row] += 1
         size = packet.byte_length()
-        counters.bytes += size
+        self._bytes[row] += size
         if self.aggregate is not None:
             # Txn id = (flow, per-flow sequence number): replayed packets
             # recompute the same id and dedupe, so the shared total stays
             # exactly-once across failover.
-            self.aggregate.add((key, counters.packets), packets=1, bytes_=size)
+            self.aggregate.add((key, self._packets[row]), packets=1, bytes_=size)
 
     def process(self, packet: Packet, api: InstrumentationAPI) -> None:
         self.ingress(packet)
@@ -92,30 +86,5 @@ class Monitor(NetworkFunction):
             name="count_packet",
         )
 
-    # -- migration hooks (repro.scale) ---------------------------------------
-
-    def export_flow_state(self, flow: FiveTuple):
-        counters = self.counters.pop(flow, None)
-        if counters is None:
-            return None
-        return (counters.packets, counters.bytes)
-
-    def import_flow_state(self, flow: FiveTuple, state) -> None:
-        packets, bytes_ = state
-        counters = self.counters.setdefault(flow, FlowCounters())
-        counters.packets += packets
-        counters.bytes += bytes_
-
-    def peek_flow_state(self, flow: FiveTuple):
-        counters = self.counters.get(flow)
-        return flow, None if counters is None else (counters.packets, counters.bytes)
-
-    def state_snapshot(self, flow: FiveTuple):
-        return self.peek_flow_state(flow)[1]
-
     def total_packets(self) -> int:
-        return sum(counter.packets for counter in self.counters.values())
-
-    def reset(self) -> None:
-        super().reset()
-        self.counters.clear()
+        return sum(self._packets[row] for row in self._row_of.values())

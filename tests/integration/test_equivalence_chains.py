@@ -85,7 +85,7 @@ def maglev_event_schedule(packets, fraction=0.2, seed=5):
                 healthy = sum(1 for b in maglev.backends if b.healthy)
                 if healthy <= 1:
                     continue  # keep the service alive in both runs
-                translated = flow._replace(src_ip=mapping[0], src_port=mapping[1])
+                translated = flow._replace(src_ip=mapping[1], src_port=mapping[2])
                 backend = maglev.conntrack.get(translated)
                 if backend is not None and backend.healthy:
                     maglev.fail_backend(backend.name)

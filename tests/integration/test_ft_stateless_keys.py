@@ -32,7 +32,7 @@ from repro.ft import (
     TransactionalStore,
     capture_flow,
 )
-from repro.ft.checkpoint import CheckpointManager
+from repro.ft.checkpoint import CheckpointManager, _checkpoint_of
 from repro.nf import IPFilter, MazuNAT, Monitor
 from repro.obs.audit import AuditLog
 from repro.scale import ScaleCluster
@@ -143,7 +143,10 @@ class Run:
             )
             self.dispatched[replica_id] = set()
             self.stored.append(
-                {key: checkpoint_view(cp) for key, cp in sorted(manager._snapshots.items())}
+                {
+                    key: checkpoint_view(_checkpoint_of(filed))
+                    for key, filed in sorted(manager._snapshots.items())
+                }
             )
             return captured
 

@@ -29,12 +29,13 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
+import repro.ft.checkpoint as checkpoint_module
 from repro.core.actions import Forward
 from repro.core.event_table import Event
 from repro.core.framework import SpeedyBox
 from repro.core.state_function import PayloadClass
 from repro.ft import FaultTolerance, capture_flow, restore_flow
-from repro.nf import IPFilter, Monitor
+from repro.nf import IPFilter, MaglevLoadBalancer, Monitor
 from repro.nf.base import NetworkFunction
 from repro.scale import ScaleCluster, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
@@ -84,23 +85,23 @@ class Bench:
         real_capture = self.manager._capture
 
         def capture(*args):
-            checkpoint = real_capture(*args)
-            if checkpoint is not None:
-                self.taken.append(checkpoint)
-            return checkpoint
+            filed = real_capture(*args)
+            if filed is not None:
+                self.taken.append(checkpoint_module._checkpoint_of(filed))
+            return filed
 
         self.manager._capture = capture
         real_file = self.manager._file_refresh
 
-        def file_refresh(checkpoint):
+        def file_refresh(standing):
             # Filed in place, a refresh meets no key a round filed as
             # stateless: each key maps to the flow only through ``store``,
             # which clears it, and a round that files it stateless first
             # drops the flow's snapshot and unmaps its directions.
-            manager, keys = self.manager, checkpoint._standing.keys
-            if all(manager._by_direction.get(key) == checkpoint.flow for key in keys):
-                assert not manager._stateless.intersection(keys), checkpoint.flow
-            return real_file(checkpoint)
+            manager, keys = self.manager, standing.keys
+            if all(manager._by_direction.get(key) == standing.flow for key in keys):
+                assert not manager._stateless.intersection(keys), standing.flow
+            return real_file(standing)
 
         self.manager._file_refresh = file_refresh
 
@@ -541,3 +542,129 @@ def test_a_refreshed_checkpoint_pickles_and_restores_like_a_full_one():
     expected = continue_run(reference, packets[4:])
     assert continue_run(from_refresh, packets[4:]) == expected
     assert continue_run(from_full, packets[4:]) == expected
+
+
+# -- one structural change between two rounds ------------------------------------
+#
+# A round reads the runtime's table generation once and re-checks a flow's
+# rows and walk only when it moved.  In each case below the one structural
+# change between two rounds is made on the fast path or by another flow:
+# the generation must move, the flow it hit is captured in full, and a
+# flow it did not hit is still refreshed.
+
+
+def two_flows(**spec_kwargs) -> list:
+    """Two TCP flows' packets, one list each."""
+    specs = [FlowSpec.tcp(f"10.5.{i}.7", "99.3.0.1", 4000 + i, 80, **spec_kwargs) for i in range(2)]
+    return [TrafficGenerator([spec]).packets() for spec in specs]
+
+
+def settle(bench, packets, upto) -> list:
+    """Send each flow's first ``upto`` packets, take two rounds, and
+    return each flow's refreshed checkpoint."""
+    bench.send([packet for flow in packets for packet in flow[:upto]])
+    bench.round()
+    bench.round()
+    return [bench.stored(flow[0].five_tuple()) for flow in packets]
+
+
+def test_a_fast_path_event_is_a_new_generation():
+    """A backend fails and the next packet of a flow it served, on the
+    fast path, fires Maglev's event, which rebuilds that flow's rule."""
+    bench = Bench(event_chain)
+    packets = two_flows(packets=6)
+    before = settle(bench, packets, 3)
+    (lb,) = [nf for nf in bench.runtime.nfs if isinstance(nf, MaglevLoadBalancer)]
+    backend = lb.tracked(packets[0][0].five_tuple())
+    generation, slow = bench.runtime.generation, bench.runtime.slow_packets
+    lb.fail_backend(backend.name)
+    bench.send(packets[0][3:4])
+    assert bench.runtime.slow_packets == slow
+    assert bench.runtime.generation != generation
+    bench.round()
+    assert not refreshed(bench.stored(packets[0][0].five_tuple()), before[0])
+    # the other flow sent nothing (its rule stands, even on the failed backend)
+    assert refreshed(bench.stored(packets[1][0].five_tuple()), before[1])
+
+
+def test_a_fast_path_fin_is_a_new_generation():
+    bench = Bench(nat_chain)
+    packets = two_flows(packets=5, fin=True)
+    closing, spared = settle(bench, packets, 4)
+    generation, slow = bench.runtime.generation, bench.runtime.slow_packets
+    bench.send(packets[0][-1:])
+    assert bench.runtime.slow_packets == slow
+    assert bench.runtime.generation != generation
+    bench.round()
+    # the torn-down flow's counters are captured in full, under its
+    # egress tuple (as in test_a_fin_between_rounds)
+    assert bench.stored(packets[0][0].five_tuple()) is None
+    assert not any(refreshed(checkpoint, closing) for checkpoint in bench.taken)
+    assert refreshed(bench.stored(packets[1][0].five_tuple()), spared)
+
+
+def test_an_admission_that_evicts_another_flow_is_a_new_generation():
+    """A third flow's first packet fills a two-rule Global MAT: the least
+    recently used flow's rule is evicted."""
+    bench = Bench(nat_chain, max_flows=2)
+    packets = two_flows(packets=4)
+    evicted, spared = settle(bench, packets, 2)
+    bench.send(packets[1][2:3])  # the second flow is now the most recent
+    bench.round()
+    spared = bench.stored(packets[1][0].five_tuple())
+    newcomer = TrafficGenerator([FlowSpec.tcp("10.5.9.7", "99.3.0.1", 4009, 80, packets=2)]).packets()
+    generation = bench.runtime.generation
+    bench.send(newcomer[:1])
+    assert bench.runtime.generation != generation
+    assert bench.runtime.global_mat.peek(evicted.records[0].fid) is None
+    bench.round()
+    assert not refreshed(bench.stored(packets[0][0].five_tuple()), evicted)
+    assert refreshed(bench.stored(packets[1][0].five_tuple()), spared)
+
+
+# -- a refreshed checkpoint is built when read --------------------------------------
+
+
+def test_a_steady_round_builds_no_checkpoint_until_one_is_read(monkeypatch):
+    cluster = ScaleCluster(nat_chain, replicas=1)
+    ft = FaultTolerance(cluster, checkpoint_interval=10**9)
+    reference = SpeedyBox(nat_chain())
+    specs = [FlowSpec.tcp(f"10.5.{i}.7", "99.3.0.1", 4000 + i, 80, packets=8) for i in range(8)]
+    packets = TrafficGenerator(specs, interleave="round_robin").packets()
+    head = packets[: 4 * len(specs)]
+    for packet in head:
+        cluster.process(packet.clone())
+    continue_run(reference, head)
+    ft.checkpoint_replica(0)
+    ft.checkpoint_replica(0)
+
+    built = []
+    real_init = checkpoint_module.FlowCheckpoint.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint_module.FlowCheckpoint, "__init__", counted_init)
+    assert ft.checkpoint_replica(0) == len(specs)
+    assert built == []
+
+    runtime = cluster.replicas[0].runtime
+    flow = specs[3].five_tuple
+    checkpoint = ft.checkpoints.snapshot_for(flow)
+    assert built == [flow.canonical()]
+    assert ft.checkpoints.snapshot_for(flow) is checkpoint
+    assert checkpoint._records is None
+    full = capture_flow(runtime, flow, replica_id=0, log_seq=checkpoint.log_seq)
+    assert checkpoint_view(checkpoint) == checkpoint_view(full)
+
+    assert code_and_nfs(checkpoint) == []
+    loaded = pickle.loads(pickle.dumps(checkpoint))
+    assert checkpoint_view(loaded) == checkpoint_view(full)
+    from_refresh, from_full = SpeedyBox(nat_chain()), SpeedyBox(nat_chain())
+    restore_flow(loaded, from_refresh)
+    restore_flow(full, from_full)
+    rest = [packet for packet in packets[4 * len(specs):] if packet.five_tuple() == flow]
+    expected = continue_run(reference, rest)
+    assert continue_run(from_refresh, rest) == expected
+    assert continue_run(from_full, rest) == expected

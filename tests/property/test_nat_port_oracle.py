@@ -61,7 +61,7 @@ def translate(nat, flow, fin=False):
         nat.process(packet, NullInstrumentationAPI())
     except NatPortExhausted:
         return "exhausted"
-    return nat.mappings[flow][1]
+    return nat.mappings[flow][2]
 
 
 def walk(seed, steps=400):

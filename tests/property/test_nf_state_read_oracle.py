@@ -24,6 +24,14 @@ before: every state exported, then each imported straight back
    is not compared there: the reference's import re-bound such a port's
    reverse mapping to whichever of the two connections it read last,
    which a read in place no longer does.)
+4. that the generic row reads of :mod:`repro.nf.base` — one read or copy
+   of an NF's declared :class:`~repro.nf.base.FlowRows` — return what
+   each NF's hand-written ``peek_flow_state``, ``export_flow_state`` and
+   ``state_snapshot`` returned, kept below on the dicts they kept
+   (:class:`HandWrittenNAT` and its peers): per NF, per walked direction
+   and per flow, with and without a shared port pool.  Two snapshots
+   changed shape: the NAT's is its export value now, and Maglev's is the
+   backend's name (its health is the backend's, not the flow's).
 """
 
 from __future__ import annotations
@@ -43,7 +51,10 @@ from repro.ft import (
     TransactionalStore,
 )
 from repro.ft.checkpoint import CheckpointManager
-from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor
+from repro.core.actions import Modify
+from repro.nf import AclRule, IPFilter, MaglevLoadBalancer, MazuNAT, Monitor
+from repro.nf.maglev import Backend
+from repro.platform.costs import Operation
 from repro.scale import ScaleCluster
 from repro.scale.migration import flow_walk
 from repro.traffic import FlowSpec, TrafficGenerator
@@ -62,30 +73,22 @@ def reference_read_nf_states(observed):
 
 
 def internals(nfs, identity: bool = False) -> list:
-    """Every NF's per-flow state, in each container's order (with the
-    identity of the objects a container holds, when asked)."""
+    """Every NF's per-flow state, in each container's order (with each
+    row's place in its columns, when asked)."""
     view = []
     for nf in nfs:
+        rows = nf.flow_rows
+        if rows is not None:
+            view.append([
+                (key, row if identity else None, rows[key]) for key, row in rows.index.items()
+            ])
         if isinstance(nf, MazuNAT):
             view.append((
-                list(nf.mappings.items()),
                 list(nf.reverse.items()),
                 list(nf._port_uses.items()),
                 list(nf._free_ports),
                 nf._next_port,
             ))
-        elif isinstance(nf, Monitor):
-            view.append([
-                (key, id(c) if identity else None, c.packets, c.bytes)
-                for key, c in nf.counters.items()
-            ])
-        elif isinstance(nf, IPFilter):
-            view.append(list(nf._verdict_cache.items()))
-        elif isinstance(nf, MaglevLoadBalancer):
-            view.append([
-                (key, backend.name, id(backend) if identity else None)
-                for key, backend in nf.conntrack.items()
-            ])
     return view
 
 
@@ -273,3 +276,296 @@ def test_every_round_files_what_the_reference_round_filed(seed, pooled, monkeypa
     for index, (mine, theirs) in enumerate(zip(ours_rounds, reference_rounds)):
         assert mine == theirs, f"round {index}"
     assert ours_delivered == reference_delivered
+
+
+# -- 4. the generic row reads against the hand-written ones ------------------------
+#
+# Each NF below keeps its per-flow state as it did before its fields were
+# declared, in a dict of its own, and moves it with its own hand-written
+# hooks; everything else is the NF as it is.
+
+
+class HandWrittenNAT(MazuNAT):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hand_mappings = {}
+
+    def release_mapping(self, flow):
+        mapping = self.hand_mappings.pop(flow, None)
+        if mapping is None:
+            return False
+        ext_ip, ext_port = mapping
+        self._unbind((ext_ip, ext_port, flow.protocol))
+        if self.port_pool is not None:
+            self.port_pool.release(flow)
+        else:
+            self._free_ports.add(ext_port)
+        return True
+
+    def _outbound_action(self, flow):
+        mapping = self.hand_mappings.get(flow)
+        if mapping is None:
+            port = self.port_pool.acquire(flow) if self.port_pool is not None else self.allocate_port()
+            mapping = self.hand_mappings[flow] = (self.external_ip, port)
+            self._bind((mapping[0], mapping[1], flow.protocol), flow)
+        return Modify.set(src_ip=mapping[0], src_port=mapping[1])
+
+    def flow_through(self, flow):
+        mapping = self.hand_mappings.get(flow)
+        if mapping is not None:
+            return flow._replace(src_ip=mapping[0], src_port=mapping[1])
+        internal = self.reverse.get((flow.dst_ip, flow.dst_port, flow.protocol))
+        if internal is not None:
+            return flow._replace(dst_ip=internal.src_ip, dst_port=internal.src_port)
+        return flow
+
+    def _mapping_key(self, flow):
+        if flow in self.hand_mappings:
+            return flow
+        return self.reverse.get((flow.dst_ip, flow.dst_port, flow.protocol))
+
+    def export_flow_state(self, flow):
+        internal = self._mapping_key(flow)
+        if internal is None:
+            return None
+        ext_ip, ext_port = self.hand_mappings.pop(internal)
+        self._unbind((ext_ip, ext_port, internal.protocol))
+        return (internal, ext_ip, ext_port)
+
+    def import_flow_state(self, flow, state):
+        internal, ext_ip, ext_port = state
+        self.hand_mappings[internal] = (ext_ip, ext_port)
+        self._bind((ext_ip, ext_port, internal.protocol), internal)
+        self._free_ports.discard(ext_port)
+
+    def peek_flow_state(self, flow):
+        internal = self._mapping_key(flow)
+        if internal is None:
+            return flow, None
+        return internal, (internal, *self.hand_mappings[internal])
+
+    def state_snapshot(self, flow):
+        internal = self._mapping_key(flow)
+        if internal is None:
+            return None
+        return (internal, self.hand_mappings[internal])
+
+
+class HandWrittenMonitor(Monitor):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hand_counters = {}
+
+    def count_packet(self, packet):
+        self.meter.charge(Operation.EXACT_MATCH_LOOKUP)
+        self.meter.charge(Operation.COUNTER_UPDATE)
+        key = packet.five_tuple()
+        counters = self.hand_counters.setdefault(key, [0, 0])
+        counters[0] += 1
+        size = packet.byte_length()
+        counters[1] += size
+        if self.aggregate is not None:
+            self.aggregate.add((key, counters[0]), packets=1, bytes_=size)
+
+    def export_flow_state(self, flow):
+        counters = self.hand_counters.pop(flow, None)
+        return None if counters is None else tuple(counters)
+
+    def import_flow_state(self, flow, state):
+        counters = self.hand_counters.setdefault(flow, [0, 0])
+        counters[0] += state[0]
+        counters[1] += state[1]
+
+    def peek_flow_state(self, flow):
+        counters = self.hand_counters.get(flow)
+        return flow, None if counters is None else tuple(counters)
+
+    def state_snapshot(self, flow):
+        return self.peek_flow_state(flow)[1]
+
+
+class HandWrittenIPFilter(IPFilter):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hand_verdicts = {}
+
+    def lookup_verdict(self, flow):
+        verdict = self.hand_verdicts.get(flow)
+        if verdict is None:
+            verdict, scanned = super().lookup_verdict(flow)
+            self.hand_verdicts[flow] = verdict
+            return verdict, scanned
+        return verdict, 0
+
+    def handle_flow_close(self, packet):
+        super().handle_flow_close(packet)
+        self.hand_verdicts.pop(packet.five_tuple(), None)
+
+    def export_flow_state(self, flow):
+        return self.hand_verdicts.pop(flow, None)
+
+    def import_flow_state(self, flow, state):
+        self.hand_verdicts[flow] = state
+
+    def peek_flow_state(self, flow):
+        return flow, self.hand_verdicts.get(flow)
+
+    def state_snapshot(self, flow):
+        return self.hand_verdicts.get(flow)
+
+
+class HandWrittenMaglev(MaglevLoadBalancer):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hand_conntrack = {}
+
+    @property
+    def conntrack(self):
+        return dict(self.hand_conntrack)
+
+    def tracked(self, flow):
+        return self.hand_conntrack.get(flow)
+
+    def select_backend(self, flow):
+        backend = self.hand_conntrack.get(flow)
+        if backend is not None and backend.healthy:
+            return backend
+        selected = self.table.lookup(flow)
+        if backend is not None and not backend.healthy:
+            self.reroutes += 1
+        self.hand_conntrack[flow] = selected
+        return selected
+
+    def backend_failed(self, flow):
+        backend = self.hand_conntrack.get(flow)
+        return backend is not None and not backend.healthy
+
+    def handle_flow_close(self, packet):
+        self.hand_conntrack.pop(packet.five_tuple(), None)
+
+    def export_flow_state(self, flow):
+        backend = self.hand_conntrack.pop(flow, None)
+        return None if backend is None else backend.name
+
+    def import_flow_state(self, flow, state):
+        self.hand_conntrack[flow] = self.backend_by_name(state)
+
+    def peek_flow_state(self, flow):
+        backend = self.hand_conntrack.get(flow)
+        return flow, None if backend is None else backend.name
+
+    def state_snapshot(self, flow):
+        backend = self.hand_conntrack.get(flow)
+        return None if backend is None else (backend.name, backend.healthy)
+
+
+def pair_chains(pooled: bool):
+    """The same NAT → Maglev → Monitor → IPFilter chain twice: with
+    declared fields, and with the hand-written hooks (NATs on one shared
+    port pool each, when ``pooled``)."""
+    def chain(nat, maglev, monitor, ipfilter):
+        pool = SharedPortPool(TransactionalStore(), port_range=PORTS) if pooled else None
+        backends = [Backend.make(f"b{i}", f"192.168.7.{i + 1}", 8080) for i in range(3)]
+        return [
+            nat("nat", external_ip="203.0.113.80", port_range=PORTS, port_pool=pool),
+            maglev("lb", backends=backends, table_size=131),
+            monitor("mon"),
+            ipfilter("fw", rules=[AclRule.make(dst_ports=(81, 81))]),
+        ]
+
+    return (
+        lambda: chain(MazuNAT, MaglevLoadBalancer, Monitor, IPFilter),
+        lambda: chain(HandWrittenNAT, HandWrittenMaglev, HandWrittenMonitor, HandWrittenIPFilter),
+    )
+
+
+def drive_chain(factory, case) -> SpeedyBox:
+    """One runtime over ``factory``'s chain through the case's traffic,
+    as :func:`drive` runs it."""
+    specs, replies, fins, seed, fail_at = case
+    runtime = SpeedyBox(factory())
+    sent = 0
+
+    def send(packets):
+        nonlocal sent
+        for packet in packets:
+            if sent == fail_at:
+                fail_a_backend(runtime)
+            runtime.process(packet.clone())
+            sent += 1
+
+    send(TrafficGenerator(specs, interleave="shuffled", seed=seed).packets())
+    for spec, count in zip(specs, replies):
+        if count:
+            directions = list(flow_walk(list(runtime.nfs), spec.five_tuple))
+            send(TrafficGenerator([FlowSpec(directions[-1], packets=count, payload=b"re")]).packets())
+    for spec, fin in zip(specs, fins):
+        if fin:
+            send(TrafficGenerator([FlowSpec(spec.five_tuple, packets=1, fin=True)]).packets()[-1:])
+    return runtime
+
+
+@st.composite
+def chain_cases(draw):
+    """(outbound specs, return packets, FINs, seed, packet index to fail
+    a backend at); every other flow is dropped by the firewall."""
+    specs, replies, fins = [], [], []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        specs.append(FlowSpec.tcp(
+            f"10.5.{i}.7", "99.3.0.1", 4000 + i, 80 + i % 2,
+            packets=draw(st.integers(min_value=1, max_value=6)),
+            handshake=draw(st.booleans()),
+        ))
+        replies.append(draw(st.integers(min_value=0, max_value=3)))
+        fins.append(draw(st.booleans()))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    fail_at = draw(st.none() | st.integers(min_value=0, max_value=20))
+    return specs, replies, fins, seed, fail_at
+
+
+def snapshot_as_before(nf, hand_written):
+    """The hand-written snapshot, as the generic one reads it."""
+    if hand_written is None:
+        return None
+    if isinstance(nf, MazuNAT):
+        internal, (ext_ip, ext_port) = hand_written
+        return (internal, ext_ip, ext_port)
+    if isinstance(nf, MaglevLoadBalancer):
+        name, healthy = hand_written
+        assert healthy == nf.backend_by_name(name).healthy
+        return name
+    return hand_written
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+@settings(max_examples=80, deadline=None)
+@given(case=chain_cases())
+def test_the_generic_row_reads_equal_the_hand_written_ones(pooled, case):
+    declared, hand_written = pair_chains(pooled)
+    ours, theirs = drive_chain(declared, case), drive_chain(hand_written, case)
+    specs = case[0]
+    flows = [spec.five_tuple for spec in specs]
+    for flow in flows:
+        walked = observed_keys(list(ours.nfs), flow)
+        assert [key for __, key in walked] == [key for __, key in observed_keys(list(theirs.nfs), flow)]
+        for (nf, key), (twin, __) in zip(walked, observed_keys(list(theirs.nfs), flow)):
+            assert nf.peek_flow_state(key) == twin.peek_flow_state(key), (nf.name, key)
+            assert nf.state_snapshot(key) == snapshot_as_before(nf, twin.state_snapshot(key))
+        assert checkpoint_module._read_nf_states(walked) == checkpoint_module._read_nf_states(
+            observed_keys(list(theirs.nfs), flow)
+        )
+    # Export moves the same values out, flow by flow, and an import puts
+    # them back where the hand-written import put them.
+    for flow in flows:
+        walked = observed_keys(list(ours.nfs), flow)
+        exported = [(nf, key, nf.export_flow_state(key)) for nf, key in walked]
+        theirs_exported = [
+            (nf, key, nf.export_flow_state(key)) for nf, key in observed_keys(list(theirs.nfs), flow)
+        ]
+        assert [state for __, __, state in exported] == [state for __, __, state in theirs_exported]
+        for moved in (exported, theirs_exported):
+            for nf, key, state in moved:
+                if state is not None:
+                    nf.import_flow_state(key, state)
+        for (nf, key), (twin, __) in zip(walked, observed_keys(list(theirs.nfs), flow)):
+            assert nf.peek_flow_state(key) == twin.peek_flow_state(key), (nf.name, key)

@@ -139,7 +139,7 @@ class TestNatProperties:
             # Injective: no two internal flows share an external endpoint...
             if original not in nat.mappings:
                 continue
-            assert key not in seen_external or nat.mappings[original] == key
+            assert key not in seen_external or nat.mappings[original][1:] == key
             seen_external.add(key)
             # ...and the reverse table inverts the mapping.
             assert nat.reverse[(translated.src_ip, translated.src_port, original.protocol)] == original
@@ -164,5 +164,5 @@ class TestNatProperties:
             port = packet.l4.src_port
             assert port not in allocated
             allocated.add(port)
-        live_ports = {port for __, port in nat.mappings.values()}
+        live_ports = {port for __, __, port in nat.mappings.values()}
         assert len(live_ports) == len(nat.mappings)

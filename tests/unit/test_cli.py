@@ -355,7 +355,7 @@ class TestScaleCommand:
             for replica in cluster.replicas.values():
                 for nf in replica.runtime.nfs:
                     if isinstance(nf, MazuNAT):
-                        ports = [port for __, port in nf.mappings.values()]
+                        ports = [port for __, __, port in nf.mappings.values()]
                         doubled.append(len(ports) - len(set(ports)))
 
         def checked(method, cluster_of):

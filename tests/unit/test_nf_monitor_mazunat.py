@@ -22,9 +22,9 @@ class TestMonitor:
         key = packet.five_tuple()
         monitor.process(packet, NullInstrumentationAPI())
         monitor.process(make_packet(payload=b"x" * 10), NullInstrumentationAPI())
-        counters = monitor.counters[key]
-        assert counters.packets == 2
-        assert counters.bytes == 2 * packet.byte_length()
+        packets, bytes_ = monitor.counters[key]
+        assert packets == 2
+        assert bytes_ == 2 * packet.byte_length()
 
     def test_flows_tracked_separately(self):
         monitor = Monitor("m")
