@@ -9,12 +9,15 @@ every reported point is also a proof that recovery was loss-free,
 duplicate-free and state-identical — the shared NAT port pool and
 monitor aggregate included.
 
-Recovery cost is charged onto the packets that paid it: with the
-default ``charge_recovery`` policy every buffered in-flight delivery
-carries the failure-to-delivery wall time as simulated stall, so the
-``stall ms`` column is the tail-latency bill of the failover.  It and
-``recovery ms`` are host-clock readings (declared ``wall``: reported,
-never gated or asserted on); everything else in the table is a count.
+Recovery runs on the simulated clock: it advances by each replayed
+packet's and then each buffered delivery's own latency, so ``recovery
+ms`` is simulated time and a function of the workload alone.  Its cost
+is charged onto the packets that paid it: with the default
+``charge_recovery`` policy every buffered in-flight delivery carries the
+stall from its arrival (this unloaded run stamps none: from the kill)
+to the start of its delivery, so the ``stall ms`` column is the
+tail-latency bill of the failover.  Both are declared ``sim`` and gate
+like every simulated quantity; everything else in the table is a count.
 ``repro obs report``'s forensics section decomposes the same charge per
 packet.
 
@@ -31,7 +34,7 @@ it snapshots (as the export → re-import capture once did, recompiling
 every flow every round) breaks that bound on any runner.
 """
 
-from benchmarks.harness import count, save_result, wall
+from benchmarks.harness import count, save_result, sim
 from repro.ft import (
     SharedAggregate,
     SharedPortPool,
@@ -142,9 +145,11 @@ def test_ft_recovery_sweep(benchmark):
             ]
         )
         prefix = f"interval_{interval}"
-        metrics[f"{prefix}_recovery_ms"] = wall(round(report.recovery_ms, 3))
+        metrics[f"{prefix}_recovery_ms"] = sim(round(report.recovery_ms, 3), "lower")
         metrics[f"{prefix}_charged_packets"] = count(report.charged_packets)
-        metrics[f"{prefix}_stall_charged_ms"] = wall(round(report.stall_charged_ns / 1e6, 3))
+        metrics[f"{prefix}_stall_charged_ms"] = sim(
+            round(report.stall_charged_ns / 1e6, 3), "lower"
+        )
         metrics[f"{prefix}_buffered"] = count(report.buffered_packets)
         metrics[f"{prefix}_delivered"] = count(report.delivered_packets)
         metrics[f"{prefix}_replayed"] = count(report.replayed_packets, "lower")

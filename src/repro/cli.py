@@ -480,8 +480,7 @@ def build_cluster(args, obs: ObsBundle, platform: str, replicas: int, injector):
     if injector is None:
         return cluster, None
     ft = FaultTolerance(cluster, checkpoint_interval=args.checkpoint_every or 32,
-                        injector=injector, tracer=obs.tracer,
-                        charge_recovery=not args.no_charge_recovery, forensics=obs.forensics)
+                        injector=injector, tracer=obs.tracer, forensics=obs.forensics)
     return cluster, ft
 
 
@@ -544,7 +543,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
             ]
             if want_ft:
                 recovered = sum(r.packets_delivered for r in ft.recoveries)
-                recovery_ms = sum(r.duration_s for r in ft.recoveries) * 1000.0
+                recovery_ms = sum(r.duration_ns for r in ft.recoveries) / 1e6
                 row.extend(
                     [ft.packets_buffered, recovered, f"{recovery_ms:.2f}"]
                 )
@@ -829,11 +828,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--recover-after", type=int, default=None, metavar="M",
         help="auto-recover M packets after the kill (default: recover "
              "at end of the window)",
-    )
-    scale.add_argument(
-        "--no-charge-recovery", action="store_true",
-        help="do not charge failover stall (detect->drain wall time) to "
-             "buffered packets' simulated latency (pre-charging behaviour)",
     )
     common(scale)
     observability(scale)

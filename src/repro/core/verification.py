@@ -102,7 +102,7 @@ class VerificationReport:
     charged_packets = _recovered("packets_charged")  # deliveries carrying the stall
     stall_charged_ns = _recovered("stall_charged_ns")
 
-    recovery_ms = property(lambda self: sum(r.duration_s for r in self.recoveries) * 1000.0)
+    recovery_ms = property(lambda self: sum(r.duration_ns for r in self.recoveries) / 1e6)
 
     equivalent = property(lambda self: not self.divergences)
 
@@ -204,10 +204,11 @@ def differential(
         ft.recover_all()
         report.recoveries = list(ft.recoveries)
     report.buffered_packets = len(packets) - live
-    if live + replayed + report.delivered_packets != len(packets):
+    recovered = sum(len(r.outcomes) for r in report.recoveries)  # delivered or dropped
+    if live + replayed + recovered != len(packets):
         report.divergences.append(Divergence(-1, "loss", f"{live} in-stream + {replayed} migration"
-                                             f" replays + {report.delivered_packets} recovery "
-                                             f"deliveries != {len(packets)} offered"))
+                                             f" replays + {recovered} recovered "
+                                             f"!= {len(packets)} offered"))
 
     for index, (want, got) in enumerate(zip(ref_stream, sut_stream)):  # drop decision, wire bytes
         if want.dropped != got.dropped:

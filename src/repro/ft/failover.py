@@ -33,6 +33,13 @@ snapshot+log protocol mapped onto the existing migration machinery:
    homes, so a second failure replays from *now*, not from the dead
    replica's era.
 
+Recovery runs on the simulated clock, built only from what the run
+already prices: the kill is stamped at the kill packet's offered
+arrival, a recovery starts at the last arrival the coordinator saw (an
+injected one: the recover packet's), and the clock then advances by
+each replayed packet's and each buffered delivery's own latency, in
+that order.  Restore and re-checkpoint take no simulated time.
+
 Recovery reads nothing from the dead replica: a fail-stop replica's
 memory is gone.  What survives it is the checkpoints, the input log the
 coordinator holds, the buffered packets and the peers — and from the
@@ -57,7 +64,6 @@ exactly once by recovery — never double-delivered by a later
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -94,7 +100,7 @@ class DeadReplica:
     #: (unloaded dispatch, absorbed freeze buffers)
     arrivals: List[Optional[float]] = field(default_factory=list)
     frozen_absorbed: int = 0
-    #: recovery-timeline clock: when the kill landed (tracer ns)
+    #: simulated time of the kill: the kill packet's offered arrival
     killed_ns: float = 0.0
 
 
@@ -106,11 +112,16 @@ class RecoveryReport:
     flows_restored: int = 0  # from checkpoints
     flows_rebuilt: int = 0  # from log replay alone (born after last snapshot)
     packets_replayed: int = 0  # log entries re-run through the pipeline
-    packets_delivered: int = 0  # buffered in-flight packets delivered live
     packets_charged: int = 0  # deliveries charged with recovery stall
     stall_charged_ns: float = 0.0  # total recovery stall charged to them
-    duration_s: float = 0.0
+    duration_ns: float = 0.0  # simulated: recovery start to the last delivery's end
+    #: one outcome per buffered packet processed live, dropped or not
     outcomes: List[object] = field(default_factory=list, repr=False)
+
+    @property
+    def packets_delivered(self) -> int:
+        """Buffered in-flight packets delivered live: a drop is not one."""
+        return sum(not outcome.dropped for outcome in self.outcomes)
 
 
 class FaultTolerance:
@@ -142,10 +153,12 @@ class FaultTolerance:
         self.recoveries: List[RecoveryReport] = []
         self.packets_buffered = 0
         self._in_recovery = False
-        #: charge recovery wall-time (detect → drain) onto the simulated
-        #: timeline of every buffered delivery (ROADMAP item-3 follow-on).
-        #: ``False`` restores the pre-charging behavior: recovery stays a
-        #: wall-clock side channel and delivered packets carry no stall.
+        #: the last offered arrival :meth:`tick` saw: where a kill is
+        #: stamped and a recovery starts on the simulated clock
+        self._arrival_ns = 0.0
+        #: charge each buffered delivery the simulated stall from its
+        #: arrival to the start of its delivery; ``False`` leaves the
+        #: deliveries' latencies uncharged
         self.charge_recovery = charge_recovery
         #: optional :class:`repro.obs.forensics.ForensicsEngine` fed one
         #: :class:`~repro.obs.forensics.StallCharge` per charged delivery
@@ -163,27 +176,20 @@ class FaultTolerance:
         #: recovery-timeline spans land on track ``ft:r<id>`` and stitch
         #: into the same Chrome-trace export the packet spans use
         self.tracer = tracer
-        self._trace_origin = time.perf_counter()
-        self._m_restore_ns = metrics.counter(
-            "ft_restore_ns_total", "wall time spent restoring checkpoints"
-        )
-        self._m_replay_ns = metrics.counter(
-            "ft_replay_ns_total", "wall time spent replaying input logs"
-        )
-        self._m_drain_ns = metrics.counter(
-            "ft_drain_ns_total", "wall time spent draining buffered in-flight packets"
-        )
         cluster.ft = self
-
-    def _now_ns(self) -> float:
-        return (time.perf_counter() - self._trace_origin) * 1e9
 
     # -- cluster hooks (called from ScaleCluster's dispatch path) -----------
 
-    def tick(self, packet: Packet) -> None:
-        """Advance the fault clock; execute an armed kill/recovery."""
+    def tick(self, packet: Packet, arrival_ns: Optional[float] = None) -> None:
+        """Advance the fault clock; execute an armed kill/recovery.
+
+        ``arrival_ns`` is the packet's offered arrival (loaded runs pass
+        it): an action this packet triggers lands at that time.
+        """
         if self._in_recovery:
             return
+        if arrival_ns is not None:
+            self._arrival_ns = arrival_ns
         action = self.injector.tick()
         if action == "kill":
             self.injector.replica = self.kill(self.injector.replica)
@@ -200,7 +206,8 @@ class FaultTolerance:
 
         ``arrival_ns`` is the packet's simulated arrival stamp (loaded
         runs pass it); recovery charges the stall from that arrival to
-        the packet's delivery when ``charge_recovery`` is on.
+        the start of the packet's delivery when ``charge_recovery`` is
+        on.
         """
         dead = self.dead[replica_id]
         dead.buffered.append(packet)
@@ -292,7 +299,7 @@ class FaultTolerance:
         dead = DeadReplica(
             replica_id=replica_id,
             killed_at_index=self.injector.packet_index,
-            killed_ns=self._now_ns(),
+            killed_ns=self._arrival_ns,
         )
         self.tracer.instant(
             "detect", f"ft:r{replica_id}", dead.killed_ns, reason="injected"
@@ -366,19 +373,18 @@ class FaultTolerance:
         if not cluster.replicas:
             self.dead[replica_id] = dead
             raise FailoverError("no alive replicas to fail over onto")
-        started = time.perf_counter()
         report = RecoveryReport(replica=replica_id)
         self._in_recovery = True
         tracer = self.tracer
         track = f"ft:r{replica_id}"
-        stage_start = self._now_ns()
+        started = clock = self._arrival_ns
         # The buffer stage spans the dead era itself: detect → recovery
         # start, everything that arrived meanwhile held in order.
         tracer.span(
             "buffer",
             track,
             dead.killed_ns,
-            stage_start - dead.killed_ns,
+            started - dead.killed_ns,
             packets=len(dead.buffered),
             frozen_absorbed=dead.frozen_absorbed,
         )
@@ -464,22 +470,14 @@ class FaultTolerance:
                     items=checkpoint.item_count(),
                 )
 
-            now = self._now_ns()
-            tracer.span(
-                "restore",
-                track,
-                stage_start,
-                now - stage_start,
-                flows=report.flows_restored,
-            )
-            self._m_restore_ns.inc(now - stage_start)
-            stage_start = now
+            tracer.span("restore", track, clock, 0.0, flows=report.flows_restored)
 
             # 4. Replay the input log through the normal pipeline —
             # snapshot-covered flows from their checkpoint position,
             # snapshot-less flows (born since the last checkpoint) from
             # their first logged packet.
             rebuilt_flows: set = set()
+            stage_start = clock
             for entry in tail:
                 if entry.key in finished:
                     continue  # flow finished before the kill: nothing to rebuild
@@ -488,7 +486,7 @@ class FaultTolerance:
                 # A replayed clone must never land in a concurrently-dead
                 # peer's buffer (it would be delivered live later — a dup).
                 self._alive_home(entry.key)
-                cluster.process(entry.packet.clone())
+                clock += cluster.process(entry.packet.clone()).latency_ns
                 report.packets_replayed += 1
             report.flows_rebuilt = len(rebuilt_flows)
             self._m_replayed.inc(report.packets_replayed)
@@ -501,41 +499,41 @@ class FaultTolerance:
                 rebuilt_flows=report.flows_rebuilt,
             )
 
-            now = self._now_ns()
             tracer.span(
                 "replay",
                 track,
                 stage_start,
-                now - stage_start,
+                clock - stage_start,
                 replayed=report.packets_replayed,
                 rebuilt_flows=report.flows_rebuilt,
             )
-            self._m_replay_ns.inc(now - stage_start)
-            stage_start = now
 
             # 5. Deliver the buffered in-flight packets in arrival order.
             # These are live deliveries: their outcomes count.  A packet
             # whose flow is homed on *another* dead replica (concurrent
             # failure) re-buffers there and is delivered by that recovery.
-            # With charge_recovery on, each delivery is charged the wall
-            # time from failure detection to its delivery as simulated
-            # stall — the recovery cost lands on the packets that paid
-            # it, not just on a wall-clock side channel.
+            # With charge_recovery on, each delivery is charged the
+            # simulated stall from its arrival (unstamped: from the kill)
+            # to the start of its delivery — the recovery cost lands on
+            # the packets that paid it.
             charge = self.charge_recovery
             recovery_charges: List[StallCharge] = []
+            stage_start = clock
             for packet, arrival_ns in zip(dead.buffered, dead.arrivals):
                 flow = str(packet.five_tuple().canonical())
+                begins = clock
                 outcome = cluster.process(packet)
                 if outcome is None:
                     continue
-                report.packets_delivered += 1
+                clock += outcome.latency_ns
                 report.outcomes.append(outcome)
                 if charge and not outcome.dropped:  # a drop has no latency to charge
-                    stall_ns = self._now_ns() - dead.killed_ns
+                    arrival = dead.killed_ns if arrival_ns is None else arrival_ns
+                    stall_ns = begins - arrival
                     charged = StallCharge(
                         replica=replica_id,
                         flow=flow,
-                        arrival_ns=arrival_ns if arrival_ns is not None else 0.0,
+                        arrival_ns=arrival,
                         stall_ns=stall_ns,
                         service_ns=outcome.latency_ns,
                         cause="failover",
@@ -547,33 +545,23 @@ class FaultTolerance:
                     if self.forensics is not None:
                         self.forensics.note_stall(charged)
 
-            now = self._now_ns()
             tracer.span(
                 "drain",
                 track,
                 stage_start,
-                now - stage_start,
+                clock - stage_start,
                 delivered=report.packets_delivered,
             )
-            self._m_drain_ns.inc(now - stage_start)
-            stage_start = now
 
             # 6. Fresh checkpoints on every alive replica: a second
             # failure replays from now, not from the dead replica's era
             # (the replays and deliveries above bypassed the input logs).
             for rid in sorted(cluster.replicas):
                 self.checkpoint_replica(rid, cause="post_recovery")
-            now = self._now_ns()
-            tracer.span(
-                "re-checkpoint",
-                track,
-                stage_start,
-                now - stage_start,
-                replicas=len(cluster.replicas),
-            )
+            tracer.span("re-checkpoint", track, clock, 0.0, replicas=len(cluster.replicas))
         finally:
             self._in_recovery = False
-        report.duration_s = time.perf_counter() - started
+        report.duration_ns = clock - started
         self.recoveries.append(report)
         self._m_recoveries.inc()
         # The stall regime shifted the moment these deliveries were
@@ -592,7 +580,7 @@ class FaultTolerance:
             flows_rebuilt=report.flows_rebuilt,
             replayed=report.packets_replayed,
             delivered=report.packets_delivered,
-            duration_ms=round(report.duration_s * 1000.0, 3),
+            duration_ms=round(report.duration_ns / 1e6, 3),
         )
         return report
 

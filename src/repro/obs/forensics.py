@@ -152,10 +152,11 @@ class StallCharge:
     """One packet's charged stall: recovery / freeze time on its clock.
 
     Produced by the FT coordinator when ``charge_recovery`` is on: a
-    buffered packet delivered by failover is charged the wall time from
-    failure detection to its delivery, mapped onto the simulated
-    timeline.  ``latency_ns`` is built in the canonical component order
-    so the decomposition invariant holds by construction.
+    buffered packet delivered by failover is charged the simulated time
+    from its arrival (from the kill, when it has no arrival stamp) to
+    the start of its delivery on the recovery clock.  ``latency_ns`` is
+    built in the canonical component order so the decomposition
+    invariant holds by construction.
     """
 
     replica: Any

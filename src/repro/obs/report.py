@@ -213,7 +213,7 @@ def render_timeline(events: Sequence[Dict[str, Any]]) -> str:
 def render_recovery_table(events: Sequence[Dict[str, Any]]) -> str:
     """One row per completed failover (``ft_failover_complete``): flows
     restored vs rebuilt, log packets replayed, buffered packets
-    delivered, wall-clock cost."""
+    delivered, simulated recovery time."""
     rows = [
         [
             event.get("replica", "?"),

@@ -235,13 +235,14 @@ class ScaleCluster:
 
         Advances the fault clock (which may execute an armed kill or
         recovery), honours a migration freeze, finds the flow's home,
-        buffers against a dead home — with the packet's offered time,
-        when a loaded run knows it, so recovery can charge the stall —
-        and otherwise records the home and logs the dispatch.
+        buffers against a dead home, and otherwise records the home and
+        logs the dispatch.  A loaded run passes the packet's offered
+        time: a kill or recovery it triggers lands then, and a buffered
+        packet's stall is charged from then.
         """
         ft = self.ft
         if ft is not None:
-            ft.tick(packet)
+            ft.tick(packet, arrival_ns)
         buffer = self._frozen.get(key)
         if buffer is not None:
             buffer.append(packet)

@@ -339,7 +339,7 @@ def test_scale_churn_and_kill_checkpoint_like_the_exhaustive_round(tmp_path, mon
     from repro.cli import main
 
     argv = ["scale", "--replicas", "4", "--kill-at", "500", "--checkpoint-every", "8",
-            "--churn", "6", "--seed", "11", "--no-charge-recovery"]
+            "--churn", "6", "--seed", "11"]
 
     def journal(name):
         assert main(argv + ["--obs-out", str(tmp_path / name)]) == 0

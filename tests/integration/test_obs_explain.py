@@ -10,9 +10,13 @@ fail with one clear message and exit code 2 — not a traceback.
 
 import pytest
 
-from repro.cli import main
+from repro.cli import main, make_trace_packets, pooled_chain_factory
+from repro.ft import FaultInjector, FaultTolerance
 from repro.obs import load_record
 from repro.obs.forensics import COMPONENTS
+from repro.platform.base import LoadResult
+from repro.scale import ScaleCluster
+from repro.traffic.generator import clone_packets
 
 
 class TestForensicsRoundTrip:
@@ -132,25 +136,24 @@ class TestFailoverForensics:
         journal = load_record(record).audit
         assert seqs[-1] == max(event["seq"] for event in journal)
 
-    def test_charged_stall_raises_reported_p99(self, capsys, tmp_path):
-        args = ["scale", "--replicas", "2", "--platforms", "bess",
-                "--flows", "30", "--checkpoint-every", "16", "--kill-at", "150"]
-        assert main(args) == 0
-        charged = capsys.readouterr().out
-        assert main(args + ["--no-charge-recovery"]) == 0
-        uncharged = capsys.readouterr().out
+    def test_charged_stall_raises_reported_p99(self):
+        """The same failover with and without charging: the charged
+        deliveries re-enter the latency population carrying their stall,
+        and lift the p99 above the uncharged run's."""
+        packets = make_trace_packets(30, 1)
 
-        def p99_of_two_replica_row(out):
-            for line in out.splitlines():
-                cells = line.split()
-                if cells[:2] == ["bess", "2"]:
-                    return float(cells[5])
-            raise AssertionError(f"no 2-replica row in:\n{out}")
+        def p99(charge_recovery):
+            cluster = ScaleCluster(pooled_chain_factory("nat,monitor,firewall"),
+                                   platform="bess", replicas=2)
+            ft = FaultTolerance(cluster, checkpoint_interval=16,
+                                injector=FaultInjector(kill_at=150),
+                                charge_recovery=charge_recovery)
+            result = cluster.run_load(clone_packets(packets))
+            ft.recover_all()
+            assert bool(ft.charged) == charge_recovery
+            return LoadResult.merged([result.total, ft.charged_result()]).latency_percentile(0.99)
 
-        # Charging maps the failover wall time (milliseconds) onto the
-        # buffered packets' simulated latency; without it the p99 stays
-        # at the microsecond queueing scale.
-        assert p99_of_two_replica_row(charged) > p99_of_two_replica_row(uncharged)
+        assert p99(True) > p99(False)
 
 
 class TestGracefulArtifactFailures:

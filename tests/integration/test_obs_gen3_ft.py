@@ -173,21 +173,3 @@ class TestRecoveryTimeline:
         assert len(detects) == 1
         stage_spans = [span for span in tracer.spans if span.track == track]
         assert all(detects[0].ts_ns <= span.start_ns for span in stage_spans)
-
-    def test_recovery_metrics_accumulate(self):
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cluster = ScaleCluster(build_chain, replicas=2, metrics=registry)
-        ft = FaultTolerance(
-            cluster,
-            checkpoint_interval=8,
-            injector=FaultInjector(kill_at=40),
-        )
-        cluster.run_load(clone_packets(workload(flows=16, packets_per_flow=6)))
-        assert ft.dead
-        ft.recover_all()
-        snapshot = registry.snapshot()
-        assert snapshot.get("ft_restore_ns_total", 0.0) >= 0.0
-        assert snapshot.get("ft_replay_ns_total", 0.0) > 0.0
-        assert snapshot.get("ft_drain_ns_total", 0.0) >= 0.0

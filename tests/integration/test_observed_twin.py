@@ -42,7 +42,6 @@ def scale_args(tmp_path):
         "scale", "--chain", CHAIN, "--obs-out", str(tmp_path / "record"),
         "--slo", "p99<250us", "--slo", "loss<0.1%",
         "--kill-at", str(KILL_AT), "--recover-after", str(RECOVER_AFTER),
-        "--no-charge-recovery",
     ])
 
 
@@ -60,7 +59,6 @@ def unobserved(platform: str, replicas: int):
         checkpoint_interval=32,
         injector=injector(replicas),
         audit=AuditLog(),
-        charge_recovery=False,
     )
     return cluster, ft
 
@@ -112,8 +110,7 @@ def row_verdicts(tmp_path, platforms: str):
     argv = ["scale", "--chain", CHAIN, "--replicas", "3", "--platforms", platforms,
             "--flows", "40", "--seed", "1", "--obs-out", str(out),
             "--slo", "p99<60us", "--slo", "loss<0.1%",
-            "--kill-at", str(KILL_AT), "--recover-after", str(RECOVER_AFTER),
-            "--no-charge-recovery"]
+            "--kill-at", str(KILL_AT), "--recover-after", str(RECOVER_AFTER)]
     assert main(argv) == 0
     record = load_record(out)
     verdicts = [
@@ -150,14 +147,11 @@ def scale_record(tmp_path, platforms: str):
 def regime_shifts(record, first: int) -> list:
     """The record's ``latency_regime_shift`` events from the first event
     of window ``first`` on, without their sequence numbers and window
-    indices, and without a recovery's stall magnitudes (charged from
-    wall-clock recovery time)."""
+    indices."""
     begin = min(event["seq"] for event in record.audit
                 if event.get("window") is not None and event["window"] >= first)
     return [
-        {key: value for key, value in event.items()
-         if key not in ("seq", "window", "current", "stall_max_ns")
-         or (key == "current" and event["metric"] != "stall_charge")}
+        {key: value for key, value in event.items() if key not in ("seq", "window")}
         for event in record.audit
         if event["kind"] == "latency_regime_shift" and event["seq"] >= begin
     ]

@@ -496,7 +496,7 @@ def test_cluster_kill_and_recover_window(routes, monkeypatch):
     assert result.per_replica[recovery.replica].offered > 0
     assert recovery.packets_delivered == ft.packets_buffered > 0
     total = result.total
-    assert len(packets) == total.delivered + total.dropped + recovery.packets_delivered
+    assert len(packets) == total.delivered + total.dropped + len(recovery.outcomes)
     assert total.offered == sum(part.offered for part in result.per_replica.values())
     assert routes == ["analytic"] * 3
     for rid, part in result.per_replica.items():
@@ -563,7 +563,8 @@ def test_shared_recorder_keeps_an_earlier_runs_stamps():
 
 def test_a_recovered_packet_that_is_dropped_is_not_charged():
     """Failover charges its stall to the buffered packets it delivers; a
-    recovered packet the chain drops has no latency to carry it."""
+    recovered packet the chain drops is not delivered and has no latency
+    to carry it."""
     cluster = ScaleCluster(all_drop_chain, platform="onvm", replicas=3)
     ft = FaultTolerance(
         cluster, checkpoint_interval=8, injector=FaultInjector(kill_at=40, recover_after=12)
@@ -571,7 +572,8 @@ def test_a_recovered_packet_that_is_dropped_is_not_charged():
     packets = list(uniform_batch(12, 8, interleave="round_robin", block=8).packet_view())
     result = cluster.run_load(packets, inter_arrival_ns=180.5)
     (recovery,) = ft.recoveries
-    assert recovery.packets_delivered == ft.packets_buffered > 0
+    assert len(recovery.outcomes) == ft.packets_buffered > 0
+    assert recovery.packets_delivered == 0
     assert recovery.packets_charged == 0 and not ft.charged
     total = LoadResult.merged([result.total, ft.charged_result()])
     assert (total.delivered, total.dropped) == (0, len(packets) - ft.packets_buffered)

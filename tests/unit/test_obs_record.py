@@ -40,11 +40,13 @@ def test_two_runs_of_one_command_leave_byte_identical_directories(level, tmp_pat
 
 
 #: Commands that run the whole-batch lane, the per-packet sweep and the
-#: cluster router, recorded like ``DEMO``.
+#: cluster router (also through a failover), recorded like ``DEMO``.
 LANE_AND_CLUSTER = {
     "batch": ["batch", "--flows", "200", "--packets-per-flow", "5"],
     "sweep": ["sweep", "--max-length", "3"],
     "scale": ["scale", "--replicas", "2", "--platforms", "bess"],
+    "scale-failover": ["scale", "--replicas", "2", "--platforms", "bess", "--kill-at", "200",
+                       "--recover-after", "20", "--gap-ns", "1000"],
 }
 
 

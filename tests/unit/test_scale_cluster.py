@@ -317,8 +317,8 @@ class TestClusterOffersThroughThePlatformsPass:
         (recovery,) = ft.recoveries
         total = result.total
         assert recovery.packets_delivered == ft.packets_buffered > 0
-        assert len(packets) == total.delivered + total.dropped + recovery.packets_delivered
-        assert recovery.packets_replayed + recovery.packets_delivered == sum(process_calls.values())
+        assert len(packets) == total.delivered + total.dropped + len(recovery.outcomes)
+        assert recovery.packets_replayed + len(recovery.outcomes) == sum(process_calls.values())
         assert process_calls[recovery.replica] == 0
         for rid, platform in platforms.items():
             assert platform.packets == result.per_replica[rid].offered + process_calls[rid]
@@ -327,3 +327,61 @@ class TestClusterOffersThroughThePlatformsPass:
         assert sorted(n for ns in numbers.values() for n in ns) == list(
             range(sum(platform.packets for platform in platforms.values()))
         )
+
+
+def test_recovery_runs_on_the_simulated_clock():
+    """The kill lands at the kill packet's offered arrival, recovery
+    starts at the recover packet's, and the clock advances by each
+    replayed packet's and then each buffered delivery's own latency: a
+    delivery's stall runs from its arrival to the start of its delivery."""
+    kill_at, recover_after, gap = 10, 6, 1000.0
+    cluster = ScaleCluster(build_chain, replicas=2, tracer=PacketTracer())
+    ft = FaultTolerance(
+        cluster,
+        checkpoint_interval=4,
+        injector=FaultInjector(kill_at=kill_at, recover_after=recover_after),
+        tracer=cluster.tracer,
+    )
+    outcomes = []  # every cluster.process call of the recovery, in order
+    process = cluster.process
+
+    def recorded(packet):
+        outcomes.append(process(packet))
+        return outcomes[-1]
+
+    cluster.process = recorded
+    packets = trace(flows=8, packets=8)
+    cluster.run_load(packets, inter_arrival_ns=gap)
+    arrival = {id(packet): index * gap for index, packet in enumerate(packets)}
+
+    (recovery,) = ft.recoveries
+    replays = outcomes[: recovery.packets_replayed]
+    deliveries = outcomes[recovery.packets_replayed:]
+    assert replays and deliveries == recovery.outcomes
+    assert not any(outcome.dropped for outcome in deliveries)
+    killed = kill_at * gap
+    started = clock = (kill_at + recover_after) * gap
+    for outcome in replays:
+        clock += outcome.latency_ns
+    replayed = clock
+    for outcome, charged in zip(deliveries, ft.charged):
+        assert charged.arrival_ns == arrival[id(outcome.packet)]
+        assert charged.stall_ns == clock - charged.arrival_ns
+        assert charged.service_ns == outcome.latency_ns
+        clock += outcome.latency_ns
+    assert len(ft.charged) == recovery.packets_charged == len(deliveries)
+    assert recovery.duration_ns == clock - started
+    assert recovery.stall_charged_ns == sum(charged.stall_ns for charged in ft.charged)
+
+    track = f"ft:r{recovery.replica}"
+    (detect,) = [marker for marker in ft.tracer.events()[1] if marker.track == track]
+    assert detect.ts_ns == killed
+    stages = {span.name: (span.start_ns, span.dur_ns)
+              for span in ft.tracer.spans if span.track == track}
+    assert stages == {
+        "buffer": (killed, started - killed),
+        "restore": (started, 0.0),
+        "replay": (started, replayed - started),
+        "drain": (replayed, clock - replayed),
+        "re-checkpoint": (clock, 0.0),
+    }
