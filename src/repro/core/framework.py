@@ -268,6 +268,11 @@ class SpeedyBox:
         self.fast_packets = 0
         #: structural changes made here (:attr:`generation`)
         self._changes = 0
+        #: fid -> ``_changes`` at its last structural change, and the
+        #: ``_changes`` of the last change to flows unnamed
+        #: (:meth:`_touch`): which flows moved since a reader looked
+        self._stamps: Dict[int, int] = {}
+        self._broad = 0
         self._flow_rows = [nf.flow_rows for nf in self.nfs if nf.flow_rows is not None]
         path_counter = metrics.counter(
             "path_packets_total", "packets by path taken through the runtime"
@@ -420,9 +425,9 @@ class SpeedyBox:
 
     def _run_original(self, packet: Packet, report: ProcessReport, record: bool) -> None:
         self.slow_packets += 1
-        self._changes += 1
-        self._m_slow.inc()
         fid = report.fid
+        self._touch(fid)
+        self._m_slow.inc()
         if record:
             for nf in self.nfs:
                 self.local_mats[nf.name].begin_recording(fid)
@@ -452,7 +457,7 @@ class SpeedyBox:
     def _consolidate(self, fid: int, meter: CycleMeter) -> GlobalRule:
         ordered = [(nf.name, self.local_mats[nf.name].rule_for(fid)) for nf in self.nfs]
         action_count = sum(len(rule.header_actions) for __, rule in ordered if rule is not None)
-        self._changes += 1
+        self._touch(fid)
         meter.charge(_CONSOLIDATE, max(action_count, 1))
         meter.charge(_RULE_INSTALL)
         return self.global_mat.build_rule(fid, ordered)
@@ -545,7 +550,7 @@ class SpeedyBox:
         packet counts) survives; the flow's next packet takes the
         original path and re-consolidates.
         """
-        self._changes += 1
+        self._touch(fid)
         self._invalidate_compiled(fid, reason="rule_evicted")
         for local_mat in self.local_mats.values():
             local_mat.delete_flow(fid)
@@ -562,7 +567,7 @@ class SpeedyBox:
         dangling compiled closure would keep serving a forgotten flow).
         """
         fid = entry.fid
-        self._changes += 1
+        self._touch(fid)
         self._invalidate_compiled(fid, reason="classifier_evict")
         self.global_mat.delete_flow(fid)
         for local_mat in self.local_mats.values():
@@ -574,13 +579,22 @@ class SpeedyBox:
         """FIN/RST cleanup across every table (§VI-B)."""
         if meter is not None:
             meter.charge(_FLOW_DELETE)
-        self._changes += 1
+        self._touch(fid)
         self._invalidate_compiled(fid, reason="flow_delete")
         self.global_mat.delete_flow(fid)
         for local_mat in self.local_mats.values():
             local_mat.delete_flow(fid)
         self.event_table.clear_flow(fid)
         self.classifier.remove_flow(fid)
+
+    def _touch(self, fid: Optional[int] = None) -> None:
+        """Count one structural change to the flow at ``fid`` (``None``:
+        to flows it does not name)."""
+        self._changes += 1
+        if fid is None:
+            self._broad = self._changes
+        else:
+            self._stamps[fid] = self._changes
 
     # -- migration support (repro.scale) -------------------------------------
 
@@ -635,11 +649,11 @@ class SpeedyBox:
         from the source's, the record is re-keyed to it.
         """
         record.resolve(self.nf_by_name)
-        self._changes += 1
         if record.classifier_entry is not None:
             fid = self.classifier.import_flow(record.classifier_entry)
             if fid != record.fid:
                 record.rekey(fid)
+        self._touch(record.fid)
         self._invalidate_compiled(record.fid, reason=reason)
         for name, rule in record.local_rules.items():
             local_mat = self.local_mats.get(name)
@@ -654,7 +668,8 @@ class SpeedyBox:
         """Fresh run: clear all tables and NF state."""
         # the fresh Event Table counts from 0: carry its count over, so
         # the generation still only grows
-        self._changes = self.generation + 1
+        self._changes = self._broad = self.generation + 1
+        self._stamps.clear()
         self.classifier = PacketClassifier(
             metrics=self.metrics,
             capacity=self.max_tracked_flows,

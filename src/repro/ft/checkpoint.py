@@ -24,7 +24,7 @@ on its own.  It also keeps the source chain's shape
 (:func:`~repro.scale.migration.chain_signature`).  Restoring onto a
 peer is the migration's install step,
 :func:`~repro.scale.migration.install_flow`: copy the stored records
-(the checkpoint stays pristine for a second failure), import them —
+once (the checkpoint stays pristine for a second failure), import them —
 which resolves every handler on the target's NFs — and import the NF
 states (``checkpoint_restore`` in the audit log; the flow's next packet
 compiles its lane on the new home).
@@ -37,24 +37,32 @@ recovery restores the snapshot and replays only log entries past it.
 **Refresh.**  A flow's Global MAT rule is built once and changes only
 when an event fires or the flow re-records, so between two rounds an
 established flow's tables stay the very same rows and only their
-counters move.  The first capture of a flow (:func:`capture_flow`, the
-full read and copy) therefore also keeps a *standing snapshot*: the
+counters move.  A capture of a flow (:func:`capture_flow`, the one
+reader of its tables) therefore also keeps a *standing snapshot*: the
 walk, the live rows it read per direction, and the copy (the skeleton,
 which nothing mutates afterwards).  A round is one pass over the
-replica's flows.  It reads the runtime's table generation
-(:attr:`~repro.core.framework.SpeedyBox.generation`) once: while it has
-not moved since a flow's rows and walk were last checked, they still
-stand, and the flow's refresh is one read of its counters.  Else the
-round checks that the rows are still the ones the tables hold — same
+replica's flows, each of which pays only for what changed since the
+round that last looked at it.  The runtime stamps each structural
+change with the FID it touched, the Event Table each registration, and
+each NF's :class:`~repro.nf.base.FlowRows` each row it files, drops or
+rewrites (:attr:`~repro.core.framework.SpeedyBox.generation` counts the
+same changes).  A flow none of whose FIDs or NF rows moved (each NF
+names the keys that cover its walk and state places,
+:meth:`~repro.nf.base.NetworkFunction.flow_keys`) is refreshed by one
+read of its counters.  Else the round re-checks it
+(:func:`_recheck`): the rows are still the ones the tables hold — same
 FIDs, same entry, Local MAT rules, action lists, batches and events, the
-same rule version, no direction gained or lost a FID — and that the walk
-is the same, or takes the full capture again.  NF states are read as
-one copy of each NF's row columns per round (:meth:`FlowRows.gather
-<repro.nf.base.FlowRows.gather>`), each flow reading its rows of it.  A
-refreshed flow is filed as its standing snapshot, pointing at the round;
-its :class:`FlowCheckpoint` is built only when something reads it
-(:meth:`CheckpointManager.snapshot_for`, recovery, pickling), and its
-``records`` only when they are read.
+same rule version — and the walk is the same; what still stands is
+handed to :func:`capture_flow`, which copies only the directions whose
+rows moved.  NF states are read as one copy of each NF's row columns per
+round (:meth:`FlowRows.gather <repro.nf.base.FlowRows.gather>`), each
+flow reading its rows of it.  A refreshed flow is filed as its standing
+snapshot, pointing at the round; its :class:`FlowCheckpoint` is built
+only when something reads it (:meth:`CheckpointManager.snapshot_for`,
+recovery, pickling), and its ``records`` only when they are read.  A
+flow restored by a recovery is filed from the records it installed
+(:meth:`CheckpointManager.adopt`), so the round after it re-checks it
+rather than copying it again.
 """
 
 from __future__ import annotations
@@ -196,35 +204,40 @@ class _Round:
 
 
 class _Standing:
-    """What a flow's last full capture read, kept to refresh it; a
-    refreshed flow is filed as this, pointing at its latest round."""
+    """What a flow's last capture read, kept to refresh it; a refreshed
+    flow is filed as this, pointing at its latest round."""
 
     __slots__ = (
-        "flow", "replica_id", "chain", "directions", "walk", "generation", "keys",
+        "flow", "replica_id", "chain", "directions", "walk", "mark", "watch", "nfs", "keys",
         "rows", "fidless", "skeleton", "live", "targets", "readers", "items", "peeks",
         "round", "counters", "peeked", "_checkpoint",
     )
 
-    def __init__(self, flow, replica_id, chain, walk, rows, fidless, skeleton, live):
+    def __init__(self, flow, replica_id, chain, walk, rows, fidless, skeleton, live, nfs):
         self.flow = flow
         self.replica_id = replica_id
         self.chain = chain
         self.directions = tuple(walk)
         #: the :func:`~repro.scale.migration.flow_walk`
         self.walk: Dict[FiveTuple, List[FiveTuple]] = walk
-        #: the runtime generation the rows and walk were last checked at;
-        #: the manager sets it
-        self.generation: Optional[int] = None
+        #: the runtime's :func:`_mark` when the rows and walk were last
+        #: checked (``None``: never here); the manager sets it
+        self.mark: Optional[tuple] = None
+        #: per NF, its rows and the keys that cover what the walk and the
+        #: NF state places read there (``None``: an NF keeps no rows),
+        #: found when first needed
+        self.watch: Optional[list] = None
+        self.nfs = nfs
         #: each walked direction's canonical key
         self.keys: List[FiveTuple] = [direction.canonical() for direction in walk]
         self.rows: List[_Rows] = rows
         #: walked directions the classifier had no FID for
         self.fidless = fidless or ()
-        #: the copied records; never mutated after the capture
+        #: the copied records, one per ``rows``; never mutated
         self.skeleton: List[FlowRecord] = skeleton
-        #: the live records read, until the first refresh finds in them
-        #: the objects whose counters a round reads (``targets``, in the
-        #: skeleton's order) and the getter of each (``readers``)
+        #: the live records read, until the first counter reading finds
+        #: in them the objects whose counters a round reads (``targets``,
+        #: in the skeleton's order) and the getter of each (``readers``)
         self.live: Optional[List[FlowRecord]] = live
         self.targets: Optional[list] = None
         self.readers: list = []
@@ -239,18 +252,37 @@ class _Standing:
         self.peeked: Optional[list] = None
         self._checkpoint: Optional[FlowCheckpoint] = None
 
+    def watched(self) -> Optional[list]:
+        """:attr:`watch`; ``None`` when an NF without declared fields,
+        which stamps nothing, leaves any change to re-check the flow."""
+        if self.nfs is not None:
+            walked = list(self.walk.values())
+            nfs, self.nfs = self.nfs, None
+            if all(nf.flow_rows is not None for nf in nfs):
+                self.watch = [
+                    (nf.flow_rows, [observed[index] for observed in walked]
+                     if type(nf).flow_keys is NetworkFunction.flow_keys
+                     else [key for observed in walked for key in nf.flow_keys(observed[index])])
+                    for index, nf in enumerate(nfs)
+                ]
+        return self.watch
+
     def locate(self, items: list) -> None:
-        """File where the flow's NF states live (:func:`_places`)."""
+        """File where the flow's NF states live."""
         self.items = items
         self.peeks = tuple((nf, key) for __, key, nf, row in items if row is None)
 
-    def refresh(self, rnd: _Round) -> None:
-        """Read the counters (and the states of NFs without rows) into ``rnd``."""
+    def read_counters(self) -> list:
+        """The counters of every counted object in the live rows."""
         targets = self.targets
         if targets is None:
             targets, kinds = _counted(self.live)
             self.targets, self.readers, self.live = targets, [_GETTER[names] for names in kinds], None
-        self.counters = list(map(call, self.readers, targets))
+        return list(map(call, self.readers, targets))
+
+    def refresh(self, rnd: _Round) -> None:
+        """Read the counters (and the states of NFs without rows) into ``rnd``."""
+        self.counters = self.read_counters()
         self.round = rnd
         self._checkpoint = None
         if self.peeks:
@@ -322,14 +354,24 @@ class FlowCheckpoint:
         skeleton its later refreshes copy, so a reader that changes them
         changes those checkpoints too (restore copies them first)."""
         if self._records is None:
-            records = [record.copy() for record in self._standing.skeleton]
-            _apply_counters(records, self._counters)
-            self._records = records
+            self._records = self.fresh_records()
         return self._records
 
+    def fresh_records(self) -> List[FlowRecord]:
+        """The records as copies nothing else holds, each copied once."""
+        if self._records is not None:
+            return [record.copy() for record in self._records]
+        records = [record.copy() for record in self._standing.skeleton]
+        _apply_counters(records, self._counters)
+        return records
+
+    def skeleton(self) -> List[FlowRecord]:
+        """The records as read or as copied at the capture: the same
+        tables, the counters perhaps older.  Read-only."""
+        return self._records if self._records is not None else self._standing.skeleton
+
     def item_count(self) -> int:
-        records = self._records if self._records is not None else self._standing.skeleton
-        return len(records) + len(self.nf_states)
+        return len(self.skeleton()) + len(self.nf_states)
 
     def __reduce__(self):
         # Plain data only: the records, never the live rows a refresh reads.
@@ -357,40 +399,52 @@ def _checkpoint_of(filed: Union[FlowCheckpoint, _Standing]) -> FlowCheckpoint:
     return filed.checkpoint() if isinstance(filed, _Standing) else filed
 
 
-def _row(nf: NetworkFunction, key: FiveTuple) -> Optional[int]:
-    """The row holding the state ``nf`` keeps for ``key`` (``None``: the
-    NF declares no fields)."""
-    rows = nf.flow_rows
-    return None if rows is None else rows.index[nf.flow_place(key)]
+def _read_nf_states(observed: ObservedKeys, located: Optional[list] = None) -> List[NFStateItem]:
+    """What a migration's exports would take, read in place: a state two
+    directions resolve to (a NAT mapping) at the first of them.  Given
+    ``located``, the read is one pass over the rows, and each state's
+    (NF, row) is appended to it (the row ``None`` for an NF without
+    declared fields)."""
+    nf_states: List[NFStateItem] = []
+    places = set()
+    for nf, key in observed:
+        rows = nf.flow_rows
+        if rows is None or located is None:
+            (place, state), row = nf.peek_flow_state(key), None
+        else:
+            place = nf.flow_place(key)
+            if place is None:
+                continue
+            row = rows.index[place]
+            state = row_value(rows.columns, row)
+        if state is not None and (nf, place) not in places:
+            places.add((nf, place))
+            nf_states.append((nf.name, key, state))
+            if located is not None:
+                located.append((nf, row))
+    return nf_states
+
+
+def _items(nf_states: List[NFStateItem], located: list) -> list:
+    return [(name, key, nf, row) for (name, key, __), (nf, row) in zip(nf_states, located)]
 
 
 def _places(observed: ObservedKeys) -> list:
     """Where each state :func:`_read_nf_states` would read lives, found
-    without reading one: (NF name, observed key, NF, :func:`_row`)."""
+    without reading one: (NF name, observed key, NF, row)."""
     items = []
     places = set()
     for nf, key in observed:
-        if nf.flow_rows is None:
-            place, state = nf.peek_flow_state(key)
+        rows = nf.flow_rows
+        if rows is None:
+            (place, state), row = nf.peek_flow_state(key), None
         else:
             place = state = nf.flow_place(key)
+            row = None if place is None else rows.index[place]
         if state is not None and (nf, place) not in places:
             places.add((nf, place))
-            items.append((nf.name, key, nf, _row(nf, key)))
+            items.append((nf.name, key, nf, row))
     return items
-
-
-def _read_nf_states(observed: ObservedKeys) -> List[NFStateItem]:
-    """What a migration's exports would take, read in place: a state two
-    directions resolve to (a NAT mapping) at the first of them."""
-    nf_states: List[NFStateItem] = []
-    places = set()
-    for nf, key in observed:
-        place, state = nf.peek_flow_state(key)
-        if state is not None and (nf, place) not in places:
-            places.add((nf, place))
-            nf_states.append((nf.name, key, state))
-    return nf_states
 
 
 def capture_flow(
@@ -398,77 +452,151 @@ def capture_flow(
     flow: FiveTuple,
     replica_id: int = 0,
     log_seq: int = 0,
+    walk: Optional[Dict[FiveTuple, List[FiveTuple]]] = None,
+    kept: Optional[Dict[int, tuple]] = None,
+    items: Optional[list] = None,
+    chain: Optional[ChainSignature] = None,
 ) -> Optional[FlowCheckpoint]:
     """Snapshot one flow without disturbing it (read → copy).
 
     Returns ``None`` when the runtime holds nothing for the flow.  The
     SpeedyBox tables and the NFs' own states are only read.  On a
     SpeedyBox the checkpoint also carries the standing snapshot later
-    rounds refresh from.
+    rounds refresh from.  A round hands over what it has just checked:
+    the flow's ``walk``, the runtime's ``chain`` signature, ``kept``
+    (FID -> the ``_Rows`` that still stand and their copied record), whose
+    records are not copied again (the counters are read instead), and
+    the NF state places and rows (``items``) when they stand, which are
+    read without looking them up again.
     """
     key = flow.canonical()
     nfs = list(runtime.nfs)
-    walk = flow_walk(nfs, key)
+    if walk is None:
+        walk = flow_walk(nfs, key)
 
     records: List[FlowRecord] = []
     live: List[FlowRecord] = []
     rows: List[_Rows] = []
     fidless: List[FiveTuple] = []
-    if isinstance(runtime, SpeedyBox):
+    speedy = isinstance(runtime, SpeedyBox)
+    reused = False
+    if speedy:
+        fid_for = runtime.classifier.fid_for
         for direction in walk:
-            fid = runtime.classifier.fid_for(direction)
+            fid = fid_for(direction)
             if fid is None:
                 fidless.append(direction)
-            else:
-                read = runtime.peek_flow(fid)
-                records.append(read.copy())
-                live.append(read)
+                continue
+            read = runtime.peek_flow(fid)
+            standing_rows = kept.get(fid) if kept else None
+            if standing_rows is None:
                 rows.append(_Rows(fid, runtime, read))
-    nf_states = _read_nf_states(_observed(nfs, walk))
+                records.append(read.copy())
+            else:
+                rows.append(standing_rows[0])
+                records.append(standing_rows[1])
+                reused = True
+            live.append(read)
+    if items is None:
+        located: list = []
+        nf_states = _read_nf_states(_observed(nfs, walk), located)
+        items = _items(nf_states, located)
+    else:
+        nf_states = [
+            (name, state_key, nf.peek_flow_state(state_key)[1] if row is None
+             else row_value(nf.flow_rows.columns, row))
+            for name, state_key, nf, row in items
+        ]
 
     if not records and not nf_states:
         return None
-    chain = chain_signature(nfs)
-    standing = None
-    if isinstance(runtime, SpeedyBox):
-        standing = _Standing(key, replica_id, chain, walk, rows, fidless, records, live)
-        nf_by_name = runtime.nf_by_name
-        standing.locate([
-            (name, state_key, nf_by_name[name], _row(nf_by_name[name], state_key))
-            for name, state_key, __ in nf_states
-        ])
+    if chain is None:
+        chain = chain_signature(nfs)
+    if not speedy:
+        return FlowCheckpoint(
+            key, replica_id, log_seq, chain=chain, directions=tuple(walk),
+            records=records, nf_states=nf_states,
+        )
+    standing = _Standing(key, replica_id, chain, walk, rows, fidless, records, live, nfs)
+    standing.locate(items)
     return FlowCheckpoint(
         key,
         replica_id,
         log_seq,
         chain=chain,
-        directions=standing.directions if standing is not None else tuple(walk),
-        records=records,
+        directions=standing.directions,
+        records=None if reused else records,
         nf_states=nf_states,
         standing=standing,
+        counters=standing.read_counters() if reused else None,
     )
 
 
-def _stands(standing: _Standing, runtime: SpeedyBox, generation: int) -> bool:
-    """Do the flow's rows and walk still stand?  Asked only when the
-    runtime's generation moved since they were last found standing."""
-    classifier = runtime.classifier
-    if any(classifier.fid_for(direction) is not None for direction in standing.fidless):
-        return False
-    if not all(rows.stand(runtime) for rows in standing.rows):
-        return False
-    # A mapping the walk read may have changed without a row of this flow
-    # to show it (a handshake, a flow without its rule, another
-    # connection's FIN, migration or restore on a NAT port two replicas
-    # both handed out).
-    walk = flow_walk(runtime.nfs, standing.flow)
-    if list(walk.items()) != list(standing.walk.items()):
-        return False
-    standing.generation = generation
-    # A state may have come or gone.  (Over the stored walk: equal to the
-    # new one, and its keys are the objects the checkpoint already names.)
-    standing.locate(_places(_observed(runtime.nfs, standing.walk)))
-    return True
+def _mark(runtime: SpeedyBox) -> tuple:
+    """Where the runtime's change clocks stand: its own, the Event
+    Table's and each NF's rows'."""
+    return (
+        runtime._changes,
+        runtime.event_table.total_registered,
+        tuple(rows.changes for rows in runtime._flow_rows),
+    )
+
+
+def _moved(standing: _Standing, runtime: SpeedyBox):
+    """What can have changed since the flow was last checked, read off
+    the change stamps alone: ``False`` nothing, ``"rows"`` only its FIDs'
+    rows (its walk and NF state places stand), ``True`` anything."""
+    mark = standing.mark
+    watch = standing.watched()
+    if mark is None or watch is None:
+        return True
+    changes, registered, row_marks = mark
+    if runtime._broad > changes:
+        return True
+    for (flow_rows, keys), since in zip(watch, row_marks):
+        for key in keys:
+            if flow_rows.moved(key, since):
+                return True
+    stamps, registrations = runtime._stamps, runtime.event_table.stamps
+    for rows in standing.rows:
+        if stamps.get(rows.fid, 0) > changes or registrations.get(rows.fid, 0) > registered:
+            return "rows"
+    fid_for = runtime.classifier.fid_for
+    for direction in standing.fidless:
+        if fid_for(direction) is not None:
+            return "rows"
+    return False
+
+
+def _recheck(standing: _Standing, runtime: SpeedyBox, walk_again: bool = True):
+    """Do the flow's rows and walk still stand?  ``None`` when they all
+    do (the NF states re-located), else what :func:`capture_flow` can
+    reuse: ``(walk, kept, items)``, the walk as it is now, the rows that
+    still stand with their copies, by FID, and the NF state places when
+    they stand too.  Without ``walk_again`` the walk and the places are
+    known to stand."""
+    walk = flow_walk(runtime.nfs, standing.flow) if walk_again else standing.walk
+    kept = {
+        rows.fid: (rows, record)
+        for rows, record in zip(standing.rows, standing.skeleton)
+        if rows.stand(runtime)
+    }
+    fid_for = runtime.classifier.fid_for
+    if (
+        len(kept) < len(standing.rows)
+        or any(fid_for(direction) is not None for direction in standing.fidless)
+        # A mapping the walk read may have changed without a row of this
+        # flow to show it (another connection's FIN, migration or restore
+        # on a NAT port two replicas both handed out).
+        or (walk_again and list(walk.items()) != list(standing.walk.items()))
+    ):
+        return walk, kept, None if walk_again else standing.items
+    if walk_again:
+        # A state may have come or gone.  (Over the stored walk: equal to
+        # the new one, and its keys are the objects the checkpoint names.)
+        standing.locate(_places(_observed(runtime.nfs, standing.walk)))
+        standing.watch, standing.nfs = None, runtime.nfs
+    return None
 
 
 def _keys(checkpoint: FlowCheckpoint) -> List[FiveTuple]:
@@ -479,17 +607,19 @@ def _keys(checkpoint: FlowCheckpoint) -> List[FiveTuple]:
     return [direction.canonical() for direction in checkpoint.directions]
 
 
-def restore_flow(checkpoint: FlowCheckpoint, runtime: Runtime) -> None:
-    """Install a checkpoint into ``runtime``.
+def restore_flow(checkpoint: FlowCheckpoint, runtime: Runtime) -> List[FlowRecord]:
+    """Install a checkpoint into ``runtime``; returns the records installed.
 
     ``runtime`` must have the checkpointed chain's shape
     (:class:`~repro.scale.migration.MigrationError` otherwise, before
-    anything is installed).  The stored records are copied first, so the
+    anything is installed).  The stored records are copied once, so the
     checkpoint stays reusable (a second failure on the new home can
     restore from it again until a fresher snapshot replaces it).
     """
     check_same_shape(checkpoint.chain, runtime.nfs)
-    install_flow(runtime, checkpoint.records, checkpoint.nf_states, reason="checkpoint_restore")
+    records = checkpoint.fresh_records()
+    install_flow(runtime, records, checkpoint.nf_states, reason="checkpoint_restore", copy=False)
+    return records
 
 
 class CheckpointManager:
@@ -511,6 +641,8 @@ class CheckpointManager:
         #: keys a round found without state, skipped until dispatched
         #: again (the cluster never forgets a home)
         self._stateless: set = set()
+        #: id(runtime) -> (runtime, its chain signature)
+        self._chains: Dict[int, tuple] = {}
         self.checkpoints_taken = 0
         self._m_checkpoints = metrics.counter(
             "ft_checkpoints_total", "replica-wide checkpoint rounds taken"
@@ -526,16 +658,16 @@ class CheckpointManager:
         runtime = self.cluster.replicas[replica_id].runtime
         homed = self.cluster.flows_homed_on(replica_id)
         skipped = {key for key in homed if key in self._stateless} if self._stateless else set()
-        # One read of the generation and, at the first refresh, one copy
-        # of every NF's row columns serve the whole round.
-        generation = runtime.generation if isinstance(runtime, SpeedyBox) else None
+        # One read of the change clocks and, at the first refresh, one
+        # copy of every NF's row columns serve the whole round.
+        mark = _mark(runtime) if isinstance(runtime, SpeedyBox) else None
         rounds: List[_Round] = []
         seen: set = set()
         captured = 0
         for key in sorted(key for key in homed if key not in skipped):
             if key in seen:
                 continue
-            filed = self._capture(runtime, key, replica_id, log_seq, generation, rounds)
+            filed = self._capture(runtime, key, replica_id, log_seq, mark, rounds)
             if filed is None:
                 # The flow's state is gone (closed since last round): a
                 # stale snapshot must not resurrect it at recovery.
@@ -551,7 +683,7 @@ class CheckpointManager:
                     # directions: capture the flow from it, as a round
                     # over every key would (its store replaces the
                     # checkpoint just stored).
-                    recaptured = self._full_capture(runtime, first, replica_id, log_seq)
+                    recaptured = self._full_capture(runtime, first, replica_id, log_seq, mark)
                     if recaptured is not None:
                         keys = _keys(recaptured)
             seen.update(keys)
@@ -569,35 +701,44 @@ class CheckpointManager:
         return captured
 
     def _full_capture(
-        self, runtime: Runtime, key: FiveTuple, replica_id: int, log_seq: int
+        self, runtime: Runtime, key: FiveTuple, replica_id: int, log_seq: int,
+        mark: Optional[tuple], walk=None, kept=None, items=None,
     ) -> Optional[FlowCheckpoint]:
-        checkpoint = capture_flow(runtime, key, replica_id=replica_id, log_seq=log_seq)
+        cached = self._chains.get(id(runtime))
+        if cached is None or cached[0] is not runtime:
+            cached = self._chains[id(runtime)] = (runtime, chain_signature(runtime.nfs))
+        checkpoint = capture_flow(
+            runtime, key, replica_id=replica_id, log_seq=log_seq, walk=walk, kept=kept,
+            items=items, chain=cached[1],
+        )
         if checkpoint is not None:
             if checkpoint._standing is not None:
-                checkpoint._standing.generation = runtime.generation
+                checkpoint._standing.mark = mark
             self.store(checkpoint)
         return checkpoint
 
     def _capture(
         self, runtime: Runtime, key: FiveTuple, replica_id: int, log_seq: int,
-        generation: Optional[int], rounds: List[_Round],
+        mark: Optional[tuple], rounds: List[_Round],
     ) -> Union[FlowCheckpoint, _Standing, None]:
         """Refresh the flow's standing snapshot into this round (the
         round's first refresh takes its reading, ``rounds[0]``), or
-        capture it in full."""
+        capture it, reusing what still stands."""
         filed = self._snapshots.get(key)
         standing = filed if isinstance(filed, _Standing) or filed is None else filed._standing
-        if (
-            standing is not None
-            and standing.replica_id == replica_id
-            and (standing.generation == generation or _stands(standing, runtime, generation))
-        ):
-            if not rounds:
-                rounds.append(_Round(runtime, log_seq))
-            standing.refresh(rounds[0])
-            self._file_refresh(standing)
-            return standing
-        return self._full_capture(runtime, key, replica_id, log_seq)
+        if standing is None or standing.replica_id != replica_id:
+            return self._full_capture(runtime, key, replica_id, log_seq, mark)
+        moved = standing.mark != mark and _moved(standing, runtime)
+        if moved:
+            found = _recheck(standing, runtime, moved is True)
+            if found is not None:
+                return self._full_capture(runtime, key, replica_id, log_seq, mark, *found)
+        standing.mark = mark
+        if not rounds:
+            rounds.append(_Round(runtime, log_seq))
+        standing.refresh(rounds[0])
+        self._file_refresh(standing)
+        return standing
 
     def _file_refresh(self, standing: _Standing) -> None:
         """:meth:`store` a refresh: it has its predecessor's flow and directions,
@@ -611,16 +752,13 @@ class CheckpointManager:
                 return self.store(standing)
         self._snapshots[flow] = standing
 
-    def note_dispatched(self, key: FiveTuple) -> None:
-        """A packet of ``key`` reached a replica: rounds try it again."""
-        self._stateless.discard(key)
-
     def snapshot_flow(
         self, replica_id: int, flow: FiveTuple, log_seq: int
     ) -> Optional[FlowCheckpoint]:
         """Capture one flow right after it migrates onto a replica."""
         runtime = self.cluster.replicas[replica_id].runtime
-        checkpoint = self._full_capture(runtime, flow, replica_id, log_seq)
+        mark = _mark(runtime) if isinstance(runtime, SpeedyBox) else None
+        checkpoint = self._full_capture(runtime, flow, replica_id, log_seq, mark)
         if checkpoint is not None:
             self._m_flows.inc()
             self.audit.emit(
@@ -632,6 +770,29 @@ class CheckpointManager:
                 cause="migrated_in",
             )
         return checkpoint
+
+    def adopt(self, checkpoint: FlowCheckpoint, replica_id: int, installed: List[FlowRecord]) -> None:
+        """File a flow that a recovery restored onto ``replica_id`` from the
+        records it installed there, the checkpoint's copies as skeleton, so
+        the next round checks its rows and walk instead of copying them.
+        Where the tables placed a record otherwise (another FID, another
+        probe count), the next round captures the flow in full."""
+        old = checkpoint._standing
+        runtime = self.cluster.replicas[replica_id].runtime
+        skeleton = checkpoint.skeleton()
+        if old is None or not isinstance(runtime, SpeedyBox) or any(
+            record.fid != copy.fid or record.classifier_entry.probes != copy.classifier_entry.probes
+            for record, copy in zip(installed, skeleton)
+        ):
+            return
+        standing = _Standing(
+            checkpoint.flow, replica_id, checkpoint.chain, old.walk,
+            [_Rows(record.fid, runtime, record) for record in installed],
+            old.fidless, skeleton, installed, runtime.nfs,
+        )
+        # Until a round reads it, the flow's checkpoint is the one restored.
+        standing._checkpoint = checkpoint
+        self.store(standing)
 
     def store(self, checkpoint: Union[FlowCheckpoint, _Standing]) -> None:
         self.drop_flow(checkpoint.flow)

@@ -4,15 +4,18 @@
 :class:`~repro.scale.cluster.ScaleCluster` (``cluster.ft``) and receives
 three hooks on the cluster's dispatch path:
 
-- :meth:`tick` — advances the :class:`~repro.ft.faults.FaultInjector`
-  before each packet, so an armed kill lands with traffic in flight;
-- :meth:`is_dead` / :meth:`buffer_packet` — packets addressed to a dead
-  replica's flows are buffered, never dropped, and delivered in arrival
-  order when recovery completes;
-- :meth:`note_dispatch` — logs a pre-processing clone of every packet a
-  replica receives (:class:`~repro.ft.pktlog.PacketLog`) and drives the
-  checkpoint cadence: every ``checkpoint_interval`` packets per replica,
-  snapshot all of its flows and trim its log.
+one hook on the cluster's dispatch path, :meth:`note_dispatch`, called
+once per packet in place of the cluster's own routing step:
+
+- it advances the :class:`~repro.ft.faults.FaultInjector` (:meth:`tick`)
+  before the packet is routed, so an armed kill lands with traffic in
+  flight;
+- packets addressed to a dead replica's flows are buffered, never
+  dropped, and delivered in arrival order when recovery completes;
+- every other packet is logged before processing in its replica's
+  :class:`~repro.ft.pktlog.PacketLog`, which drives the checkpoint
+  cadence: every ``checkpoint_interval`` packets per replica, snapshot
+  all of its flows and trim its log.
 
 Recovery (:meth:`recover`) follows Khalid & Akella's correctness bar —
 loss-free, duplicate-free, state-identical — with the classic
@@ -147,8 +150,9 @@ class FaultTolerance:
         self.audit = audit if audit is not None else cluster.audit
         metrics = cluster.metrics
         self.checkpoints = CheckpointManager(cluster, audit=self.audit, metrics=metrics)
+        #: per replica: its input log, which holds the packets
+        #: dispatched to it since its last checkpoint
         self.logs: Dict[int, PacketLog] = {}
-        self._since_checkpoint: Dict[int, int] = {}
         self.dead: Dict[int, DeadReplica] = {}
         self.recoveries: List[RecoveryReport] = []
         self.packets_buffered = 0
@@ -178,7 +182,46 @@ class FaultTolerance:
         self.tracer = tracer
         cluster.ft = self
 
-    # -- cluster hooks (called from ScaleCluster's dispatch path) -----------
+    # -- the cluster hook (ScaleCluster's dispatch path) ---------------------
+
+    def note_dispatch(self, packet: Packet, key, arrival_ns: Optional[float] = None) -> Optional[int]:
+        """Route one packet: the replica that takes it now, or ``None``
+        when it was buffered.
+
+        Advances the fault clock, then routes as the cluster does
+        (:meth:`~repro.scale.cluster.ScaleCluster._home`), buffers a
+        packet whose home is dead, and logs every other packet before
+        it is processed, taking the replica's checkpoint first when its
+        log holds ``checkpoint_interval`` packets.  Recovery's replays
+        and deliveries are routed, not logged.  ``arrival_ns`` is the
+        packet's offered arrival (loaded runs pass it).
+        """
+        recovering = self._in_recovery
+        if not recovering:
+            self.tick(packet, arrival_ns)
+        cluster = self.cluster
+        rid = cluster._home(packet, key)
+        if rid is None:
+            return None
+        dead = self.dead.get(rid)
+        if dead is not None:
+            # Don't record a home: a *new* flow hashed onto the dead
+            # replica gets a fresh home after the sharder rebalances.
+            # Recovery delivers the packet and counts its outcome.
+            self._buffer(dead, packet, arrival_ns)
+            return None
+        cluster._flow_homes[key] = rid
+        if not recovering:
+            log = self.logs.get(rid)
+            if log is None:
+                log = self._log_for(rid)
+            if len(log) >= self.checkpoint_interval:
+                self.checkpoint_replica(rid, cause="interval")
+            log.append(packet, key)
+        # Last: the packet is processed after this hook, so a round above
+        # may have found its key without state.
+        self.checkpoints._stateless.discard(key)
+        return rid
 
     def tick(self, packet: Packet, arrival_ns: Optional[float] = None) -> None:
         """Advance the fault clock; execute an armed kill/recovery.
@@ -186,8 +229,6 @@ class FaultTolerance:
         ``arrival_ns`` is the packet's offered arrival (loaded runs pass
         it): an action this packet triggers lands at that time.
         """
-        if self._in_recovery:
-            return
         if arrival_ns is not None:
             self._arrival_ns = arrival_ns
         action = self.injector.tick()
@@ -196,12 +237,7 @@ class FaultTolerance:
         elif action == "recover":
             self.recover_all()
 
-    def is_dead(self, replica_id: int) -> bool:
-        return replica_id in self.dead
-
-    def buffer_packet(
-        self, replica_id: int, packet: Packet, arrival_ns: Optional[float] = None
-    ) -> None:
+    def _buffer(self, dead: "DeadReplica", packet: Packet, arrival_ns: Optional[float]) -> None:
         """Hold an in-flight packet addressed to a dead replica's flow.
 
         ``arrival_ns`` is the packet's simulated arrival stamp (loaded
@@ -209,32 +245,16 @@ class FaultTolerance:
         the start of the packet's delivery when ``charge_recovery`` is
         on.
         """
-        dead = self.dead[replica_id]
         dead.buffered.append(packet)
         dead.arrivals.append(arrival_ns)
         self.packets_buffered += 1
         self._m_buffered.inc()
         self.audit.emit(
             "ft_buffer",
-            replica=replica_id,
+            replica=dead.replica_id,
             flow=str(packet.five_tuple().canonical()),
             buffered=len(dead.buffered),
         )
-
-    def note_dispatch(self, packet: Packet, key, replica_id: int) -> None:
-        """Log the packet pre-processing; run the checkpoint cadence."""
-        if not self._in_recovery:
-            if self._since_checkpoint.get(replica_id, 0) >= self.checkpoint_interval:
-                self.checkpoint_replica(replica_id, cause="interval")
-            log = self._log_for(replica_id)
-            log.append(packet, key)
-            self._since_checkpoint[replica_id] = (
-                self._since_checkpoint.get(replica_id, 0) + 1
-            )
-        # Last: the packet is processed after this hook, so a round above
-        # may have found its key without state.  Recovery's replays and
-        # deliveries count too.
-        self.checkpoints.note_dispatched(key)
 
     def on_flow_migrated(self, key, src_rid: int, dst_rid: int) -> None:
         """A flow's state moved src→dst: its old snapshot is now wrong.
@@ -262,6 +282,8 @@ class FaultTolerance:
                 on_full=lambda rid=replica_id: self.checkpoint_replica(
                     rid, cause="log_full"
                 ),
+                audit=self.audit,
+                metrics=self.cluster.metrics,
             )
         return log
 
@@ -272,7 +294,6 @@ class FaultTolerance:
             replica_id, log_seq=log.last_seq, cause=cause
         )
         log.trim(log.last_seq)
-        self._since_checkpoint[replica_id] = 0
         return captured
 
     # -- kill ----------------------------------------------------------------
@@ -423,7 +444,7 @@ class FaultTolerance:
                 record.classifier_entry.five_tuple
                 for checkpoint in map(self.checkpoints.snapshot_for, orphan_keys)
                 if checkpoint is not None
-                for record in checkpoint.records
+                for record in checkpoint.skeleton()
             }
             closed_keys = set()
             for entry in tail:
@@ -452,7 +473,7 @@ class FaultTolerance:
                     self.checkpoints.drop_flow(checkpoint.flow)
                     continue
                 target = self._alive_home(checkpoint.flow)
-                restore_flow(checkpoint, cluster.replicas[target].runtime)
+                installed = restore_flow(checkpoint, cluster.replicas[target].runtime)
                 for direction in checkpoint.directions:
                     direction_key = direction.canonical()
                     snapshot_covered.add(direction_key)
@@ -469,6 +490,7 @@ class FaultTolerance:
                     log_seq=checkpoint.log_seq,
                     items=checkpoint.item_count(),
                 )
+                self.checkpoints.adopt(checkpoint, target, installed)
 
             tracer.span("restore", track, clock, 0.0, flows=report.flows_restored)
 
@@ -491,7 +513,6 @@ class FaultTolerance:
             report.flows_rebuilt = len(rebuilt_flows)
             self._m_replayed.inc(report.packets_replayed)
             del self.logs[replica_id]
-            self._since_checkpoint.pop(replica_id, None)
             self.audit.emit(
                 "ft_replay",
                 replica=replica_id,

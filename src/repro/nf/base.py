@@ -52,7 +52,7 @@ class FlowRows(Mapping):
     mapping it is key -> that value.  Values are immutable.
     """
 
-    __slots__ = ("fields", "index", "columns", "changes", "_free", "_adds")
+    __slots__ = ("fields", "index", "columns", "changes", "stamps", "cleared", "_free", "_adds")
 
     def __init__(self, fields: Tuple[FlowField, ...]):
         self.fields = fields
@@ -60,8 +60,11 @@ class FlowRows(Mapping):
         self.index: Dict[object, int] = {}
         self.columns: Tuple[list, ...] = tuple([] for __ in fields)
         #: rows filed, dropped or rewritten by an import so far (a
-        #: runtime's generation counts them)
+        #: runtime's generation counts them); each key's ``changes`` at
+        #: its row's latest such change, and at the latest :meth:`clear`
         self.changes = 0
+        self.stamps: Dict[object, int] = {}
+        self.cleared = 0
         self._free: List[int] = []
         self._adds = tuple(field.kind in ("count", "add") for field in fields)
 
@@ -79,7 +82,7 @@ class FlowRows(Mapping):
 
     def insert(self, key, values) -> int:
         """File a row for a key that has none; returns the row."""
-        self.changes += 1
+        self.touch(key)
         columns = self.columns
         # indexed loops: a zip costs more than the one or two fields it pairs
         if self._free:
@@ -98,7 +101,7 @@ class FlowRows(Mapping):
         row = self.index.pop(key, None)
         if row is None:
             return None
-        self.changes += 1
+        self.touch(key)
         self._free.append(row)
         columns = self.columns
         if len(columns) == 1:  # a teardown's pop: on the per-packet path
@@ -117,7 +120,7 @@ class FlowRows(Mapping):
         if row is None:
             self.insert(key, values)
             return
-        self.changes += 1
+        self.touch(key)
         for column, adds, field_value in zip(self.columns, self._adds, values):
             column[row] = column[row] + field_value if adds else field_value
 
@@ -126,8 +129,18 @@ class FlowRows(Mapping):
         reads a row of as it stood now."""
         return tuple(column.copy() for column in self.columns)
 
-    def clear(self) -> None:
+    def touch(self, key) -> None:
+        """Count one change to what ``key`` resolves to."""
         self.changes += 1
+        self.stamps[key] = self.changes
+
+    def moved(self, key, since: int) -> bool:
+        """Did ``key``'s row change after ``changes`` read ``since``?"""
+        return self.stamps.get(key, self.cleared) > since
+
+    def clear(self) -> None:
+        self.changes = self.cleared = self.changes + 1
+        self.stamps.clear()
         self.index.clear()
         for column in self.columns:
             column.clear()
@@ -225,6 +238,13 @@ class NetworkFunction:
         Stateless/non-rewriting NFs pass the tuple through unchanged.
         """
         return flow
+
+    def flow_keys(self, flow: FiveTuple) -> Tuple[object, ...]:
+        """The keys whose ``flow_rows`` stamps cover what
+        :meth:`flow_through` and :meth:`flow_place` read for ``flow``: while
+        none of them moved, both answer as before.  An NF that reads more
+        than the row at ``flow`` names it here and touches it."""
+        return (flow,)
 
     def flow_place(self, flow: FiveTuple) -> Optional[FiveTuple]:
         """The key of the row holding ``flow``'s state (``None``: no row).

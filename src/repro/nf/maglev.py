@@ -217,6 +217,7 @@ class MaglevLoadBalancer(NetworkFunction):
         else:
             self.reroutes += 1
             self._tracked[row] = selected.name
+            self.flow_rows.touch(flow)
         return selected
 
     def backend_failed(self, flow: FiveTuple) -> bool:

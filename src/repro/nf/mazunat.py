@@ -87,9 +87,11 @@ class MazuNAT(NetworkFunction):
         if key not in self.reverse:
             self._port_uses[key[1]] += 1
         self.reverse[key] = flow
+        self.mappings.touch(key)
 
     def _unbind(self, key: Tuple[int, int, int]) -> None:
         if self.reverse.pop(key, None) is not None:
+            self.mappings.touch(key)
             uses = self._port_uses
             uses[key[1]] -= 1
             if not uses[key[1]]:
@@ -199,6 +201,11 @@ class MazuNAT(NetworkFunction):
         if internal is not None:
             return FiveTuple(flow.src_ip, internal.src_ip, flow.src_port, internal.src_port, flow.protocol)
         return flow
+
+    def flow_keys(self, flow: FiveTuple) -> Tuple[object, ...]:
+        """The row at ``flow``, the reverse binding its return traffic
+        reads, and the row that binding names."""
+        return (flow, (flow.dst_ip, flow.dst_port, flow.protocol), self.flow_place(flow))
 
     def flow_place(self, flow: FiveTuple) -> Optional[FiveTuple]:
         """The internal (outbound) tuple owning the flow's mapping, if any."""

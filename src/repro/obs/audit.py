@@ -21,7 +21,8 @@ with causal flow identifiers:
   ``ft_kill`` / ``ft_buffer`` (in-flight packet held for a dead
   replica) / ``ft_freeze_absorbed`` (crash-during-migration guard) /
   ``ft_restore`` / ``ft_replay`` / ``ft_failover_complete``, one trail
-  per failure from injection to recovered;
+  per failure from injection to recovered, and ``ft_log_overflow`` (a
+  logged input dropped unreplayable from a full log);
 - cluster health — ``health_degraded`` / ``health_critical`` /
   ``health_recovered``, one event per replica *state transition* from
   :class:`repro.obs.health.HealthModel` (with the window index, score

@@ -47,6 +47,7 @@ STORY_KINDS = frozenset({
     "ft_restore",
     "ft_replay",
     "ft_failover_complete",
+    "ft_log_overflow",
     "health_degraded",
     "health_critical",
     "health_recovered",

@@ -233,16 +233,22 @@ class ScaleCluster:
         """The one routing step, unloaded and loaded alike: the replica
         that takes ``packet`` now, or ``None`` when it was buffered.
 
-        Advances the fault clock (which may execute an armed kill or
-        recovery), honours a migration freeze, finds the flow's home,
-        buffers against a dead home, and otherwise records the home and
-        logs the dispatch.  A loaded run passes the packet's offered
-        time: a kill or recovery it triggers lands then, and a buffered
-        packet's stall is charged from then.
+        With fault tolerance attached, its one per-packet hook routes
+        (:meth:`~repro.ft.failover.FaultTolerance.note_dispatch`: the
+        fault clock, a dead home, the input log).  A loaded run passes
+        the packet's offered time: a kill or recovery it triggers lands
+        then, and a buffered packet's stall is charged from then.
         """
-        ft = self.ft
-        if ft is not None:
-            ft.tick(packet, arrival_ns)
+        if self.ft is not None:
+            return self.ft.note_dispatch(packet, key, arrival_ns)
+        rid = self._home(packet, key)
+        if rid is not None:
+            self._flow_homes[key] = rid
+        return rid
+
+    def _home(self, packet: Packet, key: FiveTuple) -> Optional[int]:
+        """The replica ``key`` is homed on, or ``None`` when a migration
+        freeze buffered the packet."""
         buffer = self._frozen.get(key)
         if buffer is not None:
             buffer.append(packet)
@@ -250,17 +256,8 @@ class ScaleCluster:
             self._m_buffered.inc()
             self.audit.emit("migration_buffer", flow=str(key), buffered=len(buffer))
             return None
-        rid = self.home_of(key)
-        if ft is not None and ft.is_dead(rid):
-            # Don't record a home: a *new* flow hashed onto the dead
-            # replica gets a fresh home after the sharder rebalances.
-            # Recovery delivers the packet and counts its outcome.
-            ft.buffer_packet(rid, packet, arrival_ns=arrival_ns)
-            return None
-        self._flow_homes[key] = rid
-        if ft is not None:
-            ft.note_dispatch(packet, key, rid)
-        return rid
+        home = self._flow_homes.get(key)
+        return home if home is not None else self.sharder.replica_for(key)
 
     def _note_egress(self, packet: Packet, ingress_key: FiveTuple, rid: int) -> None:
         """Keep a rewritten connection's return traffic on this replica.

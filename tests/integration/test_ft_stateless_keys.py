@@ -127,12 +127,17 @@ class Run:
         #: per round: every stored snapshot, by value
         self.stored = []
 
-        real_dispatch = self.ft.note_dispatch
+        real_home = self.cluster._home
         real_round = self.ft.checkpoint_replica
 
-        def note_dispatch(packet, key, replica_id):
-            self.dispatched[replica_id].add(key)
-            real_dispatch(packet, key, replica_id)
+        def home(packet, key):
+            # Routing finds the home after the fault clock moved and
+            # before the replica's round runs: a packet for a live home
+            # is dispatched there.
+            replica_id = real_home(packet, key)
+            if replica_id is not None and replica_id not in self.ft.dead:
+                self.dispatched[replica_id].add(key)
+            return replica_id
 
         def checkpoint_replica(replica_id, cause="manual"):
             before = manager.attempts
@@ -150,7 +155,7 @@ class Run:
             )
             return captured
 
-        self.ft.note_dispatch = note_dispatch
+        self.cluster._home = home
         self.ft.checkpoint_replica = checkpoint_replica
 
     def run(self, packets) -> None:

@@ -668,3 +668,176 @@ def test_a_steady_round_builds_no_checkpoint_until_one_is_read(monkeypatch):
     expected = continue_run(reference, rest)
     assert continue_run(from_refresh, rest) == expected
     assert continue_run(from_full, rest) == expected
+
+
+# -- one case per capture cause -----------------------------------------------------
+#
+# A round captures a flow when it has no standing snapshot here (its first
+# capture, or a restore the round could not adopt), when its rows moved
+# under a walk that still stands, when its walk moved, and it finds
+# nothing when a FIN left no state.  A restored flow is filed from the
+# records it installed.  Whatever the cause, the filed checkpoint is the
+# one a fresh capture takes, down to its pickled bytes.
+
+
+def assert_filed_as_fresh(bench, flow, runtime=None, replica_id=0):
+    filed = bench.stored(flow)
+    fresh = capture_flow(
+        runtime or bench.runtime, flow, replica_id=replica_id, log_seq=filed.log_seq
+    )
+    assert checkpoint_view(filed) == checkpoint_view(fresh)
+    assert pickle.dumps(filed) == pickle.dumps(fresh)
+
+
+def spy_captures(bench, monkeypatch) -> list:
+    """Each capture a round makes: (flow, the walk it was handed or
+    ``None``, the FIDs whose rows it kept)."""
+    calls = []
+    real = checkpoint_module.capture_flow
+
+    def capture(runtime, flow, replica_id=0, log_seq=0, walk=None, kept=None, items=None,
+                chain=None):
+        calls.append((flow.canonical(), walk, sorted(kept or ())))
+        return real(runtime, flow, replica_id, log_seq, walk, kept, items, chain)
+
+    monkeypatch.setattr(checkpoint_module, "capture_flow", capture)
+    return calls
+
+
+def test_a_first_capture_is_filed_as_a_fresh_one(monkeypatch):
+    bench = Bench(nat_chain)
+    calls = spy_captures(bench, monkeypatch)
+    spec = FlowSpec.tcp("10.5.0.7", "99.3.0.1", 4000, 80, packets=3, handshake=True)
+    bench.send(TrafficGenerator([spec]).packets()[:2])
+    bench.round()
+    assert calls == [(spec.five_tuple.canonical(), None, [])]
+    assert_filed_as_fresh(bench, spec.five_tuple)
+
+
+def test_rows_that_moved_under_a_standing_walk_copy_only_their_direction(monkeypatch):
+    """A Toggle event rebuilds the forward direction's rule; the reverse
+    direction's rows stand, and its copy is reused, not taken again."""
+    bench = Bench(toggle_chain)
+    spec = FlowSpec.udp("10.5.0.7", "99.3.0.1", 4000, 53, packets=4)
+    reply = FlowSpec(spec.five_tuple.reversed(), packets=2, payload=b"re")
+    forward, backward = (TrafficGenerator([one]).packets() for one in (spec, reply))
+    bench.send(forward[:2] + backward)
+    bench.round()
+    before = bench.stored(spec.five_tuple)
+    (toggle,) = [nf for nf in bench.runtime.nfs if isinstance(nf, Toggle)]
+    toggle.armed[spec.five_tuple] = True
+    calls = spy_captures(bench, monkeypatch)
+    bench.send(forward[2:3])
+    bench.round()
+    ((flow, walk, kept),) = calls
+    assert walk == before._standing.walk
+    reverse_fid = bench.runtime.classifier.fid_for(reply.five_tuple)
+    assert kept == [reverse_fid]
+    after = bench.stored(spec.five_tuple)
+    assert not refreshed(after, before)
+    assert after.records[0].global_rule.version == 2
+    assert_filed_as_fresh(bench, spec.five_tuple)
+
+
+def test_a_walk_that_moved_is_captured_from_the_new_walk(monkeypatch):
+    bench = Bench(event_chain)
+    spec = FlowSpec.tcp("10.5.0.7", "99.3.0.1", 4000, 80, packets=4)
+    packets = TrafficGenerator([spec]).packets()
+    bench.send(packets[:2])
+    bench.round()
+    before = bench.stored(spec.five_tuple)
+    fail_a_backend(bench.runtime)
+    calls = spy_captures(bench, monkeypatch)
+    bench.send(packets[2:3])
+    bench.round()
+    ((walk, kept),) = [(walk, kept) for flow, walk, kept in calls if flow == before.flow]
+    assert walk is not None and walk != before._standing.walk
+    assert bench.stored(spec.five_tuple).directions != before.directions
+    assert_filed_as_fresh(bench, spec.five_tuple)
+
+
+def test_a_restored_flow_is_filed_from_the_records_it_installed(monkeypatch):
+    """The round after a recovery re-checks the adopted flow: no capture
+    walks or copies it again, and what it files is a fresh capture's."""
+    bench = Bench(nat_chain, replicas=2)
+    spec = homed_on(bench, 1, 4000, packets=4)
+    packets = TrafficGenerator([spec]).packets()
+    bench.send(packets[:3])
+    bench.ft.checkpoint_replica(1)
+    bench.ft.kill(1)
+    calls = spy_captures(bench, monkeypatch)
+    assert bench.ft.recover(1).flows_restored == 1
+    assert all(flow != spec.five_tuple.canonical() for flow, __, ___ in calls)
+    stored = bench.stored(spec.five_tuple)
+    assert stored.replica_id == 0 and stored._counters is not None  # a refresh
+    assert_filed_as_fresh(bench, spec.five_tuple)
+
+
+def test_a_fin_that_leaves_no_state_files_nothing(monkeypatch):
+    """The firewall forgets a connection's verdict at its FIN, and the
+    classifier the connection."""
+    bench = Bench(lambda: [IPFilter("fw")])
+    spec = FlowSpec.tcp("10.5.0.7", "99.3.0.1", 4000, 80, packets=3, fin=True)
+    packets = TrafficGenerator([spec]).packets()
+    bench.send(packets[:-1])
+    bench.round()
+    calls = spy_captures(bench, monkeypatch)
+    bench.send(packets[-1:])
+    bench.round()
+    assert [(flow, walk is not None) for flow, walk, __ in calls] == [
+        (spec.five_tuple.canonical(), True)
+    ]
+    assert bench.stored(spec.five_tuple) is None
+    assert capture_flow(bench.runtime, spec.five_tuple) is None
+
+
+#: ``cluster_ft``'s captures and re-checks by cause, at a quarter of its size
+PINNED_CAUSES = {"first": 45, "nothing left": 13, "stands": 11, "rows moved": 0, "walk moved": 13}
+
+
+def test_cluster_ft_pays_only_for_what_changed(monkeypatch):
+    """``cluster_ft``'s shape at a quarter of its size: 32 connections
+    over four ONVM replicas behind one NAT port pool, one replica killed
+    half way and recovered an eighth later, 32-packet rounds.  The
+    captures by cause and the rounds that re-read nothing are pinned: a
+    change that re-reads standing flows moves them."""
+    from repro.ft import FaultInjector
+    from tests.integration.test_ft_stateless_keys import chain_factory
+
+    specs = [
+        FlowSpec.tcp(f"10.3.0.{index + 1}", f"99.2.0.{index + 1}", 6000 + index, 80,
+                     packets=14, handshake=True, fin=True)
+        for index in range(32)
+    ]
+    packets = TrafficGenerator(specs, interleave="round_robin", seed=2019).packets()
+    cluster = ScaleCluster(chain_factory(), platform="onvm", replicas=4)
+    ft = FaultTolerance(
+        cluster, checkpoint_interval=32,
+        injector=FaultInjector(kill_at=len(packets) // 2, recover_after=len(packets) // 8),
+    )
+    causes = dict.fromkeys(("first", "nothing left", "stands", "rows moved", "walk moved"), 0)
+    real_capture, real_recheck = checkpoint_module.capture_flow, checkpoint_module._recheck
+
+    def capture(runtime, flow, replica_id=0, log_seq=0, walk=None, kept=None, items=None,
+                chain=None):
+        found = real_capture(runtime, flow, replica_id, log_seq, walk, kept, items, chain)
+        if found is None:
+            causes["nothing left"] += 1
+        elif walk is None:
+            causes["first"] += 1
+        return found
+
+    def recheck(standing, runtime, walk_again=True):
+        found = real_recheck(standing, runtime, walk_again)
+        if found is None:
+            causes["stands"] += 1
+        else:
+            same = list(found[0].items()) == list(standing.walk.items())
+            causes["rows moved" if same else "walk moved"] += 1
+        return found
+
+    monkeypatch.setattr(checkpoint_module, "capture_flow", capture)
+    monkeypatch.setattr(checkpoint_module, "_recheck", recheck)
+    cluster.run_load(packets)
+    assert ft.recoveries and ft.recoveries[0].flows_restored > 0
+    assert causes == PINNED_CAUSES

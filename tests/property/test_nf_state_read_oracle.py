@@ -72,6 +72,19 @@ def reference_read_nf_states(observed):
     return nf_states
 
 
+def reference_read_and_locate(observed, located=None):
+    """The reference reader, each state then located in a second pass
+    (the NF's row at the state's place) for a capture that asks."""
+    nf_states = reference_read_nf_states(observed)
+    if located is not None:
+        by_name = {nf.name: nf for nf, __ in observed}
+        for name, key, __ in nf_states:
+            nf = by_name[name]
+            rows = nf.flow_rows
+            located.append((nf, None if rows is None else rows.index[nf.flow_place(key)]))
+    return nf_states
+
+
 def internals(nfs, identity: bool = False) -> list:
     """Every NF's per-flow state, in each container's order (with each
     row's place in its columns, when asked)."""
@@ -267,7 +280,7 @@ def cluster_run(flows: int, seed: int, pooled: bool) -> list:
 def test_every_round_files_what_the_reference_round_filed(seed, pooled, monkeypatch):
     ours = cluster_run(24, seed, pooled)
     if pooled:
-        monkeypatch.setattr(checkpoint_module, "_read_nf_states", reference_read_nf_states)
+        monkeypatch.setattr(checkpoint_module, "_read_nf_states", reference_read_and_locate)
     monkeypatch.setattr(CheckpointManager, "_file_refresh", CheckpointManager.store)
     reference = cluster_run(24, seed, pooled)
     ours_rounds, ours_delivered = ours

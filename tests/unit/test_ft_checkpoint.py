@@ -21,6 +21,7 @@ from repro.net.flow import FiveTuple
 from repro.nf import IPFilter, MaglevLoadBalancer, MazuNAT, Monitor, SnortIDS
 from repro.nf.maglev import Backend
 from repro.obs.audit import AuditLog
+from repro.obs.registry import MetricsRegistry
 from repro.scale import MigrationError, ScaleCluster, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
 from tests.integration.helpers import (
@@ -381,6 +382,23 @@ class TestPacketLog:
         for packet in trace(flows=1, packets=4)[:3]:
             log.append(packet, packet.five_tuple().canonical())
         assert [entry.seq for entry in log.entries()] == [2, 3]
+
+    def test_an_overflow_is_counted_and_audited(self):
+        """A full log whose pressure hook makes no room drops its oldest
+        entry, an input recovery can no longer replay: each drop counts
+        in ``ft_log_overflow_total`` and emits one audit event."""
+        audit, metrics = AuditLog(), MetricsRegistry(enabled=True)
+        log = PacketLog(capacity=2, on_full=None, audit=audit, metrics=metrics)
+        packets = trace(flows=1, packets=4)[:4]
+        for packet in packets:
+            log.append(packet, packet.five_tuple().canonical())
+        assert [entry.seq for entry in log.entries()] == [3, 4]
+        assert log.overflowed == 2 and log.trimmed == 0
+        assert metrics.snapshot()["ft_log_overflow_total"] == 2
+        key = str(packets[0].five_tuple().canonical())
+        assert [(event["seq"], event["flow"]) for event in audit.events("ft_log_overflow")] == [
+            (1, key), (2, key)
+        ]
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
