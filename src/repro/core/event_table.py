@@ -146,8 +146,9 @@ class EventTable:
     def __init__(self, metrics: MetricsRegistry = NULL_REGISTRY):
         self._by_fid: Dict[int, List[Event]] = {}
         self.total_registered = 0
-        #: fid -> ``total_registered`` after its latest registration
-        self.stamps: Dict[int, int] = {}
+        #: fid -> ``total_registered`` after its latest registration,
+        #: while the runtime tracks changes
+        self.stamps: Optional[Dict[int, int]] = None
         self.total_triggered = 0
         self.total_checks = 0
         self._m_registered = metrics.counter(
@@ -163,7 +164,8 @@ class EventTable:
     def register(self, event: Event) -> None:
         self._by_fid.setdefault(event.fid, []).append(event)
         self.total_registered += 1
-        self.stamps[event.fid] = self.total_registered
+        if self.stamps is not None:
+            self.stamps[event.fid] = self.total_registered
         self._m_registered.inc()
 
     def events_for(self, fid: int) -> List[Event]:

@@ -268,10 +268,11 @@ class SpeedyBox:
         self.fast_packets = 0
         #: structural changes made here (:attr:`generation`)
         self._changes = 0
-        #: fid -> ``_changes`` at its last structural change, and the
-        #: ``_changes`` of the last change to flows unnamed
-        #: (:meth:`_touch`): which flows moved since a reader looked
-        self._stamps: Dict[int, int] = {}
+        #: once a reader tracks changes (:meth:`track_changes`): fid ->
+        #: ``_changes`` at its last structural change, and the ``_changes``
+        #: of the last change to flows unnamed (:meth:`_touch`); each
+        #: change to one flow stamps its FID where it is made
+        self._stamps: Optional[Dict[int, int]] = None
         self._broad = 0
         self._flow_rows = [nf.flow_rows for nf in self.nfs if nf.flow_rows is not None]
         path_counter = metrics.counter(
@@ -426,7 +427,11 @@ class SpeedyBox:
     def _run_original(self, packet: Packet, report: ProcessReport, record: bool) -> None:
         self.slow_packets += 1
         fid = report.fid
-        self._touch(fid)
+        # one structural change, stamped with its FID while a reader
+        # tracks changes (inline: per slow packet and per evicted flow)
+        self._changes += 1
+        if self._stamps is not None:
+            self._stamps[fid] = self._changes
         self._m_slow.inc()
         if record:
             for nf in self.nfs:
@@ -457,7 +462,9 @@ class SpeedyBox:
     def _consolidate(self, fid: int, meter: CycleMeter) -> GlobalRule:
         ordered = [(nf.name, self.local_mats[nf.name].rule_for(fid)) for nf in self.nfs]
         action_count = sum(len(rule.header_actions) for __, rule in ordered if rule is not None)
-        self._touch(fid)
+        self._changes += 1
+        if self._stamps is not None:
+            self._stamps[fid] = self._changes
         meter.charge(_CONSOLIDATE, max(action_count, 1))
         meter.charge(_RULE_INSTALL)
         return self.global_mat.build_rule(fid, ordered)
@@ -550,7 +557,9 @@ class SpeedyBox:
         packet counts) survives; the flow's next packet takes the
         original path and re-consolidates.
         """
-        self._touch(fid)
+        self._changes += 1
+        if self._stamps is not None:
+            self._stamps[fid] = self._changes
         self._invalidate_compiled(fid, reason="rule_evicted")
         for local_mat in self.local_mats.values():
             local_mat.delete_flow(fid)
@@ -567,7 +576,9 @@ class SpeedyBox:
         dangling compiled closure would keep serving a forgotten flow).
         """
         fid = entry.fid
-        self._touch(fid)
+        self._changes += 1
+        if self._stamps is not None:
+            self._stamps[fid] = self._changes
         self._invalidate_compiled(fid, reason="classifier_evict")
         self.global_mat.delete_flow(fid)
         for local_mat in self.local_mats.values():
@@ -579,7 +590,9 @@ class SpeedyBox:
         """FIN/RST cleanup across every table (§VI-B)."""
         if meter is not None:
             meter.charge(_FLOW_DELETE)
-        self._touch(fid)
+        self._changes += 1
+        if self._stamps is not None:
+            self._stamps[fid] = self._changes
         self._invalidate_compiled(fid, reason="flow_delete")
         self.global_mat.delete_flow(fid)
         for local_mat in self.local_mats.values():
@@ -587,14 +600,22 @@ class SpeedyBox:
         self.event_table.clear_flow(fid)
         self.classifier.remove_flow(fid)
 
-    def _touch(self, fid: Optional[int] = None) -> None:
-        """Count one structural change to the flow at ``fid`` (``None``:
-        to flows it does not name)."""
+    def _touch(self) -> None:
+        """Count one structural change to flows it does not name."""
         self._changes += 1
-        if fid is None:
+        if self._stamps is not None:
             self._broad = self._changes
-        else:
-            self._stamps[fid] = self._changes
+
+    def track_changes(self) -> None:
+        """From now on, stamp each structural change with the FID, the
+        event registration and the NF row it touched, so a reader can
+        tell which flows moved; what came before counts as a change to
+        every flow.  Until asked, nothing is stamped."""
+        if self._stamps is None:
+            self._stamps, self._broad = {}, self._changes
+            self.event_table.stamps = {}
+            for rows in self._flow_rows:
+                rows.track()
 
     # -- migration support (repro.scale) -------------------------------------
 
@@ -653,7 +674,9 @@ class SpeedyBox:
             fid = self.classifier.import_flow(record.classifier_entry)
             if fid != record.fid:
                 record.rekey(fid)
-        self._touch(record.fid)
+        self._changes += 1
+        if self._stamps is not None:
+            self._stamps[record.fid] = self._changes
         self._invalidate_compiled(record.fid, reason=reason)
         for name, rule in record.local_rules.items():
             local_mat = self.local_mats.get(name)
@@ -669,7 +692,7 @@ class SpeedyBox:
         # the fresh Event Table counts from 0: carry its count over, so
         # the generation still only grows
         self._changes = self._broad = self.generation + 1
-        self._stamps.clear()
+        tracking, self._stamps = self._stamps is not None, None
         self.classifier = PacketClassifier(
             metrics=self.metrics,
             capacity=self.max_tracked_flows,
@@ -695,6 +718,8 @@ class SpeedyBox:
         self._compiled_fids.clear()
         for nf in self.nfs:
             nf.reset()
+        if tracking:
+            self.track_changes()
 
 
 # Imported last: fastpath needs ProcessReport/PathTaken from this module,

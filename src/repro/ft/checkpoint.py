@@ -24,7 +24,7 @@ on its own.  It also keeps the source chain's shape
 (:func:`~repro.scale.migration.chain_signature`).  Restoring onto a
 peer is the migration's install step,
 :func:`~repro.scale.migration.install_flow`: copy the stored records
-once (the checkpoint stays pristine for a second failure), import them —
+(the checkpoint stays pristine for a second failure), import them —
 which resolves every handler on the target's NFs — and import the NF
 states (``checkpoint_restore`` in the audit log; the flow's next packet
 compiles its lane on the new home).
@@ -49,20 +49,19 @@ rewrites (:attr:`~repro.core.framework.SpeedyBox.generation` counts the
 same changes).  A flow none of whose FIDs or NF rows moved (each NF
 names the keys that cover its walk and state places,
 :meth:`~repro.nf.base.NetworkFunction.flow_keys`) is refreshed by one
-read of its counters.  Else the round re-checks it
-(:func:`_recheck`): the rows are still the ones the tables hold — same
-FIDs, same entry, Local MAT rules, action lists, batches and events, the
-same rule version — and the walk is the same; what still stands is
-handed to :func:`capture_flow`, which copies only the directions whose
-rows moved.  NF states are read as one copy of each NF's row columns per
-round (:meth:`FlowRows.gather <repro.nf.base.FlowRows.gather>`), each
-flow reading its rows of it.  A refreshed flow is filed as its standing
-snapshot, pointing at the round; its :class:`FlowCheckpoint` is built
-only when something reads it (:meth:`CheckpointManager.snapshot_for`,
-recovery, pickling), and its ``records`` only when they are read.  A
-flow restored by a recovery is filed from the records it installed
-(:meth:`CheckpointManager.adopt`), so the round after it re-checks it
-rather than copying it again.
+read of its counters.  Else the round re-checks it (:func:`_recheck`):
+the rows are still the ones the tables hold — same FIDs, same entry,
+Local MAT rules, action lists, batches and events, the same rule
+version, no direction gained or lost a FID — and the walk is the same
+(walked again only when an NF row moved), or captures the flow again
+from what still stands.  NF states are read as one copy of each NF's row
+columns per round (:meth:`FlowRows.gather
+<repro.nf.base.FlowRows.gather>`), each flow reading its rows of it.  A
+refreshed flow is filed as its standing snapshot, pointing at the round;
+its :class:`FlowCheckpoint` is built only when something reads it
+(:meth:`CheckpointManager.snapshot_for`, recovery, pickling), and its
+``records`` only when they are read.  A flow a recovery restored stands
+on the records it installed (:meth:`CheckpointManager.adopt`).
 """
 
 from __future__ import annotations
@@ -225,7 +224,7 @@ class _Standing:
         self.mark: Optional[tuple] = None
         #: per NF, its rows and the keys that cover what the walk and the
         #: NF state places read there (``None``: an NF keeps no rows),
-        #: found when first needed
+        #: found when first needed, from ``nfs``
         self.watch: Optional[list] = None
         self.nfs = nfs
         #: each walked direction's canonical key
@@ -233,11 +232,11 @@ class _Standing:
         self.rows: List[_Rows] = rows
         #: walked directions the classifier had no FID for
         self.fidless = fidless or ()
-        #: the copied records, one per ``rows``; never mutated
+        #: the copied records; never mutated after the capture
         self.skeleton: List[FlowRecord] = skeleton
-        #: the live records read, until the first counter reading finds
-        #: in them the objects whose counters a round reads (``targets``,
-        #: in the skeleton's order) and the getter of each (``readers``)
+        #: the live records read, until the first refresh finds in them
+        #: the objects whose counters a round reads (``targets``, in the
+        #: skeleton's order) and the getter of each (``readers``)
         self.live: Optional[List[FlowRecord]] = live
         self.targets: Optional[list] = None
         self.readers: list = []
@@ -260,9 +259,7 @@ class _Standing:
             nfs, self.nfs = self.nfs, None
             if all(nf.flow_rows is not None for nf in nfs):
                 self.watch = [
-                    (nf.flow_rows, [observed[index] for observed in walked]
-                     if type(nf).flow_keys is NetworkFunction.flow_keys
-                     else [key for observed in walked for key in nf.flow_keys(observed[index])])
+                    (nf.flow_rows, [key for keys in walked for key in nf.flow_keys(keys[index])])
                     for index, nf in enumerate(nfs)
                 ]
         return self.watch
@@ -272,17 +269,13 @@ class _Standing:
         self.items = items
         self.peeks = tuple((nf, key) for __, key, nf, row in items if row is None)
 
-    def read_counters(self) -> list:
-        """The counters of every counted object in the live rows."""
+    def refresh(self, rnd: _Round) -> None:
+        """Read the counters (and the states of NFs without rows) into ``rnd``."""
         targets = self.targets
         if targets is None:
             targets, kinds = _counted(self.live)
             self.targets, self.readers, self.live = targets, [_GETTER[names] for names in kinds], None
-        return list(map(call, self.readers, targets))
-
-    def refresh(self, rnd: _Round) -> None:
-        """Read the counters (and the states of NFs without rows) into ``rnd``."""
-        self.counters = self.read_counters()
+        self.counters = list(map(call, self.readers, targets))
         self.round = rnd
         self._checkpoint = None
         if self.peeks:
@@ -354,20 +347,13 @@ class FlowCheckpoint:
         skeleton its later refreshes copy, so a reader that changes them
         changes those checkpoints too (restore copies them first)."""
         if self._records is None:
-            self._records = self.fresh_records()
+            records = [record.copy() for record in self._standing.skeleton]
+            _apply_counters(records, self._counters)
+            self._records = records
         return self._records
 
-    def fresh_records(self) -> List[FlowRecord]:
-        """The records as copies nothing else holds, each copied once."""
-        if self._records is not None:
-            return [record.copy() for record in self._records]
-        records = [record.copy() for record in self._standing.skeleton]
-        _apply_counters(records, self._counters)
-        return records
-
     def skeleton(self) -> List[FlowRecord]:
-        """The records as read or as copied at the capture: the same
-        tables, the counters perhaps older.  Read-only."""
+        """The records as copied at the capture (counters perhaps older); read-only."""
         return self._records if self._records is not None else self._standing.skeleton
 
     def item_count(self) -> int:
@@ -399,12 +385,33 @@ def _checkpoint_of(filed: Union[FlowCheckpoint, _Standing]) -> FlowCheckpoint:
     return filed.checkpoint() if isinstance(filed, _Standing) else filed
 
 
+def _row(nf: NetworkFunction, key: FiveTuple) -> Optional[int]:
+    """The row holding the state ``nf`` keeps for ``key`` (``None``: the
+    NF declares no fields)."""
+    rows = nf.flow_rows
+    return None if rows is None else rows.index[nf.flow_place(key)]
+
+
+def _places(observed: ObservedKeys) -> list:
+    """Where each state :func:`_read_nf_states` would read lives, found
+    without reading one: (NF name, observed key, NF, :func:`_row`)."""
+    items = []
+    places = set()
+    for nf, key in observed:
+        if nf.flow_rows is None:
+            place, state = nf.peek_flow_state(key)
+        else:
+            place = state = nf.flow_place(key)
+        if state is not None and (nf, place) not in places:
+            places.add((nf, place))
+            items.append((nf.name, key, nf, _row(nf, key)))
+    return items
+
+
 def _read_nf_states(observed: ObservedKeys, located: Optional[list] = None) -> List[NFStateItem]:
     """What a migration's exports would take, read in place: a state two
     directions resolve to (a NAT mapping) at the first of them.  Given
-    ``located``, the read is one pass over the rows, and each state's
-    (NF, row) is appended to it (the row ``None`` for an NF without
-    declared fields)."""
+    ``located``, each state's place, as :func:`_places` finds it, goes there."""
     nf_states: List[NFStateItem] = []
     places = set()
     for nf, key in observed:
@@ -421,30 +428,8 @@ def _read_nf_states(observed: ObservedKeys, located: Optional[list] = None) -> L
             places.add((nf, place))
             nf_states.append((nf.name, key, state))
             if located is not None:
-                located.append((nf, row))
+                located.append((nf.name, key, nf, row))
     return nf_states
-
-
-def _items(nf_states: List[NFStateItem], located: list) -> list:
-    return [(name, key, nf, row) for (name, key, __), (nf, row) in zip(nf_states, located)]
-
-
-def _places(observed: ObservedKeys) -> list:
-    """Where each state :func:`_read_nf_states` would read lives, found
-    without reading one: (NF name, observed key, NF, row)."""
-    items = []
-    places = set()
-    for nf, key in observed:
-        rows = nf.flow_rows
-        if rows is None:
-            (place, state), row = nf.peek_flow_state(key), None
-        else:
-            place = state = nf.flow_place(key)
-            row = None if place is None else rows.index[place]
-        if state is not None and (nf, place) not in places:
-            places.add((nf, place))
-            items.append((nf.name, key, nf, row))
-    return items
 
 
 def capture_flow(
@@ -453,21 +438,15 @@ def capture_flow(
     replica_id: int = 0,
     log_seq: int = 0,
     walk: Optional[Dict[FiveTuple, List[FiveTuple]]] = None,
-    kept: Optional[Dict[int, tuple]] = None,
     items: Optional[list] = None,
-    chain: Optional[ChainSignature] = None,
 ) -> Optional[FlowCheckpoint]:
     """Snapshot one flow without disturbing it (read → copy).
 
     Returns ``None`` when the runtime holds nothing for the flow.  The
     SpeedyBox tables and the NFs' own states are only read.  On a
     SpeedyBox the checkpoint also carries the standing snapshot later
-    rounds refresh from.  A round hands over what it has just checked:
-    the flow's ``walk``, the runtime's ``chain`` signature, ``kept``
-    (FID -> the ``_Rows`` that still stand and their copied record), whose
-    records are not copied again (the counters are read instead), and
-    the NF state places and rows (``items``) when they stand, which are
-    read without looking them up again.
+    rounds refresh from.  A round passes what it has just checked: the
+    flow's ``walk``, and the NF state places (``items``) when they stand.
     """
     key = flow.canonical()
     nfs = list(runtime.nfs)
@@ -478,29 +457,19 @@ def capture_flow(
     live: List[FlowRecord] = []
     rows: List[_Rows] = []
     fidless: List[FiveTuple] = []
-    speedy = isinstance(runtime, SpeedyBox)
-    reused = False
-    if speedy:
-        fid_for = runtime.classifier.fid_for
+    if isinstance(runtime, SpeedyBox):
         for direction in walk:
-            fid = fid_for(direction)
+            fid = runtime.classifier.fid_for(direction)
             if fid is None:
                 fidless.append(direction)
-                continue
-            read = runtime.peek_flow(fid)
-            standing_rows = kept.get(fid) if kept else None
-            if standing_rows is None:
-                rows.append(_Rows(fid, runtime, read))
-                records.append(read.copy())
             else:
-                rows.append(standing_rows[0])
-                records.append(standing_rows[1])
-                reused = True
-            live.append(read)
+                read = runtime.peek_flow(fid)
+                records.append(read.copy())
+                live.append(read)
+                rows.append(_Rows(fid, runtime, read))
     if items is None:
-        located: list = []
-        nf_states = _read_nf_states(_observed(nfs, walk), located)
-        items = _items(nf_states, located)
+        items = []
+        nf_states = _read_nf_states(_observed(nfs, walk), items)
     else:
         nf_states = [
             (name, state_key, nf.peek_flow_state(state_key)[1] if row is None
@@ -510,31 +479,27 @@ def capture_flow(
 
     if not records and not nf_states:
         return None
-    if chain is None:
-        chain = chain_signature(nfs)
-    if not speedy:
-        return FlowCheckpoint(
-            key, replica_id, log_seq, chain=chain, directions=tuple(walk),
-            records=records, nf_states=nf_states,
-        )
-    standing = _Standing(key, replica_id, chain, walk, rows, fidless, records, live, nfs)
-    standing.locate(items)
+    chain = chain_signature(nfs)
+    standing = None
+    if isinstance(runtime, SpeedyBox):
+        standing = _Standing(key, replica_id, chain, walk, rows, fidless, records, live, nfs)
+        standing.locate(items)
     return FlowCheckpoint(
         key,
         replica_id,
         log_seq,
         chain=chain,
-        directions=standing.directions,
-        records=None if reused else records,
+        directions=tuple(walk),
+        records=records,
         nf_states=nf_states,
         standing=standing,
-        counters=standing.read_counters() if reused else None,
     )
 
 
 def _mark(runtime: SpeedyBox) -> tuple:
     """Where the runtime's change clocks stand: its own, the Event
-    Table's and each NF's rows'."""
+    Table's and each NF's rows'.  The first mark starts the stamps."""
+    runtime.track_changes()
     return (
         runtime._changes,
         runtime.event_table.total_registered,
@@ -571,26 +536,21 @@ def _moved(standing: _Standing, runtime: SpeedyBox):
 def _recheck(standing: _Standing, runtime: SpeedyBox, walk_again: bool = True):
     """Do the flow's rows and walk still stand?  ``None`` when they all
     do (the NF states re-located), else what :func:`capture_flow` can
-    reuse: ``(walk, kept, items)``, the walk as it is now, the rows that
-    still stand with their copies, by FID, and the NF state places when
-    they stand too.  Without ``walk_again`` the walk and the places are
-    known to stand."""
+    reuse: ``(walk, items)``, the walk as it is now and the NF state
+    places when they stand.  Without ``walk_again`` the walk and the
+    places are known to stand."""
+    # A mapping the walk read may have changed without a row of this flow
+    # to show it (a handshake, a flow without its rule, another
+    # connection's FIN, migration or restore on a NAT port two replicas
+    # both handed out).
     walk = flow_walk(runtime.nfs, standing.flow) if walk_again else standing.walk
-    kept = {
-        rows.fid: (rows, record)
-        for rows, record in zip(standing.rows, standing.skeleton)
-        if rows.stand(runtime)
-    }
-    fid_for = runtime.classifier.fid_for
+    classifier = runtime.classifier
     if (
-        len(kept) < len(standing.rows)
-        or any(fid_for(direction) is not None for direction in standing.fidless)
-        # A mapping the walk read may have changed without a row of this
-        # flow to show it (another connection's FIN, migration or restore
-        # on a NAT port two replicas both handed out).
+        any(classifier.fid_for(direction) is not None for direction in standing.fidless)
+        or not all(rows.stand(runtime) for rows in standing.rows)
         or (walk_again and list(walk.items()) != list(standing.walk.items()))
     ):
-        return walk, kept, None if walk_again else standing.items
+        return walk, None if walk_again else standing.items
     if walk_again:
         # A state may have come or gone.  (Over the stored walk: equal to
         # the new one, and its keys are the objects the checkpoint names.)
@@ -607,19 +567,17 @@ def _keys(checkpoint: FlowCheckpoint) -> List[FiveTuple]:
     return [direction.canonical() for direction in checkpoint.directions]
 
 
-def restore_flow(checkpoint: FlowCheckpoint, runtime: Runtime) -> List[FlowRecord]:
-    """Install a checkpoint into ``runtime``; returns the records installed.
+def restore_flow(checkpoint: FlowCheckpoint, runtime: Runtime) -> List[int]:
+    """Install a checkpoint into ``runtime``; returns its FIDs there.
 
     ``runtime`` must have the checkpointed chain's shape
     (:class:`~repro.scale.migration.MigrationError` otherwise, before
-    anything is installed).  The stored records are copied once, so the
+    anything is installed).  The stored records are copied first, so the
     checkpoint stays reusable (a second failure on the new home can
     restore from it again until a fresher snapshot replaces it).
     """
     check_same_shape(checkpoint.chain, runtime.nfs)
-    records = checkpoint.fresh_records()
-    install_flow(runtime, records, checkpoint.nf_states, reason="checkpoint_restore", copy=False)
-    return records
+    return install_flow(runtime, checkpoint.records, checkpoint.nf_states, "checkpoint_restore")
 
 
 class CheckpointManager:
@@ -641,8 +599,6 @@ class CheckpointManager:
         #: keys a round found without state, skipped until dispatched
         #: again (the cluster never forgets a home)
         self._stateless: set = set()
-        #: id(runtime) -> (runtime, its chain signature)
-        self._chains: Dict[int, tuple] = {}
         self.checkpoints_taken = 0
         self._m_checkpoints = metrics.counter(
             "ft_checkpoints_total", "replica-wide checkpoint rounds taken"
@@ -683,7 +639,7 @@ class CheckpointManager:
                     # directions: capture the flow from it, as a round
                     # over every key would (its store replaces the
                     # checkpoint just stored).
-                    recaptured = self._full_capture(runtime, first, replica_id, log_seq, mark)
+                    recaptured = self._full_capture(runtime, first, replica_id, log_seq)
                     if recaptured is not None:
                         keys = _keys(recaptured)
             seen.update(keys)
@@ -702,18 +658,14 @@ class CheckpointManager:
 
     def _full_capture(
         self, runtime: Runtime, key: FiveTuple, replica_id: int, log_seq: int,
-        mark: Optional[tuple], walk=None, kept=None, items=None,
+        walk=None, items=None,
     ) -> Optional[FlowCheckpoint]:
-        cached = self._chains.get(id(runtime))
-        if cached is None or cached[0] is not runtime:
-            cached = self._chains[id(runtime)] = (runtime, chain_signature(runtime.nfs))
         checkpoint = capture_flow(
-            runtime, key, replica_id=replica_id, log_seq=log_seq, walk=walk, kept=kept,
-            items=items, chain=cached[1],
+            runtime, key, replica_id=replica_id, log_seq=log_seq, walk=walk, items=items
         )
         if checkpoint is not None:
             if checkpoint._standing is not None:
-                checkpoint._standing.mark = mark
+                checkpoint._standing.mark = _mark(runtime)
             self.store(checkpoint)
         return checkpoint
 
@@ -723,16 +675,16 @@ class CheckpointManager:
     ) -> Union[FlowCheckpoint, _Standing, None]:
         """Refresh the flow's standing snapshot into this round (the
         round's first refresh takes its reading, ``rounds[0]``), or
-        capture it, reusing what still stands."""
+        capture it again."""
         filed = self._snapshots.get(key)
         standing = filed if isinstance(filed, _Standing) or filed is None else filed._standing
         if standing is None or standing.replica_id != replica_id:
-            return self._full_capture(runtime, key, replica_id, log_seq, mark)
+            return self._full_capture(runtime, key, replica_id, log_seq)
         moved = standing.mark != mark and _moved(standing, runtime)
         if moved:
             found = _recheck(standing, runtime, moved is True)
             if found is not None:
-                return self._full_capture(runtime, key, replica_id, log_seq, mark, *found)
+                return self._full_capture(runtime, key, replica_id, log_seq, *found)
         standing.mark = mark
         if not rounds:
             rounds.append(_Round(runtime, log_seq))
@@ -757,8 +709,7 @@ class CheckpointManager:
     ) -> Optional[FlowCheckpoint]:
         """Capture one flow right after it migrates onto a replica."""
         runtime = self.cluster.replicas[replica_id].runtime
-        mark = _mark(runtime) if isinstance(runtime, SpeedyBox) else None
-        checkpoint = self._full_capture(runtime, flow, replica_id, log_seq, mark)
+        checkpoint = self._full_capture(runtime, flow, replica_id, log_seq)
         if checkpoint is not None:
             self._m_flows.inc()
             self.audit.emit(
@@ -771,16 +722,16 @@ class CheckpointManager:
             )
         return checkpoint
 
-    def adopt(self, checkpoint: FlowCheckpoint, replica_id: int, installed: List[FlowRecord]) -> None:
-        """File a flow that a recovery restored onto ``replica_id`` from the
-        records it installed there, the checkpoint's copies as skeleton, so
-        the next round checks its rows and walk instead of copying them.
-        Where the tables placed a record otherwise (another FID, another
-        probe count), the next round captures the flow in full."""
+    def adopt(self, checkpoint: FlowCheckpoint, replica_id: int, fids: List[int]) -> None:
+        """File a flow a recovery restored onto ``replica_id`` as standing on
+        the rows it installed at ``fids``, unless the tables placed one otherwise."""
         old = checkpoint._standing
         runtime = self.cluster.replicas[replica_id].runtime
         skeleton = checkpoint.skeleton()
-        if old is None or not isinstance(runtime, SpeedyBox) or any(
+        if old is None or not isinstance(runtime, SpeedyBox):
+            return
+        installed = [runtime.peek_flow(fid) for fid in fids]
+        if any(
             record.fid != copy.fid or record.classifier_entry.probes != copy.classifier_entry.probes
             for record, copy in zip(installed, skeleton)
         ):

@@ -2,20 +2,13 @@
 
 :class:`FaultTolerance` attaches to a
 :class:`~repro.scale.cluster.ScaleCluster` (``cluster.ft``) and receives
-three hooks on the cluster's dispatch path:
-
-one hook on the cluster's dispatch path, :meth:`note_dispatch`, called
-once per packet in place of the cluster's own routing step:
-
-- it advances the :class:`~repro.ft.faults.FaultInjector` (:meth:`tick`)
-  before the packet is routed, so an armed kill lands with traffic in
-  flight;
-- packets addressed to a dead replica's flows are buffered, never
-  dropped, and delivered in arrival order when recovery completes;
-- every other packet is logged before processing in its replica's
-  :class:`~repro.ft.pktlog.PacketLog`, which drives the checkpoint
-  cadence: every ``checkpoint_interval`` packets per replica, snapshot
-  all of its flows and trim its log.
+one hook per packet, :meth:`note_dispatch`, which routes it in place of
+the cluster: it advances the :class:`~repro.ft.faults.FaultInjector`
+first, so an armed kill lands with traffic in flight; buffers packets
+addressed to a dead replica's flows, delivered in arrival order when
+recovery completes; and logs every other packet before processing
+(:class:`~repro.ft.pktlog.PacketLog`), snapshotting all of a replica's
+flows and trimming its log every ``checkpoint_interval`` packets.
 
 Recovery (:meth:`recover`) follows Khalid & Akella's correctness bar —
 loss-free, duplicate-free, state-identical — with the classic
@@ -150,8 +143,6 @@ class FaultTolerance:
         self.audit = audit if audit is not None else cluster.audit
         metrics = cluster.metrics
         self.checkpoints = CheckpointManager(cluster, audit=self.audit, metrics=metrics)
-        #: per replica: its input log, which holds the packets
-        #: dispatched to it since its last checkpoint
         self.logs: Dict[int, PacketLog] = {}
         self.dead: Dict[int, DeadReplica] = {}
         self.recoveries: List[RecoveryReport] = []
@@ -184,18 +175,13 @@ class FaultTolerance:
 
     # -- the cluster hook (ScaleCluster's dispatch path) ---------------------
 
-    def note_dispatch(self, packet: Packet, key, arrival_ns: Optional[float] = None) -> Optional[int]:
-        """Route one packet: the replica that takes it now, or ``None``
-        when it was buffered.
-
-        Advances the fault clock, then routes as the cluster does
-        (:meth:`~repro.scale.cluster.ScaleCluster._home`), buffers a
-        packet whose home is dead, and logs every other packet before
-        it is processed, taking the replica's checkpoint first when its
-        log holds ``checkpoint_interval`` packets.  Recovery's replays
-        and deliveries are routed, not logged.  ``arrival_ns`` is the
-        packet's offered arrival (loaded runs pass it).
-        """
+    def note_dispatch(
+        self, packet: Packet, key, arrival_ns: Optional[float] = None
+    ) -> Optional[int]:
+        """Route one packet (:meth:`~repro.scale.cluster.ScaleCluster._home`):
+        the replica that takes it now, or ``None`` when it was buffered.
+        Recovery's replays and deliveries are routed, not logged or
+        ticked.  ``arrival_ns`` is the packet's offered arrival."""
         recovering = self._in_recovery
         if not recovering:
             self.tick(packet, arrival_ns)
@@ -212,9 +198,7 @@ class FaultTolerance:
             return None
         cluster._flow_homes[key] = rid
         if not recovering:
-            log = self.logs.get(rid)
-            if log is None:
-                log = self._log_for(rid)
+            log = self._log_for(rid)
             if len(log) >= self.checkpoint_interval:
                 self.checkpoint_replica(rid, cause="interval")
             log.append(packet, key)
@@ -473,7 +457,7 @@ class FaultTolerance:
                     self.checkpoints.drop_flow(checkpoint.flow)
                     continue
                 target = self._alive_home(checkpoint.flow)
-                installed = restore_flow(checkpoint, cluster.replicas[target].runtime)
+                fids = restore_flow(checkpoint, cluster.replicas[target].runtime)
                 for direction in checkpoint.directions:
                     direction_key = direction.canonical()
                     snapshot_covered.add(direction_key)
@@ -490,7 +474,7 @@ class FaultTolerance:
                     log_seq=checkpoint.log_seq,
                     items=checkpoint.item_count(),
                 )
-                self.checkpoints.adopt(checkpoint, target, installed)
+                self.checkpoints.adopt(checkpoint, target, fids)
 
             tracer.span("restore", track, clock, 0.0, flows=report.flows_restored)
 
@@ -508,7 +492,7 @@ class FaultTolerance:
                 # A replayed clone must never land in a concurrently-dead
                 # peer's buffer (it would be delivered live later — a dup).
                 self._alive_home(entry.key)
-                clock += cluster.process(entry.packet.clone()).latency_ns
+                clock += cluster.process(entry.packet).latency_ns
                 report.packets_replayed += 1
             report.flows_rebuilt = len(rebuilt_flows)
             self._m_replayed.inc(report.packets_replayed)

@@ -2,29 +2,22 @@
 
 Checkpoint + log is the classic recovery pair: the snapshot bounds how
 far back recovery must reach, the log carries everything since.  Each
-replica gets one :class:`PacketLog`; the cluster logs every packet it
-dispatches there *before* processing it (the pipeline mutates packets
-in place — NAT rewrites headers, a VPN pushes one — so logging after
-the fact would replay the wrong bytes).  Each flow checkpoint records
-the log position at capture, and recovery replays only the entries
-past it.
-
-The log is two parallel columns, the canonical keys and the
-pre-images; an entry's sequence number is implicit (the first kept
-entry's, plus its index), so :meth:`PacketLog.trim` is one slice.  A
-pre-image is the cheapest copy that still replays the offered bytes: a
-plain packet (no encapsulation, no metadata) is its header fields in
-one flat tuple, anything else a :meth:`~repro.net.packet.Packet.clone`;
-:meth:`PacketLog.entries` rebuilds each as a fresh packet.
+replica gets one :class:`PacketLog`; the cluster logs a *pre-image* of
+every packet it dispatches there before processing it (the pipeline
+mutates packets in place — NAT rewrites headers, a VPN pushes one — so
+logging after the fact would replay the wrong bytes): a plain packet's
+header fields in flat tuples, anything else a clone.  Keys and
+pre-images are two columns whose sequence numbers are implicit, so a
+trim is one slice.  Each flow checkpoint records the log position at
+capture, and recovery replays only the entries past it.
 
 The log is bounded.  When it fills, the owner (the
 :class:`~repro.ft.failover.FaultTolerance` coordinator) takes a
 *pressure checkpoint* and trims, keeping memory flat no matter how long
 the run — the same back-pressure a production log-structured recovery
-system applies.  When that hook makes no room (or there is none), the
-oldest entry is dropped: an input recovery can no longer replay, so
-each drop counts in ``ft_log_overflow_total`` and emits one
-``ft_log_overflow`` audit event.
+system applies.  When that makes no room, the oldest entry goes: an
+input recovery can no longer replay, counted in
+``ft_log_overflow_total`` and audited as ``ft_log_overflow``.
 """
 
 from __future__ import annotations
@@ -150,10 +143,9 @@ class PacketLog:
         return dropped
 
     def entries(self) -> List[LogEntry]:
-        first = self.first_seq
         return [
-            LogEntry(first + index, key, _replay(image))
-            for index, (key, image) in enumerate(zip(self.keys, self.images))
+            LogEntry(seq, key, _replay(image))
+            for seq, (key, image) in enumerate(zip(self.keys, self.images), self.first_seq)
         ]
 
     def __repr__(self) -> str:

@@ -60,10 +60,12 @@ class FlowRows(Mapping):
         self.index: Dict[object, int] = {}
         self.columns: Tuple[list, ...] = tuple([] for __ in fields)
         #: rows filed, dropped or rewritten by an import so far (a
-        #: runtime's generation counts them); each key's ``changes`` at
-        #: its row's latest such change, and at the latest :meth:`clear`
+        #: runtime's generation counts them); while tracked
+        #: (:meth:`track`), each key's ``changes`` at its row's latest
+        #: such change, and ``changes`` when tracking began or at the
+        #: latest :meth:`clear`
         self.changes = 0
-        self.stamps: Dict[object, int] = {}
+        self.stamps: Optional[Dict[object, int]] = None
         self.cleared = 0
         self._free: List[int] = []
         self._adds = tuple(field.kind in ("count", "add") for field in fields)
@@ -132,7 +134,13 @@ class FlowRows(Mapping):
     def touch(self, key) -> None:
         """Count one change to what ``key`` resolves to."""
         self.changes += 1
-        self.stamps[key] = self.changes
+        if self.stamps is not None:
+            self.stamps[key] = self.changes
+
+    def track(self) -> None:
+        """Stamp each key's changes from now on (:meth:`moved`)."""
+        if self.stamps is None:
+            self.stamps, self.cleared = {}, self.changes
 
     def moved(self, key, since: int) -> bool:
         """Did ``key``'s row change after ``changes`` read ``since``?"""
@@ -140,7 +148,8 @@ class FlowRows(Mapping):
 
     def clear(self) -> None:
         self.changes = self.cleared = self.changes + 1
-        self.stamps.clear()
+        if self.stamps is not None:
+            self.stamps.clear()
         self.index.clear()
         for column in self.columns:
             column.clear()

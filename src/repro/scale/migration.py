@@ -145,19 +145,17 @@ def install_flow(
     records: Sequence[FlowRecord],
     nf_states: Sequence[NFStateItem],
     reason: str,
-    copy: bool = True,
 ) -> List[int]:
     """Install one flow's records and NF states; returns its FIDs here.
 
-    Each record is copied first (the caller's stays as it was; ``copy``
-    false: the caller's copies, which nothing else holds, are taken as
-    they are), then imported — which resolves its handlers on
-    ``runtime``'s NFs — and each NF state goes to the same-named NF.
+    Each record is copied first (the caller's stays as it was), then
+    imported — which resolves its handlers on ``runtime``'s NFs — and
+    each NF state goes to the same-named NF.
     """
     fids: List[int] = []
     if isinstance(runtime, SpeedyBox):
         for stored in records:
-            record = stored.copy() if copy else stored
+            record = stored.copy()
             runtime.import_flow(record, reason=reason)
             fids.append(record.fid)
     nf_by_name = {nf.name: nf for nf in runtime.nfs}

@@ -691,14 +691,13 @@ def assert_filed_as_fresh(bench, flow, runtime=None, replica_id=0):
 
 def spy_captures(bench, monkeypatch) -> list:
     """Each capture a round makes: (flow, the walk it was handed or
-    ``None``, the FIDs whose rows it kept)."""
+    ``None``, whether it was handed the NF state places)."""
     calls = []
     real = checkpoint_module.capture_flow
 
-    def capture(runtime, flow, replica_id=0, log_seq=0, walk=None, kept=None, items=None,
-                chain=None):
-        calls.append((flow.canonical(), walk, sorted(kept or ())))
-        return real(runtime, flow, replica_id, log_seq, walk, kept, items, chain)
+    def capture(runtime, flow, replica_id=0, log_seq=0, walk=None, items=None):
+        calls.append((flow.canonical(), walk, items is not None))
+        return real(runtime, flow, replica_id, log_seq, walk, items)
 
     monkeypatch.setattr(checkpoint_module, "capture_flow", capture)
     return calls
@@ -710,13 +709,13 @@ def test_a_first_capture_is_filed_as_a_fresh_one(monkeypatch):
     spec = FlowSpec.tcp("10.5.0.7", "99.3.0.1", 4000, 80, packets=3, handshake=True)
     bench.send(TrafficGenerator([spec]).packets()[:2])
     bench.round()
-    assert calls == [(spec.five_tuple.canonical(), None, [])]
+    assert calls == [(spec.five_tuple.canonical(), None, False)]
     assert_filed_as_fresh(bench, spec.five_tuple)
 
 
-def test_rows_that_moved_under_a_standing_walk_copy_only_their_direction(monkeypatch):
-    """A Toggle event rebuilds the forward direction's rule; the reverse
-    direction's rows stand, and its copy is reused, not taken again."""
+def test_rows_that_moved_under_a_standing_walk_are_captured_from_it(monkeypatch):
+    """A Toggle event rebuilds the forward direction's rule; the walk
+    stands, and the capture that follows is handed the re-check's."""
     bench = Bench(toggle_chain)
     spec = FlowSpec.udp("10.5.0.7", "99.3.0.1", 4000, 53, packets=4)
     reply = FlowSpec(spec.five_tuple.reversed(), packets=2, payload=b"re")
@@ -729,10 +728,8 @@ def test_rows_that_moved_under_a_standing_walk_copy_only_their_direction(monkeyp
     calls = spy_captures(bench, monkeypatch)
     bench.send(forward[2:3])
     bench.round()
-    ((flow, walk, kept),) = calls
+    ((flow, walk, __),) = calls
     assert walk == before._standing.walk
-    reverse_fid = bench.runtime.classifier.fid_for(reply.five_tuple)
-    assert kept == [reverse_fid]
     after = bench.stored(spec.five_tuple)
     assert not refreshed(after, before)
     assert after.records[0].global_rule.version == 2
@@ -750,8 +747,8 @@ def test_a_walk_that_moved_is_captured_from_the_new_walk(monkeypatch):
     calls = spy_captures(bench, monkeypatch)
     bench.send(packets[2:3])
     bench.round()
-    ((walk, kept),) = [(walk, kept) for flow, walk, kept in calls if flow == before.flow]
-    assert walk is not None and walk != before._standing.walk
+    ((walk, placed),) = [(walk, placed) for flow, walk, placed in calls if flow == before.flow]
+    assert walk is not None and walk != before._standing.walk and not placed
     assert bench.stored(spec.five_tuple).directions != before.directions
     assert_filed_as_fresh(bench, spec.five_tuple)
 
@@ -818,9 +815,8 @@ def test_cluster_ft_pays_only_for_what_changed(monkeypatch):
     causes = dict.fromkeys(("first", "nothing left", "stands", "rows moved", "walk moved"), 0)
     real_capture, real_recheck = checkpoint_module.capture_flow, checkpoint_module._recheck
 
-    def capture(runtime, flow, replica_id=0, log_seq=0, walk=None, kept=None, items=None,
-                chain=None):
-        found = real_capture(runtime, flow, replica_id, log_seq, walk, kept, items, chain)
+    def capture(runtime, flow, replica_id=0, log_seq=0, walk=None, items=None):
+        found = real_capture(runtime, flow, replica_id, log_seq, walk, items)
         if found is None:
             causes["nothing left"] += 1
         elif walk is None:

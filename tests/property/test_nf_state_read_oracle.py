@@ -81,7 +81,8 @@ def reference_read_and_locate(observed, located=None):
         for name, key, __ in nf_states:
             nf = by_name[name]
             rows = nf.flow_rows
-            located.append((nf, None if rows is None else rows.index[nf.flow_place(key)]))
+            row = None if rows is None else rows.index[nf.flow_place(key)]
+            located.append((name, key, nf, row))
     return nf_states
 
 
